@@ -1,14 +1,52 @@
 //! The Phoenix scheduler's packing module (paper Algorithm 2, Appendix B).
 //!
 //! Given the planner's globally-ranked list of microservices, map each one
-//! to a healthy server with a three-pronged strategy:
+//! to a healthy server with a three-pronged strategy. With `P` plan
+//! entries, `A` resulting actions and `N` healthy nodes, one pack costs
+//! O(P + A · log N): a pod that is already running costs one table probe,
+//! a pod that moves pays for the ordered node set, and a fallback event
+//! (a repack attempt, a victim) costs what the migration budgets and the
+//! pods of the few nodes it touches allow — never something proportional
+//! to `P`.
 //!
 //! 1. **Best-fit** — the node with the smallest remaining capacity that
-//!    still accommodates the demand;
+//!    still accommodates the demand: one O(log N) range query on
+//!    [`SortedNodes`] per pod that is not already running.
 //! 2. **Repack** — if nothing fits, pick an emptyish node and migrate its
-//!    smallest pods elsewhere until the demand fits;
+//!    smallest pods elsewhere until the demand fits. At most
+//!    `max_migration_nodes` candidates are tried, each moving at most
+//!    `max_migration_moves` pods at O(log N) apiece. A candidate's pods
+//!    are tried smallest first, and a pod can only move to a node whose
+//!    key reaches the pod's *floor* (`scalar − 1e-9`, where its best-fit
+//!    candidate range starts).
+//!    **Early-out invariant:** when a pod finds no destination and even
+//!    the emptiest *other* node's key is below that pod's floor, no later
+//!    pod of the candidate can find one either — floors only grow along
+//!    the sorted list and nothing changed in between — so the candidate
+//!    is abandoned after one query instead of one per pod. (A miss while
+//!    some node still reaches the floor proves nothing: that node may
+//!    lack memory or pod slots this pod needs and the next does not.)
+//!    A full cluster fails every candidate this way, and a full cluster
+//!    is when repack is called most.
 //! 3. **Delete-lower-ranks** — as a last resort, delete currently running
-//!    pods in reverse rank order (lowest priority first) until space opens.
+//!    pods in reverse rank order (lowest priority first) until space
+//!    opens. The next victim is found by a **cursor** that starts past
+//!    the end of the plan and walks towards its head, skipping entries
+//!    that are not running.
+//!    **Cursor invariant:** a plan entry the cursor has passed is either
+//!    not running or was (re-)placed by this pack when its own turn came.
+//!    A victim must sit after the pod being placed; a victim that is
+//!    re-placed later is placed at its own position, which the placement
+//!    loop has reached by then, so it can never be chosen again. Passed
+//!    entries therefore never need a second look: O(P) probes over the
+//!    whole pack, and no ordered set of every running pod.
+//!
+//! A victim re-placed at its own rank collapses its delete + start pair
+//! into a keep or a migration; its slot in the deletion list is
+//! remembered next to its origin node, so the collapse is O(1). The
+//! converse collapse — deleting a pod this very pack started — cannot
+//! arise: starts happen at positions up to the current one, victims sit
+//! strictly after it.
 //!
 //! All work happens on a scratch [`ClusterState`] copy owned by the caller;
 //! enforcement is the agent's job (§4.2).
@@ -34,8 +72,6 @@
 //!   prefixes). Repack and victim bookkeeping themselves run sequentially
 //!   on the authoritative global state through the very same code path as
 //!   the sequential driver, so shard-crossing work cannot diverge.
-
-use std::collections::BTreeSet;
 
 use phoenix_obs::{Counter, Phase, Recorder};
 
@@ -185,17 +221,125 @@ impl PackOutcome {
 /// that is the diagonal-scaling step. Remaining plan entries are placed in
 /// rank order with the three-pronged strategy.
 pub fn pack(state: &mut ClusterState, plan: &[PlannedPod], cfg: &PackingConfig) -> PackOutcome {
-    let rank_of: FxHashMap<PodKey, usize> =
-        plan.iter().enumerate().map(|(i, p)| (p.key, i)).collect();
-    pack_prepared(state, plan, cfg, |p| rank_of.get(&p).copied())
+    let ranks = PlanRanks::new(plan);
+    pack_prepared(state, plan, cfg, |p| ranks.get(p))
+}
+
+/// `pod key → plan index` for an arbitrary plan, derived from the plan
+/// itself in three hash-free passes: pod keys are dense workload indices
+/// (see [`PodKey`]), so a three-level offset table — app → service slot →
+/// replica cell — answers a lookup with three array reads and costs a few
+/// bytes per planned pod.
+enum PlanRanks {
+    Dense {
+        /// Start of each app's service slots; `len = apps + 1`.
+        app_offsets: Vec<u32>,
+        /// Start of each service slot's replica cells; `len = slots + 1`.
+        slot_offsets: Vec<u32>,
+        /// Plan index per replica cell, [`ABSENT`] when not planned.
+        cells: Vec<u32>,
+    },
+    /// Key spaces too sparse for the table (hand-built keys far apart):
+    /// `(key, plan index)` sorted by key.
+    Sorted(Vec<(PodKey, usize)>),
+}
+
+/// [`PlanRanks::Dense`] cell of a key that lies between planned ones.
+const ABSENT: u32 = u32::MAX;
+
+impl PlanRanks {
+    fn new(plan: &[PlannedPod]) -> PlanRanks {
+        PlanRanks::dense(plan).unwrap_or_else(|| {
+            let mut sorted: Vec<(PodKey, usize)> =
+                plan.iter().enumerate().map(|(i, p)| (p.key, i)).collect();
+            sorted.sort_unstable();
+            PlanRanks::Sorted(sorted)
+        })
+    }
+
+    /// The dense table, or `None` when any level would outgrow a small
+    /// multiple of the plan (or the plan outgrows `u32` indices).
+    fn dense(plan: &[PlannedPod]) -> Option<PlanRanks> {
+        let budget = plan.len().checked_mul(4)?.saturating_add(1024);
+        if budget >= ABSENT as usize {
+            return None;
+        }
+        // Exclusive prefix sums of `counts`, refused past `budget`.
+        let offsets = |counts: &[u32]| {
+            let mut total = 0u32;
+            let mut offsets = Vec::with_capacity(counts.len() + 1);
+            offsets.push(0);
+            for &c in counts {
+                total = total.checked_add(c).filter(|&t| t as usize <= budget)?;
+                offsets.push(total);
+            }
+            Some(offsets)
+        };
+        let mut services: Vec<u32> = Vec::new();
+        for p in plan {
+            let app = p.key.app as usize;
+            if app >= services.len() {
+                if app >= budget {
+                    return None;
+                }
+                services.resize(app + 1, 0);
+            }
+            services[app] = services[app].max(p.key.service.checked_add(1)?);
+        }
+        let app_offsets = offsets(&services)?;
+        let slot_of = |key: PodKey| app_offsets[key.app as usize] as usize + key.service as usize;
+        let mut replicas = vec![0u32; *app_offsets.last().expect("non-empty") as usize];
+        for p in plan {
+            let slot = slot_of(p.key);
+            replicas[slot] = replicas[slot].max(u32::from(p.key.replica) + 1);
+        }
+        let slot_offsets = offsets(&replicas)?;
+        let mut cells = vec![ABSENT; *slot_offsets.last().expect("non-empty") as usize];
+        for (i, p) in plan.iter().enumerate() {
+            cells[slot_offsets[slot_of(p.key)] as usize + usize::from(p.key.replica)] = i as u32;
+        }
+        Some(PlanRanks::Dense {
+            app_offsets,
+            slot_offsets,
+            cells,
+        })
+    }
+
+    #[inline]
+    fn get(&self, pod: PodKey) -> Option<usize> {
+        match self {
+            PlanRanks::Dense {
+                app_offsets,
+                slot_offsets,
+                cells,
+            } => {
+                let app = pod.app as usize;
+                let slot = *app_offsets.get(app)? as usize + pod.service as usize;
+                if slot >= *app_offsets.get(app + 1)? as usize {
+                    return None;
+                }
+                let cell = slot_offsets[slot] as usize + usize::from(pod.replica);
+                if cell >= slot_offsets[slot + 1] as usize {
+                    return None;
+                }
+                Some(cells[cell])
+                    .filter(|&i| i != ABSENT)
+                    .map(|i| i as usize)
+            }
+            PlanRanks::Sorted(sorted) => sorted
+                .binary_search_by_key(&pod, |&(key, _)| key)
+                .ok()
+                .map(|at| sorted[at].1),
+        }
+    }
 }
 
 /// [`pack`] with a caller-supplied `pod key → plan index` lookup.
 ///
-/// Warm replanning (`phoenix_core::replan`) passes a dense
-/// workload-shaped table here instead of a freshly built hash map, so
-/// steady rounds skip the O(pods) map construction and pay array reads in
-/// the membership scans. `rank_of` **must** return exactly `Some(i)` for
+/// The planner (`phoenix_core::controller`, cold and warm) passes a dense
+/// workload-shaped table here that it derives in O(services) while it
+/// flattens the activation list, instead of having [`pack`] re-derive one
+/// from the flattened plan. `rank_of` **must** return exactly `Some(i)` for
 /// `plan[i].key` and `None` for every other pod; anything else loses the
 /// byte-identical-to-[`pack`] guarantee.
 ///
@@ -216,15 +360,11 @@ pub fn pack_prepared(
     let mut out = PackOutcome::default();
     drop_unplanned(state, &rank_of, &mut out);
     let mut book = NodeBook::new(state, None);
-    let mut ctx = PackCtx {
-        obs: phoenix_obs::global(),
-        ..PackCtx::default()
-    };
+    let mut ctx = PackCtx::new(plan);
     place_range(
         state,
         plan,
         cfg,
-        &rank_of,
         &mut book,
         &mut ctx,
         &mut out,
@@ -247,9 +387,8 @@ pub fn pack_sharded(
     cfg: &PackingConfig,
     runner: &dyn ShardRunner,
 ) -> PackOutcome {
-    let rank_of: FxHashMap<PodKey, usize> =
-        plan.iter().enumerate().map(|(i, p)| (p.key, i)).collect();
-    pack_prepared_sharded(state, plan, cfg, |p| rank_of.get(&p).copied(), runner)
+    let ranks = PlanRanks::new(plan);
+    pack_prepared_sharded(state, plan, cfg, |p| ranks.get(p), runner)
 }
 
 /// [`pack_prepared`] on the sharded path (see [`pack_sharded`]); the
@@ -287,10 +426,7 @@ pub fn pack_prepared_sharded(
     drop_unplanned(state, &rank_of, &mut out);
     let layout = ShardLayout::new(state.node_count(), shards);
     let mut book = NodeBook::new(state, Some(layout));
-    let mut ctx = PackCtx {
-        obs: phoenix_obs::global(),
-        ..PackCtx::default()
-    };
+    let mut ctx = PackCtx::new(plan);
     let chunk = if cfg.shard_chunk > 0 {
         cfg.shard_chunk
     } else {
@@ -357,7 +493,6 @@ pub fn pack_prepared_sharded(
             state,
             plan,
             cfg,
-            &rank_of,
             &mut book,
             &mut ctx,
             &mut out,
@@ -461,34 +596,80 @@ impl NodeBook {
 }
 
 /// Cross-pod bookkeeping shared by the sequential and sharded drivers.
-#[derive(Default)]
 struct PackCtx {
-    /// Observability handle, grabbed once per pack (the default is the
-    /// disabled recorder). Counters recorded here are per-*event* in the
-    /// sequential merge order, so they are identical for every runner.
+    /// Observability handle, grabbed once per pack. Counters recorded
+    /// here are per-*event* in the sequential merge order, so they are
+    /// identical for every runner.
     obs: Recorder,
-    /// Active planned pods, ordered by rank (for the deletion fallback).
-    /// Built lazily on the first fallback: rounds with enough capacity —
-    /// the common case, and every warm replan after a small failure —
-    /// never pay the O(pods · log pods) set construction.
-    active: Option<BTreeSet<(usize, PodKey)>>,
-    /// Original node of every pre-existing pod the deletion fallback
-    /// victimized this pack: consulted on re-placement to collapse the
-    /// delete + start pair into a keep or a migration.
-    victim_origin: FxHashMap<PodKey, NodeId>,
+    /// The deletion fallback's cursor into the plan (see the
+    /// [module docs](self) for its invariant): the next victim is the
+    /// first running pod before it. Starts past the plan's end and only
+    /// ever moves towards its head.
+    victim_cursor: usize,
+    /// Origin node of every running pod this pack took off its node (the
+    /// deletion fallback's victims and serving-mode rebooks), with the
+    /// pod's index in [`PackOutcome::deletions`]: consulted on
+    /// re-placement to collapse the delete + start pair into a keep or a
+    /// migration without searching the deletion list.
+    victim_origin: FxHashMap<PodKey, (NodeId, usize)>,
+    /// [`repack_to_fit`]'s buffers.
+    repack: RepackScratch,
+}
+
+impl PackCtx {
+    fn new(plan: &[PlannedPod]) -> PackCtx {
+        PackCtx {
+            obs: phoenix_obs::global(),
+            victim_cursor: plan.len(),
+            victim_origin: FxHashMap::default(),
+            repack: RepackScratch::default(),
+        }
+    }
+
+    /// Records that running `pod` left `node` and is, for now, deleted.
+    fn evicted(&mut self, pod: PodKey, node: NodeId, out: &mut PackOutcome) {
+        self.victim_origin.insert(pod, (node, out.deletions.len()));
+        out.deletions.push(pod);
+    }
+
+    /// `pod` was just placed on `node`: a start — unless this pack took
+    /// it off a node earlier, in which case the recorded delete is
+    /// withdrawn (`swap_remove`, so the list keeps the order a linear
+    /// search-and-remove gives it) and the pod is a keep or a migration.
+    fn placed(&mut self, pod: PodKey, node: NodeId, out: &mut PackOutcome) {
+        let Some((from, at)) = self.victim_origin.remove(&pod) else {
+            out.starts.push((pod, node));
+            return;
+        };
+        debug_assert_eq!(out.deletions[at], pod);
+        out.deletions.swap_remove(at);
+        // The entry `swap_remove` moved into `at`, if it is one of ours
+        // (unplanned drops share the list but are never re-placed, so
+        // they have no slot to keep current).
+        let moved = out.deletions.get(at);
+        if let Some(slot) = moved.and_then(|pod| self.victim_origin.get_mut(pod)) {
+            slot.1 = at;
+        }
+        // Reporting the delete + start pair would make the agent restart
+        // a running pod (exactly what cooperative degradation forbids):
+        // back on its old node it is a keep, elsewhere a migration.
+        if from != node {
+            out.migrations.push((pod, from, node));
+        }
+    }
 }
 
 /// Places `plan[range]` with the three-pronged strategy, appending to
 /// `out`. `fit` computes step 1 — the sequential driver scans the global
 /// sorted set, the sharded driver merges per-shard proposals — while
-/// repack and the deletion fallback run identically in both. Returns
-/// `true` when strict mode aborted.
+/// repack and the deletion fallback run identically in both. Ranges must
+/// be visited in ascending order within one pack (the victim cursor
+/// relies on it). Returns `true` when strict mode aborted.
 #[allow(clippy::too_many_arguments)]
 fn place_range(
     state: &mut ClusterState,
     plan: &[PlannedPod],
     cfg: &PackingConfig,
-    rank_of: &impl Fn(PodKey) -> Option<usize>,
     book: &mut NodeBook,
     ctx: &mut PackCtx,
     out: &mut PackOutcome,
@@ -498,10 +679,7 @@ fn place_range(
     for rank in range {
         let planned = &plan[rank];
         let mut in_place = None;
-        if state.node_of(planned.key).is_some() {
-            let booked = state
-                .demand_of(planned.key)
-                .expect("assigned pod has demand");
+        if let Some((from, booked)) = state.placement_of(planned.key) {
             if !cfg.rebook_in_place || booked == planned.demand {
                 continue; // already running; keep in place
             }
@@ -511,13 +689,9 @@ fn place_range(
             // that no longer fits re-enters the regular flow as a
             // self-victimization: same node ⇒ keep, elsewhere ⇒
             // migration, nowhere ⇒ the delete stands.
-            let (from, _) = state.remove(planned.key).expect("pod is assigned");
+            state.remove(planned.key).expect("pod is assigned");
             book.update(from, state.remaining(from).scalar());
-            if let Some(active) = ctx.active.as_mut() {
-                active.remove(&(rank, planned.key));
-            }
-            ctx.victim_origin.insert(planned.key, from);
-            out.deletions.push(planned.key);
+            ctx.evicted(planned.key, from, out);
             if fits_node(state, cfg, from, planned.demand) {
                 in_place = Some(from);
             }
@@ -525,38 +699,21 @@ fn place_range(
         let mut target = in_place.or_else(|| fit(state, book, rank, planned.demand));
         if target.is_none() && cfg.enable_migration {
             let migrations_before = out.migrations.len();
-            target = repack_to_fit(state, book, planned.demand, cfg, out);
+            target = repack_to_fit(state, book, planned.demand, cfg, out, &mut ctx.repack);
             ctx.obs.add(
                 Counter::PackRepackMigrations,
                 (out.migrations.len() - migrations_before) as u64,
             );
         }
         while target.is_none() {
-            let active = ctx.active.get_or_insert_with(|| {
-                state
-                    .assignments()
-                    .map(|(p, _, _)| (rank_of(p).expect("assigned pod is planned"), p))
-                    .collect()
-            });
-            // Delete the lowest-priority active pod that ranks below us.
-            let Some(&(victim_rank, victim)) = active.iter().next_back() else {
+            // Delete the lowest-priority running pod that ranks below us.
+            let Some(victim) = next_victim(state, plan, &mut ctx.victim_cursor, rank) else {
                 break;
             };
-            if victim_rank <= rank {
-                break;
-            }
-            active.remove(&(victim_rank, victim));
             let (node, _) = state.remove(victim).expect("victim is assigned");
             book.update(node, state.remaining(node).scalar());
             ctx.obs.incr(Counter::PackVictimDeletes);
-            // The victim may have been started earlier in this very pack; a
-            // start followed by a delete collapses to "never started".
-            if let Some(pos) = out.starts.iter().position(|&(p, _)| p == victim) {
-                out.starts.swap_remove(pos);
-            } else {
-                out.deletions.push(victim);
-                ctx.victim_origin.insert(victim, node);
-            }
+            ctx.evicted(victim, node, out);
             target = fit(state, book, rank, planned.demand);
         }
         match target {
@@ -566,29 +723,7 @@ fn place_range(
                     .expect("fit was just verified");
                 book.update(node, state.remaining(node).scalar());
                 ctx.obs.incr(Counter::PackPlacements);
-                if let Some(active) = ctx.active.as_mut() {
-                    active.insert((rank, planned.key));
-                }
-                match ctx.victim_origin.remove(&planned.key) {
-                    // A pre-existing pod victimized earlier this pack and
-                    // re-placed at its own rank: reporting the delete +
-                    // start pair would make the agent restart a running
-                    // pod (exactly what cooperative degradation forbids).
-                    // Collapse it — back on its old node it is a keep,
-                    // elsewhere a migration.
-                    Some(from) => {
-                        let pos = out
-                            .deletions
-                            .iter()
-                            .position(|&p| p == planned.key)
-                            .expect("victimized pod was recorded deleted");
-                        out.deletions.swap_remove(pos);
-                        if from != node {
-                            out.migrations.push((planned.key, from, node));
-                        }
-                    }
-                    None => out.starts.push((planned.key, node)),
-                }
+                ctx.placed(planned.key, node, out);
             }
             None => {
                 out.unplaced.push(planned.key);
@@ -600,6 +735,25 @@ fn place_range(
         }
     }
     false
+}
+
+/// Moves `cursor` towards the head of the plan to the next running pod
+/// that still sits after `rank` — the deletion fallback's next victim —
+/// or to `rank + 1` when there is none.
+fn next_victim(
+    state: &ClusterState,
+    plan: &[PlannedPod],
+    cursor: &mut usize,
+    rank: usize,
+) -> Option<PodKey> {
+    while *cursor > rank + 1 {
+        *cursor -= 1;
+        let key = plan[*cursor].key;
+        if state.node_of(key).is_some() {
+            return Some(key);
+        }
+    }
+    None
 }
 
 /// Step 1 on the sharded path: the node the global scan would pick,
@@ -725,6 +879,14 @@ fn try_fit(
     }
 }
 
+/// [`repack_to_fit`]'s per-candidate buffers, reused across candidates
+/// and across the calls of one pack.
+#[derive(Default)]
+struct RepackScratch {
+    pods: Vec<(PodKey, Resources)>,
+    moves: Vec<(PodKey, NodeId, NodeId)>,
+}
+
 /// Step 2: free up one node by migrating its smallest pods elsewhere.
 ///
 /// Examines candidate source nodes from most to least remaining capacity
@@ -739,6 +901,7 @@ fn repack_to_fit(
     demand: Resources,
     cfg: &PackingConfig,
     out: &mut PackOutcome,
+    scratch: &mut RepackScratch,
 ) -> Option<NodeId> {
     let candidates: Vec<NodeId> = book
         .sorted
@@ -746,19 +909,17 @@ fn repack_to_fit(
         .take(cfg.max_migration_nodes)
         .map(|(n, _)| n)
         .collect();
+    let RepackScratch { pods, moves } = scratch;
     for source in candidates {
-        let mut moves: Vec<(PodKey, NodeId, NodeId)> = Vec::new();
+        moves.clear();
         // Smallest pods first: they are the easiest to re-home.
-        let mut pods: Vec<(PodKey, Resources)> = state
-            .pods_on(source)
-            .iter()
-            .map(|&p| (p, state.demand_of(p).expect("pod on node is assigned")))
-            .collect();
+        pods.clear();
+        pods.extend(state.pod_demands_on(source));
         // `total_cmp`: a degenerate (NaN) demand must order deterministically
         // (last, as the hardest to re-home), not panic mid-incident.
         pods.sort_by(|a, b| a.1.scalar().total_cmp(&b.1.scalar()));
         let mut ok = false;
-        for (p, d) in pods {
+        for &(p, d) in pods.iter() {
             if fits_node(state, cfg, source, demand) {
                 ok = true;
                 break;
@@ -772,6 +933,19 @@ fn repack_to_fit(
                 .best_fit_candidates(d.scalar())
                 .find(|&n| n != source && fits_node(state, cfg, n, d))
             else {
+                // Early-out (see the module docs): with every other
+                // node's key below this pod's floor, the larger pods
+                // that follow have nowhere to go either. `total_cmp`
+                // is the sorted set's own order, so a NaN key (sorted
+                // above everything) never ends the loop early; a NaN
+                // floor says nothing about the floors after it.
+                let floor = d.scalar() - 1e-9;
+                let roomiest_other = book.sorted.iter_desc().find(|&(n, _)| n != source);
+                if !floor.is_nan()
+                    && roomiest_other.is_none_or(|(_, key)| key.total_cmp(&floor).is_lt())
+                {
+                    break;
+                }
                 continue;
             };
             state.migrate(p, dest).expect("fit was just verified");
@@ -783,11 +957,11 @@ fn repack_to_fit(
             ok = true;
         }
         if ok {
-            out.migrations.extend(moves);
+            out.migrations.extend(moves.iter().copied());
             return Some(source);
         }
         // Roll back tentative moves, most recent first.
-        for (p, src, dest) in moves.into_iter().rev() {
+        for &(p, src, dest) in moves.iter().rev() {
             state.migrate(p, src).expect("rollback to source succeeds");
             book.update(src, state.remaining(src).scalar());
             book.update(dest, state.remaining(dest).scalar());
@@ -1217,7 +1391,14 @@ mod tests {
             ..PackingConfig::default()
         };
         let mut out = PackOutcome::default();
-        let target = repack_to_fit(&mut state, &mut book, Resources::cpu(6.0), &cfg, &mut out);
+        let target = repack_to_fit(
+            &mut state,
+            &mut book,
+            Resources::cpu(6.0),
+            &cfg,
+            &mut out,
+            &mut RepackScratch::default(),
+        );
 
         assert_eq!(target, None, "no candidate can be freed");
         assert_eq!(
@@ -1258,7 +1439,14 @@ mod tests {
             ..PackingConfig::default()
         };
         let mut out = PackOutcome::default();
-        let target = repack_to_fit(&mut state, &mut book, Resources::cpu(10.0), &cfg, &mut out);
+        let target = repack_to_fit(
+            &mut state,
+            &mut book,
+            Resources::cpu(10.0),
+            &cfg,
+            &mut out,
+            &mut RepackScratch::default(),
+        );
         assert_eq!(target, Some(NodeId::new(1)));
         // Only the successful candidate's move is recorded; node0's
         // tentative move was rolled back and left no trace.
@@ -1274,6 +1462,95 @@ mod tests {
             assert_eq!(book.sorted.key(n), Some(state.remaining(n).scalar()), "{n}");
         }
         state.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn repack_early_out_spares_a_node_sitting_exactly_on_the_floor() {
+        // Node1's remaining CPU is *exactly* the best-fit floor of the two
+        // 1-CPU pods on node0 (`1.0 - 1e-9`; the candidate range is
+        // inclusive there). pod1 misses — node1 lacks the memory — but
+        // the emptiest other node is on the floor, not below it, so the
+        // candidate must not be abandoned: pod2 (same CPU, less memory)
+        // moves over and frees node0 for the 2-CPU demand.
+        let mut state =
+            ClusterState::new([Resources::new(3.0, 8.0), Resources::new(1.0 - 1e-9, 2.0)]);
+        state
+            .assign(pod(1), Resources::new(1.0, 5.0), NodeId::new(0))
+            .unwrap();
+        state
+            .assign(pod(2), Resources::new(1.0, 1.0), NodeId::new(0))
+            .unwrap();
+        let mut book = NodeBook::new(&state, None);
+        let mut out = PackOutcome::default();
+        let target = repack_to_fit(
+            &mut state,
+            &mut book,
+            Resources::cpu(2.0),
+            &PackingConfig::default(),
+            &mut out,
+            &mut RepackScratch::default(),
+        );
+        assert_eq!(target, Some(NodeId::new(0)));
+        assert_eq!(
+            out.migrations,
+            vec![(pod(2), NodeId::new(0), NodeId::new(1))]
+        );
+        state.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn sparse_key_spaces_pack_like_dense_ones() {
+        // Keys far apart would blow a dense rank table up; `pack` must
+        // still treat them as any other plan (and drop the unplanned pod
+        // that sits between them).
+        let far = PodKey::new(u32::MAX, u32::MAX, u16::MAX);
+        let between = PodKey::new(7, 0, 0);
+        let mut state = ClusterState::homogeneous(1, Resources::cpu(10.0));
+        state
+            .assign(between, Resources::cpu(4.0), NodeId::new(0))
+            .unwrap();
+        state
+            .assign(far, Resources::cpu(4.0), NodeId::new(0))
+            .unwrap();
+        let plan = vec![
+            PlannedPod::new(pod(0), Resources::cpu(6.0)),
+            PlannedPod::new(far, Resources::cpu(4.0)),
+        ];
+        assert!(matches!(PlanRanks::new(&plan), PlanRanks::Sorted(_)));
+        let out = pack(&mut state, &plan, &PackingConfig::default());
+        assert_eq!(out.deletions, vec![between]);
+        assert_eq!(out.starts, vec![(pod(0), NodeId::new(0))]);
+        assert_eq!(state.node_of(far), Some(NodeId::new(0)));
+        assert!(out.unplaced.is_empty());
+    }
+
+    #[test]
+    fn dense_ranks_answer_exactly_the_plan() {
+        // Out-of-order replicas, gaps between services, several apps.
+        let keys = [
+            PodKey::new(2, 1, 1),
+            PodKey::new(0, 3, 0),
+            PodKey::new(2, 1, 0),
+            PodKey::new(1, 0, 2),
+        ];
+        let plan: Vec<PlannedPod> = keys
+            .iter()
+            .map(|&k| PlannedPod::new(k, Resources::cpu(1.0)))
+            .collect();
+        let ranks = PlanRanks::new(&plan);
+        assert!(matches!(ranks, PlanRanks::Dense { .. }));
+        for (i, &k) in keys.iter().enumerate() {
+            assert_eq!(ranks.get(k), Some(i), "{k}");
+        }
+        for absent in [
+            PodKey::new(0, 0, 0), // slot inside the table, never planned
+            PodKey::new(1, 0, 1), // replica gap below a planned replica
+            PodKey::new(2, 1, 2), // replica past the block
+            PodKey::new(0, 4, 0), // service past the app
+            PodKey::new(3, 0, 0), // app past the table
+        ] {
+            assert_eq!(ranks.get(absent), None, "{absent}");
+        }
     }
 
     /// Packs the same scenario sequentially and sharded (over several

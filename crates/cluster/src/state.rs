@@ -1,4 +1,5 @@
 use crate::fxhash::FxHashMap;
+use std::collections::hash_map;
 use std::fmt;
 
 use crate::{ClusterError, Resources};
@@ -145,7 +146,10 @@ pub struct ClusterState {
     /// the node can actually deliver (software aging, thermal throttling,
     /// a sick disk). `1.0` = fully healthy capacity.
     degrade: Vec<f64>,
-    node_pods: Vec<Vec<PodKey>>,
+    /// Pods on each node, in assignment order, by interned id: the `used`
+    /// recompute and node eviction read keys and demands straight out of
+    /// the pod columns, with no hashing.
+    node_pods: Vec<Vec<PodId>>,
     // ---- interned pod table (indexed by PodId; grow-only) ----
     /// pod key -> dense id. Fx-hashed: pod keys are dense internal ids
     /// and this map is the packing/diff hot path. The map is only ever
@@ -230,19 +234,6 @@ impl ClusterState {
         if let Some(journal) = &mut self.journal {
             journal.push(entry);
         }
-    }
-
-    /// Interns `pod`, returning its dense id (existing or fresh).
-    fn intern(&mut self, pod: PodKey) -> PodId {
-        if let Some(&id) = self.pod_ids.get(&pod) {
-            return id;
-        }
-        let id = self.pod_keys.len() as PodId;
-        self.pod_ids.insert(pod, id);
-        self.pod_keys.push(pod);
-        self.pod_node.push(UNASSIGNED);
-        self.pod_demand.push(Resources::ZERO);
-        id
     }
 
     /// Number of nodes (healthy or not).
@@ -352,19 +343,34 @@ impl ClusterState {
             let Some(&victim) = self.node_pods[idx].last() else {
                 break;
             };
+            let victim = self.pod_keys[victim as usize];
             let (_, demand) = self.remove(victim).expect("pod on node is assigned");
             evicted.push((victim, demand));
         }
         evicted
     }
 
-    /// Pods currently running on `node`.
+    /// Pods currently running on `node`, in assignment order.
     ///
     /// # Panics
     ///
     /// Panics if the node does not exist.
-    pub fn pods_on(&self, node: NodeId) -> &[PodKey] {
-        &self.node_pods[node.index()]
+    pub fn pods_on(&self, node: NodeId) -> impl ExactSizeIterator<Item = PodKey> + '_ {
+        self.node_pods[node.index()]
+            .iter()
+            .map(|&id| self.pod_keys[id as usize])
+    }
+
+    /// `(pod, demand)` of every pod running on `node`, in
+    /// [`pods_on`](ClusterState::pods_on) order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node does not exist.
+    pub fn pod_demands_on(&self, node: NodeId) -> impl Iterator<Item = (PodKey, Resources)> + '_ {
+        self.node_pods[node.index()]
+            .iter()
+            .map(|&id| (self.pod_keys[id as usize], self.pod_demand[id as usize]))
     }
 
     /// Where `pod` runs, if assigned.
@@ -376,8 +382,16 @@ impl ClusterState {
 
     /// Demand of `pod`, if assigned.
     pub fn demand_of(&self, pod: PodKey) -> Option<Resources> {
+        self.placement_of(pod).map(|(_, demand)| demand)
+    }
+
+    /// Where `pod` runs and what it books there, if assigned —
+    /// [`node_of`](ClusterState::node_of) and
+    /// [`demand_of`](ClusterState::demand_of) in one table probe.
+    pub fn placement_of(&self, pod: PodKey) -> Option<(NodeId, Resources)> {
         let &id = self.pod_ids.get(&pod)?;
-        (self.pod_node[id as usize] != UNASSIGNED).then(|| self.pod_demand[id as usize])
+        let node = self.pod_node[id as usize];
+        (node != UNASSIGNED).then(|| (NodeId(node), self.pod_demand[id as usize]))
     }
 
     /// Iterates `(pod, node, demand)` over all assignments, in the stable
@@ -412,21 +426,34 @@ impl ClusterState {
         if !self.healthy[idx] {
             return Err(ClusterError::NodeFailed(node));
         }
-        if self
-            .pod_ids
-            .get(&pod)
-            .is_some_and(|&id| self.pod_node[id as usize] != UNASSIGNED)
-        {
-            return Err(ClusterError::AlreadyAssigned(pod));
-        }
         let remaining = self.effective(idx).saturating_sub(&self.used[idx]);
-        if !demand.fits_in(&remaining) {
-            return Err(ClusterError::InsufficientCapacity {
-                node,
-                detail: format!("demand {demand} vs remaining {remaining}"),
-            });
-        }
-        let id = self.intern(pod);
+        let fits = demand.fits_in(&remaining);
+        // One probe resolves "already assigned?" and the id. A pod seen
+        // for the first time is interned only once the assignment is
+        // known to succeed: a failed assign must leave no trace in the
+        // intern order.
+        let id = match self.pod_ids.entry(pod) {
+            hash_map::Entry::Occupied(slot)
+                if self.pod_node[*slot.get() as usize] != UNASSIGNED =>
+            {
+                return Err(ClusterError::AlreadyAssigned(pod));
+            }
+            _ if !fits => {
+                return Err(ClusterError::InsufficientCapacity {
+                    node,
+                    detail: format!("demand {demand} vs remaining {remaining}"),
+                });
+            }
+            hash_map::Entry::Occupied(slot) => *slot.get(),
+            hash_map::Entry::Vacant(slot) => {
+                let id = self.pod_keys.len() as PodId;
+                slot.insert(id);
+                self.pod_keys.push(pod);
+                self.pod_node.push(UNASSIGNED);
+                self.pod_demand.push(Resources::ZERO);
+                id
+            }
+        };
         self.record(Entry::Assign {
             pod: id,
             node: node.0,
@@ -434,7 +461,7 @@ impl ClusterState {
             prev_demand: self.pod_demand[id as usize],
         });
         self.used[idx] += demand;
-        self.node_pods[idx].push(pod);
+        self.node_pods[idx].push(id);
         self.pod_node[id as usize] = node.0;
         self.pod_demand[id as usize] = demand;
         self.assigned += 1;
@@ -472,7 +499,7 @@ impl ClusterState {
         let idx = node as usize;
         let pos = self.node_pods[idx]
             .iter()
-            .position(|&p| p == pod)
+            .position(|&i| i == id)
             .expect("assigned pod is on its node's list");
         self.record(Entry::Remove {
             pod: id,
@@ -484,15 +511,10 @@ impl ClusterState {
         self.node_pods[idx].swap_remove(pos);
         self.pod_node[id as usize] = UNASSIGNED;
         self.assigned -= 1;
-        let used: Resources = self.node_pods[idx]
+        self.used[idx] = self.node_pods[idx]
             .iter()
-            .map(|p| {
-                self.pod_ids
-                    .get(p)
-                    .map_or(Resources::ZERO, |&i| self.pod_demand[i as usize])
-            })
+            .map(|&i| self.pod_demand[i as usize])
             .sum();
-        self.used[idx] = used;
         Ok((NodeId(node), demand))
     }
 
@@ -527,24 +549,22 @@ impl ClusterState {
             return Vec::new();
         }
         self.healthy[idx] = false;
-        let pods = std::mem::take(&mut self.node_pods[idx]);
-        let evicted: Vec<(PodKey, Resources)> = pods
+        let ids = std::mem::take(&mut self.node_pods[idx]);
+        let evicted: Vec<(PodKey, Resources)> = ids
             .iter()
-            .map(|&p| {
-                let id = self.pod_ids[&p];
-                let demand = self.pod_demand[id as usize];
+            .map(|&id| {
                 self.pod_node[id as usize] = UNASSIGNED;
-                (p, demand)
+                (self.pod_keys[id as usize], self.pod_demand[id as usize])
             })
             .collect();
         self.assigned -= evicted.len();
         if self.journal.is_some() {
             let entry = Entry::Fail {
                 node: node.0,
-                pods: pods
+                pods: ids
                     .iter()
                     .zip(&evicted)
-                    .map(|(&p, &(_, d))| (self.pod_ids[&p], d))
+                    .map(|(&id, &(_, d))| (id, d))
                     .collect(),
                 prev_used: self.used[idx],
             };
@@ -688,7 +708,7 @@ impl ClusterState {
             } => {
                 let idx = node as usize;
                 let popped = self.node_pods[idx].pop();
-                debug_assert_eq!(popped, Some(self.pod_keys[pod as usize]));
+                debug_assert_eq!(popped, Some(pod));
                 self.pod_node[pod as usize] = UNASSIGNED;
                 self.pod_demand[pod as usize] = prev_demand;
                 self.used[idx] = prev_used;
@@ -703,17 +723,16 @@ impl ClusterState {
             } => {
                 let idx = node as usize;
                 let pos = pos as usize;
-                let key = self.pod_keys[pod as usize];
                 // Invert the swap_remove: the element that was moved into
                 // `pos` goes back to the tail, the removed pod back to
                 // `pos` (or the tail, if it *was* the tail).
                 let list = &mut self.node_pods[idx];
                 if pos == list.len() {
-                    list.push(key);
+                    list.push(pod);
                 } else {
                     let moved = list[pos];
                     list.push(moved);
-                    list[pos] = key;
+                    list[pos] = pod;
                 }
                 self.pod_node[pod as usize] = node;
                 self.pod_demand[pod as usize] = demand;
@@ -727,10 +746,7 @@ impl ClusterState {
             } => {
                 let idx = node as usize;
                 self.healthy[idx] = true;
-                self.node_pods[idx] = pods
-                    .iter()
-                    .map(|&(id, _)| self.pod_keys[id as usize])
-                    .collect();
+                self.node_pods[idx] = pods.iter().map(|&(id, _)| id).collect();
                 for &(id, demand) in &pods {
                     self.pod_node[id as usize] = node;
                     self.pod_demand[id as usize] = demand;
@@ -791,14 +807,21 @@ impl ClusterState {
     /// [`remove`]: ClusterState::remove
     pub fn check_invariants(&self) -> Result<(), String> {
         for i in 0..self.capacity.len() {
+            for &id in &self.node_pods[i] {
+                match self.pod_node.get(id as usize) {
+                    Some(&node) if node as usize == i => {}
+                    Some(&node) => {
+                        return Err(format!(
+                            "pod {} on node {i} maps to node {node}",
+                            self.pod_keys[id as usize]
+                        ));
+                    }
+                    None => return Err(format!("pod id {id} on node {i} is not interned")),
+                }
+            }
             let sum: Resources = self.node_pods[i]
                 .iter()
-                .map(|p| {
-                    self.pod_ids
-                        .get(p)
-                        .map(|&id| self.pod_demand[id as usize])
-                        .unwrap_or(Resources::ZERO)
-                })
+                .map(|&id| self.pod_demand[id as usize])
                 .sum();
             if sum.cpu.to_bits() != self.used[i].cpu.to_bits()
                 || sum.mem.to_bits() != self.used[i].mem.to_bits()
@@ -815,18 +838,6 @@ impl ClusterState {
                     self.effective(i)
                 ));
             }
-            for p in &self.node_pods[i] {
-                match self.pod_ids.get(p) {
-                    Some(&id) if self.pod_node[id as usize] as usize == i => {}
-                    Some(&id) => {
-                        return Err(format!(
-                            "pod {p} on node {i} maps to node {}",
-                            self.pod_node[id as usize]
-                        ));
-                    }
-                    None => return Err(format!("pod {p} on node {i} is not interned")),
-                }
-            }
         }
         let mut assigned = 0usize;
         for (id, &node) in self.pod_node.iter().enumerate() {
@@ -838,7 +849,7 @@ impl ClusterState {
                 continue;
             }
             assigned += 1;
-            if !self.node_pods[node as usize].contains(&key) {
+            if !self.node_pods[node as usize].contains(&(id as PodId)) {
                 return Err(format!(
                     "assignment {key} -> node{node} missing from node list"
                 ));

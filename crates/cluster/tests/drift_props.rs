@@ -53,7 +53,7 @@ proptest! {
         let mut churned_keys = SortedNodes::new();
         let mut fresh_keys = SortedNodes::new();
         for n in state.node_ids() {
-            for &p in state.pods_on(n) {
+            for p in state.pods_on(n) {
                 fresh.assign(p, state.demand_of(p).unwrap(), n).unwrap();
             }
         }

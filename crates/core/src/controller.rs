@@ -3,17 +3,19 @@
 
 use std::time::{Duration, Instant};
 
-use phoenix_cluster::packing::{pack, pack_sharded, PackOutcome, PackingConfig, PlannedPod};
+use phoenix_cluster::packing::{
+    pack_prepared, pack_prepared_sharded, PackOutcome, PackingConfig, PlannedPod,
+};
 use phoenix_cluster::shard::{ShardProposals, ShardRunner};
-use phoenix_cluster::ClusterState;
+use phoenix_cluster::{ClusterState, PodKey, Resources};
 use phoenix_exec::Pool;
 
-use crate::actions::{diff_states, ActionPlan};
+use crate::actions::{diff_from_outcome, ActionPlan};
 use crate::objectives::{ObjectiveKind, OperatorObjective};
 use crate::planner::{app_rank, PlannerConfig};
 use crate::ranking::{global_rank, GlobalRank, GlobalRankItem};
 use crate::replan::{replan_with, ReplanCache, ReplanDelta};
-use crate::spec::{AppSpec, ModeAssignment, ServiceId, Workload};
+use crate::spec::{AppId, AppSpec, ModeAssignment, ServiceId, Workload};
 
 /// Controller configuration: objective + planner + packing knobs.
 #[derive(Debug)]
@@ -166,6 +168,102 @@ impl ShardRunner for PoolShardRunner<'_> {
     }
 }
 
+/// Dense `pod key → plan index` table shaped like the workload: one slot
+/// per `(app, service)` holding the base plan index of the service's
+/// replica block (replicas are contiguous in the flattened plan by
+/// construction). Answers the packing module's `rank_of` lookup with two
+/// array reads and rebuilds in O(services) per round.
+#[derive(Debug, Default)]
+pub(crate) struct PlanIndex {
+    /// Start of each app's service slots; `len = apps + 1`.
+    app_offsets: Vec<u32>,
+    /// Per service slot: base plan index, `u32::MAX` = not planned.
+    base: Vec<u32>,
+    /// Per service slot: replicas in the plan (0 = not planned).
+    replicas: Vec<u16>,
+}
+
+const UNPLANNED: u32 = u32::MAX;
+
+impl PlanIndex {
+    /// Recomputes the slot layout from the workload shape.
+    pub(crate) fn reshape(&mut self, workload: &Workload) {
+        self.app_offsets.clear();
+        self.app_offsets.push(0);
+        let mut total = 0u32;
+        for (_, app) in workload.apps() {
+            total += app.service_count() as u32;
+            self.app_offsets.push(total);
+        }
+    }
+
+    fn slot(&self, app: AppId, service: ServiceId) -> usize {
+        self.app_offsets[app.index()] as usize + service.index()
+    }
+
+    /// Refills the table from an activation list (O(services)) and
+    /// returns the flattened plan's length. A service's block sits where
+    /// its first item does; later items of the same service (further
+    /// rungs of a mode ladder) add no pods.
+    pub(crate) fn rebuild(&mut self, workload: &Workload, items: &[GlobalRankItem]) -> usize {
+        let slots = *self.app_offsets.last().expect("reshaped") as usize;
+        self.base.clear();
+        self.base.resize(slots, UNPLANNED);
+        self.replicas.clear();
+        self.replicas.resize(slots, 0);
+        let mut next = 0u32;
+        for item in items {
+            let slot = self.slot(item.app, item.service);
+            if self.base[slot] != UNPLANNED {
+                continue;
+            }
+            let replicas = workload.app(item.app).service(item.service).replicas;
+            self.base[slot] = next;
+            self.replicas[slot] = replicas;
+            next += u32::from(replicas);
+        }
+        next as usize
+    }
+
+    /// The plan position of `pod`, when planned.
+    #[inline]
+    pub(crate) fn get(&self, pod: PodKey) -> Option<usize> {
+        let app = pod.app as usize;
+        let lo = *self.app_offsets.get(app)? as usize;
+        let hi = *self.app_offsets.get(app + 1)? as usize;
+        let slot = lo + pod.service as usize;
+        if slot >= hi {
+            return None;
+        }
+        let base = self.base[slot];
+        if base == UNPLANNED || pod.replica >= self.replicas[slot] {
+            return None;
+        }
+        Some(base as usize + usize::from(pod.replica))
+    }
+}
+
+/// Appends one service's replica block to a flattened plan.
+pub(crate) fn push_replicas(
+    plan: &mut Vec<PlannedPod>,
+    item: &GlobalRankItem,
+    replicas: u16,
+    demand: Resources,
+) {
+    let (app, service) = (item.app.index() as u32, item.service.index() as u32);
+    plan.extend((0..replicas).map(|r| PlannedPod::new(PodKey::new(app, service, r), demand)));
+}
+
+/// A flattened activation list, ready to pack.
+pub(crate) struct FlatPlan {
+    /// Per-replica plan entries, in pack order.
+    pub(crate) pods: Vec<PlannedPod>,
+    /// `pods`' inverse: pod key → position.
+    pub(crate) index: PlanIndex,
+    /// Chosen serving mode per service (empty for mode-less workloads).
+    pub(crate) modes: ModeAssignment,
+}
+
 /// Flattens the global activation list into per-replica [`PlannedPod`]s,
 /// resolving each service's chosen serving mode.
 ///
@@ -176,59 +274,78 @@ impl ShardRunner for PoolShardRunner<'_> {
 /// replica block is emitted at the position of its **first** rung (pack
 /// order therefore matches the mode-less planner exactly on mode-less
 /// workloads) at the chosen mode's per-replica demand.
-pub(crate) fn flatten_plan(
-    workload: &Workload,
-    items: &[GlobalRankItem],
-) -> (Vec<PlannedPod>, ModeAssignment) {
+pub(crate) fn flatten_plan(workload: &Workload, items: &[GlobalRankItem]) -> FlatPlan {
+    let mut index = PlanIndex::default();
+    index.reshape(workload);
+    let mut pods = Vec::with_capacity(index.rebuild(workload, items));
     if !workload.has_modes() {
-        let plan = items
-            .iter()
-            .flat_map(|item| {
-                let svc = workload.app(item.app).service(item.service);
-                workload
-                    .pod_keys(item.app, item.service)
-                    .into_iter()
-                    .map(move |key| PlannedPod::new(key, svc.demand))
-            })
-            .collect();
-        return (plan, ModeAssignment::empty());
+        for item in items {
+            let svc = workload.app(item.app).service(item.service);
+            push_replicas(&mut pods, item, svc.replicas, svc.demand);
+        }
+        return FlatPlan {
+            pods,
+            index,
+            modes: ModeAssignment::empty(),
+        };
     }
     // Pass 1: last rung admitted per service wins.
     let mut modes = ModeAssignment::for_workload(workload);
     for item in items {
         modes.set(item.app, item.service, item.mode);
     }
-    // Pass 2: emit each service's replicas once, at its first rung.
-    let mut emitted: Vec<Vec<bool>> = workload
-        .apps()
-        .map(|(_, a)| vec![false; a.services().len()])
-        .collect();
-    let mut plan = Vec::new();
+    // Pass 2: emit each service's replicas once, at its first rung — the
+    // one item whose block the index placed at the plan's current end.
     for item in items {
-        let seen = &mut emitted[item.app.index()][item.service.index()];
-        if *seen {
+        if index.base[index.slot(item.app, item.service)] as usize != pods.len() {
             continue;
         }
-        *seen = true;
         let svc = workload.app(item.app).service(item.service);
         let demand = svc.mode_demand(modes.get(item.app, item.service));
-        plan.extend(
-            workload
-                .pod_keys(item.app, item.service)
-                .into_iter()
-                .map(|key| PlannedPod::new(key, demand)),
-        );
+        push_replicas(&mut pods, item, svc.replicas, demand);
     }
-    (plan, modes)
+    FlatPlan { pods, index, modes }
 }
 
 /// Packing config actually used for `workload`: modal workloads force
 /// [`PackingConfig::rebook_in_place`] on so running replicas are re-booked
 /// at their newly chosen mode's demand instead of keeping a stale booking.
-pub(crate) fn effective_packing(workload: &Workload, packing: &PackingConfig) -> PackingConfig {
+fn effective_packing(workload: &Workload, packing: &PackingConfig) -> PackingConfig {
     let mut cfg = packing.clone();
     cfg.rebook_in_place = cfg.rebook_in_place || workload.has_modes();
     cfg
+}
+
+/// The scheduler step cold and warm rounds share: packs `plan` onto a
+/// scratch copy of `state` — sequentially, or with the fit scans sharded
+/// over `pool` when [`PackingConfig::shards`] resolves above one — and
+/// returns the packed target with the raw outcome.
+pub(crate) fn pack_round(
+    workload: &Workload,
+    state: &ClusterState,
+    packing: &PackingConfig,
+    pool: &Pool,
+    plan: &[PlannedPod],
+    index: &PlanIndex,
+) -> (ClusterState, PackOutcome) {
+    let mut pack_cfg = effective_packing(workload, packing);
+    pack_cfg.shards = pack_cfg.resolve_shards(state.node_count(), pool.threads());
+    // One scratch clone per planning round: `PlanResult::target` must own
+    // the packed state while `state` stays untouched — this is the API
+    // contract, not per-trial fan-out overhead.
+    let mut target = state.clone();
+    let outcome = if pack_cfg.shards > 1 {
+        pack_prepared_sharded(
+            &mut target,
+            plan,
+            &pack_cfg,
+            |p| index.get(p),
+            &PoolShardRunner(pool),
+        )
+    } else {
+        pack_prepared(&mut target, plan, &pack_cfg, |p| index.get(p))
+    };
+    (target, outcome)
 }
 
 /// [`plan_with`] on an explicit [`Pool`].
@@ -272,28 +389,25 @@ pub fn plan_with_pool(
     // --- Scheduler -----------------------------------------------------
     let t1 = Instant::now();
     let _pack_timer = obs.phase(phoenix_obs::Phase::Pack);
-    let (plan, modes) = flatten_plan(workload, &rank.items);
-    let mut pack_cfg = effective_packing(workload, &config.packing);
-    pack_cfg.shards = pack_cfg.resolve_shards(state.node_count(), pool.threads());
-    // One scratch clone per planning round: `PlanResult::target` must own
-    // the packed state while `state` stays untouched — this is the API
-    // contract, not per-trial fan-out overhead.
-    let mut target = state.clone();
-    let packing = if pack_cfg.shards > 1 {
-        pack_sharded(&mut target, &plan, &pack_cfg, &PoolShardRunner(pool))
-    } else {
-        pack(&mut target, &plan, &pack_cfg)
-    };
+    let flat = flatten_plan(workload, &rank.items);
+    let (target, packing) = pack_round(
+        workload,
+        state,
+        &config.packing,
+        pool,
+        &flat.pods,
+        &flat.index,
+    );
     drop(_pack_timer);
     let scheduler_time = t1.elapsed();
 
-    let actions = diff_states(state, &target);
+    let actions = diff_from_outcome(state, &target, &packing);
     PlanResult {
         target,
         rank,
         packing,
         actions,
-        modes,
+        modes: flat.modes,
         planner_time,
         scheduler_time,
     }
@@ -553,7 +667,7 @@ mod tests {
                 .assign(pod, full.target.demand_of(pod).unwrap(), node)
                 .unwrap();
         }
-        let victims = state.pods_on(NodeId::new(0)).to_vec();
+        let victims: Vec<PodKey> = state.pods_on(NodeId::new(0)).collect();
         assert!(!victims.is_empty());
         state.fail_node(NodeId::new(0));
         let replan = c.plan(&state);

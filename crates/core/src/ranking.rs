@@ -129,52 +129,48 @@ impl RankInputs {
             .apps()
             .zip(app_ranks)
             .map(|((_, app), rank)| {
-                rank.iter()
-                    .flat_map(|&service| {
-                        let svc = app.service(service);
-                        let criticality = app.criticality_of(service);
-                        if !svc.has_modes() {
-                            // Pre-modes representation, bit-identical: one
-                            // Full entry carrying the whole demand.
-                            let demand = svc.total_demand();
-                            return vec![ChainEntry {
-                                service,
-                                demand,
-                                scalar: demand.scalar(),
-                                criticality,
-                                mode: ServingMode::Full,
-                                utility: f64::from(svc.replicas),
-                            }];
+                let mut chain = Vec::with_capacity(rank.len());
+                for &service in rank {
+                    let svc = app.service(service);
+                    let criticality = app.criticality_of(service);
+                    if !svc.has_modes() {
+                        // Pre-modes representation, bit-identical: one
+                        // Full entry carrying the whole demand.
+                        let demand = svc.total_demand();
+                        chain.push(ChainEntry {
+                            service,
+                            demand,
+                            scalar: demand.scalar(),
+                            criticality,
+                            mode: ServingMode::Full,
+                            utility: f64::from(svc.replicas),
+                        });
+                        continue;
+                    }
+                    // Mode ladder, most-degraded rung first: the base
+                    // activates the cheapest mode, each later entry
+                    // upgrades one rung at its marginal demand/utility.
+                    let replicas = f64::from(svc.replicas);
+                    chain.extend(svc.modes.iter().enumerate().rev().map(|(i, rung)| {
+                        let (d, u) = match svc.modes.get(i + 1) {
+                            Some(worse) => (
+                                rung.demand.saturating_sub(&worse.demand),
+                                rung.utility - worse.utility,
+                            ),
+                            None => (rung.demand, rung.utility),
+                        };
+                        let demand = d * replicas;
+                        ChainEntry {
+                            service,
+                            demand,
+                            scalar: demand.scalar(),
+                            criticality,
+                            mode: rung.mode,
+                            utility: u * replicas,
                         }
-                        // Mode ladder, most-degraded rung first: the base
-                        // activates the cheapest mode, each later entry
-                        // upgrades one rung at its marginal demand/utility.
-                        let replicas = f64::from(svc.replicas);
-                        svc.modes
-                            .iter()
-                            .enumerate()
-                            .rev()
-                            .map(|(i, rung)| {
-                                let (d, u) = match svc.modes.get(i + 1) {
-                                    Some(worse) => (
-                                        rung.demand.saturating_sub(&worse.demand),
-                                        rung.utility - worse.utility,
-                                    ),
-                                    None => (rung.demand, rung.utility),
-                                };
-                                let demand = d * replicas;
-                                ChainEntry {
-                                    service,
-                                    demand,
-                                    scalar: demand.scalar(),
-                                    criticality,
-                                    mode: rung.mode,
-                                    utility: u * replicas,
-                                }
-                            })
-                            .collect()
-                    })
-                    .collect()
+                    }));
+                }
+                chain
             })
             .collect();
         let prices = workload.apps().map(|(_, a)| a.price_per_unit()).collect();

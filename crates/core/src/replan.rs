@@ -21,11 +21,12 @@
 //!    re-merge, but over the cached dense arrays. When capacity is
 //!    bit-identical to the previous round the whole [`GlobalRank`] is
 //!    reused.
-//! 3. **Warm packing** — the activation list and its `pod → rank` map are
-//!    rebuilt only when the ranking actually changed, and
-//!    [`pack_prepared`] re-homes only pods invalidated by failures or
-//!    rank changes (running pods are kept in place; the victim-deletion
-//!    bookkeeping is built lazily).
+//! 3. **Warm packing** — the flattened plan and its dense `pod → rank`
+//!    index are patched only where the ranking actually changed, then go
+//!    through the scheduler half the cold path uses too
+//!    (`controller::pack_round` + [`diff_from_outcome`]): running pods
+//!    are kept in place and only pods invalidated by failures or rank
+//!    changes are re-homed.
 //!
 //! **Equivalence guarantee:** a warm [`replan_with`] produces the same
 //! [`PlanResult`] — byte-identical [`ActionPlan`], target state, and
@@ -40,15 +41,13 @@
 use std::sync::Mutex;
 use std::time::Instant;
 
-use phoenix_cluster::packing::{
-    pack, pack_prepared, pack_prepared_sharded, pack_sharded, PlannedPod,
-};
-use phoenix_cluster::{ClusterState, PodKey};
+use phoenix_cluster::packing::PlannedPod;
+use phoenix_cluster::ClusterState;
 use phoenix_exec::Pool;
 
 use crate::actions::diff_from_outcome;
 use crate::controller::{
-    effective_packing, flatten_plan, PhoenixConfig, PlanResult, PoolShardRunner,
+    flatten_plan, pack_round, push_replicas, PhoenixConfig, PlanIndex, PlanResult,
 };
 use crate::objectives::ObjectiveKind;
 use crate::planner::{app_rank, PlannerConfig};
@@ -106,70 +105,6 @@ pub struct ReplanCache {
     plan: Vec<PlannedPod>,
     plan_index: PlanIndex,
     plan_valid: bool,
-}
-
-/// Dense `pod key → plan index` table shaped like the workload: one slot
-/// per `(app, service)` holding the base plan index of the service's
-/// replica block (replicas are contiguous in the flattened plan by
-/// construction). Replaces a pods-sized hash map in the packing hot path
-/// with two array reads, and rebuilds in O(services) per round.
-#[derive(Debug, Default)]
-struct PlanIndex {
-    /// Start of each app's service slots; `len = apps + 1`.
-    app_offsets: Vec<u32>,
-    /// Per service slot: base plan index, `u32::MAX` = not planned.
-    base: Vec<u32>,
-    /// Per service slot: replicas in the plan (0 = not planned).
-    replicas: Vec<u16>,
-}
-
-const UNPLANNED: u32 = u32::MAX;
-
-impl PlanIndex {
-    /// Recomputes the slot layout from the workload shape.
-    fn reshape(&mut self, workload: &Workload) {
-        self.app_offsets.clear();
-        self.app_offsets.push(0);
-        let mut total = 0u32;
-        for (_, app) in workload.apps() {
-            total += app.service_count() as u32;
-            self.app_offsets.push(total);
-        }
-    }
-
-    /// Refills the table from an activation list (O(services)).
-    fn rebuild(&mut self, workload: &Workload, items: &[crate::ranking::GlobalRankItem]) {
-        let slots = *self.app_offsets.last().expect("reshaped") as usize;
-        self.base.clear();
-        self.base.resize(slots, UNPLANNED);
-        self.replicas.clear();
-        self.replicas.resize(slots, 0);
-        let mut next = 0u32;
-        for item in items {
-            let slot = self.app_offsets[item.app.index()] as usize + item.service.index();
-            let replicas = workload.app(item.app).service(item.service).replicas;
-            self.base[slot] = next;
-            self.replicas[slot] = replicas;
-            next += u32::from(replicas);
-        }
-    }
-
-    /// The plan position of `pod`, when planned.
-    #[inline]
-    fn get(&self, pod: PodKey) -> Option<usize> {
-        let app = pod.app as usize;
-        let lo = *self.app_offsets.get(app)? as usize;
-        let hi = *self.app_offsets.get(app + 1)? as usize;
-        let slot = lo + pod.service as usize;
-        if slot >= hi {
-            return None;
-        }
-        let base = self.base[slot];
-        if base == UNPLANNED || pod.replica >= self.replicas[slot] {
-            return None;
-        }
-        Some(base as usize + usize::from(pod.replica))
-    }
 }
 
 impl ReplanCache {
@@ -412,14 +347,7 @@ pub fn replan_with_pool(
             cache.plan.truncate(offset);
             for item in &rank.items[prefix..] {
                 let svc = workload.app(item.app).service(item.service);
-                for replica in 0..svc.replicas {
-                    let key = PodKey::new(
-                        item.app.index() as u32,
-                        item.service.index() as u32,
-                        replica,
-                    );
-                    cache.plan.push(PlannedPod::new(key, svc.demand));
-                }
+                push_replicas(&mut cache.plan, item, svc.replicas, svc.demand);
             }
         }
         if plan_changed || !was_valid {
@@ -436,33 +364,15 @@ pub fn replan_with_pool(
     // --- Scheduler -----------------------------------------------------
     let t1 = Instant::now();
     let _pack_timer = obs.phase(phoenix_obs::Phase::Pack);
-    let mut pack_cfg = effective_packing(workload, &config.packing);
-    pack_cfg.shards = pack_cfg.resolve_shards(state.node_count(), pool.threads());
-    let mut target = state.clone();
-    let (packing, modes) = if modal {
-        let (plan, modes) = flatten_plan(workload, &rank.items);
-        let packing = if pack_cfg.shards > 1 {
-            pack_sharded(&mut target, &plan, &pack_cfg, &PoolShardRunner(pool))
-        } else {
-            pack(&mut target, &plan, &pack_cfg)
-        };
-        (packing, modes)
-    } else {
-        let packing = if pack_cfg.shards > 1 {
-            pack_prepared_sharded(
-                &mut target,
-                &cache.plan,
-                &pack_cfg,
-                |p| cache.plan_index.get(p),
-                &PoolShardRunner(pool),
-            )
-        } else {
-            pack_prepared(&mut target, &cache.plan, &pack_cfg, |p| {
-                cache.plan_index.get(p)
-            })
-        };
-        (packing, ModeAssignment::empty())
+    // Modal workloads re-flatten per round (see above); mode-less ones
+    // pack the incrementally patched plan straight out of the cache.
+    let flat = modal.then(|| flatten_plan(workload, &rank.items));
+    let (plan, index) = match &flat {
+        Some(flat) => (&flat.pods, &flat.index),
+        None => (&cache.plan, &cache.plan_index),
     };
+    let (target, packing) = pack_round(workload, state, &config.packing, pool, plan, index);
+    let modes = flat.map_or_else(ModeAssignment::empty, |flat| flat.modes);
     drop(_pack_timer);
     let scheduler_time = t1.elapsed();
 

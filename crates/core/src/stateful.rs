@@ -881,7 +881,7 @@ mod tests {
         // Fail the db's node; shrink the cluster so 3 CPUs fit nowhere.
         for n in live.node_ids() {
             if n != db_node {
-                for pod in live.pods_on(n).to_vec() {
+                for pod in live.pods_on(n).collect::<Vec<_>>() {
                     live.remove(pod).unwrap();
                 }
             }
