@@ -1,8 +1,8 @@
 //! Determinism probe: emits every class of parallelised output — cold
-//! plans, warm replans over a churn scenario, sharded-packing churn
-//! rounds, a kubesim node-failure run, a multi-trial AdaptLab sweep,
-//! a fixed-seed scenario campaign (every family × 5 scenarios, plus the
-//! scripted adaptlab sweep), serving-mode planning over the modal demo
+//! plans, warm replans over a churn scenario, a kubesim node-failure
+//! run, a multi-trial AdaptLab sweep, a fixed-seed scenario campaign
+//! (every family × 5 scenarios, plus the scripted adaptlab sweep),
+//! serving-mode planning over the modal demo
 //! workload with its utility-under-crunch campaign metrics, an
 //! adversarial hunt with shrinking and the persisted-regression replay,
 //! a chaos audit, a snapshot/restore + steady-replay check, and the
@@ -104,57 +104,6 @@ fn probe_churn() {
                 _ => {
                     live.restore_node(NodeId::new(1));
                 }
-            }
-        }
-    }
-}
-
-/// Sharded-packing churn rounds: the same workload as [`probe_churn`]
-/// with the packing stage fanned out over node shards on the global
-/// pool. Every round is also asserted in-process against an unsharded
-/// reference controller — the CI diff then guarantees the sharded merge
-/// is additionally thread-count-invariant.
-fn probe_sharded() {
-    let mut sharded_cfg = PhoenixConfig::with_objective(ObjectiveKind::Fairness);
-    sharded_cfg.packing.shards = 3;
-    let mut sharded = PhoenixController::new(churn_workload(), sharded_cfg);
-    let mut reference = PhoenixController::new(
-        churn_workload(),
-        PhoenixConfig::with_objective(ObjectiveKind::Fairness),
-    );
-    let mut live = ClusterState::homogeneous(8, Resources::cpu(4.0));
-    for round in 0..6 {
-        let result = sharded.replan(&live, ReplanDelta::Full);
-        let unsharded = reference.replan(&live, ReplanDelta::Full);
-        assert_eq!(
-            result.actions, unsharded.actions,
-            "sharded/unsharded divergence in round {round}"
-        );
-        let (d, m, s) = result.actions.counts();
-        println!("sharded round {round}: actions d={d} m={m} s={s}");
-        let mut placed: Vec<_> = result
-            .target
-            .assignments()
-            .map(|(p, n, _)| (p, n.index()))
-            .collect();
-        placed.sort_unstable();
-        for (pod, node) in placed {
-            println!("  pod {pod} -> node {node}");
-        }
-        live = result.target.clone();
-        match round {
-            0 => {
-                live.fail_node(NodeId::new(0));
-            }
-            1 => {
-                live.fail_node(NodeId::new(1));
-                live.fail_node(NodeId::new(2));
-            }
-            2 => {
-                live.restore_node(NodeId::new(0));
-            }
-            _ => {
-                live.restore_node(NodeId::new(1));
             }
         }
     }
@@ -616,8 +565,8 @@ fn probe_obs() {
     }
 
     // Simulator/campaign counters: events, milestones, mode shifts,
-    // per-cell fan-out. Default config ⇒ sequential packing (`shards: 0`),
-    // so no pool-shape-derived quantity ever reaches a counter.
+    // per-cell fan-out. Packing is sequential, so no pool-shape-derived
+    // quantity ever reaches a counter.
     let suite = generate_suite(&GeneratorConfig {
         nodes: 8,
         node_cpu: 4.0,
@@ -695,15 +644,14 @@ fn main() {
     // report it on stderr only.
     eprintln!("determinism probe on {threads} thread(s)");
     probe_churn();
-    probe_sharded();
     probe_kubesim();
     probe_sweep();
     probe_scenarios();
     probe_modes();
     probe_hunt();
     probe_audit();
-    // Sections are append-only: older golden outputs stay a strict
-    // byte-prefix of the new output.
+    // A section may be added or deleted whole; a surviving section never
+    // changes bytes.
     probe_snapshot();
     probe_obs();
 }

@@ -1,6 +1,5 @@
 //! Figure 8b: planning time vs. cluster size for Phoenix, Default, and the
-//! ILP baselines — plus the cold-vs-warm incremental replanning comparison
-//! and its machine-readable baseline file.
+//! ILP baselines — plus the cold-vs-warm incremental replanning comparison.
 //!
 //! Default sizes are 100 → 10 000 nodes; `--full` appends 100 000 (the
 //! paper's largest point — Phoenix must stay under 10 s) and `--smoke`
@@ -9,24 +8,13 @@
 //! budget (default 60 s) and report DNF beyond it, reproducing "the LP
 //! does not scale beyond 1000-server clusters".
 //!
-//! `--json <path>` writes the replan cold/warm baselines as JSON (the
-//! `BENCH_planner.json` format documented in the README): one row per
-//! `(nodes, objective)` with min-of-N cold and warm round times and the
-//! speedup, after asserting the two produce identical action plans.
-//! Schema v2 additionally records, per row, the *parallel* cold plan
-//! (`cold_par_ms`, per-app ranking fanned out on the `phoenix-exec`
-//! pool) and, per cluster size, a sequential-vs-parallel multi-trial
-//! AdaptLab sweep (`sweep_rows`) — after asserting the parallel runs are
-//! byte-identical to the sequential ones. The sharded-packing columns
-//! (`cold_shard_ms` / `cold_shard_speedup`, cold plan with
-//! `PackingConfig::shards = 8` on the pool, action plans asserted equal
-//! to the sequential cold first) are additive to schema v2. Schema v4
-//! is again additive: the hand-appended `scenario_matrix` block's rows
-//! carry the wall-clock `replan_ms_p99` scorecard column from
-//! `phoenix-obs` (sub-millisecond planner rounds at smoke scale record
-//! as 0). `--threads N` (or `PHOENIX_THREADS`) sets the pool size; v1
-//! fields are unchanged. `host_cpus` records the machine truthfully —
-//! on a 1-CPU container every parallel speedup is ~1×.
+//! Besides the figure table it prints, per size and objective, the warm
+//! replan (`-warm`), the cold plan on the `phoenix-exec` pool (`-par`) and
+//! a sequential-vs-parallel multi-trial AdaptLab sweep (`Sweep-par`) —
+//! after asserting warm == cold action plans and byte-identical
+//! sequential/parallel sweeps. `--threads N` (or `PHOENIX_THREADS`) sets
+//! the pool size. The numbers are for reading; the recorded perf ledger
+//! is `benchmark/`.
 
 use std::time::{Duration, Instant};
 
@@ -44,23 +32,15 @@ use phoenix_exec::Pool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Shard count for the sharded-packing rows (fixed so the JSON rows stay
-/// comparable across commits).
-const PACKING_SHARDS: usize = 8;
-
-/// One cold/warm measurement row for the JSON baseline file.
+/// One cold/warm measurement.
 struct ReplanRow {
-    nodes: usize,
-    objective: ObjectiveKind,
     cold: Duration,
     cold_par: Duration,
-    cold_shard: Duration,
     warm: Duration,
 }
 
-/// One sequential-vs-parallel sweep measurement for the JSON file.
+/// One sequential-vs-parallel sweep measurement.
 struct SweepRow {
-    nodes: usize,
     trials: u32,
     seq: Duration,
     par: Duration,
@@ -74,39 +54,26 @@ struct SweepRow {
 fn measure_replan(env: &phoenix_adaptlab::scenario::AdaptLabEnv, kind: ObjectiveKind) -> ReplanRow {
     let (mut controller, failed_a, failed_b) = replan_scenario::converge_and_degrade(env, kind);
     let cfg = PhoenixConfig::with_objective(kind);
-    let mut shard_cfg = PhoenixConfig::with_objective(kind);
-    shard_cfg.packing.shards = PACKING_SHARDS;
     let sequential = Pool::sequential();
     let rounds = 6;
     let mut cold = Duration::MAX;
     let mut cold_par = Duration::MAX;
-    let mut cold_shard = Duration::MAX;
     let mut warm = Duration::MAX;
     for i in 0..rounds {
         let state = if i % 2 == 0 { &failed_a } else { &failed_b };
         let t = Instant::now();
-        let seq = plan_with_pool(&env.workload, state, &cfg, &sequential);
+        let _ = plan_with_pool(&env.workload, state, &cfg, &sequential);
         cold = cold.min(t.elapsed());
         let t = Instant::now();
         let _ = plan_with_pool(&env.workload, state, &cfg, phoenix_exec::global());
         cold_par = cold_par.min(t.elapsed());
         let t = Instant::now();
-        let sharded = plan_with_pool(&env.workload, state, &shard_cfg, phoenix_exec::global());
-        cold_shard = cold_shard.min(t.elapsed());
-        assert_eq!(
-            seq.actions, sharded.actions,
-            "sharded/sequential packing divergence ({kind}, round {i})"
-        );
-        let t = Instant::now();
         let _ = controller.replan(state, ReplanDelta::CapacityOnly);
         warm = warm.min(t.elapsed());
     }
     ReplanRow {
-        nodes: env.baseline.node_count(),
-        objective: kind,
         cold,
         cold_par,
-        cold_shard,
         warm,
     }
 }
@@ -163,65 +130,7 @@ fn measure_sweep(nodes: usize, trials: u32, seed: u64) -> SweepRow {
     let par_points = failure_sweep_on(&env, &sweep, &roster, phoenix_exec::global());
     let par = t.elapsed();
     assert_sweeps_equal(&seq_points, &par_points);
-    SweepRow {
-        nodes,
-        trials,
-        seq,
-        par,
-    }
-}
-
-fn write_json(path: &str, scale: &str, threads: usize, rows: &[ReplanRow], sweeps: &[SweepRow]) {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"planner_replan\",\n");
-    out.push_str("  \"schema_version\": 4,\n");
-    out.push_str(&format!("  \"scale\": \"{scale}\",\n"));
-    out.push_str(&format!("  \"threads\": {threads},\n"));
-    out.push_str(&format!(
-        "  \"host_cpus\": {},\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    ));
-    out.push_str("  \"equivalence_checked\": true,\n");
-    out.push_str(&format!("  \"packing_shards\": {PACKING_SHARDS},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let cold_ms = r.cold.as_secs_f64() * 1e3;
-        let cold_par_ms = r.cold_par.as_secs_f64() * 1e3;
-        let cold_shard_ms = r.cold_shard.as_secs_f64() * 1e3;
-        let warm_ms = r.warm.as_secs_f64() * 1e3;
-        out.push_str(&format!(
-            "    {{\"nodes\": {}, \"objective\": \"{}\", \"cold_ms\": {:.3}, \"warm_ms\": {:.3}, \"speedup\": {:.2}, \"cold_par_ms\": {:.3}, \"cold_par_speedup\": {:.2}, \"cold_shard_ms\": {:.3}, \"cold_shard_speedup\": {:.2}}}{}\n",
-            r.nodes,
-            r.objective,
-            cold_ms,
-            warm_ms,
-            cold_ms / warm_ms,
-            cold_par_ms,
-            cold_ms / cold_par_ms,
-            cold_shard_ms,
-            cold_ms / cold_shard_ms,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"sweep_rows\": [\n");
-    for (i, s) in sweeps.iter().enumerate() {
-        let seq_ms = s.seq.as_secs_f64() * 1e3;
-        let par_ms = s.par.as_secs_f64() * 1e3;
-        out.push_str(&format!(
-            "    {{\"nodes\": {}, \"trials\": {}, \"threads\": {}, \"seq_ms\": {:.3}, \"par_ms\": {:.3}, \"speedup\": {:.2}}}{}\n",
-            s.nodes,
-            s.trials,
-            threads,
-            seq_ms,
-            par_ms,
-            seq_ms / par_ms,
-            if i + 1 < sweeps.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).expect("write JSON baselines");
-    println!("replan baselines written to {path}");
+    SweepRow { trials, seq, par }
 }
 
 fn main() {
@@ -238,11 +147,8 @@ fn main() {
     let lp_secs = arg("lp-secs", 60u64);
     let lp_max_nodes: usize = if smoke { 0 } else { arg("lp-max-nodes", 1_000) };
     let sweep_trials: u32 = arg("sweep-trials", if smoke { 2 } else { 3 });
-    let json_path: String = arg("json", String::new());
     println!("phoenix-exec pool: {threads} threads");
 
-    let mut replan_rows: Vec<ReplanRow> = Vec::new();
-    let mut sweep_rows: Vec<SweepRow> = Vec::new();
     let mut table = Table::new(["nodes", "scheme", "plan time", "notes"]);
     for &nodes in &sizes {
         // Scale the trace down for small clusters so the fill succeeds.
@@ -292,11 +198,9 @@ fn main() {
         // plus the data-parallel cold path on the global pool.
         for kind in [ObjectiveKind::Cost, ObjectiveKind::Fairness] {
             let row = measure_replan(&env, kind);
-            let (warm_label, par_label, shard_label) = match kind {
-                ObjectiveKind::Cost => ("PhoenixCost-warm", "PhoenixCost-par", "PhoenixCost-shard"),
-                ObjectiveKind::Fairness => {
-                    ("PhoenixFair-warm", "PhoenixFair-par", "PhoenixFair-shard")
-                }
+            let (warm_label, par_label) = match kind {
+                ObjectiveKind::Cost => ("PhoenixCost-warm", "PhoenixCost-par"),
+                ObjectiveKind::Fairness => ("PhoenixFair-warm", "PhoenixFair-par"),
             };
             table.row([
                 nodes.to_string(),
@@ -317,16 +221,6 @@ fn main() {
                     row.cold.as_secs_f64() / row.cold_par.as_secs_f64()
                 ),
             ]);
-            table.row([
-                nodes.to_string(),
-                shard_label.to_string(),
-                secs(row.cold_shard.as_secs_f64()),
-                format!(
-                    "cold, packing over {PACKING_SHARDS} shards -> {:.1}x faster",
-                    row.cold.as_secs_f64() / row.cold_shard.as_secs_f64()
-                ),
-            ]);
-            replan_rows.push(row);
         }
 
         // Sequential vs. parallel multi-trial failure sweep (byte-equal
@@ -343,7 +237,6 @@ fn main() {
                 sw.seq.as_secs_f64() / sw.par.as_secs_f64()
             ),
         ]);
-        sweep_rows.push(sw);
 
         // The LP baselines run on a parallel small-app environment — the
         // paper's own setup ("even with applications with less than 20
@@ -398,15 +291,4 @@ fn main() {
         }
     }
     table.print("Figure 8b: time to compute a new target state");
-
-    if !json_path.is_empty() {
-        let scale = if flag("full") {
-            "full"
-        } else if smoke {
-            "smoke"
-        } else {
-            "laptop"
-        };
-        write_json(&json_path, scale, threads, &replan_rows, &sweep_rows);
-    }
 }

@@ -44,7 +44,7 @@ fn main() {
 
     // Warm-replan loop: cold plan, then alternate between two degraded
     // states so every round is a genuine capacity-only delta (cache hits,
-    // rank replays, waterfill, sharded packing).
+    // rank replays, waterfill, packing).
     let env = replan_env(nodes);
     let (mut controller, failed_a, failed_b) = converge_and_degrade(&env, ObjectiveKind::Fairness);
     for round in 0..rounds {

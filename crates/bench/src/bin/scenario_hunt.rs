@@ -10,7 +10,7 @@
 //!    `scenario_matrix` shape) against the roster; the worst violating
 //!    scenario per `(family, policy)` cell is shrunk and persisted as
 //!    `{scenario}--{policy}.json`. This is what pins the known
-//!    BENCH_planner violations (correlated-blast-radius/PhoenixCost,
+//!    smoke-suite violations (correlated-blast-radius/PhoenixCost,
 //!    surge-under-crunch).
 //! 2. **Hunt** — the evolutionary search of `phoenix_scenarios::search`,
 //!    with the chaos crate's `scenario_audit` wired in as the secondary

@@ -5,7 +5,7 @@
 //! Flags:
 //!
 //! * `--smoke`     small suite (8 nodes, 5 scenarios/family) that finishes
-//!   in seconds — the shape CI and `BENCH_planner.json` record;
+//!   in seconds — the shape CI runs;
 //! * `--full`      wider suite (16 nodes, 8 scenarios/family, 5 policies);
 //! * `--seed N`    generator seed (default 42);
 //! * `--json FILE` also write the suite + outcome as JSON;
@@ -101,7 +101,7 @@ fn main() {
     // workload (degraded-serving ladders on cache/batch, identical Full
     // demands), PhoenixFair only — the per-family gain over binary
     // place/evict is the paper's cooperative-degradation claim in one
-    // table, and BENCH_planner.json records it.
+    // table.
     let modal_policies: Vec<Box<dyn ResiliencePolicy>> = vec![Box::new(PhoenixPolicy::fair())];
     let modal_outcome = run_campaign(
         &demo_workload_modal(gen_cfg.apps),

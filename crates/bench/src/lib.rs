@@ -74,8 +74,8 @@ impl Table {
 }
 
 /// The monitor-tick replanning scenario shared by the fig8b warm/cold
-/// rows, the `replan` Criterion bench, and `replan_breakdown`, so the
-/// three never drift apart in what they measure.
+/// rows, `obs_report`, and the `obs_overhead` guard bench, so the three
+/// never drift apart in what they measure.
 pub mod replan_scenario {
     use phoenix_adaptlab::alibaba::AlibabaConfig;
     use phoenix_adaptlab::scenario::{build_env, AdaptLabEnv, EnvConfig};

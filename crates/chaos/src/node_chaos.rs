@@ -164,34 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_packing_policy_reports_identical_chaos_outcomes() {
-        // End-to-end through the simulated control plane: a Phoenix
-        // policy with sharded packing enabled must produce bit-identical
-        // chaos outcomes to the default sequential policy (the sharded
-        // path only moves wall-clock, never a byte).
-        use phoenix_cluster::packing::PackingConfig;
-        let m = overleaf("o", OverleafVariant::Edits, 1.0);
-        let sequential = node_chaos(&m, &PhoenixPolicy::fair(), &cfg());
-        let sharded_policy = PhoenixPolicy::fair().packing_config(PackingConfig {
-            shards: 3,
-            ..PackingConfig::default()
-        });
-        let sharded = node_chaos(&m, &sharded_policy, &cfg());
-        assert_eq!(sequential.len(), sharded.len());
-        for (a, b) in sequential.iter().zip(&sharded) {
-            assert_eq!(a.failure_frac, b.failure_frac);
-            assert_eq!(
-                a.settled_utility.to_bits(),
-                b.settled_utility.to_bits(),
-                "utility diverged at degree {}",
-                a.failure_frac
-            );
-            assert_eq!(a.critical_recovered, b.critical_recovered);
-            assert_eq!(a.critical_restore_after, b.critical_restore_after);
-        }
-    }
-
-    #[test]
     fn phoenix_restores_critical_after_node_loss() {
         let m = overleaf("o", OverleafVariant::Edits, 1.0);
         let out = node_chaos(&m, &PhoenixPolicy::fair(), &cfg());

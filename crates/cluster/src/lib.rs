@@ -11,9 +11,7 @@
 //! * [`SortedNodes`] — an ordered multiset over node remaining capacity
 //!   (the `SortedContainers` stand-in) powering O(log n) best-fit queries,
 //! * [`packing`] — the three-pronged packing heuristic: best-fit →
-//!   repack-by-migration → delete-lower-ranks, with a sharded driver
-//!   ([`packing::pack_sharded`]) that fans fit scans over contiguous
-//!   node shards ([`shard`]) with byte-identical output,
+//!   repack-by-migration → delete-lower-ranks,
 //! * [`default_sched`] — the vanilla Kubernetes scheduler emulation
 //!   (spread/least-allocated, no criticality awareness) used as the
 //!   `Default` baseline.
@@ -43,13 +41,11 @@ pub mod failure;
 pub mod fxhash;
 pub mod packing;
 mod resources;
-pub mod shard;
 mod sorted;
 mod state;
 
 pub use error::ClusterError;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use resources::Resources;
-pub use shard::{SeqShardRunner, ShardLayout, ShardProposals, ShardRunner};
 pub use sorted::{OrderedF64, SortedNodes};
 pub use state::{ClusterState, NodeId, PodKey, Snapshot};

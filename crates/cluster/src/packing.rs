@@ -50,33 +50,10 @@
 //!
 //! All work happens on a scratch [`ClusterState`] copy owned by the caller;
 //! enforcement is the agent's job (§4.2).
-//!
-//! # Sharded packing
-//!
-//! [`pack_sharded`] / [`pack_prepared_sharded`] run the same algorithm
-//! with the step-1 fit scans fanned out over contiguous node shards
-//! ([`ShardLayout`]), producing **byte-identical** output for every shard
-//! count, chunk size, and [`ShardRunner`]:
-//!
-//! * the plan is walked in rank-ordered chunks; at each chunk boundary
-//!   the cluster state is *frozen* and every shard computes, in parallel,
-//!   its local fit proposal for each pending pod of the chunk;
-//! * a sequential **ordered merge** then visits the chunk in rank order,
-//!   combining the per-shard proposals into the exact node the global
-//!   scan would have picked (for every fit strategy, the global winner is
-//!   the extremum over per-shard first-fits);
-//! * every mutation — placements, repack migrations, delete-lower-ranks
-//!   victims — marks the touched shards *dirty*, and the merge replays
-//!   the fit of any pod whose proposal a dirty shard invalidated against
-//!   live shard state (mirroring how `ReplanCache` replays invalidated
-//!   prefixes). Repack and victim bookkeeping themselves run sequentially
-//!   on the authoritative global state through the very same code path as
-//!   the sequential driver, so shard-crossing work cannot diverge.
 
-use phoenix_obs::{Counter, Phase, Recorder};
+use phoenix_obs::{Counter, Recorder};
 
-use crate::shard::{ShardLayout, ShardProposals, ShardRunner};
-use crate::{ClusterState, FxHashMap, NodeId, OrderedF64, PodKey, Resources, SortedNodes};
+use crate::{ClusterState, FxHashMap, NodeId, PodKey, Resources, SortedNodes};
 
 /// One entry of the planner's globally-ranked list.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -126,17 +103,6 @@ pub struct PackingConfig {
     /// constraint (§4); Kubernetes ships with `max-pods = 110`. `None`
     /// disables the check.
     pub max_pods_per_node: Option<usize>,
-    /// Number of contiguous node shards the sharded drivers
-    /// ([`pack_sharded`] / [`pack_prepared_sharded`]) fan the step-1 fit
-    /// scans over; `0` or `1` keeps packing strictly sequential, and
-    /// [`AUTO_SHARDS`](Self::AUTO_SHARDS) defers the choice to
-    /// [`resolve_shards`](Self::resolve_shards) at plan time. Output is
-    /// byte-identical either way — this knob only moves wall-clock.
-    pub shards: usize,
-    /// Plan pods per speculation chunk on the sharded path (`0` derives
-    /// a chunk from plan length and shard count). Any value produces
-    /// identical output; it only tunes the freeze/merge cadence.
-    pub shard_chunk: usize,
     /// Re-book running pods whose planned demand differs from their live
     /// booking (serving-mode shifts). Off, a running pod keeps its old
     /// booking untouched — the historical contract mode-less plans are
@@ -155,40 +121,7 @@ impl Default for PackingConfig {
             max_migration_nodes: 8,
             strict: false,
             max_pods_per_node: None,
-            shards: 0,
-            shard_chunk: 0,
             rebook_in_place: false,
-        }
-    }
-}
-
-impl PackingConfig {
-    /// Sentinel for [`shards`](Self::shards): pick the shard count at plan
-    /// time from the cluster size and pool width instead of hard-coding it.
-    pub const AUTO_SHARDS: usize = usize::MAX;
-
-    /// Smallest cluster auto-sharding considers worth the freeze/propose/
-    /// merge overhead. On small clusters sharding *costs* wall-clock
-    /// (0.88–0.93× in `BENCH_planner.json`); the fit scans only amortize
-    /// the coordination once they walk thousands of nodes.
-    pub const AUTO_SHARDS_MIN_NODES: usize = 4096;
-
-    /// Resolves [`shards`](Self::shards) against a concrete cluster and
-    /// pool width. Explicit shard counts (anything but
-    /// [`AUTO_SHARDS`](Self::AUTO_SHARDS)) pass through untouched.
-    /// `AUTO_SHARDS` picks `threads` shards when
-    /// `nodes >= AUTO_SHARDS_MIN_NODES && threads > 1`, and `0`
-    /// (sequential) otherwise. The choice is output-safe either way:
-    /// sharded packing is byte-identical to sequential by the
-    /// ordered-merge contract, so auto-tuning only moves wall-clock.
-    pub fn resolve_shards(&self, nodes: usize, threads: usize) -> usize {
-        if self.shards != Self::AUTO_SHARDS {
-            return self.shards;
-        }
-        if nodes >= Self::AUTO_SHARDS_MIN_NODES && threads > 1 {
-            threads
-        } else {
-            0
         }
     }
 }
@@ -359,170 +292,73 @@ pub fn pack_prepared(
         .all(|(i, p)| rank_of(p.key) == Some(i)));
     let mut out = PackOutcome::default();
     drop_unplanned(state, &rank_of, &mut out);
-    let mut book = NodeBook::new(state, None);
+    let mut sorted = healthy_by_remaining(state);
     let mut ctx = PackCtx::new(plan);
-    place_range(
-        state,
-        plan,
-        cfg,
-        &mut book,
-        &mut ctx,
-        &mut out,
-        0..plan.len(),
-        |state, book, _, demand| try_fit(state, &book.sorted, demand, cfg),
-    );
-    out
-}
-
-/// [`pack`] on the sharded path: contiguous node shards compute fit
-/// proposals for rank-ordered plan chunks through `runner` (the parallel
-/// phase), and a sequential ordered merge applies them — replaying any
-/// pod whose shard-local proposal a mutation invalidated. Byte-identical
-/// to [`pack`] for every shard count, chunk size, and runner (see the
-/// [module docs](self) for the contract and the equivalence property
-/// tests for the proof-by-fire).
-pub fn pack_sharded(
-    state: &mut ClusterState,
-    plan: &[PlannedPod],
-    cfg: &PackingConfig,
-    runner: &dyn ShardRunner,
-) -> PackOutcome {
-    let ranks = PlanRanks::new(plan);
-    pack_prepared_sharded(state, plan, cfg, |p| ranks.get(p), runner)
-}
-
-/// [`pack_prepared`] on the sharded path (see [`pack_sharded`]); the
-/// `rank_of` contract is the same as [`pack_prepared`]'s.
-///
-/// With `cfg.shards <= 1` (or a cluster smaller than two shards) this
-/// delegates to the sequential driver without touching `runner`.
-///
-/// # Panics
-///
-/// As [`pack_prepared`].
-pub fn pack_prepared_sharded(
-    state: &mut ClusterState,
-    plan: &[PlannedPod],
-    cfg: &PackingConfig,
-    rank_of: impl Fn(PodKey) -> Option<usize>,
-    runner: &dyn ShardRunner,
-) -> PackOutcome {
-    // An unresolved AUTO_SHARDS sentinel (callers normally resolve it at
-    // plan level, where the pool width is known) falls back to sequential
-    // rather than exploding into one shard per node.
-    let shards = if cfg.shards == PackingConfig::AUTO_SHARDS {
-        0
-    } else {
-        cfg.shards.min(state.node_count())
-    };
-    if shards <= 1 {
-        return pack_prepared(state, plan, cfg, rank_of);
-    }
-    debug_assert!(plan
-        .iter()
-        .enumerate()
-        .all(|(i, p)| rank_of(p.key) == Some(i)));
-    let mut out = PackOutcome::default();
-    drop_unplanned(state, &rank_of, &mut out);
-    let layout = ShardLayout::new(state.node_count(), shards);
-    let mut book = NodeBook::new(state, Some(layout));
-    let mut ctx = PackCtx::new(plan);
-    let chunk = if cfg.shard_chunk > 0 {
-        cfg.shard_chunk
-    } else {
-        auto_chunk(plan.len(), shards)
-    };
-
-    // Tournament scratch, reused across every placement of the pack so
-    // the merge allocates once, not once per pod.
-    let mut scratch: Vec<(OrderedF64, NodeId)> = Vec::with_capacity(shards);
-    let mut start = 0usize;
-    while start < plan.len() {
-        let end = plan.len().min(start + chunk);
-        // Freeze: the chunk's pods that are not currently running. Pods
-        // running at the freeze either stay in place (the common case) or
-        // are victimized mid-chunk and replayed against live shard state.
-        let pending: Vec<usize> = (start..end)
-            .filter(|&i| state.node_of(plan[i].key).is_none())
-            .collect();
-        // A chunk is *convergent* when the merge could only skip every
-        // pod in it: each is running, and — under `rebook_in_place` —
-        // already booked at its planned demand. (A running pod whose
-        // demand changed carries no frozen proposal; the merge replays
-        // it against live shard state, exactly like a mid-chunk victim.)
-        let convergent = pending.is_empty()
-            && (!cfg.rebook_in_place
-                || (start..end).all(|i| state.demand_of(plan[i].key) == Some(plan[i].demand)));
-        if convergent {
-            // Nothing is placed, nothing is victimized (victims come
-            // from placements), and the shard fan-out would produce
-            // empty proposal vectors. This is the common warm-replan
-            // case — whole chunks of the plan already converged — so
-            // skip the dispatch entirely.
-            ctx.obs.incr(Counter::PackConvergentSkips);
-            start = end;
-            continue;
+    for (rank, planned) in plan.iter().enumerate() {
+        let mut in_place = None;
+        if let Some((from, booked)) = state.placement_of(planned.key) {
+            if !cfg.rebook_in_place || booked == planned.demand {
+                continue; // already running; keep in place
+            }
+            // Serving-mode rebook: free the old booking and re-place at
+            // the planned demand, preferring the pod's own node so a
+            // shrink (or a grow that still fits) never moves it. A grow
+            // that no longer fits re-enters the regular flow as a
+            // self-victimization: same node ⇒ keep, elsewhere ⇒
+            // migration, nowhere ⇒ the delete stands.
+            state.remove(planned.key).expect("pod is assigned");
+            sorted.update(from, state.remaining(from).scalar());
+            ctx.evicted(planned.key, from, &mut out);
+            if fits_node(state, cfg, from, planned.demand) {
+                in_place = Some(from);
+            }
         }
-        let mut pend_of: Vec<Option<usize>> = vec![None; end - start];
-        for (row, &i) in pending.iter().enumerate() {
-            pend_of[i - start] = Some(row);
+        let mut target = in_place.or_else(|| try_fit(state, &sorted, planned.demand, cfg));
+        if target.is_none() && cfg.enable_migration {
+            let migrations_before = out.migrations.len();
+            target = repack_to_fit(
+                state,
+                &mut sorted,
+                planned.demand,
+                cfg,
+                &mut out,
+                &mut ctx.repack,
+            );
+            ctx.obs.add(
+                Counter::PackRepackMigrations,
+                (out.migrations.len() - migrations_before) as u64,
+            );
         }
-        // Parallel speculation: every shard proposes its local fit for
-        // each pending pod against the frozen state. Pure reads — the
-        // runner may schedule them on any threads in any order.
-        let proposals: Vec<ShardProposals> = {
-            let frozen: &ClusterState = state;
-            let mirror = book.shards.as_ref().expect("sharded book");
-            runner.run_shards(shards, &|s| {
-                pending
-                    .iter()
-                    .map(|&i| try_fit(frozen, &mirror.sorted[s], plan[i].demand, cfg))
-                    .collect()
-            })
-        };
-        ctx.obs
-            .add(Counter::PackShardProposals, (pending.len() * shards) as u64);
-        book.clear_dirty();
-        // Ordered merge: walk the chunk in rank order, combining frozen
-        // proposals from still-clean shards and replaying dirty ones.
-        // (The guard borrows a clone of the handle so `ctx` stays free
-        // for the merge to borrow mutably.)
-        let merge_obs = ctx.obs.clone();
-        let _merge_timer = merge_obs.phase(Phase::Merge);
-        let aborted = place_range(
-            state,
-            plan,
-            cfg,
-            &mut book,
-            &mut ctx,
-            &mut out,
-            start..end,
-            |state, book, rank, demand| {
-                merged_fit(
-                    state,
-                    book,
-                    cfg,
-                    demand,
-                    pend_of[rank - start],
-                    &proposals,
-                    &mut scratch,
-                    &merge_obs,
-                )
-            },
-        );
-        if aborted {
-            break;
+        while target.is_none() {
+            // Delete the lowest-priority running pod that ranks below us.
+            let Some(victim) = next_victim(state, plan, &mut ctx.victim_cursor, rank) else {
+                break;
+            };
+            let (node, _) = state.remove(victim).expect("victim is assigned");
+            sorted.update(node, state.remaining(node).scalar());
+            ctx.obs.incr(Counter::PackVictimDeletes);
+            ctx.evicted(victim, node, &mut out);
+            target = try_fit(state, &sorted, planned.demand, cfg);
         }
-        start = end;
+        match target {
+            Some(node) => {
+                state
+                    .assign(planned.key, planned.demand, node)
+                    .expect("fit was just verified");
+                sorted.update(node, state.remaining(node).scalar());
+                ctx.obs.incr(Counter::PackPlacements);
+                ctx.placed(planned.key, node, &mut out);
+            }
+            None => {
+                out.unplaced.push(planned.key);
+                if cfg.strict {
+                    out.aborted = true;
+                    break;
+                }
+            }
+        }
     }
     out
-}
-
-/// Default speculation chunk: a handful of chunks per shard keeps the
-/// merge replaying few stale shards while the freeze/fan-out overhead
-/// stays invisible. Any value is output-identical.
-fn auto_chunk(plan_len: usize, shards: usize) -> usize {
-    plan_len.div_ceil(shards.max(1) * 4).clamp(32, 4096)
 }
 
 /// Step 0: diagonal scaling — drop running pods the plan turned off.
@@ -542,64 +378,20 @@ fn drop_unplanned(
     }
 }
 
-/// The packing loop's node-capacity bookkeeping: the authoritative
-/// global [`SortedNodes`] plus, on the sharded path, per-shard mirrors
-/// with dirty-since-freeze flags. Every capacity mutation funnels
-/// through [`NodeBook::update`], so the sequential and sharded drivers
-/// mutate in lockstep by construction.
-struct NodeBook {
-    sorted: SortedNodes,
-    shards: Option<ShardMirror>,
+/// The healthy nodes keyed by remaining capacity — the ordered set every
+/// fit query of one pack runs against. The packing loop updates a node's
+/// key after each mutation of its bookings.
+fn healthy_by_remaining(state: &ClusterState) -> SortedNodes {
+    let mut sorted = SortedNodes::new();
+    for n in state.healthy_nodes() {
+        sorted.insert(n, state.remaining(n).scalar());
+    }
+    sorted
 }
 
-struct ShardMirror {
-    layout: ShardLayout,
-    /// One [`SortedNodes`] per shard, holding only that shard's healthy
-    /// nodes (keys stay current — mirrors are updated with the global
-    /// set, dirtiness only tracks changes since the last chunk freeze).
-    sorted: Vec<SortedNodes>,
-    dirty: Vec<bool>,
-}
-
-impl NodeBook {
-    fn new(state: &ClusterState, layout: Option<ShardLayout>) -> NodeBook {
-        let mut sorted = SortedNodes::new();
-        let mut shards = layout.map(|layout| ShardMirror {
-            sorted: vec![SortedNodes::new(); layout.count()],
-            dirty: vec![false; layout.count()],
-            layout,
-        });
-        for n in state.healthy_nodes() {
-            let key = state.remaining(n).scalar();
-            sorted.insert(n, key);
-            if let Some(m) = shards.as_mut() {
-                m.sorted[m.layout.shard_of(n)].insert(n, key);
-            }
-        }
-        NodeBook { sorted, shards }
-    }
-
-    fn update(&mut self, node: NodeId, remaining: f64) {
-        self.sorted.update(node, remaining);
-        if let Some(m) = self.shards.as_mut() {
-            let s = m.layout.shard_of(node);
-            m.sorted[s].update(node, remaining);
-            m.dirty[s] = true;
-        }
-    }
-
-    fn clear_dirty(&mut self) {
-        if let Some(m) = self.shards.as_mut() {
-            m.dirty.iter_mut().for_each(|d| *d = false);
-        }
-    }
-}
-
-/// Cross-pod bookkeeping shared by the sequential and sharded drivers.
+/// Cross-pod bookkeeping of one pack.
 struct PackCtx {
-    /// Observability handle, grabbed once per pack. Counters recorded
-    /// here are per-*event* in the sequential merge order, so they are
-    /// identical for every runner.
+    /// Observability handle, grabbed once per pack.
     obs: Recorder,
     /// The deletion fallback's cursor into the plan (see the
     /// [module docs](self) for its invariant): the next victim is the
@@ -659,84 +451,6 @@ impl PackCtx {
     }
 }
 
-/// Places `plan[range]` with the three-pronged strategy, appending to
-/// `out`. `fit` computes step 1 — the sequential driver scans the global
-/// sorted set, the sharded driver merges per-shard proposals — while
-/// repack and the deletion fallback run identically in both. Ranges must
-/// be visited in ascending order within one pack (the victim cursor
-/// relies on it). Returns `true` when strict mode aborted.
-#[allow(clippy::too_many_arguments)]
-fn place_range(
-    state: &mut ClusterState,
-    plan: &[PlannedPod],
-    cfg: &PackingConfig,
-    book: &mut NodeBook,
-    ctx: &mut PackCtx,
-    out: &mut PackOutcome,
-    range: std::ops::Range<usize>,
-    mut fit: impl FnMut(&ClusterState, &NodeBook, usize, Resources) -> Option<NodeId>,
-) -> bool {
-    for rank in range {
-        let planned = &plan[rank];
-        let mut in_place = None;
-        if let Some((from, booked)) = state.placement_of(planned.key) {
-            if !cfg.rebook_in_place || booked == planned.demand {
-                continue; // already running; keep in place
-            }
-            // Serving-mode rebook: free the old booking and re-place at
-            // the planned demand, preferring the pod's own node so a
-            // shrink (or a grow that still fits) never moves it. A grow
-            // that no longer fits re-enters the regular flow as a
-            // self-victimization: same node ⇒ keep, elsewhere ⇒
-            // migration, nowhere ⇒ the delete stands.
-            state.remove(planned.key).expect("pod is assigned");
-            book.update(from, state.remaining(from).scalar());
-            ctx.evicted(planned.key, from, out);
-            if fits_node(state, cfg, from, planned.demand) {
-                in_place = Some(from);
-            }
-        }
-        let mut target = in_place.or_else(|| fit(state, book, rank, planned.demand));
-        if target.is_none() && cfg.enable_migration {
-            let migrations_before = out.migrations.len();
-            target = repack_to_fit(state, book, planned.demand, cfg, out, &mut ctx.repack);
-            ctx.obs.add(
-                Counter::PackRepackMigrations,
-                (out.migrations.len() - migrations_before) as u64,
-            );
-        }
-        while target.is_none() {
-            // Delete the lowest-priority running pod that ranks below us.
-            let Some(victim) = next_victim(state, plan, &mut ctx.victim_cursor, rank) else {
-                break;
-            };
-            let (node, _) = state.remove(victim).expect("victim is assigned");
-            book.update(node, state.remaining(node).scalar());
-            ctx.obs.incr(Counter::PackVictimDeletes);
-            ctx.evicted(victim, node, out);
-            target = fit(state, book, rank, planned.demand);
-        }
-        match target {
-            Some(node) => {
-                state
-                    .assign(planned.key, planned.demand, node)
-                    .expect("fit was just verified");
-                book.update(node, state.remaining(node).scalar());
-                ctx.obs.incr(Counter::PackPlacements);
-                ctx.placed(planned.key, node, out);
-            }
-            None => {
-                out.unplaced.push(planned.key);
-                if cfg.strict {
-                    out.aborted = true;
-                    return true;
-                }
-            }
-        }
-    }
-    false
-}
-
 /// Moves `cursor` towards the head of the plan to the next running pod
 /// that still sits after `rank` — the deletion fallback's next victim —
 /// or to `rank + 1` when there is none.
@@ -754,92 +468,6 @@ fn next_victim(
         }
     }
     None
-}
-
-/// Step 1 on the sharded path: the node the global scan would pick,
-/// reconstructed from per-shard first-fits. Clean shards reuse the
-/// frozen proposal row (`frozen_row`, absent for pods that were running
-/// at the freeze); dirty shards — and every shard of a proposal-less pod
-/// — replay [`try_fit`] against their live mirror.
-#[allow(clippy::too_many_arguments)]
-fn merged_fit(
-    state: &ClusterState,
-    book: &NodeBook,
-    cfg: &PackingConfig,
-    demand: Resources,
-    frozen_row: Option<usize>,
-    proposals: &[ShardProposals],
-    scratch: &mut Vec<(OrderedF64, NodeId)>,
-    obs: &Recorder,
-) -> Option<NodeId> {
-    let mirror = book.shards.as_ref().expect("sharded book");
-    // Reuse/replay counts are per consulted shard in the sequential
-    // merge order — runner-independent, so deterministic-plane safe.
-    let shard_candidate = |s: usize| match frozen_row {
-        Some(row) if !mirror.dirty[s] => {
-            obs.incr(Counter::PackFrozenReuses);
-            proposals[s][row]
-        }
-        _ => {
-            obs.incr(Counter::PackDirtyReplays);
-            try_fit(state, &mirror.sorted[s], demand, cfg)
-        }
-    };
-    if cfg.fit == FitStrategy::FirstFit {
-        // Shards are contiguous ascending id ranges, so the first shard
-        // with a fit holds the globally lowest-id fitting node — later
-        // shards need not even be consulted.
-        return (0..mirror.sorted.len()).find_map(shard_candidate);
-    }
-    // The global best (worst) fit is the smallest (largest) (key, id)
-    // among the shards' local best fits: every candidate ordered before a
-    // shard's first fit does not fit, in any shard. Gather the per-shard
-    // candidates in shard order (into the caller's reused scratch — no
-    // per-placement allocation), then reduce them in a tournament.
-    scratch.clear();
-    scratch.extend((0..mirror.sorted.len()).filter_map(|s| {
-        shard_candidate(s).map(|node| {
-            (
-                OrderedF64::new(mirror.sorted[s].key(node).expect("candidate is tracked")),
-                node,
-            )
-        })
-    }));
-    tournament_extremum(scratch, cfg.fit == FitStrategy::WorstFit).map(|(_, n)| n)
-}
-
-/// Pairwise tournament over the per-shard fit candidates in `round`:
-/// each round plays adjacent pairs and advances the winner (the smaller
-/// `(key, id)` for best-fit, the larger for worst-fit; an odd straggler
-/// gets a bye), compacting **in place** into the buffer's prefix — the
-/// whole bracket is `n − 1` comparisons and zero allocation (the caller
-/// reuses one scratch buffer across the pack). The buffer's contents are
-/// scrapped, not restored.
-///
-/// Byte-identical to the linear running-extremum scan it replaced: node
-/// ids are unique, so the `(key, id)` pairs are strictly totally ordered
-/// and the extremum is the same element under **any** reduction tree.
-/// What the bracket buys is comparison-dependency depth — ⌈log₂ s⌉
-/// rounds of independent pairings instead of an `s`-long serial chain
-/// through one accumulator — which trims the merge constant at large
-/// shard counts.
-fn tournament_extremum(
-    round: &mut [(OrderedF64, NodeId)],
-    prefer_larger: bool,
-) -> Option<(OrderedF64, NodeId)> {
-    let mut len = round.len();
-    while len > 1 {
-        let half = len / 2;
-        for i in 0..half {
-            let (a, b) = (round[2 * i], round[2 * i + 1]);
-            round[i] = if prefer_larger { a.max(b) } else { a.min(b) };
-        }
-        if len % 2 == 1 {
-            round[half] = round[len - 1];
-        }
-        len = half + len % 2;
-    }
-    round.first().copied()
 }
 
 /// Whether `node` can take `demand`: capacity in both dimensions plus the
@@ -891,20 +519,16 @@ struct RepackScratch {
 ///
 /// Examines candidate source nodes from most to least remaining capacity
 /// (emptier nodes need fewer moves). Tentative moves are rolled back when a
-/// candidate cannot be freed within the move budget. Runs sequentially on
-/// the authoritative global view in both drivers; on the sharded path the
-/// [`NodeBook`] updates also dirty the touched shard mirrors, so the merge
-/// replays any proposal a migration (or its rollback) invalidated.
+/// candidate cannot be freed within the move budget.
 fn repack_to_fit(
     state: &mut ClusterState,
-    book: &mut NodeBook,
+    sorted: &mut SortedNodes,
     demand: Resources,
     cfg: &PackingConfig,
     out: &mut PackOutcome,
     scratch: &mut RepackScratch,
 ) -> Option<NodeId> {
-    let candidates: Vec<NodeId> = book
-        .sorted
+    let candidates: Vec<NodeId> = sorted
         .iter_desc()
         .take(cfg.max_migration_nodes)
         .map(|(n, _)| n)
@@ -928,8 +552,7 @@ fn repack_to_fit(
                 break;
             }
             // Find a home on any *other* node (best-fit).
-            let Some(dest) = book
-                .sorted
+            let Some(dest) = sorted
                 .best_fit_candidates(d.scalar())
                 .find(|&n| n != source && fits_node(state, cfg, n, d))
             else {
@@ -940,7 +563,7 @@ fn repack_to_fit(
                 // above everything) never ends the loop early; a NaN
                 // floor says nothing about the floors after it.
                 let floor = d.scalar() - 1e-9;
-                let roomiest_other = book.sorted.iter_desc().find(|&(n, _)| n != source);
+                let roomiest_other = sorted.iter_desc().find(|&(n, _)| n != source);
                 if !floor.is_nan()
                     && roomiest_other.is_none_or(|(_, key)| key.total_cmp(&floor).is_lt())
                 {
@@ -949,8 +572,8 @@ fn repack_to_fit(
                 continue;
             };
             state.migrate(p, dest).expect("fit was just verified");
-            book.update(source, state.remaining(source).scalar());
-            book.update(dest, state.remaining(dest).scalar());
+            sorted.update(source, state.remaining(source).scalar());
+            sorted.update(dest, state.remaining(dest).scalar());
             moves.push((p, source, dest));
         }
         if !ok && fits_node(state, cfg, source, demand) {
@@ -963,8 +586,8 @@ fn repack_to_fit(
         // Roll back tentative moves, most recent first.
         for &(p, src, dest) in moves.iter().rev() {
             state.migrate(p, src).expect("rollback to source succeeds");
-            book.update(src, state.remaining(src).scalar());
-            book.update(dest, state.remaining(dest).scalar());
+            sorted.update(src, state.remaining(src).scalar());
+            sorted.update(dest, state.remaining(dest).scalar());
         }
     }
     None
@@ -1383,8 +1006,8 @@ mod tests {
                 .assign(pod(s), Resources::cpu(cpu), NodeId::new(node as u32))
                 .unwrap();
         }
-        let mut book = NodeBook::new(&state, None);
-        let before = snapshot(&state, &book.sorted);
+        let mut sorted = healthy_by_remaining(&state);
+        let before = snapshot(&state, &sorted);
 
         let cfg = PackingConfig {
             max_migration_moves: 1,
@@ -1393,7 +1016,7 @@ mod tests {
         let mut out = PackOutcome::default();
         let target = repack_to_fit(
             &mut state,
-            &mut book,
+            &mut sorted,
             Resources::cpu(6.0),
             &cfg,
             &mut out,
@@ -1401,11 +1024,7 @@ mod tests {
         );
 
         assert_eq!(target, None, "no candidate can be freed");
-        assert_eq!(
-            snapshot(&state, &book.sorted),
-            before,
-            "rollback incomplete"
-        );
+        assert_eq!(snapshot(&state, &sorted), before, "rollback incomplete");
         assert!(out.migrations.is_empty(), "tentative moves leaked");
         assert!(out.deletions.is_empty() && out.starts.is_empty());
         state.check_invariants().unwrap();
@@ -1433,7 +1052,7 @@ mod tests {
         state
             .assign(pod(3), Resources::cpu(6.0), NodeId::new(1))
             .unwrap();
-        let mut book = NodeBook::new(&state, None);
+        let mut sorted = healthy_by_remaining(&state);
         let cfg = PackingConfig {
             max_migration_moves: 1,
             ..PackingConfig::default()
@@ -1441,7 +1060,7 @@ mod tests {
         let mut out = PackOutcome::default();
         let target = repack_to_fit(
             &mut state,
-            &mut book,
+            &mut sorted,
             Resources::cpu(10.0),
             &cfg,
             &mut out,
@@ -1459,7 +1078,7 @@ mod tests {
         assert_eq!(state.node_of(pod(2)), Some(NodeId::new(0)));
         // SortedNodes keys agree with the mutated state on every node.
         for n in state.node_ids() {
-            assert_eq!(book.sorted.key(n), Some(state.remaining(n).scalar()), "{n}");
+            assert_eq!(sorted.key(n), Some(state.remaining(n).scalar()), "{n}");
         }
         state.check_invariants().unwrap();
     }
@@ -1480,11 +1099,11 @@ mod tests {
         state
             .assign(pod(2), Resources::new(1.0, 1.0), NodeId::new(0))
             .unwrap();
-        let mut book = NodeBook::new(&state, None);
+        let mut sorted = healthy_by_remaining(&state);
         let mut out = PackOutcome::default();
         let target = repack_to_fit(
             &mut state,
-            &mut book,
+            &mut sorted,
             Resources::cpu(2.0),
             &PackingConfig::default(),
             &mut out,
@@ -1551,187 +1170,6 @@ mod tests {
         ] {
             assert_eq!(ranks.get(absent), None, "{absent}");
         }
-    }
-
-    /// Packs the same scenario sequentially and sharded (over several
-    /// shard counts and chunk sizes, inline runner) and asserts the
-    /// outcomes and resulting states byte-identical.
-    fn assert_sharded_equivalent(state: &ClusterState, plan: &[PlannedPod], cfg: &PackingConfig) {
-        let mut seq_state = state.clone();
-        let seq = pack(&mut seq_state, plan, cfg);
-        for shards in [2usize, 3, 5, 64] {
-            for chunk in [0usize, 1, 2, 7, 1000] {
-                let mut cfg_s = cfg.clone();
-                cfg_s.shards = shards;
-                cfg_s.shard_chunk = chunk;
-                let mut st = state.clone();
-                let out = pack_sharded(&mut st, plan, &cfg_s, &crate::shard::SeqShardRunner);
-                let tag = format!("shards {shards} chunk {chunk}");
-                assert_eq!(out.deletions, seq.deletions, "{tag}");
-                assert_eq!(out.migrations, seq.migrations, "{tag}");
-                assert_eq!(out.starts, seq.starts, "{tag}");
-                assert_eq!(out.unplaced, seq.unplaced, "{tag}");
-                assert_eq!(out.aborted, seq.aborted, "{tag}");
-                let placements = |s: &ClusterState| {
-                    let mut v: Vec<_> = s.assignments().map(|(p, n, _)| (p, n)).collect();
-                    v.sort_unstable();
-                    v
-                };
-                assert_eq!(placements(&st), placements(&seq_state), "{tag}");
-                for n in st.node_ids() {
-                    assert_eq!(
-                        st.remaining(n).cpu.to_bits(),
-                        seq_state.remaining(n).cpu.to_bits(),
-                        "{tag}: {n}"
-                    );
-                }
-                st.check_invariants().unwrap();
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_pack_matches_sequential_on_fresh_clusters() {
-        let state = ClusterState::new(
-            [10.0, 4.0, 7.0, 6.0, 12.0, 3.0]
-                .into_iter()
-                .map(Resources::cpu),
-        );
-        let plan = plan_of(&[
-            (0, 4.0),
-            (1, 6.0),
-            (2, 4.0),
-            (3, 9.0),
-            (4, 2.5),
-            (5, 2.5),
-            (6, 5.0),
-            (7, 1.0),
-        ]);
-        for fit in [
-            FitStrategy::BestFit,
-            FitStrategy::FirstFit,
-            FitStrategy::WorstFit,
-        ] {
-            let cfg = PackingConfig {
-                fit,
-                ..PackingConfig::default()
-            };
-            assert_sharded_equivalent(&state, &plan, &cfg);
-        }
-    }
-
-    #[test]
-    fn sharded_pack_matches_sequential_with_victims_and_drops() {
-        // Pre-existing pods: one dropped by diagonal scaling (absent from
-        // the plan), two victimized across shard boundaries, one kept.
-        let mut state = ClusterState::homogeneous(4, Resources::cpu(6.0));
-        state
-            .assign(pod(9), Resources::cpu(5.0), NodeId::new(0))
-            .unwrap(); // kept (in plan)
-        state
-            .assign(pod(7), Resources::cpu(4.0), NodeId::new(1))
-            .unwrap(); // victim candidate
-        state
-            .assign(pod(8), Resources::cpu(4.0), NodeId::new(2))
-            .unwrap(); // victim candidate
-        state
-            .assign(pod(99), Resources::cpu(3.0), NodeId::new(3))
-            .unwrap(); // not in plan: dropped
-        let plan = plan_of(&[(0, 6.0), (9, 5.0), (1, 6.0), (7, 4.0), (8, 4.0), (2, 2.0)]);
-        for enable_migration in [true, false] {
-            for strict in [false, true] {
-                let cfg = PackingConfig {
-                    enable_migration,
-                    strict,
-                    max_migration_moves: 1,
-                    ..PackingConfig::default()
-                };
-                assert_sharded_equivalent(&state, &plan, &cfg);
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_pack_matches_sequential_with_pod_caps_and_two_dims() {
-        let state = ClusterState::new([
-            Resources::new(10.0, 1.0),
-            Resources::new(4.0, 16.0),
-            Resources::new(6.0, 8.0),
-            Resources::new(6.0, 8.0),
-        ]);
-        let plan = vec![
-            PlannedPod::new(pod(0), Resources::new(3.0, 8.0)),
-            PlannedPod::new(pod(1), Resources::new(1.0, 8.0)),
-            PlannedPod::new(pod(2), Resources::new(5.0, 0.5)),
-            PlannedPod::new(pod(3), Resources::new(2.0, 4.0)),
-            PlannedPod::new(pod(4), Resources::new(2.0, 4.0)),
-            PlannedPod::new(pod(5), Resources::new(1.0, 1.0)),
-        ];
-        let cfg = PackingConfig {
-            max_pods_per_node: Some(2),
-            ..PackingConfig::default()
-        };
-        assert_sharded_equivalent(&state, &plan, &cfg);
-    }
-
-    #[test]
-    fn sharded_pack_with_failed_nodes_and_empty_plan() {
-        let mut state = ClusterState::homogeneous(5, Resources::cpu(4.0));
-        state.fail_node(NodeId::new(1));
-        state.fail_node(NodeId::new(4));
-        state
-            .assign(pod(3), Resources::cpu(2.0), NodeId::new(2))
-            .unwrap();
-        let plan = plan_of(&[(0, 4.0), (1, 4.0), (2, 4.0), (3, 2.0)]);
-        assert_sharded_equivalent(&state, &plan, &PackingConfig::default());
-        assert_sharded_equivalent(&state, &[], &PackingConfig::default());
-    }
-
-    #[test]
-    fn single_shard_and_tiny_clusters_delegate_to_sequential() {
-        let state = ClusterState::homogeneous(1, Resources::cpu(10.0));
-        let plan = plan_of(&[(0, 4.0), (1, 4.0), (2, 4.0)]);
-        // shards > node_count clamps down to 1 and must still work.
-        let cfg = PackingConfig {
-            shards: 16,
-            ..PackingConfig::default()
-        };
-        let mut a = state.clone();
-        let out_a = pack_sharded(&mut a, &plan, &cfg, &crate::shard::SeqShardRunner);
-        let mut b = state.clone();
-        let out_b = pack(&mut b, &plan, &PackingConfig::default());
-        assert_eq!(out_a.starts, out_b.starts);
-        assert_eq!(out_a.unplaced, out_b.unplaced);
-    }
-
-    #[test]
-    fn tournament_matches_linear_extremum_scan() {
-        // The bracket must pick exactly what the serial running-extremum
-        // scan picked, for every length (odd lengths exercise the bye).
-        let keys = [3.0, 1.0, 4.0, 1.5, 9.0, 2.0, 6.0, 5.0, 3.5];
-        for len in 0..=keys.len() {
-            let cands: Vec<(OrderedF64, NodeId)> = keys[..len]
-                .iter()
-                .enumerate()
-                .map(|(i, &k)| (OrderedF64::new(k), NodeId::new(i as u32)))
-                .collect();
-            let linear_min = cands.iter().copied().min();
-            let linear_max = cands.iter().copied().max();
-            assert_eq!(tournament_extremum(&mut cands.clone(), false), linear_min);
-            assert_eq!(tournament_extremum(&mut cands.clone(), true), linear_max);
-        }
-        // Equal keys break ties on node id, same as the linear scan.
-        let tied: Vec<(OrderedF64, NodeId)> = (0..5)
-            .map(|i| (OrderedF64::new(2.0), NodeId::new(i)))
-            .collect();
-        assert_eq!(
-            tournament_extremum(&mut tied.clone(), false),
-            Some((OrderedF64::new(2.0), NodeId::new(0)))
-        );
-        assert_eq!(
-            tournament_extremum(&mut tied.clone(), true),
-            Some((OrderedF64::new(2.0), NodeId::new(4)))
-        );
     }
 
     #[test]

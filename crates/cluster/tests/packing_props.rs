@@ -2,8 +2,8 @@
 //! uses failed nodes, and respects plan membership — and, on crunch-heavy
 //! clusters, packs byte-identically to the reference packer it replaced.
 
-use phoenix_cluster::packing::{pack, pack_sharded, FitStrategy, PackingConfig, PlannedPod};
-use phoenix_cluster::{ClusterState, NodeId, PodKey, Resources, SeqShardRunner};
+use phoenix_cluster::packing::{pack, FitStrategy, PackingConfig, PlannedPod};
+use phoenix_cluster::{ClusterState, NodeId, PodKey, Resources};
 use proptest::prelude::*;
 
 fn arb_scenario() -> impl Strategy<Value = (Vec<f64>, Vec<f64>, Vec<bool>, u8)> {
@@ -573,7 +573,7 @@ proptest! {
     /// O(1) start/delete collapse, repack early-out and the dense rank
     /// table produce the **same** `PackOutcome` — every vector, order
     /// included — and a bit-identical target state as the packer they
-    /// replaced, sequentially and sharded.
+    /// replaced.
     #[test]
     fn crunch_pack_is_byte_identical_to_the_reference(crunch in arb_crunch()) {
         let (state, plan) = crunch.build();
@@ -583,23 +583,14 @@ proptest! {
 
         let mut got_state = state.clone();
         let got = pack(&mut got_state, &plan, &crunch.cfg);
-        let mut sharded_state = state.clone();
-        let sharded = pack_sharded(
-            &mut sharded_state,
-            &plan,
-            &PackingConfig { shards: 3, shard_chunk: 5, ..crunch.cfg.clone() },
-            &SeqShardRunner,
-        );
 
-        for (tag, out, st) in [("pack", &got, &got_state), ("pack_sharded", &sharded, &sharded_state)] {
-            prop_assert_eq!(&out.deletions, &want.deletions, "{}: deletions", tag);
-            prop_assert_eq!(&out.migrations, &want.migrations, "{}: migrations", tag);
-            prop_assert_eq!(&out.starts, &want.starts, "{}: starts", tag);
-            prop_assert_eq!(&out.unplaced, &want.unplaced, "{}: unplaced", tag);
-            prop_assert_eq!(out.aborted, want.aborted, "{}: aborted", tag);
-            prop_assert!(st.bitwise_eq(&want_state), "{}: target state diverged", tag);
-            st.check_invariants().unwrap();
-        }
+        prop_assert_eq!(&got.deletions, &want.deletions, "deletions");
+        prop_assert_eq!(&got.migrations, &want.migrations, "migrations");
+        prop_assert_eq!(&got.starts, &want.starts, "starts");
+        prop_assert_eq!(&got.unplaced, &want.unplaced, "unplaced");
+        prop_assert_eq!(got.aborted, want.aborted, "aborted");
+        prop_assert!(got_state.bitwise_eq(&want_state), "target state diverged");
+        got_state.check_invariants().unwrap();
 
         let mut seen = COVERAGE.get();
         seen.cases += 1;

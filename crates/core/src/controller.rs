@@ -3,10 +3,7 @@
 
 use std::time::{Duration, Instant};
 
-use phoenix_cluster::packing::{
-    pack_prepared, pack_prepared_sharded, PackOutcome, PackingConfig, PlannedPod,
-};
-use phoenix_cluster::shard::{ShardProposals, ShardRunner};
+use phoenix_cluster::packing::{pack_prepared, PackOutcome, PackingConfig, PlannedPod};
 use phoenix_cluster::{ClusterState, PodKey, Resources};
 use phoenix_exec::Pool;
 
@@ -146,26 +143,6 @@ impl PhoenixController {
 /// [`plan_with_pool`] to pin a pool explicitly.
 pub fn plan_with(workload: &Workload, state: &ClusterState, config: &PhoenixConfig) -> PlanResult {
     plan_with_pool(workload, state, config, phoenix_exec::global())
-}
-
-/// Runs sharded-packing proposal passes on a [`Pool`].
-///
-/// `phoenix-cluster` defines the [`ShardRunner`] seam without depending
-/// on the execution substrate (substrate crates carry no intra-workspace
-/// deps); this adapter is the one place the two meet. Inherits the
-/// pool's determinism contract: results come back in shard order
-/// whatever the thread count, and nested fan-out self-suppresses.
-#[derive(Debug, Clone, Copy)]
-pub struct PoolShardRunner<'a>(pub &'a Pool);
-
-impl ShardRunner for PoolShardRunner<'_> {
-    fn run_shards(
-        &self,
-        shards: usize,
-        f: &(dyn Fn(usize) -> ShardProposals + Sync),
-    ) -> Vec<ShardProposals> {
-        self.0.par_map_range(shards, |s| f(s))
-    }
 }
 
 /// Dense `pod key → plan index` table shaped like the workload: one slot
@@ -317,34 +294,21 @@ fn effective_packing(workload: &Workload, packing: &PackingConfig) -> PackingCon
 }
 
 /// The scheduler step cold and warm rounds share: packs `plan` onto a
-/// scratch copy of `state` — sequentially, or with the fit scans sharded
-/// over `pool` when [`PackingConfig::shards`] resolves above one — and
-/// returns the packed target with the raw outcome.
+/// scratch copy of `state` and returns the packed target with the raw
+/// outcome.
 pub(crate) fn pack_round(
     workload: &Workload,
     state: &ClusterState,
     packing: &PackingConfig,
-    pool: &Pool,
     plan: &[PlannedPod],
     index: &PlanIndex,
 ) -> (ClusterState, PackOutcome) {
-    let mut pack_cfg = effective_packing(workload, packing);
-    pack_cfg.shards = pack_cfg.resolve_shards(state.node_count(), pool.threads());
+    let pack_cfg = effective_packing(workload, packing);
     // One scratch clone per planning round: `PlanResult::target` must own
     // the packed state while `state` stays untouched — this is the API
     // contract, not per-trial fan-out overhead.
     let mut target = state.clone();
-    let outcome = if pack_cfg.shards > 1 {
-        pack_prepared_sharded(
-            &mut target,
-            plan,
-            &pack_cfg,
-            |p| index.get(p),
-            &PoolShardRunner(pool),
-        )
-    } else {
-        pack_prepared(&mut target, plan, &pack_cfg, |p| index.get(p))
-    };
+    let outcome = pack_prepared(&mut target, plan, &pack_cfg, |p| index.get(p));
     (target, outcome)
 }
 
@@ -355,10 +319,7 @@ pub(crate) fn pack_round(
 /// order — while the global-ranking heap merge stays sequential, so the
 /// output is **byte-identical for every thread count** (see the
 /// thread-invariance tests below and in [`crate::replan`]). Packing is
-/// sequential by default; with [`PackingConfig::shards`] `> 1` its fit
-/// scans fan out over node shards on the same pool, with output
-/// byte-identical to the sequential pack by the ordered-merge contract
-/// (`phoenix_cluster::packing`).
+/// sequential.
 pub fn plan_with_pool(
     workload: &Workload,
     state: &ClusterState,
@@ -390,14 +351,7 @@ pub fn plan_with_pool(
     let t1 = Instant::now();
     let _pack_timer = obs.phase(phoenix_obs::Phase::Pack);
     let flat = flatten_plan(workload, &rank.items);
-    let (target, packing) = pack_round(
-        workload,
-        state,
-        &config.packing,
-        pool,
-        &flat.pods,
-        &flat.index,
-    );
+    let (target, packing) = pack_round(workload, state, &config.packing, &flat.pods, &flat.index);
     drop(_pack_timer);
     let scheduler_time = t1.elapsed();
 
@@ -536,27 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_packing_is_equivalent_and_thread_invariant() {
-        let w = workload();
-        let mut state = ClusterState::homogeneous(5, Resources::cpu(3.0));
-        state.fail_node(NodeId::new(4));
-        let seq = plan_with_pool(&w, &state, &PhoenixConfig::default(), &Pool::sequential());
-        for shards in [2usize, 3, 8] {
-            for threads in [1usize, 4] {
-                let mut cfg = PhoenixConfig::default();
-                cfg.packing.shards = shards;
-                let par = plan_with_pool(&w, &state, &cfg, &Pool::new(threads));
-                let tag = format!("shards {shards} threads {threads}");
-                assert_eq!(seq.actions, par.actions, "{tag}");
-                assert_eq!(seq.packing.deletions, par.packing.deletions, "{tag}");
-                assert_eq!(seq.packing.migrations, par.packing.migrations, "{tag}");
-                assert_eq!(seq.packing.starts, par.packing.starts, "{tag}");
-                assert_eq!(seq.packing.unplaced, par.packing.unplaced, "{tag}");
-            }
-        }
-    }
-
-    #[test]
     fn crunch_steps_modes_down_instead_of_evicting() {
         use crate::spec::{ModeSpec, ServingMode};
 
@@ -605,7 +538,7 @@ mod tests {
     }
 
     #[test]
-    fn modal_plan_is_thread_and_shard_invariant() {
+    fn modal_plan_is_thread_invariant() {
         use crate::spec::{ModeSpec, ServingMode};
 
         let mut apps = Vec::new();
@@ -640,17 +573,13 @@ mod tests {
             seq.rank.items.iter().any(|i| i.mode != ServingMode::Full),
             "crunch must engage the ladders"
         );
-        for shards in [0usize, 2, 3] {
-            for threads in [1usize, 4] {
-                let mut cfg = PhoenixConfig::default();
-                cfg.packing.shards = shards;
-                let par = plan_with_pool(&w, &state, &cfg, &Pool::new(threads));
-                let tag = format!("shards {shards} threads {threads}");
-                assert_eq!(seq.actions, par.actions, "{tag}");
-                assert_eq!(seq.modes, par.modes, "{tag}");
-                assert_eq!(seq.rank.items, par.rank.items, "{tag}");
-                assert_eq!(seq.packing.starts, par.packing.starts, "{tag}");
-            }
+        for threads in [1usize, 4] {
+            let par = plan_with_pool(&w, &state, &PhoenixConfig::default(), &Pool::new(threads));
+            let tag = format!("threads {threads}");
+            assert_eq!(seq.actions, par.actions, "{tag}");
+            assert_eq!(seq.modes, par.modes, "{tag}");
+            assert_eq!(seq.rank.items, par.rank.items, "{tag}");
+            assert_eq!(seq.packing.starts, par.packing.starts, "{tag}");
         }
     }
 

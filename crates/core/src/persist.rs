@@ -286,6 +286,12 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_json_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(200_000);
+        assert!(matches!(from_json(&deep), Err(PersistError::Json(_))));
+    }
+
+    #[test]
     fn defaults_applied_on_sparse_documents() {
         let json = r#"{
             "version": 1,

@@ -233,10 +233,7 @@ pub fn replan_with(
 /// invalidated per-app rank walks fan out; the merge and every cache
 /// decision stay sequential, so warm output remains byte-identical to a
 /// cold [`plan_with`](crate::controller::plan_with) for every thread
-/// count. Packing is sequential by default; with
-/// [`PackingConfig::shards`](phoenix_cluster::packing::PackingConfig::shards)
-/// `> 1` its fit scans fan out over node shards on the same pool —
-/// still byte-identical by the ordered-merge contract.
+/// count. Packing is sequential.
 pub fn replan_with_pool(
     workload: &Workload,
     state: &ClusterState,
@@ -371,7 +368,7 @@ pub fn replan_with_pool(
         Some(flat) => (&flat.pods, &flat.index),
         None => (&cache.plan, &cache.plan_index),
     };
-    let (target, packing) = pack_round(workload, state, &config.packing, pool, plan, index);
+    let (target, packing) = pack_round(workload, state, &config.packing, plan, index);
     let modes = flat.map_or_else(ModeAssignment::empty, |flat| flat.modes);
     drop(_pack_timer);
     let scheduler_time = t1.elapsed();
@@ -608,93 +605,25 @@ mod tests {
     }
 
     /// Mode-bearing specs through the same churn harness: warm replans —
-    /// sequential, parallel, and sharded — must stay byte-identical to a
-    /// strictly sequential cold plan while ladders are being cut and
-    /// re-extended by the failing/recovering capacity.
+    /// sequential and parallel — must stay byte-identical to a strictly
+    /// sequential cold plan while ladders are being cut and re-extended
+    /// by the failing/recovering capacity.
     #[test]
     fn modal_warm_equals_cold_under_churn() {
         for kind in [ObjectiveKind::Fairness, ObjectiveKind::Cost] {
             for threads in [1usize, 4] {
-                for shards in [0usize, 3] {
-                    let pool = Pool::new(threads);
-                    let w = modal_workload(1);
-                    let cold_config = PhoenixConfig::with_objective(kind);
-                    let mut warm_config = PhoenixConfig::with_objective(kind);
-                    warm_config.packing.shards = shards;
-                    warm_config.packing.shard_chunk = 2;
-                    let mut cache = ReplanCache::new();
-                    // Tight enough that several ladders are cut mid-way.
-                    let mut live = ClusterState::homogeneous(6, Resources::cpu(4.0));
-                    for round in 0..6u32 {
-                        let cold = plan_with_pool(&w, &live, &cold_config, &Pool::sequential());
-                        let warm = replan_with_pool(
-                            &w,
-                            &live,
-                            &warm_config,
-                            &mut cache,
-                            ReplanDelta::Full,
-                            &pool,
-                        );
-                        let tag =
-                            format!("{kind:?} threads {threads} shards {shards} round {round}");
-                        assert_eq!(cold.actions, warm.actions, "{tag}");
-                        assert_equivalent(&cold, &warm);
-                        live = warm.target.clone();
-                        match round {
-                            0 => {
-                                live.fail_node(NodeId::new(0));
-                            }
-                            1 => {
-                                live.fail_node(NodeId::new(1));
-                                live.fail_node(NodeId::new(2));
-                            }
-                            2 => {
-                                live.restore_node(NodeId::new(0));
-                            }
-                            3 => {} // steady round
-                            _ => {
-                                live.restore_node(NodeId::new(round % 3));
-                            }
-                        }
-                    }
-                    // Crunch rounds must actually have exercised ladders.
-                    assert!(
-                        cache
-                            .rank
-                            .as_ref()
-                            .is_some_and(|r| r.items.iter().any(|i| i.mode != ServingMode::Full)),
-                        "no degraded rung ever ranked — fixture too loose"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Warm *sharded* replans vs. cold *unsharded* sequential plans over
-    /// the same churn scenario: covers warm/cold, sharded/sequential, and
-    /// parallel/sequential equivalence in one sweep.
-    #[test]
-    fn sharded_warm_replans_match_unsharded_cold_plans() {
-        for kind in [ObjectiveKind::Fairness, ObjectiveKind::Cost] {
-            for threads in [1usize, 4] {
                 let pool = Pool::new(threads);
-                let w = workload(3);
-                let cold_config = PhoenixConfig::with_objective(kind);
-                let mut warm_config = PhoenixConfig::with_objective(kind);
-                warm_config.packing.shards = 3;
-                warm_config.packing.shard_chunk = 2;
+                let w = modal_workload(1);
+                let config = PhoenixConfig::with_objective(kind);
                 let mut cache = ReplanCache::new();
-                let mut live = ClusterState::homogeneous(8, Resources::cpu(4.0));
-                for round in 0..5u32 {
-                    let cold = plan_with_pool(&w, &live, &cold_config, &Pool::sequential());
-                    let warm = replan_with_pool(
-                        &w,
-                        &live,
-                        &warm_config,
-                        &mut cache,
-                        ReplanDelta::Full,
-                        &pool,
-                    );
+                // Tight enough that several ladders are cut mid-way.
+                let mut live = ClusterState::homogeneous(6, Resources::cpu(4.0));
+                for round in 0..6u32 {
+                    let cold = plan_with_pool(&w, &live, &config, &Pool::sequential());
+                    let warm =
+                        replan_with_pool(&w, &live, &config, &mut cache, ReplanDelta::Full, &pool);
+                    let tag = format!("{kind:?} threads {threads} round {round}");
+                    assert_eq!(cold.actions, warm.actions, "{tag}");
                     assert_equivalent(&cold, &warm);
                     live = warm.target.clone();
                     match round {
@@ -705,11 +634,23 @@ mod tests {
                             live.fail_node(NodeId::new(1));
                             live.fail_node(NodeId::new(2));
                         }
+                        2 => {
+                            live.restore_node(NodeId::new(0));
+                        }
+                        3 => {} // steady round
                         _ => {
                             live.restore_node(NodeId::new(round % 3));
                         }
                     }
                 }
+                // Crunch rounds must actually have exercised ladders.
+                assert!(
+                    cache
+                        .rank
+                        .as_ref()
+                        .is_some_and(|r| r.items.iter().any(|i| i.mode != ServingMode::Full)),
+                    "no degraded rung ever ranked — fixture too loose"
+                );
             }
         }
     }

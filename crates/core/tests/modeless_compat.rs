@@ -3,7 +3,7 @@
 //!
 //! The fixture under `tests/fixtures/modeless_plans.txt` was generated from
 //! the planner *before* the (service, mode) refactor landed; every plan a
-//! mode-less workload produces — cold, warm, and sharded — is rendered to
+//! mode-less workload produces — cold and warm — is rendered to
 //! canonical JSON and compared against those bytes. Regenerate only when a
 //! deliberate planner behavior change is intended:
 //!
@@ -54,34 +54,30 @@ fn mixed_workload(seed: u64) -> Workload {
 
 /// Drives six churn rounds (failures, correlated failures, restores, a
 /// steady round) and records the cold plan of every round, asserting the
-/// warm and sharded-warm plans match it byte-for-byte along the way.
+/// warm plans (full and capacity-only deltas) match it byte-for-byte
+/// along the way.
 fn churn_lines(seed: u64, kind: ObjectiveKind, crunch: bool, out: &mut String) {
     let w = mixed_workload(seed);
-    let cold_config = PhoenixConfig::with_objective(kind);
-    let mut warm_config = PhoenixConfig::with_objective(kind);
-    let mut sharded_config = PhoenixConfig::with_objective(kind);
-    sharded_config.packing.shards = 3;
-    sharded_config.packing.shard_chunk = 2;
-    let mut warm_cache = ReplanCache::new();
-    let mut sharded_cache = ReplanCache::new();
-    warm_config.packing = cold_config.packing.clone();
+    let config = PhoenixConfig::with_objective(kind);
+    let mut full_cache = ReplanCache::new();
+    let mut capacity_cache = ReplanCache::new();
     let (nodes, cpu) = if crunch { (4, 5.0) } else { (8, 4.0) };
     let mut live = ClusterState::homogeneous(nodes, Resources::cpu(cpu));
     for round in 0..6u32 {
-        let cold = plan_with_pool(&w, &live, &cold_config, &Pool::sequential());
+        let cold = plan_with_pool(&w, &live, &config, &Pool::sequential());
         let warm = replan_with_pool(
             &w,
             &live,
-            &warm_config,
-            &mut warm_cache,
+            &config,
+            &mut full_cache,
             ReplanDelta::Full,
             &Pool::new(4),
         );
-        let sharded = replan_with_pool(
+        let capacity_only = replan_with_pool(
             &w,
             &live,
-            &sharded_config,
-            &mut sharded_cache,
+            &config,
+            &mut capacity_cache,
             ReplanDelta::CapacityOnly,
             &Pool::new(4),
         );
@@ -89,8 +85,8 @@ fn churn_lines(seed: u64, kind: ObjectiveKind, crunch: bool, out: &mut String) {
         assert_eq!(json, warm.actions.to_json(), "warm diverged from cold");
         assert_eq!(
             json,
-            sharded.actions.to_json(),
-            "sharded warm diverged from cold"
+            capacity_only.actions.to_json(),
+            "capacity-only warm diverged from cold"
         );
         out.push_str(&format!("seed{seed}/{kind}/crunch{crunch}/round{round}: "));
         out.push_str(&json);

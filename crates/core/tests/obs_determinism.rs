@@ -1,7 +1,6 @@
 //! Observability determinism: the deterministic counter plane is a pure
 //! function of planner inputs — byte-identical for any `Pool` thread
-//! count and any shard configuration — and an enabled recorder never
-//! perturbs planner output.
+//! count — and an enabled recorder never perturbs planner output.
 //!
 //! These are the two contracts that let `phoenix-obs` join the CI
 //! determinism probe: counters count *work the planner does* (plans,
@@ -14,7 +13,6 @@
 //!
 //! [`install_scoped`]: phoenix_obs::install_scoped
 
-use phoenix_cluster::packing::PackingConfig;
 use phoenix_cluster::{ClusterState, NodeId, Resources};
 use phoenix_core::controller::{plan_with_pool, PhoenixConfig};
 use phoenix_core::objectives::ObjectiveKind;
@@ -56,19 +54,14 @@ fn mixed_workload(apps: u64) -> Workload {
 /// Runs the cold-plan + warm-replan churn loop on a dedicated pool under
 /// a fresh enabled recorder and returns the counter plane rendered as
 /// the exact bytes the determinism probe would print.
-fn counter_bytes(threads: usize, shards: usize, nodes: usize) -> String {
+fn counter_bytes(threads: usize) -> String {
+    let nodes = 10usize;
     let recorder = Recorder::enabled();
     let _installed = install_scoped(recorder.clone());
     let pool = Pool::new(threads);
 
     let workload = mixed_workload(5);
-    let cfg = PhoenixConfig {
-        packing: PackingConfig {
-            shards,
-            ..PackingConfig::default()
-        },
-        ..PhoenixConfig::with_objective(ObjectiveKind::Fairness)
-    };
+    let cfg = PhoenixConfig::with_objective(ObjectiveKind::Fairness);
     let mut live = ClusterState::homogeneous(nodes, Resources::cpu(4.0));
     let mut cache = ReplanCache::new();
     std::hint::black_box(
@@ -134,27 +127,12 @@ fn plan_bytes(
 
 #[test]
 fn counters_byte_identical_across_threads() {
-    let baseline = counter_bytes(1, 0, 10);
+    let baseline = counter_bytes(1);
     for threads in [2, 4, 8] {
         assert_eq!(
             baseline,
-            counter_bytes(threads, 0, 10),
+            counter_bytes(threads),
             "deterministic counter plane moved between 1 and {threads} pool threads"
-        );
-    }
-}
-
-#[test]
-fn counters_byte_identical_across_shard_configs() {
-    // Shard count is part of the *input* (it changes which sharded-path
-    // counters fire), so each shard config gets its own cross-thread
-    // check rather than being compared against the sequential baseline.
-    for shards in [2, 4] {
-        let one = counter_bytes(1, shards, 12);
-        let four = counter_bytes(4, shards, 12);
-        assert_eq!(
-            one, four,
-            "sharded-path counters (shards={shards}) moved with the thread count"
         );
     }
 }
@@ -183,23 +161,19 @@ fn enabled_recorder_leaves_plan_output_byte_identical() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random (workload shape × cluster size × shard count): the counter
-    /// plane at 1 thread and 4 threads is byte-identical.
+    /// Random (workload shape × cluster size): the counter plane at
+    /// 1 thread and 4 threads is byte-identical.
     #[test]
     fn prop_counters_thread_invariant(
         apps in 2u64..7,
         nodes in 4usize..14,
-        shards in 0usize..4,
     ) {
         let render = |threads: usize| -> String {
             let recorder = Recorder::enabled();
             let _installed = install_scoped(recorder.clone());
             let pool = Pool::new(threads);
             let workload = mixed_workload(apps);
-            let cfg = PhoenixConfig {
-                packing: PackingConfig { shards, ..PackingConfig::default() },
-                ..PhoenixConfig::with_objective(ObjectiveKind::Fairness)
-            };
+            let cfg = PhoenixConfig::with_objective(ObjectiveKind::Fairness);
             let mut live = ClusterState::homogeneous(nodes, Resources::cpu(4.0));
             let mut cache = ReplanCache::new();
             for round in 0..3u32 {

@@ -111,8 +111,7 @@ pub fn zone_members(node_count: usize, zones: u32, zone: u32) -> Vec<u32> {
 }
 
 /// Node ids of rack `rack` when `node_count` nodes are split into `racks`
-/// contiguous blocks (earlier racks take the remainder, like a shard
-/// layout).
+/// contiguous blocks (earlier racks take the remainder).
 pub fn rack_members(node_count: usize, racks: u32, rack: u32) -> Vec<u32> {
     let racks = (racks.max(1) as usize).min(node_count.max(1));
     let rack = (rack as usize).min(racks.saturating_sub(1));

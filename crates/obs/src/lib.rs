@@ -5,8 +5,8 @@
 //! collects is split into two strictly separated planes:
 //!
 //! * the **deterministic plane** ([`Counter`]) holds integer counters
-//!   that are pure functions of the planner's *inputs* (cache hits, shard
-//!   proposal replays, serving-mode rung purchases, simulator event
+//!   that are pure functions of the planner's *inputs* (cache hits,
+//!   packing placements, serving-mode rung purchases, simulator event
 //!   counts, …). Increments are commutative sums, every instrumented
 //!   event fires regardless of how work is scheduled, and nothing in
 //!   this plane ever reads a clock — so a counter snapshot is

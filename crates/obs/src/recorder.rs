@@ -52,18 +52,8 @@ pub enum Counter {
     /// App chains retired at saturation (the ranking stopped buying an
     /// app's remaining rungs — the eviction side of the ladder).
     ChainRetirements,
-    /// Pods placed by packing (sequential or sharded driver).
+    /// Pods placed by packing.
     PackPlacements,
-    /// Per-shard fit proposals computed by the sharded freeze passes.
-    PackShardProposals,
-    /// Merge steps that consumed a frozen shard proposal unchanged.
-    PackFrozenReuses,
-    /// Merge steps that replayed a fit because a dirty shard invalidated
-    /// the frozen proposal.
-    PackDirtyReplays,
-    /// Plan chunks whose pods were already converged (sharded driver
-    /// skipped the freeze fan-out entirely).
-    PackConvergentSkips,
     /// Victims deleted by delete-lower-ranks.
     PackVictimDeletes,
     /// Pods migrated by repack-to-fit.
@@ -95,7 +85,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 30] = [
+    pub const ALL: [Counter; 26] = [
         Counter::ColdPlans,
         Counter::WarmReplans,
         Counter::ReplanCacheHits,
@@ -109,10 +99,6 @@ impl Counter {
         Counter::RungPurchases,
         Counter::ChainRetirements,
         Counter::PackPlacements,
-        Counter::PackShardProposals,
-        Counter::PackFrozenReuses,
-        Counter::PackDirtyReplays,
-        Counter::PackConvergentSkips,
         Counter::PackVictimDeletes,
         Counter::PackRepackMigrations,
         Counter::StateSnapshots,
@@ -144,10 +130,6 @@ impl Counter {
             Counter::RungPurchases => "rung_purchases",
             Counter::ChainRetirements => "chain_retirements",
             Counter::PackPlacements => "pack_placements",
-            Counter::PackShardProposals => "pack_shard_proposals",
-            Counter::PackFrozenReuses => "pack_frozen_reuses",
-            Counter::PackDirtyReplays => "pack_dirty_replays",
-            Counter::PackConvergentSkips => "pack_convergent_skips",
             Counter::PackVictimDeletes => "pack_victim_deletes",
             Counter::PackRepackMigrations => "pack_repack_migrations",
             Counter::StateSnapshots => "state_snapshots",
@@ -176,21 +158,13 @@ pub enum Phase {
     Waterfill,
     /// Scheduler section: packing + action diff.
     Pack,
-    /// Ordered merge of sharded fit proposals.
-    Merge,
     /// One simulated monitor-tick replan (`PlanResult::planning_time`).
     Replan,
 }
 
 impl Phase {
     /// Every phase, in export order.
-    pub const ALL: [Phase; 5] = [
-        Phase::Rank,
-        Phase::Waterfill,
-        Phase::Pack,
-        Phase::Merge,
-        Phase::Replan,
-    ];
+    pub const ALL: [Phase; 4] = [Phase::Rank, Phase::Waterfill, Phase::Pack, Phase::Replan];
 
     /// Stable snake_case name used in exports and trace spans.
     pub fn name(self) -> &'static str {
@@ -198,7 +172,6 @@ impl Phase {
             Phase::Rank => "rank",
             Phase::Waterfill => "waterfill",
             Phase::Pack => "pack",
-            Phase::Merge => "merge",
             Phase::Replan => "replan",
         }
     }
@@ -381,7 +354,7 @@ impl Recorder {
     /// Hand-rolled (this crate has no deps); keys never need escaping.
     pub fn snapshot_json(&self, threads: usize, host_cpus: usize) -> String {
         let mut out = String::new();
-        out.push_str("{\n  \"obs\": \"phoenix-obs\",\n  \"schema_version\": 1,\n");
+        out.push_str("{\n  \"obs\": \"phoenix-obs\",\n  \"schema_version\": 2,\n");
         out.push_str("  \"deterministic\": {\n");
         let counters = self.counters();
         for (i, (name, value)) in counters.iter().enumerate() {

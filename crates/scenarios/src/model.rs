@@ -688,6 +688,12 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_json_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(200_000);
+        assert!(matches!(from_json(&deep), Err(ScenarioError::Json(_))));
+    }
+
+    #[test]
     fn defaults_omitted_and_restored() {
         let suite = SuiteDoc {
             version: SuiteDoc::VERSION,

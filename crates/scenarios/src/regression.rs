@@ -185,6 +185,12 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_json_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(200_000);
+        assert!(matches!(decode(&deep), Err(ScenarioError::Json(_))));
+    }
+
+    #[test]
     fn replay_resolves_policies_by_roster_name() {
         let doc = repro();
         let sig = replay(&doc, &CampaignConfig::default()).unwrap();

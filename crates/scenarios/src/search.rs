@@ -698,8 +698,8 @@ mod tests {
     #[test]
     fn hunt_round_zero_finds_the_known_smoke_violations() {
         // Round 0 is exactly the scenario_matrix --smoke suite, where
-        // PhoenixCost and Default are known to violate (BENCH_planner
-        // baselines); one mutation round can only push severity up.
+        // PhoenixCost and Default are known to violate; one mutation
+        // round can only push severity up.
         let hunt = HuntConfig {
             rounds: 1,
             ..HuntConfig::smoke(42)

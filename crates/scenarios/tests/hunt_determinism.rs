@@ -36,7 +36,7 @@ fn hunts_are_pool_invariant_and_byte_identical() {
     assert_eq!(a, b, "hunt JSON varies with pool width");
 
     // The smoke-seed hunt must find real violations (acceptance
-    // criterion: the known BENCH_planner baselines are rediscoverable).
+    // criterion: the known smoke-suite violations are rediscoverable).
     assert!(!seq.champions.is_empty(), "seed-42 hunt found nothing");
     for c in &seq.champions {
         assert!(c.signature.severity_ms > 0);

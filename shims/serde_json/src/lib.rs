@@ -36,10 +36,7 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
 ///
 /// Returns [`Error`] on malformed JSON or on a shape mismatch with `T`.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser::new(s);
     p.skip_ws();
     let value = p.parse_value()?;
     p.skip_ws();
@@ -127,12 +124,27 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting the parser accepts (real `serde_json`'s
+/// limit). It recurses once per level and its input comes from user
+/// files, so unbounded nesting would overflow the stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Parser<'a> {
+        Parser {
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        }
+    }
+
     fn skip_ws(&mut self) {
         while let Some(&b) = self.bytes.get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
@@ -161,8 +173,22 @@ impl<'a> Parser<'a> {
 
     fn parse_value(&mut self) -> Result<Value, Error> {
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error::custom(format!(
+                        "recursion limit exceeded at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.parse_object()
+                } else {
+                    self.parse_array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Value::String(self.parse_string()?)),
             Some(b't') => self.parse_keyword("true", Value::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
@@ -381,10 +407,7 @@ mod tests {
             }
         }
         let text = to_string_pretty(&Raw(v.clone())).unwrap();
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser::new(&text);
         p.skip_ws();
         assert_eq!(p.parse_value().unwrap(), v);
     }
@@ -394,6 +417,27 @@ mod tests {
         assert!(from_str::<bool>("{nope").is_err());
         assert!(from_str::<bool>("true garbage").is_err());
         assert!(from_str::<Vec<u32>>("[1, 2").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_the_recursion_limit() {
+        let parse = |text: &str| {
+            let mut p = Parser::new(text);
+            p.parse_value().map(drop)
+        };
+        let arrays = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let objects = |depth: usize| r#"{"a":"#.repeat(depth) + "null" + &"}".repeat(depth);
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        for text in [arrays(MAX_DEPTH + 1), objects(MAX_DEPTH + 1)] {
+            let err = parse(&text).unwrap_err().to_string();
+            assert!(err.contains("recursion limit exceeded at byte"), "{err}");
+        }
+        // Unclosed and far past any stack: an error, not an abort.
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&r#"{"a":"#.repeat(200_000)).is_err());
+        // Siblings do not accumulate depth.
+        assert!(from_str::<Vec<Vec<u32>>>(&format!("[{}[]]", "[1],".repeat(300))).is_ok());
     }
 
     #[test]
