@@ -13,7 +13,6 @@
 
 use phoenix_cluster::failure::{fail_fraction, fail_zones};
 use phoenix_core::policies::ResiliencePolicy;
-use phoenix_exec::Pool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -89,18 +88,6 @@ impl Default for SweepConfig {
     }
 }
 
-/// Runs the sweep; returns one [`SweepPoint`] per `(policy, level)`,
-/// policies varying fastest. Trials fan out across the
-/// [global pool](phoenix_exec::global) (`PHOENIX_THREADS`); see
-/// [`failure_sweep_on`] to pin a pool explicitly.
-pub fn failure_sweep(
-    env_cfg: &EnvConfig,
-    sweep: &SweepConfig,
-    policies: &[Box<dyn ResiliencePolicy>],
-) -> Vec<SweepPoint> {
-    failure_sweep_on(env_cfg, sweep, policies, phoenix_exec::global())
-}
-
 /// One trial's metric grid: exactly one [`SchemeMetrics`] per
 /// `(failure level, policy)` cell.
 fn sweep_trial(
@@ -145,22 +132,24 @@ fn sweep_trial(
     grid
 }
 
-/// [`failure_sweep`] on an explicit [`Pool`].
+/// Runs the sweep; returns one [`SweepPoint`] per `(policy, level)`,
+/// policies varying fastest. Trials fan out on the
+/// [exec pool](phoenix_exec::global) (`PHOENIX_THREADS`, or the caller's
+/// [`with_threads`](phoenix_exec::with_threads) scope).
 ///
 /// Each trial is seeded independently and runs on its own environment,
 /// so the only cross-trial step is the accumulation — which always folds
 /// the per-trial grids in trial order, reproducing the sequential
 /// accumulation bit for bit.
-pub fn failure_sweep_on(
+pub fn failure_sweep(
     env_cfg: &EnvConfig,
     sweep: &SweepConfig,
     policies: &[Box<dyn ResiliencePolicy>],
-    pool: &Pool,
 ) -> Vec<SweepPoint> {
     let cells = sweep.failure_fracs.len() * policies.len();
     let trials = sweep.effective_trials();
-    let grids = pool.par_map_range_chunked(trials, 1, |trial| {
-        phoenix_obs::global().incr(phoenix_obs::Counter::SweepTrials);
+    let grids = phoenix_exec::global().par_map_range_chunked(trials, 1, |trial| {
+        phoenix_obs::current().incr(phoenix_obs::Counter::SweepTrials);
         sweep_trial(env_cfg, sweep, policies, trial)
     });
 
@@ -229,8 +218,9 @@ pub struct ScriptedPoint {
 /// against *shaped* trouble (cascades, blast radii, aging) with zero new
 /// randomness: the suite fully determines the sweep.
 ///
-/// Runs on the [global pool](phoenix_exec::global); see
-/// [`scripted_sweep_on`] to pin a pool explicitly.
+/// Scenarios fan out on the [exec pool](phoenix_exec::global) and the
+/// result grid is collected in suite order (policies varying fastest), so
+/// the sweep is byte-identical for every thread count.
 ///
 /// # Errors
 ///
@@ -240,25 +230,9 @@ pub fn scripted_sweep(
     suite: &phoenix_scenarios::model::SuiteDoc,
     policies: &[Box<dyn ResiliencePolicy>],
 ) -> Result<Vec<ScriptedPoint>, phoenix_scenarios::model::ScenarioError> {
-    scripted_sweep_on(env_cfg, suite, policies, phoenix_exec::global())
-}
-
-/// [`scripted_sweep`] on an explicit [`Pool`]: scenarios fan out and the
-/// result grid is collected in suite order (policies varying fastest), so
-/// the sweep is byte-identical for every thread count.
-///
-/// # Errors
-///
-/// As [`scripted_sweep`].
-pub fn scripted_sweep_on(
-    env_cfg: &EnvConfig,
-    suite: &phoenix_scenarios::model::SuiteDoc,
-    policies: &[Box<dyn ResiliencePolicy>],
-    pool: &Pool,
-) -> Result<Vec<ScriptedPoint>, phoenix_scenarios::model::ScenarioError> {
     suite.validate()?;
     let env = build_env(env_cfg);
-    let grids = pool.par_map(&suite.scenarios, |doc| {
+    let grids = phoenix_exec::global().par_map(&suite.scenarios, |doc| {
         let (failed, workload) = peak_outage_state(&env, doc);
         let baseline_revenue = revenue(&workload, &env.baseline);
         policies
@@ -430,6 +404,7 @@ mod tests {
     use crate::resources::ResourceModel;
     use crate::tagging::TaggingScheme;
     use phoenix_core::policies::{DefaultPolicy, FairPolicy, PhoenixPolicy, PriorityPolicy};
+    use phoenix_exec::with_threads;
 
     fn quick_env() -> EnvConfig {
         EnvConfig {
@@ -546,8 +521,8 @@ mod tests {
             trials: 3,
             ..SweepConfig::default()
         };
-        let seq = failure_sweep_on(&quick_env(), &cfg, &roster(), &Pool::sequential());
-        let par = failure_sweep_on(&quick_env(), &cfg, &roster(), &Pool::new(4));
+        let run = |threads| with_threads(threads, || failure_sweep(&quick_env(), &cfg, &roster()));
+        let (seq, par) = (run(1), run(4));
         assert_eq!(seq.len(), par.len());
         for (a, b) in seq.iter().zip(&par) {
             assert!(
@@ -617,8 +592,9 @@ mod tests {
             );
         }
         // Thread-count invariance, modulo wall-clock.
-        let seq = scripted_sweep_on(&quick_env(), &suite, &roster(), &Pool::sequential()).unwrap();
-        let par = scripted_sweep_on(&quick_env(), &suite, &roster(), &Pool::new(4)).unwrap();
+        let run =
+            |threads| with_threads(threads, || scripted_sweep(&quick_env(), &suite, &roster()));
+        let (seq, par) = (run(1).unwrap(), run(4).unwrap());
         for (a, b) in seq.iter().zip(&par) {
             assert_eq!(a.scenario, b.scenario);
             assert!(

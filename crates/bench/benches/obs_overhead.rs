@@ -2,7 +2,7 @@
 //! hot path.
 //!
 //! The instrumentation is compiled into release planners unconditionally
-//! — `phoenix_obs::global()` is one relaxed atomic load, and every
+//! — `phoenix_obs::current()` is one relaxed atomic load, and every
 //! counter/timer call is a branch on `None`. This bench holds that
 //! contract to a number: a 10k-node cold plan with the default (disabled)
 //! recorder installed must stay within **2%** of the same plan measured
@@ -17,16 +17,15 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use phoenix_bench::replan_scenario::replan_env;
 use phoenix_core::controller::{plan_with, PhoenixConfig};
 use phoenix_core::objectives::ObjectiveKind;
-use phoenix_obs::{Counter, Recorder};
+use phoenix_obs::Counter;
 
 fn bench_obs_overhead(c: &mut Criterion) {
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let env = replan_env(10_000);
     let cfg = PhoenixConfig::with_objective(ObjectiveKind::Fairness);
 
-    // The default recorder is disabled; make that explicit regardless of
-    // what earlier bench groups in this process may have installed.
-    phoenix_obs::install(Recorder::disabled());
+    // Outside every `with_recorder` scope the recorder is disabled.
+    assert!(!phoenix_obs::current().is_enabled());
 
     let mut group = c.benchmark_group("obs_overhead");
     group.sample_size(10);
@@ -38,7 +37,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
     // instrumentation that did not fire.
     group.bench_function("disabled_incr_1m", |b| {
         b.iter(|| {
-            let obs = phoenix_obs::global();
+            let obs = phoenix_obs::current();
             for _ in 0..1_000_000u32 {
                 obs.incr(black_box(Counter::PackPlacements));
             }
@@ -54,7 +53,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
     let plan_secs = plan_t0.elapsed().as_secs_f64();
     black_box(plan.target.pod_count());
 
-    let obs = phoenix_obs::global();
+    let obs = phoenix_obs::current();
     let obs_t0 = Instant::now();
     for _ in 0..1_000_000u32 {
         obs.incr(black_box(Counter::PackPlacements));

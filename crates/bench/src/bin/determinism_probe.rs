@@ -541,71 +541,71 @@ fn probe_obs() {
     use phoenix_scenarios::generate::{generate_suite, GeneratorConfig};
 
     let recorder = phoenix_obs::Recorder::enabled();
-    let _installed = phoenix_obs::install_scoped(recorder.clone());
-
-    // Planner-side counters: cold plan + warm replans across both replan
-    // delta classes (cache hits/misses, rank replays, waterfill, packing,
-    // snapshot journal churn).
-    let mut controller = PhoenixController::new(
-        churn_workload(),
-        PhoenixConfig::with_objective(ObjectiveKind::Fairness),
-    );
-    let mut live = ClusterState::homogeneous(8, Resources::cpu(4.0));
-    for round in 0..4 {
-        let delta = if round % 2 == 0 {
-            ReplanDelta::Full
-        } else {
-            ReplanDelta::CapacityOnly
-        };
-        let result = controller.replan(&live, delta);
-        live = result.target.clone();
-        if round == 1 {
-            live.fail_node(NodeId::new(round));
+    phoenix_obs::with_recorder(recorder.clone(), || {
+        // Planner-side counters: cold plan + warm replans across both replan
+        // delta classes (cache hits/misses, rank replays, waterfill, packing,
+        // snapshot journal churn).
+        let mut controller = PhoenixController::new(
+            churn_workload(),
+            PhoenixConfig::with_objective(ObjectiveKind::Fairness),
+        );
+        let mut live = ClusterState::homogeneous(8, Resources::cpu(4.0));
+        for round in 0..4 {
+            let delta = if round % 2 == 0 {
+                ReplanDelta::Full
+            } else {
+                ReplanDelta::CapacityOnly
+            };
+            let result = controller.replan(&live, delta);
+            live = result.target.clone();
+            if round == 1 {
+                live.fail_node(NodeId::new(round));
+            }
         }
-    }
 
-    // Simulator/campaign counters: events, milestones, mode shifts,
-    // per-cell fan-out. Packing is sequential, so no pool-shape-derived
-    // quantity ever reaches a counter.
-    let suite = generate_suite(&GeneratorConfig {
-        nodes: 8,
-        node_cpu: 4.0,
-        scenarios_per_family: 1,
-        apps: 2,
-        seed: 11,
+        // Simulator/campaign counters: events, milestones, mode shifts,
+        // per-cell fan-out. Packing is sequential, so no pool-shape-derived
+        // quantity ever reaches a counter.
+        let suite = generate_suite(&GeneratorConfig {
+            nodes: 8,
+            node_cpu: 4.0,
+            scenarios_per_family: 1,
+            apps: 2,
+            seed: 11,
+        });
+        let policies: Vec<Box<dyn ResiliencePolicy>> =
+            vec![Box::new(PhoenixPolicy::fair()), Box::new(DefaultPolicy)];
+        run_campaign(
+            &demo_workload_modal(2),
+            &suite,
+            &policies,
+            &CampaignConfig::default(),
+        )
+        .expect("generated suite is valid");
+
+        // Sweep counters: per-trial fan-out plus the journaled
+        // snapshot/restore churn its clone-free trials ride on.
+        let env = EnvConfig {
+            nodes: 12,
+            node_capacity: 64.0,
+            target_utilization: 0.7,
+            resource_model: ResourceModel::CallsPerMinute,
+            tagging: TaggingScheme::ServiceLevel { percentile: 0.9 },
+            alibaba: AlibabaConfig {
+                apps: 3,
+                max_services: 20,
+                max_requests: 10_000.0,
+                ..AlibabaConfig::default()
+            },
+            seed: 5,
+        };
+        let sweep = SweepConfig {
+            failure_fracs: vec![0.5],
+            trials: 2,
+            ..SweepConfig::default()
+        };
+        std::hint::black_box(failure_sweep(&env, &sweep, &standard_roster()).len());
     });
-    let policies: Vec<Box<dyn ResiliencePolicy>> =
-        vec![Box::new(PhoenixPolicy::fair()), Box::new(DefaultPolicy)];
-    run_campaign(
-        &demo_workload_modal(2),
-        &suite,
-        &policies,
-        &CampaignConfig::default(),
-    )
-    .expect("generated suite is valid");
-
-    // Sweep counters: per-trial fan-out plus the journaled
-    // snapshot/restore churn its clone-free trials ride on.
-    let env = EnvConfig {
-        nodes: 12,
-        node_capacity: 64.0,
-        target_utilization: 0.7,
-        resource_model: ResourceModel::CallsPerMinute,
-        tagging: TaggingScheme::ServiceLevel { percentile: 0.9 },
-        alibaba: AlibabaConfig {
-            apps: 3,
-            max_services: 20,
-            max_requests: 10_000.0,
-            ..AlibabaConfig::default()
-        },
-        seed: 5,
-    };
-    let sweep = SweepConfig {
-        failure_fracs: vec![0.5],
-        trials: 2,
-        ..SweepConfig::default()
-    };
-    std::hint::black_box(failure_sweep(&env, &sweep, &standard_roster()).len());
 
     for (name, value) in recorder.counters() {
         println!("obs {name}={value}");

@@ -19,16 +19,16 @@
 use std::time::{Duration, Instant};
 
 use phoenix_adaptlab::alibaba::AlibabaConfig;
-use phoenix_adaptlab::runner::{failure_sweep_on, SweepConfig, SweepPoint};
+use phoenix_adaptlab::runner::{failure_sweep, SweepConfig, SweepPoint};
 use phoenix_adaptlab::scenario::{build_env, EnvConfig};
 use phoenix_adaptlab::tagging::TaggingScheme;
 use phoenix_bench::{arg, flag, init_threads, replan_scenario, secs, Table};
 use phoenix_cluster::failure::fail_fraction;
-use phoenix_core::controller::{plan_with_pool, PhoenixConfig};
+use phoenix_core::controller::{plan_with, PhoenixConfig};
 use phoenix_core::objectives::ObjectiveKind;
 use phoenix_core::policies::{DefaultPolicy, LpPolicy, PhoenixPolicy, ResiliencePolicy};
 use phoenix_core::replan::ReplanDelta;
-use phoenix_exec::Pool;
+use phoenix_exec::with_threads;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -54,7 +54,6 @@ struct SweepRow {
 fn measure_replan(env: &phoenix_adaptlab::scenario::AdaptLabEnv, kind: ObjectiveKind) -> ReplanRow {
     let (mut controller, failed_a, failed_b) = replan_scenario::converge_and_degrade(env, kind);
     let cfg = PhoenixConfig::with_objective(kind);
-    let sequential = Pool::sequential();
     let rounds = 6;
     let mut cold = Duration::MAX;
     let mut cold_par = Duration::MAX;
@@ -62,10 +61,10 @@ fn measure_replan(env: &phoenix_adaptlab::scenario::AdaptLabEnv, kind: Objective
     for i in 0..rounds {
         let state = if i % 2 == 0 { &failed_a } else { &failed_b };
         let t = Instant::now();
-        let _ = plan_with_pool(&env.workload, state, &cfg, &sequential);
+        let _ = with_threads(1, || plan_with(&env.workload, state, &cfg));
         cold = cold.min(t.elapsed());
         let t = Instant::now();
-        let _ = plan_with_pool(&env.workload, state, &cfg, phoenix_exec::global());
+        let _ = plan_with(&env.workload, state, &cfg);
         cold_par = cold_par.min(t.elapsed());
         let t = Instant::now();
         let _ = controller.replan(state, ReplanDelta::CapacityOnly);
@@ -117,17 +116,13 @@ fn measure_sweep(nodes: usize, trials: u32, seed: u64) -> SweepRow {
         Box::new(PhoenixPolicy::fair()),
     ];
 
-    // `with_sequential` pins the *whole* call tree (inner `plan_with`
-    // included) to the calling thread; pinning only the trial pool
-    // would still let each trial's planner fan out on the global pool
-    // and mislabel the baseline.
+    // `with_threads(1)` pins the *whole* call tree (inner `plan_with`
+    // included) to the calling thread.
     let t = Instant::now();
-    let seq_points = phoenix_exec::with_sequential(|| {
-        failure_sweep_on(&env, &sweep, &roster, &Pool::sequential())
-    });
+    let seq_points = with_threads(1, || failure_sweep(&env, &sweep, &roster));
     let seq = t.elapsed();
     let t = Instant::now();
-    let par_points = failure_sweep_on(&env, &sweep, &roster, phoenix_exec::global());
+    let par_points = failure_sweep(&env, &sweep, &roster);
     let par = t.elapsed();
     assert_sweeps_equal(&seq_points, &par_points);
     SweepRow { trials, seq, par }

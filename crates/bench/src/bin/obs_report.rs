@@ -27,7 +27,7 @@ use phoenix_bench::{arg, init_threads, Table};
 use phoenix_core::objectives::ObjectiveKind;
 use phoenix_core::policies::{DefaultPolicy, PhoenixPolicy, ResiliencePolicy};
 use phoenix_core::replan::ReplanDelta;
-use phoenix_obs::{install, Phase, Recorder};
+use phoenix_obs::{with_recorder, Phase, Recorder};
 use phoenix_scenarios::campaign::{demo_workload_modal, run_campaign, CampaignConfig};
 use phoenix_scenarios::generate::{generate_suite, GeneratorConfig};
 
@@ -40,39 +40,40 @@ fn main() {
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let recorder = Recorder::enabled();
-    install(recorder.clone());
+    with_recorder(recorder.clone(), || {
+        // Warm-replan loop: cold plan, then alternate between two degraded
+        // states so every round is a genuine capacity-only delta (cache hits,
+        // rank replays, waterfill, packing).
+        let env = replan_env(nodes);
+        let (mut controller, failed_a, failed_b) =
+            converge_and_degrade(&env, ObjectiveKind::Fairness);
+        for round in 0..rounds {
+            let state = if round % 2 == 0 { &failed_b } else { &failed_a };
+            let plan = controller.replan(state, ReplanDelta::CapacityOnly);
+            std::hint::black_box(plan.target.pod_count());
+        }
 
-    // Warm-replan loop: cold plan, then alternate between two degraded
-    // states so every round is a genuine capacity-only delta (cache hits,
-    // rank replays, waterfill, packing).
-    let env = replan_env(nodes);
-    let (mut controller, failed_a, failed_b) = converge_and_degrade(&env, ObjectiveKind::Fairness);
-    for round in 0..rounds {
-        let state = if round % 2 == 0 { &failed_b } else { &failed_a };
-        let plan = controller.replan(state, ReplanDelta::CapacityOnly);
-        std::hint::black_box(plan.target.pod_count());
-    }
-
-    // Smoke-scale campaign on the modal workload: simulator counters
-    // (events, milestones, mode shifts), snapshot/restore journal
-    // depths, and the per-cell replan-latency histogram.
-    let suite = generate_suite(&GeneratorConfig {
-        nodes: 8,
-        node_cpu: 4.0,
-        scenarios_per_family: 2,
-        apps: 2,
-        seed: 42,
+        // Smoke-scale campaign on the modal workload: simulator counters
+        // (events, milestones, mode shifts), snapshot/restore journal
+        // depths, and the per-cell replan-latency histogram.
+        let suite = generate_suite(&GeneratorConfig {
+            nodes: 8,
+            node_cpu: 4.0,
+            scenarios_per_family: 2,
+            apps: 2,
+            seed: 42,
+        });
+        let policies: Vec<Box<dyn ResiliencePolicy>> =
+            vec![Box::new(PhoenixPolicy::fair()), Box::new(DefaultPolicy)];
+        let outcome = run_campaign(
+            &demo_workload_modal(2),
+            &suite,
+            &policies,
+            &CampaignConfig::default(),
+        )
+        .expect("generated suite is valid");
+        std::hint::black_box(outcome.scores.len());
     });
-    let policies: Vec<Box<dyn ResiliencePolicy>> =
-        vec![Box::new(PhoenixPolicy::fair()), Box::new(DefaultPolicy)];
-    let outcome = run_campaign(
-        &demo_workload_modal(2),
-        &suite,
-        &policies,
-        &CampaignConfig::default(),
-    )
-    .expect("generated suite is valid");
-    std::hint::black_box(outcome.scores.len());
 
     // Deterministic plane: identical for every --threads value (the CI
     // probe diffs it at 1 vs 4).

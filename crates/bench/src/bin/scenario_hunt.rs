@@ -243,14 +243,7 @@ fn main() {
     }
 
     // Pass 2: the hunt itself.
-    let outcome = run_hunt_with(
-        &workload,
-        &policies,
-        &hunt,
-        &cfg,
-        phoenix_exec::global(),
-        Some(secondary_ref),
-    );
+    let outcome = run_hunt_with(&workload, &policies, &hunt, &cfg, Some(secondary_ref));
     let mut hunt_table = Table::new([
         "policy",
         "round",

@@ -36,7 +36,6 @@ pub mod scenario_chaos;
 use phoenix_apps::AppModel;
 use phoenix_core::spec::ServiceId;
 use phoenix_core::tags::Criticality;
-use phoenix_exec::Pool;
 
 /// Chaos-audit configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -126,20 +125,13 @@ fn utility_score(model: &AppModel, up: impl Fn(ServiceId) -> bool) -> f64 {
 }
 
 /// Runs the full audit: a degree sweep plus a single-service fault pass.
-/// Injected-failure evaluations fan out across the
-/// [global pool](phoenix_exec::global) (`PHOENIX_THREADS`); see
-/// [`audit_tags_on`] to pin a pool explicitly.
-pub fn audit_tags(model: &AppModel, config: &ChaosConfig) -> ChaosReport {
-    audit_tags_on(model, config, phoenix_exec::global())
-}
-
-/// [`audit_tags`] on an explicit [`Pool`].
 ///
 /// Each injected failure (one degree of shedding, or one single-service
-/// kill) is evaluated independently against the immutable model; results
-/// are collected in configuration order, so the report is byte-identical
-/// for every thread count.
-pub fn audit_tags_on(model: &AppModel, config: &ChaosConfig, pool: &Pool) -> ChaosReport {
+/// kill) is evaluated independently against the immutable model, fanned
+/// out on the [exec pool](phoenix_exec::global); results are collected in
+/// configuration order, so the report is byte-identical for every thread
+/// count.
+pub fn audit_tags(model: &AppModel, config: &ChaosConfig) -> ChaosReport {
     let sheddable: Vec<ServiceId> = shedding_order(model)
         .into_iter()
         .filter(|&s| {
@@ -152,6 +144,7 @@ pub fn audit_tags_on(model: &AppModel, config: &ChaosConfig, pool: &Pool) -> Cha
         .filter(|&s| model.spec.criticality_of(s) != Criticality::C1)
         .collect();
 
+    let pool = phoenix_exec::global();
     // Degree sweep: kill the least-critical prefix.
     let degrees = pool.par_map(&config.degrees, |&degree| {
         let k = ((sheddable.len() as f64) * degree.clamp(0.0, 1.0)).round() as usize;
@@ -195,6 +188,7 @@ mod tests {
     use super::*;
     use phoenix_apps::hotel::{hotel, HotelVariant};
     use phoenix_apps::overleaf::{overleaf, OverleafVariant};
+    use phoenix_exec::with_threads;
 
     #[test]
     fn overleaf_passes_full_audit() {
@@ -265,8 +259,9 @@ mod tests {
             overleaf("o", OverleafVariant::Edits, 1.0),
             hotel("hr", HotelVariant::Reserve, 1.0),
         ] {
-            let seq = audit_tags_on(&model, &ChaosConfig::default(), &Pool::sequential());
-            let par = audit_tags_on(&model, &ChaosConfig::default(), &Pool::new(4));
+            let run =
+                |threads| with_threads(threads, || audit_tags(&model, &ChaosConfig::default()));
+            let (seq, par) = (run(1), run(4));
             assert_eq!(seq, par, "{}", model.spec.name());
         }
     }

@@ -13,7 +13,6 @@ use phoenix_apps::AppModel;
 use phoenix_cluster::Resources;
 use phoenix_core::policies::ResiliencePolicy;
 use phoenix_core::spec::{ServiceId, Workload};
-use phoenix_exec::Pool;
 use phoenix_kubesim::run::{simulate, SimConfig};
 use phoenix_kubesim::scenario::Scenario;
 use phoenix_kubesim::time::SimTime;
@@ -65,28 +64,17 @@ pub struct NodeChaosOutcome {
     pub critical_restore_after: Option<SimTime>,
 }
 
-/// Runs the degree sweep for `model` under `policy`. Degrees fan out
-/// across the [global pool](phoenix_exec::global) (`PHOENIX_THREADS`);
-/// see [`node_chaos_on`] to pin a pool explicitly.
+/// Runs the degree sweep for `model` under `policy`. Each failure degree
+/// runs its own seeded simulation, fanned out on the
+/// [exec pool](phoenix_exec::global); outcomes are collected in degree
+/// order, so the sweep is byte-identical for every thread count.
 pub fn node_chaos(
     model: &AppModel,
     policy: &dyn ResiliencePolicy,
     config: &NodeChaosConfig,
 ) -> Vec<NodeChaosOutcome> {
-    node_chaos_on(model, policy, config, phoenix_exec::global())
-}
-
-/// [`node_chaos`] on an explicit [`Pool`]: each failure degree runs its
-/// own seeded simulation, and outcomes are collected in degree order, so
-/// the sweep is byte-identical for every thread count.
-pub fn node_chaos_on(
-    model: &AppModel,
-    policy: &dyn ResiliencePolicy,
-    config: &NodeChaosConfig,
-    pool: &Pool,
-) -> Vec<NodeChaosOutcome> {
     let workload = Workload::new(vec![model.spec.clone()]);
-    pool.par_map(&config.failure_fracs, |&frac| {
+    phoenix_exec::global().par_map(&config.failure_fracs, |&frac| {
         let mut scenario = Scenario::new(config.nodes, config.node_capacity);
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut victims: Vec<u32> = (0..config.nodes as u32).collect();
@@ -114,20 +102,7 @@ pub fn node_chaos_on(
         let settled_utility = trace
             .samples
             .last()
-            .map(|smp| {
-                let outcomes = model.outcomes(|s| up_at(smp.at, s));
-                let harvested: f64 = outcomes.iter().map(|o| o.served_rps * o.utility).sum();
-                let offered: f64 = model
-                    .requests
-                    .iter()
-                    .map(|r| r.rate_rps * r.utility_full)
-                    .sum();
-                if offered > 0.0 {
-                    harvested / offered
-                } else {
-                    0.0
-                }
-            })
+            .map(|smp| crate::utility_score(model, |s| up_at(smp.at, s)))
             .unwrap_or(0.0);
         NodeChaosOutcome {
             failure_frac: frac,
@@ -143,6 +118,7 @@ mod tests {
     use super::*;
     use phoenix_apps::overleaf::{overleaf, OverleafVariant};
     use phoenix_core::policies::{DefaultPolicy, PhoenixPolicy};
+    use phoenix_exec::with_threads;
 
     fn cfg() -> NodeChaosConfig {
         NodeChaosConfig {
@@ -188,8 +164,9 @@ mod tests {
     #[test]
     fn node_chaos_is_thread_count_invariant() {
         let m = overleaf("o", OverleafVariant::Edits, 1.0);
-        let seq = node_chaos_on(&m, &PhoenixPolicy::fair(), &cfg(), &Pool::sequential());
-        let par = node_chaos_on(&m, &PhoenixPolicy::fair(), &cfg(), &Pool::new(4));
+        let run =
+            |threads| with_threads(threads, || node_chaos(&m, &PhoenixPolicy::fair(), &cfg()));
+        let (seq, par) = (run(1), run(4));
         assert_eq!(seq, par);
     }
 

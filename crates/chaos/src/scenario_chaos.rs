@@ -12,7 +12,6 @@
 use phoenix_apps::AppModel;
 use phoenix_core::policies::ResiliencePolicy;
 use phoenix_core::spec::{ServiceId, Workload};
-use phoenix_exec::Pool;
 use phoenix_kubesim::run::{simulate, SimConfig};
 use phoenix_kubesim::time::SimTime;
 use phoenix_scenarios::model::{ScenarioError, SuiteDoc};
@@ -35,9 +34,10 @@ pub struct FamilyResilience {
     pub mean_settled_utility: f64,
 }
 
-/// Replays `suite` for `model` under `policy` on the
-/// [global pool](phoenix_exec::global); see [`scenario_audit_on`] to pin
-/// a pool explicitly.
+/// Replays `suite` for `model` under `policy`. Scenarios fan out
+/// independently on the [exec pool](phoenix_exec::global) and fold per
+/// family strictly in suite order, so the report is byte-identical for
+/// every thread count.
 ///
 /// # Errors
 ///
@@ -47,23 +47,6 @@ pub fn scenario_audit(
     policy: &dyn ResiliencePolicy,
     suite: &SuiteDoc,
     sim: &SimConfig,
-) -> Result<Vec<FamilyResilience>, ScenarioError> {
-    scenario_audit_on(model, policy, suite, sim, phoenix_exec::global())
-}
-
-/// [`scenario_audit`] on an explicit [`Pool`]: scenarios fan out
-/// independently and fold per family strictly in suite order, so the
-/// report is byte-identical for every thread count.
-///
-/// # Errors
-///
-/// As [`scenario_audit`].
-pub fn scenario_audit_on(
-    model: &AppModel,
-    policy: &dyn ResiliencePolicy,
-    suite: &SuiteDoc,
-    sim: &SimConfig,
-    pool: &Pool,
 ) -> Result<Vec<FamilyResilience>, ScenarioError> {
     if suite.version != SuiteDoc::VERSION {
         return Err(ScenarioError::Version(suite.version));
@@ -79,7 +62,7 @@ pub fn scenario_audit_on(
         .collect::<Result<_, _>>()?;
     let workload = Workload::new(vec![model.spec.clone()]);
 
-    let runs = pool.par_map(&compiled, |(doc, scenario)| {
+    let runs = phoenix_exec::global().par_map(&compiled, |(doc, scenario)| {
         let trace = simulate(&workload, policy, scenario, sim, doc.horizon());
         let disruption = doc.first_disruption().unwrap_or(SimTime::ZERO);
         let up_at = |t: SimTime, s: ServiceId| trace.service_up(&workload, 0, s.index() as u32, t);
@@ -109,20 +92,7 @@ pub fn scenario_audit_on(
         let settled = trace
             .samples
             .last()
-            .map(|smp| {
-                let outcomes = model.outcomes(|s| up_at(smp.at, s));
-                let harvested: f64 = outcomes.iter().map(|o| o.served_rps * o.utility).sum();
-                let offered: f64 = model
-                    .requests
-                    .iter()
-                    .map(|r| r.rate_rps * r.utility_full)
-                    .sum();
-                if offered > 0.0 {
-                    harvested / offered
-                } else {
-                    0.0
-                }
-            })
+            .map(|smp| crate::utility_score(model, |s| up_at(smp.at, s)))
             .unwrap_or(0.0);
         (doc.family.clone(), restore, settled)
     });
@@ -161,6 +131,7 @@ mod tests {
     use super::*;
     use phoenix_apps::overleaf::{overleaf, OverleafVariant};
     use phoenix_core::policies::PhoenixPolicy;
+    use phoenix_exec::with_threads;
     use phoenix_scenarios::generate::{generate_suite, Family, GeneratorConfig};
 
     fn suite() -> SuiteDoc {
@@ -201,9 +172,12 @@ mod tests {
         let m = overleaf("o", OverleafVariant::Edits, 1.0);
         let s = suite();
         let sim = SimConfig::default();
-        let seq =
-            scenario_audit_on(&m, &PhoenixPolicy::fair(), &s, &sim, &Pool::sequential()).unwrap();
-        let par = scenario_audit_on(&m, &PhoenixPolicy::fair(), &s, &sim, &Pool::new(4)).unwrap();
+        let run = |threads| {
+            with_threads(threads, || {
+                scenario_audit(&m, &PhoenixPolicy::fair(), &s, &sim)
+            })
+        };
+        let (seq, par) = (run(1).unwrap(), run(4).unwrap());
         assert_eq!(seq.len(), par.len());
         for (a, b) in seq.iter().zip(&par) {
             assert_eq!(a.family, b.family);

@@ -411,7 +411,7 @@ struct PackCtx {
 impl PackCtx {
     fn new(plan: &[PlannedPod]) -> PackCtx {
         PackCtx {
-            obs: phoenix_obs::global(),
+            obs: phoenix_obs::current(),
             victim_cursor: plan.len(),
             victim_origin: FxHashMap::default(),
             repack: RepackScratch::default(),

@@ -628,7 +628,7 @@ impl ClusterState {
     /// rewind in O(mutations-since-snapshot).
     pub fn snapshot(&mut self) -> Snapshot {
         let journal = self.journal.get_or_insert_with(Vec::new);
-        let obs = phoenix_obs::global();
+        let obs = phoenix_obs::current();
         obs.incr(phoenix_obs::Counter::StateSnapshots);
         obs.gauge_max(phoenix_obs::Counter::JournalDepthMax, journal.len() as u64);
         Snapshot {
@@ -666,7 +666,7 @@ impl ClusterState {
             journal_len,
             self.pod_keys.len(),
         );
-        let obs = phoenix_obs::global();
+        let obs = phoenix_obs::current();
         obs.incr(phoenix_obs::Counter::StateRestores);
         obs.add(
             phoenix_obs::Counter::JournalEntriesUndone,

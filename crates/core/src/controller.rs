@@ -5,7 +5,6 @@ use std::time::{Duration, Instant};
 
 use phoenix_cluster::packing::{pack_prepared, PackOutcome, PackingConfig, PlannedPod};
 use phoenix_cluster::{ClusterState, PodKey, Resources};
-use phoenix_exec::Pool;
 
 use crate::actions::{diff_from_outcome, ActionPlan};
 use crate::objectives::{ObjectiveKind, OperatorObjective};
@@ -134,15 +133,6 @@ impl PhoenixController {
     pub fn invalidate_cache(&mut self) {
         self.cache.clear();
     }
-}
-
-/// The controller pipeline as a free function over borrowed inputs —
-/// policies and sweeps call this directly so multi-million-pod workloads
-/// are never cloned per planning round. Runs on the
-/// [global pool](phoenix_exec::global) (`PHOENIX_THREADS`); see
-/// [`plan_with_pool`] to pin a pool explicitly.
-pub fn plan_with(workload: &Workload, state: &ClusterState, config: &PhoenixConfig) -> PlanResult {
-    plan_with_pool(workload, state, config, phoenix_exec::global())
 }
 
 /// Dense `pod key → plan index` table shaped like the workload: one slot
@@ -312,21 +302,18 @@ pub(crate) fn pack_round(
     (target, outcome)
 }
 
-/// [`plan_with`] on an explicit [`Pool`].
+/// The controller pipeline as a free function over borrowed inputs —
+/// policies and sweeps call this directly so multi-million-pod workloads
+/// are never cloned per planning round.
 ///
-/// The per-app priority-estimation walks ([`app_rank`]) fan out across
-/// the pool — they read disjoint [`AppSpec`]s and meet again in app-id
-/// order — while the global-ranking heap merge stays sequential, so the
-/// output is **byte-identical for every thread count** (see the
-/// thread-invariance tests below and in [`crate::replan`]). Packing is
-/// sequential.
-pub fn plan_with_pool(
-    workload: &Workload,
-    state: &ClusterState,
-    config: &PhoenixConfig,
-    pool: &Pool,
-) -> PlanResult {
-    let obs = phoenix_obs::global();
+/// The per-app priority-estimation walks ([`app_rank`]) fan out on the
+/// [exec pool](phoenix_exec::global) — they read disjoint [`AppSpec`]s
+/// and meet again in app-id order — while the global-ranking heap merge
+/// stays sequential, so the output is **byte-identical for every thread
+/// count** (see the thread-invariance tests below and in
+/// [`crate::replan`]). Packing is sequential.
+pub fn plan_with(workload: &Workload, state: &ClusterState, config: &PhoenixConfig) -> PlanResult {
+    let obs = phoenix_obs::current();
     obs.incr(phoenix_obs::Counter::ColdPlans);
 
     // --- Planner -------------------------------------------------------
@@ -335,7 +322,7 @@ pub fn plan_with_pool(
         let _rank_timer = obs.phase(phoenix_obs::Phase::Rank);
         let specs: Vec<&AppSpec> = workload.apps().map(|(_, a)| a).collect();
         let app_ranks: Vec<Vec<ServiceId>> =
-            pool.par_map(&specs, |app| app_rank(app, config.planner.traversal));
+            phoenix_exec::global().par_map(&specs, |app| app_rank(app, config.planner.traversal));
         let capacity = state.healthy_capacity();
         global_rank(
             workload,
@@ -373,6 +360,7 @@ mod tests {
     use crate::spec::{AppSpecBuilder, ServiceId};
     use crate::tags::Criticality;
     use phoenix_cluster::{NodeId, PodKey, Resources};
+    use phoenix_exec::with_threads;
 
     /// Two apps, 6 CPUs each at full strength.
     fn workload() -> Workload {
@@ -478,9 +466,9 @@ mod tests {
         let config = PhoenixConfig::default();
         let mut state = ClusterState::homogeneous(3, Resources::cpu(2.0));
         state.fail_node(NodeId::new(2));
-        let seq = plan_with_pool(&w, &state, &config, &Pool::sequential());
+        let seq = with_threads(1, || plan_with(&w, &state, &config));
         for threads in [2, 4, 9] {
-            let par = plan_with_pool(&w, &state, &config, &Pool::new(threads));
+            let par = with_threads(threads, || plan_with(&w, &state, &config));
             assert_eq!(seq.actions, par.actions, "threads = {threads}");
             assert_eq!(seq.rank.items, par.rank.items);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -568,13 +556,14 @@ mod tests {
         let w = Workload::new(apps);
         let mut state = ClusterState::homogeneous(4, Resources::cpu(4.0));
         state.fail_node(NodeId::new(3));
-        let seq = plan_with_pool(&w, &state, &PhoenixConfig::default(), &Pool::sequential());
+        let config = PhoenixConfig::default();
+        let seq = with_threads(1, || plan_with(&w, &state, &config));
         assert!(
             seq.rank.items.iter().any(|i| i.mode != ServingMode::Full),
             "crunch must engage the ladders"
         );
         for threads in [1usize, 4] {
-            let par = plan_with_pool(&w, &state, &PhoenixConfig::default(), &Pool::new(threads));
+            let par = with_threads(threads, || plan_with(&w, &state, &config));
             let tag = format!("threads {threads}");
             assert_eq!(seq.actions, par.actions, "{tag}");
             assert_eq!(seq.modes, par.modes, "{tag}");

@@ -261,7 +261,7 @@ pub fn global_rank_prepared<O: OperatorObjective + ?Sized>(
     let mut allocated = vec![0.0; n];
     let mut remaining = capacity.scalar();
     let mut items = Vec::new();
-    let obs = phoenix_obs::global();
+    let obs = phoenix_obs::current();
 
     let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
     for app in 0..n as u32 {
@@ -382,7 +382,7 @@ pub fn global_rank_replay(
     let mut remaining = capacity.scalar();
     let mut items = Vec::new();
     let mut retired = vec![false; n];
-    let obs = phoenix_obs::global();
+    let obs = phoenix_obs::current();
     for &(app, pos) in merge_order {
         if retired[app as usize] {
             continue;

@@ -33,17 +33,15 @@
 //! packing outcome — as a cold [`plan_with`](crate::controller::plan_with)
 //! on the same inputs. Warm and
 //! cold share the same merge and packing loops, so this holds by
-//! construction; the tests below and the kubesim churn tests check it end
-//! to end.
+//! construction; the tests below and `tests/modeless_compat.rs` check it
+//! end to end.
 //!
 //! [`ActionPlan`]: crate::actions::ActionPlan
 
-use std::sync::Mutex;
 use std::time::Instant;
 
 use phoenix_cluster::packing::PlannedPod;
 use phoenix_cluster::ClusterState;
-use phoenix_exec::Pool;
 
 use crate::actions::diff_from_outcome;
 use crate::controller::{
@@ -127,14 +125,13 @@ impl ReplanCache {
     /// when anything changed (rank/merge-order caches were invalidated).
     ///
     /// The fingerprint sweep and any invalidated [`app_rank`] walks fan
-    /// out over `pool`; both meet again in app-id order, so the cache
+    /// out on the exec pool; both meet again in app-id order, so the cache
     /// contents are thread-count-invariant.
     fn refresh_epoch(
         &mut self,
         workload: &Workload,
         config: &PhoenixConfig,
         delta: ReplanDelta,
-        pool: &Pool,
     ) -> bool {
         // Objective identity is only trackable for the built-ins (unit
         // structs that cannot drift between rounds). A custom objective
@@ -165,10 +162,11 @@ impl ReplanCache {
         let specs: Vec<&AppSpec> = workload.apps().map(|(_, a)| a).collect();
         // Parallel fingerprint re-validation sweep (disjoint reads, met
         // again in app-id order).
+        let pool = phoenix_exec::global();
         let fingerprints: Vec<u64> = pool.par_map(&specs, |app| app.fingerprint());
         let mut app_ranks: Vec<Vec<ServiceId>> = Vec::with_capacity(specs.len());
         let mut invalidated: Vec<usize> = Vec::new();
-        let obs = phoenix_obs::global();
+        let obs = phoenix_obs::current();
         for (i, fp) in fingerprints.iter().enumerate() {
             let reusable = !traversal_changed
                 && self.fingerprints.get(i) == Some(fp)
@@ -207,9 +205,12 @@ impl ReplanCache {
 }
 
 /// One warm planning round: [`plan_with`]-equivalent output, reusing
-/// `cache` wherever the fingerprints, capacity, and ranking allow. Runs
-/// on the [global pool](phoenix_exec::global) (`PHOENIX_THREADS`); see
-/// [`replan_with_pool`] to pin a pool explicitly.
+/// `cache` wherever the fingerprints, capacity, and ranking allow.
+///
+/// The fingerprint sweep and invalidated per-app rank walks fan out on
+/// the [exec pool](phoenix_exec::global); the merge and every cache
+/// decision stay sequential, so warm output remains byte-identical to a
+/// cold [`plan_with`] for every thread count. Packing is sequential.
 ///
 /// [`plan_with`]: crate::controller::plan_with
 pub fn replan_with(
@@ -219,36 +220,13 @@ pub fn replan_with(
     cache: &mut ReplanCache,
     delta: ReplanDelta,
 ) -> PlanResult {
-    replan_with_pool(
-        workload,
-        state,
-        config,
-        cache,
-        delta,
-        phoenix_exec::global(),
-    )
-}
-
-/// [`replan_with`] on an explicit [`Pool`]: the fingerprint sweep and
-/// invalidated per-app rank walks fan out; the merge and every cache
-/// decision stay sequential, so warm output remains byte-identical to a
-/// cold [`plan_with`](crate::controller::plan_with) for every thread
-/// count. Packing is sequential.
-pub fn replan_with_pool(
-    workload: &Workload,
-    state: &ClusterState,
-    config: &PhoenixConfig,
-    cache: &mut ReplanCache,
-    delta: ReplanDelta,
-    pool: &Pool,
-) -> PlanResult {
-    let obs = phoenix_obs::global();
+    let obs = phoenix_obs::current();
     obs.incr(phoenix_obs::Counter::WarmReplans);
 
     // --- Planner -------------------------------------------------------
     let t0 = Instant::now();
     let rank_timer = obs.phase(phoenix_obs::Phase::Rank);
-    cache.refresh_epoch(workload, config, delta, pool);
+    cache.refresh_epoch(workload, config, delta);
 
     let capacity = state.healthy_capacity();
     let capacity_bits = (capacity.cpu.to_bits(), capacity.mem.to_bits());
@@ -385,75 +363,14 @@ pub fn replan_with_pool(
     }
 }
 
-/// The Phoenix pipeline as a [`ResiliencePolicy`] that warm-starts every
-/// round from the previous one — a drop-in replacement for
-/// [`PhoenixPolicy`] in the kubesim event loop and the sweeps. Produces
-/// identical plans (see the equivalence tests); only the latency differs.
-///
-/// [`ResiliencePolicy`]: crate::policies::ResiliencePolicy
-/// [`PhoenixPolicy`]: crate::policies::PhoenixPolicy
-#[derive(Debug)]
-pub struct IncrementalPhoenixPolicy {
-    kind: ObjectiveKind,
-    config: PhoenixConfig,
-    cache: Mutex<ReplanCache>,
-}
-
-impl IncrementalPhoenixPolicy {
-    /// Warm-started `PhoenixCost`.
-    pub fn cost() -> IncrementalPhoenixPolicy {
-        IncrementalPhoenixPolicy::with_objective(ObjectiveKind::Cost)
-    }
-
-    /// Warm-started `PhoenixFair`.
-    pub fn fair() -> IncrementalPhoenixPolicy {
-        IncrementalPhoenixPolicy::with_objective(ObjectiveKind::Fairness)
-    }
-
-    /// Warm-started pipeline under any built-in objective.
-    pub fn with_objective(kind: ObjectiveKind) -> IncrementalPhoenixPolicy {
-        IncrementalPhoenixPolicy {
-            kind,
-            config: PhoenixConfig::with_objective(kind),
-            cache: Mutex::new(ReplanCache::new()),
-        }
-    }
-}
-
-impl crate::policies::ResiliencePolicy for IncrementalPhoenixPolicy {
-    fn name(&self) -> &'static str {
-        match self.kind {
-            ObjectiveKind::Cost => "PhoenixCostWarm",
-            ObjectiveKind::Fairness => "PhoenixFairWarm",
-        }
-    }
-
-    fn plan(&self, workload: &Workload, state: &ClusterState) -> crate::policies::PolicyPlan {
-        let mut cache = self.cache.lock().expect("replan cache poisoned");
-        // `Full` re-validates fingerprints: policies cannot see workload
-        // edits between calls, and the sweep is cheap next to packing.
-        let result = replan_with(workload, state, &self.config, &mut cache, ReplanDelta::Full);
-        crate::policies::PolicyPlan {
-            planning_time: result.total_time(),
-            target: result.target,
-            modes: result.modes,
-            notes: format!(
-                "warm planner={:?} scheduler={:?} unplaced={}",
-                result.planner_time,
-                result.scheduler_time,
-                result.packing.unplaced.len()
-            ),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::controller::{plan_with, plan_with_pool};
+    use crate::controller::plan_with;
     use crate::spec::{AppSpecBuilder, ModeSpec, ServingMode, Workload};
     use crate::tags::Criticality;
     use phoenix_cluster::{NodeId, Resources};
+    use phoenix_exec::with_threads;
 
     /// A mixed workload: chained apps with graphs, a flat app, uneven
     /// prices and replica counts.
@@ -503,23 +420,25 @@ mod tests {
     /// Drives a churn scenario (progressive failures, recovery, respawn)
     /// through warm replans and checks each round against a cold plan —
     /// for threads ∈ {1, 4}: the cold reference always runs strictly
-    /// sequentially, the warm path on the pool under test, so the check
-    /// covers both warm/cold and parallel/sequential equivalence.
+    /// sequentially, the warm path at the thread count under test, so the
+    /// check covers both warm/cold and parallel/sequential equivalence.
     fn churn_equivalence(kind: ObjectiveKind, delta: ReplanDelta) {
         for threads in [1, 4] {
-            churn_equivalence_on(kind, delta, &Pool::new(threads));
+            churn_equivalence_at(kind, delta, threads);
         }
     }
 
-    fn churn_equivalence_on(kind: ObjectiveKind, delta: ReplanDelta, pool: &Pool) {
+    fn churn_equivalence_at(kind: ObjectiveKind, delta: ReplanDelta, threads: usize) {
         let w = workload(3);
         let config = PhoenixConfig::with_objective(kind);
         let mut cache = ReplanCache::new();
         let mut live = ClusterState::homogeneous(8, Resources::cpu(4.0));
 
         for round in 0..6 {
-            let cold = plan_with_pool(&w, &live, &config, &Pool::sequential());
-            let warm = replan_with_pool(&w, &live, &config, &mut cache, delta, pool);
+            let cold = with_threads(1, || plan_with(&w, &live, &config));
+            let warm = with_threads(threads, || {
+                replan_with(&w, &live, &config, &mut cache, delta)
+            });
             assert_equivalent(&cold, &warm);
 
             // Apply the plan, then mutate the cluster for the next round.
@@ -612,16 +531,16 @@ mod tests {
     fn modal_warm_equals_cold_under_churn() {
         for kind in [ObjectiveKind::Fairness, ObjectiveKind::Cost] {
             for threads in [1usize, 4] {
-                let pool = Pool::new(threads);
                 let w = modal_workload(1);
                 let config = PhoenixConfig::with_objective(kind);
                 let mut cache = ReplanCache::new();
                 // Tight enough that several ladders are cut mid-way.
                 let mut live = ClusterState::homogeneous(6, Resources::cpu(4.0));
                 for round in 0..6u32 {
-                    let cold = plan_with_pool(&w, &live, &config, &Pool::sequential());
-                    let warm =
-                        replan_with_pool(&w, &live, &config, &mut cache, ReplanDelta::Full, &pool);
+                    let cold = with_threads(1, || plan_with(&w, &live, &config));
+                    let warm = with_threads(threads, || {
+                        replan_with(&w, &live, &config, &mut cache, ReplanDelta::Full)
+                    });
                     let tag = format!("{kind:?} threads {threads} round {round}");
                     assert_eq!(cold.actions, warm.actions, "{tag}");
                     assert_equivalent(&cold, &warm);
@@ -728,16 +647,20 @@ mod tests {
         let mut w = workload(0);
         let config = PhoenixConfig::with_objective(ObjectiveKind::Cost);
         let live = ClusterState::homogeneous(8, Resources::cpu(4.0));
-        let par = Pool::new(4);
         let mut cache = ReplanCache::new();
-        let _ = replan_with_pool(&w, &live, &config, &mut cache, ReplanDelta::Full, &par);
+        let mut warm_round = |w: &Workload| {
+            with_threads(4, || {
+                replan_with(w, &live, &config, &mut cache, ReplanDelta::Full)
+            })
+        };
+        let _ = warm_round(&w);
 
         let mut b = AppSpecBuilder::new("vip");
         b.add_service("only", Resources::cpu(1.0), Some(Criticality::C1), 1);
         b.price_per_unit(100.0);
         w.push(b.build().unwrap());
-        let cold = plan_with_pool(&w, &live, &config, &Pool::sequential());
-        let warm = replan_with_pool(&w, &live, &config, &mut cache, ReplanDelta::Full, &par);
+        let cold = with_threads(1, || plan_with(&w, &live, &config));
+        let warm = warm_round(&w);
         assert_equivalent(&cold, &warm);
     }
 
@@ -808,28 +731,6 @@ mod tests {
         let warm = replan_with(&w, &live, &cost, &mut cache, ReplanDelta::Full);
         let cold = plan_with(&w, &live, &cost);
         assert_equivalent(&cold, &warm);
-    }
-
-    #[test]
-    fn incremental_policy_matches_cold_policy() {
-        use crate::actions::diff_states;
-        use crate::policies::{PhoenixPolicy, ResiliencePolicy};
-        let w = workload(2);
-        let warm = IncrementalPhoenixPolicy::fair();
-        assert_eq!(warm.name(), "PhoenixFairWarm");
-        assert_eq!(IncrementalPhoenixPolicy::cost().name(), "PhoenixCostWarm");
-        let cold = PhoenixPolicy::fair();
-        let mut state = ClusterState::homogeneous(6, Resources::cpu(4.0));
-        for _ in 0..3 {
-            let a = cold.plan(&w, &state);
-            let b = warm.plan(&w, &state);
-            assert_eq!(
-                diff_states(&state, &a.target),
-                diff_states(&state, &b.target)
-            );
-            state = a.target;
-            state.fail_node(NodeId::new(0));
-        }
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub fn demand_order(demands: &[f64]) -> Vec<usize> {
 pub fn waterfill_with_order(demands: &[f64], order: &[usize], capacity: f64) -> Vec<f64> {
     let n = demands.len();
     assert_eq!(order.len(), n, "order must be a permutation of the demands");
-    let obs = phoenix_obs::global();
+    let obs = phoenix_obs::current();
     obs.incr(phoenix_obs::Counter::WaterfillRuns);
     let _timer = obs.phase(phoenix_obs::Phase::Waterfill);
     let mut shares = vec![0.0; n];

@@ -6,12 +6,12 @@
 use phoenix_cluster::packing::PackingConfig;
 use phoenix_cluster::{ClusterState, NodeId, Resources};
 use phoenix_core::actions::{mode_shift_actions, Action};
-use phoenix_core::controller::{plan_with, plan_with_pool, PhoenixConfig};
+use phoenix_core::controller::{plan_with, PhoenixConfig};
 use phoenix_core::objectives::{OperatorObjective, RankContext};
 use phoenix_core::planner::PlannerConfig;
 use phoenix_core::spec::{AppId, AppSpec, AppSpecBuilder, ModeSpec, ServingMode, Workload};
 use phoenix_core::tags::Criticality;
-use phoenix_exec::Pool;
+use phoenix_exec::with_threads;
 use proptest::prelude::*;
 
 /// Random app where each service carries either no ladder, a minimal
@@ -164,18 +164,9 @@ proptest! {
     ) {
         let w = Workload::new(vec![app]);
         let state = ClusterState::homogeneous(nodes, Resources::cpu(cap));
-        let a = plan_with_pool(
-            &w,
-            &state,
-            &config_with(Box::new(ChaoticObjective { salt })),
-            &Pool::sequential(),
-        );
-        let b = plan_with_pool(
-            &w,
-            &state,
-            &config_with(Box::new(ChaoticObjective { salt })),
-            &Pool::new(4),
-        );
+        let config = config_with(Box::new(ChaoticObjective { salt }));
+        let a = with_threads(1, || plan_with(&w, &state, &config));
+        let b = with_threads(4, || plan_with(&w, &state, &config));
         prop_assert_eq!(&a.rank.items, &b.rank.items, "NaN scores broke thread invariance");
         prop_assert_eq!(&a.actions, &b.actions);
         prop_assert_eq!(&a.modes, &b.modes);

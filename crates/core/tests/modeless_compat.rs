@@ -12,12 +12,12 @@
 //! ```
 
 use phoenix_cluster::{ClusterState, NodeId, Resources};
-use phoenix_core::controller::{plan_with_pool, PhoenixConfig};
+use phoenix_core::controller::{plan_with, PhoenixConfig};
 use phoenix_core::objectives::ObjectiveKind;
-use phoenix_core::replan::{replan_with_pool, ReplanCache, ReplanDelta};
+use phoenix_core::replan::{replan_with, ReplanCache, ReplanDelta};
 use phoenix_core::spec::{AppSpecBuilder, Workload};
 use phoenix_core::tags::Criticality;
-use phoenix_exec::Pool;
+use phoenix_exec::with_threads;
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -64,23 +64,19 @@ fn churn_lines(seed: u64, kind: ObjectiveKind, crunch: bool, out: &mut String) {
     let (nodes, cpu) = if crunch { (4, 5.0) } else { (8, 4.0) };
     let mut live = ClusterState::homogeneous(nodes, Resources::cpu(cpu));
     for round in 0..6u32 {
-        let cold = plan_with_pool(&w, &live, &config, &Pool::sequential());
-        let warm = replan_with_pool(
-            &w,
-            &live,
-            &config,
-            &mut full_cache,
-            ReplanDelta::Full,
-            &Pool::new(4),
-        );
-        let capacity_only = replan_with_pool(
-            &w,
-            &live,
-            &config,
-            &mut capacity_cache,
-            ReplanDelta::CapacityOnly,
-            &Pool::new(4),
-        );
+        let cold = with_threads(1, || plan_with(&w, &live, &config));
+        let (warm, capacity_only) = with_threads(4, || {
+            (
+                replan_with(&w, &live, &config, &mut full_cache, ReplanDelta::Full),
+                replan_with(
+                    &w,
+                    &live,
+                    &config,
+                    &mut capacity_cache,
+                    ReplanDelta::CapacityOnly,
+                ),
+            )
+        });
         let json = cold.actions.to_json();
         assert_eq!(json, warm.actions.to_json(), "warm diverged from cold");
         assert_eq!(

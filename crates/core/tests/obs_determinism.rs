@@ -1,26 +1,24 @@
 //! Observability determinism: the deterministic counter plane is a pure
-//! function of planner inputs — byte-identical for any `Pool` thread
-//! count — and an enabled recorder never perturbs planner output.
+//! function of planner inputs — byte-identical for any thread count —
+//! and an enabled recorder never perturbs planner output.
 //!
 //! These are the two contracts that let `phoenix-obs` join the CI
 //! determinism probe: counters count *work the planner does* (plans,
 //! cache decisions, placements), never how the pool chunked it, and the
 //! wall-clock plane (timers, spans) is the only part allowed to move
-//! between runs. Each test installs its recorder with
-//! [`install_scoped`], which serializes on a process-wide scope lock so
-//! the harness's parallel test threads cannot observe each other's
-//! counters.
-//!
-//! [`install_scoped`]: phoenix_obs::install_scoped
+//! between runs. Each run scopes its own recorder with
+//! [`with_recorder`] and its thread count with [`with_threads`]; both
+//! are per-thread, so the harness's parallel test threads never observe
+//! each other's counters and take no lock.
 
 use phoenix_cluster::{ClusterState, NodeId, Resources};
-use phoenix_core::controller::{plan_with_pool, PhoenixConfig};
+use phoenix_core::controller::{plan_with, PhoenixConfig};
 use phoenix_core::objectives::ObjectiveKind;
-use phoenix_core::replan::{replan_with_pool, ReplanCache, ReplanDelta};
+use phoenix_core::replan::{replan_with, ReplanCache, ReplanDelta};
 use phoenix_core::spec::{AppSpecBuilder, Workload};
 use phoenix_core::tags::Criticality;
-use phoenix_exec::Pool;
-use phoenix_obs::{install_scoped, Recorder};
+use phoenix_exec::with_threads;
+use phoenix_obs::{with_recorder, Recorder};
 use proptest::prelude::*;
 
 /// A deterministic mixed workload: dependency chains, flat apps, uneven
@@ -51,35 +49,39 @@ fn mixed_workload(apps: u64) -> Workload {
     Workload::new(specs)
 }
 
-/// Runs the cold-plan + warm-replan churn loop on a dedicated pool under
-/// a fresh enabled recorder and returns the counter plane rendered as
-/// the exact bytes the determinism probe would print.
+/// Runs the cold-plan + warm-replan churn loop at `threads` under a
+/// fresh enabled recorder and returns the counter plane rendered as the
+/// exact bytes the determinism probe would print.
 fn counter_bytes(threads: usize) -> String {
-    let nodes = 10usize;
     let recorder = Recorder::enabled();
-    let _installed = install_scoped(recorder.clone());
-    let pool = Pool::new(threads);
+    with_recorder(recorder.clone(), || with_threads(threads, churn));
+    render(&recorder)
+}
 
+/// The churn loop [`counter_bytes`] records: one cold plan, then warm
+/// replans across both delta classes with a node failing per round.
+fn churn() {
+    let nodes = 10usize;
     let workload = mixed_workload(5);
     let cfg = PhoenixConfig::with_objective(ObjectiveKind::Fairness);
     let mut live = ClusterState::homogeneous(nodes, Resources::cpu(4.0));
     let mut cache = ReplanCache::new();
-    std::hint::black_box(
-        plan_with_pool(&workload, &live, &cfg, &pool)
-            .target
-            .pod_count(),
-    );
+    std::hint::black_box(plan_with(&workload, &live, &cfg).target.pod_count());
     for round in 0..4u32 {
         let delta = if round % 2 == 0 {
             ReplanDelta::CapacityOnly
         } else {
             ReplanDelta::Full
         };
-        let result = replan_with_pool(&workload, &live, &cfg, &mut cache, delta, &pool);
+        let result = replan_with(&workload, &live, &cfg, &mut cache, delta);
         live = result.target.clone();
         live.fail_node(NodeId::new(round % nodes as u32));
     }
+}
 
+/// The counter plane as `name=value` lines, [`phoenix_obs::Counter::ALL`]
+/// order.
+fn render(recorder: &Recorder) -> String {
     recorder
         .counters()
         .into_iter()
@@ -90,13 +92,8 @@ fn counter_bytes(threads: usize) -> String {
 /// One plan's full observable output as a canonical string: rank order,
 /// per-pod placements, action counts, and packing tallies. Two runs that
 /// agree on these bytes produced the same plan.
-fn plan_bytes(
-    workload: &Workload,
-    state: &ClusterState,
-    cfg: &PhoenixConfig,
-    pool: &Pool,
-) -> String {
-    let result = plan_with_pool(workload, state, cfg, pool);
+fn plan_bytes(workload: &Workload, state: &ClusterState, cfg: &PhoenixConfig) -> String {
+    let result = plan_with(workload, state, cfg);
     let mut out = String::new();
     for item in &result.rank.items {
         out.push_str(&format!(
@@ -137,21 +134,29 @@ fn counters_byte_identical_across_threads() {
     }
 }
 
+/// Two threads plan concurrently, each in its own recorder scope (and
+/// fanning out on its own pool workers): each recorder reads exactly the
+/// bytes of a solo run — no lock, no cross-talk.
+#[test]
+fn concurrent_recorder_scopes_do_not_cross_talk() {
+    let solo = counter_bytes(2);
+    let [a, b] = std::thread::scope(|s| {
+        [s.spawn(|| counter_bytes(2)), s.spawn(|| counter_bytes(2))]
+            .map(|h| h.join().expect("planning thread panicked"))
+    });
+    assert_eq!(a, solo, "first concurrent recorder saw foreign counts");
+    assert_eq!(b, solo, "second concurrent recorder saw foreign counts");
+}
+
 #[test]
 fn enabled_recorder_leaves_plan_output_byte_identical() {
     let workload = mixed_workload(6);
     let state = ClusterState::homogeneous(9, Resources::cpu(4.0));
     let cfg = PhoenixConfig::with_objective(ObjectiveKind::Fairness);
-    let pool = Pool::new(2);
+    let plan = || with_threads(2, || plan_bytes(&workload, &state, &cfg));
 
-    let disabled = {
-        let _installed = install_scoped(Recorder::disabled());
-        plan_bytes(&workload, &state, &cfg, &pool)
-    };
-    let enabled = {
-        let _installed = install_scoped(Recorder::enabled());
-        plan_bytes(&workload, &state, &cfg, &pool)
-    };
+    let disabled = plan();
+    let enabled = with_recorder(Recorder::enabled(), plan);
     assert_eq!(
         disabled, enabled,
         "an enabled recorder must observe the plan, not perturb it"
@@ -168,26 +173,22 @@ proptest! {
         apps in 2u64..7,
         nodes in 4usize..14,
     ) {
-        let render = |threads: usize| -> String {
+        let record = |threads: usize| -> String {
             let recorder = Recorder::enabled();
-            let _installed = install_scoped(recorder.clone());
-            let pool = Pool::new(threads);
             let workload = mixed_workload(apps);
             let cfg = PhoenixConfig::with_objective(ObjectiveKind::Fairness);
             let mut live = ClusterState::homogeneous(nodes, Resources::cpu(4.0));
             let mut cache = ReplanCache::new();
-            for round in 0..3u32 {
-                let result =
-                    replan_with_pool(&workload, &live, &cfg, &mut cache, ReplanDelta::Full, &pool);
-                live = result.target.clone();
-                live.fail_node(NodeId::new(round % nodes as u32));
-            }
-            recorder
-                .counters()
-                .into_iter()
-                .map(|(name, value)| format!("{name}={value}\n"))
-                .collect()
+            with_recorder(recorder.clone(), || with_threads(threads, || {
+                for round in 0..3u32 {
+                    let result =
+                        replan_with(&workload, &live, &cfg, &mut cache, ReplanDelta::Full);
+                    live = result.target.clone();
+                    live.fail_node(NodeId::new(round % nodes as u32));
+                }
+            }));
+            render(&recorder)
         };
-        prop_assert_eq!(render(1), render(4));
+        prop_assert_eq!(record(1), record(4));
     }
 }

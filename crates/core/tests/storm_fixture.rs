@@ -17,7 +17,7 @@ use phoenix_cluster::NodeId;
 use phoenix_core::controller::{PhoenixConfig, PhoenixController};
 use phoenix_core::objectives::ObjectiveKind;
 use phoenix_core::replan::ReplanDelta;
-use phoenix_obs::{install_scoped, Counter, Recorder};
+use phoenix_obs::{with_recorder, Counter, Recorder};
 
 const NODES: usize = 200;
 
@@ -42,10 +42,9 @@ struct Pin {
 }
 
 fn storm_pin(kind: ObjectiveKind) -> Pin {
-    // Held for the whole test: the recorder is process-global, so the
-    // other objective's set-up (which also packs) must not run meanwhile.
+    // Scoped to this thread: the other objective's test (which also
+    // packs) runs concurrently into its own recorder.
     let recorder = Recorder::enabled();
-    let _installed = install_scoped(recorder.clone());
     let env = build_env(&EnvConfig {
         nodes: NODES,
         target_utilization: 0.75,
@@ -65,8 +64,7 @@ fn storm_pin(kind: ObjectiveKind) -> Pin {
     for i in 0..NODES * 3 / 10 {
         live.fail_node(NodeId::new(((i * 7 + 3) % NODES) as u32));
     }
-    recorder.reset();
-    let plan = controller.plan(&live);
+    let plan = with_recorder(recorder.clone(), || controller.plan(&live));
     plan.target.check_invariants().unwrap();
     Pin {
         digest: fnv(plan.actions.to_json().as_bytes()),

@@ -10,27 +10,26 @@
 //! is off the table.
 //!
 //! This crate provides the one primitive the rest of the stack builds
-//! on: a scoped thread [`Pool`] whose [`par_map`](Pool::par_map) /
-//! [`par_fold`](Pool::par_fold) are **byte-identical to the sequential
-//! fold by construction**:
+//! on: the [`global()`] [`Pool`], whose [`par_map`](Pool::par_map) is
+//! **byte-identical to the sequential map by construction**:
 //!
 //! * the input is split into contiguous index chunks;
 //! * workers claim chunks from an atomic cursor and write each chunk's
 //!   results into its own index-ordered slot (never a shared
 //!   accumulator);
-//! * the reduction always walks the slots in input order on the calling
-//!   thread.
+//! * the results are concatenated in input order on the calling thread,
+//!   so any reduction the caller folds over them is the sequential one.
 //!
-//! Because the mapped closure runs exactly once per item and the fold
-//! consumes results in input order, the only thing threads change is
-//! *when* each item is computed — never what is computed, nor the order
+//! Because the mapped closure runs exactly once per item and results
+//! come back in input order, the only thing threads change is *when*
+//! each item is computed — never what is computed, nor the order
 //! anything is combined. `PHOENIX_THREADS=1` and `PHOENIX_THREADS=64`
 //! produce the same bytes.
 //!
-//! # The global pool
+//! # Worker count: process default and thread scope
 //!
-//! [`global()`] returns a process-wide pool initialised from the
-//! `PHOENIX_THREADS` environment variable:
+//! Outside any scope the pool's worker count is a process-wide default
+//! initialised from the `PHOENIX_THREADS` environment variable:
 //!
 //! | `PHOENIX_THREADS` | behaviour |
 //! |-------------------|-----------|
@@ -41,16 +40,23 @@
 //! Binaries can override the variable before first use with
 //! [`set_global_threads`] (the bench bins' `--threads` flag).
 //!
-//! # Nested fan-out
+//! [`with_threads(n, f)`](with_threads) overrides that default for every
+//! `par_*` call `f` makes — directly or through any layer it calls — on
+//! the calling thread; `n = 1` spawns nothing. Scopes nest and restore on
+//! exit (panics included). This is how tests and benches pin a whole call
+//! tree (campaign → simulator → planner) to one thread count without a
+//! pool parameter at every layer.
 //!
-//! A `par_*` call made from inside a pool worker (any pool's) runs
-//! sequentially on that worker: the outer fan-out already owns the
-//! cores, so nesting would only multiply threads (N trial workers × N
-//! planner workers) without adding parallelism. Benches that need a
-//! *genuinely* sequential baseline wrap the measurement in
-//! [`with_sequential`], which applies the same suppression to the
-//! calling thread. Both are pure scheduling decisions — the bytes never
-//! change.
+//! # Nested fan-out and inherited context
+//!
+//! Pool workers run inside a `with_threads(1)` scope: a `par_*` call made
+//! from a worker runs sequentially on that worker, because the outer
+//! fan-out already owns the cores and nesting would only multiply threads
+//! (N trial workers × N planner workers) without adding parallelism.
+//! Workers also inherit the calling thread's
+//! [`phoenix_obs` recorder](phoenix_obs::current), so counters recorded
+//! inside a fan-out land where the caller's scope points. Both are pure
+//! scheduling decisions — the bytes never change.
 //!
 //! # Panics
 //!
@@ -61,14 +67,15 @@
 //! # Examples
 //!
 //! ```
-//! use phoenix_exec::Pool;
+//! use phoenix_exec::{global, with_threads};
 //!
-//! let pool = Pool::new(4);
-//! let squares = pool.par_map(&[1u64, 2, 3, 4], |&x| x * x);
+//! let squares = with_threads(4, || global().par_map(&[1u64, 2, 3, 4], |&x| x * x));
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //!
-//! // Ordered reduction: identical to the sequential fold, bit for bit.
-//! let sum = pool.par_fold(&[1.0f64, 2.5, 3.25], |&x| x * 2.0, 0.0, |a, b| a + b);
+//! // Ordered reduction: fold the in-order results, bit for bit the
+//! // sequential fold.
+//! let doubled = global().par_map(&[1.0f64, 2.5, 3.25], |&x| x * 2.0);
+//! let sum = doubled.into_iter().fold(0.0, |a, b| a + b);
 //! assert_eq!(sum.to_bits(), (1.0f64 * 2.0 + 2.5 * 2.0 + 3.25 * 2.0).to_bits());
 //! ```
 
@@ -80,38 +87,26 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 thread_local! {
-    /// `true` inside a pool worker or a [`with_sequential`] scope: any
-    /// nested `par_*` call on this thread takes the sequential path.
-    /// Nested fan-out would multiply thread counts (N trial workers ×
-    /// N planner workers) without adding usable parallelism — the outer
-    /// fan-out already owns every core — and the sequential path is
-    /// byte-identical anyway.
-    static SEQUENTIAL_CONTEXT: Cell<bool> = const { Cell::new(false) };
+    /// Worker count of the innermost [`with_threads`] scope on this
+    /// thread; `None` outside every scope (the process default applies).
+    /// Pool workers run in a `Some(1)` scope.
+    static SCOPE: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
 /// Runs `f` with every `par_*` call on this thread (and in anything it
-/// calls) forced onto the sequential path — pool workers spawned inside
-/// the scope are never created, so the whole call tree stays on the
-/// calling thread.
-///
-/// This is how the benches measure a *genuinely* sequential baseline:
-/// pinning `Pool::sequential()` at one layer is not enough when a lower
-/// layer fans out on the [global](global()) pool.
-pub fn with_sequential<R>(f: impl FnOnce() -> R) -> R {
-    struct Restore(bool);
+/// calls) using `threads` workers; `0` and `1` both mean strictly
+/// sequential — no worker is ever spawned, so the whole call tree stays
+/// on the calling thread. The previous scope is restored on exit, even
+/// when `f` panics.
+pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<usize>);
     impl Drop for Restore {
         fn drop(&mut self) {
-            SEQUENTIAL_CONTEXT.set(self.0);
+            SCOPE.set(self.0);
         }
     }
-    let _restore = Restore(SEQUENTIAL_CONTEXT.replace(true));
+    let _restore = Restore(SCOPE.replace(Some(threads.max(1))));
     f()
-}
-
-/// `true` when the current thread is a pool worker or inside
-/// [`with_sequential`] (nested `par_*` calls will run sequentially).
-pub fn in_sequential_context() -> bool {
-    SEQUENTIAL_CONTEXT.get()
 }
 
 /// How many chunks each worker should get on average: enough that an
@@ -120,48 +115,28 @@ pub fn in_sequential_context() -> bool {
 /// bookkeeping stays invisible next to real work.
 const CHUNKS_PER_THREAD: usize = 4;
 
-/// A deterministic data-parallel worker pool.
+/// The deterministic data-parallel worker pool, reached through
+/// [`global()`].
 ///
 /// The pool is a *policy*, not a set of live threads: workers are scoped
-/// to each call (`std::thread::scope`), so a `Pool` is `Copy`-cheap to
-/// create, never leaks threads, and a sequential pool ([`Pool::new`]
-/// with `0` or `1`) spawns nothing at all. See the crate docs for the
-/// determinism contract.
-#[derive(Debug, Clone)]
-pub struct Pool {
-    threads: usize,
-}
+/// to each call (`std::thread::scope`), so nothing ever leaks, and the
+/// worker count is resolved per call from the caller's [`with_threads`]
+/// scope or the process default. See the crate docs for the determinism
+/// contract.
+#[derive(Debug)]
+pub struct Pool(());
 
-impl Default for Pool {
-    /// Same resolution as [`global()`]: `PHOENIX_THREADS`, else one
-    /// worker per available CPU.
-    fn default() -> Pool {
-        Pool::new(threads_from_env())
-    }
-}
+static POOL: Pool = Pool(());
+static PROCESS_THREADS: OnceLock<usize> = OnceLock::new();
 
 impl Pool {
-    /// A pool with `threads` workers; `0` and `1` both mean strictly
-    /// sequential (no threads are ever spawned).
-    pub fn new(threads: usize) -> Pool {
-        Pool {
-            threads: threads.max(1),
-        }
-    }
-
-    /// The strictly sequential pool.
-    pub fn sequential() -> Pool {
-        Pool::new(1)
-    }
-
-    /// Worker count (`1` means sequential).
+    /// Worker count a `par_*` call made here would use (`1` means
+    /// sequential): the innermost [`with_threads`] scope, else the
+    /// process default.
     pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// `true` when this pool never spawns threads.
-    pub fn is_sequential(&self) -> bool {
-        self.threads <= 1
+        SCOPE
+            .get()
+            .unwrap_or_else(|| *PROCESS_THREADS.get_or_init(threads_from_env))
     }
 
     /// Maps `f` over `0..n`, returning results in index order.
@@ -172,7 +147,8 @@ impl Pool {
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        self.par_map_range_chunked(n, self.auto_chunk(n), f)
+        let chunk = n.div_ceil(self.threads() * CHUNKS_PER_THREAD).max(1);
+        self.par_map_range_chunked(n, chunk, f)
     }
 
     /// [`par_map_range`](Pool::par_map_range) with an explicit chunk
@@ -193,12 +169,11 @@ impl Pool {
         }
         assert!(chunk > 0, "chunk size must be positive");
         let chunk_count = n.div_ceil(chunk);
-        let workers = self.threads.min(chunk_count);
-        if workers <= 1 || in_sequential_context() {
-            // Sequential fallback: no threads, no slots, no locking.
-            // Also taken for nested calls from inside a pool worker —
-            // the outer fan-out already owns the cores, and sequential
-            // is byte-identical by construction.
+        let workers = self.threads().min(chunk_count);
+        if workers <= 1 {
+            // Sequential: no threads, no slots, no locking. Also taken
+            // for nested calls from inside a pool worker (a `Some(1)`
+            // scope) — byte-identical by construction.
             return (0..n).map(f).collect();
         }
 
@@ -210,10 +185,11 @@ impl Pool {
         // siblings stop claiming new chunks (they still finish the one
         // in flight) instead of draining the whole input first.
         let abort = AtomicBool::new(false);
+        let recorder = phoenix_obs::current();
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| {
-                    SEQUENTIAL_CONTEXT.set(true);
+                    SCOPE.set(Some(1));
                     struct AbortOnPanic<'a>(&'a AtomicBool);
                     impl Drop for AbortOnPanic<'_> {
                         fn drop(&mut self) {
@@ -223,18 +199,20 @@ impl Pool {
                         }
                     }
                     let _flag = AbortOnPanic(&abort);
-                    while !abort.load(Ordering::Relaxed) {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= chunk_count {
-                            break;
+                    phoenix_obs::with_recorder(recorder.clone(), || {
+                        while !abort.load(Ordering::Relaxed) {
+                            let i = cursor.fetch_add(1, Ordering::Relaxed);
+                            if i >= chunk_count {
+                                break;
+                            }
+                            let lo = i * chunk;
+                            let hi = n.min(lo + chunk);
+                            let out: Vec<R> = (lo..hi).map(&f).collect();
+                            *slots[i]
+                                .lock()
+                                .expect("slot poisoned by a panicking sibling") = Some(out);
                         }
-                        let lo = i * chunk;
-                        let hi = n.min(lo + chunk);
-                        let out: Vec<R> = (lo..hi).map(&f).collect();
-                        *slots[i]
-                            .lock()
-                            .expect("slot poisoned by a panicking sibling") = Some(out);
-                    }
+                    });
                 });
             }
         });
@@ -262,36 +240,6 @@ impl Pool {
     {
         self.par_map_range(items.len(), |i| f(&items[i]))
     }
-
-    /// Maps `f(index, item)` over `items`, results in input order.
-    pub fn par_map_indexed<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        self.par_map_range(items.len(), |i| f(i, &items[i]))
-    }
-
-    /// Parallel map + strictly in-order sequential reduction.
-    ///
-    /// Byte-identical to `items.iter().map(map).fold(init, fold)` by
-    /// construction: the map fans out, the fold never does.
-    pub fn par_fold<T, R, A, M, F>(&self, items: &[T], map: M, init: A, fold: F) -> A
-    where
-        T: Sync,
-        R: Send,
-        M: Fn(&T) -> R + Sync,
-        F: FnMut(A, R) -> A,
-    {
-        self.par_map(items, map).into_iter().fold(init, fold)
-    }
-
-    /// Default chunk size for `n` items: enough chunks to load-balance
-    /// ([`CHUNKS_PER_THREAD`] per worker), never empty.
-    fn auto_chunk(&self, n: usize) -> usize {
-        n.div_ceil(self.threads.max(1) * CHUNKS_PER_THREAD).max(1)
-    }
 }
 
 /// Parses `PHOENIX_THREADS`; unset or unparseable falls back to the
@@ -313,21 +261,18 @@ fn available_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-static GLOBAL: OnceLock<Pool> = OnceLock::new();
-
-/// The process-wide pool, initialised on first use from
-/// `PHOENIX_THREADS` (see the crate docs for the table). Every planning
-/// and evaluation entry point that does not take an explicit [`Pool`]
-/// uses this one.
+/// The pool every fan-out in the workspace runs on. Its worker count is
+/// resolved per call: the caller's [`with_threads`] scope, else the
+/// process default (`PHOENIX_THREADS`, see the crate docs for the table).
 pub fn global() -> &'static Pool {
-    GLOBAL.get_or_init(Pool::default)
+    &POOL
 }
 
-/// Overrides the global pool's worker count **before first use** (the
+/// Overrides the process-default worker count **before first use** (the
 /// bench binaries' `--threads` flag). Returns `false` — and changes
-/// nothing — if the global pool was already initialised.
+/// nothing — if the default was already initialised.
 pub fn set_global_threads(threads: usize) -> bool {
-    GLOBAL.set(Pool::new(threads)).is_ok()
+    PROCESS_THREADS.set(threads.max(1)).is_ok()
 }
 
 #[cfg(test)]
@@ -337,36 +282,26 @@ mod tests {
     #[test]
     fn empty_input_yields_empty_output() {
         for threads in [1, 4] {
-            let pool = Pool::new(threads);
-            assert!(pool.par_map::<u32, u32, _>(&[], |&x| x).is_empty());
-            assert!(pool.par_map_range(0, |i| i).is_empty());
+            with_threads(threads, || {
+                assert!(global().par_map::<u32, u32, _>(&[], |&x| x).is_empty());
+                assert!(global().par_map_range(0, |i| i).is_empty());
+            });
         }
     }
 
     #[test]
     fn zero_and_one_threads_are_sequential() {
-        assert!(Pool::new(0).is_sequential());
-        assert!(Pool::new(1).is_sequential());
-        assert!(!Pool::new(2).is_sequential());
-        assert_eq!(Pool::new(0).threads(), 1);
-        assert_eq!(Pool::sequential().threads(), 1);
+        assert_eq!(with_threads(0, || global().threads()), 1);
+        assert_eq!(with_threads(1, || global().threads()), 1);
+        assert_eq!(with_threads(2, || global().threads()), 2);
     }
 
     #[test]
     fn par_map_preserves_input_order() {
         let items: Vec<usize> = (0..1000).collect();
         for threads in [1, 2, 3, 8] {
-            let out = Pool::new(threads).par_map(&items, |&x| x * 3);
+            let out = with_threads(threads, || global().par_map(&items, |&x| x * 3));
             assert_eq!(out, items.iter().map(|&x| x * 3).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn indexed_map_sees_true_indices() {
-        let items = vec!["a", "b", "c", "d", "e"];
-        for threads in [1, 4] {
-            let out = Pool::new(threads).par_map_indexed(&items, |i, &s| format!("{i}{s}"));
-            assert_eq!(out, vec!["0a", "1b", "2c", "3d", "4e"]);
         }
     }
 
@@ -376,7 +311,8 @@ mod tests {
         let items: Vec<f64> = (0..500).map(|i| 1.0 + (i as f64) * 1e-13).collect();
         let expected = items.iter().map(|&x| x / 3.0).fold(0.0f64, |a, b| a + b);
         for threads in [1, 2, 7] {
-            let got = Pool::new(threads).par_fold(&items, |&x| x / 3.0, 0.0f64, |a, b| a + b);
+            let mapped = with_threads(threads, || global().par_map(&items, |&x| x / 3.0));
+            let got = mapped.into_iter().fold(0.0f64, |a, b| a + b);
             assert_eq!(got.to_bits(), expected.to_bits(), "threads = {threads}");
         }
     }
@@ -387,7 +323,9 @@ mod tests {
         let expected: Vec<usize> = (0..n).map(|i| i * i).collect();
         for threads in [1, 3, 16] {
             for chunk in [1, 2, 5, 96, 97, 1000] {
-                let got = Pool::new(threads).par_map_range_chunked(n, chunk, |i| i * i);
+                let got = with_threads(threads, || {
+                    global().par_map_range_chunked(n, chunk, |i| i * i)
+                });
                 assert_eq!(got, expected, "threads {threads} chunk {chunk}");
             }
         }
@@ -397,14 +335,14 @@ mod tests {
     fn nested_fan_out_stays_on_the_worker_thread() {
         // An inner par_map issued from a pool worker must not spawn: all
         // its items run on the worker's own thread, in order.
-        let outer = Pool::new(4);
-        let inner = Pool::new(4);
-        let results = outer.par_map_range_chunked(8, 1, |i| {
-            let worker = std::thread::current().id();
-            let inner_threads = inner.par_map_range(16, |j| (std::thread::current().id(), i * j));
-            let values: Vec<usize> = inner_threads.iter().map(|&(_, v)| v).collect();
-            let all_on_worker = inner_threads.iter().all(|&(id, _)| id == worker);
-            (all_on_worker, values)
+        let results = with_threads(4, || {
+            global().par_map_range_chunked(8, 1, |i| {
+                let worker = std::thread::current().id();
+                let inner = global().par_map_range(16, |j| (std::thread::current().id(), i * j));
+                let values: Vec<usize> = inner.iter().map(|&(_, v)| v).collect();
+                let all_on_worker = inner.iter().all(|&(id, _)| id == worker);
+                (all_on_worker, values)
+            })
         });
         for (i, (all_on_worker, values)) in results.into_iter().enumerate() {
             assert!(all_on_worker, "item {i} nested fan-out left its worker");
@@ -413,30 +351,46 @@ mod tests {
     }
 
     #[test]
-    fn with_sequential_pins_the_calling_thread() {
+    fn with_threads_one_pins_the_calling_thread() {
         let caller = std::thread::current().id();
-        assert!(!in_sequential_context());
-        let ids = with_sequential(|| {
-            assert!(in_sequential_context());
-            Pool::new(8).par_map_range(32, |_| std::thread::current().id())
+        let outside = global().threads();
+        let ids = with_threads(8, || {
+            assert_eq!(global().threads(), 8);
+            with_threads(1, || {
+                assert_eq!(global().threads(), 1);
+                global().par_map_range(32, |_| std::thread::current().id())
+            })
         });
-        assert!(!in_sequential_context(), "context must restore on exit");
+        assert_eq!(global().threads(), outside, "scope must restore on exit");
         assert!(ids.into_iter().all(|id| id == caller));
         // Restores even when the closure panics.
-        let _ = std::panic::catch_unwind(|| with_sequential(|| panic!("boom")));
-        assert!(!in_sequential_context());
+        let _ = std::panic::catch_unwind(|| with_threads(1, || panic!("boom")));
+        assert_eq!(global().threads(), outside);
+    }
+
+    #[test]
+    fn workers_inherit_the_callers_recorder() {
+        use phoenix_obs::{current, with_recorder, Counter, Recorder};
+        let recorder = Recorder::enabled();
+        with_recorder(recorder.clone(), || {
+            with_threads(4, || {
+                global().par_map_range_chunked(64, 1, |_| current().incr(Counter::SimEvents))
+            })
+        });
+        assert_eq!(recorder.counter(Counter::SimEvents), 64);
     }
 
     #[test]
     fn worker_panic_propagates_without_deadlock() {
         for threads in [1, 4] {
-            let pool = Pool::new(threads);
             let result = std::panic::catch_unwind(move || {
-                pool.par_map_range(64, |i| {
-                    if i == 13 {
-                        panic!("boom at {i}");
-                    }
-                    i
+                with_threads(threads, || {
+                    global().par_map_range(64, |i| {
+                        if i == 13 {
+                            panic!("boom at {i}");
+                        }
+                        i
+                    })
                 })
             });
             assert!(result.is_err(), "threads = {threads}");

@@ -1,9 +1,11 @@
 //! The substrate's load-bearing property: for any input, chunk size, and
 //! thread count, `par_map` + in-order reduction is **byte-identical** to
 //! the sequential fold. Every layer above (cold planning, sweeps, chaos
-//! audits) inherits its determinism guarantee from exactly this.
+//! audits) inherits its determinism guarantee from exactly this. Thread
+//! counts are swept through the `with_threads` scope, the same way every
+//! invariance test above this crate pins them.
 
-use phoenix_exec::Pool;
+use phoenix_exec::{global, with_threads};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -16,29 +18,17 @@ proptest! {
         threads in 0usize..9,
         chunk in 1usize..64,
     ) {
-        let pool = Pool::new(threads);
         // A mapper whose output depends on value *and* index, so any
         // chunk-boundary or ordering mistake changes the bytes.
-        let par = pool.par_map_range_chunked(items.len(), chunk, |i| {
-            (items[i] * 0.1 + i as f64).to_bits()
+        let par = with_threads(threads, || {
+            global().par_map_range_chunked(items.len(), chunk, |i| {
+                (items[i] * 0.1 + i as f64).to_bits()
+            })
         });
         let seq: Vec<u64> = (0..items.len())
             .map(|i| (items[i] * 0.1 + i as f64).to_bits())
             .collect();
         prop_assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn par_fold_equals_sequential_fold(
-        items in vec(-1e6f64..1e6, 0..150),
-        threads in 1usize..9,
-    ) {
-        // Float addition is not associative: only a strictly in-order
-        // reduction reproduces the sequential bits.
-        let pool = Pool::new(threads);
-        let par = pool.par_fold(&items, |&x| x / 7.0, 0.0f64, |acc, x| acc + x);
-        let seq = items.iter().map(|&x| x / 7.0).fold(0.0f64, |acc, x| acc + x);
-        prop_assert_eq!(par.to_bits(), seq.to_bits());
     }
 
     #[test]
@@ -49,24 +39,18 @@ proptest! {
     ) {
         // Items with wildly different costs finish out of order across
         // workers; the slot layout must still emit input order.
-        let pool = Pool::new(threads);
-        let par = pool.par_map_range_chunked(sizes.len(), chunk, |i| {
+        let cost = |i: usize| {
             // Cost proportional to sizes[i]: a tiny deterministic hash loop.
             let mut h = i as u64 ^ 0x9e37_79b9_7f4a_7c15;
             for _ in 0..sizes[i] {
                 h = h.wrapping_mul(0x0000_0100_0000_01b3).rotate_left(17);
             }
             h
+        };
+        let par = with_threads(threads, || {
+            global().par_map_range_chunked(sizes.len(), chunk, cost)
         });
-        let seq: Vec<u64> = (0..sizes.len())
-            .map(|i| {
-                let mut h = i as u64 ^ 0x9e37_79b9_7f4a_7c15;
-                for _ in 0..sizes[i] {
-                    h = h.wrapping_mul(0x0000_0100_0000_01b3).rotate_left(17);
-                }
-                h
-            })
-            .collect();
+        let seq: Vec<u64> = (0..sizes.len()).map(cost).collect();
         prop_assert_eq!(par, seq);
     }
 }
@@ -78,13 +62,14 @@ proptest! {
 fn panics_propagate_for_all_thread_and_chunk_shapes() {
     for threads in [1usize, 2, 4, 9] {
         for chunk in [1usize, 3, 50] {
-            let pool = Pool::new(threads);
             let caught = std::panic::catch_unwind(|| {
-                pool.par_map_range_chunked(40, chunk, |i| {
-                    if i == 17 {
-                        panic!("injected failure");
-                    }
-                    i * 2
+                with_threads(threads, || {
+                    global().par_map_range_chunked(40, chunk, |i| {
+                        if i == 17 {
+                            panic!("injected failure");
+                        }
+                        i * 2
+                    })
                 })
             });
             assert!(caught.is_err(), "threads {threads} chunk {chunk}");

@@ -270,6 +270,11 @@ fn start_kubelets(nodes: &[NodeId], alive: &mut [bool]) -> bool {
 pub struct SteadyState {
     /// The per-node capacities the plan was computed for.
     capacities: Vec<Resources>,
+    /// Per-app [`AppSpec::fingerprint`](phoenix_core::spec::AppSpec::fingerprint)s
+    /// of the workload the plan was computed for.
+    fingerprints: Vec<u64>,
+    /// [`ResiliencePolicy::name`] of the planning policy.
+    policy: &'static str,
     /// `(pod, node, demand, mode)` in the plan's own assignment order.
     assigns: Vec<(PodKey, NodeId, Resources, ServingMode)>,
 }
@@ -291,18 +296,32 @@ impl SteadyState {
             .collect();
         SteadyState {
             capacities: capacities.to_vec(),
+            fingerprints: workload.apps().map(|(_, a)| a.fingerprint()).collect(),
+            policy: policy.name(),
             assigns,
         }
     }
 
-    /// True when this steady state was computed for exactly `capacities`
-    /// (bit-compared — a shape mismatch means the capture must not be
-    /// replayed).
-    fn matches(&self, capacities: &[Resources]) -> bool {
+    /// True when this steady state was captured for exactly this
+    /// `(workload, policy, capacities)` triple — capacities bit-compared,
+    /// the workload by per-app fingerprint, the policy by name. Anything
+    /// else means the capture must not be replayed.
+    fn matches(
+        &self,
+        workload: &Workload,
+        policy: &dyn ResiliencePolicy,
+        capacities: &[Resources],
+    ) -> bool {
         self.capacities.len() == capacities.len()
             && self.capacities.iter().zip(capacities).all(|(a, b)| {
                 a.cpu.to_bits() == b.cpu.to_bits() && a.mem.to_bits() == b.mem.to_bits()
             })
+            && self.policy == policy.name()
+            && self.fingerprints.len() == workload.app_count()
+            && workload
+                .apps()
+                .zip(&self.fingerprints)
+                .all(|((_, a), &f)| a.fingerprint() == f)
     }
 }
 
@@ -327,13 +346,13 @@ pub fn simulate(
 
 /// [`simulate`] with an optional precomputed [`SteadyState`].
 ///
-/// When `steady` is present, was computed for this `workload` and
-/// `policy`, and its cluster shape matches `scenario`'s, the `t = 0` plan
-/// is replayed from the capture instead of recomputed — byte-identical
-/// output, minus one cold plan per call. A shape mismatch (e.g. a shrink
-/// probe that dropped trailing nodes) silently falls back to planning
-/// cold; a capture from a *different* workload or policy is the caller's
-/// bug and silently corrupts the run, so thread those pairs carefully.
+/// When `steady` is present and was captured for this `workload`,
+/// `policy` and `scenario`'s cluster shape, the `t = 0` plan is replayed
+/// from the capture instead of recomputed — byte-identical output, minus
+/// one cold plan per call. Any mismatch (a shrink probe that dropped
+/// trailing nodes, a capture handed to a different workload or policy)
+/// falls back to planning cold, so a stale capture costs time, never
+/// correctness.
 pub fn simulate_from(
     workload: &Workload,
     policy: &dyn ResiliencePolicy,
@@ -352,7 +371,7 @@ pub fn simulate_from(
     // One handle for the whole run. Per-cell runs execute inside the
     // campaign fan-out, so everything recorded here must be commutative
     // (sums only) for the deterministic plane to stay thread-invariant.
-    let obs = phoenix_obs::global();
+    let obs = phoenix_obs::current();
 
     // Control-plane view of the cluster.
     let mut state = ClusterState::new(scenario.node_capacities.iter().copied());
@@ -372,11 +391,11 @@ pub fn simulate_from(
     // Copy-on-surge workload: `None` means the original is still current.
     let mut surged: Option<Workload> = None;
 
-    // Steady state at t = 0: replay the capture when its shape matches,
-    // else plan cold — identical output either way, because the cold plan
-    // is a pure function of (workload, policy, capacities) and the capture
-    // preserves its assignment order.
-    match steady.filter(|s| s.matches(&scenario.node_capacities)) {
+    // Steady state at t = 0: replay the capture when it was taken for
+    // these inputs, else plan cold — identical output either way, because
+    // the cold plan is a pure function of (workload, policy, capacities)
+    // and the capture preserves its assignment order.
+    match steady.filter(|s| s.matches(workload, policy, &scenario.node_capacities)) {
         Some(s) => {
             for &(pod, node, demand, mode) in &s.assigns {
                 state.assign(pod, demand, node).expect("steady plan fits");
@@ -1043,45 +1062,6 @@ mod tests {
         // After restore, everything returns.
         assert!(trace.service_up(&w, 0, 0, SimTime::from_secs(1390)));
         assert!(trace.service_up(&w, 0, 1, SimTime::from_secs(1390)));
-    }
-
-    #[test]
-    fn warm_replanning_policy_matches_cold_phoenix_over_churn() {
-        use phoenix_core::replan::IncrementalPhoenixPolicy;
-        // A churn scenario: staggered failures, partial recovery, a second
-        // failure wave. The warm-started controller must produce the same
-        // simulation — identical serving samples and milestones — as the
-        // cold pipeline; only planning latency may differ.
-        let mut apps = Vec::new();
-        for (name, price) in [("alpha", 3.0), ("beta", 1.0), ("gamma", 2.0)] {
-            let mut b = AppSpecBuilder::new(name);
-            let fe = b.add_service("fe", Resources::cpu(1.0), Some(Criticality::C1), 2);
-            let mid = b.add_service("mid", Resources::cpu(1.0), Some(Criticality::C2), 1);
-            let opt = b.add_service("opt", Resources::cpu(1.0), Some(Criticality::C5), 1);
-            b.add_dependency(fe, mid);
-            b.add_dependency(mid, opt);
-            b.price_per_unit(price);
-            apps.push(b.build().unwrap());
-        }
-        let w = Workload::new(apps);
-        let mut s = Scenario::new(6, Resources::cpu(3.0));
-        s.kubelet_stop_at(SimTime::from_secs(200), [0, 1]);
-        s.kubelet_stop_at(SimTime::from_secs(600), [2]);
-        s.kubelet_start_at(SimTime::from_secs(900), [0]);
-        s.kubelet_stop_at(SimTime::from_secs(1200), [3]);
-        s.kubelet_start_at(SimTime::from_secs(1500), [1, 2, 3]);
-        let cfg = SimConfig::default();
-        let horizon = SimTime::from_secs(1800);
-        for (cold, warm) in [
-            (PhoenixPolicy::fair(), IncrementalPhoenixPolicy::fair()),
-            (PhoenixPolicy::cost(), IncrementalPhoenixPolicy::cost()),
-        ] {
-            let a = simulate(&w, &cold, &s, &cfg, horizon);
-            let b = simulate(&w, &warm, &s, &cfg, horizon);
-            assert_eq!(a.samples, b.samples, "{} diverged", cold.name());
-            assert_eq!(a.milestones, b.milestones, "{} diverged", cold.name());
-            assert_eq!(a.plans.len(), b.plans.len());
-        }
     }
 
     #[test]

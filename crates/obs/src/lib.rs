@@ -18,16 +18,20 @@
 //!   determinism check and always reported next to `host_cpus`, because
 //!   wall-clock on a 1-CPU container says nothing about parallel code.
 //!
-//! The default recorder is **disabled** and its hot path is one relaxed
-//! atomic load plus a branch — cheap enough to leave the instrumentation
+//! The recorder is **thread-scoped**, not process-global: [`current`]
+//! returns the handle of the innermost [`with_recorder`] scope on the
+//! calling thread, and `phoenix-exec` pool workers inherit the handle of
+//! the thread that spawned them, so a scope covers a whole call tree —
+//! fan-outs included — while concurrent scopes on other threads (parallel
+//! tests, per-cell recorders) never see each other's counts and need no
+//! lock. Outside every scope the handle is **disabled**: every operation
+//! is a branch on `None` — cheap enough to leave the instrumentation
 //! compiled into release planners (guarded by the `obs_overhead` bench).
-//! Bins and tests that want data [`install`] an enabled recorder
-//! ([`install_scoped`] serializes tests sharing one process) and export
-//! via [`Recorder::snapshot_json`] / [`Recorder::chrome_trace_json`].
+//! Export via [`Recorder::snapshot_json`] / [`Recorder::chrome_trace_json`].
 //!
 //! This crate is a substrate: std-only, no intra-workspace dependencies,
 //! so even `phoenix-cluster` (itself a substrate crate) can report into
-//! it. The one nearest-rank percentile implementation for the whole
+//! it, and `phoenix-exec` can hand the scope to its workers. The one nearest-rank percentile implementation for the whole
 //! workspace lives in [`stats`] (re-exported by `phoenix_core::stats`).
 
 #![forbid(unsafe_code)]
@@ -37,6 +41,4 @@ pub mod hist;
 pub mod recorder;
 pub mod stats;
 
-pub use recorder::{
-    global, install, install_scoped, Counter, Installed, Phase, PhaseGuard, Recorder,
-};
+pub use recorder::{current, with_recorder, Counter, Phase, PhaseGuard, Recorder};

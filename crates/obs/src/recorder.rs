@@ -1,9 +1,10 @@
 //! The [`Recorder`] handle: deterministic counters + wall-clock phase
-//! timers, a process-global install point, and JSON / Chrome-trace
-//! export.
+//! timers, a thread-scoped install point ([`with_recorder`] /
+//! [`current`]), and JSON / Chrome-trace export.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::cell::{Cell, RefCell};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::hist::{summarize, Summary};
@@ -206,11 +207,10 @@ struct Inner {
 }
 
 thread_local! {
-    /// This thread's dense trace row per recorder generation. Keyed by
-    /// the `next_tid` allocator's address-free generation: one recorder
-    /// per process at a time is the supported shape, so a plain cached
-    /// index is enough.
-    static TRACE_TID: std::cell::Cell<Option<u32>> = const { std::cell::Cell::new(None) };
+    /// This thread's dense trace row, keyed by the recorder store it was
+    /// allocated from (its address): a thread that moves to another
+    /// recorder's scope gets a fresh row there.
+    static TRACE_TID: Cell<(usize, u32)> = const { Cell::new((0, 0)) };
 }
 
 impl Inner {
@@ -224,11 +224,12 @@ impl Inner {
     }
 
     fn tid(&self) -> u32 {
+        let key = self as *const Inner as usize;
         TRACE_TID.with(|c| match c.get() {
-            Some(t) => t,
-            None => {
+            (k, t) if k == key => t,
+            _ => {
                 let t = self.next_tid.fetch_add(1, Ordering::Relaxed);
-                c.set(Some(t));
+                c.set((key, t));
                 t
             }
         })
@@ -246,7 +247,7 @@ impl Inner {
 pub struct Recorder(Option<Arc<Inner>>);
 
 impl Recorder {
-    /// The no-op recorder (the process default).
+    /// The no-op recorder (what [`current`] returns outside every scope).
     pub fn disabled() -> Recorder {
         Recorder(None)
     }
@@ -456,61 +457,33 @@ impl Drop for PhaseGuard<'_> {
     }
 }
 
-/// Fast-path gate: instrumented code checks one relaxed bool before
-/// touching the `RwLock` behind [`global`].
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static GLOBAL: RwLock<Recorder> = RwLock::new(Recorder(None));
-/// Serializes [`install_scoped`] users within one process (tests).
-static SCOPE: Mutex<()> = Mutex::new(());
-
-/// The process-global recorder handle. Disabled unless something
-/// [`install`]ed an enabled recorder; entry points grab it once per
-/// call, so the disabled cost is one relaxed load.
-pub fn global() -> Recorder {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return Recorder::disabled();
-    }
-    GLOBAL.read().expect("global recorder lock").clone()
+thread_local! {
+    /// This thread's recorder: the innermost [`with_recorder`] scope, or
+    /// the disabled handle outside every scope.
+    static CURRENT: RefCell<Recorder> = const { RefCell::new(Recorder(None)) };
 }
 
-/// Installs `recorder` as the process-global handle, returning the
-/// previous one. Bins install once at startup; tests should prefer
-/// [`install_scoped`].
-pub fn install(recorder: Recorder) -> Recorder {
-    let mut g = GLOBAL.write().expect("global recorder lock");
-    ENABLED.store(recorder.is_enabled(), Ordering::Relaxed);
-    std::mem::replace(&mut *g, recorder)
+/// The calling thread's recorder handle. Disabled unless an enclosing
+/// [`with_recorder`] scope (on this thread, or on the thread whose exec
+/// pool spawned this worker) installed an enabled one; entry points grab
+/// it once per call.
+pub fn current() -> Recorder {
+    CURRENT.with(|c| c.borrow().clone())
 }
 
-/// An [`install_scoped`] lease: restores the previous global recorder
-/// (and releases the scope lock) on drop.
-#[derive(Debug)]
-pub struct Installed {
-    prev: Option<Recorder>,
-    _scope: MutexGuard<'static, ()>,
-}
-
-impl Drop for Installed {
-    fn drop(&mut self) {
-        if let Some(prev) = self.prev.take() {
-            install(prev);
+/// Runs `f` with `recorder` as this thread's [`current`] handle, then
+/// restores the previous one (even when `f` panics). Scopes nest; exec
+/// pool workers spawned inside `f` inherit `recorder`, and concurrent
+/// scopes on other threads never see each other's counts.
+pub fn with_recorder<R>(recorder: Recorder, f: impl FnOnce() -> R) -> R {
+    struct Restore(Recorder);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            CURRENT.with(|c| std::mem::swap(&mut *c.borrow_mut(), &mut self.0));
         }
     }
-}
-
-/// Installs `recorder` for the lifetime of the returned guard and
-/// serializes against every other `install_scoped` in the process —
-/// tests that assert on global counters must use this, or concurrent
-/// tests in the same binary would pollute each other's counts.
-pub fn install_scoped(recorder: Recorder) -> Installed {
-    let scope = SCOPE
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    let prev = install(recorder);
-    Installed {
-        prev: Some(prev),
-        _scope: scope,
-    }
+    let _restore = Restore(CURRENT.with(|c| c.replace(recorder)));
+    f()
 }
 
 #[cfg(test)]
@@ -585,16 +558,21 @@ mod tests {
     }
 
     #[test]
-    fn install_scoped_restores_previous() {
+    fn with_recorder_scopes_nest_and_restore() {
         let outer = Recorder::enabled();
-        {
-            let _lease = install_scoped(outer.clone());
-            global().incr(Counter::HuntEvaluations);
-            assert_eq!(outer.counter(Counter::HuntEvaluations), 1);
-        }
-        // After the lease drops the previous (disabled) global is back.
-        global().incr(Counter::HuntEvaluations);
-        assert_eq!(outer.counter(Counter::HuntEvaluations), 1);
+        let inner = Recorder::enabled();
+        with_recorder(outer.clone(), || {
+            current().incr(Counter::HuntEvaluations);
+            with_recorder(inner.clone(), || current().incr(Counter::HuntEvaluations));
+            current().incr(Counter::HuntEvaluations);
+        });
+        assert_eq!(outer.counter(Counter::HuntEvaluations), 2);
+        assert_eq!(inner.counter(Counter::HuntEvaluations), 1);
+        // Outside every scope the disabled handle is back, panics included.
+        let _ = std::panic::catch_unwind(|| with_recorder(outer.clone(), || panic!("boom")));
+        assert!(!current().is_enabled());
+        current().incr(Counter::HuntEvaluations);
+        assert_eq!(outer.counter(Counter::HuntEvaluations), 2);
     }
 
     #[test]

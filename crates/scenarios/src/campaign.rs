@@ -12,7 +12,6 @@ use phoenix_cluster::Resources;
 use phoenix_core::policies::ResiliencePolicy;
 use phoenix_core::spec::{AppSpecBuilder, ModeSpec, ServingMode, Workload};
 use phoenix_core::tags::Criticality;
-use phoenix_exec::Pool;
 use phoenix_kubesim::rto::{evaluate_rto, evaluate_utility, RtoPolicy};
 use phoenix_kubesim::run::{simulate_from, SimConfig, SteadyState};
 use phoenix_kubesim::time::SimTime;
@@ -236,8 +235,10 @@ fn demo_build(apps: u32, modal: bool) -> Workload {
     Workload::new(out)
 }
 
-/// Runs the campaign on the [global pool](phoenix_exec::global)
-/// (`PHOENIX_THREADS`); see [`run_campaign_on`] to pin a pool explicitly.
+/// Runs the campaign: every `(scenario, policy)` cell fans out on the
+/// [exec pool](phoenix_exec::global) (`PHOENIX_THREADS`, or the caller's
+/// [`with_threads`](phoenix_exec::with_threads) scope, which the planners
+/// inside each cell inherit too).
 ///
 /// # Errors
 ///
@@ -248,21 +249,6 @@ pub fn run_campaign(
     suite: &SuiteDoc,
     policies: &[Box<dyn ResiliencePolicy>],
     cfg: &CampaignConfig,
-) -> Result<CampaignOutcome, ScenarioError> {
-    run_campaign_on(workload, suite, policies, cfg, phoenix_exec::global())
-}
-
-/// [`run_campaign`] on an explicit [`Pool`].
-///
-/// # Errors
-///
-/// As [`run_campaign`].
-pub fn run_campaign_on(
-    workload: &Workload,
-    suite: &SuiteDoc,
-    policies: &[Box<dyn ResiliencePolicy>],
-    cfg: &CampaignConfig,
-    pool: &Pool,
 ) -> Result<CampaignOutcome, ScenarioError> {
     if suite.version != SuiteDoc::VERSION {
         return Err(ScenarioError::Version(suite.version));
@@ -322,8 +308,8 @@ pub fn run_campaign_on(
         .flat_map(|si| (0..policies.len()).map(move |pi| (si, pi)))
         .collect();
 
-    let scores = pool.par_map(&jobs, |&(si, pi)| {
-        phoenix_obs::global().incr(phoenix_obs::Counter::CampaignCells);
+    let scores = phoenix_exec::global().par_map(&jobs, |&(si, pi)| {
+        phoenix_obs::current().incr(phoenix_obs::Counter::CampaignCells);
         let (doc, scenario) = &compiled[si];
         let policy = policies[pi].as_ref();
         let trace = simulate_from(
@@ -477,6 +463,7 @@ mod tests {
     use super::*;
     use crate::generate::{generate_suite, GeneratorConfig};
     use phoenix_core::policies::{DefaultPolicy, PhoenixPolicy};
+    use phoenix_exec::with_threads;
 
     fn small_cfg() -> GeneratorConfig {
         GeneratorConfig {
@@ -515,8 +502,8 @@ mod tests {
         let suite = generate_suite(&small_cfg());
         let w = demo_workload(2);
         let cfg = CampaignConfig::default();
-        let seq = run_campaign_on(&w, &suite, &roster(), &cfg, &Pool::sequential()).unwrap();
-        let par = run_campaign_on(&w, &suite, &roster(), &cfg, &Pool::new(4)).unwrap();
+        let run = |threads| with_threads(threads, || run_campaign(&w, &suite, &roster(), &cfg));
+        let (seq, par) = (run(1).unwrap(), run(4).unwrap());
         assert_eq!(seq.scores.len(), par.scores.len());
         // Deterministic-plane projection: `replan_ms_p99` is wall-clock
         // (planner latency genuinely varies with the thread count), so
@@ -532,6 +519,88 @@ mod tests {
         assert_eq!(seq.scorecards.len(), par.scorecards.len());
         for (a, b) in seq.scorecards.iter().zip(&par.scorecards) {
             assert!(a.same_results(b), "{a:?} vs {b:?}");
+        }
+    }
+
+    /// Phoenix-fair planning, plus a record of which threads an inner
+    /// 64-item fan-out inside `plan` ran on.
+    #[derive(Debug, Default)]
+    struct SpyPolicy {
+        inner_threads: std::sync::Arc<std::sync::Mutex<Vec<std::thread::ThreadId>>>,
+    }
+
+    impl ResiliencePolicy for SpyPolicy {
+        fn name(&self) -> &'static str {
+            "Spy"
+        }
+
+        fn plan(
+            &self,
+            workload: &Workload,
+            state: &phoenix_cluster::ClusterState,
+        ) -> phoenix_core::policies::PolicyPlan {
+            let ids = phoenix_exec::global().par_map_range(64, |_| std::thread::current().id());
+            self.inner_threads.lock().unwrap().extend(ids);
+            PhoenixPolicy::fair().plan(workload, state)
+        }
+    }
+
+    /// `with_threads(1)` reaches every layer under the campaign: the
+    /// planners inside each cell never fan out onto a worker.
+    #[test]
+    fn one_thread_scope_reaches_the_planners_inside_a_campaign() {
+        let suite = generate_suite(&GeneratorConfig {
+            scenarios_per_family: 1,
+            ..small_cfg()
+        });
+        let spy = SpyPolicy::default();
+        let inner_threads = spy.inner_threads.clone();
+        let roster: Vec<Box<dyn ResiliencePolicy>> = vec![Box::new(spy)];
+        let caller = std::thread::current().id();
+        with_threads(1, || {
+            run_campaign(
+                &demo_workload(2),
+                &suite,
+                &roster,
+                &CampaignConfig::default(),
+            )
+        })
+        .unwrap();
+        let ids = inner_threads.lock().unwrap();
+        assert!(ids.len() >= 64, "the spy never planned");
+        assert!(
+            ids.iter().all(|&id| id == caller),
+            "{} of {} inner items ran off the caller's thread",
+            ids.iter().filter(|&&id| id != caller).count(),
+            ids.len()
+        );
+    }
+
+    /// A capture handed to a different workload or policy must not be
+    /// replayed: each run equals a cold `simulate` of its own inputs.
+    #[test]
+    fn steady_capture_replays_only_for_its_own_workload_and_policy() {
+        use phoenix_kubesim::run::simulate;
+        let suite = generate_suite(&small_cfg());
+        let doc = &suite.scenarios[0];
+        let scenario = doc.compile().unwrap();
+        let sim = SimConfig::default();
+        let capture = SteadyState::compute(
+            &demo_workload(2),
+            &PhoenixPolicy::fair(),
+            &scenario.node_capacities,
+        );
+        let fair = PhoenixPolicy::fair();
+        let cases: [(Workload, &dyn ResiliencePolicy); 2] = [
+            (demo_workload(3), &fair),
+            (demo_workload(2), &DefaultPolicy),
+        ];
+        for (w, policy) in cases {
+            let cold = simulate(&w, policy, &scenario, &sim, doc.horizon());
+            let from = simulate_from(&w, policy, &scenario, &sim, doc.horizon(), Some(&capture));
+            let tag = format!("{} apps under {}", w.app_count(), policy.name());
+            assert_eq!(cold.samples, from.samples, "{tag}: stale capture replayed");
+            assert_eq!(cold.milestones, from.milestones, "{tag}");
         }
     }
 

@@ -23,7 +23,6 @@
 use phoenix_core::policies::ResiliencePolicy;
 use phoenix_core::spec::Workload;
 use phoenix_core::tags::Criticality;
-use phoenix_exec::Pool;
 use phoenix_kubesim::rto::{evaluate_rto, evaluate_utility};
 use phoenix_kubesim::run::{simulate, simulate_from, SteadyState};
 use phoenix_kubesim::time::SimTime;
@@ -241,8 +240,9 @@ pub fn utility_deficit_objective<'a>(
     }
 }
 
-/// Runs the hunt on the [global pool](phoenix_exec::global)
-/// (`PHOENIX_THREADS`).
+/// Runs the hunt: each round's `(candidate, policy)` evaluations fan out
+/// on the [exec pool](phoenix_exec::global) (`PHOENIX_THREADS`, or the
+/// caller's [`with_threads`](phoenix_exec::with_threads) scope).
 ///
 /// # Panics
 ///
@@ -254,11 +254,11 @@ pub fn run_hunt(
     hunt: &HuntConfig,
     eval: &CampaignConfig,
 ) -> HuntOutcome {
-    run_hunt_with(workload, policies, hunt, eval, phoenix_exec::global(), None)
+    run_hunt_with(workload, policies, hunt, eval, None)
 }
 
-/// [`run_hunt`] on an explicit [`Pool`], with an optional secondary
-/// objective for severity tie-breaks.
+/// [`run_hunt`] with an optional secondary objective for severity
+/// tie-breaks.
 ///
 /// # Panics
 ///
@@ -268,7 +268,6 @@ pub fn run_hunt_with(
     policies: &[Box<dyn ResiliencePolicy>],
     hunt: &HuntConfig,
     eval: &CampaignConfig,
-    pool: &Pool,
     secondary: Option<SecondaryObjective<'_>>,
 ) -> HuntOutcome {
     let apps = hunt.apps.min(workload.app_count() as u32).max(1);
@@ -302,8 +301,8 @@ pub fn run_hunt_with(
         let jobs: Vec<(usize, usize)> = (0..population.len())
             .flat_map(|ci| (0..policies.len()).map(move |pi| (ci, pi)))
             .collect();
-        let sigs = pool.par_map(&jobs, |&(ci, pi)| {
-            phoenix_obs::global().incr(phoenix_obs::Counter::HuntEvaluations);
+        let sigs = phoenix_exec::global().par_map(&jobs, |&(ci, pi)| {
+            phoenix_obs::current().incr(phoenix_obs::Counter::HuntEvaluations);
             signature_of_with(
                 workload,
                 &population[ci],
@@ -797,22 +796,8 @@ mod tests {
         // Secondary that prefers later event counts: deterministic and
         // doc-derived, so the run stays reproducible.
         let secondary = |d: &ScenarioDoc| d.events.len() as u64;
-        let a = run_hunt_with(
-            &w,
-            &roster(),
-            &hunt,
-            &cfg,
-            phoenix_exec::global(),
-            Some(&secondary),
-        );
-        let b = run_hunt_with(
-            &w,
-            &roster(),
-            &hunt,
-            &cfg,
-            phoenix_exec::global(),
-            Some(&secondary),
-        );
+        let a = run_hunt_with(&w, &roster(), &hunt, &cfg, Some(&secondary));
+        let b = run_hunt_with(&w, &roster(), &hunt, &cfg, Some(&secondary));
         assert_eq!(a, b);
     }
 }

@@ -1,10 +1,11 @@
 //! The adversarial hunt's determinism contract: a hunt is a pure
 //! function of its seed, and its output — champions, severities, rounds,
 //! the full JSON — is byte-identical whether the `(candidate, policy)`
-//! evaluations fan out over 1 or 4 pool workers.
+//! evaluations fan out over 1 or 4 pool workers (`with_threads`, which
+//! the planners inside every evaluation inherit).
 
 use phoenix_core::policies::{DefaultPolicy, PhoenixPolicy, ResiliencePolicy};
-use phoenix_exec::Pool;
+use phoenix_exec::with_threads;
 use phoenix_scenarios::campaign::{demo_workload, CampaignConfig};
 use phoenix_scenarios::search::{run_hunt_with, HuntConfig};
 
@@ -27,8 +28,8 @@ fn hunts_are_pool_invariant_and_byte_identical() {
     };
     let w = demo_workload(3);
     let cfg = CampaignConfig::default();
-    let seq = run_hunt_with(&w, &roster(), &hunt, &cfg, &Pool::sequential(), None);
-    let par = run_hunt_with(&w, &roster(), &hunt, &cfg, &Pool::new(4), None);
+    let run = |threads| with_threads(threads, || run_hunt_with(&w, &roster(), &hunt, &cfg, None));
+    let (seq, par) = (run(1), run(4));
 
     assert_eq!(seq, par, "hunt output varies with pool width");
     let a = serde_json::to_string_pretty(&seq).unwrap();
@@ -55,15 +56,12 @@ fn secondary_objective_stays_pool_invariant() {
     let w = demo_workload(3);
     let cfg = CampaignConfig::default();
     let secondary = |d: &phoenix_scenarios::model::ScenarioDoc| d.events.len() as u64;
-    let seq = run_hunt_with(
-        &w,
-        &roster(),
-        &hunt,
-        &cfg,
-        &Pool::sequential(),
-        Some(&secondary),
-    );
-    let par = run_hunt_with(&w, &roster(), &hunt, &cfg, &Pool::new(4), Some(&secondary));
+    let run = |threads| {
+        with_threads(threads, || {
+            run_hunt_with(&w, &roster(), &hunt, &cfg, Some(&secondary))
+        })
+    };
+    let (seq, par) = (run(1), run(4));
     assert_eq!(seq, par);
     assert_eq!(
         serde_json::to_string_pretty(&seq).unwrap(),

@@ -7,7 +7,7 @@
 //! repro with `cargo run --release -p phoenix-bench --bin scenario_hunt
 //! -- --smoke` and commit the diff deliberately.
 
-use phoenix_exec::Pool;
+use phoenix_exec::with_threads;
 use phoenix_scenarios::campaign::demo_workload;
 use phoenix_scenarios::campaign::CampaignConfig;
 use phoenix_scenarios::regression::{load_all, regressions_dir, replay};
@@ -60,18 +60,20 @@ fn known_baseline_violations_are_pinned() {
     );
 }
 
-/// Replay is pool-width invariant: the per-repro signatures computed on a
-/// sequential and a 4-worker pool are identical (the repro path itself is
+/// Replay is pool-width invariant: the per-repro signatures fanned out at
+/// 1 and 4 threads are identical (the repro path itself is
 /// single-simulation, so this guards the fan-out used by the probe).
 #[test]
 fn repro_replay_is_pool_invariant() {
     let docs = load_all(&regressions_dir()).unwrap();
     let cfg = CampaignConfig::default();
-    for pool in [Pool::sequential(), Pool::new(4)] {
-        let sigs = pool.par_map(&docs, |doc| {
-            let policy = phoenix_scenarios::regression::policy_by_name(&doc.policy).unwrap();
-            let w = demo_workload(doc.apps.max(1));
-            signature_of(&w, &doc.scenario, policy.as_ref(), &cfg).unwrap()
+    for threads in [1, 4] {
+        let sigs = with_threads(threads, || {
+            phoenix_exec::global().par_map(&docs, |doc| {
+                let policy = phoenix_scenarios::regression::policy_by_name(&doc.policy).unwrap();
+                let w = demo_workload(doc.apps.max(1));
+                signature_of(&w, &doc.scenario, policy.as_ref(), &cfg).unwrap()
+            })
         });
         for (doc, sig) in docs.iter().zip(&sigs) {
             assert_eq!(

@@ -9,11 +9,11 @@
 
 use phoenix_cluster::Resources;
 use phoenix_core::policies::{PhoenixPolicy, ResiliencePolicy};
-use phoenix_exec::Pool;
+use phoenix_exec::with_threads;
 use phoenix_kubesim::run::{simulate, SimConfig};
 use phoenix_kubesim::scenario::Scenario;
 use phoenix_kubesim::time::SimTime;
-use phoenix_scenarios::campaign::{demo_workload, run_campaign_on, CampaignConfig};
+use phoenix_scenarios::campaign::{demo_workload, run_campaign, CampaignConfig};
 use phoenix_scenarios::generate::{generate_suite, Family, GeneratorConfig};
 use phoenix_scenarios::model::{from_json, to_json, EventDoc, ScenarioDoc, SuiteDoc};
 use proptest::prelude::*;
@@ -57,8 +57,8 @@ proptest! {
         let policies: Vec<Box<dyn ResiliencePolicy>> =
             vec![Box::new(PhoenixPolicy::fair())];
         let cfg = CampaignConfig::default();
-        let seq = run_campaign_on(&w, &suite, &policies, &cfg, &Pool::sequential()).unwrap();
-        let par = run_campaign_on(&w, &suite, &policies, &cfg, &Pool::new(4)).unwrap();
+        let run = |threads| with_threads(threads, || run_campaign(&w, &suite, &policies, &cfg));
+        let (seq, par) = (run(1).unwrap(), run(4).unwrap());
         prop_assert_eq!(seq.scores.len(), par.scores.len());
         for (a, b) in seq.scores.iter().zip(&par.scores) {
             prop_assert_eq!(&a.scenario, &b.scenario);
@@ -147,8 +147,8 @@ fn fixed_seed_campaign_four_by_five_is_pool_invariant() {
     let w = demo_workload(3);
     let policies: Vec<Box<dyn ResiliencePolicy>> = vec![Box::new(PhoenixPolicy::fair())];
     let cfg = CampaignConfig::default();
-    let seq = run_campaign_on(&w, &suite, &policies, &cfg, &Pool::sequential()).unwrap();
-    let par = run_campaign_on(&w, &suite, &policies, &cfg, &Pool::new(4)).unwrap();
+    let run = |threads| with_threads(threads, || run_campaign(&w, &suite, &policies, &cfg));
+    let (seq, par) = (run(1).unwrap(), run(4).unwrap());
     // `same_results`, not `==`: `replan_ms_p99` is wall-clock (the
     // phoenix-obs quarantined plane) and may differ between runs.
     assert_eq!(seq.scorecards.len(), par.scorecards.len());

@@ -69,22 +69,57 @@ fn opt(args: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
-fn opt_parse<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
-    match opt(args, name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("invalid value '{v}' for {name}")),
+/// Largest accepted `--nodes`: 10× the paper's 100k-node scale.
+const MAX_NODES: usize = 1_000_000;
+
+/// Parses `name`'s value (or takes `default` when absent), rejecting
+/// anything that does not parse or fails `valid`; `expect` states the
+/// accepted range in the error.
+fn opt_parse<T: std::str::FromStr + Copy>(
+    args: &[String],
+    name: &str,
+    default: T,
+    valid: impl Fn(T) -> bool,
+    expect: &str,
+) -> Result<T, String> {
+    let Some(v) = opt(args, name) else {
+        return Ok(default);
+    };
+    match v.parse() {
+        Ok(x) if valid(x) => Ok(x),
+        _ => Err(format!("invalid value '{v}' for {name} ({expect})")),
     }
+}
+
+fn nodes_arg(args: &[String], default: usize) -> Result<usize, String> {
+    opt_parse(
+        args,
+        "--nodes",
+        default,
+        |n| (1..=MAX_NODES).contains(&n),
+        "expected 1..=1000000",
+    )
 }
 
 fn cmd_plan(args: &[String]) -> Result<(), String> {
     let path = opt(args, "--workload").ok_or("plan requires --workload <file.json>")?;
+    let nodes = nodes_arg(args, 8)?;
+    let cap: f64 = opt_parse(
+        args,
+        "--cap",
+        8.0,
+        |c: f64| c.is_finite() && c > 0.0,
+        "expected a finite number > 0",
+    )?;
+    let fail: f64 = opt_parse(
+        args,
+        "--fail",
+        0.5,
+        |f| (0.0..=1.0).contains(&f),
+        "expected a fraction in [0, 1]",
+    )?;
     let json = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
     let workload: Workload = persist::from_json(&json).map_err(|e| e.to_string())?;
-    let nodes: usize = opt_parse(args, "--nodes", 8)?;
-    let cap: f64 = opt_parse(args, "--cap", 8.0)?;
-    let fail: f64 = opt_parse(args, "--fail", 0.5)?;
     let objective = match opt(args, "--objective").as_deref() {
         Some("cost") => ObjectiveKind::Cost,
         Some("fairness") | None => ObjectiveKind::Fairness,
@@ -206,8 +241,8 @@ fn cmd_drill(args: &[String]) -> Result<(), String> {
     use phoenix::adaptlab::tagging::TaggingScheme;
     use phoenix::core::policies::standard_roster;
 
-    let nodes: usize = opt_parse(args, "--nodes", 200)?;
-    let trials: u32 = opt_parse(args, "--trials", 2)?;
+    let nodes = nodes_arg(args, 200)?;
+    let trials: u32 = opt_parse(args, "--trials", 2, |t| t >= 1, "expected an integer >= 1")?;
     let env = EnvConfig {
         nodes,
         node_capacity: 64.0,
