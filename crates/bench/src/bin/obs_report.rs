@@ -75,8 +75,8 @@ fn main() {
         std::hint::black_box(outcome.scores.len());
     });
 
-    // Deterministic plane: identical for every --threads value (the CI
-    // probe diffs it at 1 vs 4).
+    // Deterministic plane: identical for every --threads value (the
+    // probe's golden `obs` section pins it at 1 and 4).
     let mut counters = Table::new(["counter", "value"]);
     for (name, value) in recorder.counters() {
         counters.row([name.to_string(), value.to_string()]);

@@ -4,12 +4,15 @@
 //! paper (see DESIGN.md's per-experiment index). This library provides the
 //! text-table renderer, a tiny CLI-flag parser (`--full` switches to
 //! paper-scale runs; the defaults finish in minutes on a laptop core), and
-//! the standard policy roster.
+//! the standard policy roster. [`probe`] is the determinism probe whose
+//! sections the `probe_golden` test pins byte for byte.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt::Display;
+
+pub mod probe;
 
 /// A fixed-width text table matching the rows/series the paper plots.
 #[derive(Debug, Clone, Default)]

@@ -101,6 +101,19 @@ pub enum PersistError {
     Spec(SpecError),
     /// Unsupported format version.
     Version(u32),
+    /// A service field holds a value no spec can carry.
+    Field {
+        /// The app's name.
+        app: String,
+        /// The service's name.
+        service: String,
+        /// `criticality`, `cpu` or `mem`.
+        field: &'static str,
+        /// The rejected value, as decoded.
+        value: String,
+        /// What the field accepts.
+        expected: &'static str,
+    },
 }
 
 impl fmt::Display for PersistError {
@@ -109,6 +122,16 @@ impl fmt::Display for PersistError {
             PersistError::Json(e) => write!(f, "malformed workload json: {e}"),
             PersistError::Spec(e) => write!(f, "invalid workload spec: {e}"),
             PersistError::Version(v) => write!(f, "unsupported workload version {v}"),
+            PersistError::Field {
+                app,
+                service,
+                field,
+                value,
+                expected,
+            } => write!(
+                f,
+                "invalid {field} {value} for service '{service}' of app '{app}' ({expected})"
+            ),
         }
     }
 }
@@ -118,7 +141,7 @@ impl Error for PersistError {
         match self {
             PersistError::Json(e) => Some(e),
             PersistError::Spec(e) => Some(e),
-            PersistError::Version(_) => None,
+            PersistError::Version(_) | PersistError::Field { .. } => None,
         }
     }
 }
@@ -167,12 +190,36 @@ fn app_to_doc(app: &AppSpec) -> AppDoc {
     }
 }
 
+/// Rejects the service values [`Criticality::new`] and
+/// [`Resources::new`] cannot take: level 0, and non-finite or negative
+/// demands (JSON's `1e999` decodes to infinity).
+fn check_service(app: &AppDoc, s: &ServiceDoc) -> Result<(), PersistError> {
+    let bad = |field, value: String, expected| PersistError::Field {
+        app: app.name.clone(),
+        service: s.name.clone(),
+        field,
+        value,
+        expected,
+    };
+    if s.criticality == Some(0) {
+        return Err(bad("criticality", "0".into(), "expected a level >= 1"));
+    }
+    for (field, v) in [("cpu", s.cpu), ("mem", s.mem)] {
+        if !(v.is_finite() && v >= 0.0) {
+            return Err(bad(field, v.to_string(), "expected a finite number >= 0"));
+        }
+    }
+    Ok(())
+}
+
 /// Rebuilds a workload from its wire document.
 ///
 /// # Errors
 ///
-/// [`PersistError::Version`] for unknown versions and
-/// [`PersistError::Spec`] when the document violates spec invariants.
+/// [`PersistError::Version`] for unknown versions,
+/// [`PersistError::Field`] for a criticality of 0 or a non-finite or
+/// negative demand, and [`PersistError::Spec`] when the document
+/// violates spec invariants.
 pub fn from_doc(doc: &WorkloadDoc) -> Result<Workload, PersistError> {
     if doc.version != 1 {
         return Err(PersistError::Version(doc.version));
@@ -181,6 +228,7 @@ pub fn from_doc(doc: &WorkloadDoc) -> Result<Workload, PersistError> {
     for app in &doc.apps {
         let mut b = AppSpecBuilder::new(&app.name);
         for s in &app.services {
+            check_service(app, s)?;
             b.add_service(
                 &s.name,
                 Resources::new(s.cpu, s.mem),
@@ -306,6 +354,46 @@ mod tests {
         assert_eq!(app.price_per_unit(), 1.0);
         assert!(app.phoenix_enabled());
         assert!(app.dependency().is_none());
+    }
+
+    /// Decodes one app `shop` holding one service `web` with `fields`.
+    fn decode_service(fields: &str) -> Result<Workload, PersistError> {
+        from_json(&format!(
+            r#"{{"version": 1, "apps": [{{"name": "shop", "services": [{{"name": "web", {fields}}}]}}]}}"#
+        ))
+    }
+
+    fn assert_field_error(fields: &str, want_field: &str, want_value: &str) {
+        match decode_service(fields) {
+            Err(PersistError::Field {
+                app,
+                service,
+                field,
+                value,
+                ..
+            }) => assert_eq!(
+                (app.as_str(), service.as_str(), field, value.as_str()),
+                ("shop", "web", want_field, want_value)
+            ),
+            other => panic!("{fields}: expected a {want_field} field error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn criticality_zero_is_a_field_error_not_a_panic() {
+        assert_field_error(r#""cpu": 1, "criticality": 0"#, "criticality", "0");
+    }
+
+    #[test]
+    fn negative_demand_is_a_field_error_not_a_clamp() {
+        assert_field_error(r#""cpu": -1"#, "cpu", "-1");
+        assert_field_error(r#""cpu": 1, "mem": -0.5"#, "mem", "-0.5");
+    }
+
+    #[test]
+    fn overflowing_demand_is_a_field_error_not_infinity() {
+        assert_field_error(r#""cpu": 1e999"#, "cpu", "inf");
+        assert_field_error(r#""cpu": 1, "mem": -1e999"#, "mem", "-inf");
     }
 
     #[test]

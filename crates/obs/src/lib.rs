@@ -10,8 +10,9 @@
 //!   counts, …). Increments are commutative sums, every instrumented
 //!   event fires regardless of how work is scheduled, and nothing in
 //!   this plane ever reads a clock — so a counter snapshot is
-//!   **byte-identical at any `PHOENIX_THREADS`** and can join the CI
-//!   determinism diff (`determinism_probe`'s `probe_obs` section);
+//!   **byte-identical at any `PHOENIX_THREADS`** and can join the
+//!   determinism probe's golden fixture (`phoenix_bench::probe`'s `obs`
+//!   section);
 //! * the **wall-clock plane** ([`Phase`] timers feeding nearest-rank
 //!   p50/p95/p99 histograms plus Chrome trace-event spans) measures how
 //!   long those same stages took. It is quarantined from every

@@ -5,8 +5,8 @@
 //! Every job — one scenario simulated under one policy — is independent,
 //! so the runner is embarrassingly parallel; results are reduced strictly
 //! in job order (scenario-major, policy-minor), which makes the scorecards
-//! **byte-identical for every `PHOENIX_THREADS`** (the determinism probe
-//! diffs them in CI).
+//! **byte-identical for every `PHOENIX_THREADS`** (the determinism
+//! probe's golden fixture pins them at 1 and 4 threads).
 
 use phoenix_cluster::Resources;
 use phoenix_core::policies::ResiliencePolicy;

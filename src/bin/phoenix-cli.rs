@@ -62,11 +62,16 @@ const USAGE: &str = "usage:
   phoenix-cli drill  [--nodes N] [--trials T]
   phoenix-cli export --app overleaf|hr";
 
-fn opt(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// The value after flag `name`: `None` when the flag is absent, an error
+/// when it is present but last or followed by another `--flag`.
+fn opt(args: &[String], name: &str) -> Result<Option<String>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(v) if !v.starts_with("--") => Ok(Some(v.clone())),
+        _ => Err(format!("missing value for {name}")),
+    }
 }
 
 /// Largest accepted `--nodes`: 10× the paper's 100k-node scale.
@@ -82,7 +87,7 @@ fn opt_parse<T: std::str::FromStr + Copy>(
     valid: impl Fn(T) -> bool,
     expect: &str,
 ) -> Result<T, String> {
-    let Some(v) = opt(args, name) else {
+    let Some(v) = opt(args, name)? else {
         return Ok(default);
     };
     match v.parse() {
@@ -102,7 +107,7 @@ fn nodes_arg(args: &[String], default: usize) -> Result<usize, String> {
 }
 
 fn cmd_plan(args: &[String]) -> Result<(), String> {
-    let path = opt(args, "--workload").ok_or("plan requires --workload <file.json>")?;
+    let path = opt(args, "--workload")?.ok_or("plan requires --workload <file.json>")?;
     let nodes = nodes_arg(args, 8)?;
     let cap: f64 = opt_parse(
         args,
@@ -118,13 +123,13 @@ fn cmd_plan(args: &[String]) -> Result<(), String> {
         |f| (0.0..=1.0).contains(&f),
         "expected a fraction in [0, 1]",
     )?;
-    let json = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
-    let workload: Workload = persist::from_json(&json).map_err(|e| e.to_string())?;
-    let objective = match opt(args, "--objective").as_deref() {
+    let objective = match opt(args, "--objective")?.as_deref() {
         Some("cost") => ObjectiveKind::Cost,
         Some("fairness") | None => ObjectiveKind::Fairness,
         Some(other) => return Err(format!("unknown objective '{other}'")),
     };
+    let json = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
+    let workload: Workload = persist::from_json(&json).map_err(|e| e.to_string())?;
 
     let mut state = ClusterState::homogeneous(nodes, Resources::cpu(cap));
     // Start from a healthy full deployment, then fail.
@@ -168,7 +173,7 @@ fn model_named(name: &str) -> Result<phoenix::apps::AppModel, String> {
 }
 
 fn cmd_audit(args: &[String]) -> Result<(), String> {
-    let name = opt(args, "--app").ok_or("audit requires --app")?;
+    let name = opt(args, "--app")?.ok_or("audit requires --app")?;
     let model = model_named(&name)?;
     let report = audit_tags(&model, &ChaosConfig::default());
     println!(
@@ -201,7 +206,7 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
 fn cmd_tag_audit(args: &[String]) -> Result<(), String> {
     use phoenix::core::audit::{audit_workload, AuditConfig};
 
-    let path = opt(args, "--workload").ok_or("tag-audit requires --workload <file.json>")?;
+    let path = opt(args, "--workload")?.ok_or("tag-audit requires --workload <file.json>")?;
     let json = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
     let workload: Workload = persist::from_json(&json).map_err(|e| e.to_string())?;
     let report = audit_workload(&workload, &AuditConfig::default());
@@ -284,7 +289,7 @@ fn cmd_drill(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_export(args: &[String]) -> Result<(), String> {
-    let name = opt(args, "--app").ok_or("export requires --app")?;
+    let name = opt(args, "--app")?.ok_or("export requires --app")?;
     let model = model_named(&name)?;
     let workload = Workload::new(vec![model.spec]);
     println!(

@@ -1,6 +1,9 @@
 //! `phoenix-cli` end to end: the built binary rejects out-of-range
-//! numbers with `error: invalid value '<v>' for --<flag> (…)` and exit 1,
-//! and the documented happy path (`export`, then `plan`) exits 0.
+//! numbers with `error: invalid value '<v>' for --<flag> (…)`, a flag
+//! without a value with `error: missing value for --<flag>`, and a
+//! workload service with a bad `criticality` / `cpu` / `mem` with an
+//! error naming the field, all with exit 1 (never a panic's 101); the
+//! documented happy path (`export`, then `plan`) exits 0.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -69,6 +72,68 @@ fn out_of_range_numbers_exit_one_naming_the_flag() {
         assert!(
             stderr.starts_with(&format!("error: invalid value '{value}' for {flag} (")),
             "{args:?}: {stderr}"
+        );
+    }
+}
+
+/// Writes a one-service workload whose service carries `fields`.
+fn workload_with(name: &str, fields: &str) -> String {
+    let json = format!(
+        r#"{{"version": 1, "apps": [{{"name": "shop", "services": [{{"name": "web", {fields}}}]}}]}}"#
+    );
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("{name}.json"));
+    std::fs::write(&path, json).expect("write workload");
+    path.to_str().expect("utf-8 tmp path").to_string()
+}
+
+#[test]
+fn bad_service_numbers_exit_one_naming_the_field() {
+    let cases = [
+        (
+            "cli_criticality_zero",
+            r#""cpu": 1, "criticality": 0"#,
+            "invalid criticality 0",
+        ),
+        ("cli_cpu_negative", r#""cpu": -1"#, "invalid cpu -1"),
+        ("cli_cpu_overflow", r#""cpu": 1e999"#, "invalid cpu inf"),
+    ];
+    for (name, fields, want) in cases {
+        let workload = workload_with(name, fields);
+        for command in ["plan", "tag-audit"] {
+            let out = cli(&[command, "--workload", &workload]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{command} {fields}: {stderr}");
+            assert!(
+                stderr.starts_with(&format!("error: {want} for service 'web' of app 'shop'")),
+                "{command} {fields}: {stderr}"
+            );
+        }
+    }
+}
+
+#[test]
+fn flag_without_a_value_exits_one_naming_the_flag() {
+    let workload = exported_workload("cli_missing_value");
+    let cases: [(&[&str], &str); 7] = [
+        (
+            &["plan", "--workload", &workload, "--objective"],
+            "--objective",
+        ),
+        (&["plan", "--workload", &workload, "--nodes"], "--nodes"),
+        (&["plan", "--workload", "--nodes", "4"], "--workload"),
+        (&["plan", "--cap", "--workload", &workload], "--cap"),
+        (&["tag-audit", "--workload"], "--workload"),
+        (&["audit", "--app"], "--app"),
+        (&["drill", "--trials", "--nodes", "4"], "--trials"),
+    ];
+    for (args, flag) in cases {
+        let out = cli(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert_eq!(
+            stderr.trim_end(),
+            format!("error: missing value for {flag}"),
+            "{args:?}"
         );
     }
 }
