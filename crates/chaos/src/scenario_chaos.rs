@@ -70,11 +70,16 @@ pub fn scenario_audit(
         // samples tracking the last instant the critical goal was unmet —
         // a first wave that misses the critical nodes must not mask a
         // later wave that takes them down through the horizon.
+        // The goal is re-evaluated only where the serving set changed.
         let mut last_down: Option<SimTime> = None;
         let mut ever_down = false;
         let mut final_up = true;
+        let mut previous = None;
+        let mut up = true;
         for smp in trace.samples.iter().filter(|smp| smp.at >= disruption) {
-            let up = model.critical_goal_met(|s| up_at(smp.at, s));
+            if previous.replace(&smp.serving) != Some(&smp.serving) {
+                up = model.critical_goal_met(|s| up_at(smp.at, s));
+            }
             final_up = up;
             if !up {
                 ever_down = true;

@@ -7,6 +7,7 @@
 //! service, when did it go down, when was it restored, and did its tier's
 //! objective hold?
 
+use phoenix_cluster::PodKey;
 use phoenix_core::spec::{AppId, ServiceId, Workload};
 use phoenix_core::tags::Criticality;
 
@@ -216,64 +217,143 @@ pub fn evaluate_utility(trace: &SimTrace, failure_at: SimTime) -> UtilityReport 
 /// Evaluates `trace` against `policy`: for every service that was serving
 /// before `failure_at` and stopped at/after it, record the first outage
 /// episode and check its tier's objective.
+///
+/// A service is up at a sample when every replica `0..replicas` of the
+/// workload's spec is serving; extra surge replicas and pods outside the
+/// workload are ignored. "Before the failure" is the last sample at or
+/// before `failure_at − 1 ms` (saturating). An episode counts when the
+/// service was up before the failure or went down strictly after it;
+/// only the first episode and its restore are reported, in
+/// `(app, service)` order.
+///
+/// The cost is one forward walk over the samples from `failure_at` on,
+/// recounting the per-service flags only where a sample's serving set
+/// differs from the previous one — O(distinct serving sets × pods), not
+/// O(samples × replicas × log pods).
+///
+/// Blind spot at `t = 0`: with `failure_at == 0` the "before" sample is
+/// the `t = 0` sample itself, which already shows what a `t = 0` event
+/// knocked out, so those services are never reported.
 pub fn evaluate_rto(
     trace: &SimTrace,
     workload: &Workload,
     policy: &RtoPolicy,
     failure_at: SimTime,
 ) -> RtoReport {
+    let table = ServiceTable::new(
+        workload
+            .apps()
+            .map(|(_, app)| app.services().iter().map(|s| s.replicas)),
+    );
+    let mut slots = first_outages(trace, &table, failure_at).into_iter();
     let mut outages = Vec::new();
     for (ai, app) in workload.apps() {
         for service in app.service_ids() {
-            // "Before the failure" = the last sample strictly earlier than
-            // the event (at the instant itself the service is already dark).
-            let was_up = trace.service_up(
-                workload,
-                ai.index() as u32,
-                service.index() as u32,
-                failure_at.saturating_sub(SimTime::from_millis(1)),
-            );
-            // Scan samples from the failure onward.
-            let mut down_at: Option<SimTime> = None;
-            let mut restored_at: Option<SimTime> = None;
-            for sample in trace.samples.iter().filter(|s| s.at >= failure_at) {
-                let up = trace.service_up(
-                    workload,
-                    ai.index() as u32,
-                    service.index() as u32,
-                    sample.at,
-                );
-                match (down_at, up) {
-                    (None, false) => down_at = Some(sample.at),
-                    (Some(_), true) => {
-                        restored_at = Some(sample.at);
-                        break;
-                    }
-                    _ => {}
-                }
-            }
-            if let Some(down) = down_at {
-                if was_up || down > failure_at {
-                    let criticality = app.criticality_of(service);
-                    outages.push(ServiceOutage {
-                        app: ai,
-                        service,
-                        criticality,
-                        down_at: down,
-                        restored_at,
-                        target: policy.target_for(criticality),
-                    });
-                }
-            }
+            let Some((down_at, restored_at)) = slots.next().flatten() else {
+                continue;
+            };
+            let criticality = app.criticality_of(service);
+            outages.push(ServiceOutage {
+                app: ai,
+                service,
+                criticality,
+                down_at,
+                restored_at,
+                target: policy.target_for(criticality),
+            });
         }
     }
     RtoReport { outages }
 }
 
+/// The workload's services flattened in `(app, service)` order: service
+/// `s` of app `a` is slot `offsets[a] + s`.
+struct ServiceTable {
+    /// Per-app first slot, plus the total slot count at the end.
+    offsets: Vec<usize>,
+    /// Spec replica count per slot.
+    replicas: Vec<u16>,
+}
+
+impl ServiceTable {
+    fn new<A, S>(apps: A) -> ServiceTable
+    where
+        A: IntoIterator<Item = S>,
+        S: IntoIterator<Item = u16>,
+    {
+        let mut offsets = vec![0];
+        let mut replicas = Vec::new();
+        for services in apps {
+            replicas.extend(services);
+            offsets.push(replicas.len());
+        }
+        ServiceTable { offsets, replicas }
+    }
+
+    /// Per slot: is every replica `0..replicas` in the sorted `serving`
+    /// list? Sorted order lists a service's replicas ascending, so
+    /// counting only the next expected replica counts `0..k` without
+    /// gaps; pods outside the workload's apps, services or replica range
+    /// are skipped.
+    fn up_flags(&self, serving: &[PodKey]) -> Vec<bool> {
+        let mut counts = vec![0u16; self.replicas.len()];
+        for pod in serving {
+            let app = pod.app as usize;
+            let Some(&[start, end]) = self.offsets.get(app..app + 2) else {
+                continue;
+            };
+            let slot = start + pod.service as usize;
+            if slot < end && pod.replica < self.replicas[slot] && pod.replica == counts[slot] {
+                counts[slot] += 1;
+            }
+        }
+        counts
+            .iter()
+            .zip(&self.replicas)
+            .map(|(c, r)| c == r)
+            .collect()
+    }
+}
+
+/// One `(down_at, restored_at)` per slot of `table`: the first outage
+/// episode [`evaluate_rto`] counts, or `None`.
+fn first_outages(
+    trace: &SimTrace,
+    table: &ServiceTable,
+    failure_at: SimTime,
+) -> Vec<Option<(SimTime, Option<SimTime>)>> {
+    let was_up =
+        table.up_flags(trace.serving_at(failure_at.saturating_sub(SimTime::from_millis(1))));
+    let mut episodes = vec![None; was_up.len()];
+    let mut previous = None;
+    let first = trace.samples.partition_point(|s| s.at < failure_at);
+    for sample in &trace.samples[first..] {
+        // Equal serving sets give equal flags, and equal flags cannot
+        // open or close an episode the previous sample did not.
+        if previous.replace(&sample.serving) == Some(&sample.serving) {
+            continue;
+        }
+        let up = table.up_flags(&sample.serving);
+        for (episode, &is_up) in episodes.iter_mut().zip(&up) {
+            match episode {
+                None if !is_up => *episode = Some((sample.at, None)),
+                Some((_, restored @ None)) if is_up => *restored = Some(sample.at),
+                _ => {}
+            }
+        }
+    }
+    for (episode, &was_up) in episodes.iter_mut().zip(&was_up) {
+        if matches!(*episode, Some((down, _)) if !was_up && down <= failure_at) {
+            *episode = None;
+        }
+    }
+    episodes
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run::{simulate, SimConfig};
+    use crate::run::{simulate, SimConfig, TraceSample};
     use crate::scenario::Scenario;
     use phoenix_cluster::Resources;
     use phoenix_core::policies::{DefaultPolicy, PhoenixPolicy};
@@ -476,6 +556,122 @@ mod tests {
         assert_eq!(report.baseline, report.worst);
         assert_eq!(report.baseline, report.mean);
         assert!((report.worst_fraction() - 1.0).abs() < 1e-9);
+    }
+
+    /// A hand-built sample at `at_s` serving `(app, service, replica)`s.
+    fn sample(at_s: u64, pods: &[(u32, u32, u16)]) -> TraceSample {
+        let mut serving: Vec<PodKey> = pods.iter().map(|&(a, s, r)| PodKey::new(a, s, r)).collect();
+        serving.sort();
+        TraceSample {
+            at: SimTime::from_secs(at_s),
+            serving,
+            utility: 0.0,
+        }
+    }
+
+    fn trace_of(samples: Vec<TraceSample>) -> SimTrace {
+        SimTrace {
+            samples,
+            ..SimTrace::default()
+        }
+    }
+
+    /// `(service, down_s, restored_s)` per reported outage.
+    fn episodes(report: &RtoReport) -> Vec<(usize, u64, Option<u64>)> {
+        report
+            .outages
+            .iter()
+            .map(|o| {
+                let secs = |t: SimTime| t.as_millis() / 1000;
+                (o.service.index(), secs(o.down_at), o.restored_at.map(secs))
+            })
+            .collect()
+    }
+
+    const ALL: [(u32, u32, u16); 3] = [(0, 0, 0), (0, 1, 0), (0, 2, 0)];
+
+    #[test]
+    fn empty_trace_reports_nothing() {
+        let (w, p) = (workload(), RtoPolicy::paper_example());
+        for failure_s in [0, 100] {
+            let report = evaluate_rto(&trace_of(vec![]), &w, &p, SimTime::from_secs(failure_s));
+            assert!(report.outages.is_empty());
+        }
+    }
+
+    #[test]
+    fn failure_before_the_first_sample_and_after_the_last() {
+        let (w, p) = (workload(), RtoPolicy::paper_example());
+        // fe is dark in the first sample and back in the second.
+        let trace = trace_of(vec![
+            sample(10, &ALL[1..]),
+            sample(11, &ALL),
+            sample(12, &ALL),
+        ]);
+        // Nothing precedes the failure, so nothing was up; fe still counts
+        // because it went down strictly after the failure instant.
+        let early = evaluate_rto(&trace, &w, &p, SimTime::from_secs(5));
+        assert_eq!(episodes(&early), vec![(0, 10, Some(11))]);
+        // No sample at or after the failure: no episode.
+        let late = evaluate_rto(&trace, &w, &p, SimTime::from_secs(20));
+        assert!(late.outages.is_empty());
+    }
+
+    #[test]
+    fn serving_keys_outside_the_workload_are_ignored() {
+        let (w, p) = (workload(), RtoPolicy::paper_example());
+        let strays = [
+            (0, 0, 1),
+            (0, 3, 0),
+            (0, u32::MAX, 0),
+            (1, 0, 0),
+            (u32::MAX, 0, 0),
+        ];
+        let with_strays = |pods: &[(u32, u32, u16)]| {
+            let mut all = pods.to_vec();
+            all.extend(strays);
+            all
+        };
+        let trace = trace_of(vec![
+            sample(0, &with_strays(&ALL)),
+            sample(1, &with_strays(&ALL[..2])),
+            sample(2, &with_strays(&ALL)),
+        ]);
+        let report = evaluate_rto(&trace, &w, &p, SimTime::from_secs(1));
+        assert_eq!(episodes(&report), vec![(2, 1, Some(2))]);
+    }
+
+    #[test]
+    fn only_the_first_episode_and_its_restore_are_reported() {
+        let (w, p) = (workload(), RtoPolicy::paper_example());
+        let trace = trace_of(vec![
+            sample(0, &ALL),
+            sample(1, &ALL[1..]),
+            sample(2, &ALL[1..]),
+            sample(3, &ALL),
+            sample(4, &ALL[1..]),
+            sample(5, &ALL[1..]),
+        ]);
+        let report = evaluate_rto(&trace, &w, &p, SimTime::from_secs(1));
+        assert_eq!(episodes(&report), vec![(0, 1, Some(3))]);
+    }
+
+    #[test]
+    fn a_zero_replica_service_is_never_an_outage() {
+        // `AppSpecBuilder` rejects zero replicas, so drive the walk on a
+        // raw table: app 0 = [0 replicas, 1 replica].
+        let table = ServiceTable::new([[0u16, 1]]);
+        let trace = trace_of(vec![
+            sample(0, &[(0, 1, 0)]),
+            sample(1, &[]),
+            sample(2, &[]),
+        ]);
+        for failure_s in [0, 1, 5] {
+            let got = first_outages(&trace, &table, SimTime::from_secs(failure_s));
+            assert_eq!(got[0], None, "failure at {failure_s}s");
+        }
+        let got = first_outages(&trace, &table, SimTime::from_secs(1));
+        assert_eq!(got[1], Some((SimTime::from_secs(1), None)));
     }
 
     #[test]

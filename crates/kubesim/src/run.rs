@@ -2,10 +2,9 @@
 //! Phoenix agent's monitor/plan/execute cycle, and per-second serving
 //! traces.
 
-use std::collections::HashMap;
 use std::time::Duration;
 
-use phoenix_cluster::{ClusterState, NodeId, PodKey, Resources};
+use phoenix_cluster::{ClusterState, FxHashMap, NodeId, PodKey, Resources};
 use phoenix_core::actions::{diff_states, mode_shift_actions, Action};
 use phoenix_core::policies::ResiliencePolicy;
 use phoenix_core::spec::{AppId, ServingMode, Workload};
@@ -124,7 +123,9 @@ pub struct TraceSample {
 /// Full output of a simulation run.
 #[derive(Debug, Clone, Default)]
 pub struct SimTrace {
-    /// Serving status over time.
+    /// Serving status over time, one sample per `sample_interval`.
+    /// Consecutive samples may be equal apart from `at`: a sample with no
+    /// other event since the previous one is a copy of it.
     pub samples: Vec<TraceSample>,
     /// Milestones in time order.
     pub milestones: Vec<Milestone>,
@@ -251,6 +252,40 @@ fn start_kubelets(nodes: &[NodeId], alive: &mut [bool]) -> bool {
         }
     }
     any
+}
+
+/// The serving status at `now`: every `Running` pod on a live kubelet,
+/// sorted, and the utility they serve under `workload` (the current,
+/// possibly surged spec).
+fn serving_sample(
+    now: SimTime,
+    state: &ClusterState,
+    kubelet_alive: &[bool],
+    phase: &FxHashMap<PodKey, Phase>,
+    pod_mode: &FxHashMap<PodKey, ServingMode>,
+    workload: &Workload,
+) -> TraceSample {
+    let mut serving: Vec<PodKey> = state
+        .assignments()
+        .filter(|&(pod, node, _)| {
+            kubelet_alive[node.index()] && phase.get(&pod) == Some(&Phase::Running)
+        })
+        .map(|(pod, _, _)| pod)
+        .collect();
+    serving.sort();
+    let utility = serving
+        .iter()
+        .filter_map(|&pod| {
+            let (_, svc) = workload.service_of_pod(pod)?;
+            let mode = pod_mode.get(&pod).copied().unwrap_or(ServingMode::Full);
+            Some(svc.mode_utility(mode) / f64::from(svc.replicas))
+        })
+        .sum();
+    TraceSample {
+        at: now,
+        serving,
+        utility,
+    }
 }
 
 /// The captured `t = 0` steady state of one `(workload, policy, cluster
@@ -381,12 +416,17 @@ pub fn simulate_from(
     let mut kubelet_stopped_at = vec![SimTime::ZERO; n];
     let mut degrade_truth = vec![1.0f64; n];
 
-    let mut phase: HashMap<PodKey, Phase> = HashMap::new();
+    // Point lookups only: neither ledger is ever iterated, so the hasher
+    // cannot leak into the output.
+    let mut phase: FxHashMap<PodKey, Phase> = FxHashMap::default();
     // Which serving mode each live pod currently runs in. Absent = `Full`,
     // so mode-less workloads never touch it meaningfully.
-    let mut pod_mode: HashMap<PodKey, ServingMode> = HashMap::new();
+    let mut pod_mode: FxHashMap<PodKey, ServingMode> = FxHashMap::default();
     let mut actions_in_flight: usize = 0;
     let mut dirty = false;
+    // Only non-`Sample` events change what a sample reads; until one
+    // fires, the next sample repeats the previous one.
+    let mut sample_dirty = true;
     let mut failure_pending_recovery = false;
     // Copy-on-surge workload: `None` means the original is still current.
     let mut surged: Option<Workload> = None;
@@ -424,6 +464,9 @@ pub fn simulate_from(
             break;
         }
         obs.incr(phoenix_obs::Counter::SimEvents);
+        if !matches!(event, Event::Sample) {
+            sample_dirty = true;
+        }
         match event {
             Event::Scenario(ScenarioKind::KubeletStop(nodes)) => {
                 if stop_kubelets(&nodes, &mut kubelet_alive, &mut kubelet_stopped_at, now) {
@@ -910,28 +953,21 @@ pub fn simulate_from(
                 }
             }
             Event::Sample => {
-                let mut serving: Vec<PodKey> = state
-                    .assignments()
-                    .filter(|&(pod, node, _)| {
-                        kubelet_alive[node.index()] && phase.get(&pod) == Some(&Phase::Running)
-                    })
-                    .map(|(pod, _, _)| pod)
-                    .collect();
-                serving.sort();
                 let wl = surged.as_ref().unwrap_or(workload);
-                let utility = serving
-                    .iter()
-                    .filter_map(|&pod| {
-                        let (_, svc) = wl.service_of_pod(pod)?;
-                        let mode = pod_mode.get(&pod).copied().unwrap_or(ServingMode::Full);
-                        Some(svc.mode_utility(mode) / f64::from(svc.replicas))
-                    })
-                    .sum();
-                trace.samples.push(TraceSample {
-                    at: now,
-                    serving,
-                    utility,
-                });
+                let fresh = || serving_sample(now, &state, &kubelet_alive, &phase, &pod_mode, wl);
+                let sample = match trace.samples.last() {
+                    Some(last) if !sample_dirty => {
+                        let reused = TraceSample {
+                            at: now,
+                            ..last.clone()
+                        };
+                        debug_assert_eq!(reused, fresh(), "reused sample differs at {now}");
+                        reused
+                    }
+                    _ => fresh(),
+                };
+                trace.samples.push(sample);
+                sample_dirty = false;
                 let next = now + config.sample_interval;
                 if next <= horizon {
                     queue.schedule(next, Event::Sample);

@@ -338,10 +338,14 @@ pub fn run_campaign(
                 .count();
             in_baseline as f64 / baseline_pods as f64
         };
+        // Equal serving sets score equal availability, so only a sample
+        // whose set differs from the previous one is scored.
+        let mut previous = None;
         let min_availability = trace
             .samples
             .iter()
             .filter(|s| s.at >= disruption)
+            .filter(|s| previous.replace(&s.serving) != Some(&s.serving))
             .map(avail)
             .fold(f64::INFINITY, f64::min);
         let final_availability = trace.samples.last().map_or(0.0, avail);
