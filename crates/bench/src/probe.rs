@@ -24,7 +24,9 @@ use phoenix_core::policies::{standard_roster, DefaultPolicy, PhoenixPolicy, Resi
 use phoenix_core::replan::ReplanDelta::{self, CapacityOnly, Full};
 use phoenix_core::spec::{AppSpecBuilder, ServiceId, ServingMode, Workload};
 use phoenix_core::tags::Criticality;
-use phoenix_kubesim::run::{simulate, simulate_from, SimConfig, SteadyState};
+use phoenix_kubesim::run::{simulate, simulate_from, SimConfig, SteadyState, TraceSample};
+use phoenix_kubesim::scenario::Scenario;
+use phoenix_kubesim::time::SimTime;
 use phoenix_scenarios::campaign::{
     demo_workload, demo_workload_modal, run_campaign, CampaignConfig,
 };
@@ -69,6 +71,7 @@ pub const SECTIONS: &[Section] = &[
     Section { name: "audit", run: audit },
     Section { name: "snapshot", run: snapshot },
     Section { name: "obs", run: obs },
+    Section { name: "traces", run: traces },
 ];
 
 /// The directory holding one fixture file per section.
@@ -564,4 +567,68 @@ fn obs(out: &mut String) {
     for (name, value) in recorder.counters() {
         out.line(format!("obs {name}={value}"));
     }
+}
+
+/// FNV-1a over every sample's time, serving pods and utility bits.
+fn samples_digest(samples: &[TraceSample]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |word: u64| {
+        for b in word.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for s in samples {
+        eat(s.at.as_millis());
+        eat(s.serving.len() as u64);
+        for pod in &s.serving {
+            eat(u64::from(pod.app) << 32 | u64::from(pod.service));
+            eat(u64::from(pod.replica));
+        }
+        eat(s.utility.to_bits());
+    }
+    h
+}
+
+/// Raw simulator traces, the event loop's own contract: every scenario of
+/// a small generated suite (all six families, zone and rack blasts
+/// included) plus a surge that halves an app mid-recovery, on the modal
+/// demo workload (mode shifts and rebookings in play) under PhoenixFair,
+/// PhoenixCost and Default. Per run: plan count, an FNV digest of the
+/// samples, and every milestone.
+fn traces(out: &mut String) {
+    let policies: Vec<Box<dyn ResiliencePolicy>> = vec![
+        Box::new(PhoenixPolicy::fair()),
+        Box::new(PhoenixPolicy::cost()),
+        Box::new(DefaultPolicy),
+    ];
+    let mut run = |name: &str, w: &Workload, scenario: &Scenario, horizon: SimTime| {
+        for p in &policies {
+            let trace = simulate(w, p.as_ref(), scenario, &SimConfig::default(), horizon);
+            let marks: Vec<String> = trace
+                .milestones
+                .iter()
+                .map(|m| format!("{}@{}", m.label(), m.at.as_millis()))
+                .collect();
+            out.line(format!(
+                "trace {name} {} plans={} samples={} digest={:016x} milestones={}",
+                p.name(),
+                trace.plans.len(),
+                trace.samples.len(),
+                samples_digest(&trace.samples),
+                marks.join(","),
+            ));
+        }
+    };
+    let modal = demo_workload_modal(3);
+    for doc in &suite(8, 4.0, 2, 3, 5).scenarios {
+        let scenario = doc.compile().expect("generated doc compiles");
+        run(&doc.name, &modal, &scenario, doc.horizon());
+    }
+    // App 0 doubles, loses three nodes, and halves again just after the
+    // recovery plan: starts for its surplus replicas find their pods gone.
+    let mut shrink = Scenario::new(8, Resources::cpu(4.0));
+    shrink.demand_surge_at(SimTime::from_secs(30), 0, 1.0, 2.0);
+    shrink.kubelet_stop_at(SimTime::from_secs(120), [5, 6, 7]);
+    shrink.demand_surge_at(SimTime::from_millis(210_200), 0, 1.0, 0.5);
+    run("surge-shrink", &modal, &shrink, SimTime::from_secs(900));
 }
