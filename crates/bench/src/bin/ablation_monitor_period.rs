@@ -16,7 +16,7 @@ use phoenix_apps::instances::{cloudlab_workload, NODES, NODE_CPUS};
 use phoenix_bench::{arg, init_threads, Table};
 use phoenix_cluster::Resources;
 use phoenix_core::policies::PhoenixPolicy;
-use phoenix_kubesim::run::{simulate, SimConfig};
+use phoenix_kubesim::run::{simulate, MilestoneKind, SimConfig};
 use phoenix_kubesim::scenario::Scenario;
 use phoenix_kubesim::time::SimTime;
 
@@ -65,18 +65,20 @@ fn main() {
             &cfg,
             horizon,
         );
-        let failure = trace.first("failure").expect("failure occurs");
-        let row_time = |label: &str| {
+        let failure = trace
+            .first_kind(MilestoneKind::Failure)
+            .expect("failure occurs");
+        let row_time = |kind| {
             trace
-                .first(label)
+                .first_kind(kind)
                 .map(|at| format!("{:.0}s", at.saturating_sub(failure).as_secs_f64()))
                 .unwrap_or_else(|| "-".into())
         };
         t.row([
             format!("{monitor_secs}s"),
             format!("{grace_secs}s"),
-            row_time("detected"),
-            row_time("recovered"),
+            row_time(MilestoneKind::Detected),
+            row_time(MilestoneKind::Recovered),
             format!("{}", 3600 / monitor_secs),
         ]);
     }

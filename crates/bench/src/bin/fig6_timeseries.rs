@@ -10,7 +10,7 @@ use phoenix_apps::loadgen::{generate_series, BacklogConfig};
 use phoenix_bench::{arg, Table};
 use phoenix_cluster::Resources;
 use phoenix_core::policies::{DefaultPolicy, PhoenixPolicy};
-use phoenix_kubesim::run::{simulate, SimConfig, SimTrace};
+use phoenix_kubesim::run::{simulate, MilestoneKind, SimConfig, SimTrace};
 use phoenix_kubesim::scenario::Scenario;
 use phoenix_kubesim::time::SimTime;
 
@@ -145,9 +145,10 @@ fn main() {
     }
 
     // Headline timings.
-    let t1 = phoenix_trace.first("failure").map(|t| t.as_secs_f64());
-    let t2 = phoenix_trace.first("detected").map(|t| t.as_secs_f64());
-    let t4 = phoenix_trace.first("recovered").map(|t| t.as_secs_f64());
+    let first = |kind| phoenix_trace.first_kind(kind).map(|t| t.as_secs_f64());
+    let t1 = first(MilestoneKind::Failure);
+    let t2 = first(MilestoneKind::Detected);
+    let t4 = first(MilestoneKind::Recovered);
     if let (Some(t1), Some(t2), Some(t4)) = (t1, t2, t4) {
         println!(
             "\nDetection delay: {:.0}s (paper ≈100s); full recovery: {:.0}s after failure (paper <240s)",

@@ -13,18 +13,20 @@ use rand::{Rng, SeedableRng};
 
 use crate::events::EventQueue;
 use crate::latency::LatencyModel;
-use crate::scenario::{rack_members, zone_members, Scenario, ScenarioKind};
+use crate::scenario::{Scenario, ScenarioKind};
 use crate::time::SimTime;
 
 /// Simulator configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
-    /// Phoenix agent monitor period (§5: 15 s, tunable).
+    /// Phoenix agent monitor period (§5: 15 s, tunable). Zero reads as
+    /// the clock's 1 ms resolution.
     pub monitor_interval: SimTime,
     /// Node-monitor grace: a silent kubelet is declared failed after this
     /// long (yields the paper's ≈100 s detection together with the tick).
     pub heartbeat_grace: SimTime,
-    /// Serving-status sampling period for the output trace.
+    /// Serving-status sampling period for the output trace. Zero reads as
+    /// the clock's 1 ms resolution.
     pub sample_interval: SimTime,
     /// Pod lifecycle latencies.
     pub latency: LatencyModel,
@@ -45,10 +47,6 @@ impl Default for SimConfig {
 }
 
 /// What a [`Milestone`] marks.
-///
-/// This used to be a bare `&'static str` label, which blocked new event
-/// kinds from emitting milestones without stringly-typed drift; the enum
-/// keeps the old labels available through [`MilestoneKind::label`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MilestoneKind {
     /// Kubelets stopped (the ground truth, before detection).
@@ -72,8 +70,7 @@ pub enum MilestoneKind {
 }
 
 impl MilestoneKind {
-    /// The legacy string label (`"failure"`, `"detected"`, …) used by
-    /// reports and [`SimTrace::first`].
+    /// The string label (`"failure"`, `"detected"`, …) reports print.
     pub fn label(self) -> &'static str {
         match self {
             MilestoneKind::Failure => "failure",
@@ -161,14 +158,6 @@ impl SimTrace {
         (0..spec.replicas).all(|r| serving.binary_search(&PodKey::new(app, service, r)).is_ok())
     }
 
-    /// First milestone with `label`, if any.
-    pub fn first(&self, label: &str) -> Option<SimTime> {
-        self.milestones
-            .iter()
-            .find(|m| m.kind.label() == label)
-            .map(|m| m.at)
-    }
-
     /// First milestone of `kind`, if any.
     pub fn first_kind(&self, kind: MilestoneKind) -> Option<SimTime> {
         self.milestones
@@ -178,6 +167,7 @@ impl SimTrace {
     }
 }
 
+/// A pod's lifecycle stage in the simulator's ledger.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Phase {
     Starting,
@@ -192,23 +182,10 @@ enum Event {
     Sample,
     DeleteDone(PodKey),
     /// Issue a start: the capacity it needs was freed by deletions whose
-    /// completion events fire strictly earlier. `mode` is the serving mode
-    /// the plan chose for the pod's service (always `Full` on mode-less
-    /// workloads) — the booking is sized to that mode's demand.
-    StartIssued {
-        pod: PodKey,
-        node: NodeId,
-        mode: ServingMode,
-        ready_at: SimTime,
-    },
+    /// completion events fire strictly earlier.
+    StartIssued(Issued),
     /// Issue a migration (start replacement, reroute, delete original).
-    /// The replacement instance comes up in the plan's chosen `mode`.
-    MigrateIssued {
-        pod: PodKey,
-        to: NodeId,
-        mode: ServingMode,
-        done_at: SimTime,
-    },
+    MigrateIssued(Issued),
     /// An in-place serving-mode reconfiguration reached the pod: resize
     /// its booking and flip the ledger. Only emitted for modal workloads.
     ModeShiftApplied {
@@ -218,74 +195,25 @@ enum Event {
     StartDone(PodKey),
 }
 
-/// Marks dead kubelets; returns `true` when any state actually changed.
-fn stop_kubelets(
-    nodes: &[NodeId],
-    alive: &mut [bool],
-    stopped_at: &mut [SimTime],
-    now: SimTime,
-) -> bool {
-    let mut any = false;
-    for node in nodes {
-        let Some(a) = alive.get_mut(node.index()) else {
-            continue; // out-of-shape scenario id: ignore defensively
-        };
-        if *a {
-            *a = false;
-            stopped_at[node.index()] = now;
-            any = true;
-        }
-    }
-    any
+/// A start or migration of `pod` onto `node`, sized to the demand of the
+/// serving `mode` the plan chose (always `Full` on mode-less workloads),
+/// and ready — or rerouted — at `done_at`.
+#[derive(Debug, Clone, Copy)]
+struct Issued {
+    pod: PodKey,
+    node: NodeId,
+    mode: ServingMode,
+    done_at: SimTime,
 }
 
-/// Marks kubelets back up; returns `true` when any state actually changed.
-fn start_kubelets(nodes: &[NodeId], alive: &mut [bool]) -> bool {
-    let mut any = false;
-    for node in nodes {
-        let Some(a) = alive.get_mut(node.index()) else {
-            continue;
-        };
-        if !*a {
-            *a = true;
-            any = true;
-        }
-    }
-    any
+/// `interval`, with zero read as the clock's 1 ms resolution.
+fn period(interval: SimTime) -> SimTime {
+    interval.max(SimTime::from_millis(1))
 }
 
-/// The serving status at `now`: every `Running` pod on a live kubelet,
-/// sorted, and the utility they serve under `workload` (the current,
-/// possibly surged spec).
-fn serving_sample(
-    now: SimTime,
-    state: &ClusterState,
-    kubelet_alive: &[bool],
-    phase: &FxHashMap<PodKey, Phase>,
-    pod_mode: &FxHashMap<PodKey, ServingMode>,
-    workload: &Workload,
-) -> TraceSample {
-    let mut serving: Vec<PodKey> = state
-        .assignments()
-        .filter(|&(pod, node, _)| {
-            kubelet_alive[node.index()] && phase.get(&pod) == Some(&Phase::Running)
-        })
-        .map(|(pod, _, _)| pod)
-        .collect();
-    serving.sort();
-    let utility = serving
-        .iter()
-        .filter_map(|&pod| {
-            let (_, svc) = workload.service_of_pod(pod)?;
-            let mode = pod_mode.get(&pod).copied().unwrap_or(ServingMode::Full);
-            Some(svc.mode_utility(mode) / f64::from(svc.replicas))
-        })
-        .sum();
-    TraceSample {
-        at: now,
-        serving,
-        utility,
-    }
+/// A flap jitter drawn uniformly from `[0, cap]` ms.
+fn jitter(rng: &mut StdRng, cap: u64) -> SimTime {
+    SimTime::from_millis(if cap > 0 { rng.gen_range(0..=cap) } else { 0 })
 }
 
 /// The captured `t = 0` steady state of one `(workload, policy, cluster
@@ -323,17 +251,11 @@ impl SteadyState {
         capacities: &[Resources],
     ) -> SteadyState {
         let state = ClusterState::new(capacities.iter().copied());
-        let initial = policy.plan(workload, &state);
-        let assigns = initial
-            .target
-            .assignments()
-            .map(|(pod, node, demand)| (pod, node, demand, initial.modes.mode_of_pod(pod)))
-            .collect();
         SteadyState {
             capacities: capacities.to_vec(),
             fingerprints: workload.apps().map(|(_, a)| a.fingerprint()).collect(),
             policy: policy.name(),
-            assigns,
+            assigns: cold_plan(workload, policy, &state),
         }
     }
 
@@ -360,15 +282,30 @@ impl SteadyState {
     }
 }
 
+/// `policy`'s plan for `workload` on the healthy `state`, as `(pod, node,
+/// demand, mode)` in the plan's own assignment order.
+fn cold_plan(
+    workload: &Workload,
+    policy: &dyn ResiliencePolicy,
+    state: &ClusterState,
+) -> Vec<(PodKey, NodeId, Resources, ServingMode)> {
+    let initial = policy.plan(workload, state);
+    initial
+        .target
+        .assignments()
+        .map(|(pod, node, demand)| (pod, node, demand, initial.modes.mode_of_pod(pod)))
+        .collect()
+}
+
 /// Runs `scenario` under `policy` until `horizon`.
 ///
 /// The initial state is the policy's own plan over the full cluster,
 /// applied instantaneously at `t = 0` (steady state before the disaster).
 ///
-/// Scenarios restricted to the legacy stop/start vocabulary behave
-/// **bit-for-bit** as before the richer event kinds existed: the flap
-/// jitter stream is a dedicated RNG (never advanced unless a flap fires)
-/// and the workload is only copied when a surge rewrites it.
+/// Flap jitter comes out of a dedicated RNG (never advanced unless a flap
+/// fires) and the workload is only copied when a surge rewrites it, so
+/// plain stop/start scenarios draw pod latencies exactly as if the
+/// richer event kinds did not exist.
 pub fn simulate(
     workload: &Workload,
     policy: &dyn ResiliencePolicy,
@@ -396,591 +333,540 @@ pub fn simulate_from(
     horizon: SimTime,
     steady: Option<&SteadyState>,
 ) -> SimTrace {
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    // Flap jitter comes out of its own stream so flapping scenarios do
-    // not perturb the pod-latency samples of co-scheduled events (and
-    // legacy scenarios never touch it at all).
-    let mut flap_rng = StdRng::seed_from_u64(config.seed ^ 0xF1A9_0000_F1A9_0000);
-    let mut queue: EventQueue<Event> = EventQueue::new();
-    let mut trace = SimTrace::default();
-    // One handle for the whole run. Per-cell runs execute inside the
-    // campaign fan-out, so everything recorded here must be commutative
-    // (sums only) for the deterministic plane to stay thread-invariant.
-    let obs = phoenix_obs::current();
-
-    // Control-plane view of the cluster.
-    let mut state = ClusterState::new(scenario.node_capacities.iter().copied());
-    // Ground truth about kubelets and gray capacity.
-    let n = scenario.node_count();
-    let mut kubelet_alive = vec![true; n];
-    let mut kubelet_stopped_at = vec![SimTime::ZERO; n];
-    let mut degrade_truth = vec![1.0f64; n];
-
-    // Point lookups only: neither ledger is ever iterated, so the hasher
-    // cannot leak into the output.
-    let mut phase: FxHashMap<PodKey, Phase> = FxHashMap::default();
-    // Which serving mode each live pod currently runs in. Absent = `Full`,
-    // so mode-less workloads never touch it meaningfully.
-    let mut pod_mode: FxHashMap<PodKey, ServingMode> = FxHashMap::default();
-    let mut actions_in_flight: usize = 0;
-    let mut dirty = false;
-    // Only non-`Sample` events change what a sample reads; until one
-    // fires, the next sample repeats the previous one.
-    let mut sample_dirty = true;
-    let mut failure_pending_recovery = false;
-    // Copy-on-surge workload: `None` means the original is still current.
-    let mut surged: Option<Workload> = None;
-
-    // Steady state at t = 0: replay the capture when it was taken for
-    // these inputs, else plan cold — identical output either way, because
-    // the cold plan is a pure function of (workload, policy, capacities)
-    // and the capture preserves its assignment order.
-    match steady.filter(|s| s.matches(workload, policy, &scenario.node_capacities)) {
-        Some(s) => {
-            for &(pod, node, demand, mode) in &s.assigns {
-                state.assign(pod, demand, node).expect("steady plan fits");
-                phase.insert(pod, Phase::Running);
-                pod_mode.insert(pod, mode);
-            }
-        }
-        None => {
-            let initial = policy.plan(workload, &state);
-            for (pod, node, demand) in initial.target.assignments() {
-                state.assign(pod, demand, node).expect("initial plan fits");
-                phase.insert(pod, Phase::Running);
-                pod_mode.insert(pod, initial.modes.mode_of_pod(pod));
-            }
-        }
-    }
-
-    for ev in &scenario.events {
-        queue.schedule(ev.at, Event::Scenario(ev.kind.clone()));
-    }
-    queue.schedule(config.monitor_interval, Event::MonitorTick);
-    queue.schedule(SimTime::ZERO, Event::Sample);
-
-    while let Some((now, event)) = queue.pop() {
+    let mut sim = Sim::new(workload, policy, scenario, config, horizon, steady);
+    while let Some((now, event)) = sim.queue.pop() {
         if now > horizon {
             break;
         }
-        obs.incr(phoenix_obs::Counter::SimEvents);
+        sim.obs.incr(phoenix_obs::Counter::SimEvents);
         if !matches!(event, Event::Sample) {
-            sample_dirty = true;
+            sim.sample_dirty = true;
         }
         match event {
-            Event::Scenario(ScenarioKind::KubeletStop(nodes)) => {
-                if stop_kubelets(&nodes, &mut kubelet_alive, &mut kubelet_stopped_at, now) {
-                    trace.milestones.push(Milestone {
-                        at: now,
-                        kind: MilestoneKind::Failure,
-                    });
+            Event::Scenario(kind) => sim.scenario(now, kind),
+            Event::MonitorTick => sim.monitor_tick(now),
+            Event::DeleteDone(pod) => sim.delete_done(now, pod),
+            Event::StartIssued(start) => sim.start_issued(now, start),
+            Event::MigrateIssued(migration) => sim.migrate_issued(now, migration),
+            Event::ModeShiftApplied { pod, to } => sim.mode_shift_applied(now, pod, to),
+            Event::StartDone(pod) => sim.start_done(now, pod),
+            Event::Sample => sim.sample(now),
+        }
+        debug_assert_eq!(sim.pods.len(), sim.state.pod_count(), "ledger drifted");
+    }
+    let milestones = sim.trace.milestones.len() as u64;
+    sim.obs.add(phoenix_obs::Counter::SimMilestones, milestones);
+    sim.trace
+}
+
+/// One run in flight: the control plane's view, the kubelet ground truth,
+/// the pod ledger, the event queue and the trace it records. Each event
+/// kind has one handler; every milestone is stamped with the popped event
+/// time, which never decreases, so the trace comes out in time order.
+struct Sim<'a> {
+    workload: &'a Workload,
+    /// Copy-on-surge workload: `None` means the original is still current.
+    surged: Option<Workload>,
+    policy: &'a dyn ResiliencePolicy,
+    config: &'a SimConfig,
+    horizon: SimTime,
+    /// Pod-latency draws.
+    rng: StdRng,
+    /// Flap jitter, so flaps never perturb co-scheduled latency draws.
+    flap_rng: StdRng,
+    queue: EventQueue<Event>,
+    trace: SimTrace,
+    /// Per-cell runs execute inside the campaign fan-out, so everything
+    /// recorded here must be commutative (sums only) for the
+    /// deterministic plane to stay thread-invariant.
+    obs: phoenix_obs::Recorder,
+    /// Control-plane view of the cluster.
+    state: ClusterState,
+    kubelet_alive: Vec<bool>,
+    kubelet_stopped_at: Vec<SimTime>,
+    degrade_truth: Vec<f64>,
+    /// Phase and serving mode of every pod `state` books, and of no other.
+    /// Point lookups only: never iterated, so the hasher cannot leak into
+    /// the output.
+    pods: FxHashMap<PodKey, (Phase, ServingMode)>,
+    actions_in_flight: usize,
+    /// The next monitor tick must replan.
+    dirty: bool,
+    /// A non-`Sample` event fired since the last sample; until one does,
+    /// the next sample repeats the previous one.
+    sample_dirty: bool,
+    failure_pending_recovery: bool,
+}
+
+impl<'a> Sim<'a> {
+    /// The `t = 0` steady state with the scenario, the first monitor tick
+    /// and the first sample queued. A matching `steady` capture is
+    /// replayed, else the policy plans cold — identical output either way,
+    /// because the cold plan is a pure function of (workload, policy,
+    /// capacities) and the capture preserves its assignment order.
+    fn new(
+        workload: &'a Workload,
+        policy: &'a dyn ResiliencePolicy,
+        scenario: &Scenario,
+        config: &'a SimConfig,
+        horizon: SimTime,
+        steady: Option<&SteadyState>,
+    ) -> Sim<'a> {
+        let n = scenario.node_count();
+        let mut sim = Sim {
+            workload,
+            surged: None,
+            policy,
+            config,
+            horizon,
+            rng: StdRng::seed_from_u64(config.seed),
+            flap_rng: StdRng::seed_from_u64(config.seed ^ 0xF1A9_0000_F1A9_0000),
+            queue: EventQueue::new(),
+            trace: SimTrace::default(),
+            obs: phoenix_obs::current(),
+            state: ClusterState::new(scenario.node_capacities.iter().copied()),
+            kubelet_alive: vec![true; n],
+            kubelet_stopped_at: vec![SimTime::ZERO; n],
+            degrade_truth: vec![1.0; n],
+            pods: FxHashMap::default(),
+            actions_in_flight: 0,
+            dirty: false,
+            sample_dirty: true,
+            failure_pending_recovery: false,
+        };
+        let cold;
+        let assigns =
+            match steady.filter(|s| s.matches(workload, policy, &scenario.node_capacities)) {
+                Some(s) => &s.assigns,
+                None => {
+                    cold = cold_plan(workload, policy, &sim.state);
+                    &cold
+                }
+            };
+        for &(pod, node, demand, mode) in assigns {
+            sim.state
+                .assign(pod, demand, node)
+                .expect("steady plan fits");
+            sim.pods.insert(pod, (Phase::Running, mode));
+        }
+        for ev in &scenario.events {
+            sim.queue.schedule(ev.at, Event::Scenario(ev.kind.clone()));
+        }
+        sim.queue
+            .schedule(period(config.monitor_interval), Event::MonitorTick);
+        sim.queue.schedule(SimTime::ZERO, Event::Sample);
+        sim
+    }
+
+    /// The current workload: the surged copy once a surge rewrote it.
+    fn workload(&self) -> &Workload {
+        self.surged.as_ref().unwrap_or(self.workload)
+    }
+
+    fn mark(&mut self, now: SimTime, kind: MilestoneKind) {
+        self.trace.milestones.push(Milestone { at: now, kind });
+    }
+
+    /// Schedules `event` one (nonzero) `interval` after `now`, if that is
+    /// still within the horizon.
+    fn reschedule(&mut self, now: SimTime, interval: SimTime, event: Event) {
+        let next = now + period(interval);
+        if next > now && next <= self.horizon {
+            self.queue.schedule(next, event);
+        }
+    }
+
+    /// One in-flight action completed; the last one completes a pending
+    /// recovery.
+    fn finish_action(&mut self, now: SimTime) {
+        self.actions_in_flight = self.actions_in_flight.saturating_sub(1);
+        if self.actions_in_flight == 0 && self.failure_pending_recovery {
+            self.mark(now, MilestoneKind::Recovered);
+            self.failure_pending_recovery = false;
+        }
+    }
+
+    /// An issued action can no longer apply: drop it and replan at the
+    /// next tick.
+    fn abandon(&mut self, now: SimTime) {
+        self.dirty = true;
+        self.finish_action(now);
+    }
+
+    /// Resizes `pod`'s booking on `node` to `demand`, returning whether it
+    /// now holds that booking. Shrinks always fit; a grow that no longer
+    /// fits keeps the old booking and replans.
+    fn rebook(&mut self, pod: PodKey, node: NodeId, demand: Resources) -> bool {
+        if self.state.demand_of(pod) == Some(demand) {
+            return true;
+        }
+        let (_, old) = self.state.remove(pod).expect("pod is assigned");
+        if self.state.assign(pod, demand, node).is_ok() {
+            return true;
+        }
+        self.state.assign(pod, old, node).expect("old booking fits");
+        self.dirty = true;
+        false
+    }
+
+    /// A scripted change to the ground truth or the workload.
+    fn scenario(&mut self, now: SimTime, kind: ScenarioKind) {
+        match kind {
+            ScenarioKind::KubeletStop(nodes) => self.stop_kubelets(now, &nodes),
+            ScenarioKind::KubeletStart(nodes) => {
+                let mut any = false;
+                for node in nodes {
+                    if let Some(alive) = self.kubelet_alive.get_mut(node.index()) {
+                        any |= !*alive;
+                        *alive = true;
+                    }
+                }
+                if any {
+                    self.mark(now, MilestoneKind::NodesRestored);
                 }
             }
-            Event::Scenario(ScenarioKind::KubeletStart(nodes)) => {
-                if start_kubelets(&nodes, &mut kubelet_alive) {
-                    trace.milestones.push(Milestone {
-                        at: now,
-                        kind: MilestoneKind::NodesRestored,
-                    });
-                }
-            }
-            Event::Scenario(ScenarioKind::ZoneOutage { zones, zone }) => {
-                let members: Vec<NodeId> = zone_members(n, zones, zone)
-                    .into_iter()
-                    .map(NodeId::new)
-                    .collect();
-                if stop_kubelets(&members, &mut kubelet_alive, &mut kubelet_stopped_at, now) {
-                    trace.milestones.push(Milestone {
-                        at: now,
-                        kind: MilestoneKind::Failure,
-                    });
-                }
-            }
-            Event::Scenario(ScenarioKind::ZoneRestore { zones, zone }) => {
-                let members: Vec<NodeId> = zone_members(n, zones, zone)
-                    .into_iter()
-                    .map(NodeId::new)
-                    .collect();
-                if start_kubelets(&members, &mut kubelet_alive) {
-                    trace.milestones.push(Milestone {
-                        at: now,
-                        kind: MilestoneKind::NodesRestored,
-                    });
-                }
-            }
-            Event::Scenario(ScenarioKind::RackOutage { racks, rack }) => {
-                let members: Vec<NodeId> = rack_members(n, racks, rack)
-                    .into_iter()
-                    .map(NodeId::new)
-                    .collect();
-                if stop_kubelets(&members, &mut kubelet_alive, &mut kubelet_stopped_at, now) {
-                    trace.milestones.push(Milestone {
-                        at: now,
-                        kind: MilestoneKind::Failure,
-                    });
-                }
-            }
-            Event::Scenario(ScenarioKind::RackRestore { racks, rack }) => {
-                let members: Vec<NodeId> = rack_members(n, racks, rack)
-                    .into_iter()
-                    .map(NodeId::new)
-                    .collect();
-                if start_kubelets(&members, &mut kubelet_alive) {
-                    trace.milestones.push(Milestone {
-                        at: now,
-                        kind: MilestoneKind::NodesRestored,
-                    });
-                }
-            }
-            Event::Scenario(ScenarioKind::Flap {
+            ScenarioKind::Flap {
                 nodes,
                 down,
                 up,
                 cycles,
                 jitter_ms,
-            }) => {
-                if cycles > 0 {
-                    if stop_kubelets(&nodes, &mut kubelet_alive, &mut kubelet_stopped_at, now) {
-                        trace.milestones.push(Milestone {
-                            at: now,
-                            kind: MilestoneKind::Failure,
-                        });
-                    }
-                    let jitter = |rng: &mut StdRng, cap: u64| {
-                        SimTime::from_millis(if cap > 0 { rng.gen_range(0..=cap) } else { 0 })
+            } => {
+                if cycles == 0 {
+                    return;
+                }
+                self.stop_kubelets(now, &nodes);
+                // The restart's jitter is capped below the serving dwell
+                // when another cycle follows: an unbounded draw could push
+                // this cycle's KubeletStart past the next cycle's stop,
+                // silently erasing a down phase.
+                let up_cap = if cycles > 1 {
+                    jitter_ms.min(up.as_millis().saturating_sub(1))
+                } else {
+                    jitter_ms
+                };
+                let back_up = now + down + jitter(&mut self.flap_rng, up_cap);
+                let start = ScenarioKind::KubeletStart(nodes.clone());
+                self.queue.schedule(back_up, Event::Scenario(start));
+                if cycles > 1 {
+                    let next_drop = now + down + up + jitter(&mut self.flap_rng, jitter_ms);
+                    let cycles = cycles - 1;
+                    let flap = ScenarioKind::Flap {
+                        nodes,
+                        down,
+                        up,
+                        cycles,
+                        jitter_ms,
                     };
-                    // The restart's jitter is capped below the serving
-                    // dwell when another cycle follows: an unbounded draw
-                    // could push this cycle's KubeletStart past the next
-                    // cycle's stop, silently erasing a down phase.
-                    let up_cap = if cycles > 1 {
-                        jitter_ms.min(up.as_millis().saturating_sub(1))
-                    } else {
-                        jitter_ms
-                    };
-                    let back_up = now + down + jitter(&mut flap_rng, up_cap);
-                    queue.schedule(
-                        back_up,
-                        Event::Scenario(ScenarioKind::KubeletStart(nodes.clone())),
-                    );
-                    if cycles > 1 {
-                        let next_drop = now + down + up + jitter(&mut flap_rng, jitter_ms);
-                        queue.schedule(
-                            next_drop,
-                            Event::Scenario(ScenarioKind::Flap {
-                                nodes,
-                                down,
-                                up,
-                                cycles: cycles - 1,
-                                jitter_ms,
-                            }),
-                        );
-                    }
+                    self.queue.schedule(next_drop, Event::Scenario(flap));
                 }
             }
-            Event::Scenario(ScenarioKind::CapacityDegrade { nodes, factor }) => {
+            ScenarioKind::CapacityDegrade { nodes, factor } => {
                 let factor = factor.clamp(0.0, 1.0);
-                let mut any = false;
-                for node in nodes {
-                    if let Some(t) = degrade_truth.get_mut(node.index()) {
-                        if t.to_bits() != factor.to_bits() {
-                            *t = factor;
-                            any = true;
-                        }
-                    }
-                }
-                if any {
-                    trace.milestones.push(Milestone {
-                        at: now,
-                        kind: MilestoneKind::Degraded,
-                    });
-                }
+                self.set_capacity(now, &nodes, factor, MilestoneKind::Degraded);
             }
-            Event::Scenario(ScenarioKind::CapacityRestore { nodes }) => {
-                let mut any = false;
-                for node in nodes {
-                    if let Some(t) = degrade_truth.get_mut(node.index()) {
-                        if t.to_bits() != 1.0f64.to_bits() {
-                            *t = 1.0;
-                            any = true;
-                        }
-                    }
-                }
-                if any {
-                    trace.milestones.push(Milestone {
-                        at: now,
-                        kind: MilestoneKind::CapacityRestored,
-                    });
-                }
+            ScenarioKind::CapacityRestore { nodes } => {
+                self.set_capacity(now, &nodes, 1.0, MilestoneKind::CapacityRestored);
             }
-            Event::Scenario(ScenarioKind::DemandSurge {
+            ScenarioKind::DemandSurge {
                 app,
                 demand_factor,
                 replica_factor,
-            }) => {
-                if (app as usize) < workload.app_count() {
-                    surged.get_or_insert_with(|| workload.clone()).scale_app(
-                        AppId::new(app),
-                        demand_factor,
-                        replica_factor,
-                    );
-                    trace.milestones.push(Milestone {
-                        at: now,
-                        kind: MilestoneKind::Surge,
-                    });
-                    dirty = true;
-                }
-            }
-            Event::MonitorTick => {
-                // Detect dead kubelets past the grace period.
-                let mut detected_failure = false;
-                let mut detected_recovery = false;
-                for i in 0..n {
-                    let node = NodeId::new(i as u32);
-                    if !kubelet_alive[i]
-                        && state.is_healthy(node)
-                        && now.saturating_sub(kubelet_stopped_at[i]) >= config.heartbeat_grace
-                    {
-                        for (pod, _) in state.fail_node(node) {
-                            phase.remove(&pod);
-                            pod_mode.remove(&pod);
-                        }
-                        detected_failure = true;
-                    }
-                    if kubelet_alive[i] && !state.is_healthy(node) {
-                        state.restore_node(node);
-                        detected_recovery = true;
-                    }
-                }
-                // Gray capacity changes are visible at the very next tick:
-                // a degraded kubelet still heartbeats, it just reports a
-                // smaller allocatable. Converge the control-plane view to
-                // the ground truth, evicting overflowing pods.
-                let mut degrade_changed = false;
-                let mut degrade_evicted = false;
-                for i in 0..n {
-                    let node = NodeId::new(i as u32);
-                    if state.degrade_factor(node).to_bits() != degrade_truth[i].to_bits() {
-                        degrade_changed = true;
-                        for (pod, _) in state.set_degrade(node, degrade_truth[i]) {
-                            phase.remove(&pod);
-                            pod_mode.remove(&pod);
-                            degrade_evicted = true;
-                        }
-                    }
-                }
-                if detected_failure {
-                    trace.milestones.push(Milestone {
-                        at: now,
-                        kind: MilestoneKind::Detected,
-                    });
-                    failure_pending_recovery = true;
-                    dirty = true;
-                }
-                if detected_recovery || degrade_changed {
-                    dirty = true;
-                }
-                if degrade_evicted {
-                    // Evictions took services down; track the replan that
-                    // restores them like any other recovery.
-                    failure_pending_recovery = true;
-                }
-
-                if dirty && actions_in_flight == 0 {
-                    let wl = surged.as_ref().unwrap_or(workload);
-                    let modal = wl.has_modes();
-                    let plan = policy.plan(wl, &state);
-                    obs.incr(phoenix_obs::Counter::SimPlans);
-                    obs.record_duration(phoenix_obs::Phase::Replan, plan.planning_time);
-                    trace.plans.push((now, plan.planning_time));
-                    trace.milestones.push(Milestone {
-                        at: now,
-                        kind: MilestoneKind::Plan,
-                    });
-                    let mut actions = diff_states(&state, &plan.target);
-                    if modal {
-                        // Placement-stable pods whose chosen mode changed
-                        // get an in-place reconfiguration instead of a
-                        // restart; the splice keeps the safe order
-                        // (deletes → migrations → shifts → starts).
-                        let shifts = mode_shift_actions(
-                            &state,
-                            &plan.target,
-                            |p| pod_mode.get(&p).copied().unwrap_or(ServingMode::Full),
-                            &plan.modes,
-                        );
-                        actions.insert_mode_shifts(shifts);
-                    }
-                    dirty = false;
-                    if !actions.is_empty() {
-                        trace.milestones.push(Milestone {
-                            at: now,
-                            kind: MilestoneKind::ActionsIssued,
-                        });
-                        // Phase A: deletions, issued back-to-back.
-                        let mut cursor = now;
-                        let mut last_delete_done = now;
-                        for a in &actions.actions {
-                            if let Action::Delete { pod, .. } = *a {
-                                cursor += config.latency.issue_overhead.sample(&mut rng);
-                                let done = cursor + config.latency.delete.sample(&mut rng);
-                                phase.insert(pod, Phase::Terminating);
-                                queue.schedule(done, Event::DeleteDone(pod));
-                                actions_in_flight += 1;
-                                last_delete_done = last_delete_done.max(done);
-                            }
-                        }
-                        // Phase B: migrations and starts are *issued* only
-                        // after the deletions have freed their capacity in
-                        // the live state (their events fire later).
-                        let mut cursor =
-                            last_delete_done + config.latency.issue_overhead.sample(&mut rng);
-                        for a in &actions.actions {
-                            match *a {
-                                Action::Migrate { pod, to, .. } => {
-                                    cursor += config.latency.issue_overhead.sample(&mut rng);
-                                    let done_at = cursor
-                                        + config.latency.start.sample(&mut rng)
-                                        + config.latency.reroute.sample(&mut rng);
-                                    let mode = plan.modes.mode_of_pod(pod);
-                                    queue.schedule(
-                                        cursor,
-                                        Event::MigrateIssued {
-                                            pod,
-                                            to,
-                                            mode,
-                                            done_at,
-                                        },
-                                    );
-                                    actions_in_flight += 1;
-                                }
-                                Action::ModeShift { pod, to, .. } => {
-                                    // A config push plus traffic reroute:
-                                    // no pod restart, so only the reroute
-                                    // latency applies.
-                                    cursor += config.latency.issue_overhead.sample(&mut rng);
-                                    let apply_at = cursor + config.latency.reroute.sample(&mut rng);
-                                    queue.schedule(apply_at, Event::ModeShiftApplied { pod, to });
-                                    actions_in_flight += 1;
-                                }
-                                Action::Start { pod, node } => {
-                                    cursor += config.latency.issue_overhead.sample(&mut rng);
-                                    let ready_at = cursor + config.latency.start.sample(&mut rng);
-                                    let mode = plan.modes.mode_of_pod(pod);
-                                    queue.schedule(
-                                        cursor,
-                                        Event::StartIssued {
-                                            pod,
-                                            node,
-                                            mode,
-                                            ready_at,
-                                        },
-                                    );
-                                    actions_in_flight += 1;
-                                }
-                                Action::Delete { .. } => {}
-                            }
-                        }
-                    } else if failure_pending_recovery {
-                        // Nothing to do (e.g. NoAdapt): recovery is trivially
-                        // "complete".
-                        failure_pending_recovery = false;
-                    }
-                }
-                let next = now + config.monitor_interval;
-                if next <= horizon {
-                    queue.schedule(next, Event::MonitorTick);
-                }
-            }
-            Event::DeleteDone(pod) => {
-                if phase.get(&pod) == Some(&Phase::Terminating) {
-                    let _ = state.remove(pod);
-                    phase.remove(&pod);
-                    pod_mode.remove(&pod);
-                }
-                actions_in_flight = actions_in_flight.saturating_sub(1);
-                if actions_in_flight == 0 && failure_pending_recovery {
-                    trace.milestones.push(Milestone {
-                        at: now,
-                        kind: MilestoneKind::Recovered,
-                    });
-                    failure_pending_recovery = false;
-                }
-            }
-            Event::StartIssued {
-                pod,
-                node,
-                mode,
-                ready_at,
             } => {
-                // Book the chosen mode's demand; `mode_demand(Full)` is the
-                // plain service demand, so mode-less plans book as before.
-                let looked_up = surged
-                    .as_ref()
-                    .unwrap_or(workload)
-                    .service_of_pod(pod)
-                    .map(|(_, s)| s.mode_demand(mode));
-                let Some(demand) = looked_up else {
-                    // A surge shrank the app between plan and issue and the
-                    // pod no longer exists: drop the start and replan.
-                    actions_in_flight = actions_in_flight.saturating_sub(1);
-                    dirty = true;
-                    if actions_in_flight == 0 && failure_pending_recovery {
-                        trace.milestones.push(Milestone {
-                            at: now,
-                            kind: MilestoneKind::Recovered,
-                        });
-                        failure_pending_recovery = false;
-                    }
-                    continue;
-                };
-                match state.assign(pod, demand, node) {
-                    Ok(()) => {
-                        phase.insert(pod, Phase::Starting);
-                        pod_mode.insert(pod, mode);
-                        queue.schedule(ready_at, Event::StartDone(pod));
-                    }
-                    Err(_) => {
-                        // The node failed (or shrank) between plan and
-                        // issue: drop the start and replan at next tick.
-                        actions_in_flight = actions_in_flight.saturating_sub(1);
-                        dirty = true;
-                        if actions_in_flight == 0 && failure_pending_recovery {
-                            trace.milestones.push(Milestone {
-                                at: now,
-                                kind: MilestoneKind::Recovered,
-                            });
-                            failure_pending_recovery = false;
-                        }
-                    }
-                }
-            }
-            Event::MigrateIssued {
-                pod,
-                to,
-                mode,
-                done_at,
-            } => {
-                // Old instance keeps serving while the replacement starts;
-                // the booking moves atomically, falling back to staying put
-                // when the target cannot host the pod anymore.
-                if state.node_of(pod).is_some() && state.migrate(pod, to).is_ok() {
-                    let wl = surged.as_ref().unwrap_or(workload);
-                    if wl.has_modes() {
-                        // The replacement instance comes up in the plan's
-                        // chosen mode: rebook at that mode's demand. Shrinks
-                        // always fit; a grow that no longer fits keeps the
-                        // old booking and lets the next tick replan.
-                        let want = wl.service_of_pod(pod).map(|(_, s)| s.mode_demand(mode));
-                        match want {
-                            Some(want) if state.demand_of(pod) != Some(want) => {
-                                let (node, old) = state.remove(pod).expect("just migrated");
-                                if state.assign(pod, want, node).is_ok() {
-                                    pod_mode.insert(pod, mode);
-                                } else {
-                                    state.assign(pod, old, node).expect("old booking fits");
-                                    dirty = true;
-                                }
-                            }
-                            Some(_) => {
-                                pod_mode.insert(pod, mode);
-                            }
-                            None => {}
-                        }
-                    }
-                    queue.schedule(done_at, Event::StartDone(pod));
-                } else {
-                    actions_in_flight = actions_in_flight.saturating_sub(1);
-                    dirty = true;
-                    if actions_in_flight == 0 && failure_pending_recovery {
-                        trace.milestones.push(Milestone {
-                            at: now,
-                            kind: MilestoneKind::Recovered,
-                        });
-                        failure_pending_recovery = false;
-                    }
-                }
-            }
-            Event::ModeShiftApplied { pod, to } => {
-                obs.incr(phoenix_obs::Counter::SimModeShifts);
-                // Resize the live booking to the new mode's demand. The pod
-                // never stops serving: a shift is a config flip, not a
-                // restart. A grow that no longer fits (capacity changed
-                // since the plan) keeps the old booking and replans.
-                let want = surged
-                    .as_ref()
-                    .unwrap_or(workload)
-                    .service_of_pod(pod)
-                    .map(|(_, s)| s.mode_demand(to));
-                match (state.node_of(pod), want) {
-                    (Some(node), Some(want)) => {
-                        if state.demand_of(pod) == Some(want) {
-                            pod_mode.insert(pod, to);
-                        } else {
-                            let (_, old) = state.remove(pod).expect("pod is assigned");
-                            if state.assign(pod, want, node).is_ok() {
-                                pod_mode.insert(pod, to);
-                            } else {
-                                state.assign(pod, old, node).expect("old booking fits");
-                                dirty = true;
-                            }
-                        }
-                    }
-                    // The pod was evicted (or the service vanished in a
-                    // surge) between plan and apply: nothing to shift.
-                    _ => dirty = true,
-                }
-                actions_in_flight = actions_in_flight.saturating_sub(1);
-                if actions_in_flight == 0 && failure_pending_recovery {
-                    trace.milestones.push(Milestone {
-                        at: now,
-                        kind: MilestoneKind::Recovered,
-                    });
-                    failure_pending_recovery = false;
-                }
-            }
-            Event::StartDone(pod) => {
-                if state.node_of(pod).is_some() {
-                    phase.insert(pod, Phase::Running);
-                }
-                actions_in_flight = actions_in_flight.saturating_sub(1);
-                if actions_in_flight == 0 && failure_pending_recovery {
-                    trace.milestones.push(Milestone {
-                        at: now,
-                        kind: MilestoneKind::Recovered,
-                    });
-                    failure_pending_recovery = false;
-                }
-            }
-            Event::Sample => {
-                let wl = surged.as_ref().unwrap_or(workload);
-                let fresh = || serving_sample(now, &state, &kubelet_alive, &phase, &pod_mode, wl);
-                let sample = match trace.samples.last() {
-                    Some(last) if !sample_dirty => {
-                        let reused = TraceSample {
-                            at: now,
-                            ..last.clone()
-                        };
-                        debug_assert_eq!(reused, fresh(), "reused sample differs at {now}");
-                        reused
-                    }
-                    _ => fresh(),
-                };
-                trace.samples.push(sample);
-                sample_dirty = false;
-                let next = now + config.sample_interval;
-                if next <= horizon {
-                    queue.schedule(next, Event::Sample);
+                if (app as usize) < self.workload.app_count() {
+                    let original = self.workload;
+                    self.surged
+                        .get_or_insert_with(|| original.clone())
+                        .scale_app(AppId::new(app), demand_factor, replica_factor);
+                    self.mark(now, MilestoneKind::Surge);
+                    self.dirty = true;
                 }
             }
         }
     }
-    trace.milestones.sort_by_key(|m| m.at);
-    obs.add(
-        phoenix_obs::Counter::SimMilestones,
-        trace.milestones.len() as u64,
-    );
-    trace
+
+    /// Kills the live kubelets among `nodes` (out-of-shape ids are
+    /// ignored), marking a failure if any was live.
+    fn stop_kubelets(&mut self, now: SimTime, nodes: &[NodeId]) {
+        let mut any = false;
+        for node in nodes {
+            let i = node.index();
+            if self.kubelet_alive.get(i) == Some(&true) {
+                self.kubelet_alive[i] = false;
+                self.kubelet_stopped_at[i] = now;
+                any = true;
+            }
+        }
+        if any {
+            self.mark(now, MilestoneKind::Failure);
+        }
+    }
+
+    /// Sets the true capacity factor of `nodes`, marking `kind` if any
+    /// node's factor changed.
+    fn set_capacity(&mut self, now: SimTime, nodes: &[NodeId], factor: f64, kind: MilestoneKind) {
+        let mut any = false;
+        for node in nodes {
+            if let Some(t) = self.degrade_truth.get_mut(node.index()) {
+                any |= t.to_bits() != factor.to_bits();
+                *t = factor;
+            }
+        }
+        if any {
+            self.mark(now, kind);
+        }
+    }
+
+    /// The agent's cycle: detect dead and returning kubelets, converge
+    /// gray capacity, and replan once nothing is in flight.
+    fn monitor_tick(&mut self, now: SimTime) {
+        let mut detected = false;
+        for i in 0..self.kubelet_alive.len() {
+            let node = NodeId::new(i as u32);
+            let alive = self.kubelet_alive[i];
+            let silent_for = now.saturating_sub(self.kubelet_stopped_at[i]);
+            if !alive && self.state.is_healthy(node) && silent_for >= self.config.heartbeat_grace {
+                for (pod, _) in self.state.fail_node(node) {
+                    self.pods.remove(&pod);
+                }
+                detected = true;
+            }
+            if alive && !self.state.is_healthy(node) {
+                self.state.restore_node(node);
+                self.dirty = true;
+            }
+        }
+        if detected {
+            self.mark(now, MilestoneKind::Detected);
+            self.failure_pending_recovery = true;
+            self.dirty = true;
+        }
+        // Gray capacity changes are visible at the very next tick: a
+        // degraded kubelet still heartbeats, it just reports a smaller
+        // allocatable. Converge the control-plane view to the ground
+        // truth; evictions took services down, so the replan that restores
+        // them is tracked like any other recovery.
+        for i in 0..self.degrade_truth.len() {
+            let (node, truth) = (NodeId::new(i as u32), self.degrade_truth[i]);
+            if self.state.degrade_factor(node).to_bits() != truth.to_bits() {
+                self.dirty = true;
+                for (pod, _) in self.state.set_degrade(node, truth) {
+                    self.pods.remove(&pod);
+                    self.failure_pending_recovery = true;
+                }
+            }
+        }
+        if self.dirty && self.actions_in_flight == 0 {
+            self.replan(now);
+        }
+        self.reschedule(now, self.config.monitor_interval, Event::MonitorTick);
+    }
+
+    /// Plans against the control plane's view and issues the difference.
+    fn replan(&mut self, now: SimTime) {
+        let wl = self.workload();
+        let plan = self.policy.plan(wl, &self.state);
+        let mut actions = diff_states(&self.state, &plan.target);
+        if wl.has_modes() {
+            // Placement-stable pods whose chosen mode changed get an
+            // in-place reconfiguration instead of a restart; the splice
+            // keeps the safe order (deletes → migrations → shifts → starts).
+            let live = |p| {
+                self.pods
+                    .get(&p)
+                    .map_or(ServingMode::Full, |&(_, mode)| mode)
+            };
+            let shifts = mode_shift_actions(&self.state, &plan.target, live, &plan.modes);
+            actions.insert_mode_shifts(shifts);
+        }
+        self.obs.incr(phoenix_obs::Counter::SimPlans);
+        self.obs
+            .record_duration(phoenix_obs::Phase::Replan, plan.planning_time);
+        self.trace.plans.push((now, plan.planning_time));
+        self.mark(now, MilestoneKind::Plan);
+        self.dirty = false;
+        if actions.is_empty() {
+            // Nothing to do (e.g. NoAdapt): recovery is trivially complete.
+            self.failure_pending_recovery = false;
+            return;
+        }
+        self.mark(now, MilestoneKind::ActionsIssued);
+        let lat = &self.config.latency;
+        // Phase A: deletions, issued back-to-back.
+        let (mut cursor, mut last_delete_done) = (now, now);
+        for a in &actions.actions {
+            if let Action::Delete { pod, .. } = *a {
+                cursor += lat.issue_overhead.sample(&mut self.rng);
+                let done = cursor + lat.delete.sample(&mut self.rng);
+                if let Some((phase, _)) = self.pods.get_mut(&pod) {
+                    *phase = Phase::Terminating;
+                }
+                self.queue.schedule(done, Event::DeleteDone(pod));
+                self.actions_in_flight += 1;
+                last_delete_done = last_delete_done.max(done);
+            }
+        }
+        // Phase B: migrations, shifts and starts are *issued* only after
+        // the deletions have freed their capacity in the live state (their
+        // events fire later).
+        let mut cursor = last_delete_done + lat.issue_overhead.sample(&mut self.rng);
+        let issued = |pod, node, done_at| Issued {
+            pod,
+            node,
+            mode: plan.modes.mode_of_pod(pod),
+            done_at,
+        };
+        for a in &actions.actions {
+            if let Action::Delete { .. } = a {
+                continue;
+            }
+            cursor += lat.issue_overhead.sample(&mut self.rng);
+            let (at, event) = match *a {
+                Action::Migrate { pod, to, .. } => {
+                    let start = lat.start.sample(&mut self.rng);
+                    let done_at = cursor + start + lat.reroute.sample(&mut self.rng);
+                    (cursor, Event::MigrateIssued(issued(pod, to, done_at)))
+                }
+                // A config push plus traffic reroute: no pod restart, so
+                // only the reroute latency applies.
+                Action::ModeShift { pod, to, .. } => {
+                    let applied_at = cursor + lat.reroute.sample(&mut self.rng);
+                    (applied_at, Event::ModeShiftApplied { pod, to })
+                }
+                Action::Start { pod, node } => {
+                    let ready_at = cursor + lat.start.sample(&mut self.rng);
+                    (cursor, Event::StartIssued(issued(pod, node, ready_at)))
+                }
+                Action::Delete { .. } => unreachable!("deletions were issued above"),
+            };
+            self.queue.schedule(at, event);
+            self.actions_in_flight += 1;
+        }
+    }
+
+    fn delete_done(&mut self, now: SimTime, pod: PodKey) {
+        if matches!(self.pods.get(&pod), Some((Phase::Terminating, _))) {
+            let _ = self.state.remove(pod);
+            self.pods.remove(&pod);
+        }
+        self.finish_action(now);
+    }
+
+    /// Books the start at the chosen mode's demand (`mode_demand(Full)` is
+    /// the plain service demand). A surge that removed the pod, or a node
+    /// that failed or shrank since the plan, drops the start.
+    fn start_issued(&mut self, now: SimTime, start: Issued) {
+        let Issued { pod, mode, .. } = start;
+        let service = self.workload().service_of_pod(pod);
+        let demand = service.map(|(_, s)| s.mode_demand(mode));
+        match demand.map(|d| self.state.assign(pod, d, start.node)) {
+            Some(Ok(())) => {
+                self.pods.insert(pod, (Phase::Starting, mode));
+                self.queue.schedule(start.done_at, Event::StartDone(pod));
+            }
+            _ => self.abandon(now),
+        }
+    }
+
+    /// The old instance keeps serving while the replacement starts; the
+    /// booking moves atomically, and the migration is dropped when the
+    /// target cannot host the pod anymore. On modal workloads the
+    /// replacement comes up at the plan's chosen mode.
+    fn migrate_issued(&mut self, now: SimTime, migration: Issued) {
+        let (pod, node, mode) = (migration.pod, migration.node, migration.mode);
+        if self.state.node_of(pod).is_none() || self.state.migrate(pod, node).is_err() {
+            return self.abandon(now);
+        }
+        let wl = self.workload();
+        if wl.has_modes() {
+            if let Some((_, svc)) = wl.service_of_pod(pod) {
+                let want = svc.mode_demand(mode);
+                if self.rebook(pod, node, want) {
+                    self.pods.entry(pod).and_modify(|e| e.1 = mode);
+                }
+            }
+        }
+        self.queue
+            .schedule(migration.done_at, Event::StartDone(pod));
+    }
+
+    /// Resizes the live booking to the new mode's demand. The pod never
+    /// stops serving: a shift is a config flip, not a restart.
+    fn mode_shift_applied(&mut self, now: SimTime, pod: PodKey, to: ServingMode) {
+        self.obs.incr(phoenix_obs::Counter::SimModeShifts);
+        let service = self.workload().service_of_pod(pod);
+        let want = service.map(|(_, s)| s.mode_demand(to));
+        match (self.state.node_of(pod), want) {
+            (Some(node), Some(want)) => {
+                if self.rebook(pod, node, want) {
+                    self.pods.entry(pod).and_modify(|e| e.1 = to);
+                }
+            }
+            // The pod was evicted (or the service vanished in a surge)
+            // between plan and apply: nothing to shift.
+            _ => self.dirty = true,
+        }
+        self.finish_action(now);
+    }
+
+    fn start_done(&mut self, now: SimTime, pod: PodKey) {
+        if let Some((phase, _)) = self.pods.get_mut(&pod) {
+            *phase = Phase::Running;
+        }
+        self.finish_action(now);
+    }
+
+    /// Records the serving status at `now`, copying the previous sample
+    /// when nothing but samples fired since it.
+    fn sample(&mut self, now: SimTime) {
+        let sample = match self.trace.samples.last() {
+            Some(last) if !self.sample_dirty => {
+                let reused = TraceSample {
+                    at: now,
+                    ..last.clone()
+                };
+                debug_assert_eq!(
+                    reused,
+                    self.fresh_sample(now),
+                    "reused sample differs at {now}"
+                );
+                reused
+            }
+            _ => self.fresh_sample(now),
+        };
+        self.trace.samples.push(sample);
+        self.sample_dirty = false;
+        self.reschedule(now, self.config.sample_interval, Event::Sample);
+    }
+
+    /// Every `Running` pod on a live kubelet, sorted, and the utility they
+    /// serve under the current (possibly surged) workload.
+    fn fresh_sample(&self, now: SimTime) -> TraceSample {
+        let mut serving: Vec<PodKey> = self
+            .state
+            .assignments()
+            .filter(|&(pod, node, _)| {
+                self.kubelet_alive[node.index()]
+                    && matches!(self.pods.get(&pod), Some((Phase::Running, _)))
+            })
+            .map(|(pod, _, _)| pod)
+            .collect();
+        serving.sort();
+        let wl = self.workload();
+        let utility = serving
+            .iter()
+            .filter_map(|&pod| {
+                let (_, svc) = wl.service_of_pod(pod)?;
+                let mode = self.pods.get(&pod).map_or(ServingMode::Full, |&(_, m)| m);
+                Some(svc.mode_utility(mode) / f64::from(svc.replicas))
+            })
+            .sum();
+        TraceSample {
+            at: now,
+            serving,
+            utility,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1000,6 +886,18 @@ mod tests {
         Workload::new(vec![b.build().unwrap()])
     }
 
+    /// `workload()` under PhoenixFair with the default config.
+    fn fair(s: &Scenario, horizon_secs: u64) -> SimTrace {
+        let horizon = SimTime::from_secs(horizon_secs);
+        simulate(
+            &workload(),
+            &PhoenixPolicy::fair(),
+            s,
+            &SimConfig::default(),
+            horizon,
+        )
+    }
+
     fn failure_scenario() -> Scenario {
         let mut s = Scenario::new(2, Resources::cpu(2.0));
         // Fail the frontend's node at 300 s, restore at 900 s.
@@ -1011,13 +909,7 @@ mod tests {
     #[test]
     fn steady_state_serves_everything() {
         let w = workload();
-        let trace = simulate(
-            &w,
-            &PhoenixPolicy::fair(),
-            &Scenario::new(2, Resources::cpu(2.0)),
-            &SimConfig::default(),
-            SimTime::from_secs(60),
-        );
+        let trace = fair(&Scenario::new(2, Resources::cpu(2.0)), 60);
         assert!(trace.service_up(&w, 0, 0, SimTime::from_secs(30)));
         assert!(trace.service_up(&w, 0, 1, SimTime::from_secs(30)));
         assert!(trace.milestones.is_empty());
@@ -1025,17 +917,12 @@ mod tests {
 
     #[test]
     fn detection_roughly_grace_plus_tick() {
-        let w = workload();
         let mut s = Scenario::new(3, Resources::cpu(2.0));
         s.kubelet_stop_at(SimTime::from_secs(300), [2]);
-        let trace = simulate(
-            &w,
-            &PhoenixPolicy::fair(),
-            &s,
-            &SimConfig::default(),
-            SimTime::from_secs(600),
-        );
-        let detected = trace.first("detected").expect("failure detected");
+        let trace = fair(&s, 600);
+        let detected = trace
+            .first_kind(MilestoneKind::Detected)
+            .expect("failure detected");
         let delay = detected
             .saturating_sub(SimTime::from_secs(300))
             .as_secs_f64();
@@ -1053,14 +940,10 @@ mod tests {
         let mut s = Scenario::new(3, Resources::cpu(2.0));
         s.kubelet_stop_at(SimTime::from_secs(300), [0, 1]);
         s.kubelet_start_at(SimTime::from_secs(900), [0, 1]);
-        let trace = simulate(
-            &w,
-            &PhoenixPolicy::fair(),
-            &s,
-            &SimConfig::default(),
-            SimTime::from_secs(1400),
-        );
-        let recovered = trace.first("recovered").expect("recovery completes");
+        let trace = fair(&s, 1400);
+        let recovered = trace
+            .first_kind(MilestoneKind::Recovered)
+            .expect("recovery completes");
         assert!(
             recovered < SimTime::from_secs(900),
             "recovered at {recovered}"
@@ -1068,7 +951,7 @@ mod tests {
         // Critical service is up between recovery and node return…
         assert!(trace.service_up(&w, 0, 0, SimTime::from_secs(880)));
         // …and full recovery is < 4 min after the failure (paper claim).
-        let failure = trace.first("failure").unwrap();
+        let failure = trace.first_kind(MilestoneKind::Failure).unwrap();
         assert!(
             recovered.saturating_sub(failure) < SimTime::from_secs(240),
             "recovery took {}",
@@ -1102,23 +985,9 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        let w = workload();
         let s = failure_scenario();
-        let cfg = SimConfig::default();
-        let a = simulate(
-            &w,
-            &PhoenixPolicy::fair(),
-            &s,
-            &cfg,
-            SimTime::from_secs(1200),
-        );
-        let b = simulate(
-            &w,
-            &PhoenixPolicy::fair(),
-            &s,
-            &cfg,
-            SimTime::from_secs(1200),
-        );
+        let a = fair(&s, 1200);
+        let b = fair(&s, 1200);
         assert_eq!(a.samples, b.samples);
         assert_eq!(a.milestones, b.milestones);
     }
@@ -1133,13 +1002,7 @@ mod tests {
         let mut s = Scenario::new(1, Resources::cpu(4.0));
         s.capacity_degrade_at(SimTime::from_secs(300), [0], 0.5);
         s.capacity_restore_at(SimTime::from_secs(900), [0]);
-        let trace = simulate(
-            &w,
-            &PhoenixPolicy::fair(),
-            &s,
-            &SimConfig::default(),
-            SimTime::from_secs(1400),
-        );
+        let trace = fair(&s, 1400);
         let degraded = trace.first_kind(MilestoneKind::Degraded).unwrap();
         assert_eq!(degraded, SimTime::from_secs(300));
         // Both services serve before the degrade…
@@ -1199,7 +1062,6 @@ mod tests {
 
     #[test]
     fn flap_cycles_stop_and_restart_repeatedly() {
-        let w = workload();
         let mut s = Scenario::new(3, Resources::cpu(2.0));
         s.flap_at(
             SimTime::from_secs(300),
@@ -1209,13 +1071,7 @@ mod tests {
             3,
             10_000,
         );
-        let trace = simulate(
-            &w,
-            &PhoenixPolicy::fair(),
-            &s,
-            &SimConfig::default(),
-            SimTime::from_secs(2400),
-        );
+        let trace = fair(&s, 2400);
         let failures = trace
             .milestones
             .iter()
@@ -1229,13 +1085,7 @@ mod tests {
         assert_eq!(failures, 3, "milestones: {:?}", trace.milestones);
         assert_eq!(restores, 3);
         // Deterministic under the same seed, jitter included.
-        let again = simulate(
-            &w,
-            &PhoenixPolicy::fair(),
-            &s,
-            &SimConfig::default(),
-            SimTime::from_secs(2400),
-        );
+        let again = fair(&s, 2400);
         assert_eq!(trace.milestones, again.milestones);
         assert_eq!(trace.samples, again.samples);
     }
@@ -1244,16 +1094,9 @@ mod tests {
     fn demand_surge_triggers_replan_onto_wider_footprint() {
         // Plenty of room: the surge doubles the app's replicas, and the
         // next tick plans + starts the new pods.
-        let w = workload();
         let mut s = Scenario::new(4, Resources::cpu(4.0));
         s.demand_surge_at(SimTime::from_secs(300), 0, 1.0, 2.0);
-        let trace = simulate(
-            &w,
-            &PhoenixPolicy::fair(),
-            &s,
-            &SimConfig::default(),
-            SimTime::from_secs(900),
-        );
+        let trace = fair(&s, 900);
         assert_eq!(
             trace.first_kind(MilestoneKind::Surge),
             Some(SimTime::from_secs(300))
@@ -1265,72 +1108,32 @@ mod tests {
     }
 
     #[test]
-    fn zone_outage_maps_to_striped_members() {
-        let w = workload();
-        // 6 nodes, 3 zones: zone 1 = nodes {1, 4}.
-        let mut s = Scenario::new(6, Resources::cpu(2.0));
-        s.zone_outage_at(SimTime::from_secs(300), 3, 1, Some(SimTime::from_secs(900)));
-        let trace = simulate(
-            &w,
-            &PhoenixPolicy::fair(),
-            &s,
-            &SimConfig::default(),
-            SimTime::from_secs(1200),
+    fn zero_intervals_tick_at_clock_resolution() {
+        let cfg = SimConfig {
+            monitor_interval: SimTime::ZERO,
+            sample_interval: SimTime::ZERO,
+            heartbeat_grace: SimTime::from_secs(2),
+            ..SimConfig::default()
+        };
+        let mut s = Scenario::new(3, Resources::cpu(2.0));
+        s.kubelet_stop_at(SimTime::from_secs(1), [2]);
+        let horizon = SimTime::from_secs(10);
+        let trace = simulate(&workload(), &PhoenixPolicy::fair(), &s, &cfg, horizon);
+        // One sample per millisecond, and the monitor sees the grace
+        // expire on the very millisecond it does.
+        assert_eq!(trace.samples.len(), 10_001);
+        assert_eq!(trace.samples.last().map(|s| s.at), Some(horizon));
+        assert_eq!(
+            trace.first_kind(MilestoneKind::Detected),
+            Some(SimTime::from_secs(3))
         );
-        // Equivalent explicit stop/start scripts the very same trace.
-        let mut explicit = Scenario::new(6, Resources::cpu(2.0));
-        explicit.kubelet_stop_at(SimTime::from_secs(300), [1, 4]);
-        explicit.kubelet_start_at(SimTime::from_secs(900), [1, 4]);
-        let reference = simulate(
-            &w,
-            &PhoenixPolicy::fair(),
-            &explicit,
-            &SimConfig::default(),
-            SimTime::from_secs(1200),
-        );
-        assert_eq!(trace.samples, reference.samples);
-        assert_eq!(trace.milestones, reference.milestones);
-    }
-
-    #[test]
-    fn rack_outage_maps_to_contiguous_members() {
-        let w = workload();
-        // 6 nodes, 2 racks: rack 0 = nodes {0, 1, 2}.
-        let mut s = Scenario::new(6, Resources::cpu(2.0));
-        s.rack_outage_at(SimTime::from_secs(300), 2, 0, Some(SimTime::from_secs(900)));
-        let trace = simulate(
-            &w,
-            &PhoenixPolicy::fair(),
-            &s,
-            &SimConfig::default(),
-            SimTime::from_secs(1200),
-        );
-        let mut explicit = Scenario::new(6, Resources::cpu(2.0));
-        explicit.kubelet_stop_at(SimTime::from_secs(300), [0, 1, 2]);
-        explicit.kubelet_start_at(SimTime::from_secs(900), [0, 1, 2]);
-        let reference = simulate(
-            &w,
-            &PhoenixPolicy::fair(),
-            &explicit,
-            &SimConfig::default(),
-            SimTime::from_secs(1200),
-        );
-        assert_eq!(trace.samples, reference.samples);
-        assert_eq!(trace.milestones, reference.milestones);
     }
 
     #[test]
     fn undetected_failure_stops_serving_immediately() {
-        let w = workload();
         let mut s = Scenario::new(2, Resources::cpu(2.0));
         s.kubelet_stop_at(SimTime::from_secs(100), [0, 1]);
-        let trace = simulate(
-            &w,
-            &PhoenixPolicy::fair(),
-            &s,
-            &SimConfig::default(),
-            SimTime::from_secs(150),
-        );
+        let trace = fair(&s, 150);
         // 10 s after the silent failure — long before detection — no pod
         // on the dead nodes serves traffic.
         assert!(trace.serving_at(SimTime::from_secs(110)).is_empty());

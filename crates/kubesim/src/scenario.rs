@@ -8,8 +8,9 @@
 //! ([`ScenarioKind::CapacityDegrade`]), flapping nodes
 //! ([`ScenarioKind::Flap`]), mid-run load surges
 //! ([`ScenarioKind::DemandSurge`]), and correlated zone/rack blast radii
-//! ([`ScenarioKind::ZoneOutage`] / [`ScenarioKind::RackOutage`], built on
-//! the same topology seeds as `phoenix_cluster::failure`).
+//! ([`Scenario::zone_outage_at`] / [`Scenario::rack_outage_at`]: kubelet
+//! stops and starts over the member lists of the same topology seeds as
+//! `phoenix_cluster::failure`).
 
 use phoenix_cluster::{NodeId, Resources};
 
@@ -66,38 +67,6 @@ pub enum ScenarioKind {
         demand_factor: f64,
         /// Replica-count multiplier (rounded, min 1).
         replica_factor: f64,
-    },
-    /// Correlated outage of one zone: kubelets stop on every node whose id
-    /// is congruent to `zone` modulo `zones` (the round-robin striping of
-    /// `phoenix_cluster::failure::fail_zones`).
-    ZoneOutage {
-        /// Number of zones striped over node ids.
-        zones: u32,
-        /// The zone that loses power.
-        zone: u32,
-    },
-    /// The striped zone comes back (nodes rejoin empty).
-    ZoneRestore {
-        /// Number of zones striped over node ids.
-        zones: u32,
-        /// The zone that returns.
-        zone: u32,
-    },
-    /// Correlated outage of one rack: kubelets stop on the `rack`-th of
-    /// `racks` contiguous node-id blocks (racks hold physically adjacent
-    /// machines, unlike the striped zones).
-    RackOutage {
-        /// Number of contiguous racks.
-        racks: u32,
-        /// The rack that loses power.
-        rack: u32,
-    },
-    /// The contiguous rack comes back (nodes rejoin empty).
-    RackRestore {
-        /// Number of contiguous racks.
-        racks: u32,
-        /// The rack that returns.
-        rack: u32,
     },
 }
 
@@ -254,8 +223,9 @@ impl Scenario {
         )
     }
 
-    /// Schedules a striped-zone outage at `at`, optionally restoring the
-    /// zone at `restore_at`.
+    /// Schedules a correlated outage of striped zone `zone` of `zones`
+    /// at `at` — kubelet stops on its [`zone_members`] — restarting them
+    /// at `restore_at` if given.
     pub fn zone_outage_at(
         &mut self,
         at: SimTime,
@@ -263,15 +233,13 @@ impl Scenario {
         zone: u32,
         restore_at: Option<SimTime>,
     ) -> &mut Scenario {
-        self.event_at(at, ScenarioKind::ZoneOutage { zones, zone });
-        if let Some(r) = restore_at {
-            self.event_at(r, ScenarioKind::ZoneRestore { zones, zone });
-        }
-        self
+        let members = zone_members(self.node_count(), zones, zone);
+        self.outage_at(at, members, restore_at)
     }
 
-    /// Schedules a contiguous-rack outage at `at`, optionally restoring
-    /// the rack at `restore_at`.
+    /// Schedules a correlated outage of contiguous rack `rack` of `racks`
+    /// at `at` — kubelet stops on its [`rack_members`] — restarting them
+    /// at `restore_at` if given.
     pub fn rack_outage_at(
         &mut self,
         at: SimTime,
@@ -279,9 +247,20 @@ impl Scenario {
         rack: u32,
         restore_at: Option<SimTime>,
     ) -> &mut Scenario {
-        self.event_at(at, ScenarioKind::RackOutage { racks, rack });
+        let members = rack_members(self.node_count(), racks, rack);
+        self.outage_at(at, members, restore_at)
+    }
+
+    /// Stops `nodes` at `at`, restarting them at `restore_at` if given.
+    fn outage_at(
+        &mut self,
+        at: SimTime,
+        nodes: Vec<u32>,
+        restore_at: Option<SimTime>,
+    ) -> &mut Scenario {
+        self.kubelet_stop_at(at, nodes.iter().copied());
         if let Some(r) = restore_at {
-            self.event_at(r, ScenarioKind::RackRestore { racks, rack });
+            self.kubelet_start_at(r, nodes);
         }
         self
     }
@@ -309,10 +288,7 @@ impl Scenario {
                 victims.push(i as u32);
             }
         }
-        self.kubelet_stop_at(at, victims.clone());
-        if let Some(r) = restore_at {
-            self.kubelet_start_at(r, victims.clone());
-        }
+        self.outage_at(at, victims.clone(), restore_at);
         victims
     }
 }
@@ -360,10 +336,27 @@ mod tests {
                 ..
             }
         ));
-        assert!(matches!(
-            s.events[5].kind,
-            ScenarioKind::ZoneRestore { zones: 3, zone: 1 }
-        ));
+        // Zone 1 of 3 over 6 nodes is {1, 4}; rack 0 of 2 is {0, 1, 2}.
+        let ids = |v: &[u32]| v.iter().copied().map(NodeId::new).collect::<Vec<_>>();
+        assert_eq!(s.events[4].kind, ScenarioKind::KubeletStop(ids(&[1, 4])));
+        assert_eq!(s.events[5].kind, ScenarioKind::KubeletStart(ids(&[1, 4])));
+        assert_eq!(s.events[6].kind, ScenarioKind::KubeletStop(ids(&[0, 1, 2])));
+    }
+
+    #[test]
+    fn outages_lower_to_stop_start_over_members() {
+        let (at, back) = (SimTime::from_secs(300), SimTime::from_secs(900));
+        let mut s = Scenario::new(10, Resources::cpu(2.0));
+        s.zone_outage_at(at, 3, 2, Some(back));
+        s.rack_outage_at(at, 3, 0, Some(back));
+        s.zone_outage_at(at, 4, 1, None);
+        let mut explicit = Scenario::new(10, Resources::cpu(2.0));
+        explicit.kubelet_stop_at(at, zone_members(10, 3, 2));
+        explicit.kubelet_start_at(back, zone_members(10, 3, 2));
+        explicit.kubelet_stop_at(at, rack_members(10, 3, 0));
+        explicit.kubelet_start_at(back, rack_members(10, 3, 0));
+        explicit.kubelet_stop_at(at, zone_members(10, 4, 1));
+        assert_eq!(s, explicit);
     }
 
     #[test]

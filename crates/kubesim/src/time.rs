@@ -45,14 +45,16 @@ impl SimTime {
 impl Add for SimTime {
     type Output = SimTime;
 
+    /// Saturates at the end of time, so a schedule past it stays past
+    /// every horizon instead of wrapping to the past.
     fn add(self, rhs: SimTime) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign for SimTime {
     fn add_assign(&mut self, rhs: SimTime) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -95,5 +97,14 @@ mod tests {
         assert_eq!(b.saturating_sub(a), SimTime::ZERO);
         assert!(b < a);
         assert_eq!(a.to_string(), "10.0s");
+    }
+
+    #[test]
+    fn addition_saturates_at_the_end_of_time() {
+        let end = SimTime::from_millis(u64::MAX);
+        assert_eq!(SimTime::from_secs(1) + end, end);
+        let mut t = end;
+        t += SimTime::from_secs(1);
+        assert_eq!(t, end);
     }
 }

@@ -5,7 +5,7 @@ use phoenix_cluster::Resources;
 use phoenix_core::policies::{DefaultPolicy, PhoenixPolicy, ResiliencePolicy};
 use phoenix_core::spec::{AppSpecBuilder, Workload};
 use phoenix_core::tags::Criticality;
-use phoenix_kubesim::run::{simulate, simulate_from, SimConfig, SteadyState};
+use phoenix_kubesim::run::{simulate, simulate_from, MilestoneKind, SimConfig, SteadyState};
 use phoenix_kubesim::scenario::Scenario;
 use phoenix_kubesim::time::SimTime;
 use proptest::prelude::*;
@@ -54,7 +54,8 @@ proptest! {
         for win in trace.milestones.windows(2) {
             prop_assert!(win[0].at <= win[1].at);
         }
-        if let (Some(f), Some(d)) = (trace.first("failure"), trace.first("detected")) {
+        let first = |kind| trace.first_kind(kind);
+        if let (Some(f), Some(d)) = (first(MilestoneKind::Failure), first(MilestoneKind::Detected)) {
             prop_assert!(d >= f);
         }
         // Serving sets are sorted, duplicate-free, and within the workload.
@@ -103,8 +104,8 @@ proptest! {
             &cfg,
             SimTime::from_secs(1200),
         );
-        let failure = trace.first("failure").expect("kubelets stop");
-        if let Some(detected) = trace.first("detected") {
+        let failure = trace.first_kind(MilestoneKind::Failure).expect("kubelets stop");
+        if let Some(detected) = trace.first_kind(MilestoneKind::Detected) {
             let latency = detected.saturating_sub(failure).as_secs_f64();
             prop_assert!(
                 latency + 1e-9 >= grace_secs as f64,

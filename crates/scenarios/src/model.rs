@@ -13,7 +13,7 @@ use std::error::Error;
 use std::fmt;
 
 use phoenix_cluster::Resources;
-use phoenix_kubesim::scenario::Scenario;
+use phoenix_kubesim::scenario::{rack_members, zone_members, Scenario};
 use phoenix_kubesim::time::SimTime;
 use serde::{Deserialize, Serialize};
 
@@ -310,7 +310,8 @@ impl ScenarioDoc {
         Ok(())
     }
 
-    /// Compiles the document into a kubesim [`Scenario`].
+    /// Compiles the document into a kubesim [`Scenario`]. Zone and rack
+    /// events become kubelet stops and starts over their member nodes.
     ///
     /// # Errors
     ///
@@ -354,25 +355,13 @@ impl ScenarioDoc {
                     s.zone_outage_at(at, ev.zones, ev.zone, None);
                 }
                 "zone_restore" => {
-                    s.event_at(
-                        at,
-                        phoenix_kubesim::scenario::ScenarioKind::ZoneRestore {
-                            zones: ev.zones,
-                            zone: ev.zone,
-                        },
-                    );
+                    s.kubelet_start_at(at, zone_members(s.node_count(), ev.zones, ev.zone));
                 }
                 "rack_outage" => {
                     s.rack_outage_at(at, ev.zones, ev.zone, None);
                 }
                 "rack_restore" => {
-                    s.event_at(
-                        at,
-                        phoenix_kubesim::scenario::ScenarioKind::RackRestore {
-                            racks: ev.zones,
-                            rack: ev.zone,
-                        },
-                    );
+                    s.kubelet_start_at(at, rack_members(s.node_count(), ev.zones, ev.zone));
                 }
                 _ => unreachable!("validated kind"),
             }
@@ -533,6 +522,63 @@ mod tests {
             sample().first_disruption(),
             Some(SimTime::from_millis(300_000))
         );
+    }
+
+    #[test]
+    fn compile_lowers_zone_and_rack_events_to_stop_start() {
+        let mut d = sample();
+        d.nodes = 10;
+        d.events = ["zone_outage", "zone_restore", "rack_outage", "rack_restore"]
+            .into_iter()
+            .enumerate()
+            .map(|(i, kind)| EventDoc {
+                zones: 3,
+                zone: 2,
+                ..EventDoc::new(100_000 * (i as u64 + 1), kind)
+            })
+            .collect();
+        let at = |i: u64| SimTime::from_millis(100_000 * i);
+        let mut explicit = Scenario::new(10, Resources::cpu(8.0));
+        explicit.kubelet_stop_at(at(1), zone_members(10, 3, 2));
+        explicit.kubelet_start_at(at(2), zone_members(10, 3, 2));
+        explicit.kubelet_stop_at(at(3), rack_members(10, 3, 2));
+        explicit.kubelet_start_at(at(4), rack_members(10, 3, 2));
+        assert_eq!(d.compile().unwrap(), explicit);
+    }
+
+    /// A flap whose down time saturates the clock stays down to the
+    /// horizon: its restart is scheduled past every horizon, never wrapped
+    /// into the past.
+    #[test]
+    fn flap_down_forever_stays_down_at_the_horizon() {
+        use phoenix_core::policies::PhoenixPolicy;
+        use phoenix_kubesim::run::{simulate, MilestoneKind, SimConfig};
+
+        let d = ScenarioDoc {
+            name: "down-forever".into(),
+            family: "custom".into(),
+            nodes: 4,
+            node_cpu: 8.0,
+            node_mem: 0.0,
+            horizon_ms: 600_000,
+            events: vec![EventDoc {
+                nodes: vec![0, 1, 2, 3],
+                down_ms: u64::MAX,
+                up_ms: 60_000,
+                cycles: 2,
+                jitter_ms: 1_000,
+                ..EventDoc::new(100_000, "flap")
+            }],
+        };
+        let scenario = d.compile().expect("validates");
+        let w = crate::campaign::demo_workload(2);
+        let cfg = SimConfig::default();
+        let trace = simulate(&w, &PhoenixPolicy::fair(), &scenario, &cfg, d.horizon());
+        let failure = trace.first_kind(MilestoneKind::Failure);
+        assert_eq!(failure, Some(SimTime::from_millis(100_000)));
+        assert_eq!(trace.first_kind(MilestoneKind::NodesRestored), None);
+        assert_eq!(trace.samples.last().map(|s| s.at), Some(d.horizon()));
+        assert!(trace.serving_at(d.horizon()).is_empty());
     }
 
     #[test]

@@ -11,7 +11,7 @@ use phoenix::apps::instances::{cloudlab_workload, NODES, NODE_CPUS};
 use phoenix::cluster::Resources;
 use phoenix::core::policies::PhoenixPolicy;
 use phoenix::core::spec::ServiceId;
-use phoenix::kubesim::run::{simulate, SimConfig};
+use phoenix::kubesim::run::{simulate, MilestoneKind, SimConfig};
 use phoenix::kubesim::scenario::Scenario;
 use phoenix::kubesim::time::SimTime;
 
@@ -56,7 +56,10 @@ fn main() {
         );
     }
 
-    if let (Some(t1), Some(t4)) = (trace.first("failure"), trace.first("recovered")) {
+    if let (Some(t1), Some(t4)) = (
+        trace.first_kind(MilestoneKind::Failure),
+        trace.first_kind(MilestoneKind::Recovered),
+    ) {
         println!(
             "\ncritical services restored {:.0}s after the failure (paper: < 4 minutes)",
             t4.saturating_sub(t1).as_secs_f64()

@@ -6,7 +6,7 @@ use phoenix::apps::instances::{cloudlab_capacities, cloudlab_workload};
 use phoenix::cluster::ClusterState;
 use phoenix::core::policies::{standard_roster, DefaultPolicy, PhoenixPolicy, ResiliencePolicy};
 use phoenix::core::spec::ServiceId;
-use phoenix::kubesim::run::{simulate, SimConfig};
+use phoenix::kubesim::run::{simulate, MilestoneKind, SimConfig};
 use phoenix::kubesim::scenario::Scenario;
 use phoenix::kubesim::time::SimTime;
 
@@ -104,9 +104,15 @@ fn kubesim_recovery_within_paper_bounds() {
         &SimConfig::default(),
         SimTime::from_secs(1800),
     );
-    let t1 = trace.first("failure").expect("failure fired");
-    let t2 = trace.first("detected").expect("failure detected");
-    let t4 = trace.first("recovered").expect("recovery completed");
+    let t1 = trace
+        .first_kind(MilestoneKind::Failure)
+        .expect("failure fired");
+    let t2 = trace
+        .first_kind(MilestoneKind::Detected)
+        .expect("failure detected");
+    let t4 = trace
+        .first_kind(MilestoneKind::Recovered)
+        .expect("recovery completed");
     let detection = t2.saturating_sub(t1).as_secs_f64();
     assert!((60.0..150.0).contains(&detection), "detection {detection}s");
     let recovery = t4.saturating_sub(t1).as_secs_f64();
