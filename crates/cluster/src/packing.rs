@@ -3,11 +3,25 @@
 //! Given the planner's globally-ranked list of microservices, map each one
 //! to a healthy server with a three-pronged strategy. With `P` plan
 //! entries, `A` resulting actions and `N` healthy nodes, one pack costs
-//! O(P + A · log N): a pod that is already running costs one table probe,
-//! a pod that moves pays for the ordered node set, and a fallback event
-//! (a repack attempt, a victim) costs what the migration budgets and the
-//! pods of the few nodes it touches allow — never something proportional
-//! to `P`.
+//! O(P + A · log N): a running pod costs one dense `rank_of` lookup and
+//! one flag write in the drop pass, then one flag test in the placement
+//! loop — no pod-map probe; a pod that moves pays for the ordered node
+//! set, and a fallback event (a repack attempt, a victim) costs what the
+//! migration budgets and the pods of the few nodes it touches allow —
+//! never something proportional to `P`.
+//!
+//! 0. **Drop** — one pass over the running pods deletes those the plan
+//!    turned off and records the *standing* of every planned position:
+//!    vacant, running at a booking the plan changes (a serving-mode
+//!    rebook), or running and settled.
+//!    **Standing invariant:** for every position the placement loop has
+//!    not reached yet, the recorded standing is what a probe of the state
+//!    would answer. Nothing in a pack assigns a pod at a later position:
+//!    starts and rebooks happen at the current one, and repack migrations
+//!    keep a pod assigned at the same booking. Only the victim cursor
+//!    removes a later pod, it marks that position vacant as it does, and
+//!    it never revisits a position. Debug builds check the recorded
+//!    standing against the probe on every loop entry and cursor step.
 //!
 //! 1. **Best-fit** — the node with the smallest remaining capacity that
 //!    still accommodates the demand: one O(log N) range query on
@@ -32,14 +46,14 @@
 //!    pods in reverse rank order (lowest priority first) until space
 //!    opens. The next victim is found by a **cursor** that starts past
 //!    the end of the plan and walks towards its head, skipping entries
-//!    that are not running.
+//!    whose standing is vacant.
 //!    **Cursor invariant:** a plan entry the cursor has passed is either
 //!    not running or was (re-)placed by this pack when its own turn came.
 //!    A victim must sit after the pod being placed; a victim that is
 //!    re-placed later is placed at its own position, which the placement
 //!    loop has reached by then, so it can never be chosen again. Passed
-//!    entries therefore never need a second look: O(P) probes over the
-//!    whole pack, and no ordered set of every running pod.
+//!    entries therefore never need a second look: O(P) flag tests over
+//!    the whole pack, and no ordered set of every running pod.
 //!
 //! A victim re-placed at its own rank collapses its delete + start pair
 //! into a keep or a migration; its slot in the deletion list is
@@ -279,7 +293,8 @@ impl PlanRanks {
 /// # Panics
 ///
 /// Panics (in debug builds) when `rank_of` disagrees with `plan`, and in
-/// all builds when it returns `None` for an assigned planned pod.
+/// all builds when it returns an index past the plan's end for an
+/// assigned pod.
 pub fn pack_prepared(
     state: &mut ClusterState,
     plan: &[PlannedPod],
@@ -291,26 +306,33 @@ pub fn pack_prepared(
         .enumerate()
         .all(|(i, p)| rank_of(p.key) == Some(i)));
     let mut out = PackOutcome::default();
-    drop_unplanned(state, &rank_of, &mut out);
+    let standing = drop_unplanned(state, plan, cfg, &rank_of, &mut out);
     let mut sorted = healthy_by_remaining(state);
-    let mut ctx = PackCtx::new(plan);
+    let mut ctx = PackCtx::new(standing);
     for (rank, planned) in plan.iter().enumerate() {
+        debug_assert_eq!(
+            ctx.standing[rank],
+            Standing::probe(state, planned, cfg),
+            "standing of {} at rank {rank}",
+            planned.key
+        );
         let mut in_place = None;
-        if let Some((from, booked)) = state.placement_of(planned.key) {
-            if !cfg.rebook_in_place || booked == planned.demand {
-                continue; // already running; keep in place
-            }
-            // Serving-mode rebook: free the old booking and re-place at
-            // the planned demand, preferring the pod's own node so a
-            // shrink (or a grow that still fits) never moves it. A grow
-            // that no longer fits re-enters the regular flow as a
-            // self-victimization: same node ⇒ keep, elsewhere ⇒
-            // migration, nowhere ⇒ the delete stands.
-            state.remove(planned.key).expect("pod is assigned");
-            sorted.update(from, state.remaining(from).scalar());
-            ctx.evicted(planned.key, from, &mut out);
-            if fits_node(state, cfg, from, planned.demand) {
-                in_place = Some(from);
+        match ctx.standing[rank] {
+            Standing::Settled => continue, // already running; keep in place
+            Standing::Vacant => {}
+            Standing::Rebook => {
+                // Serving-mode rebook: free the old booking and re-place
+                // at the planned demand, preferring the pod's own node so
+                // a shrink (or a grow that still fits) never moves it. A
+                // grow that no longer fits re-enters the regular flow as
+                // a self-victimization: same node ⇒ keep, elsewhere ⇒
+                // migration, nowhere ⇒ the delete stands.
+                let (from, _) = state.remove(planned.key).expect("pod is assigned");
+                sorted.update(from, state.remaining(from).scalar());
+                ctx.evicted(planned.key, from, &mut out);
+                if fits_node(state, cfg, from, planned.demand) {
+                    in_place = Some(from);
+                }
             }
         }
         let mut target = in_place.or_else(|| try_fit(state, &sorted, planned.demand, cfg));
@@ -331,7 +353,7 @@ pub fn pack_prepared(
         }
         while target.is_none() {
             // Delete the lowest-priority running pod that ranks below us.
-            let Some(victim) = next_victim(state, plan, &mut ctx.victim_cursor, rank) else {
+            let Some(victim) = ctx.next_victim(state, plan, rank) else {
                 break;
             };
             let (node, _) = state.remove(victim).expect("victim is assigned");
@@ -361,21 +383,61 @@ pub fn pack_prepared(
     out
 }
 
-/// Step 0: diagonal scaling — drop running pods the plan turned off.
+/// Where a plan position stands before the placement loop reaches it (see
+/// the standing invariant in the [module docs](self)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Standing {
+    /// Not running: the position goes through the fit flow.
+    Vacant,
+    /// Running at a booking the plan changes: a serving-mode rebook.
+    Rebook,
+    /// Running and kept in place: the placement loop skips it.
+    Settled,
+}
+
+impl Standing {
+    /// The standing of a running pod booked at `booked`.
+    fn running(booked: Resources, planned: &PlannedPod, cfg: &PackingConfig) -> Standing {
+        if !cfg.rebook_in_place || booked == planned.demand {
+            Standing::Settled
+        } else {
+            Standing::Rebook
+        }
+    }
+
+    /// The standing a pod-map probe of `state` gives — what the recorded
+    /// standing replaces, kept for the debug cross-checks.
+    fn probe(state: &ClusterState, planned: &PlannedPod, cfg: &PackingConfig) -> Standing {
+        state
+            .placement_of(planned.key)
+            .map_or(Standing::Vacant, |(_, booked)| {
+                Standing::running(booked, planned, cfg)
+            })
+    }
+}
+
+/// Step 0: diagonal scaling — drop running pods the plan turned off — and,
+/// in the same pass, the [`Standing`] of every plan position.
 fn drop_unplanned(
     state: &mut ClusterState,
+    plan: &[PlannedPod],
+    cfg: &PackingConfig,
     rank_of: &impl Fn(PodKey) -> Option<usize>,
     out: &mut PackOutcome,
-) {
-    let to_drop: Vec<PodKey> = state
-        .assignments()
-        .filter(|&(p, _, _)| rank_of(p).is_none())
-        .map(|(p, _, _)| p)
-        .collect();
+) -> Vec<Standing> {
+    let mut standing = vec![Standing::Vacant; plan.len()];
+    let mut to_drop = Vec::new();
+    for (p, _, booked) in state.assignments() {
+        match rank_of(p) {
+            Some(i) => standing[i] = Standing::running(booked, &plan[i], cfg),
+            None => to_drop.push(p),
+        }
+    }
     for p in to_drop {
         state.remove(p).expect("pod listed in assignments");
         out.deletions.push(p);
     }
+    standing
 }
 
 /// The healthy nodes keyed by remaining capacity — the ordered set every
@@ -393,6 +455,9 @@ fn healthy_by_remaining(state: &ClusterState) -> SortedNodes {
 struct PackCtx {
     /// Observability handle, grabbed once per pack.
     obs: Recorder,
+    /// Per plan position, from the drop pass: exact for every position
+    /// the placement loop has not reached yet.
+    standing: Vec<Standing>,
     /// The deletion fallback's cursor into the plan (see the
     /// [module docs](self) for its invariant): the next victim is the
     /// first running pod before it. Starts past the plan's end and only
@@ -409,10 +474,11 @@ struct PackCtx {
 }
 
 impl PackCtx {
-    fn new(plan: &[PlannedPod]) -> PackCtx {
+    fn new(standing: Vec<Standing>) -> PackCtx {
         PackCtx {
             obs: phoenix_obs::current(),
-            victim_cursor: plan.len(),
+            victim_cursor: standing.len(),
+            standing,
             victim_origin: FxHashMap::default(),
             repack: RepackScratch::default(),
         }
@@ -449,25 +515,33 @@ impl PackCtx {
             out.migrations.push((pod, from, node));
         }
     }
-}
 
-/// Moves `cursor` towards the head of the plan to the next running pod
-/// that still sits after `rank` — the deletion fallback's next victim —
-/// or to `rank + 1` when there is none.
-fn next_victim(
-    state: &ClusterState,
-    plan: &[PlannedPod],
-    cursor: &mut usize,
-    rank: usize,
-) -> Option<PodKey> {
-    while *cursor > rank + 1 {
-        *cursor -= 1;
-        let key = plan[*cursor].key;
-        if state.node_of(key).is_some() {
-            return Some(key);
+    /// Moves the victim cursor towards the head of the plan to the next
+    /// running pod that still sits after `rank` — the deletion fallback's
+    /// next victim, whose position it marks vacant for the caller to
+    /// remove — or to `rank + 1` when there is none.
+    fn next_victim(
+        &mut self,
+        state: &ClusterState,
+        plan: &[PlannedPod],
+        rank: usize,
+    ) -> Option<PodKey> {
+        while self.victim_cursor > rank + 1 {
+            self.victim_cursor -= 1;
+            let at = self.victim_cursor;
+            let key = plan[at].key;
+            debug_assert_eq!(
+                self.standing[at] != Standing::Vacant,
+                state.node_of(key).is_some(),
+                "standing of victim candidate {key} at rank {at}"
+            );
+            if self.standing[at] != Standing::Vacant {
+                self.standing[at] = Standing::Vacant;
+                return Some(key);
+            }
         }
+        None
     }
-    None
 }
 
 /// Whether `node` can take `demand`: capacity in both dimensions plus the
@@ -729,6 +803,53 @@ mod tests {
         assert_eq!(out.starts, vec![(pod(0), NodeId::new(0))]);
         assert!(out.unplaced.is_empty());
         state.check_invariants().unwrap();
+    }
+
+    /// One 10-CPU node running pod5 at 3 CPUs; the plan puts an 8-CPU pod
+    /// first and re-books pod5 at `demand`. Rank 0 needs pod5's room, so
+    /// the cursor takes pod5 as a victim before its own turn, while its
+    /// standing still says "rebook".
+    fn rebook_victim(demand: f64) -> (ClusterState, PackOutcome) {
+        let mut state = ClusterState::homogeneous(1, Resources::cpu(10.0));
+        state
+            .assign(pod(5), Resources::cpu(3.0), NodeId::new(0))
+            .unwrap();
+        let plan = plan_of(&[(0, 8.0), (5, demand)]);
+        let cfg = PackingConfig {
+            enable_migration: false,
+            rebook_in_place: true,
+            ..PackingConfig::default()
+        };
+        let out = pack(&mut state, &plan, &cfg);
+        state.check_invariants().unwrap();
+        (state, out)
+    }
+
+    #[test]
+    fn rebook_victim_that_fits_again_is_kept_at_its_new_demand() {
+        // pod5 shrinks to 2 CPUs: it fits beside pod0 at its own turn, so
+        // the victim delete collapses into a keep.
+        let (state, out) = rebook_victim(2.0);
+        assert_eq!(out.starts, vec![(pod(0), NodeId::new(0))]);
+        assert!(out.deletions.is_empty(), "deletions: {:?}", out.deletions);
+        assert!(out.migrations.is_empty() && out.unplaced.is_empty());
+        assert_eq!(
+            state.placement_of(pod(5)),
+            Some((NodeId::new(0), Resources::cpu(2.0)))
+        );
+    }
+
+    #[test]
+    fn rebook_victim_that_no_longer_fits_is_deleted_once() {
+        // pod5 grows to 4 CPUs: only 2 are left at its turn. Its position
+        // must read as vacant, not as a second rebook of a pod that is
+        // already gone.
+        let (state, out) = rebook_victim(4.0);
+        assert_eq!(out.starts, vec![(pod(0), NodeId::new(0))]);
+        assert_eq!(out.deletions, vec![pod(5)]);
+        assert_eq!(out.unplaced, vec![pod(5)]);
+        assert!(out.migrations.is_empty());
+        assert_eq!(state.node_of(pod(5)), None);
     }
 
     #[test]

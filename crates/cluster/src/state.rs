@@ -374,6 +374,7 @@ impl ClusterState {
     }
 
     /// Where `pod` runs, if assigned.
+    #[inline]
     pub fn node_of(&self, pod: PodKey) -> Option<NodeId> {
         let &id = self.pod_ids.get(&pod)?;
         let node = self.pod_node[id as usize];
@@ -388,6 +389,7 @@ impl ClusterState {
     /// Where `pod` runs and what it books there, if assigned —
     /// [`node_of`](ClusterState::node_of) and
     /// [`demand_of`](ClusterState::demand_of) in one table probe.
+    #[inline]
     pub fn placement_of(&self, pod: PodKey) -> Option<(NodeId, Resources)> {
         let &id = self.pod_ids.get(&pod)?;
         let node = self.pod_node[id as usize];
