@@ -2,6 +2,7 @@
 //! Phoenix agent's monitor/plan/execute cycle, and per-second serving
 //! traces.
 
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 use phoenix_cluster::{ClusterState, FxHashMap, NodeId, PodKey, Resources};
@@ -102,7 +103,9 @@ impl Milestone {
     }
 }
 
-/// Pods serving user traffic at one sample instant.
+/// Pods serving user traffic at one sample instant. A sample taken while
+/// the serving set and its weights did not change since the previous one
+/// is a copy of it apart from `at`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceSample {
     /// Sample time.
@@ -121,8 +124,9 @@ pub struct TraceSample {
 #[derive(Debug, Clone, Default)]
 pub struct SimTrace {
     /// Serving status over time, one sample per `sample_interval`.
-    /// Consecutive samples may be equal apart from `at`: a sample with no
-    /// other event since the previous one is a copy of it.
+    /// Consecutive samples may be equal apart from `at`: a sample taken
+    /// while the serving set and its weights stayed unchanged since the
+    /// previous one is a copy of it, whatever events fired in between.
     pub samples: Vec<TraceSample>,
     /// Milestones in time order.
     pub milestones: Vec<Milestone>,
@@ -149,11 +153,19 @@ impl SimTrace {
         }
     }
 
-    /// Is every replica of `(app, service)` serving at `t`?
+    /// Is every replica of `(app, service)` serving at `t`? An `(app,
+    /// service)` the workload lacks is never up.
     pub fn service_up(&self, workload: &Workload, app: u32, service: u32, t: SimTime) -> bool {
-        let spec = workload
-            .app(phoenix_core::spec::AppId::new(app))
-            .service(phoenix_core::spec::ServiceId::new(service));
+        if app as usize >= workload.app_count() {
+            return false;
+        }
+        let Some(spec) = workload
+            .app(AppId::new(app))
+            .services()
+            .get(service as usize)
+        else {
+            return false;
+        };
         let serving = self.serving_at(t);
         (0..spec.replicas).all(|r| serving.binary_search(&PodKey::new(app, service, r)).is_ok())
     }
@@ -339,9 +351,6 @@ pub fn simulate_from(
             break;
         }
         sim.obs.incr(phoenix_obs::Counter::SimEvents);
-        if !matches!(event, Event::Sample) {
-            sim.sample_dirty = true;
-        }
         match event {
             Event::Scenario(kind) => sim.scenario(now, kind),
             Event::MonitorTick => sim.monitor_tick(now),
@@ -389,11 +398,25 @@ struct Sim<'a> {
     /// Point lookups only: never iterated, so the hasher cannot leak into
     /// the output.
     pods: FxHashMap<PodKey, (Phase, ServingMode)>,
+    /// The serving set, in key order: exactly the pods `state` books,
+    /// `pods` holds as `Running`, on a live kubelet. Each maps to its
+    /// weight `mode_utility(mode) / replicas` under the current workload,
+    /// `None` once the workload lacks that replica. Every fact this reads
+    /// changes only at a call site of [`refresh`](Sim::refresh) or
+    /// [`unserve`](Sim::unserve): kubelet liveness flips, evictions,
+    /// `Terminating` marks, deletions, migrations, mode shifts, start
+    /// completions, surges and the steady-state assigns. A restored node
+    /// comes back empty and a `Starting` pod never serves, so neither
+    /// needs a call. Every removal from `pods` unserves the pod, even
+    /// where it cannot be serving (a failed node's kubelet is dead; a
+    /// deleted pod was unserved when marked `Terminating`). Debug builds
+    /// check every sample against [`fresh_sample`](Sim::fresh_sample).
+    serving: BTreeMap<PodKey, Option<f64>>,
     actions_in_flight: usize,
     /// The next monitor tick must replan.
     dirty: bool,
-    /// A non-`Sample` event fired since the last sample; until one does,
-    /// the next sample repeats the previous one.
+    /// `serving` changed since the last sample; until it does, the next
+    /// sample repeats the previous one.
     sample_dirty: bool,
     failure_pending_recovery: bool,
 }
@@ -429,6 +452,7 @@ impl<'a> Sim<'a> {
             kubelet_stopped_at: vec![SimTime::ZERO; n],
             degrade_truth: vec![1.0; n],
             pods: FxHashMap::default(),
+            serving: BTreeMap::new(),
             actions_in_flight: 0,
             dirty: false,
             sample_dirty: true,
@@ -448,6 +472,7 @@ impl<'a> Sim<'a> {
                 .assign(pod, demand, node)
                 .expect("steady plan fits");
             sim.pods.insert(pod, (Phase::Running, mode));
+            sim.refresh(pod);
         }
         for ev in &scenario.events {
             sim.queue.schedule(ev.at, Event::Scenario(ev.kind.clone()));
@@ -461,6 +486,37 @@ impl<'a> Sim<'a> {
     /// The current workload: the surged copy once a surge rewrote it.
     fn workload(&self) -> &Workload {
         self.surged.as_ref().unwrap_or(self.workload)
+    }
+
+    /// Re-derives `pod`'s entry in the serving ledger from the booking,
+    /// its phase and mode, its node's kubelet and the current workload.
+    fn refresh(&mut self, pod: PodKey) {
+        let live = |node: NodeId| self.kubelet_alive[node.index()];
+        let mode = match self.pods.get(&pod) {
+            Some(&(Phase::Running, mode)) if self.state.node_of(pod).is_some_and(live) => mode,
+            _ => return self.unserve(pod),
+        };
+        let weight = self
+            .workload()
+            .service_of_pod(pod)
+            .map(|(_, svc)| svc.mode_utility(mode) / f64::from(svc.replicas));
+        let old = self.serving.insert(pod, weight);
+        if old.map(|w| w.map(f64::to_bits)) != Some(weight.map(f64::to_bits)) {
+            self.sample_dirty = true;
+        }
+    }
+
+    /// Drops `pod` from the serving ledger.
+    fn unserve(&mut self, pod: PodKey) {
+        if self.serving.remove(&pod).is_some() {
+            self.sample_dirty = true;
+        }
+    }
+
+    fn refresh_all(&mut self, pods: Vec<PodKey>) {
+        for pod in pods {
+            self.refresh(pod);
+        }
     }
 
     fn mark(&mut self, now: SimTime, kind: MilestoneKind) {
@@ -516,9 +572,10 @@ impl<'a> Sim<'a> {
             ScenarioKind::KubeletStart(nodes) => {
                 let mut any = false;
                 for node in nodes {
-                    if let Some(alive) = self.kubelet_alive.get_mut(node.index()) {
-                        any |= !*alive;
-                        *alive = true;
+                    if self.kubelet_alive.get(node.index()) == Some(&false) {
+                        self.kubelet_alive[node.index()] = true;
+                        self.refresh_all(self.state.pods_on(node).collect());
+                        any = true;
                     }
                 }
                 if any {
@@ -578,6 +635,9 @@ impl<'a> Sim<'a> {
                     self.surged
                         .get_or_insert_with(|| original.clone())
                         .scale_app(AppId::new(app), demand_factor, replica_factor);
+                    let first = PodKey::new(app, 0, 0);
+                    let last = PodKey::new(app, u32::MAX, u16::MAX);
+                    self.refresh_all(self.serving.range(first..=last).map(|(&p, _)| p).collect());
                     self.mark(now, MilestoneKind::Surge);
                     self.dirty = true;
                 }
@@ -594,6 +654,7 @@ impl<'a> Sim<'a> {
             if self.kubelet_alive.get(i) == Some(&true) {
                 self.kubelet_alive[i] = false;
                 self.kubelet_stopped_at[i] = now;
+                self.refresh_all(self.state.pods_on(*node).collect());
                 any = true;
             }
         }
@@ -628,6 +689,7 @@ impl<'a> Sim<'a> {
             if !alive && self.state.is_healthy(node) && silent_for >= self.config.heartbeat_grace {
                 for (pod, _) in self.state.fail_node(node) {
                     self.pods.remove(&pod);
+                    self.unserve(pod);
                 }
                 detected = true;
             }
@@ -652,6 +714,7 @@ impl<'a> Sim<'a> {
                 self.dirty = true;
                 for (pod, _) in self.state.set_degrade(node, truth) {
                     self.pods.remove(&pod);
+                    self.unserve(pod);
                     self.failure_pending_recovery = true;
                 }
             }
@@ -701,6 +764,7 @@ impl<'a> Sim<'a> {
                 if let Some((phase, _)) = self.pods.get_mut(&pod) {
                     *phase = Phase::Terminating;
                 }
+                self.unserve(pod);
                 self.queue.schedule(done, Event::DeleteDone(pod));
                 self.actions_in_flight += 1;
                 last_delete_done = last_delete_done.max(done);
@@ -748,6 +812,7 @@ impl<'a> Sim<'a> {
         if matches!(self.pods.get(&pod), Some((Phase::Terminating, _))) {
             let _ = self.state.remove(pod);
             self.pods.remove(&pod);
+            self.unserve(pod);
         }
         self.finish_action(now);
     }
@@ -786,6 +851,7 @@ impl<'a> Sim<'a> {
                 }
             }
         }
+        self.refresh(pod);
         self.queue
             .schedule(migration.done_at, Event::StartDone(pod));
     }
@@ -800,6 +866,7 @@ impl<'a> Sim<'a> {
             (Some(node), Some(want)) => {
                 if self.rebook(pod, node, want) {
                     self.pods.entry(pod).and_modify(|e| e.1 = to);
+                    self.refresh(pod);
                 }
             }
             // The pod was evicted (or the service vanished in a surge)
@@ -813,34 +880,33 @@ impl<'a> Sim<'a> {
         if let Some((phase, _)) = self.pods.get_mut(&pod) {
             *phase = Phase::Running;
         }
+        self.refresh(pod);
         self.finish_action(now);
     }
 
-    /// Records the serving status at `now`, copying the previous sample
-    /// when nothing but samples fired since it.
+    /// Records the serving status at `now` from the serving ledger,
+    /// copying the previous sample when the ledger did not change since.
     fn sample(&mut self, now: SimTime) {
         let sample = match self.trace.samples.last() {
-            Some(last) if !self.sample_dirty => {
-                let reused = TraceSample {
-                    at: now,
-                    ..last.clone()
-                };
-                debug_assert_eq!(
-                    reused,
-                    self.fresh_sample(now),
-                    "reused sample differs at {now}"
-                );
-                reused
-            }
-            _ => self.fresh_sample(now),
+            Some(last) if !self.sample_dirty => TraceSample {
+                at: now,
+                ..last.clone()
+            },
+            _ => TraceSample {
+                at: now,
+                serving: self.serving.keys().copied().collect(),
+                utility: self.serving.values().flatten().sum(),
+            },
         };
+        debug_assert_eq!(sample, self.fresh_sample(now), "sample differs at {now}");
         self.trace.samples.push(sample);
         self.sample_dirty = false;
         self.reschedule(now, self.config.sample_interval, Event::Sample);
     }
 
     /// Every `Running` pod on a live kubelet, sorted, and the utility they
-    /// serve under the current (possibly surged) workload.
+    /// serve under the current (possibly surged) workload, derived from
+    /// every booking: the reference the serving ledger is checked against.
     fn fresh_sample(&self, now: SimTime) -> TraceSample {
         let mut serving: Vec<PodKey> = self
             .state
@@ -1105,6 +1171,49 @@ mod tests {
         let after = trace.serving_at(SimTime::from_secs(890)).len();
         assert_eq!(before, 2);
         assert_eq!(after, 4, "surged replicas must be serving");
+        // The surge reweighs the serving replicas at once: each old one now
+        // counts 1/2 of its service while the new replicas still start.
+        assert_eq!(trace.utility_at(SimTime::from_secs(290)), 2.0);
+        assert_eq!(trace.utility_at(SimTime::from_secs(301)), 1.0);
+        assert_eq!(trace.utility_at(SimTime::from_secs(890)), 2.0);
+    }
+
+    #[test]
+    fn kubelet_back_before_detection_serves_again() {
+        let fe = PodKey::new(0, 0, 0);
+        let mut s = Scenario::new(3, Resources::cpu(2.0));
+        s.kubelet_stop_at(SimTime::from_secs(100), [0]);
+        s.kubelet_start_at(SimTime::from_secs(130), [0]);
+        let trace = fair(&s, 200);
+        // The frontend's kubelet is silent: it stops serving at once…
+        let down = SimTime::from_secs(110);
+        assert!(!trace.serving_at(down).contains(&fe));
+        assert_eq!(trace.utility_at(down), 1.0);
+        // …and serves again the moment it returns, before any detection.
+        let back = SimTime::from_secs(130);
+        assert_eq!(trace.serving_at(back).len(), 2);
+        assert!(trace.serving_at(back).contains(&fe));
+        assert_eq!(trace.utility_at(back), 2.0);
+        let milestones: Vec<(SimTime, MilestoneKind)> =
+            trace.milestones.iter().map(|m| (m.at, m.kind)).collect();
+        assert_eq!(
+            milestones,
+            [
+                (SimTime::from_secs(100), MilestoneKind::Failure),
+                (back, MilestoneKind::NodesRestored),
+            ]
+        );
+    }
+
+    #[test]
+    fn service_up_is_false_for_unknown_services() {
+        let w = workload();
+        let trace = fair(&Scenario::new(2, Resources::cpu(2.0)), 60);
+        let t = SimTime::from_secs(30);
+        assert!(trace.service_up(&w, 0, 1, t));
+        assert!(!trace.service_up(&w, 0, 2, t));
+        assert!(!trace.service_up(&w, 1, 0, t));
+        assert!(!trace.service_up(&w, u32::MAX, u32::MAX, t));
     }
 
     #[test]
