@@ -23,7 +23,7 @@
 //! [`Recorder::chrome_trace_json`]: phoenix_obs::Recorder::chrome_trace_json
 
 use phoenix_bench::replan_scenario::{converge_and_degrade, replan_env};
-use phoenix_bench::{arg, init_threads, Table};
+use phoenix_bench::{init_threads, or_exit, Flags, Table};
 use phoenix_core::objectives::ObjectiveKind;
 use phoenix_core::policies::{DefaultPolicy, PhoenixPolicy, ResiliencePolicy};
 use phoenix_core::replan::ReplanDelta;
@@ -31,12 +31,19 @@ use phoenix_obs::{with_recorder, Phase, Recorder};
 use phoenix_scenarios::campaign::{demo_workload_modal, run_campaign, CampaignConfig};
 use phoenix_scenarios::generate::{generate_suite, GeneratorConfig};
 
+const FLAGS: Flags = Flags {
+    switches: &[],
+    valued: &["nodes", "rounds", "json", "trace", "threads"],
+    names: false,
+};
+
 fn main() {
+    let cli = FLAGS.from_env();
+    let nodes: usize = or_exit(cli.get("nodes")).unwrap_or(200);
+    let rounds: usize = or_exit(cli.get("rounds")).unwrap_or(20);
+    let json_path: String = or_exit(cli.get("json")).unwrap_or("obs_report.json".into());
+    let trace_path: String = or_exit(cli.get("trace")).unwrap_or("obs_trace.json".into());
     let threads = init_threads();
-    let nodes: usize = arg("nodes", 200);
-    let rounds: usize = arg("rounds", 20);
-    let json_path: String = arg("json", "obs_report.json".to_string());
-    let trace_path: String = arg("trace", "obs_trace.json".to_string());
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let recorder = Recorder::enabled();

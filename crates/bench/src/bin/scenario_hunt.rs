@@ -35,7 +35,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use phoenix_apps::overleaf::{overleaf, OverleafVariant};
-use phoenix_bench::{arg, flag, init_threads, Table};
+use phoenix_bench::{init_threads, or_exit, Flags, Table};
 use phoenix_chaos::scenario_chaos::scenario_audit;
 use phoenix_core::policies::{DefaultPolicy, PhoenixPolicy, ResiliencePolicy};
 use phoenix_kubesim::run::{SimConfig, SteadyState};
@@ -48,16 +48,24 @@ use phoenix_scenarios::search::{
 };
 use phoenix_scenarios::shrink::shrink;
 
+const FLAGS: Flags = Flags {
+    switches: &["smoke", "full", "no-persist", "utility-tiebreak"],
+    valued: &["seed", "policy", "json", "out", "threads"],
+    names: false,
+};
+
 fn main() {
+    let cli = FLAGS.from_env();
+    let full = cli.has("full");
+    let seed: u64 = or_exit(cli.get("seed")).unwrap_or(42);
+    let json: Option<String> = or_exit(cli.get("json"));
     let threads = init_threads();
-    let full = flag("full");
-    let seed: u64 = arg("seed", 42);
     let hunt = if full {
         HuntConfig::full(seed)
     } else {
         HuntConfig::smoke(seed)
     };
-    let policy_filter: String = arg("policy", String::new());
+    let policy_filter: Option<String> = or_exit(cli.get("policy"));
     let mut policies: Vec<Box<dyn ResiliencePolicy>> = if full {
         phoenix_core::policies::standard_roster()
     } else {
@@ -67,22 +75,14 @@ fn main() {
             Box::new(DefaultPolicy),
         ]
     };
-    if !policy_filter.is_empty() {
-        policies.retain(|p| p.name() == policy_filter);
-        assert!(
-            !policies.is_empty(),
-            "no roster policy named {policy_filter}"
-        );
-    }
-    let persist = !flag("no-persist");
-    let out_dir: PathBuf = {
-        let custom: String = arg("out", String::new());
-        if custom.is_empty() {
-            regressions_dir()
-        } else {
-            PathBuf::from(custom)
+    if let Some(name) = policy_filter {
+        policies.retain(|p| p.name() == name);
+        if policies.is_empty() {
+            or_exit(Err(format!("no roster policy named {name}")))
         }
-    };
+    }
+    let persist = !cli.has("no-persist");
+    let out_dir = or_exit(cli.get::<PathBuf>("out")).unwrap_or_else(regressions_dir);
 
     let workload = demo_workload(hunt.apps);
     let cfg = CampaignConfig::default();
@@ -99,7 +99,7 @@ fn main() {
     // worst restore time). With --utility-tiebreak: the served-utility
     // deficit on the modal demo workload — scenarios that defeat
     // degraded serving, not just whole-pod availability.
-    let utility_tiebreak = flag("utility-tiebreak");
+    let utility_tiebreak = cli.has("utility-tiebreak");
     let modal_workload = demo_workload_modal(hunt.apps);
     let modal_policy = PhoenixPolicy::fair();
     let audit_model = overleaf("overleaf", OverleafVariant::Edits, 1.0);
@@ -300,12 +300,7 @@ fn main() {
         println!("(--no-persist: {} repro(s) not written)", repros.len());
     }
 
-    if let Some(path) = std::env::args()
-        .collect::<Vec<_>>()
-        .windows(2)
-        .find(|w| w[0] == "--json")
-        .map(|w| w[1].clone())
-    {
+    if let Some(path) = json {
         let outcome_json = serde_json::to_string_pretty(&outcome).expect("outcome serializes");
         let repro_json: Vec<String> = repros
             .iter()

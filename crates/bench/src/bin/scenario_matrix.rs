@@ -13,7 +13,7 @@
 
 use std::time::Instant;
 
-use phoenix_bench::{arg, f3, flag, init_threads, Table};
+use phoenix_bench::{f3, init_threads, or_exit, Flags, Table};
 use phoenix_core::policies::{DefaultPolicy, PhoenixPolicy, ResiliencePolicy};
 use phoenix_scenarios::campaign::{
     demo_workload, demo_workload_modal, run_campaign, CampaignConfig,
@@ -21,10 +21,18 @@ use phoenix_scenarios::campaign::{
 use phoenix_scenarios::generate::{generate_suite, GeneratorConfig};
 use phoenix_scenarios::model;
 
+const FLAGS: Flags = Flags {
+    switches: &["smoke", "full"],
+    valued: &["seed", "json", "threads"],
+    names: false,
+};
+
 fn main() {
+    let cli = FLAGS.from_env();
+    let full = cli.has("full");
+    let seed: u64 = or_exit(cli.get("seed")).unwrap_or(42);
+    let json: Option<String> = or_exit(cli.get("json"));
     let threads = init_threads();
-    let full = flag("full");
-    let seed: u64 = arg("seed", 42);
     let gen_cfg = GeneratorConfig {
         nodes: if full { 16 } else { 8 },
         node_cpu: 4.0,
@@ -126,12 +134,7 @@ fn main() {
     }
     modal_table.print("Serving modes vs binary place/evict (PhoenixFair, mean min utility)");
 
-    if let Some(path) = std::env::args()
-        .collect::<Vec<_>>()
-        .windows(2)
-        .find(|w| w[0] == "--json")
-        .map(|w| w[1].clone())
-    {
+    if let Some(path) = json {
         let suite_json = model::to_json(&suite).expect("suite serializes");
         let outcome_json =
             phoenix_scenarios::campaign::outcome_to_json(&outcome).expect("outcome serializes");

@@ -36,6 +36,8 @@ use phoenix_scenarios::regression::{load_all, regressions_dir, replay};
 use phoenix_scenarios::search::{run_hunt, signature_of, HuntConfig};
 use phoenix_scenarios::shrink::shrink;
 
+use crate::Line;
+
 /// One named block of probe output.
 #[derive(Debug, Clone, Copy)]
 pub struct Section {
@@ -77,18 +79,6 @@ pub const SECTIONS: &[Section] = &[
 /// The directory holding one fixture file per section.
 pub fn fixtures_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/probe")
-}
-
-/// `out.line(format!(..))` appends one newline-terminated line.
-trait Line {
-    fn line(&mut self, text: String);
-}
-
-impl Line for String {
-    fn line(&mut self, text: String) {
-        self.push_str(&text);
-        self.push('\n');
-    }
 }
 
 /// A deterministic mixed workload (graphs, flat apps, uneven replicas).
