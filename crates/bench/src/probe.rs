@@ -14,15 +14,18 @@ use phoenix_adaptlab::alibaba::AlibabaConfig;
 use phoenix_adaptlab::runner::{failure_sweep, scripted_sweep, SweepConfig};
 use phoenix_adaptlab::scenario::EnvConfig;
 use phoenix_apps::hotel::{hotel, HotelVariant};
+use phoenix_apps::instances::{cloudlab_capacities, cloudlab_workload};
 use phoenix_apps::overleaf::{overleaf, OverleafVariant};
 use phoenix_chaos::node_chaos::{node_chaos, NodeChaosConfig};
 use phoenix_chaos::{audit_tags, ChaosConfig};
+use phoenix_cluster::failure::{fail_fraction, restore_all};
 use phoenix_cluster::{ClusterState, NodeId, PodKey, Resources};
 use phoenix_core::controller::{PhoenixConfig, PhoenixController, PlanResult};
 use phoenix_core::objectives::ObjectiveKind::{self, Cost, Fairness};
 use phoenix_core::policies::{standard_roster, DefaultPolicy, PhoenixPolicy, ResiliencePolicy};
 use phoenix_core::replan::ReplanDelta::{self, CapacityOnly, Full};
 use phoenix_core::spec::{AppSpecBuilder, ServiceId, ServingMode, Workload};
+use phoenix_core::stateful::{plan_pinned, StatefulMarks};
 use phoenix_core::tags::Criticality;
 use phoenix_kubesim::run::{simulate, simulate_from, SimConfig, SteadyState, TraceSample};
 use phoenix_kubesim::scenario::Scenario;
@@ -35,6 +38,8 @@ use phoenix_scenarios::model::{ScenarioDoc, SuiteDoc};
 use phoenix_scenarios::regression::{load_all, regressions_dir, replay};
 use phoenix_scenarios::search::{run_hunt, signature_of, HuntConfig};
 use phoenix_scenarios::shrink::shrink;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 use crate::Line;
 
@@ -74,6 +79,7 @@ pub const SECTIONS: &[Section] = &[
     Section { name: "snapshot", run: snapshot },
     Section { name: "obs", run: obs },
     Section { name: "traces", run: traces },
+    Section { name: "pinned", run: pinned },
 ];
 
 /// The directory holding one fixture file per section.
@@ -559,24 +565,36 @@ fn obs(out: &mut String) {
     }
 }
 
+/// An FNV-1a hash fed one little-endian `u64` at a time.
+struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv {
+    fn eat(&mut self, word: u64) {
+        for b in word.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
 /// FNV-1a over every sample's time, serving pods and utility bits.
 fn samples_digest(samples: &[TraceSample]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |word: u64| {
-        for b in word.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = Fnv::default();
     for s in samples {
-        eat(s.at.as_millis());
-        eat(s.serving.len() as u64);
+        h.eat(s.at.as_millis());
+        h.eat(s.serving.len() as u64);
         for pod in &s.serving {
-            eat(u64::from(pod.app) << 32 | u64::from(pod.service));
-            eat(u64::from(pod.replica));
+            h.eat(u64::from(pod.app) << 32 | u64::from(pod.service));
+            h.eat(u64::from(pod.replica));
         }
-        eat(s.utility.to_bits());
+        h.eat(s.utility.to_bits());
     }
-    h
+    h.0
 }
 
 /// Raw simulator traces, the event loop's own contract: every scenario of
@@ -621,4 +639,58 @@ fn traces(out: &mut String) {
     shrink.kubelet_stop_at(SimTime::from_secs(120), [5, 6, 7]);
     shrink.demand_surge_at(SimTime::from_millis(210_200), 0, 1.0, 0.5);
     run("surge-shrink", &modal, &shrink, SimTime::from_secs(900));
+}
+
+/// Pinned co-location on the CloudLab workload with each app's heaviest
+/// service marked stateful: a fresh plan, a replan after 40 % of the
+/// nodes fail, and one after they return. Per plan: pod and action
+/// counts, the stranded pins, an FNV digest of the placements and one of
+/// every service's chosen mode.
+fn pinned(out: &mut String) {
+    let (workload, _) = cloudlab_workload();
+    let mut marks = StatefulMarks::new();
+    for (app, spec) in workload.apps() {
+        let demand = |s: ServiceId| spec.service(s).total_demand().scalar();
+        let heaviest = spec
+            .service_ids()
+            .max_by(|&a, &b| demand(a).total_cmp(&demand(b)));
+        marks.mark(app, heaviest.expect("apps have services"));
+    }
+    let config = PhoenixConfig::default();
+    let mut live = ClusterState::new(cloudlab_capacities());
+    for round in ["fresh", "failed", "restored"] {
+        match round {
+            "failed" => drop(fail_fraction(&mut live, 0.4, &mut StdRng::seed_from_u64(7))),
+            "restored" => restore_all(&mut live),
+            _ => {}
+        }
+        let plan = plan_pinned(&workload, &marks, &live, &config);
+        let (d, m, s) = plan.actions.counts();
+        let placed = sorted(
+            plan.target
+                .assignments()
+                .map(|(p, n, r)| (p, n, r.scalar().to_bits())),
+        );
+        let mut placements = Fnv::default();
+        for (pod, node, demand) in &placed {
+            placements.eat(u64::from(pod.app) << 32 | u64::from(pod.service));
+            placements.eat(u64::from(pod.replica) << 32 | node.index() as u64);
+            placements.eat(*demand);
+        }
+        let mut modes = Fnv::default();
+        for (app, spec) in workload.apps() {
+            for svc in spec.service_ids() {
+                modes.eat(plan.modes.get(app, svc).depth() as u64);
+            }
+        }
+        let stranded: Vec<String> = plan.stranded.iter().map(PodKey::to_string).collect();
+        out.line(format!(
+            "pinned {round}: pods={} d={d} m={m} s={s} stranded=[{}] placements={:016x} modes={:016x}",
+            placed.len(),
+            stranded.join(" "),
+            placements.0,
+            modes.0,
+        ));
+        live = plan.target;
+    }
 }

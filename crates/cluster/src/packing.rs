@@ -48,12 +48,19 @@
 //!    the end of the plan and walks towards its head, skipping entries
 //!    whose standing is vacant.
 //!    **Cursor invariant:** a plan entry the cursor has passed is either
-//!    not running or was (re-)placed by this pack when its own turn came.
+//!    not running, a pin, or was (re-)placed by this pack when its own
+//!    turn came.
 //!    A victim must sit after the pod being placed; a victim that is
 //!    re-placed later is placed at its own position, which the placement
 //!    loop has reached by then, so it can never be chosen again. Passed
 //!    entries therefore never need a second look: O(P) flag tests over
 //!    the whole pack, and no ordered set of every running pod.
+//!
+//! **Pins.** A [pinned](PlannedPod::pinned) entry (a stateful pod) ranks
+//! ahead of every unpinned one: pins form a prefix of the plan. A running
+//! pin stands settled whatever its booking, the victim cursor passes it,
+//! and repack never migrates it; repack looks a pod's entry up only when
+//! the plan holds a pin. A lost pin is placed like any vacant entry.
 //!
 //! A victim re-placed at its own rank collapses its delete + start pair
 //! into a keep or a migration; its slot in the deletion list is
@@ -76,12 +83,19 @@ pub struct PlannedPod {
     pub key: PodKey,
     /// Its resource demand.
     pub demand: Resources,
+    /// A pin (a stateful pod, see the [module docs](self)): once running
+    /// it is never deleted, migrated or re-booked.
+    pub pinned: bool,
 }
 
 impl PlannedPod {
-    /// Creates a planned pod.
+    /// Creates an unpinned planned pod.
     pub fn new(key: PodKey, demand: Resources) -> PlannedPod {
-        PlannedPod { key, demand }
+        PlannedPod {
+            key,
+            demand,
+            pinned: false,
+        }
     }
 }
 
@@ -283,6 +297,8 @@ impl PlanRanks {
 
 /// [`pack`] with a caller-supplied `pod key → plan index` lookup.
 ///
+/// Pinned entries must form a prefix of `plan` ([module docs](self)).
+///
 /// The planner (`phoenix_core::controller`, cold and warm) passes a dense
 /// workload-shaped table here that it derives in O(services) while it
 /// flattens the activation list, instead of having [`pack`] re-derive one
@@ -305,10 +321,13 @@ pub fn pack_prepared(
         .iter()
         .enumerate()
         .all(|(i, p)| rank_of(p.key) == Some(i)));
+    debug_assert!(plan.iter().skip_while(|p| p.pinned).all(|p| !p.pinned));
     let mut out = PackOutcome::default();
     let standing = drop_unplanned(state, plan, cfg, &rank_of, &mut out);
     let mut sorted = healthy_by_remaining(state);
     let mut ctx = PackCtx::new(standing);
+    let holds_pins = plan.first().is_some_and(|p| p.pinned);
+    let is_pin = |pod: PodKey| holds_pins && rank_of(pod).is_some_and(|i| plan[i].pinned);
     for (rank, planned) in plan.iter().enumerate() {
         debug_assert_eq!(
             ctx.standing[rank],
@@ -345,6 +364,7 @@ pub fn pack_prepared(
                 cfg,
                 &mut out,
                 &mut ctx.repack,
+                is_pin,
             );
             ctx.obs.add(
                 Counter::PackRepackMigrations,
@@ -396,9 +416,10 @@ enum Standing {
 }
 
 impl Standing {
-    /// The standing of a running pod booked at `booked`.
+    /// The standing of a running pod booked at `booked`. A pin is never
+    /// re-booked.
     fn running(booked: Resources, planned: &PlannedPod, cfg: &PackingConfig) -> Standing {
-        if !cfg.rebook_in_place || booked == planned.demand {
+        if !cfg.rebook_in_place || booked == planned.demand || planned.pinned {
             Standing::Settled
         } else {
             Standing::Rebook
@@ -517,9 +538,9 @@ impl PackCtx {
     }
 
     /// Moves the victim cursor towards the head of the plan to the next
-    /// running pod that still sits after `rank` — the deletion fallback's
-    /// next victim, whose position it marks vacant for the caller to
-    /// remove — or to `rank + 1` when there is none.
+    /// running unpinned pod that still sits after `rank` — the deletion
+    /// fallback's next victim, whose position it marks vacant for the
+    /// caller to remove — or to `rank + 1` when there is none.
     fn next_victim(
         &mut self,
         state: &ClusterState,
@@ -535,7 +556,7 @@ impl PackCtx {
                 state.node_of(key).is_some(),
                 "standing of victim candidate {key} at rank {at}"
             );
-            if self.standing[at] != Standing::Vacant {
+            if self.standing[at] != Standing::Vacant && !plan[at].pinned {
                 self.standing[at] = Standing::Vacant;
                 return Some(key);
             }
@@ -593,7 +614,8 @@ struct RepackScratch {
 ///
 /// Examines candidate source nodes from most to least remaining capacity
 /// (emptier nodes need fewer moves). Tentative moves are rolled back when a
-/// candidate cannot be freed within the move budget.
+/// candidate cannot be freed within the move budget. A pod `is_pin` holds
+/// stays on its node.
 fn repack_to_fit(
     state: &mut ClusterState,
     sorted: &mut SortedNodes,
@@ -601,6 +623,7 @@ fn repack_to_fit(
     cfg: &PackingConfig,
     out: &mut PackOutcome,
     scratch: &mut RepackScratch,
+    is_pin: impl Fn(PodKey) -> bool,
 ) -> Option<NodeId> {
     let candidates: Vec<NodeId> = sorted
         .iter_desc()
@@ -612,7 +635,7 @@ fn repack_to_fit(
         moves.clear();
         // Smallest pods first: they are the easiest to re-home.
         pods.clear();
-        pods.extend(state.pod_demands_on(source));
+        pods.extend(state.pod_demands_on(source).filter(|&(p, _)| !is_pin(p)));
         // `total_cmp`: a degenerate (NaN) demand must order deterministically
         // (last, as the hardest to re-home), not panic mid-incident.
         pods.sort_by(|a, b| a.1.scalar().total_cmp(&b.1.scalar()));
@@ -1142,6 +1165,7 @@ mod tests {
             &cfg,
             &mut out,
             &mut RepackScratch::default(),
+            |_| false,
         );
 
         assert_eq!(target, None, "no candidate can be freed");
@@ -1186,6 +1210,7 @@ mod tests {
             &cfg,
             &mut out,
             &mut RepackScratch::default(),
+            |_| false,
         );
         assert_eq!(target, Some(NodeId::new(1)));
         // Only the successful candidate's move is recorded; node0's
@@ -1229,6 +1254,7 @@ mod tests {
             &PackingConfig::default(),
             &mut out,
             &mut RepackScratch::default(),
+            |_| false,
         );
         assert_eq!(target, Some(NodeId::new(0)));
         assert_eq!(

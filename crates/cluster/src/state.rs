@@ -265,15 +265,6 @@ impl ClusterState {
         self.capacity[node.index()]
     }
 
-    /// Resources currently used on `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node does not exist.
-    pub fn used(&self, node: NodeId) -> Resources {
-        self.used[node.index()]
-    }
-
     /// Remaining capacity on `node` (zero when failed), measured against
     /// the node's *effective* capacity — a partially degraded node offers
     /// only `capacity × degrade_factor`.

@@ -2,7 +2,7 @@
 //! uses failed nodes, and respects plan membership — and, on crunch-heavy
 //! clusters, packs byte-identically to the reference packer it replaced.
 
-use phoenix_cluster::packing::{pack, FitStrategy, PackingConfig, PlannedPod};
+use phoenix_cluster::packing::{pack, FitStrategy, PackOutcome, PackingConfig, PlannedPod};
 use phoenix_cluster::{ClusterState, NodeId, PodKey, Resources};
 use proptest::prelude::*;
 
@@ -610,6 +610,63 @@ proptest! {
                 "crunch generator went soft: {:?}",
                 seen
             );
+        }
+    }
+}
+
+const PIN_CASES: u32 = 192;
+
+thread_local! {
+    /// `(cases, running pins an unpinned pack of the same plan would
+    /// delete or migrate)` so far in this thread's run.
+    static THREATENED: std::cell::Cell<(u32, usize)> = const { std::cell::Cell::new((0, 0)) };
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(PIN_CASES))]
+
+    /// A running pin is never deleted, migrated or re-booked, under every
+    /// knob: random crunch plans with a random subset of entries pinned
+    /// and moved to the plan's head (pins rank first). The same plan with
+    /// its pins unpinned must often delete or migrate those very pods, or
+    /// the property tests nothing.
+    #[test]
+    fn running_pins_stay_put(
+        crunch in arb_crunch(),
+        pin_mask in proptest::collection::vec(any::<bool>(), 70),
+    ) {
+        let (state, plan) = crunch.build();
+        let (mut pinned, rest): (Vec<PlannedPod>, Vec<PlannedPod>) = plan
+            .into_iter()
+            .zip(pin_mask)
+            .map(|(p, pinned)| PlannedPod { pinned, ..p })
+            .partition(|p| p.pinned);
+        pinned.extend(rest);
+        let plan = pinned;
+        let running_pins: Vec<PodKey> = plan
+            .iter()
+            .filter(|p| p.pinned && state.node_of(p.key).is_some())
+            .map(|p| p.key)
+            .collect();
+
+        let mut target = state.clone();
+        let out = pack(&mut target, &plan, &crunch.cfg);
+        target.check_invariants().unwrap();
+        let touched = |out: &PackOutcome, pod: PodKey| {
+            out.deletions.contains(&pod) || out.migrations.iter().any(|m| m.0 == pod)
+        };
+        for &pod in &running_pins {
+            prop_assert!(!touched(&out, pod), "pin {} deleted or migrated", pod);
+            prop_assert_eq!(target.placement_of(pod), state.placement_of(pod), "pin {}", pod);
+        }
+
+        let unpinned: Vec<PlannedPod> = plan.iter().map(|p| PlannedPod::new(p.key, p.demand)).collect();
+        let free = pack(&mut state.clone(), &unpinned, &crunch.cfg);
+        let (cases, threatened) = THREATENED.get();
+        let threatened = threatened + running_pins.iter().filter(|&&p| touched(&free, p)).count();
+        THREATENED.set((cases + 1, threatened));
+        if cases + 1 == PIN_CASES {
+            prop_assert!(threatened > 100, "pins were threatened only {threatened} times");
         }
     }
 }

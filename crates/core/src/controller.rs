@@ -9,9 +9,10 @@ use phoenix_cluster::{ClusterState, PodKey, Resources};
 use crate::actions::{diff_from_outcome, ActionPlan};
 use crate::objectives::{ObjectiveKind, OperatorObjective};
 use crate::planner::{app_rank, PlannerConfig};
-use crate::ranking::{global_rank, GlobalRank, GlobalRankItem};
+use crate::ranking::{global_rank_prepared, GlobalRank, GlobalRankItem, RankInputs};
 use crate::replan::{replan_with, ReplanCache, ReplanDelta};
-use crate::spec::{AppId, AppSpec, ModeAssignment, ServiceId, Workload};
+use crate::spec::{AppId, AppSpec, ModeAssignment, ServiceId, ServingMode, Workload};
+use crate::stateful::StatefulMarks;
 
 /// Controller configuration: objective + planner + packing knobs.
 #[derive(Debug)]
@@ -313,20 +314,71 @@ pub(crate) fn pack_round(
 /// count** (see the thread-invariance tests below and in
 /// [`crate::replan`]). Packing is sequential.
 pub fn plan_with(workload: &Workload, state: &ClusterState, config: &PhoenixConfig) -> PlanResult {
+    plan_pinned_with(workload, state, config, &StatefulMarks::new())
+}
+
+/// The one pipeline behind [`plan_with`] (no pins) and
+/// [`crate::stateful::plan_pinned`]. A pin is a rank plus a packing rule:
+/// every replica of every service in `pins` packs first, at `Full` demand,
+/// as a [pinned](PlannedPod::pinned) entry, and the ranking sees neither
+/// the pinned services nor their demand. With no pins every step is the
+/// plain pipeline's.
+pub(crate) fn plan_pinned_with(
+    workload: &Workload,
+    state: &ClusterState,
+    config: &PhoenixConfig,
+    pins: &StatefulMarks,
+) -> PlanResult {
     let obs = phoenix_obs::current();
     obs.incr(phoenix_obs::Counter::ColdPlans);
+    // One `Full` item per pinned service, carrying its whole demand.
+    let pin_items: Vec<GlobalRankItem> = (pins.iter())
+        .filter_map(|(app, service)| {
+            let pod = PodKey::new(app.index() as u32, service.index() as u32, 0);
+            let (_, svc) = workload.service_of_pod(pod)?;
+            Some(GlobalRankItem {
+                app,
+                service,
+                demand: svc.total_demand(),
+                mode: ServingMode::Full,
+            })
+        })
+        .collect();
 
     // --- Planner -------------------------------------------------------
     let t0 = Instant::now();
     let rank = {
         let _rank_timer = obs.phase(phoenix_obs::Phase::Rank);
         let specs: Vec<&AppSpec> = workload.apps().map(|(_, a)| a).collect();
-        let app_ranks: Vec<Vec<ServiceId>> =
+        let mut app_ranks: Vec<Vec<ServiceId>> =
             phoenix_exec::global().par_map(&specs, |app| app_rank(app, config.planner.traversal));
-        let capacity = state.healthy_capacity();
-        global_rank(
-            workload,
-            &app_ranks,
+        let mut capacity = state.healthy_capacity();
+        let inputs = if pins.is_empty() {
+            RankInputs::new(workload, &app_ranks)
+        } else {
+            // Pins leave the chains and the fair shares (summed in service
+            // order, as `AppSpec::total_demand` does). A pin too big for
+            // every healthy node is stranded whatever the ranking does, so
+            // only the others hold capacity back.
+            let mut demands = Vec::with_capacity(workload.app_count());
+            for ((app, spec), rank) in workload.apps().zip(&mut app_ranks) {
+                rank.retain(|&s| !pins.is_stateful(app, s));
+                let kept = spec.service_ids().filter(|&s| !pins.is_stateful(app, s));
+                let demand: Resources = kept.map(|s| spec.service(s).total_demand()).sum();
+                demands.push(demand.scalar());
+            }
+            let nodes = state.healthy_nodes();
+            let fits = |i: &&GlobalRankItem| {
+                let replica = workload.app(i.app).service(i.service).demand;
+                let fits_on = |&n| replica.fits_in(&state.effective_capacity(n));
+                nodes.iter().any(fits_on)
+            };
+            let reserved = pin_items.iter().filter(fits).map(|i| i.demand).sum();
+            capacity = capacity.saturating_sub(&reserved);
+            RankInputs::new(workload, &app_ranks).with_app_demands(demands)
+        };
+        global_rank_prepared(
+            &inputs,
             config.objective.as_ref(),
             capacity,
             &config.planner,
@@ -337,7 +389,16 @@ pub fn plan_with(workload: &Workload, state: &ClusterState, config: &PhoenixConf
     // --- Scheduler -----------------------------------------------------
     let t1 = Instant::now();
     let _pack_timer = obs.phase(phoenix_obs::Phase::Pack);
-    let flat = flatten_plan(workload, &rank.items);
+    let flat = if pins.is_empty() {
+        flatten_plan(workload, &rank.items)
+    } else {
+        let mut flat = flatten_plan(workload, &[&pin_items[..], &rank.items].concat());
+        let pinned = |p: &&mut PlannedPod| pins.contains_pod(p.key);
+        for pod in flat.pods.iter_mut().take_while(pinned) {
+            pod.pinned = true;
+        }
+        flat
+    };
     let (target, packing) = pack_round(workload, state, &config.packing, &flat.pods, &flat.index);
     drop(_pack_timer);
     let scheduler_time = t1.elapsed();

@@ -187,6 +187,15 @@ impl RankInputs {
         }
     }
 
+    /// Water-fills over `demands` (one scalar per app) instead of each
+    /// app's whole demand: pinned planning leaves the pins' demand out of
+    /// the fair shares.
+    pub(crate) fn with_app_demands(mut self, demands: Vec<f64>) -> RankInputs {
+        self.demand_sort = demand_order(&demands);
+        self.demand_scalars = demands;
+        self
+    }
+
     /// Number of applications.
     pub fn app_count(&self) -> usize {
         self.chains.len()

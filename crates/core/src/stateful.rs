@@ -21,13 +21,19 @@
 //! * **Pinned co-location** — [`plan_pinned`] plans a mixed workload on one
 //!   shared cluster while guaranteeing that stateful pods are *pinned*:
 //!   never deleted, never migrated, their capacity reserved before any
-//!   stateless service is ranked. Stateful pods lost to a node failure are
-//!   re-placed with absolute priority (before any stateless container);
-//!   those that no longer fit anywhere are reported as stranded rather
-//!   than silently dropped.
+//!   stateless service is ranked. It is the controller's own pipeline on
+//!   the original workload, with a pin treated as a rank plus a packing
+//!   rule: pins pack ahead of every stateless container as
+//!   [pinned](phoenix_cluster::packing::PlannedPod::pinned) entries, which
+//!   the packer never deletes, migrates or re-books once running. So
+//!   stateful pods lost to a node failure are re-placed with absolute
+//!   priority, those that no longer fit anywhere are reported as stranded
+//!   rather than silently dropped, and the stateless services keep their
+//!   mode ladders and see each node's effective capacity.
 //!
 //! [`verify_pins`] checks the no-delete/no-migrate guarantee on any action
-//! plan, so integration tests and chaos audits can assert it end to end.
+//! plan and [`PinnedPlan::check`] every promise of a pinned plan, so
+//! integration tests and chaos audits can assert them end to end.
 
 use std::collections::BTreeSet;
 use std::error::Error;
@@ -36,11 +42,9 @@ use std::fmt;
 use phoenix_cluster::{ClusterState, NodeId, PodKey, Resources};
 use phoenix_dgraph::NodeId as GraphNode;
 
-use crate::actions::{diff_states, Action, ActionPlan};
-use crate::controller::{plan_with, PhoenixConfig};
-use crate::ranking::GlobalRank;
-use crate::replan::{replan_with, ReplanCache, ReplanDelta};
-use crate::spec::{AppId, AppSpecBuilder, ServiceId, Workload};
+use crate::actions::{Action, ActionPlan};
+use crate::controller::{plan_pinned_with, PhoenixConfig};
+use crate::spec::{AppId, AppSpecBuilder, ModeAssignment, ServiceId, Workload};
 
 /// The set of services marked stateful, keyed by `(app, service)`.
 ///
@@ -202,80 +206,64 @@ impl Partition {
 /// Splits `workload` into stateless and stateful halves per `marks`.
 ///
 /// Apps appear in a half only when they have at least one service there;
-/// names, prices, and subscription flags are preserved on both sides.
+/// names, prices, subscription flags and mode ladders are preserved on
+/// both sides.
 /// Dependency edges that pass through removed services are contracted (see
 /// the module docs), so each half's graph preserves reachability.
 pub fn partition(workload: &Workload, marks: &StatefulMarks) -> Partition {
-    let mut stateless_apps = Vec::new();
-    let mut stateful_apps = Vec::new();
-    let mut to_stateless = Vec::new();
-    let mut to_stateful = Vec::new();
-    let mut from_stateless = Vec::new();
-    let mut from_stateful = Vec::new();
-
-    for (app, spec) in workload.apps() {
-        let keep_stateless: Vec<bool> = spec
-            .service_ids()
-            .map(|s| !marks.is_stateful(app, s))
-            .collect();
-        for (target_is_stateless, apps, to_map, from_map) in [
-            (
-                true,
-                &mut stateless_apps,
-                &mut to_stateless,
-                &mut from_stateless,
-            ),
-            (
-                false,
-                &mut stateful_apps,
-                &mut to_stateful,
-                &mut from_stateful,
-            ),
-        ] {
-            let kept: Vec<usize> = (0..spec.service_count())
-                .filter(|&i| keep_stateless[i] == target_is_stateless)
-                .collect();
-            let mut forward = vec![None; spec.service_count()];
-            if kept.is_empty() {
-                to_map.push(forward);
-                continue;
-            }
-            let mut b = AppSpecBuilder::new(spec.name());
-            b.price_per_unit(spec.price_per_unit());
-            b.phoenix_enabled(spec.phoenix_enabled());
-            let mut origin = Vec::with_capacity(kept.len());
-            for (new_idx, &old_idx) in kept.iter().enumerate() {
-                let svc = spec.service(ServiceId::new(old_idx as u32));
-                let id = b.add_service(svc.name.clone(), svc.demand, svc.criticality, svc.replicas);
-                debug_assert_eq!(id.index(), new_idx);
-                forward[old_idx] = Some((apps.len() as u32, new_idx as u32));
-                origin.push((app.index() as u32, old_idx as u32));
-            }
-            if spec.dependency().is_some() {
-                b.with_graph();
-                let keep_side: Vec<bool> = (0..spec.service_count())
-                    .map(|i| keep_stateless[i] == target_is_stateless)
-                    .collect();
-                for (u, v) in contracted_edges(spec, &keep_side) {
-                    let (_, nu) = forward[u].expect("edge endpoint is kept");
-                    let (_, nv) = forward[v].expect("edge endpoint is kept");
-                    b.add_dependency(ServiceId::new(nu), ServiceId::new(nv));
-                }
-            }
-            apps.push(b.build().expect("kept services are non-empty and valid"));
-            to_map.push(forward);
-            from_map.push(origin);
-        }
-    }
-
+    let (stateless, to_stateless, from_stateless) = half(workload, marks, false);
+    let (stateful, to_stateful, from_stateful) = half(workload, marks, true);
     Partition {
-        stateless: Workload::new(stateless_apps),
-        stateful: Workload::new(stateful_apps),
+        stateless,
+        stateful,
         to_stateless,
         to_stateful,
         from_stateless,
         from_stateful,
     }
+}
+
+/// The services of `workload` whose mark equals `stateful`, as a workload
+/// of their own, with the id maps into it and back out of it.
+#[allow(clippy::type_complexity)]
+fn half(
+    workload: &Workload,
+    marks: &StatefulMarks,
+    stateful: bool,
+) -> (Workload, Vec<Vec<Option<(u32, u32)>>>, Vec<Vec<(u32, u32)>>) {
+    let (mut apps, mut to_map, mut from_map) = (Vec::new(), Vec::new(), Vec::new());
+    for (app, spec) in workload.apps() {
+        let keep: Vec<bool> = (spec.service_ids())
+            .map(|s| marks.is_stateful(app, s) == stateful)
+            .collect();
+        let mut forward = vec![None; spec.service_count()];
+        if !keep.contains(&true) {
+            to_map.push(forward);
+            continue;
+        }
+        let mut b = AppSpecBuilder::new(spec.name());
+        b.price_per_unit(spec.price_per_unit());
+        b.phoenix_enabled(spec.phoenix_enabled());
+        let mut origin = Vec::new();
+        for (old_idx, svc) in spec.services().iter().enumerate().filter(|s| keep[s.0]) {
+            let id = b.add_service(svc.name.clone(), svc.demand, svc.criticality, svc.replicas);
+            b.service_modes(id, svc.modes.clone());
+            forward[old_idx] = Some((apps.len() as u32, id.index() as u32));
+            origin.push((app.index() as u32, old_idx as u32));
+        }
+        if spec.dependency().is_some() {
+            b.with_graph();
+            for (u, v) in contracted_edges(spec, &keep) {
+                let (_, nu) = forward[u].expect("edge endpoint is kept");
+                let (_, nv) = forward[v].expect("edge endpoint is kept");
+                b.add_dependency(ServiceId::new(nu), ServiceId::new(nv));
+            }
+        }
+        apps.push(b.build().expect("kept services are non-empty and valid"));
+        to_map.push(forward);
+        from_map.push(origin);
+    }
+    (Workload::new(apps), to_map, from_map)
 }
 
 /// Edges of the induced-plus-contracted graph over the kept services: an
@@ -321,10 +309,13 @@ impl fmt::Display for StatefulPlacementError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} stateful pod(s) fit on no healthy node (first: {})",
-            self.unplaced.len(),
-            self.unplaced[0]
-        )
+            "{} stateful pod(s) fit on no healthy node",
+            self.unplaced.len()
+        )?;
+        match self.unplaced.first() {
+            Some(pod) => write!(f, " (first: {pod})"),
+            None => Ok(()),
+        }
     }
 }
 
@@ -402,7 +393,7 @@ fn best_fit_node(state: &ClusterState, demand: Resources) -> Option<NodeId> {
 /// stateful pods.
 #[derive(Debug)]
 pub struct PinnedPlan {
-    /// Target state in the *original* workload's pod-key space.
+    /// Target state.
     pub target: ClusterState,
     /// Agent task list live → target. Guaranteed to contain no delete or
     /// migrate action on a stateful pod ([`verify_pins`] always passes).
@@ -411,170 +402,96 @@ pub struct PinnedPlan {
     /// need operator intervention (more capacity); they are never traded
     /// against stateless services.
     pub stranded: Vec<PodKey>,
-    /// The global ranking of the stateless half (in the stateless half's
-    /// key space; translate with [`Partition::stateless_origin`]).
-    pub stateless_rank: GlobalRank,
-    /// The partition used, for key translation.
-    pub partition: Partition,
+    /// Chosen serving mode per service; pinned services serve at `Full`.
+    pub modes: ModeAssignment,
 }
 
 /// Plans `workload` on the shared cluster `live`, pinning every service in
-/// `marks`:
+/// `marks`. This is the controller's own pipeline ([`plan_with`] is the
+/// same call with no marks), with a pin treated as a rank plus a packing
+/// rule:
 ///
-/// 1. surviving stateful pods stay exactly where they are;
-/// 2. stateful pods lost to failures are re-placed first (best-fit), before
-///    any stateless container is considered — unplaceable ones are
-///    reported in [`PinnedPlan::stranded`];
-/// 3. the stateless half is planned by the normal Phoenix pipeline against
-///    the capacity that remains *after* the pins are subtracted, so packing
-///    can never migrate or evict a stateful pod (it cannot even see them).
+/// 1. surviving stateful pods stay exactly where they are: the packer
+///    never deletes, migrates or re-books a running pin;
+/// 2. stateful pods lost to failures pack first, ahead of every stateless
+///    container, and may displace running stateless pods; those that fit
+///    on no healthy node are reported in [`PinnedPlan::stranded`];
+/// 3. the stateless services are ranked as usual against the healthy
+///    effective capacity minus every pin's `Full` demand, with the pins'
+///    demand left out of the fair shares. A stranded pin's demand stays
+///    reserved too, unless the pin fits on no healthy node at all.
+///
+/// [`plan_with`]: crate::controller::plan_with
 pub fn plan_pinned(
     workload: &Workload,
     marks: &StatefulMarks,
     live: &ClusterState,
     config: &PhoenixConfig,
 ) -> PinnedPlan {
-    plan_pinned_impl(workload, marks, live, config, None)
-}
-
-/// [`plan_pinned`] with a warm-replan cache for the stateless half.
-///
-/// The partition is rebuilt per call (marks can change), but the stateless
-/// half's app fingerprints are stable across calls, so the per-app rank
-/// and merge-order caches hit exactly as in [`crate::replan`]. Output is
-/// identical to [`plan_pinned`] on the same inputs.
-pub fn plan_pinned_cached(
-    workload: &Workload,
-    marks: &StatefulMarks,
-    live: &ClusterState,
-    config: &PhoenixConfig,
-    cache: &mut ReplanCache,
-) -> PinnedPlan {
-    plan_pinned_impl(workload, marks, live, config, Some(cache))
-}
-
-fn plan_pinned_impl(
-    workload: &Workload,
-    marks: &StatefulMarks,
-    live: &ClusterState,
-    config: &PhoenixConfig,
-    cache: Option<&mut ReplanCache>,
-) -> PinnedPlan {
-    let part = partition(workload, marks);
-
-    // --- Step 1+2: pin survivors, re-place lost stateful pods. ----------
-    let mut pinned = empty_like(live);
-    for (pod, node, demand) in live.assignments() {
-        if marks.contains_pod(pod) {
-            pinned
-                .assign(pod, demand, node)
-                .expect("live assignment fits its own node");
-        }
-    }
-    // Live stateless usage per node: lost stateful pods prefer genuinely
-    // free space so they displace as few running stateless pods as possible,
-    // but when nothing else fits they may take a stateless pod's node — the
-    // displaced pod is then re-placed by rank like any other candidate.
-    let mut stateless_used: Vec<Resources> = vec![Resources::ZERO; live.node_count()];
-    for (pod, node, demand) in live.assignments() {
-        if !marks.contains_pod(pod) {
-            stateless_used[node.index()] += demand;
-        }
-    }
-    let mut stranded = Vec::new();
-    for (app, spec) in workload.apps() {
-        for service in spec.service_ids() {
-            if !marks.is_stateful(app, service) {
-                continue;
-            }
-            let demand = spec.service(service).demand;
-            for key in workload.pod_keys(app, service) {
-                if live.node_of(key).is_some() {
-                    continue; // pinned above
-                }
-                let undisturbed = pinned
-                    .healthy_nodes()
-                    .into_iter()
-                    .filter(|&n| {
-                        demand.fits_in(
-                            &pinned
-                                .remaining(n)
-                                .saturating_sub(&stateless_used[n.index()]),
-                        )
-                    })
-                    .min_by(|&a, &b| {
-                        pinned
-                            .remaining(a)
-                            .scalar()
-                            .total_cmp(&pinned.remaining(b).scalar())
-                    });
-                match undisturbed.or_else(|| best_fit_node(&pinned, demand)) {
-                    Some(node) => {
-                        pinned
-                            .assign(key, demand, node)
-                            .expect("fit was just verified");
-                    }
-                    None => stranded.push(key),
-                }
-            }
-        }
-    }
-
-    // --- Step 3: plan the stateless half on the reserved-out remainder. --
-    let reduced: Vec<Resources> = live
-        .node_ids()
-        .iter()
-        .map(|&n| live.capacity(n).saturating_sub(&pinned.used(n)))
-        .collect();
-    let mut scratch = ClusterState::new(reduced);
-    for &n in &live.node_ids() {
-        if !live.is_healthy(n) {
-            scratch.fail_node(n);
-        }
-    }
-    for (pod, node, demand) in live.assignments() {
-        if marks.contains_pod(pod) {
-            continue;
-        }
-        // Pods the workload no longer describes stay out of the scratch, so
-        // the plan deletes them — same semantics as the plain pipeline. A
-        // survivor may also fail to fit when a lost stateful pod was pinned
-        // onto its node; it is then displaced and re-placed by rank.
-        if let Some(key) = part.stateless_pod(pod) {
-            let _ = scratch.assign(key, demand, node);
-        }
-    }
-    let plan = match cache {
-        Some(cache) => replan_with(&part.stateless, &scratch, config, cache, ReplanDelta::Full),
-        None => plan_with(&part.stateless, &scratch, config),
-    };
-
-    // --- Merge: pins + planned stateless, back in original keys. --------
-    let mut target = pinned;
-    for (pod, node, demand) in plan.target.assignments() {
-        target
-            .assign(part.original_pod(pod), demand, node)
-            .expect("reduced-capacity packing leaves room for the pins");
-    }
-    let actions = diff_states(live, &target);
+    let plan = plan_pinned_with(workload, live, config, marks);
+    let mut stranded = plan.packing.unplaced;
+    stranded.retain(|&pod| marks.contains_pod(pod));
     PinnedPlan {
-        target,
-        actions,
+        target: plan.target,
+        actions: plan.actions,
         stranded,
-        stateless_rank: plan.rank,
-        partition: part,
+        modes: plan.modes,
     }
 }
 
-/// An empty cluster with the same node capacities and failure flags.
-fn empty_like(state: &ClusterState) -> ClusterState {
-    let mut s = ClusterState::new(state.node_ids().iter().map(|&n| state.capacity(n)));
-    for n in state.node_ids() {
-        if !state.is_healthy(n) {
-            s.fail_node(n);
+impl PinnedPlan {
+    /// Checks what [`plan_pinned`] promises for this plan of `workload`
+    /// on `live`: [`verify_pins`] passes, surviving pins stay on their
+    /// node, every pin is placed xor stranded, and a stranded pin fits on
+    /// no healthy node of the target beside that node's pins — counting
+    /// its effective capacity and `config`'s pod cap.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first broken promise.
+    pub fn check(
+        &self,
+        workload: &Workload,
+        marks: &StatefulMarks,
+        live: &ClusterState,
+        config: &PhoenixConfig,
+    ) -> Result<(), String> {
+        verify_pins(&self.actions, marks).map_err(|e| e.to_string())?;
+        let target = &self.target;
+        for (pod, node, _) in live.assignments().filter(|a| marks.contains_pod(a.0)) {
+            if target.node_of(pod) != Some(node) {
+                return Err(format!("surviving pin {pod} left {node}"));
+            }
         }
+        // Per node: the pins' bookings and count.
+        let mut pins_on = vec![(Resources::ZERO, 0); target.node_count()];
+        for (_, node, demand) in target.assignments().filter(|a| marks.contains_pod(a.0)) {
+            pins_on[node.index()].0 += demand;
+            pins_on[node.index()].1 += 1;
+        }
+        let healthy = target.healthy_nodes();
+        let cap = config.packing.max_pods_per_node;
+        for (app, spec) in workload.apps() {
+            for service in spec.service_ids().filter(|&s| marks.is_stateful(app, s)) {
+                let demand = spec.service(service).demand;
+                let fits = |n: &&NodeId| {
+                    let (used, count) = pins_on[n.index()];
+                    demand.fits_in(&target.effective_capacity(**n).saturating_sub(&used))
+                        && cap.is_none_or(|cap| count < cap)
+                };
+                for pod in workload.pod_keys(app, service) {
+                    let stranded = self.stranded.contains(&pod);
+                    if target.node_of(pod).is_some() == stranded {
+                        return Err(format!("pin {pod}: placed and stranded must differ"));
+                    }
+                    if let Some(n) = healthy.iter().find(|n| stranded && fits(n)) {
+                        return Err(format!("stranded pin {pod} fits on {n}"));
+                    }
+                }
+            }
+        }
+        Ok(())
     }
-    s
 }
 
 /// A stateful pod an action plan would delete or migrate.
@@ -617,19 +534,12 @@ pub fn verify_pins(plan: &ActionPlan, marks: &StatefulMarks) -> Result<(), PinVi
 pub struct StatefulAwarePolicy {
     marks: StatefulMarks,
     config: PhoenixConfig,
-    /// Warm-replan cache for the stateless half (identical plans, less
-    /// per-round work; see [`plan_pinned_cached`]).
-    cache: std::sync::Mutex<ReplanCache>,
 }
 
 impl StatefulAwarePolicy {
     /// Pins `marks` and plans the rest with `config`.
     pub fn new(marks: StatefulMarks, config: PhoenixConfig) -> StatefulAwarePolicy {
-        StatefulAwarePolicy {
-            marks,
-            config,
-            cache: std::sync::Mutex::new(ReplanCache::new()),
-        }
+        StatefulAwarePolicy { marks, config }
     }
 
     /// The pinned services.
@@ -645,14 +555,16 @@ impl crate::policies::ResiliencePolicy for StatefulAwarePolicy {
 
     fn plan(&self, workload: &Workload, state: &ClusterState) -> crate::policies::PolicyPlan {
         let t0 = std::time::Instant::now();
-        let mut cache = self.cache.lock().expect("replan cache poisoned");
-        let plan = plan_pinned_cached(workload, &self.marks, state, &self.config, &mut cache);
+        let plan = plan_pinned(workload, &self.marks, state, &self.config);
         let planning_time = t0.elapsed();
-        debug_assert!(verify_pins(&plan.actions, &self.marks).is_ok());
+        debug_assert_eq!(
+            plan.check(workload, &self.marks, state, &self.config),
+            Ok(())
+        );
         crate::policies::PolicyPlan {
             target: plan.target,
             planning_time,
-            modes: crate::spec::ModeAssignment::empty(),
+            modes: plan.modes,
             notes: if plan.stranded.is_empty() {
                 String::new()
             } else {
@@ -806,6 +718,23 @@ mod tests {
         let err = place_stateful(&part.stateful, &mut tiny).unwrap_err();
         assert_eq!(err.unplaced.len(), 1);
         assert!(err.to_string().contains("stateful pod"));
+    }
+
+    #[test]
+    fn placement_error_displays_without_unplaced_pods() {
+        let empty = StatefulPlacementError {
+            unplaced: Vec::new(),
+        };
+        assert_eq!(
+            empty.to_string(),
+            "0 stateful pod(s) fit on no healthy node"
+        );
+        let one = StatefulPlacementError {
+            unplaced: vec![PodKey::new(0, 1, 0)],
+        };
+        assert!(one
+            .to_string()
+            .ends_with(&format!("(first: {})", PodKey::new(0, 1, 0))));
     }
 
     /// Live cluster with everything placed: 3 nodes × 4 CPU.

@@ -10,7 +10,7 @@
 use phoenix::cluster::{ClusterState, Resources};
 use phoenix::core::controller::{PhoenixConfig, PhoenixController};
 use phoenix::core::spec::{AppSpecBuilder, SpecError, Workload};
-use phoenix::core::stateful::{partition, place_stateful, plan_pinned, verify_pins, StatefulMarks};
+use phoenix::core::stateful::{partition, place_stateful, plan_pinned, StatefulMarks};
 use phoenix::core::tags::Criticality;
 
 fn main() -> Result<(), SpecError> {
@@ -64,8 +64,12 @@ fn main() -> Result<(), SpecError> {
     );
 
     // --- Pattern 2: pinned co-location ----------------------------------
+    let config = PhoenixConfig::default();
     let mut shared = ClusterState::homogeneous(4, Resources::cpu(4.0));
-    let first = plan_pinned(&workload, &marks, &shared, &PhoenixConfig::default());
+    let first = plan_pinned(&workload, &marks, &shared, &config);
+    first
+        .check(&workload, &marks, &shared, &config)
+        .expect("the first plan keeps every pin promise");
     for (pod, node, demand) in first.target.assignments() {
         shared.assign(pod, demand, node).expect("plan fits");
     }
@@ -93,8 +97,10 @@ fn main() -> Result<(), SpecError> {
         }
         shared.fail_node(node);
     }
-    let replan = plan_pinned(&workload, &marks, &shared, &PhoenixConfig::default());
-    verify_pins(&replan.actions, &marks).expect("stateful pods are never deleted or migrated");
+    let replan = plan_pinned(&workload, &marks, &shared, &config);
+    replan
+        .check(&workload, &marks, &shared, &config)
+        .expect("stateful pods are never deleted or migrated");
     println!(
         "after failure: {} pods planned, mongodb still on {} ({} stranded)",
         replan.target.pod_count(),

@@ -22,7 +22,7 @@ use phoenix::core::controller::{PhoenixConfig, PhoenixController};
 use phoenix::core::objectives::ObjectiveKind;
 use phoenix::core::policies::{PhoenixPolicy, ResiliencePolicy};
 use phoenix::core::spec::{AppId, AppSpecBuilder, ServiceId, Workload};
-use phoenix::core::stateful::{plan_pinned, verify_pins, StatefulMarks};
+use phoenix::core::stateful::{plan_pinned, StatefulMarks};
 use phoenix::core::tags::Criticality;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -52,7 +52,7 @@ fn stateful_pins_hold_through_failure_and_recovery() {
     let mut live = ClusterState::new(cloudlab_capacities());
     let config = PhoenixConfig::default();
     let fresh = plan_pinned(&workload, &marks, &live, &config);
-    verify_pins(&fresh.actions, &marks).unwrap();
+    fresh.check(&workload, &marks, &live, &config).unwrap();
     assert!(fresh.stranded.is_empty(), "full cluster strands nothing");
     for (pod, node, demand) in fresh.target.assignments() {
         live.assign(pod, demand, node).unwrap();
@@ -63,7 +63,7 @@ fn stateful_pins_hold_through_failure_and_recovery() {
     let mut rng = StdRng::seed_from_u64(7);
     phoenix::cluster::failure::fail_fraction(&mut live, 0.4, &mut rng);
     let crunch = plan_pinned(&workload, &marks, &live, &config);
-    verify_pins(&crunch.actions, &marks).unwrap();
+    crunch.check(&workload, &marks, &live, &config).unwrap();
     crunch.target.check_invariants().unwrap();
     assert!(crunch.target.pod_count() < before, "crunch must shed pods");
 
@@ -71,7 +71,9 @@ fn stateful_pins_hold_through_failure_and_recovery() {
     let mut degraded = crunch.target.clone();
     phoenix::cluster::failure::restore_all(&mut degraded);
     let recovered = plan_pinned(&workload, &marks, &degraded, &config);
-    verify_pins(&recovered.actions, &marks).unwrap();
+    recovered
+        .check(&workload, &marks, &degraded, &config)
+        .unwrap();
     assert_eq!(
         recovered.target.pod_count(),
         before,
