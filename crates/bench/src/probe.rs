@@ -80,6 +80,7 @@ pub const SECTIONS: &[Section] = &[
     Section { name: "obs", run: obs },
     Section { name: "traces", run: traces },
     Section { name: "pinned", run: pinned },
+    Section { name: "replay", run: warm_ranking },
 ];
 
 /// The directory holding one fixture file per section.
@@ -692,5 +693,124 @@ fn pinned(out: &mut String) {
             modes.0,
         ));
         live = plan.target;
+    }
+}
+
+/// The ranking counters a warm round moves, in output order.
+const RANK_COUNTERS: [phoenix_obs::Counter; 8] = {
+    use phoenix_obs::Counter::*;
+    [
+        WarmReplans,
+        RankFullReuses,
+        MergeOrderReplays,
+        ShareOrderReplays,
+        ShareInvestments,
+        ColdMerges,
+        RungPurchases,
+        ChainRetirements,
+    ]
+};
+
+/// Every warm-ranking branch of `replan`, one controller per objective
+/// on a mode-less and a modal workload: full reuse, merge-order and
+/// share-order replays, the share investment, cold merges (and a replay
+/// of an older share order after one), rankings that change at the tail
+/// and mid-list, and rounds under the break rule
+/// (`continue_on_saturation = false`). Per round: the node changes
+/// applied before it, the ranking counters it moved, the item count, how
+/// many leading items equal the previous round's, and FNV digests of the
+/// items, the fair-share and allocation bits, and the placements.
+fn warm_ranking(out: &mut String) {
+    /// Per round: the node changes applied to the adopted target before
+    /// it, and the round's `continue_on_saturation`.
+    const SCRIPT: &[(&[Churn], bool)] = &[
+        (&[], true),
+        (&[Fail(0)], true),
+        (&[], true),
+        (&[Fail(1)], true),
+        (&[Fail(2), Fail(3)], true),
+        (&[Restore(2), Restore(3)], true),
+        (&[Fail(4), Fail(5), Fail(6), Fail(7), Fail(8)], true),
+        (&[Fail(9)], true),
+        (&[Fail(21)], true),
+        (&[Fail(10)], true),
+        (&[Restore(10)], true),
+        (&[], false),
+        (&[Fail(10)], false),
+        (&[Restore(4), Restore(5)], false),
+        (
+            &[Restore(6), Restore(7), Restore(8), Restore(10), Restore(21)],
+            true,
+        ),
+        (&[Fail(11)], true),
+    ];
+    let workloads = [
+        ("modeless", churn_workload()),
+        ("modal", demo_workload_modal(11)),
+    ];
+    for (label, workload) in workloads {
+        for kind in [Fairness, Cost] {
+            let recorder = phoenix_obs::Recorder::enabled();
+            let mut controller =
+                PhoenixController::new(workload.clone(), PhoenixConfig::with_objective(kind));
+            // Twenty 4-CPU nodes, then a 1-CPU and a 2-CPU one, so a
+            // failure can cut the ranking between two chain items.
+            let sizes = [4.0; 20].into_iter().chain([1.0, 2.0]);
+            let mut live = ClusterState::new(sizes.map(Resources::cpu));
+            let mut before = [0u64; RANK_COUNTERS.len()];
+            let mut previous = Vec::new();
+            for (round, &(changes, continue_on_saturation)) in SCRIPT.iter().enumerate() {
+                for &change in changes {
+                    match change {
+                        Fail(n) => _ = live.fail_node(NodeId::new(n)),
+                        Restore(n) => live.restore_node(NodeId::new(n)),
+                    }
+                }
+                controller.config_mut().planner.continue_on_saturation = continue_on_saturation;
+                let result = phoenix_obs::with_recorder(recorder.clone(), || {
+                    controller.replan(&live, CapacityOnly)
+                });
+                let mut moved = Vec::new();
+                for (c, before) in RANK_COUNTERS.iter().zip(&mut before) {
+                    let now = recorder.counter(*c);
+                    if now != *before {
+                        moved.push(format!("{}+{}", c.name(), now - *before));
+                    }
+                    *before = now;
+                }
+                let rank = &result.rank;
+                let prefix = previous.iter().zip(&rank.items).take_while(|(a, b)| a == b);
+                let prefix = prefix.count();
+                let mut items = Fnv::default();
+                for item in &rank.items {
+                    items.eat((item.app.index() as u64) << 32 | item.service.index() as u64);
+                    items.eat(item.demand.cpu.to_bits());
+                    items.eat(item.demand.mem.to_bits());
+                    items.eat(item.mode.depth() as u64);
+                }
+                let mut shares = Fnv::default();
+                for (s, a) in rank.fair_shares.iter().zip(&rank.allocated) {
+                    shares.eat(s.to_bits());
+                    shares.eat(a.to_bits());
+                }
+                let mut placements = Fnv::default();
+                for (pod, node) in sorted(result.target.assignments().map(|(p, n, _)| (p, n))) {
+                    placements.eat(u64::from(pod.app) << 32 | u64::from(pod.service));
+                    placements.eat(u64::from(pod.replica) << 32 | node.index() as u64);
+                }
+                out.line(format!(
+                    "replay {label} {kind:?} round {round} cos={continue_on_saturation} \
+                     capacity={} [{}] items={} prefix={prefix} rank={:016x} shares={:016x} placements={:016x}",
+                    live.healthy_capacity().scalar(),
+                    moved.join(" "),
+                    rank.items.len(),
+                    items.0,
+                    shares.0,
+                    placements.0,
+                ));
+                previous.clone_from(&rank.items);
+                live = result.target;
+            }
+        }
     }
 }

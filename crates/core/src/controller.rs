@@ -1,6 +1,7 @@
 //! The end-to-end Phoenix controller: planner → global ranking → packing →
 //! action plan, with stage timings (Fig. 8b measures exactly this path).
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use phoenix_cluster::packing::{pack_prepared, PackOutcome, PackingConfig, PlannedPod};
@@ -53,8 +54,11 @@ impl PhoenixConfig {
 pub struct PlanResult {
     /// The target cluster state (scratch copy after packing).
     pub target: ClusterState,
-    /// The global activation list and fair-share bookkeeping.
-    pub rank: GlobalRank,
+    /// The global activation list and fair-share bookkeeping. Warm
+    /// rounds share it with the controller's replan cache rather than
+    /// copy it; the next replan rewrites the cached ranking in place and
+    /// copies it first only if this result is still alive then.
+    pub rank: Arc<GlobalRank>,
     /// Raw packing outcome (deletions/migrations/starts on the scratch).
     pub packing: PackOutcome,
     /// Agent task list: live → target.
@@ -191,6 +195,17 @@ impl PlanIndex {
             next += u32::from(replicas);
         }
         next as usize
+    }
+
+    /// One past the last plan position of a planned service's replica
+    /// block.
+    pub(crate) fn block_end(&self, app: AppId, service: ServiceId) -> usize {
+        let slot = self.slot(app, service);
+        debug_assert_ne!(
+            self.base[slot], UNPLANNED,
+            "block_end of an unplanned service"
+        );
+        self.base[slot] as usize + usize::from(self.replicas[slot])
     }
 
     /// The plan position of `pod`, when planned.
@@ -406,7 +421,7 @@ pub(crate) fn plan_pinned_with(
     let actions = diff_from_outcome(state, &target, &packing);
     PlanResult {
         target,
-        rank,
+        rank: Arc::new(rank),
         packing,
         actions,
         modes: flat.modes,

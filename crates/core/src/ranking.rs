@@ -315,6 +315,47 @@ pub fn global_rank_prepared<O: OperatorObjective + ?Sized>(
     }
 }
 
+/// One position of a [`MergeOrder`]: the `(app, chain position)` the heap
+/// pops there and that entry's demand scalar, so a replay reads one
+/// sequential array instead of chasing the app chains.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    scalar: f64,
+    app: u32,
+    pos: u32,
+}
+
+/// [`MergeOrder`] flag: the step's entry is a degraded (non-`Full`) rung.
+const DEGRADED: u8 = 1;
+/// [`MergeOrder`] flag: the last replay took the step.
+const TAKEN: u8 = 2;
+
+/// The unbounded-capacity pop order of the merge heap, as
+/// [`merged_order`] / [`merged_order_with`] compute it, plus the marks
+/// that let [`global_rank_replay`] verify a repeat ranking instead of
+/// rewriting it.
+#[derive(Debug, Clone, Default)]
+pub struct MergeOrder {
+    steps: Vec<Step>,
+    /// Per step: [`DEGRADED`], and [`TAKEN`] when the last replay took it.
+    flags: Vec<u8>,
+    /// The marks describe the ranking the last replay wrote: its
+    /// [`TAKEN`] bits below `end` (the step a break stopped at, or the
+    /// whole order) are its fit decisions, and every later step was
+    /// not taken.
+    marked: bool,
+    end: usize,
+}
+
+impl MergeOrder {
+    /// Forgets the last replay's marks. Call it whenever the ranking the
+    /// next replay writes into is no longer the one the last replay of
+    /// this order wrote; that replay then compares items instead.
+    pub fn forget_marks(&mut self) {
+        self.marked = false;
+    }
+}
+
 /// The capacity-independent pop order of the merge heap for a
 /// [capacity-invariant](OperatorObjective::capacity_invariant) objective:
 /// every `(app, chain position)` candidate in the order the heap would
@@ -324,7 +365,7 @@ pub fn global_rank_prepared<O: OperatorObjective + ?Sized>(
 pub fn merged_order<O: OperatorObjective + ?Sized>(
     inputs: &RankInputs,
     objective: &O,
-) -> Vec<(u32, u32)> {
+) -> MergeOrder {
     debug_assert!(
         objective.capacity_invariant(),
         "capacity-free merge order requires a capacity-invariant objective"
@@ -348,10 +389,15 @@ pub fn merged_order_with<O: OperatorObjective + ?Sized>(
     inputs: &RankInputs,
     objective: &O,
     fair_shares: &[f64],
-) -> Vec<(u32, u32)> {
+) -> MergeOrder {
     let n = inputs.app_count();
     let mut allocated = vec![0.0; n];
-    let mut order = Vec::with_capacity(inputs.chains.iter().map(Vec::len).sum());
+    let len = inputs.chains.iter().map(Vec::len).sum();
+    let mut order = MergeOrder {
+        steps: Vec::with_capacity(len),
+        flags: Vec::with_capacity(len),
+        ..MergeOrder::default()
+    };
     let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
     for app in 0..n as u32 {
         if let Some(e) = inputs.entry(objective, fair_shares, &allocated, AppId::new(app), 0) {
@@ -359,8 +405,18 @@ pub fn merged_order_with<O: OperatorObjective + ?Sized>(
         }
     }
     while let Some(HeapEntry { app, pos, .. }) = heap.pop() {
-        order.push((app.index() as u32, pos as u32));
-        allocated[app.index()] += inputs.chains[app.index()][pos].scalar;
+        let e = &inputs.chains[app.index()][pos];
+        order.steps.push(Step {
+            scalar: e.scalar,
+            app: app.index() as u32,
+            pos: pos as u32,
+        });
+        order.flags.push(if e.mode == ServingMode::Full {
+            0
+        } else {
+            DEGRADED
+        });
+        allocated[app.index()] += e.scalar;
         if let Some(e) = inputs.entry(objective, fair_shares, &allocated, app, pos + 1) {
             heap.push(e);
         }
@@ -368,59 +424,186 @@ pub fn merged_order_with<O: OperatorObjective + ?Sized>(
     order
 }
 
-/// Replays a cached [`merged_order`] under a (possibly different) capacity:
-/// the warm-start path of global ranking for capacity-invariant objectives.
+/// The merge loop's fit decisions without the heap: `remaining` and
+/// `allocated` evolve exactly as in [`global_rank_prepared`].
+struct Fits<'a> {
+    remaining: f64,
+    allocated: &'a mut [f64],
+    retired: Vec<bool>,
+    continue_on_saturation: bool,
+    rung_purchases: u64,
+    chain_retirements: u64,
+}
+
+impl Fits<'_> {
+    /// Whether the merge takes `step`; `None` where the break rule
+    /// (`continue_on_saturation = false`) stops the merge.
+    #[inline]
+    fn take(&mut self, step: &Step, flags: u8) -> Option<bool> {
+        let app = step.app as usize;
+        if self.retired[app] {
+            Some(false)
+        } else if step.scalar <= self.remaining + 1e-9 {
+            self.remaining -= step.scalar;
+            self.allocated[app] += step.scalar;
+            self.rung_purchases += u64::from(flags & DEGRADED != 0);
+            Some(true)
+        } else if self.continue_on_saturation {
+            self.chain_retirements += 1;
+            self.retired[app] = true;
+            Some(false)
+        } else {
+            None
+        }
+    }
+}
+
+/// Replays a cached [`MergeOrder`] under a (possibly different) capacity
+/// into `rank`, the ranking of an earlier round: the warm-start path of
+/// global ranking. Returns how many leading items of `rank` were kept —
+/// the common prefix of its previous and its new activation list.
 ///
-/// Produces output identical to [`global_rank_prepared`] with the same
-/// inputs — chains whose head no longer fits retire exactly as the heap
-/// would retire them — but does no scoring and no heap operations: one
-/// linear pass over the cached order.
+/// Leaves `rank` identical to what [`global_rank_prepared`] computes from
+/// the same inputs (for the order's objective and shares): chains whose
+/// head no longer fits retire exactly as the heap would retire them, and
+/// the break rule stops at the same step. It does no scoring and no heap
+/// operations: one linear pass over the order. While the order holds
+/// marks, `rank` must be the ranking its last replay wrote; the pass then
+/// only checks each fit decision against its mark and writes items from
+/// the first decision that changed. Without marks it compares items
+/// instead (the previous ranking came from the heap, or from another
+/// order).
 pub fn global_rank_replay(
     inputs: &RankInputs,
-    merge_order: &[(u32, u32)],
+    order: &mut MergeOrder,
     capacity: Resources,
     cfg: &PlannerConfig,
-) -> GlobalRank {
+    rank: &mut GlobalRank,
+) -> usize {
+    #[cfg(debug_assertions)]
+    let previous = rank.items.clone();
+    let kept = replay(inputs, order, capacity, cfg, rank);
+    #[cfg(debug_assertions)]
+    replay_cross_check(inputs, order, capacity, cfg, rank, &previous, kept);
+    kept
+}
+
+/// [`global_rank_replay`] without its debug cross-check.
+fn replay(
+    inputs: &RankInputs,
+    order: &mut MergeOrder,
+    capacity: Resources,
+    cfg: &PlannerConfig,
+    rank: &mut GlobalRank,
+) -> usize {
     let n = inputs.app_count();
-    let fair_shares = waterfill_with_order(
+    rank.fair_shares = waterfill_with_order(
         &inputs.demand_scalars,
         &inputs.demand_sort,
         capacity.scalar(),
     );
-    let mut allocated = vec![0.0; n];
-    let mut remaining = capacity.scalar();
-    let mut items = Vec::new();
-    let mut retired = vec![false; n];
-    let obs = phoenix_obs::current();
-    for &(app, pos) in merge_order {
-        if retired[app as usize] {
-            continue;
+    rank.allocated.clear();
+    rank.allocated.resize(n, 0.0);
+    let mut fits = Fits {
+        remaining: capacity.scalar(),
+        allocated: &mut rank.allocated,
+        retired: vec![false; n],
+        continue_on_saturation: cfg.continue_on_saturation,
+        rung_purchases: 0,
+        chain_retirements: 0,
+    };
+    let item = |step: &Step| {
+        let e = &inputs.chains[step.app as usize][step.pos as usize];
+        GlobalRankItem {
+            app: AppId::new(step.app),
+            service: e.service,
+            demand: e.demand,
+            mode: e.mode,
         }
-        let e = inputs.chains[app as usize][pos as usize];
-        if e.scalar <= remaining + 1e-9 {
-            remaining -= e.scalar;
-            allocated[app as usize] += e.scalar;
-            if e.mode != ServingMode::Full {
-                obs.incr(phoenix_obs::Counter::RungPurchases);
-            }
-            items.push(GlobalRankItem {
-                app: AppId::new(app),
-                service: e.service,
-                demand: e.demand,
-                mode: e.mode,
-            });
-        } else if cfg.continue_on_saturation {
-            obs.incr(phoenix_obs::Counter::ChainRetirements);
-            retired[app as usize] = true;
-        } else {
+    };
+    let items = &mut rank.items;
+    let marked_end = if order.marked { order.end } else { 0 };
+    let mut kept = 0;
+    let mut diverged = false;
+    let mut end = order.steps.len();
+    for (i, (step, flags)) in order.steps.iter().zip(&mut order.flags).enumerate() {
+        let Some(take) = fits.take(step, *flags) else {
+            end = i;
             break;
+        };
+        let was_taken = i < marked_end && *flags & TAKEN != 0;
+        *flags = (*flags & !TAKEN) | if take { TAKEN } else { 0 };
+        if !diverged {
+            let same = if order.marked {
+                take == was_taken
+            } else {
+                !take || items.get(kept) == Some(&item(step))
+            };
+            if same {
+                kept += usize::from(take);
+                continue;
+            }
+            diverged = true;
+            items.truncate(kept);
+        }
+        if take {
+            items.push(item(step));
         }
     }
-    GlobalRank {
-        items,
-        fair_shares,
-        allocated,
+    if !diverged {
+        // Every decision repeated up to `end`: whatever the previous
+        // ranking took past it is gone.
+        items.truncate(kept);
     }
+    order.marked = true;
+    order.end = end;
+    let obs = phoenix_obs::current();
+    obs.add(phoenix_obs::Counter::RungPurchases, fits.rung_purchases);
+    obs.add(
+        phoenix_obs::Counter::ChainRetirements,
+        fits.chain_retirements,
+    );
+    kept
+}
+
+/// Debug builds: `rank` must equal a from-scratch replay of `order` bit
+/// for bit, `kept` must be the common prefix with the `previous` items,
+/// and the marks must be the fresh replay's.
+#[cfg(debug_assertions)]
+fn replay_cross_check(
+    inputs: &RankInputs,
+    order: &MergeOrder,
+    capacity: Resources,
+    cfg: &PlannerConfig,
+    rank: &GlobalRank,
+    previous: &[GlobalRankItem],
+    kept: usize,
+) {
+    let mut scratch = order.clone();
+    scratch.forget_marks();
+    let mut fresh = GlobalRank::default();
+    // Outside any recorder: the counters count the checked replay once.
+    phoenix_obs::with_recorder(phoenix_obs::Recorder::disabled(), || {
+        replay(inputs, &mut scratch, capacity, cfg, &mut fresh)
+    });
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(rank.items, fresh.items, "in-place replay diverged");
+    assert_eq!(bits(&rank.fair_shares), bits(&fresh.fair_shares));
+    assert_eq!(bits(&rank.allocated), bits(&fresh.allocated));
+    let common = previous.iter().zip(&rank.items).take_while(|(a, b)| a == b);
+    assert_eq!(
+        kept,
+        common.count(),
+        "replay prefix is not the common prefix"
+    );
+    assert_eq!(order.end, scratch.end, "replay stopped elsewhere");
+    let taken = |o: &MergeOrder| {
+        o.flags[..o.end]
+            .iter()
+            .map(|f| f & TAKEN)
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(taken(order), taken(&scratch), "stale replay marks");
 }
 
 #[cfg(test)]

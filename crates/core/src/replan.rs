@@ -18,11 +18,17 @@
 //!    objectives the heap's pop order itself is cached
 //!    ([`merged_order`]) and replayed under the new capacity with zero
 //!    scoring or heap work; capacity-sensitive objectives (fairness)
-//!    re-merge, but over the cached dense arrays. When capacity is
-//!    bit-identical to the previous round the whole [`GlobalRank`] is
-//!    reused.
+//!    replay an order keyed by the exact fair-share vector while it
+//!    repeats, and re-merge over the cached dense arrays otherwise. A
+//!    replay rewrites the previous [`GlobalRank`] in place: it checks
+//!    each fit decision against the mark the last replay of that order
+//!    left, writes items only from the first changed decision, and
+//!    returns that index. The ranking is shared (`Arc`) with the
+//!    round's [`PlanResult`], never cloned; when capacity is
+//!    bit-identical to the previous round it is reused whole.
 //! 3. **Warm packing** — the flattened plan and its dense `pod → rank`
-//!    index are patched only where the ranking actually changed, then go
+//!    index are patched only where the ranking actually changed (the
+//!    replay's index, or an item compare after a heap merge), then go
 //!    through the scheduler half the cold path uses too
 //!    (`controller::pack_round` + [`diff_from_outcome`]): running pods
 //!    are kept in place and only pods invalidated by failures or rank
@@ -38,6 +44,7 @@
 //!
 //! [`ActionPlan`]: crate::actions::ActionPlan
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use phoenix_cluster::packing::PlannedPod;
@@ -51,7 +58,7 @@ use crate::objectives::ObjectiveKind;
 use crate::planner::{app_rank, PlannerConfig};
 use crate::ranking::{
     global_rank_prepared, global_rank_replay, merged_order, merged_order_with, GlobalRank,
-    RankInputs,
+    MergeOrder, RankInputs,
 };
 use crate::spec::{AppSpec, ModeAssignment, ServiceId, Workload};
 
@@ -84,10 +91,13 @@ pub struct ReplanCache {
     fingerprints: Vec<u64>,
     app_ranks: Vec<Vec<ServiceId>>,
     inputs: RankInputs,
-    merge_order: Option<Vec<(u32, u32)>>,
+    /// The epoch's [`Workload::has_modes`] (fingerprints cover mode
+    /// tables), so a round does not rescan every service.
+    modal: bool,
+    merge_order: Option<MergeOrder>,
     /// Share-keyed merge order for capacity-sensitive objectives: valid
     /// for any round whose water-filling shares match bit-for-bit.
-    share_order: Option<(Vec<f64>, Vec<(u32, u32)>)>,
+    share_order: Option<(Vec<f64>, MergeOrder)>,
     /// Shares of the previous slow-merged round; a repeat triggers the
     /// `share_order` investment (hysteresis — crunch rounds whose shares
     /// move every tick never pay the extra order build).
@@ -99,7 +109,10 @@ pub struct ReplanCache {
     objective_kind: Option<ObjectiveKind>,
     /// Round outputs: valid while the epoch holds and capacity matches.
     capacity_bits: Option<(u64, u64)>,
-    rank: Option<GlobalRank>,
+    /// The last round's ranking, shared with its [`PlanResult::rank`]. A
+    /// replay rewrites it in place through [`Arc::make_mut`], which
+    /// copies it only while a caller still holds that result.
+    rank: Option<Arc<GlobalRank>>,
     plan: Vec<PlannedPod>,
     plan_index: PlanIndex,
     plan_valid: bool,
@@ -190,6 +203,7 @@ impl ReplanCache {
         self.app_ranks = app_ranks;
         if ranks_changed {
             self.inputs = RankInputs::new(workload, &self.app_ranks);
+            self.modal = workload.has_modes();
             self.merge_order = None;
             self.share_order = None;
             self.last_shares = None;
@@ -230,16 +244,25 @@ pub fn replan_with(
 
     let capacity = state.healthy_capacity();
     let capacity_bits = (capacity.cpu.to_bits(), capacity.mem.to_bits());
-    let rank = if cache.capacity_bits == Some(capacity_bits) && cache.rank.is_some() {
+    let reuse = cache.capacity_bits == Some(capacity_bits) && cache.rank.is_some();
+    let mut rank = cache.rank.take().unwrap_or_default();
+    let old_len = rank.items.len();
+    let replay = |order: &mut MergeOrder, rank: &mut Arc<GlobalRank>| {
+        let rank = Arc::make_mut(rank);
+        global_rank_replay(&cache.inputs, order, capacity, &config.planner, rank)
+    };
+    // Every branch yields how many leading items the new ranking keeps
+    // from the previous one: the flat plan's patch point.
+    let kept = if reuse {
         // Same healthy capacity, same specs: the previous ranking stands.
         obs.incr(phoenix_obs::Counter::RankFullReuses);
-        cache.rank.clone().expect("checked above")
+        old_len
     } else if config.objective.capacity_invariant() {
         obs.incr(phoenix_obs::Counter::MergeOrderReplays);
         let order = cache
             .merge_order
             .get_or_insert_with(|| merged_order(&cache.inputs, config.objective.as_ref()));
-        global_rank_replay(&cache.inputs, order, capacity, &config.planner)
+        replay(order, &mut rank)
     } else {
         // Capacity-sensitive objectives (fairness): scores are static per
         // chain position once the fair shares are fixed, so a cached merge
@@ -248,42 +271,50 @@ pub fn replan_with(
         // capacity (then share == demand for every app, whatever the node
         // count), which is the common monitor-tick case.
         let shares = cache.inputs.fair_shares(capacity.scalar());
-        let replayable = cache
-            .share_order
-            .as_ref()
-            .is_some_and(|(s, _)| *s == shares);
-        if replayable {
-            obs.incr(phoenix_obs::Counter::ShareOrderReplays);
-            let (_, order) = cache.share_order.as_ref().expect("checked above");
-            global_rank_replay(&cache.inputs, order, capacity, &config.planner)
-        } else if cache.last_shares.as_ref() == Some(&shares) {
-            // Second consecutive round on these shares: invest in the
-            // replayable order now, amortized by the rounds that follow.
-            obs.incr(phoenix_obs::Counter::ShareInvestments);
-            let order = merged_order_with(&cache.inputs, config.objective.as_ref(), &shares);
-            let rank = global_rank_replay(&cache.inputs, &order, capacity, &config.planner);
-            cache.share_order = Some((shares, order));
-            rank
-        } else {
-            obs.incr(phoenix_obs::Counter::ColdMerges);
-            let rank = match config.objective.as_builtin() {
-                // Devirtualized merge: a direct call per candidate
-                // (identical floats, no vtable hop per pod).
-                Some(ObjectiveKind::Fairness) => global_rank_prepared(
-                    &cache.inputs,
-                    &crate::objectives::FairnessObjective,
-                    capacity,
-                    &config.planner,
-                ),
-                _ => global_rank_prepared(
-                    &cache.inputs,
-                    config.objective.as_ref(),
-                    capacity,
-                    &config.planner,
-                ),
-            };
-            cache.last_shares = Some(shares);
-            rank
+        match &mut cache.share_order {
+            Some((s, order)) if *s == shares => {
+                obs.incr(phoenix_obs::Counter::ShareOrderReplays);
+                replay(order, &mut rank)
+            }
+            _ if cache.last_shares.as_ref() == Some(&shares) => {
+                // Second consecutive round on these shares: invest in the
+                // replayable order now, amortized by the rounds that follow.
+                obs.incr(phoenix_obs::Counter::ShareInvestments);
+                let mut order =
+                    merged_order_with(&cache.inputs, config.objective.as_ref(), &shares);
+                let kept = replay(&mut order, &mut rank);
+                cache.share_order = Some((shares, order));
+                kept
+            }
+            share_order => {
+                obs.incr(phoenix_obs::Counter::ColdMerges);
+                let fresh = match config.objective.as_builtin() {
+                    // Devirtualized merge: a direct call per candidate
+                    // (identical floats, no vtable hop per pod).
+                    Some(ObjectiveKind::Fairness) => global_rank_prepared(
+                        &cache.inputs,
+                        &crate::objectives::FairnessObjective,
+                        capacity,
+                        &config.planner,
+                    ),
+                    _ => global_rank_prepared(
+                        &cache.inputs,
+                        config.objective.as_ref(),
+                        capacity,
+                        &config.planner,
+                    ),
+                };
+                // The heap wrote this ranking, so the share order's marks
+                // no longer describe the cached one; compare items instead.
+                if let Some((_, order)) = share_order {
+                    order.forget_marks();
+                }
+                cache.last_shares = Some(shares);
+                let same = rank.items.iter().zip(&fresh.items);
+                let kept = same.take_while(|(a, b)| a == b).count();
+                rank = Arc::new(fresh);
+                kept
+            }
         }
     };
 
@@ -297,30 +328,25 @@ pub fn replan_with(
     // changing its demand in place — so modal workloads skip the patch and
     // rebuild the flattened plan per round (still warm in the ranking
     // stage, which dominates).
-    let modal = workload.has_modes();
+    let modal = cache.modal;
     if !modal {
         let was_valid = cache.plan_valid;
-        if !was_valid {
-            cache.plan.clear();
-        }
-        let old_items: &[crate::ranking::GlobalRankItem] = if was_valid {
-            cache.rank.as_ref().map_or(&[], |r| &r.items)
+        let (old_len, kept) = if was_valid {
+            (old_len, kept)
         } else {
-            &[]
+            cache.plan.clear();
+            (0, 0)
         };
-        let prefix = old_items
-            .iter()
-            .zip(&rank.items)
-            .take_while(|(a, b)| a == b)
-            .count();
-        let plan_changed = prefix != old_items.len() || prefix != rank.items.len();
+        let plan_changed = kept != old_len || kept != rank.items.len();
         if plan_changed {
-            let offset: usize = rank.items[..prefix]
-                .iter()
-                .map(|it| usize::from(workload.app(it.app).service(it.service).replicas))
-                .sum();
+            // The kept items' pods keep their positions: the old plan is
+            // cut where the last kept item's replica block ends.
+            let offset = kept.checked_sub(1).map_or(0, |last| {
+                let it = &rank.items[last];
+                cache.plan_index.block_end(it.app, it.service)
+            });
             cache.plan.truncate(offset);
-            for item in &rank.items[prefix..] {
+            for item in &rank.items[kept..] {
                 let svc = workload.app(item.app).service(item.service);
                 push_replicas(&mut cache.plan, item, svc.replicas, svc.demand);
             }
@@ -332,7 +358,7 @@ pub fn replan_with(
         cache.plan_valid = true;
     }
     cache.capacity_bits = Some(capacity_bits);
-    cache.rank = Some(rank.clone());
+    cache.rank = Some(Arc::clone(&rank));
     drop(rank_timer);
     let planner_time = t0.elapsed();
 
@@ -583,7 +609,8 @@ mod tests {
     #[test]
     fn merge_order_replay_matches_heap_at_every_capacity() {
         // The replay path must equal the heap merge for every capacity,
-        // including degenerate ones, for capacity-invariant objectives.
+        // including degenerate ones, for capacity-invariant objectives,
+        // each replay writing into the previous capacity's ranking.
         use crate::objectives::{CostObjective, CriticalityObjective, OperatorObjective};
         use crate::planner::Traversal;
         use crate::ranking::{global_rank_prepared, global_rank_replay, merged_order, RankInputs};
@@ -597,18 +624,28 @@ mod tests {
             let inputs = RankInputs::new(&w, &ranks);
             let objectives: [&dyn OperatorObjective; 2] = [&CostObjective, &CriticalityObjective];
             for objective in objectives {
-                let order = merged_order(&inputs, objective);
+                let mut order = merged_order(&inputs, objective);
                 for continue_on_saturation in [false, true] {
                     let cfg = PlannerConfig {
                         continue_on_saturation,
                         ..PlannerConfig::default()
                     };
-                    for cap in [0.0, 1.0, 3.0, 7.5, 13.0, 26.0, 1000.0] {
+                    let mut warm = GlobalRank::default();
+                    order.forget_marks();
+                    // Up the ladder and back down, with a repeat.
+                    let caps = [
+                        0.0, 1.0, 3.0, 7.5, 13.0, 26.0, 1000.0, 1000.0, 13.0, 7.5, 0.0,
+                    ];
+                    for cap in caps {
                         let capacity = Resources::cpu(cap);
                         let cold = global_rank_prepared(&inputs, objective, capacity, &cfg);
-                        let warm = global_rank_replay(&inputs, &order, capacity, &cfg);
+                        let previous = warm.items.clone();
+                        let kept =
+                            global_rank_replay(&inputs, &mut order, capacity, &cfg, &mut warm);
                         assert_eq!(cold.items, warm.items, "cap {cap}");
                         assert_eq!(cold.allocated, warm.allocated, "cap {cap}");
+                        let common = previous.iter().zip(&warm.items).take_while(|(a, b)| a == b);
+                        assert_eq!(kept, common.count(), "cap {cap}");
                     }
                 }
             }
@@ -636,6 +673,43 @@ mod tests {
         assert!(
             cache.share_order.is_some(),
             "share-keyed merge order never built"
+        );
+    }
+
+    #[test]
+    fn share_order_replay_after_a_cold_merge_stays_equivalent() {
+        // Invest in the share order, crunch (the heap writes the ranking),
+        // then return above total demand: the older share order replays
+        // into the heap's ranking, so it must not trust its old marks.
+        let w = workload(5);
+        let config = PhoenixConfig::with_objective(ObjectiveKind::Fairness);
+        let mut cache = ReplanCache::new();
+        let mut live = ClusterState::homogeneous(40, Resources::cpu(4.0));
+        let crunch: Vec<NodeId> = (2..20).map(NodeId::new).collect();
+        let recorder = phoenix_obs::Recorder::enabled();
+        for round in 0..6 {
+            let cold = plan_with(&w, &live, &config);
+            let warm = phoenix_obs::with_recorder(recorder.clone(), || {
+                replan_with(&w, &live, &config, &mut cache, ReplanDelta::CapacityOnly)
+            });
+            assert_equivalent(&cold, &warm);
+            live = warm.target.clone();
+            match round {
+                0 | 1 => _ = live.fail_node(NodeId::new(round)),
+                2 => crunch.iter().for_each(|&n| _ = live.fail_node(n)),
+                3 => crunch.iter().for_each(|&n| live.restore_node(n)),
+                _ => _ = live.fail_node(NodeId::new(20 + round)),
+            }
+        }
+        use phoenix_obs::Counter::{ColdMerges, ShareInvestments, ShareOrderReplays};
+        let count = |c| recorder.counter(c);
+        assert_eq!(
+            (
+                count(ColdMerges),
+                count(ShareInvestments),
+                count(ShareOrderReplays)
+            ),
+            (2, 1, 3)
         );
     }
 
