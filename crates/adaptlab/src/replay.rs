@@ -76,8 +76,9 @@ pub fn replay(
             script_idx += 1;
         }
         if changed {
-            let plan = policy.plan(&env.workload, &state);
-            state = apply_target(&state, &plan.target);
+            // Replanning is instantaneous at AdaptLab's time scale: the
+            // policy's target is the new live state.
+            policy.plan(&env.workload, &mut state);
         }
         let rps = served_rps(env, &state, window_secs);
         result.ticks.push(ReplayTick {
@@ -95,25 +96,16 @@ pub fn replay(
 /// fails a random subset. Running pods on failed nodes evict; pods on
 /// restored nodes are *not* resurrected (the policy replan handles that).
 fn set_capacity_fraction(state: &mut ClusterState, frac: f64, rng: &mut StdRng) {
-    // Preserve current assignments on surviving nodes: remember them.
-    let keep: Vec<(PodKey, NodeId, phoenix_cluster::Resources)> = state.assignments().collect();
+    let running = state.pod_count();
     restore_all(state);
     let total = state.node_count();
     let fail_count = ((1.0 - frac) * total as f64).round() as usize;
     let mut ids: Vec<NodeId> = state.node_ids();
     ids.shuffle(rng);
     ids.truncate(fail_count);
+    // Pods on the failed nodes were evicted; survivors stay put.
     fail_nodes(state, &ids);
-    // Re-add survivors that were dropped because their node just failed —
-    // fail_nodes already evicted them; nothing else to do. `keep` is only
-    // used for the debug assertion below.
-    debug_assert!(state.pod_count() <= keep.len());
-}
-
-/// Adopts the policy's target as the new live state (replanning is
-/// instantaneous at AdaptLab's time scale).
-fn apply_target(_live: &ClusterState, target: &ClusterState) -> ClusterState {
-    target.clone()
+    debug_assert!(state.pod_count() <= running);
 }
 
 /// Requests served per second: templates whose services are all active.

@@ -120,10 +120,11 @@ fn sweep_trial(
         }
 
         for policy in policies {
-            let plan = policy.plan(&env.workload, &env.baseline);
+            let mut target = env.baseline.clone();
+            let plan = policy.plan(&env.workload, &mut target);
             grid.push(evaluate(
                 &env.workload,
-                &plan.target,
+                &target,
                 baseline_revenue,
                 plan.planning_time.as_secs_f64(),
             ));
@@ -238,14 +239,15 @@ pub fn scripted_sweep(
         policies
             .iter()
             .map(|policy| {
-                let plan = policy.plan(&workload, &failed);
+                let mut target = failed.clone();
+                let plan = policy.plan(&workload, &mut target);
                 ScriptedPoint {
                     scenario: doc.name.clone(),
                     family: doc.family.clone(),
                     policy: policy.name().to_string(),
                     metrics: evaluate(
                         &workload,
-                        &plan.target,
+                        &target,
                         baseline_revenue,
                         plan.planning_time.as_secs_f64(),
                     ),

@@ -36,7 +36,7 @@ fn bench_lp(c: &mut Criterion) {
         state.fail_node(phoenix_cluster::NodeId::new(0));
         let policy = LpPolicy::cost().with_time_limit(Duration::from_secs(20));
         group.bench_with_input(BenchmarkId::new("LPCost", nodes), &nodes, |b, _| {
-            b.iter(|| policy.plan(&workload, &state))
+            b.iter(|| policy.plan(&workload, &mut state.clone()))
         });
     }
     group.finish();

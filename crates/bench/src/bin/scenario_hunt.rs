@@ -44,7 +44,7 @@ use phoenix_scenarios::generate::{generate_suite, GeneratorConfig};
 use phoenix_scenarios::model::{ScenarioDoc, SuiteDoc};
 use phoenix_scenarios::regression::{encode, regressions_dir, RegressionDoc};
 use phoenix_scenarios::search::{
-    run_hunt_with, signature_of_with, utility_deficit_objective, HuntConfig,
+    run_hunt_with, signature_of, utility_deficit_objective, HuntConfig,
 };
 use phoenix_scenarios::shrink::shrink;
 
@@ -182,13 +182,13 @@ fn main() {
     let mut capture = |doc: &ScenarioDoc, policy: &dyn ResiliencePolicy, origin: String| {
         let steady = steady_of(policy);
         let mut oracle = |d: &ScenarioDoc| {
-            signature_of_with(&workload, d, policy, &cfg, steady)
+            signature_of(&workload, d, policy, &cfg, steady)
                 .map(|s| s.severity_ms > 0)
                 .unwrap_or(false)
         };
         let (small, report) = shrink(doc, &mut oracle);
-        let signature = signature_of_with(&workload, &small, policy, &cfg, steady)
-            .expect("shrunk doc validates");
+        let signature =
+            signature_of(&workload, &small, policy, &cfg, steady).expect("shrunk doc validates");
         assert!(signature.severity_ms > 0, "shrinker lost the violation");
         shrink_table.row([
             small.name.clone(),
@@ -214,7 +214,7 @@ fn main() {
     let mut worst: BTreeMap<(String, String), (u64, usize)> = BTreeMap::new();
     for (si, s) in suite.scenarios.iter().enumerate() {
         for (pi, p) in policies.iter().enumerate() {
-            let sig = signature_of_with(&workload, s, p.as_ref(), &cfg, Some(&steady[pi]))
+            let sig = signature_of(&workload, s, p.as_ref(), &cfg, Some(&steady[pi]))
                 .expect("suite validates");
             if sig.severity_ms == 0 {
                 continue;

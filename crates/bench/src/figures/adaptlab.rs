@@ -231,12 +231,13 @@ pub(super) fn fig8c(scale: Scale, seed: Option<u64>, out: &mut String) -> Vec<Cl
         } else {
             0.0
         };
-        let default_plan = DefaultPolicy.plan(&env.workload, &failed);
+        let mut by_default = failed.clone();
+        DefaultPolicy.plan(&env.workload, &mut by_default);
         table.row([
             format!("{:.0}", frac * 100.0),
             f3(planner_util.min(1.0)),
             f3(result.target.utilization()),
-            f3(default_plan.target.utilization()),
+            f3(by_default.utilization()),
         ]);
     }
     out.push_str(&table.titled("Figure 8c: normalized cluster utilization vs. failure level"));
@@ -352,10 +353,11 @@ pub(super) fn ablations(scale: Scale, _: Option<u64>, out: &mut String) -> Vec<C
         "notes",
     ]);
     for (name, policy) in &variants {
-        let plan = policy.plan(&env.workload, &failed);
+        let mut target = failed.clone();
+        let plan = policy.plan(&env.workload, &mut target);
         let m = evaluate(
             &env.workload,
-            &plan.target,
+            &target,
             base_rev,
             plan.planning_time.as_secs_f64(),
         );

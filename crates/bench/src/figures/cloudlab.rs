@@ -33,8 +33,8 @@ use crate::{f3, secs, Line, Table};
 /// non-adaptive schemes.
 fn cloudlab_failure(seed: u64) -> (Workload, Vec<AppModel>, ClusterState, ClusterState) {
     let (workload, models) = cloudlab_workload();
-    let empty = ClusterState::new(cloudlab_capacities());
-    let baseline = PhoenixPolicy::fair().plan(&workload, &empty).target;
+    let mut baseline = ClusterState::new(cloudlab_capacities());
+    PhoenixPolicy::fair().plan(&workload, &mut baseline);
     let mut failed = baseline.clone();
     let mut ids = failed.node_ids();
     ids.shuffle(&mut StdRng::seed_from_u64(seed));
@@ -97,16 +97,17 @@ pub(super) fn fig5(scale: Scale, seed: Option<u64>, out: &mut String) -> Vec<Cla
     ]);
     let mut met = Vec::new();
     for policy in &roster {
-        let plan = policy.plan(&workload, &failed);
+        let mut target = failed.clone();
+        let plan = policy.plan(&workload, &mut target);
         // CloudLab availability: the Table-4 critical request keeps its RPS.
         let goals = goals_met(&models, |ai, s| {
-            service_active(&workload, &plan.target, ai, s.index())
+            service_active(&workload, &target, ai, s.index())
         });
         met.push((policy.name(), goals));
         let avail = goals as f64 / models.len() as f64;
-        let rev = revenue(&workload, &plan.target) / baseline_revenue;
-        let alloc = allocations(&workload, &plan.target);
-        let (pos, neg) = fair_share_deviation(&demands, &alloc, plan.target.healthy_capacity().cpu);
+        let rev = revenue(&workload, &target) / baseline_revenue;
+        let alloc = allocations(&workload, &target);
+        let (pos, neg) = fair_share_deviation(&demands, &alloc, target.healthy_capacity().cpu);
         table.row([
             policy.name().to_string(),
             format!("{goals}/{} ({})", models.len(), f3(avail)),
@@ -291,12 +292,12 @@ pub(super) fn fig9(_: Scale, _: Option<u64>, out: &mut String) -> Vec<Claim> {
 /// mode) gets *faster* thanks to gRPC fail-fast.
 pub(super) fn table1(_: Scale, _: Option<u64>, out: &mut String) -> Vec<Claim> {
     let (workload, models) = cloudlab_workload();
-    let empty = ClusterState::new(cloudlab_capacities());
-    let mut state = PhoenixPolicy::fair().plan(&workload, &empty).target;
+    let mut state = ClusterState::new(cloudlab_capacities());
+    PhoenixPolicy::fair().plan(&workload, &mut state);
     for id in state.node_ids().into_iter().skip(11) {
         state.fail_node(id);
     }
-    let degraded = PhoenixPolicy::fair().plan(&workload, &state);
+    PhoenixPolicy::fair().plan(&workload, &mut state);
 
     let mut table = Table::new(["app", "service", "P95 before (ms)", "P95 after (ms)"]);
     let cases: [(usize, &[&str]); 2] = [
@@ -304,7 +305,7 @@ pub(super) fn table1(_: Scale, _: Option<u64>, out: &mut String) -> Vec<Claim> {
         (4, &["reserve", "recommend", "search", "login"]),
     ];
     for (app_idx, requests) in cases {
-        let up = |s: ServiceId| service_active(&workload, &degraded.target, app_idx, s.index());
+        let up = |s: ServiceId| service_active(&workload, &state, app_idx, s.index());
         for r in latency_rows(&models[app_idx], requests, up, 42) {
             table.row([
                 r.app.clone(),
@@ -352,7 +353,8 @@ fn capacity_rps(workload: &Workload, state: &ClusterState, app: usize, model: &A
 pub(super) fn degradation_modes(_: Scale, seed: Option<u64>, out: &mut String) -> Vec<Claim> {
     let multiplier = 2.0;
     let (workload, models, _, failed) = cloudlab_failure(seed.unwrap_or(2024));
-    let replanned = PhoenixPolicy::fair().plan(&workload, &failed).target;
+    let mut replanned = failed.clone();
+    PhoenixPolicy::fair().plan(&workload, &mut replanned);
     out.line(format!(
         "CloudLab workload under {:.0}% capacity and {multiplier}x offered load",
         failed.healthy_capacity().cpu / failed.total_capacity().cpu * 100.0

@@ -132,7 +132,7 @@ pub(super) fn fig8b(scale: Scale, _: Option<u64>, out: &mut String) -> Vec<Claim
             Box::new(DefaultPolicy),
         ];
         for policy in &roster {
-            let plan = policy.plan(&env.workload, &failed);
+            let plan = policy.plan(&env.workload, &mut failed.clone());
             table.row([
                 nodes.to_string(),
                 policy.name().to_string(),
@@ -209,7 +209,7 @@ pub(super) fn fig8b(scale: Scale, _: Option<u64>, out: &mut String) -> Vec<Claim
             ));
             for policy in [LpPolicy::cost(), LpPolicy::fair()] {
                 let policy = policy.with_time_limit(Duration::from_secs(60));
-                let plan = policy.plan(&lp_env.workload, &lp_failed);
+                let plan = policy.plan(&lp_env.workload, &mut lp_failed.clone());
                 table.row([
                     nodes.to_string(),
                     policy.name().to_string(),

@@ -412,10 +412,11 @@ fn hunt(out: &mut String) {
         ));
         let policy = policies.iter().find(|p| p.name() == c.policy);
         let policy = policy.expect("champion policy from roster").as_ref();
-        let mut oracle =
-            |d: &ScenarioDoc| signature_of(&w, d, policy, &cfg).is_ok_and(|s| s.severity_ms > 0);
+        let mut oracle = |d: &ScenarioDoc| {
+            signature_of(&w, d, policy, &cfg, None).is_ok_and(|s| s.severity_ms > 0)
+        };
         let (small, report) = shrink(&c.doc, &mut oracle);
-        let sig = signature_of(&w, &small, policy, &cfg).expect("shrunk doc validates");
+        let sig = signature_of(&w, &small, policy, &cfg, None).expect("shrunk doc validates");
         out.line(format!(
             "hunt shrunk {} events={}->{} horizon={}->{} severity={} evals={} passes={}",
             c.policy,

@@ -70,30 +70,22 @@ pub fn scenario_audit(
         // samples tracking the last instant the critical goal was unmet —
         // a first wave that misses the critical nodes must not mask a
         // later wave that takes them down through the horizon.
-        // The goal is re-evaluated only where the serving set changed.
+        // The goal is evaluated once per run of equal serving sets.
         let mut last_down: Option<SimTime> = None;
-        let mut ever_down = false;
         let mut final_up = true;
-        let mut previous = None;
-        let mut up = true;
-        for smp in trace.samples.iter().filter(|smp| smp.at >= disruption) {
-            if previous.replace(&smp.serving) != Some(&smp.serving) {
-                up = model.critical_goal_met(|s| up_at(smp.at, s));
-            }
-            final_up = up;
-            if !up {
-                ever_down = true;
-                last_down = Some(smp.at);
+        for run in trace.serving_runs(disruption) {
+            final_up = model.critical_goal_met(|s| up_at(run[0].at, s));
+            if !final_up {
+                last_down = run.last().map(|smp| smp.at);
             }
         }
-        let restore = if !final_up {
-            None // still down at the horizon
-        } else if !ever_down {
-            Some(SimTime::ZERO) // never stopped serving
-        } else {
-            // Up for good from the sample after the last down instant.
-            last_down.map(|t| (t + sim.sample_interval).saturating_sub(disruption))
-        };
+        // Still down at the horizon: `None`. Never down: zero. Otherwise up
+        // for good from the sample after the last down instant.
+        let restore = final_up.then(|| {
+            last_down.map_or(SimTime::ZERO, |t| {
+                (t + sim.sample_interval).saturating_sub(disruption)
+            })
+        });
         let settled = trace
             .samples
             .last()

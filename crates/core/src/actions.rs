@@ -3,9 +3,13 @@
 //! The Phoenix agent enforces a target cluster state by issuing actions to
 //! the underlying cluster scheduler in a safe order: deletions free
 //! capacity first, migrations relocate survivors, and restarts bring up
-//! everything that should run but does not. [`diff_states`] derives that
-//! list from (live, target) state pairs, so any planner/policy that
-//! produces a target [`ClusterState`] gets execution for free.
+//! everything that should run but does not. Planners emit that list
+//! themselves: [`diff_from_outcome`] classifies only the pods a pack
+//! touched, and every
+//! [`ResiliencePolicy`](crate::policies::ResiliencePolicy) returns its own
+//! list. [`diff_states`] derives it from a whole (live, target) pair of
+//! [`ClusterState`]s, for a planner that rebuilds the target from scratch
+//! and as the reference the others are tested against.
 
 use phoenix_cluster::packing::PackOutcome;
 use phoenix_cluster::{ClusterState, NodeId, PodKey};

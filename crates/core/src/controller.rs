@@ -256,12 +256,13 @@ pub(crate) struct FlatPlan {
 /// service in `items` carries its best admitted mode. Each service's
 /// replica block is emitted at the position of its **first** rung (pack
 /// order therefore matches the mode-less planner exactly on mode-less
-/// workloads) at the chosen mode's per-replica demand.
-pub(crate) fn flatten_plan(workload: &Workload, items: &[GlobalRankItem]) -> FlatPlan {
+/// workloads) at the chosen mode's per-replica demand. `modal` is the
+/// caller's [`Workload::has_modes`].
+pub(crate) fn flatten_plan(workload: &Workload, items: &[GlobalRankItem], modal: bool) -> FlatPlan {
     let mut index = PlanIndex::default();
     index.reshape(workload);
     let mut pods = Vec::with_capacity(index.rebuild(workload, items));
-    if !workload.has_modes() {
+    if !modal {
         for item in items {
             let svc = workload.app(item.app).service(item.service);
             push_replicas(&mut pods, item, svc.replicas, svc.demand);
@@ -290,26 +291,21 @@ pub(crate) fn flatten_plan(workload: &Workload, items: &[GlobalRankItem]) -> Fla
     FlatPlan { pods, index, modes }
 }
 
-/// Packing config actually used for `workload`: modal workloads force
-/// [`PackingConfig::rebook_in_place`] on so running replicas are re-booked
-/// at their newly chosen mode's demand instead of keeping a stale booking.
-fn effective_packing(workload: &Workload, packing: &PackingConfig) -> PackingConfig {
-    let mut cfg = packing.clone();
-    cfg.rebook_in_place = cfg.rebook_in_place || workload.has_modes();
-    cfg
-}
-
 /// The scheduler step cold and warm rounds share: packs `plan` onto a
 /// scratch copy of `state` and returns the packed target with the raw
-/// outcome.
+/// outcome. A `modal` workload ([`Workload::has_modes`]) forces
+/// [`PackingConfig::rebook_in_place`] on, so running replicas are
+/// re-booked at their newly chosen mode's demand instead of keeping a
+/// stale booking.
 pub(crate) fn pack_round(
-    workload: &Workload,
     state: &ClusterState,
     packing: &PackingConfig,
+    modal: bool,
     plan: &[PlannedPod],
     index: &PlanIndex,
 ) -> (ClusterState, PackOutcome) {
-    let pack_cfg = effective_packing(workload, packing);
+    let mut pack_cfg = packing.clone();
+    pack_cfg.rebook_in_place |= modal;
     // One scratch clone per planning round: `PlanResult::target` must own
     // the packed state while `state` stays untouched — this is the API
     // contract, not per-trial fan-out overhead.
@@ -404,17 +400,18 @@ pub(crate) fn plan_pinned_with(
     // --- Scheduler -----------------------------------------------------
     let t1 = Instant::now();
     let _pack_timer = obs.phase(phoenix_obs::Phase::Pack);
+    let modal = workload.has_modes();
     let flat = if pins.is_empty() {
-        flatten_plan(workload, &rank.items)
+        flatten_plan(workload, &rank.items, modal)
     } else {
-        let mut flat = flatten_plan(workload, &[&pin_items[..], &rank.items].concat());
+        let mut flat = flatten_plan(workload, &[&pin_items[..], &rank.items].concat(), modal);
         let pinned = |p: &&mut PlannedPod| pins.contains_pod(p.key);
         for pod in flat.pods.iter_mut().take_while(pinned) {
             pod.pinned = true;
         }
         flat
     };
-    let (target, packing) = pack_round(workload, state, &config.packing, &flat.pods, &flat.index);
+    let (target, packing) = pack_round(state, &config.packing, modal, &flat.pods, &flat.index);
     drop(_pack_timer);
     let scheduler_time = t1.elapsed();
 

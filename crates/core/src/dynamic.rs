@@ -220,17 +220,16 @@ mod tests {
         let w = workload();
         let p = nightly_provider();
         // Capacity for exactly two services.
-        let state = ClusterState::homogeneous(2, Resources::cpu(2.0));
-        let daytime = retag(&w, &p, &app_ctx(12));
-        let night = retag(&w, &p, &app_ctx(23));
-        let plan_day = PhoenixPolicy::fair().plan(&daytime, &state);
-        let plan_night = PhoenixPolicy::fair().plan(&night, &state);
+        let mut day = ClusterState::homogeneous(2, Resources::cpu(2.0));
+        let mut night = day.clone();
+        PhoenixPolicy::fair().plan(&retag(&w, &p, &app_ctx(12)), &mut day);
+        PhoenixPolicy::fair().plan(&retag(&w, &p, &app_ctx(23)), &mut night);
         // Day: api (C1) + chat (C5 beats batch C6).
-        assert!(plan_day.target.node_of(PodKey::new(0, 2, 0)).is_some());
-        assert!(plan_day.target.node_of(PodKey::new(0, 1, 0)).is_none());
+        assert!(day.node_of(PodKey::new(0, 2, 0)).is_some());
+        assert!(day.node_of(PodKey::new(0, 1, 0)).is_none());
         // Night: batch is C2 and displaces chat.
-        assert!(plan_night.target.node_of(PodKey::new(0, 1, 0)).is_some());
-        assert!(plan_night.target.node_of(PodKey::new(0, 2, 0)).is_none());
+        assert!(night.node_of(PodKey::new(0, 1, 0)).is_some());
+        assert!(night.node_of(PodKey::new(0, 2, 0)).is_none());
     }
 
     #[test]

@@ -9,6 +9,7 @@ use phoenix_cluster::default_sched::schedule_pending;
 use phoenix_cluster::packing::PlannedPod;
 use phoenix_cluster::ClusterState;
 
+use crate::actions::{Action, ActionPlan};
 use crate::policies::{PolicyPlan, ResiliencePolicy};
 use crate::spec::Workload;
 
@@ -21,9 +22,8 @@ impl ResiliencePolicy for DefaultPolicy {
         "Default"
     }
 
-    fn plan(&self, workload: &Workload, state: &ClusterState) -> PolicyPlan {
+    fn plan(&self, workload: &Workload, state: &mut ClusterState) -> PolicyPlan {
         let t0 = std::time::Instant::now();
-        let mut target = state.clone();
         // Every workload pod that is not running is Pending and gets
         // re-scheduled in object order.
         let pending: Vec<PlannedPod> = workload
@@ -39,9 +39,13 @@ impl ResiliencePolicy for DefaultPolicy {
             })
             .filter(|p| state.node_of(p.key).is_none())
             .collect();
-        schedule_pending(&mut target, &pending);
+        // `placed` comes out in pod-key order: the starts group as is.
+        let placed = schedule_pending(state, &pending).placed.into_iter();
+        let actions = placed
+            .map(|(pod, node)| Action::Start { pod, node })
+            .collect();
         PolicyPlan {
-            target,
+            actions: ActionPlan { actions },
             planning_time: t0.elapsed(),
             modes: crate::spec::ModeAssignment::empty(),
             notes: String::new(),
@@ -60,13 +64,8 @@ impl ResiliencePolicy for NoAdaptPolicy {
         "NoAdapt"
     }
 
-    fn plan(&self, _workload: &Workload, state: &ClusterState) -> PolicyPlan {
-        PolicyPlan {
-            target: state.clone(),
-            planning_time: std::time::Duration::ZERO,
-            modes: crate::spec::ModeAssignment::empty(),
-            notes: String::new(),
-        }
+    fn plan(&self, _workload: &Workload, _state: &mut ClusterState) -> PolicyPlan {
+        PolicyPlan::unchanged(std::time::Duration::ZERO, String::new())
     }
 }
 
@@ -89,11 +88,12 @@ mod tests {
         let w = workload();
         // Room for exactly one pod: object order (service 0 = junk) wins,
         // even though service 1 is the critical one.
-        let state = ClusterState::homogeneous(1, Resources::cpu(4.0));
-        let plan = DefaultPolicy.plan(&w, &state);
-        assert_eq!(plan.target.pod_count(), 1);
-        let (pod, _, _) = plan.target.assignments().next().unwrap();
+        let mut state = ClusterState::homogeneous(1, Resources::cpu(4.0));
+        let plan = DefaultPolicy.plan(&w, &mut state);
+        assert_eq!(state.pod_count(), 1);
+        let (pod, _, _) = state.assignments().next().unwrap();
         assert_eq!(pod.service, 0);
+        assert_eq!(plan.actions.counts(), (0, 0, 1));
     }
 
     #[test]
@@ -107,14 +107,14 @@ mod tests {
                 NodeId::new(0),
             )
             .unwrap();
-        let plan = DefaultPolicy.plan(&w, &state);
+        DefaultPolicy.plan(&w, &mut state);
         assert_eq!(
-            plan.target.node_of(phoenix_cluster::PodKey::new(0, 0, 0)),
+            state.node_of(phoenix_cluster::PodKey::new(0, 0, 0)),
             Some(NodeId::new(0))
         );
         // The second pod lands on the emptier node (spreading).
         assert_eq!(
-            plan.target.node_of(phoenix_cluster::PodKey::new(0, 1, 0)),
+            state.node_of(phoenix_cluster::PodKey::new(0, 1, 0)),
             Some(NodeId::new(1))
         );
     }
@@ -122,9 +122,10 @@ mod tests {
     #[test]
     fn noadapt_changes_nothing() {
         let w = workload();
-        let state = ClusterState::homogeneous(2, Resources::cpu(4.0));
-        let plan = NoAdaptPolicy.plan(&w, &state);
-        assert_eq!(plan.target.pod_count(), 0);
+        let mut state = ClusterState::homogeneous(2, Resources::cpu(4.0));
+        let plan = NoAdaptPolicy.plan(&w, &mut state);
+        assert_eq!(state.pod_count(), 0);
+        assert!(plan.actions.is_empty());
         assert_eq!(plan.planning_time, std::time::Duration::ZERO);
     }
 }

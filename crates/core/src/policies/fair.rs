@@ -7,16 +7,16 @@
 //! routinely burned on non-critical services (the availability gap in
 //! Fig. 7a).
 
-use phoenix_cluster::packing::{pack, PackingConfig, PlannedPod};
+use phoenix_cluster::packing::{PackingConfig, PlannedPod};
 use phoenix_cluster::ClusterState;
 use phoenix_dgraph::topo::topo_sort;
 use phoenix_dgraph::traversal::Bfs;
 
 use crate::objectives::FairnessObjective;
 use crate::planner::PlannerConfig;
-use crate::policies::{PolicyPlan, ResiliencePolicy};
+use crate::policies::{pack_actions, PolicyPlan, ResiliencePolicy};
 use crate::ranking::global_rank;
-use crate::spec::{AppSpec, ServiceId, Workload};
+use crate::spec::{AppSpec, ServiceId, ServingMode, Workload};
 
 /// Fair-share quotas, criticality-blind intra-app ordering.
 #[derive(Debug, Clone, Default)]
@@ -65,7 +65,7 @@ impl ResiliencePolicy for FairPolicy {
         "Fair"
     }
 
-    fn plan(&self, workload: &Workload, state: &ClusterState) -> PolicyPlan {
+    fn plan(&self, workload: &Workload, state: &mut ClusterState) -> PolicyPlan {
         let t0 = std::time::Instant::now();
         let app_ranks: Vec<_> = workload.apps().map(|(_, a)| uncritical_rank(a)).collect();
         let rank = global_rank(
@@ -78,9 +78,13 @@ impl ResiliencePolicy for FairPolicy {
                 ..PlannerConfig::default()
             },
         );
+        // Everything Fair places serves at `Full`: a service with a mode
+        // ladder has one item per rung and runs once its `Full` rung is
+        // admitted, at that item's position.
         let plan: Vec<PlannedPod> = rank
             .items
             .iter()
+            .filter(|item| item.mode == ServingMode::Full)
             .flat_map(|item| {
                 let svc = workload.app(item.app).service(item.service);
                 workload
@@ -89,10 +93,8 @@ impl ResiliencePolicy for FairPolicy {
                     .map(move |key| PlannedPod::new(key, svc.demand))
             })
             .collect();
-        let mut target = state.clone();
-        pack(&mut target, &plan, &self.packing);
         PolicyPlan {
-            target,
+            actions: pack_actions(state, &plan, &self.packing),
             planning_time: t0.elapsed(),
             modes: crate::spec::ModeAssignment::empty(),
             notes: String::new(),
@@ -115,14 +117,10 @@ mod tests {
         b.add_service("junk1", Resources::cpu(1.0), Some(Criticality::C5), 1);
         b.add_service("vital", Resources::cpu(1.0), Some(Criticality::C1), 1);
         let w = Workload::new(vec![b.build().unwrap()]);
-        let state = ClusterState::homogeneous(2, Resources::cpu(1.0));
-        let plan = FairPolicy::default().plan(&w, &state);
+        let mut state = ClusterState::homogeneous(2, Resources::cpu(1.0));
+        FairPolicy::default().plan(&w, &mut state);
         // Index order burns the share on the junk services.
-        let active: Vec<u32> = plan
-            .target
-            .assignments()
-            .map(|(p, _, _)| p.service)
-            .collect();
+        let active: Vec<u32> = state.assignments().map(|(p, _, _)| p.service).collect();
         assert!(active.contains(&0));
         assert!(!active.contains(&2), "criticality-blind: vital not chosen");
     }
@@ -137,14 +135,9 @@ mod tests {
             b.build().unwrap()
         };
         let w = Workload::new(vec![mk("x"), mk("y")]);
-        let state = ClusterState::homogeneous(4, Resources::cpu(1.0));
-        let plan = FairPolicy::default().plan(&w, &state);
-        let per_app = |a: u32| {
-            plan.target
-                .assignments()
-                .filter(|(p, _, _)| p.app == a)
-                .count()
-        };
+        let mut state = ClusterState::homogeneous(4, Resources::cpu(1.0));
+        FairPolicy::default().plan(&w, &mut state);
+        let per_app = |a: u32| state.assignments().filter(|(p, _, _)| p.app == a).count();
         assert_eq!(per_app(0), 2);
         assert_eq!(per_app(1), 2);
     }

@@ -14,11 +14,12 @@
 
 use std::time::{Duration, Instant};
 
-use phoenix_cluster::packing::{pack, PackingConfig, PlannedPod};
+use phoenix_cluster::packing::{PackingConfig, PlannedPod};
 use phoenix_cluster::{ClusterState, NodeId, PodKey};
 use phoenix_lp::{Cmp, LinExpr, Model, Sense, SolveOptions, VarId, VarKind};
 
-use crate::policies::{PolicyPlan, ResiliencePolicy};
+use crate::actions::diff_states;
+use crate::policies::{pack_actions, PolicyPlan, ResiliencePolicy};
 use crate::spec::{AppSpec, Workload};
 use crate::waterfill::waterfill;
 
@@ -239,7 +240,7 @@ impl ResiliencePolicy for LpPolicy {
         }
     }
 
-    fn plan(&self, workload: &Workload, state: &ClusterState) -> PolicyPlan {
+    fn plan(&self, workload: &Workload, state: &mut ClusterState) -> PolicyPlan {
         let t0 = Instant::now();
         let pods: usize = workload
             .apps()
@@ -255,12 +256,8 @@ impl ResiliencePolicy for LpPolicy {
             LpPlacement::AggregateCapacity => pods,
         };
         if var_estimate > self.max_vars {
-            return PolicyPlan {
-                target: state.clone(),
-                planning_time: t0.elapsed(),
-                modes: crate::spec::ModeAssignment::empty(),
-                notes: format!("skipped: ~{var_estimate} variables exceed max_vars"),
-            };
+            let notes = format!("skipped: ~{var_estimate} variables exceed max_vars");
+            return PolicyPlan::unchanged(t0.elapsed(), notes);
         }
         // The dense two-phase tableau needs rows × cols × 8 bytes; refuse
         // instances that cannot fit (this is exactly how the LP stops
@@ -275,31 +272,21 @@ impl ResiliencePolicy for LpPolicy {
             .saturating_mul(cols_estimate)
             .saturating_mul(8);
         if bytes > self.max_tableau_bytes {
-            return PolicyPlan {
-                target: state.clone(),
-                planning_time: t0.elapsed(),
-                modes: crate::spec::ModeAssignment::empty(),
-                notes: format!(
-                    "skipped: dense tableau would need ~{:.1} GiB (limit {:.1} GiB)",
-                    bytes as f64 / (1u64 << 30) as f64,
-                    self.max_tableau_bytes as f64 / (1u64 << 30) as f64
-                ),
-            };
+            let notes = format!(
+                "skipped: dense tableau would need ~{:.1} GiB (limit {:.1} GiB)",
+                bytes as f64 / (1u64 << 30) as f64,
+                self.max_tableau_bytes as f64 / (1u64 << 30) as f64
+            );
+            return PolicyPlan::unchanged(t0.elapsed(), notes);
         }
         let Some(mut ilp) = build_base(workload, state, Sense::Maximize, self.placement) else {
-            return PolicyPlan {
-                target: state.clone(),
-                planning_time: t0.elapsed(),
-                modes: crate::spec::ModeAssignment::empty(),
-                notes: "model build failed".into(),
-            };
+            return PolicyPlan::unchanged(t0.elapsed(), "model build failed".into());
         };
 
         let opts = SolveOptions {
             time_limit: Some(self.time_limit),
             ..SolveOptions::default()
         };
-        let notes;
         let solution = match self.objective {
             LpObjective::Cost => {
                 let mut obj = LinExpr::new();
@@ -364,70 +351,61 @@ impl ResiliencePolicy for LpPolicy {
             }
         };
 
-        let target = match solution {
-            Ok(sol) => {
-                notes = format!(
-                    "status={:?} nodes={} iters={}",
-                    sol.status, sol.nodes, sol.iterations
-                );
-                match self.placement {
-                    LpPlacement::FullPlacement => {
-                        // Rebuild the target from scratch on an empty copy
-                        // of the cluster (the LP re-places everything).
-                        let mut target = state.clone();
-                        let running: Vec<PodKey> =
-                            target.assignments().map(|(p, _, _)| p).collect();
-                        for p in running {
-                            target.remove(p).expect("listed assignment");
+        let sol = match solution {
+            Ok(sol) => sol,
+            Err(e) => return PolicyPlan::unchanged(t0.elapsed(), format!("solver failed: {e}")),
+        };
+        let notes = format!(
+            "status={:?} nodes={} iters={}",
+            sol.status, sol.nodes, sol.iterations
+        );
+        let actions = match self.placement {
+            LpPlacement::FullPlacement => {
+                // Rebuild the target from scratch on an emptied cluster
+                // (the LP re-places everything).
+                let live = state.clone();
+                for (pod, _, _) in live.assignments() {
+                    state.remove(pod).expect("listed assignment");
+                }
+                for &(pod, node, v) in &ilp.y {
+                    if sol.value(v) > 0.5 {
+                        let (_, svc) = workload.service_of_pod(pod).expect("pod from workload");
+                        // Memory was not modelled; skip placements that
+                        // violate it rather than overcommit.
+                        if svc.demand.fits_in(&state.remaining(node)) {
+                            state
+                                .assign(pod, svc.demand, node)
+                                .expect("fit just verified");
                         }
-                        for &(pod, node, v) in &ilp.y {
-                            if sol.value(v) > 0.5 {
-                                let (_, svc) =
-                                    workload.service_of_pod(pod).expect("pod from workload");
-                                // Memory was not modelled; skip placements
-                                // that violate it rather than overcommit.
-                                if svc.demand.fits_in(&target.remaining(node)) {
-                                    target
-                                        .assign(pod, svc.demand, node)
-                                        .expect("fit just verified");
-                                }
-                            }
-                        }
-                        target
-                    }
-                    LpPlacement::AggregateCapacity => {
-                        // Chosen services, in criticality-then-app order so
-                        // the packer's deletion fallback respects the LP's
-                        // intent; placement via Algorithm 2.
-                        let mut chosen: Vec<(u8, u32, PlannedPod)> = Vec::new();
-                        for (ai, app) in workload.apps() {
-                            for s in app.service_ids() {
-                                if sol.value(ilp.x[ai.index()][s.index()]) > 0.5 {
-                                    for pod in workload.pod_keys(ai, s) {
-                                        chosen.push((
-                                            app.criticality_of(s).level(),
-                                            ai.index() as u32,
-                                            PlannedPod::new(pod, app.service(s).demand),
-                                        ));
-                                    }
-                                }
-                            }
-                        }
-                        chosen.sort_by_key(|&(level, app, p)| (level, app, p.key));
-                        let plan: Vec<PlannedPod> = chosen.into_iter().map(|(_, _, p)| p).collect();
-                        let mut target = state.clone();
-                        pack(&mut target, &plan, &PackingConfig::default());
-                        target
                     }
                 }
+                diff_states(&live, state)
             }
-            Err(e) => {
-                notes = format!("solver failed: {e}");
-                state.clone()
+            LpPlacement::AggregateCapacity => {
+                // Chosen services, in criticality-then-app order so the
+                // packer's deletion fallback respects the LP's intent;
+                // placement via Algorithm 2.
+                let mut chosen: Vec<(u8, u32, PlannedPod)> = Vec::new();
+                for (ai, app) in workload.apps() {
+                    for s in app.service_ids() {
+                        if sol.value(ilp.x[ai.index()][s.index()]) > 0.5 {
+                            for pod in workload.pod_keys(ai, s) {
+                                chosen.push((
+                                    app.criticality_of(s).level(),
+                                    ai.index() as u32,
+                                    PlannedPod::new(pod, app.service(s).demand),
+                                ));
+                            }
+                        }
+                    }
+                }
+                chosen.sort_by_key(|&(level, app, p)| (level, app, p.key));
+                let plan: Vec<PlannedPod> = chosen.into_iter().map(|(_, _, p)| p).collect();
+                pack_actions(state, &plan, &PackingConfig::default())
             }
         };
         PolicyPlan {
-            target,
+            actions,
             planning_time: t0.elapsed(),
             modes: crate::spec::ModeAssignment::empty(),
             notes,
@@ -459,15 +437,11 @@ mod tests {
     #[test]
     fn lpcost_prefers_expensive_apps() {
         let w = Workload::new(vec![app("cheap", &[1, 2], 1.0), app("rich", &[1, 2], 10.0)]);
-        let state = ClusterState::homogeneous(2, Resources::cpu(1.0));
-        let plan = LpPolicy::cost().plan(&w, &state);
-        let rich = plan
-            .target
-            .assignments()
-            .filter(|(p, _, _)| p.app == 1)
-            .count();
+        let mut state = ClusterState::homogeneous(2, Resources::cpu(1.0));
+        let plan = LpPolicy::cost().plan(&w, &mut state);
+        let rich = state.assignments().filter(|(p, _, _)| p.app == 1).count();
         assert_eq!(rich, 2, "notes: {}", plan.notes);
-        assert_eq!(plan.target.pod_count(), 2);
+        assert_eq!(state.pod_count(), 2);
     }
 
     #[test]
@@ -479,9 +453,9 @@ mod tests {
         b.add_service("c2", Resources::cpu(1.0), Some(Criticality::C2), 1);
         let w = Workload::new(vec![b.build().unwrap()]);
         // 1 CPU total: C1 (2 CPU) can't fit, so C2 must stay off too.
-        let state = ClusterState::homogeneous(1, Resources::cpu(1.0));
-        let plan = LpPolicy::cost().plan(&w, &state);
-        assert_eq!(plan.target.pod_count(), 0, "notes: {}", plan.notes);
+        let mut state = ClusterState::homogeneous(1, Resources::cpu(1.0));
+        let plan = LpPolicy::cost().plan(&w, &mut state);
+        assert_eq!(state.pod_count(), 0, "notes: {}", plan.notes);
     }
 
     #[test]
@@ -492,9 +466,9 @@ mod tests {
         let be = b.add_service("be", Resources::cpu(1.0), Some(Criticality::C1), 1);
         b.add_dependency(fe, be);
         let w = Workload::new(vec![b.build().unwrap()]);
-        let state = ClusterState::homogeneous(1, Resources::cpu(1.0));
-        let plan = LpPolicy::cost().plan(&w, &state);
-        assert_eq!(plan.target.pod_count(), 0, "notes: {}", plan.notes);
+        let mut state = ClusterState::homogeneous(1, Resources::cpu(1.0));
+        let plan = LpPolicy::cost().plan(&w, &mut state);
+        assert_eq!(state.pod_count(), 0, "notes: {}", plan.notes);
     }
 
     #[test]
@@ -503,57 +477,54 @@ mod tests {
             app("x", &[1, 1, 1, 1], 1.0),
             app("y", &[1, 1, 1, 1], 5.0),
         ]);
-        let state = ClusterState::homogeneous(4, Resources::cpu(1.0));
-        let plan = LpPolicy::fair().plan(&w, &state);
-        let per = |a: u32| {
-            plan.target
-                .assignments()
-                .filter(|(p, _, _)| p.app == a)
-                .count()
-        };
+        let mut state = ClusterState::homogeneous(4, Resources::cpu(1.0));
+        let plan = LpPolicy::fair().plan(&w, &mut state);
+        let per = |a: u32| state.assignments().filter(|(p, _, _)| p.app == a).count();
         assert_eq!((per(0), per(1)), (2, 2), "notes: {}", plan.notes);
     }
 
     #[test]
     fn oversize_instance_skipped_not_hung() {
         let w = Workload::new(vec![app("a", &[1; 10], 1.0)]);
-        let state = ClusterState::homogeneous(100, Resources::cpu(1.0));
+        let mut state = ClusterState::homogeneous(100, Resources::cpu(1.0));
         let mut p = LpPolicy::cost();
         p.max_vars = 5;
-        let plan = p.plan(&w, &state);
+        let plan = p.plan(&w, &mut state);
         assert!(plan.notes.contains("skipped"));
-        assert_eq!(plan.target.pod_count(), 0);
+        assert!(plan.actions.is_empty());
+        assert_eq!(state.pod_count(), 0);
     }
 
     #[test]
     fn full_placement_mode_solves_tiny_instances() {
         let w = Workload::new(vec![app("a", &[1, 2], 1.0), app("b", &[1], 3.0)]);
-        let state = ClusterState::homogeneous(3, Resources::cpu(1.0));
+        let mut state = ClusterState::homogeneous(3, Resources::cpu(1.0));
         let plan = LpPolicy::cost()
             .with_placement(LpPlacement::FullPlacement)
-            .plan(&w, &state);
-        plan.target.check_invariants().unwrap();
+            .plan(&w, &mut state);
+        state.check_invariants().unwrap();
         // 3 CPUs across 3 nodes: all three 1-CPU services fit.
-        assert_eq!(plan.target.pod_count(), 3, "notes: {}", plan.notes);
+        assert_eq!(state.pod_count(), 3, "notes: {}", plan.notes);
     }
 
     #[test]
     fn aggregate_and_full_agree_on_tiny_instances() {
         let w = Workload::new(vec![app("a", &[1, 2], 2.0), app("b", &[1, 3], 1.0)]);
         let state = ClusterState::homogeneous(2, Resources::cpu(1.0));
-        let agg = LpPolicy::cost().plan(&w, &state);
-        let full = LpPolicy::cost()
+        let (mut agg, mut full) = (state.clone(), state);
+        LpPolicy::cost().plan(&w, &mut agg);
+        LpPolicy::cost()
             .with_placement(LpPlacement::FullPlacement)
-            .plan(&w, &state);
-        assert_eq!(agg.target.pod_count(), full.target.pod_count());
+            .plan(&w, &mut full);
+        assert_eq!(agg.pod_count(), full.pod_count());
     }
 
     #[test]
     fn capacity_never_violated() {
         let w = Workload::new(vec![app("a", &[1, 1, 2, 3], 2.0), app("b", &[1, 2], 1.0)]);
-        let state = ClusterState::homogeneous(2, Resources::cpu(2.0));
-        let plan = LpPolicy::cost().plan(&w, &state);
-        plan.target.check_invariants().unwrap();
-        assert!(plan.target.total_used().cpu <= 4.0 + 1e-9);
+        let mut state = ClusterState::homogeneous(2, Resources::cpu(2.0));
+        LpPolicy::cost().plan(&w, &mut state);
+        state.check_invariants().unwrap();
+        assert!(state.total_used().cpu <= 4.0 + 1e-9);
     }
 }

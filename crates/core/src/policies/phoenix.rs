@@ -60,7 +60,7 @@ impl ResiliencePolicy for PhoenixPolicy {
         }
     }
 
-    fn plan(&self, workload: &Workload, state: &ClusterState) -> PolicyPlan {
+    fn plan(&self, workload: &Workload, state: &mut ClusterState) -> PolicyPlan {
         let config = PhoenixConfig {
             objective: self.objective.build(),
             planner: self.planner,
@@ -68,8 +68,9 @@ impl ResiliencePolicy for PhoenixPolicy {
         };
         let result = plan_with(workload, state, &config);
         let planning_time = result.total_time();
+        *state = result.target;
         PolicyPlan {
-            target: result.target,
+            actions: result.actions,
             planning_time,
             modes: result.modes,
             notes: format!(
@@ -98,10 +99,10 @@ mod tests {
     fn critical_services_first_under_crunch() {
         let w = small_workload();
         // 4 CPUs healthy of 8 demanded: only the two C1 frontends fit.
-        let state = ClusterState::homogeneous(2, Resources::cpu(2.0));
-        let plan = PhoenixPolicy::fair().plan(&w, &state);
-        assert_eq!(plan.target.pod_count(), 2);
-        for (pod, _, _) in plan.target.assignments() {
+        let mut state = ClusterState::homogeneous(2, Resources::cpu(2.0));
+        PhoenixPolicy::fair().plan(&w, &mut state);
+        assert_eq!(state.pod_count(), 2);
+        for (pod, _, _) in state.assignments() {
             assert_eq!(pod.service, 0, "only C1 frontends should be active");
         }
     }

@@ -8,11 +8,11 @@
 //! the failure mode Fig. 7a shows ("a few applications with many
 //! high-criticality microservices using most of the resources").
 
-use phoenix_cluster::packing::{pack, PackingConfig, PlannedPod};
+use phoenix_cluster::packing::{PackingConfig, PlannedPod};
 use phoenix_cluster::ClusterState;
 
 use crate::planner::{app_rank, Traversal};
-use crate::policies::{PolicyPlan, ResiliencePolicy};
+use crate::policies::{pack_actions, PolicyPlan, ResiliencePolicy};
 use crate::spec::Workload;
 
 /// Per-app criticality chains, apps served sequentially, no quotas.
@@ -34,7 +34,7 @@ impl ResiliencePolicy for PriorityPolicy {
         "Priority"
     }
 
-    fn plan(&self, workload: &Workload, state: &ClusterState) -> PolicyPlan {
+    fn plan(&self, workload: &Workload, state: &mut ClusterState) -> PolicyPlan {
         let t0 = std::time::Instant::now();
         // Apps in object order; each activates its whole criticality chain
         // until the aggregate capacity is spoken for.
@@ -55,10 +55,8 @@ impl ResiliencePolicy for PriorityPolicy {
                 }
             }
         }
-        let mut target = state.clone();
-        pack(&mut target, &plan, &self.packing);
         PolicyPlan {
-            target,
+            actions: pack_actions(state, &plan, &self.packing),
             planning_time: t0.elapsed(),
             modes: crate::spec::ModeAssignment::empty(),
             notes: String::new(),
@@ -92,22 +90,14 @@ mod tests {
 
         // 6 CPUs: the greedy app's whole chain (5 C1s) goes first, then the
         // modest app's C1 — its C2 no longer fits.
-        let state = ClusterState::homogeneous(6, Resources::cpu(1.0));
-        let plan = PriorityPolicy::default().plan(&w, &state);
-        let greedy_pods = plan
-            .target
-            .assignments()
-            .filter(|(p, _, _)| p.app == 0)
-            .count();
+        let mut state = ClusterState::homogeneous(6, Resources::cpu(1.0));
+        PriorityPolicy::default().plan(&w, &mut state);
+        let greedy_pods = state.assignments().filter(|(p, _, _)| p.app == 0).count();
         assert_eq!(greedy_pods, 5);
         // With only 5 CPUs the greedy app takes everything: no quota.
-        let state5 = ClusterState::homogeneous(5, Resources::cpu(1.0));
-        let plan5 = PriorityPolicy::default().plan(&w, &state5);
-        let modest_pods = plan5
-            .target
-            .assignments()
-            .filter(|(p, _, _)| p.app == 1)
-            .count();
+        let mut state5 = ClusterState::homogeneous(5, Resources::cpu(1.0));
+        PriorityPolicy::default().plan(&w, &mut state5);
+        let modest_pods = state5.assignments().filter(|(p, _, _)| p.app == 1).count();
         assert_eq!(modest_pods, 0, "no per-app quota protects the modest app");
     }
 }

@@ -367,12 +367,12 @@ pub fn replan_with(
     let _pack_timer = obs.phase(phoenix_obs::Phase::Pack);
     // Modal workloads re-flatten per round (see above); mode-less ones
     // pack the incrementally patched plan straight out of the cache.
-    let flat = modal.then(|| flatten_plan(workload, &rank.items));
+    let flat = modal.then(|| flatten_plan(workload, &rank.items, modal));
     let (plan, index) = match &flat {
         Some(flat) => (&flat.pods, &flat.index),
         None => (&cache.plan, &cache.plan_index),
     };
-    let (target, packing) = pack_round(workload, state, &config.packing, plan, index);
+    let (target, packing) = pack_round(state, &config.packing, modal, plan, index);
     let modes = flat.map_or_else(ModeAssignment::empty, |flat| flat.modes);
     drop(_pack_timer);
     let scheduler_time = t1.elapsed();

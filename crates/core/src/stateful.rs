@@ -553,7 +553,7 @@ impl crate::policies::ResiliencePolicy for StatefulAwarePolicy {
         "PhoenixPinned"
     }
 
-    fn plan(&self, workload: &Workload, state: &ClusterState) -> crate::policies::PolicyPlan {
+    fn plan(&self, workload: &Workload, state: &mut ClusterState) -> crate::policies::PolicyPlan {
         let t0 = std::time::Instant::now();
         let plan = plan_pinned(workload, &self.marks, state, &self.config);
         let planning_time = t0.elapsed();
@@ -561,8 +561,9 @@ impl crate::policies::ResiliencePolicy for StatefulAwarePolicy {
             plan.check(workload, &self.marks, state, &self.config),
             Ok(())
         );
+        *state = plan.target;
         crate::policies::PolicyPlan {
-            target: plan.target,
+            actions: plan.actions,
             planning_time,
             modes: plan.modes,
             notes: if plan.stranded.is_empty() {
@@ -866,15 +867,16 @@ mod tests {
         let policy = StatefulAwarePolicy::new(marks.clone(), PhoenixConfig::default());
         assert_eq!(policy.name(), "PhoenixPinned");
         assert_eq!(policy.marks().len(), 1);
-        let state = ClusterState::homogeneous(3, Resources::cpu(4.0));
-        let plan = policy.plan(&w, &state);
-        assert_eq!(plan.target.pod_count(), 4);
+        let mut state = ClusterState::homogeneous(3, Resources::cpu(4.0));
+        let plan = policy.plan(&w, &mut state);
+        assert_eq!(state.pod_count(), 4);
+        assert_eq!(plan.actions.counts(), (0, 0, 4));
         assert!(plan.notes.is_empty());
-        plan.target.check_invariants().unwrap();
+        state.check_invariants().unwrap();
 
         // A cluster too small for the db reports strandedness in the notes.
-        let tiny = ClusterState::homogeneous(1, Resources::cpu(2.0));
-        let starved = policy.plan(&w, &tiny);
+        let mut tiny = ClusterState::homogeneous(1, Resources::cpu(2.0));
+        let starved = policy.plan(&w, &mut tiny);
         assert!(starved.notes.contains("stranded"), "{}", starved.notes);
     }
 

@@ -100,12 +100,12 @@ proptest! {
         cap in 2.0f64..10.0,
     ) {
         let w = Workload::new(apps);
-        let state = ClusterState::homogeneous(nodes, Resources::cpu(cap));
         for p in standard_roster() {
-            let plan = p.plan(&w, &state);
-            plan.target.check_invariants().unwrap();
+            let mut state = ClusterState::homogeneous(nodes, Resources::cpu(cap));
+            p.plan(&w, &mut state);
+            state.check_invariants().unwrap();
             // Total placed demand never exceeds healthy capacity.
-            let used = plan.target.total_used().cpu;
+            let used = state.total_used().cpu;
             prop_assert!(used <= nodes as f64 * cap + 1e-6, "{}", p.name());
         }
     }

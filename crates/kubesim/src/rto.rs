@@ -325,14 +325,10 @@ fn first_outages(
     let was_up =
         table.up_flags(trace.serving_at(failure_at.saturating_sub(SimTime::from_millis(1))));
     let mut episodes = vec![None; was_up.len()];
-    let mut previous = None;
-    let first = trace.samples.partition_point(|s| s.at < failure_at);
-    for sample in &trace.samples[first..] {
-        // Equal serving sets give equal flags, and equal flags cannot
-        // open or close an episode the previous sample did not.
-        if previous.replace(&sample.serving) == Some(&sample.serving) {
-            continue;
-        }
+    // Equal serving sets give equal flags, and equal flags cannot open or
+    // close an episode the previous sample did not.
+    for run in trace.serving_runs(failure_at) {
+        let sample = &run[0];
         let up = table.up_flags(&sample.serving);
         for (episode, &is_up) in episodes.iter_mut().zip(&up) {
             match episode {

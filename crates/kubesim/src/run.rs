@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use phoenix_cluster::{ClusterState, FxHashMap, NodeId, PodKey, Resources};
-use phoenix_core::actions::{diff_states, mode_shift_actions, Action};
+use phoenix_core::actions::{mode_shift_actions, Action};
 use phoenix_core::policies::ResiliencePolicy;
 use phoenix_core::spec::{AppId, ServingMode, Workload};
 use rand::rngs::StdRng;
@@ -144,6 +144,22 @@ impl SimTrace {
         }
     }
 
+    /// The samples at or after `t`, cut into maximal runs that share one
+    /// serving set: each run opens with a sample whose set differs from
+    /// the previous sample's. A walk that scores only the serving set
+    /// scores each run once.
+    pub fn serving_runs(&self, t: SimTime) -> impl Iterator<Item = &[TraceSample]> + '_ {
+        let first = self.samples.partition_point(|s| s.at < t);
+        let mut rest = &self.samples[first..];
+        std::iter::from_fn(move || {
+            let head = rest.first()?;
+            let len = rest.iter().position(|s| s.serving != head.serving);
+            let (run, tail) = rest.split_at(len.unwrap_or(rest.len()));
+            rest = tail;
+            Some(run)
+        })
+    }
+
     /// Served utility at the latest sample ≤ `t` (0.0 before first sample).
     pub fn utility_at(&self, t: SimTime) -> f64 {
         match self.samples.binary_search_by_key(&t, |s| s.at) {
@@ -262,12 +278,16 @@ impl SteadyState {
         policy: &dyn ResiliencePolicy,
         capacities: &[Resources],
     ) -> SteadyState {
-        let state = ClusterState::new(capacities.iter().copied());
+        let mut state = ClusterState::new(capacities.iter().copied());
+        let modes = policy.plan(workload, &mut state).modes;
+        let assigns = state.assignments();
         SteadyState {
             capacities: capacities.to_vec(),
             fingerprints: workload.apps().map(|(_, a)| a.fingerprint()).collect(),
             policy: policy.name(),
-            assigns: cold_plan(workload, policy, &state),
+            assigns: assigns
+                .map(|(pod, node, demand)| (pod, node, demand, modes.mode_of_pod(pod)))
+                .collect(),
         }
     }
 
@@ -292,21 +312,6 @@ impl SteadyState {
                 .zip(&self.fingerprints)
                 .all(|((_, a), &f)| a.fingerprint() == f)
     }
-}
-
-/// `policy`'s plan for `workload` on the healthy `state`, as `(pod, node,
-/// demand, mode)` in the plan's own assignment order.
-fn cold_plan(
-    workload: &Workload,
-    policy: &dyn ResiliencePolicy,
-    state: &ClusterState,
-) -> Vec<(PodKey, NodeId, Resources, ServingMode)> {
-    let initial = policy.plan(workload, state);
-    initial
-        .target
-        .assignments()
-        .map(|(pod, node, demand)| (pod, node, demand, initial.modes.mode_of_pod(pod)))
-        .collect()
 }
 
 /// Runs `scenario` under `policy` until `horizon`.
@@ -463,8 +468,8 @@ impl<'a> Sim<'a> {
             match steady.filter(|s| s.matches(workload, policy, &scenario.node_capacities)) {
                 Some(s) => &s.assigns,
                 None => {
-                    cold = cold_plan(workload, policy, &sim.state);
-                    &cold
+                    cold = SteadyState::compute(workload, policy, &scenario.node_capacities);
+                    &cold.assigns
                 }
             };
         for &(pod, node, demand, mode) in assigns {
@@ -725,11 +730,13 @@ impl<'a> Sim<'a> {
         self.reschedule(now, self.config.monitor_interval, Event::MonitorTick);
     }
 
-    /// Plans against the control plane's view and issues the difference.
+    /// Plans onto a copy of the control plane's view and issues the
+    /// policy's actions.
     fn replan(&mut self, now: SimTime) {
         let wl = self.workload();
-        let plan = self.policy.plan(wl, &self.state);
-        let mut actions = diff_states(&self.state, &plan.target);
+        let mut target = self.state.clone();
+        let plan = self.policy.plan(wl, &mut target);
+        let mut actions = plan.actions;
         if wl.has_modes() {
             // Placement-stable pods whose chosen mode changed get an
             // in-place reconfiguration instead of a restart; the splice
@@ -739,7 +746,7 @@ impl<'a> Sim<'a> {
                     .get(&p)
                     .map_or(ServingMode::Full, |&(_, mode)| mode)
             };
-            let shifts = mode_shift_actions(&self.state, &plan.target, live, &plan.modes);
+            let shifts = mode_shift_actions(&self.state, &target, live, &plan.modes);
             actions.insert_mode_shifts(shifts);
         }
         self.obs.incr(phoenix_obs::Counter::SimPlans);

@@ -39,11 +39,11 @@ fn pinned_policy(marks: StatefulMarks) -> StatefulAwarePolicy {
 #[test]
 fn pinned_plan_keeps_the_read_only_rung() {
     let (w, marks) = web();
-    let state = ClusterState::homogeneous(1, Resources::cpu(4.0));
-    let plan = pinned_policy(marks).plan(&w, &state);
+    let mut state = ClusterState::homogeneous(1, Resources::cpu(4.0));
+    let plan = pinned_policy(marks).plan(&w, &mut state);
     let chat = PodKey::new(0, 1, 0);
     assert_eq!(
-        plan.target.demand_of(chat),
+        state.demand_of(chat),
         Some(Resources::cpu(1.0)),
         "chat must be placed at its read-only demand"
     );
@@ -52,13 +52,10 @@ fn pinned_plan_keeps_the_read_only_rung() {
         ServingMode::ReadOnly
     );
     assert!(
-        plan.target.node_of(PodKey::new(0, 2, 0)).is_some(),
+        state.node_of(PodKey::new(0, 2, 0)).is_some(),
         "mongodb pinned"
     );
-    assert!(
-        plan.target.node_of(PodKey::new(0, 0, 0)).is_some(),
-        "fe placed"
-    );
+    assert!(state.node_of(PodKey::new(0, 0, 0)).is_some(), "fe placed");
 }
 
 #[test]

@@ -338,15 +338,11 @@ pub fn run_campaign(
                 .count();
             in_baseline as f64 / baseline_pods as f64
         };
-        // Equal serving sets score equal availability, so only a sample
-        // whose set differs from the previous one is scored.
-        let mut previous = None;
+        // Equal serving sets score equal availability, so each run of
+        // them is scored once.
         let min_availability = trace
-            .samples
-            .iter()
-            .filter(|s| s.at >= disruption)
-            .filter(|s| previous.replace(&s.serving) != Some(&s.serving))
-            .map(avail)
+            .serving_runs(disruption)
+            .map(|run| avail(&run[0]))
             .fold(f64::INFINITY, f64::min);
         let final_availability = trace.samples.last().map_or(0.0, avail);
         let worst_c1 = report
@@ -541,7 +537,7 @@ mod tests {
         fn plan(
             &self,
             workload: &Workload,
-            state: &phoenix_cluster::ClusterState,
+            state: &mut phoenix_cluster::ClusterState,
         ) -> phoenix_core::policies::PolicyPlan {
             let ids = phoenix_exec::global().par_map_range(64, |_| std::thread::current().id());
             self.inner_threads.lock().unwrap().extend(ids);

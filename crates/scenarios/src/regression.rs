@@ -126,7 +126,7 @@ pub fn replay(
         ScenarioError::BadCluster(format!("{}: unknown policy {}", doc.name, doc.policy))
     })?;
     let workload = demo_workload(doc.apps.max(1));
-    signature_of(&workload, &doc.scenario, policy.as_ref(), cfg)
+    signature_of(&workload, &doc.scenario, policy.as_ref(), cfg, None)
 }
 
 #[cfg(test)]

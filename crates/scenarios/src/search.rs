@@ -126,29 +126,17 @@ pub struct ViolationSignature {
 /// regression suite's replay — one definition, so the three can never
 /// disagree about what "still violates" means.
 ///
+/// `steady` is an optional precomputed [`SteadyState`] for the
+/// `(workload, policy, doc shape)` triple: hunts and shrink oracles
+/// evaluate thousands of same-shape candidates, so replaying one captured
+/// `t = 0` plan instead of re-planning it per evaluation is the fan-out
+/// hot path. The result is byte-identical either way (the simulator falls
+/// back to a cold plan on any shape mismatch).
+///
 /// # Errors
 ///
 /// Propagates [`ScenarioDoc::validate`]/compile errors.
 pub fn signature_of(
-    workload: &Workload,
-    doc: &ScenarioDoc,
-    policy: &dyn ResiliencePolicy,
-    cfg: &CampaignConfig,
-) -> Result<ViolationSignature, ScenarioError> {
-    signature_of_with(workload, doc, policy, cfg, None)
-}
-
-/// [`signature_of`] with an optional precomputed [`SteadyState`] for the
-/// `(workload, policy, doc shape)` triple — hunts and shrink oracles
-/// evaluate thousands of same-shape candidates, so replaying one captured
-/// `t = 0` plan instead of re-planning it per evaluation is the fan-out
-/// hot path. Byte-identical to [`signature_of`] (the simulator falls back
-/// to a cold plan on any shape mismatch).
-///
-/// # Errors
-///
-/// As [`signature_of`].
-pub fn signature_of_with(
     workload: &Workload,
     doc: &ScenarioDoc,
     policy: &dyn ResiliencePolicy,
@@ -303,7 +291,7 @@ pub fn run_hunt_with(
             .collect();
         let sigs = phoenix_exec::global().par_map(&jobs, |&(ci, pi)| {
             phoenix_obs::current().incr(phoenix_obs::Counter::HuntEvaluations);
-            signature_of_with(
+            signature_of(
                 workload,
                 &population[ci],
                 policies[pi].as_ref(),

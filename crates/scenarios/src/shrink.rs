@@ -405,10 +405,10 @@ mod tests {
                 },
             ],
         };
-        let sig = signature_of(&w, &doc, &policy, &cfg).unwrap();
+        let sig = signature_of(&w, &doc, &policy, &cfg, None).unwrap();
         assert!(sig.severity_ms > 0, "setup must violate");
         let mut oracle = |d: &ScenarioDoc| {
-            signature_of(&w, d, &policy, &cfg)
+            signature_of(&w, d, &policy, &cfg, None)
                 .map(|s| s.severity_ms > 0)
                 .unwrap_or(false)
         };

@@ -72,7 +72,7 @@ fn repro_replay_is_pool_invariant() {
             phoenix_exec::global().par_map(&docs, |doc| {
                 let policy = phoenix_scenarios::regression::policy_by_name(&doc.policy).unwrap();
                 let w = demo_workload(doc.apps.max(1));
-                signature_of(&w, &doc.scenario, policy.as_ref(), &cfg).unwrap()
+                signature_of(&w, &doc.scenario, policy.as_ref(), &cfg, None).unwrap()
             })
         });
         for (doc, sig) in docs.iter().zip(&sigs) {

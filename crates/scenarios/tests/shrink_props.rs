@@ -87,18 +87,18 @@ fn real_violations_survive_shrinking() {
         );
         for doc in &docs {
             for policy in &policies {
-                let sig = signature_of(&w, doc, policy.as_ref(), &cfg).unwrap();
+                let sig = signature_of(&w, doc, policy.as_ref(), &cfg, None).unwrap();
                 if sig.severity_ms == 0 {
                     continue;
                 }
                 let mut oracle = |d: &ScenarioDoc| {
-                    signature_of(&w, d, policy.as_ref(), &cfg)
+                    signature_of(&w, d, policy.as_ref(), &cfg, None)
                         .map(|s| s.severity_ms > 0)
                         .unwrap_or(false)
                 };
                 let (small, _) = shrink(doc, &mut oracle);
                 small.validate().unwrap();
-                let after = signature_of(&w, &small, policy.as_ref(), &cfg).unwrap();
+                let after = signature_of(&w, &small, policy.as_ref(), &cfg, None).unwrap();
                 assert!(
                     after.severity_ms > 0,
                     "{} x {}: shrunk doc no longer violates",

@@ -134,12 +134,7 @@ fn cmd_plan(args: &[String]) -> Result<(), String> {
     let mut state = ClusterState::homogeneous(nodes, Resources::cpu(cap));
     // Start from a healthy full deployment, then fail.
     let policy = PhoenixPolicy::with_objective(objective);
-    let healthy = policy.plan(&workload, &state);
-    for (pod, node, demand) in healthy.target.assignments() {
-        state
-            .assign(pod, demand, node)
-            .map_err(|e| format!("healthy deployment failed: {e}"))?;
-    }
+    policy.plan(&workload, &mut state);
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(7);
     let report = fail_fraction(&mut state, fail, &mut rng);
     println!(
@@ -149,15 +144,17 @@ fn cmd_plan(args: &[String]) -> Result<(), String> {
         state.healthy_capacity().cpu
     );
 
-    let plan = policy.plan(&workload, &state);
+    let plan = policy.plan(&workload, &mut state);
+    let (deletes, migrations, starts) = plan.actions.counts();
     println!(
         "planned in {:?}; {} pods in target; availability {:.2}; revenue {:.1}",
         plan.planning_time,
-        plan.target.pod_count(),
-        critical_service_availability(&workload, &plan.target),
-        revenue(&workload, &plan.target),
+        state.pod_count(),
+        critical_service_availability(&workload, &state),
+        revenue(&workload, &state),
     );
-    for a in &phoenix::core::actions::diff_states(&state, &plan.target).actions {
+    println!("{deletes} deletes, {migrations} migrations, {starts} starts:");
+    for a in &plan.actions.actions {
         println!("  {a:?}");
     }
     Ok(())

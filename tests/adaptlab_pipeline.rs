@@ -54,8 +54,9 @@ fn metrics_bounded_and_consistent_across_policies() {
     let mut rng = StdRng::seed_from_u64(7);
     fail_fraction(&mut failed, 0.5, &mut rng);
     for policy in standard_roster() {
-        let plan = policy.plan(&env.workload, &failed);
-        let m = evaluate(&env.workload, &plan.target, base_rev, 0.0);
+        let mut target = failed.clone();
+        policy.plan(&env.workload, &mut target);
+        let m = evaluate(&env.workload, &target, base_rev, 0.0);
         assert!((0.0..=1.0).contains(&m.availability), "{}", policy.name());
         assert!((0.0..=1.0 + 1e-9).contains(&m.revenue), "{}", policy.name());
         assert!(m.utilization <= 1.0 + 1e-9, "{}", policy.name());

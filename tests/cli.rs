@@ -3,7 +3,8 @@
 //! without a value with `error: missing value for --<flag>`, and a
 //! workload service with a bad `criticality` / `cpu` / `mem` with an
 //! error naming the field, all with exit 1 (never a panic's 101); the
-//! documented happy path (`export`, then `plan`) exits 0.
+//! documented happy path (`export`, then `plan`) exits 0 and prints one
+//! line per planned action.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -44,6 +45,35 @@ fn documented_plan_happy_path_exits_zero() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("planned in"));
+}
+
+/// `plan` prints the policy's own task list: one line per action, as many
+/// of each kind as its summary line counts.
+#[test]
+fn plan_prints_one_line_per_counted_action() {
+    let workload = exported_workload("cli_plan_actions");
+    let out = cli(&["plan", "--workload", &workload, "--fail", "0.5"]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let summary = stdout
+        .lines()
+        .find(|l| l.ends_with(" starts:"))
+        .unwrap_or_else(|| panic!("no action summary in:\n{stdout}"));
+    let counted: Vec<usize> = summary
+        .split(", ")
+        .map(|part| part.split(' ').next().unwrap().parse().unwrap())
+        .collect();
+    let printed: Vec<usize> = ["  Delete", "  Migrate", "  Start"]
+        .iter()
+        .map(|kind| stdout.lines().filter(|l| l.starts_with(kind)).count())
+        .collect();
+    assert_eq!(printed, counted, "{stdout}");
+    assert!(
+        counted.iter().sum::<usize>() > 0,
+        "a 50% failure replans nothing"
+    );
+    let actions = stdout.lines().filter(|l| l.starts_with("  ")).count();
+    assert_eq!(actions, counted.iter().sum::<usize>(), "{stdout}");
 }
 
 #[test]

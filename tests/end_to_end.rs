@@ -17,8 +17,7 @@ fn breaking_point_state() -> (
 ) {
     let (workload, models) = cloudlab_workload();
     let mut state = ClusterState::new(cloudlab_capacities());
-    let full = PhoenixPolicy::fair().plan(&workload, &state);
-    state = full.target;
+    PhoenixPolicy::fair().plan(&workload, &mut state);
     // 14 alternating nodes fail → 11 × 8 = 88 CPU ≈ the 42 % breaking point.
     let victims: Vec<_> = state
         .node_ids()
@@ -34,13 +33,13 @@ fn breaking_point_state() -> (
 
 #[test]
 fn phoenix_fair_meets_every_critical_goal_at_breaking_point() {
-    let (workload, models, state) = breaking_point_state();
-    let plan = PhoenixPolicy::fair().plan(&workload, &state);
+    let (workload, models, mut state) = breaking_point_state();
+    PhoenixPolicy::fair().plan(&workload, &mut state);
     for (ai, model) in models.iter().enumerate() {
         assert!(
             model.critical_goal_met(|s: ServiceId| service_active(
                 &workload,
-                &plan.target,
+                &state,
                 ai,
                 s.index()
             )),
@@ -54,13 +53,14 @@ fn phoenix_fair_meets_every_critical_goal_at_breaking_point() {
 fn phoenix_beats_default_on_critical_availability() {
     let (workload, models, state) = breaking_point_state();
     let count_met = |policy: &dyn ResiliencePolicy| {
-        let plan = policy.plan(&workload, &state);
+        let mut target = state.clone();
+        policy.plan(&workload, &mut target);
         models
             .iter()
             .enumerate()
             .filter(|(ai, m)| {
                 m.critical_goal_met(|s: ServiceId| {
-                    service_active(&workload, &plan.target, *ai, s.index())
+                    service_active(&workload, &target, *ai, s.index())
                 })
             })
             .count()
@@ -77,12 +77,13 @@ fn phoenix_beats_default_on_critical_availability() {
 fn all_policies_produce_consistent_targets_on_cloudlab() {
     let (workload, _, state) = breaking_point_state();
     for policy in standard_roster() {
-        let plan = policy.plan(&workload, &state);
-        plan.target.check_invariants().unwrap();
+        let mut target = state.clone();
+        policy.plan(&workload, &mut target);
+        target.check_invariants().unwrap();
         // No pod may sit on a failed node.
-        for (pod, node, _) in plan.target.assignments() {
+        for (pod, node, _) in target.assignments() {
             assert!(
-                plan.target.is_healthy(node),
+                target.is_healthy(node),
                 "{}: {pod} on dead {node}",
                 policy.name()
             );
@@ -124,8 +125,8 @@ fn kubesim_recovery_within_paper_bounds() {
 
 #[test]
 fn planning_latency_is_milliseconds_at_cloudlab_scale() {
-    let (workload, _, state) = breaking_point_state();
-    let plan = PhoenixPolicy::fair().plan(&workload, &state);
+    let (workload, _, mut state) = breaking_point_state();
+    let plan = PhoenixPolicy::fair().plan(&workload, &mut state);
     assert!(
         plan.planning_time.as_secs_f64() < 0.1,
         "planning took {:?}",

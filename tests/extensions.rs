@@ -25,17 +25,17 @@ fn replicas_are_all_or_nothing() {
     let w = Workload::new(vec![b.build().unwrap()]);
 
     // 4 CPUs: fe needs 3, aux needs 2 → only fe fits fully.
-    let state = ClusterState::homogeneous(4, Resources::cpu(1.0));
-    let plan = PhoenixPolicy::fair().plan(&w, &state);
+    let mut state = ClusterState::homogeneous(4, Resources::cpu(1.0));
+    PhoenixPolicy::fair().plan(&w, &mut state);
     let fe_replicas = (0..3)
-        .filter(|&r| plan.target.node_of(PodKey::new(0, 0, r)).is_some())
+        .filter(|&r| state.node_of(PodKey::new(0, 0, r)).is_some())
         .count();
     assert_eq!(fe_replicas, 3, "all fe replicas must be active");
     let aux_replicas = (0..2)
-        .filter(|&r| plan.target.node_of(PodKey::new(0, 1, r)).is_some())
+        .filter(|&r| state.node_of(PodKey::new(0, 1, r)).is_some())
         .count();
     assert_eq!(aux_replicas, 0, "aux must not be partially activated");
-    assert_eq!(critical_service_availability(&w, &plan.target), 1.0);
+    assert_eq!(critical_service_availability(&w, &state), 1.0);
 }
 
 /// Appendix D: replicas spread across nodes when capacity forces it, and
@@ -45,10 +45,10 @@ fn replica_loss_breaks_availability() {
     let mut b = AppSpecBuilder::new("r");
     b.add_service("fe", Resources::cpu(2.0), Some(Criticality::C1), 2);
     let w = Workload::new(vec![b.build().unwrap()]);
-    let state = ClusterState::homogeneous(2, Resources::cpu(2.0));
-    let plan = PhoenixPolicy::fair().plan(&w, &state);
-    assert_eq!(critical_service_availability(&w, &plan.target), 1.0);
-    let mut degraded = plan.target.clone();
+    let mut state = ClusterState::homogeneous(2, Resources::cpu(2.0));
+    PhoenixPolicy::fair().plan(&w, &mut state);
+    assert_eq!(critical_service_availability(&w, &state), 1.0);
+    let mut degraded = state.clone();
     degraded.fail_node(NodeId::new(0));
     assert_eq!(critical_service_availability(&w, &degraded), 0.0);
 }
@@ -66,10 +66,10 @@ fn untagged_services_survive_over_tagged() {
         1,
     );
     let w = Workload::new(vec![b.build().unwrap()]);
-    let state = ClusterState::homogeneous(1, Resources::cpu(2.0));
-    let plan = PhoenixPolicy::fair().plan(&w, &state);
-    assert!(plan.target.node_of(PodKey::new(0, 0, 0)).is_some());
-    assert!(plan.target.node_of(PodKey::new(0, 1, 0)).is_none());
+    let mut state = ClusterState::homogeneous(1, Resources::cpu(2.0));
+    PhoenixPolicy::fair().plan(&w, &mut state);
+    assert!(state.node_of(PodKey::new(0, 0, 0)).is_some());
+    assert!(state.node_of(PodKey::new(0, 1, 0)).is_none());
 }
 
 /// §5: an app that did not subscribe (`phoenix=enabled` absent) is treated
@@ -91,20 +91,11 @@ fn unsubscribed_apps_never_diagonally_scaled_first() {
     let w = Workload::new(vec![legacy.build().unwrap(), tagged.build().unwrap()]);
 
     // 4 CPUs: legacy (2, effectively C1) + modern fe (2) win; junk is shed.
-    let state = ClusterState::homogeneous(2, Resources::cpu(2.0));
-    let plan = PhoenixPolicy::fair().plan(&w, &state);
-    assert!(
-        plan.target.node_of(PodKey::new(0, 0, 0)).is_some(),
-        "legacy kept"
-    );
-    assert!(
-        plan.target.node_of(PodKey::new(1, 0, 0)).is_some(),
-        "fe kept"
-    );
-    assert!(
-        plan.target.node_of(PodKey::new(1, 1, 0)).is_none(),
-        "junk shed"
-    );
+    let mut state = ClusterState::homogeneous(2, Resources::cpu(2.0));
+    PhoenixPolicy::fair().plan(&w, &mut state);
+    assert!(state.node_of(PodKey::new(0, 0, 0)).is_some(), "legacy kept");
+    assert!(state.node_of(PodKey::new(1, 0, 0)).is_some(), "fe kept");
+    assert!(state.node_of(PodKey::new(1, 1, 0)).is_none(), "junk shed");
 }
 
 /// §5 fault tolerance: the controller keeps no mutable state, so a
@@ -151,17 +142,15 @@ fn zone_failure_recovery() {
     b.add_service("opt", Resources::cpu(2.0), Some(Criticality::new(5)), 1);
     let w = Workload::new(vec![b.build().unwrap()]);
     let mut state = ClusterState::homogeneous(8, Resources::cpu(2.0));
-    let plan = PhoenixPolicy::fair().plan(&w, &state);
-    for (pod, node, demand) in plan.target.assignments() {
-        state.assign(pod, demand, node).unwrap();
-    }
+    PhoenixPolicy::fair().plan(&w, &mut state);
     let mut rng = StdRng::seed_from_u64(5);
     let report = fail_zones(&mut state, 4, 0.75, &mut rng);
     assert!(!report.failed_nodes.is_empty());
-    let replan = PhoenixPolicy::fair().plan(&w, &state);
+    let mut replan = state.clone();
+    PhoenixPolicy::fair().plan(&w, &mut replan);
     // 2 × 2 = 4 CPUs remain: fe + mid fit, opt is shed.
-    assert!(replan.target.node_of(PodKey::new(0, 0, 0)).is_some());
-    assert!(replan.target.node_of(PodKey::new(0, 2, 0)).is_none());
+    assert!(replan.node_of(PodKey::new(0, 0, 0)).is_some());
+    assert!(replan.node_of(PodKey::new(0, 2, 0)).is_none());
     restore_all(&mut state);
     assert_eq!(state.healthy_nodes().len(), 8);
 }

@@ -194,12 +194,12 @@ fn inferred_tags_plan_as_well_as_ground_truth() {
 #[test]
 fn combined_degradation_beats_single_modes() {
     let (workload, models) = cloudlab_workload();
-    let mut baseline = ClusterState::new(cloudlab_capacities());
-    baseline = PhoenixPolicy::fair().plan(&workload, &baseline).target;
-    let mut failed = baseline.clone();
+    let mut failed = ClusterState::new(cloudlab_capacities());
+    PhoenixPolicy::fair().plan(&workload, &mut failed);
     let mut rng = StdRng::seed_from_u64(2024);
     phoenix::cluster::failure::fail_fraction(&mut failed, 0.56, &mut rng);
-    let replanned = PhoenixPolicy::fair().plan(&workload, &failed).target;
+    let mut replanned = failed.clone();
+    PhoenixPolicy::fair().plan(&workload, &mut replanned);
 
     let utility = |state: &ClusterState, policy: SheddingPolicy| -> f64 {
         models

@@ -51,14 +51,14 @@ fn degraded_state() -> ClusterState {
 #[test]
 fn phoenix_cost_close_to_ilp_optimal_revenue() {
     let w = workload();
-    let state = degraded_state();
+    let (mut by_lp, mut by_phoenix) = (degraded_state(), degraded_state());
     let lp = LpPolicy::cost()
         .with_time_limit(Duration::from_secs(60))
-        .plan(&w, &state);
+        .plan(&w, &mut by_lp);
     assert!(lp.notes.contains("Optimal"), "LP not optimal: {}", lp.notes);
-    let phoenix = PhoenixPolicy::cost().plan(&w, &state);
-    let lp_rev = revenue(&w, &lp.target);
-    let phx_rev = revenue(&w, &phoenix.target);
+    PhoenixPolicy::cost().plan(&w, &mut by_phoenix);
+    let lp_rev = revenue(&w, &by_lp);
+    let phx_rev = revenue(&w, &by_phoenix);
     assert!(lp_rev > 0.0);
     assert!(
         phx_rev >= 0.85 * lp_rev,
@@ -69,11 +69,11 @@ fn phoenix_cost_close_to_ilp_optimal_revenue() {
 #[test]
 fn phoenix_fair_matches_ilp_min_allocation() {
     let w = workload();
-    let state = degraded_state();
+    let (mut by_lp, mut by_phoenix) = (degraded_state(), degraded_state());
     let lp = LpPolicy::fair()
         .with_time_limit(Duration::from_secs(60))
-        .plan(&w, &state);
-    let phoenix = PhoenixPolicy::fair().plan(&w, &state);
+        .plan(&w, &mut by_lp);
+    PhoenixPolicy::fair().plan(&w, &mut by_phoenix);
     let min_alloc = |s: &ClusterState| {
         let mut alloc = vec![0.0f64; w.app_count()];
         for (pod, _, d) in s.assignments() {
@@ -83,8 +83,8 @@ fn phoenix_fair_matches_ilp_min_allocation() {
     };
     // The heuristic's worst-served app gets at least 80 % of what the
     // exact max-min program achieves.
-    let lp_min = min_alloc(&lp.target);
-    let phx_min = min_alloc(&phoenix.target);
+    let lp_min = min_alloc(&by_lp);
+    let phx_min = min_alloc(&by_phoenix);
     assert!(
         phx_min >= 0.8 * lp_min,
         "phoenix min-alloc {phx_min} vs LP {lp_min} ({})",
@@ -95,16 +95,14 @@ fn phoenix_fair_matches_ilp_min_allocation() {
 #[test]
 fn both_respect_criticality_chains() {
     let w = workload();
-    let state = degraded_state();
-    for plan in [
-        LpPolicy::cost()
-            .with_time_limit(Duration::from_secs(60))
-            .plan(&w, &state),
-        PhoenixPolicy::cost().plan(&w, &state),
-    ] {
+    let lp = LpPolicy::cost().with_time_limit(Duration::from_secs(60));
+    let policies: [&dyn ResiliencePolicy; 2] = [&lp, &PhoenixPolicy::cost()];
+    for policy in policies {
+        let mut state = degraded_state();
+        policy.plan(&w, &mut state);
         for (ai, app) in w.apps() {
             let active = |s: phoenix::core::spec::ServiceId| {
-                plan.target
+                state
                     .node_of(phoenix::cluster::PodKey::new(
                         ai.index() as u32,
                         s.index() as u32,
