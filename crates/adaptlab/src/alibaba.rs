@@ -16,7 +16,7 @@
 //! * the top-4 apps serve the bulk of all requests (Fig. 17a), with App1
 //!   at ≈1.3 M requests.
 
-use phoenix_dgraph::generate::{attachment_dag, single_upstream_fraction, AttachmentConfig};
+use phoenix_dgraph::generate::{attachment_dag, AttachmentConfig};
 use phoenix_dgraph::{DiGraph, NodeId};
 use rand::Rng;
 
@@ -298,11 +298,6 @@ pub fn stats(apps: &[TraceApp]) -> TraceStats {
         top4_request_share: if total > 0.0 { top4 / total } else { 0.0 },
         app1_small_template_share: app1_small,
     }
-}
-
-/// Re-export of the DG-level single-upstream measure for convenience.
-pub fn app_single_upstream(app: &TraceApp) -> f64 {
-    single_upstream_fraction(&app.graph)
 }
 
 #[cfg(test)]

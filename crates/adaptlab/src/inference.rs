@@ -48,11 +48,6 @@ pub struct CallLog {
 }
 
 impl CallLog {
-    /// Total observed requests.
-    pub fn total_observed(&self) -> u64 {
-        self.entries.iter().map(|e| e.count).sum()
-    }
-
     /// Observed calls per service.
     pub fn per_service_counts(&self) -> Vec<u64> {
         let mut counts = vec![0u64; self.service_count];
@@ -294,6 +289,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Total observed requests.
+    fn observed(log: &CallLog) -> u64 {
+        log.entries.iter().map(|e| e.count).sum()
+    }
+
     fn app() -> TraceApp {
         let mut rng = StdRng::seed_from_u64(21);
         generate(
@@ -320,12 +320,12 @@ mod tests {
             },
             &mut rng,
         );
-        assert!(dense.total_observed() > sparse.total_observed());
+        assert!(observed(&dense) > observed(&sparse));
         assert!(dense.entries.len() >= sparse.entries.len());
         assert!(sparse.unobserved().len() >= dense.unobserved().len());
         // Rough unbiasedness: the dense log sees about half the requests.
         let expect = a.total_requests() * 0.5;
-        let got = dense.total_observed() as f64;
+        let got = observed(&dense) as f64;
         assert!(
             (got - expect).abs() / expect < 0.05,
             "got {got}, expect {expect}"
@@ -337,11 +337,11 @@ mod tests {
         let a = app();
         let mut rng = StdRng::seed_from_u64(2);
         let none = synthesize_log(&a, &LogConfig { sample_rate: 0.0 }, &mut rng);
-        assert_eq!(none.total_observed(), 0);
+        assert_eq!(observed(&none), 0);
         assert!(none.entries.is_empty());
         let all = synthesize_log(&a, &LogConfig { sample_rate: 1.0 }, &mut rng);
         let expect: u64 = a.templates.iter().map(|t| t.weight.round() as u64).sum();
-        assert_eq!(all.total_observed(), expect);
+        assert_eq!(observed(&all), expect);
     }
 
     #[test]

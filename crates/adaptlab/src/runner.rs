@@ -360,14 +360,15 @@ fn peak_outage_state(
     }
     let mut workload = env.workload.clone();
     for ev in events {
-        if ev.kind == "demand_surge" && ev.at_ms <= best_at {
-            if (ev.app as usize) < workload.app_count() {
-                workload.scale_app(
-                    phoenix_core::spec::AppId::new(ev.app),
-                    ev.demand_factor,
-                    ev.replica_factor,
-                );
-            }
+        if ev.kind == "demand_surge"
+            && ev.at_ms <= best_at
+            && (ev.app as usize) < workload.app_count()
+        {
+            workload.scale_app(
+                phoenix_core::spec::AppId::new(ev.app),
+                ev.demand_factor,
+                ev.replica_factor,
+            );
         }
     }
     (failed, workload)

@@ -13,7 +13,7 @@
 //!   patch — and ours, [`AppModel::patched`] — restores the crash-proof
 //!   behaviour.
 
-use phoenix_core::spec::{AppId, AppSpec, ModeAssignment, ServiceId, ServingMode};
+use phoenix_core::spec::{AppSpec, ServiceId};
 
 /// One request type of an application.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,17 +119,6 @@ impl AppModel {
         o.served_rps >= o.offered_rps - 1e-9
     }
 
-    /// Evaluates request outcomes under a planner [`ModeAssignment`]: a
-    /// service counts as *up* unless its chosen mode is
-    /// [`ServingMode::Shed`] — a shed container keeps only a revival
-    /// sliver booked and serves no requests, while `StaleCache` /
-    /// `ReadOnly` containers still answer (the request-level harvest of
-    /// *which* answers degrade is the request types' business via their
-    /// `optional` sets and degraded utilities).
-    pub fn outcomes_under_modes(&self, app: AppId, modes: &ModeAssignment) -> Vec<RequestOutcome> {
-        self.outcomes(|s| modes.get(app, s) != ServingMode::Shed)
-    }
-
     /// Validates that every path/optional id exists in the spec and that
     /// the critical request index is in range.
     pub fn validate(&self) -> Result<(), String> {
@@ -222,26 +211,6 @@ mod tests {
         let m = model(true);
         let o = &m.outcomes(|_| true)[0];
         assert_eq!((o.served_rps, o.utility), (100.0, 1.0));
-    }
-
-    #[test]
-    fn mode_assignment_sheds_only_shed_services() {
-        let m = model(true);
-        let app = AppId::new(0);
-        // All-Full: everything serves at full harvest.
-        let full = m.outcomes_under_modes(app, &ModeAssignment::empty());
-        assert_eq!((full[0].served_rps, full[0].utility), (100.0, 1.0));
-        // Degrading the optional service to read-only keeps it "up": the
-        // request still serves at full harvest (the container answers).
-        let w = phoenix_core::spec::Workload::new(vec![m.spec.clone()]);
-        let mut modes = ModeAssignment::for_workload(&w);
-        modes.set(app, ServiceId::new(2), ServingMode::ReadOnly);
-        let dimmed = m.outcomes_under_modes(app, &modes);
-        assert_eq!((dimmed[0].served_rps, dimmed[0].utility), (100.0, 1.0));
-        // Shedding it behaves exactly like turning it off.
-        modes.set(app, ServiceId::new(2), ServingMode::Shed);
-        let shed = m.outcomes_under_modes(app, &modes);
-        assert_eq!((shed[0].served_rps, shed[0].utility), (100.0, 0.8));
     }
 
     #[test]

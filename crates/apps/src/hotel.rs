@@ -11,7 +11,7 @@
 //! [`AppModel::patched`]: crate::catalog::AppModel::patched
 
 use phoenix_cluster::Resources;
-use phoenix_core::spec::{AppSpecBuilder, ModeSpec, ServiceId, ServingMode};
+use phoenix_core::spec::{AppSpecBuilder, ServiceId};
 use phoenix_core::tags::Criticality;
 
 use crate::catalog::{AppModel, RequestType};
@@ -87,55 +87,12 @@ fn sid(i: usize) -> ServiceId {
 ///
 /// [`AppModel::patched`]: crate::catalog::AppModel::patched
 pub fn hotel(name: &str, variant: HotelVariant, scale: f64) -> AppModel {
-    build(name, variant, scale, false)
-}
-
-/// [`hotel`] with container-level degraded-serving ladders: the paper's
-/// guest-mode patch becomes a planner-visible `ReadOnly` rung on `user`,
-/// and the cache-backed fan-out services declare stale modes. `Full`
-/// demands match the mode-less model exactly.
-pub fn hotel_modal(name: &str, variant: HotelVariant, scale: f64) -> AppModel {
-    build(name, variant, scale, true)
-}
-
-fn build(name: &str, variant: HotelVariant, scale: f64, modal: bool) -> AppModel {
     let mut b = AppSpecBuilder::new(name);
     for (i, &(svc, cpu)) in SERVICES.iter().enumerate() {
         b.add_service(svc, Resources::cpu(cpu * scale), Some(tag(variant, i)), 1);
     }
     for &(f, t) in &EDGES {
         b.add_dependency(sid(f), sid(t));
-    }
-    if modal {
-        let ladder = |cpu: f64, rungs: &[(ServingMode, f64, f64)]| {
-            let mut v = vec![ModeSpec::new(
-                ServingMode::Full,
-                Resources::cpu(cpu * scale),
-                1.0,
-            )];
-            v.extend(rungs.iter().map(|&(mode, demand_frac, utility)| {
-                ModeSpec::new(mode, Resources::cpu(cpu * scale * demand_frac), utility)
-            }));
-            v
-        };
-        // search answers from its memcached result cache at half demand.
-        b.service_modes(
-            sid(SEARCH),
-            ladder(4.0, &[(ServingMode::StaleCache, 0.5, 0.8)]),
-        );
-        // profile serves possibly-stale profiles on a smaller footprint.
-        b.service_modes(
-            sid(PROFILE),
-            ladder(2.0, &[(ServingMode::StaleCache, 0.75, 0.75)]),
-        );
-        // recommendation is pure upsell: shed to a stub before eviction.
-        b.service_modes(
-            sid(RECOMMENDATION),
-            ladder(2.0, &[(ServingMode::Shed, 0.25, 0.1)]),
-        );
-        // user in read-only = the §5 guest-mode patch as a mode: logins
-        // pause, reservations proceed as guest.
-        b.service_modes(sid(USER), ladder(2.0, &[(ServingMode::ReadOnly, 0.5, 0.5)]));
     }
     let spec = b.build().expect("hotel spec is valid");
 
@@ -226,25 +183,6 @@ mod tests {
         let m = hotel("hr", HotelVariant::Search, 1.0).patched();
         let up = |s: ServiceId| s != sid(RATE);
         assert!(!m.critical_goal_met(up), "search requires geo+rate+profile");
-    }
-
-    #[test]
-    fn modal_variant_keeps_full_demands_and_adds_ladders() {
-        let base = hotel("hr", HotelVariant::Reserve, 1.0);
-        let modal = hotel_modal("hr", HotelVariant::Reserve, 1.0);
-        assert!(!base.spec.has_modes());
-        assert!(modal.spec.has_modes());
-        for (b, m) in base.spec.services().iter().zip(modal.spec.services()) {
-            assert_eq!(b.demand, m.demand, "{}", b.name);
-            assert_eq!(b.demand, m.mode_demand(ServingMode::Full), "{}", b.name);
-        }
-        // Guest mode: user at half demand, half weight; frontend and
-        // reservation (the critical path) stay binary.
-        let user = &modal.spec.services()[USER];
-        assert_eq!(user.mode_demand(ServingMode::ReadOnly), Resources::cpu(1.0));
-        assert!((user.mode_utility(ServingMode::ReadOnly) - 0.5).abs() < 1e-12);
-        assert!(!modal.spec.services()[FRONTEND].has_modes());
-        assert!(!modal.spec.services()[RESERVATION].has_modes());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! differ accordingly.
 
 use phoenix_cluster::Resources;
-use phoenix_core::spec::{AppSpecBuilder, ModeSpec, ServiceId, ServingMode};
+use phoenix_core::spec::{AppSpecBuilder, ServiceId};
 use phoenix_core::tags::Criticality;
 
 use crate::catalog::{AppModel, RequestType};
@@ -119,79 +119,12 @@ fn sid(i: usize) -> ServiceId {
 /// "we tweak the parameters so each application's resource distribution
 /// across containers is different").
 pub fn overleaf(name: &str, variant: OverleafVariant, scale: f64) -> AppModel {
-    build(name, variant, scale, false)
-}
-
-/// [`overleaf`] with container-level degraded-serving ladders attached:
-/// the feature services that already run brownout-style internal modes
-/// (§7) declare them as planner-visible rungs. `Full` demands are
-/// identical to the mode-less model, so binary-vs-modal comparisons
-/// measure mode selection alone.
-pub fn overleaf_modal(name: &str, variant: OverleafVariant, scale: f64) -> AppModel {
-    build(name, variant, scale, true)
-}
-
-fn build(name: &str, variant: OverleafVariant, scale: f64, modal: bool) -> AppModel {
     let mut b = AppSpecBuilder::new(name);
     for (i, &(svc, cpu)) in SERVICES.iter().enumerate() {
         b.add_service(svc, Resources::cpu(cpu * scale), Some(tag(variant, i)), 1);
     }
     for &(f, t) in &EDGES {
         b.add_dependency(sid(f), sid(t));
-    }
-    if modal {
-        let ladder = |cpu: f64, rungs: &[(ServingMode, f64, f64)]| {
-            let mut v = vec![ModeSpec::new(
-                ServingMode::Full,
-                Resources::cpu(cpu * scale),
-                1.0,
-            )];
-            v.extend(rungs.iter().map(|&(mode, demand_frac, utility)| {
-                ModeSpec::new(mode, Resources::cpu(cpu * scale * demand_frac), utility)
-            }));
-            v
-        };
-        // web can serve cached project pages (stale) or browse-only pages
-        // (read-only) on a fraction of its footprint.
-        b.service_modes(
-            sid(WEB),
-            ladder(
-                6.0,
-                &[
-                    (ServingMode::StaleCache, 0.75, 0.85),
-                    (ServingMode::ReadOnly, 0.5, 0.6),
-                ],
-            ),
-        );
-        // clsi re-serves the last successful PDF instead of compiling.
-        b.service_modes(sid(CLSI), ladder(4.0, &[(ServingMode::ReadOnly, 0.5, 0.5)]));
-        // spelling drops to a tiny dictionary-cache stub.
-        b.service_modes(
-            sid(SPELLING),
-            ladder(2.0, &[(ServingMode::Shed, 0.25, 0.1)]),
-        );
-        // chat can go read-history-only before being shed outright.
-        b.service_modes(
-            sid(CHAT),
-            ladder(
-                1.0,
-                &[
-                    (ServingMode::ReadOnly, 0.5, 0.4),
-                    (ServingMode::Shed, 0.25, 0.1),
-                ],
-            ),
-        );
-        // track-changes batches history writes (stale) or pauses them.
-        b.service_modes(
-            sid(TRACK_CHANGES),
-            ladder(
-                2.0,
-                &[
-                    (ServingMode::StaleCache, 0.75, 0.7),
-                    (ServingMode::Shed, 0.25, 0.1),
-                ],
-            ),
-        );
     }
     let spec = b.build().expect("overleaf spec is valid");
 
@@ -287,29 +220,6 @@ mod tests {
         let big = overleaf("o", OverleafVariant::Edits, 2.0);
         assert!((big.spec.total_demand().cpu - 2.0 * base.spec.total_demand().cpu).abs() < 1e-9);
         assert_eq!(big.requests[0].rate_rps, 200.0);
-    }
-
-    #[test]
-    fn modal_variant_keeps_full_demands_and_adds_ladders() {
-        let base = overleaf("o", OverleafVariant::Edits, 2.0);
-        let modal = overleaf_modal("o", OverleafVariant::Edits, 2.0);
-        assert!(!base.spec.has_modes());
-        assert!(modal.spec.has_modes());
-        // Full-mode demand per service is untouched: binary-vs-modal
-        // comparisons isolate mode selection.
-        for (b, m) in base.spec.services().iter().zip(modal.spec.services()) {
-            assert_eq!(b.demand, m.demand, "{}", b.name);
-            assert_eq!(b.demand, m.mode_demand(ServingMode::Full), "{}", b.name);
-        }
-        // The chat ladder scales with the instance and degrades in order.
-        let chat = &modal.spec.services()[CHAT];
-        assert_eq!(chat.mode_demand(ServingMode::ReadOnly), Resources::cpu(1.0));
-        assert_eq!(chat.mode_demand(ServingMode::Shed), Resources::cpu(0.5));
-        assert!(chat.mode_utility(ServingMode::ReadOnly) > chat.mode_utility(ServingMode::Shed));
-        // Critical-path services stay binary: edits never degrade.
-        for &i in &[REAL_TIME, DOC_UPDATER, DOCSTORE] {
-            assert!(!modal.spec.services()[i].has_modes(), "svc {i}");
-        }
     }
 
     #[test]

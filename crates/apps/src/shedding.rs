@@ -26,7 +26,7 @@
 //! The ablation bench `ablation_degradation_modes` compares diagonal-only,
 //! shedding-only, and combined operation on the CloudLab app models.
 
-use phoenix_core::spec::{AppId, ModeAssignment, ServiceId, ServingMode};
+use phoenix_core::spec::ServiceId;
 
 use crate::catalog::AppModel;
 
@@ -215,55 +215,6 @@ pub fn shed(
             }
         })
         .collect()
-}
-
-/// [`shed`] under a planner [`ModeAssignment`]: the serving-mode bridge.
-///
-/// Availability follows the catalog semantics
-/// ([`AppModel::outcomes_under_modes`]) — a service is up unless its
-/// chosen mode is [`ServingMode::Shed`]. Dimmed modes (`StaleCache` /
-/// `ReadOnly`) become a [`QosPolicy::DimUnderOverload`] whose factors are
-/// taken from the *most degraded* dimmed service's ladder: cost = that
-/// mode's demand as a fraction of the `Full` demand (a cheaper container
-/// serves proportionally cheaper requests), utility = the mode's weight.
-/// An all-`Full` assignment reduces exactly to
-/// `shed(.., QosPolicy::Full)`.
-pub fn shed_under_modes(
-    model: &AppModel,
-    app: AppId,
-    modes: &ModeAssignment,
-    scenario: &OverloadScenario,
-    policy: SheddingPolicy,
-) -> Vec<ShedOutcome> {
-    let mut qos = QosPolicy::Full;
-    let mut worst = f64::INFINITY;
-    for (i, svc) in model.spec.services().iter().enumerate() {
-        let mode = modes.get(app, ServiceId::new(i as u32));
-        if mode == ServingMode::Full || mode == ServingMode::Shed {
-            continue;
-        }
-        let weight = svc.mode_utility(mode);
-        if weight < worst {
-            worst = weight;
-            let full = svc.demand.scalar();
-            let cost = if full > 0.0 {
-                (svc.mode_demand(mode).scalar() / full).clamp(1e-9, 1.0)
-            } else {
-                1.0
-            };
-            qos = QosPolicy::DimUnderOverload {
-                cost_factor: cost,
-                utility_factor: weight.clamp(0.0, 1.0),
-            };
-        }
-    }
-    shed(
-        model,
-        |s| modes.get(app, s) != ServingMode::Shed,
-        scenario,
-        policy,
-        qos,
-    )
 }
 
 /// Admission per request type, in offered-RPS units.
@@ -590,53 +541,6 @@ mod tests {
         assert_eq!(out[1].served_rps, 140.0);
         let s = summarize(&m, &out);
         assert_eq!(s.critical_served_frac, 0.0);
-    }
-
-    #[test]
-    fn mode_assignment_drives_shedding_and_qos() {
-        use crate::hotel::{hotel_modal, HotelVariant};
-        use phoenix_core::spec::Workload;
-
-        let m = hotel_modal("hr", HotelVariant::Reserve, 1.0);
-        let nominal: f64 = m.requests.iter().map(|r| r.rate_rps).sum();
-        let scenario = OverloadScenario {
-            load_multiplier: 2.0,
-            capacity_rps: nominal * 0.6,
-        };
-        let app = AppId::new(0);
-        let w = Workload::new(vec![m.spec.clone()]);
-
-        // All-Full reduces exactly to the plain shed path.
-        let full = shed_under_modes(
-            &m,
-            app,
-            &ModeAssignment::empty(),
-            &scenario,
-            SheddingPolicy::Uniform,
-        );
-        let plain = shed(
-            &m,
-            |_| true,
-            &scenario,
-            SheddingPolicy::Uniform,
-            QosPolicy::Full,
-        );
-        assert_eq!(full, plain);
-
-        // user in ReadOnly (guest mode, 0.5x demand / 0.5 weight): the dim
-        // stretches capacity, so more requests are served than at full QoS.
-        let mut modes = ModeAssignment::for_workload(&w);
-        modes.set(app, ServiceId::new(6), ServingMode::ReadOnly);
-        let dimmed = shed_under_modes(&m, app, &modes, &scenario, SheddingPolicy::Uniform);
-        let s_full = summarize(&m, &full);
-        let s_dim = summarize(&m, &dimmed);
-        assert!(s_dim.served_rps > s_full.served_rps);
-
-        // Shedding recommendation behaves like turning the service off:
-        // the recommend request fails and consumes no capacity.
-        modes.set(app, ServiceId::new(5), ServingMode::Shed);
-        let shed_rec = shed_under_modes(&m, app, &modes, &scenario, SheddingPolicy::Uniform);
-        assert_eq!(shed_rec[1].served_rps, 0.0);
     }
 
     #[test]

@@ -83,7 +83,8 @@ pub(super) fn fig7(scale: Scale, seed: Option<u64>, out: &mut String) -> Vec<Cla
     let names: Vec<&str> = roster.iter().map(|p| p.name()).collect();
 
     // (a) availability and (b) revenue: one row per failure level.
-    let tables: [(&str, fn(&SchemeMetrics) -> f64); 2] = [
+    type Panel = (&'static str, fn(&SchemeMetrics) -> f64);
+    let tables: [Panel; 2] = [
         (
             "Figure 7(a): critical service availability vs. failure level",
             |m| m.availability,

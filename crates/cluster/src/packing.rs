@@ -169,13 +169,6 @@ pub struct PackOutcome {
     pub aborted: bool,
 }
 
-impl PackOutcome {
-    /// Number of actions of all kinds.
-    pub fn action_count(&self) -> usize {
-        self.deletions.len() + self.migrations.len() + self.starts.len()
-    }
-}
-
 /// Packs the planner's ranked `plan` into `state` (mutated in place).
 ///
 /// Pods currently assigned but absent from the plan are deleted first —

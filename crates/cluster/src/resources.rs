@@ -53,11 +53,6 @@ impl Resources {
         Resources::new(cpu, 0.0)
     }
 
-    /// `true` when both components are (approximately) zero.
-    pub fn is_zero(&self) -> bool {
-        self.cpu <= 1e-12 && self.mem <= 1e-12
-    }
-
     /// Componentwise domination with a small tolerance: can `self` be
     /// placed inside `capacity`?
     pub fn fits_in(&self, capacity: &Resources) -> bool {
@@ -198,7 +193,5 @@ mod tests {
         let cap = Resources::cpu(10.0);
         assert_eq!(Resources::cpu(2.5).fraction_of(&cap), 0.25);
         assert_eq!(Resources::cpu(1.0).fraction_of(&Resources::ZERO), 0.0);
-        assert!(!Resources::cpu(3.0).is_zero());
-        assert!(Resources::ZERO.is_zero());
     }
 }

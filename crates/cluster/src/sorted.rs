@@ -70,10 +70,10 @@ impl fmt::Display for OrderedF64 {
 /// s.insert(NodeId::new(0), 4.0);
 /// s.insert(NodeId::new(1), 8.0);
 /// s.insert(NodeId::new(2), 6.0);
-/// assert_eq!(s.best_fit(5.0), Some(NodeId::new(2)));
-/// assert_eq!(s.worst_fit(), Some(NodeId::new(1)));
+/// assert_eq!(s.best_fit_candidates(5.0).next(), Some(NodeId::new(2)));
+/// assert_eq!(s.iter_desc().next(), Some((NodeId::new(1), 8.0)));
 /// s.update(NodeId::new(2), 1.0);
-/// assert_eq!(s.best_fit(5.0), Some(NodeId::new(1)));
+/// assert_eq!(s.best_fit_candidates(5.0).next(), Some(NodeId::new(1)));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SortedNodes {
@@ -130,15 +130,6 @@ impl SortedNodes {
         self.key_of.get(node.index()).copied().flatten()
     }
 
-    /// Best-fit query: the tracked node with the *smallest* remaining
-    /// capacity that is still ≥ `demand`.
-    pub fn best_fit(&self, demand: f64) -> Option<NodeId> {
-        self.set
-            .range((OrderedF64::new(demand - 1e-9), NodeId::new(0))..)
-            .next()
-            .map(|&(_, n)| n)
-    }
-
     /// All candidates ≥ `demand`, smallest remaining first (for
     /// two-dimensional fit checks that may reject the first candidate).
     pub fn best_fit_candidates(&self, demand: f64) -> impl Iterator<Item = NodeId> + '_ {
@@ -147,19 +138,9 @@ impl SortedNodes {
             .map(|&(_, n)| n)
     }
 
-    /// Worst-fit query: the node with the largest remaining capacity.
-    pub fn worst_fit(&self) -> Option<NodeId> {
-        self.set.iter().next_back().map(|&(_, n)| n)
-    }
-
     /// Iterates nodes from most to least remaining capacity.
     pub fn iter_desc(&self) -> impl Iterator<Item = (NodeId, f64)> + '_ {
         self.set.iter().rev().map(|&(k, n)| (n, k.get()))
-    }
-
-    /// Iterates nodes from least to most remaining capacity.
-    pub fn iter_asc(&self) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        self.set.iter().map(|&(k, n)| (n, k.get()))
     }
 
     /// Iterates tracked nodes in ascending node-id order.
@@ -183,22 +164,27 @@ mod tests {
         NodeId::new(i)
     }
 
+    /// The node with the largest remaining capacity.
+    fn worst_fit(s: &SortedNodes) -> Option<NodeId> {
+        s.iter_desc().next().map(|(node, _)| node)
+    }
+
     #[test]
     fn best_fit_picks_tightest() {
         let mut s = SortedNodes::new();
         s.insert(n(0), 10.0);
         s.insert(n(1), 3.0);
         s.insert(n(2), 5.0);
-        assert_eq!(s.best_fit(4.0), Some(n(2)));
-        assert_eq!(s.best_fit(0.5), Some(n(1)));
-        assert_eq!(s.best_fit(11.0), None);
+        assert_eq!(s.best_fit_candidates(4.0).next(), Some(n(2)));
+        assert_eq!(s.best_fit_candidates(0.5).next(), Some(n(1)));
+        assert_eq!(s.best_fit_candidates(11.0).next(), None);
     }
 
     #[test]
     fn exact_fit_included() {
         let mut s = SortedNodes::new();
         s.insert(n(0), 4.0);
-        assert_eq!(s.best_fit(4.0), Some(n(0)));
+        assert_eq!(s.best_fit_candidates(4.0).next(), Some(n(0)));
     }
 
     #[test]
@@ -207,7 +193,7 @@ mod tests {
         s.insert(n(0), 4.0);
         s.insert(n(1), 9.0);
         s.update(n(1), 1.0);
-        assert_eq!(s.best_fit(2.0), Some(n(0)));
+        assert_eq!(s.best_fit_candidates(2.0).next(), Some(n(0)));
         assert_eq!(s.key(n(1)), Some(1.0));
         assert_eq!(s.len(), 2);
     }
@@ -219,7 +205,7 @@ mod tests {
         assert_eq!(s.remove(n(0)), Some(4.0));
         assert_eq!(s.remove(n(0)), None);
         assert!(s.is_empty());
-        assert_eq!(s.best_fit(1.0), None);
+        assert_eq!(s.best_fit_candidates(1.0).next(), None);
     }
 
     #[test]
@@ -241,9 +227,7 @@ mod tests {
         s.insert(n(2), 4.0);
         let desc: Vec<_> = s.iter_desc().map(|(node, _)| node).collect();
         assert_eq!(desc, vec![n(1), n(2), n(0)]);
-        let asc: Vec<_> = s.iter_asc().map(|(node, _)| node).collect();
-        assert_eq!(asc, vec![n(0), n(2), n(1)]);
-        assert_eq!(s.worst_fit(), Some(n(1)));
+        assert_eq!(worst_fit(&s), Some(n(1)));
     }
 
     #[test]
@@ -264,10 +248,10 @@ mod tests {
         let mut s = SortedNodes::new();
         s.insert(n(0), f64::NAN);
         s.insert(n(1), 4.0);
-        assert_eq!(s.worst_fit(), Some(n(0)));
-        assert_eq!(s.best_fit(2.0), Some(n(1)));
+        assert_eq!(worst_fit(&s), Some(n(0)));
+        assert_eq!(s.best_fit_candidates(2.0).next(), Some(n(1)));
         s.update(n(0), 1.0);
-        assert_eq!(s.worst_fit(), Some(n(1)));
+        assert_eq!(worst_fit(&s), Some(n(1)));
         assert_eq!(s.len(), 2);
         assert_eq!(s.remove(n(0)), Some(1.0));
     }

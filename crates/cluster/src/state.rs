@@ -369,7 +369,7 @@ impl ClusterState {
     pub fn node_of(&self, pod: PodKey) -> Option<NodeId> {
         let &id = self.pod_ids.get(&pod)?;
         let node = self.pod_node[id as usize];
-        (node != UNASSIGNED).then(|| NodeId(node))
+        (node != UNASSIGNED).then_some(NodeId(node))
     }
 
     /// Demand of `pod`, if assigned.
@@ -393,9 +393,9 @@ impl ClusterState {
     /// identical across clones — unlike the hash-map iteration the arena
     /// replaced, it never depends on hasher state or map capacity.
     pub fn assignments(&self) -> impl Iterator<Item = (PodKey, NodeId, Resources)> + '_ {
-        self.pod_node.iter().enumerate().filter_map(move |(i, &n)| {
-            (n != UNASSIGNED).then(|| (self.pod_keys[i], NodeId(n), self.pod_demand[i]))
-        })
+        (self.pod_node.iter().enumerate())
+            .filter(|&(_, &n)| n != UNASSIGNED)
+            .map(move |(i, &n)| (self.pod_keys[i], NodeId(n), self.pod_demand[i]))
     }
 
     /// Assigns `pod` with `demand` onto `node`.

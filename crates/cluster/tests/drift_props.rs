@@ -71,7 +71,7 @@ proptest! {
             churned_keys.insert(n, state.remaining(n).scalar());
             fresh_keys.insert(n, fresh.remaining(n).scalar());
         }
-        let order = |s: &SortedNodes| s.iter_asc().map(|(n, k)| (n, k.to_bits())).collect::<Vec<_>>();
+        let order = |s: &SortedNodes| s.iter_desc().map(|(n, k)| (n, k.to_bits())).collect::<Vec<_>>();
         prop_assert_eq!(order(&churned_keys), order(&fresh_keys));
 
         // Draining every pod restores full capacity exactly.

@@ -491,7 +491,6 @@ fn arb_crunch() -> impl Strategy<Value = Crunch> {
                         max_pods_per_node,
                         max_migration_moves,
                         max_migration_nodes,
-                        ..PackingConfig::default()
                     },
                 }
             },

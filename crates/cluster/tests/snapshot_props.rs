@@ -53,7 +53,11 @@ fn apply(state: &mut ClusterState, op: Op, next_pod: &mut u32) {
         _ => {
             // Factors below 1.0 trigger the eviction cascade on loaded
             // nodes; exactly 1.0 exercises the restore path.
-            let factor = if op.sel % 5 == 0 { 1.0 } else { op.x / 4.0 };
+            let factor = if op.sel.is_multiple_of(5) {
+                1.0
+            } else {
+                op.x / 4.0
+            };
             state.set_degrade(node, factor);
         }
     }

@@ -99,7 +99,7 @@ impl PhoenixController {
         PhoenixController {
             workload,
             config,
-            cache: ReplanCache::new(),
+            cache: ReplanCache::default(),
         }
     }
 
@@ -131,12 +131,6 @@ impl PhoenixController {
     /// and the cached fingerprints allow (see [`crate::replan`]).
     pub fn replan(&mut self, state: &ClusterState, delta: ReplanDelta) -> PlanResult {
         replan_with(&self.workload, state, &self.config, &mut self.cache, delta)
-    }
-
-    /// Drops the warm-replan cache (next [`replan`](Self::replan) runs
-    /// cold). Useful after bulk workload edits through external channels.
-    pub fn invalidate_cache(&mut self) {
-        self.cache.clear();
     }
 }
 
@@ -528,7 +522,7 @@ mod tests {
         state.fail_node(NodeId::new(0));
         let warm = c.replan(&state, ReplanDelta::CapacityOnly);
         assert_eq!(warm.actions, c.plan(&state).actions);
-        c.invalidate_cache();
+        c.cache = ReplanCache::default();
         let cold_again = c.replan(&state, ReplanDelta::Full);
         assert_eq!(cold_again.actions, warm.actions);
     }

@@ -61,10 +61,11 @@ pub trait OperatorObjective: fmt::Debug + Send + Sync {
 
     /// The built-in objective this instance *is*, if any.
     ///
-    /// Warm replanning uses this to devirtualize the ranking merge loop
-    /// (a direct call per candidate instead of a vtable dispatch). Only
-    /// return `Some` when `score` is byte-for-byte the built-in's scoring
-    /// function; custom objectives keep the `None` default.
+    /// Warm replanning keys its merge-order caches on this: a built-in
+    /// cannot change between rounds, a custom objective (`None`) may, so
+    /// its caches are rebuilt every round. Only return `Some` when `score`
+    /// is byte-for-byte the built-in's scoring function; custom objectives
+    /// keep the `None` default.
     fn as_builtin(&self) -> Option<ObjectiveKind> {
         None
     }

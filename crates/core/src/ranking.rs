@@ -250,64 +250,93 @@ pub fn global_rank(
     )
 }
 
-/// [`global_rank`] over prebuilt [`RankInputs`] (warm-replan entry point).
-///
-/// Generic over the objective so warm replanning can pass a concrete
-/// built-in type and devirtualize the per-candidate `score` call; trait
-/// objects (`&dyn OperatorObjective`) work unchanged.
-pub fn global_rank_prepared<O: OperatorObjective + ?Sized>(
+/// What the merge does with a popped candidate.
+enum Pop {
+    /// Take it: the app's allocation grows by the candidate's demand and
+    /// the app's next candidate is scored.
+    Take,
+    /// Retire the app's chain: none of its later candidates is scored.
+    Retire,
+    /// Stop the merge.
+    Stop,
+}
+
+/// The one heap loop of global ranking: pops every app's next candidate in
+/// score order and lets `decide` take it, retire the app's chain, or stop
+/// the merge. `allocated` starts at zero per app and ends as each app's
+/// taken demand; a candidate is scored against its app's allocation at
+/// the time it enters the heap.
+fn merge<O: OperatorObjective + ?Sized>(
+    inputs: &RankInputs,
+    objective: &O,
+    fair_shares: &[f64],
+    allocated: &mut [f64],
+    mut decide: impl FnMut(AppId, usize, &ChainEntry) -> Pop,
+) {
+    let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
+    for app in 0..inputs.app_count() as u32 {
+        if let Some(e) = inputs.entry(objective, fair_shares, allocated, AppId::new(app), 0) {
+            heap.push(e);
+        }
+    }
+    while let Some(HeapEntry { app, pos, .. }) = heap.pop() {
+        let e = &inputs.chains[app.index()][pos];
+        match decide(app, pos, e) {
+            Pop::Take => {
+                allocated[app.index()] += e.scalar;
+                if let Some(e) = inputs.entry(objective, fair_shares, allocated, app, pos + 1) {
+                    heap.push(e);
+                }
+            }
+            Pop::Retire => {}
+            Pop::Stop => break,
+        }
+    }
+}
+
+/// [`global_rank`] over prebuilt [`RankInputs`]: the merge takes each
+/// candidate that fits the remaining aggregate capacity.
+pub(crate) fn global_rank_prepared<O: OperatorObjective + ?Sized>(
     inputs: &RankInputs,
     objective: &O,
     capacity: Resources,
     cfg: &PlannerConfig,
 ) -> GlobalRank {
-    let n = inputs.app_count();
-    let fair_shares = waterfill_with_order(
-        &inputs.demand_scalars,
-        &inputs.demand_sort,
-        capacity.scalar(),
-    );
-    let mut allocated = vec![0.0; n];
+    let fair_shares = inputs.fair_shares(capacity.scalar());
+    let mut allocated = vec![0.0; inputs.app_count()];
     let mut remaining = capacity.scalar();
     let mut items = Vec::new();
     let obs = phoenix_obs::current();
-
-    let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
-    for app in 0..n as u32 {
-        if let Some(e) = inputs.entry(objective, &fair_shares, &allocated, AppId::new(app), 0) {
-            heap.push(e);
-        }
-    }
-
-    while let Some(HeapEntry { app, pos, .. }) = heap.pop() {
-        let e = inputs.chains[app.index()][pos];
-        if e.scalar <= remaining + 1e-9 {
-            remaining -= e.scalar;
-            allocated[app.index()] += e.scalar;
-            if e.mode != ServingMode::Full {
-                // A degraded rung bought under crunch.
-                obs.incr(phoenix_obs::Counter::RungPurchases);
+    merge(
+        inputs,
+        objective,
+        &fair_shares,
+        &mut allocated,
+        |app, _, e| {
+            if e.scalar <= remaining + 1e-9 {
+                remaining -= e.scalar;
+                if e.mode != ServingMode::Full {
+                    // A degraded rung bought under crunch.
+                    obs.incr(phoenix_obs::Counter::RungPurchases);
+                }
+                items.push(GlobalRankItem {
+                    app,
+                    service: e.service,
+                    demand: e.demand,
+                    mode: e.mode,
+                });
+                Pop::Take
+            } else if cfg.continue_on_saturation {
+                // Retire only this app's chain; other apps keep ranking.
+                obs.incr(phoenix_obs::Counter::ChainRetirements);
+                Pop::Retire
+            } else {
+                // Algorithm 1 line 29: stop at the first container that no
+                // longer fits the aggregate capacity.
+                Pop::Stop
             }
-            items.push(GlobalRankItem {
-                app,
-                service: e.service,
-                demand: e.demand,
-                mode: e.mode,
-            });
-            if let Some(e) = inputs.entry(objective, &fair_shares, &allocated, app, pos + 1) {
-                heap.push(e);
-            }
-        } else if cfg.continue_on_saturation {
-            // Retire only this app's chain; other apps keep ranking.
-            obs.incr(phoenix_obs::Counter::ChainRetirements);
-            continue;
-        } else {
-            // Algorithm 1 line 29: stop at the first container that no
-            // longer fits the aggregate capacity.
-            break;
-        }
-    }
-
+        },
+    );
     GlobalRank {
         items,
         fair_shares,
@@ -331,9 +360,8 @@ const DEGRADED: u8 = 1;
 const TAKEN: u8 = 2;
 
 /// The unbounded-capacity pop order of the merge heap, as
-/// [`merged_order`] / [`merged_order_with`] compute it, plus the marks
-/// that let [`global_rank_replay`] verify a repeat ranking instead of
-/// rewriting it.
+/// [`merged_order`] computes it, plus the marks that let
+/// [`global_rank_replay`] verify a repeat ranking instead of rewriting it.
 #[derive(Debug, Clone, Default)]
 pub struct MergeOrder {
     steps: Vec<Step>,
@@ -356,27 +384,11 @@ impl MergeOrder {
     }
 }
 
-/// The capacity-independent pop order of the merge heap for a
-/// [capacity-invariant](OperatorObjective::capacity_invariant) objective:
-/// every `(app, chain position)` candidate in the order the heap would
-/// consider it with unbounded capacity. Computed once per fingerprint
-/// epoch by the warm-replan cache and replayed by
-/// [`global_rank_replay`] under any capacity.
-pub fn merged_order<O: OperatorObjective + ?Sized>(
-    inputs: &RankInputs,
-    objective: &O,
-) -> MergeOrder {
-    debug_assert!(
-        objective.capacity_invariant(),
-        "capacity-free merge order requires a capacity-invariant objective"
-    );
-    // Fair shares are irrelevant by contract; feed ones.
-    merged_order_with(inputs, objective, &vec![1.0; inputs.app_count()])
-}
-
-/// The unbounded-capacity pop order of the merge heap under **fixed fair
-/// shares** — valid for *any* objective, including capacity-sensitive
-/// ones.
+/// The unbounded-capacity pop order of the merge heap under fixed fair
+/// shares: every `(app, chain position)` candidate in the order the heap
+/// would consider it if every candidate fit. A
+/// [capacity-invariant](OperatorObjective::capacity_invariant) objective
+/// ignores the shares, so its order is valid under any capacity.
 ///
 /// Sound because a candidate's score is static per `(app, position)` once
 /// the shares are fixed: `allocated` at scoring time is always the app's
@@ -385,46 +397,41 @@ pub fn merged_order<O: OperatorObjective + ?Sized>(
 /// whose water-filling shares are bit-identical to `fair_shares` — the
 /// common case when total demand fits the degraded capacity, where shares
 /// equal demands regardless of the exact node count.
-pub fn merged_order_with<O: OperatorObjective + ?Sized>(
+pub fn merged_order<O: OperatorObjective + ?Sized>(
     inputs: &RankInputs,
     objective: &O,
     fair_shares: &[f64],
 ) -> MergeOrder {
-    let n = inputs.app_count();
-    let mut allocated = vec![0.0; n];
     let len = inputs.chains.iter().map(Vec::len).sum();
     let mut order = MergeOrder {
         steps: Vec::with_capacity(len),
         flags: Vec::with_capacity(len),
         ..MergeOrder::default()
     };
-    let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
-    for app in 0..n as u32 {
-        if let Some(e) = inputs.entry(objective, fair_shares, &allocated, AppId::new(app), 0) {
-            heap.push(e);
-        }
-    }
-    while let Some(HeapEntry { app, pos, .. }) = heap.pop() {
-        let e = &inputs.chains[app.index()][pos];
-        order.steps.push(Step {
-            scalar: e.scalar,
-            app: app.index() as u32,
-            pos: pos as u32,
-        });
-        order.flags.push(if e.mode == ServingMode::Full {
-            0
-        } else {
-            DEGRADED
-        });
-        allocated[app.index()] += e.scalar;
-        if let Some(e) = inputs.entry(objective, fair_shares, &allocated, app, pos + 1) {
-            heap.push(e);
-        }
-    }
+    let mut allocated = vec![0.0; inputs.app_count()];
+    merge(
+        inputs,
+        objective,
+        fair_shares,
+        &mut allocated,
+        |app, pos, e| {
+            order.steps.push(Step {
+                scalar: e.scalar,
+                app: app.index() as u32,
+                pos: pos as u32,
+            });
+            order.flags.push(if e.mode == ServingMode::Full {
+                0
+            } else {
+                DEGRADED
+            });
+            Pop::Take
+        },
+    );
     order
 }
 
-/// The merge loop's fit decisions without the heap: `remaining` and
+/// The bounded merge's fit decisions without the heap: `remaining` and
 /// `allocated` evolve exactly as in [`global_rank_prepared`].
 struct Fits<'a> {
     remaining: f64,
@@ -463,7 +470,7 @@ impl Fits<'_> {
 /// global ranking. Returns how many leading items of `rank` were kept —
 /// the common prefix of its previous and its new activation list.
 ///
-/// Leaves `rank` identical to what [`global_rank_prepared`] computes from
+/// Leaves `rank` identical to what [`global_rank`] computes from
 /// the same inputs (for the order's objective and shares): chains whose
 /// head no longer fits retire exactly as the heap would retire them, and
 /// the break rule stops at the same step. It does no scoring and no heap
@@ -774,5 +781,191 @@ mod tests {
         );
         assert_eq!(gr2.items[0].app.index(), 0);
         drop(gr);
+    }
+
+    /// The heap loop of the bounded ranking before the merge was shared
+    /// with [`merged_order`], kept verbatim as the differential reference
+    /// for [`global_rank`]. Do not edit.
+    mod reference {
+        use super::super::*;
+
+        pub(super) fn global_rank_prepared<O: OperatorObjective + ?Sized>(
+            inputs: &RankInputs,
+            objective: &O,
+            capacity: Resources,
+            cfg: &PlannerConfig,
+        ) -> GlobalRank {
+            let n = inputs.app_count();
+            let fair_shares = waterfill_with_order(
+                &inputs.demand_scalars,
+                &inputs.demand_sort,
+                capacity.scalar(),
+            );
+            let mut allocated = vec![0.0; n];
+            let mut remaining = capacity.scalar();
+            let mut items = Vec::new();
+            let obs = phoenix_obs::current();
+
+            let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
+            for app in 0..n as u32 {
+                if let Some(e) =
+                    inputs.entry(objective, &fair_shares, &allocated, AppId::new(app), 0)
+                {
+                    heap.push(e);
+                }
+            }
+
+            while let Some(HeapEntry { app, pos, .. }) = heap.pop() {
+                let e = inputs.chains[app.index()][pos];
+                if e.scalar <= remaining + 1e-9 {
+                    remaining -= e.scalar;
+                    allocated[app.index()] += e.scalar;
+                    if e.mode != ServingMode::Full {
+                        // A degraded rung bought under crunch.
+                        obs.incr(phoenix_obs::Counter::RungPurchases);
+                    }
+                    items.push(GlobalRankItem {
+                        app,
+                        service: e.service,
+                        demand: e.demand,
+                        mode: e.mode,
+                    });
+                    if let Some(e) = inputs.entry(objective, &fair_shares, &allocated, app, pos + 1)
+                    {
+                        heap.push(e);
+                    }
+                } else if cfg.continue_on_saturation {
+                    // Retire only this app's chain; other apps keep ranking.
+                    obs.incr(phoenix_obs::Counter::ChainRetirements);
+                    continue;
+                } else {
+                    // Algorithm 1 line 29: stop at the first container that no
+                    // longer fits the aggregate capacity.
+                    break;
+                }
+            }
+
+            GlobalRank {
+                items,
+                fair_shares,
+                allocated,
+            }
+        }
+    }
+
+    /// One service draw: demand index (0 = zero demand), criticality,
+    /// replicas, ladder kind (0 none, 1 Full/Shed, 2 four rungs; only
+    /// used by modal workloads).
+    type ServiceDraw = (usize, u8, u16, u8);
+
+    /// 1–5 apps of 1–6 services with tied and distinct prices, chained and
+    /// flat graphs, and mode ladders on some services when `modal`.
+    fn arb_workload() -> impl proptest::strategy::Strategy<Value = Workload> {
+        use proptest::prelude::*;
+        let service = (0usize..5, 1u8..6, 1u16..3, 0u8..3);
+        let app = (
+            1u8..4,
+            any::<bool>(),
+            proptest::collection::vec(service, 1..7),
+        );
+        (proptest::collection::vec(app, 1..6), any::<bool>()).prop_map(|(apps, modal)| {
+            let specs = apps
+                .iter()
+                .enumerate()
+                .map(|(a, (price, chained, services))| {
+                    build_app(a, f64::from(*price), *chained, services, modal)
+                });
+            Workload::new(specs.collect())
+        })
+    }
+
+    fn build_app(
+        a: usize,
+        price: f64,
+        chained: bool,
+        services: &[ServiceDraw],
+        modal: bool,
+    ) -> crate::spec::AppSpec {
+        use crate::spec::ModeSpec;
+        const DEMANDS: [f64; 5] = [0.0, 0.5, 1.0, 2.0, 3.0];
+        let mut b = AppSpecBuilder::new(format!("app{a}"));
+        let mut ids = Vec::new();
+        for (i, &(d, level, replicas, ladder)) in services.iter().enumerate() {
+            let full = DEMANDS[d];
+            let id = b.add_service(
+                format!("s{i}"),
+                Resources::cpu(full),
+                Some(Criticality::new(level)),
+                replicas,
+            );
+            let rung = |mode, frac: f64, utility| {
+                ModeSpec::new(mode, Resources::cpu(full * frac), utility)
+            };
+            let modes = match ladder {
+                1 => vec![
+                    rung(ServingMode::Full, 1.0, 1.0),
+                    rung(ServingMode::Shed, 0.25, 0.1),
+                ],
+                2 => vec![
+                    rung(ServingMode::Full, 1.0, 1.0),
+                    rung(ServingMode::StaleCache, 0.75, 0.8),
+                    rung(ServingMode::ReadOnly, 0.5, 0.5),
+                    rung(ServingMode::Shed, 0.25, 0.1),
+                ],
+                _ => Vec::new(),
+            };
+            if modal && !modes.is_empty() {
+                b.service_modes(id, modes);
+            }
+            ids.push(id);
+        }
+        if chained {
+            for w in ids.windows(2) {
+                b.add_dependency(w[0], w[1]);
+            }
+        }
+        b.price_per_unit(price);
+        b.build().expect("valid generated spec")
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// The shared merge ranks exactly as the verbatim pre-merge heap
+        /// loop: items, fair shares and allocations bit for bit, and the
+        /// same rung purchases and chain retirements.
+        #[test]
+        fn global_rank_matches_the_reference_heap_loop(
+            w in arb_workload(),
+            fairness in proptest::prelude::any::<bool>(),
+            continue_on_saturation in proptest::prelude::any::<bool>(),
+            fraction in 0.0f64..1.5,
+        ) {
+            use phoenix_obs::{with_recorder, Counter, Recorder};
+            let objective: &dyn OperatorObjective =
+                if fairness { &FairnessObjective } else { &CostObjective };
+            let cfg = PlannerConfig { continue_on_saturation, ..PlannerConfig::default() };
+            let total: f64 = w.apps().map(|(_, a)| a.total_demand().scalar()).sum();
+            let capacity = Resources::cpu(total * fraction);
+            let ranks = ranks(&w);
+            let counted = |f: &dyn Fn() -> GlobalRank| {
+                let recorder = Recorder::enabled();
+                let rank = with_recorder(recorder.clone(), f);
+                let counts =
+                    [Counter::RungPurchases, Counter::ChainRetirements].map(|c| recorder.counter(c));
+                (rank, counts)
+            };
+            let (got, got_counts) =
+                counted(&|| global_rank(&w, &ranks, objective, capacity, &cfg));
+            let inputs = RankInputs::new(&w, &ranks);
+            let (want, want_counts) = counted(&|| {
+                reference::global_rank_prepared(&inputs, objective, capacity, &cfg)
+            });
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(&got.items, &want.items);
+            proptest::prop_assert_eq!(bits(&got.fair_shares), bits(&want.fair_shares));
+            proptest::prop_assert_eq!(bits(&got.allocated), bits(&want.allocated));
+            proptest::prop_assert_eq!(got_counts, want_counts);
+        }
     }
 }

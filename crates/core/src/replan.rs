@@ -6,7 +6,9 @@
 //! global-ranking heap merge, the flattened pod plan, and the packing
 //! bookkeeping. During a capacity crunch the controller replans every
 //! monitor tick, yet between ticks almost nothing about the *workload*
-//! changes — only the cluster does. [`ReplanCache`] exploits that:
+//! changes — only the cluster does. The controller's replan cache
+//! exploits that (entry point:
+//! [`PhoenixController::replan`](crate::controller::PhoenixController::replan)):
 //!
 //! 1. **Rank cache** — each app's activation order
 //!    ([`crate::planner::app_rank`]) is cached under a cheap structural
@@ -34,13 +36,12 @@
 //!    are kept in place and only pods invalidated by failures or rank
 //!    changes are re-homed.
 //!
-//! **Equivalence guarantee:** a warm [`replan_with`] produces the same
+//! **Equivalence guarantee:** a warm replan produces the same
 //! [`PlanResult`] — byte-identical [`ActionPlan`], target state, and
 //! packing outcome — as a cold [`plan_with`](crate::controller::plan_with)
-//! on the same inputs. Warm and
-//! cold share the same merge and packing loops, so this holds by
-//! construction; the tests below and `tests/modeless_compat.rs` check it
-//! end to end.
+//! on the same inputs. Warm and cold share the same merge and packing
+//! loops, so this holds by construction; the tests below and
+//! `tests/modeless_compat.rs` check it end to end.
 //!
 //! [`ActionPlan`]: crate::actions::ActionPlan
 
@@ -57,8 +58,7 @@ use crate::controller::{
 use crate::objectives::ObjectiveKind;
 use crate::planner::{app_rank, PlannerConfig};
 use crate::ranking::{
-    global_rank_prepared, global_rank_replay, merged_order, merged_order_with, GlobalRank,
-    MergeOrder, RankInputs,
+    global_rank_prepared, global_rank_replay, merged_order, GlobalRank, MergeOrder, RankInputs,
 };
 use crate::spec::{AppSpec, ModeAssignment, ServiceId, Workload};
 
@@ -80,13 +80,11 @@ pub enum ReplanDelta {
     CapacityOnly,
 }
 
-/// Cross-round state of the incremental replanning engine.
-///
-/// Owned by [`crate::controller::PhoenixController`] (or any caller of
-/// [`replan_with`]); an empty cache makes the first round a plain cold
-/// plan that primes every layer.
+/// Cross-round state of the incremental replanning engine, owned by
+/// [`crate::controller::PhoenixController`]. An empty cache makes the
+/// first round a plain cold plan that primes every layer.
 #[derive(Debug, Default)]
-pub struct ReplanCache {
+pub(crate) struct ReplanCache {
     /// Epoch inputs: valid while fingerprints match.
     fingerprints: Vec<u64>,
     app_ranks: Vec<Vec<ServiceId>>,
@@ -119,21 +117,6 @@ pub struct ReplanCache {
 }
 
 impl ReplanCache {
-    /// An empty cache (first replan runs cold).
-    pub fn new() -> ReplanCache {
-        ReplanCache::default()
-    }
-
-    /// Drops all cached state; the next replan runs fully cold.
-    pub fn clear(&mut self) {
-        *self = ReplanCache::default();
-    }
-
-    /// `true` when the per-app rank layer is primed.
-    pub fn is_primed(&self) -> bool {
-        self.planner_cfg.is_some()
-    }
-
     /// Re-validates the epoch layers against the workload. Returns `true`
     /// when anything changed (rank/merge-order caches were invalidated).
     ///
@@ -149,10 +132,9 @@ impl ReplanCache {
         // Objective identity is only trackable for the built-ins (unit
         // structs that cannot drift between rounds). A custom objective
         // could be swapped or mutated behind `config_mut` without any
-        // observable change here, so it invalidates the objective-keyed
-        // caches every round — still warm on the objective-independent
-        // layers (per-app ranks, RankInputs), but never replaying a
-        // possibly-stale merge order.
+        // observable change here, so it counts as a config change every
+        // round: `RankInputs`, the merge orders and the flat plan are
+        // rebuilt, and only the per-app ranks stay warm.
         let objective_kind = config.objective.as_builtin();
         let cfg_changed = self.planner_cfg != Some(config.planner)
             || objective_kind.is_none()
@@ -227,7 +209,7 @@ impl ReplanCache {
 /// cold [`plan_with`] for every thread count. Packing is sequential.
 ///
 /// [`plan_with`]: crate::controller::plan_with
-pub fn replan_with(
+pub(crate) fn replan_with(
     workload: &Workload,
     state: &ClusterState,
     config: &PhoenixConfig,
@@ -259,9 +241,10 @@ pub fn replan_with(
         old_len
     } else if config.objective.capacity_invariant() {
         obs.incr(phoenix_obs::Counter::MergeOrderReplays);
-        let order = cache
-            .merge_order
-            .get_or_insert_with(|| merged_order(&cache.inputs, config.objective.as_ref()));
+        let order = cache.merge_order.get_or_insert_with(|| {
+            let shares = cache.inputs.fair_shares(capacity.scalar());
+            merged_order(&cache.inputs, config.objective.as_ref(), &shares)
+        });
         replay(order, &mut rank)
     } else {
         // Capacity-sensitive objectives (fairness): scores are static per
@@ -280,30 +263,19 @@ pub fn replan_with(
                 // Second consecutive round on these shares: invest in the
                 // replayable order now, amortized by the rounds that follow.
                 obs.incr(phoenix_obs::Counter::ShareInvestments);
-                let mut order =
-                    merged_order_with(&cache.inputs, config.objective.as_ref(), &shares);
+                let mut order = merged_order(&cache.inputs, config.objective.as_ref(), &shares);
                 let kept = replay(&mut order, &mut rank);
                 cache.share_order = Some((shares, order));
                 kept
             }
             share_order => {
                 obs.incr(phoenix_obs::Counter::ColdMerges);
-                let fresh = match config.objective.as_builtin() {
-                    // Devirtualized merge: a direct call per candidate
-                    // (identical floats, no vtable hop per pod).
-                    Some(ObjectiveKind::Fairness) => global_rank_prepared(
-                        &cache.inputs,
-                        &crate::objectives::FairnessObjective,
-                        capacity,
-                        &config.planner,
-                    ),
-                    _ => global_rank_prepared(
-                        &cache.inputs,
-                        config.objective.as_ref(),
-                        capacity,
-                        &config.planner,
-                    ),
-                };
+                let fresh = global_rank_prepared(
+                    &cache.inputs,
+                    config.objective.as_ref(),
+                    capacity,
+                    &config.planner,
+                );
                 // The heap wrote this ranking, so the share order's marks
                 // no longer describe the cached one; compare items instead.
                 if let Some((_, order)) = share_order {
@@ -457,7 +429,7 @@ mod tests {
     fn churn_equivalence_at(kind: ObjectiveKind, delta: ReplanDelta, threads: usize) {
         let w = workload(3);
         let config = PhoenixConfig::with_objective(kind);
-        let mut cache = ReplanCache::new();
+        let mut cache = ReplanCache::default();
         let mut live = ClusterState::homogeneous(8, Resources::cpu(4.0));
 
         for round in 0..6 {
@@ -559,7 +531,7 @@ mod tests {
             for threads in [1usize, 4] {
                 let w = modal_workload(1);
                 let config = PhoenixConfig::with_objective(kind);
-                let mut cache = ReplanCache::new();
+                let mut cache = ReplanCache::default();
                 // Tight enough that several ladders are cut mid-way.
                 let mut live = ClusterState::homogeneous(6, Resources::cpu(4.0));
                 for round in 0..6u32 {
@@ -624,7 +596,7 @@ mod tests {
             let inputs = RankInputs::new(&w, &ranks);
             let objectives: [&dyn OperatorObjective; 2] = [&CostObjective, &CriticalityObjective];
             for objective in objectives {
-                let mut order = merged_order(&inputs, objective);
+                let mut order = merged_order(&inputs, objective, &inputs.fair_shares(1.0));
                 for continue_on_saturation in [false, true] {
                     let cfg = PlannerConfig {
                         continue_on_saturation,
@@ -661,7 +633,7 @@ mod tests {
         // byte-identical to a cold plan.
         let w = workload(5);
         let config = PhoenixConfig::with_objective(ObjectiveKind::Fairness);
-        let mut cache = ReplanCache::new();
+        let mut cache = ReplanCache::default();
         let mut live = ClusterState::homogeneous(40, Resources::cpu(4.0));
         for round in 0..5 {
             let cold = plan_with(&w, &live, &config);
@@ -683,7 +655,7 @@ mod tests {
         // into the heap's ranking, so it must not trust its old marks.
         let w = workload(5);
         let config = PhoenixConfig::with_objective(ObjectiveKind::Fairness);
-        let mut cache = ReplanCache::new();
+        let mut cache = ReplanCache::default();
         let mut live = ClusterState::homogeneous(40, Resources::cpu(4.0));
         let crunch: Vec<NodeId> = (2..20).map(NodeId::new).collect();
         let recorder = phoenix_obs::Recorder::enabled();
@@ -721,7 +693,7 @@ mod tests {
         let mut w = workload(0);
         let config = PhoenixConfig::with_objective(ObjectiveKind::Cost);
         let live = ClusterState::homogeneous(8, Resources::cpu(4.0));
-        let mut cache = ReplanCache::new();
+        let mut cache = ReplanCache::default();
         let mut warm_round = |w: &Workload| {
             with_threads(4, || {
                 replan_with(w, &live, &config, &mut cache, ReplanDelta::Full)
@@ -743,9 +715,9 @@ mod tests {
         let mut w = workload(0);
         let config = PhoenixConfig::with_objective(ObjectiveKind::Cost);
         let live = ClusterState::homogeneous(8, Resources::cpu(4.0));
-        let mut cache = ReplanCache::new();
+        let mut cache = ReplanCache::default();
         let _ = replan_with(&w, &live, &config, &mut cache, ReplanDelta::Full);
-        assert!(cache.is_primed());
+        assert!(cache.planner_cfg.is_some());
 
         // Raise one app's price: the cost ranking must reorder.
         let mut b = AppSpecBuilder::new("vip");
@@ -778,7 +750,7 @@ mod tests {
 
         let w = workload(4);
         let live = ClusterState::homogeneous(4, Resources::cpu(3.0));
-        let mut cache = ReplanCache::new();
+        let mut cache = ReplanCache::default();
         for weight in [2.0, 2.0, -3.0] {
             let config = PhoenixConfig {
                 objective: Box::new(Weighted(weight)),
@@ -798,7 +770,7 @@ mod tests {
     fn objective_swap_between_rounds_is_detected() {
         let w = workload(1);
         let live = ClusterState::homogeneous(4, Resources::cpu(3.0));
-        let mut cache = ReplanCache::new();
+        let mut cache = ReplanCache::default();
         let fair = PhoenixConfig::with_objective(ObjectiveKind::Fairness);
         let cost = PhoenixConfig::with_objective(ObjectiveKind::Cost);
         let _ = replan_with(&w, &live, &fair, &mut cache, ReplanDelta::Full);
@@ -812,11 +784,11 @@ mod tests {
         let w = workload(0);
         let config = PhoenixConfig::default();
         let live = ClusterState::homogeneous(2, Resources::cpu(2.0));
-        let mut cache = ReplanCache::new();
+        let mut cache = ReplanCache::default();
         let _ = replan_with(&w, &live, &config, &mut cache, ReplanDelta::Full);
-        assert!(cache.is_primed());
-        cache.clear();
-        assert!(!cache.is_primed());
+        assert!(cache.planner_cfg.is_some());
+        cache = ReplanCache::default();
+        assert!(cache.planner_cfg.is_none());
         let cold = plan_with(&w, &live, &config);
         let warm = replan_with(&w, &live, &config, &mut cache, ReplanDelta::Full);
         assert_equivalent(&cold, &warm);

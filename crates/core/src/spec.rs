@@ -734,11 +734,6 @@ impl Workload {
         self.apps.len()
     }
 
-    /// All app ids.
-    pub fn app_ids(&self) -> impl ExactSizeIterator<Item = AppId> {
-        (0..self.apps.len() as u32).map(AppId)
-    }
-
     /// One app.
     ///
     /// # Panics

@@ -131,22 +131,21 @@ impl StatefulMarks {
 }
 
 /// A mixed workload split into its stateless and stateful halves, with the
-/// id remapping needed to translate pods between the two key spaces.
+/// id maps from the original workload into each half.
 #[derive(Debug, Clone)]
 pub struct Partition {
     /// The diagonal-scalable half; plan this with the Phoenix controller.
     pub stateless: Workload,
     /// The pinned half; place once with [`place_stateful`].
     pub stateful: Workload,
-    /// `[orig_app][orig_service] → (app, service)` in `stateless`.
-    to_stateless: Vec<Vec<Option<(u32, u32)>>>,
-    /// `[orig_app][orig_service] → (app, service)` in `stateful`.
-    to_stateful: Vec<Vec<Option<(u32, u32)>>>,
-    /// `[part_app][part_service] → (app, service)` in the original workload.
-    from_stateless: Vec<Vec<(u32, u32)>>,
-    /// Same for the stateful half.
-    from_stateful: Vec<Vec<(u32, u32)>>,
+    /// Where each original service went in `stateless`.
+    to_stateless: IdMap,
+    /// Where each original service went in `stateful`.
+    to_stateful: IdMap,
 }
+
+/// `[orig_app][orig_service] → (app, service)` in one half.
+type IdMap = Vec<Vec<Option<(u32, u32)>>>;
 
 impl Partition {
     /// Maps an original service into the stateless half, when it lives there.
@@ -160,47 +159,6 @@ impl Partition {
         let (a, s) = self.to_stateful[app.index()][service.index()]?;
         Some((AppId::new(a), ServiceId::new(s)))
     }
-
-    /// The original `(app, service)` behind a stateless-half service.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ids are out of bounds for the stateless half.
-    pub fn stateless_origin(&self, app: AppId, service: ServiceId) -> (AppId, ServiceId) {
-        let (a, s) = self.from_stateless[app.index()][service.index()];
-        (AppId::new(a), ServiceId::new(s))
-    }
-
-    /// The original `(app, service)` behind a stateful-half service.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ids are out of bounds for the stateful half.
-    pub fn stateful_origin(&self, app: AppId, service: ServiceId) -> (AppId, ServiceId) {
-        let (a, s) = self.from_stateful[app.index()][service.index()];
-        (AppId::new(a), ServiceId::new(s))
-    }
-
-    /// Re-keys an original-workload pod into the stateless half.
-    pub fn stateless_pod(&self, pod: PodKey) -> Option<PodKey> {
-        let (a, s) = self
-            .to_stateless
-            .get(pod.app as usize)?
-            .get(pod.service as usize)
-            .copied()
-            .flatten()?;
-        Some(PodKey::new(a, s, pod.replica))
-    }
-
-    /// Re-keys a stateless-half pod back into the original workload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pod's app/service are out of bounds for the half.
-    pub fn original_pod(&self, pod: PodKey) -> PodKey {
-        let (a, s) = self.from_stateless[pod.app as usize][pod.service as usize];
-        PodKey::new(a, s, pod.replica)
-    }
 }
 
 /// Splits `workload` into stateless and stateful halves per `marks`.
@@ -211,27 +169,20 @@ impl Partition {
 /// Dependency edges that pass through removed services are contracted (see
 /// the module docs), so each half's graph preserves reachability.
 pub fn partition(workload: &Workload, marks: &StatefulMarks) -> Partition {
-    let (stateless, to_stateless, from_stateless) = half(workload, marks, false);
-    let (stateful, to_stateful, from_stateful) = half(workload, marks, true);
+    let (stateless, to_stateless) = half(workload, marks, false);
+    let (stateful, to_stateful) = half(workload, marks, true);
     Partition {
         stateless,
         stateful,
         to_stateless,
         to_stateful,
-        from_stateless,
-        from_stateful,
     }
 }
 
 /// The services of `workload` whose mark equals `stateful`, as a workload
-/// of their own, with the id maps into it and back out of it.
-#[allow(clippy::type_complexity)]
-fn half(
-    workload: &Workload,
-    marks: &StatefulMarks,
-    stateful: bool,
-) -> (Workload, Vec<Vec<Option<(u32, u32)>>>, Vec<Vec<(u32, u32)>>) {
-    let (mut apps, mut to_map, mut from_map) = (Vec::new(), Vec::new(), Vec::new());
+/// of their own, with the id map into it.
+fn half(workload: &Workload, marks: &StatefulMarks, stateful: bool) -> (Workload, IdMap) {
+    let (mut apps, mut to_map) = (Vec::new(), Vec::new());
     for (app, spec) in workload.apps() {
         let keep: Vec<bool> = (spec.service_ids())
             .map(|s| marks.is_stateful(app, s) == stateful)
@@ -244,12 +195,10 @@ fn half(
         let mut b = AppSpecBuilder::new(spec.name());
         b.price_per_unit(spec.price_per_unit());
         b.phoenix_enabled(spec.phoenix_enabled());
-        let mut origin = Vec::new();
         for (old_idx, svc) in spec.services().iter().enumerate().filter(|s| keep[s.0]) {
             let id = b.add_service(svc.name.clone(), svc.demand, svc.criticality, svc.replicas);
             b.service_modes(id, svc.modes.clone());
             forward[old_idx] = Some((apps.len() as u32, id.index() as u32));
-            origin.push((app.index() as u32, old_idx as u32));
         }
         if spec.dependency().is_some() {
             b.with_graph();
@@ -261,9 +210,8 @@ fn half(
         }
         apps.push(b.build().expect("kept services are non-empty and valid"));
         to_map.push(forward);
-        from_map.push(origin);
     }
-    (Workload::new(apps), to_map, from_map)
+    (Workload::new(apps), to_map)
 }
 
 /// Edges of the induced-plus-contracted graph over the kept services: an
@@ -650,25 +598,13 @@ mod tests {
     fn partition_round_trips_pod_keys() {
         let (w, marks) = mixed_app();
         let part = partition(&w, &marks);
+        let (app, id) = (AppId::new(0), ServiceId::new);
         // audit is original service 2 → stateless service 1.
-        let orig = PodKey::new(0, 2, 0);
-        let mapped = part.stateless_pod(orig).unwrap();
-        assert_eq!(mapped, PodKey::new(0, 1, 0));
-        assert_eq!(part.original_pod(mapped), orig);
+        assert_eq!(part.to_stateless(app, id(2)), Some((app, id(1))));
+        assert_eq!(part.to_stateful(app, id(2)), None);
         // db maps to the stateful half, not the stateless one.
-        assert_eq!(part.stateless_pod(PodKey::new(0, 1, 0)), None);
-        assert_eq!(
-            part.to_stateful(AppId::new(0), ServiceId::new(1)),
-            Some((AppId::new(0), ServiceId::new(0)))
-        );
-        assert_eq!(
-            part.stateful_origin(AppId::new(0), ServiceId::new(0)),
-            (AppId::new(0), ServiceId::new(1))
-        );
-        assert_eq!(
-            part.stateless_origin(AppId::new(0), ServiceId::new(1)),
-            (AppId::new(0), ServiceId::new(2))
-        );
+        assert_eq!(part.to_stateless(app, id(1)), None);
+        assert_eq!(part.to_stateful(app, id(1)), Some((app, id(0))));
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! ```
 
 use phoenix_cluster::{ClusterState, NodeId, Resources};
-use phoenix_core::controller::{plan_with, PhoenixConfig};
+use phoenix_core::controller::{plan_with, PhoenixConfig, PhoenixController};
 use phoenix_core::objectives::ObjectiveKind;
-use phoenix_core::replan::{replan_with, ReplanCache, ReplanDelta};
+use phoenix_core::replan::ReplanDelta;
 use phoenix_core::spec::{AppSpecBuilder, Workload};
 use phoenix_core::tags::Criticality;
 use phoenix_exec::with_threads;
@@ -59,22 +59,16 @@ fn mixed_workload(seed: u64) -> Workload {
 fn churn_lines(seed: u64, kind: ObjectiveKind, crunch: bool, out: &mut String) {
     let w = mixed_workload(seed);
     let config = PhoenixConfig::with_objective(kind);
-    let mut full_cache = ReplanCache::new();
-    let mut capacity_cache = ReplanCache::new();
+    let controller = || PhoenixController::new(w.clone(), PhoenixConfig::with_objective(kind));
+    let (mut full, mut capacity) = (controller(), controller());
     let (nodes, cpu) = if crunch { (4, 5.0) } else { (8, 4.0) };
     let mut live = ClusterState::homogeneous(nodes, Resources::cpu(cpu));
     for round in 0..6u32 {
         let cold = with_threads(1, || plan_with(&w, &live, &config));
         let (warm, capacity_only) = with_threads(4, || {
             (
-                replan_with(&w, &live, &config, &mut full_cache, ReplanDelta::Full),
-                replan_with(
-                    &w,
-                    &live,
-                    &config,
-                    &mut capacity_cache,
-                    ReplanDelta::CapacityOnly,
-                ),
+                full.replan(&live, ReplanDelta::Full),
+                capacity.replan(&live, ReplanDelta::CapacityOnly),
             )
         });
         let json = cold.actions.to_json();

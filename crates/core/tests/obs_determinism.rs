@@ -12,9 +12,9 @@
 //! each other's counters and take no lock.
 
 use phoenix_cluster::{ClusterState, NodeId, Resources};
-use phoenix_core::controller::{plan_with, PhoenixConfig};
+use phoenix_core::controller::{plan_with, PhoenixConfig, PhoenixController};
 use phoenix_core::objectives::ObjectiveKind;
-use phoenix_core::replan::{replan_with, ReplanCache, ReplanDelta};
+use phoenix_core::replan::ReplanDelta;
 use phoenix_core::spec::{AppSpecBuilder, Workload};
 use phoenix_core::tags::Criticality;
 use phoenix_exec::with_threads;
@@ -62,18 +62,17 @@ fn counter_bytes(threads: usize) -> String {
 /// replans across both delta classes with a node failing per round.
 fn churn() {
     let nodes = 10usize;
-    let workload = mixed_workload(5);
     let cfg = PhoenixConfig::with_objective(ObjectiveKind::Fairness);
+    let mut controller = PhoenixController::new(mixed_workload(5), cfg);
     let mut live = ClusterState::homogeneous(nodes, Resources::cpu(4.0));
-    let mut cache = ReplanCache::new();
-    std::hint::black_box(plan_with(&workload, &live, &cfg).target.pod_count());
+    std::hint::black_box(controller.plan(&live).target.pod_count());
     for round in 0..4u32 {
         let delta = if round % 2 == 0 {
             ReplanDelta::CapacityOnly
         } else {
             ReplanDelta::Full
         };
-        let result = replan_with(&workload, &live, &cfg, &mut cache, delta);
+        let result = controller.replan(&live, delta);
         live = result.target.clone();
         live.fail_node(NodeId::new(round % nodes as u32));
     }
@@ -175,14 +174,12 @@ proptest! {
     ) {
         let record = |threads: usize| -> String {
             let recorder = Recorder::enabled();
-            let workload = mixed_workload(apps);
             let cfg = PhoenixConfig::with_objective(ObjectiveKind::Fairness);
+            let mut controller = PhoenixController::new(mixed_workload(apps), cfg);
             let mut live = ClusterState::homogeneous(nodes, Resources::cpu(4.0));
-            let mut cache = ReplanCache::new();
             with_recorder(recorder.clone(), || with_threads(threads, || {
                 for round in 0..3u32 {
-                    let result =
-                        replan_with(&workload, &live, &cfg, &mut cache, ReplanDelta::Full);
+                    let result = controller.replan(&live, ReplanDelta::Full);
                     live = result.target.clone();
                     live.fail_node(NodeId::new(round % nodes as u32));
                 }

@@ -1,6 +1,6 @@
 //! Differential properties of the in-place ranking replay: across a
 //! random capacity walk, `global_rank_replay` into the previous step's
-//! ranking equals a cold heap merge (`global_rank_prepared`) bit for bit,
+//! ranking equals a cold heap merge (`global_rank`) bit for bit,
 //! returns the true common prefix with the previous items, and counts the
 //! same rung purchases and chain retirements.
 
@@ -10,10 +10,9 @@ use phoenix_core::objectives::{
 };
 use phoenix_core::planner::{app_rank, PlannerConfig, Traversal};
 use phoenix_core::ranking::{
-    global_rank_prepared, global_rank_replay, merged_order, merged_order_with, GlobalRank,
-    MergeOrder, RankInputs,
+    global_rank, global_rank_replay, merged_order, GlobalRank, MergeOrder, RankInputs,
 };
-use phoenix_core::spec::{AppSpec, AppSpecBuilder, ModeSpec, ServingMode, Workload};
+use phoenix_core::spec::{AppSpec, AppSpecBuilder, ModeSpec, ServiceId, ServingMode, Workload};
 use phoenix_core::tags::Criticality;
 use phoenix_obs::{with_recorder, Counter, Recorder};
 use proptest::prelude::*;
@@ -122,12 +121,38 @@ fn capacities(total: f64, start: f64, walk: &[(u8, f64)]) -> Vec<f64> {
     out
 }
 
-fn inputs_of(w: &Workload) -> RankInputs {
-    let ranks: Vec<_> = w
+/// The workload's per-app activation orders and the ranking inputs built
+/// from them.
+struct Ranked<'a> {
+    workload: &'a Workload,
+    ranks: Vec<Vec<ServiceId>>,
+    inputs: RankInputs,
+}
+
+fn ranked(workload: &Workload) -> Ranked<'_> {
+    let ranks: Vec<_> = workload
         .apps()
         .map(|(_, a)| app_rank(a, Traversal::CriticalityGuidedDfs))
         .collect();
-    RankInputs::new(w, &ranks)
+    let inputs = RankInputs::new(workload, &ranks);
+    Ranked {
+        workload,
+        ranks,
+        inputs,
+    }
+}
+
+impl Ranked<'_> {
+    /// The cold heap merge at `cap`.
+    fn cold(&self, objective: &dyn OperatorObjective, cap: f64, cfg: &PlannerConfig) -> GlobalRank {
+        global_rank(
+            self.workload,
+            &self.ranks,
+            objective,
+            Resources::cpu(cap),
+            cfg,
+        )
+    }
 }
 
 fn total_demand(w: &Workload) -> f64 {
@@ -145,18 +170,18 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, [u64; 2]) {
 
 /// Replays `order` into `rank` at `cap` and checks it against a cold
 /// heap merge under `objective`.
-fn replay_and_check<O: OperatorObjective + ?Sized>(
-    inputs: &RankInputs,
-    objective: &O,
+fn replay_and_check(
+    ranked: &Ranked,
+    objective: &dyn OperatorObjective,
     order: &mut MergeOrder,
     rank: &mut GlobalRank,
     cap: f64,
     cfg: &PlannerConfig,
 ) {
-    let capacity = Resources::cpu(cap);
-    let (cold, cold_counts) = counted(|| global_rank_prepared(inputs, objective, capacity, cfg));
+    let (cold, cold_counts) = counted(|| ranked.cold(objective, cap, cfg));
     let previous = rank.items.clone();
-    let (kept, counts) = counted(|| global_rank_replay(inputs, order, capacity, cfg, rank));
+    let capacity = Resources::cpu(cap);
+    let (kept, counts) = counted(|| global_rank_replay(&ranked.inputs, order, capacity, cfg, rank));
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     prop_assert_eq!(&rank.items, &cold.items, "items at capacity {}", cap);
     prop_assert_eq!(bits(&rank.fair_shares), bits(&cold.fair_shares));
@@ -184,14 +209,16 @@ proptest! {
         start in 0.0f64..1.5,
         walk in arb_walk(),
     ) {
-        let inputs = inputs_of(&w);
+        let ranked = ranked(&w);
         let objective: &dyn OperatorObjective =
             if criticality { &CriticalityObjective } else { &CostObjective };
         let cfg = PlannerConfig { continue_on_saturation, ..PlannerConfig::default() };
-        let mut order = merged_order(&inputs, objective);
+        // A capacity-invariant objective ignores the shares.
+        let shares = ranked.inputs.fair_shares(start);
+        let mut order = merged_order(&ranked.inputs, objective, &shares);
         let mut rank = GlobalRank::default();
         for cap in capacities(total_demand(&w), start, &walk) {
-            replay_and_check(&inputs, objective, &mut order, &mut rank, cap, &cfg);
+            replay_and_check(&ranked, objective, &mut order, &mut rank, cap, &cfg);
         }
     }
 
@@ -206,18 +233,17 @@ proptest! {
         start in 0.0f64..1.5,
         walk in arb_walk(),
     ) {
-        let inputs = inputs_of(&w);
+        let ranked = ranked(&w);
         let cfg = PlannerConfig { continue_on_saturation, ..PlannerConfig::default() };
         let total = total_demand(&w);
-        let shares = inputs.fair_shares(total * 2.0);
-        let mut order = merged_order_with(&inputs, &FairnessObjective, &shares);
+        let shares = ranked.inputs.fair_shares(total * 2.0);
+        let mut order = merged_order(&ranked.inputs, &FairnessObjective, &shares);
         let mut rank = GlobalRank::default();
         for cap in capacities(total, start, &walk) {
-            if inputs.fair_shares(cap) == shares {
-                replay_and_check(&inputs, &FairnessObjective, &mut order, &mut rank, cap, &cfg);
+            if ranked.inputs.fair_shares(cap) == shares {
+                replay_and_check(&ranked, &FairnessObjective, &mut order, &mut rank, cap, &cfg);
             } else {
-                let capacity = Resources::cpu(cap);
-                rank = global_rank_prepared(&inputs, &FairnessObjective, capacity, &cfg);
+                rank = ranked.cold(&FairnessObjective, cap, &cfg);
                 order.forget_marks();
             }
         }

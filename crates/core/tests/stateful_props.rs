@@ -7,7 +7,7 @@
 use phoenix_cluster::{ClusterState, NodeId, PodKey, Resources};
 use phoenix_core::controller::{plan_with, PhoenixConfig};
 use phoenix_core::spec::{AppId, AppSpecBuilder, ModeSpec, ServiceId, ServingMode, Workload};
-use phoenix_core::stateful::{partition, plan_pinned, StatefulMarks};
+use phoenix_core::stateful::{partition, plan_pinned, Partition, StatefulMarks};
 use phoenix_core::tags::Criticality;
 use phoenix_dgraph::NodeId as GraphNode;
 use proptest::prelude::*;
@@ -82,6 +82,22 @@ fn mixed(
     (Workload::new(specs), marks)
 }
 
+/// The original `(app, service)` behind stateless-half service `ps` of
+/// app `pa`.
+fn stateless_origin(
+    workload: &Workload,
+    part: &Partition,
+    pa: AppId,
+    ps: usize,
+) -> (AppId, ServiceId) {
+    let target = Some((pa, ServiceId::new(ps as u32)));
+    workload
+        .apps()
+        .flat_map(|(app, spec)| spec.service_ids().map(move |s| (app, s)))
+        .find(|&(app, s)| part.to_stateless(app, s) == target)
+        .expect("every stateless-half service has an origin")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -89,6 +105,9 @@ proptest! {
     #[test]
     fn partition_round_trips((workload, marks) in arb_mixed()) {
         let part = partition(&workload, &marks);
+        // The maps into the halves are injective: each half's service has
+        // one origin.
+        let mut images = std::collections::BTreeSet::new();
         for (app, spec) in workload.apps() {
             let mut seen = 0;
             for service in spec.service_ids() {
@@ -99,14 +118,14 @@ proptest! {
                 prop_assert_eq!(stateful.is_some(), marks.is_stateful(app, service));
                 seen += 1;
                 if let Some((pa, ps)) = stateless {
-                    prop_assert_eq!(part.stateless_origin(pa, ps), (app, service));
+                    prop_assert!(images.insert((false, pa, ps)), "two services map to {:?}", (pa, ps));
                     let kept = part.stateless.app(pa).service(ps);
                     prop_assert_eq!(&kept.name, &spec.service(service).name);
                     prop_assert_eq!(kept.demand, spec.service(service).demand);
                     prop_assert_eq!(&kept.modes, &spec.service(service).modes);
                 }
                 if let Some((pa, ps)) = stateful {
-                    prop_assert_eq!(part.stateful_origin(pa, ps), (app, service));
+                    prop_assert!(images.insert((true, pa, ps)), "two services map to {:?}", (pa, ps));
                     let kept = part.stateful.app(pa).service(ps);
                     prop_assert_eq!(&kept.modes, &spec.service(service).modes);
                 }
@@ -133,8 +152,8 @@ proptest! {
             let Some(pgraph) = papp.dependency() else { continue };
             for u in pgraph.node_ids() {
                 for &v in pgraph.successors(u) {
-                    let (oa, ou) = part.stateless_origin(pa, ServiceId::new(u.index() as u32));
-                    let (_, ov) = part.stateless_origin(pa, ServiceId::new(v.index() as u32));
+                    let (oa, ou) = stateless_origin(&workload, &part, pa, u.index());
+                    let (_, ov) = stateless_origin(&workload, &part, pa, v.index());
                     let orig = workload.app(oa).dependency().expect("original had a graph");
                     // BFS from ou through removed nodes only must reach ov.
                     let mut stack = vec![GraphNode::from_index(ou.index())];

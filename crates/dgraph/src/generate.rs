@@ -106,91 +106,6 @@ fn pick_parent<R: Rng + ?Sized>(
     }
 }
 
-/// Configuration for [`layered_dag`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct LayeredConfig {
-    /// Width of each layer, front (entry) to back (leaves). All ≥ 1.
-    pub layer_widths: Vec<usize>,
-    /// Probability of an edge between a node and each node of the next layer.
-    pub edge_prob: f64,
-    /// Probability of a skip edge to the layer after next.
-    pub skip_prob: f64,
-}
-
-impl Default for LayeredConfig {
-    fn default() -> LayeredConfig {
-        LayeredConfig {
-            layer_widths: vec![2, 4, 6, 4],
-            edge_prob: 0.4,
-            skip_prob: 0.05,
-        }
-    }
-}
-
-/// Builds a layered DAG: microservice tiers (frontend → mid → backend).
-///
-/// Every non-entry node is guaranteed at least one parent in an earlier
-/// layer, so the entry layer reaches the entire graph. Payloads are
-/// `(layer, index_in_layer)`.
-///
-/// # Panics
-///
-/// Panics if `layer_widths` is empty or contains a zero width.
-pub fn layered_dag<R: Rng + ?Sized>(rng: &mut R, cfg: &LayeredConfig) -> DiGraph<(usize, usize)> {
-    assert!(!cfg.layer_widths.is_empty(), "need at least one layer");
-    assert!(
-        cfg.layer_widths.iter().all(|&w| w > 0),
-        "layer widths must be positive"
-    );
-    let mut g = DiGraph::new();
-    let mut layers: Vec<Vec<NodeId>> = Vec::with_capacity(cfg.layer_widths.len());
-    for (li, &w) in cfg.layer_widths.iter().enumerate() {
-        let layer: Vec<NodeId> = (0..w).map(|i| g.add_node((li, i))).collect();
-        layers.push(layer);
-    }
-    for li in 1..layers.len() {
-        for &v in &layers[li] {
-            let mut has_parent = false;
-            for &u in &layers[li - 1] {
-                if rng.gen_bool(cfg.edge_prob) {
-                    let _ = g.add_edge(u, v);
-                    has_parent = true;
-                }
-            }
-            if li >= 2 {
-                for &u in &layers[li - 2] {
-                    if rng.gen_bool(cfg.skip_prob) {
-                        let _ = g.add_edge(u, v);
-                        has_parent = true;
-                    }
-                }
-            }
-            if !has_parent {
-                let u = layers[li - 1][rng.gen_range(0..layers[li - 1].len())];
-                let _ = g.add_edge(u, v);
-            }
-        }
-    }
-    g
-}
-
-/// Uniform random tree with `n` nodes rooted at node 0; payloads are indices.
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-pub fn random_tree<R: Rng + ?Sized>(rng: &mut R, n: usize) -> DiGraph<usize> {
-    assert!(n >= 1, "a tree needs at least one node");
-    let mut g = DiGraph::with_capacity(n);
-    g.add_node(0);
-    for i in 1..n {
-        let id = g.add_node(i);
-        let parent = NodeId::from_index(rng.gen_range(0..i));
-        let _ = g.add_edge(parent, id);
-    }
-    g
-}
-
 /// Fraction of non-source nodes that have exactly one caller.
 ///
 /// This is the paper's "single-upstream stub microservice" statistic (§3.2):
@@ -207,10 +122,97 @@ pub fn single_upstream_fraction<N>(g: &DiGraph<N>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topo::is_dag;
-    use crate::traversal::covers_all;
+    use crate::topo::topo_sort;
+    use crate::traversal::reachable_from;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    // Generators only the tests below use.
+
+    /// Configuration for [`layered_dag`].
+    #[derive(Debug, Clone, PartialEq)]
+    struct LayeredConfig {
+        /// Width of each layer, front (entry) to back (leaves). All ≥ 1.
+        layer_widths: Vec<usize>,
+        /// Probability of an edge between a node and each node of the next layer.
+        edge_prob: f64,
+        /// Probability of a skip edge to the layer after next.
+        skip_prob: f64,
+    }
+
+    impl Default for LayeredConfig {
+        fn default() -> LayeredConfig {
+            LayeredConfig {
+                layer_widths: vec![2, 4, 6, 4],
+                edge_prob: 0.4,
+                skip_prob: 0.05,
+            }
+        }
+    }
+
+    /// Builds a layered DAG: microservice tiers (frontend → mid → backend).
+    ///
+    /// Every non-entry node is guaranteed at least one parent in an earlier
+    /// layer, so the entry layer reaches the entire graph. Payloads are
+    /// `(layer, index_in_layer)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer_widths` is empty or contains a zero width.
+    fn layered_dag<R: Rng + ?Sized>(rng: &mut R, cfg: &LayeredConfig) -> DiGraph<(usize, usize)> {
+        assert!(!cfg.layer_widths.is_empty(), "need at least one layer");
+        assert!(
+            cfg.layer_widths.iter().all(|&w| w > 0),
+            "layer widths must be positive"
+        );
+        let mut g = DiGraph::new();
+        let mut layers: Vec<Vec<NodeId>> = Vec::with_capacity(cfg.layer_widths.len());
+        for (li, &w) in cfg.layer_widths.iter().enumerate() {
+            let layer: Vec<NodeId> = (0..w).map(|i| g.add_node((li, i))).collect();
+            layers.push(layer);
+        }
+        for li in 1..layers.len() {
+            for &v in &layers[li] {
+                let mut has_parent = false;
+                for &u in &layers[li - 1] {
+                    if rng.gen_bool(cfg.edge_prob) {
+                        let _ = g.add_edge(u, v);
+                        has_parent = true;
+                    }
+                }
+                if li >= 2 {
+                    for &u in &layers[li - 2] {
+                        if rng.gen_bool(cfg.skip_prob) {
+                            let _ = g.add_edge(u, v);
+                            has_parent = true;
+                        }
+                    }
+                }
+                if !has_parent {
+                    let u = layers[li - 1][rng.gen_range(0..layers[li - 1].len())];
+                    let _ = g.add_edge(u, v);
+                }
+            }
+        }
+        g
+    }
+
+    /// Uniform random tree with `n` nodes rooted at node 0; payloads are indices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    fn random_tree<R: Rng + ?Sized>(rng: &mut R, n: usize) -> DiGraph<usize> {
+        assert!(n >= 1, "a tree needs at least one node");
+        let mut g = DiGraph::with_capacity(n);
+        g.add_node(0);
+        for i in 1..n {
+            let id = g.add_node(i);
+            let parent = NodeId::from_index(rng.gen_range(0..i));
+            let _ = g.add_edge(parent, id);
+        }
+        g
+    }
 
     #[test]
     fn attachment_dag_is_dag_and_connected_from_sources() {
@@ -224,8 +226,8 @@ mod tests {
             },
         );
         assert_eq!(g.node_count(), 200);
-        assert!(is_dag(&g));
-        assert!(covers_all(&g, g.sources()));
+        assert!(topo_sort(&g).is_ok());
+        assert!(reachable_from(&g, g.sources()).iter().all(|&v| v));
     }
 
     #[test]
@@ -272,21 +274,21 @@ mod tests {
                 skip_prob: 0.1,
             },
         );
-        assert!(is_dag(&g));
+        assert!(topo_sort(&g).is_ok());
         assert_eq!(g.node_count(), 23);
         for (id, &(layer, _)) in g.nodes() {
             if layer > 0 {
                 assert!(g.in_degree(id) >= 1, "{id} in layer {layer} is orphaned");
             }
         }
-        assert!(covers_all(&g, g.sources()));
+        assert!(reachable_from(&g, g.sources()).iter().all(|&v| v));
     }
 
     #[test]
     fn random_tree_shape() {
         let mut rng = StdRng::seed_from_u64(3);
         let g = random_tree(&mut rng, 64);
-        assert!(is_dag(&g));
+        assert!(topo_sort(&g).is_ok());
         assert_eq!(g.edge_count(), 63);
         // Every non-root has exactly one parent.
         assert_eq!(single_upstream_fraction(&g), 1.0);

@@ -145,21 +145,10 @@ impl<N> DiGraph<N> {
         id.index() < self.payloads.len()
     }
 
-    /// Returns `true` when the edge `from -> to` exists.
-    pub fn has_edge(&self, from: NodeId, to: NodeId) -> bool {
-        self.contains(from) && self.out_adj[from.index()].contains(&to)
-    }
-
     /// Borrow the payload of `id`, or `None` when out of bounds.
     #[inline]
     pub fn node(&self, id: NodeId) -> Option<&N> {
         self.payloads.get(id.index())
-    }
-
-    /// Mutably borrow the payload of `id`, or `None` when out of bounds.
-    #[inline]
-    pub fn node_mut(&mut self, id: NodeId) -> Option<&mut N> {
-        self.payloads.get_mut(id.index())
     }
 
     /// Direct successors (callees) of `id`.
@@ -220,11 +209,6 @@ impl<N> DiGraph<N> {
         self.node_ids().filter(|&n| self.in_degree(n) == 0)
     }
 
-    /// Nodes with no outgoing edge — the leaf microservices.
-    pub fn sinks(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.node_ids().filter(|&n| self.out_degree(n) == 0)
-    }
-
     /// Builds a new graph with the same shape and payloads mapped by `f`.
     pub fn map<M>(&self, mut f: impl FnMut(NodeId, &N) -> M) -> DiGraph<M> {
         DiGraph {
@@ -238,64 +222,6 @@ impl<N> DiGraph<N> {
             in_adj: self.in_adj.clone(),
             edge_count: self.edge_count,
         }
-    }
-
-    /// Returns the graph with every edge reversed (payloads cloned).
-    pub fn reversed(&self) -> DiGraph<N>
-    where
-        N: Clone,
-    {
-        DiGraph {
-            payloads: self.payloads.clone(),
-            out_adj: self.in_adj.clone(),
-            in_adj: self.out_adj.clone(),
-            edge_count: self.edge_count,
-        }
-    }
-
-    /// Induced subgraph over `keep` (ids into `self`).
-    ///
-    /// Returns the subgraph and, for each old node id, the new id it was
-    /// mapped to (or `None` when dropped). Duplicate ids in `keep` are
-    /// collapsed; edges between kept nodes are preserved.
-    pub fn induced_subgraph(&self, keep: &[NodeId]) -> (DiGraph<N>, Vec<Option<NodeId>>)
-    where
-        N: Clone,
-    {
-        let mut remap: Vec<Option<NodeId>> = vec![None; self.node_count()];
-        let mut sub = DiGraph::with_capacity(keep.len());
-        for &old in keep {
-            if old.index() < self.node_count() && remap[old.index()].is_none() {
-                remap[old.index()] = Some(sub.add_node(self.payloads[old.index()].clone()));
-            }
-        }
-        for (from, to) in self.edges() {
-            if let (Some(nf), Some(nt)) = (remap[from.index()], remap[to.index()]) {
-                // Both endpoints kept: the edge survives. Safe to unwrap —
-                // endpoints were just added and are distinct.
-                let _ = sub.add_edge(nf, nt);
-            }
-        }
-        (sub, remap)
-    }
-
-    /// Constructs a graph from `n` payloads and an edge list.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`GraphError`] from [`DiGraph::add_edge`].
-    pub fn from_parts(
-        payloads: impl IntoIterator<Item = N>,
-        edges: impl IntoIterator<Item = (usize, usize)>,
-    ) -> Result<DiGraph<N>, GraphError> {
-        let mut g = DiGraph::new();
-        for p in payloads {
-            g.add_node(p);
-        }
-        for (f, t) in edges {
-            g.add_edge(NodeId::from_index(f), NodeId::from_index(t))?;
-        }
-        Ok(g)
     }
 
     fn check(&self, id: NodeId) -> Result<(), GraphError> {
@@ -335,6 +261,68 @@ impl<N> FromIterator<N> for DiGraph<N> {
     }
 }
 
+/// Constructors and transforms only the tests use.
+#[cfg(test)]
+impl<N> DiGraph<N> {
+    /// Returns the graph with every edge reversed (payloads cloned).
+    fn reversed(&self) -> DiGraph<N>
+    where
+        N: Clone,
+    {
+        DiGraph {
+            payloads: self.payloads.clone(),
+            out_adj: self.in_adj.clone(),
+            in_adj: self.out_adj.clone(),
+            edge_count: self.edge_count,
+        }
+    }
+
+    /// Induced subgraph over `keep` (ids into `self`).
+    ///
+    /// Returns the subgraph and, for each old node id, the new id it was
+    /// mapped to (or `None` when dropped). Duplicate ids in `keep` are
+    /// collapsed; edges between kept nodes are preserved.
+    fn induced_subgraph(&self, keep: &[NodeId]) -> (DiGraph<N>, Vec<Option<NodeId>>)
+    where
+        N: Clone,
+    {
+        let mut remap: Vec<Option<NodeId>> = vec![None; self.node_count()];
+        let mut sub = DiGraph::with_capacity(keep.len());
+        for &old in keep {
+            if old.index() < self.node_count() && remap[old.index()].is_none() {
+                remap[old.index()] = Some(sub.add_node(self.payloads[old.index()].clone()));
+            }
+        }
+        for (from, to) in self.edges() {
+            if let (Some(nf), Some(nt)) = (remap[from.index()], remap[to.index()]) {
+                // Both endpoints kept: the edge survives. Safe to unwrap —
+                // endpoints were just added and are distinct.
+                let _ = sub.add_edge(nf, nt);
+            }
+        }
+        (sub, remap)
+    }
+
+    /// Constructs a graph from `n` payloads and an edge list.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`GraphError`] from [`DiGraph::add_edge`].
+    pub(crate) fn from_parts(
+        payloads: impl IntoIterator<Item = N>,
+        edges: impl IntoIterator<Item = (usize, usize)>,
+    ) -> Result<DiGraph<N>, GraphError> {
+        let mut g = DiGraph::new();
+        for p in payloads {
+            g.add_node(p);
+        }
+        for (f, t) in edges {
+            g.add_edge(NodeId::from_index(f), NodeId::from_index(t))?;
+        }
+        Ok(g)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,8 +349,8 @@ mod tests {
         assert_eq!(g.predecessors(d), &[b, c]);
         assert_eq!(g.out_degree(a), 2);
         assert_eq!(g.in_degree(a), 0);
-        assert!(g.has_edge(a, b));
-        assert!(!g.has_edge(b, a));
+        assert!(g.successors(a).contains(&b));
+        assert!(!g.successors(b).contains(&a));
     }
 
     #[test]
@@ -398,7 +386,8 @@ mod tests {
     fn sources_and_sinks() {
         let (g, [a, _, _, d]) = diamond();
         assert_eq!(g.sources().collect::<Vec<_>>(), vec![a]);
-        assert_eq!(g.sinks().collect::<Vec<_>>(), vec![d]);
+        let sinks = g.node_ids().filter(|&n| g.out_degree(n) == 0);
+        assert_eq!(sinks.collect::<Vec<_>>(), vec![d]);
     }
 
     #[test]
@@ -406,7 +395,7 @@ mod tests {
         let (g, [a, b, _, d]) = diamond();
         let r = g.reversed();
         assert_eq!(r.sources().collect::<Vec<_>>(), vec![d]);
-        assert!(r.has_edge(b, a));
+        assert!(r.successors(b).contains(&a));
         assert_eq!(r.edge_count(), g.edge_count());
     }
 
@@ -419,7 +408,7 @@ mod tests {
         assert_eq!(sub.edge_count(), 2);
         assert!(remap[2].is_none());
         let (na, nb) = (remap[0].unwrap(), remap[1].unwrap());
-        assert!(sub.has_edge(na, nb));
+        assert!(sub.successors(na).contains(&nb));
         assert_eq!(sub[na], "a");
     }
 

@@ -26,7 +26,7 @@
 //! g.add_edge(search, geo)?;
 //!
 //! assert_eq!(g.sources().collect::<Vec<_>>(), vec![frontend]);
-//! assert!(phoenix_dgraph::topo::is_dag(&g));
+//! assert!(phoenix_dgraph::topo::topo_sort(&g).is_ok());
 //! # Ok::<(), phoenix_dgraph::GraphError>(())
 //! ```
 

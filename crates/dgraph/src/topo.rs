@@ -3,8 +3,8 @@
 //!
 //! Microservice DGs mined from call graphs are *mostly* DAGs, but mutual-call
 //! cycles do occur in real traces; Phoenix therefore needs both a fast
-//! `is_dag` check and an SCC decomposition to condense cycles before
-//! planning.
+//! acyclicity check ([`topo_sort`]) and an SCC decomposition to condense
+//! cycles before planning.
 
 use crate::{DiGraph, GraphError, NodeId};
 
@@ -46,11 +46,6 @@ pub fn topo_sort<N>(graph: &DiGraph<N>) -> Result<Vec<NodeId>, GraphError> {
         let witness = indeg.iter().position(|&d| d > 0).unwrap_or(0);
         Err(GraphError::CycleDetected { witness })
     }
-}
-
-/// Returns `true` when the graph is acyclic.
-pub fn is_dag<N>(graph: &DiGraph<N>) -> bool {
-    topo_sort(graph).is_ok()
 }
 
 /// Longest-path depth of every node from the sources (sources get depth 0).
@@ -199,7 +194,7 @@ mod tests {
             topo_sort(&g),
             Err(GraphError::CycleDetected { .. })
         ));
-        assert!(!is_dag(&g));
+        assert!(topo_sort(&g).is_err());
     }
 
     #[test]
@@ -252,7 +247,7 @@ mod tests {
             DiGraph::from_parts(0..5, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (3, 4)]).unwrap();
         let (cond, comp_of) = condensation(&g);
         assert_eq!(cond.node_count(), 3);
-        assert!(is_dag(&cond));
+        assert!(topo_sort(&cond).is_ok());
         assert_eq!(comp_of[0], comp_of[1]);
         assert_eq!(comp_of[2], comp_of[3]);
         assert_ne!(comp_of[0], comp_of[2]);
@@ -262,7 +257,7 @@ mod tests {
     fn empty_graph_edge_cases() {
         let g: DiGraph<()> = DiGraph::new();
         assert!(topo_sort(&g).unwrap().is_empty());
-        assert!(is_dag(&g));
+        assert!(topo_sort(&g).is_ok());
         assert!(tarjan_scc(&g).is_empty());
         assert!(depth_levels(&g).unwrap().is_empty());
     }

@@ -20,7 +20,10 @@ use crate::{DiGraph, NodeId};
 /// ```
 /// use phoenix_dgraph::{DiGraph, traversal::Dfs};
 ///
-/// let g = DiGraph::from_parts(["r", "a", "b"], [(0, 1), (0, 2)])?;
+/// let mut g = DiGraph::new();
+/// let (r, a, b) = (g.add_node("r"), g.add_node("a"), g.add_node("b"));
+/// g.add_edge(r, a)?;
+/// g.add_edge(r, b)?;
 /// let order: Vec<_> = Dfs::new(&g, g.sources()).map(|n| g[n]).collect();
 /// assert_eq!(order, vec!["r", "a", "b"]);
 /// # Ok::<(), phoenix_dgraph::GraphError>(())
@@ -147,11 +150,6 @@ pub fn ancestors<N>(graph: &DiGraph<N>, node: NodeId) -> Vec<NodeId> {
     out
 }
 
-/// True when every node of the graph is reachable from `starts`.
-pub fn covers_all<N>(graph: &DiGraph<N>, starts: impl IntoIterator<Item = NodeId>) -> bool {
-    reachable_from(graph, starts).iter().all(|&v| v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,8 +196,8 @@ mod tests {
         let (g, [r, _, _, _, d]) = sample();
         let m = reachable_from(&g, [r]);
         assert_eq!(m, vec![true, true, true, true, false]);
-        assert!(!covers_all(&g, [r]));
-        assert!(covers_all(&g, [r, d]));
+        assert!(!reachable_from(&g, [r]).iter().all(|&v| v));
+        assert!(reachable_from(&g, [r, d]).iter().all(|&v| v));
     }
 
     #[test]

@@ -82,11 +82,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|s| (s.at, s.event))
     }
 
-    /// Time of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -127,10 +122,11 @@ mod tests {
     fn peek_and_len() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.pop(), None);
         q.schedule(SimTime::from_secs(9), ());
         q.schedule(SimTime::from_secs(2), ());
         assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
+        assert_eq!(q.pop().map(|(at, _)| at), Some(SimTime::from_secs(2)));
+        assert_eq!(q.len(), 1);
     }
 }

@@ -139,15 +139,6 @@ impl RtoReport {
             .map(|o| o.excess_over_target(horizon))
             .sum()
     }
-
-    /// Worst restoration time among services at exactly `level`.
-    pub fn worst_recovery(&self, level: Criticality) -> Option<SimTime> {
-        self.outages
-            .iter()
-            .filter(|o| o.criticality == level)
-            .map(|o| o.duration().unwrap_or(SimTime::from_secs(u64::MAX / 2000)))
-            .max()
-    }
 }
 
 /// Served-utility summary of a trace around a disruption: how much

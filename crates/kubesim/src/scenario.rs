@@ -118,14 +118,6 @@ impl Scenario {
         }
     }
 
-    /// A cluster with explicit per-node capacities.
-    pub fn with_capacities(node_capacities: Vec<Resources>) -> Scenario {
-        Scenario {
-            node_capacities,
-            events: Vec::new(),
-        }
-    }
-
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.node_capacities.len()
@@ -264,33 +256,6 @@ impl Scenario {
         }
         self
     }
-
-    /// Convenience: stop enough nodes (from the highest id down) at `at` to
-    /// bring healthy capacity to roughly `target_fraction` of total, and
-    /// restart them at `restore_at`. Returns the chosen node ids.
-    ///
-    /// Picking from the top keeps node 0 (where most critical pods land
-    /// first) alive, mirroring the paper's setup where the control-plane
-    /// node survives.
-    pub fn fail_to_capacity_fraction(
-        &mut self,
-        at: SimTime,
-        restore_at: Option<SimTime>,
-        target_fraction: f64,
-    ) -> Vec<u32> {
-        let total: f64 = self.node_capacities.iter().map(|c| c.scalar()).sum();
-        let target = total * target_fraction.clamp(0.0, 1.0);
-        let mut healthy = total;
-        let mut victims = Vec::new();
-        for (i, cap) in self.node_capacities.iter().enumerate().rev() {
-            if healthy - cap.scalar() >= target - 1e-9 {
-                healthy -= cap.scalar();
-                victims.push(i as u32);
-            }
-        }
-        self.outage_at(at, victims.clone(), restore_at);
-        victims
-    }
 }
 
 #[cfg(test)]
@@ -383,20 +348,11 @@ mod tests {
     }
 
     #[test]
-    fn fail_to_fraction_hits_target() {
-        let mut s = Scenario::new(10, Resources::cpu(8.0));
-        let victims = s.fail_to_capacity_fraction(SimTime::from_secs(100), None, 0.42);
-        // 42% of 80 = 33.6 → keep 5 nodes (40), fail 5... keeping >= target.
-        let remaining = 10 - victims.len();
-        assert!(remaining as f64 * 8.0 >= 0.42 * 80.0 - 1e-9);
-        assert!((remaining - 1) as f64 * 8.0 < 0.42 * 80.0);
-        // Victims are the high node ids.
-        assert!(victims.iter().all(|&v| v >= 5));
-    }
-
-    #[test]
     fn heterogeneous_capacities() {
-        let s = Scenario::with_capacities(vec![Resources::cpu(16.0), Resources::cpu(4.0)]);
+        let s = Scenario {
+            node_capacities: vec![Resources::cpu(16.0), Resources::cpu(4.0)],
+            events: Vec::new(),
+        };
         assert_eq!(s.node_count(), 2);
         assert_eq!(s.node_capacities[0].cpu, 16.0);
     }

@@ -138,13 +138,6 @@ pub enum Status {
     FeasibleLimit(LimitKind),
 }
 
-impl Status {
-    /// `true` when the solution is proven optimal.
-    pub fn is_optimal(self) -> bool {
-        matches!(self, Status::Optimal)
-    }
-}
-
 /// Errors (including infeasibility outcomes) from [`Model::solve`].
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -339,30 +332,9 @@ impl Model {
         self.objective = expr;
     }
 
-    /// Number of variables.
-    pub fn num_vars(&self) -> usize {
-        self.vars.len()
-    }
-
-    /// Number of constraints.
-    pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
-    }
-
     /// Name given to `var` at creation.
     pub fn var_name(&self, var: VarId) -> &str {
         &self.vars[var.index()].name
-    }
-
-    /// Kind of `var`.
-    pub fn var_kind(&self, var: VarId) -> VarKind {
-        self.vars[var.index()].kind
-    }
-
-    /// `(lower, upper)` bounds of `var`.
-    pub fn var_bounds(&self, var: VarId) -> (f64, f64) {
-        let v = &self.vars[var.index()];
-        (v.lb, v.ub)
     }
 
     /// All ids of binary variables.
@@ -448,7 +420,8 @@ mod tests {
     fn binary_bounds_clamped() {
         let mut m = Model::new(Sense::Maximize);
         let b = m.add_var("b", VarKind::Binary, -5.0, 9.0);
-        assert_eq!(m.var_bounds(b), (0.0, 1.0));
+        let var = &m.vars[b.index()];
+        assert_eq!((var.lb, var.ub), (0.0, 1.0));
     }
 
     #[test]
@@ -484,6 +457,6 @@ mod tests {
         let m = Model::new(Sense::Minimize);
         let sol = m.solve(&SolveOptions::default()).unwrap();
         assert_eq!(sol.objective, 0.0);
-        assert!(sol.status.is_optimal());
+        assert!(sol.status == Status::Optimal);
     }
 }

@@ -81,7 +81,7 @@ fn dive_off_still_correct_on_small_instances() {
     };
     let off = model.solve(&opts_off).expect("small instance solves");
     let on = model.solve(&SolveOptions::default()).expect("solves");
-    assert!(off.status.is_optimal() && on.status.is_optimal());
+    assert!(off.status == Status::Optimal && on.status == Status::Optimal);
     assert!((off.objective - on.objective).abs() < 1e-6);
 }
 
@@ -95,7 +95,7 @@ fn continuous_vars_untouched_by_dive() {
     m.add_le([(b1, 2.0), (b2, 2.0), (x, 1.0)], 5.5);
     m.set_objective([(b1, 3.0), (b2, 3.0), (x, 1.0)]);
     let sol = m.solve(&SolveOptions::default()).unwrap();
-    assert!(sol.status.is_optimal());
+    assert!(sol.status == Status::Optimal);
     // b1=b2=1 uses 4.0, x=1.5 → 7.5.
     assert!((sol.objective - 7.5).abs() < 1e-6);
     assert!((sol[x] - 1.5).abs() < 1e-6);

@@ -22,7 +22,7 @@ fn basic_lp_maximize() {
     m.add_le([(x, 3.0), (y, 2.0)], 18.0);
     m.set_objective([(x, 3.0), (y, 5.0)]);
     let sol = m.solve(&opts()).unwrap();
-    assert!(sol.status.is_optimal());
+    assert!(sol.status == Status::Optimal);
     assert!((sol.objective - 36.0).abs() < 1e-6);
     assert!((sol[x] - 2.0).abs() < 1e-6);
     assert!((sol[y] - 6.0).abs() < 1e-6);
@@ -122,7 +122,7 @@ fn degenerate_lp_terminates() {
     m.add_le([(x, 1.0)], 10.0);
     m.set_objective([(x, 1.0), (y, 1.0)]);
     let sol = m.solve(&opts()).unwrap();
-    assert!(sol.status.is_optimal());
+    assert!(sol.status == Status::Optimal);
     assert!(m.is_feasible(sol.values(), 1e-6));
 }
 
@@ -136,7 +136,7 @@ fn simple_milp_knapsack() {
     m.add_le([(a, 10.0), (b, 20.0), (c, 30.0)], 50.0);
     m.set_objective([(a, 60.0), (b, 100.0), (c, 120.0)]);
     let sol = m.solve(&opts()).unwrap();
-    assert!(sol.status.is_optimal());
+    assert!(sol.status == Status::Optimal);
     assert!((sol.objective - 220.0).abs() < 1e-6);
     assert!(sol[a] < 0.5 && sol[b] > 0.5 && sol[c] > 0.5);
 }
@@ -221,7 +221,7 @@ fn node_limit_keeps_incumbent() {
     match m.solve(&o) {
         Ok(sol) => {
             assert!(m.is_feasible(sol.values(), 1e-6));
-            if !sol.status.is_optimal() {
+            if sol.status != Status::Optimal {
                 assert!(sol.bound >= sol.objective - 1e-9);
             }
         }
@@ -311,7 +311,7 @@ proptest! {
         m.set_objective(vars.iter().zip(&values).map(|(&v, &c)| (v, c)));
         let sol = m.solve(&opts()).unwrap();
         let reference = knapsack_brute(&values, &weights, cap);
-        prop_assert!(sol.status.is_optimal());
+        prop_assert!(sol.status == Status::Optimal);
         prop_assert!((sol.objective - reference).abs() < 1e-6 * (1.0 + reference),
             "milp={} brute={}", sol.objective, reference);
         prop_assert!(m.is_feasible(sol.values(), 1e-6));
@@ -334,7 +334,7 @@ proptest! {
         }
         m.set_objective(vars.iter().zip(&obj).map(|(&v, &c)| (v, c)));
         let sol = m.solve(&opts()).unwrap();
-        prop_assert!(sol.status.is_optimal());
+        prop_assert!(sol.status == Status::Optimal);
         prop_assert!(m.is_feasible(sol.values(), 1e-6));
         // The optimum must dominate a sample of feasible points: scaled
         // unit vectors pushed to their row limits.

@@ -333,19 +333,6 @@ impl Recorder {
         summarize(&wall.samples[phase as usize])
     }
 
-    /// Zeroes both planes (counters, samples, spans). Used between probe
-    /// sections; clones sharing the store observe the reset.
-    pub fn reset(&self) {
-        if let Some(inner) = &self.0 {
-            for c in &inner.counters {
-                c.store(0, Ordering::Relaxed);
-            }
-            let mut wall = inner.wall.lock().expect("wall plane lock");
-            wall.samples = Default::default();
-            wall.spans.clear();
-        }
-    }
-
     /// Exports both planes as a JSON object.
     ///
     /// The deterministic plane is under `"deterministic"` (counter name →
@@ -515,8 +502,7 @@ mod tests {
         r.gauge_max(Counter::JournalDepthMax, 3);
         assert_eq!(r.counter(Counter::PackPlacements), 3);
         assert_eq!(r.counter(Counter::JournalDepthMax), 5);
-        r.reset();
-        assert_eq!(clone.counter(Counter::PackPlacements), 0);
+        assert_eq!(clone.counter(Counter::PackPlacements), 3);
     }
 
     #[test]

@@ -231,7 +231,7 @@ fn blast_radius(
     let zone = rng.gen_range(0..zones);
     // Even scenarios stripe (zone/PDU), odd ones take contiguous racks
     // (top-of-rack switch).
-    let (outage, restore) = if index % 2 == 0 {
+    let (outage, restore) = if index.is_multiple_of(2) {
         ("zone_outage", "zone_restore")
     } else {
         ("rack_outage", "rack_restore")

@@ -227,7 +227,7 @@ impl ScenarioDoc {
         }
         if self.nodes == 0
             || !self.node_cpu.is_finite()
-            || !(self.node_cpu > 0.0)
+            || self.node_cpu <= 0.0
             || !self.node_mem.is_finite()
             || self.node_mem < 0.0
         {
@@ -287,8 +287,8 @@ impl ScenarioDoc {
                 "demand_surge" => {
                     if !ev.demand_factor.is_finite()
                         || !ev.replica_factor.is_finite()
-                        || !(ev.demand_factor > 0.0)
-                        || !(ev.replica_factor > 0.0)
+                        || ev.demand_factor <= 0.0
+                        || ev.replica_factor <= 0.0
                     {
                         return Err(bad(format!(
                             "demand_surge: factors {} / {}",

@@ -205,8 +205,9 @@ pub type SecondaryObjective<'a> = &'a (dyn Fn(&ScenarioDoc) -> u64 + Sync);
 /// A ready-made [`SecondaryObjective`]: how much served utility the
 /// scenario starves out of `workload` under `policy` — the
 /// baseline-minus-worst deficit of [`evaluate_utility`], in millionths
-/// of a utility unit so the hunt's integer tie-break stays exact. On modal workloads this steers severity ties toward scenarios
-/// that defeat degraded serving too, not just whole-pod availability.
+/// of a utility unit so the hunt's integer tie-break stays exact. On
+/// modal workloads this steers severity ties toward scenarios that
+/// defeat degraded serving too, not just whole-pod availability.
 ///
 /// Deliberately **not** wired in by default: the seed-pinned hunts (and
 /// the persisted regressions they produced) only use it when a caller
@@ -614,10 +615,10 @@ fn fixup(d: &mut ScenarioDoc) {
                 e.factor = e.factor.clamp(0.0, 1.0);
             }
             "demand_surge" => {
-                if !e.demand_factor.is_finite() || !(e.demand_factor > 0.0) {
+                if !e.demand_factor.is_finite() || e.demand_factor <= 0.0 {
                     e.demand_factor = 1.0;
                 }
-                if !e.replica_factor.is_finite() || !(e.replica_factor > 0.0) {
+                if !e.replica_factor.is_finite() || e.replica_factor <= 0.0 {
                     e.replica_factor = 1.0;
                 }
             }

@@ -278,7 +278,7 @@ pub mod arbitrary {
 
     impl<T> Clone for Any<T> {
         fn clone(&self) -> Self {
-            Any(PhantomData)
+            *self
         }
     }
 

@@ -22,7 +22,6 @@ struct Field {
 
 fn parse_input(input: TokenStream) -> (String, Vec<Field>) {
     let mut iter = input.into_iter();
-    let mut name = None;
     // Scan top-level tokens for `struct <Name>`; attribute contents live
     // inside bracket groups (single token trees) so they cannot confuse us.
     for tt in iter.by_ref() {
@@ -36,16 +35,11 @@ fn parse_input(input: TokenStream) -> (String, Vec<Field>) {
             }
         }
     }
-    for tt in iter.by_ref() {
-        match tt {
-            TokenTree::Ident(id) => {
-                name = Some(id.to_string());
-                break;
-            }
-            _ => panic!("serde shim derive: expected struct name"),
-        }
-    }
-    let name = name.expect("serde shim derive: missing struct name");
+    let name = match iter.next() {
+        Some(TokenTree::Ident(id)) => id.to_string(),
+        Some(_) => panic!("serde shim derive: expected struct name"),
+        None => panic!("serde shim derive: missing struct name"),
+    };
     for tt in iter {
         match tt {
             TokenTree::Group(g) if g.delimiter() == Delimiter::Brace => {

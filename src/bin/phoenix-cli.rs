@@ -146,12 +146,13 @@ fn cmd_plan(args: &[String]) -> Result<(), String> {
 
     let plan = policy.plan(&workload, &mut state);
     let (deletes, migrations, starts) = plan.actions.counts();
+    // An empty `f64` sum is -0.0; adding +0.0 prints it as 0.0.
+    let revenue = revenue(&workload, &state) + 0.0;
     println!(
-        "planned in {:?}; {} pods in target; availability {:.2}; revenue {:.1}",
+        "planned in {:?}; {} pods in target; availability {:.2}; revenue {revenue:.1}",
         plan.planning_time,
         state.pod_count(),
         critical_service_availability(&workload, &state),
-        revenue(&workload, &state),
     );
     println!("{deletes} deletes, {migrations} migrations, {starts} starts:");
     for a in &plan.actions.actions {

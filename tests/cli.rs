@@ -76,6 +76,35 @@ fn plan_prints_one_line_per_counted_action() {
     assert_eq!(actions, counted.iter().sum::<usize>(), "{stdout}");
 }
 
+/// A plan that serves nothing earns revenue 0.0, not the -0.0 of an
+/// empty float sum: an empty workload, and Overleaf on one failed node.
+#[test]
+fn plan_serving_nothing_prints_zero_revenue() {
+    let empty = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli_empty_workload.json");
+    std::fs::write(&empty, r#"{"version":1,"apps":[]}"#).expect("write empty workload");
+    let empty = empty.to_str().expect("utf-8 tmp path").to_string();
+    let overleaf = exported_workload("cli_zero_revenue");
+    for args in [
+        vec!["plan", "--workload", &empty],
+        vec![
+            "plan",
+            "--workload",
+            &overleaf,
+            "--nodes",
+            "1",
+            "--cap",
+            "8",
+            "--fail",
+            "1",
+        ],
+    ] {
+        let out = cli(&args);
+        assert!(out.status.success(), "{out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("; revenue 0.0\n"), "{args:?}:\n{stdout}");
+    }
+}
+
 #[test]
 fn out_of_range_numbers_exit_one_naming_the_flag() {
     let workload = exported_workload("cli_out_of_range");
