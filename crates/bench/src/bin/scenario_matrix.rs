@@ -94,8 +94,8 @@ fn main() {
                 .map_or("-".to_string(), |ms| format!("{:.1}s", ms as f64 / 1000.0)),
             // Wall-clock plane (planner-latency SLO): varies run to run,
             // unlike every other column in this table.
-            c.replan_ms_p99
-                .map_or("-".to_string(), |ms| format!("{ms}ms")),
+            c.replan_us_p99
+                .map_or("-".to_string(), |us| format!("{us}µs")),
         ]);
     }
     table.print("Scenario matrix scorecards");

@@ -90,14 +90,13 @@ pub fn node_chaos(
         );
 
         let up_at = |t: SimTime, s: ServiceId| trace.service_up(&workload, 0, s.index() as u32, t);
-        // Critical restoration: first sample after the failure where the
-        // critical goal holds again.
+        // Critical restoration: first sample strictly after the failure
+        // where the critical goal holds again. The goal is evaluated once
+        // per run of equal serving sets.
         let critical_restore = trace
-            .samples
-            .iter()
-            .filter(|smp| smp.at > config.fail_at)
-            .find(|smp| model.critical_goal_met(|s| up_at(smp.at, s)))
-            .map(|smp| smp.at);
+            .serving_runs(config.fail_at + SimTime::from_millis(1))
+            .map(|run| run[0].at)
+            .find(|&at| model.critical_goal_met(|s| up_at(at, s)));
         // Settled harvest: utility at the final sample.
         let settled_utility = trace
             .samples

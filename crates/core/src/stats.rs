@@ -2,7 +2,7 @@
 //!
 //! The implementation lives in `phoenix_obs::stats` — the observability
 //! substrate is the one home for nearest-rank percentile math, so the
-//! latency tables in `phoenix-apps`, the campaign `replan_ms_p99`
+//! latency tables in `phoenix-apps`, the campaign `replan_us_p99`
 //! scoring, the criterion shim's median, and the wall-clock histograms
 //! all agree on the `⌈q·n⌉` convention. This module re-exports it under
 //! the historical `phoenix_core::stats` path.

@@ -217,10 +217,12 @@ pub fn evaluate_utility(trace: &SimTrace, failure_at: SimTime) -> UtilityReport 
 /// only the first episode and its restore are reported, in
 /// `(app, service)` order.
 ///
-/// The cost is one forward walk over the samples from `failure_at` on,
-/// recounting the per-service flags only where a sample's serving set
-/// differs from the previous one — O(distinct serving sets × pods), not
-/// O(samples × replicas × log pods).
+/// The cost is one forward walk over the runs of
+/// [`serving_runs`](SimTrace::serving_runs) from `failure_at` on,
+/// recounting the per-service flags once per run — O(distinct serving
+/// sets × pods), not O(samples × replicas × log pods). A simulated trace
+/// shares one list per run, so finding where a run ends compares
+/// pointers rather than pod lists.
 ///
 /// Blind spot at `t = 0`: with `failure_at == 0` the "before" sample is
 /// the `t = 0` sample itself, which already shows what a `t = 0` event
@@ -551,7 +553,7 @@ mod tests {
         serving.sort();
         TraceSample {
             at: SimTime::from_secs(at_s),
-            serving,
+            serving: serving.into(),
             utility: 0.0,
         }
     }

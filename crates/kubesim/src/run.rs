@@ -3,6 +3,9 @@
 //! traces.
 
 use std::collections::BTreeMap;
+use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 use std::time::Duration;
 
 use phoenix_cluster::{ClusterState, FxHashMap, NodeId, PodKey, Resources};
@@ -103,15 +106,52 @@ impl Milestone {
     }
 }
 
-/// Pods serving user traffic at one sample instant. A sample taken while
-/// the serving set and its weights did not change since the previous one
-/// is a copy of it apart from `at`.
+/// An immutable, reference-counted, sorted list of serving pods. A clone
+/// shares the list: it costs a reference-count bump, not a copy, and `==`
+/// on two handles to one list answers without reading it.
+#[derive(Clone, PartialEq, Eq, Default)]
+pub struct ServingSet(Arc<[PodKey]>);
+
+impl Deref for ServingSet {
+    type Target = [PodKey];
+
+    fn deref(&self) -> &[PodKey] {
+        &self.0
+    }
+}
+
+impl<'a> IntoIterator for &'a ServingSet {
+    type Item = &'a PodKey;
+    type IntoIter = std::slice::Iter<'a, PodKey>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+/// Takes `pods` as given: the caller keeps them sorted.
+impl From<Vec<PodKey>> for ServingSet {
+    fn from(pods: Vec<PodKey>) -> ServingSet {
+        ServingSet(pods.into())
+    }
+}
+
+impl fmt::Debug for ServingSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.0.iter()).finish()
+    }
+}
+
+/// Pods serving user traffic at one sample instant. A sample shares its
+/// serving list with the previous sample exactly when the two lists are
+/// equal; one taken while the serving set and its weights did not change
+/// is the previous sample apart from `at`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceSample {
     /// Sample time.
     pub at: SimTime,
     /// Sorted list of serving pods.
-    pub serving: Vec<PodKey>,
+    pub serving: ServingSet,
     /// Served utility at this instant: every serving pod contributes its
     /// service's current-mode utility weight, normalized by replica count,
     /// so a fully-served service contributes exactly its weight. Mode-less
@@ -126,7 +166,9 @@ pub struct SimTrace {
     /// Serving status over time, one sample per `sample_interval`.
     /// Consecutive samples may be equal apart from `at`: a sample taken
     /// while the serving set and its weights stayed unchanged since the
-    /// previous one is a copy of it, whatever events fired in between.
+    /// previous one shares its list, whatever events fired in between.
+    /// Consecutive samples with equal lists share one allocation, so the
+    /// trace holds one list per [run](SimTrace::serving_runs).
     pub samples: Vec<TraceSample>,
     /// Milestones in time order.
     pub milestones: Vec<Milestone>,
@@ -147,7 +189,9 @@ impl SimTrace {
     /// The samples at or after `t`, cut into maximal runs that share one
     /// serving set: each run opens with a sample whose set differs from
     /// the previous sample's. A walk that scores only the serving set
-    /// scores each run once.
+    /// scores each run once. In a simulated trace the samples of a run
+    /// share one list, so finding a run's end compares pointers, not
+    /// pod lists.
     pub fn serving_runs(&self, t: SimTime) -> impl Iterator<Item = &[TraceSample]> + '_ {
         let first = self.samples.partition_point(|s| s.at < t);
         let mut rest = &self.samples[first..];
@@ -417,6 +461,9 @@ struct Sim<'a> {
     /// deleted pod was unserved when marked `Terminating`). Debug builds
     /// check every sample against [`fresh_sample`](Sim::fresh_sample).
     serving: BTreeMap<PodKey, Option<f64>>,
+    /// Scratch for [`sample`](Sim::sample): the ledger's keys, reused
+    /// across samples.
+    keys: Vec<PodKey>,
     actions_in_flight: usize,
     /// The next monitor tick must replan.
     dirty: bool,
@@ -458,6 +505,7 @@ impl<'a> Sim<'a> {
             degrade_truth: vec![1.0; n],
             pods: FxHashMap::default(),
             serving: BTreeMap::new(),
+            keys: Vec::new(),
             actions_in_flight: 0,
             dirty: false,
             sample_dirty: true,
@@ -891,21 +939,47 @@ impl<'a> Sim<'a> {
         self.finish_action(now);
     }
 
-    /// Records the serving status at `now` from the serving ledger,
-    /// copying the previous sample when the ledger did not change since.
+    /// Records the serving status at `now` from the serving ledger. While
+    /// the ledger did not change, the sample repeats the previous one;
+    /// otherwise one walk of the ledger collects its keys and sums its
+    /// weights, and the previous sample's list is shared when only
+    /// weights moved.
     fn sample(&mut self, now: SimTime) {
         let sample = match self.trace.samples.last() {
             Some(last) if !self.sample_dirty => TraceSample {
                 at: now,
                 ..last.clone()
             },
-            _ => TraceSample {
-                at: now,
-                serving: self.serving.keys().copied().collect(),
-                utility: self.serving.values().flatten().sum(),
-            },
+            last => {
+                self.keys.clear();
+                let keys = &mut self.keys;
+                let utility = self
+                    .serving
+                    .iter()
+                    .filter_map(|(&pod, &weight)| {
+                        keys.push(pod);
+                        weight
+                    })
+                    .sum();
+                let serving = match last {
+                    Some(last) if *last.serving == *self.keys => last.serving.clone(),
+                    _ => ServingSet(self.keys.as_slice().into()),
+                };
+                TraceSample {
+                    at: now,
+                    serving,
+                    utility,
+                }
+            }
         };
         debug_assert_eq!(sample, self.fresh_sample(now), "sample differs at {now}");
+        debug_assert!(
+            self.trace.samples.last().is_none_or(|last| {
+                (last.serving.as_ptr() == sample.serving.as_ptr())
+                    == (*last.serving == *sample.serving)
+            }),
+            "sample at {now} shares its list unlike its content"
+        );
         self.trace.samples.push(sample);
         self.sample_dirty = false;
         self.reschedule(now, self.config.sample_interval, Event::Sample);
@@ -936,7 +1010,7 @@ impl<'a> Sim<'a> {
             .sum();
         TraceSample {
             at: now,
-            serving,
+            serving: serving.into(),
             utility,
         }
     }

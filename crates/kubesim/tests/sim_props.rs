@@ -1,6 +1,8 @@
 //! Property tests: the control-plane simulation never violates capacity,
 //! never serves from dead kubelets, and milestones stay ordered.
 
+use std::collections::BTreeSet;
+
 use phoenix_cluster::Resources;
 use phoenix_core::policies::{DefaultPolicy, PhoenixPolicy, ResiliencePolicy};
 use phoenix_core::spec::{AppSpecBuilder, Workload};
@@ -74,6 +76,16 @@ proptest! {
                 .sum();
             prop_assert!(demand <= nodes as f64 * 4.0 + 1e-9);
         }
+        // Consecutive samples share their list exactly when it is equal,
+        // so the trace holds one list per run of equal serving sets.
+        for win in trace.samples.windows(2) {
+            prop_assert_eq!(
+                win[0].serving.as_ptr() == win[1].serving.as_ptr(),
+                *win[0].serving == *win[1].serving
+            );
+        }
+        let lists: BTreeSet<_> = trace.samples.iter().map(|s| s.serving.as_ptr()).collect();
+        prop_assert_eq!(lists.len(), trace.serving_runs(SimTime::ZERO).count());
     }
 }
 

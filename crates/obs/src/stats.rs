@@ -1,7 +1,7 @@
 //! Nearest-rank percentile math — the one shared implementation.
 //!
 //! Every percentile in the workspace (latency tables in `phoenix-apps`,
-//! campaign `replan_ms_p99` scoring, the criterion shim's median, the
+//! campaign `replan_us_p99` scoring, the criterion shim's median, the
 //! wall-clock histograms in [`crate::hist`]) routes through these two
 //! functions, so the ⌈q·n⌉ nearest-rank convention cannot drift between
 //! copies.

@@ -80,7 +80,8 @@ pub struct RunScore {
     /// Number of plans the agent produced.
     pub plans: u32,
     /// Nearest-rank p99 of this run's in-sim replan latencies
-    /// (milliseconds); `None` when the run never replanned.
+    /// (microseconds: a replan at campaign sizes takes well under a
+    /// millisecond); `None` when the run never replanned.
     ///
     /// **Wall-clock plane**: planner latency is scheduling truth, not a
     /// function of the inputs, so this field is excluded from
@@ -88,12 +89,12 @@ pub struct RunScore {
     /// check — exactly like `SweepPoint::plan_secs`. Additive in score
     /// documents (serde-defaulted, omitted when absent).
     #[serde(default, skip_serializing_if = "is_none_u64")]
-    pub replan_ms_p99: Option<u64>,
+    pub replan_us_p99: Option<u64>,
 }
 
 impl RunScore {
     /// Deterministic-plane equality: every field except the wall-clock
-    /// [`replan_ms_p99`](RunScore::replan_ms_p99). This is what the
+    /// [`replan_us_p99`](RunScore::replan_us_p99). This is what the
     /// thread-invariance tests and the determinism probe compare.
     pub fn same_results(&self, other: &RunScore) -> bool {
         let project = |s: &RunScore| {
@@ -143,17 +144,17 @@ pub struct FamilyScorecard {
     /// Worst C1 restoration across the cell (milliseconds).
     #[serde(default, skip_serializing_if = "is_none_u64")]
     pub worst_c1_recovery_ms: Option<u64>,
-    /// Worst per-run replan-latency p99 across the cell (milliseconds) —
+    /// Worst per-run replan-latency p99 across the cell (microseconds) —
     /// the planner-latency SLO the campaign scores. Wall-clock plane:
     /// excluded from [`same_results`](FamilyScorecard::same_results) and
     /// every determinism check. Additive (serde-defaulted).
     #[serde(default, skip_serializing_if = "is_none_u64")]
-    pub replan_ms_p99: Option<u64>,
+    pub replan_us_p99: Option<u64>,
 }
 
 impl FamilyScorecard {
     /// Deterministic-plane equality: every field except the wall-clock
-    /// [`replan_ms_p99`](FamilyScorecard::replan_ms_p99).
+    /// [`replan_us_p99`](FamilyScorecard::replan_us_p99).
     pub fn same_results(&self, other: &FamilyScorecard) -> bool {
         let project = |c: &FamilyScorecard| {
             (
@@ -355,14 +356,14 @@ pub fn run_campaign(
         // Wall-clock plane: per-cell replan-latency p99, computed from
         // this run's own samples (not the global recorder — cells run in
         // parallel and must not see each other's latencies).
-        let replan_ms_p99 = {
-            let mut ms: Vec<u64> = trace
+        let replan_us_p99 = {
+            let mut us: Vec<u64> = trace
                 .plans
                 .iter()
-                .map(|&(_, d)| u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
+                .map(|&(_, d)| u64::try_from(d.as_micros()).unwrap_or(u64::MAX))
                 .collect();
-            ms.sort_unstable();
-            (!ms.is_empty()).then(|| ms[phoenix_obs::stats::percentile_index(ms.len(), 0.99)])
+            us.sort_unstable();
+            (!us.is_empty()).then(|| us[phoenix_obs::stats::percentile_index(us.len(), 0.99)])
         };
 
         let utility = evaluate_utility(&trace, disruption);
@@ -389,7 +390,7 @@ pub fn run_campaign(
             min_utility: utility.worst_fraction(),
             final_utility,
             plans: trace.plans.len() as u32,
-            replan_ms_p99,
+            replan_us_p99,
         }
     });
 
@@ -421,7 +422,7 @@ fn aggregate(scores: &[RunScore]) -> Vec<FamilyScorecard> {
                     mean_min_utility: 0.0,
                     mean_final_utility: 0.0,
                     worst_c1_recovery_ms: None,
-                    replan_ms_p99: None,
+                    replan_us_p99: None,
                 });
                 cards.last_mut().expect("just pushed")
             }
@@ -436,7 +437,7 @@ fn aggregate(scores: &[RunScore]) -> Vec<FamilyScorecard> {
         card.mean_final_utility += s.final_utility;
         card.worst_c1_recovery_ms = card.worst_c1_recovery_ms.max(s.worst_c1_recovery_ms);
         // Worst run bounds the cell: the planner-latency SLO is a ceiling.
-        card.replan_ms_p99 = card.replan_ms_p99.max(s.replan_ms_p99);
+        card.replan_us_p99 = card.replan_us_p99.max(s.replan_us_p99);
     }
     for c in &mut cards {
         let n = f64::from(c.scenarios.max(1));
@@ -505,7 +506,7 @@ mod tests {
         let run = |threads| with_threads(threads, || run_campaign(&w, &suite, &roster(), &cfg));
         let (seq, par) = (run(1).unwrap(), run(4).unwrap());
         assert_eq!(seq.scores.len(), par.scores.len());
-        // Deterministic-plane projection: `replan_ms_p99` is wall-clock
+        // Deterministic-plane projection: `replan_us_p99` is wall-clock
         // (planner latency genuinely varies with the thread count), so
         // the comparison goes through `same_results`, not `==`.
         for (a, b) in seq.scores.iter().zip(&par.scores) {
@@ -519,6 +520,29 @@ mod tests {
         assert_eq!(seq.scorecards.len(), par.scorecards.len());
         for (a, b) in seq.scorecards.iter().zip(&par.scorecards) {
             assert!(a.same_results(b), "{a:?} vs {b:?}");
+        }
+    }
+
+    #[test]
+    fn replanned_cells_report_nonzero_replan_latency() {
+        let suite = generate_suite(&small_cfg());
+        let out = run_campaign(
+            &demo_workload(2),
+            &suite,
+            &roster(),
+            &CampaignConfig::default(),
+        )
+        .unwrap();
+        let replanned: Vec<_> = out.scores.iter().filter(|s| s.plans > 0).collect();
+        assert!(!replanned.is_empty());
+        for s in replanned {
+            assert!(
+                s.replan_us_p99.is_some_and(|us| us > 0),
+                "{} under {}: {:?}",
+                s.scenario,
+                s.policy,
+                s.replan_us_p99
+            );
         }
     }
 

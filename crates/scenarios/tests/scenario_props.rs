@@ -67,7 +67,7 @@ proptest! {
             prop_assert_eq!(a.worst_c1_recovery_ms, b.worst_c1_recovery_ms);
             prop_assert_eq!(a.rto_satisfied, b.rto_satisfied);
         }
-        // `same_results`, not `==`: `replan_ms_p99` is wall-clock (the
+        // `same_results`, not `==`: `replan_us_p99` is wall-clock (the
         // phoenix-obs quarantined plane) and may differ between runs.
         prop_assert_eq!(seq.scorecards.len(), par.scorecards.len());
         for (a, b) in seq.scorecards.iter().zip(&par.scorecards) {
@@ -149,7 +149,7 @@ fn fixed_seed_campaign_four_by_five_is_pool_invariant() {
     let cfg = CampaignConfig::default();
     let run = |threads| with_threads(threads, || run_campaign(&w, &suite, &policies, &cfg));
     let (seq, par) = (run(1).unwrap(), run(4).unwrap());
-    // `same_results`, not `==`: `replan_ms_p99` is wall-clock (the
+    // `same_results`, not `==`: `replan_us_p99` is wall-clock (the
     // phoenix-obs quarantined plane) and may differ between runs.
     assert_eq!(seq.scorecards.len(), par.scorecards.len());
     for (a, b) in seq.scorecards.iter().zip(&par.scorecards) {
