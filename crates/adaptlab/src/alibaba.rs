@@ -70,14 +70,15 @@ pub struct AlibabaConfig {
     pub max_services: usize,
     /// Requests served by the most popular app (≈1.3 M in the paper).
     pub max_requests: f64,
-    /// Single-upstream fraction target for the top-4 apps (≈0.74).
-    pub top_single_upstream: f64,
-    /// Single-upstream fraction target for the rest (≈0.97; the small apps
-    /// are almost pure trees, pulling the paper's overall mix to 0.82).
-    pub rest_single_upstream: f64,
-    /// Zipf exponent for template popularity.
-    pub template_zipf: f64,
 }
+
+/// Single-upstream fraction target for the top-4 apps (≈0.74).
+const TOP_SINGLE_UPSTREAM: f64 = 0.74;
+/// Single-upstream fraction target for the rest (≈0.97; the small apps
+/// are almost pure trees, pulling the paper's overall mix to 0.82).
+const REST_SINGLE_UPSTREAM: f64 = 0.97;
+/// Zipf exponent for template popularity.
+const TEMPLATE_ZIPF: f64 = 1.25;
 
 impl Default for AlibabaConfig {
     fn default() -> AlibabaConfig {
@@ -85,9 +86,6 @@ impl Default for AlibabaConfig {
             apps: 18,
             max_services: 3000,
             max_requests: 1_300_000.0,
-            top_single_upstream: 0.74,
-            rest_single_upstream: 0.97,
-            template_zipf: 1.25,
         }
     }
 }
@@ -123,11 +121,11 @@ pub fn generate<R: Rng + ?Sized>(rng: &mut R, cfg: &AlibabaConfig) -> Vec<TraceA
         .enumerate()
         .map(|(i, (&size, &requests))| {
             let single_upstream = if i < 4 {
-                cfg.top_single_upstream
+                TOP_SINGLE_UPSTREAM
             } else {
-                cfg.rest_single_upstream
+                REST_SINGLE_UPSTREAM
             };
-            generate_app(rng, i, size, requests, single_upstream, cfg.template_zipf)
+            generate_app(rng, i, size, requests, single_upstream)
         })
         .collect()
 }
@@ -138,7 +136,6 @@ fn generate_app<R: Rng + ?Sized>(
     size: usize,
     requests: f64,
     single_upstream: f64,
-    zipf: f64,
 ) -> TraceApp {
     let graph = attachment_dag(
         rng,
@@ -150,7 +147,7 @@ fn generate_app<R: Rng + ?Sized>(
             hub_bias: 0.7,
         },
     );
-    let templates = generate_templates(rng, &graph, requests, zipf);
+    let templates = generate_templates(rng, &graph, requests);
     TraceApp {
         name: format!("App{}", index + 1),
         graph,
@@ -169,7 +166,6 @@ fn generate_templates<R: Rng + ?Sized>(
     rng: &mut R,
     graph: &DiGraph<usize>,
     requests: f64,
-    zipf: f64,
 ) -> Vec<CallTemplate> {
     let n = graph.node_count();
     let count = (n / 3).clamp(4, 400);
@@ -233,7 +229,7 @@ fn generate_templates<R: Rng + ?Sized>(
     // "most call graphs small" hold in the weighted distribution too.
     templates.sort_by_key(Vec::len);
     let raw: Vec<f64> = (0..templates.len())
-        .map(|r| 1.0 / ((r + 1) as f64).powf(zipf))
+        .map(|r| 1.0 / ((r + 1) as f64).powf(TEMPLATE_ZIPF))
         .collect();
     let total: f64 = raw.iter().sum();
     templates
@@ -311,7 +307,6 @@ mod tests {
             apps: 8,
             max_services: 400,
             max_requests: 100_000.0,
-            ..AlibabaConfig::default()
         }
     }
 

@@ -13,10 +13,9 @@ use phoenix_cluster::{ClusterState, PodKey};
 use phoenix_core::spec::Workload;
 use phoenix_core::tags::Criticality;
 use phoenix_core::waterfill::fair_share_deviation;
-use serde::{Deserialize, Serialize};
 
 /// All metrics of one (policy, failure) evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SchemeMetrics {
     /// Fraction of apps with every `C1` microservice active.
     pub availability: f64,

@@ -145,7 +145,6 @@ mod tests {
                 apps: 5,
                 max_services: 100,
                 max_requests: 60_000.0,
-                ..AlibabaConfig::default()
             },
             seed: 17,
             ..EnvConfig::default()
@@ -192,8 +191,8 @@ mod tests {
         // baseline and ahead of no-op adaptation.
         let e = env();
         let phx = replay(&e, &PhoenixPolicy::fair(), &script(), 600.0, 15.0, 3);
-        let fair = replay(&e, &FairPolicy::default(), &script(), 600.0, 15.0, 3);
-        let prio = replay(&e, &PriorityPolicy::default(), &script(), 600.0, 15.0, 3);
+        let fair = replay(&e, &FairPolicy, &script(), 600.0, 15.0, 3);
+        let prio = replay(&e, &PriorityPolicy, &script(), 600.0, 15.0, 3);
         let best = fair.total_requests.max(prio.total_requests);
         assert!(phx.total_requests > 0.0);
         assert!(

@@ -94,7 +94,6 @@ mod tests {
                 apps: 1,
                 max_services: 300,
                 max_requests: 200_000.0,
-                ..AlibabaConfig::default()
             },
         )
         .remove(0)

@@ -11,18 +11,16 @@
 //! thread count** (see the tests; wall-clock `plan_secs` is the one
 //! field that is never reproducible, threaded or not).
 
-use phoenix_cluster::failure::{fail_fraction, fail_zones};
+use phoenix_cluster::failure::fail_fraction;
 use phoenix_core::policies::ResiliencePolicy;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-use serde::{Deserialize, Serialize};
 
 use crate::metrics::{evaluate, revenue, SchemeMetrics};
 use crate::scenario::{build_env, EnvConfig};
 
 /// Averaged metrics for one `(policy, failure level)` cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
     /// Policy display name.
     pub policy: String,
@@ -43,20 +41,6 @@ impl SweepPoint {
     }
 }
 
-/// How victims are chosen at each failure level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FailureModel {
-    /// Uniformly random nodes (the paper's sweeps).
-    #[default]
-    Random,
-    /// Whole zones at a time (rack/PDU blast radius), with the given zone
-    /// count striped over node ids.
-    Zoned {
-        /// Number of zones in the cluster.
-        zones: usize,
-    },
-}
-
 /// Sweep configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepConfig {
@@ -65,8 +49,6 @@ pub struct SweepConfig {
     /// Number of independent trials (seeds); the paper averages 5.
     /// `0` is clamped to one trial.
     pub trials: u32,
-    /// Victim selection model.
-    pub failure_model: FailureModel,
 }
 
 impl SweepConfig {
@@ -83,7 +65,6 @@ impl Default for SweepConfig {
         SweepConfig {
             failure_fracs: (1..=9).map(|i| i as f64 / 10.0).collect(),
             trials: 5,
-            failure_model: FailureModel::Random,
         }
     }
 }
@@ -110,14 +91,7 @@ fn sweep_trial(
     for (fi, &frac) in sweep.failure_fracs.iter().enumerate() {
         env.baseline.restore_to(&pristine);
         let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_mul(31).wrapping_add(fi as u64));
-        match sweep.failure_model {
-            FailureModel::Random => {
-                fail_fraction(&mut env.baseline, frac, &mut rng);
-            }
-            FailureModel::Zoned { zones } => {
-                fail_zones(&mut env.baseline, zones.max(1), frac, &mut rng);
-            }
-        }
+        fail_fraction(&mut env.baseline, frac, &mut rng);
 
         for policy in policies {
             let mut target = env.baseline.clone();
@@ -196,7 +170,7 @@ pub fn failure_sweep(
 }
 
 /// One `(scenario, policy)` cell of a [`scripted_sweep`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScriptedPoint {
     /// Scenario name.
     pub scenario: String,
@@ -374,25 +348,6 @@ fn peak_outage_state(
     (failed, workload)
 }
 
-/// Serializes sweep results to pretty JSON (for plotting pipelines).
-///
-/// # Errors
-///
-/// Returns the underlying `serde_json` error on failure (cannot happen
-/// for valid points).
-pub fn to_json(points: &[SweepPoint]) -> Result<String, serde_json::Error> {
-    serde_json::to_string_pretty(points)
-}
-
-/// Restores sweep results from JSON.
-///
-/// # Errors
-///
-/// Returns the underlying `serde_json` error on malformed input.
-pub fn from_json(json: &str) -> Result<Vec<SweepPoint>, serde_json::Error> {
-    serde_json::from_str(json)
-}
-
 /// Convenience accessor: the point for `(policy, frac)`.
 pub fn point<'a>(points: &'a [SweepPoint], policy: &str, frac: f64) -> Option<&'a SweepPoint> {
     points
@@ -420,7 +375,6 @@ mod tests {
                 apps: 5,
                 max_services: 80,
                 max_requests: 40_000.0,
-                ..AlibabaConfig::default()
             },
             seed: 3,
         }
@@ -430,8 +384,8 @@ mod tests {
         vec![
             Box::new(PhoenixPolicy::cost()),
             Box::new(PhoenixPolicy::fair()),
-            Box::new(PriorityPolicy::default()),
-            Box::new(FairPolicy::default()),
+            Box::new(PriorityPolicy),
+            Box::new(FairPolicy),
             Box::new(DefaultPolicy),
         ]
     }
@@ -443,7 +397,6 @@ mod tests {
             &SweepConfig {
                 failure_fracs: vec![0.1, 0.5, 0.8],
                 trials: 2,
-                ..SweepConfig::default()
             },
             &roster(),
         );
@@ -497,32 +450,12 @@ mod tests {
     }
 
     #[test]
-    fn zoned_failures_run_and_phoenix_still_leads() {
-        let points = failure_sweep(
-            &quick_env(),
-            &SweepConfig {
-                failure_fracs: vec![0.5],
-                trials: 1,
-                failure_model: FailureModel::Zoned { zones: 8 },
-            },
-            &roster(),
-        );
-        let phx = point(&points, "PhoenixFair", 0.5)
-            .unwrap()
-            .metrics
-            .availability;
-        let dfl = point(&points, "Default", 0.5).unwrap().metrics.availability;
-        assert!(phx >= dfl, "zoned: {phx} < {dfl}");
-    }
-
-    #[test]
     fn sweep_is_thread_count_invariant() {
         // Everything except wall-clock plan_secs must be byte-identical
         // between a sequential and an oversubscribed parallel run.
         let cfg = SweepConfig {
             failure_fracs: vec![0.2, 0.6],
             trials: 3,
-            ..SweepConfig::default()
         };
         let run = |threads| with_threads(threads, || failure_sweep(&quick_env(), &cfg, &roster()));
         let (seq, par) = (run(1), run(4));
@@ -544,7 +477,6 @@ mod tests {
         let cfg = SweepConfig {
             failure_fracs: vec![0.5],
             trials: 0,
-            ..SweepConfig::default()
         };
         assert_eq!(cfg.effective_trials(), 1);
         let points = failure_sweep(
@@ -554,22 +486,6 @@ mod tests {
         );
         assert_eq!(points.len(), 1);
         assert!(points[0].metrics.availability.is_finite());
-    }
-
-    #[test]
-    fn sweep_results_round_trip_through_json() {
-        let points = failure_sweep(
-            &quick_env(),
-            &SweepConfig {
-                failure_fracs: vec![0.5],
-                trials: 1,
-                ..SweepConfig::default()
-            },
-            &[Box::new(PhoenixPolicy::fair()) as Box<dyn ResiliencePolicy>],
-        );
-        let json = to_json(&points).unwrap();
-        let restored = from_json(&json).unwrap();
-        assert_eq!(points, restored);
     }
 
     #[test]
@@ -634,7 +550,6 @@ mod tests {
             &SweepConfig {
                 failure_fracs: vec![0.0],
                 trials: 1,
-                ..SweepConfig::default()
             },
             &[Box::new(PhoenixPolicy::fair()) as Box<dyn ResiliencePolicy>],
         );

@@ -59,13 +59,6 @@ pub struct AdaptLabEnv {
     pub instance_of: Vec<usize>,
 }
 
-impl AdaptLabEnv {
-    /// Total scalar capacity of the healthy cluster.
-    pub fn total_capacity(&self) -> f64 {
-        self.baseline.total_capacity().scalar()
-    }
-}
-
 /// Builds an environment: generate traces, size + tag them, instantiate
 /// app copies until the utilization target, and place everything.
 ///
@@ -177,7 +170,6 @@ mod tests {
                 apps: 6,
                 max_services: 120,
                 max_requests: 50_000.0,
-                ..AlibabaConfig::default()
             },
             ..EnvConfig::default()
         }
@@ -208,8 +200,8 @@ mod tests {
             let template = &env.trace[env.instance_of[i]];
             assert_eq!(app.service_count(), template.graph.node_count());
             assert_eq!(
-                app.dependency().unwrap().edge_count(),
-                template.graph.edge_count()
+                app.dependency().unwrap().edges().count(),
+                template.graph.edges().count()
             );
         }
     }

@@ -129,7 +129,7 @@ fn frequency_based_c1(app: &TraceApp, percentile: f64) -> Vec<bool> {
 /// Services with exactly one upstream caller — the §3.2 "stub"
 /// microservices (74 % of the top-4 apps, 82 % overall in the Alibaba
 /// analysis).
-pub fn single_upstream_stubs(app: &TraceApp) -> Vec<bool> {
+fn single_upstream_stubs(app: &TraceApp) -> Vec<bool> {
     app.graph
         .node_ids()
         .map(|n| app.graph.in_degree(n) == 1)
@@ -204,7 +204,6 @@ mod tests {
                 apps: 1,
                 max_services: 250,
                 max_requests: 150_000.0,
-                ..AlibabaConfig::default()
             },
         )
         .remove(0)

@@ -19,7 +19,6 @@ fn trace_app(seed: u64, services: usize) -> phoenix_adaptlab::alibaba::TraceApp 
             apps: 1,
             max_services: services.max(10),
             max_requests: 50_000.0,
-            ..AlibabaConfig::default()
         },
     )
     .remove(0)

@@ -50,17 +50,6 @@ pub enum SheddingPolicy {
     PriorityAware,
 }
 
-impl SheddingPolicy {
-    /// Label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            SheddingPolicy::None => "no-shedding",
-            SheddingPolicy::Uniform => "uniform-shed",
-            SheddingPolicy::PriorityAware => "priority-shed",
-        }
-    }
-}
-
 /// Quality-of-service dimming policy.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum QosPolicy {
@@ -75,16 +64,6 @@ pub enum QosPolicy {
         /// Harvest multiplier in degraded mode (0 ≤ factor ≤ 1).
         utility_factor: f64,
     },
-}
-
-impl QosPolicy {
-    /// Label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            QosPolicy::Full => "full-qos",
-            QosPolicy::DimUnderOverload { .. } => "dimmed-qos",
-        }
-    }
 }
 
 /// The load/capacity situation an app faces after a failure.
@@ -357,7 +336,7 @@ mod tests {
         ] {
             let out = shed(&m, all_up, &scenario, policy, QosPolicy::Full);
             let s = summarize(&m, &out);
-            assert_eq!(s.served_rps, 200.0, "{}", policy.label());
+            assert_eq!(s.served_rps, 200.0, "{policy:?}");
             assert_eq!(s.critical_served_frac, 1.0);
         }
     }
@@ -541,21 +520,5 @@ mod tests {
         assert_eq!(out[1].served_rps, 140.0);
         let s = summarize(&m, &out);
         assert_eq!(s.critical_served_frac, 0.0);
-    }
-
-    #[test]
-    fn labels_are_stable() {
-        assert_eq!(SheddingPolicy::None.label(), "no-shedding");
-        assert_eq!(SheddingPolicy::Uniform.label(), "uniform-shed");
-        assert_eq!(SheddingPolicy::PriorityAware.label(), "priority-shed");
-        assert_eq!(QosPolicy::Full.label(), "full-qos");
-        assert_eq!(
-            QosPolicy::DimUnderOverload {
-                cost_factor: 0.5,
-                utility_factor: 0.8
-            }
-            .label(),
-            "dimmed-qos"
-        );
     }
 }

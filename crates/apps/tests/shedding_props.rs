@@ -80,8 +80,7 @@ proptest! {
             }
             prop_assert!(
                 total <= capacity + 1e-6,
-                "{}: served {total} > capacity {capacity}",
-                policy.label()
+                "{policy:?}: served {total} > capacity {capacity}"
             );
         }
     }
@@ -93,7 +92,7 @@ proptest! {
         let scenario = OverloadScenario { load_multiplier: multiplier, capacity_rps: offered + 1.0 };
         for policy in POLICIES {
             let s = summarize(&model, &shed(&model, |_| true, &scenario, policy, QosPolicy::Full));
-            prop_assert!((s.served_rps - offered).abs() < 1e-6, "{}", policy.label());
+            prop_assert!((s.served_rps - offered).abs() < 1e-6, "{:?}", policy);
             prop_assert!((s.critical_served_frac - 1.0).abs() < 1e-9);
         }
     }
@@ -113,8 +112,8 @@ proptest! {
                 let s = summarize(&model, &shed(&model, |_| true, &scenario, policy, QosPolicy::Full));
                 prop_assert!(
                     s.served_rps >= last - 1e-6,
-                    "{}: goodput fell from {last} to {} at capacity {c}",
-                    policy.label(),
+                    "{:?}: goodput fell from {last} to {} at capacity {c}",
+                    policy,
                     s.served_rps
                 );
                 last = s.served_rps;
@@ -164,7 +163,7 @@ proptest! {
         for policy in [SheddingPolicy::Uniform, SheddingPolicy::PriorityAware] {
             let full = summarize(&model, &shed(&model, |_| true, &scenario, policy, QosPolicy::Full));
             let dimmed = summarize(&model, &shed(&model, |_| true, &scenario, policy, dim));
-            prop_assert!(dimmed.served_rps >= full.served_rps - 1e-6, "{}", policy.label());
+            prop_assert!(dimmed.served_rps >= full.served_rps - 1e-6, "{:?}", policy);
         }
         let demand: f64 = model.requests.iter().map(|r| r.rate_rps).sum::<f64>() * multiplier;
         if demand * cost_factor > capacity {

@@ -56,7 +56,6 @@ fn bench_inference(c: &mut Criterion) {
             apps: 1,
             max_services: 1000,
             max_requests: 500_000.0,
-            ..AlibabaConfig::default()
         },
     );
     let log = synthesize_log(&apps[0], &LogConfig { sample_rate: 0.05 }, &mut rng);

@@ -12,7 +12,7 @@ use phoenix_cluster::failure::fail_fraction;
 use phoenix_cluster::packing::{FitStrategy, PackingConfig};
 use phoenix_cluster::ClusterState;
 use phoenix_core::actions::Action;
-use phoenix_core::audit::{audit_workload, blast_radius, inflate_tags, AuditConfig};
+use phoenix_core::audit::{audit_workload, blast_radius, inflate_tags};
 use phoenix_core::controller::{plan_with, PhoenixConfig, PhoenixController};
 use phoenix_core::objectives::{CriticalityObjective, ObjectiveKind};
 use phoenix_core::planner::{PlannerConfig, Traversal};
@@ -76,7 +76,6 @@ pub(super) fn fig7(scale: Scale, seed: Option<u64>, out: &mut String) -> Vec<Cla
     let sweep = SweepConfig {
         failure_fracs: fracs.clone(),
         trials,
-        ..SweepConfig::default()
     };
     let roster = standard_roster();
     let points = failure_sweep(&env, &sweep, &roster);
@@ -154,8 +153,8 @@ pub(super) fn fig8a(scale: Scale, seed: Option<u64>, out: &mut String) -> Vec<Cl
     let policies: Vec<Box<dyn ResiliencePolicy>> = vec![
         Box::new(PhoenixPolicy::fair()),
         Box::new(PhoenixPolicy::cost()),
-        Box::new(PriorityPolicy::default()),
-        Box::new(FairPolicy::default()),
+        Box::new(PriorityPolicy),
+        Box::new(FairPolicy),
         Box::new(DefaultPolicy),
     ];
     let results: Vec<_> = policies
@@ -268,7 +267,6 @@ pub(super) fn fig10_16(scale: Scale, _: Option<u64>, out: &mut String) -> Vec<Cl
             let sweep = SweepConfig {
                 failure_fracs: fracs.clone(),
                 trials: scale.pick(1, 2, 2),
-                ..SweepConfig::default()
             };
             let roster = standard_roster();
             let points = failure_sweep(&env, &sweep, &roster);
@@ -433,7 +431,7 @@ pub(super) fn adversarial(scale: Scale, _: Option<u64>, out: &mut String) -> Vec
     // The audit sees the inflated submission.
     let mut submitted: Vec<_> = env.workload.apps().map(|(_, a)| a.clone()).collect();
     submitted[inflator.index()] = inflate_tags(&submitted[inflator.index()]);
-    let report = audit_workload(&Workload::new(submitted), &AuditConfig::default());
+    let report = audit_workload(&Workload::new(submitted));
     let flagged = report
         .suspicious()
         .any(|a| a.app == inflator && !a.findings.is_empty());

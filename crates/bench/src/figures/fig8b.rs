@@ -64,7 +64,6 @@ fn measure_sweep(nodes: usize, trials: u32) -> (Duration, Duration) {
     let sweep = SweepConfig {
         failure_fracs: vec![0.2, 0.5, 0.8],
         trials,
-        ..SweepConfig::default()
     };
     let roster: Vec<Box<dyn ResiliencePolicy>> = vec![
         Box::new(PhoenixPolicy::cost()),
@@ -194,7 +193,6 @@ pub(super) fn fig8b(scale: Scale, _: Option<u64>, out: &mut String) -> Vec<Claim
                     apps: 8,
                     max_services: 16,
                     max_requests: 50_000.0,
-                    ..AlibabaConfig::default()
                 },
                 seed: 5,
                 ..EnvConfig::default()

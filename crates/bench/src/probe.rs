@@ -16,8 +16,8 @@ use phoenix_adaptlab::scenario::EnvConfig;
 use phoenix_apps::hotel::{hotel, HotelVariant};
 use phoenix_apps::instances::{cloudlab_capacities, cloudlab_workload};
 use phoenix_apps::overleaf::{overleaf, OverleafVariant};
+use phoenix_chaos::audit_tags;
 use phoenix_chaos::node_chaos::{node_chaos, NodeChaosConfig};
-use phoenix_chaos::{audit_tags, ChaosConfig};
 use phoenix_cluster::failure::{fail_fraction, restore_all};
 use phoenix_cluster::{ClusterState, NodeId, PodKey, Resources};
 use phoenix_core::controller::{PhoenixConfig, PhoenixController, PlanResult};
@@ -160,7 +160,6 @@ fn env(nodes: usize, apps: usize, max_services: usize, max_requests: f64, seed: 
             apps,
             max_services,
             max_requests,
-            ..AlibabaConfig::default()
         },
         seed,
         ..EnvConfig::default()
@@ -246,7 +245,6 @@ fn sweep(out: &mut String) {
     let sweep = SweepConfig {
         failure_fracs: vec![0.1, 0.5, 0.8],
         trials: 3,
-        ..SweepConfig::default()
     };
     for p in failure_sweep(&env, &sweep, &standard_roster()) {
         out.line(format!(
@@ -449,7 +447,7 @@ fn audit(out: &mut String) {
         overleaf("overleaf", OverleafVariant::Edits, 1.0),
         hotel("hr", HotelVariant::Reserve, 1.0),
     ] {
-        let report = audit_tags(&model, &ChaosConfig::default());
+        let report = audit_tags(&model);
         for d in &report.degrees {
             out.line(format!(
                 "audit {} degree={:.2} retained={} utility={} killed={:?}",
@@ -558,7 +556,6 @@ fn obs(out: &mut String) {
         let sweep = SweepConfig {
             failure_fracs: vec![0.5],
             trials: 2,
-            ..SweepConfig::default()
         };
         failure_sweep(&env(12, 3, 20, 10_000.0, 5), &sweep, &standard_roster());
     });

@@ -17,14 +17,14 @@
 //!
 //! ```
 //! use phoenix_apps::hotel::{hotel, HotelVariant};
-//! use phoenix_chaos::{audit_tags, ChaosConfig};
+//! use phoenix_chaos::audit_tags;
 //!
 //! let shipped = hotel("hr", HotelVariant::Reserve, 1.0);
-//! let report = audit_tags(&shipped, &ChaosConfig::default());
+//! let report = audit_tags(&shipped);
 //! assert!(!report.violations.is_empty());
 //!
 //! let patched = shipped.patched();
-//! assert!(audit_tags(&patched, &ChaosConfig::default()).violations.is_empty());
+//! assert!(audit_tags(&patched).violations.is_empty());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -37,26 +37,14 @@ use phoenix_apps::AppModel;
 use phoenix_core::spec::ServiceId;
 use phoenix_core::tags::Criticality;
 
-/// Chaos-audit configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosConfig {
-    /// Degrees of failure to sweep: fraction of *sheddable* (non-C1)
-    /// services turned off, least critical first (the order the Phoenix
-    /// planner would shed them).
-    pub degrees: Vec<f64>,
-    /// Services at this level or less critical are expected to be safely
-    /// sheddable; shedding a more critical one is out of scope.
-    pub sheddable_from: Criticality,
-}
+/// Degrees of failure the audit sweeps: fraction of *sheddable* (non-C1)
+/// services turned off, least critical first (the order the Phoenix
+/// planner would shed them).
+const DEGREES: [f64; 4] = [0.25, 0.5, 0.75, 1.0];
 
-impl Default for ChaosConfig {
-    fn default() -> ChaosConfig {
-        ChaosConfig {
-            degrees: vec![0.25, 0.5, 0.75, 1.0],
-            sheddable_from: Criticality::C2,
-        }
-    }
-}
+/// Services at this level or less critical are expected to be safely
+/// sheddable; shedding a more critical one is out of scope.
+const SHEDDABLE_FROM: Criticality = Criticality::C2;
 
 /// A criticality tag that does not hold up under injection.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,7 +75,7 @@ pub struct DegreeReport {
 pub struct ChaosReport {
     /// Application under test.
     pub app: String,
-    /// Sweep results, one per configured degree.
+    /// Sweep results, one per swept degree.
     pub degrees: Vec<DegreeReport>,
     /// Single-service injections that broke the critical goal.
     pub violations: Vec<TagViolation>,
@@ -129,24 +117,28 @@ fn utility_score(model: &AppModel, up: impl Fn(ServiceId) -> bool) -> f64 {
 /// Each injected failure (one degree of shedding, or one single-service
 /// kill) is evaluated independently against the immutable model, fanned
 /// out on the [exec pool](phoenix_exec::global); results are collected in
-/// configuration order, so the report is byte-identical for every thread
-/// count.
-pub fn audit_tags(model: &AppModel, config: &ChaosConfig) -> ChaosReport {
+/// sweep order, so the report is byte-identical for every thread count.
+pub fn audit_tags(model: &AppModel) -> ChaosReport {
+    audit_at(model, &DEGREES, SHEDDABLE_FROM)
+}
+
+/// [`audit_tags`] over the given degrees and sheddable threshold.
+fn audit_at(model: &AppModel, degrees: &[f64], sheddable_from: Criticality) -> ChaosReport {
     let sheddable: Vec<ServiceId> = shedding_order(model)
         .into_iter()
         .filter(|&s| {
             !model
                 .spec
                 .criticality_of(s)
-                .is_at_least_as_critical_as(config.sheddable_from)
-                || model.spec.criticality_of(s) == config.sheddable_from
+                .is_at_least_as_critical_as(sheddable_from)
+                || model.spec.criticality_of(s) == sheddable_from
         })
         .filter(|&s| model.spec.criticality_of(s) != Criticality::C1)
         .collect();
 
     let pool = phoenix_exec::global();
     // Degree sweep: kill the least-critical prefix.
-    let degrees = pool.par_map(&config.degrees, |&degree| {
+    let degrees = pool.par_map(degrees, |&degree| {
         let k = ((sheddable.len() as f64) * degree.clamp(0.0, 1.0)).round() as usize;
         let killed: Vec<ServiceId> = sheddable.iter().copied().take(k).collect();
         let up = |s: ServiceId| !killed.contains(&s);
@@ -193,7 +185,7 @@ mod tests {
     #[test]
     fn overleaf_passes_full_audit() {
         let m = overleaf("overleaf", OverleafVariant::Edits, 1.0);
-        let report = audit_tags(&m, &ChaosConfig::default());
+        let report = audit_tags(&m);
         assert!(report.passed(), "violations: {:?}", report.violations);
         // Utility degrades monotonically with degree.
         for w in report.degrees.windows(2) {
@@ -207,7 +199,7 @@ mod tests {
     #[test]
     fn unpatched_hr_flags_user_service() {
         let m = hotel("hr", HotelVariant::Reserve, 1.0);
-        let report = audit_tags(&m, &ChaosConfig::default());
+        let report = audit_tags(&m);
         assert!(!report.passed());
         assert!(report
             .violations
@@ -218,7 +210,7 @@ mod tests {
     #[test]
     fn patched_hr_passes() {
         let m = hotel("hr", HotelVariant::Reserve, 1.0).patched();
-        let report = audit_tags(&m, &ChaosConfig::default());
+        let report = audit_tags(&m);
         assert!(report.passed(), "violations: {:?}", report.violations);
     }
 
@@ -237,13 +229,7 @@ mod tests {
     #[test]
     fn degree_zero_is_healthy() {
         let m = overleaf("o", OverleafVariant::Edits, 1.0);
-        let report = audit_tags(
-            &m,
-            &ChaosConfig {
-                degrees: vec![0.0],
-                ..ChaosConfig::default()
-            },
-        );
+        let report = audit_at(&m, &[0.0], SHEDDABLE_FROM);
         let d0 = &report.degrees[0];
         assert!(d0.killed.is_empty());
         assert!(d0.critical_retained);
@@ -259,8 +245,7 @@ mod tests {
             overleaf("o", OverleafVariant::Edits, 1.0),
             hotel("hr", HotelVariant::Reserve, 1.0),
         ] {
-            let run =
-                |threads| with_threads(threads, || audit_tags(&model, &ChaosConfig::default()));
+            let run = |threads| with_threads(threads, || audit_tags(&model));
             let (seq, par) = (run(1), run(4));
             assert_eq!(seq, par, "{}", model.spec.name());
         }
@@ -270,20 +255,8 @@ mod tests {
     fn sheddable_threshold_limits_injection() {
         // Only C5 services sheddable: smaller kill set than the default.
         let m = overleaf("o", OverleafVariant::Edits, 1.0);
-        let narrow = audit_tags(
-            &m,
-            &ChaosConfig {
-                degrees: vec![1.0],
-                sheddable_from: Criticality::C5,
-            },
-        );
-        let wide = audit_tags(
-            &m,
-            &ChaosConfig {
-                degrees: vec![1.0],
-                sheddable_from: Criticality::C2,
-            },
-        );
+        let narrow = audit_at(&m, &[1.0], Criticality::C5);
+        let wide = audit_at(&m, &[1.0], Criticality::C2);
         assert!(narrow.degrees[0].killed.len() < wide.degrees[0].killed.len());
     }
 }

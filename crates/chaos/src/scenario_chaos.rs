@@ -12,7 +12,7 @@
 use phoenix_apps::AppModel;
 use phoenix_core::policies::ResiliencePolicy;
 use phoenix_core::spec::{ServiceId, Workload};
-use phoenix_kubesim::run::{simulate, SimConfig};
+use phoenix_kubesim::run::{simulate, SimConfig, SAMPLE_INTERVAL};
 use phoenix_kubesim::time::SimTime;
 use phoenix_scenarios::model::{ScenarioError, SuiteDoc};
 
@@ -83,7 +83,7 @@ pub fn scenario_audit(
         // for good from the sample after the last down instant.
         let restore = final_up.then(|| {
             last_down.map_or(SimTime::ZERO, |t| {
-                (t + sim.sample_interval).saturating_sub(disruption)
+                (t + SAMPLE_INTERVAL).saturating_sub(disruption)
             })
         });
         let settled = trace

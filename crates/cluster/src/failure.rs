@@ -2,8 +2,8 @@
 //!
 //! The paper sweeps *cluster capacity failed* from 0 to 90 % by killing
 //! random nodes, and the CloudLab runs stop kubelets on a fixed node set.
-//! Both shapes live here, plus zone-correlated failures (rack/PDU blast
-//! radius) as an extension.
+//! Both shapes live here. Zone and rack outages are scenario events
+//! (`phoenix_kubesim::scenario`), lowered to explicit node sets.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -46,36 +46,6 @@ pub fn fail_fraction<R: Rng + ?Sized>(
     healthy.shuffle(rng);
     healthy.truncate(k);
     fail_nodes(state, &healthy)
-}
-
-/// Fails whole zones (round-robin `zone_count` striping over node ids) until
-/// at least `fraction` of the cluster's nodes are down — the correlated
-/// blast-radius model for rack/PDU failures.
-pub fn fail_zones<R: Rng + ?Sized>(
-    state: &mut ClusterState,
-    zone_count: usize,
-    fraction: f64,
-    rng: &mut R,
-) -> FailureReport {
-    assert!(zone_count > 0, "need at least one zone");
-    let total = state.node_count();
-    let target = ((total as f64) * fraction.clamp(0.0, 1.0)).round() as usize;
-    let mut zones: Vec<usize> = (0..zone_count).collect();
-    zones.shuffle(rng);
-    let mut victims: Vec<NodeId> = Vec::new();
-    for z in zones {
-        if victims.len() >= target {
-            break;
-        }
-        victims.extend(
-            state
-                .node_ids()
-                .into_iter()
-                .filter(|n| n.index() % zone_count == z),
-        );
-    }
-    victims.truncate(target.max(victims.len().min(target)));
-    fail_nodes(state, &victims)
 }
 
 /// Restores every failed node (they come back empty).
@@ -124,17 +94,6 @@ mod tests {
         // Re-failing is a no-op.
         let again = fail_nodes(&mut state, &[NodeId::new(0)]);
         assert!(again.failed_nodes.is_empty());
-    }
-
-    #[test]
-    fn zones_fail_correlated_stripes() {
-        let mut state = ClusterState::homogeneous(40, Resources::cpu(8.0));
-        let mut rng = StdRng::seed_from_u64(3);
-        let report = fail_zones(&mut state, 4, 0.25, &mut rng);
-        assert_eq!(report.failed_nodes.len(), 10);
-        // All victims share one zone (10 = exactly one stripe of 40/4).
-        let zone = report.failed_nodes[0].index() % 4;
-        assert!(report.failed_nodes.iter().all(|n| n.index() % 4 == zone));
     }
 
     #[test]

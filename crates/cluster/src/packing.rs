@@ -1115,17 +1115,15 @@ mod tests {
         state.check_invariants().unwrap();
     }
 
+    /// Pod placements and tracked `SortedNodes` keys.
+    type Touched = (Vec<(PodKey, NodeId)>, Vec<(NodeId, f64)>);
+
     /// Snapshot of everything `repack_to_fit` may touch: pod placements
     /// and the `SortedNodes` keys.
-    fn snapshot(state: &ClusterState, sorted: &SortedNodes) -> (Vec<(PodKey, NodeId)>, Vec<f64>) {
+    fn snapshot(state: &ClusterState, sorted: &SortedNodes) -> Touched {
         let mut pods: Vec<(PodKey, NodeId)> = state.assignments().map(|(p, n, _)| (p, n)).collect();
         pods.sort_unstable();
-        let keys = state
-            .node_ids()
-            .iter()
-            .map(|&n| sorted.key(n).unwrap_or(f64::NEG_INFINITY))
-            .collect();
-        (pods, keys)
+        (pods, sorted.iter_by_id().collect())
     }
 
     #[test]
@@ -1216,9 +1214,13 @@ mod tests {
         assert_eq!(state.node_of(pod(1)), Some(NodeId::new(0)));
         assert_eq!(state.node_of(pod(2)), Some(NodeId::new(0)));
         // SortedNodes keys agree with the mutated state on every node.
-        for n in state.node_ids() {
-            assert_eq!(sorted.key(n), Some(state.remaining(n).scalar()), "{n}");
-        }
+        let keys: Vec<(NodeId, f64)> = sorted.iter_by_id().collect();
+        let remaining: Vec<(NodeId, f64)> = state
+            .node_ids()
+            .into_iter()
+            .map(|n| (n, state.remaining(n).scalar()))
+            .collect();
+        assert_eq!(keys, remaining);
         state.check_invariants().unwrap();
     }
 

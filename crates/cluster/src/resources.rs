@@ -67,14 +67,6 @@ impl Resources {
         }
     }
 
-    /// Componentwise maximum.
-    pub fn max(&self, rhs: &Resources) -> Resources {
-        Resources {
-            cpu: self.cpu.max(rhs.cpu),
-            mem: self.mem.max(rhs.mem),
-        }
-    }
-
     /// The scalar used for capacity ordering and utilization accounting.
     ///
     /// CPU is the paper's primary (and in AdaptLab, only) dimension, so

@@ -87,16 +87,6 @@ impl SortedNodes {
         SortedNodes::default()
     }
 
-    /// Number of tracked nodes.
-    pub fn len(&self) -> usize {
-        self.set.len()
-    }
-
-    /// `true` when no nodes are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
-    }
-
     /// Inserts (or re-keys) `node` with the given remaining capacity.
     pub fn insert(&mut self, node: NodeId, remaining: f64) {
         let idx = node.index();
@@ -115,19 +105,6 @@ impl SortedNodes {
     /// [`insert`]: SortedNodes::insert
     pub fn update(&mut self, node: NodeId, remaining: f64) {
         self.insert(node, remaining);
-    }
-
-    /// Removes `node`; returns its key if it was tracked.
-    pub fn remove(&mut self, node: NodeId) -> Option<f64> {
-        let idx = node.index();
-        let old = self.key_of.get_mut(idx)?.take()?;
-        self.set.remove(&(OrderedF64::new(old), node));
-        Some(old)
-    }
-
-    /// Current key of `node`, when tracked.
-    pub fn key(&self, node: NodeId) -> Option<f64> {
-        self.key_of.get(node.index()).copied().flatten()
     }
 
     /// All candidates ≥ `demand`, smallest remaining first (for
@@ -194,18 +171,8 @@ mod tests {
         s.insert(n(1), 9.0);
         s.update(n(1), 1.0);
         assert_eq!(s.best_fit_candidates(2.0).next(), Some(n(0)));
-        assert_eq!(s.key(n(1)), Some(1.0));
-        assert_eq!(s.len(), 2);
-    }
-
-    #[test]
-    fn remove_untracks() {
-        let mut s = SortedNodes::new();
-        s.insert(n(0), 4.0);
-        assert_eq!(s.remove(n(0)), Some(4.0));
-        assert_eq!(s.remove(n(0)), None);
-        assert!(s.is_empty());
-        assert_eq!(s.best_fit_candidates(1.0).next(), None);
+        let by_id: Vec<_> = s.iter_by_id().collect();
+        assert_eq!(by_id, vec![(n(0), 4.0), (n(1), 1.0)]);
     }
 
     #[test]
@@ -214,7 +181,6 @@ mod tests {
         s.insert(n(0), 5.0);
         s.insert(n(1), 5.0);
         s.insert(n(2), 5.0);
-        assert_eq!(s.len(), 3);
         let all: Vec<_> = s.best_fit_candidates(5.0).collect();
         assert_eq!(all, vec![n(0), n(1), n(2)]);
     }
@@ -235,8 +201,6 @@ mod tests {
         let mut s = SortedNodes::new();
         s.insert(n(3), 2.0);
         s.insert(n(0), 8.0);
-        s.insert(n(1), 4.0);
-        s.remove(n(1));
         let by_id: Vec<_> = s.iter_by_id().collect();
         assert_eq!(by_id, vec![(n(0), 8.0), (n(3), 2.0)]);
     }
@@ -252,7 +216,7 @@ mod tests {
         assert_eq!(s.best_fit_candidates(2.0).next(), Some(n(1)));
         s.update(n(0), 1.0);
         assert_eq!(worst_fit(&s), Some(n(1)));
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.remove(n(0)), Some(1.0));
+        let by_id: Vec<_> = s.iter_by_id().collect();
+        assert_eq!(by_id, vec![(n(0), 1.0), (n(1), 4.0)]);
     }
 }

@@ -29,26 +29,14 @@ use crate::ranking::GlobalRank;
 use crate::spec::{AppId, AppSpec, AppSpecBuilder, ServiceId, Workload};
 use crate::tags::Criticality;
 
-/// Thresholds for the static audit.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AuditConfig {
-    /// Flag an app as inflated when more than this fraction of its demand
-    /// claims `C1`. The paper's real deployments sit near 60 % critical
-    /// (Fig. 9), so the default of 0.8 leaves honest headroom.
-    pub c1_share_threshold: f64,
-    /// Apps with fewer services than this are never flagged as inflated —
-    /// a single-container app is legitimately all-critical.
-    pub min_services: usize,
-}
+/// Flag an app as inflated when more than this fraction of its demand
+/// claims `C1`. The paper's real deployments sit near 60 % critical
+/// (Fig. 9), so 0.8 leaves honest headroom.
+const C1_SHARE_THRESHOLD: f64 = 0.8;
 
-impl Default for AuditConfig {
-    fn default() -> AuditConfig {
-        AuditConfig {
-            c1_share_threshold: 0.8,
-            min_services: 3,
-        }
-    }
-}
+/// Apps with fewer services than this are never flagged as inflated — a
+/// single-container app is legitimately all-critical.
+const MIN_SERVICES: usize = 3;
 
 /// One suspicious pattern in an application's tags.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -133,7 +121,7 @@ impl AuditReport {
 /// # Examples
 ///
 /// ```
-/// use phoenix_core::audit::{audit_workload, inflate_tags, AuditConfig};
+/// use phoenix_core::audit::{audit_workload, inflate_tags};
 /// use phoenix_core::spec::{AppSpecBuilder, Workload};
 /// use phoenix_core::tags::Criticality;
 /// use phoenix_cluster::Resources;
@@ -144,25 +132,22 @@ impl AuditReport {
 /// b.add_service("rec", Resources::cpu(2.0), Some(Criticality::C5), 1);
 /// let honest = b.build()?;
 ///
-/// let ok = audit_workload(&Workload::new(vec![honest.clone()]), &AuditConfig::default());
+/// let ok = audit_workload(&Workload::new(vec![honest.clone()]));
 /// assert!(ok.passed());
 ///
-/// let flagged = audit_workload(
-///     &Workload::new(vec![inflate_tags(&honest)]),
-///     &AuditConfig::default(),
-/// );
+/// let flagged = audit_workload(&Workload::new(vec![inflate_tags(&honest)]));
 /// assert_eq!(flagged.suspicious().count(), 1);
 /// # Ok::<(), phoenix_core::spec::SpecError>(())
 /// ```
-pub fn audit_workload(workload: &Workload, cfg: &AuditConfig) -> AuditReport {
+pub fn audit_workload(workload: &Workload) -> AuditReport {
     let apps = workload
         .apps()
-        .map(|(id, spec)| audit_app(id, spec, cfg))
+        .map(|(id, spec)| audit_app(id, spec))
         .collect();
     AuditReport { apps }
 }
 
-fn audit_app(id: AppId, spec: &AppSpec, cfg: &AuditConfig) -> AppAudit {
+fn audit_app(id: AppId, spec: &AppSpec) -> AppAudit {
     let total = spec.total_demand().scalar();
     let mut c1 = 0.0;
     let mut untagged = 0.0;
@@ -191,10 +176,10 @@ fn audit_app(id: AppId, spec: &AppSpec, cfg: &AuditConfig) -> AppAudit {
     };
 
     let mut findings = Vec::new();
-    if spec.phoenix_enabled() && spec.service_count() >= cfg.min_services {
+    if spec.phoenix_enabled() && spec.service_count() >= MIN_SERVICES {
         if untagged_share >= 1.0 {
             findings.push(Finding::FullyUntagged);
-        } else if c1_demand_share > cfg.c1_share_threshold {
+        } else if c1_demand_share > C1_SHARE_THRESHOLD {
             findings.push(Finding::Inflated {
                 share: c1_demand_share,
             });
@@ -374,7 +359,7 @@ mod tests {
     #[test]
     fn healthy_tags_pass_the_audit() {
         let w = Workload::new(vec![honest_app("a")]);
-        let report = audit_workload(&w, &AuditConfig::default());
+        let report = audit_workload(&w);
         assert!(report.passed());
         assert!(report.apps[0].clean());
         assert!((report.apps[0].c1_demand_share - 0.4).abs() < 1e-9);
@@ -385,7 +370,7 @@ mod tests {
     #[test]
     fn inflated_app_is_flagged() {
         let w = Workload::new(vec![inflate_tags(&honest_app("liar"))]);
-        let report = audit_workload(&w, &AuditConfig::default());
+        let report = audit_workload(&w);
         assert!(!report.passed());
         let finding = &report.apps[0].findings[0];
         assert!(matches!(finding, Finding::Inflated { share } if *share > 0.99));
@@ -398,10 +383,7 @@ mod tests {
         for i in 0..3 {
             b.add_service(format!("s{i}"), Resources::cpu(1.0), None, 1);
         }
-        let report = audit_workload(
-            &Workload::new(vec![b.build().unwrap()]),
-            &AuditConfig::default(),
-        );
+        let report = audit_workload(&Workload::new(vec![b.build().unwrap()]));
         assert_eq!(report.apps[0].findings, vec![Finding::FullyUntagged]);
         assert_eq!(report.apps[0].untagged_share, 1.0);
     }
@@ -417,10 +399,7 @@ mod tests {
                 1,
             );
         }
-        let report = audit_workload(
-            &Workload::new(vec![b.build().unwrap()]),
-            &AuditConfig::default(),
-        );
+        let report = audit_workload(&Workload::new(vec![b.build().unwrap()]));
         assert_eq!(
             report.apps[0].findings,
             vec![Finding::SingleLevel {
@@ -445,7 +424,7 @@ mod tests {
         }
         legacy.phoenix_enabled(false);
         let w = Workload::new(vec![tiny.build().unwrap(), legacy.build().unwrap()]);
-        assert!(audit_workload(&w, &AuditConfig::default()).passed());
+        assert!(audit_workload(&w).passed());
     }
 
     #[test]
@@ -456,8 +435,8 @@ mod tests {
         assert_eq!(lying.service_count(), app.service_count());
         assert_eq!(lying.total_demand(), app.total_demand());
         assert_eq!(
-            lying.dependency().unwrap().edge_count(),
-            app.dependency().unwrap().edge_count()
+            lying.dependency().unwrap().edges().count(),
+            app.dependency().unwrap().edges().count()
         );
         for s in lying.service_ids() {
             assert_eq!(lying.criticality_of(s), Criticality::C1);

@@ -242,8 +242,8 @@ mod tests {
         assert_eq!(a.price_per_unit(), b.price_per_unit());
         assert_eq!(a.total_demand(), b.total_demand());
         assert_eq!(
-            a.dependency().map(|g| g.edge_count()),
-            b.dependency().map(|g| g.edge_count())
+            a.dependency().map(|g| g.edges().count()),
+            b.dependency().map(|g| g.edges().count())
         );
     }
 }

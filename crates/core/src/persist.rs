@@ -295,7 +295,7 @@ mod tests {
         assert_eq!(app.services()[0].replicas, 2);
         assert_eq!(app.services()[0].demand, Resources::new(2.0, 4.0));
         assert_eq!(app.services()[1].criticality, None);
-        assert_eq!(app.dependency().unwrap().edge_count(), 1);
+        assert_eq!(app.dependency().unwrap().edges().count(), 1);
         assert_eq!(app.price_per_unit(), 2.5);
         let legacy = restored.app(AppId::new(1));
         assert!(!legacy.phoenix_enabled());

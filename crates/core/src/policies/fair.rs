@@ -7,7 +7,7 @@
 //! routinely burned on non-critical services (the availability gap in
 //! Fig. 7a).
 
-use phoenix_cluster::packing::{PackingConfig, PlannedPod};
+use phoenix_cluster::packing::PlannedPod;
 use phoenix_cluster::ClusterState;
 use phoenix_dgraph::topo::topo_sort;
 use phoenix_dgraph::traversal::Bfs;
@@ -20,17 +20,7 @@ use crate::spec::{AppSpec, ServiceId, ServingMode, Workload};
 
 /// Fair-share quotas, criticality-blind intra-app ordering.
 #[derive(Debug, Clone, Default)]
-pub struct FairPolicy {
-    packing: PackingConfig,
-}
-
-impl FairPolicy {
-    /// Overrides packing knobs.
-    pub fn packing_config(mut self, packing: PackingConfig) -> FairPolicy {
-        self.packing = packing;
-        self
-    }
-}
+pub struct FairPolicy;
 
 /// Activation order that ignores tags: topological order when a DG exists
 /// (a servable prefix is still required for the app to do *anything*),
@@ -94,7 +84,7 @@ impl ResiliencePolicy for FairPolicy {
             })
             .collect();
         PolicyPlan {
-            actions: pack_actions(state, &plan, &self.packing),
+            actions: pack_actions(state, &plan),
             planning_time: t0.elapsed(),
             modes: crate::spec::ModeAssignment::empty(),
             notes: String::new(),
@@ -118,7 +108,7 @@ mod tests {
         b.add_service("vital", Resources::cpu(1.0), Some(Criticality::C1), 1);
         let w = Workload::new(vec![b.build().unwrap()]);
         let mut state = ClusterState::homogeneous(2, Resources::cpu(1.0));
-        FairPolicy::default().plan(&w, &mut state);
+        FairPolicy.plan(&w, &mut state);
         // Index order burns the share on the junk services.
         let active: Vec<u32> = state.assignments().map(|(p, _, _)| p.service).collect();
         assert!(active.contains(&0));
@@ -136,7 +126,7 @@ mod tests {
         };
         let w = Workload::new(vec![mk("x"), mk("y")]);
         let mut state = ClusterState::homogeneous(4, Resources::cpu(1.0));
-        FairPolicy::default().plan(&w, &mut state);
+        FairPolicy.plan(&w, &mut state);
         let per_app = |a: u32| state.assignments().filter(|(p, _, _)| p.app == a).count();
         assert_eq!(per_app(0), 2);
         assert_eq!(per_app(1), 2);

@@ -14,7 +14,7 @@
 
 use std::time::{Duration, Instant};
 
-use phoenix_cluster::packing::{PackingConfig, PlannedPod};
+use phoenix_cluster::packing::PlannedPod;
 use phoenix_cluster::{ClusterState, NodeId, PodKey};
 use phoenix_lp::{Cmp, LinExpr, Model, Sense, SolveOptions, VarId, VarKind};
 
@@ -122,10 +122,7 @@ fn build_base(
     let mut x: Vec<Vec<VarId>> = Vec::with_capacity(workload.app_count());
     let mut y = Vec::new();
     for (ai, app) in workload.apps() {
-        let xs: Vec<VarId> = app
-            .service_ids()
-            .map(|s| model.add_binary(format!("x_{ai}_{s}")))
-            .collect();
+        let xs: Vec<VarId> = app.service_ids().map(|_| model.add_binary()).collect();
 
         add_criticality_chain(&mut model, app, &xs);
 
@@ -150,7 +147,7 @@ fn build_base(
                 for pod in workload.pod_keys(ai, s) {
                     let mut e = LinExpr::term(xs[s.index()], -1.0);
                     for &k in &nodes {
-                        let v = model.add_binary(format!("y_{pod}_{k}"));
+                        let v = model.add_binary();
                         y.push((pod, k, v));
                         e.add_term(v, 1.0);
                     }
@@ -214,7 +211,7 @@ fn add_criticality_chain(model: &mut Model, app: &AppSpec, xs: &[VarId]) {
             .filter(|&(_, &l)| l == level)
             .map(|(i, _)| i)
             .collect();
-        let z = model.add_var(format!("z{level}"), VarKind::Continuous, 0.0, 1.0);
+        let z = model.add_var(VarKind::Continuous, 0.0, 1.0);
         for &m in &members {
             // z <= x_m
             model.add_constraint(LinExpr::from_terms([(z, 1.0), (xs[m], -1.0)]), Cmp::Le, 0.0);
@@ -309,9 +306,7 @@ impl ResiliencePolicy for LpPolicy {
                     .map(|(_, a)| a.total_demand().scalar())
                     .collect();
                 let shares = waterfill(&demands, state.healthy_capacity().scalar());
-                let f = ilp
-                    .model
-                    .add_var("F", VarKind::Continuous, 0.0, f64::INFINITY);
+                let f = ilp.model.add_var(VarKind::Continuous, 0.0, f64::INFINITY);
                 for (ai, app) in workload.apps() {
                     let mut alloc = LinExpr::new();
                     for s in app.service_ids() {
@@ -401,7 +396,7 @@ impl ResiliencePolicy for LpPolicy {
                 }
                 chosen.sort_by_key(|&(level, app, p)| (level, app, p.key));
                 let plan: Vec<PlannedPod> = chosen.into_iter().map(|(_, _, p)| p).collect();
-                pack_actions(state, &plan, &PackingConfig::default())
+                pack_actions(state, &plan)
             }
         };
         PolicyPlan {

@@ -79,10 +79,11 @@ pub trait ResiliencePolicy: fmt::Debug + Send + Sync {
     fn plan(&self, workload: &Workload, state: &mut ClusterState) -> PolicyPlan;
 }
 
-/// Packs `plan` onto `state` and returns the actions the pack took.
-fn pack_actions(state: &mut ClusterState, plan: &[PlannedPod], cfg: &PackingConfig) -> ActionPlan {
+/// Packs `plan` onto `state` with the default [`PackingConfig`] and
+/// returns the actions the pack took.
+fn pack_actions(state: &mut ClusterState, plan: &[PlannedPod]) -> ActionPlan {
     let live = state.clone();
-    let outcome = pack(state, plan, cfg);
+    let outcome = pack(state, plan, &PackingConfig::default());
     diff_from_outcome(&live, state, &outcome)
 }
 
@@ -92,8 +93,8 @@ pub fn standard_roster() -> Vec<Box<dyn ResiliencePolicy>> {
     vec![
         Box::new(PhoenixPolicy::cost()),
         Box::new(PhoenixPolicy::fair()),
-        Box::new(PriorityPolicy::default()),
-        Box::new(FairPolicy::default()),
+        Box::new(PriorityPolicy),
+        Box::new(FairPolicy),
         Box::new(DefaultPolicy),
     ]
 }
@@ -222,8 +223,8 @@ mod tests {
             let mut roster: Vec<(Box<dyn ResiliencePolicy>, bool)> = vec![
                 (Box::new(PhoenixPolicy::fair()), false),
                 (Box::new(PhoenixPolicy::cost()), false),
-                (Box::new(PriorityPolicy::default()), false),
-                (Box::new(FairPolicy::default()), false),
+                (Box::new(PriorityPolicy), false),
+                (Box::new(FairPolicy), false),
                 (Box::new(DefaultPolicy), false),
                 (Box::new(NoAdaptPolicy), true),
                 (Box::new(StatefulAwarePolicy::new(marks, PhoenixConfig::default())), false),

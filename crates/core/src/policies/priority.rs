@@ -8,7 +8,7 @@
 //! the failure mode Fig. 7a shows ("a few applications with many
 //! high-criticality microservices using most of the resources").
 
-use phoenix_cluster::packing::{PackingConfig, PlannedPod};
+use phoenix_cluster::packing::PlannedPod;
 use phoenix_cluster::ClusterState;
 
 use crate::planner::{app_rank, Traversal};
@@ -17,17 +17,7 @@ use crate::spec::Workload;
 
 /// Per-app criticality chains, apps served sequentially, no quotas.
 #[derive(Debug, Clone, Default)]
-pub struct PriorityPolicy {
-    packing: PackingConfig,
-}
-
-impl PriorityPolicy {
-    /// Overrides packing knobs.
-    pub fn packing_config(mut self, packing: PackingConfig) -> PriorityPolicy {
-        self.packing = packing;
-        self
-    }
-}
+pub struct PriorityPolicy;
 
 impl ResiliencePolicy for PriorityPolicy {
     fn name(&self) -> &'static str {
@@ -56,7 +46,7 @@ impl ResiliencePolicy for PriorityPolicy {
             }
         }
         PolicyPlan {
-            actions: pack_actions(state, &plan, &self.packing),
+            actions: pack_actions(state, &plan),
             planning_time: t0.elapsed(),
             modes: crate::spec::ModeAssignment::empty(),
             notes: String::new(),
@@ -91,12 +81,12 @@ mod tests {
         // 6 CPUs: the greedy app's whole chain (5 C1s) goes first, then the
         // modest app's C1 — its C2 no longer fits.
         let mut state = ClusterState::homogeneous(6, Resources::cpu(1.0));
-        PriorityPolicy::default().plan(&w, &mut state);
+        PriorityPolicy.plan(&w, &mut state);
         let greedy_pods = state.assignments().filter(|(p, _, _)| p.app == 0).count();
         assert_eq!(greedy_pods, 5);
         // With only 5 CPUs the greedy app takes everything: no quota.
         let mut state5 = ClusterState::homogeneous(5, Resources::cpu(1.0));
-        PriorityPolicy::default().plan(&w, &mut state5);
+        PriorityPolicy.plan(&w, &mut state5);
         let modest_pods = state5.assignments().filter(|(p, _, _)| p.app == 1).count();
         assert_eq!(modest_pods, 0, "no per-app quota protects the modest app");
     }

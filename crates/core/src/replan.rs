@@ -704,7 +704,8 @@ mod tests {
         let mut b = AppSpecBuilder::new("vip");
         b.add_service("only", Resources::cpu(1.0), Some(Criticality::C1), 1);
         b.price_per_unit(100.0);
-        w.push(b.build().unwrap());
+        let apps = w.apps().map(|(_, a)| a.clone()).chain([b.build().unwrap()]);
+        w = Workload::new(apps.collect());
         let cold = with_threads(1, || plan_with(&w, &live, &config));
         let warm = warm_round(&w);
         assert_equivalent(&cold, &warm);
@@ -723,7 +724,8 @@ mod tests {
         let mut b = AppSpecBuilder::new("vip");
         b.add_service("only", Resources::cpu(1.0), Some(Criticality::C1), 1);
         b.price_per_unit(100.0);
-        w.push(b.build().unwrap());
+        let apps = w.apps().map(|(_, a)| a.clone()).chain([b.build().unwrap()]);
+        w = Workload::new(apps.collect());
         let cold = plan_with(&w, &live, &config);
         let warm = replan_with(&w, &live, &config, &mut cache, ReplanDelta::Full);
         assert_equivalent(&cold, &warm);

@@ -751,13 +751,6 @@ impl Workload {
             .map(|(i, a)| (AppId(i as u32), a))
     }
 
-    /// Adds an app, returning its id.
-    pub fn push(&mut self, app: AppSpec) -> AppId {
-        let id = AppId(self.apps.len() as u32);
-        self.apps.push(app);
-        id
-    }
-
     /// The pod keys of one service's replicas.
     pub fn pod_keys(&self, app: AppId, service: ServiceId) -> Vec<PodKey> {
         let replicas = self.app(app).service(service).replicas;
@@ -883,7 +876,7 @@ mod tests {
         assert_eq!(app.service_count(), 2);
         assert_eq!(app.total_demand(), Resources::cpu(4.0));
         assert!(app.dependency().is_some());
-        assert_eq!(app.dependency().unwrap().edge_count(), 1);
+        assert_eq!(app.dependency().unwrap().edges().count(), 1);
         assert_eq!(app.criticality_of(ServiceId(1)), Criticality::C5);
     }
 
@@ -943,7 +936,7 @@ mod tests {
         assert_eq!(surged.services()[1].replicas, 4);
         // Tags, edges, and pricing survive untouched.
         assert_eq!(surged.criticality_of(ServiceId(1)), Criticality::C5);
-        assert_eq!(surged.dependency().unwrap().edge_count(), 1);
+        assert_eq!(surged.dependency().unwrap().edges().count(), 1);
         assert_eq!(surged.price_per_unit(), app.price_per_unit());
         // Identity factors are bit-exact no-ops; the fingerprint agrees.
         let same = app.scaled(1.0, 1.0);

@@ -584,7 +584,7 @@ mod tests {
         let g = app.dependency().expect("graph preserved");
         // web → audit appears (contracted through db); web → chat survives.
         // Stateless ids: web=0, audit=1, chat=2.
-        assert_eq!(g.edge_count(), 2);
+        assert_eq!(g.edges().count(), 2);
         let succ: Vec<usize> = g
             .successors(GraphNode::from_index(0))
             .iter()
@@ -619,7 +619,8 @@ mod tests {
                 .app(AppId::new(0))
                 .dependency()
                 .unwrap()
-                .edge_count(),
+                .edges()
+                .count(),
             3
         );
     }

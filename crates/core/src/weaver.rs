@@ -39,11 +39,6 @@ use crate::tags::Criticality;
 pub struct ComponentId(u32);
 
 impl ComponentId {
-    /// Creates an id from a dense index.
-    pub fn from_index(index: usize) -> ComponentId {
-        ComponentId(index as u32)
-    }
-
     /// Dense index.
     pub fn index(self) -> usize {
         self.0 as usize
@@ -344,7 +339,7 @@ mod tests {
         // Container names are the component names.
         assert_eq!(d.spec.service(ServiceId::new(0)).name, "Checkout");
         // Call edges survive one-to-one (all calls are cross-container).
-        assert_eq!(d.spec.dependency().unwrap().edge_count(), 4);
+        assert_eq!(d.spec.dependency().unwrap().edges().count(), 4);
     }
 
     #[test]
@@ -372,7 +367,7 @@ mod tests {
         assert!((sheddable - 5.5 / 8.75).abs() < 1e-9, "{sheddable}");
         // Cross-tier calls dedupe: C1→C5 (checkout→rec), C5→C5 vanishes,
         // C1→C3 remains.
-        assert_eq!(d.spec.dependency().unwrap().edge_count(), 2);
+        assert_eq!(d.spec.dependency().unwrap().edges().count(), 2);
     }
 
     #[test]

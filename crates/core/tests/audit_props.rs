@@ -3,7 +3,7 @@
 //! accounting is internally consistent.
 
 use phoenix_cluster::{ClusterState, Resources};
-use phoenix_core::audit::{audit_workload, blast_radius, inflate_tags, AuditConfig, Finding};
+use phoenix_core::audit::{audit_workload, blast_radius, inflate_tags, Finding};
 use phoenix_core::controller::PhoenixConfig;
 use phoenix_core::objectives::ObjectiveKind;
 use phoenix_core::spec::{AppId, AppSpec, AppSpecBuilder, ServiceId, Workload};
@@ -49,7 +49,7 @@ proptest! {
     #[test]
     fn inflation_is_always_flagged(app in arb_app()) {
         let lying = inflate_tags(&app);
-        let report = audit_workload(&Workload::new(vec![lying]), &AuditConfig::default());
+        let report = audit_workload(&Workload::new(vec![lying]));
         let flagged = report
             .apps[0]
             .findings
@@ -67,8 +67,8 @@ proptest! {
         prop_assert_eq!(once.total_demand(), app.total_demand());
         prop_assert_eq!(once.price_per_unit(), app.price_per_unit());
         prop_assert_eq!(
-            once.dependency().map(|g| g.edge_count()),
-            app.dependency().map(|g| g.edge_count())
+            once.dependency().map(|g| g.edges().count()),
+            app.dependency().map(|g| g.edges().count())
         );
         let twice = inflate_tags(&once);
         prop_assert_eq!(&twice, &once);

@@ -71,7 +71,7 @@ proptest! {
                         y.edges().collect::<Vec<_>>()
                     );
                 }
-                other => prop_assert!(false, "dependency mismatch: {:?}", other.0.map(|g| g.edge_count())),
+                other => prop_assert!(false, "dependency mismatch: {:?}", other.0.map(|g| g.edges().count())),
             }
         }
     }

@@ -123,7 +123,7 @@ pub fn single_upstream_fraction<N>(g: &DiGraph<N>) -> f64 {
 mod tests {
     use super::*;
     use crate::topo::topo_sort;
-    use crate::traversal::reachable_from;
+    use crate::traversal::Dfs;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -227,7 +227,7 @@ mod tests {
         );
         assert_eq!(g.node_count(), 200);
         assert!(topo_sort(&g).is_ok());
-        assert!(reachable_from(&g, g.sources()).iter().all(|&v| v));
+        assert_eq!(Dfs::new(&g, g.sources()).count(), g.node_count());
     }
 
     #[test]
@@ -260,7 +260,7 @@ mod tests {
             },
         );
         assert_eq!(g.node_count(), 1);
-        assert_eq!(g.edge_count(), 0);
+        assert_eq!(g.edges().count(), 0);
     }
 
     #[test]
@@ -276,12 +276,13 @@ mod tests {
         );
         assert!(topo_sort(&g).is_ok());
         assert_eq!(g.node_count(), 23);
-        for (id, &(layer, _)) in g.nodes() {
+        for id in g.node_ids() {
+            let (layer, _) = g[id];
             if layer > 0 {
                 assert!(g.in_degree(id) >= 1, "{id} in layer {layer} is orphaned");
             }
         }
-        assert!(reachable_from(&g, g.sources()).iter().all(|&v| v));
+        assert_eq!(Dfs::new(&g, g.sources()).count(), g.node_count());
     }
 
     #[test]
@@ -289,7 +290,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let g = random_tree(&mut rng, 64);
         assert!(topo_sort(&g).is_ok());
-        assert_eq!(g.edge_count(), 63);
+        assert_eq!(g.edges().count(), 63);
         // Every non-root has exactly one parent.
         assert_eq!(single_upstream_fraction(&g), 1.0);
     }

@@ -64,7 +64,6 @@ pub struct DiGraph<N> {
     payloads: Vec<N>,
     out_adj: Vec<Vec<NodeId>>,
     in_adj: Vec<Vec<NodeId>>,
-    edge_count: usize,
 }
 
 impl<N> DiGraph<N> {
@@ -74,7 +73,6 @@ impl<N> DiGraph<N> {
             payloads: Vec::new(),
             out_adj: Vec::new(),
             in_adj: Vec::new(),
-            edge_count: 0,
         }
     }
 
@@ -84,7 +82,6 @@ impl<N> DiGraph<N> {
             payloads: Vec::with_capacity(nodes),
             out_adj: Vec::with_capacity(nodes),
             in_adj: Vec::with_capacity(nodes),
-            edge_count: 0,
         }
     }
 
@@ -117,7 +114,6 @@ impl<N> DiGraph<N> {
         }
         self.out_adj[from.index()].push(to);
         self.in_adj[to.index()].push(from);
-        self.edge_count += 1;
         Ok(true)
     }
 
@@ -127,28 +123,10 @@ impl<N> DiGraph<N> {
         self.payloads.len()
     }
 
-    /// Number of (deduplicated) edges.
-    #[inline]
-    pub fn edge_count(&self) -> usize {
-        self.edge_count
-    }
-
-    /// Returns `true` when the graph has no nodes.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.payloads.is_empty()
-    }
-
     /// Returns `true` when `id` names a node of this graph.
     #[inline]
     pub fn contains(&self, id: NodeId) -> bool {
         id.index() < self.payloads.len()
-    }
-
-    /// Borrow the payload of `id`, or `None` when out of bounds.
-    #[inline]
-    pub fn node(&self, id: NodeId) -> Option<&N> {
-        self.payloads.get(id.index())
     }
 
     /// Direct successors (callees) of `id`.
@@ -188,14 +166,6 @@ impl<N> DiGraph<N> {
         (0..self.payloads.len() as u32).map(NodeId)
     }
 
-    /// Iterator over `(id, &payload)` pairs in insertion order.
-    pub fn nodes(&self) -> impl DoubleEndedIterator<Item = (NodeId, &N)> + ExactSizeIterator {
-        self.payloads
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (NodeId(i as u32), p))
-    }
-
     /// Iterator over all edges as `(from, to)` pairs.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
         self.out_adj
@@ -207,21 +177,6 @@ impl<N> DiGraph<N> {
     /// Nodes with no incoming edge — the *entry microservices* in a DG.
     pub fn sources(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.node_ids().filter(|&n| self.in_degree(n) == 0)
-    }
-
-    /// Builds a new graph with the same shape and payloads mapped by `f`.
-    pub fn map<M>(&self, mut f: impl FnMut(NodeId, &N) -> M) -> DiGraph<M> {
-        DiGraph {
-            payloads: self
-                .payloads
-                .iter()
-                .enumerate()
-                .map(|(i, p)| f(NodeId(i as u32), p))
-                .collect(),
-            out_adj: self.out_adj.clone(),
-            in_adj: self.in_adj.clone(),
-            edge_count: self.edge_count,
-        }
     }
 
     fn check(&self, id: NodeId) -> Result<(), GraphError> {
@@ -265,7 +220,7 @@ impl<N> FromIterator<N> for DiGraph<N> {
 #[cfg(test)]
 impl<N> DiGraph<N> {
     /// Returns the graph with every edge reversed (payloads cloned).
-    fn reversed(&self) -> DiGraph<N>
+    pub(crate) fn reversed(&self) -> DiGraph<N>
     where
         N: Clone,
     {
@@ -273,7 +228,6 @@ impl<N> DiGraph<N> {
             payloads: self.payloads.clone(),
             out_adj: self.in_adj.clone(),
             in_adj: self.out_adj.clone(),
-            edge_count: self.edge_count,
         }
     }
 
@@ -344,7 +298,7 @@ mod tests {
     fn add_nodes_and_edges() {
         let (g, [a, b, c, d]) = diamond();
         assert_eq!(g.node_count(), 4);
-        assert_eq!(g.edge_count(), 4);
+        assert_eq!(g.edges().count(), 4);
         assert_eq!(g.successors(a), &[b, c]);
         assert_eq!(g.predecessors(d), &[b, c]);
         assert_eq!(g.out_degree(a), 2);
@@ -360,7 +314,7 @@ mod tests {
         let b = g.add_node(2);
         assert!(g.add_edge(a, b).unwrap());
         assert!(!g.add_edge(a, b).unwrap());
-        assert_eq!(g.edge_count(), 1);
+        assert_eq!(g.edges().count(), 1);
         assert_eq!(g.successors(a).len(), 1);
     }
 
@@ -396,7 +350,7 @@ mod tests {
         let r = g.reversed();
         assert_eq!(r.sources().collect::<Vec<_>>(), vec![d]);
         assert!(r.successors(b).contains(&a));
-        assert_eq!(r.edge_count(), g.edge_count());
+        assert_eq!(r.edges().count(), g.edges().count());
     }
 
     #[test]
@@ -405,7 +359,7 @@ mod tests {
         let (sub, remap) = g.induced_subgraph(&[a, b, d]);
         assert_eq!(sub.node_count(), 3);
         // a->b survives, b->d survives, a->c and c->d dropped with c.
-        assert_eq!(sub.edge_count(), 2);
+        assert_eq!(sub.edges().count(), 2);
         assert!(remap[2].is_none());
         let (na, nb) = (remap[0].unwrap(), remap[1].unwrap());
         assert!(sub.successors(na).contains(&nb));
@@ -420,19 +374,10 @@ mod tests {
     }
 
     #[test]
-    fn map_preserves_shape() {
-        let (g, _) = diamond();
-        let m = g.map(|id, s| format!("{id}:{s}"));
-        assert_eq!(m.node_count(), 4);
-        assert_eq!(m.edge_count(), 4);
-        assert_eq!(m[NodeId::from_index(0)], "n0:a");
-    }
-
-    #[test]
     fn from_parts_roundtrip() {
         let g = DiGraph::from_parts(["x", "y", "z"], [(0, 1), (1, 2)]).unwrap();
         assert_eq!(g.node_count(), 3);
-        assert_eq!(g.edge_count(), 2);
+        assert_eq!(g.edges().count(), 2);
         assert_eq!(
             g.edges().collect::<Vec<_>>(),
             vec![
@@ -446,7 +391,7 @@ mod tests {
     fn collect_payloads() {
         let g: DiGraph<i32> = (0..5).collect();
         assert_eq!(g.node_count(), 5);
-        assert_eq!(g.edge_count(), 0);
+        assert_eq!(g.edges().count(), 0);
     }
 
     #[test]
@@ -454,7 +399,7 @@ mod tests {
         let (mut g, [a, ..]) = diamond();
         assert_eq!(g[a], "a");
         g[a] = "api";
-        assert_eq!(g.node(a), Some(&"api"));
-        assert!(g.node(NodeId::from_index(99)).is_none());
+        assert_eq!(g[a], "api");
+        assert!(!g.contains(NodeId::from_index(99)));
     }
 }

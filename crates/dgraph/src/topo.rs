@@ -1,5 +1,5 @@
-//! Topological utilities: Kahn ordering, cycle detection, depth levels, and
-//! Tarjan's strongly-connected components.
+//! Topological utilities: Kahn ordering, cycle detection, and Tarjan's
+//! strongly-connected components.
 //!
 //! Microservice DGs mined from call graphs are *mostly* DAGs, but mutual-call
 //! cycles do occur in real traces; Phoenix therefore needs both a fast
@@ -46,22 +46,6 @@ pub fn topo_sort<N>(graph: &DiGraph<N>) -> Result<Vec<NodeId>, GraphError> {
         let witness = indeg.iter().position(|&d| d > 0).unwrap_or(0);
         Err(GraphError::CycleDetected { witness })
     }
-}
-
-/// Longest-path depth of every node from the sources (sources get depth 0).
-///
-/// # Errors
-///
-/// [`GraphError::CycleDetected`] when the graph has a cycle.
-pub fn depth_levels<N>(graph: &DiGraph<N>) -> Result<Vec<usize>, GraphError> {
-    let order = topo_sort(graph)?;
-    let mut depth = vec![0usize; graph.node_count()];
-    for &u in &order {
-        for &v in graph.successors(u) {
-            depth[v.index()] = depth[v.index()].max(depth[u.index()] + 1);
-        }
-    }
-    Ok(depth)
 }
 
 /// Strongly-connected components via Tarjan's algorithm (iterative).
@@ -209,15 +193,6 @@ mod tests {
     }
 
     #[test]
-    fn depth_levels_longest_path() {
-        // 0 -> 1 -> 3, 0 -> 2 -> 3 -> 4, plus shortcut 0 -> 4.
-        let g =
-            DiGraph::from_parts(0..5, [(0, 1), (1, 3), (0, 2), (2, 3), (3, 4), (0, 4)]).unwrap();
-        let depth = depth_levels(&g).unwrap();
-        assert_eq!(depth, vec![0, 1, 1, 2, 3]);
-    }
-
-    #[test]
     fn scc_simple_cycle() {
         let g = DiGraph::from_parts(0..4, [(0, 1), (1, 2), (2, 1), (2, 3)]).unwrap();
         let mut sccs: Vec<Vec<usize>> = tarjan_scc(&g)
@@ -259,6 +234,5 @@ mod tests {
         assert!(topo_sort(&g).unwrap().is_empty());
         assert!(topo_sort(&g).is_ok());
         assert!(tarjan_scc(&g).is_empty());
-        assert!(depth_levels(&g).unwrap().is_empty());
     }
 }

@@ -111,45 +111,6 @@ impl<N> Iterator for Bfs<'_, N> {
     }
 }
 
-/// Returns a membership vector marking every node reachable from `starts`
-/// (the starts themselves included).
-pub fn reachable_from<N>(
-    graph: &DiGraph<N>,
-    starts: impl IntoIterator<Item = NodeId>,
-) -> Vec<bool> {
-    let mut mark = vec![false; graph.node_count()];
-    for n in Dfs::new(graph, starts) {
-        mark[n.index()] = true;
-    }
-    mark
-}
-
-/// Descendants of `node`: every node reachable from it, excluding itself
-/// unless it lies on a cycle back to itself.
-pub fn descendants<N>(graph: &DiGraph<N>, node: NodeId) -> Vec<NodeId> {
-    Dfs::new(graph, graph.successors(node).iter().copied())
-        .filter(|&n| n != node)
-        .collect()
-}
-
-/// Ancestors of `node`: every node from which `node` is reachable.
-///
-/// Computed as a DFS over reversed adjacency without materializing the
-/// reversed graph.
-pub fn ancestors<N>(graph: &DiGraph<N>, node: NodeId) -> Vec<NodeId> {
-    let mut visited = vec![false; graph.node_count()];
-    let mut stack: Vec<NodeId> = graph.predecessors(node).to_vec();
-    let mut out = Vec::new();
-    while let Some(n) = stack.pop() {
-        if n != node && !visited[n.index()] {
-            visited[n.index()] = true;
-            out.push(n);
-            stack.extend_from_slice(graph.predecessors(n));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,23 +155,26 @@ mod tests {
     #[test]
     fn reachability_marks() {
         let (g, [r, _, _, _, d]) = sample();
-        let m = reachable_from(&g, [r]);
-        assert_eq!(m, vec![true, true, true, true, false]);
-        assert!(!reachable_from(&g, [r]).iter().all(|&v| v));
-        assert!(reachable_from(&g, [r, d]).iter().all(|&v| v));
+        let mut reached: Vec<usize> = Dfs::new(&g, [r]).map(NodeId::index).collect();
+        reached.sort_unstable();
+        assert_eq!(reached, vec![0, 1, 2, 3]);
+        assert_eq!(Dfs::new(&g, [r, d]).count(), g.node_count());
     }
 
     #[test]
     fn descendants_and_ancestors() {
+        // Descendants are a walk's nodes past its start; ancestors are the
+        // same walk over the reversed graph.
         let (g, [r, a, b, c, d]) = sample();
-        let mut desc = descendants(&g, r);
+        let mut desc: Vec<NodeId> = Dfs::new(&g, [r]).skip(1).collect();
         desc.sort();
         assert_eq!(desc, vec![a, b, c]);
-        let mut anc = ancestors(&g, c);
+        let reversed = g.reversed();
+        let mut anc: Vec<NodeId> = Dfs::new(&reversed, [c]).skip(1).collect();
         anc.sort();
         assert_eq!(anc, vec![r, a, b]);
-        assert!(ancestors(&g, d).is_empty());
-        assert!(descendants(&g, d).is_empty());
+        assert_eq!(Dfs::new(&reversed, [d]).count(), 1);
+        assert_eq!(Dfs::new(&g, [d]).count(), 1);
     }
 
     #[test]
@@ -220,8 +184,6 @@ mod tests {
         let n0 = NodeId::from_index(0);
         assert_eq!(Dfs::new(&g, [n0]).count(), 3);
         assert_eq!(Bfs::new(&g, [n0]).count(), 3);
-        // On a cycle, a node is its own ancestor-set member's descendant.
-        assert_eq!(descendants(&g, n0).len(), 2);
-        assert_eq!(ancestors(&g, n0).len(), 2);
+        assert_eq!(Dfs::new(&g.reversed(), [n0]).count(), 3);
     }
 }

@@ -1,8 +1,8 @@
 //! Property-based tests for the graph substrate.
 
 use phoenix_dgraph::generate::{attachment_dag, AttachmentConfig};
-use phoenix_dgraph::topo::{condensation, depth_levels, tarjan_scc, topo_sort};
-use phoenix_dgraph::traversal::{ancestors, descendants, reachable_from, Dfs};
+use phoenix_dgraph::topo::{condensation, tarjan_scc, topo_sort};
+use phoenix_dgraph::traversal::Dfs;
 use phoenix_dgraph::{DiGraph, NodeId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -58,7 +58,19 @@ proptest! {
     fn dfs_visits_exactly_reachable(g in arb_graph()) {
         let start = NodeId::from_index(0);
         let visited: Vec<NodeId> = Dfs::new(&g, [start]).collect();
-        let mark = reachable_from(&g, [start]);
+        // Reference: close {start} under the edge list until it is stable.
+        let mut mark = vec![false; g.node_count()];
+        mark[start.index()] = true;
+        let mut grew = true;
+        while grew {
+            grew = false;
+            for (u, v) in g.edges() {
+                if mark[u.index()] && !mark[v.index()] {
+                    mark[v.index()] = true;
+                    grew = true;
+                }
+            }
+        }
         prop_assert_eq!(visited.len(), mark.iter().filter(|&&b| b).count());
         for n in &visited { prop_assert!(mark[n.index()]); }
         // No duplicates.
@@ -70,9 +82,14 @@ proptest! {
 
     #[test]
     fn ancestors_descendants_are_dual(g in arb_dag()) {
+        // A walk over the reversed edges finds a node's ancestors.
+        let mut reversed: DiGraph<u32> = (0..g.node_count() as u32).collect();
+        for (u, v) in g.edges() {
+            reversed.add_edge(v, u).expect("reversed edge of a DAG");
+        }
         for n in g.node_ids() {
-            for d in descendants(&g, n) {
-                prop_assert!(ancestors(&g, d).contains(&n),
+            for d in Dfs::new(&g, [n]).skip(1) {
+                prop_assert!(Dfs::new(&reversed, [d]).any(|a| a == n),
                     "{} descendant of {} but not dual", d, n);
             }
         }
@@ -97,18 +114,10 @@ proptest! {
         prop_assert!(topo_sort(&cond).is_ok());
         prop_assert_eq!(comp_of.len(), g.node_count());
         // Membership is consistent.
-        for (cid, members) in cond.nodes() {
-            for &m in members {
+        for cid in cond.node_ids() {
+            for &m in &cond[cid] {
                 prop_assert_eq!(comp_of[m.index()], cid);
             }
-        }
-    }
-
-    #[test]
-    fn depth_levels_monotone_along_edges(g in arb_dag()) {
-        let depth = depth_levels(&g).unwrap();
-        for (u, v) in g.edges() {
-            prop_assert!(depth[v.index()] > depth[u.index()]);
         }
     }
 
@@ -121,6 +130,6 @@ proptest! {
             ..AttachmentConfig::default()
         });
         prop_assert!(topo_sort(&g).is_ok());
-        prop_assert!(reachable_from(&g, g.sources()).iter().all(|&v| v));
+        prop_assert_eq!(Dfs::new(&g, g.sources()).count(), g.node_count());
     }
 }

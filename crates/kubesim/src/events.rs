@@ -81,16 +81,6 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.heap.pop().map(|s| (s.at, s.event))
     }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// `true` when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -121,12 +111,11 @@ mod tests {
     #[test]
     fn peek_and_len() {
         let mut q = EventQueue::new();
-        assert!(q.is_empty());
         assert_eq!(q.pop(), None);
         q.schedule(SimTime::from_secs(9), ());
         q.schedule(SimTime::from_secs(2), ());
-        assert_eq!(q.len(), 2);
         assert_eq!(q.pop().map(|(at, _)| at), Some(SimTime::from_secs(2)));
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop().map(|(at, _)| at), Some(SimTime::from_secs(9)));
+        assert_eq!(q.pop(), None);
     }
 }

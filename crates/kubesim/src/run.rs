@@ -20,6 +20,9 @@ use crate::latency::LatencyModel;
 use crate::scenario::{Scenario, ScenarioKind};
 use crate::time::SimTime;
 
+/// Serving-status sampling period of the output trace.
+pub const SAMPLE_INTERVAL: SimTime = SimTime::from_secs(1);
+
 /// Simulator configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
@@ -29,9 +32,6 @@ pub struct SimConfig {
     /// Node-monitor grace: a silent kubelet is declared failed after this
     /// long (yields the paper's ≈100 s detection together with the tick).
     pub heartbeat_grace: SimTime,
-    /// Serving-status sampling period for the output trace. Zero reads as
-    /// the clock's 1 ms resolution.
-    pub sample_interval: SimTime,
     /// Pod lifecycle latencies.
     pub latency: LatencyModel,
     /// RNG seed (latency sampling).
@@ -43,7 +43,6 @@ impl Default for SimConfig {
         SimConfig {
             monitor_interval: SimTime::from_secs(15),
             heartbeat_grace: SimTime::from_secs(90),
-            sample_interval: SimTime::from_secs(1),
             latency: LatencyModel::default(),
             seed: 7,
         }
@@ -163,7 +162,7 @@ pub struct TraceSample {
 /// Full output of a simulation run.
 #[derive(Debug, Clone, Default)]
 pub struct SimTrace {
-    /// Serving status over time, one sample per `sample_interval`.
+    /// Serving status over time, one sample per [`SAMPLE_INTERVAL`].
     /// Consecutive samples may be equal apart from `at`: a sample taken
     /// while the serving set and its weights stayed unchanged since the
     /// previous one shares its list, whatever events fired in between.
@@ -982,7 +981,7 @@ impl<'a> Sim<'a> {
         );
         self.trace.samples.push(sample);
         self.sample_dirty = false;
-        self.reschedule(now, self.config.sample_interval, Event::Sample);
+        self.reschedule(now, SAMPLE_INTERVAL, Event::Sample);
     }
 
     /// Every `Running` pod on a live kubelet, sorted, and the utility they
@@ -1301,7 +1300,6 @@ mod tests {
     fn zero_intervals_tick_at_clock_resolution() {
         let cfg = SimConfig {
             monitor_interval: SimTime::ZERO,
-            sample_interval: SimTime::ZERO,
             heartbeat_grace: SimTime::from_secs(2),
             ..SimConfig::default()
         };
@@ -1309,9 +1307,9 @@ mod tests {
         s.kubelet_stop_at(SimTime::from_secs(1), [2]);
         let horizon = SimTime::from_secs(10);
         let trace = simulate(&workload(), &PhoenixPolicy::fair(), &s, &cfg, horizon);
-        // One sample per millisecond, and the monitor sees the grace
-        // expire on the very millisecond it does.
-        assert_eq!(trace.samples.len(), 10_001);
+        // One sample per second, and the monitor sees the grace expire on
+        // the very millisecond it does.
+        assert_eq!(trace.samples.len(), 11);
         assert_eq!(trace.samples.last().map(|s| s.at), Some(horizon));
         assert_eq!(
             trace.first_kind(MilestoneKind::Detected),

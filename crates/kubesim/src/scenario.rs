@@ -70,8 +70,7 @@ pub enum ScenarioKind {
     },
 }
 
-/// Node ids of zone `zone` under round-robin striping into `zones` zones
-/// (the topology seed shared with `phoenix_cluster::failure::fail_zones`).
+/// Node ids of zone `zone` under round-robin striping into `zones` zones.
 pub fn zone_members(node_count: usize, zones: u32, zone: u32) -> Vec<u32> {
     let zones = zones.max(1);
     (0..node_count as u32)

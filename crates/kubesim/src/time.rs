@@ -17,7 +17,7 @@ impl SimTime {
     }
 
     /// From whole seconds.
-    pub fn from_secs(secs: u64) -> SimTime {
+    pub const fn from_secs(secs: u64) -> SimTime {
         SimTime(secs * 1000)
     }
 

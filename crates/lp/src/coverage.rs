@@ -59,16 +59,6 @@ impl CoverageInstance {
     pub fn total_weight(&self) -> f64 {
         self.weights.iter().sum()
     }
-
-    /// Weight served when exactly the items in `enabled` are on.
-    pub fn covered_weight(&self, enabled: &[bool]) -> f64 {
-        self.sets
-            .iter()
-            .zip(&self.weights)
-            .filter(|(s, _)| s.iter().all(|&i| enabled[i]))
-            .map(|(_, w)| w)
-            .sum()
-    }
 }
 
 /// Result of a coverage optimization.
@@ -212,13 +202,11 @@ pub fn lp_max_coverage(
     opts: &SolveOptions,
 ) -> Result<CoverageResult, LpError> {
     let mut m = Model::new(Sense::Maximize);
-    let z: Vec<_> = (0..inst.num_items)
-        .map(|i| m.add_binary(format!("z{i}")))
-        .collect();
+    let z: Vec<_> = (0..inst.num_items).map(|_| m.add_binary()).collect();
     let mut obj = LinExpr::new();
     let mut a = Vec::with_capacity(inst.sets.len());
     for (t, set) in inst.sets.iter().enumerate() {
-        let at = m.add_var(format!("a{t}"), VarKind::Continuous, 0.0, 1.0);
+        let at = m.add_var(VarKind::Continuous, 0.0, 1.0);
         for &i in set {
             // a_t - z_i <= 0
             m.add_constraint(LinExpr::from_terms([(at, 1.0), (z[i], -1.0)]), Cmp::Le, 0.0);
@@ -274,20 +262,20 @@ mod tests {
         )
     }
 
+    /// Weight served when exactly the items in `enabled` are on.
+    fn covered_weight(inst: &CoverageInstance, enabled: &[bool]) -> f64 {
+        CoverageResult::from_enabled(inst, enabled, Vec::new()).covered_weight
+    }
+
     #[test]
     fn covered_weight_all_or_nothing() {
         let inst = small();
-        assert_eq!(
-            inst.covered_weight(&[true, false, false, false, false]),
-            10.0
-        );
-        assert_eq!(
-            inst.covered_weight(&[true, true, false, false, false]),
-            16.0
-        );
+        let w = |enabled: &[bool]| covered_weight(&inst, enabled);
+        assert_eq!(w(&[true, false, false, false, false]), 10.0);
+        assert_eq!(w(&[true, true, false, false, false]), 16.0);
         // Partial template {2,3,4} serves nothing.
-        assert_eq!(inst.covered_weight(&[false, false, true, true, false]), 0.0);
-        assert_eq!(inst.covered_weight(&[true; 5]), 27.0);
+        assert_eq!(w(&[false, false, true, true, false]), 0.0);
+        assert_eq!(w(&[true; 5]), 27.0);
     }
 
     #[test]
@@ -328,7 +316,7 @@ mod tests {
                     continue;
                 }
                 let enabled: Vec<bool> = (0..inst.num_items).map(|i| mask >> i & 1 == 1).collect();
-                best = best.max(inst.covered_weight(&enabled));
+                best = best.max(covered_weight(&inst, &enabled));
             }
             assert!(
                 (exact.covered_weight - best).abs() < 1e-6,

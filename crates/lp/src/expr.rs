@@ -31,11 +31,11 @@ impl fmt::Display for VarId {
 /// use phoenix_lp::{LinExpr, Model, Sense, VarKind};
 ///
 /// let mut m = Model::new(Sense::Maximize);
-/// let x = m.add_var("x", VarKind::Continuous, 0.0, 1.0);
-/// let y = m.add_var("y", VarKind::Continuous, 0.0, 1.0);
+/// let x = m.add_var(VarKind::Continuous, 0.0, 1.0);
+/// let y = m.add_var(VarKind::Continuous, 0.0, 1.0);
 /// let e: LinExpr = LinExpr::term(x, 2.0) + LinExpr::term(y, 1.0) + 3.0;
 /// assert_eq!(e.constant(), 3.0);
-/// assert_eq!(e.coeff(x), 2.0);
+/// assert_eq!(e.eval(&[1.0, 0.0]), 5.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LinExpr {
@@ -82,15 +82,6 @@ impl LinExpr {
     /// The additive constant.
     pub fn constant(&self) -> f64 {
         self.constant
-    }
-
-    /// Total coefficient of `var` (0.0 when absent).
-    pub fn coeff(&self, var: VarId) -> f64 {
-        self.terms
-            .iter()
-            .filter(|(v, _)| *v == var)
-            .map(|(_, c)| c)
-            .sum()
     }
 
     /// The `(var, coeff)` terms (possibly unmerged until normalized).
@@ -238,7 +229,6 @@ mod tests {
         let mut e = LinExpr::from_terms([(v(1), 2.0), (v(0), 1.0), (v(1), -2.0), (v(2), 0.5)]);
         e.normalize();
         assert_eq!(e.terms(), &[(v(0), 1.0), (v(2), 0.5)]);
-        assert_eq!(e.coeff(v(1)), 0.0);
     }
 
     #[test]
@@ -247,9 +237,9 @@ mod tests {
         let b = LinExpr::term(v(0), 3.0);
         let mut d = (a.clone() - b) * 2.0;
         d.normalize();
-        assert_eq!(d.coeff(v(0)), -4.0);
+        assert_eq!(d.terms(), &[(v(0), -4.0)]);
         let n = -LinExpr::term(v(1), 2.5) + 1.0;
-        assert_eq!(n.coeff(v(1)), -2.5);
+        assert_eq!(n.terms(), &[(v(1), -2.5)]);
         assert_eq!(n.constant(), 1.0);
     }
 

@@ -23,13 +23,13 @@
 //! Maximize `3x + 2y` subject to `x + y <= 4`, `x <= 2.5`:
 //!
 //! ```
-//! use phoenix_lp::{Model, Sense, VarKind};
+//! use phoenix_lp::{LinExpr, Model, Sense, VarKind};
 //!
 //! let mut m = Model::new(Sense::Maximize);
-//! let x = m.add_var("x", VarKind::Continuous, 0.0, 2.5);
-//! let y = m.add_var("y", VarKind::Continuous, 0.0, f64::INFINITY);
+//! let x = m.add_var(VarKind::Continuous, 0.0, 2.5);
+//! let y = m.add_var(VarKind::Continuous, 0.0, f64::INFINITY);
 //! m.add_le([(x, 1.0), (y, 1.0)], 4.0);
-//! m.set_objective([(x, 3.0), (y, 2.0)]);
+//! m.set_objective_expr(LinExpr::from_terms([(x, 3.0), (y, 2.0)]));
 //! let sol = m.solve(&Default::default())?;
 //! assert!((sol.objective - 10.5).abs() < 1e-6);
 //! assert!((sol[x] - 2.5).abs() < 1e-6);
@@ -47,6 +47,4 @@ mod simplex;
 mod branch_bound;
 
 pub use expr::{LinExpr, VarId};
-pub use model::{
-    Cmp, Constraint, LimitKind, LpError, Model, Sense, Solution, SolveOptions, Status, VarKind,
-};
+pub use model::{Cmp, LimitKind, LpError, Model, Sense, Solution, SolveOptions, Status, VarKind};

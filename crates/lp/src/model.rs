@@ -38,30 +38,15 @@ pub enum Cmp {
 /// A linear constraint `expr cmp rhs` (the expression's constant is folded
 /// into the right-hand side when the constraint is added).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Constraint {
+pub(crate) struct Constraint {
     pub(crate) expr: LinExpr,
     pub(crate) cmp: Cmp,
     pub(crate) rhs: f64,
 }
 
 impl Constraint {
-    /// The (normalized) left-hand side.
-    pub fn expr(&self) -> &LinExpr {
-        &self.expr
-    }
-
-    /// The comparison operator.
-    pub fn cmp(&self) -> Cmp {
-        self.cmp
-    }
-
-    /// The right-hand side.
-    pub fn rhs(&self) -> f64 {
-        self.rhs
-    }
-
     /// Whether `values` satisfies this constraint within `tol`.
-    pub fn satisfied_by(&self, values: &[f64], tol: f64) -> bool {
+    pub(crate) fn satisfied_by(&self, values: &[f64], tol: f64) -> bool {
         let lhs = self.expr.eval(values);
         match self.cmp {
             Cmp::Le => lhs <= self.rhs + tol,
@@ -73,7 +58,6 @@ impl Constraint {
 
 #[derive(Debug, Clone)]
 pub(crate) struct VarInfo {
-    pub(crate) name: String,
     pub(crate) kind: VarKind,
     pub(crate) lb: f64,
     pub(crate) ub: f64,
@@ -192,11 +176,6 @@ impl Solution {
     pub fn value(&self, var: VarId) -> f64 {
         self.values[var.index()]
     }
-
-    /// All values, indexed by [`VarId::index`].
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
 }
 
 impl std::ops::Index<VarId> for Solution {
@@ -237,7 +216,7 @@ impl Model {
     ///
     /// Panics if `lb > ub`, if `lb` is not finite, or if a bound is NaN —
     /// these are programming errors in model construction.
-    pub fn add_var(&mut self, name: impl Into<String>, kind: VarKind, lb: f64, ub: f64) -> VarId {
+    pub fn add_var(&mut self, kind: VarKind, lb: f64, ub: f64) -> VarId {
         assert!(
             !lb.is_nan() && !ub.is_nan(),
             "variable bounds must not be NaN"
@@ -249,18 +228,13 @@ impl Model {
         };
         assert!(lb <= ub, "lower bound {lb} exceeds upper bound {ub}");
         let id = VarId(self.vars.len() as u32);
-        self.vars.push(VarInfo {
-            name: name.into(),
-            kind,
-            lb,
-            ub,
-        });
+        self.vars.push(VarInfo { kind, lb, ub });
         id
     }
 
     /// Adds a binary (0/1) variable.
-    pub fn add_binary(&mut self, name: impl Into<String>) -> VarId {
-        self.add_var(name, VarKind::Binary, 0.0, 1.0)
+    pub fn add_binary(&mut self) -> VarId {
+        self.add_var(VarKind::Binary, 0.0, 1.0)
     }
 
     /// Adds a constraint `expr cmp rhs`.
@@ -296,21 +270,6 @@ impl Model {
         self.add_constraint(LinExpr::from_terms(terms), Cmp::Le, rhs);
     }
 
-    /// Convenience: `Σ terms >= rhs`.
-    pub fn add_ge(&mut self, terms: impl IntoIterator<Item = (VarId, f64)>, rhs: f64) {
-        self.add_constraint(LinExpr::from_terms(terms), Cmp::Ge, rhs);
-    }
-
-    /// Convenience: `Σ terms == rhs`.
-    pub fn add_eq(&mut self, terms: impl IntoIterator<Item = (VarId, f64)>, rhs: f64) {
-        self.add_constraint(LinExpr::from_terms(terms), Cmp::Eq, rhs);
-    }
-
-    /// Sets the objective to `Σ terms`.
-    pub fn set_objective(&mut self, terms: impl IntoIterator<Item = (VarId, f64)>) {
-        self.set_objective_expr(LinExpr::from_terms(terms));
-    }
-
     /// Sets the objective to an arbitrary linear expression.
     ///
     /// # Panics
@@ -332,11 +291,6 @@ impl Model {
         self.objective = expr;
     }
 
-    /// Name given to `var` at creation.
-    pub fn var_name(&self, var: VarId) -> &str {
-        &self.vars[var.index()].name
-    }
-
     /// All ids of binary variables.
     pub fn binary_vars(&self) -> Vec<VarId> {
         self.vars
@@ -345,11 +299,6 @@ impl Model {
             .filter(|(_, v)| v.kind == VarKind::Binary)
             .map(|(i, _)| VarId(i as u32))
             .collect()
-    }
-
-    /// The constraints in insertion order.
-    pub fn constraints(&self) -> &[Constraint] {
-        &self.constraints
     }
 
     /// Whether `values` satisfies every constraint, bound, and integrality
@@ -409,17 +358,17 @@ mod tests {
     #[test]
     fn constraint_constant_folding() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_var("x", VarKind::Continuous, 0.0, 10.0);
+        let x = m.add_var(VarKind::Continuous, 0.0, 10.0);
         // x + 3 <= 5  =>  x <= 2
         m.add_constraint(LinExpr::term(x, 1.0) + 3.0, Cmp::Le, 5.0);
-        assert_eq!(m.constraints()[0].rhs(), 2.0);
-        assert_eq!(m.constraints()[0].expr().constant(), 0.0);
+        assert_eq!(m.constraints[0].rhs, 2.0);
+        assert_eq!(m.constraints[0].expr.constant(), 0.0);
     }
 
     #[test]
     fn binary_bounds_clamped() {
         let mut m = Model::new(Sense::Maximize);
-        let b = m.add_var("b", VarKind::Binary, -5.0, 9.0);
+        let b = m.add_var(VarKind::Binary, -5.0, 9.0);
         let var = &m.vars[b.index()];
         assert_eq!((var.lb, var.ub), (0.0, 1.0));
     }
@@ -428,22 +377,22 @@ mod tests {
     #[should_panic(expected = "lower bound")]
     fn inverted_bounds_panic() {
         let mut m = Model::new(Sense::Maximize);
-        m.add_var("x", VarKind::Continuous, 2.0, 1.0);
+        m.add_var(VarKind::Continuous, 2.0, 1.0);
     }
 
     #[test]
     #[should_panic(expected = "unknown variable")]
     fn unknown_var_in_constraint_panics() {
         let mut m = Model::new(Sense::Maximize);
-        let _ = m.add_var("x", VarKind::Continuous, 0.0, 1.0);
+        let _ = m.add_var(VarKind::Continuous, 0.0, 1.0);
         m.add_le([(VarId(5), 1.0)], 1.0);
     }
 
     #[test]
     fn feasibility_checker() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_var("x", VarKind::Continuous, 0.0, 4.0);
-        let b = m.add_binary("b");
+        let x = m.add_var(VarKind::Continuous, 0.0, 4.0);
+        let b = m.add_binary();
         m.add_le([(x, 1.0), (b, 2.0)], 5.0);
         assert!(m.is_feasible(&[3.0, 1.0], 1e-9));
         assert!(!m.is_feasible(&[4.0, 1.0], 1e-9)); // constraint violated

@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use phoenix_lp::{Cmp, LinExpr, Model, Sense, SolveOptions, Status, VarKind};
+use phoenix_lp::{Cmp, LinExpr, Model, Sense, Solution, SolveOptions, Status, VarId, VarKind};
 
 /// A chained-activation instance like the Phoenix aggregate ILP: `n` apps
 /// × `m` services with criticality chains and one capacity row.
@@ -12,9 +12,7 @@ fn chained_instance(apps: usize, services: usize, capacity: f64) -> Model {
     let mut obj = LinExpr::new();
     let mut cap = LinExpr::new();
     for a in 0..apps {
-        let xs: Vec<_> = (0..services)
-            .map(|s| model.add_binary(format!("x_{a}_{s}")))
-            .collect();
+        let xs: Vec<_> = (0..services).map(|_| model.add_binary()).collect();
         // Chain: x_{s+1} <= x_s.
         for w in xs.windows(2) {
             model.add_constraint(
@@ -39,6 +37,11 @@ fn chained_instance(apps: usize, services: usize, capacity: f64) -> Model {
     model.add_constraint(cap, Cmp::Le, capacity);
     model.set_objective_expr(obj);
     model
+}
+
+/// `sol`'s values of `vars`, in order.
+fn values_of(sol: &Solution, vars: &[VarId]) -> Vec<f64> {
+    vars.iter().map(|&v| sol[v]).collect()
 }
 
 #[test]
@@ -67,7 +70,7 @@ fn dive_solution_is_feasible_and_no_worse_than_trivial() {
             ..SolveOptions::default()
         })
         .expect("solvable");
-    assert!(model.is_feasible(sol.values(), 1e-6));
+    assert!(model.is_feasible(&values_of(&sol, &model.binary_vars()), 1e-6));
     // All-zero is feasible with objective 0; the solver must beat it.
     assert!(sol.objective > 0.0);
 }
@@ -89,11 +92,11 @@ fn dive_off_still_correct_on_small_instances() {
 fn continuous_vars_untouched_by_dive() {
     // Mixed model: dive must only fix binaries.
     let mut m = Model::new(Sense::Maximize);
-    let b1 = m.add_binary("b1");
-    let b2 = m.add_binary("b2");
-    let x = m.add_var("x", VarKind::Continuous, 0.0, 5.0);
+    let b1 = m.add_binary();
+    let b2 = m.add_binary();
+    let x = m.add_var(VarKind::Continuous, 0.0, 5.0);
     m.add_le([(b1, 2.0), (b2, 2.0), (x, 1.0)], 5.5);
-    m.set_objective([(b1, 3.0), (b2, 3.0), (x, 1.0)]);
+    m.set_objective_expr(LinExpr::from_terms([(b1, 3.0), (b2, 3.0), (x, 1.0)]));
     let sol = m.solve(&SolveOptions::default()).unwrap();
     assert!(sol.status == Status::Optimal);
     // b1=b2=1 uses 4.0, x=1.5 → 7.5.

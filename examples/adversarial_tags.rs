@@ -8,7 +8,7 @@
 //! ```
 
 use phoenix::cluster::{ClusterState, Resources};
-use phoenix::core::audit::{audit_workload, blast_radius, inflate_tags, AuditConfig};
+use phoenix::core::audit::{audit_workload, blast_radius, inflate_tags};
 use phoenix::core::controller::PhoenixConfig;
 use phoenix::core::objectives::{CriticalityObjective, ObjectiveKind};
 use phoenix::core::planner::PlannerConfig;
@@ -41,7 +41,7 @@ fn main() -> Result<(), SpecError> {
     // 1. The static audit catches the inflation before any failure occurs.
     let mut submitted: Vec<_> = workload.apps().map(|(_, a)| a.clone()).collect();
     submitted[3] = inflate_tags(&submitted[3]);
-    let report = audit_workload(&Workload::new(submitted), &AuditConfig::default());
+    let report = audit_workload(&Workload::new(submitted));
     println!("audit: passed = {}", report.passed());
     for app in report.suspicious() {
         for finding in &app.findings {

@@ -7,19 +7,17 @@
 //! ```
 
 use phoenix::apps::hotel::{hotel, HotelVariant};
-use phoenix::chaos::{audit_tags, ChaosConfig};
+use phoenix::chaos::audit_tags;
 
 fn main() {
-    let config = ChaosConfig::default();
-
     println!("auditing HotelReservation (as shipped from DeathStarBench)…");
     let shipped = hotel("hr", HotelVariant::Reserve, 1.0);
-    let report = audit_tags(&shipped, &config);
+    let report = audit_tags(&shipped);
     print_report(&report);
 
     println!("\napplying the §5 error-handling patch (reserve-as-guest)…");
     let patched = shipped.patched();
-    let report = audit_tags(&patched, &config);
+    let report = audit_tags(&patched);
     print_report(&report);
 }
 

@@ -23,7 +23,6 @@ fn main() {
             apps: 10,
             max_services: 600,
             max_requests: 400_000.0,
-            ..AlibabaConfig::default()
         },
         seed: 2025,
         ..EnvConfig::default()
@@ -31,7 +30,6 @@ fn main() {
     let sweep = SweepConfig {
         failure_fracs: vec![0.3, 0.5, 0.7],
         trials: 2,
-        ..SweepConfig::default()
     };
     let roster = standard_roster();
     println!(

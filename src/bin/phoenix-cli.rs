@@ -13,14 +13,16 @@
 //! state and agent actions. `audit` runs the §5 chaos audit; `tag-audit`
 //! runs the §7 static tag audit on a persisted workload. `drill` is a
 //! miniature Fig. 7 sweep. `export` emits ready-made workload JSON to
-//! play with.
+//! play with. A flag a command does not declare, or a stray argument, is
+//! an error (exit 1).
 
+use std::io::{ErrorKind, Write as _};
 use std::process::ExitCode;
 
 use phoenix::adaptlab::metrics::{critical_service_availability, revenue};
 use phoenix::apps::hotel::{hotel, HotelVariant};
 use phoenix::apps::overleaf::{overleaf, OverleafVariant};
-use phoenix::chaos::{audit_tags, ChaosConfig};
+use phoenix::chaos::audit_tags;
 use phoenix::cluster::failure::fail_fraction;
 use phoenix::cluster::{ClusterState, Resources};
 use phoenix::core::objectives::ObjectiveKind;
@@ -28,30 +30,51 @@ use phoenix::core::persist;
 use phoenix::core::policies::{PhoenixPolicy, ResiliencePolicy};
 use phoenix::core::spec::Workload;
 
+/// `println!` into a command's output, which `main` writes to stdout once
+/// the command is done.
+macro_rules! say {
+    ($out:expr, $($arg:tt)*) => {{
+        use std::fmt::Write as _;
+        writeln!($out, $($arg)*).expect("writing to a String cannot fail");
+    }};
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
+    let mut out = String::new();
     let result = match command.as_str() {
-        "plan" => cmd_plan(&args[1..]),
-        "audit" => cmd_audit(&args[1..]),
-        "tag-audit" => cmd_tag_audit(&args[1..]),
-        "drill" => cmd_drill(&args[1..]),
-        "export" => cmd_export(&args[1..]),
+        "plan" => cmd_plan(&args[1..], &mut out),
+        "audit" => cmd_audit(&args[1..], &mut out),
+        "tag-audit" => cmd_tag_audit(&args[1..], &mut out),
+        "drill" => cmd_drill(&args[1..], &mut out),
+        "export" => cmd_export(&args[1..], &mut out),
         "--help" | "-h" | "help" => {
-            println!("{USAGE}");
+            say!(out, "{USAGE}");
             Ok(())
         }
         other => Err(format!("unknown command '{other}'\n{USAGE}")),
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+    let mut stdout = std::io::stdout().lock();
+    let printed = stdout
+        .write_all(out.as_bytes())
+        .and_then(|()| stdout.flush());
+    match (result, printed) {
+        (Err(e), _) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+        // A reader that stopped early (`phoenix-cli export | head`) is
+        // not an error.
+        (Ok(()), Err(e)) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        (Ok(()), Err(e)) => {
+            eprintln!("error: writing stdout: {e}");
+            ExitCode::FAILURE
+        }
+        (Ok(()), Ok(())) => ExitCode::SUCCESS,
     }
 }
 
@@ -61,6 +84,25 @@ const USAGE: &str = "usage:
   phoenix-cli tag-audit --workload <file.json>
   phoenix-cli drill  [--nodes N] [--trials T]
   phoenix-cli export --app overleaf|hr";
+
+/// Rejects any argument that is not one of the command's `flags` or a
+/// flag's value: a misspelled flag or a stray word is an error, not a
+/// silent default.
+fn check_flags(args: &[String], flags: &[&str]) -> Result<(), String> {
+    let mut args = args.iter().peekable();
+    while let Some(arg) = args.next() {
+        if !flags.contains(&arg.as_str()) {
+            return Err(if arg.starts_with("--") {
+                format!("unknown flag {arg}")
+            } else {
+                format!("unexpected argument '{arg}'")
+            });
+        }
+        // Its value; `opt` reports a missing one.
+        args.next_if(|v| !v.starts_with("--"));
+    }
+    Ok(())
+}
 
 /// The value after flag `name`: `None` when the flag is absent, an error
 /// when it is present but last or followed by another `--flag`.
@@ -106,7 +148,11 @@ fn nodes_arg(args: &[String], default: usize) -> Result<usize, String> {
     )
 }
 
-fn cmd_plan(args: &[String]) -> Result<(), String> {
+fn cmd_plan(args: &[String], out: &mut String) -> Result<(), String> {
+    check_flags(
+        args,
+        &["--workload", "--nodes", "--cap", "--fail", "--objective"],
+    )?;
     let path = opt(args, "--workload")?.ok_or("plan requires --workload <file.json>")?;
     let nodes = nodes_arg(args, 8)?;
     let cap: f64 = opt_parse(
@@ -137,7 +183,8 @@ fn cmd_plan(args: &[String]) -> Result<(), String> {
     policy.plan(&workload, &mut state);
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(7);
     let report = fail_fraction(&mut state, fail, &mut rng);
-    println!(
+    say!(
+        out,
         "failed {} of {nodes} nodes ({} pods evicted); healthy capacity {:.1}",
         report.failed_nodes.len(),
         report.evicted.len(),
@@ -148,15 +195,19 @@ fn cmd_plan(args: &[String]) -> Result<(), String> {
     let (deletes, migrations, starts) = plan.actions.counts();
     // An empty `f64` sum is -0.0; adding +0.0 prints it as 0.0.
     let revenue = revenue(&workload, &state) + 0.0;
-    println!(
+    say!(
+        out,
         "planned in {:?}; {} pods in target; availability {:.2}; revenue {revenue:.1}",
         plan.planning_time,
         state.pod_count(),
         critical_service_availability(&workload, &state),
     );
-    println!("{deletes} deletes, {migrations} migrations, {starts} starts:");
+    say!(
+        out,
+        "{deletes} deletes, {migrations} migrations, {starts} starts:"
+    );
     for a in &plan.actions.actions {
-        println!("  {a:?}");
+        say!(out, "  {a:?}");
     }
     Ok(())
 }
@@ -170,17 +221,20 @@ fn model_named(name: &str) -> Result<phoenix::apps::AppModel, String> {
     }
 }
 
-fn cmd_audit(args: &[String]) -> Result<(), String> {
+fn cmd_audit(args: &[String], out: &mut String) -> Result<(), String> {
+    check_flags(args, &["--app"])?;
     let name = opt(args, "--app")?.ok_or("audit requires --app")?;
     let model = model_named(&name)?;
-    let report = audit_tags(&model, &ChaosConfig::default());
-    println!(
+    let report = audit_tags(&model);
+    say!(
+        out,
         "{}: {}",
         report.app,
         if report.passed() { "PASSED" } else { "FAILED" }
     );
     for d in &report.degrees {
-        println!(
+        say!(
+            out,
             "  degree {:>4.0}%: critical {} | harvest {:.2} | {} services off",
             d.degree * 100.0,
             if d.critical_retained {
@@ -193,23 +247,28 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
         );
     }
     for v in &report.violations {
-        println!(
+        say!(
+            out,
             "  violation: {} ({}) breaks '{}'",
-            v.service, v.tag, v.broken_request
+            v.service,
+            v.tag,
+            v.broken_request
         );
     }
     Ok(())
 }
 
-fn cmd_tag_audit(args: &[String]) -> Result<(), String> {
-    use phoenix::core::audit::{audit_workload, AuditConfig};
+fn cmd_tag_audit(args: &[String], out: &mut String) -> Result<(), String> {
+    use phoenix::core::audit::audit_workload;
 
+    check_flags(args, &["--workload"])?;
     let path = opt(args, "--workload")?.ok_or("tag-audit requires --workload <file.json>")?;
     let json = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
     let workload: Workload = persist::from_json(&json).map_err(|e| e.to_string())?;
-    let report = audit_workload(&workload, &AuditConfig::default());
+    let report = audit_workload(&workload);
     for app in &report.apps {
-        println!(
+        say!(
+            out,
             "{:<20} C1 share {:>5.1}% | untagged {:>5.1}% | {} level(s) | {}",
             app.name,
             app.c1_demand_share * 100.0,
@@ -227,7 +286,7 @@ fn cmd_tag_audit(args: &[String]) -> Result<(), String> {
         );
     }
     if report.passed() {
-        println!("tag audit PASSED");
+        say!(out, "tag audit PASSED");
         Ok(())
     } else {
         Err(format!(
@@ -237,13 +296,14 @@ fn cmd_tag_audit(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn cmd_drill(args: &[String]) -> Result<(), String> {
+fn cmd_drill(args: &[String], out: &mut String) -> Result<(), String> {
     use phoenix::adaptlab::alibaba::AlibabaConfig;
     use phoenix::adaptlab::runner::{failure_sweep, SweepConfig};
     use phoenix::adaptlab::scenario::EnvConfig;
     use phoenix::adaptlab::tagging::TaggingScheme;
     use phoenix::core::policies::standard_roster;
 
+    check_flags(args, &["--nodes", "--trials"])?;
     let nodes = nodes_arg(args, 200)?;
     let trials: u32 = opt_parse(args, "--trials", 2, |t| t >= 1, "expected an integer >= 1")?;
     let env = EnvConfig {
@@ -255,7 +315,6 @@ fn cmd_drill(args: &[String]) -> Result<(), String> {
             apps: 8,
             max_services: (nodes * 2).clamp(40, 600),
             max_requests: 200_000.0,
-            ..AlibabaConfig::default()
         },
         seed: 7,
         ..EnvConfig::default()
@@ -265,16 +324,21 @@ fn cmd_drill(args: &[String]) -> Result<(), String> {
         &SweepConfig {
             failure_fracs: vec![0.3, 0.5, 0.7],
             trials,
-            ..SweepConfig::default()
         },
         &standard_roster(),
     );
-    println!(
+    say!(
+        out,
         "{:>8} {:>12} {:>13} {:>8} {:>9}",
-        "failed%", "scheme", "availability", "revenue", "fair-dev"
+        "failed%",
+        "scheme",
+        "availability",
+        "revenue",
+        "fair-dev"
     );
     for p in &points {
-        println!(
+        say!(
+            out,
             "{:>8.0} {:>12} {:>13.3} {:>8.3} {:>9.3}",
             p.failure_frac * 100.0,
             p.policy,
@@ -286,11 +350,13 @@ fn cmd_drill(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_export(args: &[String]) -> Result<(), String> {
+fn cmd_export(args: &[String], out: &mut String) -> Result<(), String> {
+    check_flags(args, &["--app"])?;
     let name = opt(args, "--app")?.ok_or("export requires --app")?;
     let model = model_named(&name)?;
     let workload = Workload::new(vec![model.spec]);
-    println!(
+    say!(
+        out,
         "{}",
         persist::to_json(&workload).map_err(|e| e.to_string())?
     );

@@ -22,7 +22,6 @@ fn cfg() -> EnvConfig {
             apps: 6,
             max_services: 150,
             max_requests: 80_000.0,
-            ..AlibabaConfig::default()
         },
         seed: 77,
         ..EnvConfig::default()
@@ -69,7 +68,6 @@ fn sweep_is_deterministic() {
     let sweep = SweepConfig {
         failure_fracs: vec![0.4],
         trials: 2,
-        ..SweepConfig::default()
     };
     let roster: Vec<Box<dyn ResiliencePolicy>> = vec![
         Box::new(PhoenixPolicy::fair()),
@@ -94,7 +92,6 @@ fn phoenix_dominates_default_across_the_sweep() {
     let sweep = SweepConfig {
         failure_fracs: vec![0.3, 0.6],
         trials: 2,
-        ..SweepConfig::default()
     };
     let points = failure_sweep(&cfg(), &sweep, &standard_roster());
     for &frac in &sweep.failure_fracs {

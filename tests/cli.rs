@@ -1,10 +1,11 @@
 //! `phoenix-cli` end to end: the built binary rejects out-of-range
 //! numbers with `error: invalid value '<v>' for --<flag> (…)`, a flag
-//! without a value with `error: missing value for --<flag>`, and a
+//! without a value with `error: missing value for --<flag>`, a flag the
+//! command does not declare with `error: unknown flag --<flag>`, and a
 //! workload service with a bad `criticality` / `cpu` / `mem` with an
 //! error naming the field, all with exit 1 (never a panic's 101); the
 //! documented happy path (`export`, then `plan`) exits 0 and prints one
-//! line per planned action.
+//! line per planned action, and a closed stdout is not a panic.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -195,4 +196,54 @@ fn flag_without_a_value_exits_one_naming_the_flag() {
             "{args:?}"
         );
     }
+}
+
+#[test]
+fn undeclared_flags_and_stray_arguments_exit_one_naming_them() {
+    let workload = exported_workload("cli_undeclared");
+    let cases: [(&[&str], &str); 5] = [
+        (
+            &["plan", "--workload", &workload, "--nodse", "3"],
+            "unknown flag --nodse",
+        ),
+        (
+            &["plan", "--workload", &workload, "--fial", "0.9"],
+            "unknown flag --fial",
+        ),
+        (
+            &["audit", "--app", "overleaf", "extra"],
+            "unexpected argument 'extra'",
+        ),
+        (
+            &["export", "--app", "overleaf", "--nodes", "3"],
+            "unknown flag --nodes",
+        ),
+        (
+            &["drill", "--nodes", "4", "--fail", "0.5"],
+            "unknown flag --fail",
+        ),
+    ];
+    for (args, want) in cases {
+        let out = cli(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert_eq!(stderr.trim_end(), format!("error: {want}"), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed output");
+    }
+}
+
+/// A reader that closes early (`phoenix-cli export | head -c 80`) ends the
+/// run quietly instead of panicking on the failed write.
+#[test]
+fn closed_stdout_is_not_a_panic() {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_phoenix-cli"))
+        .args(["export", "--app", "overleaf"])
+        .stdout(writer)
+        .output()
+        .expect("phoenix-cli runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
 }

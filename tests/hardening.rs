@@ -17,7 +17,7 @@ use phoenix::adaptlab::metrics::service_active;
 use phoenix::apps::instances::{cloudlab_capacities, cloudlab_workload};
 use phoenix::apps::shedding::{shed, summarize, OverloadScenario, QosPolicy, SheddingPolicy};
 use phoenix::cluster::{ClusterState, Resources};
-use phoenix::core::audit::{audit_workload, blast_radius, AuditConfig};
+use phoenix::core::audit::{audit_workload, blast_radius};
 use phoenix::core::controller::{PhoenixConfig, PhoenixController};
 use phoenix::core::objectives::ObjectiveKind;
 use phoenix::core::policies::{PhoenixPolicy, ResiliencePolicy};
@@ -86,7 +86,7 @@ fn stateful_pins_hold_through_failure_and_recovery() {
 #[test]
 fn cloudlab_workload_audits_clean_and_fairness_guards_it() {
     let (workload, _) = cloudlab_workload();
-    let report = audit_workload(&workload, &AuditConfig::default());
+    let report = audit_workload(&workload);
     assert!(
         report.passed(),
         "CloudLab tags are honest: {:?}",
@@ -118,7 +118,6 @@ fn inferred_tags_plan_as_well_as_ground_truth() {
             apps: 3,
             max_services: 120,
             max_requests: 80_000.0,
-            ..AlibabaConfig::default()
         },
     );
 
