@@ -12,10 +12,9 @@
 //!    `{scenario}--{policy}.json`. This is what pins the known
 //!    smoke-suite violations (correlated-blast-radius/PhoenixCost,
 //!    surge-under-crunch).
-//! 2. **Hunt** — the evolutionary search of `phoenix_scenarios::search`,
-//!    with the chaos crate's `scenario_audit` wired in as the secondary
-//!    objective on severity ties; each policy's champion is shrunk and
-//!    persisted as `hunt-{seed}--{policy}.json`.
+//! 2. **Hunt** — the evolutionary search of `phoenix_scenarios::search`;
+//!    each policy's champion is shrunk and persisted as
+//!    `hunt-{seed}--{policy}.json`.
 //!
 //! Flags:
 //!
@@ -26,30 +25,23 @@
 //! * `--json FILE`    also write the hunt outcome + repro set as JSON;
 //! * `--no-persist`   report only, leave `regressions/` untouched;
 //! * `--out DIR`      persist somewhere other than the checked-in dir;
-//! * `--utility-tiebreak`  break severity ties by the served-utility
-//!   deficit on the modal demo workload instead of the chaos audit
-//!   (default off, so seed-pinned regressions are unaffected);
 //! * `--threads N`    pool workers (byte-identical output for any value).
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use phoenix_apps::overleaf::{overleaf, OverleafVariant};
 use phoenix_bench::{init_threads, or_exit, Flags, Table};
-use phoenix_chaos::scenario_chaos::scenario_audit;
 use phoenix_core::policies::{DefaultPolicy, PhoenixPolicy, ResiliencePolicy};
-use phoenix_kubesim::run::{SimConfig, SteadyState};
-use phoenix_scenarios::campaign::{demo_workload, demo_workload_modal, CampaignConfig};
+use phoenix_kubesim::run::SteadyState;
+use phoenix_scenarios::campaign::{demo_workload, CampaignConfig};
 use phoenix_scenarios::generate::{generate_suite, GeneratorConfig};
-use phoenix_scenarios::model::{ScenarioDoc, SuiteDoc};
+use phoenix_scenarios::model::ScenarioDoc;
 use phoenix_scenarios::regression::{encode, regressions_dir, RegressionDoc};
-use phoenix_scenarios::search::{
-    run_hunt_with, signature_of, utility_deficit_objective, HuntConfig,
-};
+use phoenix_scenarios::search::{run_hunt, signature_of, HuntConfig};
 use phoenix_scenarios::shrink::shrink;
 
 const FLAGS: Flags = Flags {
-    switches: &["smoke", "full", "no-persist", "utility-tiebreak"],
+    switches: &["smoke", "full", "no-persist"],
     valued: &["seed", "policy", "json", "out", "threads"],
     names: false,
 };
@@ -92,49 +84,6 @@ fn main() {
         hunt.rounds,
         policies.len(),
     );
-
-    // Secondary objective on severity ties. Default: how badly the
-    // scenario also hurts a *real* app graph under the chaos crate's
-    // settle-for-good audit (unrecovered criticals dominate, then the
-    // worst restore time). With --utility-tiebreak: the served-utility
-    // deficit on the modal demo workload — scenarios that defeat
-    // degraded serving, not just whole-pod availability.
-    let utility_tiebreak = cli.has("utility-tiebreak");
-    let modal_workload = demo_workload_modal(hunt.apps);
-    let modal_policy = PhoenixPolicy::fair();
-    let audit_model = overleaf("overleaf", OverleafVariant::Edits, 1.0);
-    let audit_policy = PhoenixPolicy::fair();
-    let audit_sim = SimConfig::default();
-    let secondary = |doc: &ScenarioDoc| -> u64 {
-        let mut d = doc.clone();
-        // The audit runs a single-app workload; retarget surges onto it.
-        for e in &mut d.events {
-            if e.kind == "demand_surge" {
-                e.app = 0;
-            }
-        }
-        let suite = SuiteDoc {
-            version: SuiteDoc::VERSION,
-            seed: 0,
-            scenarios: vec![d],
-        };
-        match scenario_audit(&audit_model, &audit_policy, &suite, &audit_sim) {
-            Ok(cards) => cards
-                .iter()
-                .map(|c| {
-                    u64::from(c.scenarios - c.critical_recovered) * 1_000_000
-                        + c.worst_restore.map_or(0, |t| t.as_millis())
-                })
-                .sum(),
-            Err(_) => 0,
-        }
-    };
-    let utility_secondary = utility_deficit_objective(&modal_workload, &modal_policy, &cfg);
-    let secondary_ref: &(dyn Fn(&ScenarioDoc) -> u64 + Sync) = if utility_tiebreak {
-        &utility_secondary
-    } else {
-        &secondary
-    };
 
     // The fixed-seed generator suite for pass 1 — generated up front so
     // the steady-state captures below can borrow its cluster shape.
@@ -243,7 +192,7 @@ fn main() {
     }
 
     // Pass 2: the hunt itself.
-    let outcome = run_hunt_with(&workload, &policies, &hunt, &cfg, Some(secondary_ref));
+    let outcome = run_hunt(&workload, &policies, &hunt, &cfg);
     let mut hunt_table = Table::new([
         "policy",
         "round",
@@ -251,7 +200,6 @@ fn main() {
         "severity",
         "outages",
         "violations",
-        "secondary",
     ]);
     for c in &outcome.champions {
         hunt_table.row([
@@ -261,7 +209,6 @@ fn main() {
             format!("{:.1}s", c.signature.severity_ms as f64 / 1000.0),
             c.signature.outages.to_string(),
             c.signature.violations.to_string(),
-            c.secondary.map_or("-".to_string(), |s| s.to_string()),
         ]);
         let mut champion = c.doc.clone();
         champion.name = format!("hunt-{seed}");

@@ -19,39 +19,24 @@ use rand::SeedableRng;
 use super::{Claim, Scale};
 use crate::{replan_scenario, secs, Line, Table};
 
-/// One cold/warm measurement.
-struct ReplanRow {
-    cold: Duration,
-    cold_par: Duration,
-    warm: Duration,
-}
-
-/// Min-of-N cold rounds (sequential and on the global pool) vs. min-of-N
-/// warm rounds on the shared monitor-tick scenario (converged cluster,
-/// alternating one/two failed nodes), with the warm/cold action plans
-/// asserted equal first inside
-/// [`replan_scenario::converge_and_degrade`].
-fn measure_replan(env: &AdaptLabEnv, kind: ObjectiveKind) -> ReplanRow {
+/// Min-of-N cold rounds vs. min-of-N warm rounds on the shared
+/// monitor-tick scenario (converged cluster, alternating one/two failed
+/// nodes), with the warm/cold action plans asserted equal first inside
+/// [`replan_scenario::converge_and_degrade`]. Returns (cold, warm).
+fn measure_replan(env: &AdaptLabEnv, kind: ObjectiveKind) -> (Duration, Duration) {
     let (mut controller, failed_a, failed_b) = replan_scenario::converge_and_degrade(env, kind);
     let cfg = PhoenixConfig::with_objective(kind);
-    let mut row = ReplanRow {
-        cold: Duration::MAX,
-        cold_par: Duration::MAX,
-        warm: Duration::MAX,
-    };
+    let (mut cold, mut warm) = (Duration::MAX, Duration::MAX);
     for i in 0..6 {
         let state = if i % 2 == 0 { &failed_a } else { &failed_b };
         let t = Instant::now();
-        let _ = with_threads(1, || plan_with(&env.workload, state, &cfg));
-        row.cold = row.cold.min(t.elapsed());
-        let t = Instant::now();
         let _ = plan_with(&env.workload, state, &cfg);
-        row.cold_par = row.cold_par.min(t.elapsed());
+        cold = cold.min(t.elapsed());
         let t = Instant::now();
         let _ = controller.replan(state, ReplanDelta::CapacityOnly);
-        row.warm = row.warm.min(t.elapsed());
+        warm = warm.min(t.elapsed());
     }
-    row
+    (cold, warm)
 }
 
 /// Times one multi-trial AdaptLab failure sweep sequentially and on the
@@ -70,8 +55,7 @@ fn measure_sweep(nodes: usize, trials: u32) -> (Duration, Duration) {
         Box::new(PhoenixPolicy::fair()),
     ];
 
-    // `with_threads(1)` pins the *whole* call tree (inner `plan_with`
-    // included) to the calling thread.
+    // `with_threads(1)` runs every trial on the calling thread.
     let t = Instant::now();
     let seq_points = with_threads(1, || failure_sweep(&env, &sweep, &roster));
     let seq = t.elapsed();
@@ -97,8 +81,8 @@ fn measure_sweep(nodes: usize, trials: u32) -> (Duration, Duration) {
 /// it, reproducing "the LP does not scale beyond 1000-server clusters".
 ///
 /// Besides the figure rows it prints, per size and objective, the warm
-/// replan (`-warm`), the cold plan on the `phoenix-exec` pool (`-par`)
-/// and a sequential-vs-parallel multi-trial sweep (`Sweep-par`) — after
+/// replan (`-warm`) and a sequential-vs-parallel multi-trial sweep
+/// (`Sweep-par`) — after
 /// asserting warm == cold action plans and identical sequential/parallel
 /// sweeps. The timings are for reading; the recorded perf ledger is
 /// `benchmark/`.
@@ -140,30 +124,20 @@ pub(super) fn fig8b(scale: Scale, _: Option<u64>, out: &mut String) -> Vec<Claim
             ]);
         }
 
-        // Cold vs. warm incremental replanning (monitor-tick scenario),
-        // plus the data-parallel cold path on the global pool.
+        // Cold vs. warm incremental replanning (monitor-tick scenario).
         for (kind, name) in [
             (ObjectiveKind::Cost, "PhoenixCost"),
             (ObjectiveKind::Fairness, "PhoenixFair"),
         ] {
-            let row = measure_replan(&env, kind);
+            let (cold, warm) = measure_replan(&env, kind);
             table.row([
                 nodes.to_string(),
                 format!("{name}-warm"),
-                secs(row.warm.as_secs_f64()),
+                secs(warm.as_secs_f64()),
                 format!(
                     "cold {} -> {:.1}x faster",
-                    secs(row.cold.as_secs_f64()),
-                    row.cold.as_secs_f64() / row.warm.as_secs_f64()
-                ),
-            ]);
-            table.row([
-                nodes.to_string(),
-                format!("{name}-par"),
-                secs(row.cold_par.as_secs_f64()),
-                format!(
-                    "cold x{threads} threads -> {:.1}x faster",
-                    row.cold.as_secs_f64() / row.cold_par.as_secs_f64()
+                    secs(cold.as_secs_f64()),
+                    cold.as_secs_f64() / warm.as_secs_f64()
                 ),
             ]);
         }

@@ -189,7 +189,7 @@ fn sorted<T: Ord>(items: impl Iterator<Item = T>) -> Vec<T> {
 }
 
 /// Cold + warm churn rounds: the action plan and activation list of
-/// every round (both go through the pooled app-rank / fingerprint paths).
+/// every round (both through the app-rank / fingerprint paths).
 fn churn(out: &mut String) {
     const SCRIPT: &Script = &[
         (Full, &[Fail(0)]),

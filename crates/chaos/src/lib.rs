@@ -31,7 +31,6 @@
 #![warn(missing_docs)]
 
 pub mod node_chaos;
-pub mod scenario_chaos;
 
 use phoenix_apps::AppModel;
 use phoenix_core::spec::ServiceId;
@@ -113,11 +112,6 @@ fn utility_score(model: &AppModel, up: impl Fn(ServiceId) -> bool) -> f64 {
 }
 
 /// Runs the full audit: a degree sweep plus a single-service fault pass.
-///
-/// Each injected failure (one degree of shedding, or one single-service
-/// kill) is evaluated independently against the immutable model, fanned
-/// out on the [exec pool](phoenix_exec::global); results are collected in
-/// sweep order, so the report is byte-identical for every thread count.
 pub fn audit_tags(model: &AppModel) -> ChaosReport {
     audit_at(model, &DEGREES, SHEDDABLE_FROM)
 }
@@ -136,36 +130,29 @@ fn audit_at(model: &AppModel, degrees: &[f64], sheddable_from: Criticality) -> C
         .filter(|&s| model.spec.criticality_of(s) != Criticality::C1)
         .collect();
 
-    let pool = phoenix_exec::global();
     // Degree sweep: kill the least-critical prefix.
-    let degrees = pool.par_map(degrees, |&degree| {
-        let k = ((sheddable.len() as f64) * degree.clamp(0.0, 1.0)).round() as usize;
-        let killed: Vec<ServiceId> = sheddable.iter().copied().take(k).collect();
-        let up = |s: ServiceId| !killed.contains(&s);
-        DegreeReport {
-            degree,
-            critical_retained: model.critical_goal_met(up),
-            utility_score: utility_score(model, up),
-            killed,
-        }
-    });
-
-    // Single-service audit: each sheddable service alone must be safe.
-    let violations = pool
-        .par_map(&sheddable, |&victim| {
-            let up = |s: ServiceId| s != victim;
-            if model.critical_goal_met(up) {
-                None
-            } else {
-                Some(TagViolation {
-                    service: victim,
-                    tag: model.spec.criticality_of(victim),
-                    broken_request: model.critical().name.clone(),
-                })
+    let degrees = (degrees.iter())
+        .map(|&degree| {
+            let k = ((sheddable.len() as f64) * degree.clamp(0.0, 1.0)).round() as usize;
+            let killed: Vec<ServiceId> = sheddable.iter().copied().take(k).collect();
+            let up = |s: ServiceId| !killed.contains(&s);
+            DegreeReport {
+                degree,
+                critical_retained: model.critical_goal_met(up),
+                utility_score: utility_score(model, up),
+                killed,
             }
         })
-        .into_iter()
-        .flatten()
+        .collect();
+
+    // Single-service audit: each sheddable service alone must be safe.
+    let violations = (sheddable.iter())
+        .filter(|&&victim| !model.critical_goal_met(|s: ServiceId| s != victim))
+        .map(|&victim| TagViolation {
+            service: victim,
+            tag: model.spec.criticality_of(victim),
+            broken_request: model.critical().name.clone(),
+        })
         .collect();
 
     ChaosReport {
@@ -180,7 +167,6 @@ mod tests {
     use super::*;
     use phoenix_apps::hotel::{hotel, HotelVariant};
     use phoenix_apps::overleaf::{overleaf, OverleafVariant};
-    use phoenix_exec::with_threads;
 
     #[test]
     fn overleaf_passes_full_audit() {
@@ -234,21 +220,6 @@ mod tests {
         assert!(d0.killed.is_empty());
         assert!(d0.critical_retained);
         assert!((d0.utility_score - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn audit_is_thread_count_invariant() {
-        // Degree sweep and single-service fault pass must produce the
-        // same report (ChaosReport: PartialEq over every field) whether
-        // evaluated sequentially or fanned out.
-        for model in [
-            overleaf("o", OverleafVariant::Edits, 1.0),
-            hotel("hr", HotelVariant::Reserve, 1.0),
-        ] {
-            let run = |threads| with_threads(threads, || audit_tags(&model));
-            let (seq, par) = (run(1), run(4));
-            assert_eq!(seq, par, "{}", model.spec.name());
-        }
     }
 
     #[test]

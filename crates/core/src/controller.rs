@@ -12,7 +12,7 @@ use crate::objectives::{ObjectiveKind, OperatorObjective};
 use crate::planner::{app_rank, PlannerConfig};
 use crate::ranking::{global_rank_prepared, GlobalRank, GlobalRankItem, RankInputs};
 use crate::replan::{replan_with, ReplanCache, ReplanDelta};
-use crate::spec::{AppId, AppSpec, ModeAssignment, ServiceId, ServingMode, Workload};
+use crate::spec::{AppId, ModeAssignment, ServiceId, ServingMode, Workload};
 use crate::stateful::StatefulMarks;
 
 /// Controller configuration: objective + planner + packing knobs.
@@ -312,12 +312,8 @@ pub(crate) fn pack_round(
 /// policies and sweeps call this directly so multi-million-pod workloads
 /// are never cloned per planning round.
 ///
-/// The per-app priority-estimation walks ([`app_rank`]) fan out on the
-/// [exec pool](phoenix_exec::global) — they read disjoint [`AppSpec`]s
-/// and meet again in app-id order — while the global-ranking heap merge
-/// stays sequential, so the output is **byte-identical for every thread
-/// count** (see the thread-invariance tests below and in
-/// [`crate::replan`]). Packing is sequential.
+/// Every step runs on the calling thread: the per-app priority-estimation
+/// walks ([`app_rank`]), the global-ranking heap merge and the packing.
 pub fn plan_with(workload: &Workload, state: &ClusterState, config: &PhoenixConfig) -> PlanResult {
     plan_pinned_with(workload, state, config, &StatefulMarks::new())
 }
@@ -354,9 +350,9 @@ pub(crate) fn plan_pinned_with(
     let t0 = Instant::now();
     let rank = {
         let _rank_timer = obs.phase(phoenix_obs::Phase::Rank);
-        let specs: Vec<&AppSpec> = workload.apps().map(|(_, a)| a).collect();
-        let mut app_ranks: Vec<Vec<ServiceId>> =
-            phoenix_exec::global().par_map(&specs, |app| app_rank(app, config.planner.traversal));
+        let mut app_ranks: Vec<Vec<ServiceId>> = (workload.apps())
+            .map(|(_, app)| app_rank(app, config.planner.traversal))
+            .collect();
         let mut capacity = state.healthy_capacity();
         let inputs = if pins.is_empty() {
             RankInputs::new(workload, &app_ranks)
@@ -427,7 +423,6 @@ mod tests {
     use crate::spec::{AppSpecBuilder, ServiceId};
     use crate::tags::Criticality;
     use phoenix_cluster::{NodeId, PodKey, Resources};
-    use phoenix_exec::with_threads;
 
     /// Two apps, 6 CPUs each at full strength.
     fn workload() -> Workload {
@@ -528,23 +523,6 @@ mod tests {
     }
 
     #[test]
-    fn cold_plan_is_thread_count_invariant() {
-        let w = workload();
-        let config = PhoenixConfig::default();
-        let mut state = ClusterState::homogeneous(3, Resources::cpu(2.0));
-        state.fail_node(NodeId::new(2));
-        let seq = with_threads(1, || plan_with(&w, &state, &config));
-        for threads in [2, 4, 9] {
-            let par = with_threads(threads, || plan_with(&w, &state, &config));
-            assert_eq!(seq.actions, par.actions, "threads = {threads}");
-            assert_eq!(seq.rank.items, par.rank.items);
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&seq.rank.fair_shares), bits(&par.rank.fair_shares));
-            assert_eq!(bits(&seq.rank.allocated), bits(&par.rank.allocated));
-        }
-    }
-
-    #[test]
     fn crunch_steps_modes_down_instead_of_evicting() {
         use crate::spec::{ModeSpec, ServingMode};
 
@@ -624,19 +602,16 @@ mod tests {
         let mut state = ClusterState::homogeneous(4, Resources::cpu(4.0));
         state.fail_node(NodeId::new(3));
         let config = PhoenixConfig::default();
-        let seq = with_threads(1, || plan_with(&w, &state, &config));
+        let first = plan_with(&w, &state, &config);
         assert!(
-            seq.rank.items.iter().any(|i| i.mode != ServingMode::Full),
+            first.rank.items.iter().any(|i| i.mode != ServingMode::Full),
             "crunch must engage the ladders"
         );
-        for threads in [1usize, 4] {
-            let par = with_threads(threads, || plan_with(&w, &state, &config));
-            let tag = format!("threads {threads}");
-            assert_eq!(seq.actions, par.actions, "{tag}");
-            assert_eq!(seq.modes, par.modes, "{tag}");
-            assert_eq!(seq.rank.items, par.rank.items, "{tag}");
-            assert_eq!(seq.packing.starts, par.packing.starts, "{tag}");
-        }
+        let again = plan_with(&w, &state, &config);
+        assert_eq!(first.actions, again.actions);
+        assert_eq!(first.modes, again.modes);
+        assert_eq!(first.rank.items, again.rank.items);
+        assert_eq!(first.packing.starts, again.packing.starts);
     }
 
     #[test]

@@ -60,7 +60,7 @@ use crate::planner::{app_rank, PlannerConfig};
 use crate::ranking::{
     global_rank_prepared, global_rank_replay, merged_order, GlobalRank, MergeOrder, RankInputs,
 };
-use crate::spec::{AppSpec, ModeAssignment, ServiceId, Workload};
+use crate::spec::{ModeAssignment, ServiceId, Workload};
 
 /// What changed since the previous round, as far as the caller knows.
 ///
@@ -119,10 +119,8 @@ pub(crate) struct ReplanCache {
 impl ReplanCache {
     /// Re-validates the epoch layers against the workload. Returns `true`
     /// when anything changed (rank/merge-order caches were invalidated).
-    ///
-    /// The fingerprint sweep and any invalidated [`app_rank`] walks fan
-    /// out on the exec pool; both meet again in app-id order, so the cache
-    /// contents are thread-count-invariant.
+    /// Each app either keeps its cached rank (fingerprint unchanged) or
+    /// walks [`app_rank`] again.
     fn refresh_epoch(
         &mut self,
         workload: &Workload,
@@ -154,17 +152,13 @@ impl ReplanCache {
         let mut ranks_changed = cfg_changed || workload.app_count() != self.fingerprints.len();
         let traversal = config.planner.traversal;
         let traversal_changed = self.planner_cfg.map(|c| c.traversal) != Some(traversal);
-        let specs: Vec<&AppSpec> = workload.apps().map(|(_, a)| a).collect();
-        // Parallel fingerprint re-validation sweep (disjoint reads, met
-        // again in app-id order).
-        let pool = phoenix_exec::global();
-        let fingerprints: Vec<u64> = pool.par_map(&specs, |app| app.fingerprint());
-        let mut app_ranks: Vec<Vec<ServiceId>> = Vec::with_capacity(specs.len());
-        let mut invalidated: Vec<usize> = Vec::new();
+        let mut fingerprints = Vec::with_capacity(workload.app_count());
+        let mut app_ranks: Vec<Vec<ServiceId>> = Vec::with_capacity(workload.app_count());
         let obs = phoenix_obs::current();
-        for (i, fp) in fingerprints.iter().enumerate() {
+        for (i, (_, app)) in workload.apps().enumerate() {
+            let fp = app.fingerprint();
             let reusable = !traversal_changed
-                && self.fingerprints.get(i) == Some(fp)
+                && self.fingerprints.get(i) == Some(&fp)
                 && i < self.app_ranks.len();
             if reusable {
                 obs.incr(phoenix_obs::Counter::ReplanCacheHits);
@@ -172,14 +166,9 @@ impl ReplanCache {
             } else {
                 obs.incr(phoenix_obs::Counter::ReplanCacheMisses);
                 ranks_changed = true;
-                invalidated.push(i);
-                app_ranks.push(Vec::new());
+                app_ranks.push(app_rank(app, traversal));
             }
-        }
-        // Re-walk only the invalidated apps, in parallel.
-        let fresh = pool.par_map(&invalidated, |&i| app_rank(specs[i], traversal));
-        for (&i, rank) in invalidated.iter().zip(fresh) {
-            app_ranks[i] = rank;
+            fingerprints.push(fp);
         }
         self.fingerprints = fingerprints;
         self.app_ranks = app_ranks;
@@ -202,11 +191,6 @@ impl ReplanCache {
 
 /// One warm planning round: [`plan_with`]-equivalent output, reusing
 /// `cache` wherever the fingerprints, capacity, and ranking allow.
-///
-/// The fingerprint sweep and invalidated per-app rank walks fan out on
-/// the [exec pool](phoenix_exec::global); the merge and every cache
-/// decision stay sequential, so warm output remains byte-identical to a
-/// cold [`plan_with`] for every thread count. Packing is sequential.
 ///
 /// [`plan_with`]: crate::controller::plan_with
 pub(crate) fn replan_with(
@@ -368,7 +352,6 @@ mod tests {
     use crate::spec::{AppSpecBuilder, ModeSpec, ServingMode, Workload};
     use crate::tags::Criticality;
     use phoenix_cluster::{NodeId, Resources};
-    use phoenix_exec::with_threads;
 
     /// A mixed workload: chained apps with graphs, a flat app, uneven
     /// prices and replica counts.
@@ -416,27 +399,16 @@ mod tests {
     }
 
     /// Drives a churn scenario (progressive failures, recovery, respawn)
-    /// through warm replans and checks each round against a cold plan —
-    /// for threads ∈ {1, 4}: the cold reference always runs strictly
-    /// sequentially, the warm path at the thread count under test, so the
-    /// check covers both warm/cold and parallel/sequential equivalence.
+    /// through warm replans and checks each round against a cold plan.
     fn churn_equivalence(kind: ObjectiveKind, delta: ReplanDelta) {
-        for threads in [1, 4] {
-            churn_equivalence_at(kind, delta, threads);
-        }
-    }
-
-    fn churn_equivalence_at(kind: ObjectiveKind, delta: ReplanDelta, threads: usize) {
         let w = workload(3);
         let config = PhoenixConfig::with_objective(kind);
         let mut cache = ReplanCache::default();
         let mut live = ClusterState::homogeneous(8, Resources::cpu(4.0));
 
         for round in 0..6 {
-            let cold = with_threads(1, || plan_with(&w, &live, &config));
-            let warm = with_threads(threads, || {
-                replan_with(&w, &live, &config, &mut cache, delta)
-            });
+            let cold = plan_with(&w, &live, &config);
+            let warm = replan_with(&w, &live, &config, &mut cache, delta);
             assert_equivalent(&cold, &warm);
 
             // Apply the plan, then mutate the cluster for the next round.
@@ -521,54 +493,49 @@ mod tests {
         Workload::new(apps)
     }
 
-    /// Mode-bearing specs through the same churn harness: warm replans —
-    /// sequential and parallel — must stay byte-identical to a strictly
-    /// sequential cold plan while ladders are being cut and re-extended
-    /// by the failing/recovering capacity.
+    /// Mode-bearing specs through the same churn harness: warm replans
+    /// must stay byte-identical to a cold plan while ladders are being cut
+    /// and re-extended by the failing/recovering capacity.
     #[test]
     fn modal_warm_equals_cold_under_churn() {
         for kind in [ObjectiveKind::Fairness, ObjectiveKind::Cost] {
-            for threads in [1usize, 4] {
-                let w = modal_workload(1);
-                let config = PhoenixConfig::with_objective(kind);
-                let mut cache = ReplanCache::default();
-                // Tight enough that several ladders are cut mid-way.
-                let mut live = ClusterState::homogeneous(6, Resources::cpu(4.0));
-                for round in 0..6u32 {
-                    let cold = with_threads(1, || plan_with(&w, &live, &config));
-                    let warm = with_threads(threads, || {
-                        replan_with(&w, &live, &config, &mut cache, ReplanDelta::Full)
-                    });
-                    let tag = format!("{kind:?} threads {threads} round {round}");
-                    assert_eq!(cold.actions, warm.actions, "{tag}");
-                    assert_equivalent(&cold, &warm);
-                    live = warm.target.clone();
-                    match round {
-                        0 => {
-                            live.fail_node(NodeId::new(0));
-                        }
-                        1 => {
-                            live.fail_node(NodeId::new(1));
-                            live.fail_node(NodeId::new(2));
-                        }
-                        2 => {
-                            live.restore_node(NodeId::new(0));
-                        }
-                        3 => {} // steady round
-                        _ => {
-                            live.restore_node(NodeId::new(round % 3));
-                        }
+            let w = modal_workload(1);
+            let config = PhoenixConfig::with_objective(kind);
+            let mut cache = ReplanCache::default();
+            // Tight enough that several ladders are cut mid-way.
+            let mut live = ClusterState::homogeneous(6, Resources::cpu(4.0));
+            for round in 0..6u32 {
+                let cold = plan_with(&w, &live, &config);
+                let warm = replan_with(&w, &live, &config, &mut cache, ReplanDelta::Full);
+                let tag = format!("{kind:?} round {round}");
+                assert_eq!(cold.actions, warm.actions, "{tag}");
+                assert_equivalent(&cold, &warm);
+                live = warm.target.clone();
+                match round {
+                    0 => {
+                        live.fail_node(NodeId::new(0));
+                    }
+                    1 => {
+                        live.fail_node(NodeId::new(1));
+                        live.fail_node(NodeId::new(2));
+                    }
+                    2 => {
+                        live.restore_node(NodeId::new(0));
+                    }
+                    3 => {} // steady round
+                    _ => {
+                        live.restore_node(NodeId::new(round % 3));
                     }
                 }
-                // Crunch rounds must actually have exercised ladders.
-                assert!(
-                    cache
-                        .rank
-                        .as_ref()
-                        .is_some_and(|r| r.items.iter().any(|i| i.mode != ServingMode::Full)),
-                    "no degraded rung ever ranked — fixture too loose"
-                );
             }
+            // Crunch rounds must actually have exercised ladders.
+            assert!(
+                cache
+                    .rank
+                    .as_ref()
+                    .is_some_and(|r| r.items.iter().any(|i| i.mode != ServingMode::Full)),
+                "no degraded rung ever ranked — fixture too loose"
+            );
         }
     }
 
@@ -683,32 +650,6 @@ mod tests {
             ),
             (2, 1, 3)
         );
-    }
-
-    #[test]
-    fn parallel_fingerprint_sweep_matches_sequential_after_spec_change() {
-        // Push one new app between rounds: the sweep must re-validate on
-        // the pool, re-walk only the invalidated app, and still produce
-        // a plan byte-identical to a strictly sequential cold plan.
-        let mut w = workload(0);
-        let config = PhoenixConfig::with_objective(ObjectiveKind::Cost);
-        let live = ClusterState::homogeneous(8, Resources::cpu(4.0));
-        let mut cache = ReplanCache::default();
-        let mut warm_round = |w: &Workload| {
-            with_threads(4, || {
-                replan_with(w, &live, &config, &mut cache, ReplanDelta::Full)
-            })
-        };
-        let _ = warm_round(&w);
-
-        let mut b = AppSpecBuilder::new("vip");
-        b.add_service("only", Resources::cpu(1.0), Some(Criticality::C1), 1);
-        b.price_per_unit(100.0);
-        let apps = w.apps().map(|(_, a)| a.clone()).chain([b.build().unwrap()]);
-        w = Workload::new(apps.collect());
-        let cold = with_threads(1, || plan_with(&w, &live, &config));
-        let warm = warm_round(&w);
-        assert_equivalent(&cold, &warm);
     }
 
     #[test]

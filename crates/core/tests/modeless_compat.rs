@@ -17,7 +17,6 @@ use phoenix_core::objectives::ObjectiveKind;
 use phoenix_core::replan::ReplanDelta;
 use phoenix_core::spec::{AppSpecBuilder, Workload};
 use phoenix_core::tags::Criticality;
-use phoenix_exec::with_threads;
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -64,13 +63,9 @@ fn churn_lines(seed: u64, kind: ObjectiveKind, crunch: bool, out: &mut String) {
     let (nodes, cpu) = if crunch { (4, 5.0) } else { (8, 4.0) };
     let mut live = ClusterState::homogeneous(nodes, Resources::cpu(cpu));
     for round in 0..6u32 {
-        let cold = with_threads(1, || plan_with(&w, &live, &config));
-        let (warm, capacity_only) = with_threads(4, || {
-            (
-                full.replan(&live, ReplanDelta::Full),
-                capacity.replan(&live, ReplanDelta::CapacityOnly),
-            )
-        });
+        let cold = plan_with(&w, &live, &config);
+        let warm = full.replan(&live, ReplanDelta::Full);
+        let capacity_only = capacity.replan(&live, ReplanDelta::CapacityOnly);
         let json = cold.actions.to_json();
         assert_eq!(json, warm.actions.to_json(), "warm diverged from cold");
         assert_eq!(

@@ -1,14 +1,14 @@
 //! Observability determinism: the deterministic counter plane is a pure
-//! function of planner inputs — byte-identical for any thread count —
-//! and an enabled recorder never perturbs planner output.
+//! function of planner inputs — byte-identical between runs and on any
+//! thread that runs the planner — and an enabled recorder never perturbs
+//! planner output.
 //!
 //! These are the two contracts that let `phoenix-obs` join the CI
 //! determinism probe: counters count *work the planner does* (plans,
-//! cache decisions, placements), never how the pool chunked it, and the
-//! wall-clock plane (timers, spans) is the only part allowed to move
-//! between runs. Each run scopes its own recorder with
-//! [`with_recorder`] and its thread count with [`with_threads`]; both
-//! are per-thread, so the harness's parallel test threads never observe
+//! cache decisions, placements), and the wall-clock plane (timers,
+//! spans) is the only part allowed to move between runs. Each run
+//! scopes its own recorder with [`with_recorder`]; the scope is
+//! per-thread, so the harness's parallel test threads never observe
 //! each other's counters and take no lock.
 
 use phoenix_cluster::{ClusterState, NodeId, Resources};
@@ -17,7 +17,6 @@ use phoenix_core::objectives::ObjectiveKind;
 use phoenix_core::replan::ReplanDelta;
 use phoenix_core::spec::{AppSpecBuilder, Workload};
 use phoenix_core::tags::Criticality;
-use phoenix_exec::with_threads;
 use phoenix_obs::{with_recorder, Recorder};
 use proptest::prelude::*;
 
@@ -49,13 +48,19 @@ fn mixed_workload(apps: u64) -> Workload {
     Workload::new(specs)
 }
 
-/// Runs the cold-plan + warm-replan churn loop at `threads` under a
-/// fresh enabled recorder and returns the counter plane rendered as the
-/// exact bytes the determinism probe would print.
-fn counter_bytes(threads: usize) -> String {
+/// Runs the cold-plan + warm-replan churn loop under a fresh enabled
+/// recorder and returns the counter plane rendered as the exact bytes
+/// the determinism probe would print.
+fn counter_bytes() -> String {
     let recorder = Recorder::enabled();
-    with_recorder(recorder.clone(), || with_threads(threads, churn));
+    with_recorder(recorder.clone(), churn);
     render(&recorder)
+}
+
+/// Runs `f` on a freshly spawned thread, which starts with no recorder
+/// scope of its own.
+fn on_fresh_thread<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|s| s.spawn(f).join().expect("planning thread panicked"))
 }
 
 /// The churn loop [`counter_bytes`] records: one cold plan, then warm
@@ -123,24 +128,27 @@ fn plan_bytes(workload: &Workload, state: &ClusterState, cfg: &PhoenixConfig) ->
 
 #[test]
 fn counters_byte_identical_across_threads() {
-    let baseline = counter_bytes(1);
-    for threads in [2, 4, 8] {
-        assert_eq!(
-            baseline,
-            counter_bytes(threads),
-            "deterministic counter plane moved between 1 and {threads} pool threads"
-        );
-    }
+    let baseline = counter_bytes();
+    assert_eq!(
+        baseline,
+        counter_bytes(),
+        "counter plane moved between runs"
+    );
+    assert_eq!(
+        baseline,
+        on_fresh_thread(counter_bytes),
+        "counter plane moved between the test thread and a fresh one"
+    );
 }
 
-/// Two threads plan concurrently, each in its own recorder scope (and
-/// fanning out on its own pool workers): each recorder reads exactly the
-/// bytes of a solo run — no lock, no cross-talk.
+/// Two threads plan concurrently, each in its own recorder scope: each
+/// recorder reads exactly the bytes of a solo run — no lock, no
+/// cross-talk.
 #[test]
 fn concurrent_recorder_scopes_do_not_cross_talk() {
-    let solo = counter_bytes(2);
+    let solo = counter_bytes();
     let [a, b] = std::thread::scope(|s| {
-        [s.spawn(|| counter_bytes(2)), s.spawn(|| counter_bytes(2))]
+        [s.spawn(counter_bytes), s.spawn(counter_bytes)]
             .map(|h| h.join().expect("planning thread panicked"))
     });
     assert_eq!(a, solo, "first concurrent recorder saw foreign counts");
@@ -152,7 +160,7 @@ fn enabled_recorder_leaves_plan_output_byte_identical() {
     let workload = mixed_workload(6);
     let state = ClusterState::homogeneous(9, Resources::cpu(4.0));
     let cfg = PhoenixConfig::with_objective(ObjectiveKind::Fairness);
-    let plan = || with_threads(2, || plan_bytes(&workload, &state, &cfg));
+    let plan = || plan_bytes(&workload, &state, &cfg);
 
     let disabled = plan();
     let enabled = with_recorder(Recorder::enabled(), plan);
@@ -165,27 +173,27 @@ fn enabled_recorder_leaves_plan_output_byte_identical() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random (workload shape × cluster size): the counter plane at
-    /// 1 thread and 4 threads is byte-identical.
+    /// Random (workload shape × cluster size): the counter plane on the
+    /// test thread and on a fresh thread is byte-identical.
     #[test]
     fn prop_counters_thread_invariant(
         apps in 2u64..7,
         nodes in 4usize..14,
     ) {
-        let record = |threads: usize| -> String {
+        let record = || -> String {
             let recorder = Recorder::enabled();
             let cfg = PhoenixConfig::with_objective(ObjectiveKind::Fairness);
             let mut controller = PhoenixController::new(mixed_workload(apps), cfg);
             let mut live = ClusterState::homogeneous(nodes, Resources::cpu(4.0));
-            with_recorder(recorder.clone(), || with_threads(threads, || {
+            with_recorder(recorder.clone(), || {
                 for round in 0..3u32 {
                     let result = controller.replan(&live, ReplanDelta::Full);
                     live = result.target.clone();
                     live.fail_node(NodeId::new(round % nodes as u32));
                 }
-            }));
+            });
             render(&recorder)
         };
-        prop_assert_eq!(record(1), record(4));
+        prop_assert_eq!(record(), on_fresh_thread(record));
     }
 }

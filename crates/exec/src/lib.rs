@@ -1,13 +1,13 @@
 //! Deterministic data-parallel execution substrate.
 //!
-//! Phoenix's reaction time during a capacity crunch is bounded by its
-//! planner, and the evaluation loop (multi-trial sweeps, chaos audits)
-//! is bounded by how many independent trials fit in wall-clock. Both are
-//! embarrassingly parallel *per item* — per-app graph walks, per-trial
-//! sweeps, per-degree injections — but every consumer in this workspace
-//! also promises **bit-for-bit reproducible output under any seed**, so
-//! naive parallelism (reduce-in-completion-order, shared accumulators)
-//! is off the table.
+//! Phoenix's evaluation stack — campaign cells, hunt evaluations,
+//! AdaptLab failure sweeps, node-chaos simulations — is bounded by how
+//! many independent trials fit in wall-clock, and each is embarrassingly
+//! parallel *per item*. (The planner itself runs on the calling thread:
+//! one plan is too short for a fan-out to pay for its threads.) Every
+//! consumer in this workspace also promises **bit-for-bit reproducible
+//! output under any seed**, so naive parallelism
+//! (reduce-in-completion-order, shared accumulators) is off the table.
 //!
 //! This crate provides the one primitive the rest of the stack builds
 //! on: the [`global()`] [`Pool`], whose [`par_map`](Pool::par_map) is
@@ -44,15 +44,17 @@
 //! `par_*` call `f` makes — directly or through any layer it calls — on
 //! the calling thread; `n = 1` spawns nothing. Scopes nest and restore on
 //! exit (panics included). This is how tests and benches pin a whole call
-//! tree (campaign → simulator → planner) to one thread count without a
+//! tree (campaign → cells → simulations) to one thread count without a
 //! pool parameter at every layer.
 //!
 //! # Nested fan-out and inherited context
 //!
 //! Pool workers run inside a `with_threads(1)` scope: a `par_*` call made
 //! from a worker runs sequentially on that worker, because the outer
-//! fan-out already owns the cores and nesting would only multiply threads
-//! (N trial workers × N planner workers) without adding parallelism.
+//! fan-out already owns the cores: an evaluation nested inside another
+//! (a sweep run from a campaign cell, a policy that fans out inside a
+//! simulation) would only multiply threads (N outer × N inner workers)
+//! without adding parallelism.
 //! Workers also inherit the calling thread's
 //! [`phoenix_obs` recorder](phoenix_obs::current), so counters recorded
 //! inside a fan-out land where the caller's scope points. Both are pure

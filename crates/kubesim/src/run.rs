@@ -21,7 +21,7 @@ use crate::scenario::{Scenario, ScenarioKind};
 use crate::time::SimTime;
 
 /// Serving-status sampling period of the output trace.
-pub const SAMPLE_INTERVAL: SimTime = SimTime::from_secs(1);
+const SAMPLE_INTERVAL: SimTime = SimTime::from_secs(1);
 
 /// Simulator configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -162,7 +162,7 @@ pub struct TraceSample {
 /// Full output of a simulation run.
 #[derive(Debug, Clone, Default)]
 pub struct SimTrace {
-    /// Serving status over time, one sample per [`SAMPLE_INTERVAL`].
+    /// Serving status over time, one sample per simulated second.
     /// Consecutive samples may be equal apart from `at`: a sample taken
     /// while the serving set and its weights stayed unchanged since the
     /// previous one shares its list, whatever events fired in between.

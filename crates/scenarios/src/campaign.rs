@@ -238,8 +238,8 @@ fn demo_build(apps: u32, modal: bool) -> Workload {
 
 /// Runs the campaign: every `(scenario, policy)` cell fans out on the
 /// [exec pool](phoenix_exec::global) (`PHOENIX_THREADS`, or the caller's
-/// [`with_threads`](phoenix_exec::with_threads) scope, which the planners
-/// inside each cell inherit too).
+/// [`with_threads`](phoenix_exec::with_threads) scope, which a policy
+/// that fans out inside a cell inherits too).
 ///
 /// # Errors
 ///
@@ -569,8 +569,8 @@ mod tests {
         }
     }
 
-    /// `with_threads(1)` reaches every layer under the campaign: the
-    /// planners inside each cell never fan out onto a worker.
+    /// `with_threads(1)` reaches every layer under the campaign: a policy
+    /// that fans out inside a cell never runs on a worker.
     #[test]
     fn one_thread_scope_reaches_the_planners_inside_a_campaign() {
         let suite = generate_suite(&GeneratorConfig {

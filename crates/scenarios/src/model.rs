@@ -31,6 +31,16 @@ pub const EVENT_KINDS: [&str; 10] = [
     "rack_restore",
 ];
 
+/// The [`EVENT_KINDS`] that *undo* damage: [`ScenarioDoc::first_disruption`]
+/// skips them, the search likes to delay or delete them, and the
+/// shrinker's deletion pass tries them first.
+pub const RESTORE_KINDS: [&str; 4] = [
+    "kubelet_start",
+    "capacity_restore",
+    "zone_restore",
+    "rack_restore",
+];
+
 fn one_f64() -> f64 {
     1.0
 }
@@ -374,12 +384,7 @@ impl ScenarioDoc {
     pub fn first_disruption(&self) -> Option<SimTime> {
         self.events
             .iter()
-            .filter(|e| {
-                !matches!(
-                    e.kind.as_str(),
-                    "kubelet_start" | "capacity_restore" | "zone_restore" | "rack_restore"
-                )
-            })
+            .filter(|e| !RESTORE_KINDS.contains(&e.kind.as_str()))
             .map(|e| SimTime::from_millis(e.at_ms))
             .min()
     }

@@ -23,8 +23,8 @@
 use phoenix_core::policies::ResiliencePolicy;
 use phoenix_core::spec::Workload;
 use phoenix_core::tags::Criticality;
-use phoenix_kubesim::rto::{evaluate_rto, evaluate_utility};
-use phoenix_kubesim::run::{simulate, simulate_from, SteadyState};
+use phoenix_kubesim::rto::evaluate_rto;
+use phoenix_kubesim::run::{simulate_from, SteadyState};
 use phoenix_kubesim::time::SimTime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,16 +32,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::campaign::CampaignConfig;
 use crate::generate::{generate, Family, GeneratorConfig};
-use crate::model::{EventDoc, ScenarioDoc, ScenarioError};
-
-/// Event kinds that *undo* damage — the ones the search likes to delay or
-/// delete, and the shrinker's deletion pass tries first.
-pub const RESTORE_KINDS: [&str; 4] = [
-    "kubelet_start",
-    "capacity_restore",
-    "zone_restore",
-    "rack_restore",
-];
+use crate::model::{EventDoc, ScenarioDoc, ScenarioError, RESTORE_KINDS};
 
 fn is_none_u64(v: &Option<u64>) -> bool {
     v.is_none()
@@ -172,10 +163,6 @@ pub struct Champion {
     pub candidate: u32,
     /// The violation it achieves.
     pub signature: ViolationSignature,
-    /// Secondary-objective score, when a secondary objective broke a
-    /// severity tie for this champion.
-    #[serde(default, skip_serializing_if = "is_none_u64")]
-    pub secondary: Option<u64>,
     /// The offending scenario itself.
     pub doc: ScenarioDoc,
 }
@@ -197,38 +184,6 @@ pub struct HuntOutcome {
     pub champions: Vec<Champion>,
 }
 
-/// A deterministic secondary objective: scores a candidate when two tie
-/// on severity (higher wins). The `scenario_hunt` bin wires
-/// `phoenix_chaos::scenario_chaos::scenario_audit` in here.
-pub type SecondaryObjective<'a> = &'a (dyn Fn(&ScenarioDoc) -> u64 + Sync);
-
-/// A ready-made [`SecondaryObjective`]: how much served utility the
-/// scenario starves out of `workload` under `policy` — the
-/// baseline-minus-worst deficit of [`evaluate_utility`], in millionths
-/// of a utility unit so the hunt's integer tie-break stays exact. On
-/// modal workloads this steers severity ties toward scenarios that
-/// defeat degraded serving too, not just whole-pod availability.
-///
-/// Deliberately **not** wired in by default: the seed-pinned hunts (and
-/// the persisted regressions they produced) only use it when a caller
-/// passes it to [`run_hunt_with`] explicitly.
-pub fn utility_deficit_objective<'a>(
-    workload: &'a Workload,
-    policy: &'a dyn ResiliencePolicy,
-    cfg: &'a CampaignConfig,
-) -> impl Fn(&ScenarioDoc) -> u64 + Sync + 'a {
-    move |doc: &ScenarioDoc| {
-        let Ok(scenario) = doc.compile() else {
-            return 0;
-        };
-        let trace = simulate(workload, policy, &scenario, &cfg.sim, doc.horizon());
-        let disruption = doc.first_disruption().unwrap_or(SimTime::ZERO);
-        let u = evaluate_utility(&trace, disruption);
-        let deficit = (u.baseline - u.worst).max(0.0);
-        (deficit * 1_000_000.0).round() as u64
-    }
-}
-
 /// Runs the hunt: each round's `(candidate, policy)` evaluations fan out
 /// on the [exec pool](phoenix_exec::global) (`PHOENIX_THREADS`, or the
 /// caller's [`with_threads`](phoenix_exec::with_threads) scope).
@@ -242,22 +197,6 @@ pub fn run_hunt(
     policies: &[Box<dyn ResiliencePolicy>],
     hunt: &HuntConfig,
     eval: &CampaignConfig,
-) -> HuntOutcome {
-    run_hunt_with(workload, policies, hunt, eval, None)
-}
-
-/// [`run_hunt`] with an optional secondary objective for severity
-/// tie-breaks.
-///
-/// # Panics
-///
-/// As [`run_hunt`].
-pub fn run_hunt_with(
-    workload: &Workload,
-    policies: &[Box<dyn ResiliencePolicy>],
-    hunt: &HuntConfig,
-    eval: &CampaignConfig,
-    secondary: Option<SecondaryObjective<'_>>,
 ) -> HuntOutcome {
     let apps = hunt.apps.min(workload.app_count() as u32).max(1);
     let population_size = hunt.population.max(1);
@@ -303,37 +242,20 @@ pub fn run_hunt_with(
         });
         evaluations += sigs.len() as u32;
 
-        // Champion update, in job order (candidate-major): severity
-        // first, then the secondary objective, then the earlier find.
+        // Champion update, in job order (candidate-major): the higher
+        // severity wins, and a tie keeps the earlier find.
         for (&(ci, pi), sig) in jobs.iter().zip(&sigs) {
-            if sig.severity_ms == 0 {
-                continue;
-            }
-            let challenger = |sec: Option<u64>| Champion {
-                policy: policies[pi].name().to_string(),
-                round,
-                candidate: ci as u32,
-                signature: sig.clone(),
-                secondary: sec,
-                doc: population[ci].clone(),
-            };
-            match &mut champions[pi] {
-                slot @ None => *slot = Some(challenger(None)),
-                Some(best) => {
-                    if sig.severity_ms > best.signature.severity_ms {
-                        champions[pi] = Some(challenger(None));
-                    } else if sig.severity_ms == best.signature.severity_ms {
-                        if let Some(sec) = secondary {
-                            if best.secondary.is_none() {
-                                best.secondary = Some(sec(&best.doc));
-                            }
-                            let score = sec(&population[ci]);
-                            if Some(score) > best.secondary {
-                                champions[pi] = Some(challenger(Some(score)));
-                            }
-                        }
-                    }
-                }
+            let best = champions[pi]
+                .as_ref()
+                .map_or(0, |c| c.signature.severity_ms);
+            if sig.severity_ms > best {
+                champions[pi] = Some(Champion {
+                    policy: policies[pi].name().to_string(),
+                    round,
+                    candidate: ci as u32,
+                    signature: sig.clone(),
+                    doc: population[ci].clone(),
+                });
             }
         }
         if round == hunt.rounds {
@@ -743,50 +665,5 @@ mod tests {
             serde_json::to_string_pretty(&a).unwrap(),
             serde_json::to_string_pretty(&c).unwrap()
         );
-    }
-
-    #[test]
-    fn utility_deficit_objective_scores_crunch_above_calm() {
-        use crate::campaign::demo_workload_modal;
-        let w = demo_workload_modal(3);
-        let policy = PhoenixPolicy::fair();
-        let cfg = CampaignConfig::default();
-        let objective = utility_deficit_objective(&w, &policy, &cfg);
-        let hunt = HuntConfig::smoke(42);
-        let docs = initial_population(&hunt, 3, 30);
-        // Deterministic: same doc, same score.
-        let scores: Vec<u64> = docs.iter().map(&objective).collect();
-        let again: Vec<u64> = docs.iter().map(&objective).collect();
-        assert_eq!(scores, again);
-        // A calm scenario (no events) starves nothing.
-        let mut calm = docs[0].clone();
-        calm.events.clear();
-        assert_eq!(objective(&calm), 0);
-        // At least one generator scenario drives utility below baseline.
-        assert!(
-            scores.iter().any(|&s| s > 0),
-            "no generator scenario produced a utility deficit: {scores:?}"
-        );
-    }
-
-    #[test]
-    fn secondary_objective_breaks_severity_ties_deterministically() {
-        // A constant-severity oracle cannot exist in the real sim, so
-        // exercise the tie-break arm directly: two identical candidates
-        // tie, and the secondary objective must pick the *earlier* one
-        // unless the later strictly wins.
-        let hunt = HuntConfig {
-            population: 6,
-            rounds: 0,
-            ..HuntConfig::smoke(42)
-        };
-        let w = demo_workload(3);
-        let cfg = CampaignConfig::default();
-        // Secondary that prefers later event counts: deterministic and
-        // doc-derived, so the run stays reproducible.
-        let secondary = |d: &ScenarioDoc| d.events.len() as u64;
-        let a = run_hunt_with(&w, &roster(), &hunt, &cfg, Some(&secondary));
-        let b = run_hunt_with(&w, &roster(), &hunt, &cfg, Some(&secondary));
-        assert_eq!(a, b);
     }
 }

@@ -28,8 +28,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::model::ScenarioDoc;
-use crate::search::RESTORE_KINDS;
+use crate::model::{ScenarioDoc, RESTORE_KINDS};
 
 /// What one shrink run did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

@@ -86,9 +86,10 @@ const USAGE: &str = "usage:
   phoenix-cli export --app overleaf|hr";
 
 /// Rejects any argument that is not one of the command's `flags` or a
-/// flag's value: a misspelled flag or a stray word is an error, not a
-/// silent default.
+/// flag's value, and a flag given twice: a misspelled flag, a stray word
+/// or a repeated flag is an error, not a silent default.
 fn check_flags(args: &[String], flags: &[&str]) -> Result<(), String> {
+    let mut seen: Vec<&str> = Vec::new();
     let mut args = args.iter().peekable();
     while let Some(arg) = args.next() {
         if !flags.contains(&arg.as_str()) {
@@ -98,6 +99,10 @@ fn check_flags(args: &[String], flags: &[&str]) -> Result<(), String> {
                 format!("unexpected argument '{arg}'")
             });
         }
+        if seen.contains(&arg.as_str()) {
+            return Err(format!("{arg} given twice"));
+        }
+        seen.push(arg);
         // Its value; `opt` reports a missing one.
         args.next_if(|v| !v.starts_with("--"));
     }

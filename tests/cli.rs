@@ -1,7 +1,8 @@
 //! `phoenix-cli` end to end: the built binary rejects out-of-range
 //! numbers with `error: invalid value '<v>' for --<flag> (…)`, a flag
 //! without a value with `error: missing value for --<flag>`, a flag the
-//! command does not declare with `error: unknown flag --<flag>`, and a
+//! command does not declare with `error: unknown flag --<flag>`, a
+//! repeated flag with `error: --<flag> given twice`, and a
 //! workload service with a bad `criticality` / `cpu` / `mem` with an
 //! error naming the field, all with exit 1 (never a panic's 101); the
 //! documented happy path (`export`, then `plan`) exits 0 and prints one
@@ -221,6 +222,41 @@ fn undeclared_flags_and_stray_arguments_exit_one_naming_them() {
         (
             &["drill", "--nodes", "4", "--fail", "0.5"],
             "unknown flag --fail",
+        ),
+    ];
+    for (args, want) in cases {
+        let out = cli(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert_eq!(stderr.trim_end(), format!("error: {want}"), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed output");
+    }
+}
+
+/// A repeated flag is an error naming it, not a silent first-value-wins.
+#[test]
+fn repeated_flags_exit_one_naming_them() {
+    let workload = exported_workload("cli_repeated");
+    let cases: [(&[&str], &str); 3] = [
+        (
+            &[
+                "plan",
+                "--workload",
+                &workload,
+                "--nodes",
+                "3",
+                "--nodes",
+                "5",
+            ],
+            "--nodes given twice",
+        ),
+        (
+            &["plan", "--workload", &workload, "--workload", &workload],
+            "--workload given twice",
+        ),
+        (
+            &["audit", "--app", "hr", "--app", "overleaf"],
+            "--app given twice",
         ),
     ];
     for (args, want) in cases {

@@ -89,6 +89,33 @@ fn every_crate_is_a_default_member() {
     );
 }
 
+/// ROADMAP's Parked rule, as a test: the planner layers (`core`, and the
+/// `cluster` packer and `kubesim` simulator it runs inside) stay
+/// sequential, so none of them may depend on the `phoenix-exec` pool. Only
+/// the evaluation stack above them fans out.
+#[test]
+fn planner_layers_do_not_depend_on_the_pool() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    for krate in ["core", "cluster", "kubesim"] {
+        let path = format!("{root}/crates/{krate}/Cargo.toml");
+        let manifest = std::fs::read_to_string(&path).expect("read crate manifest");
+        // The `[dependencies]` table runs to the next `[table]` header.
+        let deps = manifest
+            .split_once("\n[dependencies]\n")
+            .map_or("", |(_, rest)| rest.split("\n[").next().unwrap_or(""));
+        let pooled = deps
+            .lines()
+            .any(|l| l.trim_start().starts_with("phoenix-exec"))
+            || manifest.contains("[dependencies.phoenix-exec]");
+        assert!(
+            !pooled,
+            "crates/{krate}/Cargo.toml lists phoenix-exec under [dependencies]: \
+             ROADMAP parks any parallel planner path until a recorded >= 1.3x row \
+             on host_cpus >= threads hardware earns it"
+        );
+    }
+}
+
 /// Public functions in `crates/*/src` and `src` that no non-test source,
 /// example, bench or `benchmark/src` file calls, each with the reason it
 /// stays public. [`no_public_fn_lacks_a_caller`] fails when an entry
