@@ -169,185 +169,6 @@ pub fn failure_sweep(
         .collect()
 }
 
-/// One `(scenario, policy)` cell of a [`scripted_sweep`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScriptedPoint {
-    /// Scenario name.
-    pub scenario: String,
-    /// Scenario family slug.
-    pub family: String,
-    /// Policy display name.
-    pub policy: String,
-    /// Metrics of the policy's plan against the scenario's worst moment.
-    pub metrics: SchemeMetrics,
-}
-
-/// Plans-only sweep over a generated scenario suite: for each scenario,
-/// reconstruct its **peak concurrent outage** — the instant with the most
-/// effective capacity lost, replaying stop/start, zone/rack, flap, and
-/// gray-degrade events — apply that state (plus any demand surges that
-/// landed before it) to the baseline environment, and score every policy.
-///
-/// Where [`failure_sweep`] draws random victims per degree, this reuses
-/// the `phoenix-scenarios` family generators, so the planner is graded
-/// against *shaped* trouble (cascades, blast radii, aging) with zero new
-/// randomness: the suite fully determines the sweep.
-///
-/// Scenarios fan out on the [exec pool](phoenix_exec::global) and the
-/// result grid is collected in suite order (policies varying fastest), so
-/// the sweep is byte-identical for every thread count.
-///
-/// # Errors
-///
-/// Propagates suite validation errors before planning anything.
-pub fn scripted_sweep(
-    env_cfg: &EnvConfig,
-    suite: &phoenix_scenarios::model::SuiteDoc,
-    policies: &[Box<dyn ResiliencePolicy>],
-) -> Result<Vec<ScriptedPoint>, phoenix_scenarios::model::ScenarioError> {
-    suite.validate()?;
-    let env = build_env(env_cfg);
-    let grids = phoenix_exec::global().par_map(&suite.scenarios, |doc| {
-        let (failed, workload) = peak_outage_state(&env, doc);
-        let baseline_revenue = revenue(&workload, &env.baseline);
-        policies
-            .iter()
-            .map(|policy| {
-                let mut target = failed.clone();
-                let plan = policy.plan(&workload, &mut target);
-                ScriptedPoint {
-                    scenario: doc.name.clone(),
-                    family: doc.family.clone(),
-                    policy: policy.name().to_string(),
-                    metrics: evaluate(
-                        &workload,
-                        &target,
-                        baseline_revenue,
-                        plan.planning_time.as_secs_f64(),
-                    ),
-                }
-            })
-            .collect::<Vec<ScriptedPoint>>()
-    });
-    Ok(grids.into_iter().flatten().collect())
-}
-
-/// Replays `doc`'s script over the baseline cluster and returns the state
-/// at the moment of maximal effective-capacity loss, together with the
-/// workload as surged up to that moment. Scenario node ids beyond the
-/// environment's cluster are ignored; zone/rack membership is computed
-/// over the environment's own node count (the suite should be generated
-/// with `nodes == env.nodes` for full fidelity).
-fn peak_outage_state(
-    env: &crate::scenario::AdaptLabEnv,
-    doc: &phoenix_scenarios::model::ScenarioDoc,
-) -> (phoenix_cluster::ClusterState, phoenix_core::spec::Workload) {
-    use phoenix_kubesim::scenario::{rack_members, zone_members};
-
-    let n = env.baseline.node_count();
-    let node_cap = |i: usize| {
-        env.baseline
-            .capacity(phoenix_cluster::NodeId::new(i as u32))
-    };
-    let mut events: Vec<&phoenix_scenarios::model::EventDoc> = doc.events.iter().collect();
-    events.sort_by_key(|e| e.at_ms);
-
-    // One outage-script step: applies `ev` to the per-node down/degrade
-    // vectors (shared by the forward scan and the best-prefix replay, so
-    // the two can never disagree).
-    let apply = |ev: &phoenix_scenarios::model::EventDoc, down: &mut [bool], factor: &mut [f64]| {
-        let ids: Vec<u32> = match ev.kind.as_str() {
-            "zone_outage" | "zone_restore" => zone_members(n, ev.zones, ev.zone),
-            "rack_outage" | "rack_restore" => rack_members(n, ev.zones, ev.zone),
-            _ => ev.nodes.clone(),
-        };
-        let ids = ids.into_iter().filter(|&i| (i as usize) < n);
-        match ev.kind.as_str() {
-            // Flap groups count as down at their start (the pessimistic
-            // reading: the sweep grades the worst instant).
-            "kubelet_stop" | "zone_outage" | "rack_outage" | "flap" => {
-                ids.for_each(|i| down[i as usize] = true);
-            }
-            "kubelet_start" | "zone_restore" | "rack_restore" => {
-                ids.for_each(|i| down[i as usize] = false);
-            }
-            "capacity_degrade" => {
-                let f = ev.factor.clamp(0.0, 1.0);
-                ids.for_each(|i| factor[i as usize] = f);
-            }
-            "capacity_restore" => {
-                ids.for_each(|i| factor[i as usize] = 1.0);
-            }
-            _ => {}
-        }
-    };
-
-    let mut down = vec![false; n];
-    let mut factor = vec![1.0f64; n];
-    let mut best_loss = -1.0f64;
-    let mut best_at = 0u64;
-    // Length of the event prefix producing the peak — tracking the index
-    // replaces the per-hit `down`/`factor` vector clones the scan used to
-    // make (the `>=` below fires on *every* equal-loss event).
-    let mut best_prefix = 0usize;
-    for (ei, ev) in events.iter().enumerate() {
-        apply(ev, &mut down, &mut factor);
-        let loss: f64 = (0..n)
-            .map(|i| {
-                let cap = node_cap(i).scalar();
-                if down[i] {
-                    cap
-                } else {
-                    cap * (1.0 - factor[i])
-                }
-            })
-            .sum();
-        // `>=`: among equal-loss instants keep the **latest**, so events
-        // that do not move capacity — above all a demand surge landing
-        // while the hole is still open — advance `best_at` and are
-        // included in the graded moment. (A surge-under-crunch scenario
-        // peaks at its stop event; the surge arrives later at unchanged
-        // loss, and grading the pre-surge workload would measure nothing
-        // beyond a plain crunch.)
-        if loss >= best_loss {
-            best_loss = loss;
-            best_at = ev.at_ms;
-            best_prefix = ei + 1;
-        }
-    }
-    // Re-derive the peak's node state by replaying the winning prefix —
-    // the same `apply` steps, so bit-identical to the scan's view there.
-    let mut best_down = vec![false; n];
-    let mut best_factor = vec![1.0f64; n];
-    for ev in &events[..best_prefix] {
-        apply(ev, &mut best_down, &mut best_factor);
-    }
-
-    let mut failed = env.baseline.clone();
-    for i in 0..n {
-        let node = phoenix_cluster::NodeId::new(i as u32);
-        if best_down[i] {
-            failed.fail_node(node);
-        } else if best_factor[i] != 1.0 {
-            failed.set_degrade(node, best_factor[i]);
-        }
-    }
-    let mut workload = env.workload.clone();
-    for ev in events {
-        if ev.kind == "demand_surge"
-            && ev.at_ms <= best_at
-            && (ev.app as usize) < workload.app_count()
-        {
-            workload.scale_app(
-                phoenix_core::spec::AppId::new(ev.app),
-                ev.demand_factor,
-                ev.replica_factor,
-            );
-        }
-    }
-    (failed, workload)
-}
-
 /// Convenience accessor: the point for `(policy, frac)`.
 pub fn point<'a>(points: &'a [SweepPoint], policy: &str, frac: f64) -> Option<&'a SweepPoint> {
     points
@@ -486,61 +307,6 @@ mod tests {
         );
         assert_eq!(points.len(), 1);
         assert!(points[0].metrics.availability.is_finite());
-    }
-
-    #[test]
-    fn scripted_sweep_reuses_scenario_families_deterministically() {
-        use phoenix_scenarios::generate::{generate_suite, Family, GeneratorConfig};
-        let suite = generate_suite(&GeneratorConfig {
-            nodes: 40,
-            node_cpu: 64.0,
-            scenarios_per_family: 1,
-            apps: 5,
-            seed: 3,
-        });
-        let points = scripted_sweep(&quick_env(), &suite, &roster()).unwrap();
-        assert_eq!(points.len(), suite.scenarios.len() * roster().len());
-        // Grid order: scenarios in suite order, policies varying fastest.
-        assert_eq!(points[0].scenario, suite.scenarios[0].name);
-        assert_eq!(points[0].policy, "PhoenixCost");
-        for f in Family::all() {
-            assert!(
-                points.iter().any(|p| p.family == f.slug()),
-                "{} missing",
-                f.slug()
-            );
-        }
-        // Thread-count invariance, modulo wall-clock.
-        let run =
-            |threads| with_threads(threads, || scripted_sweep(&quick_env(), &suite, &roster()));
-        let (seq, par) = (run(1).unwrap(), run(4).unwrap());
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a.scenario, b.scenario);
-            assert!(
-                a.metrics.same_results(&b.metrics),
-                "{} under {} diverged",
-                a.scenario,
-                a.policy
-            );
-        }
-        // Phoenix keeps critical availability at least at Default's level
-        // across the whole shaped sweep.
-        let avg = |name: &str| {
-            let (s, c) = points
-                .iter()
-                .filter(|p| p.policy == name)
-                .fold((0.0, 0u32), |(s, c), p| (s + p.metrics.availability, c + 1));
-            s / f64::from(c.max(1))
-        };
-        assert!(avg("PhoenixFair") >= avg("Default") - 1e-9);
-    }
-
-    #[test]
-    fn scripted_sweep_rejects_invalid_suites() {
-        use phoenix_scenarios::generate::{generate_suite, GeneratorConfig};
-        let mut suite = generate_suite(&GeneratorConfig::default());
-        suite.scenarios[0].events[0].kind = "meteor_strike".into();
-        assert!(scripted_sweep(&quick_env(), &suite, &roster()).is_err());
     }
 
     #[test]

@@ -32,8 +32,7 @@ use std::path::PathBuf;
 
 use phoenix_bench::{init_threads, or_exit, Flags, Table};
 use phoenix_core::policies::{DefaultPolicy, PhoenixPolicy, ResiliencePolicy};
-use phoenix_kubesim::run::SteadyState;
-use phoenix_scenarios::campaign::{demo_workload, CampaignConfig};
+use phoenix_scenarios::campaign::{demo_workload, steady_states, CampaignConfig};
 use phoenix_scenarios::generate::{generate_suite, GeneratorConfig};
 use phoenix_scenarios::model::ScenarioDoc;
 use phoenix_scenarios::regression::{encode, regressions_dir, RegressionDoc};
@@ -97,27 +96,10 @@ fn main() {
 
     // Every scenario this bin evaluates — the baseline suite, shrink
     // candidates, hunt champions — shares the hunt's cluster shape, so
-    // capture each policy's t = 0 steady state once and replay it through
-    // every oracle evaluation. Shrunk docs that drop trailing nodes fall
-    // back to a cold plan via the simulator's shape check.
-    let steady: Vec<SteadyState> = {
-        let caps = suite
-            .scenarios
-            .first()
-            .and_then(|s| s.compile().ok())
-            .map(|sc| sc.node_capacities)
-            .unwrap_or_default();
-        policies
-            .iter()
-            .map(|p| SteadyState::compute(&workload, p.as_ref(), &caps))
-            .collect()
-    };
-    let steady_of = |policy: &dyn ResiliencePolicy| {
-        policies
-            .iter()
-            .position(|p| p.name() == policy.name())
-            .map(|i| &steady[i])
-    };
+    // each policy's t = 0 capture is replayed through every oracle
+    // evaluation. Shrunk docs that drop trailing nodes fall back to a
+    // cold plan via the simulator's shape check.
+    let steady = steady_states(&workload, &policies, suite.scenarios.first());
 
     let mut repros: Vec<RegressionDoc> = Vec::new();
     let mut shrink_table = Table::new([
@@ -128,8 +110,8 @@ fn main() {
         "horizon",
         "oracle_evals",
     ]);
-    let mut capture = |doc: &ScenarioDoc, policy: &dyn ResiliencePolicy, origin: String| {
-        let steady = steady_of(policy);
+    let mut capture = |doc: &ScenarioDoc, pi: usize, origin: String| {
+        let (policy, steady) = (policies[pi].as_ref(), steady[pi].as_ref());
         let mut oracle = |d: &ScenarioDoc| {
             signature_of(&workload, d, policy, &cfg, steady)
                 .map(|s| s.severity_ms > 0)
@@ -160,33 +142,29 @@ fn main() {
 
     // Pass 1: baseline sweep — worst violating scenario per
     // (family, policy) cell of the fixed-seed generator suite.
-    let mut worst: BTreeMap<(String, String), (u64, usize)> = BTreeMap::new();
+    let mut worst: BTreeMap<(String, String), (u64, usize, usize)> = BTreeMap::new();
     for (si, s) in suite.scenarios.iter().enumerate() {
         for (pi, p) in policies.iter().enumerate() {
-            let sig = signature_of(&workload, s, p.as_ref(), &cfg, Some(&steady[pi]))
+            let sig = signature_of(&workload, s, p.as_ref(), &cfg, steady[pi].as_ref())
                 .expect("suite validates");
             if sig.severity_ms == 0 {
                 continue;
             }
             let key = (s.family.clone(), p.name().to_string());
-            let entry = worst.entry(key).or_insert((0, si));
+            let entry = worst.entry(key).or_insert((0, si, pi));
             if sig.severity_ms > entry.0 {
-                *entry = (sig.severity_ms, si);
+                *entry = (sig.severity_ms, si, pi);
             }
         }
     }
-    for ((family, policy_name), (severity, si)) in &worst {
-        let policy = policies
-            .iter()
-            .find(|p| p.name() == policy_name)
-            .expect("policy came from the roster");
+    for ((family, policy_name), &(severity, si, pi)) in &worst {
         eprintln!(
             "baseline violation: {family} x {policy_name} ({:.1}s) — shrinking",
-            *severity as f64 / 1000.0
+            severity as f64 / 1000.0
         );
         capture(
-            &suite.scenarios[*si],
-            policy.as_ref(),
+            &suite.scenarios[si],
+            pi,
             format!("baseline sweep seed {seed}"),
         );
     }
@@ -212,13 +190,13 @@ fn main() {
         ]);
         let mut champion = c.doc.clone();
         champion.name = format!("hunt-{seed}");
-        let policy = policies
+        let pi = policies
             .iter()
-            .find(|p| p.name() == c.policy)
+            .position(|p| p.name() == c.policy)
             .expect("champion policy came from the roster");
         capture(
             &champion,
-            policy.as_ref(),
+            pi,
             format!(
                 "hunt seed {seed} round {} candidate {}",
                 c.round, c.candidate

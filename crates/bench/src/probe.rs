@@ -11,7 +11,7 @@
 use std::path::PathBuf;
 
 use phoenix_adaptlab::alibaba::AlibabaConfig;
-use phoenix_adaptlab::runner::{failure_sweep, scripted_sweep, SweepConfig};
+use phoenix_adaptlab::runner::{failure_sweep, SweepConfig};
 use phoenix_adaptlab::scenario::EnvConfig;
 use phoenix_apps::hotel::{hotel, HotelVariant};
 use phoenix_apps::instances::{cloudlab_capacities, cloudlab_workload};
@@ -261,8 +261,7 @@ fn sweep(out: &mut String) {
 }
 
 /// Fixed-seed scenario campaign: every generated family × 5 scenarios
-/// through the campaign runner, then the scripted adaptlab sweep over the
-/// same families, every float as bits.
+/// through the campaign runner, every float as bits.
 fn scenarios(out: &mut String) {
     let outcome = run_campaign(
         &demo_workload(3),
@@ -296,21 +295,6 @@ fn scenarios(out: &mut String) {
             c.mean_min_availability.to_bits(),
             c.mean_final_availability.to_bits(),
             c.worst_c1_recovery_ms,
-        ));
-    }
-
-    let (env, scripted) = (env(40, 5, 80, 40_000.0, 3), suite(40, 64.0, 1, 5, 3));
-    for p in scripted_sweep(&env, &scripted, &standard_roster()).expect("generated suite is valid")
-    {
-        out.line(format!(
-            "scripted {} {} avail={} rev={} fair+={} fair-={} util={}",
-            p.scenario,
-            p.policy,
-            p.metrics.availability.to_bits(),
-            p.metrics.revenue.to_bits(),
-            p.metrics.fairness_pos.to_bits(),
-            p.metrics.fairness_neg.to_bits(),
-            p.metrics.utilization.to_bits(),
         ));
     }
 }

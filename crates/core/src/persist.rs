@@ -31,7 +31,7 @@ use std::fmt;
 use phoenix_cluster::Resources;
 use serde::{Deserialize, Serialize};
 
-use crate::spec::{AppSpec, AppSpecBuilder, ServiceId, SpecError, Workload};
+use crate::spec::{AppSpec, AppSpecBuilder, ModeSpec, ServiceId, ServingMode, SpecError, Workload};
 use crate::tags::Criticality;
 
 /// Wire format for one service.
@@ -50,6 +50,23 @@ pub struct ServiceDoc {
     /// Replica count.
     #[serde(default = "one")]
     pub replicas: u16,
+    /// Degraded-serving ladder, best mode first; absent = `Full`-only.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
+    pub modes: Vec<ModeDoc>,
+}
+
+/// Wire format for one rung of a service's mode ladder.
+#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+pub struct ModeDoc {
+    /// [`ServingMode::label`] (`full`, `stale-cache`, `read-only`, `shed`).
+    pub mode: String,
+    /// CPU cores per replica at this mode.
+    pub cpu: f64,
+    /// Memory (GiB) per replica at this mode.
+    #[serde(default)]
+    pub mem: f64,
+    /// Utility weight per replica, relative to `Full`.
+    pub utility: f64,
 }
 
 fn one() -> u16 {
@@ -107,7 +124,7 @@ pub enum PersistError {
         app: String,
         /// The service's name.
         service: String,
-        /// `criticality`, `cpu` or `mem`.
+        /// `criticality`, `cpu`, `mem` or `mode`.
         field: &'static str,
         /// The rejected value, as decoded.
         value: String,
@@ -178,6 +195,16 @@ fn app_to_doc(app: &AppSpec) -> AppDoc {
                 mem: s.demand.mem,
                 criticality: s.criticality.map(|c| c.level()),
                 replicas: s.replicas,
+                modes: s
+                    .modes
+                    .iter()
+                    .map(|m| ModeDoc {
+                        mode: m.mode.label().to_string(),
+                        cpu: m.demand.cpu,
+                        mem: m.demand.mem,
+                        utility: m.utility,
+                    })
+                    .collect(),
             })
             .collect(),
         dependencies: app.dependency().map(|g| {
@@ -192,7 +219,7 @@ fn app_to_doc(app: &AppSpec) -> AppDoc {
 
 /// Rejects the service values [`Criticality::new`] and
 /// [`Resources::new`] cannot take: level 0, and non-finite or negative
-/// demands (JSON's `1e999` decodes to infinity).
+/// demands (JSON's `1e999` decodes to infinity); and unknown mode labels.
 fn check_service(app: &AppDoc, s: &ServiceDoc) -> Result<(), PersistError> {
     let bad = |field, value: String, expected| PersistError::Field {
         app: app.name.clone(),
@@ -209,7 +236,23 @@ fn check_service(app: &AppDoc, s: &ServiceDoc) -> Result<(), PersistError> {
             return Err(bad(field, v.to_string(), "expected a finite number >= 0"));
         }
     }
+    if let Some(m) = s.modes.iter().find(|m| mode_spec(m).is_none()) {
+        let expected = "expected full, stale-cache, read-only or shed";
+        return Err(bad("mode", m.mode.clone(), expected));
+    }
     Ok(())
+}
+
+/// One rung of a mode ladder, or `None` for an unknown label. A literal
+/// demand, not `Resources::new`: the builder rejects a negative or
+/// non-finite rung instead of it being clamped.
+fn mode_spec(m: &ModeDoc) -> Option<ModeSpec> {
+    let mode = ServingMode::ALL.into_iter().find(|x| x.label() == m.mode)?;
+    let demand = Resources {
+        cpu: m.cpu,
+        mem: m.mem,
+    };
+    Some(ModeSpec::new(mode, demand, m.utility))
 }
 
 /// Rebuilds a workload from its wire document.
@@ -217,9 +260,9 @@ fn check_service(app: &AppDoc, s: &ServiceDoc) -> Result<(), PersistError> {
 /// # Errors
 ///
 /// [`PersistError::Version`] for unknown versions,
-/// [`PersistError::Field`] for a criticality of 0 or a non-finite or
-/// negative demand, and [`PersistError::Spec`] when the document
-/// violates spec invariants.
+/// [`PersistError::Field`] for a criticality of 0, a non-finite or
+/// negative demand or an unknown mode label, and [`PersistError::Spec`]
+/// when the document violates spec invariants.
 pub fn from_doc(doc: &WorkloadDoc) -> Result<Workload, PersistError> {
     if doc.version != 1 {
         return Err(PersistError::Version(doc.version));
@@ -229,12 +272,13 @@ pub fn from_doc(doc: &WorkloadDoc) -> Result<Workload, PersistError> {
         let mut b = AppSpecBuilder::new(&app.name);
         for s in &app.services {
             check_service(app, s)?;
-            b.add_service(
+            let id = b.add_service(
                 &s.name,
                 Resources::new(s.cpu, s.mem),
                 s.criticality.map(Criticality::new),
                 s.replicas,
             );
+            b.service_modes(id, s.modes.iter().filter_map(mode_spec).collect());
         }
         if let Some(edges) = &app.dependencies {
             b.with_graph();
@@ -284,6 +328,22 @@ mod tests {
         Workload::new(vec![b.build().unwrap(), legacy.build().unwrap()])
     }
 
+    /// One app whose cache can step down to read-only at a quarter of its
+    /// demand: on a 3-CPU node it fits beside `web` only degraded.
+    fn modal() -> Workload {
+        let mut b = AppSpecBuilder::new("docs");
+        b.add_service("web", Resources::cpu(2.0), Some(Criticality::C1), 1);
+        let cache = b.add_service("cache", Resources::new(2.0, 1.0), Some(Criticality::C3), 1);
+        b.service_modes(
+            cache,
+            vec![
+                ModeSpec::new(ServingMode::Full, Resources::new(2.0, 1.0), 1.0),
+                ModeSpec::new(ServingMode::ReadOnly, Resources::new(0.5, 0.25), 0.6),
+            ],
+        );
+        Workload::new(vec![b.build().unwrap()])
+    }
+
     #[test]
     fn round_trip_preserves_everything() {
         let w = sample();
@@ -300,23 +360,32 @@ mod tests {
         let legacy = restored.app(AppId::new(1));
         assert!(!legacy.phoenix_enabled());
         assert_eq!(legacy.criticality_of(ServiceId::new(0)), Criticality::C1);
+
+        let w = modal();
+        let restored = from_json(&to_json(&w).unwrap()).unwrap();
+        assert_eq!(restored.app(AppId::new(0)), w.app(AppId::new(0)));
     }
 
     #[test]
     fn restarted_controller_plans_identically_from_persisted_inputs() {
         use crate::controller::{PhoenixConfig, PhoenixController};
         use phoenix_cluster::ClusterState;
-        let w = sample();
-        let state = ClusterState::homogeneous(2, Resources::new(3.0, 8.0));
-        let plan_before = PhoenixController::new(w.clone(), PhoenixConfig::default()).plan(&state);
-        let restored = from_json(&to_json(&w).unwrap()).unwrap();
-        let plan_after = PhoenixController::new(restored, PhoenixConfig::default()).plan(&state);
         let snap = |s: &ClusterState| {
-            let mut v: Vec<_> = s.assignments().map(|(p, n, _)| (p, n)).collect();
+            let mut v: Vec<_> = s
+                .assignments()
+                .map(|(p, n, d)| (p, n, d.cpu.to_bits()))
+                .collect();
             v.sort();
             v
         };
-        assert_eq!(snap(&plan_before.target), snap(&plan_after.target));
+        for (w, nodes) in [(sample(), 2), (modal(), 1)] {
+            let state = ClusterState::homogeneous(nodes, Resources::new(3.0, 8.0));
+            let before = PhoenixController::new(w.clone(), PhoenixConfig::default()).plan(&state);
+            let restored = from_json(&to_json(&w).unwrap()).unwrap();
+            let after = PhoenixController::new(restored, PhoenixConfig::default()).plan(&state);
+            assert_eq!(snap(&before.target), snap(&after.target));
+            assert_eq!(before.modes, after.modes);
+        }
     }
 
     #[test]
@@ -394,6 +463,15 @@ mod tests {
     fn overflowing_demand_is_a_field_error_not_infinity() {
         assert_field_error(r#""cpu": 1e999"#, "cpu", "inf");
         assert_field_error(r#""cpu": 1, "mem": -1e999"#, "mem", "-inf");
+    }
+
+    #[test]
+    fn unknown_mode_label_is_a_field_error() {
+        assert_field_error(
+            r#""cpu": 1, "modes": [{"mode": "turbo", "cpu": 1, "utility": 1}]"#,
+            "mode",
+            "turbo",
+        );
     }
 
     #[test]

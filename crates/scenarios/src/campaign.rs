@@ -12,12 +12,14 @@ use phoenix_cluster::Resources;
 use phoenix_core::policies::ResiliencePolicy;
 use phoenix_core::spec::{AppSpecBuilder, ModeSpec, ServingMode, Workload};
 use phoenix_core::tags::Criticality;
-use phoenix_kubesim::rto::{evaluate_rto, evaluate_utility, RtoPolicy};
-use phoenix_kubesim::run::{simulate_from, SimConfig, SteadyState};
+use phoenix_kubesim::rto::{evaluate_rto, evaluate_utility, RtoPolicy, RtoReport};
+use phoenix_kubesim::run::{simulate_from, SimConfig, SimTrace, SteadyState};
+use phoenix_kubesim::scenario::Scenario;
 use phoenix_kubesim::time::SimTime;
 use serde::{Deserialize, Serialize};
 
-use crate::model::{ScenarioError, SuiteDoc};
+use crate::model::{ScenarioDoc, ScenarioError, SuiteDoc};
+use crate::search::ViolationSignature;
 
 /// Campaign configuration.
 #[derive(Debug, Clone)]
@@ -236,10 +238,65 @@ fn demo_build(apps: u32, modal: bool) -> Workload {
     Workload::new(out)
 }
 
+/// Each policy's `t = 0` [`SteadyState`] on `doc`'s cluster shape, in
+/// roster order; `None` throughout when there is no doc or it does not
+/// compile. Campaign cells, hunt evaluations and shrink oracles replay
+/// these instead of re-planning the same cold start per simulation. A
+/// scenario of any other shape plans `t = 0` cold through
+/// [`simulate_from`]'s shape check, which is byte-identical.
+pub fn steady_states(
+    workload: &Workload,
+    policies: &[Box<dyn ResiliencePolicy>],
+    doc: Option<&ScenarioDoc>,
+) -> Vec<Option<SteadyState>> {
+    let shape = doc.and_then(|d| d.compile().ok());
+    policies
+        .iter()
+        .map(|p| {
+            let shape = shape.as_ref()?;
+            Some(SteadyState::compute(
+                workload,
+                p.as_ref(),
+                &shape.node_capacities,
+            ))
+        })
+        .collect()
+}
+
+/// One `(scenario, policy)` simulation and its tiered-RTO report from
+/// the doc's first disruption: what a campaign cell and a hunt evaluation
+/// both run. [`ViolationSignature::of`] reads what the run missed.
+pub(crate) struct Cell {
+    pub(crate) trace: SimTrace,
+    pub(crate) disruption: SimTime,
+    pub(crate) report: RtoReport,
+}
+
+impl Cell {
+    pub(crate) fn simulate(
+        workload: &Workload,
+        doc: &ScenarioDoc,
+        scenario: &Scenario,
+        policy: &dyn ResiliencePolicy,
+        cfg: &CampaignConfig,
+        steady: Option<&SteadyState>,
+    ) -> Cell {
+        let trace = simulate_from(workload, policy, scenario, &cfg.sim, doc.horizon(), steady);
+        let disruption = doc.first_disruption().unwrap_or(SimTime::ZERO);
+        let report = evaluate_rto(&trace, workload, &cfg.rto, disruption);
+        Cell {
+            trace,
+            disruption,
+            report,
+        }
+    }
+}
+
 /// Runs the campaign: every `(scenario, policy)` cell fans out on the
 /// [exec pool](phoenix_exec::global) (`PHOENIX_THREADS`, or the caller's
 /// [`with_threads`](phoenix_exec::with_threads) scope, which a policy
-/// that fans out inside a cell inherits too).
+/// that fans out inside a cell inherits too). Each policy's `t = 0` plan
+/// is captured once, on the first scenario's shape ([`steady_states`]).
 ///
 /// # Errors
 ///
@@ -271,39 +328,7 @@ pub fn run_campaign(
                 .sum::<usize>()
         })
         .sum();
-    // Precompute the t = 0 steady state once per (cluster shape, policy):
-    // every cell replays that capture instead of re-planning the identical
-    // cold start, so the per-trial path is clone- and plan-free. Suites
-    // are usually single-shape, but shrunk or hand-written docs may vary —
-    // shapes are deduped bit-exactly and the simulator's own shape check
-    // backstops any residual mismatch.
-    let mut shapes: Vec<&[Resources]> = Vec::new();
-    let mut shape_of: Vec<usize> = Vec::with_capacity(compiled.len());
-    for (_, scenario) in &compiled {
-        let caps = scenario.node_capacities.as_slice();
-        let idx = shapes
-            .iter()
-            .position(|s| {
-                s.len() == caps.len()
-                    && s.iter().zip(caps).all(|(a, b)| {
-                        a.cpu.to_bits() == b.cpu.to_bits() && a.mem.to_bits() == b.mem.to_bits()
-                    })
-            })
-            .unwrap_or_else(|| {
-                shapes.push(caps);
-                shapes.len() - 1
-            });
-        shape_of.push(idx);
-    }
-    let steady: Vec<Vec<SteadyState>> = shapes
-        .iter()
-        .map(|caps| {
-            policies
-                .iter()
-                .map(|p| SteadyState::compute(workload, p.as_ref(), caps))
-                .collect()
-        })
-        .collect();
+    let steady = steady_states(workload, policies, suite.scenarios.first());
 
     let jobs: Vec<(usize, usize)> = (0..compiled.len())
         .flat_map(|si| (0..policies.len()).map(move |pi| (si, pi)))
@@ -313,16 +338,8 @@ pub fn run_campaign(
         phoenix_obs::current().incr(phoenix_obs::Counter::CampaignCells);
         let (doc, scenario) = &compiled[si];
         let policy = policies[pi].as_ref();
-        let trace = simulate_from(
-            workload,
-            policy,
-            scenario,
-            &cfg.sim,
-            doc.horizon(),
-            Some(&steady[shape_of[si]][pi]),
-        );
-        let disruption = doc.first_disruption().unwrap_or(SimTime::ZERO);
-        let report = evaluate_rto(&trace, workload, &cfg.rto, disruption);
+        let cell = Cell::simulate(workload, doc, scenario, policy, cfg, steady[pi].as_ref());
+        let (trace, disruption) = (&cell.trace, cell.disruption);
 
         // Availability counts only pods of the *baseline* spec (replica
         // index within the pre-surge count): extra replicas spawned by a
@@ -346,12 +363,6 @@ pub fn run_campaign(
             .map(|run| avail(&run[0]))
             .fold(f64::INFINITY, f64::min);
         let final_availability = trace.samples.last().map_or(0.0, avail);
-        let worst_c1 = report
-            .outages
-            .iter()
-            .filter(|o| o.criticality == Criticality::C1)
-            .filter_map(|o| o.duration())
-            .max();
 
         // Wall-clock plane: per-cell replan-latency p99, computed from
         // this run's own samples (not the global recorder — cells run in
@@ -366,21 +377,22 @@ pub fn run_campaign(
             (!us.is_empty()).then(|| us[phoenix_obs::stats::percentile_index(us.len(), 0.99)])
         };
 
-        let utility = evaluate_utility(&trace, disruption);
+        let utility = evaluate_utility(trace, disruption);
         let final_utility = if utility.baseline <= 0.0 {
             1.0
         } else {
             trace.samples.last().map_or(0.0, |s| s.utility) / utility.baseline
         };
 
+        let misses = ViolationSignature::of(&cell.report, doc.horizon());
         RunScore {
             scenario: doc.name.clone(),
             family: doc.family.clone(),
             policy: policy.name().to_string(),
-            rto_satisfied: report.satisfied(),
-            outages: report.outages.len() as u32,
-            violations: report.violations().len() as u32,
-            worst_c1_recovery_ms: worst_c1.map(SimTime::as_millis),
+            rto_satisfied: cell.report.satisfied(),
+            outages: misses.outages,
+            violations: misses.violations,
+            worst_c1_recovery_ms: misses.worst_c1_recovery_ms,
             min_availability: if min_availability.is_finite() {
                 min_availability
             } else {
@@ -625,6 +637,37 @@ mod tests {
             let tag = format!("{} apps under {}", w.app_count(), policy.name());
             assert_eq!(cold.samples, from.samples, "{tag}: stale capture replayed");
             assert_eq!(cold.milestones, from.milestones, "{tag}");
+        }
+    }
+
+    /// Only the first scenario's shape is captured: a second shape plans
+    /// `t = 0` cold, and must score exactly as it does on its own.
+    #[test]
+    fn mixed_shape_suite_scores_as_its_single_shape_campaigns() {
+        let doc = |nodes| {
+            let cfg = GeneratorConfig {
+                nodes,
+                scenarios_per_family: 1,
+                ..small_cfg()
+            };
+            generate_suite(&cfg).scenarios.swap_remove(0)
+        };
+        let (a, b) = (doc(6), doc(9));
+        assert_ne!(a.nodes, b.nodes);
+        let (w, cfg) = (demo_workload(2), CampaignConfig::default());
+        let run = |scenarios: Vec<ScenarioDoc>| {
+            let suite = SuiteDoc {
+                version: SuiteDoc::VERSION,
+                seed: 0,
+                scenarios,
+            };
+            run_campaign(&w, &suite, &roster(), &cfg).unwrap().scores
+        };
+        let mixed = run(vec![a.clone(), b.clone()]);
+        let alone: Vec<RunScore> = [run(vec![a]), run(vec![b])].concat();
+        assert_eq!(mixed.len(), alone.len());
+        for (m, s) in mixed.iter().zip(&alone) {
+            assert!(m.same_results(s), "{m:?} vs {s:?}");
         }
     }
 

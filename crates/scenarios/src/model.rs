@@ -379,6 +379,29 @@ impl ScenarioDoc {
         Ok(s)
     }
 
+    /// Checks that every `demand_surge` event targets an application the
+    /// consumer's workload actually has — the doc-vs-workload contract a
+    /// runner must enforce, or surges silently vanish mid-simulation and
+    /// the surge families measure nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`ScenarioError::BadEvent`] naming the first out-of-range target.
+    pub(crate) fn check_surge_targets(&self, app_count: usize) -> Result<(), ScenarioError> {
+        for ev in &self.events {
+            if ev.kind == "demand_surge" && (ev.app as usize) >= app_count {
+                return Err(ScenarioError::BadEvent {
+                    scenario: self.name.clone(),
+                    detail: format!(
+                        "demand_surge targets app {} but the workload has {app_count} app(s)",
+                        ev.app
+                    ),
+                });
+            }
+        }
+        Ok(())
+    }
+
     /// First time any disruptive event fires (everything except restores),
     /// for RTO evaluation. `None` when the script never disrupts.
     pub fn first_disruption(&self) -> Option<SimTime> {
@@ -407,29 +430,15 @@ impl SuiteDoc {
         self.scenarios.iter().try_for_each(ScenarioDoc::validate)
     }
 
-    /// Checks that every `demand_surge` event targets an application the
-    /// consumer's workload actually has — the suite-vs-workload contract
-    /// a runner must enforce, or surges silently vanish mid-campaign and
-    /// the surge families measure nothing.
+    /// [`ScenarioDoc::check_surge_targets`] for every scenario.
     ///
     /// # Errors
     ///
-    /// [`ScenarioError::BadEvent`] naming the first out-of-range target.
-    pub fn check_surge_targets(&self, app_count: usize) -> Result<(), ScenarioError> {
-        for s in &self.scenarios {
-            for ev in &s.events {
-                if ev.kind == "demand_surge" && (ev.app as usize) >= app_count {
-                    return Err(ScenarioError::BadEvent {
-                        scenario: s.name.clone(),
-                        detail: format!(
-                            "demand_surge targets app {} but the workload has {app_count} app(s)",
-                            ev.app
-                        ),
-                    });
-                }
-            }
-        }
-        Ok(())
+    /// The first scenario's [`ScenarioError::BadEvent`].
+    pub(crate) fn check_surge_targets(&self, app_count: usize) -> Result<(), ScenarioError> {
+        self.scenarios
+            .iter()
+            .try_for_each(|s| s.check_surge_targets(app_count))
     }
 }
 

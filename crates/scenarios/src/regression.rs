@@ -87,13 +87,15 @@ pub fn load_all(dir: &Path) -> io::Result<Vec<RegressionDoc>> {
 /// # Errors
 ///
 /// [`ScenarioError::Json`] on malformed text, `Version` on unknown
-/// versions, plus anything [`ScenarioDoc::validate`] rejects.
+/// versions, `BadEvent` for a `demand_surge` on an app past the `apps`
+/// that [`replay`] runs, plus anything [`ScenarioDoc::validate`] rejects.
 pub fn decode(json: &str) -> Result<RegressionDoc, ScenarioError> {
     let doc: RegressionDoc = serde_json::from_str(json)?;
     if doc.version != RegressionDoc::VERSION {
         return Err(ScenarioError::Version(doc.version));
     }
     doc.scenario.validate()?;
+    doc.scenario.check_surge_targets(doc.apps.max(1) as usize)?;
     Ok(doc)
 }
 
@@ -182,6 +184,27 @@ mod tests {
         doc.scenario.events[0].nodes = vec![99];
         let json = serde_json::to_string_pretty(&doc).unwrap();
         assert!(decode(&json).is_err());
+    }
+
+    /// `replay` runs `demo_workload(apps)`, and the simulator ignores a
+    /// surge on an app that workload lacks: such a repro would pin a
+    /// signature in which its surge never happened.
+    #[test]
+    fn decode_rejects_a_surge_past_the_replayed_apps() {
+        let mut doc = repro();
+        doc.scenario.events.push(EventDoc {
+            app: 2,
+            demand_factor: 2.0,
+            ..EventDoc::new(90_000, "demand_surge")
+        });
+        let json = serde_json::to_string_pretty(&doc).unwrap();
+        assert!(
+            matches!(decode(&json), Err(ScenarioError::BadEvent { .. })),
+            "surge on app 2 of 2 decoded"
+        );
+        doc.apps = 3;
+        let json = serde_json::to_string_pretty(&doc).unwrap();
+        assert_eq!(decode(&json).unwrap(), doc);
     }
 
     #[test]

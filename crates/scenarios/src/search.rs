@@ -23,14 +23,14 @@
 use phoenix_core::policies::ResiliencePolicy;
 use phoenix_core::spec::Workload;
 use phoenix_core::tags::Criticality;
-use phoenix_kubesim::rto::evaluate_rto;
-use phoenix_kubesim::run::{simulate_from, SteadyState};
+use phoenix_kubesim::rto::RtoReport;
+use phoenix_kubesim::run::SteadyState;
 use phoenix_kubesim::time::SimTime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::campaign::CampaignConfig;
+use crate::campaign::{steady_states, CampaignConfig, Cell};
 use crate::generate::{generate, Family, GeneratorConfig};
 use crate::model::{EventDoc, ScenarioDoc, ScenarioError, RESTORE_KINDS};
 
@@ -111,6 +111,26 @@ pub struct ViolationSignature {
     pub worst_c1_recovery_ms: Option<u64>,
 }
 
+impl ViolationSignature {
+    /// What `report` missed: the one derivation of outages, violations
+    /// and worst C1 restoration that [`RunScore`](crate::campaign::RunScore)
+    /// copies too.
+    pub(crate) fn of(report: &RtoReport, horizon: SimTime) -> ViolationSignature {
+        ViolationSignature {
+            severity_ms: report.severity(horizon),
+            outages: report.outages.len() as u32,
+            violations: report.violations().len() as u32,
+            worst_c1_recovery_ms: report
+                .outages
+                .iter()
+                .filter(|o| o.criticality == Criticality::C1)
+                .filter_map(|o| o.duration())
+                .max()
+                .map(SimTime::as_millis),
+        }
+    }
+}
+
 /// Simulates `doc` under `policy` and scores the tiered-RTO outcome.
 ///
 /// This is the hunt's objective function, the shrinker's oracle, and the
@@ -134,22 +154,8 @@ pub fn signature_of(
     cfg: &CampaignConfig,
     steady: Option<&SteadyState>,
 ) -> Result<ViolationSignature, ScenarioError> {
-    let scenario = doc.compile()?;
-    let trace = simulate_from(workload, policy, &scenario, &cfg.sim, doc.horizon(), steady);
-    let disruption = doc.first_disruption().unwrap_or(SimTime::ZERO);
-    let report = evaluate_rto(&trace, workload, &cfg.rto, disruption);
-    Ok(ViolationSignature {
-        severity_ms: report.severity(doc.horizon()),
-        outages: report.outages.len() as u32,
-        violations: report.violations().len() as u32,
-        worst_c1_recovery_ms: report
-            .outages
-            .iter()
-            .filter(|o| o.criticality == Criticality::C1)
-            .filter_map(|o| o.duration())
-            .max()
-            .map(SimTime::as_millis),
-    })
+    let cell = Cell::simulate(workload, doc, &doc.compile()?, policy, cfg, steady);
+    Ok(ViolationSignature::of(&cell.report, doc.horizon()))
 }
 
 /// One policy's worst-found scenario.
@@ -204,24 +210,9 @@ pub fn run_hunt(
     let mut champions: Vec<Option<Champion>> = vec![None; policies.len()];
     let mut evaluations = 0u32;
 
-    // The whole hunt runs on one cluster shape (mutations never touch
-    // `nodes`/`node_cpu`; crossover keeps the first parent's shape), so
-    // capture each policy's t = 0 steady state once up front. Every
-    // evaluation then replays the capture instead of re-planning the same
-    // cold start; the simulator's shape check backstops exotic candidates.
-    let steady: Vec<Option<SteadyState>> = match population.first().and_then(|d| d.compile().ok()) {
-        Some(scenario) => policies
-            .iter()
-            .map(|p| {
-                Some(SteadyState::compute(
-                    workload,
-                    p.as_ref(),
-                    &scenario.node_capacities,
-                ))
-            })
-            .collect(),
-        None => policies.iter().map(|_| None).collect(),
-    };
+    // The whole hunt runs on one cluster shape: mutations never touch
+    // `nodes`/`node_cpu`, and crossover keeps the first parent's shape.
+    let steady = steady_states(workload, policies, population.first());
 
     for round in 0..=hunt.rounds {
         // Evaluate every (candidate, policy) pair on the pool; results

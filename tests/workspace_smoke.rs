@@ -89,31 +89,55 @@ fn every_crate_is_a_default_member() {
     );
 }
 
-/// ROADMAP's Parked rule, as a test: the planner layers (`core`, and the
-/// `cluster` packer and `kubesim` simulator it runs inside) stay
-/// sequential, so none of them may depend on the `phoenix-exec` pool. Only
-/// the evaluation stack above them fans out.
-#[test]
-fn planner_layers_do_not_depend_on_the_pool() {
+/// Dependency edges the layering forbids: `(crate, dependency, why)`.
+const FORBIDDEN_DEPS: &[(&str, &str, &str)] = &[
+    ("core", "phoenix-exec", POOL),
+    ("cluster", "phoenix-exec", POOL),
+    ("kubesim", "phoenix-exec", POOL),
+    ("adaptlab", "phoenix-kubesim", PLANS_ONLY),
+    ("adaptlab", "phoenix-scenarios", PLANS_ONLY),
+];
+
+const POOL: &str = "ROADMAP parks any parallel planner path until a recorded >= 1.3x row \
+                    on host_cpus >= threads hardware earns it";
+const PLANS_ONLY: &str = "AdaptLab grades plans; recoveries are graded by kubesim through \
+                          phoenix-scenarios, the one interpreter of scenario documents";
+
+/// Fails on every [`FORBIDDEN_DEPS`] edge of a crate `pick` accepts
+/// that its `Cargo.toml` lists under `[dependencies]`.
+fn assert_no_forbidden_deps(pick: impl Fn(&str) -> bool) {
     let root = env!("CARGO_MANIFEST_DIR");
-    for krate in ["core", "cluster", "kubesim"] {
+    for &(krate, dep, why) in FORBIDDEN_DEPS.iter().filter(|e| pick(e.0)) {
         let path = format!("{root}/crates/{krate}/Cargo.toml");
         let manifest = std::fs::read_to_string(&path).expect("read crate manifest");
         // The `[dependencies]` table runs to the next `[table]` header.
         let deps = manifest
             .split_once("\n[dependencies]\n")
             .map_or("", |(_, rest)| rest.split("\n[").next().unwrap_or(""));
-        let pooled = deps
-            .lines()
-            .any(|l| l.trim_start().starts_with("phoenix-exec"))
-            || manifest.contains("[dependencies.phoenix-exec]");
+        let listed = deps.lines().any(|l| l.trim_start().starts_with(dep))
+            || manifest.contains(&format!("[dependencies.{dep}]"));
         assert!(
-            !pooled,
-            "crates/{krate}/Cargo.toml lists phoenix-exec under [dependencies]: \
-             ROADMAP parks any parallel planner path until a recorded >= 1.3x row \
-             on host_cpus >= threads hardware earns it"
+            !listed,
+            "crates/{krate}/Cargo.toml lists {dep} under [dependencies]: {why}"
         );
     }
+}
+
+/// ROADMAP's Parked rule, as a test: the planner layers (`core`, and the
+/// `cluster` packer and `kubesim` simulator it runs inside) stay
+/// sequential, so none of them may depend on the `phoenix-exec` pool. Only
+/// the evaluation stack above them fans out.
+#[test]
+fn planner_layers_do_not_depend_on_the_pool() {
+    assert_no_forbidden_deps(|krate| ["core", "cluster", "kubesim"].contains(&krate));
+}
+
+/// AdaptLab scores plans against a failed cluster; it neither simulates
+/// recoveries nor reads scenario documents, so `phoenix-scenarios` stays
+/// the only interpreter of event kinds.
+#[test]
+fn adaptlab_grades_plans_not_recoveries() {
+    assert_no_forbidden_deps(|krate| krate == "adaptlab");
 }
 
 /// Public functions in `crates/*/src` and `src` that no non-test source,
