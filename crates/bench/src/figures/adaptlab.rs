@@ -20,7 +20,7 @@ use phoenix_core::policies::{
     standard_roster, DefaultPolicy, FairPolicy, PhoenixPolicy, PriorityPolicy, ResiliencePolicy,
 };
 use phoenix_core::spec::{AppId, ServiceId, Workload};
-use phoenix_core::stateful::{plan_pinned, StatefulMarks};
+use phoenix_core::stateful::{check_pinned, plan_pinned, StatefulMarks};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -538,7 +538,7 @@ pub(super) fn stateful(scale: Scale, _: Option<u64>, out: &mut String) -> Vec<Cl
 
             // Pinned planning: state is safe by construction.
             let pinned = plan_pinned(&env.workload, &marks, &live, &config);
-            pins_kept &= pinned.check(&env.workload, &marks, &live, &config).is_ok();
+            pins_kept &= check_pinned(&pinned, &env.workload, &marks, &live, &config).is_ok();
 
             // Naive planning: run the stateless pipeline on the mixed
             // workload and count how many pins it would have destroyed.
@@ -556,7 +556,8 @@ pub(super) fn stateful(scale: Scale, _: Option<u64>, out: &mut String) -> Vec<Cl
             let avail = |target| critical_service_availability(&env.workload, target);
             let (pinned_avail, naive_avail) = (avail(&pinned.target), avail(&naive.target));
             if share == 0.0 {
-                unpinned_is_naive &= pinned_avail == naive_avail && pinned.stranded.is_empty();
+                unpinned_is_naive &=
+                    pinned_avail == naive_avail && pinned.stranded(&marks).is_empty();
             }
             t.row([
                 format!("{:.0}%", share * 100.0),
@@ -564,7 +565,7 @@ pub(super) fn stateful(scale: Scale, _: Option<u64>, out: &mut String) -> Vec<Cl
                 f3(pinned_avail),
                 f3(naive_avail),
                 violations.to_string(),
-                pinned.stranded.len().to_string(),
+                pinned.stranded(&marks).len().to_string(),
             ]);
         }
     }

@@ -25,7 +25,7 @@ use phoenix_core::objectives::ObjectiveKind::{self, Cost, Fairness};
 use phoenix_core::policies::{standard_roster, DefaultPolicy, PhoenixPolicy, ResiliencePolicy};
 use phoenix_core::replan::ReplanDelta::{self, CapacityOnly, Full};
 use phoenix_core::spec::{AppSpecBuilder, ServiceId, ServingMode, Workload};
-use phoenix_core::stateful::{plan_pinned, StatefulMarks};
+use phoenix_core::stateful::{check_pinned, plan_pinned, StatefulMarks};
 use phoenix_core::tags::Criticality;
 use phoenix_kubesim::run::{simulate, simulate_from, SimConfig, SteadyState, TraceSample};
 use phoenix_kubesim::scenario::Scenario;
@@ -628,7 +628,7 @@ fn traces(out: &mut String) {
 /// service marked stateful: a fresh plan, a replan after 40 % of the
 /// nodes fail, and one after they return. Per plan: pod and action
 /// counts, the stranded pins, an FNV digest of the placements and one of
-/// every service's chosen mode.
+/// every service's chosen mode. Every plan must pass `check_pinned`.
 fn pinned(out: &mut String) {
     let (workload, _) = cloudlab_workload();
     let mut marks = StatefulMarks::new();
@@ -648,6 +648,7 @@ fn pinned(out: &mut String) {
             _ => {}
         }
         let plan = plan_pinned(&workload, &marks, &live, &config);
+        check_pinned(&plan, &workload, &marks, &live, &config).expect("pinned promises hold");
         let (d, m, s) = plan.actions.counts();
         let placed = sorted(
             plan.target
@@ -666,7 +667,8 @@ fn pinned(out: &mut String) {
                 modes.eat(plan.modes.get(app, svc).depth() as u64);
             }
         }
-        let stranded: Vec<String> = plan.stranded.iter().map(PodKey::to_string).collect();
+        let stranded = plan.stranded(&marks);
+        let stranded: Vec<String> = stranded.iter().map(PodKey::to_string).collect();
         out.line(format!(
             "pinned {round}: pods={} d={d} m={m} s={s} stranded=[{}] placements={:016x} modes={:016x}",
             placed.len(),

@@ -69,8 +69,11 @@
 //! arise: starts happen at positions up to the current one, victims sit
 //! strictly after it.
 //!
-//! All work happens on a scratch [`ClusterState`] copy owned by the caller;
-//! enforcement is the agent's job (§4.2).
+//! **Origins.** Every drop, eviction, repack move and start also logs the
+//! pod with the node it ran on just before; the pack keeps each pod's
+//! first entry, its node before the pack, as [`PackOutcome::origins`].
+//! The pack books onto the [`ClusterState`] it is handed, and the caller
+//! needs no pre-pack copy to derive the agent's actions (§4.2).
 
 use phoenix_obs::{Counter, Recorder};
 
@@ -167,6 +170,10 @@ pub struct PackOutcome {
     pub unplaced: Vec<PodKey>,
     /// `true` when `strict` mode aborted mid-plan.
     pub aborted: bool,
+    /// Every pod the pack touched, once, sorted by key, with the node it
+    /// ran on before the pack (`None`: not running). A pod not listed
+    /// ends where it began.
+    pub origins: Vec<(PodKey, Option<NodeId>)>,
 }
 
 /// Packs the planner's ranked `plan` into `state` (mutated in place).
@@ -393,6 +400,9 @@ pub fn pack_prepared(
             }
         }
     }
+    // Stable, so each pod's first entry — its pre-pack node — survives.
+    out.origins.sort_by_key(|&(pod, _)| pod);
+    out.origins.dedup_by_key(|&mut (pod, _)| pod);
     out
 }
 
@@ -448,8 +458,9 @@ fn drop_unplanned(
         }
     }
     for p in to_drop {
-        state.remove(p).expect("pod listed in assignments");
+        let (node, _) = state.remove(p).expect("pod listed in assignments");
         out.deletions.push(p);
+        out.origins.push((p, Some(node)));
     }
     standing
 }
@@ -502,6 +513,7 @@ impl PackCtx {
     fn evicted(&mut self, pod: PodKey, node: NodeId, out: &mut PackOutcome) {
         self.victim_origin.insert(pod, (node, out.deletions.len()));
         out.deletions.push(pod);
+        out.origins.push((pod, Some(node)));
     }
 
     /// `pod` was just placed on `node`: a start — unless this pack took
@@ -511,6 +523,7 @@ impl PackCtx {
     fn placed(&mut self, pod: PodKey, node: NodeId, out: &mut PackOutcome) {
         let Some((from, at)) = self.victim_origin.remove(&pod) else {
             out.starts.push((pod, node));
+            out.origins.push((pod, None));
             return;
         };
         debug_assert_eq!(out.deletions[at], pod);
@@ -671,6 +684,8 @@ fn repack_to_fit(
         }
         if ok {
             out.migrations.extend(moves.iter().copied());
+            out.origins
+                .extend(moves.iter().map(|&(p, from, _)| (p, Some(from))));
             return Some(source);
         }
         // Roll back tentative moves, most recent first.

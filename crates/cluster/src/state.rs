@@ -130,9 +130,10 @@ pub struct Snapshot {
 /// id, grow-only) — so a [`Clone`] is a handful of flat `memcpy`s and
 /// [`snapshot`](ClusterState::snapshot) /
 /// [`restore_to`](ClusterState::restore_to) rewind in O(Δ) via an undo
-/// journal. The packing module still works on a scratch copy before the
-/// agent enforces anything (as §4.2 requires); the trial loops above it
-/// (sweeps, campaigns, hunts) restore instead of cloning.
+/// journal. The packing module books onto the state it is handed and
+/// records where each pod it touched came from, so the agent's task list
+/// (§4.2) needs no pre-pack copy; the trial loops above it (sweeps,
+/// campaigns, hunts) restore instead of cloning.
 ///
 /// Cloning resets the journal: a clone starts with no recording and no
 /// live snapshots (snapshots never transfer between states).

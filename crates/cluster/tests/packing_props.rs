@@ -590,6 +590,17 @@ proptest! {
         prop_assert_eq!(got.aborted, want.aborted, "aborted");
         prop_assert!(got_state.bitwise_eq(&want_state), "target state diverged");
         got_state.check_invariants().unwrap();
+        // `origins`: each touched pod once, by key, at its pre-pack node;
+        // a pod left out ends where it began.
+        let listed: Vec<PodKey> = got.origins.iter().map(|&(pod, _)| pod).collect();
+        prop_assert!(listed.windows(2).all(|w| w[0] < w[1]), "origins unsorted or repeated");
+        for &(pod, origin) in &got.origins {
+            prop_assert_eq!(origin, state.node_of(pod), "origin of {}", pod);
+        }
+        for pod in plan.iter().map(|p| p.key).chain(state.assignments().map(|a| a.0)) {
+            let moved = state.node_of(pod) != got_state.node_of(pod);
+            prop_assert!(!moved || listed.binary_search(&pod).is_ok(), "{} moved unlisted", pod);
+        }
 
         let mut seen = COVERAGE.get();
         seen.cases += 1;

@@ -5,7 +5,7 @@
 //! capacity first, migrations relocate survivors, and restarts bring up
 //! everything that should run but does not. Planners emit that list
 //! themselves: [`diff_from_outcome`] classifies only the pods a pack
-//! touched, and every
+//! touched, by where each ran before the pack and where it ends, and every
 //! [`ResiliencePolicy`](crate::policies::ResiliencePolicy) returns its own
 //! list. [`diff_states`] derives it from a whole (live, target) pair of
 //! [`ClusterState`]s, for a planner that rebuilds the target from scratch
@@ -217,42 +217,29 @@ pub fn diff_states(live: &ClusterState, target: &ClusterState) -> ActionPlan {
 }
 
 /// [`diff_states`] computed from a packing outcome instead of a full-state
-/// sweep: only pods the pack actually touched are classified.
+/// sweep: each pod the pack touched is classified by the node it ran on
+/// before the pack ([`PackOutcome::origins`]) and the node it holds in
+/// `target`, the state `outcome` was produced on.
 ///
-/// `target` must be the state `outcome` was produced on (live + the
-/// outcome's mutations); every pod the pack mutated appears in the
-/// outcome's deletion/migration/start lists, so the net action of any
-/// other pod is provably "none". Output is identical to
-/// `diff_states(live, target)` — the warm-replan equivalence tests check
-/// this on every round — but costs O(actions) instead of O(pods).
-pub fn diff_from_outcome(
-    live: &ClusterState,
-    target: &ClusterState,
-    outcome: &PackOutcome,
-) -> ActionPlan {
-    let mut touched: Vec<PodKey> = outcome
-        .deletions
-        .iter()
-        .copied()
-        .chain(outcome.migrations.iter().map(|&(p, _, _)| p))
-        .chain(outcome.starts.iter().map(|&(p, _)| p))
-        .collect();
-    touched.sort_unstable();
-    touched.dedup();
-
+/// A pod the pack did not touch ends where it began, so the output is
+/// identical to `diff_states(live, target)` for the pre-pack `live` —
+/// the warm-replan equivalence tests check this on every round — but
+/// costs O(actions) and needs no copy of `live`.
+pub fn diff_from_outcome(target: &ClusterState, outcome: &PackOutcome) -> ActionPlan {
     let mut deletes = Vec::new();
     let mut migrations = Vec::new();
     let mut starts = Vec::new();
-    // `touched` is sorted, so each group comes out sorted by pod key —
+    // `origins` is sorted, so each group comes out sorted by pod key —
     // the same order `diff_states` produces.
-    for pod in touched {
-        match (live.node_of(pod), target.node_of(pod)) {
+    for &(pod, origin) in &outcome.origins {
+        match (origin, target.node_of(pod)) {
             (Some(node), None) => deletes.push(Action::Delete { pod, node }),
             (Some(from), Some(to)) if from != to => {
                 migrations.push(Action::Migrate { pod, from, to })
             }
             (None, Some(node)) => starts.push(Action::Start { pod, node }),
-            // Net no-op: started-then-victimized, or moved away and back.
+            // Net no-op: moved away and back, or evicted and re-placed
+            // on its own node.
             _ => {}
         }
     }
@@ -328,7 +315,7 @@ mod tests {
         let mut target = live.clone();
         let outcome = pack(&mut target, &plan, &PackingConfig::default());
         assert_eq!(
-            diff_from_outcome(&live, &target, &outcome),
+            diff_from_outcome(&target, &outcome),
             diff_states(&live, &target)
         );
     }
@@ -411,7 +398,7 @@ mod tests {
                     "{p} reported deleted and started"
                 );
             }
-            let actions = diff_from_outcome(&live, &target, &outcome);
+            let actions = diff_from_outcome(&target, &outcome);
             assert_eq!(actions, diff_states(&live, &target));
             let mut pods: Vec<PodKey> = actions.actions.iter().map(Action::pod).collect();
             pods.sort_unstable();

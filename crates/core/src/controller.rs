@@ -52,14 +52,14 @@ impl PhoenixConfig {
 /// Everything one planning round produces.
 #[derive(Debug)]
 pub struct PlanResult {
-    /// The target cluster state (scratch copy after packing).
+    /// The target cluster state: the planned state after packing.
     pub target: ClusterState,
     /// The global activation list and fair-share bookkeeping. Warm
     /// rounds share it with the controller's replan cache rather than
     /// copy it; the next replan rewrites the cached ranking in place and
     /// copies it first only if this result is still alive then.
     pub rank: Arc<GlobalRank>,
-    /// Raw packing outcome (deletions/migrations/starts on the scratch).
+    /// Raw packing outcome (deletions/migrations/starts/origins).
     pub packing: PackOutcome,
     /// Agent task list: live → target.
     pub actions: ActionPlan,
@@ -78,6 +78,15 @@ impl PlanResult {
     /// "time to compute a new target state".
     pub fn total_time(&self) -> Duration {
         self.planner_time + self.scheduler_time
+    }
+
+    /// The pins of `marks` this plan could not place: pods of pinned
+    /// services ([`crate::stateful::plan_pinned`]) that fit on no healthy
+    /// node. They need operator intervention (more capacity); they are
+    /// never traded against stateless services.
+    pub fn stranded(&self, marks: &StatefulMarks) -> Vec<PodKey> {
+        let unplaced = self.packing.unplaced.iter().copied();
+        unplaced.filter(|&pod| marks.contains_pod(pod)).collect()
     }
 }
 
@@ -118,9 +127,9 @@ impl PhoenixController {
 
     /// Plans a new target state for the (possibly degraded) `state`.
     ///
-    /// `state` is *not* mutated; packing happens on a scratch copy that is
-    /// returned as [`PlanResult::target`]. Always runs the pipeline cold;
-    /// use [`replan`](Self::replan) inside a monitoring loop.
+    /// `state` is *not* mutated; the pipeline packs a copy of it, which
+    /// it returns as [`PlanResult::target`]. Always runs the pipeline
+    /// cold; use [`replan`](Self::replan) inside a monitoring loop.
     pub fn plan(&self, state: &ClusterState) -> PlanResult {
         plan_with(&self.workload, state, &self.config)
     }
@@ -128,8 +137,10 @@ impl PhoenixController {
     /// Warm-started planning round: identical output to
     /// [`plan`](Self::plan), but reuses the previous round's per-app
     /// ranks, global ranking, and packing bookkeeping wherever `delta`
-    /// and the cached fingerprints allow (see [`crate::replan`]).
+    /// and the cached fingerprints allow (see [`crate::replan`]). Like
+    /// [`plan`](Self::plan), it packs a copy of `state`.
     pub fn replan(&mut self, state: &ClusterState, delta: ReplanDelta) -> PlanResult {
+        let state = state.clone();
         replan_with(&self.workload, state, &self.config, &mut self.cache, delta)
     }
 }
@@ -285,48 +296,45 @@ pub(crate) fn flatten_plan(workload: &Workload, items: &[GlobalRankItem], modal:
     FlatPlan { pods, index, modes }
 }
 
-/// The scheduler step cold and warm rounds share: packs `plan` onto a
-/// scratch copy of `state` and returns the packed target with the raw
-/// outcome. A `modal` workload ([`Workload::has_modes`]) forces
-/// [`PackingConfig::rebook_in_place`] on, so running replicas are
-/// re-booked at their newly chosen mode's demand instead of keeping a
-/// stale booking.
+/// The scheduler step cold and warm rounds share: packs `plan` onto
+/// `state` in place and returns the raw outcome, from which
+/// [`diff_from_outcome`] derives the actions. A `modal` workload
+/// ([`Workload::has_modes`]) forces [`PackingConfig::rebook_in_place`]
+/// on, so running replicas are re-booked at their newly chosen mode's
+/// demand instead of keeping a stale booking.
 pub(crate) fn pack_round(
-    state: &ClusterState,
+    state: &mut ClusterState,
     packing: &PackingConfig,
     modal: bool,
     plan: &[PlannedPod],
     index: &PlanIndex,
-) -> (ClusterState, PackOutcome) {
+) -> PackOutcome {
     let mut pack_cfg = packing.clone();
     pack_cfg.rebook_in_place |= modal;
-    // One scratch clone per planning round: `PlanResult::target` must own
-    // the packed state while `state` stays untouched — this is the API
-    // contract, not per-trial fan-out overhead.
-    let mut target = state.clone();
-    let outcome = pack_prepared(&mut target, plan, &pack_cfg, |p| index.get(p));
-    (target, outcome)
+    pack_prepared(state, plan, &pack_cfg, |p| index.get(p))
 }
 
 /// The controller pipeline as a free function over borrowed inputs —
 /// policies and sweeps call this directly so multi-million-pod workloads
-/// are never cloned per planning round.
+/// are never cloned per planning round. `state` is not mutated: the
+/// pipeline packs a copy of it, returned as [`PlanResult::target`].
 ///
 /// Every step runs on the calling thread: the per-app priority-estimation
 /// walks ([`app_rank`]), the global-ranking heap merge and the packing.
 pub fn plan_with(workload: &Workload, state: &ClusterState, config: &PhoenixConfig) -> PlanResult {
-    plan_pinned_with(workload, state, config, &StatefulMarks::new())
+    plan_pinned_with(workload, state.clone(), config, &StatefulMarks::new())
 }
 
 /// The one pipeline behind [`plan_with`] (no pins) and
-/// [`crate::stateful::plan_pinned`]. A pin is a rank plus a packing rule:
-/// every replica of every service in `pins` packs first, at `Full` demand,
-/// as a [pinned](PlannedPod::pinned) entry, and the ranking sees neither
-/// the pinned services nor their demand. With no pins every step is the
-/// plain pipeline's.
+/// [`crate::stateful::plan_pinned`]: packs the `state` it owns, journal
+/// included, and returns it as [`PlanResult::target`]. A pin is a rank
+/// plus a packing rule: every replica of every service in `pins` packs
+/// first, at `Full` demand, as a [pinned](PlannedPod::pinned) entry, and
+/// the ranking sees neither the pinned services nor their demand. With no
+/// pins every step is the plain pipeline's.
 pub(crate) fn plan_pinned_with(
     workload: &Workload,
-    state: &ClusterState,
+    mut state: ClusterState,
     config: &PhoenixConfig,
     pins: &StatefulMarks,
 ) -> PlanResult {
@@ -401,13 +409,13 @@ pub(crate) fn plan_pinned_with(
         }
         flat
     };
-    let (target, packing) = pack_round(state, &config.packing, modal, &flat.pods, &flat.index);
+    let packing = pack_round(&mut state, &config.packing, modal, &flat.pods, &flat.index);
     drop(_pack_timer);
     let scheduler_time = t1.elapsed();
 
-    let actions = diff_from_outcome(state, &target, &packing);
+    let actions = diff_from_outcome(&state, &packing);
     PlanResult {
-        target,
+        target: state,
         rank: Arc::new(rank),
         packing,
         actions,

@@ -73,18 +73,17 @@ pub trait ResiliencePolicy: fmt::Debug + Send + Sync {
     /// observable: a gray failure
     /// ([`ClusterState::set_degrade`]) evicts a node's last-booked pod.
     ///
-    /// A caller that needs the pre-plan state clones it first. A snapshot
-    /// and restore does not work: Phoenix replaces `*state` wholesale,
-    /// which drops its journal.
+    /// Every policy books onto `state` itself, journal included: a caller
+    /// that needs the pre-plan state snapshots it first and restores it
+    /// afterwards, or clones it.
     fn plan(&self, workload: &Workload, state: &mut ClusterState) -> PolicyPlan;
 }
 
 /// Packs `plan` onto `state` with the default [`PackingConfig`] and
 /// returns the actions the pack took.
 fn pack_actions(state: &mut ClusterState, plan: &[PlannedPod]) -> ActionPlan {
-    let live = state.clone();
     let outcome = pack(state, plan, &PackingConfig::default());
-    diff_from_outcome(&live, state, &outcome)
+    diff_from_outcome(state, &outcome)
 }
 
 /// Instantiates the full evaluation roster: PhoenixCost, PhoenixFair,
@@ -184,7 +183,9 @@ mod tests {
         /// degraded nodes, modal or mode-less workloads) returns exactly
         /// the actions that take the state it was handed to the state it
         /// leaves, and leaves a consistent state. NoAdapt and a skipped
-        /// LP touch nothing.
+        /// LP touch nothing. Every policy books onto the handed state
+        /// itself: a snapshot taken before the plan restores it bit for
+        /// bit.
         #[test]
         fn every_policy_returns_the_actions_it_booked(
             apps in vec(vec((1u8..5, 1u16..3, 1u32..4, 0u8..3), 1..4), 1..3),
@@ -237,11 +238,14 @@ mod tests {
             }
             for (policy, untouched) in roster {
                 let mut state = live.clone();
+                let before = state.snapshot();
                 let plan = policy.plan(&w, &mut state);
                 let name = policy.name();
                 prop_assert_eq!(plan.actions, diff_states(&live, &state), "{}", name);
                 state.check_invariants().unwrap();
                 prop_assert!(!untouched || state.bitwise_eq(&live), "{} touched the state", name);
+                state.restore_to(&before);
+                prop_assert!(state.bitwise_eq(&live), "{} lost the journal", name);
             }
         }
     }

@@ -4,11 +4,12 @@
 use phoenix_cluster::packing::PackingConfig;
 use phoenix_cluster::ClusterState;
 
-use crate::controller::{plan_with, PhoenixConfig};
+use crate::controller::{plan_pinned_with, PhoenixConfig};
 use crate::objectives::ObjectiveKind;
 use crate::planner::PlannerConfig;
 use crate::policies::{PolicyPlan, ResiliencePolicy};
 use crate::spec::Workload;
+use crate::stateful::StatefulMarks;
 
 /// The Phoenix controller wrapped as a policy.
 #[derive(Debug, Clone)]
@@ -66,7 +67,8 @@ impl ResiliencePolicy for PhoenixPolicy {
             planner: self.planner,
             packing: self.packing.clone(),
         };
-        let result = plan_with(workload, state, &config);
+        let pins = StatefulMarks::new();
+        let result = plan_pinned_with(workload, std::mem::take(state), &config, &pins);
         let planning_time = result.total_time();
         *state = result.target;
         PolicyPlan {

@@ -32,9 +32,10 @@
 //!    index are patched only where the ranking actually changed (the
 //!    replay's index, or an item compare after a heap merge), then go
 //!    through the scheduler half the cold path uses too
-//!    (`controller::pack_round` + [`diff_from_outcome`]): running pods
-//!    are kept in place and only pods invalidated by failures or rank
-//!    changes are re-homed.
+//!    (`controller::pack_round` + [`diff_from_outcome`]), on the state the
+//!    round owns: running pods are kept in place, only pods invalidated by
+//!    failures or rank changes are re-homed, and the actions come from
+//!    the pack's record of where each touched pod ran before it.
 //!
 //! **Equivalence guarantee:** a warm replan produces the same
 //! [`PlanResult`] — byte-identical [`ActionPlan`], target state, and
@@ -190,12 +191,13 @@ impl ReplanCache {
 }
 
 /// One warm planning round: [`plan_with`]-equivalent output, reusing
-/// `cache` wherever the fingerprints, capacity, and ranking allow.
+/// `cache` wherever the fingerprints, capacity, and ranking allow. Packs
+/// the `state` it owns and returns it as [`PlanResult::target`].
 ///
 /// [`plan_with`]: crate::controller::plan_with
 pub(crate) fn replan_with(
     workload: &Workload,
-    state: &ClusterState,
+    mut state: ClusterState,
     config: &PhoenixConfig,
     cache: &mut ReplanCache,
     delta: ReplanDelta,
@@ -328,14 +330,14 @@ pub(crate) fn replan_with(
         Some(flat) => (&flat.pods, &flat.index),
         None => (&cache.plan, &cache.plan_index),
     };
-    let (target, packing) = pack_round(state, &config.packing, modal, plan, index);
+    let packing = pack_round(&mut state, &config.packing, modal, plan, index);
     let modes = flat.map_or_else(ModeAssignment::empty, |flat| flat.modes);
     drop(_pack_timer);
     let scheduler_time = t1.elapsed();
 
-    let actions = diff_from_outcome(state, &target, &packing);
+    let actions = diff_from_outcome(&state, &packing);
     PlanResult {
-        target,
+        target: state,
         rank,
         packing,
         actions,
@@ -408,7 +410,7 @@ mod tests {
 
         for round in 0..6 {
             let cold = plan_with(&w, &live, &config);
-            let warm = replan_with(&w, &live, &config, &mut cache, delta);
+            let warm = replan_with(&w, live.clone(), &config, &mut cache, delta);
             assert_equivalent(&cold, &warm);
 
             // Apply the plan, then mutate the cluster for the next round.
@@ -506,7 +508,7 @@ mod tests {
             let mut live = ClusterState::homogeneous(6, Resources::cpu(4.0));
             for round in 0..6u32 {
                 let cold = plan_with(&w, &live, &config);
-                let warm = replan_with(&w, &live, &config, &mut cache, ReplanDelta::Full);
+                let warm = replan_with(&w, live.clone(), &config, &mut cache, ReplanDelta::Full);
                 let tag = format!("{kind:?} round {round}");
                 assert_eq!(cold.actions, warm.actions, "{tag}");
                 assert_equivalent(&cold, &warm);
@@ -604,7 +606,13 @@ mod tests {
         let mut live = ClusterState::homogeneous(40, Resources::cpu(4.0));
         for round in 0..5 {
             let cold = plan_with(&w, &live, &config);
-            let warm = replan_with(&w, &live, &config, &mut cache, ReplanDelta::CapacityOnly);
+            let warm = replan_with(
+                &w,
+                live.clone(),
+                &config,
+                &mut cache,
+                ReplanDelta::CapacityOnly,
+            );
             assert_equivalent(&cold, &warm);
             live = warm.target.clone();
             live.fail_node(NodeId::new(round));
@@ -629,7 +637,13 @@ mod tests {
         for round in 0..6 {
             let cold = plan_with(&w, &live, &config);
             let warm = phoenix_obs::with_recorder(recorder.clone(), || {
-                replan_with(&w, &live, &config, &mut cache, ReplanDelta::CapacityOnly)
+                replan_with(
+                    &w,
+                    live.clone(),
+                    &config,
+                    &mut cache,
+                    ReplanDelta::CapacityOnly,
+                )
             });
             assert_equivalent(&cold, &warm);
             live = warm.target.clone();
@@ -658,7 +672,7 @@ mod tests {
         let config = PhoenixConfig::with_objective(ObjectiveKind::Cost);
         let live = ClusterState::homogeneous(8, Resources::cpu(4.0));
         let mut cache = ReplanCache::default();
-        let _ = replan_with(&w, &live, &config, &mut cache, ReplanDelta::Full);
+        let _ = replan_with(&w, live.clone(), &config, &mut cache, ReplanDelta::Full);
         assert!(cache.planner_cfg.is_some());
 
         // Raise one app's price: the cost ranking must reorder.
@@ -668,7 +682,7 @@ mod tests {
         let apps = w.apps().map(|(_, a)| a.clone()).chain([b.build().unwrap()]);
         w = Workload::new(apps.collect());
         let cold = plan_with(&w, &live, &config);
-        let warm = replan_with(&w, &live, &config, &mut cache, ReplanDelta::Full);
+        let warm = replan_with(&w, live.clone(), &config, &mut cache, ReplanDelta::Full);
         assert_equivalent(&cold, &warm);
         assert_eq!(warm.rank.items[0].app.index(), 6, "new high payer first");
     }
@@ -704,7 +718,7 @@ mod tests {
                 packing: Default::default(),
             };
             let cold = plan_with(&w, &live, &config);
-            let warm = replan_with(&w, &live, &config, &mut cache, ReplanDelta::Full);
+            let warm = replan_with(&w, live.clone(), &config, &mut cache, ReplanDelta::Full);
             assert_equivalent(&cold, &warm);
         }
     }
@@ -716,8 +730,8 @@ mod tests {
         let mut cache = ReplanCache::default();
         let fair = PhoenixConfig::with_objective(ObjectiveKind::Fairness);
         let cost = PhoenixConfig::with_objective(ObjectiveKind::Cost);
-        let _ = replan_with(&w, &live, &fair, &mut cache, ReplanDelta::Full);
-        let warm = replan_with(&w, &live, &cost, &mut cache, ReplanDelta::Full);
+        let _ = replan_with(&w, live.clone(), &fair, &mut cache, ReplanDelta::Full);
+        let warm = replan_with(&w, live.clone(), &cost, &mut cache, ReplanDelta::Full);
         let cold = plan_with(&w, &live, &cost);
         assert_equivalent(&cold, &warm);
     }
@@ -728,12 +742,12 @@ mod tests {
         let config = PhoenixConfig::default();
         let live = ClusterState::homogeneous(2, Resources::cpu(2.0));
         let mut cache = ReplanCache::default();
-        let _ = replan_with(&w, &live, &config, &mut cache, ReplanDelta::Full);
+        let _ = replan_with(&w, live.clone(), &config, &mut cache, ReplanDelta::Full);
         assert!(cache.planner_cfg.is_some());
         cache = ReplanCache::default();
         assert!(cache.planner_cfg.is_none());
         let cold = plan_with(&w, &live, &config);
-        let warm = replan_with(&w, &live, &config, &mut cache, ReplanDelta::Full);
+        let warm = replan_with(&w, live.clone(), &config, &mut cache, ReplanDelta::Full);
         assert_equivalent(&cold, &warm);
     }
 }

@@ -28,12 +28,14 @@
 //!   the packer never deletes, migrates or re-books once running. So
 //!   stateful pods lost to a node failure are re-placed with absolute
 //!   priority, those that no longer fit anywhere are reported as stranded
-//!   rather than silently dropped, and the stateless services keep their
-//!   mode ladders and see each node's effective capacity.
+//!   ([`PlanResult::stranded`]) rather than silently dropped, and the
+//!   stateless services keep their mode ladders and see each node's
+//!   effective capacity. [`StatefulAwarePolicy`] books the same pipeline
+//!   onto the state it is handed.
 //!
-//! [`verify_pins`] checks the no-delete/no-migrate guarantee on any action
-//! plan and [`PinnedPlan::check`] every promise of a pinned plan, so
-//! integration tests and chaos audits can assert them end to end.
+//! [`check_pinned`] checks every promise of a pinned plan — no delete or
+//! migrate action on a pin among them — so integration tests and chaos
+//! audits can assert them end to end.
 
 use std::collections::BTreeSet;
 use std::error::Error;
@@ -43,8 +45,9 @@ use phoenix_cluster::{ClusterState, NodeId, PodKey, Resources};
 use phoenix_dgraph::NodeId as GraphNode;
 
 use crate::actions::{Action, ActionPlan};
-use crate::controller::{plan_pinned_with, PhoenixConfig};
-use crate::spec::{AppId, AppSpecBuilder, ModeAssignment, ServiceId, Workload};
+use crate::controller::{plan_pinned_with, PhoenixConfig, PlanResult};
+use crate::policies::{PolicyPlan, ResiliencePolicy};
+use crate::spec::{AppId, AppSpecBuilder, ServiceId, Workload};
 
 /// The set of services marked stateful, keyed by `(app, service)`.
 ///
@@ -337,37 +340,23 @@ fn best_fit_node(state: &ClusterState, demand: Resources) -> Option<NodeId> {
         })
 }
 
-/// Result of planning a mixed workload on a shared cluster with pinned
-/// stateful pods.
-#[derive(Debug)]
-pub struct PinnedPlan {
-    /// Target state.
-    pub target: ClusterState,
-    /// Agent task list live → target. Guaranteed to contain no delete or
-    /// migrate action on a stateful pod ([`verify_pins`] always passes).
-    pub actions: ActionPlan,
-    /// Stateful pods lost to failures that fit on no healthy node. These
-    /// need operator intervention (more capacity); they are never traded
-    /// against stateless services.
-    pub stranded: Vec<PodKey>,
-    /// Chosen serving mode per service; pinned services serve at `Full`.
-    pub modes: ModeAssignment,
-}
-
 /// Plans `workload` on the shared cluster `live`, pinning every service in
-/// `marks`. This is the controller's own pipeline ([`plan_with`] is the
-/// same call with no marks), with a pin treated as a rank plus a packing
-/// rule:
+/// `marks`, onto a copy of `live` returned as [`PlanResult::target`]. This
+/// is the controller's own pipeline ([`plan_with`] is the same call with
+/// no marks), with a pin treated as a rank plus a packing rule:
 ///
 /// 1. surviving stateful pods stay exactly where they are: the packer
 ///    never deletes, migrates or re-books a running pin;
 /// 2. stateful pods lost to failures pack first, ahead of every stateless
 ///    container, and may displace running stateless pods; those that fit
-///    on no healthy node are reported in [`PinnedPlan::stranded`];
+///    on no healthy node are reported by [`PlanResult::stranded`];
 /// 3. the stateless services are ranked as usual against the healthy
 ///    effective capacity minus every pin's `Full` demand, with the pins'
 ///    demand left out of the fair shares. A stranded pin's demand stays
 ///    reserved too, unless the pin fits on no healthy node at all.
+///
+/// [`check_pinned`] checks these promises; pinned services serve at
+/// `Full` in [`PlanResult::modes`].
 ///
 /// [`plan_with`]: crate::controller::plan_with
 pub fn plan_pinned(
@@ -375,99 +364,72 @@ pub fn plan_pinned(
     marks: &StatefulMarks,
     live: &ClusterState,
     config: &PhoenixConfig,
-) -> PinnedPlan {
-    let plan = plan_pinned_with(workload, live, config, marks);
-    let mut stranded = plan.packing.unplaced;
-    stranded.retain(|&pod| marks.contains_pod(pod));
-    PinnedPlan {
-        target: plan.target,
-        actions: plan.actions,
-        stranded,
-        modes: plan.modes,
-    }
+) -> PlanResult {
+    plan_pinned_with(workload, live.clone(), config, marks)
 }
 
-impl PinnedPlan {
-    /// Checks what [`plan_pinned`] promises for this plan of `workload`
-    /// on `live`: [`verify_pins`] passes, surviving pins stay on their
-    /// node, every pin is placed xor stranded, and a stranded pin fits on
-    /// no healthy node of the target beside that node's pins — counting
-    /// its effective capacity and `config`'s pod cap.
-    ///
-    /// # Errors
-    ///
-    /// Describes the first broken promise.
-    pub fn check(
-        &self,
-        workload: &Workload,
-        marks: &StatefulMarks,
-        live: &ClusterState,
-        config: &PhoenixConfig,
-    ) -> Result<(), String> {
-        verify_pins(&self.actions, marks).map_err(|e| e.to_string())?;
-        let target = &self.target;
-        for (pod, node, _) in live.assignments().filter(|a| marks.contains_pod(a.0)) {
-            if target.node_of(pod) != Some(node) {
-                return Err(format!("surviving pin {pod} left {node}"));
-            }
-        }
-        // Per node: the pins' bookings and count.
-        let mut pins_on = vec![(Resources::ZERO, 0); target.node_count()];
-        for (_, node, demand) in target.assignments().filter(|a| marks.contains_pod(a.0)) {
-            pins_on[node.index()].0 += demand;
-            pins_on[node.index()].1 += 1;
-        }
-        let healthy = target.healthy_nodes();
-        let cap = config.packing.max_pods_per_node;
-        for (app, spec) in workload.apps() {
-            for service in spec.service_ids().filter(|&s| marks.is_stateful(app, s)) {
-                let demand = spec.service(service).demand;
-                let fits = |n: &&NodeId| {
-                    let (used, count) = pins_on[n.index()];
-                    demand.fits_in(&target.effective_capacity(**n).saturating_sub(&used))
-                        && cap.is_none_or(|cap| count < cap)
-                };
-                for pod in workload.pod_keys(app, service) {
-                    let stranded = self.stranded.contains(&pod);
-                    if target.node_of(pod).is_some() == stranded {
-                        return Err(format!("pin {pod}: placed and stranded must differ"));
-                    }
-                    if let Some(n) = healthy.iter().find(|n| stranded && fits(n)) {
-                        return Err(format!("stranded pin {pod} fits on {n}"));
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// A stateful pod an action plan would delete or migrate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PinViolation {
-    /// The offending action.
-    pub action: Action,
-}
-
-impl fmt::Display for PinViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "action {:?} touches a pinned stateful pod", self.action)
-    }
-}
-
-impl Error for PinViolation {}
-
-/// Verifies that `plan` never deletes or migrates a pod marked stateful.
-/// Starts are allowed (re-placing a lost stateful pod is a restart).
+/// Checks what [`plan_pinned`] promises for its `plan` of `workload` on
+/// `live`: no action deletes or migrates a pin, surviving pins stay on
+/// their node, every pin is placed xor [stranded](PlanResult::stranded),
+/// and a stranded pin fits on no healthy node of the target beside that
+/// node's pins — counting its effective capacity and `config`'s pod cap.
 ///
 /// # Errors
 ///
-/// Returns the first violating action.
-pub fn verify_pins(plan: &ActionPlan, marks: &StatefulMarks) -> Result<(), PinViolation> {
+/// Describes the first broken promise.
+pub fn check_pinned(
+    plan: &PlanResult,
+    workload: &Workload,
+    marks: &StatefulMarks,
+    live: &ClusterState,
+    config: &PhoenixConfig,
+) -> Result<(), String> {
+    verify_pins(&plan.actions, marks)?;
+    let target = &plan.target;
+    for (pod, node, _) in live.assignments().filter(|a| marks.contains_pod(a.0)) {
+        if target.node_of(pod) != Some(node) {
+            return Err(format!("surviving pin {pod} left {node}"));
+        }
+    }
+    // Per node: the pins' bookings and count.
+    let mut pins_on = vec![(Resources::ZERO, 0); target.node_count()];
+    for (_, node, demand) in target.assignments().filter(|a| marks.contains_pod(a.0)) {
+        pins_on[node.index()].0 += demand;
+        pins_on[node.index()].1 += 1;
+    }
+    let healthy = target.healthy_nodes();
+    let cap = config.packing.max_pods_per_node;
+    let stranded = plan.stranded(marks);
+    for (app, spec) in workload.apps() {
+        for service in spec.service_ids().filter(|&s| marks.is_stateful(app, s)) {
+            let demand = spec.service(service).demand;
+            let fits = |n: &&NodeId| {
+                let (used, count) = pins_on[n.index()];
+                demand.fits_in(&target.effective_capacity(**n).saturating_sub(&used))
+                    && cap.is_none_or(|cap| count < cap)
+            };
+            for pod in workload.pod_keys(app, service) {
+                let stranded = stranded.contains(&pod);
+                if target.node_of(pod).is_some() == stranded {
+                    return Err(format!("pin {pod}: placed and stranded must differ"));
+                }
+                if let Some(n) = healthy.iter().find(|n| stranded && fits(n)) {
+                    return Err(format!("stranded pin {pod} fits on {n}"));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Verifies that `plan` never deletes or migrates a pod marked stateful,
+/// naming the first action that does. Starts are allowed (re-placing a
+/// lost stateful pod is a restart).
+fn verify_pins(plan: &ActionPlan, marks: &StatefulMarks) -> Result<(), String> {
     for &action in &plan.actions {
         let forbidden = matches!(action, Action::Delete { .. } | Action::Migrate { .. });
         if forbidden && marks.contains_pod(action.pod()) {
-            return Err(PinViolation { action });
+            return Err(format!("action {action:?} touches a pinned stateful pod"));
         }
     }
     Ok(())
@@ -475,9 +437,8 @@ pub fn verify_pins(plan: &ActionPlan, marks: &StatefulMarks) -> Result<(), PinVi
 
 /// [`plan_pinned`] behind the [`ResiliencePolicy`] trait, so pinned
 /// planning drops into every harness built on the policy roster
-/// (AdaptLab sweeps, the kubesim control plane, the CLI).
-///
-/// [`ResiliencePolicy`]: crate::policies::ResiliencePolicy
+/// (AdaptLab sweeps, the kubesim control plane, the CLI). It books the
+/// pipeline onto the state it is handed.
 #[derive(Debug)]
 pub struct StatefulAwarePolicy {
     marks: StatefulMarks,
@@ -489,35 +450,31 @@ impl StatefulAwarePolicy {
     pub fn new(marks: StatefulMarks, config: PhoenixConfig) -> StatefulAwarePolicy {
         StatefulAwarePolicy { marks, config }
     }
-
-    /// The pinned services.
-    pub fn marks(&self) -> &StatefulMarks {
-        &self.marks
-    }
 }
 
-impl crate::policies::ResiliencePolicy for StatefulAwarePolicy {
+impl ResiliencePolicy for StatefulAwarePolicy {
     fn name(&self) -> &'static str {
         "PhoenixPinned"
     }
 
-    fn plan(&self, workload: &Workload, state: &mut ClusterState) -> crate::policies::PolicyPlan {
-        let t0 = std::time::Instant::now();
-        let plan = plan_pinned(workload, &self.marks, state, &self.config);
-        let planning_time = t0.elapsed();
-        debug_assert_eq!(
-            plan.check(workload, &self.marks, state, &self.config),
-            Ok(())
-        );
+    fn plan(&self, workload: &Workload, state: &mut ClusterState) -> PolicyPlan {
+        #[cfg(debug_assertions)]
+        let live = state.clone();
+        let (marks, config) = (&self.marks, &self.config);
+        let plan = plan_pinned_with(workload, std::mem::take(state), config, marks);
+        #[cfg(debug_assertions)]
+        assert_eq!(check_pinned(&plan, workload, marks, &live, config), Ok(()));
+        let stranded = plan.stranded(marks).len();
+        let planning_time = plan.total_time();
         *state = plan.target;
-        crate::policies::PolicyPlan {
+        PolicyPlan {
             actions: plan.actions,
             planning_time,
             modes: plan.modes,
-            notes: if plan.stranded.is_empty() {
+            notes: if stranded == 0 {
                 String::new()
             } else {
-                format!("{} stateful pod(s) stranded", plan.stranded.len())
+                format!("{stranded} stateful pod(s) stranded")
             },
         }
     }
@@ -691,7 +648,7 @@ mod tests {
         let live = ClusterState::homogeneous(3, Resources::cpu(4.0));
         let plan = plan_pinned(&w, &marks, &live, &PhoenixConfig::default());
         assert_eq!(plan.target.pod_count(), 4);
-        assert!(plan.stranded.is_empty());
+        assert!(plan.stranded(&marks).is_empty());
         verify_pins(&plan.actions, &marks).unwrap();
         plan.target.check_invariants().unwrap();
     }
@@ -713,7 +670,7 @@ mod tests {
         // The db did not move; only 1 CPU is left beside it, so at most one
         // 1-CPU stateless service squeezed in and web (C1, 2 CPU) cannot.
         assert_eq!(plan.target.node_of(db), Some(db_node));
-        assert!(plan.stranded.is_empty());
+        assert!(plan.stranded(&marks).is_empty());
         plan.target.check_invariants().unwrap();
     }
 
@@ -730,7 +687,7 @@ mod tests {
         // hold 7 CPUs of demand — the 3-CPU db wins over stateless services.
         let new_node = plan.target.node_of(db).expect("db re-placed");
         assert!(plan.target.is_healthy(new_node));
-        assert!(plan.stranded.is_empty());
+        assert!(plan.stranded(&marks).is_empty());
         // Restart shows up as a Start action, which pins allow.
         assert!(plan
             .actions
@@ -761,7 +718,7 @@ mod tests {
             }
         }
         let plan = plan_pinned(&w, &marks, &tiny, &PhoenixConfig::default());
-        assert_eq!(plan.stranded, vec![db]);
+        assert_eq!(plan.stranded(&marks), vec![db]);
         verify_pins(&plan.actions, &marks).unwrap();
         // Stateless planning proceeded anyway.
         assert!(plan.target.pod_count() >= 1);
@@ -803,7 +760,6 @@ mod tests {
         let (w, marks) = mixed_app();
         let policy = StatefulAwarePolicy::new(marks.clone(), PhoenixConfig::default());
         assert_eq!(policy.name(), "PhoenixPinned");
-        assert_eq!(policy.marks().len(), 1);
         let mut state = ClusterState::homogeneous(3, Resources::cpu(4.0));
         let plan = policy.plan(&w, &mut state);
         assert_eq!(state.pod_count(), 4);
@@ -827,11 +783,14 @@ mod tests {
             actions: vec![Action::Start { pod, node }],
         };
         verify_pins(&start_only, &marks).unwrap();
+        let delete = Action::Delete { pod, node };
         let deleting = ActionPlan {
-            actions: vec![Action::Delete { pod, node }],
+            actions: vec![delete],
         };
         let err = verify_pins(&deleting, &marks).unwrap_err();
-        assert_eq!(err.action.pod(), pod);
-        assert!(err.to_string().contains("pinned"));
+        assert_eq!(
+            err,
+            format!("action {delete:?} touches a pinned stateful pod")
+        );
     }
 }

@@ -7,7 +7,7 @@
 use phoenix_cluster::{ClusterState, NodeId, PodKey, Resources};
 use phoenix_core::controller::{plan_with, PhoenixConfig};
 use phoenix_core::spec::{AppId, AppSpecBuilder, ModeSpec, ServiceId, ServingMode, Workload};
-use phoenix_core::stateful::{partition, plan_pinned, Partition, StatefulMarks};
+use phoenix_core::stateful::{check_pinned, partition, plan_pinned, Partition, StatefulMarks};
 use phoenix_core::tags::Criticality;
 use phoenix_dgraph::NodeId as GraphNode;
 use proptest::prelude::*;
@@ -197,7 +197,7 @@ proptest! {
         let mut live = ClusterState::homogeneous(nodes, Resources::cpu(capacity));
         // Adopt the fresh plan as the live state.
         let fresh = plan_pinned(&workload, &marks, &live, &config);
-        fresh.check(&workload, &marks, &live, &config).unwrap();
+        check_pinned(&fresh, &workload, &marks, &live, &config).unwrap();
         for (pod, node, demand) in fresh.target.assignments() {
             live.assign(pod, demand, node).unwrap();
         }
@@ -210,7 +210,7 @@ proptest! {
         }
 
         let plan = plan_pinned(&workload, &marks, &state, &config);
-        plan.check(&workload, &marks, &state, &config).unwrap();
+        check_pinned(&plan, &workload, &marks, &state, &config).unwrap();
         plan.target.check_invariants().unwrap();
         // Placed pods sit on healthy nodes only.
         for (pod, node, _) in plan.target.assignments() {
@@ -246,7 +246,7 @@ proptest! {
         prop_assert_eq!(assignments(&pinned.target), assignments(&plain.target));
         prop_assert_eq!(&pinned.actions, &plain.actions);
         prop_assert_eq!(&pinned.modes, &plain.modes);
-        prop_assert!(pinned.stranded.is_empty());
+        prop_assert!(pinned.stranded(&StatefulMarks::new()).is_empty());
     }
 }
 
@@ -277,7 +277,7 @@ proptest! {
         config.packing.max_pods_per_node = cap;
         let mut live = ClusterState::homogeneous(nodes, Resources::cpu(capacity));
         let fresh = plan_pinned(&workload, &marks, &live, &config);
-        fresh.check(&workload, &marks, &live, &config).unwrap();
+        check_pinned(&fresh, &workload, &marks, &live, &config).unwrap();
         for (pod, node, demand) in fresh.target.assignments() {
             live.assign(pod, demand, node).unwrap();
         }
@@ -289,11 +289,11 @@ proptest! {
             }
         }
         let plan = plan_pinned(&workload, &marks, &live, &config);
-        plan.check(&workload, &marks, &live, &config).unwrap();
+        check_pinned(&plan, &workload, &marks, &live, &config).unwrap();
         plan.target.check_invariants().unwrap();
 
         let (cases, stranded) = STRANDED.get();
-        STRANDED.set((cases + 1, stranded + plan.stranded.len()));
+        STRANDED.set((cases + 1, stranded + plan.stranded(&marks).len()));
         if cases + 1 == STRANDING_CASES {
             prop_assert!(stranded > 20, "the generator stranded only {stranded} pins");
         }

@@ -10,7 +10,9 @@
 use phoenix::cluster::{ClusterState, Resources};
 use phoenix::core::controller::{PhoenixConfig, PhoenixController};
 use phoenix::core::spec::{AppSpecBuilder, SpecError, Workload};
-use phoenix::core::stateful::{partition, place_stateful, plan_pinned, StatefulMarks};
+use phoenix::core::stateful::{
+    check_pinned, partition, place_stateful, plan_pinned, StatefulMarks,
+};
 use phoenix::core::tags::Criticality;
 
 fn main() -> Result<(), SpecError> {
@@ -67,8 +69,7 @@ fn main() -> Result<(), SpecError> {
     let config = PhoenixConfig::default();
     let mut shared = ClusterState::homogeneous(4, Resources::cpu(4.0));
     let first = plan_pinned(&workload, &marks, &shared, &config);
-    first
-        .check(&workload, &marks, &shared, &config)
+    check_pinned(&first, &workload, &marks, &shared, &config)
         .expect("the first plan keeps every pin promise");
     for (pod, node, demand) in first.target.assignments() {
         shared.assign(pod, demand, node).expect("plan fits");
@@ -98,8 +99,7 @@ fn main() -> Result<(), SpecError> {
         shared.fail_node(node);
     }
     let replan = plan_pinned(&workload, &marks, &shared, &config);
-    replan
-        .check(&workload, &marks, &shared, &config)
+    check_pinned(&replan, &workload, &marks, &shared, &config)
         .expect("stateful pods are never deleted or migrated");
     println!(
         "after failure: {} pods planned, mongodb still on {} ({} stranded)",
@@ -109,7 +109,7 @@ fn main() -> Result<(), SpecError> {
             .node_of(mongo_pod.0)
             .map(|n| n.to_string())
             .unwrap_or_else(|| "-".into()),
-        replan.stranded.len(),
+        replan.stranded(&marks).len(),
     );
     let (d, m, s) = replan.actions.counts();
     println!("agent actions: {d} deletes, {m} migrations, {s} starts — none touch state");

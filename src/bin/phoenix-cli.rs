@@ -11,9 +11,11 @@
 //! `plan` reads a persisted workload (see [`phoenix::core::persist`]),
 //! fails a fraction of a synthetic cluster, and prints the Phoenix target
 //! state and agent actions. `audit` runs the §5 chaos audit; `tag-audit`
-//! runs the §7 static tag audit on a persisted workload. `drill` is a
-//! miniature Fig. 7 sweep. `export` emits ready-made workload JSON to
-//! play with. A flag a command does not declare, or a stray argument, is
+//! runs the §7 static tag audit on a persisted workload. `drill` is
+//! AdaptLab's plans-only availability sweep: it fails a share of a
+//! synthetic cluster, plans with each roster policy and scores the plans;
+//! it never runs the simulator, so it says nothing about recovery time.
+//! `export` emits ready-made workload JSON to play with. A flag a command does not declare, or a stray argument, is
 //! an error (exit 1).
 
 use std::io::{ErrorKind, Write as _};
@@ -82,7 +84,7 @@ const USAGE: &str = "usage:
   phoenix-cli plan   --workload <file.json> [--nodes N] [--cap C] [--fail F] [--objective cost|fairness]
   phoenix-cli audit  --app overleaf|hr|hr-patched
   phoenix-cli tag-audit --workload <file.json>
-  phoenix-cli drill  [--nodes N] [--trials T]
+  phoenix-cli drill  [--nodes N] [--trials T]   plans-only AdaptLab availability sweep; never runs the simulator
   phoenix-cli export --app overleaf|hr";
 
 /// Rejects any argument that is not one of the command's `flags` or a

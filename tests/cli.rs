@@ -6,7 +6,8 @@
 //! workload service with a bad `criticality` / `cpu` / `mem` with an
 //! error naming the field, all with exit 1 (never a panic's 101); the
 //! documented happy path (`export`, then `plan`) exits 0 and prints one
-//! line per planned action, and a closed stdout is not a panic.
+//! line per planned action, a closed stdout is not a panic, and the help
+//! text says what `drill` is.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -282,4 +283,22 @@ fn closed_stdout_is_not_a_panic() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert_eq!(out.status.code(), Some(0), "{stderr}");
+}
+
+/// The help text says `drill` grades plans and never simulates a
+/// recovery.
+#[test]
+fn help_says_drill_is_a_plans_only_sweep() {
+    let out = cli(&["--help"]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let drill = stdout
+        .lines()
+        .find(|l| l.contains("phoenix-cli drill"))
+        .expect("usage lists drill");
+    assert!(
+        drill.contains("plans-only AdaptLab availability sweep")
+            && drill.contains("never runs the simulator"),
+        "{drill}"
+    );
 }

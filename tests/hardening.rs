@@ -22,7 +22,7 @@ use phoenix::core::controller::{PhoenixConfig, PhoenixController};
 use phoenix::core::objectives::ObjectiveKind;
 use phoenix::core::policies::{PhoenixPolicy, ResiliencePolicy};
 use phoenix::core::spec::{AppId, AppSpecBuilder, ServiceId, Workload};
-use phoenix::core::stateful::{plan_pinned, StatefulMarks};
+use phoenix::core::stateful::{check_pinned, plan_pinned, StatefulMarks};
 use phoenix::core::tags::Criticality;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -52,8 +52,11 @@ fn stateful_pins_hold_through_failure_and_recovery() {
     let mut live = ClusterState::new(cloudlab_capacities());
     let config = PhoenixConfig::default();
     let fresh = plan_pinned(&workload, &marks, &live, &config);
-    fresh.check(&workload, &marks, &live, &config).unwrap();
-    assert!(fresh.stranded.is_empty(), "full cluster strands nothing");
+    check_pinned(&fresh, &workload, &marks, &live, &config).unwrap();
+    assert!(
+        fresh.stranded(&marks).is_empty(),
+        "full cluster strands nothing"
+    );
     for (pod, node, demand) in fresh.target.assignments() {
         live.assign(pod, demand, node).unwrap();
     }
@@ -63,7 +66,7 @@ fn stateful_pins_hold_through_failure_and_recovery() {
     let mut rng = StdRng::seed_from_u64(7);
     phoenix::cluster::failure::fail_fraction(&mut live, 0.4, &mut rng);
     let crunch = plan_pinned(&workload, &marks, &live, &config);
-    crunch.check(&workload, &marks, &live, &config).unwrap();
+    check_pinned(&crunch, &workload, &marks, &live, &config).unwrap();
     crunch.target.check_invariants().unwrap();
     assert!(crunch.target.pod_count() < before, "crunch must shed pods");
 
@@ -71,9 +74,7 @@ fn stateful_pins_hold_through_failure_and_recovery() {
     let mut degraded = crunch.target.clone();
     phoenix::cluster::failure::restore_all(&mut degraded);
     let recovered = plan_pinned(&workload, &marks, &degraded, &config);
-    recovered
-        .check(&workload, &marks, &degraded, &config)
-        .unwrap();
+    check_pinned(&recovered, &workload, &marks, &degraded, &config).unwrap();
     assert_eq!(
         recovered.target.pod_count(),
         before,
