@@ -7,8 +7,8 @@ use phoenix_adaptlab::inference::{infer_tags, synthesize_log, InferenceConfig, L
 use phoenix_adaptlab::scenario::{build_env, EnvConfig};
 use phoenix_adaptlab::tagging::TaggingScheme;
 use phoenix_cluster::failure::fail_fraction;
-use phoenix_core::controller::{plan_with, PhoenixConfig};
-use phoenix_core::stateful::{plan_pinned, StatefulMarks};
+use phoenix_core::controller::{plan, PhoenixConfig};
+use phoenix_core::stateful::StatefulMarks;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -35,15 +35,15 @@ fn bench_pinned_planning(c: &mut Criterion) {
     let mut failed = env.baseline.clone();
     let mut rng = StdRng::seed_from_u64(61);
     fail_fraction(&mut failed, 0.5, &mut rng);
-    let config = PhoenixConfig::default();
+    let (config, no_pins) = (PhoenixConfig::default(), StatefulMarks::new());
 
     let mut g = c.benchmark_group("stateful");
     g.sample_size(20);
     g.bench_function(BenchmarkId::new("plan", "plain"), |b| {
-        b.iter(|| plan_with(&env.workload, &failed, &config))
+        b.iter(|| plan(&env.workload, failed.clone(), &config, &no_pins))
     });
     g.bench_function(BenchmarkId::new("plan", "pinned"), |b| {
-        b.iter(|| plan_pinned(&env.workload, &marks, &failed, &config))
+        b.iter(|| plan(&env.workload, failed.clone(), &config, &marks))
     });
     g.finish();
 }

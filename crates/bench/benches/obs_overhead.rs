@@ -15,14 +15,16 @@ use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use phoenix_bench::replan_scenario::replan_env;
-use phoenix_core::controller::{plan_with, PhoenixConfig};
+use phoenix_core::controller::{plan, PhoenixConfig};
 use phoenix_core::objectives::ObjectiveKind;
+use phoenix_core::stateful::StatefulMarks;
 use phoenix_obs::Counter;
 
 fn bench_obs_overhead(c: &mut Criterion) {
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let env = replan_env(10_000);
     let cfg = PhoenixConfig::with_objective(ObjectiveKind::Fairness);
+    let pins = StatefulMarks::new();
 
     // Outside every `with_recorder` scope the recorder is disabled.
     assert!(!phoenix_obs::current().is_enabled());
@@ -30,7 +32,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs_overhead");
     group.sample_size(10);
     group.bench_function("cold_plan_10k_disabled_recorder", |b| {
-        b.iter(|| plan_with(&env.workload, &env.baseline, &cfg))
+        b.iter(|| plan(&env.workload, env.baseline.clone(), &cfg, &pins))
     });
 
     // A million disabled counter increments: the raw per-call cost of
@@ -49,9 +51,9 @@ fn bench_obs_overhead(c: &mut Criterion) {
     // two sides see identical cache/frequency conditions: plan time vs
     // plan time plus a proportional burst of disabled recorder calls.
     let plan_t0 = Instant::now();
-    let plan = plan_with(&env.workload, &env.baseline, &cfg);
+    let planned = plan(&env.workload, env.baseline.clone(), &cfg, &pins);
     let plan_secs = plan_t0.elapsed().as_secs_f64();
-    black_box(plan.target.pod_count());
+    black_box(planned.target.pod_count());
 
     let obs = phoenix_obs::current();
     let obs_t0 = Instant::now();

@@ -13,14 +13,14 @@ use phoenix_cluster::packing::{FitStrategy, PackingConfig};
 use phoenix_cluster::ClusterState;
 use phoenix_core::actions::Action;
 use phoenix_core::audit::{audit_workload, blast_radius, inflate_tags};
-use phoenix_core::controller::{plan_with, PhoenixConfig, PhoenixController};
+use phoenix_core::controller::{plan, PhoenixConfig, PhoenixController};
 use phoenix_core::objectives::{CriticalityObjective, ObjectiveKind};
 use phoenix_core::planner::{PlannerConfig, Traversal};
 use phoenix_core::policies::{
     standard_roster, DefaultPolicy, FairPolicy, PhoenixPolicy, PriorityPolicy, ResiliencePolicy,
 };
 use phoenix_core::spec::{AppId, ServiceId, Workload};
-use phoenix_core::stateful::{check_pinned, plan_pinned, StatefulMarks};
+use phoenix_core::stateful::{check_pinned, StatefulMarks};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -512,7 +512,7 @@ fn mark_heaviest(workload: &Workload, share: f64) -> StatefulMarks {
 ///
 /// The paper scopes Phoenix to stateless services and defers stateful
 /// support. As the stateful share of demand grows, pinned planning
-/// (`core::stateful::plan_pinned`) loses scheduling freedom — pins can
+/// (`core::controller::plan` with pins) loses scheduling freedom — pins can
 /// neither migrate nor be traded for critical stateless services — while
 /// a stateless-only planner run naively on the same mixed workload would
 /// delete or migrate the databases (counted as pin violations, i.e.
@@ -537,12 +537,12 @@ pub(super) fn stateful(scale: Scale, _: Option<u64>, out: &mut String) -> Vec<Cl
             let live = failed(&env.baseline, failure, 51);
 
             // Pinned planning: state is safe by construction.
-            let pinned = plan_pinned(&env.workload, &marks, &live, &config);
+            let pinned = plan(&env.workload, live.clone(), &config, &marks);
             pins_kept &= check_pinned(&pinned, &env.workload, &marks, &live, &config).is_ok();
 
             // Naive planning: run the stateless pipeline on the mixed
             // workload and count how many pins it would have destroyed.
-            let naive = plan_with(&env.workload, &live, &config);
+            let naive = plan(&env.workload, live, &config, &StatefulMarks::new());
             let violations = naive
                 .actions
                 .actions
@@ -556,8 +556,7 @@ pub(super) fn stateful(scale: Scale, _: Option<u64>, out: &mut String) -> Vec<Cl
             let avail = |target| critical_service_availability(&env.workload, target);
             let (pinned_avail, naive_avail) = (avail(&pinned.target), avail(&naive.target));
             if share == 0.0 {
-                unpinned_is_naive &=
-                    pinned_avail == naive_avail && pinned.stranded(&marks).is_empty();
+                unpinned_is_naive &= pinned_avail == naive_avail && pinned.stranded.is_empty();
             }
             t.row([
                 format!("{:.0}%", share * 100.0),
@@ -565,7 +564,7 @@ pub(super) fn stateful(scale: Scale, _: Option<u64>, out: &mut String) -> Vec<Cl
                 f3(pinned_avail),
                 f3(naive_avail),
                 violations.to_string(),
-                pinned.stranded(&marks).len().to_string(),
+                pinned.stranded.len().to_string(),
             ]);
         }
     }

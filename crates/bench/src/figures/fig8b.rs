@@ -8,10 +8,11 @@ use phoenix_adaptlab::alibaba::AlibabaConfig;
 use phoenix_adaptlab::runner::{failure_sweep, SweepConfig};
 use phoenix_adaptlab::scenario::{build_env, AdaptLabEnv, EnvConfig};
 use phoenix_cluster::failure::fail_fraction;
-use phoenix_core::controller::{plan_with, PhoenixConfig};
+use phoenix_core::controller::{plan, PhoenixConfig};
 use phoenix_core::objectives::ObjectiveKind;
 use phoenix_core::policies::{DefaultPolicy, LpPolicy, PhoenixPolicy, ResiliencePolicy};
 use phoenix_core::replan::ReplanDelta;
+use phoenix_core::stateful::StatefulMarks;
 use phoenix_exec::with_threads;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,12 +26,12 @@ use crate::{replan_scenario, secs, Line, Table};
 /// [`replan_scenario::converge_and_degrade`]. Returns (cold, warm).
 fn measure_replan(env: &AdaptLabEnv, kind: ObjectiveKind) -> (Duration, Duration) {
     let (mut controller, failed_a, failed_b) = replan_scenario::converge_and_degrade(env, kind);
-    let cfg = PhoenixConfig::with_objective(kind);
+    let (cfg, pins) = (PhoenixConfig::with_objective(kind), StatefulMarks::new());
     let (mut cold, mut warm) = (Duration::MAX, Duration::MAX);
     for i in 0..6 {
         let state = if i % 2 == 0 { &failed_a } else { &failed_b };
         let t = Instant::now();
-        let _ = plan_with(&env.workload, state, &cfg);
+        let _ = plan(&env.workload, state.clone(), &cfg, &pins);
         cold = cold.min(t.elapsed());
         let t = Instant::now();
         let _ = controller.replan(state, ReplanDelta::CapacityOnly);

@@ -88,7 +88,7 @@ pub mod replan_scenario {
     use phoenix_adaptlab::alibaba::AlibabaConfig;
     use phoenix_adaptlab::scenario::{build_env, AdaptLabEnv, EnvConfig};
     use phoenix_cluster::{ClusterState, NodeId};
-    use phoenix_core::controller::{plan_with, PhoenixConfig, PhoenixController};
+    use phoenix_core::controller::{PhoenixConfig, PhoenixController};
     use phoenix_core::objectives::ObjectiveKind;
     use phoenix_core::replan::ReplanDelta;
 
@@ -137,11 +137,7 @@ pub mod replan_scenario {
         failed_b.fail_node(NodeId::new(1));
 
         let warm = controller.replan(&failed_a, ReplanDelta::CapacityOnly);
-        let cold = plan_with(
-            &env.workload,
-            &failed_a,
-            &PhoenixConfig::with_objective(kind),
-        );
+        let cold = controller.plan(&failed_a);
         assert_eq!(warm.actions, cold.actions, "warm/cold divergence ({kind})");
         (controller, failed_a, failed_b)
     }

@@ -20,12 +20,12 @@ use phoenix_chaos::audit_tags;
 use phoenix_chaos::node_chaos::{node_chaos, NodeChaosConfig};
 use phoenix_cluster::failure::{fail_fraction, restore_all};
 use phoenix_cluster::{ClusterState, NodeId, PodKey, Resources};
-use phoenix_core::controller::{PhoenixConfig, PhoenixController, PlanResult};
+use phoenix_core::controller::{plan, PhoenixConfig, PhoenixController, PlanResult};
 use phoenix_core::objectives::ObjectiveKind::{self, Cost, Fairness};
 use phoenix_core::policies::{standard_roster, DefaultPolicy, PhoenixPolicy, ResiliencePolicy};
 use phoenix_core::replan::ReplanDelta::{self, CapacityOnly, Full};
 use phoenix_core::spec::{AppSpecBuilder, ServiceId, ServingMode, Workload};
-use phoenix_core::stateful::{check_pinned, plan_pinned, StatefulMarks};
+use phoenix_core::stateful::{check_pinned, StatefulMarks};
 use phoenix_core::tags::Criticality;
 use phoenix_kubesim::run::{simulate, simulate_from, SimConfig, SteadyState, TraceSample};
 use phoenix_kubesim::scenario::Scenario;
@@ -647,7 +647,7 @@ fn pinned(out: &mut String) {
             "restored" => restore_all(&mut live),
             _ => {}
         }
-        let plan = plan_pinned(&workload, &marks, &live, &config);
+        let plan = plan(&workload, live.clone(), &config, &marks);
         check_pinned(&plan, &workload, &marks, &live, &config).expect("pinned promises hold");
         let (d, m, s) = plan.actions.counts();
         let placed = sorted(
@@ -667,8 +667,7 @@ fn pinned(out: &mut String) {
                 modes.eat(plan.modes.get(app, svc).depth() as u64);
             }
         }
-        let stranded = plan.stranded(&marks);
-        let stranded: Vec<String> = stranded.iter().map(PodKey::to_string).collect();
+        let stranded: Vec<String> = plan.stranded.iter().map(PodKey::to_string).collect();
         out.line(format!(
             "pinned {round}: pods={} d={d} m={m} s={s} stranded=[{}] placements={:016x} modes={:016x}",
             placed.len(),

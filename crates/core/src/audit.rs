@@ -24,9 +24,10 @@ use std::fmt;
 
 use phoenix_cluster::ClusterState;
 
-use crate::controller::{plan_with, PhoenixConfig};
+use crate::controller::{rank_round, PhoenixConfig};
 use crate::ranking::GlobalRank;
 use crate::spec::{AppId, AppSpec, AppSpecBuilder, ServiceId, Workload};
+use crate::stateful::StatefulMarks;
 use crate::tags::Criticality;
 
 /// Flag an app as inflated when more than this fraction of its demand
@@ -282,8 +283,8 @@ impl BlastRadius {
     }
 }
 
-/// Plans `state` twice — honest tags vs. `inflator` claiming all-`C1` —
-/// under the same controller `config`, and reports the damage.
+/// Ranks `state` twice (the pipeline's planner half; nothing is packed) —
+/// honest tags vs. `inflator` claiming all-`C1` — and reports the damage.
 ///
 /// # Panics
 ///
@@ -294,19 +295,19 @@ pub fn blast_radius(
     state: &ClusterState,
     config: &PhoenixConfig,
 ) -> BlastRadius {
-    let honest = plan_with(workload, state, config);
+    let honest = rank_round(workload, state, config, &StatefulMarks::new(), &[]);
 
     let mut apps: Vec<AppSpec> = workload.apps().map(|(_, a)| a.clone()).collect();
     apps[inflator.index()] = inflate_tags(&apps[inflator.index()]);
     let lying = Workload::new(apps);
-    let adversarial = plan_with(&lying, state, config);
+    let adversarial = rank_round(&lying, state, config, &StatefulMarks::new(), &[]);
 
     BlastRadius {
         inflator,
-        honest_alloc: honest.rank.allocated.clone(),
-        adversarial_alloc: adversarial.rank.allocated.clone(),
-        honest_c1: c1_coverage(workload, &honest.rank),
-        adversarial_c1: c1_coverage(workload, &adversarial.rank),
+        honest_c1: c1_coverage(workload, &honest),
+        adversarial_c1: c1_coverage(workload, &adversarial),
+        honest_alloc: honest.allocated,
+        adversarial_alloc: adversarial.allocated,
     }
 }
 

@@ -1,6 +1,9 @@
 //! The end-to-end Phoenix controller: planner → global ranking → packing →
 //! action plan, with stage timings (Fig. 8b measures exactly this path).
+//! [`plan`] is the one pipeline function; [`PhoenixController`] adds the
+//! warm replan cache ([`crate::replan`]).
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -67,9 +70,15 @@ pub struct PlanResult {
     /// [`Full`](crate::spec::ServingMode::Full) — for mode-less
     /// workloads; only meaningful for services the plan actually places.
     pub modes: ModeAssignment,
-    /// Time spent in the planner (priority estimation + global ranking).
+    /// Pods of [`plan`]'s `pins` that fit on no healthy node: they need
+    /// more capacity, never a stateless service's place. Empty for
+    /// unpinned and warm rounds.
+    pub stranded: Vec<PodKey>,
+    /// Time spent in the planner (priority estimation + global ranking;
+    /// a warm round's plan patch too).
     pub planner_time: Duration,
-    /// Time spent in the scheduler (bin packing).
+    /// Time spent in the scheduler: flattening the ranking (or taking a
+    /// warm round's patched plan) and bin packing, not the action diff.
     pub scheduler_time: Duration,
 }
 
@@ -78,15 +87,6 @@ impl PlanResult {
     /// "time to compute a new target state".
     pub fn total_time(&self) -> Duration {
         self.planner_time + self.scheduler_time
-    }
-
-    /// The pins of `marks` this plan could not place: pods of pinned
-    /// services ([`crate::stateful::plan_pinned`]) that fit on no healthy
-    /// node. They need operator intervention (more capacity); they are
-    /// never traded against stateless services.
-    pub fn stranded(&self, marks: &StatefulMarks) -> Vec<PodKey> {
-        let unplaced = self.packing.unplaced.iter().copied();
-        unplaced.filter(|&pod| marks.contains_pod(pod)).collect()
     }
 }
 
@@ -127,18 +127,20 @@ impl PhoenixController {
 
     /// Plans a new target state for the (possibly degraded) `state`.
     ///
-    /// `state` is *not* mutated; the pipeline packs a copy of it, which
-    /// it returns as [`PlanResult::target`]. Always runs the pipeline
+    /// `state` is *not* mutated: [`plan`] (no pins) packs a copy of it,
+    /// returned as [`PlanResult::target`]. Always runs the pipeline
     /// cold; use [`replan`](Self::replan) inside a monitoring loop.
     pub fn plan(&self, state: &ClusterState) -> PlanResult {
-        plan_with(&self.workload, state, &self.config)
+        let pins = StatefulMarks::new();
+        plan(&self.workload, state.clone(), &self.config, &pins)
     }
 
     /// Warm-started planning round: identical output to
     /// [`plan`](Self::plan), but reuses the previous round's per-app
     /// ranks, global ranking, and packing bookkeeping wherever `delta`
-    /// and the cached fingerprints allow (see [`crate::replan`]). Like
-    /// [`plan`](Self::plan), it packs a copy of `state`.
+    /// and the cached fingerprints allow (see [`crate::replan`]), then
+    /// runs the same scheduler half. Like [`plan`](Self::plan), it packs
+    /// a copy of `state`.
     pub fn replan(&mut self, state: &ClusterState, delta: ReplanDelta) -> PlanResult {
         let state = state.clone();
         replan_with(&self.workload, state, &self.config, &mut self.cache, delta)
@@ -150,7 +152,7 @@ impl PhoenixController {
 /// replica block (replicas are contiguous in the flattened plan by
 /// construction). Answers the packing module's `rank_of` lookup with two
 /// array reads and rebuilds in O(services) per round.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct PlanIndex {
     /// Start of each app's service slots; `len = apps + 1`.
     app_offsets: Vec<u32>,
@@ -243,6 +245,7 @@ pub(crate) fn push_replicas(
 }
 
 /// A flattened activation list, ready to pack.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct FlatPlan {
     /// Per-replica plan entries, in pack order.
     pub(crate) pods: Vec<PlannedPod>,
@@ -296,45 +299,24 @@ pub(crate) fn flatten_plan(workload: &Workload, items: &[GlobalRankItem], modal:
     FlatPlan { pods, index, modes }
 }
 
-/// The scheduler step cold and warm rounds share: packs `plan` onto
-/// `state` in place and returns the raw outcome, from which
-/// [`diff_from_outcome`] derives the actions. A `modal` workload
-/// ([`Workload::has_modes`]) forces [`PackingConfig::rebook_in_place`]
-/// on, so running replicas are re-booked at their newly chosen mode's
-/// demand instead of keeping a stale booking.
-pub(crate) fn pack_round(
-    state: &mut ClusterState,
-    packing: &PackingConfig,
-    modal: bool,
-    plan: &[PlannedPod],
-    index: &PlanIndex,
-) -> PackOutcome {
-    let mut pack_cfg = packing.clone();
-    pack_cfg.rebook_in_place |= modal;
-    pack_prepared(state, plan, &pack_cfg, |p| index.get(p))
-}
-
-/// The controller pipeline as a free function over borrowed inputs —
-/// policies and sweeps call this directly so multi-million-pod workloads
-/// are never cloned per planning round. `state` is not mutated: the
-/// pipeline packs a copy of it, returned as [`PlanResult::target`].
+/// The one Phoenix pipeline: ranks `workload` against `state`'s healthy
+/// capacity, packs the ranking onto `state` in place, journal included,
+/// and returns it as [`PlanResult::target`]. A caller that still needs
+/// the pre-plan state clones it first; one with a throwaway state moves
+/// it in.
+///
+/// A pin is a rank plus a packing rule: every replica of every service in
+/// `pins` packs first, at `Full` demand, as a [pinned](PlannedPod::pinned)
+/// entry, and the ranking sees neither the pinned services nor their
+/// demand (see [`crate::stateful`] for the promises and
+/// [`crate::stateful::check_pinned`] for their check). With no pins every
+/// step is the plain pipeline's.
 ///
 /// Every step runs on the calling thread: the per-app priority-estimation
 /// walks ([`app_rank`]), the global-ranking heap merge and the packing.
-pub fn plan_with(workload: &Workload, state: &ClusterState, config: &PhoenixConfig) -> PlanResult {
-    plan_pinned_with(workload, state.clone(), config, &StatefulMarks::new())
-}
-
-/// The one pipeline behind [`plan_with`] (no pins) and
-/// [`crate::stateful::plan_pinned`]: packs the `state` it owns, journal
-/// included, and returns it as [`PlanResult::target`]. A pin is a rank
-/// plus a packing rule: every replica of every service in `pins` packs
-/// first, at `Full` demand, as a [pinned](PlannedPod::pinned) entry, and
-/// the ranking sees neither the pinned services nor their demand. With no
-/// pins every step is the plain pipeline's.
-pub(crate) fn plan_pinned_with(
+pub fn plan(
     workload: &Workload,
-    mut state: ClusterState,
+    state: ClusterState,
     config: &PhoenixConfig,
     pins: &StatefulMarks,
 ) -> PlanResult {
@@ -353,73 +335,114 @@ pub(crate) fn plan_pinned_with(
             })
         })
         .collect();
-
-    // --- Planner -------------------------------------------------------
     let t0 = Instant::now();
     let rank = {
         let _rank_timer = obs.phase(phoenix_obs::Phase::Rank);
-        let mut app_ranks: Vec<Vec<ServiceId>> = (workload.apps())
-            .map(|(_, app)| app_rank(app, config.planner.traversal))
-            .collect();
-        let mut capacity = state.healthy_capacity();
-        let inputs = if pins.is_empty() {
-            RankInputs::new(workload, &app_ranks)
-        } else {
-            // Pins leave the chains and the fair shares (summed in service
-            // order, as `AppSpec::total_demand` does). A pin too big for
-            // every healthy node is stranded whatever the ranking does, so
-            // only the others hold capacity back.
-            let mut demands = Vec::with_capacity(workload.app_count());
-            for ((app, spec), rank) in workload.apps().zip(&mut app_ranks) {
-                rank.retain(|&s| !pins.is_stateful(app, s));
-                let kept = spec.service_ids().filter(|&s| !pins.is_stateful(app, s));
-                let demand: Resources = kept.map(|s| spec.service(s).total_demand()).sum();
-                demands.push(demand.scalar());
-            }
-            let nodes = state.healthy_nodes();
-            let fits = |i: &&GlobalRankItem| {
-                let replica = workload.app(i.app).service(i.service).demand;
-                let fits_on = |&n| replica.fits_in(&state.effective_capacity(n));
-                nodes.iter().any(fits_on)
-            };
-            let reserved = pin_items.iter().filter(fits).map(|i| i.demand).sum();
-            capacity = capacity.saturating_sub(&reserved);
-            RankInputs::new(workload, &app_ranks).with_app_demands(demands)
-        };
-        global_rank_prepared(
-            &inputs,
-            config.objective.as_ref(),
-            capacity,
-            &config.planner,
-        )
+        rank_round(workload, &state, config, pins, &pin_items)
     };
-    let planner_time = t0.elapsed();
-
-    // --- Scheduler -----------------------------------------------------
-    let t1 = Instant::now();
-    let _pack_timer = obs.phase(phoenix_obs::Phase::Pack);
-    let modal = workload.has_modes();
-    let flat = if pins.is_empty() {
-        flatten_plan(workload, &rank.items, modal)
-    } else {
-        let mut flat = flatten_plan(workload, &[&pin_items[..], &rank.items].concat(), modal);
+    let planned = (Arc::new(rank), t0.elapsed());
+    schedule(state, &config.packing, planned, pins, |items| {
+        let modal = workload.has_modes();
+        if pins.is_empty() {
+            return (modal, Cow::Owned(flatten_plan(workload, items, modal)));
+        }
+        let mut flat = flatten_plan(workload, &[&pin_items[..], items].concat(), modal);
         let pinned = |p: &&mut PlannedPod| pins.contains_pod(p.key);
         for pod in flat.pods.iter_mut().take_while(pinned) {
             pod.pinned = true;
         }
-        flat
+        (modal, Cow::Owned(flat))
+    })
+}
+
+/// The planner half of a cold round (all [`crate::audit::blast_radius`]
+/// runs): app ranks and the global ranking against `state`'s healthy
+/// capacity, less the `Full` demand of `pin_items` (one per service in
+/// `pins`, which leave the chains and the fair shares).
+pub(crate) fn rank_round(
+    workload: &Workload,
+    state: &ClusterState,
+    config: &PhoenixConfig,
+    pins: &StatefulMarks,
+    pin_items: &[GlobalRankItem],
+) -> GlobalRank {
+    let mut app_ranks: Vec<Vec<ServiceId>> = (workload.apps())
+        .map(|(_, app)| app_rank(app, config.planner.traversal))
+        .collect();
+    let mut capacity = state.healthy_capacity();
+    let inputs = if pins.is_empty() {
+        RankInputs::new(workload, &app_ranks)
+    } else {
+        // Pins leave the chains and the fair shares (summed in service
+        // order, as `AppSpec::total_demand` does). A pin too big for
+        // every healthy node is stranded whatever the ranking does, so
+        // only the others hold capacity back.
+        let mut demands = Vec::with_capacity(workload.app_count());
+        for ((app, spec), rank) in workload.apps().zip(&mut app_ranks) {
+            rank.retain(|&s| !pins.is_stateful(app, s));
+            let kept = spec.service_ids().filter(|&s| !pins.is_stateful(app, s));
+            let demand: Resources = kept.map(|s| spec.service(s).total_demand()).sum();
+            demands.push(demand.scalar());
+        }
+        let nodes = state.healthy_nodes();
+        let fits = |i: &&GlobalRankItem| {
+            let replica = workload.app(i.app).service(i.service).demand;
+            let fits_on = |&n| replica.fits_in(&state.effective_capacity(n));
+            nodes.iter().any(fits_on)
+        };
+        let reserved = pin_items.iter().filter(fits).map(|i| i.demand).sum();
+        capacity = capacity.saturating_sub(&reserved);
+        RankInputs::new(workload, &app_ranks).with_app_demands(demands)
     };
-    let packing = pack_round(&mut state, &config.packing, modal, &flat.pods, &flat.index);
-    drop(_pack_timer);
+    global_rank_prepared(
+        &inputs,
+        config.objective.as_ref(),
+        capacity,
+        &config.planner,
+    )
+}
+
+/// The scheduler half of cold and warm rounds. The scheduler time and
+/// the `Pack` phase cover `order` (the plan to pack, from the ranking's
+/// items, and whether the workload is modal) and the pack; the actions
+/// ([`diff_from_outcome`]) and stranded `pins` come after. A modal
+/// workload forces [`PackingConfig::rebook_in_place`] on, so running
+/// replicas are re-booked at their newly chosen mode's demand.
+pub(crate) fn schedule<'p>(
+    mut state: ClusterState,
+    packing: &PackingConfig,
+    (rank, planner_time): (Arc<GlobalRank>, Duration),
+    pins: &StatefulMarks,
+    order: impl FnOnce(&[GlobalRankItem]) -> (bool, Cow<'p, FlatPlan>),
+) -> PlanResult {
+    let obs = phoenix_obs::current();
+    let t1 = Instant::now();
+    let pack_timer = obs.phase(phoenix_obs::Phase::Pack);
+    let (modal, flat) = order(&rank.items);
+    let mut pack_cfg = packing.clone();
+    pack_cfg.rebook_in_place |= modal;
+    let packing = pack_prepared(&mut state, &flat.pods, &pack_cfg, |p| flat.index.get(p));
+    drop(pack_timer);
     let scheduler_time = t1.elapsed();
 
     let actions = diff_from_outcome(&state, &packing);
+    let stranded = if pins.is_empty() {
+        Vec::new()
+    } else {
+        let unplaced = packing.unplaced.iter().copied();
+        unplaced.filter(|&pod| pins.contains_pod(pod)).collect()
+    };
+    let modes = match flat {
+        Cow::Owned(flat) => flat.modes,
+        Cow::Borrowed(_) => ModeAssignment::empty(),
+    };
     PlanResult {
         target: state,
-        rank: Arc::new(rank),
+        rank,
         packing,
         actions,
-        modes: flat.modes,
+        modes,
+        stranded,
         planner_time,
         scheduler_time,
     }
@@ -556,13 +579,13 @@ mod tests {
         stripped.add_service("mid", Resources::cpu(4.0), Some(Criticality::C2), 1);
         let binary = Workload::new(vec![stripped.build().unwrap()]);
 
-        let state = ClusterState::homogeneous(1, Resources::cpu(6.0));
-        let config = PhoenixConfig::default();
+        let state = || ClusterState::homogeneous(1, Resources::cpu(6.0));
+        let (config, pins) = (PhoenixConfig::default(), StatefulMarks::new());
 
-        let without = plan_with(&binary, &state, &config);
+        let without = plan(&binary, state(), &config, &pins);
         assert_eq!(without.target.pod_count(), 1, "binary planner evicts mid");
 
-        let with = plan_with(&modal, &state, &config);
+        let with = plan(&modal, state(), &config, &pins);
         assert_eq!(with.target.pod_count(), 2, "ladder keeps both serving");
         let app = crate::spec::AppId::new(0);
         assert_eq!(with.modes.get(app, fe), ServingMode::Full);
@@ -609,13 +632,13 @@ mod tests {
         let w = Workload::new(apps);
         let mut state = ClusterState::homogeneous(4, Resources::cpu(4.0));
         state.fail_node(NodeId::new(3));
-        let config = PhoenixConfig::default();
-        let first = plan_with(&w, &state, &config);
+        let (config, pins) = (PhoenixConfig::default(), StatefulMarks::new());
+        let first = plan(&w, state.clone(), &config, &pins);
         assert!(
             first.rank.items.iter().any(|i| i.mode != ServingMode::Full),
             "crunch must engage the ladders"
         );
-        let again = plan_with(&w, &state, &config);
+        let again = plan(&w, state, &config, &pins);
         assert_eq!(first.actions, again.actions);
         assert_eq!(first.modes, again.modes);
         assert_eq!(first.rank.items, again.rank.items);

@@ -23,7 +23,9 @@ use phoenix_cluster::packing::{pack, PackingConfig, PlannedPod};
 use phoenix_cluster::ClusterState;
 
 use crate::actions::{diff_from_outcome, ActionPlan};
+use crate::controller::{plan, PhoenixConfig, PlanResult};
 use crate::spec::{ModeAssignment, Workload};
+use crate::stateful::StatefulMarks;
 
 pub use default::{DefaultPolicy, NoAdaptPolicy};
 pub use fair::FairPolicy;
@@ -84,6 +86,27 @@ pub trait ResiliencePolicy: fmt::Debug + Send + Sync {
 fn pack_actions(state: &mut ClusterState, plan: &[PlannedPod]) -> ActionPlan {
     let outcome = pack(state, plan, &PackingConfig::default());
     diff_from_outcome(state, &outcome)
+}
+
+/// The Phoenix policies' shared body: runs [`plan`] on the handed
+/// `state`, books the target back onto it and returns the actions, with
+/// `notes` read off the result.
+pub(crate) fn plan_onto(
+    workload: &Workload,
+    state: &mut ClusterState,
+    config: &PhoenixConfig,
+    pins: &StatefulMarks,
+    notes: impl FnOnce(&PlanResult) -> String,
+) -> PolicyPlan {
+    let result = plan(workload, std::mem::take(state), config, pins);
+    let (notes, planning_time) = (notes(&result), result.total_time());
+    *state = result.target;
+    PolicyPlan {
+        actions: result.actions,
+        planning_time,
+        modes: result.modes,
+        notes,
+    }
 }
 
 /// Instantiates the full evaluation roster: PhoenixCost, PhoenixFair,

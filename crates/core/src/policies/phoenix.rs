@@ -4,10 +4,10 @@
 use phoenix_cluster::packing::PackingConfig;
 use phoenix_cluster::ClusterState;
 
-use crate::controller::{plan_pinned_with, PhoenixConfig};
+use crate::controller::PhoenixConfig;
 use crate::objectives::ObjectiveKind;
 use crate::planner::PlannerConfig;
-use crate::policies::{PolicyPlan, ResiliencePolicy};
+use crate::policies::{plan_onto, PolicyPlan, ResiliencePolicy};
 use crate::spec::Workload;
 use crate::stateful::StatefulMarks;
 
@@ -67,21 +67,14 @@ impl ResiliencePolicy for PhoenixPolicy {
             planner: self.planner,
             packing: self.packing.clone(),
         };
-        let pins = StatefulMarks::new();
-        let result = plan_pinned_with(workload, std::mem::take(state), &config, &pins);
-        let planning_time = result.total_time();
-        *state = result.target;
-        PolicyPlan {
-            actions: result.actions,
-            planning_time,
-            modes: result.modes,
-            notes: format!(
+        plan_onto(workload, state, &config, &StatefulMarks::new(), |result| {
+            format!(
                 "planner={:?} scheduler={:?} unplaced={}",
                 result.planner_time,
                 result.scheduler_time,
                 result.packing.unplaced.len()
-            ),
-        }
+            )
+        })
     }
 }
 

@@ -1,7 +1,7 @@
 //! Incremental replanning: warm-start the planner → ranking → packing
 //! pipeline across rounds.
 //!
-//! The cold pipeline ([`crate::controller::plan_with`]) recomputes
+//! The cold pipeline ([`crate::controller::plan`]) recomputes
 //! everything per round: per-app activation orders, water-filling, the
 //! global-ranking heap merge, the flattened pod plan, and the packing
 //! bookkeeping. During a capacity crunch the controller replans every
@@ -31,37 +31,38 @@
 //! 3. **Warm packing** — the flattened plan and its dense `pod → rank`
 //!    index are patched only where the ranking actually changed (the
 //!    replay's index, or an item compare after a heap merge), then go
-//!    through the scheduler half the cold path uses too
-//!    (`controller::pack_round` + [`diff_from_outcome`]), on the state the
-//!    round owns: running pods are kept in place, only pods invalidated by
-//!    failures or rank changes are re-homed, and the actions come from
-//!    the pack's record of where each touched pod ran before it.
+//!    through the scheduler half the cold path ends in too
+//!    (`controller::schedule`: pack, then the action diff), on the state
+//!    the round owns: running pods are kept in place, only pods
+//!    invalidated by failures or rank changes are re-homed, and the
+//!    actions come from the pack's record of where each touched pod ran
+//!    before it.
 //!
 //! **Equivalence guarantee:** a warm replan produces the same
 //! [`PlanResult`] — byte-identical [`ActionPlan`], target state, and
-//! packing outcome — as a cold [`plan_with`](crate::controller::plan_with)
-//! on the same inputs. Warm and cold share the same merge and packing
+//! packing outcome — as a cold [`plan`](crate::controller::plan) with no
+//! pins on the same inputs. Warm and cold share the same merge and packing
 //! loops, so this holds by construction; the tests below and
 //! `tests/modeless_compat.rs` check it end to end.
 //!
 //! [`ActionPlan`]: crate::actions::ActionPlan
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
-use phoenix_cluster::packing::PlannedPod;
 use phoenix_cluster::ClusterState;
 
-use crate::actions::diff_from_outcome;
 use crate::controller::{
-    flatten_plan, pack_round, push_replicas, PhoenixConfig, PlanIndex, PlanResult,
+    flatten_plan, push_replicas, schedule, FlatPlan, PhoenixConfig, PlanResult,
 };
 use crate::objectives::ObjectiveKind;
 use crate::planner::{app_rank, PlannerConfig};
 use crate::ranking::{
     global_rank_prepared, global_rank_replay, merged_order, GlobalRank, MergeOrder, RankInputs,
 };
-use crate::spec::{ModeAssignment, ServiceId, Workload};
+use crate::spec::{ServiceId, Workload};
+use crate::stateful::StatefulMarks;
 
 /// What changed since the previous round, as far as the caller knows.
 ///
@@ -112,8 +113,8 @@ pub(crate) struct ReplanCache {
     /// replay rewrites it in place through [`Arc::make_mut`], which
     /// copies it only while a caller still holds that result.
     rank: Option<Arc<GlobalRank>>,
-    plan: Vec<PlannedPod>,
-    plan_index: PlanIndex,
+    /// The mode-less flattened plan, patched per round (modes stay empty).
+    plan: FlatPlan,
     plan_valid: bool,
 }
 
@@ -182,7 +183,7 @@ impl ReplanCache {
             self.capacity_bits = None;
             self.rank = None;
             self.plan_valid = false;
-            self.plan_index.reshape(workload);
+            self.plan.index.reshape(workload);
         }
         self.planner_cfg = Some(config.planner);
         self.objective_kind = objective_kind;
@@ -190,14 +191,13 @@ impl ReplanCache {
     }
 }
 
-/// One warm planning round: [`plan_with`]-equivalent output, reusing
-/// `cache` wherever the fingerprints, capacity, and ranking allow. Packs
-/// the `state` it owns and returns it as [`PlanResult::target`].
-///
-/// [`plan_with`]: crate::controller::plan_with
+/// One warm planning round: the output of an unpinned
+/// [`plan`](crate::controller::plan), reusing `cache` wherever the
+/// fingerprints, capacity, and ranking allow. Packs the `state` it owns
+/// and returns it as [`PlanResult::target`].
 pub(crate) fn replan_with(
     workload: &Workload,
-    mut state: ClusterState,
+    state: ClusterState,
     config: &PhoenixConfig,
     cache: &mut ReplanCache,
     delta: ReplanDelta,
@@ -292,7 +292,7 @@ pub(crate) fn replan_with(
         let (old_len, kept) = if was_valid {
             (old_len, kept)
         } else {
-            cache.plan.clear();
+            cache.plan.pods.clear();
             (0, 0)
         };
         let plan_changed = kept != old_len || kept != rank.items.len();
@@ -301,56 +301,46 @@ pub(crate) fn replan_with(
             // cut where the last kept item's replica block ends.
             let offset = kept.checked_sub(1).map_or(0, |last| {
                 let it = &rank.items[last];
-                cache.plan_index.block_end(it.app, it.service)
+                cache.plan.index.block_end(it.app, it.service)
             });
-            cache.plan.truncate(offset);
+            cache.plan.pods.truncate(offset);
             for item in &rank.items[kept..] {
                 let svc = workload.app(item.app).service(item.service);
-                push_replicas(&mut cache.plan, item, svc.replicas, svc.demand);
+                push_replicas(&mut cache.plan.pods, item, svc.replicas, svc.demand);
             }
         }
         if plan_changed || !was_valid {
             // O(services): the dense lookup table re-derives from the items.
-            cache.plan_index.rebuild(workload, &rank.items);
+            cache.plan.index.rebuild(workload, &rank.items);
         }
         cache.plan_valid = true;
     }
     cache.capacity_bits = Some(capacity_bits);
     cache.rank = Some(Arc::clone(&rank));
     drop(rank_timer);
-    let planner_time = t0.elapsed();
+    let planned = (rank, t0.elapsed());
 
-    // --- Scheduler -----------------------------------------------------
-    let t1 = Instant::now();
-    let _pack_timer = obs.phase(phoenix_obs::Phase::Pack);
     // Modal workloads re-flatten per round (see above); mode-less ones
     // pack the incrementally patched plan straight out of the cache.
-    let flat = modal.then(|| flatten_plan(workload, &rank.items, modal));
-    let (plan, index) = match &flat {
-        Some(flat) => (&flat.pods, &flat.index),
-        None => (&cache.plan, &cache.plan_index),
-    };
-    let packing = pack_round(&mut state, &config.packing, modal, plan, index);
-    let modes = flat.map_or_else(ModeAssignment::empty, |flat| flat.modes);
-    drop(_pack_timer);
-    let scheduler_time = t1.elapsed();
-
-    let actions = diff_from_outcome(&state, &packing);
-    PlanResult {
-        target: state,
-        rank,
-        packing,
-        actions,
-        modes,
-        planner_time,
-        scheduler_time,
-    }
+    schedule(
+        state,
+        &config.packing,
+        planned,
+        &StatefulMarks::new(),
+        |items| {
+            let flat = match modal {
+                true => Cow::Owned(flatten_plan(workload, items, modal)),
+                false => Cow::Borrowed(&cache.plan),
+            };
+            (modal, flat)
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::controller::plan_with;
+    use crate::controller::plan;
     use crate::spec::{AppSpecBuilder, ModeSpec, ServingMode, Workload};
     use crate::tags::Criticality;
     use phoenix_cluster::{NodeId, Resources};
@@ -409,7 +399,7 @@ mod tests {
         let mut live = ClusterState::homogeneous(8, Resources::cpu(4.0));
 
         for round in 0..6 {
-            let cold = plan_with(&w, &live, &config);
+            let cold = plan(&w, live.clone(), &config, &StatefulMarks::new());
             let warm = replan_with(&w, live.clone(), &config, &mut cache, delta);
             assert_equivalent(&cold, &warm);
 
@@ -507,7 +497,7 @@ mod tests {
             // Tight enough that several ladders are cut mid-way.
             let mut live = ClusterState::homogeneous(6, Resources::cpu(4.0));
             for round in 0..6u32 {
-                let cold = plan_with(&w, &live, &config);
+                let cold = plan(&w, live.clone(), &config, &StatefulMarks::new());
                 let warm = replan_with(&w, live.clone(), &config, &mut cache, ReplanDelta::Full);
                 let tag = format!("{kind:?} round {round}");
                 assert_eq!(cold.actions, warm.actions, "{tag}");
@@ -605,7 +595,7 @@ mod tests {
         let mut cache = ReplanCache::default();
         let mut live = ClusterState::homogeneous(40, Resources::cpu(4.0));
         for round in 0..5 {
-            let cold = plan_with(&w, &live, &config);
+            let cold = plan(&w, live.clone(), &config, &StatefulMarks::new());
             let warm = replan_with(
                 &w,
                 live.clone(),
@@ -635,7 +625,7 @@ mod tests {
         let crunch: Vec<NodeId> = (2..20).map(NodeId::new).collect();
         let recorder = phoenix_obs::Recorder::enabled();
         for round in 0..6 {
-            let cold = plan_with(&w, &live, &config);
+            let cold = plan(&w, live.clone(), &config, &StatefulMarks::new());
             let warm = phoenix_obs::with_recorder(recorder.clone(), || {
                 replan_with(
                     &w,
@@ -681,7 +671,7 @@ mod tests {
         b.price_per_unit(100.0);
         let apps = w.apps().map(|(_, a)| a.clone()).chain([b.build().unwrap()]);
         w = Workload::new(apps.collect());
-        let cold = plan_with(&w, &live, &config);
+        let cold = plan(&w, live.clone(), &config, &StatefulMarks::new());
         let warm = replan_with(&w, live.clone(), &config, &mut cache, ReplanDelta::Full);
         assert_equivalent(&cold, &warm);
         assert_eq!(warm.rank.items[0].app.index(), 6, "new high payer first");
@@ -717,7 +707,7 @@ mod tests {
                 },
                 packing: Default::default(),
             };
-            let cold = plan_with(&w, &live, &config);
+            let cold = plan(&w, live.clone(), &config, &StatefulMarks::new());
             let warm = replan_with(&w, live.clone(), &config, &mut cache, ReplanDelta::Full);
             assert_equivalent(&cold, &warm);
         }
@@ -732,7 +722,7 @@ mod tests {
         let cost = PhoenixConfig::with_objective(ObjectiveKind::Cost);
         let _ = replan_with(&w, live.clone(), &fair, &mut cache, ReplanDelta::Full);
         let warm = replan_with(&w, live.clone(), &cost, &mut cache, ReplanDelta::Full);
-        let cold = plan_with(&w, &live, &cost);
+        let cold = plan(&w, live.clone(), &cost, &StatefulMarks::new());
         assert_equivalent(&cold, &warm);
     }
 
@@ -746,7 +736,7 @@ mod tests {
         assert!(cache.planner_cfg.is_some());
         cache = ReplanCache::default();
         assert!(cache.planner_cfg.is_none());
-        let cold = plan_with(&w, &live, &config);
+        let cold = plan(&w, live.clone(), &config, &StatefulMarks::new());
         let warm = replan_with(&w, live.clone(), &config, &mut cache, ReplanDelta::Full);
         assert_equivalent(&cold, &warm);
     }

@@ -18,10 +18,11 @@
 //!   `web → db → audit` and `db` moves to the stateful cluster, the
 //!   stateless graph gains `web → audit`, because the stateful tier is,
 //!   by definition of this deployment, always reachable.
-//! * **Pinned co-location** — [`plan_pinned`] plans a mixed workload on one
-//!   shared cluster while guaranteeing that stateful pods are *pinned*:
-//!   never deleted, never migrated, their capacity reserved before any
-//!   stateless service is ranked. It is the controller's own pipeline on
+//! * **Pinned co-location** — the controller's one pipeline,
+//!   [`plan`](crate::controller::plan), takes the marks as its `pins` and
+//!   plans a mixed workload on one shared cluster while guaranteeing that
+//!   stateful pods are *pinned*: never deleted, never migrated, their
+//!   capacity reserved before any stateless service is ranked. It plans
 //!   the original workload, with a pin treated as a rank plus a packing
 //!   rule: pins pack ahead of every stateless container as
 //!   [pinned](phoenix_cluster::packing::PlannedPod::pinned) entries, which
@@ -45,8 +46,8 @@ use phoenix_cluster::{ClusterState, NodeId, PodKey, Resources};
 use phoenix_dgraph::NodeId as GraphNode;
 
 use crate::actions::{Action, ActionPlan};
-use crate::controller::{plan_pinned_with, PhoenixConfig, PlanResult};
-use crate::policies::{PolicyPlan, ResiliencePolicy};
+use crate::controller::{PhoenixConfig, PlanResult};
+use crate::policies::{plan_onto, PolicyPlan, ResiliencePolicy};
 use crate::spec::{AppId, AppSpecBuilder, ServiceId, Workload};
 
 /// The set of services marked stateful, keyed by `(app, service)`.
@@ -340,39 +341,12 @@ fn best_fit_node(state: &ClusterState, demand: Resources) -> Option<NodeId> {
         })
 }
 
-/// Plans `workload` on the shared cluster `live`, pinning every service in
-/// `marks`, onto a copy of `live` returned as [`PlanResult::target`]. This
-/// is the controller's own pipeline ([`plan_with`] is the same call with
-/// no marks), with a pin treated as a rank plus a packing rule:
-///
-/// 1. surviving stateful pods stay exactly where they are: the packer
-///    never deletes, migrates or re-books a running pin;
-/// 2. stateful pods lost to failures pack first, ahead of every stateless
-///    container, and may displace running stateless pods; those that fit
-///    on no healthy node are reported by [`PlanResult::stranded`];
-/// 3. the stateless services are ranked as usual against the healthy
-///    effective capacity minus every pin's `Full` demand, with the pins'
-///    demand left out of the fair shares. A stranded pin's demand stays
-///    reserved too, unless the pin fits on no healthy node at all.
-///
-/// [`check_pinned`] checks these promises; pinned services serve at
-/// `Full` in [`PlanResult::modes`].
-///
-/// [`plan_with`]: crate::controller::plan_with
-pub fn plan_pinned(
-    workload: &Workload,
-    marks: &StatefulMarks,
-    live: &ClusterState,
-    config: &PhoenixConfig,
-) -> PlanResult {
-    plan_pinned_with(workload, live.clone(), config, marks)
-}
-
-/// Checks what [`plan_pinned`] promises for its `plan` of `workload` on
-/// `live`: no action deletes or migrates a pin, surviving pins stay on
-/// their node, every pin is placed xor [stranded](PlanResult::stranded),
-/// and a stranded pin fits on no healthy node of the target beside that
-/// node's pins — counting its effective capacity and `config`'s pod cap.
+/// Checks what a [`plan`](crate::controller::plan) of `workload` on
+/// `live` with `marks` as its pins promises: no action deletes or
+/// migrates a pin, surviving pins stay on their node, every pin is placed
+/// xor [stranded](PlanResult::stranded) (lost pins pack first), and a
+/// stranded pin fits on no healthy node of the target beside that node's
+/// pins — counting its effective capacity and `config`'s pod cap.
 ///
 /// # Errors
 ///
@@ -399,7 +373,7 @@ pub fn check_pinned(
     }
     let healthy = target.healthy_nodes();
     let cap = config.packing.max_pods_per_node;
-    let stranded = plan.stranded(marks);
+    let stranded = &plan.stranded;
     for (app, spec) in workload.apps() {
         for service in spec.service_ids().filter(|&s| marks.is_stateful(app, s)) {
             let demand = spec.service(service).demand;
@@ -435,10 +409,11 @@ fn verify_pins(plan: &ActionPlan, marks: &StatefulMarks) -> Result<(), String> {
     Ok(())
 }
 
-/// [`plan_pinned`] behind the [`ResiliencePolicy`] trait, so pinned
-/// planning drops into every harness built on the policy roster
-/// (AdaptLab sweeps, the kubesim control plane, the CLI). It books the
-/// pipeline onto the state it is handed.
+/// Pinned [`plan`](crate::controller::plan) behind the
+/// [`ResiliencePolicy`] trait, so pinned planning drops into every
+/// harness built on the policy roster (AdaptLab sweeps, the kubesim
+/// control plane, the CLI). It books the pipeline onto the state it is
+/// handed.
 #[derive(Debug)]
 pub struct StatefulAwarePolicy {
     marks: StatefulMarks,
@@ -458,31 +433,24 @@ impl ResiliencePolicy for StatefulAwarePolicy {
     }
 
     fn plan(&self, workload: &Workload, state: &mut ClusterState) -> PolicyPlan {
+        let (marks, config) = (&self.marks, &self.config);
         #[cfg(debug_assertions)]
         let live = state.clone();
-        let (marks, config) = (&self.marks, &self.config);
-        let plan = plan_pinned_with(workload, std::mem::take(state), config, marks);
-        #[cfg(debug_assertions)]
-        assert_eq!(check_pinned(&plan, workload, marks, &live, config), Ok(()));
-        let stranded = plan.stranded(marks).len();
-        let planning_time = plan.total_time();
-        *state = plan.target;
-        PolicyPlan {
-            actions: plan.actions,
-            planning_time,
-            modes: plan.modes,
-            notes: if stranded == 0 {
-                String::new()
-            } else {
-                format!("{stranded} stateful pod(s) stranded")
-            },
-        }
+        plan_onto(workload, state, config, marks, |plan| {
+            #[cfg(debug_assertions)]
+            assert_eq!(check_pinned(plan, workload, marks, &live, config), Ok(()));
+            match plan.stranded.len() {
+                0 => String::new(),
+                stranded => format!("{stranded} stateful pod(s) stranded"),
+            }
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::plan;
     use crate::objectives::ObjectiveKind;
     use crate::spec::AppSpecBuilder;
     use crate::tags::Criticality;
@@ -635,7 +603,7 @@ mod tests {
     /// Live cluster with everything placed: 3 nodes × 4 CPU.
     fn live_full(w: &Workload, marks: &StatefulMarks) -> ClusterState {
         let mut live = ClusterState::homogeneous(3, Resources::cpu(4.0));
-        let plan = plan_pinned(w, marks, &live.clone(), &PhoenixConfig::default());
+        let plan = plan(w, live.clone(), &PhoenixConfig::default(), marks);
         for (pod, node, demand) in plan.target.assignments() {
             live.assign(pod, demand, node).unwrap();
         }
@@ -646,9 +614,9 @@ mod tests {
     fn plan_pinned_full_capacity_places_everything() {
         let (w, marks) = mixed_app();
         let live = ClusterState::homogeneous(3, Resources::cpu(4.0));
-        let plan = plan_pinned(&w, &marks, &live, &PhoenixConfig::default());
+        let plan = plan(&w, live, &PhoenixConfig::default(), &marks);
         assert_eq!(plan.target.pod_count(), 4);
-        assert!(plan.stranded(&marks).is_empty());
+        assert!(plan.stranded.is_empty());
         verify_pins(&plan.actions, &marks).unwrap();
         plan.target.check_invariants().unwrap();
     }
@@ -665,12 +633,12 @@ mod tests {
                 live.fail_node(n);
             }
         }
-        let plan = plan_pinned(&w, &marks, &live, &PhoenixConfig::default());
+        let plan = plan(&w, live, &PhoenixConfig::default(), &marks);
         verify_pins(&plan.actions, &marks).unwrap();
         // The db did not move; only 1 CPU is left beside it, so at most one
         // 1-CPU stateless service squeezed in and web (C1, 2 CPU) cannot.
         assert_eq!(plan.target.node_of(db), Some(db_node));
-        assert!(plan.stranded(&marks).is_empty());
+        assert!(plan.stranded.is_empty());
         plan.target.check_invariants().unwrap();
     }
 
@@ -681,13 +649,13 @@ mod tests {
         let db = PodKey::new(0, 1, 0);
         let db_node = live.node_of(db).expect("db placed");
         live.fail_node(db_node);
-        let plan = plan_pinned(&w, &marks, &live, &PhoenixConfig::default());
+        let plan = plan(&w, live, &PhoenixConfig::default(), &marks);
         verify_pins(&plan.actions, &marks).unwrap();
         // The db is restarted on a healthy node even though 8 CPUs must now
         // hold 7 CPUs of demand — the 3-CPU db wins over stateless services.
         let new_node = plan.target.node_of(db).expect("db re-placed");
         assert!(plan.target.is_healthy(new_node));
-        assert!(plan.stranded(&marks).is_empty());
+        assert!(plan.stranded.is_empty());
         // Restart shows up as a Start action, which pins allow.
         assert!(plan
             .actions
@@ -717,8 +685,8 @@ mod tests {
                 let _ = tiny.assign(pod, demand, NodeId::new(0));
             }
         }
-        let plan = plan_pinned(&w, &marks, &tiny, &PhoenixConfig::default());
-        assert_eq!(plan.stranded(&marks), vec![db]);
+        let plan = plan(&w, tiny, &PhoenixConfig::default(), &marks);
+        assert_eq!(plan.stranded, vec![db]);
         verify_pins(&plan.actions, &marks).unwrap();
         // Stateless planning proceeded anyway.
         assert!(plan.target.pod_count() >= 1);
@@ -737,12 +705,8 @@ mod tests {
         apps.push(b.build().unwrap());
         let w = Workload::new(apps);
         let live = ClusterState::homogeneous(2, Resources::cpu(4.0));
-        let plan = plan_pinned(
-            &w,
-            &marks,
-            &live,
-            &PhoenixConfig::with_objective(ObjectiveKind::Fairness),
-        );
+        let config = PhoenixConfig::with_objective(ObjectiveKind::Fairness);
+        let plan = plan(&w, live, &config, &marks);
         // 8 CPUs total, 3 reserved by the db → 5 for stateless planning;
         // both C1 frontends (2+2) activate, nothing lower fits entirely.
         verify_pins(&plan.actions, &marks).unwrap();

@@ -1,12 +1,13 @@
 //! Property tests for the tag-auditing layer: inflation is always caught,
 //! the transformation preserves everything except tags, and blast-radius
-//! accounting is internally consistent.
+//! accounting is internally consistent and matches the full pipeline.
 
 use phoenix_cluster::{ClusterState, Resources};
-use phoenix_core::audit::{audit_workload, blast_radius, inflate_tags, Finding};
-use phoenix_core::controller::PhoenixConfig;
+use phoenix_core::audit::{audit_workload, blast_radius, c1_coverage, inflate_tags, Finding};
+use phoenix_core::controller::{plan, PhoenixConfig};
 use phoenix_core::objectives::ObjectiveKind;
 use phoenix_core::spec::{AppId, AppSpec, AppSpecBuilder, ServiceId, Workload};
+use phoenix_core::stateful::StatefulMarks;
 use phoenix_core::tags::Criticality;
 use proptest::prelude::*;
 
@@ -75,7 +76,9 @@ proptest! {
     }
 
     /// Blast-radius bookkeeping: coverage in [0,1], losses non-negative,
-    /// deterministic, and the worst victim (when any) really lost coverage.
+    /// deterministic, the worst victim (when any) really lost coverage,
+    /// and the rank-only audit reads what the full pipeline's ranking
+    /// says, honest and inflated alike.
     #[test]
     fn blast_radius_accounting(
         apps in proptest::collection::vec(arb_app(), 2..5),
@@ -93,6 +96,17 @@ proptest! {
         let br = blast_radius(&workload, inflator, &state, &config);
         let br2 = blast_radius(&workload, inflator, &state, &config);
         prop_assert_eq!(&br, &br2, "blast radius must be deterministic");
+
+        let mut apps: Vec<AppSpec> = workload.apps().map(|(_, a)| a.clone()).collect();
+        apps[inflator.index()] = inflate_tags(&apps[inflator.index()]);
+        let lying = Workload::new(apps);
+        let pins = StatefulMarks::new();
+        let honest = plan(&workload, state.clone(), &config, &pins).rank;
+        let adversarial = plan(&lying, state.clone(), &config, &pins).rank;
+        prop_assert_eq!(&br.honest_alloc, &honest.allocated);
+        prop_assert_eq!(&br.adversarial_alloc, &adversarial.allocated);
+        prop_assert_eq!(&br.honest_c1, &c1_coverage(&workload, &honest));
+        prop_assert_eq!(&br.adversarial_c1, &c1_coverage(&workload, &adversarial));
 
         prop_assert_eq!(br.honest_alloc.len(), workload.app_count());
         for v in br.honest_c1.iter().chain(&br.adversarial_c1) {

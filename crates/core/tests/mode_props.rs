@@ -6,10 +6,11 @@
 use phoenix_cluster::packing::PackingConfig;
 use phoenix_cluster::{ClusterState, NodeId, Resources};
 use phoenix_core::actions::{mode_shift_actions, Action};
-use phoenix_core::controller::{plan_with, PhoenixConfig};
+use phoenix_core::controller::{plan, PhoenixConfig};
 use phoenix_core::objectives::{OperatorObjective, RankContext};
 use phoenix_core::planner::PlannerConfig;
 use phoenix_core::spec::{AppId, AppSpec, AppSpecBuilder, ModeSpec, ServingMode, Workload};
+use phoenix_core::stateful::StatefulMarks;
 use phoenix_core::tags::Criticality;
 use proptest::prelude::*;
 
@@ -125,12 +126,13 @@ proptest! {
         shrink in 0.2f64..1.0,
     ) {
         let w = Workload::new(vec![app]);
-        let config = PhoenixConfig::default();
-        let loose = plan_with(&w, &ClusterState::homogeneous(1, Resources::cpu(cap)), &config);
-        let tight = plan_with(
+        let (config, pins) = (PhoenixConfig::default(), StatefulMarks::new());
+        let loose = plan(&w, ClusterState::homogeneous(1, Resources::cpu(cap)), &config, &pins);
+        let tight = plan(
             &w,
-            &ClusterState::homogeneous(1, Resources::cpu(cap * shrink)),
+            ClusterState::homogeneous(1, Resources::cpu(cap * shrink)),
             &config,
+            &pins,
         );
         let planned_tight: std::collections::BTreeSet<_> =
             tight.rank.items.iter().map(|i| i.service).collect();
@@ -164,8 +166,9 @@ proptest! {
         let w = Workload::new(vec![app]);
         let state = ClusterState::homogeneous(nodes, Resources::cpu(cap));
         let config = config_with(Box::new(ChaoticObjective { salt }));
-        let a = plan_with(&w, &state, &config);
-        let b = plan_with(&w, &state, &config);
+        let pins = StatefulMarks::new();
+        let a = plan(&w, state.clone(), &config, &pins);
+        let b = plan(&w, state, &config, &pins);
         prop_assert_eq!(&a.rank.items, &b.rank.items, "NaN scores broke determinism");
         prop_assert_eq!(&a.actions, &b.actions);
         prop_assert_eq!(&a.modes, &b.modes);
@@ -199,14 +202,14 @@ proptest! {
         fail in 0usize..6,
     ) {
         let w = Workload::new(vec![app]);
-        let config = PhoenixConfig::default();
+        let (config, pins) = (PhoenixConfig::default(), StatefulMarks::new());
         let empty = ClusterState::homogeneous(nodes, Resources::cpu(cap));
-        let first = plan_with(&w, &empty, &config);
+        let first = plan(&w, empty, &config, &pins);
         let mut live = first.target.clone();
         if nodes > 1 {
             live.fail_node(NodeId::new((fail % nodes) as u32));
         }
-        let second = plan_with(&w, &live, &config);
+        let second = plan(&w, live.clone(), &config, &pins);
         let shifts = mode_shift_actions(
             &live,
             &second.target,

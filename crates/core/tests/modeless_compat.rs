@@ -12,10 +12,11 @@
 //! ```
 
 use phoenix_cluster::{ClusterState, NodeId, Resources};
-use phoenix_core::controller::{plan_with, PhoenixConfig, PhoenixController};
+use phoenix_core::controller::{plan, PhoenixConfig, PhoenixController};
 use phoenix_core::objectives::ObjectiveKind;
 use phoenix_core::replan::ReplanDelta;
 use phoenix_core::spec::{AppSpecBuilder, Workload};
+use phoenix_core::stateful::StatefulMarks;
 use phoenix_core::tags::Criticality;
 
 const FIXTURE: &str = concat!(
@@ -63,7 +64,7 @@ fn churn_lines(seed: u64, kind: ObjectiveKind, crunch: bool, out: &mut String) {
     let (nodes, cpu) = if crunch { (4, 5.0) } else { (8, 4.0) };
     let mut live = ClusterState::homogeneous(nodes, Resources::cpu(cpu));
     for round in 0..6u32 {
-        let cold = plan_with(&w, &live, &config);
+        let cold = plan(&w, live.clone(), &config, &StatefulMarks::new());
         let warm = full.replan(&live, ReplanDelta::Full);
         let capacity_only = capacity.replan(&live, ReplanDelta::CapacityOnly);
         let json = cold.actions.to_json();

@@ -12,10 +12,11 @@
 //! each other's counters and take no lock.
 
 use phoenix_cluster::{ClusterState, NodeId, Resources};
-use phoenix_core::controller::{plan_with, PhoenixConfig, PhoenixController};
+use phoenix_core::controller::{plan, PhoenixConfig, PhoenixController};
 use phoenix_core::objectives::ObjectiveKind;
 use phoenix_core::replan::ReplanDelta;
 use phoenix_core::spec::{AppSpecBuilder, Workload};
+use phoenix_core::stateful::StatefulMarks;
 use phoenix_core::tags::Criticality;
 use phoenix_obs::{with_recorder, Recorder};
 use proptest::prelude::*;
@@ -97,7 +98,7 @@ fn render(recorder: &Recorder) -> String {
 /// per-pod placements, action counts, and packing tallies. Two runs that
 /// agree on these bytes produced the same plan.
 fn plan_bytes(workload: &Workload, state: &ClusterState, cfg: &PhoenixConfig) -> String {
-    let result = plan_with(workload, state, cfg);
+    let result = plan(workload, state.clone(), cfg, &StatefulMarks::new());
     let mut out = String::new();
     for item in &result.rank.items {
         out.push_str(&format!(

@@ -1,13 +1,13 @@
 //! Property tests for the stateful-workload layer: partition round-trips,
 //! contraction soundness, and the pinned-planning guarantees — stateful
 //! pods are never deleted or migrated, every pin is placed or stranded,
-//! a stranded pin fits nowhere, and with no pins the pinned pipeline is
-//! the plain one.
+//! the plan's stranded list is exactly its unplaced pins, and a stranded
+//! pin fits nowhere.
 
-use phoenix_cluster::{ClusterState, NodeId, PodKey, Resources};
-use phoenix_core::controller::{plan_with, PhoenixConfig};
+use phoenix_cluster::{ClusterState, PodKey, Resources};
+use phoenix_core::controller::{plan, PhoenixConfig, PlanResult};
 use phoenix_core::spec::{AppId, AppSpecBuilder, ModeSpec, ServiceId, ServingMode, Workload};
-use phoenix_core::stateful::{check_pinned, partition, plan_pinned, Partition, StatefulMarks};
+use phoenix_core::stateful::{check_pinned, partition, Partition, StatefulMarks};
 use phoenix_core::tags::Criticality;
 use phoenix_dgraph::NodeId as GraphNode;
 use proptest::prelude::*;
@@ -96,6 +96,13 @@ fn stateless_origin(
         .flat_map(|(app, spec)| spec.service_ids().map(move |s| (app, s)))
         .find(|&(app, s)| part.to_stateless(app, s) == target)
         .expect("every stateless-half service has an origin")
+}
+
+/// The pack's unplaced pods that `marks` pins, in the pack's order: what
+/// a plan made with `marks` as its pins must report as stranded.
+fn unplaced_pins(plan: &PlanResult, marks: &StatefulMarks) -> Vec<PodKey> {
+    let unplaced = plan.packing.unplaced.iter().copied();
+    unplaced.filter(|&pod| marks.contains_pod(pod)).collect()
 }
 
 proptest! {
@@ -196,8 +203,9 @@ proptest! {
         let config = PhoenixConfig::default();
         let mut live = ClusterState::homogeneous(nodes, Resources::cpu(capacity));
         // Adopt the fresh plan as the live state.
-        let fresh = plan_pinned(&workload, &marks, &live, &config);
+        let fresh = plan(&workload, live.clone(), &config, &marks);
         check_pinned(&fresh, &workload, &marks, &live, &config).unwrap();
+        prop_assert_eq!(&fresh.stranded, &unplaced_pins(&fresh, &marks));
         for (pod, node, demand) in fresh.target.assignments() {
             live.assign(pod, demand, node).unwrap();
         }
@@ -209,44 +217,18 @@ proptest! {
             }
         }
 
-        let plan = plan_pinned(&workload, &marks, &state, &config);
+        // The same round unpinned strands nothing, whatever it leaves out.
+        let unpinned = plan(&workload, state.clone(), &config, &StatefulMarks::new());
+        prop_assert!(unpinned.stranded.is_empty());
+
+        let plan = plan(&workload, state.clone(), &config, &marks);
         check_pinned(&plan, &workload, &marks, &state, &config).unwrap();
+        prop_assert_eq!(&plan.stranded, &unplaced_pins(&plan, &marks));
         plan.target.check_invariants().unwrap();
         // Placed pods sit on healthy nodes only.
         for (pod, node, _) in plan.target.assignments() {
             prop_assert!(plan.target.is_healthy(node), "{pod} on failed {node}");
         }
-    }
-
-    /// With nothing marked, the pinned pipeline is the plain one: same
-    /// target, same actions, same modes.
-    #[test]
-    fn unpinned_plan_is_the_plain_plan(
-        (workload, _) in arb_mixed(),
-        nodes in 1usize..6,
-        capacity in 2.0f64..12.0,
-        failed in 0usize..3,
-    ) {
-        let config = PhoenixConfig::default();
-        let mut live = ClusterState::homogeneous(nodes, Resources::cpu(capacity));
-        let fresh = plan_with(&workload, &live, &config);
-        for (pod, node, demand) in fresh.target.assignments() {
-            live.assign(pod, demand, node).unwrap();
-        }
-        for n in 0..failed.min(nodes - 1) {
-            live.fail_node(NodeId::new(n as u32));
-        }
-        let plain = plan_with(&workload, &live, &config);
-        let pinned = plan_pinned(&workload, &StatefulMarks::new(), &live, &config);
-        let assignments = |s: &ClusterState| {
-            let mut a: Vec<(PodKey, NodeId, Resources)> = s.assignments().collect();
-            a.sort_by_key(|x| x.0);
-            a
-        };
-        prop_assert_eq!(assignments(&pinned.target), assignments(&plain.target));
-        prop_assert_eq!(&pinned.actions, &plain.actions);
-        prop_assert_eq!(&pinned.modes, &plain.modes);
-        prop_assert!(pinned.stranded(&StatefulMarks::new()).is_empty());
     }
 }
 
@@ -276,8 +258,9 @@ proptest! {
         let mut config = PhoenixConfig::default();
         config.packing.max_pods_per_node = cap;
         let mut live = ClusterState::homogeneous(nodes, Resources::cpu(capacity));
-        let fresh = plan_pinned(&workload, &marks, &live, &config);
+        let fresh = plan(&workload, live.clone(), &config, &marks);
         check_pinned(&fresh, &workload, &marks, &live, &config).unwrap();
+        prop_assert_eq!(&fresh.stranded, &unplaced_pins(&fresh, &marks));
         for (pod, node, demand) in fresh.target.assignments() {
             live.assign(pod, demand, node).unwrap();
         }
@@ -288,12 +271,13 @@ proptest! {
                 _ => {}
             }
         }
-        let plan = plan_pinned(&workload, &marks, &live, &config);
+        let plan = plan(&workload, live.clone(), &config, &marks);
         check_pinned(&plan, &workload, &marks, &live, &config).unwrap();
+        prop_assert_eq!(&plan.stranded, &unplaced_pins(&plan, &marks));
         plan.target.check_invariants().unwrap();
 
         let (cases, stranded) = STRANDED.get();
-        STRANDED.set((cases + 1, stranded + plan.stranded(&marks).len()));
+        STRANDED.set((cases + 1, stranded + plan.stranded.len()));
         if cases + 1 == STRANDING_CASES {
             prop_assert!(stranded > 20, "the generator stranded only {stranded} pins");
         }

@@ -21,7 +21,7 @@ use crate::hist::{summarize, Summary};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(usize)]
 pub enum Counter {
-    /// Cold `plan_with` pipeline runs.
+    /// Cold `controller::plan` pipeline runs.
     ColdPlans,
     /// Warm `ReplanCache` pipeline runs.
     WarmReplans,
@@ -153,13 +153,15 @@ impl Counter {
 #[repr(usize)]
 pub enum Phase {
     /// Planner section of a cold/warm plan: per-app ranks + global
-    /// ranking.
+    /// ranking (a warm round also patches its cached plan here).
     Rank,
     /// Water-filling fair-share computation.
     Waterfill,
-    /// Scheduler section: packing + action diff.
+    /// Scheduler section: building the plan to pack (flattening the
+    /// ranking, or a warm round's cached plan) + packing. The action
+    /// diff runs after it closes.
     Pack,
-    /// One simulated monitor-tick replan (`PlanResult::planning_time`).
+    /// One simulated monitor-tick replan (`PolicyPlan::planning_time`).
     Replan,
 }
 
@@ -317,7 +319,7 @@ impl Recorder {
 
     /// Records an externally measured duration for `phase` (histogram
     /// only, no trace span) — e.g. the simulator feeding each
-    /// `PlanResult::planning_time` into the replan-latency histogram.
+    /// `PolicyPlan::planning_time` into the replan-latency histogram.
     pub fn record_duration(&self, phase: Phase, d: Duration) {
         if let Some(inner) = &self.0 {
             let mut wall = inner.wall.lock().expect("wall plane lock");

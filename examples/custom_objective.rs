@@ -11,10 +11,11 @@
 //! ```
 
 use phoenix::cluster::{ClusterState, Resources};
-use phoenix::core::controller::{plan_with, PhoenixConfig};
+use phoenix::core::controller::{plan, PhoenixConfig};
 use phoenix::core::objectives::{ObjectiveKind, OperatorObjective, RankContext};
 use phoenix::core::planner::PlannerConfig;
 use phoenix::core::spec::{AppSpecBuilder, SpecError, Workload};
+use phoenix::core::stateful::StatefulMarks;
 use phoenix::core::tags::Criticality;
 
 /// Contractual SLA tiers, mapped from each app's price band.
@@ -103,8 +104,9 @@ fn main() -> Result<(), SpecError> {
         "{:<14} {:>6} | {:>16} {:>16}",
         "tenant", "tier", "sla-tier alloc", "cost alloc"
     );
-    let tier_plan = plan_with(&workload, &cluster, &tiered);
-    let cost_plan = plan_with(&workload, &cluster, &cost);
+    let pins = StatefulMarks::new();
+    let tier_plan = plan(&workload, cluster.clone(), &tiered, &pins);
+    let cost_plan = plan(&workload, cluster, &cost, &pins);
     for (app, spec) in workload.apps() {
         println!(
             "{:<14} {:>6} | {:>16.1} {:>16.1}",

@@ -8,11 +8,9 @@
 //! ```
 
 use phoenix::cluster::{ClusterState, Resources};
-use phoenix::core::controller::{PhoenixConfig, PhoenixController};
+use phoenix::core::controller::{plan, PhoenixConfig, PhoenixController};
 use phoenix::core::spec::{AppSpecBuilder, SpecError, Workload};
-use phoenix::core::stateful::{
-    check_pinned, partition, place_stateful, plan_pinned, StatefulMarks,
-};
+use phoenix::core::stateful::{check_pinned, partition, place_stateful, StatefulMarks};
 use phoenix::core::tags::Criticality;
 
 fn main() -> Result<(), SpecError> {
@@ -59,16 +57,16 @@ fn main() -> Result<(), SpecError> {
 
     let compute = ClusterState::homogeneous(4, Resources::cpu(3.0));
     let controller = PhoenixController::new(part.stateless.clone(), PhoenixConfig::default());
-    let plan = controller.plan(&compute);
+    let compute_plan = controller.plan(&compute);
     println!(
         "compute cluster plans {} stateless pods; stateful cluster untouched\n",
-        plan.target.pod_count()
+        compute_plan.target.pod_count()
     );
 
     // --- Pattern 2: pinned co-location ----------------------------------
     let config = PhoenixConfig::default();
     let mut shared = ClusterState::homogeneous(4, Resources::cpu(4.0));
-    let first = plan_pinned(&workload, &marks, &shared, &config);
+    let first = plan(&workload, shared.clone(), &config, &marks);
     check_pinned(&first, &workload, &marks, &shared, &config)
         .expect("the first plan keeps every pin promise");
     for (pod, node, demand) in first.target.assignments() {
@@ -98,7 +96,7 @@ fn main() -> Result<(), SpecError> {
         }
         shared.fail_node(node);
     }
-    let replan = plan_pinned(&workload, &marks, &shared, &config);
+    let replan = plan(&workload, shared.clone(), &config, &marks);
     check_pinned(&replan, &workload, &marks, &shared, &config)
         .expect("stateful pods are never deleted or migrated");
     println!(
@@ -109,7 +107,7 @@ fn main() -> Result<(), SpecError> {
             .node_of(mongo_pod.0)
             .map(|n| n.to_string())
             .unwrap_or_else(|| "-".into()),
-        replan.stranded(&marks).len(),
+        replan.stranded.len(),
     );
     let (d, m, s) = replan.actions.counts();
     println!("agent actions: {d} deletes, {m} migrations, {s} starts — none touch state");

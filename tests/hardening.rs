@@ -18,11 +18,11 @@ use phoenix::apps::instances::{cloudlab_capacities, cloudlab_workload};
 use phoenix::apps::shedding::{shed, summarize, OverloadScenario, QosPolicy, SheddingPolicy};
 use phoenix::cluster::{ClusterState, Resources};
 use phoenix::core::audit::{audit_workload, blast_radius};
-use phoenix::core::controller::{PhoenixConfig, PhoenixController};
+use phoenix::core::controller::{plan, PhoenixConfig, PhoenixController};
 use phoenix::core::objectives::ObjectiveKind;
 use phoenix::core::policies::{PhoenixPolicy, ResiliencePolicy};
 use phoenix::core::spec::{AppId, AppSpecBuilder, ServiceId, Workload};
-use phoenix::core::stateful::{check_pinned, plan_pinned, StatefulMarks};
+use phoenix::core::stateful::{check_pinned, StatefulMarks};
 use phoenix::core::tags::Criticality;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -51,12 +51,9 @@ fn stateful_pins_hold_through_failure_and_recovery() {
 
     let mut live = ClusterState::new(cloudlab_capacities());
     let config = PhoenixConfig::default();
-    let fresh = plan_pinned(&workload, &marks, &live, &config);
+    let fresh = plan(&workload, live.clone(), &config, &marks);
     check_pinned(&fresh, &workload, &marks, &live, &config).unwrap();
-    assert!(
-        fresh.stranded(&marks).is_empty(),
-        "full cluster strands nothing"
-    );
+    assert!(fresh.stranded.is_empty(), "full cluster strands nothing");
     for (pod, node, demand) in fresh.target.assignments() {
         live.assign(pod, demand, node).unwrap();
     }
@@ -65,7 +62,7 @@ fn stateful_pins_hold_through_failure_and_recovery() {
     // Fail 10 of 25 nodes, replan, recover, replan again.
     let mut rng = StdRng::seed_from_u64(7);
     phoenix::cluster::failure::fail_fraction(&mut live, 0.4, &mut rng);
-    let crunch = plan_pinned(&workload, &marks, &live, &config);
+    let crunch = plan(&workload, live.clone(), &config, &marks);
     check_pinned(&crunch, &workload, &marks, &live, &config).unwrap();
     crunch.target.check_invariants().unwrap();
     assert!(crunch.target.pod_count() < before, "crunch must shed pods");
@@ -73,7 +70,7 @@ fn stateful_pins_hold_through_failure_and_recovery() {
     // Apply the crunch plan, then restore and replan to full strength.
     let mut degraded = crunch.target.clone();
     phoenix::cluster::failure::restore_all(&mut degraded);
-    let recovered = plan_pinned(&workload, &marks, &degraded, &config);
+    let recovered = plan(&workload, degraded.clone(), &config, &marks);
     check_pinned(&recovered, &workload, &marks, &degraded, &config).unwrap();
     assert_eq!(
         recovered.target.pod_count(),
