@@ -9,12 +9,15 @@
 //! [`ResiliencePolicy`](crate::policies::ResiliencePolicy) returns its own
 //! list. [`diff_states`] derives it from a whole (live, target) pair of
 //! [`ClusterState`]s, for a planner that rebuilds the target from scratch
-//! and as the reference the others are tested against.
+//! and as the reference the others are tested against. No planner emits
+//! an [`Action::ModeShift`]: the executor (`kubesim::run`) derives the
+//! in-place shifts from a plan's actions and its pod ledger, and decides
+//! the issue order.
 
 use phoenix_cluster::packing::PackOutcome;
 use phoenix_cluster::{ClusterState, NodeId, PodKey};
 
-use crate::spec::{ModeAssignment, ServingMode};
+use crate::spec::ServingMode;
 
 /// One task for the cluster scheduler.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,8 +46,8 @@ pub enum Action {
         node: NodeId,
     },
     /// Switch a *running* pod's serving mode in place (reconfigure traffic
-    /// handling — no restart, no relocation). Only ever emitted for
-    /// placement-stable pods: a pod that also starts, stops, or moves
+    /// handling — no restart, no relocation). The executor derives it for
+    /// placement-stable pods only: a pod that also starts, stops, or moves
     /// carries its new mode implicitly in that action instead.
     ModeShift {
         /// Pod to reconfigure.
@@ -110,23 +113,6 @@ impl ActionPlan {
             .iter()
             .filter(|a| matches!(a, Action::ModeShift { .. }))
             .count()
-    }
-
-    /// Splices `shifts` into the plan between the migrations and the
-    /// starts, preserving the safe execution order: frees (deletes) and
-    /// relocations land first, in-place reconfigurations next, and only
-    /// then do new pods come up. `shifts` must already be sorted by pod
-    /// key (as [`mode_shift_actions`] returns them).
-    pub fn insert_mode_shifts(&mut self, shifts: Vec<Action>) {
-        if shifts.is_empty() {
-            return;
-        }
-        let at = self
-            .actions
-            .iter()
-            .position(|a| matches!(a, Action::Start { .. }))
-            .unwrap_or(self.actions.len());
-        self.actions.splice(at..at, shifts);
     }
 
     /// Renders the plan as one line of canonical JSON.
@@ -247,42 +233,6 @@ pub fn diff_from_outcome(target: &ClusterState, outcome: &PackOutcome) -> Action
     actions.extend(migrations);
     actions.extend(starts);
     ActionPlan { actions }
-}
-
-/// Serving-mode reconfigurations for **placement-stable** pods: every pod
-/// that is running in `live`, stays on the same node in `target`, and whose
-/// live mode (per `live_mode_of` — the executor's per-pod ledger) differs
-/// from the plan's chosen mode, gets one [`Action::ModeShift`].
-///
-/// Pods that start, stop, or migrate are skipped on purpose — their new
-/// mode travels with that action (the executor books new pods at
-/// `target_modes` directly), so no pod ever receives two actions. Output
-/// is sorted by pod key, ready for
-/// [`ActionPlan::insert_mode_shifts`].
-pub fn mode_shift_actions(
-    live: &ClusterState,
-    target: &ClusterState,
-    live_mode_of: impl Fn(PodKey) -> ServingMode,
-    target_modes: &ModeAssignment,
-) -> Vec<Action> {
-    let mut shifts = Vec::new();
-    for (pod, node, _) in live.assignments() {
-        if target.node_of(pod) != Some(node) {
-            continue; // deleted or migrated: mode travels with that action
-        }
-        let from = live_mode_of(pod);
-        let to = target_modes.mode_of_pod(pod);
-        if from != to {
-            shifts.push(Action::ModeShift {
-                pod,
-                node,
-                from,
-                to,
-            });
-        }
-    }
-    shifts.sort_by_key(Action::pod);
-    shifts
 }
 
 #[cfg(test)]
@@ -409,79 +359,26 @@ mod tests {
     }
 
     #[test]
-    fn mode_shifts_only_for_placement_stable_pods() {
-        use crate::spec::{AppSpecBuilder, Workload};
-        use crate::tags::Criticality;
-
-        let mut b = AppSpecBuilder::new("a");
-        for s in 0..4 {
-            b.add_service(
-                format!("s{s}"),
-                Resources::cpu(1.0),
-                Some(Criticality::C1),
-                1,
-            );
-        }
-        let w = Workload::new(vec![b.build().unwrap()]);
-
-        let mut live = ClusterState::homogeneous(2, Resources::cpu(10.0));
-        live.assign(pod(0), Resources::cpu(1.0), NodeId::new(0))
-            .unwrap(); // kept → eligible
-        live.assign(pod(1), Resources::cpu(1.0), NodeId::new(0))
-            .unwrap(); // migrates
-        live.assign(pod(2), Resources::cpu(1.0), NodeId::new(1))
-            .unwrap(); // deleted
-        let mut target = ClusterState::homogeneous(2, Resources::cpu(10.0));
-        target
-            .assign(pod(0), Resources::cpu(1.0), NodeId::new(0))
-            .unwrap();
-        target
-            .assign(pod(1), Resources::cpu(1.0), NodeId::new(1))
-            .unwrap();
-        target
-            .assign(pod(3), Resources::cpu(1.0), NodeId::new(0))
-            .unwrap(); // starts
-
-        let mut modes = ModeAssignment::for_workload(&w);
-        for s in 0..4 {
-            modes.set(
-                crate::spec::AppId::new(0),
-                crate::spec::ServiceId::new(s),
-                ServingMode::ReadOnly,
-            );
-        }
-        let shifts = mode_shift_actions(&live, &target, |_| ServingMode::Full, &modes);
-        assert_eq!(
-            shifts,
-            vec![Action::ModeShift {
-                pod: pod(0),
-                node: NodeId::new(0),
-                from: ServingMode::Full,
-                to: ServingMode::ReadOnly,
-            }]
-        );
-
-        // Splices between migrations and starts, and renders to JSON.
-        let mut plan = diff_states(&live, &target);
-        plan.insert_mode_shifts(shifts);
-        assert_eq!(plan.counts(), (1, 1, 1));
+    fn mode_shifts_count_apart_and_render_to_json() {
+        let plan = ActionPlan {
+            actions: vec![
+                Action::Delete {
+                    pod: pod(1),
+                    node: NodeId::new(1),
+                },
+                Action::ModeShift {
+                    pod: pod(0),
+                    node: NodeId::new(0),
+                    from: ServingMode::Full,
+                    to: ServingMode::ReadOnly,
+                },
+            ],
+        };
+        assert_eq!(plan.counts(), (1, 0, 0));
         assert_eq!(plan.mode_shifts(), 1);
-        let kinds: Vec<u8> = plan
-            .actions
-            .iter()
-            .map(|a| match a {
-                Action::Delete { .. } => 0,
-                Action::Migrate { .. } => 1,
-                Action::ModeShift { .. } => 2,
-                Action::Start { .. } => 3,
-            })
-            .collect();
-        let mut sorted = kinds.clone();
-        sorted.sort_unstable();
-        assert_eq!(kinds, sorted);
         assert!(plan
             .to_json()
-            .contains("{\"mode_shift\":{\"pod\":\"app0/ms0/r0\",\"node\":0,\"from\":\"full\",\"to\":\"read-only\"}}"));
+            .ends_with(",{\"mode_shift\":{\"pod\":\"app0/ms0/r0\",\"node\":0,\"from\":\"full\",\"to\":\"read-only\"}}]"));
     }
 
     #[test]

@@ -1,11 +1,9 @@
 //! Property tests for the serving-mode refactor: mode choices degrade
 //! monotonically as capacity tightens, ladder admission survives hostile
-//! (NaN/±inf) objective scores without losing determinism, and mode shifts
-//! never co-occur with a start/stop/migrate of the same pod.
+//! (NaN/±inf) objective scores without losing determinism.
 
 use phoenix_cluster::packing::PackingConfig;
-use phoenix_cluster::{ClusterState, NodeId, Resources};
-use phoenix_core::actions::{mode_shift_actions, Action};
+use phoenix_cluster::{ClusterState, Resources};
 use phoenix_core::controller::{plan, PhoenixConfig};
 use phoenix_core::objectives::{OperatorObjective, RankContext};
 use phoenix_core::planner::PlannerConfig;
@@ -190,49 +188,5 @@ proptest! {
             }
             *slot = Some(item.mode.depth());
         }
-    }
-
-    /// A pod that starts, stops, or migrates never *also* receives a mode
-    /// shift: shifts are reserved for placement-stable pods.
-    #[test]
-    fn mode_shift_never_co_occurs_with_start_or_stop(
-        app in arb_modal_app(),
-        nodes in 2usize..6,
-        cap in 3.0f64..10.0,
-        fail in 0usize..6,
-    ) {
-        let w = Workload::new(vec![app]);
-        let (config, pins) = (PhoenixConfig::default(), StatefulMarks::new());
-        let empty = ClusterState::homogeneous(nodes, Resources::cpu(cap));
-        let first = plan(&w, empty, &config, &pins);
-        let mut live = first.target.clone();
-        if nodes > 1 {
-            live.fail_node(NodeId::new((fail % nodes) as u32));
-        }
-        let second = plan(&w, live.clone(), &config, &pins);
-        let shifts = mode_shift_actions(
-            &live,
-            &second.target,
-            |p| first.modes.mode_of_pod(p),
-            &second.modes,
-        );
-        let mut plan = second.actions.clone();
-        plan.insert_mode_shifts(shifts);
-        let mut shifted = std::collections::BTreeSet::new();
-        let mut placed = std::collections::BTreeSet::new();
-        for action in &plan.actions {
-            match action {
-                Action::ModeShift { pod, .. } => {
-                    prop_assert!(shifted.insert(*pod), "pod {pod} shifted twice");
-                }
-                _ => {
-                    prop_assert!(placed.insert(action.pod()));
-                }
-            }
-        }
-        prop_assert!(
-            shifted.is_disjoint(&placed),
-            "a pod received both a mode shift and a placement action"
-        );
     }
 }

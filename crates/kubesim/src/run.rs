@@ -1,6 +1,11 @@
 //! The control-plane event loop: kubelet health, failure detection, the
 //! Phoenix agent's monitor/plan/execute cycle, and per-second serving
 //! traces.
+//!
+//! The agent is the only code that turns a policy's plan into work: it
+//! derives the in-place mode shifts from the plan's actions and its own
+//! pod ledger, and issues deletes, migrations, shifts and starts in that
+//! order on one issue lane.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -9,9 +14,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use phoenix_cluster::{ClusterState, FxHashMap, NodeId, PodKey, Resources};
-use phoenix_core::actions::{mode_shift_actions, Action};
+use phoenix_core::actions::Action;
 use phoenix_core::policies::ResiliencePolicy;
-use phoenix_core::spec::{AppId, ServingMode, Workload};
+use phoenix_core::spec::{AppId, ModeAssignment, ServingMode, Workload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -587,7 +592,8 @@ impl<'a> Sim<'a> {
     /// One in-flight action completed; the last one completes a pending
     /// recovery.
     fn finish_action(&mut self, now: SimTime) {
-        self.actions_in_flight = self.actions_in_flight.saturating_sub(1);
+        debug_assert!(self.actions_in_flight > 0, "an action finished twice");
+        self.actions_in_flight -= 1;
         if self.actions_in_flight == 0 && self.failure_pending_recovery {
             self.mark(now, MilestoneKind::Recovered);
             self.failure_pending_recovery = false;
@@ -777,89 +783,118 @@ impl<'a> Sim<'a> {
         self.reschedule(now, self.config.monitor_interval, Event::MonitorTick);
     }
 
-    /// Plans onto a copy of the control plane's view and issues the
-    /// policy's actions.
+    /// Plans onto a copy of the control plane's view and issues the plan:
+    /// every delete, then the barrier, then every migration, in-place
+    /// mode shift and start, on one serial issue lane in pod-key order
+    /// within each kind. The barrier is one `issue_overhead` after the
+    /// last delete completes, so what follows lands in the capacity the
+    /// deletes freed.
     fn replan(&mut self, now: SimTime) {
         let wl = self.workload();
-        let mut target = self.state.clone();
-        let plan = self.policy.plan(wl, &mut target);
-        let mut actions = plan.actions;
-        if wl.has_modes() {
-            // Placement-stable pods whose chosen mode changed get an
-            // in-place reconfiguration instead of a restart; the splice
-            // keeps the safe order (deletes → migrations → shifts → starts).
-            let live = |p| {
-                self.pods
-                    .get(&p)
-                    .map_or(ServingMode::Full, |&(_, mode)| mode)
-            };
-            let shifts = mode_shift_actions(&self.state, &target, live, &plan.modes);
-            actions.insert_mode_shifts(shifts);
-        }
+        let plan = self.policy.plan(wl, &mut self.state.clone());
+        let actions = &plan.actions.actions;
+        let shifts = if wl.has_modes() {
+            self.mode_shifts(actions, &plan.modes)
+        } else {
+            Vec::new()
+        };
         self.obs.incr(phoenix_obs::Counter::SimPlans);
         self.obs
             .record_duration(phoenix_obs::Phase::Replan, plan.planning_time);
         self.trace.plans.push((now, plan.planning_time));
         self.mark(now, MilestoneKind::Plan);
         self.dirty = false;
-        if actions.is_empty() {
+        if plan.actions.is_empty() && shifts.is_empty() {
             // Nothing to do (e.g. NoAdapt): recovery is trivially complete.
             self.failure_pending_recovery = false;
             return;
         }
         self.mark(now, MilestoneKind::ActionsIssued);
+        // The policy contract orders `actions` deletes, migrations, starts.
+        let first_kept = actions.partition_point(|a| matches!(a, Action::Delete { .. }));
+        let (deletes, rest) = actions.split_at(first_kept);
+        let first_start = rest.partition_point(|a| matches!(a, Action::Migrate { .. }));
+        let (migrations, starts) = rest.split_at(first_start);
+        let overhead = &self.config.latency.issue_overhead;
+        let (mut cursor, mut barrier) = (now, now);
+        for delete in deletes {
+            cursor += overhead.sample(&mut self.rng);
+            barrier = barrier.max(self.issue(cursor, delete, &plan.modes));
+        }
+        let mut cursor = barrier + overhead.sample(&mut self.rng);
+        for action in migrations.iter().chain(&shifts).chain(starts) {
+            cursor += overhead.sample(&mut self.rng);
+            self.issue(cursor, action, &plan.modes);
+        }
+    }
+
+    /// The in-place mode shifts a plan implies: one for every pod the
+    /// control-plane view books that `actions` neither deletes nor
+    /// migrates and whose ledger mode differs from `modes`, in pod-key
+    /// order. Such a pod keeps its node, since `actions` is the policy's
+    /// whole diff; a pod that moves or starts carries its mode in that
+    /// action instead.
+    fn mode_shifts(&self, actions: &[Action], modes: &ModeAssignment) -> Vec<Action> {
+        let mut named: Vec<PodKey> = actions.iter().map(Action::pod).collect();
+        named.sort_unstable();
+        let mut shifts: Vec<Action> = (self.state.assignments())
+            .filter(|(pod, _, _)| named.binary_search(pod).is_err())
+            .filter_map(|(pod, node, _)| {
+                let from = self.pods.get(&pod).map_or(ServingMode::Full, |&(_, m)| m);
+                let to = modes.mode_of_pod(pod);
+                (from != to).then_some(Action::ModeShift {
+                    pod,
+                    node,
+                    from,
+                    to,
+                })
+            })
+            .collect();
+        shifts.sort_by_key(Action::pod);
+        shifts
+    }
+
+    /// Puts `action`, issued at `at`, in flight: draws its latencies,
+    /// schedules its first event and returns that event's time (a
+    /// delete's completion, a shift's application, a migration's or
+    /// start's issue). Starts and migrations come up at the mode `modes`
+    /// chose.
+    fn issue(&mut self, at: SimTime, action: &Action, modes: &ModeAssignment) -> SimTime {
         let lat = &self.config.latency;
-        // Phase A: deletions, issued back-to-back.
-        let (mut cursor, mut last_delete_done) = (now, now);
-        for a in &actions.actions {
-            if let Action::Delete { pod, .. } = *a {
-                cursor += lat.issue_overhead.sample(&mut self.rng);
-                let done = cursor + lat.delete.sample(&mut self.rng);
+        let issued = |pod, node, done_at| Issued {
+            pod,
+            node,
+            mode: modes.mode_of_pod(pod),
+            done_at,
+        };
+        let (at, event) = match *action {
+            Action::Delete { pod, .. } => {
+                let done = at + lat.delete.sample(&mut self.rng);
                 if let Some((phase, _)) = self.pods.get_mut(&pod) {
                     *phase = Phase::Terminating;
                 }
                 self.unserve(pod);
-                self.queue.schedule(done, Event::DeleteDone(pod));
-                self.actions_in_flight += 1;
-                last_delete_done = last_delete_done.max(done);
+                (done, Event::DeleteDone(pod))
             }
-        }
-        // Phase B: migrations, shifts and starts are *issued* only after
-        // the deletions have freed their capacity in the live state (their
-        // events fire later).
-        let mut cursor = last_delete_done + lat.issue_overhead.sample(&mut self.rng);
-        let issued = |pod, node, done_at| Issued {
-            pod,
-            node,
-            mode: plan.modes.mode_of_pod(pod),
-            done_at,
+            Action::Migrate { pod, to, .. } => {
+                let start = lat.start.sample(&mut self.rng);
+                let done_at = at + start + lat.reroute.sample(&mut self.rng);
+                (at, Event::MigrateIssued(issued(pod, to, done_at)))
+            }
+            // A config push plus traffic reroute: no pod restart, so only
+            // the reroute latency applies.
+            Action::ModeShift { pod, to, .. } => {
+                let applied_at = at + lat.reroute.sample(&mut self.rng);
+                (applied_at, Event::ModeShiftApplied { pod, to })
+            }
+            Action::Start { pod, node } => {
+                let ready_at = at + lat.start.sample(&mut self.rng);
+                (at, Event::StartIssued(issued(pod, node, ready_at)))
+            }
         };
-        for a in &actions.actions {
-            if let Action::Delete { .. } = a {
-                continue;
-            }
-            cursor += lat.issue_overhead.sample(&mut self.rng);
-            let (at, event) = match *a {
-                Action::Migrate { pod, to, .. } => {
-                    let start = lat.start.sample(&mut self.rng);
-                    let done_at = cursor + start + lat.reroute.sample(&mut self.rng);
-                    (cursor, Event::MigrateIssued(issued(pod, to, done_at)))
-                }
-                // A config push plus traffic reroute: no pod restart, so
-                // only the reroute latency applies.
-                Action::ModeShift { pod, to, .. } => {
-                    let applied_at = cursor + lat.reroute.sample(&mut self.rng);
-                    (applied_at, Event::ModeShiftApplied { pod, to })
-                }
-                Action::Start { pod, node } => {
-                    let ready_at = cursor + lat.start.sample(&mut self.rng);
-                    (cursor, Event::StartIssued(issued(pod, node, ready_at)))
-                }
-                Action::Delete { .. } => unreachable!("deletions were issued above"),
-            };
-            self.queue.schedule(at, event);
-            self.actions_in_flight += 1;
-        }
+        self.queue.schedule(at, event);
+        self.actions_in_flight += 1;
+        at
     }
 
     fn delete_done(&mut self, now: SimTime, pod: PodKey) {
@@ -1020,7 +1055,7 @@ mod tests {
     use super::*;
     use phoenix_cluster::Resources;
     use phoenix_core::policies::{DefaultPolicy, PhoenixPolicy};
-    use phoenix_core::spec::AppSpecBuilder;
+    use phoenix_core::spec::{AppSpecBuilder, ServiceId};
     use phoenix_core::tags::Criticality;
 
     /// One app: 2-CPU critical frontend, 2-CPU optional chat.
@@ -1207,6 +1242,77 @@ mod tests {
     }
 
     #[test]
+    fn mode_shifts_go_to_placement_stable_pods_in_key_order() {
+        let pod = |s| PodKey::new(0, s, 0);
+        let w = {
+            let mut b = AppSpecBuilder::new("a");
+            for s in 0..6 {
+                b.add_service(format!("s{s}"), Resources::cpu(1.0), None, 1);
+            }
+            Workload::new(vec![b.build().unwrap()])
+        };
+        let (policy, cfg) = (PhoenixPolicy::fair(), SimConfig::default());
+        let s = Scenario::new(2, Resources::cpu(10.0));
+        let mut sim = Sim::new(&w, &policy, &s, &cfg, SimTime::from_secs(1), None);
+        // Booked out of key order; pods 4 and 5 already serve read-only.
+        sim.state = ClusterState::homogeneous(2, Resources::cpu(10.0));
+        sim.pods.clear();
+        for (p, node, mode) in [
+            (5, 0, ServingMode::ReadOnly),
+            (0, 1, ServingMode::Full),
+            (1, 0, ServingMode::Full),
+            (2, 1, ServingMode::Full),
+            (4, 1, ServingMode::ReadOnly),
+        ] {
+            let node = NodeId::new(node);
+            sim.state.assign(pod(p), Resources::cpu(1.0), node).unwrap();
+            sim.pods.insert(pod(p), (Phase::Running, mode));
+        }
+        let (n0, n1) = (NodeId::new(0), NodeId::new(1));
+        let actions = [
+            Action::Delete {
+                pod: pod(2),
+                node: n1,
+            },
+            Action::Migrate {
+                pod: pod(1),
+                from: n0,
+                to: n1,
+            },
+            Action::Start {
+                pod: pod(3),
+                node: n0,
+            },
+        ];
+        // The plan serves everything read-only but service 5.
+        let mut modes = ModeAssignment::for_workload(&w);
+        for s in 0..5 {
+            modes.set(AppId::new(0), ServiceId::new(s), ServingMode::ReadOnly);
+        }
+        let shifts = sim.mode_shifts(&actions, &modes);
+        assert_eq!(
+            shifts,
+            [
+                Action::ModeShift {
+                    pod: pod(0),
+                    node: n1,
+                    from: ServingMode::Full,
+                    to: ServingMode::ReadOnly,
+                },
+                Action::ModeShift {
+                    pod: pod(5),
+                    node: n0,
+                    from: ServingMode::ReadOnly,
+                    to: ServingMode::Full,
+                },
+            ]
+        );
+        assert!(shifts
+            .iter()
+            .all(|shift| actions.iter().all(|a| a.pod() != shift.pod())));
+    }
+
+    #[test]
     fn flap_cycles_stop_and_restart_repeatedly() {
         let mut s = Scenario::new(3, Resources::cpu(2.0));
         s.flap_at(
@@ -1242,7 +1348,9 @@ mod tests {
         // next tick plans + starts the new pods.
         let mut s = Scenario::new(4, Resources::cpu(4.0));
         s.demand_surge_at(SimTime::from_secs(300), 0, 1.0, 2.0);
-        let trace = fair(&s, 900);
+        s.demand_surge_at(SimTime::from_secs(900), 0, 1.0, 0.5);
+        s.kubelet_stop_at(SimTime::from_secs(1000), [0, 1]);
+        let trace = fair(&s, 1700);
         assert_eq!(
             trace.first_kind(MilestoneKind::Surge),
             Some(SimTime::from_secs(300))
@@ -1256,6 +1364,14 @@ mod tests {
         assert_eq!(trace.utility_at(SimTime::from_secs(290)), 2.0);
         assert_eq!(trace.utility_at(SimTime::from_secs(301)), 1.0);
         assert_eq!(trace.utility_at(SimTime::from_secs(890)), 2.0);
+        // Halving the replicas again plans deletes only. That plan still
+        // draws the barrier's `issue_overhead`, so the latencies of the
+        // recovery after the failure, and its completion, are fixed.
+        assert_eq!(trace.serving_at(SimTime::from_secs(990)).len(), 2);
+        assert_eq!(
+            trace.first_kind(MilestoneKind::Recovered),
+            Some(SimTime::from_millis(1_127_754))
+        );
     }
 
     #[test]
