@@ -30,6 +30,7 @@ use phoenix_core::tags::Criticality;
 use phoenix_kubesim::run::{simulate, simulate_from, SimConfig, SteadyState, TraceSample};
 use phoenix_kubesim::scenario::Scenario;
 use phoenix_kubesim::time::SimTime;
+use phoenix_obs::Counter;
 use phoenix_scenarios::campaign::{
     demo_workload, demo_workload_modal, run_campaign, CampaignConfig,
 };
@@ -81,6 +82,7 @@ pub const SECTIONS: &[Section] = &[
     Section { name: "traces", run: traces },
     Section { name: "pinned", run: pinned },
     Section { name: "replay", run: warm_ranking },
+    Section { name: "drop_visits", run: drop_visits },
 ];
 
 /// The directory holding one fixture file per section.
@@ -517,9 +519,10 @@ fn snapshot(out: &mut String) {
 /// Deterministic-plane observability counters: a fixed churn-replan loop
 /// (both delta classes), a small campaign and a sweep under an *enabled*
 /// [`Recorder`](phoenix_obs::Recorder), then every counter in
-/// [`Counter::ALL`](phoenix_obs::Counter::ALL) order. Counters sum work
-/// the pipeline decided to do, never how the pool chunked it, so the
-/// block is the same at any thread count; the wall-clock plane is absent.
+/// [`Counter::ALL`] order, less those added after this section's capture
+/// (each prints in a section of its own). Counters sum work the pipeline
+/// decided to do, never how the pool chunked it, so the block is the same
+/// at any thread count; the wall-clock plane is absent.
 fn obs(out: &mut String) {
     const SCRIPT: &Script = &[
         (Full, &[]),
@@ -543,8 +546,74 @@ fn obs(out: &mut String) {
         };
         failure_sweep(&env(12, 3, 20, 10_000.0, 5), &sweep, &standard_roster());
     });
+    let later = [Counter::PackDropVisits.name()];
     for (name, value) in recorder.counters() {
-        out.line(format!("obs {name}={value}"));
+        if !later.contains(&name) {
+            out.line(format!("obs {name}={value}"));
+        }
+    }
+}
+
+/// The drop pass's work per warm round ([`Counter::PackDropVisits`]) on
+/// the mode-less churn workload over the `replay` section's 22 nodes,
+/// both objectives, next to the pods running before the round: a full
+/// read visits every one of them, a carried read only what changed. The
+/// last round hands the controller the live state rebuilt pod by pod, of
+/// another lineage, which the carry cannot speak for.
+fn drop_visits(out: &mut String) {
+    const SCRIPT: &[&[Churn]] = &[
+        &[],
+        &[Fail(0)],
+        &[],
+        &[Fail(1)],
+        &[Fail(2), Fail(3)],
+        &[Restore(2), Restore(3)],
+        &[Fail(4), Fail(5), Fail(6), Fail(7), Fail(8)],
+        &[Fail(21)],
+        &[Restore(4), Restore(5), Restore(21)],
+    ];
+    let nodes = || {
+        let sizes = [4.0; 20].into_iter().chain([1.0, 2.0]);
+        ClusterState::new(sizes.map(Resources::cpu))
+    };
+    for kind in [Fairness, Cost] {
+        let recorder = phoenix_obs::Recorder::enabled();
+        let mut controller =
+            PhoenixController::new(churn_workload(), PhoenixConfig::with_objective(kind));
+        let mut live = nodes();
+        let rounds = SCRIPT.iter().map(Some).chain([None]);
+        for (round, changes) in rounds.enumerate() {
+            match changes {
+                Some(changes) => {
+                    for &change in *changes {
+                        match change {
+                            Fail(n) => _ = live.fail_node(NodeId::new(n)),
+                            Restore(n) => live.restore_node(NodeId::new(n)),
+                        }
+                    }
+                }
+                None => {
+                    let mut rebuilt = nodes();
+                    for n in live.node_ids().into_iter().filter(|&n| !live.is_healthy(n)) {
+                        rebuilt.fail_node(n);
+                    }
+                    for (pod, node, demand) in live.assignments() {
+                        rebuilt.assign(pod, demand, node).expect("same cluster");
+                    }
+                    live = rebuilt;
+                }
+            }
+            let before = recorder.counter(Counter::PackDropVisits);
+            let result = phoenix_obs::with_recorder(recorder.clone(), || {
+                controller.replan(&live, CapacityOnly)
+            });
+            let visits = recorder.counter(Counter::PackDropVisits) - before;
+            out.line(format!(
+                "drop_visits {kind:?} round {round}: running={} visits={visits}",
+                live.pod_count()
+            ));
+            live = result.target;
+        }
     }
 }
 

@@ -3,17 +3,32 @@
 //! Given the planner's globally-ranked list of microservices, map each one
 //! to a healthy server with a three-pronged strategy. With `P` plan
 //! entries, `A` resulting actions and `N` healthy nodes, one pack costs
-//! O(P + A · log N): a running pod costs one dense `rank_of` lookup and
-//! one flag write in the drop pass, then one flag test in the placement
-//! loop — no pod-map probe; a pod that moves pays for the ordered node
-//! set, and a fallback event (a repack attempt, a victim) costs what the
-//! migration budgets and the pods of the few nodes it touches allow —
-//! never something proportional to `P`.
+//! O(P + A · log N + N · log N): a running pod costs one dense `rank_of`
+//! lookup and one flag write in the drop pass, then one flag test in the
+//! placement loop — no pod-map probe; a pod that moves pays for the
+//! ordered node set (built once per pack over the healthy nodes), and a
+//! fallback event (a repack attempt, a victim) costs what the migration
+//! budgets and the pods of the few nodes it touches allow — never
+//! something proportional to `P`. A warm pack handed a [`PackCarry`]
+//! pays the drop pass only for what changed since the previous pack
+//! (below): a monitor tick that fails one node reads that node's pods
+//! and the plan's re-built tail, not the whole cluster.
 //!
 //! 0. **Drop** — one pass over the running pods deletes those the plan
 //!    turned off and records the *standing* of every planned position:
 //!    vacant, running at a booking the plan changes (a serving-mode
 //!    rebook), or running and settled.
+//!    **Carried standing:** the previous pack of the same plan leaves its
+//!    final standing in a [`PackCarry`], with handles on the state it
+//!    left. A node list still shared with that state (copy-on-write, see
+//!    [`ClusterState`]) is one nothing moved on, so the next drop pass
+//!    re-reads only the pods of the other nodes, the plan positions past
+//!    the caller's cut, and the running pods the cut removed; it sorts
+//!    the pods to drop into intern order, so deletions, origins and list
+//!    order are those of the full pass. Anything the handles cannot
+//!    vouch for (a grown or truncated pod table, another state) takes
+//!    the full pass, and debug builds check each carried reading
+//!    against it.
 //!    **Standing invariant:** for every position the placement loop has
 //!    not reached yet, the recorded standing is what a probe of the state
 //!    would answer. Nothing in a pack assigns a pod at a later position:
@@ -77,6 +92,7 @@
 
 use phoenix_obs::{Counter, Recorder};
 
+use crate::state::Lineage;
 use crate::{ClusterState, FxHashMap, NodeId, PodKey, Resources, SortedNodes};
 
 /// One entry of the planner's globally-ranked list.
@@ -183,7 +199,7 @@ pub struct PackOutcome {
 /// rank order with the three-pronged strategy.
 pub fn pack(state: &mut ClusterState, plan: &[PlannedPod], cfg: &PackingConfig) -> PackOutcome {
     let ranks = PlanRanks::new(plan);
-    pack_prepared(state, plan, cfg, |p| ranks.get(p))
+    pack_prepared(state, plan, cfg, |p| ranks.get(p), None)
 }
 
 /// `pod key → plan index` for an arbitrary plan, derived from the plan
@@ -306,26 +322,48 @@ impl PlanRanks {
 /// `plan[i].key` and `None` for every other pod; anything else loses the
 /// byte-identical-to-[`pack`] guarantee.
 ///
+/// With a `carry`, the drop pass starts from the standing the previous
+/// pack left in it (see [`PackCarry`]) when it can speak for `state`, and
+/// the pack leaves its own final standing there for the next one.
+///
 /// # Panics
 ///
-/// Panics (in debug builds) when `rank_of` disagrees with `plan`, and in
-/// all builds when it returns an index past the plan's end for an
-/// assigned pod.
+/// Panics (in debug builds) when `rank_of` disagrees with `plan` or a
+/// carried standing disagrees with the state, and in all builds when
+/// `rank_of` returns an index past the plan's end for an assigned pod.
 pub fn pack_prepared(
     state: &mut ClusterState,
     plan: &[PlannedPod],
     cfg: &PackingConfig,
     rank_of: impl Fn(PodKey) -> Option<usize>,
+    mut carry: Option<&mut PackCarry>,
 ) -> PackOutcome {
     debug_assert!(plan
         .iter()
         .enumerate()
         .all(|(i, p)| rank_of(p.key) == Some(i)));
     debug_assert!(plan.iter().skip_while(|p| p.pinned).all(|p| !p.pinned));
+    let obs = phoenix_obs::current();
     let mut out = PackOutcome::default();
-    let standing = drop_unplanned(state, plan, cfg, &rank_of, &mut out);
+    let carried = (carry.as_deref_mut()).and_then(|c| c.read(state, plan, cfg, &rank_of));
+    let reading = match carried {
+        Some(reading) => {
+            debug_assert!(
+                reading.same_as(&read_state(state, plan, cfg, &rank_of)),
+                "carried standing differs from a full drop pass"
+            );
+            reading
+        }
+        None => read_state(state, plan, cfg, &rank_of),
+    };
+    obs.add(Counter::PackDropVisits, reading.visits);
+    for p in reading.to_drop {
+        let (node, _) = state.remove(p).expect("pod to drop is assigned");
+        out.deletions.push(p);
+        out.origins.push((p, Some(node)));
+    }
     let mut sorted = healthy_by_remaining(state);
-    let mut ctx = PackCtx::new(standing);
+    let mut ctx = PackCtx::new(obs, reading.standing);
     let holds_pins = plan.first().is_some_and(|p| p.pinned);
     let is_pin = |pod: PodKey| holds_pins && rank_of(pod).is_some_and(|i| plan[i].pinned);
     for (rank, planned) in plan.iter().enumerate() {
@@ -403,7 +441,124 @@ pub fn pack_prepared(
     // Stable, so each pod's first entry — its pre-pack node — survives.
     out.origins.sort_by_key(|&(pod, _)| pod);
     out.origins.dedup_by_key(|&mut (pod, _)| pod);
+    if let Some(carry) = carry {
+        carry.record(state, plan, cfg, &rank_of, ctx.standing, &out);
+    }
     out
+}
+
+/// What one pack hands the next pack of the same workload: the final
+/// standing of every plan position (see the [module docs](self)) and
+/// handles on the state the pack left (its pod table and every node's pod
+/// list, shared copy-on-write with that state and its clones, see
+/// [`ClusterState`]).
+///
+/// The next pack's drop pass then reads only what can have changed, in
+/// O(changed) instead of O(running pods): the pods of nodes whose list
+/// is no longer the one the carry holds (in both lists), the positions
+/// past the [`cut`](PackCarry::cut), and the running pods the cut
+/// removed. It takes that path only when the state it packs still
+/// shares the carried pod table (no pod interned or un-interned since)
+/// and re-booking is off; otherwise it reads the whole state, as a pack
+/// without a carry does. Both readings are equal: deletions follow
+/// intern order either way, and debug builds check each carried reading
+/// against a full one.
+///
+/// The caller keeps the carry's plan honest: the standing describes the
+/// plan the last pack ran, so a caller that changes that plan calls
+/// [`cut`](PackCarry::cut) at the first changed position, or
+/// [`clear`](PackCarry::clear) when it rebuilds the plan.
+#[derive(Debug, Default)]
+pub struct PackCarry {
+    /// Standing of the carried plan's positions in the last pack's final
+    /// state, up to the cut.
+    standing: Vec<Standing>,
+    /// Pods the cut positions held while running: they may have left
+    /// the plan.
+    cut: Vec<PodKey>,
+    /// Handles on the last pack's final state (`None`: nothing carried).
+    lineage: Option<Lineage>,
+}
+
+impl PackCarry {
+    /// Forgets everything: the next pack reads the whole state.
+    pub fn clear(&mut self) {
+        self.standing.clear();
+        self.cut.clear();
+        self.lineage = None;
+    }
+
+    /// `plan`, the plan of the last pack, is about to change from
+    /// position `at` on: those positions lose their carried standing,
+    /// and the pods running at them are remembered.
+    pub fn cut(&mut self, plan: &[PlannedPod], at: usize) {
+        if at >= self.standing.len() {
+            return;
+        }
+        let tail = plan.iter().skip(at).zip(&self.standing[at..]);
+        let running = tail.filter(|&(_, &s)| s != Standing::Vacant);
+        self.cut.extend(running.map(|(p, _)| p.key));
+        self.standing.truncate(at);
+    }
+
+    /// Step 0 read from the carry, or `None` when it cannot speak for
+    /// `state`. Either way the carry is spent.
+    fn read(
+        &mut self,
+        state: &ClusterState,
+        plan: &[PlannedPod],
+        cfg: &PackingConfig,
+        rank_of: &impl Fn(PodKey) -> Option<usize>,
+    ) -> Option<Reading> {
+        let lineage = self.lineage.take();
+        let cut = std::mem::take(&mut self.cut);
+        let mut standing = std::mem::take(&mut self.standing);
+        if cfg.rebook_in_place || standing.len() > plan.len() {
+            return None;
+        }
+        let moved = state.moved_since(&lineage?)?;
+        let kept = standing.len();
+        standing.extend(plan[kept..].iter().map(|p| Standing::probe(state, p, cfg)));
+        let visits = (plan.len() - kept + cut.len() + moved.len()) as u64;
+        let mut to_drop = Vec::new();
+        for pod in cut.into_iter().chain(moved) {
+            match rank_of(pod) {
+                Some(i) => standing[i] = Standing::probe(state, &plan[i], cfg),
+                None if state.node_of(pod).is_some() => to_drop.push(pod),
+                None => {}
+            }
+        }
+        state.sort_interned(&mut to_drop);
+        Some(Reading {
+            standing,
+            to_drop,
+            visits,
+        })
+    }
+
+    /// Keeps the final standing of a finished pack: its loop's standing,
+    /// re-probed at the positions of the pods it touched.
+    fn record(
+        &mut self,
+        state: &ClusterState,
+        plan: &[PlannedPod],
+        cfg: &PackingConfig,
+        rank_of: &impl Fn(PodKey) -> Option<usize>,
+        mut standing: Vec<Standing>,
+        out: &PackOutcome,
+    ) {
+        self.clear();
+        if cfg.rebook_in_place {
+            return;
+        }
+        for &(pod, _) in &out.origins {
+            if let Some(i) = rank_of(pod) {
+                standing[i] = Standing::probe(state, &plan[i], cfg);
+            }
+        }
+        self.standing = standing;
+        self.lineage = Some(state.lineage());
+    }
 }
 
 /// Where a plan position stands before the placement loop reaches it (see
@@ -429,8 +584,9 @@ impl Standing {
         }
     }
 
-    /// The standing a pod-map probe of `state` gives — what the recorded
-    /// standing replaces, kept for the debug cross-checks.
+    /// The standing a pod-map probe of `state` gives: what the recorded
+    /// standing replaces in the placement loop (kept there for the debug
+    /// cross-checks), and how a carried standing is brought up to date.
     fn probe(state: &ClusterState, planned: &PlannedPod, cfg: &PackingConfig) -> Standing {
         state
             .placement_of(planned.key)
@@ -440,15 +596,35 @@ impl Standing {
     }
 }
 
-/// Step 0: diagonal scaling — drop running pods the plan turned off — and,
-/// in the same pass, the [`Standing`] of every plan position.
-fn drop_unplanned(
-    state: &mut ClusterState,
+/// What step 0 reads off the state before it drops anything.
+#[derive(Debug)]
+struct Reading {
+    /// The [`Standing`] of every plan position.
+    standing: Vec<Standing>,
+    /// The running pods the plan turned off, in intern order.
+    to_drop: Vec<PodKey>,
+    /// Pods whose standing the reading derived
+    /// ([`Counter::PackDropVisits`]).
+    visits: u64,
+}
+
+impl Reading {
+    /// Equal standing and drop order (the visits differ by design).
+    fn same_as(&self, other: &Reading) -> bool {
+        self.standing == other.standing && self.to_drop == other.to_drop
+    }
+}
+
+/// Step 0's full read — diagonal scaling (the running pods the plan
+/// turned off) and, in the same pass, the [`Standing`] of every plan
+/// position — over every running pod. A [`PackCarry`] reads the same in
+/// O(changed).
+fn read_state(
+    state: &ClusterState,
     plan: &[PlannedPod],
     cfg: &PackingConfig,
     rank_of: &impl Fn(PodKey) -> Option<usize>,
-    out: &mut PackOutcome,
-) -> Vec<Standing> {
+) -> Reading {
     let mut standing = vec![Standing::Vacant; plan.len()];
     let mut to_drop = Vec::new();
     for (p, _, booked) in state.assignments() {
@@ -457,12 +633,11 @@ fn drop_unplanned(
             None => to_drop.push(p),
         }
     }
-    for p in to_drop {
-        let (node, _) = state.remove(p).expect("pod listed in assignments");
-        out.deletions.push(p);
-        out.origins.push((p, Some(node)));
+    Reading {
+        standing,
+        to_drop,
+        visits: state.pod_count() as u64,
     }
-    standing
 }
 
 /// The healthy nodes keyed by remaining capacity — the ordered set every
@@ -499,9 +674,9 @@ struct PackCtx {
 }
 
 impl PackCtx {
-    fn new(standing: Vec<Standing>) -> PackCtx {
+    fn new(obs: Recorder, standing: Vec<Standing>) -> PackCtx {
         PackCtx {
-            obs: phoenix_obs::current(),
+            obs,
             victim_cursor: standing.len(),
             standing,
             victim_origin: FxHashMap::default(),

@@ -1,6 +1,6 @@
 use crate::fxhash::FxHashMap;
-use std::collections::hash_map;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::{ClusterError, Resources};
 
@@ -88,11 +88,13 @@ enum Entry {
         pos: u32,
         prev_used: Resources,
     },
-    /// `fail_node(node)`: the evicted pod list, in list order, with the
-    /// demand bits each pod held at eviction time.
+    /// `fail_node(node)`: the evicted pod list itself (its handle, so
+    /// undo puts back the very list) and, in list order, the demand bits
+    /// each pod held at eviction time.
     Fail {
         node: u32,
-        pods: Vec<(PodId, Resources)>,
+        pods: Arc<Vec<PodId>>,
+        demands: Vec<Resources>,
         prev_used: Resources,
     },
     /// `restore_node(node)` that actually flipped health.
@@ -127,13 +129,24 @@ pub struct Snapshot {
 /// This is the state object both the Phoenix scheduler and the baselines
 /// mutate. Storage is a struct-of-arrays arena — dense per-node columns
 /// keyed by [`NodeId`] plus an interned pod table (`PodKey` → dense pod
-/// id, grow-only) — so a [`Clone`] is a handful of flat `memcpy`s and
-/// [`snapshot`](ClusterState::snapshot) /
+/// id, grow-only) — and [`snapshot`](ClusterState::snapshot) /
 /// [`restore_to`](ClusterState::restore_to) rewind in O(Δ) via an undo
 /// journal. The packing module books onto the state it is handed and
 /// records where each pod it touched came from, so the agent's task list
 /// (§4.2) needs no pre-pack copy; the trial loops above it (sweeps,
 /// campaigns, hunts) restore instead of cloning.
+///
+/// **Copy-on-write.** The interned pod table sits behind one `Arc` and
+/// each node's pod list behind its own, shared between a state and its
+/// clones. A [`Clone`] copies the node columns and the two per-pod
+/// columns (node and demand) and bumps refcounts for the rest: about a
+/// third of the bytes of a deep copy. The first mutation of a shared
+/// part copies that part alone — a node's list when a pod joins or
+/// leaves it, the table only when a never-seen pod is interned or
+/// `restore_to` truncates it. Neither side of a clone ever sees the
+/// other's mutations. The warm pack relies on the sharing the other way
+/// round: a node list still shared with the previous round's target is
+/// a node nothing moved on.
 ///
 /// Cloning resets the journal: a clone starts with no recording and no
 /// live snapshots (snapshots never transfer between states).
@@ -149,15 +162,12 @@ pub struct ClusterState {
     degrade: Vec<f64>,
     /// Pods on each node, in assignment order, by interned id: the `used`
     /// recompute and node eviction read keys and demands straight out of
-    /// the pod columns, with no hashing.
-    node_pods: Vec<Vec<PodId>>,
+    /// the pod columns, with no hashing. Each list is shared
+    /// copy-on-write (see the type docs).
+    node_pods: Vec<Arc<Vec<PodId>>>,
     // ---- interned pod table (indexed by PodId; grow-only) ----
-    /// pod key -> dense id. Fx-hashed: pod keys are dense internal ids
-    /// and this map is the packing/diff hot path. The map is only ever
-    /// probed (never iterated), so tombstones from restore-time
-    /// truncation cannot leak into any observable order.
-    pod_ids: FxHashMap<PodKey, PodId>,
-    pod_keys: Vec<PodKey>,
+    /// Shared copy-on-write (see the type docs).
+    table: Arc<PodTable>,
     /// id -> node index, or [`UNASSIGNED`].
     pod_node: Vec<u32>,
     /// id -> demand bits (meaningful while assigned; preserved bit-exactly
@@ -171,6 +181,28 @@ pub struct ClusterState {
     journal: Option<Vec<Entry>>,
 }
 
+/// The interned pod table: pod key ↔ dense id, grow-only.
+#[derive(Debug, Clone, Default)]
+struct PodTable {
+    /// pod key -> dense id. Fx-hashed: pod keys are dense internal ids
+    /// and this map is the packing/diff hot path. The map is only ever
+    /// probed (never iterated), so tombstones from restore-time
+    /// truncation cannot leak into any observable order.
+    ids: FxHashMap<PodKey, PodId>,
+    /// dense id -> pod key.
+    keys: Vec<PodKey>,
+}
+
+/// Handles on a state's shared storage (its pod table and every node's
+/// pod list), kept to learn later which nodes a state has mutated since:
+/// while the handles are held, any mutation of a list or of the table
+/// copies it, so a list still pointer-equal to its handle is unchanged.
+#[derive(Debug)]
+pub(crate) struct Lineage {
+    table: Arc<PodTable>,
+    lists: Vec<Arc<Vec<PodId>>>,
+}
+
 impl Clone for ClusterState {
     fn clone(&self) -> ClusterState {
         ClusterState {
@@ -179,8 +211,7 @@ impl Clone for ClusterState {
             healthy: self.healthy.clone(),
             degrade: self.degrade.clone(),
             node_pods: self.node_pods.clone(),
-            pod_ids: self.pod_ids.clone(),
-            pod_keys: self.pod_keys.clone(),
+            table: Arc::clone(&self.table),
             pod_node: self.pod_node.clone(),
             pod_demand: self.pod_demand.clone(),
             assigned: self.assigned,
@@ -200,9 +231,9 @@ impl ClusterState {
             used: vec![Resources::ZERO; n],
             healthy: vec![true; n],
             degrade: vec![1.0; n],
-            node_pods: vec![Vec::new(); n],
-            pod_ids: FxHashMap::default(),
-            pod_keys: Vec::new(),
+            // One shared empty list: the first assign to a node copies it.
+            node_pods: vec![Arc::default(); n],
+            table: Arc::default(),
             pod_node: Vec::new(),
             pod_demand: Vec::new(),
             assigned: 0,
@@ -335,7 +366,7 @@ impl ClusterState {
             let Some(&victim) = self.node_pods[idx].last() else {
                 break;
             };
-            let victim = self.pod_keys[victim as usize];
+            let victim = self.table.keys[victim as usize];
             let (_, demand) = self.remove(victim).expect("pod on node is assigned");
             evicted.push((victim, demand));
         }
@@ -350,7 +381,7 @@ impl ClusterState {
     pub fn pods_on(&self, node: NodeId) -> impl ExactSizeIterator<Item = PodKey> + '_ {
         self.node_pods[node.index()]
             .iter()
-            .map(|&id| self.pod_keys[id as usize])
+            .map(|&id| self.table.keys[id as usize])
     }
 
     /// `(pod, demand)` of every pod running on `node`, in
@@ -362,13 +393,13 @@ impl ClusterState {
     pub fn pod_demands_on(&self, node: NodeId) -> impl Iterator<Item = (PodKey, Resources)> + '_ {
         self.node_pods[node.index()]
             .iter()
-            .map(|&id| (self.pod_keys[id as usize], self.pod_demand[id as usize]))
+            .map(|&id| (self.table.keys[id as usize], self.pod_demand[id as usize]))
     }
 
     /// Where `pod` runs, if assigned.
     #[inline]
     pub fn node_of(&self, pod: PodKey) -> Option<NodeId> {
-        let &id = self.pod_ids.get(&pod)?;
+        let &id = self.table.ids.get(&pod)?;
         let node = self.pod_node[id as usize];
         (node != UNASSIGNED).then_some(NodeId(node))
     }
@@ -383,7 +414,7 @@ impl ClusterState {
     /// [`demand_of`](ClusterState::demand_of) in one table probe.
     #[inline]
     pub fn placement_of(&self, pod: PodKey) -> Option<(NodeId, Resources)> {
-        let &id = self.pod_ids.get(&pod)?;
+        let &id = self.table.ids.get(&pod)?;
         let node = self.pod_node[id as usize];
         (node != UNASSIGNED).then(|| (NodeId(node), self.pod_demand[id as usize]))
     }
@@ -396,7 +427,7 @@ impl ClusterState {
     pub fn assignments(&self) -> impl Iterator<Item = (PodKey, NodeId, Resources)> + '_ {
         (self.pod_node.iter().enumerate())
             .filter(|&(_, &n)| n != UNASSIGNED)
-            .map(move |(i, &n)| (self.pod_keys[i], NodeId(n), self.pod_demand[i]))
+            .map(move |(i, &n)| (self.table.keys[i], NodeId(n), self.pod_demand[i]))
     }
 
     /// Assigns `pod` with `demand` onto `node`.
@@ -425,29 +456,26 @@ impl ClusterState {
         // One probe resolves "already assigned?" and the id. A pod seen
         // for the first time is interned only once the assignment is
         // known to succeed: a failed assign must leave no trace in the
-        // intern order.
-        let id = match self.pod_ids.entry(pod) {
-            hash_map::Entry::Occupied(slot)
-                if self.pod_node[*slot.get() as usize] != UNASSIGNED =>
-            {
-                return Err(ClusterError::AlreadyAssigned(pod));
-            }
-            _ if !fits => {
-                return Err(ClusterError::InsufficientCapacity {
-                    node,
-                    detail: format!("demand {demand} vs remaining {remaining}"),
-                });
-            }
-            hash_map::Entry::Occupied(slot) => *slot.get(),
-            hash_map::Entry::Vacant(slot) => {
-                let id = self.pod_keys.len() as PodId;
-                slot.insert(id);
-                self.pod_keys.push(pod);
-                self.pod_node.push(UNASSIGNED);
-                self.pod_demand.push(Resources::ZERO);
-                id
-            }
-        };
+        // intern order. Only interning writes the (shared) table.
+        let known = self.table.ids.get(&pod).copied();
+        if known.is_some_and(|id| self.pod_node[id as usize] != UNASSIGNED) {
+            return Err(ClusterError::AlreadyAssigned(pod));
+        }
+        if !fits {
+            return Err(ClusterError::InsufficientCapacity {
+                node,
+                detail: format!("demand {demand} vs remaining {remaining}"),
+            });
+        }
+        let id = known.unwrap_or_else(|| {
+            let table = Arc::make_mut(&mut self.table);
+            let id = table.keys.len() as PodId;
+            table.ids.insert(pod, id);
+            table.keys.push(pod);
+            self.pod_node.push(UNASSIGNED);
+            self.pod_demand.push(Resources::ZERO);
+            id
+        });
         self.record(Entry::Assign {
             pod: id,
             node: node.0,
@@ -455,7 +483,7 @@ impl ClusterState {
             prev_demand: self.pod_demand[id as usize],
         });
         self.used[idx] += demand;
-        self.node_pods[idx].push(id);
+        Arc::make_mut(&mut self.node_pods[idx]).push(id);
         self.pod_node[id as usize] = node.0;
         self.pod_demand[id as usize] = demand;
         self.assigned += 1;
@@ -482,7 +510,8 @@ impl ClusterState {
     /// [`ClusterError::UnknownPod`] when the pod is not assigned.
     pub fn remove(&mut self, pod: PodKey) -> Result<(NodeId, Resources), ClusterError> {
         let id = *self
-            .pod_ids
+            .table
+            .ids
             .get(&pod)
             .ok_or(ClusterError::UnknownPod(pod))?;
         let node = self.pod_node[id as usize];
@@ -502,7 +531,7 @@ impl ClusterState {
             pos: pos as u32,
             prev_used: self.used[idx],
         });
-        self.node_pods[idx].swap_remove(pos);
+        Arc::make_mut(&mut self.node_pods[idx]).swap_remove(pos);
         self.pod_node[id as usize] = UNASSIGNED;
         self.assigned -= 1;
         self.used[idx] = self.node_pods[idx]
@@ -548,18 +577,15 @@ impl ClusterState {
             .iter()
             .map(|&id| {
                 self.pod_node[id as usize] = UNASSIGNED;
-                (self.pod_keys[id as usize], self.pod_demand[id as usize])
+                (self.table.keys[id as usize], self.pod_demand[id as usize])
             })
             .collect();
         self.assigned -= evicted.len();
         if self.journal.is_some() {
             let entry = Entry::Fail {
                 node: node.0,
-                pods: ids
-                    .iter()
-                    .zip(&evicted)
-                    .map(|(&id, &(_, d))| (id, d))
-                    .collect(),
+                demands: evicted.iter().map(|&(_, d)| d).collect(),
+                pods: ids,
                 prev_used: self.used[idx],
             };
             self.record(entry);
@@ -627,7 +653,7 @@ impl ClusterState {
         obs.gauge_max(phoenix_obs::Counter::JournalDepthMax, journal.len() as u64);
         Snapshot {
             entries: journal.len(),
-            interned: self.pod_keys.len(),
+            interned: self.table.keys.len(),
         }
     }
 
@@ -639,8 +665,9 @@ impl ClusterState {
     ///
     /// `snap` stays valid afterwards: a trial loop snapshots once and
     /// restores per trial. Pods interned after the snapshot are
-    /// un-interned (the table tail is truncated), so intern order — and
-    /// with it every downstream iteration order — is restored too.
+    /// un-interned (the table tail is truncated, after copying the table
+    /// if a clone still shares it), so intern order — and with it every
+    /// downstream iteration order — is restored too.
     ///
     /// # Panics
     ///
@@ -652,13 +679,13 @@ impl ClusterState {
         assert!(
             self.journal.is_some()
                 && snap.entries <= journal_len
-                && snap.interned <= self.pod_keys.len(),
+                && snap.interned <= self.table.keys.len(),
             "restore_to: snapshot is stale or from another state \
              (snapshot at {} entries / {} pods, state has {} / {})",
             snap.entries,
             snap.interned,
             journal_len,
-            self.pod_keys.len(),
+            self.table.keys.len(),
         );
         let obs = phoenix_obs::current();
         obs.incr(phoenix_obs::Counter::StateRestores);
@@ -681,11 +708,12 @@ impl ClusterState {
         // ever removed, so surviving ids — and the iteration order built
         // on them — are untouched. The id map is probe-only (never
         // iterated), so removal tombstones have no observable effect.
-        for id in snap.interned..self.pod_keys.len() {
-            let key = self.pod_keys[id];
-            self.pod_ids.remove(&key);
+        if snap.interned < self.table.keys.len() {
+            let table = Arc::make_mut(&mut self.table);
+            for key in table.keys.drain(snap.interned..) {
+                table.ids.remove(&key);
+            }
         }
-        self.pod_keys.truncate(snap.interned);
         self.pod_node.truncate(snap.interned);
         self.pod_demand.truncate(snap.interned);
     }
@@ -701,7 +729,7 @@ impl ClusterState {
                 prev_demand,
             } => {
                 let idx = node as usize;
-                let popped = self.node_pods[idx].pop();
+                let popped = Arc::make_mut(&mut self.node_pods[idx]).pop();
                 debug_assert_eq!(popped, Some(pod));
                 self.pod_node[pod as usize] = UNASSIGNED;
                 self.pod_demand[pod as usize] = prev_demand;
@@ -720,7 +748,7 @@ impl ClusterState {
                 // Invert the swap_remove: the element that was moved into
                 // `pos` goes back to the tail, the removed pod back to
                 // `pos` (or the tail, if it *was* the tail).
-                let list = &mut self.node_pods[idx];
+                let list = Arc::make_mut(&mut self.node_pods[idx]);
                 if pos == list.len() {
                     list.push(pod);
                 } else {
@@ -736,16 +764,17 @@ impl ClusterState {
             Entry::Fail {
                 node,
                 pods,
+                demands,
                 prev_used,
             } => {
                 let idx = node as usize;
                 self.healthy[idx] = true;
-                self.node_pods[idx] = pods.iter().map(|&(id, _)| id).collect();
-                for &(id, demand) in &pods {
+                for (&id, &demand) in pods.iter().zip(&demands) {
                     self.pod_node[id as usize] = node;
                     self.pod_demand[id as usize] = demand;
                 }
                 self.assigned += pods.len();
+                self.node_pods[idx] = pods;
                 self.used[idx] = prev_used;
             }
             Entry::Restore { node } => {
@@ -755,6 +784,49 @@ impl ClusterState {
                 self.degrade[node as usize] = prev;
             }
         }
+    }
+
+    /// Handles on this state's shared storage (see [`Lineage`]).
+    pub(crate) fn lineage(&self) -> Lineage {
+        Lineage {
+            table: Arc::clone(&self.table),
+            lists: self.node_pods.clone(),
+        }
+    }
+
+    /// The pods of every node whose list is no longer the one `lineage`
+    /// holds, from both lists (then and now; a pod may appear twice): a
+    /// superset of the pods whose placement or booking changed since
+    /// `lineage` was taken. `None` when this state does not share
+    /// `lineage`'s pod table: a pod was interned or un-interned since, or
+    /// the state is of another lineage.
+    pub(crate) fn moved_since(&self, lineage: &Lineage) -> Option<Vec<PodKey>> {
+        if !Arc::ptr_eq(&self.table, &lineage.table) || lineage.lists.len() != self.node_pods.len()
+        {
+            return None;
+        }
+        let mut moved = Vec::new();
+        for (now, then) in self.node_pods.iter().zip(&lineage.lists) {
+            if !Arc::ptr_eq(now, then) {
+                let ids = then.iter().chain(now.iter());
+                moved.extend(ids.map(|&id| self.table.keys[id as usize]));
+            }
+        }
+        Some(moved)
+    }
+
+    /// Sorts interned `pods` into intern order (the order of
+    /// [`assignments`](ClusterState::assignments)) and drops repeats.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pod was never interned.
+    pub(crate) fn sort_interned(&self, pods: &mut Vec<PodKey>) {
+        let mut ids: Vec<PodId> = pods.iter().map(|p| self.table.ids[p]).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        pods.clear();
+        pods.extend(ids.iter().map(|&id| self.table.keys[id as usize]));
     }
 
     /// Bit-exact equality over everything observable: node columns
@@ -783,7 +855,7 @@ impl ClusterState {
                 .zip(&other.degrade)
                 .all(|(a, b)| a.to_bits() == b.to_bits())
             && self.node_pods == other.node_pods
-            && self.pod_keys == other.pod_keys
+            && self.table.keys == other.table.keys
             && self.pod_node == other.pod_node
             && self.assigned == other.assigned
             && self
@@ -801,13 +873,13 @@ impl ClusterState {
     /// [`remove`]: ClusterState::remove
     pub fn check_invariants(&self) -> Result<(), String> {
         for i in 0..self.capacity.len() {
-            for &id in &self.node_pods[i] {
+            for &id in self.node_pods[i].iter() {
                 match self.pod_node.get(id as usize) {
                     Some(&node) if node as usize == i => {}
                     Some(&node) => {
                         return Err(format!(
                             "pod {} on node {i} maps to node {node}",
-                            self.pod_keys[id as usize]
+                            self.table.keys[id as usize]
                         ));
                     }
                     None => return Err(format!("pod id {id} on node {i} is not interned")),
@@ -834,9 +906,19 @@ impl ClusterState {
             }
         }
         let mut assigned = 0usize;
+        if self.table.keys.len() != self.pod_node.len()
+            || self.table.ids.len() != self.table.keys.len()
+        {
+            return Err(format!(
+                "pod table holds {} keys / {} ids for {} pod slots",
+                self.table.keys.len(),
+                self.table.ids.len(),
+                self.pod_node.len()
+            ));
+        }
         for (id, &node) in self.pod_node.iter().enumerate() {
-            let key = self.pod_keys[id];
-            if self.pod_ids.get(&key) != Some(&(id as PodId)) {
+            let key = self.table.keys[id];
+            if self.table.ids.get(&key) != Some(&(id as PodId)) {
                 return Err(format!("interned pod {key} lost its id {id}"));
             }
             if node == UNASSIGNED {

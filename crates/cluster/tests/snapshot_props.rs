@@ -8,6 +8,10 @@
 //! contract the clone-free sweep/campaign/hunt fan-outs lean on: if it
 //! holds, replacing clone-per-trial with restore-per-trial cannot change
 //! a single output byte.
+//!
+//! A clone shares the pod table and the node pod lists copy-on-write, so
+//! the last property mutates either side of a clone and holds both sides
+//! to states that never shared anything.
 
 use phoenix_cluster::{ClusterState, NodeId, PodKey, Resources};
 use proptest::prelude::*;
@@ -60,6 +64,39 @@ fn apply(state: &mut ClusterState, op: Op, next_pod: &mut u32) {
             };
             state.set_degrade(node, factor);
         }
+    }
+}
+
+/// A state built from scratch by `script` (shares nothing), and the
+/// next unused pod index.
+fn built(nodes: usize, script: &[Op]) -> (ClusterState, u32) {
+    let mut state = ClusterState::homogeneous(nodes, Resources::new(16.0, 16.0));
+    let mut next_pod = 0u32;
+    for &op in script {
+        apply(&mut state, op, &mut next_pod);
+    }
+    (state, next_pod)
+}
+
+/// `churn` with a snapshot before op `snap_at` that is restored after
+/// the last op (un-interning every pod first seen after it), then `tail`.
+fn churn_and_rewind(
+    state: &mut ClusterState,
+    churn: &[Op],
+    snap_at: usize,
+    tail: &[Op],
+    next_pod: &mut u32,
+) {
+    let mut snap = None;
+    for (i, &op) in churn.iter().enumerate() {
+        if i == snap_at.min(churn.len() - 1) {
+            snap = Some(state.snapshot());
+        }
+        apply(state, op, next_pod);
+    }
+    state.restore_to(&snap.expect("churn is not empty"));
+    for &op in tail {
+        apply(state, op, next_pod);
     }
 }
 
@@ -152,5 +189,37 @@ proptest! {
         prop_assert!(state.bitwise_eq(&outer_ref), "outer restore drifted");
         prop_assert_eq!(assignment_bits(&state), assignment_bits(&outer_ref));
         state.check_invariants().unwrap();
+    }
+
+    /// Copy-on-write isolation: after a clone, churn on either side —
+    /// every mutation class, a restore that un-interns pods, more churn —
+    /// never changes the other side, and leaves the churned side equal to
+    /// a state that ran the same script without ever sharing storage.
+    #[test]
+    fn clone_then_mutate_either_side_is_isolated(
+        setup in ops(10..80),
+        churn in ops(1..120),
+        tail in ops(0..40),
+        snap_at in 0usize..120,
+        nodes in 2usize..8,
+        mutate_clone in any::<bool>(),
+    ) {
+        let (mut original, next_pod) = built(nodes, &setup);
+        let mut copy = original.clone();
+        let (untouched_ref, _) = built(nodes, &setup);
+        let (mutated, other) = match mutate_clone {
+            true => (&mut copy, &original),
+            false => (&mut original, &copy),
+        };
+        let mut next = next_pod;
+        churn_and_rewind(mutated, &churn, snap_at, &tail, &mut next);
+
+        let (mut rebuilt, mut next_ref) = built(nodes, &setup);
+        churn_and_rewind(&mut rebuilt, &churn, snap_at, &tail, &mut next_ref);
+        prop_assert!(other.bitwise_eq(&untouched_ref), "the untouched side moved");
+        prop_assert!(mutated.bitwise_eq(&rebuilt), "the churned side drifted");
+        prop_assert_eq!(assignment_bits(other), assignment_bits(&untouched_ref));
+        other.check_invariants().unwrap();
+        mutated.check_invariants().unwrap();
     }
 }

@@ -7,7 +7,7 @@ use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use phoenix_cluster::packing::{pack_prepared, PackOutcome, PackingConfig, PlannedPod};
+use phoenix_cluster::packing::{pack_prepared, PackCarry, PackOutcome, PackingConfig, PlannedPod};
 use phoenix_cluster::{ClusterState, PodKey, Resources};
 
 use crate::actions::{diff_from_outcome, ActionPlan};
@@ -341,7 +341,7 @@ pub fn plan(
         rank_round(workload, &state, config, pins, &pin_items)
     };
     let planned = (Arc::new(rank), t0.elapsed());
-    schedule(state, &config.packing, planned, pins, |items| {
+    schedule(state, &config.packing, planned, pins, None, |items| {
         let modal = workload.has_modes();
         if pins.is_empty() {
             return (modal, Cow::Owned(flatten_plan(workload, items, modal)));
@@ -407,12 +407,14 @@ pub(crate) fn rank_round(
 /// items, and whether the workload is modal) and the pack; the actions
 /// ([`diff_from_outcome`]) and stranded `pins` come after. A modal
 /// workload forces [`PackingConfig::rebook_in_place`] on, so running
-/// replicas are re-booked at their newly chosen mode's demand.
+/// replicas are re-booked at their newly chosen mode's demand. A warm
+/// round hands the pack its [`PackCarry`].
 pub(crate) fn schedule<'p>(
     mut state: ClusterState,
     packing: &PackingConfig,
     (rank, planner_time): (Arc<GlobalRank>, Duration),
     pins: &StatefulMarks,
+    carry: Option<&mut PackCarry>,
     order: impl FnOnce(&[GlobalRankItem]) -> (bool, Cow<'p, FlatPlan>),
 ) -> PlanResult {
     let obs = phoenix_obs::current();
@@ -421,7 +423,8 @@ pub(crate) fn schedule<'p>(
     let (modal, flat) = order(&rank.items);
     let mut pack_cfg = packing.clone();
     pack_cfg.rebook_in_place |= modal;
-    let packing = pack_prepared(&mut state, &flat.pods, &pack_cfg, |p| flat.index.get(p));
+    let rank_of = |p| flat.index.get(p);
+    let packing = pack_prepared(&mut state, &flat.pods, &pack_cfg, rank_of, carry);
     drop(pack_timer);
     let scheduler_time = t1.elapsed();
 

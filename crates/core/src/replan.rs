@@ -36,7 +36,19 @@
 //!    the round owns: running pods are kept in place, only pods
 //!    invalidated by failures or rank changes are re-homed, and the
 //!    actions come from the pack's record of where each touched pod ran
-//!    before it.
+//!    before it. The pack's drop pass starts from the previous round's
+//!    final standing ([`PackCarry`], cut where the patch rebuilt the
+//!    plan's tail): when the state handed in still shares the previous
+//!    target's pod table — the adopted target with nodes failed or
+//!    restored — it re-reads only the nodes whose pod list changed and
+//!    the rebuilt tail, O(Δ) instead of O(running pods). A modal
+//!    workload, a rebuilt plan, a state of another lineage, or a pod
+//!    table that grew or shrank since takes the full pass. The copy at
+//!    the [`PhoenixController::replan`] boundary shares the table and
+//!    the node lists copy-on-write, so it copies only the per-node and
+//!    per-pod columns.
+//!
+//! [`PhoenixController::replan`]: crate::controller::PhoenixController::replan
 //!
 //! **Equivalence guarantee:** a warm replan produces the same
 //! [`PlanResult`] — byte-identical [`ActionPlan`], target state, and
@@ -51,6 +63,7 @@ use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
+use phoenix_cluster::packing::PackCarry;
 use phoenix_cluster::ClusterState;
 
 use crate::controller::{
@@ -116,6 +129,9 @@ pub(crate) struct ReplanCache {
     /// The mode-less flattened plan, patched per round (modes stay empty).
     plan: FlatPlan,
     plan_valid: bool,
+    /// The last warm pack's final standing of `plan`, cut where the patch
+    /// changes it, and handles on the target it left.
+    carry: PackCarry,
 }
 
 impl ReplanCache {
@@ -293,6 +309,7 @@ pub(crate) fn replan_with(
             (old_len, kept)
         } else {
             cache.plan.pods.clear();
+            cache.carry.clear();
             (0, 0)
         };
         let plan_changed = kept != old_len || kept != rank.items.len();
@@ -303,6 +320,7 @@ pub(crate) fn replan_with(
                 let it = &rank.items[last];
                 cache.plan.index.block_end(it.app, it.service)
             });
+            cache.carry.cut(&cache.plan.pods, offset);
             cache.plan.pods.truncate(offset);
             for item in &rank.items[kept..] {
                 let svc = workload.app(item.app).service(item.service);
@@ -321,12 +339,15 @@ pub(crate) fn replan_with(
     let planned = (rank, t0.elapsed());
 
     // Modal workloads re-flatten per round (see above); mode-less ones
-    // pack the incrementally patched plan straight out of the cache.
+    // pack the incrementally patched plan straight out of the cache, and
+    // carry the pack's standing across rounds.
+    let carry = (!modal).then_some(&mut cache.carry);
     schedule(
         state,
         &config.packing,
         planned,
         &StatefulMarks::new(),
+        carry,
         |items| {
             let flat = match modal {
                 true => Cow::Owned(flatten_plan(workload, items, modal)),
@@ -343,7 +364,7 @@ mod tests {
     use crate::controller::plan;
     use crate::spec::{AppSpecBuilder, ModeSpec, ServingMode, Workload};
     use crate::tags::Criticality;
-    use phoenix_cluster::{NodeId, Resources};
+    use phoenix_cluster::{NodeId, PodKey, Resources};
 
     /// A mixed workload: chained apps with graphs, a flat app, uneven
     /// prices and replica counts.
@@ -654,6 +675,158 @@ mod tests {
             ),
             (2, 1, 3)
         );
+    }
+
+    /// How a caller touches the adopted target between two warm rounds.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Touch {
+        /// `remove`, `migrate` and `assign` of known pods.
+        Moves,
+        /// `set_degrade` evicts pods.
+        Degrade,
+        /// `snapshot`, a new pod, a failure, then `restore_to`, which
+        /// un-interns the pod.
+        RestoreUninterns,
+        /// A never-seen pod is assigned (a scale-up outside the plan).
+        NewKey,
+        /// The caller hands over the state rebuilt pod by pod.
+        Foreign,
+        /// The caller mutates the target and a clone of it.
+        Twin,
+    }
+
+    /// One warm round on `live` checked against a cold plan (same actions,
+    /// outcome and `bitwise_eq` target), with its drop-pass visits.
+    fn checked_round(
+        w: &Workload,
+        config: &PhoenixConfig,
+        cache: &mut ReplanCache,
+        live: &ClusterState,
+    ) -> (PlanResult, u64) {
+        let cold = plan(w, live.clone(), config, &StatefulMarks::new());
+        let recorder = phoenix_obs::Recorder::enabled();
+        let warm = phoenix_obs::with_recorder(recorder.clone(), || {
+            replan_with(w, live.clone(), config, cache, ReplanDelta::CapacityOnly)
+        });
+        assert_equivalent(&cold, &warm);
+        assert!(warm.target.bitwise_eq(&cold.target), "targets differ");
+        let visits = recorder.counter(phoenix_obs::Counter::PackDropVisits);
+        (warm, visits)
+    }
+
+    /// Assigns `pod` to the first node that takes it.
+    fn assign_anywhere(state: &mut ClusterState, pod: PodKey, demand: Resources) {
+        let mut nodes = state.node_ids().into_iter();
+        let placed = nodes.any(|n| state.assign(pod, demand, n).is_ok());
+        assert!(placed, "{pod} fits nowhere");
+    }
+
+    /// Warm rounds around a caller's `touch` of the adopted target: the
+    /// round after it equals a cold plan, reads the whole state when the
+    /// touch leaves the carry unable to speak for it, and the carry is
+    /// back for the round after that.
+    fn touched_between_rounds(touch: Touch) {
+        for kind in [ObjectiveKind::Fairness, ObjectiveKind::Cost] {
+            let w = workload(3);
+            let config = PhoenixConfig::with_objective(kind);
+            let mut cache = ReplanCache::default();
+            let fresh = ClusterState::homogeneous(8, Resources::cpu(4.0));
+            let mut live = checked_round(&w, &config, &mut cache, &fresh).0.target;
+            live.fail_node(NodeId::new(0));
+            let mut live = checked_round(&w, &config, &mut cache, &live).0.target;
+            // An empty node: room for the caller's moves.
+            live.restore_node(NodeId::new(0));
+            let newcomer = PodKey::new(99, 0, 0);
+            let mut twin = None;
+            match touch {
+                Touch::Moves => {
+                    let running: Vec<PodKey> = live.assignments().map(|(p, _, _)| p).collect();
+                    let (_, demand) = live.remove(running[0]).unwrap();
+                    live.migrate(running[1], NodeId::new(0)).unwrap();
+                    assign_anywhere(&mut live, running[0], demand);
+                }
+                Touch::Degrade => {
+                    let evicted = live.set_degrade(NodeId::new(1), 0.3);
+                    assert!(!evicted.is_empty());
+                }
+                Touch::RestoreUninterns => {
+                    let snap = live.snapshot();
+                    assign_anywhere(&mut live, newcomer, Resources::cpu(0.01));
+                    live.fail_node(NodeId::new(2));
+                    live.restore_to(&snap);
+                    assert_eq!(live.node_of(newcomer), None);
+                }
+                Touch::NewKey => assign_anywhere(&mut live, newcomer, Resources::cpu(0.01)),
+                Touch::Foreign => {
+                    let mut rebuilt = ClusterState::homogeneous(8, Resources::cpu(4.0));
+                    rebuilt.fail_node(NodeId::new(0));
+                    for (pod, node, demand) in live.assignments() {
+                        rebuilt.assign(pod, demand, node).unwrap();
+                    }
+                    rebuilt.restore_node(NodeId::new(0));
+                    live = rebuilt;
+                }
+                Touch::Twin => {
+                    let mut other = live.clone();
+                    other.fail_node(NodeId::new(2));
+                    assign_anywhere(&mut other, newcomer, Resources::cpu(0.01));
+                    live.fail_node(NodeId::new(3));
+                    twin = Some(other);
+                }
+            }
+            let (after, visits) = checked_round(&w, &config, &mut cache, &live);
+            let full_read = matches!(
+                touch,
+                Touch::RestoreUninterns | Touch::NewKey | Touch::Foreign
+            );
+            let tag = format!("{kind:?} {touch:?}");
+            if full_read {
+                assert_eq!(visits, live.pod_count() as u64, "{tag}: full read");
+            }
+            if touch == Touch::NewKey {
+                assert!(after.packing.deletions.contains(&newcomer), "{tag}");
+            }
+            // The next tick carries again (on the twin: another table).
+            let mut next = twin.unwrap_or(after.target);
+            next.fail_node(NodeId::new(4));
+            let running = next.pod_count() as u64;
+            let (_, visits) = checked_round(&w, &config, &mut cache, &next);
+            if touch == Touch::Twin {
+                assert_eq!(visits, running, "{tag}: the twin interned a pod");
+            } else {
+                assert!(visits < running, "{tag}: {visits} of {running} visited");
+            }
+        }
+    }
+
+    #[test]
+    fn caller_moves_between_rounds_stay_equivalent() {
+        touched_between_rounds(Touch::Moves);
+    }
+
+    #[test]
+    fn degrade_evictions_between_rounds_stay_equivalent() {
+        touched_between_rounds(Touch::Degrade);
+    }
+
+    #[test]
+    fn restore_that_uninterns_between_rounds_stays_equivalent() {
+        touched_between_rounds(Touch::RestoreUninterns);
+    }
+
+    #[test]
+    fn new_pod_between_rounds_stays_equivalent() {
+        touched_between_rounds(Touch::NewKey);
+    }
+
+    #[test]
+    fn foreign_state_between_rounds_stays_equivalent() {
+        touched_between_rounds(Touch::Foreign);
+    }
+
+    #[test]
+    fn mutated_target_and_clone_stay_equivalent() {
+        touched_between_rounds(Touch::Twin);
     }
 
     #[test]

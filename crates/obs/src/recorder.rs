@@ -82,11 +82,15 @@ pub enum Counter {
     SweepTrials,
     /// Adversarial hunt candidate evaluations.
     HuntEvaluations,
+    /// Pods whose standing a pack's drop pass derived: every running pod
+    /// on a full read, only what changed since the last pack on a carried
+    /// one (the warm tick's O(Δ) work).
+    PackDropVisits,
 }
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 26] = [
+    pub const ALL: [Counter; 27] = [
         Counter::ColdPlans,
         Counter::WarmReplans,
         Counter::ReplanCacheHits,
@@ -113,6 +117,7 @@ impl Counter {
         Counter::CampaignCells,
         Counter::SweepTrials,
         Counter::HuntEvaluations,
+        Counter::PackDropVisits,
     ];
 
     /// Stable snake_case name used in exports and the determinism probe.
@@ -144,6 +149,7 @@ impl Counter {
             Counter::CampaignCells => "campaign_cells",
             Counter::SweepTrials => "sweep_trials",
             Counter::HuntEvaluations => "hunt_evaluations",
+            Counter::PackDropVisits => "pack_drop_visits",
         }
     }
 }
