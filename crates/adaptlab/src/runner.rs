@@ -83,10 +83,10 @@ fn sweep_trial(
     let baseline_revenue = revenue(&env.workload, &env.baseline);
     let mut grid = Vec::with_capacity(sweep.failure_fracs.len() * policies.len());
 
-    // Snapshot the pristine baseline once; every failure level rewinds to
-    // it in O(mutations) instead of deep-cloning the whole state. The
-    // restore is bit-exact (same `used` bits, same iteration order), so
-    // the grid is byte-identical to the historical clone-per-level loop.
+    // Snapshot the pristine baseline once; every failure level restores
+    // it into the one working state, reusing its allocations. The restore
+    // is bit-exact (same `used` bits, same iteration order), so the grid
+    // is byte-identical to the historical clone-per-level loop.
     let pristine = env.baseline.snapshot();
     for (fi, &frac) in sweep.failure_fracs.iter().enumerate() {
         env.baseline.restore_to(&pristine);

@@ -61,8 +61,8 @@ fn main() {
         }
 
         // Smoke-scale campaign on the modal workload: simulator counters
-        // (events, milestones, mode shifts), snapshot/restore journal
-        // depths, and the per-cell replan-latency histogram.
+        // (events, milestones, mode shifts), snapshot/restore counts, and
+        // the per-cell replan-latency histogram.
         let suite = generate_suite(&GeneratorConfig {
             nodes: 8,
             node_cpu: 4.0,

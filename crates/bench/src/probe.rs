@@ -453,13 +453,14 @@ fn audit(out: &mut String) {
     }
 }
 
-/// Snapshot/restore and steady-replay determinism: journaled-arena churn
-/// must rewind bit-exactly (same `used` bits, same iteration order), and
-/// a campaign cell replayed from a captured [`SteadyState`] must match
-/// the cold simulation byte for byte. Both are asserted in-process *and*
-/// printed, so the fixture extends to the clone-free trial paths.
+/// Snapshot/restore and steady-replay determinism: a restore after churn
+/// must hand back the snapshot bit-exactly (same `used` bits, same
+/// iteration order), and a campaign cell replayed from a captured
+/// [`SteadyState`] must match the cold simulation byte for byte. Both are
+/// asserted in-process *and* printed, so the fixture extends to the
+/// clone-free trial paths.
 fn snapshot(out: &mut String) {
-    // 1. Journal rewind under churn across every mutation class.
+    // 1. Restore after churn across every mutation class.
     let mut state = ClusterState::homogeneous(12, Resources::cpu(8.0));
     for i in 0..10u32 {
         let key = PodKey::new(i / 4, i % 4, 0);

@@ -48,4 +48,4 @@ pub use error::ClusterError;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use resources::Resources;
 pub use sorted::{OrderedF64, SortedNodes};
-pub use state::{ClusterState, NodeId, PodKey, Snapshot};
+pub use state::{clamp_degrade, ClusterState, NodeId, PodKey, Snapshot};

@@ -26,7 +26,7 @@
 //!    the caller's cut, and the running pods the cut removed; it sorts
 //!    the pods to drop into intern order, so deletions, origins and list
 //!    order are those of the full pass. Anything the handles cannot
-//!    vouch for (a grown or truncated pod table, another state) takes
+//!    vouch for (a pod table that grew since, another state) takes
 //!    the full pass, and debug builds check each carried reading
 //!    against it.
 //!    **Standing invariant:** for every position the placement loop has
@@ -458,9 +458,9 @@ pub fn pack_prepared(
 /// is no longer the one the carry holds (in both lists), the positions
 /// past the [`cut`](PackCarry::cut), and the running pods the cut
 /// removed. It takes that path only when the state it packs still
-/// shares the carried pod table (no pod interned or un-interned since)
-/// and re-booking is off; otherwise it reads the whole state, as a pack
-/// without a carry does. Both readings are equal: deletions follow
+/// shares the carried pod table (no pod interned since, or a restore
+/// handed that very table back) and re-booking is off; otherwise it
+/// reads the whole state, as a pack without a carry does. Both readings are equal: deletions follow
 /// intern order either way, and debug builds check each carried reading
 /// against a full one.
 ///

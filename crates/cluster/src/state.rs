@@ -63,78 +63,37 @@ type PodId = u32;
 /// `pod_node` sentinel: the pod is interned but not currently assigned.
 const UNASSIGNED: u32 = u32::MAX;
 
-/// One reversible mutation, recorded while a [`Snapshot`] is live.
-///
-/// Every entry stores the *previous* bit-values of whatever the mutation
-/// overwrote, so popping entries in reverse restores the state exactly —
-/// no recomputation, no float round trips.
-#[derive(Debug, Clone)]
-enum Entry {
-    /// `assign(pod → node)`: undo pops the node's pod-list tail and
-    /// restores the previous `used` / `pod_demand` bits.
-    Assign {
-        pod: PodId,
-        node: u32,
-        prev_used: Resources,
-        prev_demand: Resources,
-    },
-    /// `remove(pod)` from `node`: `pos` is where the `swap_remove` hit,
-    /// so undo re-inserts at exactly that slot (list order is observable
-    /// through LIFO degrade eviction and the `used` recompute fold).
-    Remove {
-        pod: PodId,
-        node: u32,
-        demand: Resources,
-        pos: u32,
-        prev_used: Resources,
-    },
-    /// `fail_node(node)`: the evicted pod list itself (its handle, so
-    /// undo puts back the very list) and, in list order, the demand bits
-    /// each pod held at eviction time.
-    Fail {
-        node: u32,
-        pods: Arc<Vec<PodId>>,
-        demands: Vec<Resources>,
-        prev_used: Resources,
-    },
-    /// `restore_node(node)` that actually flipped health.
-    Restore { node: u32 },
-    /// `set_degrade(node, …)`: the previous factor (evictions it caused
-    /// journal their own [`Entry::Remove`]s).
-    Degrade { node: u32, prev: f64 },
+/// A gray-failure factor as a node takes it: clamped to `[0, 1]`, with
+/// NaN (which `f64::clamp` passes through) read as `0.0`, a node that
+/// delivers nothing. A NaN factor would make every capacity test on the
+/// node false and leave it failing [`ClusterState::check_invariants`].
+pub fn clamp_degrade(factor: f64) -> f64 {
+    if factor.is_nan() {
+        0.0
+    } else {
+        factor.clamp(0.0, 1.0)
+    }
 }
 
-/// A point-in-time marker returned by [`ClusterState::snapshot`].
+/// A saved state, returned by [`ClusterState::snapshot`]: a clone, so
+/// it shares the pod table and every node's pod list copy-on-write.
 ///
-/// Restoring to it with [`ClusterState::restore_to`] costs
-/// O(mutations since the snapshot) and reproduces the state **bit for
+/// [`ClusterState::restore_to`] hands the saved state back **bit for
 /// bit** — same `used` bits, same pod-list order, same iteration order —
 /// which is what lets sweep trials, campaign cells, and hunt candidates
-/// share one working state instead of deep-cloning per trial.
-///
-/// Snapshots nest: taking a second snapshot and restoring to it leaves
-/// the first one valid. Restoring to an *outer* snapshot invalidates
-/// every inner one (they point past the truncated journal); restoring to
-/// an invalidated or foreign snapshot panics.
-#[derive(Debug, Clone, Copy)]
-pub struct Snapshot {
-    /// Journal length at snapshot time.
-    entries: usize,
-    /// Interned-pod count at snapshot time.
-    interned: usize,
-}
+/// share one working state instead of deep-cloning per trial. A snapshot
+/// restores any number of times, in any order, into any state.
+#[derive(Debug, Clone)]
+pub struct Snapshot(ClusterState);
 
 /// The cluster: nodes with capacities, pod assignments, health status.
 ///
 /// This is the state object both the Phoenix scheduler and the baselines
 /// mutate. Storage is a struct-of-arrays arena — dense per-node columns
 /// keyed by [`NodeId`] plus an interned pod table (`PodKey` → dense pod
-/// id, grow-only) — and [`snapshot`](ClusterState::snapshot) /
-/// [`restore_to`](ClusterState::restore_to) rewind in O(Δ) via an undo
-/// journal. The packing module books onto the state it is handed and
-/// records where each pod it touched came from, so the agent's task list
-/// (§4.2) needs no pre-pack copy; the trial loops above it (sweeps,
-/// campaigns, hunts) restore instead of cloning.
+/// id, grow-only). The packing module books onto the state it is handed
+/// and records where each pod it touched came from, so the agent's task
+/// list (§4.2) needs no pre-pack copy.
 ///
 /// **Copy-on-write.** The interned pod table sits behind one `Arc` and
 /// each node's pod list behind its own, shared between a state and its
@@ -142,15 +101,13 @@ pub struct Snapshot {
 /// columns (node and demand) and bumps refcounts for the rest: about a
 /// third of the bytes of a deep copy. The first mutation of a shared
 /// part copies that part alone — a node's list when a pod joins or
-/// leaves it, the table only when a never-seen pod is interned or
-/// `restore_to` truncates it. Neither side of a clone ever sees the
-/// other's mutations. The warm pack relies on the sharing the other way
-/// round: a node list still shared with the previous round's target is
-/// a node nothing moved on.
-///
-/// Cloning resets the journal: a clone starts with no recording and no
-/// live snapshots (snapshots never transfer between states).
-#[derive(Debug, Default)]
+/// leaves it, the table only when a never-seen pod is interned. Neither
+/// side of a clone ever sees the other's mutations. A
+/// [`snapshot`](ClusterState::snapshot) is such a clone, and
+/// [`restore_to`](ClusterState::restore_to) copies it back. The warm pack
+/// relies on the sharing the other way round: a node list still shared
+/// with the previous round's target is a node nothing moved on.
+#[derive(Debug, Clone, Default)]
 pub struct ClusterState {
     // ---- node columns (indexed by NodeId) ----
     capacity: Vec<Resources>,
@@ -175,10 +132,6 @@ pub struct ClusterState {
     pod_demand: Vec<Resources>,
     /// Number of currently assigned pods.
     assigned: usize,
-    // ---- mutation journal ----
-    /// `Some` once the first snapshot is taken; `None` costs one branch
-    /// per mutation and nothing else.
-    journal: Option<Vec<Entry>>,
 }
 
 /// The interned pod table: pod key ↔ dense id, grow-only.
@@ -186,8 +139,7 @@ pub struct ClusterState {
 struct PodTable {
     /// pod key -> dense id. Fx-hashed: pod keys are dense internal ids
     /// and this map is the packing/diff hot path. The map is only ever
-    /// probed (never iterated), so tombstones from restore-time
-    /// truncation cannot leak into any observable order.
+    /// probed (never iterated).
     ids: FxHashMap<PodKey, PodId>,
     /// dense id -> pod key.
     keys: Vec<PodKey>,
@@ -201,24 +153,6 @@ struct PodTable {
 pub(crate) struct Lineage {
     table: Arc<PodTable>,
     lists: Vec<Arc<Vec<PodId>>>,
-}
-
-impl Clone for ClusterState {
-    fn clone(&self) -> ClusterState {
-        ClusterState {
-            capacity: self.capacity.clone(),
-            used: self.used.clone(),
-            healthy: self.healthy.clone(),
-            degrade: self.degrade.clone(),
-            node_pods: self.node_pods.clone(),
-            table: Arc::clone(&self.table),
-            pod_node: self.pod_node.clone(),
-            pod_demand: self.pod_demand.clone(),
-            assigned: self.assigned,
-            // A clone is a fresh state: no recording, no live snapshots.
-            journal: None,
-        }
-    }
 }
 
 impl ClusterState {
@@ -237,7 +171,6 @@ impl ClusterState {
             pod_node: Vec::new(),
             pod_demand: Vec::new(),
             assigned: 0,
-            journal: None,
         }
     }
 
@@ -257,14 +190,6 @@ impl ClusterState {
             self.capacity[idx]
         } else {
             self.capacity[idx] * self.degrade[idx]
-        }
-    }
-
-    /// Records `entry` when a snapshot is live.
-    #[inline]
-    fn record(&mut self, entry: Entry) {
-        if let Some(journal) = &mut self.journal {
-            journal.push(entry);
         }
     }
 
@@ -334,11 +259,12 @@ impl ClusterState {
     }
 
     /// Partially degrades (or restores) `node`: its effective capacity
-    /// becomes `capacity × factor` (`factor` clamped to `[0, 1]`; `1.0`
-    /// restores full capacity). The node keeps serving — this is the gray
-    /// failure the stop/start vocabulary cannot express — but pods that no
-    /// longer fit are evicted newest-assigned-first until the survivors
-    /// fit, and returned with their demands (for restart planning).
+    /// becomes `capacity × factor` (`factor` clamped by [`clamp_degrade`];
+    /// `1.0` restores full capacity). The node keeps serving — this is the
+    /// gray failure the stop/start vocabulary cannot express — but pods
+    /// that no longer fit are evicted newest-assigned-first until the
+    /// survivors fit, and returned with their demands (for restart
+    /// planning).
     ///
     /// Degradation is orthogonal to health: failing and restoring a node
     /// does not reset the factor, and degrading a failed (empty) node only
@@ -349,11 +275,7 @@ impl ClusterState {
     /// Panics if the node does not exist.
     pub fn set_degrade(&mut self, node: NodeId, factor: f64) -> Vec<(PodKey, Resources)> {
         let idx = node.index();
-        self.record(Entry::Degrade {
-            node: node.0,
-            prev: self.degrade[idx],
-        });
-        self.degrade[idx] = factor.clamp(0.0, 1.0);
+        self.degrade[idx] = clamp_degrade(factor);
         let mut evicted = Vec::new();
         loop {
             if self.used[idx].fits_in(&self.effective(idx)) {
@@ -476,12 +398,6 @@ impl ClusterState {
             self.pod_demand.push(Resources::ZERO);
             id
         });
-        self.record(Entry::Assign {
-            pod: id,
-            node: node.0,
-            prev_used: self.used[idx],
-            prev_demand: self.pod_demand[id as usize],
-        });
         self.used[idx] += demand;
         Arc::make_mut(&mut self.node_pods[idx]).push(id);
         self.pod_node[id as usize] = node.0;
@@ -524,13 +440,6 @@ impl ClusterState {
             .iter()
             .position(|&i| i == id)
             .expect("assigned pod is on its node's list");
-        self.record(Entry::Remove {
-            pod: id,
-            node,
-            demand,
-            pos: pos as u32,
-            prev_used: self.used[idx],
-        });
         Arc::make_mut(&mut self.node_pods[idx]).swap_remove(pos);
         self.pod_node[id as usize] = UNASSIGNED;
         self.assigned -= 1;
@@ -581,15 +490,6 @@ impl ClusterState {
             })
             .collect();
         self.assigned -= evicted.len();
-        if self.journal.is_some() {
-            let entry = Entry::Fail {
-                node: node.0,
-                demands: evicted.iter().map(|&(_, d)| d).collect(),
-                pods: ids,
-                prev_used: self.used[idx],
-            };
-            self.record(entry);
-        }
         self.used[idx] = Resources::ZERO;
         evicted
     }
@@ -600,11 +500,7 @@ impl ClusterState {
     ///
     /// Panics if the node does not exist.
     pub fn restore_node(&mut self, node: NodeId) {
-        let idx = node.index();
-        if !self.healthy[idx] {
-            self.record(Entry::Restore { node: node.0 });
-            self.healthy[idx] = true;
-        }
+        self.healthy[node.index()] = true;
     }
 
     /// Ids of healthy nodes.
@@ -639,151 +535,43 @@ impl ClusterState {
         self.total_used().fraction_of(&self.healthy_capacity())
     }
 
-    /// Marks the current state and starts (or continues) journaling.
-    ///
-    /// Until the first snapshot, mutations cost exactly what they did
-    /// before the journal existed (one `Option` branch); from the first
-    /// snapshot on, every mutation records the previous bit-values of
-    /// what it overwrites so [`restore_to`](ClusterState::restore_to) can
-    /// rewind in O(mutations-since-snapshot).
-    pub fn snapshot(&mut self) -> Snapshot {
-        let journal = self.journal.get_or_insert_with(Vec::new);
-        let obs = phoenix_obs::current();
-        obs.incr(phoenix_obs::Counter::StateSnapshots);
-        obs.gauge_max(phoenix_obs::Counter::JournalDepthMax, journal.len() as u64);
-        Snapshot {
-            entries: journal.len(),
-            interned: self.table.keys.len(),
-        }
+    /// Saves the current state: a clone, sharing the pod table and every
+    /// node's pod list copy-on-write (see the type docs).
+    pub fn snapshot(&self) -> Snapshot {
+        phoenix_obs::current().incr(phoenix_obs::Counter::StateSnapshots);
+        Snapshot(self.clone())
     }
 
-    /// Rewinds the state to exactly what it was when `snap` was taken —
-    /// bit for bit: same `used` bits, same degrade factors, same pod-list
-    /// order, same [`assignments`](ClusterState::assignments) iteration
-    /// order ([`bitwise_eq`](ClusterState::bitwise_eq) to a clone taken at
-    /// snapshot time). Costs O(mutations since the snapshot).
-    ///
-    /// `snap` stays valid afterwards: a trial loop snapshots once and
-    /// restores per trial. Pods interned after the snapshot are
-    /// un-interned (the table tail is truncated, after copying the table
-    /// if a clone still shares it), so intern order — and with it every
-    /// downstream iteration order — is restored too.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `snap` was invalidated by an earlier restore to an
-    /// *older* snapshot, or was taken from a different state (detected
-    /// when it points past this journal).
+    /// Makes this state exactly `snap`'s — bit for bit: same `used` bits,
+    /// same degrade factors, same pod-list order, same intern order and
+    /// with it the same [`assignments`](ClusterState::assignments)
+    /// iteration order ([`bitwise_eq`](ClusterState::bitwise_eq) to a
+    /// clone taken at snapshot time). Any snapshot restores into any
+    /// state, any number of times. Costs O(nodes + pods) over the columns
+    /// a clone copies, reusing this state's allocations; the table and
+    /// the node lists come back as the snapshot's own shared handles.
     pub fn restore_to(&mut self, snap: &Snapshot) {
-        let journal_len = self.journal.as_ref().map_or(0, Vec::len);
-        assert!(
-            self.journal.is_some()
-                && snap.entries <= journal_len
-                && snap.interned <= self.table.keys.len(),
-            "restore_to: snapshot is stale or from another state \
-             (snapshot at {} entries / {} pods, state has {} / {})",
-            snap.entries,
-            snap.interned,
-            journal_len,
-            self.table.keys.len(),
-        );
-        let obs = phoenix_obs::current();
-        obs.incr(phoenix_obs::Counter::StateRestores);
-        obs.add(
-            phoenix_obs::Counter::JournalEntriesUndone,
-            (journal_len - snap.entries) as u64,
-        );
-        obs.gauge_max(phoenix_obs::Counter::JournalDepthMax, journal_len as u64);
-        // Undo journal entries newest-first.
-        while self.journal.as_ref().expect("journal is live").len() > snap.entries {
-            let entry = self
-                .journal
-                .as_mut()
-                .expect("journal is live")
-                .pop()
-                .expect("len > snap.entries");
-            self.undo(entry);
-        }
-        // Un-intern pods first seen after the snapshot. Only the tail is
-        // ever removed, so surviving ids — and the iteration order built
-        // on them — are untouched. The id map is probe-only (never
-        // iterated), so removal tombstones have no observable effect.
-        if snap.interned < self.table.keys.len() {
-            let table = Arc::make_mut(&mut self.table);
-            for key in table.keys.drain(snap.interned..) {
-                table.ids.remove(&key);
-            }
-        }
-        self.pod_node.truncate(snap.interned);
-        self.pod_demand.truncate(snap.interned);
-    }
-
-    /// Reverses one journal entry (see [`Entry`] for the per-variant
-    /// contracts).
-    fn undo(&mut self, entry: Entry) {
-        match entry {
-            Entry::Assign {
-                pod,
-                node,
-                prev_used,
-                prev_demand,
-            } => {
-                let idx = node as usize;
-                let popped = Arc::make_mut(&mut self.node_pods[idx]).pop();
-                debug_assert_eq!(popped, Some(pod));
-                self.pod_node[pod as usize] = UNASSIGNED;
-                self.pod_demand[pod as usize] = prev_demand;
-                self.used[idx] = prev_used;
-                self.assigned -= 1;
-            }
-            Entry::Remove {
-                pod,
-                node,
-                demand,
-                pos,
-                prev_used,
-            } => {
-                let idx = node as usize;
-                let pos = pos as usize;
-                // Invert the swap_remove: the element that was moved into
-                // `pos` goes back to the tail, the removed pod back to
-                // `pos` (or the tail, if it *was* the tail).
-                let list = Arc::make_mut(&mut self.node_pods[idx]);
-                if pos == list.len() {
-                    list.push(pod);
-                } else {
-                    let moved = list[pos];
-                    list.push(moved);
-                    list[pos] = pod;
-                }
-                self.pod_node[pod as usize] = node;
-                self.pod_demand[pod as usize] = demand;
-                self.used[idx] = prev_used;
-                self.assigned += 1;
-            }
-            Entry::Fail {
-                node,
-                pods,
-                demands,
-                prev_used,
-            } => {
-                let idx = node as usize;
-                self.healthy[idx] = true;
-                for (&id, &demand) in pods.iter().zip(&demands) {
-                    self.pod_node[id as usize] = node;
-                    self.pod_demand[id as usize] = demand;
-                }
-                self.assigned += pods.len();
-                self.node_pods[idx] = pods;
-                self.used[idx] = prev_used;
-            }
-            Entry::Restore { node } => {
-                self.healthy[node as usize] = false;
-            }
-            Entry::Degrade { node, prev } => {
-                self.degrade[node as usize] = prev;
-            }
-        }
+        phoenix_obs::current().incr(phoenix_obs::Counter::StateRestores);
+        let ClusterState {
+            capacity,
+            used,
+            healthy,
+            degrade,
+            node_pods,
+            table,
+            pod_node,
+            pod_demand,
+            assigned,
+        } = &snap.0;
+        self.capacity.clone_from(capacity);
+        self.used.clone_from(used);
+        self.healthy.clone_from(healthy);
+        self.degrade.clone_from(degrade);
+        self.node_pods.clone_from(node_pods);
+        self.table.clone_from(table);
+        self.pod_node.clone_from(pod_node);
+        self.pod_demand.clone_from(pod_demand);
+        self.assigned = *assigned;
     }
 
     /// Handles on this state's shared storage (see [`Lineage`]).
@@ -798,8 +586,8 @@ impl ClusterState {
     /// holds, from both lists (then and now; a pod may appear twice): a
     /// superset of the pods whose placement or booking changed since
     /// `lineage` was taken. `None` when this state does not share
-    /// `lineage`'s pod table: a pod was interned or un-interned since, or
-    /// the state is of another lineage.
+    /// `lineage`'s pod table: a pod was interned since, a restore brought
+    /// back another table, or the state is of another lineage.
     pub(crate) fn moved_since(&self, lineage: &Lineage) -> Option<Vec<PodKey>> {
         if !Arc::ptr_eq(&self.table, &lineage.table) || lineage.lists.len() != self.node_pods.len()
         {
@@ -834,8 +622,6 @@ impl ClusterState {
     /// the interned pod table, and assignment demand bits. This is the
     /// equality [`restore_to`](ClusterState::restore_to) promises against
     /// a clone taken at snapshot time, and what the proptests assert.
-    /// (The journal itself is not compared — it is bookkeeping, not
-    /// state.)
     pub fn bitwise_eq(&self, other: &ClusterState) -> bool {
         let res_eq = |a: &Resources, b: &Resources| {
             a.cpu.to_bits() == b.cpu.to_bits() && a.mem.to_bits() == b.mem.to_bits()
@@ -858,6 +644,7 @@ impl ClusterState {
             && self.table.keys == other.table.keys
             && self.pod_node == other.pod_node
             && self.assigned == other.assigned
+            && self.pod_demand.len() == other.pod_demand.len()
             && self
                 .pod_demand
                 .iter()
@@ -908,12 +695,14 @@ impl ClusterState {
         let mut assigned = 0usize;
         if self.table.keys.len() != self.pod_node.len()
             || self.table.ids.len() != self.table.keys.len()
+            || self.pod_demand.len() != self.pod_node.len()
         {
             return Err(format!(
-                "pod table holds {} keys / {} ids for {} pod slots",
+                "pod table holds {} keys / {} ids for {} pod slots / {} demands",
                 self.table.keys.len(),
                 self.table.ids.len(),
-                self.pod_node.len()
+                self.pod_node.len(),
+                self.pod_demand.len()
             ));
         }
         for (id, &node) in self.pod_node.iter().enumerate() {
@@ -1097,6 +886,18 @@ mod tests {
     }
 
     #[test]
+    fn nan_degrade_factor_reads_as_zero() {
+        let mut c = ClusterState::homogeneous(2, Resources::cpu(8.0));
+        let n0 = NodeId::new(0);
+        c.assign(pod(0, 0), Resources::cpu(2.0), n0).unwrap();
+        let evicted = c.set_degrade(n0, f64::NAN);
+        assert_eq!(evicted.len(), 1);
+        assert_eq!(c.degrade_factor(n0).to_bits(), 0.0f64.to_bits());
+        assert_eq!(c.remaining(n0), Resources::ZERO);
+        c.check_invariants().unwrap();
+    }
+
+    #[test]
     fn capacity_metrics() {
         let mut c = ClusterState::new([Resources::cpu(10.0), Resources::cpu(6.0)]);
         c.assign(pod(0, 0), Resources::cpu(8.0), NodeId::new(0))
@@ -1179,40 +980,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "restore_to")]
-    fn restoring_an_invalidated_inner_snapshot_panics() {
-        let mut c = ClusterState::homogeneous(2, Resources::cpu(8.0));
-        let outer = c.snapshot();
-        c.assign(pod(0, 0), Resources::cpu(2.0), NodeId::new(0))
-            .unwrap();
-        let inner = c.snapshot();
-        c.fail_node(NodeId::new(1));
-        c.restore_to(&outer);
-        // `inner` points past the truncated journal: restoring "forward"
-        // is a logic error and must fail loudly, not corrupt state.
-        c.restore_to(&inner);
-    }
-
-    #[test]
-    fn clone_resets_journal_and_snapshots_do_not_transfer() {
-        let mut c = ClusterState::homogeneous(1, Resources::cpu(4.0));
-        let snap = c.snapshot();
-        c.assign(pod(0, 0), Resources::cpu(1.0), NodeId::new(0))
-            .unwrap();
-        let mut copy = c.clone();
-        // The clone has no journal: restoring the original's snapshot in
-        // it must panic instead of silently rewinding nothing.
-        let panicked = std::panic::catch_unwind(core::panic::AssertUnwindSafe(|| {
-            copy.restore_to(&snap);
-        }))
-        .is_err();
-        assert!(panicked, "foreign snapshot must not restore in a clone");
-        // The original restores fine.
-        c.restore_to(&snap);
-        assert_eq!(c.pod_count(), 0);
-    }
-
-    #[test]
     fn restore_rewinds_intern_order_for_identical_iteration() {
         let mut c = ClusterState::homogeneous(2, Resources::cpu(8.0));
         c.assign(pod(0, 0), Resources::cpu(1.0), NodeId::new(0))
@@ -1226,7 +993,7 @@ mod tests {
         c.restore_to(&snap);
         // …then re-intern them in the *opposite* order: iteration must
         // follow the new first-assignment order, exactly as a fresh state
-        // would, because restore truncated the intern tail.
+        // would, because restore handed back the snapshot's table.
         c.assign(pod(1, 0), Resources::cpu(1.0), NodeId::new(1))
             .unwrap();
         c.assign(pod(5, 0), Resources::cpu(1.0), NodeId::new(1))

@@ -1,10 +1,11 @@
-//! Property tests: the mutation journal's `restore_to` contract.
+//! Property tests: the `snapshot` / `restore_to` contract.
 //!
-//! A restore must leave the state **bit-identical** to a clone taken at
-//! snapshot time — same `used` bits, same degrade factors, same pod-list
-//! order, same `assignments()` iteration order — across arbitrary churn
-//! mixing every mutation class (`assign`, `remove`, `fail_node`,
-//! `restore_node`, `set_degrade` with its eviction cascade). This is the
+//! A snapshot is a copy-on-write clone, and a restore must leave the state
+//! **bit-identical** to a clone taken at snapshot time — same `used` bits,
+//! same degrade factors, same pod-list order, same `assignments()`
+//! iteration order — across arbitrary churn mixing every mutation class
+//! (`assign`, `remove`, `fail_node`, `restore_node`, `set_degrade` with
+//! its eviction cascade), in any order and into any state. This is the
 //! contract the clone-free sweep/campaign/hunt fan-outs lean on: if it
 //! holds, replacing clone-per-trial with restore-per-trial cannot change
 //! a single output byte.
@@ -33,7 +34,7 @@ fn ops(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Op>> {
 }
 
 /// Applies one op, attempting invalid mutations too (errors are part of
-/// the surface — a failed `assign` must leave no journal residue).
+/// the surface — a failed `assign` must leave no trace).
 fn apply(state: &mut ClusterState, op: Op, next_pod: &mut u32) {
     let nodes = state.node_count();
     let node = NodeId::new((op.sel % nodes) as u32);
@@ -79,7 +80,7 @@ fn built(nodes: usize, script: &[Op]) -> (ClusterState, u32) {
 }
 
 /// `churn` with a snapshot before op `snap_at` that is restored after
-/// the last op (un-interning every pod first seen after it), then `tail`.
+/// the last op (dropping every pod first interned after it), then `tail`.
 fn churn_and_rewind(
     state: &mut ClusterState,
     churn: &[Op],
@@ -152,10 +153,10 @@ proptest! {
         prop_assert!(state.bitwise_eq(&reference));
     }
 
-    /// Nested snapshots unwind in LIFO order: restoring to the inner one
-    /// recovers the inner clone, then restoring to the outer one recovers
-    /// the outer clone — and the outer snapshot is still valid after the
-    /// inner restore.
+    /// Nested snapshots restore in any order: the inner one recovers the
+    /// inner clone, then the outer one the outer clone, then the inner one
+    /// again the inner clone; and the outer one, restored into a clone
+    /// that churned on, recovers the outer clone there too.
     #[test]
     fn nested_snapshots_unwind_in_order(
         setup in ops(10..80),
@@ -171,13 +172,13 @@ proptest! {
         let outer_ref = state.clone();
         let outer = state.snapshot();
 
-        for op in mid {
+        for &op in &mid {
             apply(&mut state, op, &mut next_pod);
         }
         let inner_ref = state.clone();
         let inner = state.snapshot();
 
-        for op in tail {
+        for &op in &tail {
             apply(&mut state, op, &mut next_pod);
         }
 
@@ -189,12 +190,27 @@ proptest! {
         prop_assert!(state.bitwise_eq(&outer_ref), "outer restore drifted");
         prop_assert_eq!(assignment_bits(&state), assignment_bits(&outer_ref));
         state.check_invariants().unwrap();
+
+        state.restore_to(&inner);
+        prop_assert!(state.bitwise_eq(&inner_ref), "inner after outer drifted");
+        prop_assert_eq!(assignment_bits(&state), assignment_bits(&inner_ref));
+        state.check_invariants().unwrap();
+
+        let mut other = state.clone();
+        for &op in tail.iter().chain(&mid) {
+            apply(&mut other, op, &mut next_pod);
+        }
+        other.restore_to(&outer);
+        prop_assert!(other.bitwise_eq(&outer_ref), "restore into a clone drifted");
+        prop_assert_eq!(assignment_bits(&other), assignment_bits(&outer_ref));
+        other.check_invariants().unwrap();
     }
 
     /// Copy-on-write isolation: after a clone, churn on either side —
-    /// every mutation class, a restore that un-interns pods, more churn —
-    /// never changes the other side, and leaves the churned side equal to
-    /// a state that ran the same script without ever sharing storage.
+    /// every mutation class, a restore that drops the pods interned after
+    /// its snapshot, more churn — never changes the other side, and leaves
+    /// the churned side equal to a state that ran the same script without
+    /// ever sharing storage.
     #[test]
     fn clone_then_mutate_either_side_is_isolated(
         setup in ops(10..80),

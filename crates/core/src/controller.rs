@@ -300,10 +300,9 @@ pub(crate) fn flatten_plan(workload: &Workload, items: &[GlobalRankItem], modal:
 }
 
 /// The one Phoenix pipeline: ranks `workload` against `state`'s healthy
-/// capacity, packs the ranking onto `state` in place, journal included,
-/// and returns it as [`PlanResult::target`]. A caller that still needs
-/// the pre-plan state clones it first; one with a throwaway state moves
-/// it in.
+/// capacity, packs the ranking onto `state` in place, and returns it as
+/// [`PlanResult::target`]. A caller that still needs the pre-plan state
+/// clones it first; one with a throwaway state moves it in.
 ///
 /// A pin is a rank plus a packing rule: every replica of every service in
 /// `pins` packs first, at `Full` demand, as a [pinned](PlannedPod::pinned)

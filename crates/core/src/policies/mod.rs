@@ -75,9 +75,9 @@ pub trait ResiliencePolicy: fmt::Debug + Send + Sync {
     /// observable: a gray failure
     /// ([`ClusterState::set_degrade`]) evicts a node's last-booked pod.
     ///
-    /// Every policy books onto `state` itself, journal included: a caller
-    /// that needs the pre-plan state snapshots it first and restores it
-    /// afterwards, or clones it.
+    /// Every policy books onto `state` itself: a caller that needs the
+    /// pre-plan state snapshots it first and restores it afterwards, or
+    /// clones it.
     fn plan(&self, workload: &Workload, state: &mut ClusterState) -> PolicyPlan;
 }
 
@@ -268,7 +268,7 @@ mod tests {
                 state.check_invariants().unwrap();
                 prop_assert!(!untouched || state.bitwise_eq(&live), "{} touched the state", name);
                 state.restore_to(&before);
-                prop_assert!(state.bitwise_eq(&live), "{} lost the journal", name);
+                prop_assert!(state.bitwise_eq(&live), "{} broke the restore", name);
             }
         }
     }

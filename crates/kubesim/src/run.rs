@@ -13,7 +13,7 @@ use std::ops::Deref;
 use std::sync::Arc;
 use std::time::Duration;
 
-use phoenix_cluster::{ClusterState, FxHashMap, NodeId, PodKey, Resources};
+use phoenix_cluster::{clamp_degrade, ClusterState, FxHashMap, NodeId, PodKey, Resources};
 use phoenix_core::actions::Action;
 use phoenix_core::policies::ResiliencePolicy;
 use phoenix_core::spec::{AppId, ModeAssignment, ServingMode, Workload};
@@ -677,7 +677,7 @@ impl<'a> Sim<'a> {
                 }
             }
             ScenarioKind::CapacityDegrade { nodes, factor } => {
-                let factor = factor.clamp(0.0, 1.0);
+                let factor = clamp_degrade(factor);
                 self.set_capacity(now, &nodes, factor, MilestoneKind::Degraded);
             }
             ScenarioKind::CapacityRestore { nodes } => {
@@ -1195,6 +1195,21 @@ mod tests {
         // …and the restore brings chat back.
         assert!(trace.first_kind(MilestoneKind::CapacityRestored).is_some());
         assert!(trace.service_up(&w, 0, 1, SimTime::from_secs(1390)));
+    }
+
+    #[test]
+    fn nan_capacity_degrade_runs_as_a_degrade_to_zero() {
+        // The view stores a NaN factor as 0.0; the ground truth must too,
+        // or the two never agree and every monitor tick replans.
+        let run = |factor: f64| {
+            let mut s = Scenario::new(2, Resources::cpu(4.0));
+            s.capacity_degrade_at(SimTime::from_secs(300), [0], factor);
+            fair(&s, 900)
+        };
+        let (nan, zero) = (run(f64::NAN), run(0.0));
+        assert_eq!(nan.samples, zero.samples);
+        assert_eq!(nan.milestones, zero.milestones);
+        assert_eq!(nan.plans.len(), zero.plans.len());
     }
 
     #[test]

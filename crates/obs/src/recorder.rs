@@ -63,11 +63,6 @@ pub enum Counter {
     StateSnapshots,
     /// `ClusterState::restore_to` rewinds performed.
     StateRestores,
-    /// Journal entries undone across all restores (the O(Δ) work).
-    JournalEntriesUndone,
-    /// Deepest journal observed at restore time (a gauge: merged by
-    /// maximum, not sum — still scheduling-invariant).
-    JournalDepthMax,
     /// Simulator events processed by `kubesim::run`.
     SimEvents,
     /// Milestones recorded by the simulator.
@@ -90,7 +85,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 27] = [
+    pub const ALL: [Counter; 25] = [
         Counter::ColdPlans,
         Counter::WarmReplans,
         Counter::ReplanCacheHits,
@@ -108,8 +103,6 @@ impl Counter {
         Counter::PackRepackMigrations,
         Counter::StateSnapshots,
         Counter::StateRestores,
-        Counter::JournalEntriesUndone,
-        Counter::JournalDepthMax,
         Counter::SimEvents,
         Counter::SimMilestones,
         Counter::SimPlans,
@@ -140,8 +133,6 @@ impl Counter {
             Counter::PackRepackMigrations => "pack_repack_migrations",
             Counter::StateSnapshots => "state_snapshots",
             Counter::StateRestores => "state_restores",
-            Counter::JournalEntriesUndone => "journal_entries_undone",
-            Counter::JournalDepthMax => "journal_depth_max",
             Counter::SimEvents => "sim_events",
             Counter::SimMilestones => "sim_milestones",
             Counter::SimPlans => "sim_plans",
@@ -283,15 +274,6 @@ impl Recorder {
     pub fn add(&self, counter: Counter, n: u64) {
         if let Some(inner) = &self.0 {
             inner.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Raises `counter` to at least `value` (deterministic plane, gauge
-    /// semantics). Max is commutative, so still scheduling-invariant.
-    #[inline]
-    pub fn gauge_max(&self, counter: Counter, value: u64) {
-        if let Some(inner) = &self.0 {
-            inner.counters[counter as usize].fetch_max(value, Ordering::Relaxed);
         }
     }
 
@@ -490,7 +472,6 @@ mod tests {
         let r = Recorder::disabled();
         r.incr(Counter::ColdPlans);
         r.add(Counter::SimEvents, 10);
-        r.gauge_max(Counter::JournalDepthMax, 99);
         r.record_duration(Phase::Replan, Duration::from_millis(5));
         drop(r.phase(Phase::Rank));
         assert!(!r.is_enabled());
@@ -501,15 +482,12 @@ mod tests {
     }
 
     #[test]
-    fn counters_sum_and_gauge_maxes() {
+    fn counters_sum_across_clones() {
         let r = Recorder::enabled();
         let clone = r.clone();
         r.incr(Counter::PackPlacements);
         clone.add(Counter::PackPlacements, 2);
-        r.gauge_max(Counter::JournalDepthMax, 5);
-        r.gauge_max(Counter::JournalDepthMax, 3);
         assert_eq!(r.counter(Counter::PackPlacements), 3);
-        assert_eq!(r.counter(Counter::JournalDepthMax), 5);
         assert_eq!(clone.counter(Counter::PackPlacements), 3);
     }
 
