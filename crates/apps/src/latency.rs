@@ -12,7 +12,7 @@
 //!   50.11 ms in the paper).
 
 use phoenix_core::spec::ServiceId;
-use phoenix_core::stats::percentile;
+use phoenix_obs::stats::percentile;
 use rand::Rng;
 use rand::SeedableRng;
 
@@ -160,7 +160,7 @@ mod tests {
         // Nearest-rank percentiles for tiny n: the old
         // `(0.95 * n) as usize` index was one rank high (for n = 20 it
         // read the maximum instead of the 19th of 20 — in bounds, but
-        // biased). The shared helper is unit-tested in core::stats; here
+        // biased). The shared helper is unit-tested in obs::stats; here
         // just pin that small n stays finite and sane.
         let one = p95_lognormal(100.0, 0.3, 7, 1);
         assert!(one.is_finite());

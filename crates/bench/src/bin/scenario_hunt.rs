@@ -7,8 +7,9 @@
 //! Two passes:
 //!
 //! 1. **Baseline sweep** — the fixed-seed generator suite (the
-//!    `scenario_matrix` shape) against the roster; the worst violating
-//!    scenario per `(family, policy)` cell is shrunk and persisted as
+//!    `scenario_matrix` shape) against the roster, scored by the hunt's
+//!    own round 0, which is that suite; the worst violating scenario per
+//!    `(family, policy)` cell is shrunk and persisted as
 //!    `{scenario}--{policy}.json`. This is what pins the known
 //!    smoke-suite violations (correlated-blast-radius/PhoenixCost,
 //!    surge-under-crunch).
@@ -84,8 +85,8 @@ fn main() {
         policies.len(),
     );
 
-    // The fixed-seed generator suite for pass 1 — generated up front so
-    // the steady-state captures below can borrow its cluster shape.
+    // The fixed-seed generator suite for pass 1 — the hunt's round 0,
+    // generated here for its documents and its cluster shape.
     let suite = generate_suite(&GeneratorConfig {
         nodes: hunt.nodes,
         node_cpu: hunt.node_cpu,
@@ -94,11 +95,11 @@ fn main() {
         seed,
     });
 
-    // Every scenario this bin evaluates — the baseline suite, shrink
-    // candidates, hunt champions — shares the hunt's cluster shape, so
-    // each policy's t = 0 capture is replayed through every oracle
-    // evaluation. Shrunk docs that drop trailing nodes fall back to a
-    // cold plan via the simulator's shape check.
+    // Every scenario this bin shrinks — baseline violations, hunt
+    // champions and their shrink candidates — shares the hunt's cluster
+    // shape, so each policy's t = 0 capture is replayed through every
+    // oracle evaluation. Shrunk docs that drop trailing nodes fall back
+    // to a cold plan via the simulator's shape check.
     let steady = steady_states(&workload, &policies, suite.scenarios.first());
 
     let mut repros: Vec<RegressionDoc> = Vec::new();
@@ -141,20 +142,24 @@ fn main() {
     };
 
     // Pass 1: baseline sweep — worst violating scenario per
-    // (family, policy) cell of the fixed-seed generator suite.
+    // (family, policy) cell of the fixed-seed generator suite, scored by
+    // the hunt's round 0 (same docs, job order scenario-major).
+    let outcome = run_hunt(&workload, &policies, &hunt, &cfg);
+    assert_eq!(
+        outcome.baseline.len(),
+        suite.scenarios.len() * policies.len()
+    );
     let mut worst: BTreeMap<(String, String), (u64, usize, usize)> = BTreeMap::new();
-    for (si, s) in suite.scenarios.iter().enumerate() {
-        for (pi, p) in policies.iter().enumerate() {
-            let sig = signature_of(&workload, s, p.as_ref(), &cfg, steady[pi].as_ref())
-                .expect("suite validates");
-            if sig.severity_ms == 0 {
-                continue;
-            }
-            let key = (s.family.clone(), p.name().to_string());
-            let entry = worst.entry(key).or_insert((0, si, pi));
-            if sig.severity_ms > entry.0 {
-                *entry = (sig.severity_ms, si, pi);
-            }
+    for (job, sig) in outcome.baseline.iter().enumerate() {
+        let (si, pi) = (job / policies.len(), job % policies.len());
+        if sig.severity_ms == 0 {
+            continue;
+        }
+        let (s, p) = (&suite.scenarios[si], &policies[pi]);
+        let key = (s.family.clone(), p.name().to_string());
+        let entry = worst.entry(key).or_insert((0, si, pi));
+        if sig.severity_ms > entry.0 {
+            *entry = (sig.severity_ms, si, pi);
         }
     }
     for ((family, policy_name), &(severity, si, pi)) in &worst {
@@ -169,8 +174,7 @@ fn main() {
         );
     }
 
-    // Pass 2: the hunt itself.
-    let outcome = run_hunt(&workload, &policies, &hunt, &cfg);
+    // Pass 2: the hunt's champions.
     let mut hunt_table = Table::new([
         "policy",
         "round",

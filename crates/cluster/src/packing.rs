@@ -3,13 +3,13 @@
 //! Given the planner's globally-ranked list of microservices, map each one
 //! to a healthy server with a three-pronged strategy. With `P` plan
 //! entries, `A` resulting actions and `N` healthy nodes, one pack costs
-//! O(P + A · log N + N · log N): a running pod costs one dense `rank_of`
-//! lookup and one flag write in the drop pass, then one flag test in the
-//! placement loop — no pod-map probe; a pod that moves pays for the
-//! ordered node set (built once per pack over the healthy nodes), and a
-//! fallback event (a repack attempt, a victim) costs what the migration
-//! budgets and the pods of the few nodes it touches allow — never
-//! something proportional to `P`. A warm pack handed a [`PackCarry`]
+//! O(P + A · log N + N · log N): a running pod costs one dense
+//! [`PlanIndex`] lookup and one flag write in the drop pass, then one
+//! flag test in the placement loop — no pod-map probe; a pod that moves
+//! pays for the ordered node set (built once per pack over the healthy
+//! nodes), and a fallback event (a repack attempt, a victim) costs what
+//! the migration budgets and the pods of the few nodes it touches allow —
+//! never something proportional to `P`. A warm pack handed a [`PackCarry`]
 //! pays the drop pass only for what changed since the previous pack
 //! (below): a monitor tick that fails one node reads that node's pods
 //! and the plan's re-built tail, not the whole cluster.
@@ -198,16 +198,24 @@ pub struct PackOutcome {
 /// that is the diagonal-scaling step. Remaining plan entries are placed in
 /// rank order with the three-pronged strategy.
 pub fn pack(state: &mut ClusterState, plan: &[PlannedPod], cfg: &PackingConfig) -> PackOutcome {
-    let ranks = PlanRanks::new(plan);
-    pack_prepared(state, plan, cfg, |p| ranks.get(p), None)
+    pack_prepared(state, plan, &PlanIndex::of(plan), cfg, None)
 }
 
-/// `pod key → plan index` for an arbitrary plan, derived from the plan
-/// itself in three hash-free passes: pod keys are dense workload indices
-/// (see [`PodKey`]), so a three-level offset table — app → service slot →
-/// replica cell — answers a lookup with three array reads and costs a few
-/// bytes per planned pod.
-enum PlanRanks {
+/// The pod → plan-position table of one plan: [`PlanIndex::of`] answers
+/// [`PlanIndex::get`] with `Some(i)` for `plan[i].key` and `None` for
+/// every other pod.
+///
+/// Derived from the plan itself in three hash-free passes: pod keys are
+/// dense workload indices (see [`PodKey`]), so a three-level offset table
+/// — app → service slot → replica cell — answers a lookup with three
+/// array reads and costs a few bytes per planned pod, whatever order the
+/// plan lists the replicas in. Key spaces too sparse for the table
+/// (hand-built keys far apart) fall back to a sorted list.
+#[derive(Debug, Clone, Default)]
+pub struct PlanIndex(Layout);
+
+#[derive(Debug, Clone)]
+enum Layout {
     Dense {
         /// Start of each app's service slots; `len = apps + 1`.
         app_offsets: Vec<u32>,
@@ -216,27 +224,65 @@ enum PlanRanks {
         /// Plan index per replica cell, [`ABSENT`] when not planned.
         cells: Vec<u32>,
     },
-    /// Key spaces too sparse for the table (hand-built keys far apart):
     /// `(key, plan index)` sorted by key.
     Sorted(Vec<(PodKey, usize)>),
 }
 
-/// [`PlanRanks::Dense`] cell of a key that lies between planned ones.
+/// [`Layout::Dense`] cell of a key that lies between planned ones.
 const ABSENT: u32 = u32::MAX;
 
-impl PlanRanks {
-    fn new(plan: &[PlannedPod]) -> PlanRanks {
-        PlanRanks::dense(plan).unwrap_or_else(|| {
+/// The index of the empty plan.
+impl Default for Layout {
+    fn default() -> Layout {
+        Layout::Sorted(Vec::new())
+    }
+}
+
+impl PlanIndex {
+    /// The index of `plan`.
+    pub fn of(plan: &[PlannedPod]) -> PlanIndex {
+        PlanIndex(Layout::dense(plan).unwrap_or_else(|| {
             let mut sorted: Vec<(PodKey, usize)> =
                 plan.iter().enumerate().map(|(i, p)| (p.key, i)).collect();
             sorted.sort_unstable();
-            PlanRanks::Sorted(sorted)
-        })
+            Layout::Sorted(sorted)
+        }))
     }
 
+    /// The plan position of `pod`, when planned.
+    #[inline]
+    pub fn get(&self, pod: PodKey) -> Option<usize> {
+        match &self.0 {
+            Layout::Dense {
+                app_offsets,
+                slot_offsets,
+                cells,
+            } => {
+                let app = pod.app as usize;
+                let slot = *app_offsets.get(app)? as usize + pod.service as usize;
+                if slot >= *app_offsets.get(app + 1)? as usize {
+                    return None;
+                }
+                let cell = slot_offsets[slot] as usize + usize::from(pod.replica);
+                if cell >= slot_offsets[slot + 1] as usize {
+                    return None;
+                }
+                Some(cells[cell])
+                    .filter(|&i| i != ABSENT)
+                    .map(|i| i as usize)
+            }
+            Layout::Sorted(sorted) => sorted
+                .binary_search_by_key(&pod, |&(key, _)| key)
+                .ok()
+                .map(|at| sorted[at].1),
+        }
+    }
+}
+
+impl Layout {
     /// The dense table, or `None` when any level would outgrow a small
     /// multiple of the plan (or the plan outgrows `u32` indices).
-    fn dense(plan: &[PlannedPod]) -> Option<PlanRanks> {
+    fn dense(plan: &[PlannedPod]) -> Option<Layout> {
         let budget = plan.len().checked_mul(4)?.saturating_add(1024);
         if budget >= ABSENT as usize {
             return None;
@@ -275,52 +321,21 @@ impl PlanRanks {
         for (i, p) in plan.iter().enumerate() {
             cells[slot_offsets[slot_of(p.key)] as usize + usize::from(p.key.replica)] = i as u32;
         }
-        Some(PlanRanks::Dense {
+        Some(Layout::Dense {
             app_offsets,
             slot_offsets,
             cells,
         })
     }
-
-    #[inline]
-    fn get(&self, pod: PodKey) -> Option<usize> {
-        match self {
-            PlanRanks::Dense {
-                app_offsets,
-                slot_offsets,
-                cells,
-            } => {
-                let app = pod.app as usize;
-                let slot = *app_offsets.get(app)? as usize + pod.service as usize;
-                if slot >= *app_offsets.get(app + 1)? as usize {
-                    return None;
-                }
-                let cell = slot_offsets[slot] as usize + usize::from(pod.replica);
-                if cell >= slot_offsets[slot + 1] as usize {
-                    return None;
-                }
-                Some(cells[cell])
-                    .filter(|&i| i != ABSENT)
-                    .map(|i| i as usize)
-            }
-            PlanRanks::Sorted(sorted) => sorted
-                .binary_search_by_key(&pod, |&(key, _)| key)
-                .ok()
-                .map(|at| sorted[at].1),
-        }
-    }
 }
 
-/// [`pack`] with a caller-supplied `pod key → plan index` lookup.
+/// [`pack`] with the plan's [`PlanIndex`] built by the caller, and an
+/// optional [`PackCarry`].
 ///
 /// Pinned entries must form a prefix of `plan` ([module docs](self)).
-///
-/// The planner (`phoenix_core::controller`, cold and warm) passes a dense
-/// workload-shaped table here that it derives in O(services) while it
-/// flattens the activation list, instead of having [`pack`] re-derive one
-/// from the flattened plan. `rank_of` **must** return exactly `Some(i)` for
-/// `plan[i].key` and `None` for every other pod; anything else loses the
-/// byte-identical-to-[`pack`] guarantee.
+/// `index` is `PlanIndex::of(plan)`: the planner's controller keeps its
+/// flattened plan's index beside the plan and rebuilds it only when the
+/// plan changes, instead of having [`pack`] re-derive it on every pack.
 ///
 /// With a `carry`, the drop pass starts from the standing the previous
 /// pack left in it (see [`PackCarry`]) when it can speak for `state`, and
@@ -328,33 +343,36 @@ impl PlanRanks {
 ///
 /// # Panics
 ///
-/// Panics (in debug builds) when `rank_of` disagrees with `plan` or a
-/// carried standing disagrees with the state, and in all builds when
-/// `rank_of` returns an index past the plan's end for an assigned pod.
+/// Panics (in debug builds) when `index` places a pod of `plan` anywhere
+/// but at its own position or a carried standing disagrees with the
+/// state, and in all builds when `index` holds a position past the
+/// plan's end for an assigned pod.
 pub fn pack_prepared(
     state: &mut ClusterState,
     plan: &[PlannedPod],
+    index: &PlanIndex,
     cfg: &PackingConfig,
-    rank_of: impl Fn(PodKey) -> Option<usize>,
     mut carry: Option<&mut PackCarry>,
 ) -> PackOutcome {
-    debug_assert!(plan
-        .iter()
-        .enumerate()
-        .all(|(i, p)| rank_of(p.key) == Some(i)));
+    debug_assert!(
+        plan.iter()
+            .enumerate()
+            .all(|(i, p)| index.get(p.key) == Some(i)),
+        "index is not the plan's"
+    );
     debug_assert!(plan.iter().skip_while(|p| p.pinned).all(|p| !p.pinned));
     let obs = phoenix_obs::current();
     let mut out = PackOutcome::default();
-    let carried = (carry.as_deref_mut()).and_then(|c| c.read(state, plan, cfg, &rank_of));
+    let carried = (carry.as_deref_mut()).and_then(|c| c.read(state, plan, index, cfg));
     let reading = match carried {
         Some(reading) => {
             debug_assert!(
-                reading.same_as(&read_state(state, plan, cfg, &rank_of)),
+                reading.same_as(&read_state(state, plan, index, cfg)),
                 "carried standing differs from a full drop pass"
             );
             reading
         }
-        None => read_state(state, plan, cfg, &rank_of),
+        None => read_state(state, plan, index, cfg),
     };
     obs.add(Counter::PackDropVisits, reading.visits);
     for p in reading.to_drop {
@@ -365,7 +383,7 @@ pub fn pack_prepared(
     let mut sorted = healthy_by_remaining(state);
     let mut ctx = PackCtx::new(obs, reading.standing);
     let holds_pins = plan.first().is_some_and(|p| p.pinned);
-    let is_pin = |pod: PodKey| holds_pins && rank_of(pod).is_some_and(|i| plan[i].pinned);
+    let is_pin = |pod: PodKey| holds_pins && index.get(pod).is_some_and(|i| plan[i].pinned);
     for (rank, planned) in plan.iter().enumerate() {
         debug_assert_eq!(
             ctx.standing[rank],
@@ -442,7 +460,7 @@ pub fn pack_prepared(
     out.origins.sort_by_key(|&(pod, _)| pod);
     out.origins.dedup_by_key(|&mut (pod, _)| pod);
     if let Some(carry) = carry {
-        carry.record(state, plan, cfg, &rank_of, ctx.standing, &out);
+        carry.record(state, plan, index, cfg, ctx.standing, &out);
     }
     out
 }
@@ -507,8 +525,8 @@ impl PackCarry {
         &mut self,
         state: &ClusterState,
         plan: &[PlannedPod],
+        index: &PlanIndex,
         cfg: &PackingConfig,
-        rank_of: &impl Fn(PodKey) -> Option<usize>,
     ) -> Option<Reading> {
         let lineage = self.lineage.take();
         let cut = std::mem::take(&mut self.cut);
@@ -522,7 +540,7 @@ impl PackCarry {
         let visits = (plan.len() - kept + cut.len() + moved.len()) as u64;
         let mut to_drop = Vec::new();
         for pod in cut.into_iter().chain(moved) {
-            match rank_of(pod) {
+            match index.get(pod) {
                 Some(i) => standing[i] = Standing::probe(state, &plan[i], cfg),
                 None if state.node_of(pod).is_some() => to_drop.push(pod),
                 None => {}
@@ -542,8 +560,8 @@ impl PackCarry {
         &mut self,
         state: &ClusterState,
         plan: &[PlannedPod],
+        index: &PlanIndex,
         cfg: &PackingConfig,
-        rank_of: &impl Fn(PodKey) -> Option<usize>,
         mut standing: Vec<Standing>,
         out: &PackOutcome,
     ) {
@@ -552,7 +570,7 @@ impl PackCarry {
             return;
         }
         for &(pod, _) in &out.origins {
-            if let Some(i) = rank_of(pod) {
+            if let Some(i) = index.get(pod) {
                 standing[i] = Standing::probe(state, &plan[i], cfg);
             }
         }
@@ -622,13 +640,13 @@ impl Reading {
 fn read_state(
     state: &ClusterState,
     plan: &[PlannedPod],
+    index: &PlanIndex,
     cfg: &PackingConfig,
-    rank_of: &impl Fn(PodKey) -> Option<usize>,
 ) -> Reading {
     let mut standing = vec![Standing::Vacant; plan.len()];
     let mut to_drop = Vec::new();
     for (p, _, booked) in state.assignments() {
-        match rank_of(p) {
+        match index.get(p) {
             Some(i) => standing[i] = Standing::running(booked, &plan[i], cfg),
             None => to_drop.push(p),
         }
@@ -1467,7 +1485,7 @@ mod tests {
             PlannedPod::new(pod(0), Resources::cpu(6.0)),
             PlannedPod::new(far, Resources::cpu(4.0)),
         ];
-        assert!(matches!(PlanRanks::new(&plan), PlanRanks::Sorted(_)));
+        assert!(matches!(PlanIndex::of(&plan).0, Layout::Sorted(_)));
         let out = pack(&mut state, &plan, &PackingConfig::default());
         assert_eq!(out.deletions, vec![between]);
         assert_eq!(out.starts, vec![(pod(0), NodeId::new(0))]);
@@ -1488,10 +1506,10 @@ mod tests {
             .iter()
             .map(|&k| PlannedPod::new(k, Resources::cpu(1.0)))
             .collect();
-        let ranks = PlanRanks::new(&plan);
-        assert!(matches!(ranks, PlanRanks::Dense { .. }));
+        let index = PlanIndex::of(&plan);
+        assert!(matches!(index.0, Layout::Dense { .. }));
         for (i, &k) in keys.iter().enumerate() {
-            assert_eq!(ranks.get(k), Some(i), "{k}");
+            assert_eq!(index.get(k), Some(i), "{k}");
         }
         for absent in [
             PodKey::new(0, 0, 0), // slot inside the table, never planned
@@ -1500,8 +1518,24 @@ mod tests {
             PodKey::new(0, 4, 0), // service past the app
             PodKey::new(3, 0, 0), // app past the table
         ] {
-            assert_eq!(ranks.get(absent), None, "{absent}");
+            assert_eq!(index.get(absent), None, "{absent}");
         }
+    }
+
+    /// `pack_prepared`'s debug check: the index of the same pods in
+    /// another order is not the plan's.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "index is not the plan's")]
+    fn an_index_of_a_reordered_plan_is_refused() {
+        let plan: Vec<PlannedPod> = (0..3)
+            .map(|i| PlannedPod::new(pod(i), Resources::cpu(1.0)))
+            .collect();
+        let mut reordered = plan.clone();
+        reordered.swap(0, 2);
+        let mut state = ClusterState::homogeneous(1, Resources::cpu(10.0));
+        let index = PlanIndex::of(&reordered);
+        pack_prepared(&mut state, &plan, &index, &PackingConfig::default(), None);
     }
 
     #[test]

@@ -7,7 +7,9 @@ use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use phoenix_cluster::packing::{pack_prepared, PackCarry, PackOutcome, PackingConfig, PlannedPod};
+use phoenix_cluster::packing::{
+    pack_prepared, PackCarry, PackOutcome, PackingConfig, PlanIndex, PlannedPod,
+};
 use phoenix_cluster::{ClusterState, PodKey, Resources};
 
 use crate::actions::{diff_from_outcome, ActionPlan};
@@ -15,7 +17,7 @@ use crate::objectives::{ObjectiveKind, OperatorObjective};
 use crate::planner::{app_rank, PlannerConfig};
 use crate::ranking::{global_rank_prepared, GlobalRank, GlobalRankItem, RankInputs};
 use crate::replan::{replan_with, ReplanCache, ReplanDelta};
-use crate::spec::{AppId, ModeAssignment, ServiceId, ServingMode, Workload};
+use crate::spec::{ModeAssignment, ServiceId, ServingMode, Workload};
 use crate::stateful::StatefulMarks;
 
 /// Controller configuration: objective + planner + packing knobs.
@@ -147,101 +149,18 @@ impl PhoenixController {
     }
 }
 
-/// Dense `pod key → plan index` table shaped like the workload: one slot
-/// per `(app, service)` holding the base plan index of the service's
-/// replica block (replicas are contiguous in the flattened plan by
-/// construction). Answers the packing module's `rank_of` lookup with two
-/// array reads and rebuilds in O(services) per round.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PlanIndex {
-    /// Start of each app's service slots; `len = apps + 1`.
-    app_offsets: Vec<u32>,
-    /// Per service slot: base plan index, `u32::MAX` = not planned.
-    base: Vec<u32>,
-    /// Per service slot: replicas in the plan (0 = not planned).
-    replicas: Vec<u16>,
-}
-
-const UNPLANNED: u32 = u32::MAX;
-
-impl PlanIndex {
-    /// Recomputes the slot layout from the workload shape.
-    pub(crate) fn reshape(&mut self, workload: &Workload) {
-        self.app_offsets.clear();
-        self.app_offsets.push(0);
-        let mut total = 0u32;
-        for (_, app) in workload.apps() {
-            total += app.service_count() as u32;
-            self.app_offsets.push(total);
-        }
-    }
-
-    fn slot(&self, app: AppId, service: ServiceId) -> usize {
-        self.app_offsets[app.index()] as usize + service.index()
-    }
-
-    /// Refills the table from an activation list (O(services)) and
-    /// returns the flattened plan's length. A service's block sits where
-    /// its first item does; later items of the same service (further
-    /// rungs of a mode ladder) add no pods.
-    pub(crate) fn rebuild(&mut self, workload: &Workload, items: &[GlobalRankItem]) -> usize {
-        let slots = *self.app_offsets.last().expect("reshaped") as usize;
-        self.base.clear();
-        self.base.resize(slots, UNPLANNED);
-        self.replicas.clear();
-        self.replicas.resize(slots, 0);
-        let mut next = 0u32;
-        for item in items {
-            let slot = self.slot(item.app, item.service);
-            if self.base[slot] != UNPLANNED {
-                continue;
-            }
-            let replicas = workload.app(item.app).service(item.service).replicas;
-            self.base[slot] = next;
-            self.replicas[slot] = replicas;
-            next += u32::from(replicas);
-        }
-        next as usize
-    }
-
-    /// One past the last plan position of a planned service's replica
-    /// block.
-    pub(crate) fn block_end(&self, app: AppId, service: ServiceId) -> usize {
-        let slot = self.slot(app, service);
-        debug_assert_ne!(
-            self.base[slot], UNPLANNED,
-            "block_end of an unplanned service"
-        );
-        self.base[slot] as usize + usize::from(self.replicas[slot])
-    }
-
-    /// The plan position of `pod`, when planned.
-    #[inline]
-    pub(crate) fn get(&self, pod: PodKey) -> Option<usize> {
-        let app = pod.app as usize;
-        let lo = *self.app_offsets.get(app)? as usize;
-        let hi = *self.app_offsets.get(app + 1)? as usize;
-        let slot = lo + pod.service as usize;
-        if slot >= hi {
-            return None;
-        }
-        let base = self.base[slot];
-        if base == UNPLANNED || pod.replica >= self.replicas[slot] {
-            return None;
-        }
-        Some(base as usize + usize::from(pod.replica))
-    }
-}
-
-/// Appends one service's replica block to a flattened plan.
+/// Appends one service's replica block, at `mode`'s per-replica demand,
+/// to a flattened plan.
 pub(crate) fn push_replicas(
     plan: &mut Vec<PlannedPod>,
+    workload: &Workload,
     item: &GlobalRankItem,
-    replicas: u16,
-    demand: Resources,
+    mode: ServingMode,
 ) {
+    let svc = workload.app(item.app).service(item.service);
+    let demand = svc.mode_demand(mode);
     let (app, service) = (item.app.index() as u32, item.service.index() as u32);
-    plan.extend((0..replicas).map(|r| PlannedPod::new(PodKey::new(app, service, r), demand)));
+    plan.extend((0..svc.replicas).map(|r| PlannedPod::new(PodKey::new(app, service, r), demand)));
 }
 
 /// A flattened activation list, ready to pack.
@@ -249,7 +168,7 @@ pub(crate) fn push_replicas(
 pub(crate) struct FlatPlan {
     /// Per-replica plan entries, in pack order.
     pub(crate) pods: Vec<PlannedPod>,
-    /// `pods`' inverse: pod key → position.
+    /// `PlanIndex::of(&pods)`.
     pub(crate) index: PlanIndex,
     /// Chosen serving mode per service (empty for mode-less workloads).
     pub(crate) modes: ModeAssignment,
@@ -267,36 +186,45 @@ pub(crate) struct FlatPlan {
 /// workloads) at the chosen mode's per-replica demand. `modal` is the
 /// caller's [`Workload::has_modes`].
 pub(crate) fn flatten_plan(workload: &Workload, items: &[GlobalRankItem], modal: bool) -> FlatPlan {
-    let mut index = PlanIndex::default();
-    index.reshape(workload);
-    let mut pods = Vec::with_capacity(index.rebuild(workload, items));
+    let replicas = |item: &GlobalRankItem| workload.app(item.app).service(item.service).replicas;
     if !modal {
+        let mut pods = Vec::with_capacity(items.iter().map(|i| usize::from(replicas(i))).sum());
         for item in items {
-            let svc = workload.app(item.app).service(item.service);
-            push_replicas(&mut pods, item, svc.replicas, svc.demand);
+            push_replicas(&mut pods, workload, item, ServingMode::Full);
         }
         return FlatPlan {
+            index: PlanIndex::of(&pods),
             pods,
-            index,
             modes: ModeAssignment::empty(),
         };
     }
-    // Pass 1: last rung admitted per service wins.
+    // Pass 1: last rung admitted per service wins; `seen` marks the
+    // services with a rung, and `len` sums their replicas.
     let mut modes = ModeAssignment::for_workload(workload);
+    let mut seen: Vec<Vec<bool>> = (workload.apps())
+        .map(|(_, app)| vec![false; app.service_count()])
+        .collect();
+    let mut len = 0;
     for item in items {
         modes.set(item.app, item.service, item.mode);
+        if !std::mem::replace(&mut seen[item.app.index()][item.service.index()], true) {
+            len += usize::from(replicas(item));
+        }
     }
-    // Pass 2: emit each service's replicas once, at its first rung — the
-    // one item whose block the index placed at the plan's current end.
+    // Pass 2: emit each service's replicas once, at its first rung, which
+    // clears its mark.
+    let mut pods = Vec::with_capacity(len);
     for item in items {
-        if index.base[index.slot(item.app, item.service)] as usize != pods.len() {
+        if !std::mem::take(&mut seen[item.app.index()][item.service.index()]) {
             continue;
         }
-        let svc = workload.app(item.app).service(item.service);
-        let demand = svc.mode_demand(modes.get(item.app, item.service));
-        push_replicas(&mut pods, item, svc.replicas, demand);
+        push_replicas(&mut pods, workload, item, modes.get(item.app, item.service));
     }
-    FlatPlan { pods, index, modes }
+    FlatPlan {
+        index: PlanIndex::of(&pods),
+        pods,
+        modes,
+    }
 }
 
 /// The one Phoenix pipeline: ranks `workload` against `state`'s healthy
@@ -422,8 +350,7 @@ pub(crate) fn schedule<'p>(
     let (modal, flat) = order(&rank.items);
     let mut pack_cfg = packing.clone();
     pack_cfg.rebook_in_place |= modal;
-    let rank_of = |p| flat.index.get(p);
-    let packing = pack_prepared(&mut state, &flat.pods, &pack_cfg, rank_of, carry);
+    let packing = pack_prepared(&mut state, &flat.pods, &flat.index, &pack_cfg, carry);
     drop(pack_timer);
     let scheduler_time = t1.elapsed();
 

@@ -65,7 +65,6 @@ pub mod ranking;
 pub mod replan;
 pub mod spec;
 pub mod stateful;
-pub mod stats;
 pub mod tags;
 pub mod waterfill;
 pub mod weaver;

@@ -28,9 +28,9 @@
 //!    returns that index. The ranking is shared (`Arc`) with the
 //!    round's [`PlanResult`], never cloned; when capacity is
 //!    bit-identical to the previous round it is reused whole.
-//! 3. **Warm packing** — the flattened plan and its dense `pod → rank`
-//!    index are patched only where the ranking actually changed (the
-//!    replay's index, or an item compare after a heap merge), then go
+//! 3. **Warm packing** — the flattened plan is patched only where the
+//!    ranking actually changed (the replay's index, or an item compare
+//!    after a heap merge), and its [`PlanIndex`] rebuilt only then; both go
 //!    through the scheduler half the cold path ends in too
 //!    (`controller::schedule`: pack, then the action diff), on the state
 //!    the round owns: running pods are kept in place, only pods
@@ -63,8 +63,8 @@ use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
-use phoenix_cluster::packing::PackCarry;
-use phoenix_cluster::ClusterState;
+use phoenix_cluster::packing::{PackCarry, PlanIndex};
+use phoenix_cluster::{ClusterState, PodKey};
 
 use crate::controller::{
     flatten_plan, push_replicas, schedule, FlatPlan, PhoenixConfig, PlanResult,
@@ -74,7 +74,7 @@ use crate::planner::{app_rank, PlannerConfig};
 use crate::ranking::{
     global_rank_prepared, global_rank_replay, merged_order, GlobalRank, MergeOrder, RankInputs,
 };
-use crate::spec::{ServiceId, Workload};
+use crate::spec::{ServiceId, ServingMode, Workload};
 use crate::stateful::StatefulMarks;
 
 /// What changed since the previous round, as far as the caller knows.
@@ -199,7 +199,6 @@ impl ReplanCache {
             self.capacity_bits = None;
             self.rank = None;
             self.plan_valid = false;
-            self.plan.index.reshape(workload);
         }
         self.planner_cfg = Some(config.planner);
         self.objective_kind = objective_kind;
@@ -294,7 +293,7 @@ pub(crate) fn replan_with(
 
     // Patch the flattened pod plan incrementally: activation lists between
     // consecutive rounds share a (usually near-total) prefix, whose
-    // flattened pods and rank-map entries are identical by construction.
+    // flattened pods are identical by construction.
     // Only the diverging tail is torn down and rebuilt.
     //
     // Mode ladders break that construction — a tail change can upgrade or
@@ -315,21 +314,21 @@ pub(crate) fn replan_with(
         let plan_changed = kept != old_len || kept != rank.items.len();
         if plan_changed {
             // The kept items' pods keep their positions: the old plan is
-            // cut where the last kept item's replica block ends.
+            // cut after the last replica of the last kept item.
             let offset = kept.checked_sub(1).map_or(0, |last| {
                 let it = &rank.items[last];
-                cache.plan.index.block_end(it.app, it.service)
+                let last = workload.app(it.app).service(it.service).replicas - 1;
+                let pod = PodKey::new(it.app.index() as u32, it.service.index() as u32, last);
+                cache.plan.index.get(pod).expect("a kept item is planned") + 1
             });
             cache.carry.cut(&cache.plan.pods, offset);
             cache.plan.pods.truncate(offset);
             for item in &rank.items[kept..] {
-                let svc = workload.app(item.app).service(item.service);
-                push_replicas(&mut cache.plan.pods, item, svc.replicas, svc.demand);
+                push_replicas(&mut cache.plan.pods, workload, item, ServingMode::Full);
             }
         }
         if plan_changed || !was_valid {
-            // O(services): the dense lookup table re-derives from the items.
-            cache.plan.index.rebuild(workload, &rank.items);
+            cache.plan.index = PlanIndex::of(&cache.plan.pods);
         }
         cache.plan_valid = true;
     }

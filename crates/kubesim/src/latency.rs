@@ -129,7 +129,7 @@ mod tests {
         assert!(samples.iter().all(|&s| (5.0..=60.0).contains(&s)));
         let mut sorted = samples.clone();
         sorted.sort_by(f64::total_cmp);
-        let median = phoenix_core::stats::percentile(&sorted, 0.5);
+        let median = phoenix_obs::stats::percentile(&sorted, 0.5);
         assert!((median - 20.0).abs() < 3.0, "median {median}");
     }
 

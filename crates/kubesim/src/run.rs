@@ -312,8 +312,8 @@ pub struct SteadyState {
     /// Per-app [`AppSpec::fingerprint`](phoenix_core::spec::AppSpec::fingerprint)s
     /// of the workload the plan was computed for.
     fingerprints: Vec<u64>,
-    /// [`ResiliencePolicy::name`] of the planning policy.
-    policy: &'static str,
+    /// The planning policy's `Debug` rendering: its name and knobs.
+    policy: String,
     /// `(pod, node, demand, mode)` in the plan's own assignment order.
     assigns: Vec<(PodKey, NodeId, Resources, ServingMode)>,
 }
@@ -332,7 +332,7 @@ impl SteadyState {
         SteadyState {
             capacities: capacities.to_vec(),
             fingerprints: workload.apps().map(|(_, a)| a.fingerprint()).collect(),
-            policy: policy.name(),
+            policy: format!("{policy:?}"),
             assigns: assigns
                 .map(|(pod, node, demand)| (pod, node, demand, modes.mode_of_pod(pod)))
                 .collect(),
@@ -341,8 +341,8 @@ impl SteadyState {
 
     /// True when this steady state was captured for exactly this
     /// `(workload, policy, capacities)` triple — capacities bit-compared,
-    /// the workload by per-app fingerprint, the policy by name. Anything
-    /// else means the capture must not be replayed.
+    /// the workload by per-app fingerprint, the policy by its `Debug`
+    /// rendering. Anything else means the capture must not be replayed.
     fn matches(
         &self,
         workload: &Workload,
@@ -353,7 +353,7 @@ impl SteadyState {
             && self.capacities.iter().zip(capacities).all(|(a, b)| {
                 a.cpu.to_bits() == b.cpu.to_bits() && a.mem.to_bits() == b.mem.to_bits()
             })
-            && self.policy == policy.name()
+            && self.policy == format!("{policy:?}")
             && self.fingerprints.len() == workload.app_count()
             && workload
                 .apps()

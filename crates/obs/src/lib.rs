@@ -32,8 +32,9 @@
 //!
 //! This crate is a substrate: std-only, no intra-workspace dependencies,
 //! so even `phoenix-cluster` (itself a substrate crate) can report into
-//! it, and `phoenix-exec` can hand the scope to its workers. The one nearest-rank percentile implementation for the whole
-//! workspace lives in [`stats`] (re-exported by `phoenix_core::stats`).
+//! it, and `phoenix-exec` can hand the scope to its workers. The one
+//! nearest-rank percentile implementation for the whole workspace lives
+//! in [`stats`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

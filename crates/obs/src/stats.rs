@@ -61,6 +61,40 @@ mod tests {
         // A single sample is every percentile.
         assert_eq!(percentile_index(1, 0.01), 0);
         assert_eq!(percentile_index(1, 0.99), 0);
+        assert_eq!(percentile(&[7.5], 0.5), 7.5);
+    }
+
+    #[test]
+    fn two_samples() {
+        // Nearest rank: p50 of two samples is the *first* (⌈0.5·2⌉ = 1).
+        assert_eq!(percentile_index(2, 0.5), 0);
+        assert_eq!(percentile_index(2, 0.51), 1);
+        assert_eq!(percentile_index(2, 0.95), 1);
+        assert_eq!(percentile_index(2, 0.99), 1);
+        assert_eq!(percentile(&[1.0, 2.0], 0.5), 1.0);
+        assert_eq!(percentile(&[1.0, 2.0], 0.99), 2.0);
+    }
+
+    #[test]
+    fn three_samples() {
+        assert_eq!(percentile_index(3, 0.5), 1); // ⌈1.5⌉ = 2nd
+        assert_eq!(percentile_index(3, 0.95), 2); // ⌈2.85⌉ = 3rd
+        assert_eq!(percentile_index(3, 0.99), 2);
+        assert_eq!(percentile(&[1.0, 2.0, 3.0], 0.5), 2.0);
+    }
+
+    #[test]
+    fn large_n_is_not_off_by_one() {
+        // p95 of 20 samples: ⌈19⌉ = 19th smallest = index 18 — the naive
+        // `(0.95 * 20) as usize = 19` read the maximum instead.
+        assert_eq!(percentile_index(20, 0.95), 18);
+        assert_eq!(percentile_index(20_000, 0.95), 18_999);
+        assert_eq!(percentile_index(100, 0.5), 49);
+    }
+
+    #[test]
+    fn u64_variant_shares_the_convention() {
+        assert_eq!(percentile_u64(&[10, 20, 30, 50], 0.5), 20);
     }
 
     #[test]

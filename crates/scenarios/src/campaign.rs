@@ -612,10 +612,12 @@ mod tests {
         );
     }
 
-    /// A capture handed to a different workload or policy must not be
+    /// A capture handed to a different workload or policy — another
+    /// objective, or the same one with other packing knobs — must not be
     /// replayed: each run equals a cold `simulate` of its own inputs.
     #[test]
     fn steady_capture_replays_only_for_its_own_workload_and_policy() {
+        use phoenix_cluster::packing::{FitStrategy, PackingConfig};
         use phoenix_kubesim::run::simulate;
         let suite = generate_suite(&small_cfg());
         let doc = &suite.scenarios[0];
@@ -627,9 +629,14 @@ mod tests {
             &scenario.node_capacities,
         );
         let fair = PhoenixPolicy::fair();
-        let cases: [(Workload, &dyn ResiliencePolicy); 2] = [
+        let worst_fit = PhoenixPolicy::fair().packing_config(PackingConfig {
+            fit: FitStrategy::WorstFit,
+            ..PackingConfig::default()
+        });
+        let cases: [(Workload, &dyn ResiliencePolicy); 3] = [
             (demo_workload(3), &fair),
             (demo_workload(2), &DefaultPolicy),
+            (demo_workload(2), &worst_fit),
         ];
         for (w, policy) in cases {
             let cold = simulate(&w, policy, &scenario, &sim, doc.horizon());

@@ -188,6 +188,10 @@ pub struct HuntOutcome {
     /// Worst scenario per policy, in roster order; only policies for
     /// which a violation was found.
     pub champions: Vec<Champion>,
+    /// Round 0's signatures, in job order: the seeded generator
+    /// population (family-major) against the roster, policy-minor.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
+    pub baseline: Vec<ViolationSignature>,
 }
 
 /// Runs the hunt: each round's `(candidate, policy)` evaluations fan out
@@ -209,6 +213,7 @@ pub fn run_hunt(
     let mut population = initial_population(hunt, apps, population_size);
     let mut champions: Vec<Option<Champion>> = vec![None; policies.len()];
     let mut evaluations = 0u32;
+    let mut baseline = Vec::new();
 
     // The whole hunt runs on one cluster shape: mutations never touch
     // `nodes`/`node_cpu`, and crossover keeps the first parent's shape.
@@ -232,6 +237,9 @@ pub fn run_hunt(
             .expect("hunt candidates always validate")
         });
         evaluations += sigs.len() as u32;
+        if round == 0 {
+            baseline.clone_from(&sigs);
+        }
 
         // Champion update, in job order (candidate-major): the higher
         // severity wins, and a tie keeps the earlier find.
@@ -293,6 +301,7 @@ pub fn run_hunt(
         population: population_size as u32,
         evaluations,
         champions: champions.into_iter().flatten().collect(),
+        baseline,
     }
 }
 
