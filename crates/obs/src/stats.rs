@@ -53,15 +53,26 @@ mod tests {
         assert_eq!(percentile_index(5, 0.5), 2);
         assert_eq!(percentile_index(100, 0.95), 94);
         assert_eq!(percentile_index(100, 0.99), 98);
+    }
+
+    #[test]
+    fn single_sample_is_every_percentile() {
+        for q in [0.0, 0.01, 0.5, 0.95, 0.99, 1.0] {
+            assert_eq!(percentile_index(1, q), 0, "q={q}");
+            assert_eq!(percentile(&[7.5], q), 7.5);
+        }
+    }
+
+    #[test]
+    fn extremes_clamp() {
         // Extremes clamp to min/max.
-        assert_eq!(percentile_index(7, 0.0), 0);
-        assert_eq!(percentile_index(7, 1.0), 6);
-        assert_eq!(percentile_index(7, -3.0), 0);
-        assert_eq!(percentile_index(7, 42.0), 6);
-        // A single sample is every percentile.
-        assert_eq!(percentile_index(1, 0.01), 0);
-        assert_eq!(percentile_index(1, 0.99), 0);
-        assert_eq!(percentile(&[7.5], 0.5), 7.5);
+        for n in [7, 10] {
+            assert_eq!(percentile_index(n, 0.0), 0);
+            assert_eq!(percentile_index(n, 1.0), n - 1);
+            assert_eq!(percentile_index(n, -3.0), 0);
+            assert_eq!(percentile_index(n, 2.0), n - 1);
+            assert_eq!(percentile_index(n, 42.0), n - 1);
+        }
     }
 
     #[test]
