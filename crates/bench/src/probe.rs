@@ -764,14 +764,16 @@ const RANK_COUNTERS: [phoenix_obs::Counter; 8] = {
     ]
 };
 
-/// Every warm-ranking branch of `replan`, one controller per objective
-/// on a mode-less and a modal workload: full reuse, merge-order and
-/// share-order replays, the share investment, cold merges (and a replay
-/// of an older share order after one), rankings that change at the tail
-/// and mid-list, and rounds under the break rule
-/// (`continue_on_saturation = false`). Per round: the node changes
-/// applied before it, the ranking counters it moved, the item count, how
-/// many leading items equal the previous round's, and FNV digests of the
+/// Every warm-ranking branch of `replan`, per objective on a mode-less
+/// and a modal workload: full reuse, merge-order and share-order replays,
+/// the share investment, cold merges (and a replay of an older share
+/// order after one), rankings that change at the tail and mid-list, and
+/// rounds under the break rule (`continue_on_saturation = false`). A
+/// controller's config is fixed, so each run of rounds under one rule
+/// gets a fresh controller, whose first round primes an empty cache. Per
+/// round: the node changes applied before it, the ranking counters it
+/// moved, the item count, how many leading items equal the previous
+/// round's (whichever controller planned it), and FNV digests of the
 /// items, the fair-share and allocation bits, and the placements.
 fn warm_ranking(out: &mut String) {
     /// Per round: the node changes applied to the adopted target before
@@ -804,8 +806,12 @@ fn warm_ranking(out: &mut String) {
     for (label, workload) in workloads {
         for kind in [Fairness, Cost] {
             let recorder = phoenix_obs::Recorder::enabled();
-            let mut controller =
-                PhoenixController::new(workload.clone(), PhoenixConfig::with_objective(kind));
+            let config = |continue_on_saturation| {
+                let mut config = PhoenixConfig::with_objective(kind);
+                config.planner.continue_on_saturation = continue_on_saturation;
+                config
+            };
+            let mut controller = PhoenixController::new(workload.clone(), config(SCRIPT[0].1));
             // Twenty 4-CPU nodes, then a 1-CPU and a 2-CPU one, so a
             // failure can cut the ranking between two chain items.
             let sizes = [4.0; 20].into_iter().chain([1.0, 2.0]);
@@ -819,7 +825,10 @@ fn warm_ranking(out: &mut String) {
                         Restore(n) => live.restore_node(NodeId::new(n)),
                     }
                 }
-                controller.config_mut().planner.continue_on_saturation = continue_on_saturation;
+                if round > 0 && SCRIPT[round - 1].1 != continue_on_saturation {
+                    controller =
+                        PhoenixController::new(workload.clone(), config(continue_on_saturation));
+                }
                 let result = phoenix_obs::with_recorder(recorder.clone(), || {
                     controller.replan(&live, CapacityOnly)
                 });

@@ -43,8 +43,8 @@
 //!    [`SortedNodes`] per pod that is not already running.
 //! 2. **Repack** — if nothing fits, pick an emptyish node and migrate its
 //!    smallest pods elsewhere until the demand fits. At most
-//!    `max_migration_nodes` candidates are tried, each moving at most
-//!    `max_migration_moves` pods at O(log N) apiece. A candidate's pods
+//!    `MAX_MIGRATION_NODES` candidates are tried, each moving at most
+//!    `MAX_MIGRATION_MOVES` pods at O(log N) apiece. A candidate's pods
 //!    are tried smallest first, and a pod can only move to a node whose
 //!    key reaches the pod's *floor* (`scalar − 1e-9`, where its best-fit
 //!    candidate range starts).
@@ -131,20 +131,21 @@ pub enum FitStrategy {
     WorstFit,
 }
 
-/// Packing configuration.
+/// Most candidate source nodes one repack attempt examines.
+const MAX_MIGRATION_NODES: usize = 8;
+
+/// Most pods one repack attempt moves off a candidate source node.
+const MAX_MIGRATION_MOVES: usize = 8;
+
+/// Packing configuration. A pod that fits nowhere is reported
+/// [unplaced](PackOutcome::unplaced) and the pack goes on with the next
+/// entry (the paper's Algorithm 2 gives the whole plan up instead).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackingConfig {
     /// Fit strategy for step 1.
     pub fit: FitStrategy,
     /// Enable the migration/repack step.
     pub enable_migration: bool,
-    /// Maximum pods moved per repack attempt.
-    pub max_migration_moves: usize,
-    /// Maximum candidate source nodes examined per repack attempt.
-    pub max_migration_nodes: usize,
-    /// Abort the whole pack on the first unplaceable pod (the paper's
-    /// Algorithm 2 returns `None`); when `false`, skip and continue.
-    pub strict: bool,
     /// Per-node pod-count cap — the "per-node microservice limits imposed
     /// by underlying cluster schedulers" the paper lists as an operator
     /// constraint (§4); Kubernetes ships with `max-pods = 110`. `None`
@@ -164,9 +165,6 @@ impl Default for PackingConfig {
         PackingConfig {
             fit: FitStrategy::BestFit,
             enable_migration: true,
-            max_migration_moves: 8,
-            max_migration_nodes: 8,
-            strict: false,
             max_pods_per_node: None,
             rebook_in_place: false,
         }
@@ -184,8 +182,6 @@ pub struct PackOutcome {
     pub starts: Vec<(PodKey, NodeId)>,
     /// Planned pods that could not be placed.
     pub unplaced: Vec<PodKey>,
-    /// `true` when `strict` mode aborted mid-plan.
-    pub aborted: bool,
     /// Every pod the pack touched, once, sorted by key, with the node it
     /// ran on before the pack (`None`: not running). A pod not listed
     /// ends where it began.
@@ -447,13 +443,7 @@ pub fn pack_prepared(
                 ctx.obs.incr(Counter::PackPlacements);
                 ctx.placed(planned.key, node, &mut out);
             }
-            None => {
-                out.unplaced.push(planned.key);
-                if cfg.strict {
-                    out.aborted = true;
-                    break;
-                }
-            }
+            None => out.unplaced.push(planned.key),
         }
     }
     // Stable, so each pod's first entry — its pre-pack node — survives.
@@ -826,7 +816,7 @@ fn repack_to_fit(
 ) -> Option<NodeId> {
     let candidates: Vec<NodeId> = sorted
         .iter_desc()
-        .take(cfg.max_migration_nodes)
+        .take(MAX_MIGRATION_NODES)
         .map(|(n, _)| n)
         .collect();
     let RepackScratch { pods, moves } = scratch;
@@ -844,7 +834,7 @@ fn repack_to_fit(
                 ok = true;
                 break;
             }
-            if moves.len() >= cfg.max_migration_moves {
+            if moves.len() >= MAX_MIGRATION_MOVES {
                 break;
             }
             // Find a home on any *other* node (best-fit).
@@ -1157,26 +1147,10 @@ mod tests {
     }
 
     #[test]
-    fn strict_mode_aborts() {
-        let mut state = ClusterState::homogeneous(1, Resources::cpu(5.0));
-        let plan = plan_of(&[(0, 4.0), (1, 4.0), (2, 1.0)]);
-        let cfg = PackingConfig {
-            strict: true,
-            ..PackingConfig::default()
-        };
-        let out = pack(&mut state, &plan, &cfg);
-        assert!(out.aborted);
-        assert_eq!(out.unplaced, vec![pod(1)]);
-        // pod2 never attempted.
-        assert_eq!(state.node_of(pod(2)), None);
-    }
-
-    #[test]
     fn skip_mode_continues_past_unplaceable() {
         let mut state = ClusterState::homogeneous(1, Resources::cpu(5.0));
         let plan = plan_of(&[(0, 4.0), (1, 4.0), (2, 1.0)]);
         let out = pack(&mut state, &plan, &PackingConfig::default());
-        assert!(!out.aborted);
         assert_eq!(out.unplaced, vec![pod(1)]);
         assert_eq!(state.node_of(pod(2)), Some(NodeId::new(0)));
     }
@@ -1339,9 +1313,10 @@ mod tests {
         // Node0 full (3×2 CPU of 6); node1 5/6 free with one 1-CPU pod.
         // An incoming 6-CPU demand: candidate node1 cannot be freed (its
         // 1-CPU pod has no destination — node0 is full), candidate node0
-        // makes one tentative move (budget 1), still cannot host 6, and
-        // must roll back. After the failed attempt every placement and
-        // every SortedNodes key must be byte-identical to the snapshot.
+        // makes two tentative moves onto node1, whose last CPU then takes
+        // no third pod, still cannot host 6, and must roll back. After the
+        // failed attempt every placement and every SortedNodes key must be
+        // byte-identical to the snapshot.
         let mut state = ClusterState::new([Resources::cpu(6.0), Resources::cpu(6.0)]);
         for (s, node) in [(1, 0), (2, 0), (3, 0), (4, 1)] {
             let cpu = if s == 4 { 1.0 } else { 2.0 };
@@ -1352,16 +1327,12 @@ mod tests {
         let mut sorted = healthy_by_remaining(&state);
         let before = snapshot(&state, &sorted);
 
-        let cfg = PackingConfig {
-            max_migration_moves: 1,
-            ..PackingConfig::default()
-        };
         let mut out = PackOutcome::default();
         let target = repack_to_fit(
             &mut state,
             &mut sorted,
             Resources::cpu(6.0),
-            &cfg,
+            &PackingConfig::default(),
             &mut out,
             &mut RepackScratch::default(),
             |_| false,
@@ -1376,37 +1347,33 @@ mod tests {
 
     #[test]
     fn repack_success_after_failed_candidate_keeps_bookkeeping_consistent() {
-        // Demand 10 with a 1-move budget. Candidate node0 (rem 6, two
-        // 3-CPU pods) moves one pod to node2, is still short (rem 9),
-        // and rolls back. Candidate node1 (rem 5, one 6-CPU pod) then
-        // succeeds by moving its pod into node0's restored 6 CPUs —
-        // which only fits if the rollback really restored them. The
-        // outcome must record the successful candidate's move only.
+        // Demand 10. Candidate node0 (rem 6: a 2-CPU and a 6-CPU pod)
+        // moves its 2-CPU pod to node2, finds no home for the 6-CPU one
+        // (node1 has 5 left), is still short (rem 8), and rolls back.
+        // Candidate node1 (rem 5, one 6-CPU pod) then succeeds by moving
+        // its pod into node0's restored 6 CPUs. The outcome must record
+        // the successful candidate's move only.
         let mut state = ClusterState::new([
-            Resources::cpu(12.0),
+            Resources::cpu(14.0),
             Resources::cpu(11.0),
             Resources::cpu(3.0),
         ]);
         state
-            .assign(pod(1), Resources::cpu(3.0), NodeId::new(0))
+            .assign(pod(1), Resources::cpu(2.0), NodeId::new(0))
             .unwrap();
         state
-            .assign(pod(2), Resources::cpu(3.0), NodeId::new(0))
+            .assign(pod(2), Resources::cpu(6.0), NodeId::new(0))
             .unwrap();
         state
             .assign(pod(3), Resources::cpu(6.0), NodeId::new(1))
             .unwrap();
         let mut sorted = healthy_by_remaining(&state);
-        let cfg = PackingConfig {
-            max_migration_moves: 1,
-            ..PackingConfig::default()
-        };
         let mut out = PackOutcome::default();
         let target = repack_to_fit(
             &mut state,
             &mut sorted,
             Resources::cpu(10.0),
-            &cfg,
+            &PackingConfig::default(),
             &mut out,
             &mut RepackScratch::default(),
             |_| false,

@@ -20,14 +20,16 @@ use crate::replan::{replan_with, ReplanCache, ReplanDelta};
 use crate::spec::{ModeAssignment, ServiceId, ServingMode, Workload};
 use crate::stateful::StatefulMarks;
 
-/// Controller configuration: objective + planner + packing knobs.
+/// Controller configuration: objective + planner + packing knobs. A
+/// [`PhoenixController`] takes it at construction and never changes it;
+/// planning under other knobs takes another controller.
 #[derive(Debug)]
 pub struct PhoenixConfig {
     /// Operator objective driving the global ranking.
     pub objective: Box<dyn OperatorObjective>,
     /// Planner knobs (traversal mode, saturation policy).
     pub planner: PlannerConfig,
-    /// Packing knobs (fit strategy, migration, strictness).
+    /// Packing knobs (fit strategy, migration, per-node pod limit).
     pub packing: PackingConfig,
 }
 
@@ -105,7 +107,8 @@ pub struct PhoenixController {
 }
 
 impl PhoenixController {
-    /// Creates a controller for `workload`.
+    /// Creates a controller for `workload`, planning under `config` for
+    /// its whole life.
     pub fn new(workload: Workload, config: PhoenixConfig) -> PhoenixController {
         PhoenixController {
             workload,
@@ -117,14 +120,6 @@ impl PhoenixController {
     /// The workload this controller manages.
     pub fn workload(&self) -> &Workload {
         &self.workload
-    }
-
-    /// Mutable access to the configuration (for ablations).
-    ///
-    /// Knob changes are picked up by the next [`replan`](Self::replan)
-    /// automatically (the warm cache re-validates per round).
-    pub fn config_mut(&mut self) -> &mut PhoenixConfig {
-        &mut self.config
     }
 
     /// Plans a new target state for the (possibly degraded) `state`.

@@ -37,7 +37,12 @@ pub struct RankContext {
 
 /// An operator scoring function: **higher scores are activated sooner**.
 ///
-/// Implementations must be deterministic; ties are broken by application id
+/// [`score`](OperatorObjective::score) must be a pure function of its
+/// [`RankContext`]: the same context scores the same, bit for bit, on
+/// every call and in every round (no interior state, no clock, no
+/// randomness). A controller's objective is fixed at construction, and
+/// warm replanning (`phoenix_core::replan`) replays the merge orders it
+/// cached under earlier rounds' scores. Ties are broken by application id
 /// in the ranker so runs are reproducible.
 pub trait OperatorObjective: fmt::Debug + Send + Sync {
     /// Scores a candidate container.
@@ -58,17 +63,6 @@ pub trait OperatorObjective: fmt::Debug + Send + Sync {
     fn capacity_invariant(&self) -> bool {
         false
     }
-
-    /// The built-in objective this instance *is*, if any.
-    ///
-    /// Warm replanning keys its merge-order caches on this: a built-in
-    /// cannot change between rounds, a custom objective (`None`) may, so
-    /// its caches are rebuilt every round. Only return `Some` when `score`
-    /// is byte-for-byte the built-in's scoring function; custom objectives
-    /// keep the `None` default.
-    fn as_builtin(&self) -> Option<ObjectiveKind> {
-        None
-    }
 }
 
 /// Revenue maximization: containers from apps paying more per unit resource
@@ -87,10 +81,6 @@ impl OperatorObjective for CostObjective {
 
     fn capacity_invariant(&self) -> bool {
         true
-    }
-
-    fn as_builtin(&self) -> Option<ObjectiveKind> {
-        Some(ObjectiveKind::Cost)
     }
 }
 
@@ -116,10 +106,6 @@ impl OperatorObjective for FairnessObjective {
 
     fn name(&self) -> &'static str {
         "fairness"
-    }
-
-    fn as_builtin(&self) -> Option<ObjectiveKind> {
-        Some(ObjectiveKind::Fairness)
     }
 }
 

@@ -295,7 +295,7 @@ fn merge<O: OperatorObjective + ?Sized>(
 }
 
 /// [`global_rank`] over prebuilt [`RankInputs`]: the merge takes each
-/// candidate that fits the remaining aggregate capacity.
+/// candidate that [`Fits`] the remaining aggregate capacity.
 pub(crate) fn global_rank_prepared<O: OperatorObjective + ?Sized>(
     inputs: &RankInputs,
     objective: &O,
@@ -304,21 +304,15 @@ pub(crate) fn global_rank_prepared<O: OperatorObjective + ?Sized>(
 ) -> GlobalRank {
     let fair_shares = inputs.fair_shares(capacity.scalar());
     let mut allocated = vec![0.0; inputs.app_count()];
-    let mut remaining = capacity.scalar();
+    let mut fits = Fits::new(capacity, inputs.app_count(), cfg);
     let mut items = Vec::new();
-    let obs = phoenix_obs::current();
     merge(
         inputs,
         objective,
         &fair_shares,
         &mut allocated,
-        |app, _, e| {
-            if e.scalar <= remaining + 1e-9 {
-                remaining -= e.scalar;
-                if e.mode != ServingMode::Full {
-                    // A degraded rung bought under crunch.
-                    obs.incr(phoenix_obs::Counter::RungPurchases);
-                }
+        |app, _, e| match fits.take(app.index(), e.scalar, e.mode != ServingMode::Full) {
+            Some(true) => {
                 items.push(GlobalRankItem {
                     app,
                     service: e.service,
@@ -326,17 +320,12 @@ pub(crate) fn global_rank_prepared<O: OperatorObjective + ?Sized>(
                     mode: e.mode,
                 });
                 Pop::Take
-            } else if cfg.continue_on_saturation {
-                // Retire only this app's chain; other apps keep ranking.
-                obs.incr(phoenix_obs::Counter::ChainRetirements);
-                Pop::Retire
-            } else {
-                // Algorithm 1 line 29: stop at the first container that no
-                // longer fits the aggregate capacity.
-                Pop::Stop
             }
+            Some(false) => Pop::Retire,
+            None => Pop::Stop,
         },
     );
+    fits.record();
     GlobalRank {
         items,
         fair_shares,
@@ -431,37 +420,63 @@ pub fn merged_order<O: OperatorObjective + ?Sized>(
     order
 }
 
-/// The bounded merge's fit decisions without the heap: `remaining` and
-/// `allocated` evolve exactly as in [`global_rank_prepared`].
-struct Fits<'a> {
+/// The bounded merge's fit rule, the one both the heap
+/// ([`global_rank_prepared`]) and a [`MergeOrder`] replay decide by: a
+/// candidate is taken while it fits the remaining aggregate capacity. The
+/// caller keeps each app's allocation. Counts rung purchases and chain
+/// retirements until [`record`](Fits::record).
+struct Fits {
     remaining: f64,
-    allocated: &'a mut [f64],
     retired: Vec<bool>,
     continue_on_saturation: bool,
     rung_purchases: u64,
     chain_retirements: u64,
 }
 
-impl Fits<'_> {
-    /// Whether the merge takes `step`; `None` where the break rule
+impl Fits {
+    fn new(capacity: Resources, apps: usize, cfg: &PlannerConfig) -> Fits {
+        Fits {
+            remaining: capacity.scalar(),
+            retired: vec![false; apps],
+            continue_on_saturation: cfg.continue_on_saturation,
+            rung_purchases: 0,
+            chain_retirements: 0,
+        }
+    }
+
+    /// Whether the merge takes `app`'s next candidate, of demand `scalar`
+    /// (`degraded`: a non-`Full` rung); `None` where the break rule
     /// (`continue_on_saturation = false`) stops the merge.
     #[inline]
-    fn take(&mut self, step: &Step, flags: u8) -> Option<bool> {
-        let app = step.app as usize;
+    fn take(&mut self, app: usize, scalar: f64, degraded: bool) -> Option<bool> {
         if self.retired[app] {
             Some(false)
-        } else if step.scalar <= self.remaining + 1e-9 {
-            self.remaining -= step.scalar;
-            self.allocated[app] += step.scalar;
-            self.rung_purchases += u64::from(flags & DEGRADED != 0);
+        } else if scalar <= self.remaining + 1e-9 {
+            self.remaining -= scalar;
+            // A degraded rung bought under crunch.
+            self.rung_purchases += u64::from(degraded);
             Some(true)
         } else if self.continue_on_saturation {
+            // Retire only this app's chain; other apps keep ranking.
             self.chain_retirements += 1;
             self.retired[app] = true;
             Some(false)
         } else {
+            // Algorithm 1 line 29: stop at the first container that no
+            // longer fits the aggregate capacity.
             None
         }
+    }
+
+    /// Adds the counted rung purchases and chain retirements to the
+    /// current recorder.
+    fn record(&self) {
+        let obs = phoenix_obs::current();
+        obs.add(phoenix_obs::Counter::RungPurchases, self.rung_purchases);
+        obs.add(
+            phoenix_obs::Counter::ChainRetirements,
+            self.chain_retirements,
+        );
     }
 }
 
@@ -511,14 +526,7 @@ fn replay(
     );
     rank.allocated.clear();
     rank.allocated.resize(n, 0.0);
-    let mut fits = Fits {
-        remaining: capacity.scalar(),
-        allocated: &mut rank.allocated,
-        retired: vec![false; n],
-        continue_on_saturation: cfg.continue_on_saturation,
-        rung_purchases: 0,
-        chain_retirements: 0,
-    };
+    let mut fits = Fits::new(capacity, n, cfg);
     let item = |step: &Step| {
         let e = &inputs.chains[step.app as usize][step.pos as usize];
         GlobalRankItem {
@@ -534,10 +542,14 @@ fn replay(
     let mut diverged = false;
     let mut end = order.steps.len();
     for (i, (step, flags)) in order.steps.iter().zip(&mut order.flags).enumerate() {
-        let Some(take) = fits.take(step, *flags) else {
+        let app = step.app as usize;
+        let Some(take) = fits.take(app, step.scalar, *flags & DEGRADED != 0) else {
             end = i;
             break;
         };
+        if take {
+            rank.allocated[app] += step.scalar;
+        }
         let was_taken = i < marked_end && *flags & TAKEN != 0;
         *flags = (*flags & !TAKEN) | if take { TAKEN } else { 0 };
         if !diverged {
@@ -564,12 +576,7 @@ fn replay(
     }
     order.marked = true;
     order.end = end;
-    let obs = phoenix_obs::current();
-    obs.add(phoenix_obs::Counter::RungPurchases, fits.rung_purchases);
-    obs.add(
-        phoenix_obs::Counter::ChainRetirements,
-        fits.chain_retirements,
-    );
+    fits.record();
     kept
 }
 

@@ -69,8 +69,7 @@ use phoenix_cluster::{ClusterState, PodKey};
 use crate::controller::{
     flatten_plan, push_replicas, schedule, FlatPlan, PhoenixConfig, PlanResult,
 };
-use crate::objectives::ObjectiveKind;
-use crate::planner::{app_rank, PlannerConfig};
+use crate::planner::app_rank;
 use crate::ranking::{
     global_rank_prepared, global_rank_replay, merged_order, GlobalRank, MergeOrder, RankInputs,
 };
@@ -97,9 +96,14 @@ pub enum ReplanDelta {
 
 /// Cross-round state of the incremental replanning engine, owned by
 /// [`crate::controller::PhoenixController`]. An empty cache makes the
-/// first round a plain cold plan that primes every layer.
+/// first round a plain cold plan that primes every layer. The controller's
+/// config is fixed at construction, so nothing here is keyed on it: every
+/// round plans under the config that primed the cache.
 #[derive(Debug, Default)]
 pub(crate) struct ReplanCache {
+    /// Whether a round has built the epoch inputs below; until then even a
+    /// [`ReplanDelta::CapacityOnly`] round builds them.
+    primed: bool,
     /// Epoch inputs: valid while fingerprints match.
     fingerprints: Vec<u64>,
     app_ranks: Vec<Vec<ServiceId>>,
@@ -115,11 +119,6 @@ pub(crate) struct ReplanCache {
     /// `share_order` investment (hysteresis — crunch rounds whose shares
     /// move every tick never pay the extra order build).
     last_shares: Option<Vec<f64>>,
-    /// Config the epoch was built under (knob changes invalidate).
-    planner_cfg: Option<PlannerConfig>,
-    /// Built-in objective of the epoch; `None` (custom objective, whose
-    /// state this cache cannot observe) re-invalidates every round.
-    objective_kind: Option<ObjectiveKind>,
     /// Round outputs: valid while the epoch holds and capacity matches.
     capacity_bits: Option<(u64, u64)>,
     /// The last round's ranking, shared with its [`PlanResult::rank`]. A
@@ -135,28 +134,11 @@ pub(crate) struct ReplanCache {
 }
 
 impl ReplanCache {
-    /// Re-validates the epoch layers against the workload. Returns `true`
-    /// when anything changed (rank/merge-order caches were invalidated).
-    /// Each app either keeps its cached rank (fingerprint unchanged) or
-    /// walks [`app_rank`] again.
-    fn refresh_epoch(
-        &mut self,
-        workload: &Workload,
-        config: &PhoenixConfig,
-        delta: ReplanDelta,
-    ) -> bool {
-        // Objective identity is only trackable for the built-ins (unit
-        // structs that cannot drift between rounds). A custom objective
-        // could be swapped or mutated behind `config_mut` without any
-        // observable change here, so it counts as a config change every
-        // round: `RankInputs`, the merge orders and the flat plan are
-        // rebuilt, and only the per-app ranks stay warm.
-        let objective_kind = config.objective.as_builtin();
-        let cfg_changed = self.planner_cfg != Some(config.planner)
-            || objective_kind.is_none()
-            || self.objective_kind != objective_kind;
-        let first_round = self.planner_cfg.is_none();
-        if delta == ReplanDelta::CapacityOnly && !cfg_changed && !first_round {
+    /// Re-validates the epoch layers against the workload. Each app either
+    /// keeps its cached rank (fingerprint unchanged) or walks [`app_rank`]
+    /// again; any change invalidates the rank and merge-order caches.
+    fn refresh_epoch(&mut self, workload: &Workload, config: &PhoenixConfig, delta: ReplanDelta) {
+        if delta == ReplanDelta::CapacityOnly && self.primed {
             debug_assert!(
                 workload.app_count() == self.fingerprints.len()
                     && workload
@@ -165,26 +147,22 @@ impl ReplanCache {
                         .all(|((_, a), &f)| a.fingerprint() == f),
                 "ReplanDelta::CapacityOnly passed after a spec change"
             );
-            return false;
+            return;
         }
-        let mut ranks_changed = cfg_changed || workload.app_count() != self.fingerprints.len();
-        let traversal = config.planner.traversal;
-        let traversal_changed = self.planner_cfg.map(|c| c.traversal) != Some(traversal);
+        let mut ranks_changed = !self.primed || workload.app_count() != self.fingerprints.len();
         let mut fingerprints = Vec::with_capacity(workload.app_count());
         let mut app_ranks: Vec<Vec<ServiceId>> = Vec::with_capacity(workload.app_count());
         let obs = phoenix_obs::current();
         for (i, (_, app)) in workload.apps().enumerate() {
             let fp = app.fingerprint();
-            let reusable = !traversal_changed
-                && self.fingerprints.get(i) == Some(&fp)
-                && i < self.app_ranks.len();
-            if reusable {
+            // `fingerprints` and `app_ranks` are replaced together.
+            if self.fingerprints.get(i) == Some(&fp) {
                 obs.incr(phoenix_obs::Counter::ReplanCacheHits);
                 app_ranks.push(std::mem::take(&mut self.app_ranks[i]));
             } else {
                 obs.incr(phoenix_obs::Counter::ReplanCacheMisses);
                 ranks_changed = true;
-                app_ranks.push(app_rank(app, traversal));
+                app_ranks.push(app_rank(app, config.planner.traversal));
             }
             fingerprints.push(fp);
         }
@@ -200,9 +178,7 @@ impl ReplanCache {
             self.rank = None;
             self.plan_valid = false;
         }
-        self.planner_cfg = Some(config.planner);
-        self.objective_kind = objective_kind;
-        ranks_changed
+        self.primed = true;
     }
 }
 
@@ -361,6 +337,8 @@ pub(crate) fn replan_with(
 mod tests {
     use super::*;
     use crate::controller::plan;
+    use crate::objectives::ObjectiveKind;
+    use crate::planner::PlannerConfig;
     use crate::spec::{AppSpecBuilder, ModeSpec, ServingMode, Workload};
     use crate::tags::Criticality;
     use phoenix_cluster::{NodeId, PodKey, Resources};
@@ -834,7 +812,7 @@ mod tests {
         let live = ClusterState::homogeneous(8, Resources::cpu(4.0));
         let mut cache = ReplanCache::default();
         let _ = replan_with(&w, live.clone(), &config, &mut cache, ReplanDelta::Full);
-        assert!(cache.planner_cfg.is_some());
+        assert!(cache.primed);
 
         // Raise one app's price: the cost ranking must reorder.
         let mut b = AppSpecBuilder::new("vip");
@@ -849,11 +827,13 @@ mod tests {
     }
 
     #[test]
-    fn same_name_custom_objective_swap_never_reuses_stale_caches() {
-        // Two distinct custom objectives sharing one `name()`: the cache
-        // cannot observe custom-objective state, so it must re-rank every
-        // round instead of replaying an order built under the old scores.
-        use crate::objectives::{OperatorObjective, RankContext};
+    fn custom_objectives_replay_warm() {
+        // The cache keys nothing on the objective: a custom one and
+        // `CriticalityObjective` replay warm like the built-ins, through
+        // share-order investments and replays, a crunch's cold merge and
+        // merge-order replays, and stay equivalent to a cold plan.
+        use crate::objectives::{CriticalityObjective, OperatorObjective, RankContext};
+        use phoenix_obs::Counter::{MergeOrderReplays, ShareOrderReplays};
 
         #[derive(Debug)]
         struct Weighted(f64);
@@ -862,39 +842,41 @@ mod tests {
                 ctx.price * self.0 - f64::from(ctx.criticality.level())
             }
             fn name(&self) -> &'static str {
-                "custom"
+                "weighted"
             }
         }
 
-        let w = workload(4);
-        let live = ClusterState::homogeneous(4, Resources::cpu(3.0));
-        let mut cache = ReplanCache::default();
-        for weight in [2.0, 2.0, -3.0] {
+        let objectives: [Box<dyn OperatorObjective>; 2] =
+            [Box::new(Weighted(2.0)), Box::new(CriticalityObjective)];
+        for objective in objectives {
             let config = PhoenixConfig {
-                objective: Box::new(Weighted(weight)),
-                planner: PlannerConfig {
-                    continue_on_saturation: true,
-                    ..PlannerConfig::default()
-                },
-                packing: Default::default(),
+                objective,
+                ..PhoenixConfig::default()
             };
-            let cold = plan(&w, live.clone(), &config, &StatefulMarks::new());
-            let warm = replan_with(&w, live.clone(), &config, &mut cache, ReplanDelta::Full);
-            assert_equivalent(&cold, &warm);
+            let name = config.objective.name();
+            let w = workload(5);
+            let mut cache = ReplanCache::default();
+            let mut live = ClusterState::homogeneous(40, Resources::cpu(4.0));
+            let crunch: Vec<NodeId> = (2..20).map(NodeId::new).collect();
+            let recorder = phoenix_obs::Recorder::enabled();
+            for round in 0..6 {
+                let cold = plan(&w, live.clone(), &config, &StatefulMarks::new());
+                let warm = phoenix_obs::with_recorder(recorder.clone(), || {
+                    let delta = ReplanDelta::CapacityOnly;
+                    replan_with(&w, live.clone(), &config, &mut cache, delta)
+                });
+                assert_equivalent(&cold, &warm);
+                live = warm.target.clone();
+                match round {
+                    0 | 1 => _ = live.fail_node(NodeId::new(round)),
+                    2 => crunch.iter().for_each(|&n| _ = live.fail_node(n)),
+                    3 => crunch.iter().for_each(|&n| live.restore_node(n)),
+                    _ => _ = live.fail_node(NodeId::new(20 + round)),
+                }
+            }
+            let replays = recorder.counter(MergeOrderReplays) + recorder.counter(ShareOrderReplays);
+            assert!(replays > 0, "{name}: no round replayed warm");
         }
-    }
-
-    #[test]
-    fn objective_swap_between_rounds_is_detected() {
-        let w = workload(1);
-        let live = ClusterState::homogeneous(4, Resources::cpu(3.0));
-        let mut cache = ReplanCache::default();
-        let fair = PhoenixConfig::with_objective(ObjectiveKind::Fairness);
-        let cost = PhoenixConfig::with_objective(ObjectiveKind::Cost);
-        let _ = replan_with(&w, live.clone(), &fair, &mut cache, ReplanDelta::Full);
-        let warm = replan_with(&w, live.clone(), &cost, &mut cache, ReplanDelta::Full);
-        let cold = plan(&w, live.clone(), &cost, &StatefulMarks::new());
-        assert_equivalent(&cold, &warm);
     }
 
     #[test]
@@ -904,9 +886,9 @@ mod tests {
         let live = ClusterState::homogeneous(2, Resources::cpu(2.0));
         let mut cache = ReplanCache::default();
         let _ = replan_with(&w, live.clone(), &config, &mut cache, ReplanDelta::Full);
-        assert!(cache.planner_cfg.is_some());
+        assert!(cache.primed);
         cache = ReplanCache::default();
-        assert!(cache.planner_cfg.is_none());
+        assert!(!cache.primed);
         let cold = plan(&w, live.clone(), &config, &StatefulMarks::new());
         let warm = replan_with(&w, live.clone(), &config, &mut cache, ReplanDelta::Full);
         assert_equivalent(&cold, &warm);

@@ -254,6 +254,52 @@ fn is_ident(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_'
 }
 
+/// `code` as tokens: each identifier (or number) whole, each other
+/// non-blank character alone.
+fn tokens(code: &str) -> Vec<String> {
+    let mut tokens = Vec::new();
+    let mut word = String::new();
+    for c in code.chars() {
+        if is_ident(c) {
+            word.push(c);
+            continue;
+        }
+        if !word.is_empty() {
+            tokens.push(std::mem::take(&mut word));
+        }
+        if !c.is_whitespace() {
+            tokens.push(c.to_string());
+        }
+    }
+    if !word.is_empty() {
+        tokens.push(word);
+    }
+    tokens
+}
+
+/// The live sources of the workspace: the files that define its public
+/// surface (`src`, `crates/*/src`), and those plus every other non-test
+/// file that can use it (examples, benches, the `benchmark/` adapter).
+fn live_sources(root: &Path) -> (Vec<PathBuf>, Vec<PathBuf>) {
+    let crates: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
+        .expect("crates/ exists")
+        .filter_map(Result::ok)
+        .map(|e| e.path())
+        .collect();
+    let mut defining = rust_files(&root.join("src"));
+    for krate in &crates {
+        defining.extend(rust_files(&krate.join("src")));
+    }
+    let mut naming = defining.clone();
+    naming.extend(rust_files(&root.join("examples")));
+    naming.extend(rust_files(&root.join("benchmark/src")));
+    for krate in &crates {
+        naming.extend(rust_files(&krate.join("benches")));
+        naming.extend(rust_files(&krate.join("examples")));
+    }
+    (defining, naming)
+}
+
 /// The names of the `pub fn`s defined in `code`.
 fn pub_fn_names(code: &str) -> Vec<String> {
     let mut names = Vec::new();
@@ -279,23 +325,7 @@ fn split_names(
     outside: &mut BTreeSet<String>,
     bodies: &mut Vec<(String, BTreeSet<String>)>,
 ) {
-    let mut tokens: Vec<String> = Vec::new();
-    let mut word = String::new();
-    for c in code.chars() {
-        if is_ident(c) {
-            word.push(c);
-            continue;
-        }
-        if !word.is_empty() {
-            tokens.push(std::mem::take(&mut word));
-        }
-        if matches!(c, '{' | '}' | ';' | '(') {
-            tokens.push(c.to_string());
-        }
-    }
-    if !word.is_empty() {
-        tokens.push(word);
-    }
+    let tokens = tokens(code);
     let defines = |i: usize| i > 0 && tokens[i - 1] == "fn";
     let mut i = 0;
     while i < tokens.len() {
@@ -353,22 +383,7 @@ fn split_names(
 #[test]
 fn no_public_fn_lacks_a_caller() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let crates: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
-        .expect("crates/ exists")
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .collect();
-    let mut defining = rust_files(&root.join("src"));
-    for krate in &crates {
-        defining.extend(rust_files(&krate.join("src")));
-    }
-    let mut naming = defining.clone();
-    naming.extend(rust_files(&root.join("examples")));
-    naming.extend(rust_files(&root.join("benchmark/src")));
-    for krate in &crates {
-        naming.extend(rust_files(&krate.join("benches")));
-        naming.extend(rust_files(&krate.join("examples")));
-    }
+    let (defining, naming) = live_sources(root);
 
     let mut defined: BTreeMap<String, PathBuf> = BTreeMap::new();
     for path in &defining {
@@ -429,6 +444,144 @@ fn no_public_fn_lacks_a_caller() {
         } else if named.contains(*name) {
             problems.push(format!(
                 "UNCALLED_PUB_FNS lists `{name}`, which now has a caller: drop the entry"
+            ));
+        }
+    }
+    assert!(problems.is_empty(), "{}", problems.join("\n"));
+}
+
+/// The planning config structs whose every `pub` field must be a knob
+/// some live non-test code sets.
+const CONFIG_STRUCTS: [&str; 3] = ["PackingConfig", "PlannerConfig", "PhoenixConfig"];
+
+/// `pub` fields of [`CONFIG_STRUCTS`] that no live non-test code sets,
+/// each with the reason it stays a knob. [`no_config_field_lacks_a_setter`]
+/// fails when an entry gains a setter or stops existing.
+const UNSET_CONFIG_FIELDS: &[(&str, &str)] = &[(
+    "PackingConfig::max_pods_per_node",
+    "the paper's per-node pod limit (section 4), an operator constraint stateful_props sweeps",
+)];
+
+/// The index past the bracket that closes the one opening at `tokens[open]`.
+fn past_close(tokens: &[String], open: usize) -> usize {
+    let mut depth = 0usize;
+    for (i, t) in tokens.iter().enumerate().skip(open) {
+        match t.as_str() {
+            "{" | "(" | "[" => depth += 1,
+            "}" | ")" | "]" => depth -= 1,
+            _ => {}
+        }
+        if depth == 0 {
+            return i + 1;
+        }
+    }
+    tokens.len()
+}
+
+/// The `pub` fields of `pub struct name { .. }` in `tokens`, if defined
+/// there.
+fn pub_fields(tokens: &[String], name: &str) -> Option<Vec<String>> {
+    let at = tokens
+        .windows(4)
+        .position(|w| w[0] == "pub" && w[1] == "struct" && w[2] == name && w[3] == "{")?;
+    let (open, end) = (at + 3, past_close(tokens, at + 3));
+    let body = &tokens[open + 1..end - 1];
+    let fields = body.windows(3).filter(|w| w[0] == "pub" && w[2] == ":");
+    Some(fields.map(|w| w[1].clone()).collect())
+}
+
+/// The field names `tokens` writes on any of `structs`: fields given in a
+/// struct literal (`S { field: v, short, .. }`, not the struct's own
+/// `impl Default`) and fields assigned to (`.field = v`, `.field |= v`).
+fn set_fields(tokens: &[String], structs: &[&str]) -> BTreeSet<String> {
+    let mut set = BTreeSet::new();
+    let mut i = 0;
+    while i < tokens.len() {
+        let t = tokens[i].as_str();
+        let next = |k: usize| tokens.get(i + k).map_or("", String::as_str);
+        if t == "impl" && next(1) == "Default" && next(2) == "for" && structs.contains(&next(3)) {
+            // The defaults are the values no caller chose.
+            i = past_close(tokens, i + 4);
+            continue;
+        }
+        let before = if i > 0 { tokens[i - 1].as_str() } else { "" };
+        if structs.contains(&t)
+            && next(1) == "{"
+            && !matches!(before, "struct" | "impl" | "for" | ">")
+        {
+            let end = past_close(tokens, i + 1);
+            let mut j = i + 2;
+            while j < end - 1 {
+                let at = |k: usize| tokens.get(j + k).map_or("", String::as_str);
+                let shorthand = matches!(at(1), "," | "}");
+                let given = at(1) == ":" && at(2) != ":";
+                let starts = matches!(tokens[j - 1].as_str(), "{" | ",");
+                if starts && tokens[j].starts_with(is_ident) && (shorthand || given) {
+                    set.insert(tokens[j].clone());
+                }
+                j = match tokens[j].as_str() {
+                    "{" | "(" | "[" => past_close(tokens, j),
+                    _ => j + 1,
+                };
+            }
+        } else if before == "." && t.starts_with(is_ident) {
+            let assigns = next(1) == "=" && next(2) != "=";
+            let compound = matches!(next(1), "|" | "&" | "+" | "-" | "*") && next(2) == "=";
+            if assigns || compound {
+                set.insert(t.to_string());
+            }
+        }
+        i += 1;
+    }
+    set
+}
+
+/// ROADMAP aim 2, "fewer options": every `pub` field of the planning
+/// config structs ([`CONFIG_STRUCTS`]) is set by live non-test code (the
+/// sources, examples, benches and `benchmark/` adapter counted as in
+/// [`no_public_fn_lacks_a_caller`]), or is on [`UNSET_CONFIG_FIELDS`]
+/// with a reason. A knob only tests turn is a constant. Matching is by
+/// field name, so a write to a same-named field of another struct counts.
+#[test]
+fn no_config_field_lacks_a_setter() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let (defining, naming) = live_sources(root);
+    let mut fields: Vec<String> = Vec::new();
+    for name in CONFIG_STRUCTS {
+        let found = defining
+            .iter()
+            .find_map(|path| pub_fields(&tokens(&non_test_source(path)), name));
+        let found = found.unwrap_or_else(|| panic!("`pub struct {name}` not found"));
+        assert!(!found.is_empty(), "`{name}` has no pub field");
+        fields.extend(found.into_iter().map(|f| format!("{name}::{f}")));
+    }
+    let mut set = BTreeSet::new();
+    for path in &naming {
+        set.extend(set_fields(&tokens(&non_test_source(path)), &CONFIG_STRUCTS));
+    }
+    let is_set = |field: &str| set.contains(field.rsplit("::").next().unwrap_or(field));
+    let allowed: BTreeMap<&str, &str> = UNSET_CONFIG_FIELDS.iter().copied().collect();
+
+    let mut problems = Vec::new();
+    for field in &fields {
+        if !is_set(field) && !allowed.contains_key(field.as_str()) {
+            problems.push(format!(
+                "`{field}` is set by no live non-test code: make it a constant, or add it \
+                 to UNSET_CONFIG_FIELDS with a reason"
+            ));
+        }
+    }
+    for (field, reason) in &allowed {
+        if reason.trim().is_empty() {
+            problems.push(format!("UNSET_CONFIG_FIELDS entry `{field}` has no reason"));
+        }
+        if !fields.iter().any(|f| f == field) {
+            problems.push(format!(
+                "UNSET_CONFIG_FIELDS lists `{field}`, which is no longer a pub config field"
+            ));
+        } else if is_set(field) {
+            problems.push(format!(
+                "UNSET_CONFIG_FIELDS lists `{field}`, which now has a setter: drop the entry"
             ));
         }
     }
