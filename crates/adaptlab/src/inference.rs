@@ -135,36 +135,24 @@ fn sample_binomial<R: Rng + ?Sized>(weight: f64, p: f64, rng: &mut R) -> u64 {
     (mean + sd * z).round().clamp(0.0, n) as u64
 }
 
-/// Inference knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InferenceConfig {
-    /// Observed-request percentile the inferred `C1` set must cover.
-    pub percentile: f64,
-    /// Number of buckets below `C1` (`C2..`), matching the tagging schemes.
-    pub low_buckets: u8,
-}
-
-impl Default for InferenceConfig {
-    fn default() -> InferenceConfig {
-        InferenceConfig {
-            percentile: 0.9,
-            low_buckets: 9,
-        }
-    }
-}
+/// Observed-request percentile the inferred `C1` set must cover.
+const PERCENTILE: f64 = 0.9;
+/// Number of buckets below `C1` (`C2..`), matching the tagging schemes.
+const LOW_BUCKETS: u8 = 9;
 
 /// Infers per-service criticality tags from a call log.
 ///
-/// Greedy minimal coverage of the observed weight (the Appendix-G scheme
-/// run on observations instead of ground truth) becomes `C1`; observed
-/// non-`C1` services are bucketed by call volume; unobserved services get
-/// [`Criticality::LOWEST`] — the inference has no evidence they matter,
-/// which is precisely when [`apply_overrides`] is needed.
+/// Greedy minimal coverage of 90 % of the observed weight (the Appendix-G
+/// scheme run on observations instead of ground truth) becomes `C1`;
+/// observed non-`C1` services are bucketed by call volume into the nine
+/// levels below `C1`; unobserved services get [`Criticality::LOWEST`] —
+/// the inference has no evidence they matter, which is precisely when
+/// [`apply_overrides`] is needed.
 ///
 /// # Examples
 ///
 /// ```
-/// use phoenix_adaptlab::inference::{infer_tags, CallLog, InferenceConfig, LogEntry};
+/// use phoenix_adaptlab::inference::{infer_tags, CallLog, LogEntry};
 /// use phoenix_core::tags::Criticality;
 ///
 /// // 95 requests hit {0, 1}; 5 hit {0, 2}; service 3 never logs.
@@ -175,20 +163,20 @@ impl Default for InferenceConfig {
 ///     ],
 ///     service_count: 4,
 /// };
-/// let tags = infer_tags(&log, &InferenceConfig { percentile: 0.9, low_buckets: 9 });
+/// let tags = infer_tags(&log);
 /// assert_eq!(tags[0], Criticality::C1); // covers 100% of requests
 /// assert_eq!(tags[1], Criticality::C1); // needed for the 95% shape
 /// assert_ne!(tags[2], Criticality::C1); // the 5% tail is not in the P90 set
 /// assert_eq!(tags[3], Criticality::LOWEST); // unobserved → manual override
 /// ```
-pub fn infer_tags(log: &CallLog, cfg: &InferenceConfig) -> Vec<Criticality> {
+pub fn infer_tags(log: &CallLog) -> Vec<Criticality> {
     let n = log.service_count;
     let inst = CoverageInstance::new(
         n,
         log.entries.iter().map(|e| e.services.clone()).collect(),
         log.entries.iter().map(|e| e.count as f64).collect(),
     );
-    let chosen = greedy_min_items_for_target(&inst, cfg.percentile.clamp(0.0, 1.0)).chosen;
+    let chosen = greedy_min_items_for_target(&inst, PERCENTILE).chosen;
     let mut is_c1 = vec![false; n];
     for i in chosen {
         is_c1[i] = true;
@@ -198,11 +186,10 @@ pub fn infer_tags(log: &CallLog, cfg: &InferenceConfig) -> Vec<Criticality> {
     let mut tags = vec![Criticality::LOWEST; n];
     let mut rest: Vec<usize> = (0..n).filter(|&i| !is_c1[i] && counts[i] > 0).collect();
     rest.sort_by(|&a, &b| counts[b].cmp(&counts[a]).then(a.cmp(&b)));
-    let buckets = cfg.low_buckets.max(1);
-    let per_bucket = (rest.len() as f64 / f64::from(buckets)).ceil().max(1.0) as usize;
+    let per_bucket = (rest.len() as f64 / f64::from(LOW_BUCKETS)).ceil().max(1.0) as usize;
     for (pos, &svc) in rest.iter().enumerate() {
         let bucket = (pos / per_bucket) as u8;
-        tags[svc] = Criticality::new(2 + bucket.min(buckets - 1));
+        tags[svc] = Criticality::new(2 + bucket.min(LOW_BUCKETS - 1));
     }
     for (i, tag) in tags.iter_mut().enumerate() {
         if is_c1[i] {
@@ -353,7 +340,7 @@ mod tests {
             &mut rng,
         );
         let log = synthesize_log(&a, &LogConfig { sample_rate: 0.5 }, &mut rng);
-        let inferred = infer_tags(&log, &InferenceConfig::default());
+        let inferred = infer_tags(&log);
         let score = agreement(&inferred, &truth);
         // Ground truth includes ~1 % random background-critical promotions
         // the log cannot reveal, so recall is capped just below 1.0.
@@ -374,7 +361,7 @@ mod tests {
             },
             &mut rng,
         );
-        let inferred = infer_tags(&log, &InferenceConfig::default());
+        let inferred = infer_tags(&log);
         let hidden = log.unobserved();
         assert!(!hidden.is_empty(), "expected unobserved services at 0.02%");
         for &s in &hidden {
@@ -387,7 +374,7 @@ mod tests {
         let a = app();
         let mut rng = StdRng::seed_from_u64(5);
         let log = synthesize_log(&a, &LogConfig { sample_rate: 0.001 }, &mut rng);
-        let inferred = infer_tags(&log, &InferenceConfig::default());
+        let inferred = infer_tags(&log);
         let hidden = log.unobserved();
         if hidden.is_empty() {
             return; // seed produced full visibility; nothing to rescue
@@ -427,7 +414,7 @@ mod tests {
         let mk = || {
             let mut rng = StdRng::seed_from_u64(6);
             let log = synthesize_log(&a, &LogConfig::default(), &mut rng);
-            infer_tags(&log, &InferenceConfig::default())
+            infer_tags(&log)
         };
         assert_eq!(mk(), mk());
     }
@@ -437,7 +424,7 @@ mod tests {
         let a = app();
         let mut rng = StdRng::seed_from_u64(7);
         let log = synthesize_log(&a, &LogConfig { sample_rate: 0.3 }, &mut rng);
-        let tags = infer_tags(&log, &InferenceConfig::default());
+        let tags = infer_tags(&log);
         let counts = log.per_service_counts();
         // Every C2 service was observed at least as often as every C9+.
         let min_hot = (0..tags.len())

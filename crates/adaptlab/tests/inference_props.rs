@@ -3,8 +3,7 @@
 
 use phoenix_adaptlab::alibaba::{generate, AlibabaConfig};
 use phoenix_adaptlab::inference::{
-    agreement, apply_overrides, infer_tags, synthesize_log, CallLog, InferenceConfig, LogConfig,
-    LogEntry,
+    agreement, apply_overrides, infer_tags, synthesize_log, CallLog, LogConfig, LogEntry,
 };
 use phoenix_core::tags::Criticality;
 use proptest::prelude::*;
@@ -79,11 +78,11 @@ proptest! {
 
     /// Inferred tags: observed services get real buckets, unobserved ones
     /// fall to LOWEST, no service is skipped, and the inferred C1 set
-    /// covers the target fraction of the *observed* weight.
+    /// covers 90 % (the inference's P90 target) of the *observed* weight.
     #[test]
-    fn inferred_tags_structure(log in arb_log(), percentile in 0.1f64..1.0) {
-        let cfg = InferenceConfig { percentile, low_buckets: 9 };
-        let tags = infer_tags(&log, &cfg);
+    fn inferred_tags_structure(log in arb_log()) {
+        let percentile = 0.9;
+        let tags = infer_tags(&log);
         prop_assert_eq!(tags.len(), log.service_count);
         let counts = log.per_service_counts();
         for (i, &tag) in tags.iter().enumerate() {
@@ -115,7 +114,7 @@ proptest! {
         level_a in 1u8..11,
         level_b in 1u8..11,
     ) {
-        let tags = infer_tags(&log, &InferenceConfig::default());
+        let tags = infer_tags(&log);
         let n = tags.len();
         let a = Criticality::new(level_a);
         let b = Criticality::new(level_b);

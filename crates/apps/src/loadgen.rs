@@ -11,27 +11,11 @@ use phoenix_core::spec::ServiceId;
 
 use crate::catalog::AppModel;
 
-/// Backlog behaviour for interrupted request types.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BacklogConfig {
-    /// Accumulate unserved offered load and drain it after recovery?
-    pub enabled: bool,
-    /// Serving rate during drain, as a multiple of the nominal rate
-    /// (e.g. 1.5 = 50 % overdrive until the backlog clears).
-    pub drain_factor: f64,
-    /// Cap on accumulated backlog, in seconds of nominal load.
-    pub max_backlog_secs: f64,
-}
-
-impl Default for BacklogConfig {
-    fn default() -> BacklogConfig {
-        BacklogConfig {
-            enabled: true,
-            drain_factor: 1.5,
-            max_backlog_secs: 120.0,
-        }
-    }
-}
+/// Serving rate of an interrupted request type while its backlog drains,
+/// as a multiple of the nominal rate (50 % overdrive until it clears).
+const DRAIN_FACTOR: f64 = 1.5;
+/// Cap on accumulated backlog, in seconds of nominal load.
+const MAX_BACKLOG_SECS: f64 = 120.0;
 
 /// Served-RPS / utility time series for one application.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -45,11 +29,24 @@ pub struct LoadSeries {
 }
 
 /// Generates the series for `model`, asking `service_up(tick, service)` for
-/// availability at each of `times` (seconds, ascending).
+/// availability at each of `times` (seconds, ascending). While a request
+/// type fails, its offered load queues up (at most 120 s of it); once it
+/// serves again the queue drains at 1.5× the nominal rate.
 pub fn generate_series(
     model: &AppModel,
     times: &[f64],
-    backlog_cfg: &BacklogConfig,
+    service_up: impl FnMut(usize, ServiceId) -> bool,
+) -> LoadSeries {
+    series_at(model, times, DRAIN_FACTOR, MAX_BACKLOG_SECS, service_up)
+}
+
+/// [`generate_series`] with the given drain factor and backlog cap (a
+/// zero cap queues nothing).
+fn series_at(
+    model: &AppModel,
+    times: &[f64],
+    drain_factor: f64,
+    max_backlog_secs: f64,
     mut service_up: impl FnMut(usize, ServiceId) -> bool,
 ) -> LoadSeries {
     let nreq = model.requests.len();
@@ -64,17 +61,14 @@ pub fn generate_series(
         let outcomes = model.outcomes(|s| service_up(tick, s));
         for (r, o) in outcomes.iter().enumerate() {
             let mut served = o.served_rps;
-            if backlog_cfg.enabled {
-                let nominal = model.requests[r].rate_rps;
-                if o.served_rps <= 0.0 {
-                    backlog[r] =
-                        (backlog[r] + nominal * dt).min(nominal * backlog_cfg.max_backlog_secs);
-                } else if backlog[r] > 0.0 {
-                    let extra_rate = nominal * (backlog_cfg.drain_factor - 1.0).max(0.0);
-                    let drained = (extra_rate * dt).min(backlog[r]);
-                    backlog[r] -= drained;
-                    served += if dt > 0.0 { drained / dt } else { 0.0 };
-                }
+            let nominal = model.requests[r].rate_rps;
+            if o.served_rps <= 0.0 {
+                backlog[r] = (backlog[r] + nominal * dt).min(nominal * max_backlog_secs);
+            } else if backlog[r] > 0.0 {
+                let extra_rate = nominal * (drain_factor - 1.0).max(0.0);
+                let drained = (extra_rate * dt).min(backlog[r]);
+                backlog[r] -= drained;
+                served += if dt > 0.0 { drained / dt } else { 0.0 };
             }
             series.served[r].push(served);
             series.utility[r].push(o.utility);
@@ -95,7 +89,7 @@ mod tests {
     #[test]
     fn steady_state_serves_nominal_rates() {
         let m = overleaf("o", OverleafVariant::Edits, 1.0);
-        let s = generate_series(&m, &times(10), &BacklogConfig::default(), |_, _| true);
+        let s = generate_series(&m, &times(10), |_, _| true);
         for (r, req) in m.requests.iter().enumerate() {
             assert!(s.served[r].iter().all(|&v| (v - req.rate_rps).abs() < 1e-9));
         }
@@ -107,7 +101,7 @@ mod tests {
         let m = overleaf("o", OverleafVariant::Edits, 1.0);
         // Spelling down for ticks 3..=6, back at 7.
         let spelling = phoenix_core::spec::ServiceId::new(5);
-        let s = generate_series(&m, &times(20), &BacklogConfig::default(), |tick, svc| {
+        let s = generate_series(&m, &times(20), |tick, svc| {
             !(svc == spelling && (3..=6).contains(&tick))
         });
         let spell = 2; // request index of spell_check
@@ -130,11 +124,7 @@ mod tests {
     fn backlog_disabled_returns_to_nominal_without_spike() {
         let m = overleaf("o", OverleafVariant::Edits, 1.0);
         let spelling = phoenix_core::spec::ServiceId::new(5);
-        let cfg = BacklogConfig {
-            enabled: false,
-            ..BacklogConfig::default()
-        };
-        let s = generate_series(&m, &times(12), &cfg, |tick, svc| {
+        let s = series_at(&m, &times(12), DRAIN_FACTOR, 0.0, |tick, svc| {
             !(svc == spelling && (3..=6).contains(&tick))
         });
         let nominal = m.requests[2].rate_rps;
@@ -145,12 +135,8 @@ mod tests {
     fn backlog_is_capped() {
         let m = overleaf("o", OverleafVariant::Edits, 1.0);
         let spelling = phoenix_core::spec::ServiceId::new(5);
-        let cfg = BacklogConfig {
-            max_backlog_secs: 2.0,
-            ..BacklogConfig::default()
-        };
         // Very long outage: backlog must not exceed 2 s of nominal load.
-        let s = generate_series(&m, &times(300), &cfg, |tick, svc| {
+        let s = series_at(&m, &times(300), DRAIN_FACTOR, 2.0, |tick, svc| {
             !(svc == spelling && (3..250).contains(&tick))
         });
         let nominal = m.requests[2].rate_rps;
@@ -162,9 +148,7 @@ mod tests {
     fn utility_tracks_degradation() {
         let m = crate::hotel::hotel("hr", crate::hotel::HotelVariant::Reserve, 1.0).patched();
         let user = phoenix_core::spec::ServiceId::new(6);
-        let s = generate_series(&m, &times(5), &BacklogConfig::default(), |tick, svc| {
-            !(svc == user && tick >= 2)
-        });
+        let s = generate_series(&m, &times(5), |tick, svc| !(svc == user && tick >= 2));
         let reserve = 2;
         assert_eq!(s.utility[reserve][1], 1.0);
         assert_eq!(s.utility[reserve][3], 0.8);

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use phoenix_adaptlab::alibaba::AlibabaConfig;
-use phoenix_adaptlab::inference::{infer_tags, synthesize_log, InferenceConfig, LogConfig};
+use phoenix_adaptlab::inference::{infer_tags, synthesize_log, LogConfig};
 use phoenix_adaptlab::scenario::{build_env, EnvConfig};
 use phoenix_adaptlab::tagging::TaggingScheme;
 use phoenix_cluster::failure::fail_fraction;
@@ -59,13 +59,10 @@ fn bench_inference(c: &mut Criterion) {
         },
     );
     let log = synthesize_log(&apps[0], &LogConfig { sample_rate: 0.05 }, &mut rng);
-    let cfg = InferenceConfig::default();
 
     let mut g = c.benchmark_group("inference");
     g.sample_size(30);
-    g.bench_function("infer_tags_1000_services", |b| {
-        b.iter(|| infer_tags(&log, &cfg))
-    });
+    g.bench_function("infer_tags_1000_services", |b| b.iter(|| infer_tags(&log)));
     g.finish();
 }
 

@@ -72,13 +72,8 @@ fn main() {
         });
         let policies: Vec<Box<dyn ResiliencePolicy>> =
             vec![Box::new(PhoenixPolicy::fair()), Box::new(DefaultPolicy)];
-        let outcome = run_campaign(
-            &demo_workload_modal(2),
-            &suite,
-            &policies,
-            &CampaignConfig::default(),
-        )
-        .expect("generated suite is valid");
+        let outcome = run_campaign(&demo_workload_modal(2), &suite, &policies, &CampaignConfig)
+            .expect("generated suite is valid");
         std::hint::black_box(outcome.scores.len());
     });
 

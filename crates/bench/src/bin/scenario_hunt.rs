@@ -77,7 +77,6 @@ fn main() {
     let out_dir = or_exit(cli.get::<PathBuf>("out")).unwrap_or_else(regressions_dir);
 
     let workload = demo_workload(hunt.apps);
-    let cfg = CampaignConfig::default();
     eprintln!(
         "scenario hunt: seed {seed}, {} candidates x {} rounds, {} policies, {threads} thread(s)",
         hunt.population,
@@ -114,13 +113,13 @@ fn main() {
     let mut capture = |doc: &ScenarioDoc, pi: usize, origin: String| {
         let (policy, steady) = (policies[pi].as_ref(), steady[pi].as_ref());
         let mut oracle = |d: &ScenarioDoc| {
-            signature_of(&workload, d, policy, &cfg, steady)
+            signature_of(&workload, d, policy, steady)
                 .map(|s| s.severity_ms > 0)
                 .unwrap_or(false)
         };
         let (small, report) = shrink(doc, &mut oracle);
         let signature =
-            signature_of(&workload, &small, policy, &cfg, steady).expect("shrunk doc validates");
+            signature_of(&workload, &small, policy, steady).expect("shrunk doc validates");
         assert!(signature.severity_ms > 0, "shrinker lost the violation");
         shrink_table.row([
             small.name.clone(),
@@ -144,7 +143,7 @@ fn main() {
     // Pass 1: baseline sweep — worst violating scenario per
     // (family, policy) cell of the fixed-seed generator suite, scored by
     // the hunt's round 0 (same docs, job order scenario-major).
-    let outcome = run_hunt(&workload, &policies, &hunt, &cfg);
+    let outcome = run_hunt(&workload, &policies, &hunt, &CampaignConfig);
     assert_eq!(
         outcome.baseline.len(),
         suite.scenarios.len() * policies.len()

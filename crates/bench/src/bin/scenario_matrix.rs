@@ -62,7 +62,7 @@ fn main() {
     );
 
     let start = Instant::now();
-    let outcome = run_campaign(&workload, &suite, &policies, &CampaignConfig::default())
+    let outcome = run_campaign(&workload, &suite, &policies, &CampaignConfig)
         .expect("generated suite is valid");
     let wall = start.elapsed();
 
@@ -115,7 +115,7 @@ fn main() {
         &demo_workload_modal(gen_cfg.apps),
         &suite,
         &modal_policies,
-        &CampaignConfig::default(),
+        &CampaignConfig,
     )
     .expect("generated suite is valid");
     let mut modal_table = Table::new(["family", "binary_min_util", "modal_min_util", "gain"]);

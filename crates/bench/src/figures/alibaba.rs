@@ -1,9 +1,7 @@
 //! The figures about the synthetic Alibaba-like workload itself.
 
 use phoenix_adaptlab::alibaba::{generate, stats, AlibabaConfig, TraceApp};
-use phoenix_adaptlab::inference::{
-    agreement, infer_tags, synthesize_log, InferenceConfig, LogConfig,
-};
+use phoenix_adaptlab::inference::{agreement, infer_tags, synthesize_log, LogConfig};
 use phoenix_adaptlab::tagging::{assign, c1_coverage, TaggingScheme};
 use phoenix_lp::coverage::{
     coverage_curve, greedy_max_coverage, lp_max_coverage, CoverageInstance,
@@ -180,7 +178,7 @@ pub(super) fn inference_quality(scale: Scale, seed: Option<u64>, out: &mut Strin
                 &mut rng,
             );
             let log = synthesize_log(app, &LogConfig { sample_rate: rate }, &mut rng);
-            let inferred = infer_tags(&log, &InferenceConfig::default());
+            let inferred = infer_tags(&log);
             let score = agreement(&inferred, &truth);
             p += score.c1_precision;
             r += score.c1_recall;

@@ -8,7 +8,7 @@ use phoenix_adaptlab::metrics::{allocations, revenue, service_active};
 use phoenix_apps::catalog::AppModel;
 use phoenix_apps::instances::{cloudlab_capacities, cloudlab_workload, NODES, NODE_CPUS};
 use phoenix_apps::latency::latency_rows;
-use phoenix_apps::loadgen::{generate_series, BacklogConfig};
+use phoenix_apps::loadgen::generate_series;
 use phoenix_apps::shedding::{shed, summarize, OverloadScenario, QosPolicy, SheddingPolicy};
 use phoenix_cluster::{ClusterState, Resources};
 use phoenix_core::policies::{
@@ -186,7 +186,7 @@ pub(super) fn fig6(_: Scale, seed: Option<u64>, out: &mut String) -> Vec<Claim> 
     ] {
         let requests: Vec<&str> = requests.split(' ').collect();
         let model = &models[app_idx];
-        let series = generate_series(model, &secs, &BacklogConfig::default(), |tick, svc| {
+        let series = generate_series(model, &secs, |tick, svc| {
             phoenix_trace.service_up(
                 &workload,
                 app_idx as u32,

@@ -17,7 +17,7 @@ use phoenix_apps::hotel::{hotel, HotelVariant};
 use phoenix_apps::instances::{cloudlab_capacities, cloudlab_workload};
 use phoenix_apps::overleaf::{overleaf, OverleafVariant};
 use phoenix_chaos::audit_tags;
-use phoenix_chaos::node_chaos::{node_chaos, NodeChaosConfig};
+use phoenix_chaos::node_chaos::node_chaos;
 use phoenix_cluster::failure::{fail_fraction, restore_all};
 use phoenix_cluster::{ClusterState, NodeId, PodKey, Resources};
 use phoenix_core::controller::{plan, PhoenixConfig, PhoenixController, PlanResult};
@@ -227,7 +227,7 @@ fn churn(out: &mut String) {
 fn kubesim(out: &mut String) {
     let model = overleaf("overleaf", OverleafVariant::Edits, 1.0);
     for policy in standard_roster() {
-        for o in node_chaos(&model, policy.as_ref(), &NodeChaosConfig::default()) {
+        for o in node_chaos(&model, policy.as_ref()) {
             out.line(format!(
                 "kubesim {} frac={:.2} utility={} recovered={} restore={:?}",
                 policy.name(),
@@ -269,7 +269,7 @@ fn scenarios(out: &mut String) {
         &demo_workload(3),
         &suite(8, 4.0, 5, 3, 42),
         &roster(PhoenixPolicy::fair()),
-        &CampaignConfig::default(),
+        &CampaignConfig,
     )
     .expect("generated suite is valid");
     for s in &outcome.scores {
@@ -341,7 +341,7 @@ fn modes(out: &mut String) {
 
     let policies: Vec<Box<dyn ResiliencePolicy>> = vec![Box::new(PhoenixPolicy::fair())];
     let suite = suite(8, 4.0, 2, 3, 42);
-    let outcome = run_campaign(&workload, &suite, &policies, &CampaignConfig::default())
+    let outcome = run_campaign(&workload, &suite, &policies, &CampaignConfig)
         .expect("generated suite is valid");
     for s in &outcome.scores {
         out.line(format!(
@@ -374,9 +374,9 @@ fn hunt(out: &mut String) {
         elites: 4,
         ..HuntConfig::smoke(42)
     };
-    let (w, cfg) = (demo_workload(3), CampaignConfig::default());
+    let w = demo_workload(3);
     let policies = roster(PhoenixPolicy::cost());
-    let outcome = run_hunt(&w, &policies, &hunt, &cfg);
+    let outcome = run_hunt(&w, &policies, &hunt, &CampaignConfig);
     out.line(format!(
         "hunt seed={} evals={} champions={}",
         outcome.seed,
@@ -396,11 +396,10 @@ fn hunt(out: &mut String) {
         ));
         let policy = policies.iter().find(|p| p.name() == c.policy);
         let policy = policy.expect("champion policy from roster").as_ref();
-        let mut oracle = |d: &ScenarioDoc| {
-            signature_of(&w, d, policy, &cfg, None).is_ok_and(|s| s.severity_ms > 0)
-        };
+        let mut oracle =
+            |d: &ScenarioDoc| signature_of(&w, d, policy, None).is_ok_and(|s| s.severity_ms > 0);
         let (small, report) = shrink(&c.doc, &mut oracle);
-        let sig = signature_of(&w, &small, policy, &cfg, None).expect("shrunk doc validates");
+        let sig = signature_of(&w, &small, policy, None).expect("shrunk doc validates");
         out.line(format!(
             "hunt shrunk {} events={}->{} horizon={}->{} severity={} evals={} passes={}",
             c.policy,
@@ -414,7 +413,7 @@ fn hunt(out: &mut String) {
         ));
     }
     for doc in load_all(&regressions_dir()).expect("regressions dir readable") {
-        let fresh = replay(&doc, &cfg).expect("repro replays");
+        let fresh = replay(&doc).expect("repro replays");
         out.line(format!(
             "regression {} pinned={} fresh={} outages={} viol={} c1={:?}",
             doc.name,
@@ -538,7 +537,7 @@ fn obs(out: &mut String) {
             &demo_workload_modal(2),
             &suite(8, 4.0, 1, 2, 11),
             &roster(PhoenixPolicy::fair()),
-            &CampaignConfig::default(),
+            &CampaignConfig,
         )
         .expect("generated suite is valid");
         let sweep = SweepConfig {

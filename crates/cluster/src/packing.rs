@@ -171,14 +171,26 @@ impl Default for PackingConfig {
     }
 }
 
-/// Result of a packing run: the target state and the actions that reach it.
+/// Result of a packing run: the log of the moves the pack made, and what
+/// it could not place.
+///
+/// `deletions`, `migrations` and `starts` log moves, not net actions: a
+/// pod the pack started and then moved in a repack appears in both
+/// `starts` and `migrations`, so their lengths can exceed the actions the
+/// agent runs. Those come from `origins` (`diff_from_outcome` in
+/// `phoenix-core`), which holds each pod's pre-pack node once.
 #[derive(Debug, Clone, Default)]
 pub struct PackOutcome {
-    /// Pods deleted (pre-existing pods turned off, including plan victims).
+    /// Pods the pack took off a node and did not re-place: pods absent
+    /// from the plan, and plan victims.
     pub deletions: Vec<PodKey>,
-    /// Pods migrated between healthy nodes: `(pod, from, to)`.
+    /// Moves between healthy nodes, `(pod, from, to)`, in the order made:
+    /// a victim re-placed on another node, and each repack move. A pod
+    /// this pack started can be moved here too.
     pub migrations: Vec<(PodKey, NodeId, NodeId)>,
-    /// Pods newly started: `(pod, node)`.
+    /// Pods the pack placed that ran nowhere before it, `(pod, node)`:
+    /// the node of the first placement, which a later repack move (also
+    /// logged in `migrations`) can change.
     pub starts: Vec<(PodKey, NodeId)>,
     /// Planned pods that could not be placed.
     pub unplaced: Vec<PodKey>,

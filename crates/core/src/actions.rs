@@ -420,4 +420,40 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(kinds, sorted);
     }
+
+    #[test]
+    fn start_then_repack_logs_more_moves_than_net_actions() {
+        // On an empty 2 x 10-CPU cluster pods 1 and 2 start on node0 (4 + 3
+        // CPUs) and pod 3 on node1 (6). Pod 0 (5) fits nowhere, so the
+        // repack moves pod 2 to node1 and pod 0 takes node0. Pod 2 is in
+        // the pack's `starts` and its `migrations`, but it never ran before
+        // the pack: the agent starts it once, on node1.
+        let mut target = ClusterState::homogeneous(2, Resources::cpu(10.0));
+        let plan = vec![
+            PlannedPod::new(pod(1), Resources::cpu(4.0)),
+            PlannedPod::new(pod(2), Resources::cpu(3.0)),
+            PlannedPod::new(pod(3), Resources::cpu(6.0)),
+            PlannedPod::new(pod(0), Resources::cpu(5.0)),
+        ];
+        let outcome = pack(&mut target, &plan, &PackingConfig::default());
+        assert!(outcome.unplaced.is_empty());
+        let (n0, n1) = (NodeId::new(0), NodeId::new(1));
+        assert_eq!(
+            outcome.starts,
+            vec![(pod(1), n0), (pod(2), n0), (pod(3), n1), (pod(0), n0)]
+        );
+        assert_eq!(outcome.migrations, vec![(pod(2), n0, n1)]);
+        let log = (
+            outcome.deletions.len(),
+            outcome.migrations.len(),
+            outcome.starts.len(),
+        );
+        assert_eq!(log, (0, 1, 4));
+        let net = diff_from_outcome(&target, &outcome);
+        assert_eq!(net.counts(), (0, 0, 4));
+        assert!(net.actions.contains(&Action::Start {
+            pod: pod(2),
+            node: n1
+        }));
+    }
 }

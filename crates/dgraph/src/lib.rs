@@ -7,8 +7,7 @@
 //!
 //! * [`DiGraph`] — a compact adjacency-list digraph with payloads,
 //! * [`traversal`] — DFS/BFS iterators and reachability queries,
-//! * [`topo`] — topological sorting, cycle detection, depth levels, and
-//!   Tarjan's strongly-connected components,
+//! * [`topo`] — topological sorting and cycle detection,
 //! * [`generate`] — random-DAG generators used to synthesize realistic
 //!   microservice dependency graphs.
 //!

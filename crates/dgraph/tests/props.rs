@@ -1,7 +1,7 @@
 //! Property-based tests for the graph substrate.
 
 use phoenix_dgraph::generate::{attachment_dag, AttachmentConfig};
-use phoenix_dgraph::topo::{condensation, tarjan_scc, topo_sort};
+use phoenix_dgraph::topo::topo_sort;
 use phoenix_dgraph::traversal::Dfs;
 use phoenix_dgraph::{DiGraph, NodeId};
 use proptest::prelude::*;
@@ -91,32 +91,6 @@ proptest! {
             for d in Dfs::new(&g, [n]).skip(1) {
                 prop_assert!(Dfs::new(&reversed, [d]).any(|a| a == n),
                     "{} descendant of {} but not dual", d, n);
-            }
-        }
-    }
-
-    #[test]
-    fn scc_partition_covers_all_nodes(g in arb_graph()) {
-        let sccs = tarjan_scc(&g);
-        let mut seen = vec![false; g.node_count()];
-        for comp in &sccs {
-            for &n in comp {
-                prop_assert!(!seen[n.index()], "node in two SCCs");
-                seen[n.index()] = true;
-            }
-        }
-        prop_assert!(seen.iter().all(|&b| b));
-    }
-
-    #[test]
-    fn condensation_always_acyclic(g in arb_graph()) {
-        let (cond, comp_of) = condensation(&g);
-        prop_assert!(topo_sort(&cond).is_ok());
-        prop_assert_eq!(comp_of.len(), g.node_count());
-        // Membership is consistent.
-        for cid in cond.node_ids() {
-            for &m in &cond[cid] {
-                prop_assert_eq!(comp_of[m.index()], cid);
             }
         }
     }

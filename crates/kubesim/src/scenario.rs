@@ -9,8 +9,9 @@
 //! ([`ScenarioKind::Flap`]), mid-run load surges
 //! ([`ScenarioKind::DemandSurge`]), and correlated zone/rack blast radii
 //! ([`Scenario::zone_outage_at`] / [`Scenario::rack_outage_at`]: kubelet
-//! stops and starts over the member lists of the same topology seeds as
-//! `phoenix_cluster::failure`).
+//! stops over the member lists of the same topology seeds as
+//! `phoenix_cluster::failure`; a restart is a kubelet start over the same
+//! [`zone_members`] / [`rack_members`]).
 
 use phoenix_cluster::{NodeId, Resources};
 
@@ -215,45 +216,17 @@ impl Scenario {
     }
 
     /// Schedules a correlated outage of striped zone `zone` of `zones`
-    /// at `at` — kubelet stops on its [`zone_members`] — restarting them
-    /// at `restore_at` if given.
-    pub fn zone_outage_at(
-        &mut self,
-        at: SimTime,
-        zones: u32,
-        zone: u32,
-        restore_at: Option<SimTime>,
-    ) -> &mut Scenario {
+    /// at `at`: kubelet stops on its [`zone_members`].
+    pub fn zone_outage_at(&mut self, at: SimTime, zones: u32, zone: u32) -> &mut Scenario {
         let members = zone_members(self.node_count(), zones, zone);
-        self.outage_at(at, members, restore_at)
+        self.kubelet_stop_at(at, members)
     }
 
     /// Schedules a correlated outage of contiguous rack `rack` of `racks`
-    /// at `at` — kubelet stops on its [`rack_members`] — restarting them
-    /// at `restore_at` if given.
-    pub fn rack_outage_at(
-        &mut self,
-        at: SimTime,
-        racks: u32,
-        rack: u32,
-        restore_at: Option<SimTime>,
-    ) -> &mut Scenario {
+    /// at `at`: kubelet stops on its [`rack_members`].
+    pub fn rack_outage_at(&mut self, at: SimTime, racks: u32, rack: u32) -> &mut Scenario {
         let members = rack_members(self.node_count(), racks, rack);
-        self.outage_at(at, members, restore_at)
-    }
-
-    /// Stops `nodes` at `at`, restarting them at `restore_at` if given.
-    fn outage_at(
-        &mut self,
-        at: SimTime,
-        nodes: Vec<u32>,
-        restore_at: Option<SimTime>,
-    ) -> &mut Scenario {
-        self.kubelet_stop_at(at, nodes.iter().copied());
-        if let Some(r) = restore_at {
-            self.kubelet_start_at(r, nodes);
-        }
-        self
+        self.kubelet_stop_at(at, members)
     }
 }
 
@@ -285,8 +258,9 @@ mod tests {
             5000,
         );
         s.demand_surge_at(SimTime::from_secs(400), 0, 1.5, 2.0);
-        s.zone_outage_at(SimTime::from_secs(200), 3, 1, Some(SimTime::from_secs(800)));
-        s.rack_outage_at(SimTime::from_secs(300), 2, 0, None);
+        s.zone_outage_at(SimTime::from_secs(200), 3, 1);
+        s.kubelet_start_at(SimTime::from_secs(800), zone_members(6, 3, 1));
+        s.rack_outage_at(SimTime::from_secs(300), 2, 0);
         assert_eq!(s.events.len(), 7);
         assert!(matches!(
             s.events[0].kind,
@@ -311,9 +285,11 @@ mod tests {
     fn outages_lower_to_stop_start_over_members() {
         let (at, back) = (SimTime::from_secs(300), SimTime::from_secs(900));
         let mut s = Scenario::new(10, Resources::cpu(2.0));
-        s.zone_outage_at(at, 3, 2, Some(back));
-        s.rack_outage_at(at, 3, 0, Some(back));
-        s.zone_outage_at(at, 4, 1, None);
+        s.zone_outage_at(at, 3, 2);
+        s.kubelet_start_at(back, zone_members(10, 3, 2));
+        s.rack_outage_at(at, 3, 0);
+        s.kubelet_start_at(back, rack_members(10, 3, 0));
+        s.zone_outage_at(at, 4, 1);
         let mut explicit = Scenario::new(10, Resources::cpu(2.0));
         explicit.kubelet_stop_at(at, zone_members(10, 3, 2));
         explicit.kubelet_start_at(back, zone_members(10, 3, 2));

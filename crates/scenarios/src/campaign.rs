@@ -8,6 +8,8 @@
 //! **byte-identical for every `PHOENIX_THREADS`** (the determinism
 //! probe's golden fixture pins them at 1 and 4 threads).
 
+use std::sync::LazyLock;
+
 use phoenix_cluster::Resources;
 use phoenix_core::policies::ResiliencePolicy;
 use phoenix_core::spec::{AppSpecBuilder, ModeSpec, ServingMode, Workload};
@@ -21,23 +23,11 @@ use serde::{Deserialize, Serialize};
 use crate::model::{ScenarioDoc, ScenarioError, SuiteDoc};
 use crate::search::ViolationSignature;
 
-/// Campaign configuration.
-#[derive(Debug, Clone)]
-pub struct CampaignConfig {
-    /// Simulator timing/latency configuration.
-    pub sim: SimConfig,
-    /// Tiered recovery objectives every run is scored against.
-    pub rto: RtoPolicy,
-}
-
-impl Default for CampaignConfig {
-    fn default() -> CampaignConfig {
-        CampaignConfig {
-            sim: SimConfig::default(),
-            rto: RtoPolicy::paper_example(),
-        }
-    }
-}
+/// Campaign configuration. It has no settings: every campaign cell and
+/// hunt evaluation simulates under [`SimConfig::default`] and is scored
+/// against [`RtoPolicy::paper_example`].
+#[derive(Debug, Clone, Default)]
+pub struct CampaignConfig;
 
 fn is_none_u64(v: &Option<u64>) -> bool {
     v.is_none()
@@ -263,6 +253,12 @@ pub fn steady_states(
         .collect()
 }
 
+/// The simulator settings every cell runs under, built once per process.
+static SIM: LazyLock<SimConfig> = LazyLock::new(SimConfig::default);
+/// The tiered objectives every cell is scored against, built once per
+/// process.
+static RTO: LazyLock<RtoPolicy> = LazyLock::new(RtoPolicy::paper_example);
+
 /// One `(scenario, policy)` simulation and its tiered-RTO report from
 /// the doc's first disruption: what a campaign cell and a hunt evaluation
 /// both run. [`ViolationSignature::of`] reads what the run missed.
@@ -278,12 +274,11 @@ impl Cell {
         doc: &ScenarioDoc,
         scenario: &Scenario,
         policy: &dyn ResiliencePolicy,
-        cfg: &CampaignConfig,
         steady: Option<&SteadyState>,
     ) -> Cell {
-        let trace = simulate_from(workload, policy, scenario, &cfg.sim, doc.horizon(), steady);
+        let trace = simulate_from(workload, policy, scenario, &SIM, doc.horizon(), steady);
         let disruption = doc.first_disruption().unwrap_or(SimTime::ZERO);
-        let report = evaluate_rto(&trace, workload, &cfg.rto, disruption);
+        let report = evaluate_rto(&trace, workload, &RTO, disruption);
         Cell {
             trace,
             disruption,
@@ -297,6 +292,7 @@ impl Cell {
 /// [`with_threads`](phoenix_exec::with_threads) scope, which a policy
 /// that fans out inside a cell inherits too). Each policy's `t = 0` plan
 /// is captured once, on the first scenario's shape ([`steady_states`]).
+/// `_cfg` carries no settings (see [`CampaignConfig`]).
 ///
 /// # Errors
 ///
@@ -306,7 +302,7 @@ pub fn run_campaign(
     workload: &Workload,
     suite: &SuiteDoc,
     policies: &[Box<dyn ResiliencePolicy>],
-    cfg: &CampaignConfig,
+    _cfg: &CampaignConfig,
 ) -> Result<CampaignOutcome, ScenarioError> {
     if suite.version != SuiteDoc::VERSION {
         return Err(ScenarioError::Version(suite.version));
@@ -338,7 +334,7 @@ pub fn run_campaign(
         phoenix_obs::current().incr(phoenix_obs::Counter::CampaignCells);
         let (doc, scenario) = &compiled[si];
         let policy = policies[pi].as_ref();
-        let cell = Cell::simulate(workload, doc, scenario, policy, cfg, steady[pi].as_ref());
+        let cell = Cell::simulate(workload, doc, scenario, policy, steady[pi].as_ref());
         let (trace, disruption) = (&cell.trace, cell.disruption);
 
         // Availability counts only pods of the *baseline* spec (replica
@@ -495,13 +491,7 @@ mod tests {
     #[test]
     fn campaign_produces_one_card_per_family_policy_cell() {
         let suite = generate_suite(&small_cfg());
-        let out = run_campaign(
-            &demo_workload(2),
-            &suite,
-            &roster(),
-            &CampaignConfig::default(),
-        )
-        .unwrap();
+        let out = run_campaign(&demo_workload(2), &suite, &roster(), &CampaignConfig).unwrap();
         assert_eq!(out.scores.len(), suite.scenarios.len() * 2);
         assert_eq!(out.scorecards.len(), 6 * 2);
         for c in &out.scorecards {
@@ -514,8 +504,11 @@ mod tests {
     fn campaign_is_thread_count_invariant() {
         let suite = generate_suite(&small_cfg());
         let w = demo_workload(2);
-        let cfg = CampaignConfig::default();
-        let run = |threads| with_threads(threads, || run_campaign(&w, &suite, &roster(), &cfg));
+        let run = |threads| {
+            with_threads(threads, || {
+                run_campaign(&w, &suite, &roster(), &CampaignConfig)
+            })
+        };
         let (seq, par) = (run(1).unwrap(), run(4).unwrap());
         assert_eq!(seq.scores.len(), par.scores.len());
         // Deterministic-plane projection: `replan_us_p99` is wall-clock
@@ -538,13 +531,7 @@ mod tests {
     #[test]
     fn replanned_cells_report_nonzero_replan_latency() {
         let suite = generate_suite(&small_cfg());
-        let out = run_campaign(
-            &demo_workload(2),
-            &suite,
-            &roster(),
-            &CampaignConfig::default(),
-        )
-        .unwrap();
+        let out = run_campaign(&demo_workload(2), &suite, &roster(), &CampaignConfig).unwrap();
         let replanned: Vec<_> = out.scores.iter().filter(|s| s.plans > 0).collect();
         assert!(!replanned.is_empty());
         for s in replanned {
@@ -594,12 +581,7 @@ mod tests {
         let roster: Vec<Box<dyn ResiliencePolicy>> = vec![Box::new(spy)];
         let caller = std::thread::current().id();
         with_threads(1, || {
-            run_campaign(
-                &demo_workload(2),
-                &suite,
-                &roster,
-                &CampaignConfig::default(),
-            )
+            run_campaign(&demo_workload(2), &suite, &roster, &CampaignConfig)
         })
         .unwrap();
         let ids = inner_threads.lock().unwrap();
@@ -661,14 +643,16 @@ mod tests {
         };
         let (a, b) = (doc(6), doc(9));
         assert_ne!(a.nodes, b.nodes);
-        let (w, cfg) = (demo_workload(2), CampaignConfig::default());
+        let w = demo_workload(2);
         let run = |scenarios: Vec<ScenarioDoc>| {
             let suite = SuiteDoc {
                 version: SuiteDoc::VERSION,
                 seed: 0,
                 scenarios,
             };
-            run_campaign(&w, &suite, &roster(), &cfg).unwrap().scores
+            run_campaign(&w, &suite, &roster(), &CampaignConfig)
+                .unwrap()
+                .scores
         };
         let mixed = run(vec![a.clone(), b.clone()]);
         let alone: Vec<RunScore> = [run(vec![a]), run(vec![b])].concat();
@@ -684,13 +668,7 @@ mod tests {
             scenarios_per_family: 3,
             ..small_cfg()
         });
-        let out = run_campaign(
-            &demo_workload(2),
-            &suite,
-            &roster(),
-            &CampaignConfig::default(),
-        )
-        .unwrap();
+        let out = run_campaign(&demo_workload(2), &suite, &roster(), &CampaignConfig).unwrap();
         let passes = |name: &str| {
             out.scorecards
                 .iter()
@@ -720,9 +698,9 @@ mod tests {
         };
         let suite = generate_suite(&cfg);
         let policies: Vec<Box<dyn ResiliencePolicy>> = vec![Box::new(PhoenixPolicy::fair())];
-        let ccfg = CampaignConfig::default();
-        let binary = run_campaign(&demo_workload(2), &suite, &policies, &ccfg).unwrap();
-        let modal = run_campaign(&demo_workload_modal(2), &suite, &policies, &ccfg).unwrap();
+        let binary = run_campaign(&demo_workload(2), &suite, &policies, &CampaignConfig).unwrap();
+        let modal =
+            run_campaign(&demo_workload_modal(2), &suite, &policies, &CampaignConfig).unwrap();
         assert_eq!(binary.scorecards.len(), modal.scorecards.len());
         let mut some_family_strictly_better = false;
         for (b, m) in binary.scorecards.iter().zip(&modal.scorecards) {
@@ -755,13 +733,7 @@ mod tests {
     fn invalid_suite_is_rejected_before_simulation() {
         let mut suite = generate_suite(&small_cfg());
         suite.scenarios[0].events[0].kind = "meteor_strike".into();
-        let err = run_campaign(
-            &demo_workload(2),
-            &suite,
-            &roster(),
-            &CampaignConfig::default(),
-        )
-        .unwrap_err();
+        let err = run_campaign(&demo_workload(2), &suite, &roster(), &CampaignConfig).unwrap_err();
         assert!(matches!(err, ScenarioError::UnknownKind { .. }));
     }
 
@@ -775,13 +747,7 @@ mod tests {
             demand_factor: 1.5,
             ..crate::model::EventDoc::new(1_000, "demand_surge")
         });
-        let err = run_campaign(
-            &demo_workload(2),
-            &suite,
-            &roster(),
-            &CampaignConfig::default(),
-        )
-        .unwrap_err();
+        let err = run_campaign(&demo_workload(2), &suite, &roster(), &CampaignConfig).unwrap_err();
         assert!(matches!(err, ScenarioError::BadEvent { .. }), "{err}");
     }
 
@@ -791,13 +757,7 @@ mod tests {
             scenarios_per_family: 1,
             ..small_cfg()
         });
-        let out = run_campaign(
-            &demo_workload(1),
-            &suite,
-            &roster(),
-            &CampaignConfig::default(),
-        )
-        .unwrap();
+        let out = run_campaign(&demo_workload(1), &suite, &roster(), &CampaignConfig).unwrap();
         let json = outcome_to_json(&out).unwrap();
         let back: CampaignOutcome = serde_json::from_str(&json).unwrap();
         assert_eq!(back, out);

@@ -66,7 +66,7 @@
 //!     &demo_workload(2),
 //!     &suite,
 //!     &policies,
-//!     &CampaignConfig::default(),
+//!     &CampaignConfig,
 //! )?;
 //! assert_eq!(outcome.scorecards.len(), 6);
 //! # Ok::<(), phoenix_scenarios::model::ScenarioError>(())

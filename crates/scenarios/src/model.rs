@@ -220,7 +220,19 @@ impl ScenarioDoc {
     }
 
     /// Checks the document's internal consistency: known kinds, in-range
-    /// node/zone indices, sane factors.
+    /// node/zone indices, sane factors. This is [`compile`](ScenarioDoc::compile)
+    /// with the compiled scenario dropped.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`ScenarioError`] found.
+    pub fn validate(&self) -> Result<(), ScenarioError> {
+        self.compile().map(drop)
+    }
+
+    /// Compiles the document into a kubesim [`Scenario`], checking each
+    /// event as it lowers it. Zone and rack events become kubelet stops
+    /// and starts over their member nodes.
     ///
     /// Hardened against the degenerate shapes a shrinker (or a hand edit)
     /// can produce: empty names, zero or non-finite capacities, a zero
@@ -230,8 +242,8 @@ impl ScenarioDoc {
     ///
     /// # Errors
     ///
-    /// Returns the first [`ScenarioError`] found.
-    pub fn validate(&self) -> Result<(), ScenarioError> {
+    /// Returns the first [`ScenarioError`] found, in event order.
+    pub fn compile(&self) -> Result<Scenario, ScenarioError> {
         if self.name.is_empty() {
             return Err(ScenarioError::BadCluster("empty scenario name".into()));
         }
@@ -253,6 +265,10 @@ impl ScenarioDoc {
         if self.horizon_ms == 0 {
             return Err(bad("zero simulation horizon".into()));
         }
+        let mut s = Scenario::new(
+            self.nodes as usize,
+            Resources::new(self.node_cpu, self.node_mem),
+        );
         for ev in &self.events {
             if !EVENT_KINDS.contains(&ev.kind.as_str()) {
                 return Err(ScenarioError::UnknownKind {
@@ -272,19 +288,40 @@ impl ScenarioDoc {
             if (1..ev.nodes.len()).any(|i| ev.nodes[i..].contains(&ev.nodes[i - 1])) {
                 return Err(bad(format!("{}: duplicate node id", ev.kind)));
             }
+            let at = SimTime::from_millis(ev.at_ms);
+            let nodes = || {
+                if ev.nodes.is_empty() {
+                    return Err(bad(format!("{}: empty node list", ev.kind)));
+                }
+                Ok(ev.nodes.iter().copied())
+            };
+            // The zone (or rack) count and index of a blast-radius event.
+            let blast = || {
+                if ev.zones == 0 || ev.zone >= ev.zones {
+                    return Err(bad(format!(
+                        "{}: zone {} of {}",
+                        ev.kind, ev.zone, ev.zones
+                    )));
+                }
+                Ok((ev.zones, ev.zone))
+            };
+            let n = s.node_count();
             match ev.kind.as_str() {
-                "kubelet_stop" | "kubelet_start" | "capacity_restore" => {
-                    if ev.nodes.is_empty() {
-                        return Err(bad(format!("{}: empty node list", ev.kind)));
-                    }
+                "kubelet_stop" => {
+                    s.kubelet_stop_at(at, nodes()?);
+                }
+                "kubelet_start" => {
+                    s.kubelet_start_at(at, nodes()?);
                 }
                 "capacity_degrade" => {
-                    if ev.nodes.is_empty() {
-                        return Err(bad("capacity_degrade: empty node list".into()));
-                    }
+                    let nodes = nodes()?;
                     if !(0.0..=1.0).contains(&ev.factor) {
                         return Err(bad(format!("capacity_degrade: factor {}", ev.factor)));
                     }
+                    s.capacity_degrade_at(at, nodes, ev.factor);
+                }
+                "capacity_restore" => {
+                    s.capacity_restore_at(at, nodes()?);
                 }
                 "flap" => {
                     if ev.nodes.is_empty() || ev.cycles == 0 || ev.down_ms == 0 || ev.up_ms == 0 {
@@ -293,6 +330,14 @@ impl ScenarioDoc {
                             ev.nodes, ev.cycles, ev.down_ms, ev.up_ms
                         )));
                     }
+                    s.flap_at(
+                        at,
+                        ev.nodes.iter().copied(),
+                        SimTime::from_millis(ev.down_ms),
+                        SimTime::from_millis(ev.up_ms),
+                        ev.cycles,
+                        ev.jitter_ms,
+                    );
                 }
                 "demand_surge" => {
                     if !ev.demand_factor.is_finite()
@@ -305,75 +350,25 @@ impl ScenarioDoc {
                             ev.demand_factor, ev.replica_factor
                         )));
                     }
-                }
-                "zone_outage" | "zone_restore" | "rack_outage" | "rack_restore" => {
-                    if ev.zones == 0 || ev.zone >= ev.zones {
-                        return Err(bad(format!(
-                            "{}: zone {} of {}",
-                            ev.kind, ev.zone, ev.zones
-                        )));
-                    }
-                }
-                _ => unreachable!("kind checked against EVENT_KINDS"),
-            }
-        }
-        Ok(())
-    }
-
-    /// Compiles the document into a kubesim [`Scenario`]. Zone and rack
-    /// events become kubelet stops and starts over their member nodes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`validate`](ScenarioDoc::validate) errors.
-    pub fn compile(&self) -> Result<Scenario, ScenarioError> {
-        self.validate()?;
-        let mut s = Scenario::new(
-            self.nodes as usize,
-            Resources::new(self.node_cpu, self.node_mem),
-        );
-        for ev in &self.events {
-            let at = SimTime::from_millis(ev.at_ms);
-            let nodes = ev.nodes.iter().copied();
-            match ev.kind.as_str() {
-                "kubelet_stop" => {
-                    s.kubelet_stop_at(at, nodes);
-                }
-                "kubelet_start" => {
-                    s.kubelet_start_at(at, nodes);
-                }
-                "capacity_degrade" => {
-                    s.capacity_degrade_at(at, nodes, ev.factor);
-                }
-                "capacity_restore" => {
-                    s.capacity_restore_at(at, nodes);
-                }
-                "flap" => {
-                    s.flap_at(
-                        at,
-                        nodes,
-                        SimTime::from_millis(ev.down_ms),
-                        SimTime::from_millis(ev.up_ms),
-                        ev.cycles,
-                        ev.jitter_ms,
-                    );
-                }
-                "demand_surge" => {
                     s.demand_surge_at(at, ev.app, ev.demand_factor, ev.replica_factor);
                 }
                 "zone_outage" => {
-                    s.zone_outage_at(at, ev.zones, ev.zone, None);
+                    let (zones, zone) = blast()?;
+                    s.zone_outage_at(at, zones, zone);
                 }
                 "zone_restore" => {
-                    s.kubelet_start_at(at, zone_members(s.node_count(), ev.zones, ev.zone));
+                    let (zones, zone) = blast()?;
+                    s.kubelet_start_at(at, zone_members(n, zones, zone));
                 }
                 "rack_outage" => {
-                    s.rack_outage_at(at, ev.zones, ev.zone, None);
+                    let (racks, rack) = blast()?;
+                    s.rack_outage_at(at, racks, rack);
                 }
                 "rack_restore" => {
-                    s.kubelet_start_at(at, rack_members(s.node_count(), ev.zones, ev.zone));
+                    let (racks, rack) = blast()?;
+                    s.kubelet_start_at(at, rack_members(n, racks, rack));
                 }
-                _ => unreachable!("validated kind"),
+                _ => unreachable!("kind checked against EVENT_KINDS"),
             }
         }
         Ok(s)

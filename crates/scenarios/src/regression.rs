@@ -20,7 +20,7 @@ use std::path::{Path, PathBuf};
 use phoenix_core::policies::{standard_roster, ResiliencePolicy};
 use serde::{Deserialize, Serialize};
 
-use crate::campaign::{demo_workload, CampaignConfig};
+use crate::campaign::demo_workload;
 use crate::model::{ScenarioDoc, ScenarioError};
 use crate::search::{signature_of, ViolationSignature};
 
@@ -120,15 +120,12 @@ pub fn policy_by_name(name: &str) -> Option<Box<dyn ResiliencePolicy>> {
 ///
 /// [`ScenarioError::BadCluster`] when the policy name is unknown,
 /// otherwise whatever [`signature_of`] reports.
-pub fn replay(
-    doc: &RegressionDoc,
-    cfg: &CampaignConfig,
-) -> Result<ViolationSignature, ScenarioError> {
+pub fn replay(doc: &RegressionDoc) -> Result<ViolationSignature, ScenarioError> {
     let policy = policy_by_name(&doc.policy).ok_or_else(|| {
         ScenarioError::BadCluster(format!("{}: unknown policy {}", doc.name, doc.policy))
     })?;
     let workload = demo_workload(doc.apps.max(1));
-    signature_of(&workload, &doc.scenario, policy.as_ref(), cfg, None)
+    signature_of(&workload, &doc.scenario, policy.as_ref(), None)
 }
 
 #[cfg(test)]
@@ -216,15 +213,15 @@ mod tests {
     #[test]
     fn replay_resolves_policies_by_roster_name() {
         let doc = repro();
-        let sig = replay(&doc, &CampaignConfig::default()).unwrap();
+        let sig = replay(&doc).unwrap();
         // Two of four nodes down under Default: the replay yields *some*
         // deterministic signature (asserted exactly by the harness once a
         // real repro is captured).
-        assert_eq!(sig, replay(&doc, &CampaignConfig::default()).unwrap());
+        assert_eq!(sig, replay(&doc).unwrap());
 
         let mut doc = repro();
         doc.policy = "Nonexistent".into();
-        assert!(replay(&doc, &CampaignConfig::default()).is_err());
+        assert!(replay(&doc).is_err());
     }
 
     #[test]

@@ -146,15 +146,14 @@ impl ViolationSignature {
 ///
 /// # Errors
 ///
-/// Propagates [`ScenarioDoc::validate`]/compile errors.
+/// Propagates [`ScenarioDoc::compile`] errors.
 pub fn signature_of(
     workload: &Workload,
     doc: &ScenarioDoc,
     policy: &dyn ResiliencePolicy,
-    cfg: &CampaignConfig,
     steady: Option<&SteadyState>,
 ) -> Result<ViolationSignature, ScenarioError> {
-    let cell = Cell::simulate(workload, doc, &doc.compile()?, policy, cfg, steady);
+    let cell = Cell::simulate(workload, doc, &doc.compile()?, policy, steady);
     Ok(ViolationSignature::of(&cell.report, doc.horizon()))
 }
 
@@ -196,7 +195,8 @@ pub struct HuntOutcome {
 
 /// Runs the hunt: each round's `(candidate, policy)` evaluations fan out
 /// on the [exec pool](phoenix_exec::global) (`PHOENIX_THREADS`, or the
-/// caller's [`with_threads`](phoenix_exec::with_threads) scope).
+/// caller's [`with_threads`](phoenix_exec::with_threads) scope). `_eval`
+/// carries no settings (see [`CampaignConfig`]).
 ///
 /// # Panics
 ///
@@ -206,7 +206,7 @@ pub fn run_hunt(
     workload: &Workload,
     policies: &[Box<dyn ResiliencePolicy>],
     hunt: &HuntConfig,
-    eval: &CampaignConfig,
+    _eval: &CampaignConfig,
 ) -> HuntOutcome {
     let apps = hunt.apps.min(workload.app_count() as u32).max(1);
     let population_size = hunt.population.max(1);
@@ -231,7 +231,6 @@ pub fn run_hunt(
                 workload,
                 &population[ci],
                 policies[pi].as_ref(),
-                eval,
                 steady[pi].as_ref(),
             )
             .expect("hunt candidates always validate")
@@ -614,12 +613,7 @@ mod tests {
             rounds: 1,
             ..HuntConfig::smoke(42)
         };
-        let out = run_hunt(
-            &demo_workload(3),
-            &roster(),
-            &hunt,
-            &CampaignConfig::default(),
-        );
+        let out = run_hunt(&demo_workload(3), &roster(), &hunt, &CampaignConfig);
         assert_eq!(out.evaluations, 2 * 30 * 2);
         assert!(!out.champions.is_empty(), "no violations found at all");
         for c in &out.champions {
@@ -643,9 +637,8 @@ mod tests {
             ..HuntConfig::smoke(9)
         };
         let w = demo_workload(3);
-        let cfg = CampaignConfig::default();
-        let a = run_hunt(&w, &roster(), &hunt, &cfg);
-        let b = run_hunt(&w, &roster(), &hunt, &cfg);
+        let a = run_hunt(&w, &roster(), &hunt, &CampaignConfig);
+        let b = run_hunt(&w, &roster(), &hunt, &CampaignConfig);
         assert_eq!(a, b);
         assert_eq!(
             serde_json::to_string_pretty(&a).unwrap(),
@@ -659,7 +652,7 @@ mod tests {
                 seed: 10,
                 ..hunt.clone()
             },
-            &cfg,
+            &CampaignConfig,
         );
         assert_ne!(
             serde_json::to_string_pretty(&a).unwrap(),

@@ -272,7 +272,7 @@ fn shrink_params(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{demo_workload, CampaignConfig};
+    use crate::campaign::demo_workload;
     use crate::generate::{generate, Family, GeneratorConfig};
     use crate::model::EventDoc;
     use crate::search::signature_of;
@@ -383,7 +383,6 @@ mod tests {
         // A real simulator-backed oracle: Default policy, everything held
         // to a tight RTO, no restore in sight — guaranteed violation.
         let w = demo_workload(2);
-        let cfg = CampaignConfig::default();
         let policy = DefaultPolicy;
         let doc = ScenarioDoc {
             name: "crunch".into(),
@@ -404,10 +403,10 @@ mod tests {
                 },
             ],
         };
-        let sig = signature_of(&w, &doc, &policy, &cfg, None).unwrap();
+        let sig = signature_of(&w, &doc, &policy, None).unwrap();
         assert!(sig.severity_ms > 0, "setup must violate");
         let mut oracle = |d: &ScenarioDoc| {
-            signature_of(&w, d, &policy, &cfg, None)
+            signature_of(&w, d, &policy, None)
                 .map(|s| s.severity_ms > 0)
                 .unwrap_or(false)
         };

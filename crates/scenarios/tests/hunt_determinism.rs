@@ -26,8 +26,7 @@ fn hunts_are_pool_invariant_and_byte_identical() {
         ..HuntConfig::smoke(42)
     };
     let w = demo_workload(3);
-    let cfg = CampaignConfig::default();
-    let run = |threads| with_threads(threads, || run_hunt(&w, &roster(), &hunt, &cfg));
+    let run = |threads| with_threads(threads, || run_hunt(&w, &roster(), &hunt, &CampaignConfig));
     let (seq, par) = (run(1), run(4));
 
     assert_eq!(seq, par, "hunt output varies with pool width");

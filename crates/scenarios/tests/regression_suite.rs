@@ -9,7 +9,6 @@
 
 use phoenix_exec::with_threads;
 use phoenix_scenarios::campaign::demo_workload;
-use phoenix_scenarios::campaign::CampaignConfig;
 use phoenix_scenarios::regression::{load_all, regressions_dir, replay};
 use phoenix_scenarios::search::signature_of;
 
@@ -20,7 +19,6 @@ fn every_checked_in_repro_replays_to_its_pinned_signature() {
         !docs.is_empty(),
         "no repros checked in — the hunt seeding step was lost"
     );
-    let cfg = CampaignConfig::default();
     for doc in &docs {
         doc.scenario.validate().unwrap();
         assert!(
@@ -28,7 +26,7 @@ fn every_checked_in_repro_replays_to_its_pinned_signature() {
             "{}: a pinned repro must actually violate",
             doc.name
         );
-        let fresh = replay(doc, &cfg).unwrap_or_else(|e| panic!("{}: {e}", doc.name));
+        let fresh = replay(doc).unwrap_or_else(|e| panic!("{}: {e}", doc.name));
         assert_eq!(
             fresh, doc.signature,
             "{}: violation signature drifted — a planner/simulator change \
@@ -66,13 +64,12 @@ fn known_baseline_violations_are_pinned() {
 #[test]
 fn repro_replay_is_pool_invariant() {
     let docs = load_all(&regressions_dir()).unwrap();
-    let cfg = CampaignConfig::default();
     for threads in [1, 4] {
         let sigs = with_threads(threads, || {
             phoenix_exec::global().par_map(&docs, |doc| {
                 let policy = phoenix_scenarios::regression::policy_by_name(&doc.policy).unwrap();
                 let w = demo_workload(doc.apps.max(1));
-                signature_of(&w, &doc.scenario, policy.as_ref(), &cfg, None).unwrap()
+                signature_of(&w, &doc.scenario, policy.as_ref(), None).unwrap()
             })
         });
         for (doc, sig) in docs.iter().zip(&sigs) {

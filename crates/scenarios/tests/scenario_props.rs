@@ -56,8 +56,7 @@ proptest! {
         let w = demo_workload(2);
         let policies: Vec<Box<dyn ResiliencePolicy>> =
             vec![Box::new(PhoenixPolicy::fair())];
-        let cfg = CampaignConfig::default();
-        let run = |threads| with_threads(threads, || run_campaign(&w, &suite, &policies, &cfg));
+        let run = |threads| with_threads(threads, || run_campaign(&w, &suite, &policies, &CampaignConfig));
         let (seq, par) = (run(1).unwrap(), run(4).unwrap());
         prop_assert_eq!(seq.scores.len(), par.scores.len());
         for (a, b) in seq.scores.iter().zip(&par.scores) {
@@ -146,8 +145,11 @@ fn fixed_seed_campaign_four_by_five_is_pool_invariant() {
     assert_eq!(suite.scenarios.len(), Family::all().len() * 5);
     let w = demo_workload(3);
     let policies: Vec<Box<dyn ResiliencePolicy>> = vec![Box::new(PhoenixPolicy::fair())];
-    let cfg = CampaignConfig::default();
-    let run = |threads| with_threads(threads, || run_campaign(&w, &suite, &policies, &cfg));
+    let run = |threads| {
+        with_threads(threads, || {
+            run_campaign(&w, &suite, &policies, &CampaignConfig)
+        })
+    };
     let (seq, par) = (run(1).unwrap(), run(4).unwrap());
     // `same_results`, not `==`: `replan_us_p99` is wall-clock (the
     // phoenix-obs quarantined plane) and may differ between runs.

@@ -8,7 +8,7 @@
 //!   shrunk output (the violation survives reduction).
 
 use phoenix_core::policies::{DefaultPolicy, PhoenixPolicy, ResiliencePolicy};
-use phoenix_scenarios::campaign::{demo_workload, CampaignConfig};
+use phoenix_scenarios::campaign::demo_workload;
 use phoenix_scenarios::generate::{generate, Family, GeneratorConfig};
 use phoenix_scenarios::model::ScenarioDoc;
 use phoenix_scenarios::search::signature_of;
@@ -70,7 +70,6 @@ proptest! {
 #[test]
 fn real_violations_survive_shrinking() {
     let w = demo_workload(3);
-    let cfg = CampaignConfig::default();
     let policies: Vec<Box<dyn ResiliencePolicy>> =
         vec![Box::new(PhoenixPolicy::cost()), Box::new(DefaultPolicy)];
     let mut shrunk_any = false;
@@ -87,18 +86,18 @@ fn real_violations_survive_shrinking() {
         );
         for doc in &docs {
             for policy in &policies {
-                let sig = signature_of(&w, doc, policy.as_ref(), &cfg, None).unwrap();
+                let sig = signature_of(&w, doc, policy.as_ref(), None).unwrap();
                 if sig.severity_ms == 0 {
                     continue;
                 }
                 let mut oracle = |d: &ScenarioDoc| {
-                    signature_of(&w, d, policy.as_ref(), &cfg, None)
+                    signature_of(&w, d, policy.as_ref(), None)
                         .map(|s| s.severity_ms > 0)
                         .unwrap_or(false)
                 };
                 let (small, _) = shrink(doc, &mut oracle);
                 small.validate().unwrap();
-                let after = signature_of(&w, &small, policy.as_ref(), &cfg, None).unwrap();
+                let after = signature_of(&w, &small, policy.as_ref(), None).unwrap();
                 assert!(
                     after.severity_ms > 0,
                     "{} x {}: shrunk doc no longer violates",

@@ -12,7 +12,7 @@
 //!   either alone on the Fig.-5 scenario.
 
 use phoenix::adaptlab::alibaba::{generate, AlibabaConfig};
-use phoenix::adaptlab::inference::{infer_tags, synthesize_log, InferenceConfig, LogConfig};
+use phoenix::adaptlab::inference::{infer_tags, synthesize_log, LogConfig};
 use phoenix::adaptlab::metrics::service_active;
 use phoenix::apps::instances::{cloudlab_capacities, cloudlab_workload};
 use phoenix::apps::shedding::{shed, summarize, OverloadScenario, QosPolicy, SheddingPolicy};
@@ -145,7 +145,7 @@ fn inferred_tags_plan_as_well_as_ground_truth() {
         .iter()
         .map(|a| {
             let log = synthesize_log(a, &LogConfig { sample_rate: 0.05 }, &mut rng);
-            infer_tags(&log, &InferenceConfig::default())
+            infer_tags(&log)
         })
         .collect();
 

@@ -146,13 +146,11 @@ fn adaptlab_grades_plans_not_recoveries() {
 /// gains a caller or stops existing, so the list cannot grow silently.
 const UNCALLED_PUB_FNS: &[(&str, &str)] = &[
     ("apply_overrides", "the paper's manual tag-override hatch (section 3.2), held by the inference tests"),
-    ("condensation", "SCC condensation held by the dgraph property tests"),
     ("demand_at_criticality", "the apps calibration tests measure C1 demand with it"),
     ("first_topology_violation", "the planner_props oracle for app_rank orders"),
     ("inherit_stub_tags", "the paper's single-upstream stub rule (section 3.2), held by the tagging tests"),
     ("is_feasible", "the solver tests' feasibility oracle"),
     ("single_upstream_fraction", "the paper's single-upstream statistic (section 3.2); the generator tests calibrate against it"),
-    ("tarjan_scc", "Tarjan's SCCs, called only by `condensation`; held by the dgraph property tests"),
     ("with_placement", "selects the full LP formulation that aggregate_and_full_agree_on_tiny_instances checks the default against"),
 ];
 
@@ -450,17 +448,21 @@ fn no_public_fn_lacks_a_caller() {
     assert!(problems.is_empty(), "{}", problems.join("\n"));
 }
 
-/// The planning config structs whose every `pub` field must be a knob
-/// some live non-test code sets.
-const CONFIG_STRUCTS: [&str; 3] = ["PackingConfig", "PlannerConfig", "PhoenixConfig"];
-
-/// `pub` fields of [`CONFIG_STRUCTS`] that no live non-test code sets,
-/// each with the reason it stays a knob. [`no_config_field_lacks_a_setter`]
-/// fails when an entry gains a setter or stops existing.
-const UNSET_CONFIG_FIELDS: &[(&str, &str)] = &[(
-    "PackingConfig::max_pods_per_node",
-    "the paper's per-node pod limit (section 4), an operator constraint stateful_props sweeps",
-)];
+/// `pub` fields of `pub struct *Config`s that no live non-test code sets,
+/// as `Struct::field`, each with the reason it stays a knob.
+/// [`no_config_field_lacks_a_setter`] fails when an entry gains a setter
+/// or stops existing.
+const UNSET_CONFIG_FIELDS: &[(&str, &str)] = &[
+    (
+        "PackingConfig::max_pods_per_node",
+        "the paper's per-node pod limit (section 4), an operator constraint stateful_props sweeps",
+    ),
+    (
+        "SimConfig::latency",
+        "ROADMAP items 1 and 4 rework LatencyModel, and item 4's oracle sets every latency \
+         to a fixed value",
+    ),
+];
 
 /// The index past the bracket that closes the one opening at `tokens[open]`.
 fn past_close(tokens: &[String], open: usize) -> usize {
@@ -478,34 +480,45 @@ fn past_close(tokens: &[String], open: usize) -> usize {
     tokens.len()
 }
 
-/// The `pub` fields of `pub struct name { .. }` in `tokens`, if defined
-/// there.
-fn pub_fields(tokens: &[String], name: &str) -> Option<Vec<String>> {
-    let at = tokens
-        .windows(4)
-        .position(|w| w[0] == "pub" && w[1] == "struct" && w[2] == name && w[3] == "{")?;
-    let (open, end) = (at + 3, past_close(tokens, at + 3));
-    let body = &tokens[open + 1..end - 1];
-    let fields = body.windows(3).filter(|w| w[0] == "pub" && w[2] == ":");
-    Some(fields.map(|w| w[1].clone()).collect())
+/// Every `pub struct *Config { .. }` in `tokens` that has `pub` fields,
+/// with those fields as `Struct::field`.
+fn config_fields(tokens: &[String]) -> Vec<(String, Vec<String>)> {
+    let mut configs = Vec::new();
+    for (at, w) in tokens.windows(4).enumerate() {
+        if !(w[0] == "pub" && w[1] == "struct" && w[2].ends_with("Config") && w[3] == "{") {
+            continue;
+        }
+        let body = &tokens[at + 4..past_close(tokens, at + 3) - 1];
+        let fields: Vec<String> = (body.windows(3))
+            .filter(|f| f[0] == "pub" && f[2] == ":")
+            .map(|f| format!("{}::{}", w[2], f[1]))
+            .collect();
+        if !fields.is_empty() {
+            configs.push((w[2].clone(), fields));
+        }
+    }
+    configs
 }
 
-/// The field names `tokens` writes on any of `structs`: fields given in a
-/// struct literal (`S { field: v, short, .. }`, not the struct's own
-/// `impl Default`) and fields assigned to (`.field = v`, `.field |= v`).
-fn set_fields(tokens: &[String], structs: &[&str]) -> BTreeSet<String> {
-    let mut set = BTreeSet::new();
+/// The config fields `tokens` writes, as `Struct::field`: each field a
+/// struct literal of one of `structs` gives (`S { field: v, short, .. }`,
+/// outside the configs' own `impl Default`s), credited to the struct that
+/// literal builds; and each field assigned to (`.field = v`,
+/// `.field |= v`), credited by name to every one of `structs` the file
+/// names.
+fn set_fields(tokens: &[String], structs: &BTreeSet<String>, set: &mut BTreeSet<String>) {
+    let mut assigned = BTreeSet::new();
     let mut i = 0;
     while i < tokens.len() {
         let t = tokens[i].as_str();
         let next = |k: usize| tokens.get(i + k).map_or("", String::as_str);
-        if t == "impl" && next(1) == "Default" && next(2) == "for" && structs.contains(&next(3)) {
+        if t == "impl" && next(1) == "Default" && next(2) == "for" && structs.contains(next(3)) {
             // The defaults are the values no caller chose.
             i = past_close(tokens, i + 4);
             continue;
         }
         let before = if i > 0 { tokens[i - 1].as_str() } else { "" };
-        if structs.contains(&t)
+        if structs.contains(t)
             && next(1) == "{"
             && !matches!(before, "struct" | "impl" | "for" | ">")
         {
@@ -517,7 +530,7 @@ fn set_fields(tokens: &[String], structs: &[&str]) -> BTreeSet<String> {
                 let given = at(1) == ":" && at(2) != ":";
                 let starts = matches!(tokens[j - 1].as_str(), "{" | ",");
                 if starts && tokens[j].starts_with(is_ident) && (shorthand || given) {
-                    set.insert(tokens[j].clone());
+                    set.insert(format!("{t}::{}", tokens[j]));
                 }
                 j = match tokens[j].as_str() {
                     "{" | "(" | "[" => past_close(tokens, j),
@@ -528,38 +541,52 @@ fn set_fields(tokens: &[String], structs: &[&str]) -> BTreeSet<String> {
             let assigns = next(1) == "=" && next(2) != "=";
             let compound = matches!(next(1), "|" | "&" | "+" | "-" | "*") && next(2) == "=";
             if assigns || compound {
-                set.insert(t.to_string());
+                assigned.insert(t);
             }
         }
         i += 1;
     }
-    set
+    for name in structs.iter().filter(|s| tokens.contains(s)) {
+        set.extend(assigned.iter().map(|field| format!("{name}::{field}")));
+    }
 }
 
-/// ROADMAP aim 2, "fewer options": every `pub` field of the planning
-/// config structs ([`CONFIG_STRUCTS`]) is set by live non-test code (the
-/// sources, examples, benches and `benchmark/` adapter counted as in
+/// ROADMAP aim 2, "fewer options", as the workspace's knob census: every
+/// `pub` field of every `pub struct *Config` in `crates/*/src` and `src`
+/// (up to each file's first `#[cfg(test)]`) is set by live non-test code
+/// (the sources, examples, benches and `benchmark/` adapter counted as in
 /// [`no_public_fn_lacks_a_caller`]), or is on [`UNSET_CONFIG_FIELDS`]
-/// with a reason. A knob only tests turn is a constant. Matching is by
-/// field name, so a write to a same-named field of another struct counts.
+/// with a reason. A knob only tests turn is a constant.
+///
+/// A struct literal counts only for the struct it builds. An assignment
+/// (`.field = v`) is matched by field name among the configs its file
+/// names, so a write to a same-named field of another struct there still
+/// counts: that is the guard's one blind spot.
 #[test]
 fn no_config_field_lacks_a_setter() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let (defining, naming) = live_sources(root);
+    let mut structs = BTreeSet::new();
     let mut fields: Vec<String> = Vec::new();
-    for name in CONFIG_STRUCTS {
-        let found = defining
-            .iter()
-            .find_map(|path| pub_fields(&tokens(&non_test_source(path)), name));
-        let found = found.unwrap_or_else(|| panic!("`pub struct {name}` not found"));
-        assert!(!found.is_empty(), "`{name}` has no pub field");
-        fields.extend(found.into_iter().map(|f| format!("{name}::{f}")));
+    for path in &defining {
+        for (name, found) in config_fields(&tokens(&non_test_source(path))) {
+            assert!(
+                structs.insert(name.clone()),
+                "`pub struct {name}` defined twice"
+            );
+            fields.extend(found);
+        }
     }
+    assert!(
+        structs.len() >= 10,
+        "census found only {} config structs",
+        structs.len()
+    );
     let mut set = BTreeSet::new();
     for path in &naming {
-        set.extend(set_fields(&tokens(&non_test_source(path)), &CONFIG_STRUCTS));
+        set_fields(&tokens(&non_test_source(path)), &structs, &mut set);
     }
-    let is_set = |field: &str| set.contains(field.rsplit("::").next().unwrap_or(field));
+    let is_set = |field: &str| set.contains(field);
     let allowed: BTreeMap<&str, &str> = UNSET_CONFIG_FIELDS.iter().copied().collect();
 
     let mut problems = Vec::new();
