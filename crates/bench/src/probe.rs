@@ -12,7 +12,7 @@ use std::path::PathBuf;
 
 use phoenix_adaptlab::alibaba::AlibabaConfig;
 use phoenix_adaptlab::runner::{failure_sweep, SweepConfig};
-use phoenix_adaptlab::scenario::EnvConfig;
+use phoenix_adaptlab::scenario::{build_env, EnvConfig};
 use phoenix_apps::hotel::{hotel, HotelVariant};
 use phoenix_apps::instances::{cloudlab_capacities, cloudlab_workload};
 use phoenix_apps::overleaf::{overleaf, OverleafVariant};
@@ -83,6 +83,7 @@ pub const SECTIONS: &[Section] = &[
     Section { name: "pinned", run: pinned },
     Section { name: "replay", run: warm_ranking },
     Section { name: "drop_visits", run: drop_visits },
+    Section { name: "tick_work", run: tick_work },
 ];
 
 /// The directory holding one fixture file per section.
@@ -546,7 +547,12 @@ fn obs(out: &mut String) {
         };
         failure_sweep(&env(12, 3, 20, 10_000.0, 5), &sweep, &standard_roster());
     });
-    let later = [Counter::PackDropVisits.name()];
+    let later = [
+        Counter::PackDropVisits,
+        Counter::PackPlacementVisits,
+        Counter::ReplaySteps,
+    ]
+    .map(Counter::name);
     for (name, value) in recorder.counters() {
         if !later.contains(&name) {
             out.line(format!("obs {name}={value}"));
@@ -611,6 +617,70 @@ fn drop_visits(out: &mut String) {
             out.line(format!(
                 "drop_visits {kind:?} round {round}: running={} visits={visits}",
                 live.pod_count()
+            ));
+            live = result.target;
+        }
+    }
+}
+
+/// The warm tick's work per round on exact counters, next to the pods
+/// running before the round and the plan's length: plan positions the
+/// placement loop visited ([`Counter::PackPlacementVisits`]), merge-order
+/// steps the ranking replay walked ([`Counter::ReplaySteps`]) and pods
+/// the drop pass read ([`Counter::PackDropVisits`]). The shape is
+/// `tick-10k`'s at 100 nodes: an AdaptLab environment at 75 %
+/// utilisation, converged by one full round, then capacity-only rounds
+/// that fail and restore a few nodes; both objectives.
+fn tick_work(out: &mut String) {
+    const SCRIPT: &[&[Churn]] = &[
+        &[],
+        &[Fail(50)],
+        &[Fail(3)],
+        &[],
+        &[Restore(50)],
+        &[Fail(7), Fail(8)],
+        &[Restore(3)],
+        &[Fail(90)],
+        &[Restore(7), Restore(8), Restore(90)],
+    ];
+    const WORK: [Counter; 3] = [
+        Counter::PackPlacementVisits,
+        Counter::ReplaySteps,
+        Counter::PackDropVisits,
+    ];
+    let env = build_env(&EnvConfig {
+        nodes: 100,
+        target_utilization: 0.75,
+        alibaba: AlibabaConfig {
+            max_services: 300,
+            ..AlibabaConfig::default()
+        },
+        seed: 11,
+        ..EnvConfig::default()
+    });
+    for kind in [Fairness, Cost] {
+        let recorder = phoenix_obs::Recorder::enabled();
+        let mut controller =
+            PhoenixController::new(env.workload.clone(), PhoenixConfig::with_objective(kind));
+        let mut live = env.baseline.clone();
+        for (round, changes) in SCRIPT.iter().enumerate() {
+            for &change in *changes {
+                match change {
+                    Fail(n) => _ = live.fail_node(NodeId::new(n)),
+                    Restore(n) => live.restore_node(NodeId::new(n)),
+                }
+            }
+            let delta = if round == 0 { Full } else { CapacityOnly };
+            let before = WORK.map(|c| recorder.counter(c));
+            let result =
+                phoenix_obs::with_recorder(recorder.clone(), || controller.replan(&live, delta));
+            let [placement, replay, drop] =
+                std::array::from_fn(|i| recorder.counter(WORK[i]) - before[i]);
+            out.line(format!(
+                "tick_work {kind:?} round {round}: running={} planned={} \
+                 placement_visits={placement} replay_steps={replay} drop_visits={drop}",
+                live.pod_count(),
+                result.target.pod_count() + result.packing.unplaced.len(),
             ));
             live = result.target;
         }

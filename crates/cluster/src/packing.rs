@@ -392,7 +392,9 @@ pub fn pack_prepared(
     let mut ctx = PackCtx::new(obs, reading.standing);
     let holds_pins = plan.first().is_some_and(|p| p.pinned);
     let is_pin = |pod: PodKey| holds_pins && index.get(pod).is_some_and(|i| plan[i].pinned);
+    let mut visits = 0;
     for (rank, planned) in plan.iter().enumerate() {
+        visits += 1;
         debug_assert_eq!(
             ctx.standing[rank],
             Standing::probe(state, planned, cfg),
@@ -458,6 +460,7 @@ pub fn pack_prepared(
             None => out.unplaced.push(planned.key),
         }
     }
+    ctx.obs.add(Counter::PackPlacementVisits, visits);
     // Stable, so each pod's first entry — its pre-pack node — survives.
     out.origins.sort_by_key(|&(pod, _)| pod);
     out.origins.dedup_by_key(|&mut (pod, _)| pod);

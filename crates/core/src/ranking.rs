@@ -541,8 +541,10 @@ fn replay(
     let mut kept = 0;
     let mut diverged = false;
     let mut end = order.steps.len();
+    let mut walked = 0;
     for (i, (step, flags)) in order.steps.iter().zip(&mut order.flags).enumerate() {
         let app = step.app as usize;
+        walked += 1;
         let Some(take) = fits.take(app, step.scalar, *flags & DEGRADED != 0) else {
             end = i;
             break;
@@ -577,6 +579,7 @@ fn replay(
     order.marked = true;
     order.end = end;
     fits.record();
+    phoenix_obs::current().add(phoenix_obs::Counter::ReplaySteps, walked);
     kept
 }
 

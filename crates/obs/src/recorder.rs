@@ -81,11 +81,15 @@ pub enum Counter {
     /// on a full read, only what changed since the last pack on a carried
     /// one (the warm tick's O(Δ) work).
     PackDropVisits,
+    /// Plan positions a pack's placement loop visited.
+    PackPlacementVisits,
+    /// Merge-order steps a ranking replay walked (fit decisions made).
+    ReplaySteps,
 }
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 25] = [
+    pub const ALL: [Counter; 27] = [
         Counter::ColdPlans,
         Counter::WarmReplans,
         Counter::ReplanCacheHits,
@@ -111,6 +115,8 @@ impl Counter {
         Counter::SweepTrials,
         Counter::HuntEvaluations,
         Counter::PackDropVisits,
+        Counter::PackPlacementVisits,
+        Counter::ReplaySteps,
     ];
 
     /// Stable snake_case name used in exports and the determinism probe.
@@ -141,6 +147,8 @@ impl Counter {
             Counter::SweepTrials => "sweep_trials",
             Counter::HuntEvaluations => "hunt_evaluations",
             Counter::PackDropVisits => "pack_drop_visits",
+            Counter::PackPlacementVisits => "pack_placement_visits",
+            Counter::ReplaySteps => "replay_steps",
         }
     }
 }
