@@ -50,7 +50,7 @@ pub fn schedule_pending(state: &mut ClusterState, pending: &[PlannedPod]) -> Def
                 state
                     .assign(planned.key, planned.demand, n)
                     .expect("fit was just verified");
-                sorted.update(n, state.remaining(n).scalar());
+                sorted.insert(n, state.remaining(n).scalar());
                 out.placed.push((planned.key, n));
             }
             None => out.pending.push(planned.key),

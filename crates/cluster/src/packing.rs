@@ -90,6 +90,8 @@
 //! The pack books onto the [`ClusterState`] it is handed, and the caller
 //! needs no pre-pack copy to derive the agent's actions (§4.2).
 
+use std::iter::Peekable;
+
 use phoenix_obs::{Counter, Recorder};
 
 use crate::state::Lineage;
@@ -388,13 +390,32 @@ pub fn pack_prepared(
         out.deletions.push(p);
         out.origins.push((p, Some(node)));
     }
-    let mut sorted = healthy_by_remaining(state);
+    let mut sorted = (carry.as_deref_mut())
+        .map(|c| std::mem::take(&mut c.nodes))
+        .unwrap_or_default();
+    sync_nodes(&mut sorted, state);
+    debug_assert!(
+        same_nodes(&sorted, &{
+            let mut fresh = SortedNodes::new();
+            sync_nodes(&mut fresh, state);
+            fresh
+        }),
+        "carried node order differs from a fresh build"
+    );
     let mut ctx = PackCtx::new(obs, reading.standing);
     let holds_pins = plan.first().is_some_and(|p| p.pinned);
     let is_pin = |pod: PodKey| holds_pins && index.get(pod).is_some_and(|i| plan[i].pinned);
+    let mut work = reading.work.into_iter().peekable();
     let mut visits = 0;
-    for (rank, planned) in plan.iter().enumerate() {
+    // Debug builds: the first position not yet visited or checked settled.
+    let mut unchecked = 0;
+    while let Some(rank) = ctx.next_position(&mut work) {
         visits += 1;
+        if cfg!(debug_assertions) {
+            check_settled(state, plan, cfg, &ctx.standing, unchecked..rank);
+            unchecked = rank + 1;
+        }
+        let planned = &plan[rank];
         debug_assert_eq!(
             ctx.standing[rank],
             Standing::probe(state, planned, cfg),
@@ -403,7 +424,7 @@ pub fn pack_prepared(
         );
         let mut in_place = None;
         match ctx.standing[rank] {
-            Standing::Settled => continue, // already running; keep in place
+            Standing::Settled => unreachable!("the work list holds settled rank {rank}"),
             Standing::Vacant => {}
             Standing::Rebook => {
                 // Serving-mode rebook: free the old booking and re-place
@@ -413,7 +434,7 @@ pub fn pack_prepared(
                 // a self-victimization: same node ⇒ keep, elsewhere ⇒
                 // migration, nowhere ⇒ the delete stands.
                 let (from, _) = state.remove(planned.key).expect("pod is assigned");
-                sorted.update(from, state.remaining(from).scalar());
+                sorted.insert(from, state.remaining(from).scalar());
                 ctx.evicted(planned.key, from, &mut out);
                 if fits_node(state, cfg, from, planned.demand) {
                     in_place = Some(from);
@@ -443,7 +464,7 @@ pub fn pack_prepared(
                 break;
             };
             let (node, _) = state.remove(victim).expect("victim is assigned");
-            sorted.update(node, state.remaining(node).scalar());
+            sorted.insert(node, state.remaining(node).scalar());
             ctx.obs.incr(Counter::PackVictimDeletes);
             ctx.evicted(victim, node, &mut out);
             target = try_fit(state, &sorted, planned.demand, cfg);
@@ -453,28 +474,50 @@ pub fn pack_prepared(
                 state
                     .assign(planned.key, planned.demand, node)
                     .expect("fit was just verified");
-                sorted.update(node, state.remaining(node).scalar());
+                sorted.insert(node, state.remaining(node).scalar());
                 ctx.obs.incr(Counter::PackPlacements);
                 ctx.placed(planned.key, node, &mut out);
             }
             None => out.unplaced.push(planned.key),
         }
     }
+    if cfg!(debug_assertions) {
+        check_settled(state, plan, cfg, &ctx.standing, unchecked..plan.len());
+    }
     ctx.obs.add(Counter::PackPlacementVisits, visits);
     // Stable, so each pod's first entry — its pre-pack node — survives.
     out.origins.sort_by_key(|&(pod, _)| pod);
     out.origins.dedup_by_key(|&mut (pod, _)| pod);
     if let Some(carry) = carry {
-        carry.record(state, plan, index, cfg, ctx.standing, &out);
+        carry.record(state, plan, index, cfg, ctx.standing, sorted, &out);
     }
     out
 }
 
+/// Debug builds: every position of `skipped`, which the placement loop
+/// passed without a visit, stands settled, as a probe of `state` agrees.
+fn check_settled(
+    state: &ClusterState,
+    plan: &[PlannedPod],
+    cfg: &PackingConfig,
+    standing: &[Standing],
+    skipped: std::ops::Range<usize>,
+) {
+    for i in skipped {
+        assert_eq!(
+            (standing[i], Standing::probe(state, &plan[i], cfg)),
+            (Standing::Settled, Standing::Settled),
+            "skipped rank {i} ({}) is not settled",
+            plan[i].key
+        );
+    }
+}
+
 /// What one pack hands the next pack of the same workload: the final
-/// standing of every plan position (see the [module docs](self)) and
-/// handles on the state the pack left (its pod table and every node's pod
-/// list, shared copy-on-write with that state and its clones, see
-/// [`ClusterState`]).
+/// standing of every plan position (see the [module docs](self)), the
+/// positions it left unplaced, its final node order, and handles on the
+/// state it left (its pod table and every node's pod list, shared
+/// copy-on-write with that state and its clones, see [`ClusterState`]).
 ///
 /// The next pack's drop pass then reads only what can have changed, in
 /// O(changed) instead of O(running pods): the pods of nodes whose list
@@ -483,9 +526,12 @@ pub fn pack_prepared(
 /// removed. It takes that path only when the state it packs still
 /// shares the carried pod table (no pod interned since, or a restore
 /// handed that very table back) and re-booking is off; otherwise it
-/// reads the whole state, as a pack without a carry does. Both readings are equal: deletions follow
-/// intern order either way, and debug builds check each carried reading
-/// against a full one.
+/// reads the whole state, as a pack without a carry does.
+///
+/// Both readings are equal: deletions follow intern order either way,
+/// and debug builds check each carried reading against a full one. The
+/// node order is re-keyed only where a node's health or remaining
+/// capacity differs from the carried key, whatever state the pack gets.
 ///
 /// The caller keeps the carry's plan honest: the standing describes the
 /// plan the last pack ran, so a caller that changes that plan calls
@@ -496,17 +542,24 @@ pub struct PackCarry {
     /// Standing of the carried plan's positions in the last pack's final
     /// state, up to the cut.
     standing: Vec<Standing>,
+    /// The positions below the cut the last pack left unplaced, in
+    /// order: the only ones of them not settled.
+    unplaced: Vec<usize>,
     /// Pods the cut positions held while running: they may have left
     /// the plan.
     cut: Vec<PodKey>,
     /// Handles on the last pack's final state (`None`: nothing carried).
     lineage: Option<Lineage>,
+    /// The last pack's final node order. It describes a state, not the
+    /// plan, so [`clear`](PackCarry::clear) keeps it.
+    nodes: SortedNodes,
 }
 
 impl PackCarry {
-    /// Forgets everything: the next pack reads the whole state.
+    /// Forgets the carried plan: the next pack reads the whole state.
     pub fn clear(&mut self) {
         self.standing.clear();
+        self.unplaced.clear();
         self.cut.clear();
         self.lineage = None;
     }
@@ -522,6 +575,7 @@ impl PackCarry {
         let running = tail.filter(|&(_, &s)| s != Standing::Vacant);
         self.cut.extend(running.map(|(p, _)| p.key));
         self.standing.truncate(at);
+        self.unplaced.retain(|&i| i < at);
     }
 
     /// Step 0 read from the carry, or `None` when it cannot speak for
@@ -536,31 +590,41 @@ impl PackCarry {
         let lineage = self.lineage.take();
         let cut = std::mem::take(&mut self.cut);
         let mut standing = std::mem::take(&mut self.standing);
+        let mut work = std::mem::take(&mut self.unplaced);
         if cfg.rebook_in_place || standing.len() > plan.len() {
             return None;
         }
         let moved = state.moved_since(&lineage?)?;
         let kept = standing.len();
         standing.extend(plan[kept..].iter().map(|p| Standing::probe(state, p, cfg)));
+        work.extend(kept..plan.len());
         let visits = (plan.len() - kept + cut.len() + moved.len()) as u64;
         let mut to_drop = Vec::new();
         for pod in cut.into_iter().chain(moved) {
             match index.get(pod) {
-                Some(i) => standing[i] = Standing::probe(state, &plan[i], cfg),
+                Some(i) => {
+                    standing[i] = Standing::probe(state, &plan[i], cfg);
+                    work.push(i);
+                }
                 None if state.node_of(pod).is_some() => to_drop.push(pod),
                 None => {}
             }
         }
         state.sort_interned(&mut to_drop);
+        work.sort_unstable();
+        work.dedup();
+        work.retain(|&i| standing[i] != Standing::Settled);
         Some(Reading {
             standing,
+            work,
             to_drop,
             visits,
         })
     }
 
-    /// Keeps the final standing of a finished pack: its loop's standing,
-    /// re-probed at the positions of the pods it touched.
+    /// Keeps what a finished pack leaves: its node order, and its loop's
+    /// standing, re-probed at the positions of the pods it touched.
+    #[allow(clippy::too_many_arguments)]
     fn record(
         &mut self,
         state: &ClusterState,
@@ -568,9 +632,11 @@ impl PackCarry {
         index: &PlanIndex,
         cfg: &PackingConfig,
         mut standing: Vec<Standing>,
+        nodes: SortedNodes,
         out: &PackOutcome,
     ) {
         self.clear();
+        self.nodes = nodes;
         if cfg.rebook_in_place {
             return;
         }
@@ -579,6 +645,17 @@ impl PackCarry {
                 standing[i] = Standing::probe(state, &plan[i], cfg);
             }
         }
+        // The loop visited every position it did not leave settled, and
+        // placed all of them but these.
+        let unplaced = out.unplaced.iter();
+        self.unplaced = unplaced.map(|&p| index.get(p).expect("planned")).collect();
+        debug_assert!(
+            (standing.iter().enumerate())
+                .filter(|&(_, &s)| s != Standing::Settled)
+                .map(|(i, _)| i)
+                .eq(self.unplaced.iter().copied()),
+            "the unplaced positions are not the unsettled ones"
+        );
         self.standing = standing;
         self.lineage = Some(state.lineage());
     }
@@ -624,6 +701,9 @@ impl Standing {
 struct Reading {
     /// The [`Standing`] of every plan position.
     standing: Vec<Standing>,
+    /// The positions not settled, in order: the placement loop's work
+    /// list.
+    work: Vec<usize>,
     /// The running pods the plan turned off, in intern order.
     to_drop: Vec<PodKey>,
     /// Pods whose standing the reading derived
@@ -632,9 +712,10 @@ struct Reading {
 }
 
 impl Reading {
-    /// Equal standing and drop order (the visits differ by design).
+    /// Equal standing, work list and drop order (the visits differ by
+    /// design).
     fn same_as(&self, other: &Reading) -> bool {
-        self.standing == other.standing && self.to_drop == other.to_drop
+        self.standing == other.standing && self.work == other.work && self.to_drop == other.to_drop
     }
 }
 
@@ -656,22 +737,36 @@ fn read_state(
             None => to_drop.push(p),
         }
     }
+    let unsettled = standing
+        .iter()
+        .enumerate()
+        .filter(|&(_, &s)| s != Standing::Settled);
     Reading {
+        work: unsettled.map(|(i, _)| i).collect(),
         standing,
         to_drop,
         visits: state.pod_count() as u64,
     }
 }
 
-/// The healthy nodes keyed by remaining capacity — the ordered set every
-/// fit query of one pack runs against. The packing loop updates a node's
-/// key after each mutation of its bookings.
-fn healthy_by_remaining(state: &ClusterState) -> SortedNodes {
-    let mut sorted = SortedNodes::new();
-    for n in state.healthy_nodes() {
-        sorted.insert(n, state.remaining(n).scalar());
-    }
-    sorted
+/// Brings `sorted` to `state`'s healthy nodes keyed by remaining capacity
+/// — the ordered set every fit query of one pack runs against — re-keying
+/// only the nodes whose key changed. The packing loop re-keys a node
+/// after each mutation of its bookings.
+fn sync_nodes(sorted: &mut SortedNodes, state: &ClusterState) {
+    let nodes = state.node_ids().into_iter();
+    let keys = nodes.map(|n| state.is_healthy(n).then(|| state.remaining(n).scalar()));
+    sorted.sync(keys);
+}
+
+/// Whether two node orders track the same nodes at the same key bits.
+fn same_nodes(a: &SortedNodes, b: &SortedNodes) -> bool {
+    let bits = |s: &SortedNodes| {
+        let by_id = s.iter_by_id().map(|(n, key)| (n, key.to_bits()));
+        let ordered = s.iter_desc().map(|(n, key)| (n, key.to_bits()));
+        (by_id.collect::<Vec<_>>(), ordered.collect::<Vec<_>>())
+    };
+    bits(a) == bits(b)
 }
 
 /// Cross-pod bookkeeping of one pack.
@@ -686,6 +781,10 @@ struct PackCtx {
     /// first running pod before it. Starts past the plan's end and only
     /// ever moves towards its head.
     victim_cursor: usize,
+    /// Positions the cursor freed that the work list does not hold (they
+    /// stood settled), for the placement loop to visit. The cursor moves
+    /// towards the head, so the last one pushed is the smallest.
+    freed: Vec<usize>,
     /// Origin node of every running pod this pack took off its node (the
     /// deletion fallback's victims and serving-mode rebooks), with the
     /// pod's index in [`PackOutcome::deletions`]: consulted on
@@ -701,9 +800,20 @@ impl PackCtx {
         PackCtx {
             obs,
             victim_cursor: standing.len(),
+            freed: Vec::new(),
             standing,
             victim_origin: FxHashMap::default(),
             repack: RepackScratch::default(),
+        }
+    }
+
+    /// The placement loop's next position: the smaller of the work list's
+    /// next and the last position the victim cursor freed.
+    fn next_position(&mut self, work: &mut Peekable<std::vec::IntoIter<usize>>) -> Option<usize> {
+        match (work.peek(), self.freed.last()) {
+            (Some(&next), Some(&freed)) if freed < next => self.freed.pop(),
+            (Some(_), _) => work.next(),
+            (None, _) => self.freed.pop(),
         }
     }
 
@@ -761,6 +871,10 @@ impl PackCtx {
                 "standing of victim candidate {key} at rank {at}"
             );
             if self.standing[at] != Standing::Vacant && !plan[at].pinned {
+                // A rebook position is on the work list already.
+                if self.standing[at] == Standing::Settled {
+                    self.freed.push(at);
+                }
                 self.standing[at] = Standing::Vacant;
                 return Some(key);
             }
@@ -873,8 +987,8 @@ fn repack_to_fit(
                 continue;
             };
             state.migrate(p, dest).expect("fit was just verified");
-            sorted.update(source, state.remaining(source).scalar());
-            sorted.update(dest, state.remaining(dest).scalar());
+            sorted.insert(source, state.remaining(source).scalar());
+            sorted.insert(dest, state.remaining(dest).scalar());
             moves.push((p, source, dest));
         }
         if !ok && fits_node(state, cfg, source, demand) {
@@ -889,8 +1003,8 @@ fn repack_to_fit(
         // Roll back tentative moves, most recent first.
         for &(p, src, dest) in moves.iter().rev() {
             state.migrate(p, src).expect("rollback to source succeeds");
-            sorted.update(src, state.remaining(src).scalar());
-            sorted.update(dest, state.remaining(dest).scalar());
+            sorted.insert(src, state.remaining(src).scalar());
+            sorted.insert(dest, state.remaining(dest).scalar());
         }
     }
     None
@@ -1310,6 +1424,14 @@ mod tests {
             assert!(state.pods_on(n).len() <= 3);
         }
         state.check_invariants().unwrap();
+    }
+
+    /// The healthy nodes of `state` keyed by remaining capacity, synced
+    /// from an empty set as a cold pack does.
+    fn healthy_by_remaining(state: &ClusterState) -> SortedNodes {
+        let mut sorted = SortedNodes::new();
+        sync_nodes(&mut sorted, state);
+        sorted
     }
 
     /// Pod placements and tracked `SortedNodes` keys.

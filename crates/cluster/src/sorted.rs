@@ -72,8 +72,10 @@ impl fmt::Display for OrderedF64 {
 /// s.insert(NodeId::new(2), 6.0);
 /// assert_eq!(s.best_fit_candidates(5.0).next(), Some(NodeId::new(2)));
 /// assert_eq!(s.iter_desc().next(), Some((NodeId::new(1), 8.0)));
-/// s.update(NodeId::new(2), 1.0);
+/// s.insert(NodeId::new(2), 1.0);
 /// assert_eq!(s.best_fit_candidates(5.0).next(), Some(NodeId::new(1)));
+/// s.remove(NodeId::new(1));
+/// assert_eq!(s.best_fit_candidates(5.0).next(), None);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SortedNodes {
@@ -100,11 +102,34 @@ impl SortedNodes {
         self.set.insert((OrderedF64::new(remaining), node));
     }
 
-    /// Updates the key of an already-tracked node (alias of [`insert`]).
+    /// Stops tracking `node` (a no-op when it is not tracked).
+    pub fn remove(&mut self, node: NodeId) {
+        if let Some(old) = self.key_of.get_mut(node.index()).and_then(Option::take) {
+            self.set.remove(&(OrderedF64::new(old), node));
+        }
+    }
+
+    /// Makes the tracked nodes and keys exactly `keys`, one entry per node
+    /// id from 0 (`None`: not tracked), touching only the nodes whose key
+    /// bits differ: O(nodes) compares plus O(log n) per re-keyed node. A
+    /// set synced from empty equals one built by [`insert`] in any order.
     ///
     /// [`insert`]: SortedNodes::insert
-    pub fn update(&mut self, node: NodeId, remaining: f64) {
-        self.insert(node, remaining);
+    pub fn sync(&mut self, keys: impl ExactSizeIterator<Item = Option<f64>>) {
+        let nodes = keys.len();
+        for i in nodes..self.key_of.len() {
+            self.remove(NodeId::new(i as u32));
+        }
+        self.key_of.resize(nodes, None);
+        for (i, key) in keys.enumerate() {
+            if self.key_of[i].map(f64::to_bits) != key.map(f64::to_bits) {
+                let node = NodeId::new(i as u32);
+                match key {
+                    Some(key) => self.insert(node, key),
+                    None => self.remove(node),
+                }
+            }
+        }
     }
 
     /// All candidates ≥ `demand`, smallest remaining first (for
@@ -169,10 +194,37 @@ mod tests {
         let mut s = SortedNodes::new();
         s.insert(n(0), 4.0);
         s.insert(n(1), 9.0);
-        s.update(n(1), 1.0);
+        s.insert(n(1), 1.0);
         assert_eq!(s.best_fit_candidates(2.0).next(), Some(n(0)));
         let by_id: Vec<_> = s.iter_by_id().collect();
         assert_eq!(by_id, vec![(n(0), 4.0), (n(1), 1.0)]);
+    }
+
+    #[test]
+    fn sync_matches_a_fresh_build() {
+        let mut s = SortedNodes::new();
+        s.insert(n(0), 4.0);
+        s.insert(n(1), 9.0);
+        s.insert(n(5), 2.0);
+        // Node 1 leaves, node 2 joins, node 0 re-keys to -0.0 (equal to
+        // 0.0 as a float, not as bits), node 5 drops off the end.
+        let keys = [Some(-0.0), None, Some(7.0), Some(1.0)];
+        s.sync(keys.into_iter());
+        let mut fresh = SortedNodes::new();
+        for (i, key) in keys.iter().enumerate().rev() {
+            if let Some(key) = *key {
+                fresh.insert(n(i as u32), key);
+            }
+        }
+        let bits = |s: &SortedNodes| {
+            let by_id = s.iter_by_id().map(|(n, k)| (n, k.to_bits()));
+            let desc = s.iter_desc().map(|(n, k)| (n, k.to_bits()));
+            (by_id.collect::<Vec<_>>(), desc.collect::<Vec<_>>())
+        };
+        assert_eq!(bits(&s), bits(&fresh));
+        assert_eq!(s.iter_by_id().next(), Some((n(0), -0.0)));
+        s.remove(n(9));
+        assert_eq!(bits(&s), bits(&fresh));
     }
 
     #[test]
@@ -214,7 +266,7 @@ mod tests {
         s.insert(n(1), 4.0);
         assert_eq!(worst_fit(&s), Some(n(0)));
         assert_eq!(s.best_fit_candidates(2.0).next(), Some(n(1)));
-        s.update(n(0), 1.0);
+        s.insert(n(0), 1.0);
         assert_eq!(worst_fit(&s), Some(n(1)));
         let by_id: Vec<_> = s.iter_by_id().collect();
         assert_eq!(by_id, vec![(n(0), 1.0), (n(1), 4.0)]);

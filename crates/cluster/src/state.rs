@@ -63,6 +63,95 @@ type PodId = u32;
 /// `pod_node` sentinel: the pod is interned but not currently assigned.
 const UNASSIGNED: u32 = u32::MAX;
 
+/// log2 of [`PAGE`].
+const PAGE_BITS: u32 = 8;
+
+/// Pods per page of the per-pod columns ([`Paged`]). A boundary clone
+/// bumps one refcount per page and a write copies one whole page, so the
+/// size trades the clone (fewer, larger pages) against the pages a tick
+/// writes (each costs its size in bytes); 256 measured best on the
+/// 852k-pod `tick-10k` cluster, whose ticks re-home a few hundred pods.
+const PAGE: usize = 1 << PAGE_BITS;
+
+/// A per-pod column in fixed-size pages, each behind its own `Arc`,
+/// shared copy-on-write between a state and its clones (see
+/// [`ClusterState`]): a clone costs one refcount per page, and a write
+/// copies its page first unless this column holds it alone. Slots past
+/// `len` in the last page are filler and never read.
+#[derive(Debug)]
+struct Paged<T> {
+    pages: Vec<Arc<[T; PAGE]>>,
+    len: usize,
+}
+
+impl<T> Default for Paged<T> {
+    fn default() -> Paged<T> {
+        Paged {
+            pages: Vec::new(),
+            len: 0,
+        }
+    }
+}
+
+impl<T> Clone for Paged<T> {
+    fn clone(&self) -> Paged<T> {
+        Paged {
+            pages: self.pages.clone(),
+            len: self.len,
+        }
+    }
+
+    /// Reuses this column's page table.
+    fn clone_from(&mut self, source: &Paged<T>) {
+        self.pages.clone_from(&source.pages);
+        self.len = source.len;
+    }
+}
+
+impl<T: Copy> Paged<T> {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Appends `value`, opening a page (filled with `value`) when the
+    /// last one is full.
+    fn push(&mut self, value: T) {
+        if self.len.is_multiple_of(PAGE) {
+            self.pages.push(Arc::new([value; PAGE]));
+            self.len += 1;
+        } else {
+            self.len += 1;
+            self.set(self.len - 1, value);
+        }
+    }
+
+    /// Writes slot `i`, copying its page first if a clone shares it.
+    #[inline]
+    fn set(&mut self, i: usize, value: T) {
+        debug_assert!(i < self.len, "slot {i} of {}", self.len);
+        Arc::make_mut(&mut self.pages[i >> PAGE_BITS])[i & (PAGE - 1)] = value;
+    }
+
+    fn get(&self, i: usize) -> Option<&T> {
+        (i < self.len).then(|| &self[i])
+    }
+
+    fn iter(&self) -> impl Iterator<Item = T> + '_ {
+        let slots = self.pages.iter().flat_map(|page| page.iter().copied());
+        slots.take(self.len)
+    }
+}
+
+impl<T> std::ops::Index<usize> for Paged<T> {
+    type Output = T;
+
+    #[inline]
+    fn index(&self, i: usize) -> &T {
+        debug_assert!(i < self.len, "slot {i} of {}", self.len);
+        &self.pages[i >> PAGE_BITS][i & (PAGE - 1)]
+    }
+}
+
 /// A gray-failure factor as a node takes it: clamped to `[0, 1]`, with
 /// NaN (which `f64::clamp` passes through) read as `0.0`, a node that
 /// delivers nothing. A NaN factor would make every capacity test on the
@@ -125,11 +214,11 @@ pub struct ClusterState {
     // ---- interned pod table (indexed by PodId; grow-only) ----
     /// Shared copy-on-write (see the type docs).
     table: Arc<PodTable>,
-    /// id -> node index, or [`UNASSIGNED`].
-    pod_node: Vec<u32>,
+    /// id -> node index, or [`UNASSIGNED`]. Paged copy-on-write.
+    pod_node: Paged<u32>,
     /// id -> demand bits (meaningful while assigned; preserved bit-exactly
-    /// across restore either way).
-    pod_demand: Vec<Resources>,
+    /// across restore either way). Paged copy-on-write.
+    pod_demand: Paged<Resources>,
     /// Number of currently assigned pods.
     assigned: usize,
 }
@@ -168,8 +257,8 @@ impl ClusterState {
             // One shared empty list: the first assign to a node copies it.
             node_pods: vec![Arc::default(); n],
             table: Arc::default(),
-            pod_node: Vec::new(),
-            pod_demand: Vec::new(),
+            pod_node: Paged::default(),
+            pod_demand: Paged::default(),
             assigned: 0,
         }
     }
@@ -347,9 +436,9 @@ impl ClusterState {
     /// identical across clones — unlike the hash-map iteration the arena
     /// replaced, it never depends on hasher state or map capacity.
     pub fn assignments(&self) -> impl Iterator<Item = (PodKey, NodeId, Resources)> + '_ {
-        (self.pod_node.iter().enumerate())
-            .filter(|&(_, &n)| n != UNASSIGNED)
-            .map(move |(i, &n)| (self.table.keys[i], NodeId(n), self.pod_demand[i]))
+        (self.pod_node.iter().zip(self.pod_demand.iter()).enumerate())
+            .filter(|&(_, (n, _))| n != UNASSIGNED)
+            .map(move |(i, (n, demand))| (self.table.keys[i], NodeId(n), demand))
     }
 
     /// Assigns `pod` with `demand` onto `node`.
@@ -400,8 +489,8 @@ impl ClusterState {
         });
         self.used[idx] += demand;
         Arc::make_mut(&mut self.node_pods[idx]).push(id);
-        self.pod_node[id as usize] = node.0;
-        self.pod_demand[id as usize] = demand;
+        self.pod_node.set(id as usize, node.0);
+        self.pod_demand.set(id as usize, demand);
         self.assigned += 1;
         Ok(())
     }
@@ -441,7 +530,7 @@ impl ClusterState {
             .position(|&i| i == id)
             .expect("assigned pod is on its node's list");
         Arc::make_mut(&mut self.node_pods[idx]).swap_remove(pos);
-        self.pod_node[id as usize] = UNASSIGNED;
+        self.pod_node.set(id as usize, UNASSIGNED);
         self.assigned -= 1;
         self.used[idx] = self.node_pods[idx]
             .iter()
@@ -485,7 +574,7 @@ impl ClusterState {
         let evicted: Vec<(PodKey, Resources)> = ids
             .iter()
             .map(|&id| {
-                self.pod_node[id as usize] = UNASSIGNED;
+                self.pod_node.set(id as usize, UNASSIGNED);
                 (self.table.keys[id as usize], self.pod_demand[id as usize])
             })
             .collect();
@@ -642,14 +731,15 @@ impl ClusterState {
                 .all(|(a, b)| a.to_bits() == b.to_bits())
             && self.node_pods == other.node_pods
             && self.table.keys == other.table.keys
-            && self.pod_node == other.pod_node
+            && self.pod_node.len() == other.pod_node.len()
+            && self.pod_node.iter().eq(other.pod_node.iter())
             && self.assigned == other.assigned
             && self.pod_demand.len() == other.pod_demand.len()
             && self
                 .pod_demand
                 .iter()
-                .zip(&other.pod_demand)
-                .all(|(a, b)| res_eq(a, b))
+                .zip(other.pod_demand.iter())
+                .all(|(a, b)| res_eq(&a, &b))
     }
 
     /// Debug invariant check: per-node `used` equals the sum of its pods'
@@ -705,7 +795,7 @@ impl ClusterState {
                 self.pod_demand.len()
             ));
         }
-        for (id, &node) in self.pod_node.iter().enumerate() {
+        for (id, node) in self.pod_node.iter().enumerate() {
             let key = self.table.keys[id];
             if self.table.ids.get(&key) != Some(&(id as PodId)) {
                 return Err(format!("interned pod {key} lost its id {id}"));
@@ -977,6 +1067,45 @@ mod tests {
         // The outer snapshot is still valid after the inner restore.
         c.restore_to(&outer);
         assert!(c.bitwise_eq(&outer_state));
+    }
+
+    /// `snapshot_props` walks the page edges at this size.
+    #[test]
+    fn pod_pages_are_the_size_snapshot_props_walks() {
+        assert_eq!(PAGE, 256);
+    }
+
+    #[test]
+    fn one_assign_after_a_clone_copies_only_its_own_page() {
+        let mut c = ClusterState::homogeneous(4, Resources::cpu(1e6));
+        for s in 0..(3 * PAGE + 1) as u32 {
+            c.assign(pod(0, s), Resources::cpu(1.0), NodeId::new(s % 4))
+                .unwrap();
+        }
+        // Free a pod in the second page, then clone.
+        c.remove(pod(0, PAGE as u32 + 5)).unwrap();
+        let shared = |a: &ClusterState, b: &ClusterState| {
+            let node = a.pod_node.pages.iter().zip(&b.pod_node.pages);
+            let demand = a.pod_demand.pages.iter().zip(&b.pod_demand.pages);
+            let node = node.map(|(x, y)| Arc::ptr_eq(x, y)).collect::<Vec<_>>();
+            let demand = demand.map(|(x, y)| Arc::ptr_eq(x, y)).collect::<Vec<_>>();
+            assert_eq!(node, demand, "the columns copy the same pages");
+            node
+        };
+        let mut copy = c.clone();
+        assert_eq!(shared(&c, &copy), vec![true; 4]);
+        // Re-booking a known pod copies its page alone.
+        copy.assign(pod(0, PAGE as u32 + 5), Resources::cpu(2.0), NodeId::new(0))
+            .unwrap();
+        assert_eq!(shared(&c, &copy), vec![true, false, true, true]);
+        // A never-seen pod lands in the last page, which the clone copies.
+        let mut copy = c.clone();
+        copy.assign(pod(1, 0), Resources::cpu(1.0), NodeId::new(1))
+            .unwrap();
+        assert_eq!(shared(&c, &copy), vec![true, true, true, false]);
+        assert_eq!(c.node_of(pod(1, 0)), None);
+        copy.check_invariants().unwrap();
+        c.check_invariants().unwrap();
     }
 
     #[test]

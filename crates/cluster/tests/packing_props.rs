@@ -272,7 +272,7 @@ mod reference {
                     continue;
                 }
                 let (from, _) = state.remove(planned.key).expect("pod is assigned");
-                sorted.update(from, state.remaining(from).scalar());
+                sorted.insert(from, state.remaining(from).scalar());
                 if let Some(active) = active.as_mut() {
                     active.remove(&(rank, planned.key));
                 }
@@ -304,7 +304,7 @@ mod reference {
                 active.remove(&(victim_rank, victim));
                 events.victims += 1;
                 let (node, _) = state.remove(victim).expect("victim is assigned");
-                sorted.update(node, state.remaining(node).scalar());
+                sorted.insert(node, state.remaining(node).scalar());
                 if let Some(pos) = out.starts.iter().position(|&(p, _)| p == victim) {
                     out.starts.swap_remove(pos);
                 } else {
@@ -318,7 +318,7 @@ mod reference {
                     state
                         .assign(planned.key, planned.demand, node)
                         .expect("fit was just verified");
-                    sorted.update(node, state.remaining(node).scalar());
+                    sorted.insert(node, state.remaining(node).scalar());
                     if let Some(active) = active.as_mut() {
                         active.insert((rank, planned.key));
                     }
@@ -412,8 +412,8 @@ mod reference {
                     continue;
                 };
                 state.migrate(p, dest).expect("fit was just verified");
-                sorted.update(source, state.remaining(source).scalar());
-                sorted.update(dest, state.remaining(dest).scalar());
+                sorted.insert(source, state.remaining(source).scalar());
+                sorted.insert(dest, state.remaining(dest).scalar());
                 moves.push((p, source, dest));
             }
             if !ok && fits_node(state, cfg, source, demand) {
@@ -425,8 +425,8 @@ mod reference {
             }
             for (p, src, dest) in moves.into_iter().rev() {
                 state.migrate(p, src).expect("rollback to source succeeds");
-                sorted.update(src, state.remaining(src).scalar());
-                sorted.update(dest, state.remaining(dest).scalar());
+                sorted.insert(src, state.remaining(src).scalar());
+                sorted.insert(dest, state.remaining(dest).scalar());
             }
         }
         None

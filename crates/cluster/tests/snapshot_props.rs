@@ -10,9 +10,10 @@
 //! holds, replacing clone-per-trial with restore-per-trial cannot change
 //! a single output byte.
 //!
-//! A clone shares the pod table and the node pod lists copy-on-write, so
-//! the last property mutates either side of a clone and holds both sides
-//! to states that never shared anything.
+//! A clone shares the pod table, the node pod lists and the pages of the
+//! per-pod columns copy-on-write, so the last two properties mutate
+//! either side of a clone and hold both sides to states that never
+//! shared anything, the first of them at the page edges.
 
 use phoenix_cluster::{ClusterState, NodeId, PodKey, Resources};
 use proptest::prelude::*;
@@ -98,6 +99,49 @@ fn churn_and_rewind(
     state.restore_to(&snap.expect("churn is not empty"));
     for &op in tail {
         apply(state, op, next_pod);
+    }
+}
+
+/// Pods per page of `ClusterState`'s per-pod columns (a private
+/// constant of `cluster::state`, whose unit test
+/// `pod_pages_are_the_size_snapshot_props_walks` holds it to this value).
+const PAGE: usize = 256;
+
+/// `pods` pods interned and running on four roomy nodes, round robin.
+fn filled(pods: usize) -> ClusterState {
+    let mut state = ClusterState::homogeneous(4, Resources::new(1e6, 1e6));
+    for i in 0..pods {
+        let demand = Resources::new(0.05 + 0.1 * (i % 7) as f64, 0.3);
+        let node = NodeId::new((i % 4) as u32);
+        state
+            .assign(PodKey::new(1, i as u32, 0), demand, node)
+            .unwrap();
+    }
+    state
+}
+
+/// One step of churn over a [`filled`] state of `pods` pods: kind 0
+/// assigns a never-seen pod, 1 removes the filled pod at share `at` of
+/// the filled range (first and last pages included), 2 assigns it back,
+/// 3 migrates it, 4 fails a node and 5 restores one.
+fn apply_paged(
+    state: &mut ClusterState,
+    pods: usize,
+    (kind, at, sel): (u8, f64, u32),
+    next: &mut u32,
+) {
+    let node = NodeId::new(sel % 4);
+    let known = PodKey::new(1, (at * pods as f64) as u32, 0);
+    match kind {
+        0 => {
+            let _ = state.assign(PodKey::new(2, *next, 0), Resources::new(0.7, 0.1), node);
+            *next += 1;
+        }
+        1 => _ = state.remove(known),
+        2 => _ = state.assign(known, Resources::new(0.3, 0.2), node),
+        3 => _ = state.migrate(known, node),
+        4 => _ = state.fail_node(node),
+        _ => state.restore_node(node),
     }
 }
 
@@ -204,6 +248,44 @@ proptest! {
         prop_assert!(other.bitwise_eq(&outer_ref), "restore into a clone drifted");
         prop_assert_eq!(assignment_bits(&other), assignment_bits(&outer_ref));
         other.check_invariants().unwrap();
+    }
+
+    /// Page edges: with 0, P−1, P, P+1 and 3P+1 pods interned for page
+    /// size P, churn on either side of a clone — new pods opening a
+    /// page, pods in the first and last pages removed, re-booked and
+    /// migrated, nodes failed and restored — leaves the other side equal
+    /// to a state that never shared a page, the churned side equal to
+    /// one that ran the same script unshared, and a restore of the
+    /// pre-churn snapshot bit-exact.
+    #[test]
+    fn page_edges_hold_under_clone_churn_and_restore(
+        pods in (0usize..5).prop_map(|i| [0, PAGE - 1, PAGE, PAGE + 1, 3 * PAGE + 1][i]),
+        churn in proptest::collection::vec((0u8..6, 0.0f64..1.0, 0u32..4), 1..40),
+        mutate_clone in any::<bool>(),
+    ) {
+        let mut original = filled(pods);
+        let mut copy = original.clone();
+        let (mutated, other) = match mutate_clone {
+            true => (&mut copy, &original),
+            false => (&mut original, &copy),
+        };
+        let snap = mutated.snapshot();
+        let (mut next, mut next_ref) = (0, 0);
+        let mut rebuilt = filled(pods);
+        for &op in &churn {
+            apply_paged(mutated, pods, op, &mut next);
+            apply_paged(&mut rebuilt, pods, op, &mut next_ref);
+        }
+        let untouched = filled(pods);
+        prop_assert!(other.bitwise_eq(&untouched), "the untouched side moved");
+        prop_assert!(mutated.bitwise_eq(&rebuilt), "the churned side drifted");
+        prop_assert_eq!(assignment_bits(mutated), assignment_bits(&rebuilt));
+        other.check_invariants().unwrap();
+        mutated.check_invariants().unwrap();
+        mutated.restore_to(&snap);
+        prop_assert!(mutated.bitwise_eq(&untouched), "restore drifted");
+        prop_assert_eq!(assignment_bits(mutated), assignment_bits(&untouched));
+        mutated.check_invariants().unwrap();
     }
 
     /// Copy-on-write isolation: after a clone, churn on either side —

@@ -304,7 +304,7 @@ pub(crate) fn global_rank_prepared<O: OperatorObjective + ?Sized>(
 ) -> GlobalRank {
     let fair_shares = inputs.fair_shares(capacity.scalar());
     let mut allocated = vec![0.0; inputs.app_count()];
-    let mut fits = Fits::new(capacity, inputs.app_count(), cfg);
+    let mut fits = Fits::new(capacity.scalar(), inputs.app_count(), cfg);
     let mut items = Vec::new();
     merge(
         inputs,
@@ -351,7 +351,7 @@ const TAKEN: u8 = 2;
 /// The unbounded-capacity pop order of the merge heap, as
 /// [`merged_order`] computes it, plus the marks that let
 /// [`global_rank_replay`] verify a repeat ranking instead of rewriting it.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct MergeOrder {
     steps: Vec<Step>,
     /// Per step: [`DEGRADED`], and [`TAKEN`] when the last replay took it.
@@ -362,6 +362,33 @@ pub struct MergeOrder {
     /// not taken.
     marked: bool,
     end: usize,
+    /// Whether the last replay took every step.
+    all_taken: bool,
+    /// C*: a capacity scalar at which a replay took every step (`+∞`
+    /// while none is known). Subtraction rounded to nearest and the fit
+    /// test are both monotone in the remaining capacity, so every
+    /// replay at a capacity of at least C* takes every step too.
+    all_fit: f64,
+    /// Each app's allocation when every step is taken, summed in step
+    /// order as a replay sums it.
+    all_allocated: Vec<f64>,
+    /// The degraded steps: a replay that takes every step buys them all.
+    degraded: u64,
+}
+
+impl Default for MergeOrder {
+    fn default() -> MergeOrder {
+        MergeOrder {
+            steps: Vec::new(),
+            flags: Vec::new(),
+            marked: false,
+            end: 0,
+            all_taken: false,
+            all_fit: f64::INFINITY,
+            all_allocated: Vec::new(),
+            degraded: 0,
+        }
+    }
 }
 
 impl MergeOrder {
@@ -417,6 +444,19 @@ pub fn merged_order<O: OperatorObjective + ?Sized>(
             Pop::Take
         },
     );
+    // Every step is taken: the merge's allocations are the all-taken
+    // ones, summed in step order.
+    order.all_allocated = allocated;
+    order.degraded = order.flags.iter().map(|&f| u64::from(f & DEGRADED)).sum();
+    // One probe replay just above the total demand sets C* when it takes
+    // every step (the fit rule's slack absorbs the sum's rounding).
+    let total: f64 = order.steps.iter().map(|s| s.scalar).sum();
+    let probe = total + total.abs() * 1e-9;
+    let mut fits = Fits::new(probe, inputs.app_count(), &PlannerConfig::default());
+    let apps = order.steps.iter().map(|s| s.app as usize);
+    if (apps.zip(&order.steps)).all(|(app, s)| fits.take(app, s.scalar, false) == Some(true)) {
+        order.all_fit = probe;
+    }
     order
 }
 
@@ -434,9 +474,10 @@ struct Fits {
 }
 
 impl Fits {
-    fn new(capacity: Resources, apps: usize, cfg: &PlannerConfig) -> Fits {
+    /// The rule at aggregate capacity scalar `capacity`.
+    fn new(capacity: f64, apps: usize, cfg: &PlannerConfig) -> Fits {
         Fits {
-            remaining: capacity.scalar(),
+            remaining: capacity,
             retired: vec![false; apps],
             continue_on_saturation: cfg.continue_on_saturation,
             rung_purchases: 0,
@@ -511,6 +552,12 @@ pub fn global_rank_replay(
 }
 
 /// [`global_rank_replay`] without its debug cross-check.
+///
+/// **All-fit short-cut:** when the last replay took every step and wrote
+/// `rank` (the order is marked), any capacity of at least the order's C*
+/// takes every step again (see [`MergeOrder`]), so the ranking stands:
+/// the replay recomputes the shares, books the all-taken allocations and
+/// rung purchases, and walks no step.
 fn replay(
     inputs: &RankInputs,
     order: &mut MergeOrder,
@@ -519,11 +566,14 @@ fn replay(
     rank: &mut GlobalRank,
 ) -> usize {
     let n = inputs.app_count();
-    rank.fair_shares = waterfill_with_order(
-        &inputs.demand_scalars,
-        &inputs.demand_sort,
-        capacity.scalar(),
-    );
+    let capacity = capacity.scalar();
+    rank.fair_shares = waterfill_with_order(&inputs.demand_scalars, &inputs.demand_sort, capacity);
+    let obs = phoenix_obs::current();
+    if order.marked && order.all_taken && capacity >= order.all_fit {
+        rank.allocated.clone_from(&order.all_allocated);
+        obs.add(phoenix_obs::Counter::RungPurchases, order.degraded);
+        return rank.items.len();
+    }
     rank.allocated.clear();
     rank.allocated.resize(n, 0.0);
     let mut fits = Fits::new(capacity, n, cfg);
@@ -542,13 +592,16 @@ fn replay(
     let mut diverged = false;
     let mut end = order.steps.len();
     let mut walked = 0;
+    let mut all_taken = true;
     for (i, (step, flags)) in order.steps.iter().zip(&mut order.flags).enumerate() {
         let app = step.app as usize;
         walked += 1;
         let Some(take) = fits.take(app, step.scalar, *flags & DEGRADED != 0) else {
+            all_taken = false;
             end = i;
             break;
         };
+        all_taken &= take;
         if take {
             rank.allocated[app] += step.scalar;
         }
@@ -578,8 +631,12 @@ fn replay(
     }
     order.marked = true;
     order.end = end;
+    order.all_taken = all_taken;
+    if all_taken {
+        order.all_fit = order.all_fit.min(capacity);
+    }
     fits.record();
-    phoenix_obs::current().add(phoenix_obs::Counter::ReplaySteps, walked);
+    obs.add(phoenix_obs::Counter::ReplaySteps, walked);
     kept
 }
 

@@ -2,7 +2,9 @@
 //! random capacity walk, `global_rank_replay` into the previous step's
 //! ranking equals a cold heap merge (`global_rank`) bit for bit,
 //! returns the true common prefix with the previous items, and counts the
-//! same rung purchases and chain retirements.
+//! same rung purchases and chain retirements. The walk crosses the total
+//! demand both ways and repeats capacities above it, where the replay's
+//! all-fit short-cut walks no step.
 
 use phoenix_cluster::Resources;
 use phoenix_core::objectives::{
@@ -98,9 +100,9 @@ fn arb_workload() -> impl Strategy<Value = Workload> {
 }
 
 /// One step of a capacity walk: 0 repeat, 1 up, 2 down, 3 zero, 4 above
-/// total demand; the fraction scales the move.
+/// total demand, 5 just below it; the fraction scales the move.
 fn arb_walk() -> impl Strategy<Value = Vec<(u8, f64)>> {
-    proptest::collection::vec((0u8..5, 0.0f64..1.0), 1..12)
+    proptest::collection::vec((0u8..6, 0.0f64..1.0), 1..12)
 }
 
 /// The walk's capacities, starting from a random share of total demand.
@@ -114,7 +116,8 @@ fn capacities(total: f64, start: f64, walk: &[(u8, f64)]) -> Vec<f64> {
             1 => cap + x * total / 4.0,
             2 => (cap - x * total / 4.0).max(0.0),
             3 => 0.0,
-            _ => total * (1.0 + x),
+            4 => total * (1.0 + x),
+            _ => total * (1.0 - x * 1e-3),
         };
         out.push(cap);
     }
@@ -160,16 +163,29 @@ fn total_demand(w: &Workload) -> f64 {
 }
 
 /// Runs `f` under a fresh recorder; returns its output with the rung
-/// purchases and chain retirements it counted.
-fn counted<R>(f: impl FnOnce() -> R) -> (R, [u64; 2]) {
+/// purchases, chain retirements and replay steps it counted.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, [u64; 3]) {
     let recorder = Recorder::enabled();
     let out = with_recorder(recorder.clone(), f);
-    let counts = [Counter::RungPurchases, Counter::ChainRetirements].map(|c| recorder.counter(c));
+    let counts = [
+        Counter::RungPurchases,
+        Counter::ChainRetirements,
+        Counter::ReplaySteps,
+    ]
+    .map(|c| recorder.counter(c));
     (out, counts)
 }
 
+/// Whether the all-fit short-cut must fire on a replay at `cap` right
+/// after a replay of the same order at `previous`: both sit clearly
+/// above the total demand, where every step fits.
+fn above(total: f64, previous: Option<f64>, cap: f64) -> bool {
+    let clear = |c: f64| c >= total * (1.0 + 1e-6) + 1e-6;
+    previous.is_some_and(clear) && clear(cap)
+}
+
 /// Replays `order` into `rank` at `cap` and checks it against a cold
-/// heap merge under `objective`.
+/// heap merge under `objective`; returns the steps the replay walked.
 fn replay_and_check(
     ranked: &Ranked,
     objective: &dyn OperatorObjective,
@@ -177,7 +193,7 @@ fn replay_and_check(
     rank: &mut GlobalRank,
     cap: f64,
     cfg: &PlannerConfig,
-) {
+) -> u64 {
     let (cold, cold_counts) = counted(|| ranked.cold(objective, cap, cfg));
     let previous = rank.items.clone();
     let capacity = Resources::cpu(cap);
@@ -189,11 +205,12 @@ fn replay_and_check(
     let common = previous.iter().zip(&rank.items).take_while(|(a, b)| a == b);
     prop_assert_eq!(kept, common.count(), "prefix at capacity {}", cap);
     prop_assert_eq!(
-        counts,
-        cold_counts,
+        counts[..2],
+        cold_counts[..2],
         "rung/retirement counters at capacity {}",
         cap
     );
+    counts[2]
 }
 
 proptest! {
@@ -217,8 +234,14 @@ proptest! {
         let shares = ranked.inputs.fair_shares(start);
         let mut order = merged_order(&ranked.inputs, objective, &shares);
         let mut rank = GlobalRank::default();
-        for cap in capacities(total_demand(&w), start, &walk) {
-            replay_and_check(&ranked, objective, &mut order, &mut rank, cap, &cfg);
+        let total = total_demand(&w);
+        let mut previous = None;
+        for cap in capacities(total, start, &walk) {
+            let steps = replay_and_check(&ranked, objective, &mut order, &mut rank, cap, &cfg);
+            if above(total, previous, cap) {
+                prop_assert_eq!(steps, 0, "no short-cut at capacity {}", cap);
+            }
+            previous = Some(cap);
         }
     }
 
@@ -239,12 +262,19 @@ proptest! {
         let shares = ranked.inputs.fair_shares(total * 2.0);
         let mut order = merged_order(&ranked.inputs, &FairnessObjective, &shares);
         let mut rank = GlobalRank::default();
+        let mut previous = None;
         for cap in capacities(total, start, &walk) {
             if ranked.inputs.fair_shares(cap) == shares {
-                replay_and_check(&ranked, &FairnessObjective, &mut order, &mut rank, cap, &cfg);
+                let objective = &FairnessObjective;
+                let steps = replay_and_check(&ranked, objective, &mut order, &mut rank, cap, &cfg);
+                if above(total, previous, cap) {
+                    prop_assert_eq!(steps, 0, "no short-cut at capacity {}", cap);
+                }
+                previous = Some(cap);
             } else {
                 rank = ranked.cold(&FairnessObjective, cap, &cfg);
                 order.forget_marks();
+                previous = None;
             }
         }
     }

@@ -1,11 +1,23 @@
-//! The warm tick's complexity contract, stated on an exact counter.
+//! The warm tick's complexity contract, stated on exact counters.
 //!
-//! A monitor tick that fails one node must cost the pack's drop pass
-//! work in proportion to what changed, not to the cluster: growing the
-//! AdaptLab environment of the `tick-10k` shape tenfold (100 to 1 000
-//! nodes, 75 % utilization) must less than double the pods whose
-//! standing the drop pass derives ([`Counter::PackDropVisits`]). A full
-//! read of the state visits every running pod and grows tenfold.
+//! A monitor tick that fails one node must cost work in proportion to
+//! what changed, not to the cluster: growing the AdaptLab environment of
+//! the `tick-10k` shape tenfold (100 to 1 000 nodes, 75 % utilization)
+//! must less than double
+//! - the pods whose standing the pack's drop pass derives
+//!   ([`Counter::PackDropVisits`]),
+//! - the plan positions its placement loop visits
+//!   ([`Counter::PackPlacementVisits`]), and
+//! - the merge-order steps the ranking replay walks
+//!   ([`Counter::ReplaySteps`]).
+//!
+//! A full read of the state visits every running pod, a full placement
+//! loop every plan position and a full replay every step: all grow
+//! tenfold. The first capacity-only tick may build a merge order (and
+//! walk it once), so the placement and replay contracts are read on the
+//! second tick, which fails another node.
+
+use std::sync::OnceLock;
 
 use phoenix_adaptlab::alibaba::AlibabaConfig;
 use phoenix_adaptlab::scenario::{build_env, EnvConfig};
@@ -15,9 +27,19 @@ use phoenix_core::objectives::ObjectiveKind;
 use phoenix_core::replan::ReplanDelta;
 use phoenix_obs::{with_recorder, Counter, Recorder};
 
-/// `(running pods, drop-pass visits)` of one warm tick that fails one
-/// node of a converged `nodes`-node environment.
-fn one_failure_tick(nodes: usize, kind: ObjectiveKind) -> (usize, u64) {
+/// The counters of one tick, in [`TICK`] order.
+type Work = [u64; 3];
+
+/// The counters the contracts read.
+const TICK: [Counter; 3] = [
+    Counter::PackDropVisits,
+    Counter::PackPlacementVisits,
+    Counter::ReplaySteps,
+];
+
+/// `(running pods, first tick, second tick)` of two warm ticks on a
+/// converged `nodes`-node environment, each failing one node.
+fn two_failure_ticks(nodes: usize, kind: ObjectiveKind) -> (usize, Work, Work) {
     let env = build_env(&EnvConfig {
         nodes,
         target_utilization: 0.75,
@@ -31,24 +53,84 @@ fn one_failure_tick(nodes: usize, kind: ObjectiveKind) -> (usize, u64) {
     let mut controller =
         PhoenixController::new(env.workload.clone(), PhoenixConfig::with_objective(kind));
     let mut live = controller.replan(&env.baseline, ReplanDelta::Full).target;
-    live.fail_node(NodeId::new(nodes as u32 / 2));
-    let recorder = Recorder::enabled();
-    let tick = with_recorder(recorder.clone(), || {
-        controller.replan(&live, ReplanDelta::CapacityOnly)
-    });
-    assert!(tick.packing.unplaced.is_empty(), "the tick shape has room");
-    (live.pod_count(), recorder.counter(Counter::PackDropVisits))
+    let running = live.pod_count();
+    let mut ticks = [[0; 3]; 2];
+    for (tick, work) in ticks.iter_mut().enumerate() {
+        live.fail_node(NodeId::new((nodes / 2 + tick) as u32));
+        let recorder = Recorder::enabled();
+        let result = with_recorder(recorder.clone(), || {
+            controller.replan(&live, ReplanDelta::CapacityOnly)
+        });
+        assert!(
+            result.packing.unplaced.is_empty(),
+            "the tick shape has room"
+        );
+        *work = TICK.map(|c| recorder.counter(c));
+        live = result.target;
+    }
+    (running, ticks[0], ticks[1])
+}
+
+/// One objective's `(kind, small, large)` measurements, each
+/// `(first tick, second tick)`.
+type Sizes = (ObjectiveKind, (Work, Work), (Work, Work));
+
+/// Both objectives at 100 and 1 000 nodes, measured once per test binary.
+fn ticks() -> &'static [Sizes] {
+    static TICKS: OnceLock<Vec<Sizes>> = OnceLock::new();
+    TICKS.get_or_init(|| {
+        let kinds = [ObjectiveKind::Fairness, ObjectiveKind::Cost];
+        let measure = |kind| {
+            let (small_pods, small_first, small_second) = two_failure_ticks(100, kind);
+            let (large_pods, large_first, large_second) = two_failure_ticks(1_000, kind);
+            assert!(large_pods > 8 * small_pods, "{kind:?}: the cluster grew");
+            (
+                kind,
+                (small_first, small_second),
+                (large_first, large_second),
+            )
+        };
+        kinds.into_iter().map(measure).collect()
+    })
+}
+
+/// `(kind, small, large)` readings of the counter at `at` (an index into
+/// [`TICK`]) on the first or the `second` tick.
+fn readings(second: bool, at: usize) -> Vec<(ObjectiveKind, u64, u64)> {
+    let pick = |(first, later): (Work, Work)| if second { later[at] } else { first[at] };
+    let read = |&(kind, small, large): &Sizes| (kind, pick(small), pick(large));
+    ticks().iter().map(read).collect()
 }
 
 #[test]
 fn warm_tick_drop_visits_grow_less_than_twofold_over_tenfold_nodes() {
-    for kind in [ObjectiveKind::Fairness, ObjectiveKind::Cost] {
-        let (small_pods, small) = one_failure_tick(100, kind);
-        let (large_pods, large) = one_failure_tick(1_000, kind);
-        assert!(large_pods > 8 * small_pods, "{kind:?}: the cluster grew");
+    for (kind, small, large) in readings(false, 0) {
         assert!(
             large < 2 * small,
             "{kind:?}: {small} visits at 100 nodes, {large} at 1 000"
+        );
+    }
+}
+
+#[test]
+fn warm_tick_placement_visits_grow_less_than_twofold_over_tenfold_nodes() {
+    for (kind, small, large) in readings(true, 1) {
+        assert!(
+            large < 2 * small,
+            "{kind:?}: {small} placement visits at 100 nodes, {large} at 1 000"
+        );
+    }
+}
+
+/// Above its total demand the cluster takes every step at both sizes,
+/// so the replay walks none: the floor of one step keeps the bound
+/// meaningful at zero.
+#[test]
+fn warm_tick_replay_steps_grow_less_than_twofold_over_tenfold_nodes() {
+    for (kind, small, large) in readings(true, 2) {
+        assert!(
+            large < 2 * small.max(1),
+            "{kind:?}: {small} replay steps at 100 nodes, {large} at 1 000"
         );
     }
 }
