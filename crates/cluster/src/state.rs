@@ -136,9 +136,14 @@ impl<T: Copy> Paged<T> {
         (i < self.len).then(|| &self[i])
     }
 
+    /// The column one slice per page, the last cut at `len`.
+    fn slices(&self) -> impl Iterator<Item = &[T]> + '_ {
+        let pages = self.pages.iter().enumerate();
+        pages.map(|(k, page)| &page[..(self.len - k * PAGE).min(PAGE)])
+    }
+
     fn iter(&self) -> impl Iterator<Item = T> + '_ {
-        let slots = self.pages.iter().flat_map(|page| page.iter().copied());
-        slots.take(self.len)
+        self.slices().flat_map(|slots| slots.iter().copied())
     }
 }
 
@@ -436,9 +441,13 @@ impl ClusterState {
     /// identical across clones — unlike the hash-map iteration the arena
     /// replaced, it never depends on hasher state or map capacity.
     pub fn assignments(&self) -> impl Iterator<Item = (PodKey, NodeId, Resources)> + '_ {
-        (self.pod_node.iter().zip(self.pod_demand.iter()).enumerate())
-            .filter(|&(_, (n, _))| n != UNASSIGNED)
-            .map(move |(i, (n, demand))| (self.table.keys[i], NodeId(n), demand))
+        let pages = self.pod_node.slices().zip(self.pod_demand.slices());
+        pages.enumerate().flat_map(move |(k, (nodes, demands))| {
+            let slots = nodes.iter().zip(demands).zip(&self.table.keys[k * PAGE..]);
+            slots
+                .filter(|&((&n, _), _)| n != UNASSIGNED)
+                .map(|((&n, &demand), &pod)| (pod, NodeId(n), demand))
+        })
     }
 
     /// Assigns `pod` with `demand` onto `node`.
