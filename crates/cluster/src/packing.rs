@@ -2,17 +2,18 @@
 //!
 //! Given the planner's globally-ranked list of microservices, map each one
 //! to a healthy server with a three-pronged strategy. With `P` plan
-//! entries, `A` resulting actions and `N` healthy nodes, one pack costs
-//! O(P + A · log N + N · log N): a running pod costs one dense
-//! [`PlanIndex`] lookup and one flag write in the drop pass, then one
-//! flag test in the placement loop — no pod-map probe; a pod that moves
-//! pays for the ordered node set (built once per pack over the healthy
-//! nodes), and a fallback event (a repack attempt, a victim) costs what
-//! the migration budgets and the pods of the few nodes it touches allow —
-//! never something proportional to `P`. A warm pack handed a [`PackCarry`]
-//! pays the drop pass only for what changed since the previous pack
-//! (below): a monitor tick that fails one node reads that node's pods
-//! and the plan's re-built tail, not the whole cluster.
+//! entries, `A` resulting actions, `N` nodes and `R` re-keyed nodes, a
+//! cold pack costs O(P + A · log N + N · log N): a running pod costs one
+//! dense [`PlanIndex`] lookup and one flag write in the drop pass and is
+//! never visited by the placement loop — no pod-map probe; a pod that
+//! moves pays for the ordered node set, and a fallback event (a repack
+//! attempt, a victim) costs what the migration budgets and the pods of
+//! the few nodes it touches allow — never something proportional to
+//! `P`. A warm pack handed a [`PackCarry`] costs O(Δ + N + (A + R) ·
+//! log N), Δ being what changed since the previous pack (below): a
+//! monitor tick that fails one node reads that node's pods and the plan's
+//! re-built tail, visits only the positions they leave unsettled, and
+//! re-keys only the nodes whose key moved — not the whole cluster.
 //!
 //! 0. **Drop** — one pass over the running pods deletes those the plan
 //!    turned off and records the *standing* of every planned position:
@@ -37,6 +38,19 @@
 //!    removes a later pod, it marks that position vacant as it does, and
 //!    it never revisits a position. Debug builds check the recorded
 //!    standing against the probe on every loop entry and cursor step.
+//!    **Work list:** the read also lists, in rank order, the positions
+//!    not settled (vacant or rebook, the carry's unplaced ones among
+//!    them), and the placement loop visits only those and the settled
+//!    positions the victim cursor frees. The cursor walks towards the
+//!    head, so the positions it frees arrive in decreasing order and a
+//!    stack merges them in. Debug builds check that every position the
+//!    loop skips stands settled.
+//!    **Node order:** the fit queries run against the healthy nodes
+//!    keyed by remaining capacity ([`SortedNodes`]). The carry keeps the
+//!    previous pack's final order, and each pack syncs it to the state
+//!    after the drops, re-keying only the nodes whose health or key bits
+//!    differ: O(N) compares. A cold pack syncs an empty set the same
+//!    way, and debug builds compare the synced set with a fresh one.
 //!
 //! 1. **Best-fit** — the node with the smallest remaining capacity that
 //!    still accommodates the demand: one O(log N) range query on
@@ -489,7 +503,8 @@ pub fn pack_prepared(
     out.origins.sort_by_key(|&(pod, _)| pod);
     out.origins.dedup_by_key(|&mut (pod, _)| pod);
     if let Some(carry) = carry {
-        carry.record(state, plan, index, cfg, ctx.standing, sorted, &out);
+        carry.nodes = sorted;
+        carry.record(state, plan, index, cfg, ctx.standing, &out);
     }
     out
 }
@@ -622,9 +637,8 @@ impl PackCarry {
         })
     }
 
-    /// Keeps what a finished pack leaves: its node order, and its loop's
-    /// standing, re-probed at the positions of the pods it touched.
-    #[allow(clippy::too_many_arguments)]
+    /// Keeps the final standing of a finished pack: its loop's standing,
+    /// re-probed at the positions of the pods it touched.
     fn record(
         &mut self,
         state: &ClusterState,
@@ -632,11 +646,9 @@ impl PackCarry {
         index: &PlanIndex,
         cfg: &PackingConfig,
         mut standing: Vec<Standing>,
-        nodes: SortedNodes,
         out: &PackOutcome,
     ) {
         self.clear();
-        self.nodes = nodes;
         if cfg.rebook_in_place {
             return;
         }

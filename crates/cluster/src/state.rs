@@ -189,14 +189,16 @@ pub struct Snapshot(ClusterState);
 /// and records where each pod it touched came from, so the agent's task
 /// list (§4.2) needs no pre-pack copy.
 ///
-/// **Copy-on-write.** The interned pod table sits behind one `Arc` and
-/// each node's pod list behind its own, shared between a state and its
-/// clones. A [`Clone`] copies the node columns and the two per-pod
-/// columns (node and demand) and bumps refcounts for the rest: about a
-/// third of the bytes of a deep copy. The first mutation of a shared
-/// part copies that part alone — a node's list when a pod joins or
-/// leaves it, the table only when a never-seen pod is interned. Neither
-/// side of a clone ever sees the other's mutations. A
+/// **Copy-on-write.** The interned pod table sits behind one `Arc`, each
+/// node's pod list behind its own, and the two per-pod columns (node and
+/// demand) are cut into fixed-size pages of 256 pods, each page behind
+/// its own `Arc`; all of it is shared between a state and its clones. A
+/// [`Clone`] copies the node columns and bumps one refcount per list
+/// and per page: O(nodes + pods / 256), whatever the pods weigh. The
+/// first mutation of a shared part copies that part alone — a node's
+/// list when a pod joins or leaves it, a page when one of its pods is
+/// booked or unbooked, the table only when a never-seen pod is
+/// interned. Neither side of a clone ever sees the other's mutations. A
 /// [`snapshot`](ClusterState::snapshot) is such a clone, and
 /// [`restore_to`](ClusterState::restore_to) copies it back. The warm pack
 /// relies on the sharing the other way round: a node list still shared
@@ -645,9 +647,10 @@ impl ClusterState {
     /// with it the same [`assignments`](ClusterState::assignments)
     /// iteration order ([`bitwise_eq`](ClusterState::bitwise_eq) to a
     /// clone taken at snapshot time). Any snapshot restores into any
-    /// state, any number of times. Costs O(nodes + pods) over the columns
-    /// a clone copies, reusing this state's allocations; the table and
-    /// the node lists come back as the snapshot's own shared handles.
+    /// state, any number of times. Costs what a clone costs, O(nodes +
+    /// pods / 256), reusing this state's allocations; the table, the node
+    /// lists and the pod pages come back as the snapshot's own shared
+    /// handles.
     pub fn restore_to(&mut self, snap: &Snapshot) {
         phoenix_obs::current().incr(phoenix_obs::Counter::StateRestores);
         let ClusterState {

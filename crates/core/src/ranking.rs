@@ -350,7 +350,10 @@ const TAKEN: u8 = 2;
 
 /// The unbounded-capacity pop order of the merge heap, as
 /// [`merged_order`] computes it, plus the marks that let
-/// [`global_rank_replay`] verify a repeat ranking instead of rewriting it.
+/// [`global_rank_replay`] verify a repeat ranking instead of rewriting it,
+/// and C\*: a capacity at which a replay took every step, from a probe
+/// just above the total demand when the order is built, lowered by every
+/// later replay that took every step.
 #[derive(Debug, Clone)]
 pub struct MergeOrder {
     steps: Vec<Step>,
@@ -530,7 +533,9 @@ impl Fits {
 /// the same inputs (for the order's objective and shares): chains whose
 /// head no longer fits retire exactly as the heap would retire them, and
 /// the break rule stops at the same step. It does no scoring and no heap
-/// operations: one linear pass over the order. While the order holds
+/// operations: one linear pass over the order, or none when the last
+/// replay took every step and `capacity` is at least the order's C\*
+/// (see [`MergeOrder`]). While the order holds
 /// marks, `rank` must be the ranking its last replay wrote; the pass then
 /// only checks each fit decision against its mark and writes items from
 /// the first decision that changed. Without marks it compares items

@@ -25,9 +25,13 @@
 //!    replay rewrites the previous [`GlobalRank`] in place: it checks
 //!    each fit decision against the mark the last replay of that order
 //!    left, writes items only from the first changed decision, and
-//!    returns that index. The ranking is shared (`Arc`) with the
-//!    round's [`PlanResult`], never cloned; when capacity is
-//!    bit-identical to the previous round it is reused whole.
+//!    returns that index. After a replay that took every step, a
+//!    replay at or above the order's all-fit capacity walks no step at
+//!    all (the all-fit short-cut of [`global_rank_replay`]): a monitor
+//!    tick that keeps the cluster above its total demand pays for the
+//!    shares alone. The ranking is shared (`Arc`) with the round's
+//!    [`PlanResult`], never cloned; when capacity is bit-identical to
+//!    the previous round it is reused whole.
 //! 3. **Warm packing** — the flattened plan is patched only where the
 //!    ranking actually changed (the replay's index, or an item compare
 //!    after a heap merge), and its [`PlanIndex`] rebuilt only then; both go
@@ -43,10 +47,14 @@
 //!    restored — it re-reads only the nodes whose pod list changed and
 //!    the rebuilt tail, O(Δ) instead of O(running pods). A modal
 //!    workload, a rebuilt plan, a state of another lineage, or a pod
-//!    table that grew since takes the full pass. The copy at
-//!    the [`PhoenixController::replan`] boundary shares the table and
-//!    the node lists copy-on-write, so it copies only the per-node and
-//!    per-pod columns.
+//!    table that grew since takes the full pass. The placement loop then
+//!    visits only the positions left unsettled, and the pack's node
+//!    order comes from the carry too, re-keyed only where a node's
+//!    health or remaining capacity moved. The copy at the
+//!    [`PhoenixController::replan`] boundary shares the table, the node
+//!    lists and the pod pages copy-on-write, so it copies only the
+//!    per-node columns, and the pack copies the pages it writes. A
+//!    capacity-only tick costs O(Δ + nodes) end to end.
 //!
 //! [`PhoenixController::replan`]: crate::controller::PhoenixController::replan
 //!
