@@ -60,13 +60,24 @@ impl fmt::Display for PodKey {
 /// Dense index into the interned pod table (internal).
 type PodId = u32;
 
-/// `pod_node` sentinel: the pod is interned but not currently assigned.
+/// [`Slot::node`] sentinel: the pod is interned but not currently
+/// assigned.
 const UNASSIGNED: u32 = u32::MAX;
+
+/// Where one interned pod stands.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Node index, or [`UNASSIGNED`].
+    node: u32,
+    /// Demand bits: meaningful while assigned, preserved bit-exactly
+    /// across restore either way.
+    demand: Resources,
+}
 
 /// log2 of [`PAGE`].
 const PAGE_BITS: u32 = 8;
 
-/// Pods per page of the per-pod columns ([`Paged`]). A boundary clone
+/// Pods per page of the per-pod column ([`Paged`]). A boundary clone
 /// bumps one refcount per page and a write copies one whole page, so the
 /// size trades the clone (fewer, larger pages) against the pages a tick
 /// writes (each costs its size in bytes); 256 measured best on the
@@ -190,9 +201,10 @@ pub struct Snapshot(ClusterState);
 /// list (§4.2) needs no pre-pack copy.
 ///
 /// **Copy-on-write.** The interned pod table sits behind one `Arc`, each
-/// node's pod list behind its own, and the two per-pod columns (node and
-/// demand) are cut into fixed-size pages of 256 pods, each page behind
-/// its own `Arc`; all of it is shared between a state and its clones. A
+/// node's pod list behind its own, and the per-pod column (each pod's
+/// node and demand) is cut into fixed-size pages of 256 pods, each page
+/// behind its own `Arc`; all of it is shared between a state and its
+/// clones. A
 /// [`Clone`] copies the node columns and bumps one refcount per list
 /// and per page: O(nodes + pods / 256), whatever the pods weigh. The
 /// first mutation of a shared part copies that part alone — a node's
@@ -221,11 +233,8 @@ pub struct ClusterState {
     // ---- interned pod table (indexed by PodId; grow-only) ----
     /// Shared copy-on-write (see the type docs).
     table: Arc<PodTable>,
-    /// id -> node index, or [`UNASSIGNED`]. Paged copy-on-write.
-    pod_node: Paged<u32>,
-    /// id -> demand bits (meaningful while assigned; preserved bit-exactly
-    /// across restore either way). Paged copy-on-write.
-    pod_demand: Paged<Resources>,
+    /// id -> where the pod stands. Paged copy-on-write.
+    pods: Paged<Slot>,
     /// Number of currently assigned pods.
     assigned: usize,
 }
@@ -264,8 +273,7 @@ impl ClusterState {
             // One shared empty list: the first assign to a node copies it.
             node_pods: vec![Arc::default(); n],
             table: Arc::default(),
-            pod_node: Paged::default(),
-            pod_demand: Paged::default(),
+            pods: Paged::default(),
             assigned: 0,
         }
     }
@@ -411,14 +419,14 @@ impl ClusterState {
     pub fn pod_demands_on(&self, node: NodeId) -> impl Iterator<Item = (PodKey, Resources)> + '_ {
         self.node_pods[node.index()]
             .iter()
-            .map(|&id| (self.table.keys[id as usize], self.pod_demand[id as usize]))
+            .map(|&id| (self.table.keys[id as usize], self.pods[id as usize].demand))
     }
 
     /// Where `pod` runs, if assigned.
     #[inline]
     pub fn node_of(&self, pod: PodKey) -> Option<NodeId> {
         let &id = self.table.ids.get(&pod)?;
-        let node = self.pod_node[id as usize];
+        let node = self.pods[id as usize].node;
         (node != UNASSIGNED).then_some(NodeId(node))
     }
 
@@ -433,8 +441,8 @@ impl ClusterState {
     #[inline]
     pub fn placement_of(&self, pod: PodKey) -> Option<(NodeId, Resources)> {
         let &id = self.table.ids.get(&pod)?;
-        let node = self.pod_node[id as usize];
-        (node != UNASSIGNED).then(|| (NodeId(node), self.pod_demand[id as usize]))
+        let Slot { node, demand } = self.pods[id as usize];
+        (node != UNASSIGNED).then_some((NodeId(node), demand))
     }
 
     /// Iterates `(pod, node, demand)` over all assignments, in the stable
@@ -443,12 +451,12 @@ impl ClusterState {
     /// identical across clones — unlike the hash-map iteration the arena
     /// replaced, it never depends on hasher state or map capacity.
     pub fn assignments(&self) -> impl Iterator<Item = (PodKey, NodeId, Resources)> + '_ {
-        let pages = self.pod_node.slices().zip(self.pod_demand.slices());
-        pages.enumerate().flat_map(move |(k, (nodes, demands))| {
-            let slots = nodes.iter().zip(demands).zip(&self.table.keys[k * PAGE..]);
+        let pages = self.pods.slices().enumerate();
+        pages.flat_map(move |(k, slots)| {
+            let slots = slots.iter().zip(&self.table.keys[k * PAGE..]);
             slots
-                .filter(|&((&n, _), _)| n != UNASSIGNED)
-                .map(|((&n, &demand), &pod)| (pod, NodeId(n), demand))
+                .filter(|(slot, _)| slot.node != UNASSIGNED)
+                .map(|(slot, &pod)| (pod, NodeId(slot.node), slot.demand))
         })
     }
 
@@ -480,7 +488,7 @@ impl ClusterState {
         // known to succeed: a failed assign must leave no trace in the
         // intern order. Only interning writes the (shared) table.
         let known = self.table.ids.get(&pod).copied();
-        if known.is_some_and(|id| self.pod_node[id as usize] != UNASSIGNED) {
+        if known.is_some_and(|id| self.pods[id as usize].node != UNASSIGNED) {
             return Err(ClusterError::AlreadyAssigned(pod));
         }
         if !fits {
@@ -489,19 +497,26 @@ impl ClusterState {
                 detail: format!("demand {demand} vs remaining {remaining}"),
             });
         }
-        let id = known.unwrap_or_else(|| {
-            let table = Arc::make_mut(&mut self.table);
-            let id = table.keys.len() as PodId;
-            table.ids.insert(pod, id);
-            table.keys.push(pod);
-            self.pod_node.push(UNASSIGNED);
-            self.pod_demand.push(Resources::ZERO);
-            id
-        });
+        let slot = Slot {
+            node: node.0,
+            demand,
+        };
+        let id = match known {
+            Some(id) => {
+                self.pods.set(id as usize, slot);
+                id
+            }
+            None => {
+                let table = Arc::make_mut(&mut self.table);
+                let id = table.keys.len() as PodId;
+                table.ids.insert(pod, id);
+                table.keys.push(pod);
+                self.pods.push(slot);
+                id
+            }
+        };
         self.used[idx] += demand;
         Arc::make_mut(&mut self.node_pods[idx]).push(id);
-        self.pod_node.set(id as usize, node.0);
-        self.pod_demand.set(id as usize, demand);
         self.assigned += 1;
         Ok(())
     }
@@ -530,22 +545,27 @@ impl ClusterState {
             .ids
             .get(&pod)
             .ok_or(ClusterError::UnknownPod(pod))?;
-        let node = self.pod_node[id as usize];
+        let Slot { node, demand } = self.pods[id as usize];
         if node == UNASSIGNED {
             return Err(ClusterError::UnknownPod(pod));
         }
-        let demand = self.pod_demand[id as usize];
         let idx = node as usize;
         let pos = self.node_pods[idx]
             .iter()
             .position(|&i| i == id)
             .expect("assigned pod is on its node's list");
         Arc::make_mut(&mut self.node_pods[idx]).swap_remove(pos);
-        self.pod_node.set(id as usize, UNASSIGNED);
+        self.pods.set(
+            id as usize,
+            Slot {
+                node: UNASSIGNED,
+                demand,
+            },
+        );
         self.assigned -= 1;
         self.used[idx] = self.node_pods[idx]
             .iter()
-            .map(|&i| self.pod_demand[i as usize])
+            .map(|&i| self.pods[i as usize].demand)
             .sum();
         Ok((NodeId(node), demand))
     }
@@ -585,8 +605,15 @@ impl ClusterState {
         let evicted: Vec<(PodKey, Resources)> = ids
             .iter()
             .map(|&id| {
-                self.pod_node.set(id as usize, UNASSIGNED);
-                (self.table.keys[id as usize], self.pod_demand[id as usize])
+                let demand = self.pods[id as usize].demand;
+                self.pods.set(
+                    id as usize,
+                    Slot {
+                        node: UNASSIGNED,
+                        demand,
+                    },
+                );
+                (self.table.keys[id as usize], demand)
             })
             .collect();
         self.assigned -= evicted.len();
@@ -660,8 +687,7 @@ impl ClusterState {
             degrade,
             node_pods,
             table,
-            pod_node,
-            pod_demand,
+            pods,
             assigned,
         } = &snap.0;
         self.capacity.clone_from(capacity);
@@ -670,8 +696,7 @@ impl ClusterState {
         self.degrade.clone_from(degrade);
         self.node_pods.clone_from(node_pods);
         self.table.clone_from(table);
-        self.pod_node.clone_from(pod_node);
-        self.pod_demand.clone_from(pod_demand);
+        self.pods.clone_from(pods);
         self.assigned = *assigned;
     }
 
@@ -743,15 +768,10 @@ impl ClusterState {
                 .all(|(a, b)| a.to_bits() == b.to_bits())
             && self.node_pods == other.node_pods
             && self.table.keys == other.table.keys
-            && self.pod_node.len() == other.pod_node.len()
-            && self.pod_node.iter().eq(other.pod_node.iter())
             && self.assigned == other.assigned
-            && self.pod_demand.len() == other.pod_demand.len()
-            && self
-                .pod_demand
-                .iter()
-                .zip(other.pod_demand.iter())
-                .all(|(a, b)| res_eq(&a, &b))
+            && self.pods.len() == other.pods.len()
+            && (self.pods.iter().zip(other.pods.iter()))
+                .all(|(a, b)| a.node == b.node && res_eq(&a.demand, &b.demand))
     }
 
     /// Debug invariant check: per-node `used` equals the sum of its pods'
@@ -763,9 +783,9 @@ impl ClusterState {
     pub fn check_invariants(&self) -> Result<(), String> {
         for i in 0..self.capacity.len() {
             for &id in self.node_pods[i].iter() {
-                match self.pod_node.get(id as usize) {
-                    Some(&node) if node as usize == i => {}
-                    Some(&node) => {
+                match self.pods.get(id as usize).map(|slot| slot.node) {
+                    Some(node) if node as usize == i => {}
+                    Some(node) => {
                         return Err(format!(
                             "pod {} on node {i} maps to node {node}",
                             self.table.keys[id as usize]
@@ -776,7 +796,7 @@ impl ClusterState {
             }
             let sum: Resources = self.node_pods[i]
                 .iter()
-                .map(|&id| self.pod_demand[id as usize])
+                .map(|&id| self.pods[id as usize].demand)
                 .sum();
             if sum.cpu.to_bits() != self.used[i].cpu.to_bits()
                 || sum.mem.to_bits() != self.used[i].mem.to_bits()
@@ -795,19 +815,16 @@ impl ClusterState {
             }
         }
         let mut assigned = 0usize;
-        if self.table.keys.len() != self.pod_node.len()
-            || self.table.ids.len() != self.table.keys.len()
-            || self.pod_demand.len() != self.pod_node.len()
+        if self.table.keys.len() != self.pods.len() || self.table.ids.len() != self.table.keys.len()
         {
             return Err(format!(
-                "pod table holds {} keys / {} ids for {} pod slots / {} demands",
+                "pod table holds {} keys / {} ids for {} pod slots",
                 self.table.keys.len(),
                 self.table.ids.len(),
-                self.pod_node.len(),
-                self.pod_demand.len()
+                self.pods.len(),
             ));
         }
-        for (id, node) in self.pod_node.iter().enumerate() {
+        for (id, Slot { node, .. }) in self.pods.iter().enumerate() {
             let key = self.table.keys[id];
             if self.table.ids.get(&key) != Some(&(id as PodId)) {
                 return Err(format!("interned pod {key} lost its id {id}"));
@@ -1097,12 +1114,8 @@ mod tests {
         // Free a pod in the second page, then clone.
         c.remove(pod(0, PAGE as u32 + 5)).unwrap();
         let shared = |a: &ClusterState, b: &ClusterState| {
-            let node = a.pod_node.pages.iter().zip(&b.pod_node.pages);
-            let demand = a.pod_demand.pages.iter().zip(&b.pod_demand.pages);
-            let node = node.map(|(x, y)| Arc::ptr_eq(x, y)).collect::<Vec<_>>();
-            let demand = demand.map(|(x, y)| Arc::ptr_eq(x, y)).collect::<Vec<_>>();
-            assert_eq!(node, demand, "the columns copy the same pages");
-            node
+            let pages = a.pods.pages.iter().zip(&b.pods.pages);
+            pages.map(|(x, y)| Arc::ptr_eq(x, y)).collect::<Vec<_>>()
         };
         let mut copy = c.clone();
         assert_eq!(shared(&c, &copy), vec![true; 4]);

@@ -671,3 +671,107 @@ proptest! {
         }
     }
 }
+
+/// The carried-pack differential: a pack handed the previous pack's
+/// `PackCarry` (its standing, its unplaced positions and its node order)
+/// equals a pack without one, bit for bit.
+mod carried {
+    use phoenix_cluster::packing::{
+        pack_prepared, PackCarry, PackingConfig, PlanIndex, PlannedPod,
+    };
+    use phoenix_cluster::{ClusterState, NodeId, PodKey, Resources};
+    use proptest::prelude::*;
+
+    /// Packs `live` twice, with `carry` and without any, checks both
+    /// packs made the same moves onto bit-identical states, and returns
+    /// the carried target.
+    fn carried_equals_fresh(
+        live: &ClusterState,
+        plan: &[PlannedPod],
+        carry: &mut PackCarry,
+    ) -> ClusterState {
+        let index = PlanIndex::of(plan);
+        let cfg = PackingConfig::default();
+        let mut fresh = live.clone();
+        let want = pack_prepared(&mut fresh, plan, &index, &cfg, None);
+        let mut carried = live.clone();
+        let got = pack_prepared(&mut carried, plan, &index, &cfg, Some(carry));
+        assert_eq!(got.deletions, want.deletions);
+        assert_eq!(got.migrations, want.migrations);
+        assert_eq!(got.starts, want.starts);
+        assert_eq!(got.unplaced, want.unplaced);
+        assert_eq!(got.origins, want.origins);
+        assert!(carried.bitwise_eq(&fresh), "carried target differs");
+        carried.check_invariants().unwrap();
+        carried
+    }
+
+    /// A degrade that evicts nothing leaves every pod list alone but
+    /// moves the node's remaining capacity: the carried node order must
+    /// re-key it, or best fit picks another node.
+    #[test]
+    fn a_degrade_that_evicts_nothing_rekeys_its_node() {
+        let mut live = ClusterState::new([10.0, 10.0, 4.0].map(Resources::cpu));
+        let plan: Vec<PlannedPod> = [1.0, 3.0, 4.0]
+            .iter()
+            .enumerate()
+            .map(|(i, &d)| PlannedPod::new(PodKey::new(0, i as u32, 0), Resources::cpu(d)))
+            .collect();
+        for (i, p) in plan.iter().enumerate() {
+            live.assign(p.key, p.demand, NodeId::new(i as u32)).unwrap();
+        }
+        let mut carry = PackCarry::default();
+        let mut live = carried_equals_fresh(&live, &plan, &mut carry);
+        // Node 0 keeps its pod and drops from 9 to 4 remaining; node 2's
+        // pod needs 4.
+        assert!(live.set_degrade(NodeId::new(0), 0.5).is_empty());
+        live.fail_node(NodeId::new(2));
+        let target = carried_equals_fresh(&live, &plan, &mut carry);
+        assert_eq!(target.node_of(plan[2].key), Some(NodeId::new(0)));
+    }
+
+    /// One change between two packs: kind 0 fails node `at`, 1 restores
+    /// it, 2 degrades it to `x` (evicting its newest pods until the rest
+    /// fit), 3 degrades it halfway between its load and its capacity,
+    /// which evicts nothing.
+    fn apply(live: &mut ClusterState, (kind, at, x): (u8, usize, f64)) {
+        let node = NodeId::new((at % live.node_count()) as u32);
+        match kind {
+            0 => _ = live.fail_node(node),
+            1 => live.restore_node(node),
+            2 => _ = live.set_degrade(node, x),
+            _ => {
+                let load = live.capacity(node).cpu - live.remaining(node).cpu;
+                let used = load / live.capacity(node).cpu;
+                live.set_degrade(node, used + (1.0 - used) / 2.0);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Over random fail, restore and degrade sequences, every pack
+        /// handed the last pack's carry equals a pack without one; each
+        /// round packs the last carried target.
+        #[test]
+        fn carried_pack_equals_a_fresh_pack(
+            caps in proptest::collection::vec(4.0f64..16.0, 2..10),
+            demands in proptest::collection::vec(0.5f64..6.0, 1..40),
+            changes in proptest::collection::vec((0u8..4, 0usize..16, 0.2f64..1.0), 1..12),
+        ) {
+            let plan: Vec<PlannedPod> = demands
+                .iter()
+                .enumerate()
+                .map(|(i, &d)| PlannedPod::new(PodKey::new(0, i as u32, 0), Resources::cpu(d)))
+                .collect();
+            let mut carry = PackCarry::default();
+            let mut live = ClusterState::new(caps.iter().map(|&c| Resources::cpu(c)));
+            live = carried_equals_fresh(&live, &plan, &mut carry);
+            for change in changes {
+                apply(&mut live, change);
+                live = carried_equals_fresh(&live, &plan, &mut carry);
+            }
+        }
+    }
+}

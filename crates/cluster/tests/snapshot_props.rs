@@ -11,7 +11,7 @@
 //! a single output byte.
 //!
 //! A clone shares the pod table, the node pod lists and the pages of the
-//! per-pod columns copy-on-write, so the last two properties mutate
+//! per-pod column copy-on-write, so the last two properties mutate
 //! either side of a clone and hold both sides to states that never
 //! shared anything, the first of them at the page edges.
 
@@ -102,7 +102,7 @@ fn churn_and_rewind(
     }
 }
 
-/// Pods per page of `ClusterState`'s per-pod columns (a private
+/// Pods per page of `ClusterState`'s per-pod column (a private
 /// constant of `cluster::state`, whose unit test
 /// `pod_pages_are_the_size_snapshot_props_walks` holds it to this value).
 const PAGE: usize = 256;

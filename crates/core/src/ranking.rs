@@ -354,7 +354,7 @@ const TAKEN: u8 = 2;
 /// and C\*: a capacity at which a replay took every step, from a probe
 /// just above the total demand when the order is built, lowered by every
 /// later replay that took every step.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MergeOrder {
     steps: Vec<Step>,
     /// Per step: [`DEGRADED`], and [`TAKEN`] when the last replay took it.
@@ -367,31 +367,16 @@ pub struct MergeOrder {
     end: usize,
     /// Whether the last replay took every step.
     all_taken: bool,
-    /// C*: a capacity scalar at which a replay took every step (`+∞`
-    /// while none is known). Subtraction rounded to nearest and the fit
-    /// test are both monotone in the remaining capacity, so every
-    /// replay at a capacity of at least C* takes every step too.
-    all_fit: f64,
+    /// C*: a capacity scalar at which a replay took every step, once one
+    /// is known. Subtraction rounded to nearest and the fit test are
+    /// both monotone in the remaining capacity, so every replay at a
+    /// capacity of at least C* takes every step too.
+    all_fit: Option<f64>,
     /// Each app's allocation when every step is taken, summed in step
     /// order as a replay sums it.
     all_allocated: Vec<f64>,
     /// The degraded steps: a replay that takes every step buys them all.
     degraded: u64,
-}
-
-impl Default for MergeOrder {
-    fn default() -> MergeOrder {
-        MergeOrder {
-            steps: Vec::new(),
-            flags: Vec::new(),
-            marked: false,
-            end: 0,
-            all_taken: false,
-            all_fit: f64::INFINITY,
-            all_allocated: Vec::new(),
-            degraded: 0,
-        }
-    }
 }
 
 impl MergeOrder {
@@ -458,7 +443,7 @@ pub fn merged_order<O: OperatorObjective + ?Sized>(
     let mut fits = Fits::new(probe, inputs.app_count(), &PlannerConfig::default());
     let apps = order.steps.iter().map(|s| s.app as usize);
     if (apps.zip(&order.steps)).all(|(app, s)| fits.take(app, s.scalar, false) == Some(true)) {
-        order.all_fit = probe;
+        order.all_fit = Some(probe);
     }
     order
 }
@@ -574,7 +559,7 @@ fn replay(
     let capacity = capacity.scalar();
     rank.fair_shares = waterfill_with_order(&inputs.demand_scalars, &inputs.demand_sort, capacity);
     let obs = phoenix_obs::current();
-    if order.marked && order.all_taken && capacity >= order.all_fit {
+    if order.marked && order.all_taken && order.all_fit.is_some_and(|c| capacity >= c) {
         rank.allocated.clone_from(&order.all_allocated);
         obs.add(phoenix_obs::Counter::RungPurchases, order.degraded);
         return rank.items.len();
@@ -638,7 +623,7 @@ fn replay(
     order.end = end;
     order.all_taken = all_taken;
     if all_taken {
-        order.all_fit = order.all_fit.min(capacity);
+        order.all_fit = Some(order.all_fit.map_or(capacity, |c| c.min(capacity)));
     }
     fits.record();
     obs.add(phoenix_obs::Counter::ReplaySteps, walked);
