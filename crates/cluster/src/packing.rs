@@ -766,7 +766,7 @@ fn read_state(
 /// only the nodes whose key changed. The packing loop re-keys a node
 /// after each mutation of its bookings.
 fn sync_nodes(sorted: &mut SortedNodes, state: &ClusterState) {
-    let nodes = state.node_ids().into_iter();
+    let nodes = (0..state.node_count() as u32).map(NodeId::new);
     let keys = nodes.map(|n| state.is_healthy(n).then(|| state.remaining(n).scalar()));
     sorted.sync(keys);
 }

@@ -74,6 +74,17 @@ struct Slot {
     demand: Resources,
 }
 
+impl Slot {
+    /// The slot of a pod that is interned but not assigned, keeping its
+    /// demand bits.
+    fn unassigned(demand: Resources) -> Slot {
+        Slot {
+            node: UNASSIGNED,
+            demand,
+        }
+    }
+}
+
 /// log2 of [`PAGE`].
 const PAGE_BITS: u32 = 8;
 
@@ -204,9 +215,9 @@ pub struct Snapshot(ClusterState);
 /// node's pod list behind its own, and the per-pod column (each pod's
 /// node and demand) is cut into fixed-size pages of 256 pods, each page
 /// behind its own `Arc`; all of it is shared between a state and its
-/// clones. A
-/// [`Clone`] copies the node columns and bumps one refcount per list
-/// and per page: O(nodes + pods / 256), whatever the pods weigh. The
+/// clones. A [`Clone`] copies the node columns and bumps one refcount
+/// per list and per page: O(nodes + pods / 256), whatever the pods
+/// weigh. The
 /// first mutation of a shared part copies that part alone — a node's
 /// list when a pod joins or leaves it, a page when one of its pods is
 /// booked or unbooked, the table only when a never-seen pod is
@@ -555,13 +566,7 @@ impl ClusterState {
             .position(|&i| i == id)
             .expect("assigned pod is on its node's list");
         Arc::make_mut(&mut self.node_pods[idx]).swap_remove(pos);
-        self.pods.set(
-            id as usize,
-            Slot {
-                node: UNASSIGNED,
-                demand,
-            },
-        );
+        self.pods.set(id as usize, Slot::unassigned(demand));
         self.assigned -= 1;
         self.used[idx] = self.node_pods[idx]
             .iter()
@@ -606,13 +611,7 @@ impl ClusterState {
             .iter()
             .map(|&id| {
                 let demand = self.pods[id as usize].demand;
-                self.pods.set(
-                    id as usize,
-                    Slot {
-                        node: UNASSIGNED,
-                        demand,
-                    },
-                );
+                self.pods.set(id as usize, Slot::unassigned(demand));
                 (self.table.keys[id as usize], demand)
             })
             .collect();
