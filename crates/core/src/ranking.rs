@@ -581,11 +581,9 @@ fn replay(
     let mut kept = 0;
     let mut diverged = false;
     let mut end = order.steps.len();
-    let mut walked = 0;
     let mut all_taken = true;
     for (i, (step, flags)) in order.steps.iter().zip(&mut order.flags).enumerate() {
         let app = step.app as usize;
-        walked += 1;
         let Some(take) = fits.take(app, step.scalar, *flags & DEGRADED != 0) else {
             all_taken = false;
             end = i;
@@ -626,7 +624,9 @@ fn replay(
         order.all_fit = Some(order.all_fit.map_or(capacity, |c| c.min(capacity)));
     }
     fits.record();
-    obs.add(phoenix_obs::Counter::ReplaySteps, walked);
+    // The steps decided: all of them, or up to the one a break stopped at.
+    let walked = order.steps.len().min(end + 1);
+    obs.add(phoenix_obs::Counter::ReplaySteps, walked as u64);
     kept
 }
 
