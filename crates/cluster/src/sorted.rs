@@ -206,8 +206,8 @@ mod tests {
         s.insert(n(0), 4.0);
         s.insert(n(1), 9.0);
         s.insert(n(5), 2.0);
-        // Node 1 leaves, node 2 joins, node 0 re-keys to -0.0 (equal to
-        // 0.0 as a float, not as bits), node 5 drops off the end.
+        // Node 1 leaves, node 2 joins, node 0 re-keys, node 3 joins and
+        // node 5 drops off the end.
         let keys = [Some(-0.0), None, Some(7.0), Some(1.0)];
         s.sync(keys.into_iter());
         let mut fresh = SortedNodes::new();
