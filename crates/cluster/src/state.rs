@@ -91,8 +91,9 @@ const PAGE_BITS: u32 = 8;
 /// Pods per page of the per-pod column ([`Paged`]). A boundary clone
 /// bumps one refcount per page and a write copies one whole page, so the
 /// size trades the clone (fewer, larger pages) against the pages a tick
-/// writes (each costs its size in bytes); 256 measured best on the
-/// 852k-pod `tick-10k` cluster, whose ticks re-home a few hundred pods.
+/// writes (each costs its size in bytes). On the 852k-pod `tick-10k`
+/// cluster 256 measured best at 100 writes per tick and 128 at 300; its
+/// failure ticks restart ~85 pods per failed node.
 const PAGE: usize = 1 << PAGE_BITS;
 
 /// A per-pod column in fixed-size pages, each behind its own `Arc`,
