@@ -551,6 +551,7 @@ fn obs(out: &mut String) {
         Counter::PackDropVisits,
         Counter::PackPlacementVisits,
         Counter::ReplaySteps,
+        Counter::AppRankWalks,
     ]
     .map(Counter::name);
     for (name, value) in recorder.counters() {

@@ -291,6 +291,8 @@ pub(crate) fn rank_round(
     let mut app_ranks: Vec<Vec<ServiceId>> = (workload.apps())
         .map(|(_, app)| app_rank(app, config.planner.traversal))
         .collect();
+    let obs = phoenix_obs::current();
+    obs.add(phoenix_obs::Counter::AppRankWalks, app_ranks.len() as u64);
     let mut capacity = state.healthy_capacity();
     let inputs = if pins.is_empty() {
         RankInputs::new(workload, &app_ranks)

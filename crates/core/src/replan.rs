@@ -169,6 +169,7 @@ impl ReplanCache {
                 app_ranks.push(std::mem::take(&mut self.app_ranks[i]));
             } else {
                 obs.incr(phoenix_obs::Counter::ReplanCacheMisses);
+                obs.incr(phoenix_obs::Counter::AppRankWalks);
                 ranks_changed = true;
                 app_ranks.push(app_rank(app, config.planner.traversal));
             }

@@ -85,11 +85,14 @@ pub enum Counter {
     PackPlacementVisits,
     /// Merge-order steps a ranking replay walked (fit decisions made).
     ReplaySteps,
+    /// Per-app activation orders walked (`app_rank` calls) by a ranking
+    /// round or a replan cache refresh.
+    AppRankWalks,
 }
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 27] = [
+    pub const ALL: [Counter; 28] = [
         Counter::ColdPlans,
         Counter::WarmReplans,
         Counter::ReplanCacheHits,
@@ -117,6 +120,7 @@ impl Counter {
         Counter::PackDropVisits,
         Counter::PackPlacementVisits,
         Counter::ReplaySteps,
+        Counter::AppRankWalks,
     ];
 
     /// Stable snake_case name used in exports and the determinism probe.
@@ -149,6 +153,7 @@ impl Counter {
             Counter::PackDropVisits => "pack_drop_visits",
             Counter::PackPlacementVisits => "pack_placement_visits",
             Counter::ReplaySteps => "replay_steps",
+            Counter::AppRankWalks => "app_rank_walks",
         }
     }
 }
