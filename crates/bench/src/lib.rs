@@ -88,9 +88,10 @@ pub mod replan_scenario {
     use phoenix_adaptlab::alibaba::AlibabaConfig;
     use phoenix_adaptlab::scenario::{build_env, AdaptLabEnv, EnvConfig};
     use phoenix_cluster::{ClusterState, NodeId};
-    use phoenix_core::controller::{PhoenixConfig, PhoenixController};
+    use phoenix_core::controller::{plan, PhoenixConfig, PhoenixController};
     use phoenix_core::objectives::ObjectiveKind;
     use phoenix_core::replan::ReplanDelta;
+    use phoenix_core::stateful::StatefulMarks;
 
     /// The AdaptLab shape the replan benches and Figs. 8b and 10–16 share:
     /// the default 64-CPU nodes at 75 % load with Service-Level-P90 tags,
@@ -137,7 +138,14 @@ pub mod replan_scenario {
         failed_b.fail_node(NodeId::new(1));
 
         let warm = controller.replan(&failed_a, ReplanDelta::CapacityOnly);
-        let cold = controller.plan(&failed_a);
+        // The free cold plan shares nothing with the controller's cache.
+        let config = PhoenixConfig::with_objective(kind);
+        let cold = plan(
+            &env.workload,
+            failed_a.clone(),
+            &config,
+            &StatefulMarks::new(),
+        );
         assert_eq!(warm.actions, cold.actions, "warm/cold divergence ({kind})");
         (controller, failed_a, failed_b)
     }

@@ -24,7 +24,7 @@ use std::fmt;
 
 use phoenix_cluster::ClusterState;
 
-use crate::controller::{rank_round, PhoenixConfig};
+use crate::controller::{rank_inputs, rank_round, PhoenixConfig};
 use crate::ranking::GlobalRank;
 use crate::spec::{AppId, AppSpec, AppSpecBuilder, ServiceId, Workload};
 use crate::stateful::StatefulMarks;
@@ -295,12 +295,20 @@ pub fn blast_radius(
     state: &ClusterState,
     config: &PhoenixConfig,
 ) -> BlastRadius {
-    let honest = rank_round(workload, state, config, &StatefulMarks::new(), &[]);
+    let pins = StatefulMarks::new();
+    let honest = rank_round(
+        workload,
+        &rank_inputs(workload, config, &pins),
+        state,
+        config,
+        &[],
+    );
 
     let mut apps: Vec<AppSpec> = workload.apps().map(|(_, a)| a.clone()).collect();
     apps[inflator.index()] = inflate_tags(&apps[inflator.index()]);
     let lying = Workload::new(apps);
-    let adversarial = rank_round(&lying, state, config, &StatefulMarks::new(), &[]);
+    let inputs = rank_inputs(&lying, config, &pins);
+    let adversarial = rank_round(&lying, &inputs, state, config, &[]);
 
     BlastRadius {
         inflator,

@@ -124,12 +124,43 @@ impl PhoenixController {
 
     /// Plans a new target state for the (possibly degraded) `state`.
     ///
-    /// `state` is *not* mutated: [`plan`] (no pins) packs a copy of it,
-    /// returned as [`PlanResult::target`]. Always runs the pipeline
-    /// cold; use [`replan`](Self::replan) inside a monitoring loop.
+    /// `state` is *not* mutated: a cold round (no pins) packs a copy of
+    /// it, returned as [`PlanResult::target`]. The output is [`plan`]'s,
+    /// and so is every step but the ranking's inputs: once a
+    /// [`replan`](Self::replan) has primed the replan cache, the round
+    /// ranks from the cache's epoch (the per-app activation orders, the
+    /// flattened ranking inputs and whether the workload is modal)
+    /// instead of walking [`app_rank`] for every app again. That is sound
+    /// because a controller's workload and config never change after
+    /// construction. When the cache also holds a merge order valid at
+    /// this capacity (a
+    /// [capacity-invariant](crate::objectives::OperatorObjective::capacity_invariant)
+    /// objective's, or the share-keyed one when this round's water-fill
+    /// shares equal its key bit for bit) the round replays it read-only
+    /// instead of running the heap merge. It writes nothing into the
+    /// cache. Use [`replan`](Self::replan) inside a monitoring loop.
     pub fn plan(&self, state: &ClusterState) -> PlanResult {
+        let (workload, config) = (&self.workload, &self.config);
         let pins = StatefulMarks::new();
-        plan(&self.workload, state.clone(), &self.config, &pins)
+        // An unprimed cache has no epoch: the round is wholly cold.
+        let Some(modal) = self.cache.epoch_modal() else {
+            return plan(workload, state.clone(), config, &pins);
+        };
+        let rank = |state: &ClusterState| {
+            let rank = self.cache.epoch_rank(workload, state, config);
+            #[cfg(debug_assertions)]
+            {
+                // From scratch, outside any recorder: the counters count
+                // the checked ranking once.
+                let fresh = phoenix_obs::with_recorder(phoenix_obs::Recorder::disabled(), || {
+                    let inputs = rank_inputs(workload, config, &pins);
+                    rank_round(workload, &inputs, state, config, &[])
+                });
+                crate::ranking::assert_same_rank(&rank, &fresh, "epoch ranking diverged");
+            }
+            rank
+        };
+        cold_round(workload, state.clone(), config, &pins, &[], modal, rank)
     }
 
     /// Warm-started planning round: identical output to
@@ -234,16 +265,15 @@ pub(crate) fn flatten_plan(workload: &Workload, items: &[GlobalRankItem], modal:
 /// [`crate::stateful::check_pinned`] for their check). With no pins every
 /// step is the plain pipeline's.
 ///
-/// Every step runs on the calling thread: the per-app priority-estimation
-/// walks ([`app_rank`]), the global-ranking heap merge and the packing.
+/// Every step runs on the calling thread and from scratch: the per-app
+/// priority-estimation walks ([`app_rank`]), the global-ranking heap merge
+/// and the packing.
 pub fn plan(
     workload: &Workload,
     state: ClusterState,
     config: &PhoenixConfig,
     pins: &StatefulMarks,
 ) -> PlanResult {
-    let obs = phoenix_obs::current();
-    obs.incr(phoenix_obs::Counter::ColdPlans);
     // One `Full` item per pinned service, carrying its whole demand.
     let pin_items: Vec<GlobalRankItem> = (pins.iter())
         .filter_map(|(app, service)| {
@@ -257,18 +287,40 @@ pub fn plan(
             })
         })
         .collect();
+    let rank = |state: &ClusterState| {
+        let inputs = rank_inputs(workload, config, pins);
+        rank_round(workload, &inputs, state, config, &pin_items)
+    };
+    let modal = workload.has_modes();
+    cold_round(workload, state, config, pins, &pin_items, modal, rank)
+}
+
+/// A cold round around its planner half: `rank` ranks `state` (timed as
+/// the planner and the `Rank` phase), then the ranking is flattened, after
+/// `pin_items` (one per service in `pins`) as a pinned prefix, and packed
+/// onto `state`. `modal` is [`Workload::has_modes`].
+fn cold_round(
+    workload: &Workload,
+    state: ClusterState,
+    config: &PhoenixConfig,
+    pins: &StatefulMarks,
+    pin_items: &[GlobalRankItem],
+    modal: bool,
+    rank: impl FnOnce(&ClusterState) -> GlobalRank,
+) -> PlanResult {
+    let obs = phoenix_obs::current();
+    obs.incr(phoenix_obs::Counter::ColdPlans);
     let t0 = Instant::now();
     let rank = {
         let _rank_timer = obs.phase(phoenix_obs::Phase::Rank);
-        rank_round(workload, &state, config, pins, &pin_items)
+        rank(&state)
     };
     let planned = (Arc::new(rank), t0.elapsed());
     schedule(state, &config.packing, planned, pins, None, |items| {
-        let modal = workload.has_modes();
         if pins.is_empty() {
             return (modal, Cow::Owned(flatten_plan(workload, items, modal)));
         }
-        let mut flat = flatten_plan(workload, &[&pin_items[..], items].concat(), modal);
+        let mut flat = flatten_plan(workload, &[pin_items, items].concat(), modal);
         let pinned = |p: &&mut PlannedPod| pins.contains_pod(p.key);
         for pod in flat.pods.iter_mut().take_while(pinned) {
             pod.pinned = true;
@@ -277,37 +329,48 @@ pub fn plan(
     })
 }
 
-/// The planner half of a cold round (all [`crate::audit::blast_radius`]
-/// runs): app ranks and the global ranking against `state`'s healthy
-/// capacity, less the `Full` demand of `pin_items` (one per service in
-/// `pins`, which leave the chains and the fair shares).
-pub(crate) fn rank_round(
+/// A cold round's ranking inputs: every app's activation order walked
+/// afresh ([`app_rank`]), less the services in `pins`, which leave the
+/// chains and the fair shares.
+pub(crate) fn rank_inputs(
     workload: &Workload,
-    state: &ClusterState,
     config: &PhoenixConfig,
     pins: &StatefulMarks,
-    pin_items: &[GlobalRankItem],
-) -> GlobalRank {
+) -> RankInputs {
     let mut app_ranks: Vec<Vec<ServiceId>> = (workload.apps())
         .map(|(_, app)| app_rank(app, config.planner.traversal))
         .collect();
     let obs = phoenix_obs::current();
     obs.add(phoenix_obs::Counter::AppRankWalks, app_ranks.len() as u64);
+    if pins.is_empty() {
+        return RankInputs::new(workload, &app_ranks);
+    }
+    // Pinned services leave the chains and the fair shares (summed in
+    // service order, as `AppSpec::total_demand` does).
+    let mut demands = Vec::with_capacity(workload.app_count());
+    for ((app, spec), rank) in workload.apps().zip(&mut app_ranks) {
+        rank.retain(|&s| !pins.is_stateful(app, s));
+        let kept = spec.service_ids().filter(|&s| !pins.is_stateful(app, s));
+        let demand: Resources = kept.map(|s| spec.service(s).total_demand()).sum();
+        demands.push(demand.scalar());
+    }
+    RankInputs::new(workload, &app_ranks).with_app_demands(demands)
+}
+
+/// The heap ranking of every round that does not replay a cached order
+/// (and all of [`crate::audit::blast_radius`]): `inputs` merged against
+/// `state`'s healthy capacity, less the `Full` demand of `pin_items`.
+pub(crate) fn rank_round(
+    workload: &Workload,
+    inputs: &RankInputs,
+    state: &ClusterState,
+    config: &PhoenixConfig,
+    pin_items: &[GlobalRankItem],
+) -> GlobalRank {
     let mut capacity = state.healthy_capacity();
-    let inputs = if pins.is_empty() {
-        RankInputs::new(workload, &app_ranks)
-    } else {
-        // Pins leave the chains and the fair shares (summed in service
-        // order, as `AppSpec::total_demand` does). A pin too big for
-        // every healthy node is stranded whatever the ranking does, so
-        // only the others hold capacity back.
-        let mut demands = Vec::with_capacity(workload.app_count());
-        for ((app, spec), rank) in workload.apps().zip(&mut app_ranks) {
-            rank.retain(|&s| !pins.is_stateful(app, s));
-            let kept = spec.service_ids().filter(|&s| !pins.is_stateful(app, s));
-            let demand: Resources = kept.map(|s| spec.service(s).total_demand()).sum();
-            demands.push(demand.scalar());
-        }
+    if !pin_items.is_empty() {
+        // A pin too big for every healthy node is stranded whatever the
+        // ranking does, so only the others hold capacity back.
         let nodes = state.healthy_nodes();
         let fits = |i: &&GlobalRankItem| {
             let replica = workload.app(i.app).service(i.service).demand;
@@ -316,14 +379,8 @@ pub(crate) fn rank_round(
         };
         let reserved = pin_items.iter().filter(fits).map(|i| i.demand).sum();
         capacity = capacity.saturating_sub(&reserved);
-        RankInputs::new(workload, &app_ranks).with_app_demands(demands)
-    };
-    global_rank_prepared(
-        &inputs,
-        config.objective.as_ref(),
-        capacity,
-        &config.planner,
-    )
+    }
+    global_rank_prepared(inputs, config.objective.as_ref(), capacity, &config.planner)
 }
 
 /// The scheduler half of cold and warm rounds. The scheduler time and
@@ -461,10 +518,13 @@ mod tests {
         use crate::replan::ReplanDelta;
 
         let w = workload();
-        let mut c = PhoenixController::new(w, PhoenixConfig::default());
+        let mut c = PhoenixController::new(w.clone(), PhoenixConfig::default());
         let mut state = ClusterState::homogeneous(4, Resources::cpu(4.0));
+        // The free cold plan shares nothing with the controller's cache.
+        let config = PhoenixConfig::default();
+        let cold = |state: &ClusterState| plan(&w, state.clone(), &config, &StatefulMarks::new());
         let full = c.replan(&state, ReplanDelta::Full);
-        assert_eq!(full.actions, c.plan(&state).actions);
+        assert_eq!(full.actions, cold(&state).actions);
         for (pod, node, demand) in full.target.assignments() {
             let _ = (node, demand);
             state
@@ -473,7 +533,7 @@ mod tests {
         }
         state.fail_node(NodeId::new(0));
         let warm = c.replan(&state, ReplanDelta::CapacityOnly);
-        assert_eq!(warm.actions, c.plan(&state).actions);
+        assert_eq!(warm.actions, cold(&state).actions);
         c.cache = ReplanCache::default();
         let cold_again = c.replan(&state, ReplanDelta::Full);
         assert_eq!(cold_again.actions, warm.actions);

@@ -207,6 +207,17 @@ impl RankInputs {
         waterfill_with_order(&self.demand_scalars, &self.demand_sort, capacity)
     }
 
+    /// The rank item of a [`MergeOrder`] step.
+    fn item(&self, step: &Step) -> GlobalRankItem {
+        let e = &self.chains[step.app as usize][step.pos as usize];
+        GlobalRankItem {
+            app: AppId::new(step.app),
+            service: e.service,
+            demand: e.demand,
+            mode: e.mode,
+        }
+    }
+
     fn entry<O: OperatorObjective + ?Sized>(
         &self,
         objective: &O,
@@ -343,11 +354,6 @@ struct Step {
     pos: u32,
 }
 
-/// [`MergeOrder`] flag: the step's entry is a degraded (non-`Full`) rung.
-const DEGRADED: u8 = 1;
-/// [`MergeOrder`] flag: the last replay took the step.
-const TAKEN: u8 = 2;
-
 /// The unbounded-capacity pop order of the merge heap, as
 /// [`merged_order`] computes it, plus the marks that let
 /// [`global_rank_replay`] verify a repeat ranking instead of rewriting it,
@@ -357,10 +363,12 @@ const TAKEN: u8 = 2;
 #[derive(Debug, Clone, Default)]
 pub struct MergeOrder {
     steps: Vec<Step>,
-    /// Per step: [`DEGRADED`], and [`TAKEN`] when the last replay took it.
-    flags: Vec<u8>,
+    /// Per step: whether its entry is a degraded (non-`Full`) rung.
+    degraded: Vec<bool>,
+    /// Per step: whether the last in-place replay took it (its mark).
+    taken: Vec<bool>,
     /// The marks describe the ranking the last replay wrote: its
-    /// [`TAKEN`] bits below `end` (the step a break stopped at, or the
+    /// `taken` marks below `end` (the step a break stopped at, or the
     /// whole order) are its fit decisions, and every later step was
     /// not taken.
     marked: bool,
@@ -376,7 +384,7 @@ pub struct MergeOrder {
     /// order as a replay sums it.
     all_allocated: Vec<f64>,
     /// The degraded steps: a replay that takes every step buys them all.
-    degraded: u64,
+    all_degraded: u64,
 }
 
 impl MergeOrder {
@@ -409,7 +417,7 @@ pub fn merged_order<O: OperatorObjective + ?Sized>(
     let len = inputs.chains.iter().map(Vec::len).sum();
     let mut order = MergeOrder {
         steps: Vec::with_capacity(len),
-        flags: Vec::with_capacity(len),
+        degraded: Vec::with_capacity(len),
         ..MergeOrder::default()
     };
     let mut allocated = vec![0.0; inputs.app_count()];
@@ -424,18 +432,15 @@ pub fn merged_order<O: OperatorObjective + ?Sized>(
                 app: app.index() as u32,
                 pos: pos as u32,
             });
-            order.flags.push(if e.mode == ServingMode::Full {
-                0
-            } else {
-                DEGRADED
-            });
+            order.degraded.push(e.mode != ServingMode::Full);
             Pop::Take
         },
     );
+    order.taken = vec![false; order.steps.len()];
     // Every step is taken: the merge's allocations are the all-taken
     // ones, summed in step order.
     order.all_allocated = allocated;
-    order.degraded = order.flags.iter().map(|&f| u64::from(f & DEGRADED)).sum();
+    order.all_degraded = order.degraded.iter().map(|&d| u64::from(d)).sum();
     // One probe replay just above the total demand sets C* when it takes
     // every step (the fit rule's slack absorbs the sum's rounding).
     let total: f64 = order.steps.iter().map(|s| s.scalar).sum();
@@ -509,6 +514,45 @@ impl Fits {
     }
 }
 
+/// The one replay loop, which reads the order only: decides `steps` (with
+/// their `degraded` flags) in order under the fit rule at `capacity`,
+/// adding each taken step's demand to its app in `allocated`, until the
+/// break rule stops it. `decided(i, step, take)` sees every decision.
+/// Returns the step a break stopped at (the order's length when none
+/// did) and whether every step was taken, and records the rung
+/// purchases, chain retirements and steps walked.
+#[inline]
+fn walk(
+    steps: &[Step],
+    degraded: &[bool],
+    capacity: f64,
+    cfg: &PlannerConfig,
+    allocated: &mut [f64],
+    mut decided: impl FnMut(usize, &Step, bool),
+) -> (usize, bool) {
+    let mut fits = Fits::new(capacity, allocated.len(), cfg);
+    let mut end = steps.len();
+    let mut all_taken = true;
+    for (i, (step, &degraded)) in steps.iter().zip(degraded).enumerate() {
+        let app = step.app as usize;
+        let Some(take) = fits.take(app, step.scalar, degraded) else {
+            all_taken = false;
+            end = i;
+            break;
+        };
+        all_taken &= take;
+        if take {
+            allocated[app] += step.scalar;
+        }
+        decided(i, step, take);
+    }
+    fits.record();
+    // The steps decided: all of them, or up to the one a break stopped at.
+    let walked = steps.len().min(end + 1);
+    phoenix_obs::current().add(phoenix_obs::Counter::ReplaySteps, walked as u64);
+    (end, all_taken)
+}
+
 /// Replays a cached [`MergeOrder`] under a (possibly different) capacity
 /// into `rank`, the ranking of an earlier round: the warm-start path of
 /// global ranking. Returns how many leading items of `rank` were kept —
@@ -555,63 +599,54 @@ fn replay(
     cfg: &PlannerConfig,
     rank: &mut GlobalRank,
 ) -> usize {
-    let n = inputs.app_count();
     let capacity = capacity.scalar();
-    rank.fair_shares = waterfill_with_order(&inputs.demand_scalars, &inputs.demand_sort, capacity);
-    let obs = phoenix_obs::current();
+    rank.fair_shares = inputs.fair_shares(capacity);
     if order.marked && order.all_taken && order.all_fit.is_some_and(|c| capacity >= c) {
         rank.allocated.clone_from(&order.all_allocated);
-        obs.add(phoenix_obs::Counter::RungPurchases, order.degraded);
+        let obs = phoenix_obs::current();
+        obs.add(phoenix_obs::Counter::RungPurchases, order.all_degraded);
         return rank.items.len();
     }
     rank.allocated.clear();
-    rank.allocated.resize(n, 0.0);
-    let mut fits = Fits::new(capacity, n, cfg);
-    let item = |step: &Step| {
-        let e = &inputs.chains[step.app as usize][step.pos as usize];
-        GlobalRankItem {
-            app: AppId::new(step.app),
-            service: e.service,
-            demand: e.demand,
-            mode: e.mode,
-        }
-    };
+    rank.allocated.resize(inputs.app_count(), 0.0);
     let items = &mut rank.items;
-    let marked_end = if order.marked { order.end } else { 0 };
+    let marked = order.marked;
+    let marked_end = if marked { order.end } else { 0 };
     let mut kept = 0;
     let mut diverged = false;
-    let mut end = order.steps.len();
-    let mut all_taken = true;
-    for (i, (step, flags)) in order.steps.iter().zip(&mut order.flags).enumerate() {
-        let app = step.app as usize;
-        let Some(take) = fits.take(app, step.scalar, *flags & DEGRADED != 0) else {
-            all_taken = false;
-            end = i;
-            break;
-        };
-        all_taken &= take;
-        if take {
-            rank.allocated[app] += step.scalar;
-        }
-        let was_taken = i < marked_end && *flags & TAKEN != 0;
-        *flags = (*flags & !TAKEN) | if take { TAKEN } else { 0 };
-        if !diverged {
-            let same = if order.marked {
-                take == was_taken
-            } else {
-                !take || items.get(kept) == Some(&item(step))
-            };
-            if same {
-                kept += usize::from(take);
-                continue;
+    let MergeOrder {
+        steps,
+        degraded,
+        taken,
+        ..
+    } = order;
+    let (end, all_taken) = walk(
+        steps,
+        degraded,
+        capacity,
+        cfg,
+        &mut rank.allocated,
+        |i, step, take| {
+            let was_taken = i < marked_end && taken[i];
+            taken[i] = take;
+            if !diverged {
+                let same = if marked {
+                    take == was_taken
+                } else {
+                    !take || items.get(kept) == Some(&inputs.item(step))
+                };
+                if same {
+                    kept += usize::from(take);
+                    return;
+                }
+                diverged = true;
+                items.truncate(kept);
             }
-            diverged = true;
-            items.truncate(kept);
-        }
-        if take {
-            items.push(item(step));
-        }
-    }
+            if take {
+                items.push(inputs.item(step));
+            }
+        },
+    );
     if !diverged {
         // Every decision repeated up to `end`: whatever the previous
         // ranking took past it is gone.
@@ -623,16 +658,62 @@ fn replay(
     if all_taken {
         order.all_fit = Some(order.all_fit.map_or(capacity, |c| c.min(capacity)));
     }
-    fits.record();
-    // The steps decided: all of them, or up to the one a break stopped at.
-    let walked = order.steps.len().min(end + 1);
-    obs.add(phoenix_obs::Counter::ReplaySteps, walked as u64);
     kept
 }
 
-/// Debug builds: `rank` must equal a from-scratch replay of `order` bit
-/// for bit, `kept` must be the common prefix with the `previous` items,
-/// and the marks must be the fresh replay's.
+/// The read-only replay: `order` under `capacity` into a fresh ranking,
+/// equal to what [`global_rank`] computes from the same inputs (for the
+/// order's objective and shares). It writes no marks, so the order's
+/// next in-place replay is unaffected, and takes no short-cut: it walks
+/// every step up to a break. `decided(i, take)` sees every decision;
+/// returns the ranking and the step a break stopped at (the order's
+/// length when none did).
+fn replay_fresh(
+    inputs: &RankInputs,
+    order: &MergeOrder,
+    capacity: Resources,
+    cfg: &PlannerConfig,
+    mut decided: impl FnMut(usize, bool),
+) -> (GlobalRank, usize) {
+    let capacity = capacity.scalar();
+    let fair_shares = inputs.fair_shares(capacity);
+    let mut allocated = vec![0.0; inputs.app_count()];
+    let mut items = Vec::new();
+    let (end, _) = walk(
+        &order.steps,
+        &order.degraded,
+        capacity,
+        cfg,
+        &mut allocated,
+        |i, step, take| {
+            if take {
+                items.push(inputs.item(step));
+            }
+            decided(i, take);
+        },
+    );
+    let rank = GlobalRank {
+        items,
+        fair_shares,
+        allocated,
+    };
+    (rank, end)
+}
+
+/// [`replay_fresh`] without its decisions: a cold round's ranking from a
+/// cached order.
+pub(crate) fn global_rank_replayed(
+    inputs: &RankInputs,
+    order: &MergeOrder,
+    capacity: Resources,
+    cfg: &PlannerConfig,
+) -> GlobalRank {
+    replay_fresh(inputs, order, capacity, cfg, |_, _| {}).0
+}
+
+/// Debug builds: `rank` must equal a read-only replay of `order` bit for
+/// bit, `kept` must be the common prefix with the `previous` items, and
+/// the marks must be that replay's decisions.
 #[cfg(debug_assertions)]
 fn replay_cross_check(
     inputs: &RankInputs,
@@ -643,31 +724,30 @@ fn replay_cross_check(
     previous: &[GlobalRankItem],
     kept: usize,
 ) {
-    let mut scratch = order.clone();
-    scratch.forget_marks();
-    let mut fresh = GlobalRank::default();
+    let mut taken = Vec::with_capacity(order.steps.len());
     // Outside any recorder: the counters count the checked replay once.
-    phoenix_obs::with_recorder(phoenix_obs::Recorder::disabled(), || {
-        replay(inputs, &mut scratch, capacity, cfg, &mut fresh)
+    let (fresh, end) = phoenix_obs::with_recorder(phoenix_obs::Recorder::disabled(), || {
+        replay_fresh(inputs, order, capacity, cfg, |_, take| taken.push(take))
     });
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(rank.items, fresh.items, "in-place replay diverged");
-    assert_eq!(bits(&rank.fair_shares), bits(&fresh.fair_shares));
-    assert_eq!(bits(&rank.allocated), bits(&fresh.allocated));
+    assert_same_rank(rank, &fresh, "in-place replay diverged");
     let common = previous.iter().zip(&rank.items).take_while(|(a, b)| a == b);
     assert_eq!(
         kept,
         common.count(),
         "replay prefix is not the common prefix"
     );
-    assert_eq!(order.end, scratch.end, "replay stopped elsewhere");
-    let taken = |o: &MergeOrder| {
-        o.flags[..o.end]
-            .iter()
-            .map(|f| f & TAKEN)
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(taken(order), taken(&scratch), "stale replay marks");
+    assert_eq!(order.end, end, "replay stopped elsewhere");
+    assert_eq!(order.taken[..end], taken[..end], "stale replay marks");
+}
+
+/// Debug builds: `got` equals `want` item for item, its shares and
+/// allocations bit for bit.
+#[cfg(any(debug_assertions, test))]
+pub(crate) fn assert_same_rank(got: &GlobalRank, want: &GlobalRank, what: &str) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(got.items, want.items, "{what}");
+    assert_eq!(bits(&got.fair_shares), bits(&want.fair_shares), "{what}");
+    assert_eq!(bits(&got.allocated), bits(&want.allocated), "{what}");
 }
 
 #[cfg(test)]

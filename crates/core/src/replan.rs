@@ -75,11 +75,12 @@ use phoenix_cluster::packing::{PackCarry, PlanIndex};
 use phoenix_cluster::{ClusterState, PodKey};
 
 use crate::controller::{
-    flatten_plan, push_replicas, schedule, FlatPlan, PhoenixConfig, PlanResult,
+    flatten_plan, push_replicas, rank_round, schedule, FlatPlan, PhoenixConfig, PlanResult,
 };
 use crate::planner::app_rank;
 use crate::ranking::{
-    global_rank_prepared, global_rank_replay, merged_order, GlobalRank, MergeOrder, RankInputs,
+    global_rank_prepared, global_rank_replay, global_rank_replayed, merged_order, GlobalRank,
+    MergeOrder, RankInputs,
 };
 use crate::spec::{ServiceId, ServingMode, Workload};
 use crate::stateful::StatefulMarks;
@@ -188,6 +189,42 @@ impl ReplanCache {
             self.plan_valid = false;
         }
         self.primed = true;
+    }
+
+    /// The epoch's [`Workload::has_modes`], once a round has primed the
+    /// epoch; `None` before.
+    pub(crate) fn epoch_modal(&self) -> Option<bool> {
+        self.primed.then_some(self.modal)
+    }
+
+    /// A cold round's ranking of `state` from the primed epoch, reading
+    /// the cache only: a read-only replay of the cached merge order valid
+    /// at this capacity (a capacity-invariant objective's, or the
+    /// share-keyed order when this round's shares equal its key bit for
+    /// bit), else the heap over the epoch's inputs.
+    pub(crate) fn epoch_rank(
+        &self,
+        workload: &Workload,
+        state: &ClusterState,
+        config: &PhoenixConfig,
+    ) -> GlobalRank {
+        debug_assert!(self.primed, "ranking from an unprimed epoch");
+        let capacity = state.healthy_capacity();
+        let order = if config.objective.capacity_invariant() {
+            self.merge_order.as_ref()
+        } else {
+            let shares = self.inputs.fair_shares(capacity.scalar());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let keyed = |(key, _): &&(Vec<f64>, MergeOrder)| bits(key) == bits(&shares);
+            self.share_order
+                .as_ref()
+                .filter(keyed)
+                .map(|(_, order)| order)
+        };
+        match order {
+            Some(order) => global_rank_replayed(&self.inputs, order, capacity, &config.planner),
+            None => rank_round(workload, &self.inputs, state, config, &[]),
+        }
     }
 }
 
@@ -661,6 +698,42 @@ mod tests {
             ),
             (2, 1, 3)
         );
+    }
+
+    #[test]
+    fn epoch_rank_replays_the_share_order_read_only() {
+        // Above total demand the fairness shares repeat, so the cache
+        // invests in a share-keyed order; a cold round at such a capacity
+        // replays it without walking an app rank, and leaves its marks to
+        // the warm round that follows.
+        use phoenix_obs::Counter::{AppRankWalks, ReplaySteps};
+        let w = workload(5);
+        let config = PhoenixConfig::with_objective(ObjectiveKind::Fairness);
+        let mut cache = ReplanCache::default();
+        let mut live = ClusterState::homogeneous(40, Resources::cpu(4.0));
+        for round in 0..3 {
+            live = replan_with(&w, live, &config, &mut cache, ReplanDelta::CapacityOnly).target;
+            live.fail_node(NodeId::new(round));
+        }
+        assert!(cache.share_order.is_some(), "no share-keyed order built");
+        let recorder = phoenix_obs::Recorder::enabled();
+        let rank =
+            phoenix_obs::with_recorder(recorder.clone(), || cache.epoch_rank(&w, &live, &config));
+        assert_eq!(recorder.counter(AppRankWalks), 0);
+        assert!(
+            recorder.counter(ReplaySteps) > 0,
+            "the share order replayed"
+        );
+        let cold = plan(&w, live.clone(), &config, &StatefulMarks::new());
+        crate::ranking::assert_same_rank(&rank, &cold.rank, "epoch rank");
+        let warm = replan_with(
+            &w,
+            live.clone(),
+            &config,
+            &mut cache,
+            ReplanDelta::CapacityOnly,
+        );
+        assert_equivalent(&cold, &warm);
     }
 
     /// How a caller touches the adopted target between two warm rounds.

@@ -5,16 +5,24 @@
 //! same rung purchases and chain retirements. The walk crosses the total
 //! demand both ways and repeats capacities above it, where the replay's
 //! all-fit short-cut walks no step.
+//!
+//! A controller's cold plan from its primed epoch (the cached ranking
+//! inputs, and a read-only replay of a cached merge order where one is
+//! valid) equals the free cold `plan`, which builds everything from
+//! scratch.
 
-use phoenix_cluster::Resources;
+use phoenix_cluster::{ClusterState, NodeId, Resources};
+use phoenix_core::controller::{plan, PhoenixConfig, PhoenixController};
 use phoenix_core::objectives::{
-    CostObjective, CriticalityObjective, FairnessObjective, OperatorObjective,
+    CostObjective, CriticalityObjective, FairnessObjective, ObjectiveKind, OperatorObjective,
 };
 use phoenix_core::planner::{app_rank, PlannerConfig, Traversal};
 use phoenix_core::ranking::{
     global_rank, global_rank_replay, merged_order, GlobalRank, MergeOrder, RankInputs,
 };
+use phoenix_core::replan::ReplanDelta;
 use phoenix_core::spec::{AppSpec, AppSpecBuilder, ModeSpec, ServiceId, ServingMode, Workload};
+use phoenix_core::stateful::StatefulMarks;
 use phoenix_core::tags::Criticality;
 use phoenix_obs::{with_recorder, Counter, Recorder};
 use proptest::prelude::*;
@@ -213,6 +221,37 @@ fn replay_and_check(
     counts[2]
 }
 
+/// A homogeneous cluster of 4-CPU nodes holding about `scale` of the
+/// workload's total demand, at least three nodes.
+fn cluster(w: &Workload, scale: f64) -> ClusterState {
+    let nodes = ((total_demand(w) * scale / 4.0).ceil() as usize).max(3);
+    ClusterState::homogeneous(nodes, Resources::cpu(4.0))
+}
+
+/// `controller.plan` (from the primed epoch) against the free cold
+/// `plan` on `state`: actions, modes, ranking and target bit for bit.
+fn check_epoch_plan(
+    controller: &PhoenixController,
+    config: &PhoenixConfig,
+    state: &ClusterState,
+    what: &str,
+) {
+    let got = controller.plan(state);
+    let want = plan(
+        controller.workload(),
+        state.clone(),
+        config,
+        &StatefulMarks::new(),
+    );
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    prop_assert_eq!(&got.actions, &want.actions, "actions {}", what);
+    prop_assert_eq!(&got.modes, &want.modes, "modes {}", what);
+    prop_assert_eq!(&got.rank.items, &want.rank.items, "items {}", what);
+    prop_assert_eq!(bits(&got.rank.fair_shares), bits(&want.rank.fair_shares));
+    prop_assert_eq!(bits(&got.rank.allocated), bits(&want.rank.allocated));
+    prop_assert!(got.target.bitwise_eq(&want.target), "target {}", what);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -277,5 +316,46 @@ proptest! {
                 previous = None;
             }
         }
+    }
+
+    /// A controller primed by a full replan and moved through warm ticks
+    /// (so its merge orders carry marks and a lowered C*) plans cold from
+    /// its epoch exactly as the free cold `plan` does, below, at and above
+    /// the priming capacity, under both objectives.
+    #[test]
+    fn epoch_cold_plan_matches_the_free_cold_plan(
+        w in arb_workload(),
+        cost in any::<bool>(),
+        scale in 0.3f64..1.8,
+        ticks in proptest::collection::vec((any::<bool>(), 0u32..64), 0..6),
+    ) {
+        let kind = if cost { ObjectiveKind::Cost } else { ObjectiveKind::Fairness };
+        let config = PhoenixConfig::with_objective(kind);
+        let mut controller =
+            PhoenixController::new(w.clone(), PhoenixConfig::with_objective(kind));
+        // Primed with node 0 down, so restoring it plans above the priming
+        // capacity.
+        let mut at = cluster(&w, scale);
+        let nodes = at.node_count() as u32;
+        at.fail_node(NodeId::new(0));
+        let mut live = controller.replan(&at, ReplanDelta::Full).target;
+        for (restore, n) in ticks {
+            let node = NodeId::new(1 + n % (nodes - 1));
+            match restore {
+                true => live.restore_node(node),
+                false => _ = live.fail_node(node),
+            }
+            live = controller.replan(&live, ReplanDelta::CapacityOnly).target;
+        }
+        // The adopted target with the priming health: the same capacity.
+        let mut at = live;
+        (1..nodes).for_each(|n| at.restore_node(NodeId::new(n)));
+        let mut below = at.clone();
+        below.fail_node(NodeId::new(1));
+        let mut above = at.clone();
+        above.restore_node(NodeId::new(0));
+        check_epoch_plan(&controller, &config, &below, "below");
+        check_epoch_plan(&controller, &config, &at, "at");
+        check_epoch_plan(&controller, &config, &above, "above");
     }
 }

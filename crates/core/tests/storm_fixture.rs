@@ -20,9 +20,10 @@
 use phoenix_adaptlab::alibaba::AlibabaConfig;
 use phoenix_adaptlab::scenario::{build_env, EnvConfig};
 use phoenix_cluster::NodeId;
-use phoenix_core::controller::{PhoenixConfig, PhoenixController};
+use phoenix_core::controller::{plan, PhoenixConfig, PhoenixController};
 use phoenix_core::objectives::ObjectiveKind;
 use phoenix_core::replan::ReplanDelta;
+use phoenix_core::stateful::StatefulMarks;
 use phoenix_obs::{with_recorder, Counter, Recorder};
 
 const NODES: usize = 200;
@@ -183,7 +184,7 @@ type TickPin = (u64, (usize, usize, usize, usize));
 /// The `tick-10k` shape at 200 nodes: the converged controller replans
 /// warm (`CapacityOnly`) after every step of `script`, each target
 /// adopted as the next live state. Every round's target must be
-/// `bitwise_eq` to a cold plan's of the same live state. Returns the
+/// `bitwise_eq` to the free cold `plan`'s of the same live state. Returns the
 /// pins and how many rounds ranked other items than the round before.
 fn tick_pins(kind: ObjectiveKind, mut script: TickScript, ticks: usize) -> (Vec<TickPin>, usize) {
     let env = build_env(&EnvConfig {
@@ -196,6 +197,7 @@ fn tick_pins(kind: ObjectiveKind, mut script: TickScript, ticks: usize) -> (Vec<
         seed: 11,
         ..EnvConfig::default()
     });
+    let config = PhoenixConfig::with_objective(kind);
     let mut controller =
         PhoenixController::new(env.workload.clone(), PhoenixConfig::with_objective(kind));
     let converged = controller.replan(&env.baseline, ReplanDelta::Full);
@@ -212,7 +214,9 @@ fn tick_pins(kind: ObjectiveKind, mut script: TickScript, ticks: usize) -> (Vec<
             }
         }
         let warm = controller.replan(&live, ReplanDelta::CapacityOnly);
-        let cold = controller.plan(&live);
+        // The free cold plan builds everything from scratch, so it shares
+        // nothing with the controller's replan cache.
+        let cold = plan(&env.workload, live.clone(), &config, &StatefulMarks::new());
         assert!(
             warm.target.bitwise_eq(&cold.target),
             "{kind:?} tick {round}: warm target differs from a cold plan's"

@@ -16,6 +16,12 @@
 //! tenfold. The first capacity-only tick may build a merge order (and
 //! walk it once), so the placement and replay contracts are read on the
 //! second tick, which fails another node.
+//!
+//! A converged controller's cold plan on the storm shape (30 % of the
+//! nodes down at once) takes its per-app activation orders from the
+//! replan cache's epoch: it walks no `app_rank`
+//! ([`Counter::AppRankWalks`]), and under a capacity-invariant objective
+//! it replays the cached merge order instead of running the heap.
 
 use std::sync::OnceLock;
 
@@ -24,6 +30,7 @@ use phoenix_adaptlab::scenario::{build_env, EnvConfig};
 use phoenix_cluster::NodeId;
 use phoenix_core::controller::{PhoenixConfig, PhoenixController};
 use phoenix_core::objectives::ObjectiveKind;
+use phoenix_core::planner::app_rank;
 use phoenix_core::replan::ReplanDelta;
 use phoenix_obs::{with_recorder, Counter, Recorder};
 
@@ -133,4 +140,74 @@ fn warm_tick_replay_steps_grow_less_than_twofold_over_tenfold_nodes() {
             "{kind:?}: {small} replay steps at 100 nodes, {large} at 1 000"
         );
     }
+}
+
+/// Nodes of the storm-shaped environment (`storm_fixture`'s shape).
+const STORM_NODES: usize = 200;
+
+/// The counters a storm-shaped cold plan reads, in [`STORM`] order.
+const STORM: [Counter; 2] = [Counter::AppRankWalks, Counter::ReplaySteps];
+
+/// `(apps, merge-order length, [app rank walks, replay steps])` of one
+/// cold `PhoenixController::plan` on `storm_fixture`'s shape: 200 nodes
+/// at 75 % utilization, 30 % of them failed. A `converged` controller
+/// has primed its replan cache on the healthy baseline first.
+fn storm_plan_work(kind: ObjectiveKind, converged: bool) -> (u64, u64, [u64; 2]) {
+    let env = build_env(&EnvConfig {
+        nodes: STORM_NODES,
+        target_utilization: 0.75,
+        alibaba: AlibabaConfig {
+            max_services: 3 * STORM_NODES,
+            ..AlibabaConfig::default()
+        },
+        seed: 11,
+        ..EnvConfig::default()
+    });
+    let config = PhoenixConfig::with_objective(kind);
+    let traversal = config.planner.traversal;
+    let mut controller = PhoenixController::new(env.workload.clone(), config);
+    let mut live = match converged {
+        true => controller.replan(&env.baseline, ReplanDelta::Full).target,
+        false => env.baseline.clone(),
+    };
+    for i in 0..STORM_NODES * 3 / 10 {
+        live.fail_node(NodeId::new(((i * 7 + 3) % STORM_NODES) as u32));
+    }
+    let recorder = Recorder::enabled();
+    with_recorder(recorder.clone(), || controller.plan(&live));
+    // A mode-less workload's merge order holds one step per ranked service.
+    let apps = env.workload.apps();
+    let order_len = apps
+        .map(|(_, app)| app_rank(app, traversal).len())
+        .sum::<usize>();
+    let work = STORM.map(|c| recorder.counter(c));
+    (env.workload.app_count() as u64, order_len as u64, work)
+}
+
+/// A converged controller's cold plan takes its per-app activation
+/// orders from the replan cache's epoch: it walks no app rank, where an
+/// unprimed controller walks one per app.
+#[test]
+fn converged_cold_plan_walks_no_app_rank() {
+    for kind in [ObjectiveKind::Fairness, ObjectiveKind::Cost] {
+        let (apps, _, [walks, _]) = storm_plan_work(kind, true);
+        assert_eq!(walks, 0, "{kind:?}: a converged cold plan walked app ranks");
+        let (_, _, [walks, _]) = storm_plan_work(kind, false);
+        assert_eq!(
+            walks, apps,
+            "{kind:?}: an unprimed cold plan walks each app"
+        );
+    }
+}
+
+/// Cost is capacity-invariant, so a converged controller's cold plan
+/// replays the cached merge order, every step of it (chains retire
+/// rather than stop the walk); Fairness's shares move under the storm,
+/// so its plan runs the heap and replays nothing.
+#[test]
+fn converged_cold_plan_replays_cost_and_merges_fairness() {
+    let (_, order_len, [_, steps]) = storm_plan_work(ObjectiveKind::Cost, true);
+    assert_eq!(steps, order_len, "Cost: the replay walks the whole order");
+    let (_, _, [_, steps]) = storm_plan_work(ObjectiveKind::Fairness, true);
+    assert_eq!(steps, 0, "Fairness: the storm's shares are new");
 }
