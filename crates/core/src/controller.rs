@@ -124,21 +124,21 @@ impl PhoenixController {
 
     /// Plans a new target state for the (possibly degraded) `state`.
     ///
-    /// `state` is *not* mutated: a cold round (no pins) packs a copy of
-    /// it, returned as [`PlanResult::target`]. The output is [`plan`]'s,
-    /// and so is every step but the ranking's inputs: once a
-    /// [`replan`](Self::replan) has primed the replan cache, the round
-    /// ranks from the cache's epoch (the per-app activation orders, the
-    /// flattened ranking inputs and whether the workload is modal)
-    /// instead of walking [`app_rank`] for every app again. That is sound
-    /// because a controller's workload and config never change after
-    /// construction. When the cache also holds a merge order valid at
-    /// this capacity (a
+    /// `state` is *not* mutated: the round packs a copy of it, returned
+    /// as [`PlanResult::target`], and returns what [`plan`] (no pins)
+    /// returns. Once a [`replan`](Self::replan) has primed the replan
+    /// cache, the round ranks from the cache's epoch (the per-app
+    /// activation orders, the flattened ranking inputs and whether the
+    /// workload is modal) instead of walking [`app_rank`] for every app
+    /// again: sound because a controller's workload and config never
+    /// change after construction. When the cache also holds a merge
+    /// order valid at this capacity (a
     /// [capacity-invariant](crate::objectives::OperatorObjective::capacity_invariant)
     /// objective's, or the share-keyed one when this round's water-fill
-    /// shares equal its key bit for bit) the round replays it read-only
+    /// shares equal its key bit for bit), the round replays it read-only
     /// instead of running the heap merge. It writes nothing into the
-    /// cache. Use [`replan`](Self::replan) inside a monitoring loop.
+    /// cache, and flattens and packs cold. Use [`replan`](Self::replan)
+    /// inside a monitoring loop.
     pub fn plan(&self, state: &ClusterState) -> PlanResult {
         let (workload, config) = (&self.workload, &self.config);
         let pins = StatefulMarks::new();

@@ -101,10 +101,10 @@ struct ChainEntry {
 /// [`crate::planner::app_rank`] with demands, tags, and prices resolved
 /// into dense arrays.
 ///
-/// Cold planning builds this per round; warm replanning
-/// ([`crate::replan`]) caches it across rounds keyed by app fingerprints.
-/// Both paths feed the same merge loop, so their outputs are identical by
-/// construction.
+/// The free cold plan builds this per round; the controller's replan
+/// cache ([`crate::replan`]) keeps it across rounds keyed by app
+/// fingerprints, for its warm rounds and its cold ones alike. Both feed
+/// the same merge loop, so their outputs are identical by construction.
 #[derive(Debug, Clone, Default)]
 pub struct RankInputs {
     chains: Vec<Vec<ChainEntry>>,

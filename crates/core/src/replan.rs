@@ -8,7 +8,12 @@
 //! monitor tick, yet between ticks almost nothing about the *workload*
 //! changes — only the cluster does. The controller's replan cache
 //! exploits that (entry point:
-//! [`PhoenixController::replan`](crate::controller::PhoenixController::replan)):
+//! [`PhoenixController::replan`](crate::controller::PhoenixController::replan)).
+//! A primed cache also serves the controller's cold rounds
+//! ([`PhoenixController::plan`](crate::controller::PhoenixController::plan)),
+//! read-only: they rank from its epoch (layer 1), replay a merge order
+//! of layer 2 into a fresh ranking where one is valid at their
+//! capacity, and flatten and pack from scratch.
 //!
 //! 1. **Rank cache** — each app's activation order
 //!    ([`crate::planner::app_rank`]) is cached under a cheap structural
@@ -701,11 +706,12 @@ mod tests {
     }
 
     #[test]
-    fn epoch_rank_replays_the_share_order_read_only() {
+    fn epoch_rank_replays_the_share_order_only_under_its_shares() {
         // Above total demand the fairness shares repeat, so the cache
-        // invests in a share-keyed order; a cold round at such a capacity
-        // replays it without walking an app rank, and leaves its marks to
-        // the warm round that follows.
+        // invests in a share-keyed order. A cold round at such a capacity
+        // replays it without walking an app rank and leaves its marks to
+        // the warm round that follows; a crunch moves the shares, so a
+        // cold round there runs the heap.
         use phoenix_obs::Counter::{AppRankWalks, ReplaySteps};
         let w = workload(5);
         let config = PhoenixConfig::with_objective(ObjectiveKind::Fairness);
@@ -716,23 +722,20 @@ mod tests {
             live.fail_node(NodeId::new(round));
         }
         assert!(cache.share_order.is_some(), "no share-keyed order built");
-        let recorder = phoenix_obs::Recorder::enabled();
-        let rank =
-            phoenix_obs::with_recorder(recorder.clone(), || cache.epoch_rank(&w, &live, &config));
-        assert_eq!(recorder.counter(AppRankWalks), 0);
-        assert!(
-            recorder.counter(ReplaySteps) > 0,
-            "the share order replayed"
-        );
+        let mut crunch = live.clone();
+        (3..20).for_each(|n| _ = crunch.fail_node(NodeId::new(n)));
+        for (state, replays) in [(&crunch, false), (&live, true)] {
+            let recorder = phoenix_obs::Recorder::enabled();
+            let rank = phoenix_obs::with_recorder(recorder.clone(), || {
+                cache.epoch_rank(&w, state, &config)
+            });
+            assert_eq!(recorder.counter(AppRankWalks), 0);
+            assert_eq!(recorder.counter(ReplaySteps) > 0, replays);
+            let cold = plan(&w, state.clone(), &config, &StatefulMarks::new());
+            crate::ranking::assert_same_rank(&rank, &cold.rank, "epoch rank");
+        }
         let cold = plan(&w, live.clone(), &config, &StatefulMarks::new());
-        crate::ranking::assert_same_rank(&rank, &cold.rank, "epoch rank");
-        let warm = replan_with(
-            &w,
-            live.clone(),
-            &config,
-            &mut cache,
-            ReplanDelta::CapacityOnly,
-        );
+        let warm = replan_with(&w, live, &config, &mut cache, ReplanDelta::CapacityOnly);
         assert_equivalent(&cold, &warm);
     }
 

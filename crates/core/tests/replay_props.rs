@@ -350,8 +350,9 @@ proptest! {
         // The adopted target with the priming health: the same capacity.
         let mut at = live;
         (1..nodes).for_each(|n| at.restore_node(NodeId::new(n)));
+        // Half the nodes down: under the total demand, so new shares.
         let mut below = at.clone();
-        below.fail_node(NodeId::new(1));
+        (1..=nodes / 2).for_each(|n| _ = below.fail_node(NodeId::new(n)));
         let mut above = at.clone();
         above.restore_node(NodeId::new(0));
         check_epoch_plan(&controller, &config, &below, "below");
