@@ -22,6 +22,9 @@ use phoenix_cluster::failure::{fail_fraction, restore_all};
 use phoenix_cluster::{ClusterState, NodeId, PodKey, Resources};
 use phoenix_core::controller::{plan, PhoenixConfig, PhoenixController, PlanResult};
 use phoenix_core::objectives::ObjectiveKind::{self, Cost, Fairness};
+use phoenix_core::objectives::{
+    CostObjective, CriticalityObjective, FairnessObjective, OperatorObjective, RankContext,
+};
 use phoenix_core::policies::{standard_roster, DefaultPolicy, PhoenixPolicy, ResiliencePolicy};
 use phoenix_core::replan::ReplanDelta::{self, CapacityOnly, Full};
 use phoenix_core::spec::{AppSpecBuilder, ServiceId, ServingMode, Workload};
@@ -84,6 +87,7 @@ pub const SECTIONS: &[Section] = &[
     Section { name: "replay", run: warm_ranking },
     Section { name: "drop_visits", run: drop_visits },
     Section { name: "tick_work", run: tick_work },
+    Section { name: "epoch_plans", run: epoch_plans },
 ];
 
 /// The directory holding one fixture file per section.
@@ -942,6 +946,147 @@ fn warm_ranking(out: &mut String) {
                 ));
                 previous.clone_from(&rank.items);
                 live = result.target;
+            }
+        }
+    }
+}
+
+/// A custom objective that reads the allocation and the fair share in a
+/// shape the ranker cannot see through, so it declares no form.
+#[derive(Debug)]
+struct Headroom;
+
+impl OperatorObjective for Headroom {
+    fn score(&self, ctx: &RankContext) -> f64 {
+        ctx.price / (1.0 + ctx.allocated + ctx.next_demand) + 0.1 * ctx.fair_share.sqrt()
+    }
+
+    fn name(&self) -> &'static str {
+        "headroom"
+    }
+}
+
+/// Cold plans of a primed controller (`PhoenixController::plan` after a
+/// full `replan` and one capacity-only tick) under Fairness, Cost,
+/// Criticality and an opaque custom objective, on the mode-less churn
+/// workload plus an idle app whose share is never above 1e-12 (app
+/// demands 8, 11, 12, 18, 8, 11 and 2e-13 on 4-CPU nodes) and a
+/// five-app modal one (demands 6, 6.5, 6, 6.5, 6 on 2-CPU and 0.5-CPU
+/// nodes). Each cold plan runs on the adopted target with a set of nodes
+/// failed or restored, at capacities where every share is satisfied,
+/// some are and some are capped, every share is capped, every share is
+/// at most 1e-12 (one tiny node left), and where the water level lands
+/// exactly on a demand (so a satisfied app's score ties a capped one's).
+/// Per plan: the capacity, the item count and FNV digests of the items,
+/// the fair-share bits, the allocation bits and the placements, then
+/// the action counts and the unplaced pods.
+fn epoch_plans(out: &mut String) {
+    /// A plan's node changes: nodes to fail, then nodes to restore.
+    type Scenario = (&'static str, std::ops::Range<u32>, &'static [u32]);
+    // 20 × 4 CPU, then a 5e-12-CPU node (failed until restored).
+    const MODELESS: &[Scenario] = &[
+        ("satisfied", 19..20, &[]),
+        ("boundary-8", 12..20, &[]),
+        ("mixed-56", 14..20, &[]),
+        ("boundary-11", 15..20, &[]),
+        ("mixed-64", 16..20, &[]),
+        ("capped-32", 8..20, &[]),
+        ("near-zero", 0..20, &[20]),
+        ("empty", 0..20, &[]),
+    ];
+    // 16 × 2 CPU, 2 × 0.5 CPU, then a 5e-12-CPU node.
+    const MODAL: &[Scenario] = &[
+        ("satisfied", 0..0, &[]),
+        ("mixed-30.5", 15..17, &[]),
+        ("boundary-6", 15..18, &[]),
+        ("capped-20", 10..18, &[]),
+        ("near-zero", 0..18, &[18]),
+    ];
+    let modeless_nodes = [4.0; 20].into_iter().chain([5e-12]);
+    let modal_nodes = [2.0; 16].into_iter().chain([0.5, 0.5, 5e-12]);
+    let mut apps: Vec<_> = churn_workload().apps().map(|(_, a)| a.clone()).collect();
+    let mut idle = AppSpecBuilder::new("idle");
+    idle.add_service("noop", Resources::cpu(0.0), Some(Criticality::C1), 1);
+    idle.add_service("trace", Resources::cpu(1e-13), Some(Criticality::C2), 2);
+    apps.push(idle.build().expect("valid probe spec"));
+    let setups = [
+        (
+            "modeless",
+            Workload::new(apps),
+            modeless_nodes.collect::<Vec<f64>>(),
+            MODELESS,
+        ),
+        (
+            "modal",
+            demo_workload_modal(5),
+            modal_nodes.collect(),
+            MODAL,
+        ),
+    ];
+    for (label, workload, sizes, scenarios) in setups {
+        let objectives: [Box<dyn OperatorObjective>; 4] = [
+            Box::new(FairnessObjective),
+            Box::new(CostObjective),
+            Box::new(CriticalityObjective),
+            Box::new(Headroom),
+        ];
+        for objective in objectives {
+            let name = objective.name();
+            let config = PhoenixConfig {
+                objective,
+                ..PhoenixConfig::with_objective(Fairness)
+            };
+            let mut controller = PhoenixController::new(workload.clone(), config);
+            let mut live = ClusterState::new(sizes.iter().map(|&c| Resources::cpu(c)));
+            let tiny = NodeId::new(sizes.len() as u32 - 1);
+            live.fail_node(tiny);
+            live = controller.replan(&live, Full).target;
+            live.fail_node(NodeId::new(0));
+            live = controller.replan(&live, CapacityOnly).target;
+            live.restore_node(NodeId::new(0));
+            for (scenario, failed, restored) in scenarios {
+                let mut state = live.clone();
+                failed
+                    .clone()
+                    .for_each(|n| _ = state.fail_node(NodeId::new(n)));
+                restored
+                    .iter()
+                    .for_each(|&n| state.restore_node(NodeId::new(n)));
+                let result = controller.plan(&state);
+                let rank = &result.rank;
+                let mut items = Fnv::default();
+                for item in &rank.items {
+                    items.eat((item.app.index() as u64) << 32 | item.service.index() as u64);
+                    items.eat(item.demand.cpu.to_bits());
+                    items.eat(item.demand.mem.to_bits());
+                    items.eat(item.mode.depth() as u64);
+                }
+                let [mut shares, mut allocated] = [Fnv::default(), Fnv::default()];
+                rank.fair_shares
+                    .iter()
+                    .for_each(|s| shares.eat(s.to_bits()));
+                rank.allocated
+                    .iter()
+                    .for_each(|a| allocated.eat(a.to_bits()));
+                let mut placements = Fnv::default();
+                let placed = result.target.assignments();
+                for (pod, node, demand) in sorted(placed.map(|(p, n, r)| (p, n, r.cpu.to_bits()))) {
+                    placements.eat(u64::from(pod.app) << 32 | u64::from(pod.service));
+                    placements.eat(u64::from(pod.replica) << 32 | node.index() as u64);
+                    placements.eat(demand);
+                }
+                let (d, m, s) = result.actions.counts();
+                out.line(format!(
+                    "epoch_plans {label} {name} {scenario}: capacity={} items={} rank={:016x} \
+                     shares={:016x} allocated={:016x} placements={:016x} d={d} m={m} s={s} unplaced={}",
+                    state.healthy_capacity().scalar(),
+                    rank.items.len(),
+                    items.0,
+                    shares.0,
+                    allocated.0,
+                    placements.0,
+                    result.packing.unplaced.len(),
+                ));
             }
         }
     }
