@@ -840,8 +840,9 @@ const RANK_COUNTERS: [phoenix_obs::Counter; 8] = {
 
 /// Every warm-ranking branch of `replan`, per objective on a mode-less
 /// and a modal workload: full reuse, merge-order and share-order replays,
-/// the share investment, cold merges (and a replay of an older share
-/// order after one), rankings that change at the tail and mid-list, and
+/// share orders built under new shares (Fairness derives them), a
+/// crunch and the return above total demand, rankings that change at
+/// the tail and mid-list, and
 /// rounds under the break rule (`continue_on_saturation = false`). A
 /// controller's config is fixed, so each run of rounds under one rule
 /// gets a fresh controller, whose first round primes an empty cache. Per

@@ -133,12 +133,16 @@ impl PhoenixController {
     /// again: sound because a controller's workload and config never
     /// change after construction. When the cache also holds a merge
     /// order valid at this capacity (a
-    /// [capacity-invariant](crate::objectives::OperatorObjective::capacity_invariant)
-    /// objective's, or the share-keyed one when this round's water-fill
-    /// shares equal its key bit for bit), the round replays it read-only
-    /// instead of running the heap merge. It writes nothing into the
-    /// cache, and flattens and packs cold. Use [`replan`](Self::replan)
-    /// inside a monitoring loop.
+    /// [`Static`](crate::objectives::ScoreForm::Static) objective's, or
+    /// the share-keyed one when this round's water-fill shares equal its
+    /// key bit for bit), the round replays it read-only instead of
+    /// running the heap merge; a
+    /// [`ShareScaled`](crate::objectives::ScoreForm::ShareScaled)
+    /// objective (fairness) under new shares walks an order derived in
+    /// linear time from the two orders the epoch sorted (see
+    /// [`crate::replan`]). It writes nothing into the cache, and flattens
+    /// and packs cold. Use [`replan`](Self::replan) inside a monitoring
+    /// loop.
     pub fn plan(&self, state: &ClusterState) -> PlanResult {
         let (workload, config) = (&self.workload, &self.config);
         let pins = StatefulMarks::new();

@@ -35,6 +35,32 @@ pub struct RankContext {
     pub mode_utility: f64,
 }
 
+/// The shape of an objective's [`score`](OperatorObjective::score), as
+/// far as the ranker may rely on it without calling it
+/// ([`OperatorObjective::form`]). Each form is a contract: the ranker
+/// derives pop orders from it, so a wrong declaration yields rankings
+/// other than the heap's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScoreForm {
+    /// The score ignores `allocated` and `fair_share`: it depends only on
+    /// static facts about the app and the candidate (price, criticality,
+    /// demand, mode utility). The heap's pop order is then the same at
+    /// every capacity, and one merge order per epoch replays under any
+    /// capacity.
+    Static,
+    /// The score is, bit for bit, [`FairnessObjective`]'s:
+    /// `-((allocated + next_demand) / fair_share)` when `fair_share >
+    /// 1e-12`, and `f64::NEG_INFINITY` otherwise. The ranker then derives
+    /// each round's pop order in linear time from two orders sorted once
+    /// per epoch, since water-filling gives every app either its demand
+    /// or one common level (`phoenix_core::replan`).
+    ShareScaled,
+    /// Anything else: the ranker scores through the heap, and warm rounds
+    /// keep the heap's order only while the fair shares repeat bit for
+    /// bit. Always safe.
+    Opaque,
+}
+
 /// An operator scoring function: **higher scores are activated sooner**.
 ///
 /// [`score`](OperatorObjective::score) must be a pure function of its
@@ -51,17 +77,14 @@ pub trait OperatorObjective: fmt::Debug + Send + Sync {
     /// Short name for reports ("cost", "fairness", …).
     fn name(&self) -> &'static str;
 
-    /// `true` when [`score`](OperatorObjective::score) ignores the
-    /// allocation-dependent context fields (`allocated` and `fair_share`),
-    /// i.e. depends only on static facts about the app and service.
-    ///
-    /// For such objectives the global-ranking pop order is independent of
-    /// cluster capacity, so warm replanning can replay a cached merge
-    /// order instead of re-scoring a heap (see `phoenix_core::replan`).
-    /// Returning `true` while reading `allocated`/`fair_share` breaks the
-    /// warm/cold equivalence guarantee; when in doubt keep the default.
-    fn capacity_invariant(&self) -> bool {
-        false
+    /// The shape of [`score`](OperatorObjective::score) (see
+    /// [`ScoreForm`] for each form's contract). The default,
+    /// [`ScoreForm::Opaque`], is right for every objective; the other
+    /// forms only let the ranker skip the heap, and declaring one that
+    /// `score` does not honour breaks the warm/cold equivalence
+    /// guarantee. When in doubt keep the default.
+    fn form(&self) -> ScoreForm {
+        ScoreForm::Opaque
     }
 }
 
@@ -79,8 +102,8 @@ impl OperatorObjective for CostObjective {
         "cost"
     }
 
-    fn capacity_invariant(&self) -> bool {
-        true
+    fn form(&self) -> ScoreForm {
+        ScoreForm::Static
     }
 }
 
@@ -107,6 +130,10 @@ impl OperatorObjective for FairnessObjective {
     fn name(&self) -> &'static str {
         "fairness"
     }
+
+    fn form(&self) -> ScoreForm {
+        ScoreForm::ShareScaled
+    }
 }
 
 /// Raw criticality ordering: all `C1` containers cluster-wide before any
@@ -125,8 +152,8 @@ impl OperatorObjective for CriticalityObjective {
         "criticality"
     }
 
-    fn capacity_invariant(&self) -> bool {
-        true
+    fn form(&self) -> ScoreForm {
+        ScoreForm::Static
     }
 }
 
@@ -212,5 +239,10 @@ mod tests {
         assert_eq!(ObjectiveKind::Cost.build().name(), "cost");
         assert_eq!(ObjectiveKind::Fairness.build().name(), "fairness");
         assert_eq!(ObjectiveKind::Fairness.to_string(), "fairness");
+        assert_eq!(ObjectiveKind::Cost.build().form(), ScoreForm::Static);
+        assert_eq!(
+            ObjectiveKind::Fairness.build().form(),
+            ScoreForm::ShareScaled
+        );
     }
 }

@@ -388,19 +388,50 @@ pub struct MergeOrder {
 }
 
 impl MergeOrder {
-    /// Forgets the last replay's marks. Call it whenever the ranking the
-    /// next replay writes into is no longer the one the last replay of
-    /// this order wrote; that replay then compares items instead.
-    pub fn forget_marks(&mut self) {
-        self.marked = false;
+    /// The order of `apps` apps' chain entries that takes `steps` (and
+    /// their `degraded` flags): every step unmarked, the all-taken
+    /// allocations summed in step order as a replay sums them, and C\*
+    /// set by one probe replay just above the total demand when that
+    /// probe takes every step (the fit rule's slack absorbs the sum's
+    /// rounding).
+    fn of_steps(apps: usize, steps: Vec<Step>, degraded: Vec<bool>) -> MergeOrder {
+        let mut allocated = vec![0.0; apps];
+        for step in &steps {
+            allocated[step.app as usize] += step.scalar;
+        }
+        let total: f64 = steps.iter().map(|s| s.scalar).sum();
+        let probe = total + total.abs() * 1e-9;
+        let mut fits = Fits::new(probe, apps, &PlannerConfig::default());
+        let all_fit = (steps.iter())
+            .all(|s| fits.take(s.app as usize, s.scalar, false) == Some(true))
+            .then_some(probe);
+        MergeOrder {
+            taken: vec![false; steps.len()],
+            all_degraded: degraded.iter().map(|&d| u64::from(d)).sum(),
+            steps,
+            degraded,
+            marked: false,
+            end: 0,
+            all_taken: false,
+            all_fit,
+            all_allocated: allocated,
+        }
+    }
+
+    /// The `(step, degraded)` pairs, in order.
+    fn pairs(&self) -> impl Iterator<Item = (Step, bool)> + '_ {
+        self.steps
+            .iter()
+            .copied()
+            .zip(self.degraded.iter().copied())
     }
 }
 
 /// The unbounded-capacity pop order of the merge heap under fixed fair
 /// shares: every `(app, chain position)` candidate in the order the heap
 /// would consider it if every candidate fit. A
-/// [capacity-invariant](OperatorObjective::capacity_invariant) objective
-/// ignores the shares, so its order is valid under any capacity.
+/// [`Static`](crate::objectives::ScoreForm::Static) objective ignores
+/// the shares, so its order is valid under any capacity.
 ///
 /// Sound because a candidate's score is static per `(app, position)` once
 /// the shares are fixed: `allocated` at scoring time is always the app's
@@ -415,11 +446,8 @@ pub fn merged_order<O: OperatorObjective + ?Sized>(
     fair_shares: &[f64],
 ) -> MergeOrder {
     let len = inputs.chains.iter().map(Vec::len).sum();
-    let mut order = MergeOrder {
-        steps: Vec::with_capacity(len),
-        degraded: Vec::with_capacity(len),
-        ..MergeOrder::default()
-    };
+    let mut steps = Vec::with_capacity(len);
+    let mut degraded = Vec::with_capacity(len);
     let mut allocated = vec![0.0; inputs.app_count()];
     merge(
         inputs,
@@ -427,30 +455,16 @@ pub fn merged_order<O: OperatorObjective + ?Sized>(
         fair_shares,
         &mut allocated,
         |app, pos, e| {
-            order.steps.push(Step {
+            steps.push(Step {
                 scalar: e.scalar,
                 app: app.index() as u32,
                 pos: pos as u32,
             });
-            order.degraded.push(e.mode != ServingMode::Full);
+            degraded.push(e.mode != ServingMode::Full);
             Pop::Take
         },
     );
-    order.taken = vec![false; order.steps.len()];
-    // Every step is taken: the merge's allocations are the all-taken
-    // ones, summed in step order.
-    order.all_allocated = allocated;
-    order.all_degraded = order.degraded.iter().map(|&d| u64::from(d)).sum();
-    // One probe replay just above the total demand sets C* when it takes
-    // every step (the fit rule's slack absorbs the sum's rounding).
-    let total: f64 = order.steps.iter().map(|s| s.scalar).sum();
-    let probe = total + total.abs() * 1e-9;
-    let mut fits = Fits::new(probe, inputs.app_count(), &PlannerConfig::default());
-    let apps = order.steps.iter().map(|s| s.app as usize);
-    if (apps.zip(&order.steps)).all(|(app, s)| fits.take(app, s.scalar, false) == Some(true)) {
-        order.all_fit = Some(probe);
-    }
-    order
+    MergeOrder::of_steps(inputs.app_count(), steps, degraded)
 }
 
 /// The bounded merge's fit rule, the one both the heap
@@ -514,41 +528,43 @@ impl Fits {
     }
 }
 
-/// The one replay loop, which reads the order only: decides `steps` (with
-/// their `degraded` flags) in order under the fit rule at `capacity`,
-/// adding each taken step's demand to its app in `allocated`, until the
-/// break rule stops it. `decided(i, step, take)` sees every decision.
-/// Returns the step a break stopped at (the order's length when none
-/// did) and whether every step was taken, and records the rung
-/// purchases, chain retirements and steps walked.
+/// The one replay loop, which reads the order only: decides `steps`
+/// (`(step, degraded)` pairs: a cached order's, or a derived one's as it
+/// is derived) in order under the fit rule at `capacity`, adding each
+/// taken step's demand to its app in `allocated`, until the break rule
+/// stops it. `decided(i, step, take)` sees every decision. Returns the
+/// step a break stopped at (the number of steps when none did) and
+/// whether every step was taken, and records the rung purchases, chain
+/// retirements and steps walked.
 #[inline]
 fn walk(
-    steps: &[Step],
-    degraded: &[bool],
+    steps: impl Iterator<Item = (Step, bool)>,
     capacity: f64,
     cfg: &PlannerConfig,
     allocated: &mut [f64],
     mut decided: impl FnMut(usize, &Step, bool),
 ) -> (usize, bool) {
     let mut fits = Fits::new(capacity, allocated.len(), cfg);
-    let mut end = steps.len();
+    let mut end = 0;
+    let mut broke = false;
     let mut all_taken = true;
-    for (i, (step, &degraded)) in steps.iter().zip(degraded).enumerate() {
+    for (step, degraded) in steps {
         let app = step.app as usize;
         let Some(take) = fits.take(app, step.scalar, degraded) else {
             all_taken = false;
-            end = i;
+            broke = true;
             break;
         };
         all_taken &= take;
         if take {
             allocated[app] += step.scalar;
         }
-        decided(i, step, take);
+        decided(end, &step, take);
+        end += 1;
     }
     fits.record();
     // The steps decided: all of them, or up to the one a break stopped at.
-    let walked = steps.len().min(end + 1);
+    let walked = end + usize::from(broke);
     phoenix_obs::current().add(phoenix_obs::Counter::ReplaySteps, walked as u64);
     (end, all_taken)
 }
@@ -620,9 +636,9 @@ fn replay(
         taken,
         ..
     } = order;
+    let pairs = steps.iter().copied().zip(degraded.iter().copied());
     let (end, all_taken) = walk(
-        steps,
-        degraded,
+        pairs,
         capacity,
         cfg,
         &mut rank.allocated,
@@ -673,25 +689,32 @@ fn replay_fresh(
     order: &MergeOrder,
     capacity: Resources,
     cfg: &PlannerConfig,
-    mut decided: impl FnMut(usize, bool),
+    decided: impl FnMut(usize, bool),
 ) -> (GlobalRank, usize) {
     let capacity = capacity.scalar();
     let fair_shares = inputs.fair_shares(capacity);
+    walk_fresh(inputs, order.pairs(), fair_shares, capacity, cfg, decided)
+}
+
+/// `steps` walked under `capacity` into a fresh ranking that records
+/// `fair_shares`: the body of [`replay_fresh`] and of
+/// [`global_rank_derived`].
+fn walk_fresh(
+    inputs: &RankInputs,
+    steps: impl Iterator<Item = (Step, bool)>,
+    fair_shares: Vec<f64>,
+    capacity: f64,
+    cfg: &PlannerConfig,
+    mut decided: impl FnMut(usize, bool),
+) -> (GlobalRank, usize) {
     let mut allocated = vec![0.0; inputs.app_count()];
     let mut items = Vec::new();
-    let (end, _) = walk(
-        &order.steps,
-        &order.degraded,
-        capacity,
-        cfg,
-        &mut allocated,
-        |i, step, take| {
-            if take {
-                items.push(inputs.item(step));
-            }
-            decided(i, take);
-        },
-    );
+    let (end, _) = walk(steps, capacity, cfg, &mut allocated, |i, step, take| {
+        if take {
+            items.push(inputs.item(step));
+        }
+        decided(i, take);
+    });
     let rank = GlobalRank {
         items,
         fair_shares,
@@ -709,6 +732,324 @@ pub(crate) fn global_rank_replayed(
     cfg: &PlannerConfig,
 ) -> GlobalRank {
     replay_fresh(inputs, order, capacity, cfg, |_, _| {}).0
+}
+
+/// One per-epoch order of chain entries: a key and an app per entry. An
+/// app's entries appear in chain order, so their chain positions are
+/// counted off as the order is read instead of stored.
+#[derive(Debug, Clone, Default)]
+struct Keyed {
+    keys: Vec<f64>,
+    apps: Vec<u32>,
+}
+
+impl Keyed {
+    /// `entries` (`(key, app)` in `(app, position)` order, every key
+    /// finite and ≥ 0) sorted by `(key, app, position)`: stably by key,
+    /// whose bits order non-negative floats as their values.
+    fn sorted(mut entries: Vec<(f64, u32)>) -> Keyed {
+        entries.sort_by_key(|&(key, _)| key.to_bits());
+        let (keys, apps) = entries.into_iter().unzip();
+        Keyed { keys, apps }
+    }
+}
+
+/// The two orders a
+/// [`ShareScaled`](crate::objectives::ScoreForm::ShareScaled) objective
+/// derives every round's pop order from, built once per epoch by
+/// [`EpochOrders::of`].
+///
+/// Let x be a chain entry's prefix sum: the app's allocation before it
+/// plus its own demand scalar, summed as the heap sums `allocated`. The
+/// heap scores it `-(x / share)`, and water-filling gives every app
+/// either its own demand d_a as its share (satisfied) or one common
+/// level L (capped). So, for any capacity, the heap pops the satisfied
+/// apps' entries by x / d_a, fixed per epoch, and the capped apps'
+/// entries by x / L, which is x's order up to ties: division rounds, so
+/// distinct x can meet at one x / L, and the heap breaks such ties by
+/// app id. Apps whose share is at most 1e-12 score −∞ and come last, by
+/// app id. Chain scalars are finite and ≥ 0, so x does not decrease
+/// along a chain and the heap's one-candidate-per-app rule never bites.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct EpochOrders {
+    /// Every entry of every app with d_a > 1e-12, by (x / d_a, app,
+    /// position), keyed by x / d_a.
+    satisfied: Keyed,
+    /// Every entry, by (x, app, position), keyed by x.
+    capped: Keyed,
+    /// Each app's chain total: its last entry's x (0 for an empty chain).
+    totals: Vec<f64>,
+}
+
+/// An app's part in one round's derived order ([`EpochOrders::derive`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Share {
+    /// Share equal to its demand, bit for bit.
+    Satisfied,
+    /// Share at the common level.
+    Capped,
+    /// Share at most 1e-12: scored −∞.
+    Zero,
+}
+
+impl EpochOrders {
+    /// The orders of `inputs`' chains, or `None` when a chain scalar is
+    /// negative or not finite, a prefix sum or an app demand is not
+    /// finite, or an x / d_a overflows: those epochs rank on the heap.
+    pub(crate) fn of(inputs: &RankInputs) -> Option<EpochOrders> {
+        if inputs.demand_scalars.iter().any(|d| !d.is_finite()) {
+            return None;
+        }
+        let len = inputs.chains.iter().map(Vec::len).sum();
+        let mut capped = Vec::with_capacity(len);
+        let mut satisfied = Vec::with_capacity(len);
+        let mut totals = Vec::with_capacity(inputs.app_count());
+        for (app, chain) in inputs.chains.iter().enumerate() {
+            let demand = inputs.demand_scalars[app];
+            let mut x = 0.0f64;
+            for e in chain {
+                if !(e.scalar >= 0.0 && e.scalar.is_finite()) {
+                    return None;
+                }
+                x += e.scalar;
+                let q = x / demand;
+                if !x.is_finite() || (demand > 1e-12 && !q.is_finite()) {
+                    return None;
+                }
+                capped.push((x, app as u32));
+                if demand > 1e-12 {
+                    satisfied.push((q, app as u32));
+                }
+            }
+            totals.push(x);
+        }
+        Some(EpochOrders {
+            satisfied: Keyed::sorted(satisfied),
+            capped: Keyed::sorted(capped),
+            totals,
+        })
+    }
+
+    /// The heap's unbounded pop order under `fair_shares` (`inputs`'
+    /// water-fill at some capacity), as `(step, degraded)` pairs in
+    /// O(entries): the satisfied and the capped orders filtered to this
+    /// round's apps and merged by score, ties on app id, then the apps
+    /// with shares ≤ 1e-12 by (app, position). `None` when the capped
+    /// shares are not one level bit for bit, or an x / L overflows.
+    fn derive<'a>(
+        &'a self,
+        inputs: &'a RankInputs,
+        fair_shares: &[f64],
+    ) -> Option<impl Iterator<Item = (Step, bool)> + 'a> {
+        let mut level: Option<f64> = None;
+        let mut class = Vec::with_capacity(fair_shares.len());
+        for (app, &share) in fair_shares.iter().enumerate() {
+            class.push(if share.is_nan() || share <= 1e-12 {
+                Share::Zero
+            } else if share.to_bits() == inputs.demand_scalars[app].to_bits() {
+                Share::Satisfied
+            } else {
+                let level = *level.get_or_insert(share);
+                if level.to_bits() != share.to_bits() || !(self.totals[app] / level).is_finite() {
+                    return None;
+                }
+                Share::Capped
+            });
+        }
+        Some(Derived {
+            inputs,
+            orders: self,
+            level: level.unwrap_or(1.0),
+            next: vec![0; class.len()],
+            class,
+            satisfied: 0,
+            capped: 0,
+            run: Vec::new(),
+            run_at: 0,
+            run_q: 0.0,
+            zero_app: 0,
+        })
+    }
+}
+
+/// The merge of one round's derived order ([`EpochOrders::derive`]).
+struct Derived<'a> {
+    inputs: &'a RankInputs,
+    orders: &'a EpochOrders,
+    class: Vec<Share>,
+    /// The common level L of the capped shares.
+    level: f64,
+    /// Each app's next chain position.
+    next: Vec<u32>,
+    /// Read cursors into the satisfied and the capped order.
+    satisfied: usize,
+    capped: usize,
+    /// The capped entries at the next x / L, `run_q`, in (app, position)
+    /// order; `run_at` is the next one to yield.
+    run: Vec<(u32, u32)>,
+    run_at: usize,
+    run_q: f64,
+    /// The next app whose zero-share chain comes last.
+    zero_app: usize,
+}
+
+impl Derived<'_> {
+    /// The satisfied order's next entry of a satisfied app: its x / d_a
+    /// and app.
+    fn satisfied_head(&mut self) -> Option<(f64, u32)> {
+        let Keyed { keys, apps } = &self.orders.satisfied;
+        while let Some(&app) = apps.get(self.satisfied) {
+            if self.class[app as usize] == Share::Satisfied {
+                return Some((keys[self.satisfied], app));
+            }
+            self.satisfied += 1;
+        }
+        None
+    }
+
+    /// The capped order's next entry of a capped app, by (x / L, app,
+    /// position): its x / L and app. Reads the next run of equal x / L
+    /// when the last one is spent.
+    fn capped_head(&mut self) -> Option<(f64, u32)> {
+        if self.run_at == self.run.len() {
+            self.run.clear();
+            self.run_at = 0;
+            let Keyed { keys, apps } = &self.orders.capped;
+            while let Some(&app) = apps.get(self.capped) {
+                if self.class[app as usize] == Share::Capped {
+                    let q = keys[self.capped] / self.level;
+                    if self.run.is_empty() {
+                        self.run_q = q;
+                    } else if q != self.run_q {
+                        break;
+                    }
+                    let pos = &mut self.next[app as usize];
+                    self.run.push((app, *pos));
+                    *pos += 1;
+                }
+                self.capped += 1;
+            }
+            // Distinct x that divide to one q: the heap takes them by app.
+            if !self.run.is_sorted_by_key(|&(app, _)| app) {
+                self.run.sort_by_key(|&(app, _)| app);
+            }
+        }
+        let &(app, _) = self.run.get(self.run_at)?;
+        Some((self.run_q, app))
+    }
+
+    /// The next zero-share app's next entry.
+    fn zero_next(&mut self) -> Option<(u32, u32)> {
+        let chains = &self.inputs.chains;
+        while self.zero_app < chains.len() {
+            let app = self.zero_app;
+            let pos = self.next[app];
+            if self.class[app] == Share::Zero && (pos as usize) < chains[app].len() {
+                self.next[app] += 1;
+                return Some((app as u32, pos));
+            }
+            self.zero_app += 1;
+        }
+        None
+    }
+}
+
+impl Iterator for Derived<'_> {
+    type Item = (Step, bool);
+
+    fn next(&mut self) -> Option<(Step, bool)> {
+        let satisfied = self.satisfied_head();
+        let capped = self.capped_head();
+        let (app, pos) = match (satisfied, capped) {
+            (Some(s), Some(c)) if c < s => self.run_pop(),
+            (Some((_, app)), _) => {
+                self.satisfied += 1;
+                let pos = &mut self.next[app as usize];
+                *pos += 1;
+                (app, *pos - 1)
+            }
+            (None, Some(_)) => self.run_pop(),
+            (None, None) => self.zero_next()?,
+        };
+        let e = &self.inputs.chains[app as usize][pos as usize];
+        let step = Step {
+            scalar: e.scalar,
+            app,
+            pos,
+        };
+        Some((step, e.mode != ServingMode::Full))
+    }
+}
+
+impl Derived<'_> {
+    /// Yields the current capped run's next entry.
+    fn run_pop(&mut self) -> (u32, u32) {
+        self.run_at += 1;
+        self.run[self.run_at - 1]
+    }
+}
+
+/// A [`ShareScaled`](crate::objectives::ScoreForm::ShareScaled)
+/// objective's ranking at `capacity`, from the epoch's `orders`: the
+/// derived order walked under the fit rule as it is derived, in
+/// O(entries) with no heap and no scoring. `None` where
+/// [`EpochOrders::derive`] declines; the caller then runs the heap.
+/// Debug builds check the derived order against `objective`'s heap.
+pub(crate) fn global_rank_derived<O: OperatorObjective + ?Sized>(
+    inputs: &RankInputs,
+    orders: &EpochOrders,
+    objective: &O,
+    capacity: Resources,
+    cfg: &PlannerConfig,
+) -> Option<GlobalRank> {
+    let capacity = capacity.scalar();
+    let fair_shares = inputs.fair_shares(capacity);
+    let steps = orders.derive(inputs, &fair_shares)?;
+    #[cfg(debug_assertions)]
+    derive_cross_check(inputs, orders, objective, &fair_shares);
+    let _ = objective;
+    Some(walk_fresh(inputs, steps, fair_shares, capacity, cfg, |_, _| {}).0)
+}
+
+/// A [`ShareScaled`](crate::objectives::ScoreForm::ShareScaled)
+/// objective's merge order under `fair_shares`, derived from the epoch's
+/// `orders` in O(entries): what
+/// [`merged_order`] builds on the heap. `None` where
+/// [`EpochOrders::derive`] declines. Debug builds check it against
+/// `objective`'s heap.
+pub(crate) fn derived_order<O: OperatorObjective + ?Sized>(
+    inputs: &RankInputs,
+    orders: &EpochOrders,
+    objective: &O,
+    fair_shares: &[f64],
+) -> Option<MergeOrder> {
+    let len = orders.capped.keys.len();
+    let (mut steps, mut degraded) = (Vec::with_capacity(len), Vec::with_capacity(len));
+    for (step, d) in orders.derive(inputs, fair_shares)? {
+        steps.push(step);
+        degraded.push(d);
+    }
+    #[cfg(debug_assertions)]
+    derive_cross_check(inputs, orders, objective, fair_shares);
+    let _ = objective;
+    Some(MergeOrder::of_steps(inputs.app_count(), steps, degraded))
+}
+
+/// Debug builds: the order derived under `fair_shares` is the heap's
+/// ([`merged_order`] under `objective`), step for step.
+#[cfg(debug_assertions)]
+fn derive_cross_check<O: OperatorObjective + ?Sized>(
+    inputs: &RankInputs,
+    orders: &EpochOrders,
+    objective: &O,
+    fair_shares: &[f64],
+) {
+    debug_assert_eq!(objective.form(), crate::objectives::ScoreForm::ShareScaled);
+    let derived = orders.derive(inputs, fair_shares).expect("derivable");
+    let derived: Vec<(u32, u32)> = derived.map(|(s, _)| (s.app, s.pos)).collect();
+    let heap = merged_order(inputs, objective, fair_shares);
+    let heap: Vec<(u32, u32)> = heap.steps.iter().map(|s| (s.app, s.pos)).collect();
+    assert!(derived == heap, "derived order diverged from the heap's");
 }
 
 /// Debug builds: `rank` must equal a read-only replay of `order` bit for
@@ -1010,11 +1351,14 @@ mod tests {
                 .iter()
                 .enumerate()
                 .map(|(a, (price, chained, services))| {
-                    build_app(a, f64::from(*price), *chained, services, modal)
+                    build_app(a, f64::from(*price), *chained, services, modal, &DEMANDS)
                 });
             Workload::new(specs.collect())
         })
     }
+
+    /// The per-replica demands a [`ServiceDraw`] indexes.
+    const DEMANDS: [f64; 5] = [0.0, 0.5, 1.0, 2.0, 3.0];
 
     fn build_app(
         a: usize,
@@ -1022,13 +1366,13 @@ mod tests {
         chained: bool,
         services: &[ServiceDraw],
         modal: bool,
+        demands: &[f64],
     ) -> crate::spec::AppSpec {
         use crate::spec::ModeSpec;
-        const DEMANDS: [f64; 5] = [0.0, 0.5, 1.0, 2.0, 3.0];
         let mut b = AppSpecBuilder::new(format!("app{a}"));
         let mut ids = Vec::new();
         for (i, &(d, level, replicas, ladder)) in services.iter().enumerate() {
-            let full = DEMANDS[d];
+            let full = demands[d];
             let id = b.add_service(
                 format!("s{i}"),
                 Resources::cpu(full),
@@ -1063,6 +1407,148 @@ mod tests {
         }
         b.price_per_unit(price);
         b.build().expect("valid generated spec")
+    }
+
+    /// Per-replica demands of the derivation differential: zero, exact
+    /// halves, inexact tenths, and two neighbours of 1.7 whose prefix sums
+    /// meet after division by a water level below 1.
+    const SHARE_DEMANDS: [f64; 8] = [
+        0.0,
+        0.5,
+        1.0,
+        3.0,
+        0.1,
+        0.7,
+        1.700_000_000_000_000_2,
+        1.700_000_000_000_000_4,
+    ];
+
+    /// Like [`arb_workload`] over [`SHARE_DEMANDS`], with up to two
+    /// zero-demand apps in front.
+    fn arb_share_workload() -> impl proptest::strategy::Strategy<Value = Workload> {
+        use proptest::prelude::*;
+        let service = (0usize..SHARE_DEMANDS.len(), 1u8..6, 1u16..3, 0u8..3);
+        let app = (
+            1u8..4,
+            any::<bool>(),
+            proptest::collection::vec(service, 1..7),
+        );
+        let apps = proptest::collection::vec(app, 1..7);
+        (apps, any::<bool>(), 0usize..3).prop_map(|(apps, modal, idle)| {
+            let idle = (0..idle).map(|a| build_app(a, 1.0, false, &[(0, 1, 1, 0)], modal, &[0.0]));
+            let drawn = apps
+                .iter()
+                .enumerate()
+                .map(|(a, (price, chained, services))| {
+                    let price = f64::from(*price);
+                    build_app(a + 3, price, *chained, services, modal, &SHARE_DEMANDS)
+                });
+            Workload::new(idle.chain(drawn).collect())
+        })
+    }
+
+    /// The capacities where the water level lands exactly on an app's
+    /// demand (every share at or below it satisfied, the rest capped at
+    /// it), plus `extra`.
+    fn water_level_boundaries(inputs: &RankInputs, extra: &[f64]) -> Vec<f64> {
+        let mut demands = inputs.demand_scalars.clone();
+        demands.sort_by(f64::total_cmp);
+        let n = demands.len();
+        let mut below = 0.0;
+        let mut caps = extra.to_vec();
+        for (k, &d) in demands.iter().enumerate() {
+            caps.push(below + (n - k) as f64 * d);
+            below += d;
+        }
+        caps
+    }
+
+    #[test]
+    fn derived_order_breaks_quotient_ties_by_app() {
+        // App 0's entry has the larger x, app 1's the smaller; both are
+        // capped at L = 0.75, where the two x divide to one score. The
+        // heap pops app 0 first, though the capped order lists app 1's x
+        // first.
+        let apps = [1.700_000_000_000_000_4, 1.700_000_000_000_000_2].map(|d| {
+            let mut b = AppSpecBuilder::new(format!("d{d}"));
+            b.add_service("s", Resources::cpu(d), Some(Criticality::C1), 1);
+            b.build().unwrap()
+        });
+        let w = Workload::new(apps.to_vec());
+        let inputs = RankInputs::new(&w, &ranks(&w));
+        let shares = inputs.fair_shares(1.5);
+        assert_eq!(shares, vec![0.75, 0.75]);
+        assert_eq!(
+            1.700_000_000_000_000_4 / 0.75,
+            1.700_000_000_000_000_2 / 0.75
+        );
+        let orders = EpochOrders::of(&inputs).unwrap();
+        let derived: Vec<u32> = orders
+            .derive(&inputs, &shares)
+            .unwrap()
+            .map(|(s, _)| s.app)
+            .collect();
+        let heap = merged_order(&inputs, &FairnessObjective, &shares);
+        assert_eq!(
+            derived,
+            heap.steps.iter().map(|s| s.app).collect::<Vec<_>>()
+        );
+        assert_eq!(derived, vec![0, 1]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// A share-scaled objective's derived order is the heap's pop
+        /// order step for step, and the ranking walked from it is the
+        /// heap's bit for bit (items, shares, allocations, rung purchases
+        /// and chain retirements), at every water-level boundary, at
+        /// levels below 1 where quotients collide, and at random
+        /// capacities, under both saturation rules.
+        #[test]
+        fn derived_order_and_ranking_match_the_heap(
+            w in arb_share_workload(),
+            continue_on_saturation in proptest::prelude::any::<bool>(),
+            fraction in 0.0f64..1.5,
+        ) {
+            use phoenix_obs::{with_recorder, Counter, Recorder};
+            let inputs = RankInputs::new(&w, &ranks(&w));
+            let orders = EpochOrders::of(&inputs).expect("finite, non-negative chains");
+            let cfg = PlannerConfig { continue_on_saturation, ..PlannerConfig::default() };
+            let total: f64 = inputs.demand_scalars.iter().sum();
+            let n = inputs.app_count() as f64;
+            let extra = [total * fraction, 0.75 * n, 0.6 * n, total * 2.0, 0.0, 1e-13];
+            for cap in water_level_boundaries(&inputs, &extra) {
+                let shares = inputs.fair_shares(cap);
+                let heap = merged_order(&inputs, &FairnessObjective, &shares);
+                let derived = orders.derive(&inputs, &shares).expect("one capped level");
+                let derived: Vec<_> = derived.collect();
+                proptest::prop_assert_eq!(derived.len(), heap.steps.len());
+                for (i, ((got, degraded), want)) in derived.iter().zip(&heap.steps).enumerate() {
+                    proptest::prop_assert_eq!(
+                        (got.app, got.pos, got.scalar.to_bits(), *degraded),
+                        (want.app, want.pos, want.scalar.to_bits(), heap.degraded[i]),
+                        "step {} at capacity {}", i, cap
+                    );
+                }
+                let counted = |f: &dyn Fn() -> GlobalRank| {
+                    let recorder = Recorder::enabled();
+                    let rank = with_recorder(recorder.clone(), f);
+                    let counts =
+                        [Counter::RungPurchases, Counter::ChainRetirements].map(|c| recorder.counter(c));
+                    (rank, counts)
+                };
+                let capacity = Resources::cpu(cap);
+                let (want, want_counts) =
+                    counted(&|| global_rank_prepared(&inputs, &FairnessObjective, capacity, &cfg));
+                let (got, got_counts) = counted(&|| {
+                    global_rank_derived(&inputs, &orders, &FairnessObjective, capacity, &cfg)
+                        .expect("derivable")
+                });
+                assert_same_rank(&got, &want, "derived ranking");
+                proptest::prop_assert_eq!(got_counts, want_counts);
+            }
+        }
     }
 
     proptest::proptest! {

@@ -11,25 +11,42 @@
 //! [`PhoenixController::replan`](crate::controller::PhoenixController::replan)).
 //! A primed cache also serves the controller's cold rounds
 //! ([`PhoenixController::plan`](crate::controller::PhoenixController::plan)),
-//! read-only: they rank from its epoch (layer 1), replay a merge order
-//! of layer 2 into a fresh ranking where one is valid at their
-//! capacity, and flatten and pack from scratch.
+//! read-only: they rank from its epoch (layer 1) and the orders of
+//! layer 2, and flatten and pack from scratch.
 //!
 //! 1. **Rank cache** — each app's activation order
 //!    ([`crate::planner::app_rank`]) is cached under a cheap structural
 //!    [`fingerprint`](crate::spec::AppSpec::fingerprint); unchanged apps
 //!    skip the dependency-graph walk entirely.
 //! 2. **Warm global ranking** — the flattened [`RankInputs`] (demands,
-//!    tags, prices, water-filling sort order) are cached alongside. For
-//!    [capacity-invariant](crate::objectives::OperatorObjective::capacity_invariant)
-//!    objectives the heap's pop order itself is cached
-//!    ([`merged_order`]) and replayed under the new capacity with zero
-//!    scoring or heap work; capacity-sensitive objectives (fairness)
-//!    replay an order keyed by the exact fair-share vector while it
-//!    repeats, and re-merge over the cached dense arrays otherwise. A
-//!    replay rewrites the previous [`GlobalRank`] in place: it checks
+//!    tags, prices, water-filling sort order) are cached alongside, and
+//!    the objective's [`form`](crate::objectives::OperatorObjective::form)
+//!    picks how a round gets its merge order, the heap's pop order
+//!    ([`merged_order`]) that a replay walks with no scoring and no heap:
+//!    - [`Static`](ScoreForm::Static) (cost, criticality): one order per
+//!      epoch, valid under any capacity.
+//!    - Otherwise one order keyed by the round's water-filling shares,
+//!      replayed while they repeat bit for bit (whenever total demand
+//!      still fits the degraded capacity, shares equal demands whatever
+//!      the node count) and rebuilt whenever they change. A
+//!      [`ShareScaled`](ScoreForm::ShareScaled) objective (fairness)
+//!      derives it in O(entries) from two orders the epoch sorts once
+//!      (`ranking::EpochOrders`): satisfied apps' entries by x / d_a, capped
+//!      apps' entries by x, where x is an entry's chain-prefix sum, d_a
+//!      its app's demand and L the common water level. A round filters
+//!      both to its own satisfied and capped apps, keys the capped ones
+//!      by x / L, merges the two by score, and puts the apps whose share
+//!      is at most 1e-12 last. An [`Opaque`](ScoreForm::Opaque)
+//!      objective, or shares the derivation declines (capped shares
+//!      that are not one bit-identical level), builds it on the heap.
+//!
+//!    A cold round replays the order valid at its capacity read-only, or
+//!    walks a derived order as it derives it, or runs the heap (an
+//!    opaque objective under new shares). A warm replay rewrites the
+//!    previous [`GlobalRank`] in place: it checks
 //!    each fit decision against the mark the last replay of that order
-//!    left, writes items only from the first changed decision, and
+//!    left (a new order has none, and compares items instead), writes
+//!    items only from the first changed decision, and
 //!    returns that index. After a replay that took every step, a
 //!    replay at or above the order's all-fit capacity walks no step at
 //!    all (the all-fit short-cut of [`global_rank_replay`]): a monitor
@@ -38,8 +55,7 @@
 //!    [`PlanResult`], never cloned; when capacity is bit-identical to
 //!    the previous round it is reused whole.
 //! 3. **Warm packing** — the flattened plan is patched only where the
-//!    ranking actually changed (the replay's index, or an item compare
-//!    after a heap merge), and its [`PlanIndex`] rebuilt only then; both go
+//!    ranking actually changed (the replay's index), and its [`PlanIndex`] rebuilt only then; both go
 //!    through the scheduler half the cold path ends in too
 //!    (`controller::schedule`: pack, then the action diff), on the state
 //!    the round owns: running pods are kept in place, only pods
@@ -82,10 +98,11 @@ use phoenix_cluster::{ClusterState, PodKey};
 use crate::controller::{
     flatten_plan, push_replicas, rank_round, schedule, FlatPlan, PhoenixConfig, PlanResult,
 };
+use crate::objectives::ScoreForm;
 use crate::planner::app_rank;
 use crate::ranking::{
-    global_rank_prepared, global_rank_replay, global_rank_replayed, merged_order, GlobalRank,
-    MergeOrder, RankInputs,
+    derived_order, global_rank_derived, global_rank_replay, global_rank_replayed, merged_order,
+    EpochOrders, GlobalRank, MergeOrder, RankInputs,
 };
 use crate::spec::{ServiceId, ServingMode, Workload};
 use crate::stateful::StatefulMarks;
@@ -125,14 +142,17 @@ pub(crate) struct ReplanCache {
     /// The epoch's [`Workload::has_modes`] (fingerprints cover mode
     /// tables), so a round does not rescan every service.
     modal: bool,
+    /// A [`ScoreForm::Static`] objective's merge order: valid under any
+    /// capacity.
     merge_order: Option<MergeOrder>,
-    /// Share-keyed merge order for capacity-sensitive objectives: valid
-    /// for any round whose water-filling shares match bit-for-bit.
+    /// Any other objective's merge order under the fair shares it is
+    /// keyed by: valid for a round whose shares equal them. Rebuilt
+    /// whenever a round's shares change.
     share_order: Option<(Vec<f64>, MergeOrder)>,
-    /// Shares of the previous slow-merged round; a repeat triggers the
-    /// `share_order` investment (hysteresis — crunch rounds whose shares
-    /// move every tick never pay the extra order build).
-    last_shares: Option<Vec<f64>>,
+    /// A [`ScoreForm::ShareScaled`] objective's two epoch orders, which
+    /// derive the share-keyed order under any shares without the heap;
+    /// `None` for other forms and for chains [`EpochOrders::of`] declines.
+    epoch_orders: Option<EpochOrders>,
     /// Round outputs: valid while the epoch holds and capacity matches.
     capacity_bits: Option<(u64, u64)>,
     /// The last round's ranking, shared with its [`PlanResult::rank`]. A
@@ -188,7 +208,10 @@ impl ReplanCache {
             self.modal = workload.has_modes();
             self.merge_order = None;
             self.share_order = None;
-            self.last_shares = None;
+            self.epoch_orders = match config.objective.form() {
+                ScoreForm::ShareScaled => EpochOrders::of(&self.inputs),
+                _ => None,
+            };
             self.capacity_bits = None;
             self.rank = None;
             self.plan_valid = false;
@@ -204,9 +227,10 @@ impl ReplanCache {
 
     /// A cold round's ranking of `state` from the primed epoch, reading
     /// the cache only: a read-only replay of the cached merge order valid
-    /// at this capacity (a capacity-invariant objective's, or the
+    /// at this capacity (a [`ScoreForm::Static`] objective's, or the
     /// share-keyed order when this round's shares equal its key bit for
-    /// bit), else the heap over the epoch's inputs.
+    /// bit), else a [`ScoreForm::ShareScaled`] objective's order derived
+    /// from the epoch orders, else the heap over the epoch's inputs.
     pub(crate) fn epoch_rank(
         &self,
         workload: &Workload,
@@ -215,7 +239,8 @@ impl ReplanCache {
     ) -> GlobalRank {
         debug_assert!(self.primed, "ranking from an unprimed epoch");
         let capacity = state.healthy_capacity();
-        let order = if config.objective.capacity_invariant() {
+        let (objective, planner) = (config.objective.as_ref(), &config.planner);
+        let order = if objective.form() == ScoreForm::Static {
             self.merge_order.as_ref()
         } else {
             let shares = self.inputs.fair_shares(capacity.scalar());
@@ -226,10 +251,13 @@ impl ReplanCache {
                 .filter(keyed)
                 .map(|(_, order)| order)
         };
-        match order {
-            Some(order) => global_rank_replayed(&self.inputs, order, capacity, &config.planner),
-            None => rank_round(workload, &self.inputs, state, config, &[]),
+        if let Some(order) = order {
+            return global_rank_replayed(&self.inputs, order, capacity, planner);
         }
+        let derived = self.epoch_orders.as_ref().and_then(|orders| {
+            global_rank_derived(&self.inputs, orders, objective, capacity, planner)
+        });
+        derived.unwrap_or_else(|| rank_round(workload, &self.inputs, state, config, &[]))
     }
 }
 
@@ -267,7 +295,7 @@ pub(crate) fn replan_with(
         // Same healthy capacity, same specs: the previous ranking stands.
         obs.incr(phoenix_obs::Counter::RankFullReuses);
         old_len
-    } else if config.objective.capacity_invariant() {
+    } else if config.objective.form() == ScoreForm::Static {
         obs.incr(phoenix_obs::Counter::MergeOrderReplays);
         let order = cache.merge_order.get_or_insert_with(|| {
             let shares = cache.inputs.fair_shares(capacity.scalar());
@@ -275,47 +303,33 @@ pub(crate) fn replan_with(
         });
         replay(order, &mut rank)
     } else {
-        // Capacity-sensitive objectives (fairness): scores are static per
-        // chain position once the fair shares are fixed, so a cached merge
-        // order keyed by the exact share vector replays in linear time.
-        // Shares repeat whenever total demand still fits the degraded
-        // capacity (then share == demand for every app, whatever the node
-        // count), which is the common monitor-tick case.
+        // Scores are static per chain position once the fair shares are
+        // fixed, so the order keyed by this round's shares replays in
+        // linear time. Shares repeat whenever total demand still fits the
+        // degraded capacity (then share == demand for every app, whatever
+        // the node count), the common monitor-tick case; new shares build
+        // a new order, derived from the epoch orders where the objective
+        // is share-scaled, else merged on the heap. A new order holds no
+        // marks, so its first replay compares items.
         let shares = cache.inputs.fair_shares(capacity.scalar());
-        match &mut cache.share_order {
-            Some((s, order)) if *s == shares => {
+        let order = match &mut cache.share_order {
+            Some((key, order)) if *key == shares => {
                 obs.incr(phoenix_obs::Counter::ShareOrderReplays);
-                replay(order, &mut rank)
-            }
-            _ if cache.last_shares.as_ref() == Some(&shares) => {
-                // Second consecutive round on these shares: invest in the
-                // replayable order now, amortized by the rounds that follow.
-                obs.incr(phoenix_obs::Counter::ShareInvestments);
-                let mut order = merged_order(&cache.inputs, config.objective.as_ref(), &shares);
-                let kept = replay(&mut order, &mut rank);
-                cache.share_order = Some((shares, order));
-                kept
+                order
             }
             share_order => {
-                obs.incr(phoenix_obs::Counter::ColdMerges);
-                let fresh = global_rank_prepared(
-                    &cache.inputs,
-                    config.objective.as_ref(),
-                    capacity,
-                    &config.planner,
-                );
-                // The heap wrote this ranking, so the share order's marks
-                // no longer describe the cached one; compare items instead.
-                if let Some((_, order)) = share_order {
-                    order.forget_marks();
-                }
-                cache.last_shares = Some(shares);
-                let same = rank.items.iter().zip(&fresh.items);
-                let kept = same.take_while(|(a, b)| a == b).count();
-                rank = Arc::new(fresh);
-                kept
+                obs.incr(phoenix_obs::Counter::ShareInvestments);
+                let (inputs, objective) = (&cache.inputs, config.objective.as_ref());
+                let derived = (cache.epoch_orders.as_ref())
+                    .and_then(|orders| derived_order(inputs, orders, objective, &shares));
+                let order = derived.unwrap_or_else(|| {
+                    obs.incr(phoenix_obs::Counter::ColdMerges);
+                    merged_order(inputs, objective, &shares)
+                });
+                &mut share_order.insert((shares, order)).1
             }
-        }
+        };
+        replay(order, &mut rank)
     };
 
     // Patch the flattened pod plan incrementally: activation lists between
@@ -589,7 +603,7 @@ mod tests {
     #[test]
     fn merge_order_replay_matches_heap_at_every_capacity() {
         // The replay path must equal the heap merge for every capacity,
-        // including degenerate ones, for capacity-invariant objectives,
+        // including degenerate ones, for static objectives,
         // each replay writing into the previous capacity's ranking.
         use crate::objectives::{CostObjective, CriticalityObjective, OperatorObjective};
         use crate::planner::Traversal;
@@ -604,14 +618,13 @@ mod tests {
             let inputs = RankInputs::new(&w, &ranks);
             let objectives: [&dyn OperatorObjective; 2] = [&CostObjective, &CriticalityObjective];
             for objective in objectives {
-                let mut order = merged_order(&inputs, objective, &inputs.fair_shares(1.0));
                 for continue_on_saturation in [false, true] {
                     let cfg = PlannerConfig {
                         continue_on_saturation,
                         ..PlannerConfig::default()
                     };
                     let mut warm = GlobalRank::default();
-                    order.forget_marks();
+                    let mut order = merged_order(&inputs, objective, &inputs.fair_shares(1.0));
                     // Up the ladder and back down, with a repeat.
                     let caps = [
                         0.0, 1.0, 3.0, 7.5, 13.0, 26.0, 1000.0, 1000.0, 13.0, 7.5, 0.0,
@@ -663,10 +676,12 @@ mod tests {
     }
 
     #[test]
-    fn share_order_replay_after_a_cold_merge_stays_equivalent() {
-        // Invest in the share order, crunch (the heap writes the ranking),
-        // then return above total demand: the older share order replays
-        // into the heap's ranking, so it must not trust its old marks.
+    fn share_order_rebuilt_after_a_crunch_stays_equivalent() {
+        // Build the share order above total demand, crunch (new shares:
+        // a new order, derived, writes the ranking), then return above
+        // total demand: the order is rebuilt under the first shares again
+        // and replays, unmarked, into the crunch's ranking. No round runs
+        // the heap.
         let w = workload(5);
         let config = PhoenixConfig::with_objective(ObjectiveKind::Fairness);
         let mut cache = ReplanCache::default();
@@ -701,42 +716,69 @@ mod tests {
                 count(ShareInvestments),
                 count(ShareOrderReplays)
             ),
-            (2, 1, 3)
+            (0, 3, 3)
         );
+    }
+
+    /// An opaque custom objective: price-weighted, criticality-penalised.
+    #[derive(Debug)]
+    struct Weighted(f64);
+
+    impl crate::objectives::OperatorObjective for Weighted {
+        fn score(&self, ctx: &crate::objectives::RankContext) -> f64 {
+            ctx.price * self.0 - f64::from(ctx.criticality.level())
+        }
+        fn name(&self) -> &'static str {
+            "weighted"
+        }
     }
 
     #[test]
     fn epoch_rank_replays_the_share_order_only_under_its_shares() {
-        // Above total demand the fairness shares repeat, so the cache
-        // invests in a share-keyed order. A cold round at such a capacity
-        // replays it without walking an app rank and leaves its marks to
-        // the warm round that follows; a crunch moves the shares, so a
-        // cold round there runs the heap.
+        // Above total demand the shares repeat, so the warm rounds keep
+        // one share-keyed order. A cold round at such a capacity replays
+        // it without walking an app rank and leaves its marks to the warm
+        // round that follows. A crunch moves the shares: a cold round
+        // there derives Fairness's order from the epoch orders, walking
+        // every step of it, and runs the heap for an opaque objective.
         use phoenix_obs::Counter::{AppRankWalks, ReplaySteps};
         let w = workload(5);
-        let config = PhoenixConfig::with_objective(ObjectiveKind::Fairness);
-        let mut cache = ReplanCache::default();
-        let mut live = ClusterState::homogeneous(40, Resources::cpu(4.0));
-        for round in 0..3 {
-            live = replan_with(&w, live, &config, &mut cache, ReplanDelta::CapacityOnly).target;
-            live.fail_node(NodeId::new(round));
+        let traversal = PlannerConfig::default().traversal;
+        let entries: usize = w.apps().map(|(_, a)| app_rank(a, traversal).len()).sum();
+        let objectives: [(Box<dyn crate::objectives::OperatorObjective>, bool); 2] = [
+            (ObjectiveKind::Fairness.build(), true),
+            (Box::new(Weighted(2.0)), false),
+        ];
+        for (objective, derives) in objectives {
+            let config = PhoenixConfig {
+                objective,
+                ..PhoenixConfig::default()
+            };
+            let mut cache = ReplanCache::default();
+            let mut live = ClusterState::homogeneous(40, Resources::cpu(4.0));
+            for round in 0..3 {
+                let delta = ReplanDelta::CapacityOnly;
+                live = replan_with(&w, live, &config, &mut cache, delta).target;
+                live.fail_node(NodeId::new(round));
+            }
+            assert!(cache.share_order.is_some(), "no share-keyed order built");
+            let mut crunch = live.clone();
+            (3..20).for_each(|n| _ = crunch.fail_node(NodeId::new(n)));
+            let crunch_steps = if derives { entries } else { 0 };
+            for (state, steps) in [(&crunch, crunch_steps), (&live, entries)] {
+                let recorder = phoenix_obs::Recorder::enabled();
+                let rank = phoenix_obs::with_recorder(recorder.clone(), || {
+                    cache.epoch_rank(&w, state, &config)
+                });
+                assert_eq!(recorder.counter(AppRankWalks), 0);
+                assert_eq!(recorder.counter(ReplaySteps), steps as u64);
+                let cold = plan(&w, state.clone(), &config, &StatefulMarks::new());
+                crate::ranking::assert_same_rank(&rank, &cold.rank, "epoch rank");
+            }
+            let cold = plan(&w, live.clone(), &config, &StatefulMarks::new());
+            let warm = replan_with(&w, live, &config, &mut cache, ReplanDelta::CapacityOnly);
+            assert_equivalent(&cold, &warm);
         }
-        assert!(cache.share_order.is_some(), "no share-keyed order built");
-        let mut crunch = live.clone();
-        (3..20).for_each(|n| _ = crunch.fail_node(NodeId::new(n)));
-        for (state, replays) in [(&crunch, false), (&live, true)] {
-            let recorder = phoenix_obs::Recorder::enabled();
-            let rank = phoenix_obs::with_recorder(recorder.clone(), || {
-                cache.epoch_rank(&w, state, &config)
-            });
-            assert_eq!(recorder.counter(AppRankWalks), 0);
-            assert_eq!(recorder.counter(ReplaySteps) > 0, replays);
-            let cold = plan(&w, state.clone(), &config, &StatefulMarks::new());
-            crate::ranking::assert_same_rank(&rank, &cold.rank, "epoch rank");
-        }
-        let cold = plan(&w, live.clone(), &config, &StatefulMarks::new());
-        let warm = replan_with(&w, live, &config, &mut cache, ReplanDelta::CapacityOnly);
-        assert_equivalent(&cold, &warm);
     }
 
     /// How a caller touches the adopted target between two warm rounds.
@@ -915,21 +957,11 @@ mod tests {
     fn custom_objectives_replay_warm() {
         // The cache keys nothing on the objective: a custom one and
         // `CriticalityObjective` replay warm like the built-ins, through
-        // share-order investments and replays, a crunch's cold merge and
-        // merge-order replays, and stay equivalent to a cold plan.
-        use crate::objectives::{CriticalityObjective, OperatorObjective, RankContext};
+        // share orders merged on the heap whenever the shares change and
+        // replayed while they repeat, and merge-order replays, and stay
+        // equivalent to a cold plan.
+        use crate::objectives::{CriticalityObjective, OperatorObjective};
         use phoenix_obs::Counter::{MergeOrderReplays, ShareOrderReplays};
-
-        #[derive(Debug)]
-        struct Weighted(f64);
-        impl OperatorObjective for Weighted {
-            fn score(&self, ctx: &RankContext) -> f64 {
-                ctx.price * self.0 - f64::from(ctx.criticality.level())
-            }
-            fn name(&self) -> &'static str {
-                "weighted"
-            }
-        }
 
         let objectives: [Box<dyn OperatorObjective>; 2] =
             [Box::new(Weighted(2.0)), Box::new(CriticalityObjective)];

@@ -269,7 +269,7 @@ proptest! {
         let objective: &dyn OperatorObjective =
             if criticality { &CriticalityObjective } else { &CostObjective };
         let cfg = PlannerConfig { continue_on_saturation, ..PlannerConfig::default() };
-        // A capacity-invariant objective ignores the shares.
+        // A static objective ignores the shares.
         let shares = ranked.inputs.fair_shares(start);
         let mut order = merged_order(&ranked.inputs, objective, &shares);
         let mut rank = GlobalRank::default();
@@ -285,9 +285,9 @@ proptest! {
     }
 
     /// Fairness replays its share-keyed order only where the shares match
-    /// (capacity at or above total demand); elsewhere a cold merge writes
-    /// the ranking and the order's marks are forgotten, as the warm
-    /// replanner does.
+    /// (capacity at or above total demand); elsewhere the heap writes the
+    /// ranking, and the next replay is of a new, unmarked order, which
+    /// compares items.
     #[test]
     fn share_order_replay_walk_matches_heap(
         w in arb_workload(),
@@ -312,7 +312,7 @@ proptest! {
                 previous = Some(cap);
             } else {
                 rank = ranked.cold(&FairnessObjective, cap, &cfg);
-                order.forget_marks();
+                order = merged_order(&ranked.inputs, &FairnessObjective, &shares);
                 previous = None;
             }
         }

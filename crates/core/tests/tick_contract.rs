@@ -20,8 +20,9 @@
 //! A converged controller's cold plan on the storm shape (30 % of the
 //! nodes down at once) takes its per-app activation orders from the
 //! replan cache's epoch: it walks no `app_rank`
-//! ([`Counter::AppRankWalks`]), and under a capacity-invariant objective
-//! it replays the cached merge order instead of running the heap.
+//! ([`Counter::AppRankWalks`]), and it runs no heap: a static objective
+//! replays the cached merge order, and a share-scaled one (Fairness)
+//! derives its order from the epoch's two sorted orders.
 
 use std::sync::OnceLock;
 
@@ -200,14 +201,18 @@ fn converged_cold_plan_walks_no_app_rank() {
     }
 }
 
-/// Cost is capacity-invariant, so a converged controller's cold plan
-/// replays the cached merge order, every step of it (chains retire
-/// rather than stop the walk); Fairness's shares move under the storm,
-/// so its plan runs the heap and replays nothing.
+/// A converged controller's cold plan walks one order, every step of it
+/// (chains retire rather than stop the walk): Cost's merge order is
+/// static, so the plan replays the cached one; Fairness's shares move
+/// under the storm, so the plan derives its order from the epoch orders
+/// and walks that.
 #[test]
-fn converged_cold_plan_replays_cost_and_merges_fairness() {
+fn converged_cold_plan_replays_cost_and_derives_fairness() {
     let (_, order_len, [_, steps]) = storm_plan_work(ObjectiveKind::Cost, true);
     assert_eq!(steps, order_len, "Cost: the replay walks the whole order");
-    let (_, _, [_, steps]) = storm_plan_work(ObjectiveKind::Fairness, true);
-    assert_eq!(steps, 0, "Fairness: the storm's shares are new");
+    let (_, order_len, [_, steps]) = storm_plan_work(ObjectiveKind::Fairness, true);
+    assert_eq!(
+        steps, order_len,
+        "Fairness: the derived order is walked whole"
+    );
 }

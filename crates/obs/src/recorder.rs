@@ -40,10 +40,12 @@ pub enum Counter {
     /// Global rankings rebuilt by replaying the share-keyed merge order
     /// (fair shares repeated bit-for-bit).
     ShareOrderReplays,
-    /// Share vectors recomputed and invested into the one-round
-    /// hysteresis cache.
+    /// Share-keyed merge orders built by warm rounds whose fair shares
+    /// changed (derived from the epoch orders, or merged on the heap),
+    /// each replayed into the round's ranking.
     ShareInvestments,
-    /// Global rankings rebuilt cold through the scoring heap merge.
+    /// Share-keyed merge orders warm rounds built on the scoring heap
+    /// (an opaque objective, or shares the derivation declines).
     ColdMerges,
     /// Water-filling invocations (fair-share computation).
     WaterfillRuns,
