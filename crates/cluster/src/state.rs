@@ -252,14 +252,220 @@ pub struct ClusterState {
 }
 
 /// The interned pod table: pod key ↔ dense id, grow-only.
+///
+/// Pod keys are dense workload indices (see [`PodKey`]), so key → id is a
+/// table per app in the dense layout of `packing::PlanIndex`: each
+/// service's start into the app's replica cells, and an id per cell. A
+/// lookup is three array reads, with no hashing. The tables grow as keys
+/// arrive, in any order: a key past an app's services appends to its
+/// tables, and a replica past a service's cells inserts cells after
+/// that service's. A key whose growth would take the tables past their
+/// budget, a small multiple of the interned keys, goes to an overflow map
+/// instead, so memory stays O(interned pods) for any key: a hand-built
+/// key far outside the key space (such as `u32::MAX`) stays there, and a
+/// workload key that arrived while the table was small moves into the
+/// tables once the keys double.
 #[derive(Debug, Clone, Default)]
 struct PodTable {
-    /// pod key -> dense id. Fx-hashed: pod keys are dense internal ids
-    /// and this map is the packing/diff hot path. The map is only ever
-    /// probed (never iterated).
-    ids: FxHashMap<PodKey, PodId>,
+    /// Per app: its services' replica cells.
+    apps: Vec<AppCells>,
+    /// The 4-byte words the tables hold: service starts, cells, and
+    /// [`AppCells::WORDS`] per app.
+    words: usize,
+    /// pod key -> dense id, for keys the tables declined. Fx-hashed; only
+    /// probed, and drained in id order by [`PodTable::absorb`].
+    overflow: FxHashMap<PodKey, PodId>,
+    /// The key count at which the next intern retries the overflow.
+    retry_at: usize,
     /// dense id -> pod key.
     keys: Vec<PodKey>,
+}
+
+/// One app's part of the [`PodTable`].
+#[derive(Debug, Clone, Default)]
+struct AppCells {
+    /// Start of each service's cells in `cells`; `len = services + 1`
+    /// once the app has a service, empty before.
+    starts: Vec<u32>,
+    /// Pod id per replica cell, [`NO_POD`] where none is interned.
+    cells: Vec<PodId>,
+}
+
+impl AppCells {
+    /// Words an app's entry weighs in [`PodTable::words`]: its two `Vec`
+    /// headers.
+    const WORDS: usize = std::mem::size_of::<AppCells>() / 4;
+
+    /// The cell range of `service`, if the app has it.
+    #[inline]
+    fn range(&self, service: u32) -> Option<std::ops::Range<usize>> {
+        let s = service as usize;
+        let end = *self.starts.get(s.checked_add(1)?)? as usize;
+        Some(self.starts[s] as usize..end)
+    }
+}
+
+/// [`AppCells::cells`] entry of a cell no pod is interned at.
+const NO_POD: PodId = PodId::MAX;
+
+impl PodTable {
+    /// The words the tables may hold with `keys` interned: a small
+    /// multiple of the keys, plus slack for the first keys of a table.
+    /// Workload keys fit whatever their order: the tables end at one
+    /// word per pod, one per service and [`AppCells::WORDS`] per app.
+    fn budget(keys: usize) -> usize {
+        keys.saturating_mul(16).saturating_add(1 << 16)
+    }
+
+    /// The id of `pod`, if interned.
+    #[inline]
+    fn id(&self, pod: PodKey) -> Option<PodId> {
+        let dense = self.apps.get(pod.app as usize).and_then(|app| {
+            let cells = app.range(pod.service)?;
+            let cell = cells.start + usize::from(pod.replica);
+            (cell < cells.end).then(|| app.cells[cell])
+        });
+        match dense {
+            Some(id) if id != NO_POD => Some(id),
+            _ if self.overflow.is_empty() => None,
+            _ => self.overflow.get(&pod).copied(),
+        }
+    }
+
+    /// Interns `pod`, which must not be interned yet, and returns its id.
+    fn intern(&mut self, pod: PodKey) -> PodId {
+        let id = self.keys.len() as PodId;
+        self.keys.push(pod);
+        if !self.place(pod, id) {
+            if self.overflow.is_empty() {
+                self.retry_at = 2 * self.keys.len();
+            }
+            self.overflow.insert(pod, id);
+        } else if !self.overflow.is_empty() && self.keys.len() >= self.retry_at {
+            self.absorb();
+        }
+        id
+    }
+
+    /// Moves every overflow key the budget now allows into the tables, in
+    /// id order, and retries again once the keys double. Keys interned
+    /// early in an order that touches many services at once (a workload
+    /// packed by decreasing demand) overflow only until the table grows;
+    /// a key far outside the key space never leaves.
+    fn absorb(&mut self) {
+        let mut spilled: Vec<(PodId, PodKey)> =
+            self.overflow.drain().map(|(k, id)| (id, k)).collect();
+        spilled.sort_unstable();
+        for (id, pod) in spilled {
+            if !self.place(pod, id) {
+                self.overflow.insert(pod, id);
+            }
+        }
+        self.retry_at = 2 * self.keys.len();
+    }
+
+    /// Writes `id` into `pod`'s cell, growing the tables to it; `false`
+    /// (and nothing grown) when that would pass the budget.
+    fn place(&mut self, pod: PodKey, id: PodId) -> bool {
+        let (a, s, r) = (
+            pod.app as usize,
+            pod.service as usize,
+            usize::from(pod.replica),
+        );
+        let empty = AppCells::default();
+        let app = self.apps.get(a).unwrap_or(&empty);
+        let services = app.starts.len().saturating_sub(1);
+        // A new service opens with one cell, the common replica count; a
+        // replica past a service's cells at least doubles them, so a
+        // service's replicas arriving in order splice O(log) times.
+        let (new_starts, new_cells) = match app.range(pod.service) {
+            Some(cells) if r < cells.len() => (0, 0),
+            Some(cells) => (0, (r + 1).max(2 * cells.len()) - cells.len()),
+            None => {
+                let services = s + 1 - services;
+                (services + usize::from(app.starts.is_empty()), services + r)
+            }
+        };
+        let new_apps = (a + 1).saturating_sub(self.apps.len());
+        let growth = new_apps
+            .saturating_mul(AppCells::WORDS)
+            .saturating_add(new_starts)
+            .saturating_add(new_cells);
+        let words = self.words.saturating_add(growth);
+        if words > PodTable::budget(self.keys.len())
+            || app.cells.len() + new_cells >= NO_POD as usize
+        {
+            return false;
+        }
+        self.words = words;
+        if new_apps > 0 {
+            self.apps.resize_with(a + 1, AppCells::default);
+        }
+        let app = &mut self.apps[a];
+        if new_starts > 0 {
+            // Services up to `s`, one cell each, then `s`'s extra replicas.
+            let mut end = app.starts.last().copied().unwrap_or(0);
+            app.starts.resize(app.starts.len().max(1), 0);
+            while app.starts.len() < s + 2 {
+                end += 1;
+                app.starts.push(end);
+            }
+            *app.starts.last_mut().expect("just pushed") += r as u32;
+            app.cells.resize(app.cells.len() + new_cells, NO_POD);
+        } else if new_cells > 0 {
+            // The service's cells end at `at`: open the new ones there and
+            // move every later service's start past them.
+            let at = app.starts[s + 1] as usize;
+            app.cells
+                .splice(at..at, std::iter::repeat_n(NO_POD, new_cells));
+            app.starts[s + 1..]
+                .iter_mut()
+                .for_each(|st| *st += new_cells as u32);
+        }
+        let start = app.starts[s] as usize;
+        app.cells[start + r] = id;
+        true
+    }
+
+    /// Debug check: every key resolves to its own id, the tables and the
+    /// overflow hold each key once, and the tables hold the words counted
+    /// and no more than the budget.
+    fn check(&self) -> Result<(), String> {
+        let mut dense = 0;
+        let mut words = 0;
+        for app in &self.apps {
+            words += AppCells::WORDS + app.starts.len() + app.cells.len();
+            if app.starts.windows(2).any(|w| w[0] > w[1])
+                || app
+                    .starts
+                    .last()
+                    .is_some_and(|&end| end as usize != app.cells.len())
+            {
+                return Err("pod table service starts out of order".into());
+            }
+            dense += app.cells.iter().filter(|&&id| id != NO_POD).count();
+        }
+        if dense + self.overflow.len() != self.keys.len() {
+            return Err(format!(
+                "pod table holds {dense} dense and {} overflow ids for {} keys",
+                self.overflow.len(),
+                self.keys.len()
+            ));
+        }
+        if words != self.words || words > PodTable::budget(self.keys.len()) {
+            return Err(format!(
+                "pod table holds {words} words, counted {}, budget {}",
+                self.words,
+                PodTable::budget(self.keys.len())
+            ));
+        }
+        for (id, &key) in self.keys.iter().enumerate() {
+            if self.id(key) != Some(id as PodId) {
+                return Err(format!("interned pod {key} lost its id {id}"));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Handles on a state's shared storage (its pod table and every node's
@@ -437,7 +643,7 @@ impl ClusterState {
     /// Where `pod` runs, if assigned.
     #[inline]
     pub fn node_of(&self, pod: PodKey) -> Option<NodeId> {
-        let &id = self.table.ids.get(&pod)?;
+        let id = self.table.id(pod)?;
         let node = self.pods[id as usize].node;
         (node != UNASSIGNED).then_some(NodeId(node))
     }
@@ -452,7 +658,7 @@ impl ClusterState {
     /// [`demand_of`](ClusterState::demand_of) in one table probe.
     #[inline]
     pub fn placement_of(&self, pod: PodKey) -> Option<(NodeId, Resources)> {
-        let &id = self.table.ids.get(&pod)?;
+        let id = self.table.id(pod)?;
         let Slot { node, demand } = self.pods[id as usize];
         (node != UNASSIGNED).then_some((NodeId(node), demand))
     }
@@ -499,7 +705,7 @@ impl ClusterState {
         // for the first time is interned only once the assignment is
         // known to succeed: a failed assign must leave no trace in the
         // intern order. Only interning writes the (shared) table.
-        let known = self.table.ids.get(&pod).copied();
+        let known = self.table.id(pod);
         if known.is_some_and(|id| self.pods[id as usize].node != UNASSIGNED) {
             return Err(ClusterError::AlreadyAssigned(pod));
         }
@@ -519,10 +725,7 @@ impl ClusterState {
                 id
             }
             None => {
-                let table = Arc::make_mut(&mut self.table);
-                let id = table.keys.len() as PodId;
-                table.ids.insert(pod, id);
-                table.keys.push(pod);
+                let id = Arc::make_mut(&mut self.table).intern(pod);
                 self.pods.push(slot);
                 id
             }
@@ -552,11 +755,7 @@ impl ClusterState {
     ///
     /// [`ClusterError::UnknownPod`] when the pod is not assigned.
     pub fn remove(&mut self, pod: PodKey) -> Result<(NodeId, Resources), ClusterError> {
-        let id = *self
-            .table
-            .ids
-            .get(&pod)
-            .ok_or(ClusterError::UnknownPod(pod))?;
+        let id = self.table.id(pod).ok_or(ClusterError::UnknownPod(pod))?;
         let Slot { node, demand } = self.pods[id as usize];
         if node == UNASSIGNED {
             return Err(ClusterError::UnknownPod(pod));
@@ -736,7 +935,8 @@ impl ClusterState {
     ///
     /// Panics if a pod was never interned.
     pub(crate) fn sort_interned(&self, pods: &mut Vec<PodKey>) {
-        let mut ids: Vec<PodId> = pods.iter().map(|p| self.table.ids[p]).collect();
+        let id = |p: &PodKey| self.table.id(*p).expect("an interned pod");
+        let mut ids: Vec<PodId> = pods.iter().map(id).collect();
         ids.sort_unstable();
         ids.dedup();
         pods.clear();
@@ -815,20 +1015,16 @@ impl ClusterState {
             }
         }
         let mut assigned = 0usize;
-        if self.table.keys.len() != self.pods.len() || self.table.ids.len() != self.table.keys.len()
-        {
+        if self.table.keys.len() != self.pods.len() {
             return Err(format!(
-                "pod table holds {} keys / {} ids for {} pod slots",
+                "pod table holds {} keys for {} pod slots",
                 self.table.keys.len(),
-                self.table.ids.len(),
                 self.pods.len(),
             ));
         }
+        self.table.check()?;
         for (id, Slot { node, .. }) in self.pods.iter().enumerate() {
             let key = self.table.keys[id];
-            if self.table.ids.get(&key) != Some(&(id as PodId)) {
-                return Err(format!("interned pod {key} lost its id {id}"));
-            }
             if node == UNASSIGNED {
                 continue;
             }
@@ -1154,6 +1350,156 @@ mod tests {
             .unwrap();
         let order: Vec<PodKey> = c.assignments().map(|(p, _, _)| p).collect();
         assert_eq!(order, vec![pod(0, 0), pod(1, 0), pod(5, 0)]);
+        c.check_invariants().unwrap();
+    }
+
+    /// One operation of the pod-table differential, on state 0 or 1.
+    #[derive(Debug, Clone)]
+    enum TableOp {
+        Assign(usize, PodKey, u32),
+        Remove(usize, PodKey),
+        /// State `1 - i` becomes a clone of state `i`.
+        Clone(usize),
+        /// State `1 - i` is `clone_from` state `i`.
+        CloneFrom(usize),
+    }
+
+    /// The reference model of one state's pod table: the hash map the
+    /// dense tables replaced, the intern order and the placements.
+    #[derive(Debug, Clone, Default)]
+    struct TableModel {
+        ids: FxHashMap<PodKey, PodId>,
+        keys: Vec<PodKey>,
+        nodes: FxHashMap<PodKey, u32>,
+    }
+
+    /// Keys from a small dense key space, and adversarial ones: `u32::MAX`
+    /// apps and services, far-apart apps and services, the last replica.
+    fn arb_key() -> impl proptest::strategy::Strategy<Value = PodKey> {
+        use proptest::prelude::*;
+        const FAR: [u32; 5] = [u32::MAX, u32::MAX - 1, 1 << 20, 70_000, 3_000_000];
+        const REPLICAS: [u16; 4] = [0, 1, 300, u16::MAX];
+        let draw = (
+            0u8..8,
+            (0u32..5, 0u32..7, 0u16..3),
+            (0usize..5, 0usize..4, 0u32..3),
+        );
+        draw.prop_map(|(kind, (a, s, r), (far, replica, near))| match kind {
+            0..6 => PodKey::new(a, s, r),
+            6 => PodKey::new(FAR[far], near, REPLICAS[replica]),
+            _ => PodKey::new(near, FAR[far], REPLICAS[replica]),
+        })
+    }
+
+    fn arb_op() -> impl proptest::strategy::Strategy<Value = TableOp> {
+        use proptest::prelude::*;
+        (0u8..13, 0usize..2, arb_key(), 0u32..3).prop_map(|(kind, i, key, node)| match kind {
+            0..8 => TableOp::Assign(i, key, node),
+            8..11 => TableOp::Remove(i, key),
+            11 => TableOp::Clone(i),
+            _ => TableOp::CloneFrom(i),
+        })
+    }
+
+    /// `state` agrees with `model`: every key's id and node, the intern
+    /// order, `assignments()` in intern order, the table's size bound and
+    /// the invariants.
+    fn agrees(state: &ClusterState, model: &TableModel) -> Result<(), String> {
+        let table = &state.table;
+        if table.keys != model.keys {
+            return Err("intern order differs".into());
+        }
+        for (&key, &id) in &model.ids {
+            if table.id(key) != Some(id) {
+                return Err(format!("{key}: id {:?}, model {id}", table.id(key)));
+            }
+            if state.node_of(key).map(|n| n.0) != model.nodes.get(&key).copied() {
+                return Err(format!("{key}: placement differs"));
+            }
+        }
+        let assigned: Vec<PodKey> = state.assignments().map(|(p, _, _)| p).collect();
+        let want: Vec<PodKey> = (model.keys.iter().copied())
+            .filter(|k| model.nodes.contains_key(k))
+            .collect();
+        if assigned != want {
+            return Err("assignments() differs".into());
+        }
+        if table.words > PodTable::budget(table.keys.len()) {
+            return Err(format!(
+                "{} words for {} keys",
+                table.words,
+                table.keys.len()
+            ));
+        }
+        state.check_invariants()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// The dense pod table answers as the hash map it replaced, under
+        /// interleaved assigns, removes, clones and `clone_from`s of two
+        /// states, for dense and adversarial keys; its words stay within
+        /// the budget.
+        #[test]
+        fn dense_pod_table_matches_a_hash_map_model(
+            ops in proptest::collection::vec(arb_op(), 1..60),
+        ) {
+            let fresh = || ClusterState::homogeneous(3, Resources::cpu(1e9));
+            let mut states = [fresh(), fresh()];
+            let mut models = [TableModel::default(), TableModel::default()];
+            for op in ops {
+                match op {
+                    TableOp::Assign(i, key, node) => {
+                        let ok = states[i].assign(key, Resources::cpu(1.0), NodeId(node)).is_ok();
+                        let model = &mut models[i];
+                        proptest::prop_assert_eq!(ok, !model.nodes.contains_key(&key));
+                        if ok {
+                            if !model.ids.contains_key(&key) {
+                                model.ids.insert(key, model.keys.len() as PodId);
+                                model.keys.push(key);
+                            }
+                            model.nodes.insert(key, node);
+                        }
+                    }
+                    TableOp::Remove(i, key) => {
+                        let ok = states[i].remove(key).is_ok();
+                        proptest::prop_assert_eq!(ok, models[i].nodes.remove(&key).is_some());
+                    }
+                    TableOp::Clone(i) => {
+                        states[1 - i] = states[i].clone();
+                        models[1 - i] = models[i].clone();
+                    }
+                    TableOp::CloneFrom(i) => {
+                        let [a, b] = &mut states;
+                        let (from, to) = if i == 0 { (&*a, b) } else { (&*b, a) };
+                        to.clone_from(from);
+                        models[1 - i] = models[i].clone();
+                    }
+                }
+                for (state, model) in states.iter().zip(&models) {
+                    agrees(state, model).unwrap();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn far_keys_take_no_dense_room() {
+        let mut c = ClusterState::homogeneous(1, Resources::cpu(8.0));
+        let far = [
+            PodKey::new(u32::MAX, u32::MAX, u16::MAX),
+            PodKey::new(u32::MAX, 0, 0),
+            PodKey::new(0, u32::MAX, 0),
+        ];
+        for key in far {
+            c.assign(key, Resources::cpu(1.0), NodeId::new(0)).unwrap();
+        }
+        assert_eq!(c.table.overflow.len(), far.len());
+        assert!(c.table.words <= PodTable::budget(far.len()));
+        c.assign(pod(2, 3), Resources::cpu(1.0), NodeId::new(0))
+            .unwrap();
+        assert_eq!(c.table.overflow.len(), far.len(), "a dense key is dense");
         c.check_invariants().unwrap();
     }
 }

@@ -868,6 +868,8 @@ impl EpochOrders {
             run_at: 0,
             run_q: 0.0,
             zero_app: 0,
+            block: Vec::with_capacity(BLOCK),
+            block_at: 0,
         })
     }
 }
@@ -891,6 +893,9 @@ struct Derived<'a> {
     run_q: f64,
     /// The next app whose zero-share chain comes last.
     zero_app: usize,
+    /// The steps keyed and read ahead, and the next one to yield.
+    block: Vec<(Step, bool)>,
+    block_at: usize,
 }
 
 impl Derived<'_> {
@@ -957,31 +962,58 @@ impl Derived<'_> {
 impl Iterator for Derived<'_> {
     type Item = (Step, bool);
 
+    /// Yields from a block of [`BLOCK`] steps: their `(app, position)`
+    /// keys are merged first, then their chain entries read in one tight
+    /// pass, so the reads (scattered over every app's chain) overlap.
     fn next(&mut self) -> Option<(Step, bool)> {
+        if self.block_at == self.block.len() {
+            let mut keys = [(0, 0); BLOCK];
+            let mut n = 0;
+            while let Some(key) = (n < BLOCK).then(|| self.next_key()).flatten() {
+                keys[n] = key;
+                n += 1;
+            }
+            let chains = &self.inputs.chains;
+            self.block.clear();
+            self.block.extend(keys[..n].iter().map(|&(app, pos)| {
+                let e = &chains[app as usize][pos as usize];
+                let step = Step {
+                    scalar: e.scalar,
+                    app,
+                    pos,
+                };
+                (step, e.mode != ServingMode::Full)
+            }));
+            self.block_at = 0;
+        }
+        let pair = self.block.get(self.block_at).copied();
+        self.block_at += 1;
+        pair
+    }
+}
+
+/// Steps a [`Derived`] merge keys before it reads their chain entries.
+const BLOCK: usize = 64;
+
+impl Derived<'_> {
+    /// The next `(app, position)` of the merge: the lower (score, app) of
+    /// the two streams' heads, then the zero-share chains.
+    fn next_key(&mut self) -> Option<(u32, u32)> {
         let satisfied = self.satisfied_head();
         let capped = self.capped_head();
-        let (app, pos) = match (satisfied, capped) {
-            (Some(s), Some(c)) if c < s => self.run_pop(),
+        match (satisfied, capped) {
+            (Some(s), Some(c)) if c < s => Some(self.run_pop()),
             (Some((_, app)), _) => {
                 self.satisfied += 1;
                 let pos = &mut self.next[app as usize];
                 *pos += 1;
-                (app, *pos - 1)
+                Some((app, *pos - 1))
             }
-            (None, Some(_)) => self.run_pop(),
-            (None, None) => self.zero_next()?,
-        };
-        let e = &self.inputs.chains[app as usize][pos as usize];
-        let step = Step {
-            scalar: e.scalar,
-            app,
-            pos,
-        };
-        Some((step, e.mode != ServingMode::Full))
+            (None, Some(_)) => Some(self.run_pop()),
+            (None, None) => self.zero_next(),
+        }
     }
-}
 
-impl Derived<'_> {
     /// Yields the current capped run's next entry.
     fn run_pop(&mut self) -> (u32, u32) {
         self.run_at += 1;
