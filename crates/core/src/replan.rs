@@ -18,45 +18,33 @@
 //!    ([`crate::planner::app_rank`]) is cached under a cheap structural
 //!    [`fingerprint`](crate::spec::AppSpec::fingerprint); unchanged apps
 //!    skip the dependency-graph walk entirely.
-//! 2. **Warm global ranking** — the flattened [`RankInputs`] (demands,
-//!    tags, prices, water-filling sort order) are cached alongside, and
-//!    the objective's [`form`](crate::objectives::OperatorObjective::form)
-//!    picks how a round gets its merge order, the heap's pop order
-//!    ([`merged_order`]) that a replay walks with no scoring and no heap:
-//!    - [`Static`](ScoreForm::Static) (cost, criticality): one order per
-//!      epoch, valid under any capacity.
-//!    - Otherwise one order keyed by the round's water-filling shares,
-//!      replayed while they repeat bit for bit (whenever total demand
-//!      still fits the degraded capacity, shares equal demands whatever
-//!      the node count) and rebuilt whenever they change. A
-//!      [`ShareScaled`](ScoreForm::ShareScaled) objective (fairness)
-//!      derives it in O(entries) from two orders the epoch sorts once
-//!      (`ranking::EpochOrders`): satisfied apps' entries by x / d_a, capped
-//!      apps' entries by x, where x is an entry's chain-prefix sum, d_a
-//!      its app's demand and L the common water level. A round filters
-//!      both to its own satisfied and capped apps, keys the capped ones
-//!      by x / L, merges the two by score, and puts the apps whose share
-//!      is at most 1e-12 last. An [`Opaque`](ScoreForm::Opaque)
-//!      objective, or shares the derivation declines (capped shares
-//!      that are not one bit-identical level), builds it on the heap.
-//!
-//!    A cold round replays the order valid at its capacity read-only, or
-//!    walks a derived order as it derives it, or runs the heap (an
-//!    opaque objective under new shares). A warm replay rewrites the
-//!    previous [`GlobalRank`] in place: it checks
-//!    each fit decision against the mark the last replay of that order
-//!    left (a new order has none, and compares items instead), writes
-//!    items only from the first changed decision, and
-//!    returns that index. After a replay that took every step, a
-//!    replay at or above the order's all-fit capacity walks no step at
-//!    all (the all-fit short-cut of [`global_rank_replay`]): a monitor
-//!    tick that keeps the cluster above its total demand pays for the
-//!    shares alone. The ranking is shared (`Arc`) with the round's
-//!    [`PlanResult`], never cloned; when capacity is bit-identical to
-//!    the previous round it is reused whole.
+//! 2. **Warm global ranking** — the flattened [`RankInputs`] are cached
+//!    alongside, and so is a merge order, the heap's pop order
+//!    ([`merged_order`]) that a replay walks with no scoring and no heap.
+//!    The objective's [`form`](crate::objectives::OperatorObjective::form)
+//!    decides which: a [`Static`](ScoreForm::Static) one (cost) keeps one
+//!    order per epoch, valid under any capacity; any other keeps one
+//!    order keyed by the round's water-filling shares, replayed while
+//!    they repeat (whenever total demand fits the capacity, shares equal
+//!    demands) and rebuilt when they change. A
+//!    [`ShareScaled`](ScoreForm::ShareScaled) objective (fairness)
+//!    derives it in O(entries) from two orders the epoch sorts once
+//!    (`ranking::EpochOrders`); an [`Opaque`](ScoreForm::Opaque) one
+//!    merges it on the heap. A cold round replays the order valid at
+//!    its capacity read-only, else walks a derived order, else runs the
+//!    heap. A warm replay rewrites the previous [`GlobalRank`] in place:
+//!    it checks each fit decision against the mark the last replay of
+//!    that order left (a new order has none, and compares items), writes
+//!    items only from the first changed decision, and returns that
+//!    index. After a replay that took every step, a replay at or above
+//!    the order's all-fit capacity walks no step at all (the all-fit
+//!    short-cut of [`global_rank_replay`]). The ranking is shared
+//!    (`Arc`) with the round's [`PlanResult`], never cloned; when
+//!    capacity is bit-identical to the previous round it is reused
+//!    whole.
 //! 3. **Warm packing** — the flattened plan is patched only where the
-//!    ranking actually changed (the replay's index), and its [`PlanIndex`] rebuilt only then; both go
-//!    through the scheduler half the cold path ends in too
+//!    ranking actually changed (the replay's index), and its
+//!    [`PlanIndex`] rebuilt only then; both go through the scheduler half the cold path ends in too
 //!    (`controller::schedule`: pack, then the action diff), on the state
 //!    the round owns: running pods are kept in place, only pods
 //!    invalidated by failures or rank changes are re-homed, and the
@@ -303,14 +291,9 @@ pub(crate) fn replan_with(
         });
         replay(order, &mut rank)
     } else {
-        // Scores are static per chain position once the fair shares are
-        // fixed, so the order keyed by this round's shares replays in
-        // linear time. Shares repeat whenever total demand still fits the
-        // degraded capacity (then share == demand for every app, whatever
-        // the node count), the common monitor-tick case; new shares build
-        // a new order, derived from the epoch orders where the objective
-        // is share-scaled, else merged on the heap. A new order holds no
-        // marks, so its first replay compares items.
+        // Scores are static per chain position once the shares are fixed;
+        // new shares build a new order (unmarked: its first replay
+        // compares items).
         let shares = cache.inputs.fair_shares(capacity.scalar());
         let order = match &mut cache.share_order {
             Some((key, order)) if *key == shares => {
