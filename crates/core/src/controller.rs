@@ -151,7 +151,7 @@ impl PhoenixController {
             return plan(workload, state.clone(), config, &pins);
         };
         let rank = |state: &ClusterState| {
-            let rank = self.cache.epoch_rank(workload, state, config);
+            let rank = self.cache.epoch_rank(state, config);
             #[cfg(debug_assertions)]
             {
                 // From scratch, outside any recorder: the counters count

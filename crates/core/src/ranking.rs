@@ -6,6 +6,14 @@
 //! next-most-critical unactivated container. Each round pops the candidate
 //! with the best operator score, deducts its demand from the remaining
 //! aggregate capacity, and enqueues that app's next container.
+//!
+//! Every ranking is one fit walk (`walk`) over one pop order, the queue's
+//! order under fixed fair shares as if every candidate fit. The order
+//! comes from one of three sources: the lazy heap (`Heap`, the queue
+//! itself), a cached [`MergeOrder`] (the heap's order collected once), or
+//! an order derived in linear time from the two orders an epoch sorts
+//! (`EpochOrders`, share-scaled objectives only). The walk decides each
+//! step by one fit rule (`Fits`), so all three rank alike.
 
 use std::collections::BinaryHeap;
 
@@ -104,7 +112,7 @@ struct ChainEntry {
 /// The free cold plan builds this per round; the controller's replan
 /// cache ([`crate::replan`]) keeps it across rounds keyed by app
 /// fingerprints, for its warm rounds and its cold ones alike. Both feed
-/// the same merge loop, so their outputs are identical by construction.
+/// the same fit walk, so their outputs are identical by construction.
 #[derive(Debug, Clone, Default)]
 pub struct RankInputs {
     chains: Vec<Vec<ChainEntry>>,
@@ -207,6 +215,22 @@ impl RankInputs {
         waterfill_with_order(&self.demand_scalars, &self.demand_sort, capacity)
     }
 
+    /// The number of chain entries, every app's: the length of a pop order.
+    fn entries(&self) -> usize {
+        self.chains.iter().map(Vec::len).sum()
+    }
+
+    /// The `(step, degraded)` pair of `app`'s chain entry at `pos`.
+    fn step(&self, app: u32, pos: u32) -> (Step, bool) {
+        let e = &self.chains[app as usize][pos as usize];
+        let step = Step {
+            scalar: e.scalar,
+            app,
+            pos,
+        };
+        (step, e.mode != ServingMode::Full)
+    }
+
     /// The rank item of a [`MergeOrder`] step.
     fn item(&self, step: &Step) -> GlobalRankItem {
         let e = &self.chains[step.app as usize][step.pos as usize];
@@ -261,86 +285,102 @@ pub fn global_rank(
     )
 }
 
-/// What the merge does with a popped candidate.
-enum Pop {
-    /// Take it: the app's allocation grows by the candidate's demand and
-    /// the app's next candidate is scored.
-    Take,
-    /// Retire the app's chain: none of its later candidates is scored.
-    Retire,
-    /// Stop the merge.
-    Stop,
-}
-
-/// The one heap loop of global ranking: pops every app's next candidate in
-/// score order and lets `decide` take it, retire the app's chain, or stop
-/// the merge. `allocated` starts at zero per app and ends as each app's
-/// taken demand; a candidate is scored against its app's allocation at
-/// the time it enters the heap.
-fn merge<O: OperatorObjective + ?Sized>(
-    inputs: &RankInputs,
-    objective: &O,
-    fair_shares: &[f64],
-    allocated: &mut [f64],
-    mut decide: impl FnMut(AppId, usize, &ChainEntry) -> Pop,
-) {
-    let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
-    for app in 0..inputs.app_count() as u32 {
-        if let Some(e) = inputs.entry(objective, fair_shares, allocated, AppId::new(app), 0) {
-            heap.push(e);
-        }
-    }
-    while let Some(HeapEntry { app, pos, .. }) = heap.pop() {
-        let e = &inputs.chains[app.index()][pos];
-        match decide(app, pos, e) {
-            Pop::Take => {
-                allocated[app.index()] += e.scalar;
-                if let Some(e) = inputs.entry(objective, fair_shares, allocated, app, pos + 1) {
-                    heap.push(e);
-                }
-            }
-            Pop::Retire => {}
-            Pop::Stop => break,
-        }
-    }
-}
-
-/// [`global_rank`] over prebuilt [`RankInputs`]: the merge takes each
-/// candidate that [`Fits`] the remaining aggregate capacity.
+/// [`global_rank`] over prebuilt [`RankInputs`]: the lazy heap walked
+/// under the fit rule.
 pub(crate) fn global_rank_prepared<O: OperatorObjective + ?Sized>(
     inputs: &RankInputs,
     objective: &O,
     capacity: Resources,
     cfg: &PlannerConfig,
 ) -> GlobalRank {
-    let fair_shares = inputs.fair_shares(capacity.scalar());
-    let mut allocated = vec![0.0; inputs.app_count()];
-    let mut fits = Fits::new(capacity.scalar(), inputs.app_count(), cfg);
-    let mut items = Vec::new();
-    merge(
-        inputs,
-        objective,
-        &fair_shares,
-        &mut allocated,
-        |app, _, e| match fits.take(app.index(), e.scalar, e.mode != ServingMode::Full) {
-            Some(true) => {
-                items.push(GlobalRankItem {
-                    app,
-                    service: e.service,
-                    demand: e.demand,
-                    mode: e.mode,
-                });
-                Pop::Take
-            }
-            Some(false) => Pop::Retire,
-            None => Pop::Stop,
-        },
-    );
-    fits.record();
-    GlobalRank {
-        items,
-        fair_shares,
-        allocated,
+    let capacity = capacity.scalar();
+    let fair_shares = inputs.fair_shares(capacity);
+    rank_from(inputs, None, None, objective, fair_shares, capacity, cfg)
+}
+
+/// A fresh ranking at aggregate capacity scalar `capacity` under
+/// `fair_shares` (`inputs`' water-fill at it), walked over the first
+/// source that holds: `cached`, a cached order the caller found valid
+/// under these shares; else the order `orders` derive under them; else
+/// the lazy heap under `objective`. Only a walk of a cached or derived
+/// order counts its steps as replay steps. Debug builds check a derived
+/// order against the heap's.
+pub(crate) fn rank_from<O: OperatorObjective + ?Sized>(
+    inputs: &RankInputs,
+    cached: Option<&MergeOrder>,
+    orders: Option<&EpochOrders>,
+    objective: &O,
+    fair_shares: Vec<f64>,
+    capacity: f64,
+    cfg: &PlannerConfig,
+) -> GlobalRank {
+    let mut walked = 0;
+    let counted = |_: &(Step, bool)| walked += 1;
+    let mut rank = if let Some(order) = cached {
+        walk_fresh(inputs, order.pairs().inspect(counted), capacity, cfg)
+    } else if let Some(steps) = orders.and_then(|o| o.derive(inputs, &fair_shares)) {
+        #[cfg(debug_assertions)]
+        derive_cross_check(steps.clone(), objective, &fair_shares);
+        walk_fresh(inputs, steps.inspect(counted), capacity, cfg)
+    } else {
+        let heap = Heap::new(inputs, objective, &fair_shares);
+        walk_fresh(inputs, heap, capacity, cfg)
+    };
+    phoenix_obs::current().add(phoenix_obs::Counter::ReplaySteps, walked);
+    rank.fair_shares = fair_shares;
+    rank
+}
+
+/// The merge heap's pop order under fixed fair shares, popped lazily:
+/// every `(app, chain position)` candidate in the order the heap would
+/// consider it if every candidate fit, as `(step, degraded)` pairs. A
+/// pop scores the app's next candidate against the app's chain-prefix
+/// demand sum. A walk that breaks pops nothing past the break, so under
+/// `continue_on_saturation = false` the bounded ranking scores at most
+/// one candidate more than the verbatim heap loop.
+///
+/// Its one cost beyond that loop: under `continue_on_saturation = true`
+/// it still pops and scores the tail of every chain the walk retired,
+/// and the walk skips each of those steps. At benchmark scale only
+/// kubesim's free cold plans (`drill-64`, `evalstack-16`) rank on the
+/// heap.
+struct Heap<'a, O: ?Sized> {
+    inputs: &'a RankInputs,
+    objective: &'a O,
+    fair_shares: &'a [f64],
+    /// Each app's demand popped so far: its next candidate's allocation.
+    allocated: Vec<f64>,
+    heap: BinaryHeap<HeapEntry>,
+}
+
+impl<'a, O: OperatorObjective + ?Sized> Heap<'a, O> {
+    /// The heap holding every app's chain head.
+    fn new(inputs: &'a RankInputs, objective: &'a O, fair_shares: &'a [f64]) -> Heap<'a, O> {
+        let allocated = vec![0.0; inputs.app_count()];
+        let heads = (0..inputs.app_count() as u32)
+            .filter_map(|app| inputs.entry(objective, fair_shares, &allocated, AppId::new(app), 0));
+        let heap = heads.collect();
+        Heap {
+            inputs,
+            objective,
+            fair_shares,
+            allocated,
+            heap,
+        }
+    }
+}
+
+impl<O: OperatorObjective + ?Sized> Iterator for Heap<'_, O> {
+    type Item = (Step, bool);
+
+    fn next(&mut self) -> Option<(Step, bool)> {
+        let (inputs, objective, shares) = (self.inputs, self.objective, self.fair_shares);
+        let HeapEntry { app, pos, .. } = self.heap.pop()?;
+        let pair = inputs.step(app.index() as u32, pos as u32);
+        self.allocated[app.index()] += pair.0.scalar;
+        let next = inputs.entry(objective, shares, &self.allocated, app, pos + 1);
+        self.heap.extend(next);
+        Some(pair)
     }
 }
 
@@ -388,16 +428,20 @@ pub struct MergeOrder {
 }
 
 impl MergeOrder {
-    /// The order of `apps` apps' chain entries that takes `steps` (and
-    /// their `degraded` flags): every step unmarked, the all-taken
-    /// allocations summed in step order as a replay sums them, and C\*
-    /// set by one probe replay just above the total demand when that
-    /// probe takes every step (the fit rule's slack absorbs the sum's
-    /// rounding).
-    fn of_steps(apps: usize, steps: Vec<Step>, degraded: Vec<bool>) -> MergeOrder {
+    /// `pairs` (a whole pop order of `inputs`' chain entries, as
+    /// `(step, degraded)` pairs) collected: every step unmarked, the
+    /// all-taken allocations summed in step order as a replay sums them,
+    /// and C\* set by one probe replay just above the total demand when
+    /// that probe takes every step (the fit rule's slack absorbs the
+    /// sum's rounding).
+    fn of_steps(inputs: &RankInputs, pairs: impl Iterator<Item = (Step, bool)>) -> MergeOrder {
+        let (apps, len) = (inputs.app_count(), inputs.entries());
+        let (mut steps, mut degraded) = (Vec::with_capacity(len), Vec::with_capacity(len));
         let mut allocated = vec![0.0; apps];
-        for step in &steps {
+        for (step, d) in pairs {
             allocated[step.app as usize] += step.scalar;
+            steps.push(step);
+            degraded.push(d);
         }
         let total: f64 = steps.iter().map(|s| s.scalar).sum();
         let probe = total + total.abs() * 1e-9;
@@ -445,33 +489,33 @@ pub fn merged_order<O: OperatorObjective + ?Sized>(
     objective: &O,
     fair_shares: &[f64],
 ) -> MergeOrder {
-    let len = inputs.chains.iter().map(Vec::len).sum();
-    let mut steps = Vec::with_capacity(len);
-    let mut degraded = Vec::with_capacity(len);
-    let mut allocated = vec![0.0; inputs.app_count()];
-    merge(
-        inputs,
-        objective,
-        fair_shares,
-        &mut allocated,
-        |app, pos, e| {
-            steps.push(Step {
-                scalar: e.scalar,
-                app: app.index() as u32,
-                pos: pos as u32,
-            });
-            degraded.push(e.mode != ServingMode::Full);
-            Pop::Take
-        },
-    );
-    MergeOrder::of_steps(inputs.app_count(), steps, degraded)
+    MergeOrder::of_steps(inputs, Heap::new(inputs, objective, fair_shares))
 }
 
-/// The bounded merge's fit rule, the one both the heap
-/// ([`global_rank_prepared`]) and a [`MergeOrder`] replay decide by: a
-/// candidate is taken while it fits the remaining aggregate capacity. The
-/// caller keeps each app's allocation. Counts rung purchases and chain
-/// retirements until [`record`](Fits::record).
+/// The pop order under `fair_shares` that a warm round caches for a
+/// non-[`Static`](crate::objectives::ScoreForm::Static) objective:
+/// derived from `orders` where they derive one, else merged on the heap
+/// ([`merged_order`], counted as a cold merge). Debug builds check a
+/// derived order against the heap's.
+pub(crate) fn share_order<O: OperatorObjective + ?Sized>(
+    inputs: &RankInputs,
+    orders: Option<&EpochOrders>,
+    objective: &O,
+    fair_shares: &[f64],
+) -> MergeOrder {
+    let Some(steps) = orders.and_then(|o| o.derive(inputs, fair_shares)) else {
+        phoenix_obs::current().incr(phoenix_obs::Counter::ColdMerges);
+        return merged_order(inputs, objective, fair_shares);
+    };
+    #[cfg(debug_assertions)]
+    derive_cross_check(steps.clone(), objective, fair_shares);
+    MergeOrder::of_steps(inputs, steps)
+}
+
+/// The fit rule every walk decides by: a candidate is taken while it fits
+/// the remaining aggregate capacity. The caller keeps each app's
+/// allocation. Counts rung purchases and chain retirements until
+/// [`record`](Fits::record).
 struct Fits {
     remaining: f64,
     retired: Vec<bool>,
@@ -528,14 +572,14 @@ impl Fits {
     }
 }
 
-/// The one replay loop, which reads the order only: decides `steps`
-/// (`(step, degraded)` pairs: a cached order's, or a derived one's as it
-/// is derived) in order under the fit rule at `capacity`, adding each
-/// taken step's demand to its app in `allocated`, until the break rule
-/// stops it. `decided(i, step, take)` sees every decision. Returns the
-/// step a break stopped at (the number of steps when none did) and
-/// whether every step was taken, and records the rung purchases, chain
-/// retirements and steps walked.
+/// The one fit walk: decides `steps` (`(step, degraded)` pairs from any
+/// source, pulled one at a time) in order under the fit rule at
+/// `capacity`, adding each taken step's demand to its app in
+/// `allocated`, until the break rule stops it; it pulls nothing past the
+/// break. `decided(i, step, take)` sees every decision. Returns the step
+/// a break stopped at (the number of steps when none did) and whether
+/// every step was taken, and records the rung purchases and chain
+/// retirements.
 #[inline]
 fn walk(
     steps: impl Iterator<Item = (Step, bool)>,
@@ -546,13 +590,11 @@ fn walk(
 ) -> (usize, bool) {
     let mut fits = Fits::new(capacity, allocated.len(), cfg);
     let mut end = 0;
-    let mut broke = false;
     let mut all_taken = true;
     for (step, degraded) in steps {
         let app = step.app as usize;
         let Some(take) = fits.take(app, step.scalar, degraded) else {
             all_taken = false;
-            broke = true;
             break;
         };
         all_taken &= take;
@@ -563,10 +605,34 @@ fn walk(
         end += 1;
     }
     fits.record();
-    // The steps decided: all of them, or up to the one a break stopped at.
-    let walked = end + usize::from(broke);
-    phoenix_obs::current().add(phoenix_obs::Counter::ReplaySteps, walked as u64);
     (end, all_taken)
+}
+
+/// `steps` walked at `capacity` into a fresh ranking, whose shares the
+/// caller sets.
+fn walk_fresh(
+    inputs: &RankInputs,
+    steps: impl Iterator<Item = (Step, bool)>,
+    capacity: f64,
+    cfg: &PlannerConfig,
+) -> GlobalRank {
+    let mut rank = GlobalRank {
+        allocated: vec![0.0; inputs.app_count()],
+        ..GlobalRank::default()
+    };
+    let items = &mut rank.items;
+    walk(
+        steps,
+        capacity,
+        cfg,
+        &mut rank.allocated,
+        |_, step, take| {
+            if take {
+                items.push(inputs.item(step));
+            }
+        },
+    );
+    rank
 }
 
 /// Replays a cached [`MergeOrder`] under a (possibly different) capacity
@@ -593,6 +659,7 @@ pub fn global_rank_replay(
     cfg: &PlannerConfig,
     rank: &mut GlobalRank,
 ) -> usize {
+    let capacity = capacity.scalar();
     #[cfg(debug_assertions)]
     let previous = rank.items.clone();
     let kept = replay(inputs, order, capacity, cfg, rank);
@@ -601,7 +668,8 @@ pub fn global_rank_replay(
     kept
 }
 
-/// [`global_rank_replay`] without its debug cross-check.
+/// [`global_rank_replay`] without its debug cross-check. Counts the
+/// steps it walks as replay steps.
 ///
 /// **All-fit short-cut:** when the last replay took every step and wrote
 /// `rank` (the order is marked), any capacity of at least the order's C*
@@ -611,15 +679,14 @@ pub fn global_rank_replay(
 fn replay(
     inputs: &RankInputs,
     order: &mut MergeOrder,
-    capacity: Resources,
+    capacity: f64,
     cfg: &PlannerConfig,
     rank: &mut GlobalRank,
 ) -> usize {
-    let capacity = capacity.scalar();
     rank.fair_shares = inputs.fair_shares(capacity);
+    let obs = phoenix_obs::current();
     if order.marked && order.all_taken && order.all_fit.is_some_and(|c| capacity >= c) {
         rank.allocated.clone_from(&order.all_allocated);
-        let obs = phoenix_obs::current();
         obs.add(phoenix_obs::Counter::RungPurchases, order.all_degraded);
         return rank.items.len();
     }
@@ -630,13 +697,14 @@ fn replay(
     let marked_end = if marked { order.end } else { 0 };
     let mut kept = 0;
     let mut diverged = false;
+    let mut walked = 0;
     let MergeOrder {
         steps,
         degraded,
         taken,
         ..
     } = order;
-    let pairs = steps.iter().copied().zip(degraded.iter().copied());
+    let pairs = (steps.iter().copied().zip(degraded.iter().copied())).inspect(|_| walked += 1);
     let (end, all_taken) = walk(
         pairs,
         capacity,
@@ -663,6 +731,7 @@ fn replay(
             }
         },
     );
+    obs.add(phoenix_obs::Counter::ReplaySteps, walked);
     if !diverged {
         // Every decision repeated up to `end`: whatever the previous
         // ranking took past it is gone.
@@ -675,63 +744,6 @@ fn replay(
         order.all_fit = Some(order.all_fit.map_or(capacity, |c| c.min(capacity)));
     }
     kept
-}
-
-/// The read-only replay: `order` under `capacity` into a fresh ranking,
-/// equal to what [`global_rank`] computes from the same inputs (for the
-/// order's objective and shares). It writes no marks, so the order's
-/// next in-place replay is unaffected, and takes no short-cut: it walks
-/// every step up to a break. `decided(i, take)` sees every decision;
-/// returns the ranking and the step a break stopped at (the order's
-/// length when none did).
-fn replay_fresh(
-    inputs: &RankInputs,
-    order: &MergeOrder,
-    capacity: Resources,
-    cfg: &PlannerConfig,
-    decided: impl FnMut(usize, bool),
-) -> (GlobalRank, usize) {
-    let capacity = capacity.scalar();
-    let fair_shares = inputs.fair_shares(capacity);
-    walk_fresh(inputs, order.pairs(), fair_shares, capacity, cfg, decided)
-}
-
-/// `steps` walked under `capacity` into a fresh ranking that records
-/// `fair_shares`: the body of [`replay_fresh`] and of
-/// [`global_rank_derived`].
-fn walk_fresh(
-    inputs: &RankInputs,
-    steps: impl Iterator<Item = (Step, bool)>,
-    fair_shares: Vec<f64>,
-    capacity: f64,
-    cfg: &PlannerConfig,
-    mut decided: impl FnMut(usize, bool),
-) -> (GlobalRank, usize) {
-    let mut allocated = vec![0.0; inputs.app_count()];
-    let mut items = Vec::new();
-    let (end, _) = walk(steps, capacity, cfg, &mut allocated, |i, step, take| {
-        if take {
-            items.push(inputs.item(step));
-        }
-        decided(i, take);
-    });
-    let rank = GlobalRank {
-        items,
-        fair_shares,
-        allocated,
-    };
-    (rank, end)
-}
-
-/// [`replay_fresh`] without its decisions: a cold round's ranking from a
-/// cached order.
-pub(crate) fn global_rank_replayed(
-    inputs: &RankInputs,
-    order: &MergeOrder,
-    capacity: Resources,
-    cfg: &PlannerConfig,
-) -> GlobalRank {
-    replay_fresh(inputs, order, capacity, cfg, |_, _| {}).0
 }
 
 /// One per-epoch order of chain entries: a key and an app per entry. An
@@ -800,7 +812,7 @@ impl EpochOrders {
         if inputs.demand_scalars.iter().any(|d| !d.is_finite()) {
             return None;
         }
-        let len = inputs.chains.iter().map(Vec::len).sum();
+        let len = inputs.entries();
         let mut capped = Vec::with_capacity(len);
         let mut satisfied = Vec::with_capacity(len);
         let mut totals = Vec::with_capacity(inputs.app_count());
@@ -836,11 +848,7 @@ impl EpochOrders {
     /// round's apps and merged by score, ties on app id, then the apps
     /// with shares ≤ 1e-12 by (app, position). `None` when the capped
     /// shares are not one level bit for bit, or an x / L overflows.
-    fn derive<'a>(
-        &'a self,
-        inputs: &'a RankInputs,
-        fair_shares: &[f64],
-    ) -> Option<impl Iterator<Item = (Step, bool)> + 'a> {
+    fn derive<'a>(&'a self, inputs: &'a RankInputs, fair_shares: &[f64]) -> Option<Derived<'a>> {
         let mut level: Option<f64> = None;
         let mut class = Vec::with_capacity(fair_shares.len());
         for (app, &share) in fair_shares.iter().enumerate() {
@@ -868,13 +876,12 @@ impl EpochOrders {
             run_at: 0,
             run_q: 0.0,
             zero_app: 0,
-            block: Vec::with_capacity(BLOCK),
-            block_at: 0,
         })
     }
 }
 
 /// The merge of one round's derived order ([`EpochOrders::derive`]).
+#[derive(Clone)]
 struct Derived<'a> {
     inputs: &'a RankInputs,
     orders: &'a EpochOrders,
@@ -893,9 +900,6 @@ struct Derived<'a> {
     run_q: f64,
     /// The next app whose zero-share chain comes last.
     zero_app: usize,
-    /// The steps keyed and read ahead, and the next one to yield.
-    block: Vec<(Step, bool)>,
-    block_at: usize,
 }
 
 impl Derived<'_> {
@@ -943,6 +947,12 @@ impl Derived<'_> {
         Some((self.run_q, app))
     }
 
+    /// Yields the current capped run's next entry.
+    fn run_pop(&mut self) -> (u32, u32) {
+        self.run_at += 1;
+        self.run[self.run_at - 1]
+    }
+
     /// The next zero-share app's next entry.
     fn zero_next(&mut self) -> Option<(u32, u32)> {
         let chains = &self.inputs.chains;
@@ -962,145 +972,77 @@ impl Derived<'_> {
 impl Iterator for Derived<'_> {
     type Item = (Step, bool);
 
-    /// Yields from a block of [`BLOCK`] steps: their `(app, position)`
-    /// keys are merged first, then their chain entries read in one tight
-    /// pass, so the reads (scattered over every app's chain) overlap.
+    /// The lower (score, app) of the two streams' heads, then the
+    /// zero-share chains.
     fn next(&mut self) -> Option<(Step, bool)> {
-        if self.block_at == self.block.len() {
-            let mut keys = [(0, 0); BLOCK];
-            let mut n = 0;
-            while let Some(key) = (n < BLOCK).then(|| self.next_key()).flatten() {
-                keys[n] = key;
-                n += 1;
-            }
-            let chains = &self.inputs.chains;
-            self.block.clear();
-            self.block.extend(keys[..n].iter().map(|&(app, pos)| {
-                let e = &chains[app as usize][pos as usize];
-                let step = Step {
-                    scalar: e.scalar,
-                    app,
-                    pos,
-                };
-                (step, e.mode != ServingMode::Full)
-            }));
-            self.block_at = 0;
-        }
-        let pair = self.block.get(self.block_at).copied();
-        self.block_at += 1;
-        pair
-    }
-}
-
-/// Steps a [`Derived`] merge keys before it reads their chain entries.
-const BLOCK: usize = 64;
-
-impl Derived<'_> {
-    /// The next `(app, position)` of the merge: the lower (score, app) of
-    /// the two streams' heads, then the zero-share chains.
-    fn next_key(&mut self) -> Option<(u32, u32)> {
         let satisfied = self.satisfied_head();
         let capped = self.capped_head();
-        match (satisfied, capped) {
-            (Some(s), Some(c)) if c < s => Some(self.run_pop()),
+        let (app, pos) = match (satisfied, capped) {
+            (Some(s), Some(c)) if c < s => self.run_pop(),
             (Some((_, app)), _) => {
                 self.satisfied += 1;
                 let pos = &mut self.next[app as usize];
                 *pos += 1;
-                Some((app, *pos - 1))
+                (app, *pos - 1)
             }
-            (None, Some(_)) => Some(self.run_pop()),
-            (None, None) => self.zero_next(),
-        }
-    }
-
-    /// Yields the current capped run's next entry.
-    fn run_pop(&mut self) -> (u32, u32) {
-        self.run_at += 1;
-        self.run[self.run_at - 1]
+            (None, Some(_)) => self.run_pop(),
+            (None, None) => self.zero_next()?,
+        };
+        Some(self.inputs.step(app, pos))
     }
 }
 
-/// A [`ShareScaled`](crate::objectives::ScoreForm::ShareScaled)
-/// objective's ranking at `capacity`, from the epoch's `orders`: the
-/// derived order walked under the fit rule as it is derived, in
-/// O(entries) with no heap and no scoring. `None` where
-/// [`EpochOrders::derive`] declines; the caller then runs the heap.
-/// Debug builds check the derived order against `objective`'s heap.
-pub(crate) fn global_rank_derived<O: OperatorObjective + ?Sized>(
-    inputs: &RankInputs,
-    orders: &EpochOrders,
-    objective: &O,
-    capacity: Resources,
-    cfg: &PlannerConfig,
-) -> Option<GlobalRank> {
-    let capacity = capacity.scalar();
-    let fair_shares = inputs.fair_shares(capacity);
-    let steps = orders.derive(inputs, &fair_shares)?;
-    #[cfg(debug_assertions)]
-    derive_cross_check(inputs, orders, objective, &fair_shares);
-    let _ = objective;
-    Some(walk_fresh(inputs, steps, fair_shares, capacity, cfg, |_, _| {}).0)
-}
-
-/// A [`ShareScaled`](crate::objectives::ScoreForm::ShareScaled)
-/// objective's merge order under `fair_shares`, derived from the epoch's
-/// `orders` in O(entries): what
-/// [`merged_order`] builds on the heap. `None` where
-/// [`EpochOrders::derive`] declines. Debug builds check it against
-/// `objective`'s heap.
-pub(crate) fn derived_order<O: OperatorObjective + ?Sized>(
-    inputs: &RankInputs,
-    orders: &EpochOrders,
-    objective: &O,
-    fair_shares: &[f64],
-) -> Option<MergeOrder> {
-    let len = orders.capped.keys.len();
-    let (mut steps, mut degraded) = (Vec::with_capacity(len), Vec::with_capacity(len));
-    for (step, d) in orders.derive(inputs, fair_shares)? {
-        steps.push(step);
-        degraded.push(d);
-    }
-    #[cfg(debug_assertions)]
-    derive_cross_check(inputs, orders, objective, fair_shares);
-    let _ = objective;
-    Some(MergeOrder::of_steps(inputs.app_count(), steps, degraded))
-}
-
-/// Debug builds: the order derived under `fair_shares` is the heap's
+/// Debug builds: the order `derived` under `fair_shares` is the heap's
 /// ([`merged_order`] under `objective`), step for step.
 #[cfg(debug_assertions)]
 fn derive_cross_check<O: OperatorObjective + ?Sized>(
-    inputs: &RankInputs,
-    orders: &EpochOrders,
+    derived: Derived<'_>,
     objective: &O,
     fair_shares: &[f64],
 ) {
     debug_assert_eq!(objective.form(), crate::objectives::ScoreForm::ShareScaled);
-    let derived = orders.derive(inputs, fair_shares).expect("derivable");
+    let inputs = derived.inputs;
     let derived: Vec<(u32, u32)> = derived.map(|(s, _)| (s.app, s.pos)).collect();
     let heap = merged_order(inputs, objective, fair_shares);
     let heap: Vec<(u32, u32)> = heap.steps.iter().map(|s| (s.app, s.pos)).collect();
     assert!(derived == heap, "derived order diverged from the heap's");
 }
 
-/// Debug builds: `rank` must equal a read-only replay of `order` bit for
+/// Debug builds: `rank` must equal a read-only walk of `order` bit for
 /// bit, `kept` must be the common prefix with the `previous` items, and
-/// the marks must be that replay's decisions.
+/// the marks must be that walk's decisions.
 #[cfg(debug_assertions)]
 fn replay_cross_check(
     inputs: &RankInputs,
     order: &MergeOrder,
-    capacity: Resources,
+    capacity: f64,
     cfg: &PlannerConfig,
     rank: &GlobalRank,
     previous: &[GlobalRankItem],
     kept: usize,
 ) {
     let mut taken = Vec::with_capacity(order.steps.len());
+    let mut fresh = GlobalRank {
+        allocated: vec![0.0; inputs.app_count()],
+        ..GlobalRank::default()
+    };
     // Outside any recorder: the counters count the checked replay once.
-    let (fresh, end) = phoenix_obs::with_recorder(phoenix_obs::Recorder::disabled(), || {
-        replay_fresh(inputs, order, capacity, cfg, |_, take| taken.push(take))
+    let end = phoenix_obs::with_recorder(phoenix_obs::Recorder::disabled(), || {
+        fresh.fair_shares = inputs.fair_shares(capacity);
+        let items = &mut fresh.items;
+        let walked = walk(
+            order.pairs(),
+            capacity,
+            cfg,
+            &mut fresh.allocated,
+            |_, step, take| {
+                taken.push(take);
+                if take {
+                    items.push(inputs.item(step));
+                }
+            },
+        );
+        walked.0
     });
     assert_same_rank(rank, &fresh, "in-place replay diverged");
     let common = previous.iter().zip(&rank.items).take_while(|(a, b)| a == b);
@@ -1574,8 +1516,8 @@ mod tests {
                 let (want, want_counts) =
                     counted(&|| global_rank_prepared(&inputs, &FairnessObjective, capacity, &cfg));
                 let (got, got_counts) = counted(&|| {
-                    global_rank_derived(&inputs, &orders, &FairnessObjective, capacity, &cfg)
-                        .expect("derivable")
+                    let shares = shares.clone();
+                    rank_from(&inputs, None, Some(&orders), &FairnessObjective, shares, cap, &cfg)
                 });
                 assert_same_rank(&got, &want, "derived ranking");
                 proptest::prop_assert_eq!(got_counts, want_counts);
@@ -1621,6 +1563,49 @@ mod tests {
             proptest::prop_assert_eq!(bits(&got.fair_shares), bits(&want.fair_shares));
             proptest::prop_assert_eq!(bits(&got.allocated), bits(&want.allocated));
             proptest::prop_assert_eq!(got_counts, want_counts);
+            // The lazy heap pops nothing past a break: under the break
+            // rule it scores what the reference scores, give or take one.
+            if !continue_on_saturation {
+                let scored = Scored::new(objective);
+                let _ = global_rank(&w, &ranks, &scored, capacity, &cfg);
+                let reference = Scored::new(objective);
+                let _ = reference::global_rank_prepared(&inputs, &reference, capacity, &cfg);
+                proptest::prop_assert!(scored.calls() <= reference.calls() + 1);
+            }
+        }
+    }
+
+    /// An objective that counts its `score` calls.
+    #[derive(Debug)]
+    struct Scored<'a> {
+        inner: &'a dyn OperatorObjective,
+        calls: std::sync::atomic::AtomicU64,
+    }
+
+    impl<'a> Scored<'a> {
+        fn new(inner: &'a dyn OperatorObjective) -> Scored<'a> {
+            let calls = std::sync::atomic::AtomicU64::new(0);
+            Scored { inner, calls }
+        }
+
+        fn calls(&self) -> u64 {
+            self.calls.load(std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+
+    impl OperatorObjective for Scored<'_> {
+        fn score(&self, ctx: &RankContext) -> f64 {
+            self.calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.score(ctx)
+        }
+
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn form(&self) -> crate::objectives::ScoreForm {
+            self.inner.form()
         }
     }
 }

@@ -84,13 +84,13 @@ use phoenix_cluster::packing::{PackCarry, PlanIndex};
 use phoenix_cluster::{ClusterState, PodKey};
 
 use crate::controller::{
-    flatten_plan, push_replicas, rank_round, schedule, FlatPlan, PhoenixConfig, PlanResult,
+    flatten_plan, push_replicas, schedule, FlatPlan, PhoenixConfig, PlanResult,
 };
 use crate::objectives::ScoreForm;
 use crate::planner::app_rank;
 use crate::ranking::{
-    derived_order, global_rank_derived, global_rank_replay, global_rank_replayed, merged_order,
-    EpochOrders, GlobalRank, MergeOrder, RankInputs,
+    global_rank_replay, merged_order, rank_from, share_order, EpochOrders, GlobalRank, MergeOrder,
+    RankInputs,
 };
 use crate::spec::{ServiceId, ServingMode, Workload};
 use crate::stateful::StatefulMarks;
@@ -130,13 +130,10 @@ pub(crate) struct ReplanCache {
     /// The epoch's [`Workload::has_modes`] (fingerprints cover mode
     /// tables), so a round does not rescan every service.
     modal: bool,
-    /// A [`ScoreForm::Static`] objective's merge order: valid under any
-    /// capacity.
-    merge_order: Option<MergeOrder>,
-    /// Any other objective's merge order under the fair shares it is
-    /// keyed by: valid for a round whose shares equal them. Rebuilt
-    /// whenever a round's shares change.
-    share_order: Option<(Vec<f64>, MergeOrder)>,
+    /// The merge order and the fair shares it was built under: valid
+    /// where [`valid`] says so, rebuilt by the first warm round where it
+    /// is not.
+    order: Option<(Vec<f64>, MergeOrder)>,
     /// A [`ScoreForm::ShareScaled`] objective's two epoch orders, which
     /// derive the share-keyed order under any shares without the heap;
     /// `None` for other forms and for chains [`EpochOrders::of`] declines.
@@ -194,8 +191,7 @@ impl ReplanCache {
         if ranks_changed {
             self.inputs = RankInputs::new(workload, &self.app_ranks);
             self.modal = workload.has_modes();
-            self.merge_order = None;
-            self.share_order = None;
+            self.order = None;
             self.epoch_orders = match config.objective.form() {
                 ScoreForm::ShareScaled => EpochOrders::of(&self.inputs),
                 _ => None,
@@ -214,39 +210,30 @@ impl ReplanCache {
     }
 
     /// A cold round's ranking of `state` from the primed epoch, reading
-    /// the cache only: a read-only replay of the cached merge order valid
-    /// at this capacity (a [`ScoreForm::Static`] objective's, or the
-    /// share-keyed order when this round's shares equal its key bit for
-    /// bit), else a [`ScoreForm::ShareScaled`] objective's order derived
-    /// from the epoch orders, else the heap over the epoch's inputs.
-    pub(crate) fn epoch_rank(
-        &self,
-        workload: &Workload,
-        state: &ClusterState,
-        config: &PhoenixConfig,
-    ) -> GlobalRank {
+    /// the cache only: a read-only walk of the cached merge order where it
+    /// is [`valid`] under this round's shares, else a
+    /// [`ScoreForm::ShareScaled`] objective's order derived from the
+    /// epoch orders, else the heap over the epoch's inputs.
+    pub(crate) fn epoch_rank(&self, state: &ClusterState, config: &PhoenixConfig) -> GlobalRank {
         debug_assert!(self.primed, "ranking from an unprimed epoch");
-        let capacity = state.healthy_capacity();
-        let (objective, planner) = (config.objective.as_ref(), &config.planner);
-        let order = if objective.form() == ScoreForm::Static {
-            self.merge_order.as_ref()
-        } else {
-            let shares = self.inputs.fair_shares(capacity.scalar());
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            let keyed = |(key, _): &&(Vec<f64>, MergeOrder)| bits(key) == bits(&shares);
-            self.share_order
-                .as_ref()
-                .filter(keyed)
-                .map(|(_, order)| order)
-        };
-        if let Some(order) = order {
-            return global_rank_replayed(&self.inputs, order, capacity, planner);
-        }
-        let derived = self.epoch_orders.as_ref().and_then(|orders| {
-            global_rank_derived(&self.inputs, orders, objective, capacity, planner)
-        });
-        derived.unwrap_or_else(|| rank_round(workload, &self.inputs, state, config, &[]))
+        let capacity = state.healthy_capacity().scalar();
+        let shares = self.inputs.fair_shares(capacity);
+        let objective = config.objective.as_ref();
+        let cached = (self.order.as_ref())
+            .filter(|(key, _)| valid(objective.form(), key, &shares))
+            .map(|(_, order)| order);
+        let (inputs, orders, cfg) = (&self.inputs, self.epoch_orders.as_ref(), &config.planner);
+        rank_from(inputs, cached, orders, objective, shares, capacity, cfg)
     }
+}
+
+/// Whether a merge order built under the fair shares `key` is valid for
+/// a round whose shares are `shares`: a [`ScoreForm::Static`]
+/// objective's under any shares, any other's only under bit-identical
+/// ones (see [`merged_order`]).
+fn valid(form: ScoreForm, key: &[f64], shares: &[f64]) -> bool {
+    let bits = |x: &f64| x.to_bits();
+    form == ScoreForm::Static || key.iter().map(bits).eq(shares.iter().map(bits))
 }
 
 /// One warm planning round: the output of an unpinned
@@ -273,46 +260,37 @@ pub(crate) fn replan_with(
     let reuse = cache.capacity_bits == Some(capacity_bits) && cache.rank.is_some();
     let mut rank = cache.rank.take().unwrap_or_default();
     let old_len = rank.items.len();
-    let replay = |order: &mut MergeOrder, rank: &mut Arc<GlobalRank>| {
-        let rank = Arc::make_mut(rank);
-        global_rank_replay(&cache.inputs, order, capacity, &config.planner, rank)
-    };
     // Every branch yields how many leading items the new ranking keeps
     // from the previous one: the flat plan's patch point.
     let kept = if reuse {
         // Same healthy capacity, same specs: the previous ranking stands.
         obs.incr(phoenix_obs::Counter::RankFullReuses);
         old_len
-    } else if config.objective.form() == ScoreForm::Static {
-        obs.incr(phoenix_obs::Counter::MergeOrderReplays);
-        let order = cache.merge_order.get_or_insert_with(|| {
-            let shares = cache.inputs.fair_shares(capacity.scalar());
-            merged_order(&cache.inputs, config.objective.as_ref(), &shares)
-        });
-        replay(order, &mut rank)
     } else {
-        // Scores are static per chain position once the shares are fixed;
-        // new shares build a new order (unmarked: its first replay
-        // compares items).
-        let shares = cache.inputs.fair_shares(capacity.scalar());
-        let order = match &mut cache.share_order {
-            Some((key, order)) if *key == shares => {
-                obs.incr(phoenix_obs::Counter::ShareOrderReplays);
-                order
-            }
-            share_order => {
-                obs.incr(phoenix_obs::Counter::ShareInvestments);
-                let (inputs, objective) = (&cache.inputs, config.objective.as_ref());
-                let derived = (cache.epoch_orders.as_ref())
-                    .and_then(|orders| derived_order(inputs, orders, objective, &shares));
-                let order = derived.unwrap_or_else(|| {
-                    obs.incr(phoenix_obs::Counter::ColdMerges);
-                    merged_order(inputs, objective, &shares)
-                });
-                &mut share_order.insert((shares, order)).1
+        // Scores are static per chain position once the shares are fixed:
+        // shares the cached order is not valid under build a new one
+        // (unmarked: its first replay compares items).
+        let (inputs, objective) = (&cache.inputs, config.objective.as_ref());
+        let form = objective.form();
+        let shares = inputs.fair_shares(capacity.scalar());
+        let hit = (cache.order.as_ref()).is_some_and(|(key, _)| valid(form, key, &shares));
+        obs.incr(match (form, hit) {
+            (ScoreForm::Static, _) => phoenix_obs::Counter::MergeOrderReplays,
+            (_, true) => phoenix_obs::Counter::ShareOrderReplays,
+            (_, false) => phoenix_obs::Counter::ShareInvestments,
+        });
+        let order = match &mut cache.order {
+            Some((_, order)) if hit => order,
+            slot => {
+                let order = match form {
+                    ScoreForm::Static => merged_order(inputs, objective, &shares),
+                    _ => share_order(inputs, cache.epoch_orders.as_ref(), objective, &shares),
+                };
+                &mut slot.insert((shares, order)).1
             }
         };
-        replay(order, &mut rank)
+        let rank = Arc::make_mut(&mut rank);
+        global_rank_replay(inputs, order, capacity, &config.planner, rank)
     };
 
     // Patch the flattened pod plan incrementally: activation lists between
@@ -652,10 +630,7 @@ mod tests {
             live = warm.target.clone();
             live.fail_node(NodeId::new(round));
         }
-        assert!(
-            cache.share_order.is_some(),
-            "share-keyed merge order never built"
-        );
+        assert!(cache.order.is_some(), "share-keyed merge order never built");
     }
 
     #[test]
@@ -744,14 +719,14 @@ mod tests {
                 live = replan_with(&w, live, &config, &mut cache, delta).target;
                 live.fail_node(NodeId::new(round));
             }
-            assert!(cache.share_order.is_some(), "no share-keyed order built");
+            assert!(cache.order.is_some(), "no share-keyed order built");
             let mut crunch = live.clone();
             (3..20).for_each(|n| _ = crunch.fail_node(NodeId::new(n)));
             let crunch_steps = if derives { entries } else { 0 };
             for (state, steps) in [(&crunch, crunch_steps), (&live, entries)] {
                 let recorder = phoenix_obs::Recorder::enabled();
                 let rank = phoenix_obs::with_recorder(recorder.clone(), || {
-                    cache.epoch_rank(&w, state, &config)
+                    cache.epoch_rank(state, &config)
                 });
                 assert_eq!(recorder.counter(AppRankWalks), 0);
                 assert_eq!(recorder.counter(ReplaySteps), steps as u64);
