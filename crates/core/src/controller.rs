@@ -131,18 +131,16 @@ impl PhoenixController {
     /// activation orders, the flattened ranking inputs and whether the
     /// workload is modal) instead of walking [`app_rank`] for every app
     /// again: sound because a controller's workload and config never
-    /// change after construction. When the cache also holds a merge
-    /// order valid at this capacity (a
-    /// [`Static`](crate::objectives::ScoreForm::Static) objective's, or
-    /// the share-keyed one when this round's water-fill shares equal its
-    /// key bit for bit), the round replays it read-only instead of
-    /// running the heap merge; a
+    /// change after construction. The round walks the cache's merge
+    /// order where it is valid at this round's water-fill shares (a
+    /// [`Static`](crate::objectives::ScoreForm::Static) objective's
+    /// always, any other's under the shares it was built for, bit for
+    /// bit), else a
     /// [`ShareScaled`](crate::objectives::ScoreForm::ShareScaled)
-    /// objective (fairness) under new shares walks an order derived in
-    /// linear time from the two orders the epoch sorted (see
-    /// [`crate::replan`]). It writes nothing into the cache, and flattens
-    /// and packs cold. Use [`replan`](Self::replan) inside a monitoring
-    /// loop.
+    /// objective's (fairness) order derived in linear time from the two
+    /// orders the epoch sorted, else the heap (see [`crate::replan`]). It
+    /// writes nothing into the cache, and flattens and packs cold. Use
+    /// [`replan`](Self::replan) inside a monitoring loop.
     pub fn plan(&self, state: &ClusterState) -> PlanResult {
         let (workload, config) = (&self.workload, &self.config);
         let pins = StatefulMarks::new();
@@ -361,9 +359,9 @@ pub(crate) fn rank_inputs(
     RankInputs::new(workload, &app_ranks).with_app_demands(demands)
 }
 
-/// The heap ranking of every round that does not replay a cached order
-/// (and all of [`crate::audit::blast_radius`]): `inputs` merged against
-/// `state`'s healthy capacity, less the `Full` demand of `pin_items`.
+/// The heap ranking of a cold round without a primed epoch (and all of
+/// [`crate::audit::blast_radius`]): `inputs` merged against `state`'s
+/// healthy capacity, less the `Full` demand of `pin_items`.
 pub(crate) fn rank_round(
     workload: &Workload,
     inputs: &RankInputs,

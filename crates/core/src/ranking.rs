@@ -497,7 +497,7 @@ pub fn merged_order<O: OperatorObjective + ?Sized>(
 /// derived from `orders` where they derive one, else merged on the heap
 /// ([`merged_order`], counted as a cold merge). Debug builds check a
 /// derived order against the heap's.
-pub(crate) fn share_order<O: OperatorObjective + ?Sized>(
+pub(crate) fn warm_order<O: OperatorObjective + ?Sized>(
     inputs: &RankInputs,
     orders: Option<&EpochOrders>,
     objective: &O,
@@ -1564,7 +1564,8 @@ mod tests {
             proptest::prop_assert_eq!(bits(&got.allocated), bits(&want.allocated));
             proptest::prop_assert_eq!(got_counts, want_counts);
             // The lazy heap pops nothing past a break: under the break
-            // rule it scores what the reference scores, give or take one.
+            // rule it scores at most the successor of the step the walk
+            // broke at beyond what the reference scores.
             if !continue_on_saturation {
                 let scored = Scored::new(objective);
                 let _ = global_rank(&w, &ranks, &scored, capacity, &cfg);

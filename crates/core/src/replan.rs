@@ -19,20 +19,22 @@
 //!    [`fingerprint`](crate::spec::AppSpec::fingerprint); unchanged apps
 //!    skip the dependency-graph walk entirely.
 //! 2. **Warm global ranking** — the flattened [`RankInputs`] are cached
-//!    alongside, and so is a merge order, the heap's pop order
-//!    ([`merged_order`]) that a replay walks with no scoring and no heap.
-//!    The objective's [`form`](crate::objectives::OperatorObjective::form)
-//!    decides which: a [`Static`](ScoreForm::Static) one (cost) keeps one
-//!    order per epoch, valid under any capacity; any other keeps one
-//!    order keyed by the round's water-filling shares, replayed while
-//!    they repeat (whenever total demand fits the capacity, shares equal
-//!    demands) and rebuilt when they change. A
+//!    alongside, and so is one merge order, the heap's pop order
+//!    ([`merged_order`]) under the fair shares it was built for, which
+//!    a replay walks with no scoring and no heap. One validity check
+//!    serves warm and cold rounds: the objective's
+//!    [`form`](crate::objectives::OperatorObjective::form) decides it. A
+//!    [`Static`](ScoreForm::Static) objective's order (cost) is valid
+//!    under any capacity; any other's only under bit-identical shares
+//!    (whenever total demand fits the capacity, shares equal demands),
+//!    and a warm round under other shares rebuilds it. A
 //!    [`ShareScaled`](ScoreForm::ShareScaled) objective (fairness)
 //!    derives it in O(entries) from two orders the epoch sorts once
 //!    (`ranking::EpochOrders`); an [`Opaque`](ScoreForm::Opaque) one
-//!    merges it on the heap. A cold round replays the order valid at
-//!    its capacity read-only, else walks a derived order, else runs the
-//!    heap. A warm replay rewrites the previous [`GlobalRank`] in place:
+//!    merges it on the heap. A cold round walks one source into a fresh
+//!    ranking (`ranking::rank_from`): the cached order where it is
+//!    valid, else a derived order, else the heap. A warm replay rewrites
+//!    the previous [`GlobalRank`] in place:
 //!    it checks each fit decision against the mark the last replay of
 //!    that order left (a new order has none, and compares items), writes
 //!    items only from the first changed decision, and returns that
@@ -89,7 +91,7 @@ use crate::controller::{
 use crate::objectives::ScoreForm;
 use crate::planner::app_rank;
 use crate::ranking::{
-    global_rank_replay, merged_order, rank_from, share_order, EpochOrders, GlobalRank, MergeOrder,
+    global_rank_replay, merged_order, rank_from, warm_order, EpochOrders, GlobalRank, MergeOrder,
     RankInputs,
 };
 use crate::spec::{ServiceId, ServingMode, Workload};
@@ -130,9 +132,9 @@ pub(crate) struct ReplanCache {
     /// The epoch's [`Workload::has_modes`] (fingerprints cover mode
     /// tables), so a round does not rescan every service.
     modal: bool,
-    /// The merge order and the fair shares it was built under: valid
-    /// where [`valid`] says so, rebuilt by the first warm round where it
-    /// is not.
+    /// The merge order and the fair shares it was built under (none for
+    /// a [`ScoreForm::Static`] objective's): valid where [`valid`] says
+    /// so, rebuilt by the first warm round where it is not.
     order: Option<(Vec<f64>, MergeOrder)>,
     /// A [`ScoreForm::ShareScaled`] objective's two epoch orders, which
     /// derive the share-keyed order under any shares without the heap;
@@ -272,7 +274,12 @@ pub(crate) fn replan_with(
         // (unmarked: its first replay compares items).
         let (inputs, objective) = (&cache.inputs, config.objective.as_ref());
         let form = objective.form();
-        let shares = inputs.fair_shares(capacity.scalar());
+        // A Static objective's order is valid under any shares: it keeps
+        // none, so its rounds water-fill only in the replay.
+        let shares = match form {
+            ScoreForm::Static => Vec::new(),
+            _ => inputs.fair_shares(capacity.scalar()),
+        };
         let hit = (cache.order.as_ref()).is_some_and(|(key, _)| valid(form, key, &shares));
         obs.incr(match (form, hit) {
             (ScoreForm::Static, _) => phoenix_obs::Counter::MergeOrderReplays,
@@ -283,8 +290,10 @@ pub(crate) fn replan_with(
             Some((_, order)) if hit => order,
             slot => {
                 let order = match form {
-                    ScoreForm::Static => merged_order(inputs, objective, &shares),
-                    _ => share_order(inputs, cache.epoch_orders.as_ref(), objective, &shares),
+                    ScoreForm::Static => {
+                        merged_order(inputs, objective, &inputs.fair_shares(capacity.scalar()))
+                    }
+                    _ => warm_order(inputs, cache.epoch_orders.as_ref(), objective, &shares),
                 };
                 &mut slot.insert((shares, order)).1
             }
